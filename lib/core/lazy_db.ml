@@ -231,7 +231,7 @@ let query t ?(axis = Descendant) ?guard ~anc ~desc () =
     let global = Lxu_join.Lazy_join.global_pairs log pairs in
     ( global,
       {
-        pair_count = List.length global;
+        pair_count = Array.length pairs;
         cross_pairs = stats.Lxu_join.Lazy_join.cross_pairs;
         in_pairs = stats.Lxu_join.Lazy_join.in_pairs;
         segments_skipped = stats.Lxu_join.Lazy_join.segments_skipped;

@@ -139,10 +139,16 @@ let eval_steps ops steps =
 
 (* --- lazy-log instantiation -------------------------------------------- *)
 
+(* Lexicographic order on int pairs without polymorphic [compare]:
+   element refs [(sid, start)] and global extents [(start, stop)]. *)
+let compare_int_pair (a1, b1) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
 module Ref_set = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare = compare_int_pair
 end)
 
 let log_ops ?guard log =
@@ -208,15 +214,16 @@ let log_ops ?guard log =
     inter = Ref_set.inter;
     extents =
       (fun tag set ->
+        let tr = Update_log.translators log in
         fold_tag tag
           (fun acc ~sid ~start ~stop ~level:_ ->
             if Ref_set.mem (sid, start) set then begin
-              let node = Update_log.node_of_sid log sid in
-              Er_node.global_extent_span node ~start ~stop :: acc
+              let t = tr sid in
+              (Er_node.global_start t start, Er_node.global_stop t stop) :: acc
             end
             else acc)
           []
-        |> List.sort compare);
+        |> List.sort compare_int_pair);
   }
 
 (* --- interval-store instantiation --------------------------------------- *)

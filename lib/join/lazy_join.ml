@@ -111,11 +111,6 @@ let cols_filter keep (c : Seg_cache.cols) =
     { Seg_cache.starts; stops; levels }
   end
 
-(* Growable flat output buffer: 8 ints per pair
-   [a_sid; a_start; a_stop; a_level; d_sid; d_start; d_stop; d_level].
-   The kernels' inner loops write plain ints here — no pair or
-   elem_ref records are allocated per element; the record form is
-   built once at the API boundary. *)
 (* Chunked flat output buffer: 8 ints per pair
    [a_sid; a_start; a_stop; a_level; d_sid; d_start; d_stop; d_level],
    written into fixed chunks that are never re-grown — a growable
@@ -174,13 +169,13 @@ let buf_push8 b x0 x1 x2 x3 x4 x5 x6 x7 =
   b.cur_len <- o + 8;
   b.total <- b.total + 8
 
-(* Materializes the pair records for a sequence of buffers in order —
-   the single conversion at the API boundary, shared by the sequential
-   (one buffer) and pool (one buffer per join unit, unit order) paths. *)
 type scratch = buf
 
 let scratch = buf_create
 
+(* Materializes the pair records for a sequence of buffers in order —
+   the single conversion at the API boundary, shared by the sequential
+   (one buffer) and pool (one buffer per join unit, unit order) paths. *)
 let bufs_to_pairs bufs =
   let total = List.fold_left (fun acc b -> acc + b.total) 0 bufs in
   let n = total / 8 in
@@ -505,10 +500,17 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
       match f with
       | None -> arr
       | Some keep ->
-        let kept = Array.of_list (List.filter keep (Array.to_list arr)) in
-        stats.segments_prefiltered <-
-          stats.segments_prefiltered + Array.length arr - Array.length kept;
-        kept
+        let out = Array.copy arr in
+        let kept = ref 0 in
+        Array.iter
+          (fun e ->
+            if keep e then begin
+              out.(!kept) <- e;
+              incr kept
+            end)
+          arr;
+        stats.segments_prefiltered <- stats.segments_prefiltered + Array.length arr - !kept;
+        Array.sub out 0 !kept
     in
     let sla = prefilter a_filter (Update_log.segments_for_tag log ~tag:anc) in
     let sld = prefilter d_filter (Update_log.segments_for_tag log ~tag:desc) in
@@ -581,13 +583,28 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
       Array.iter (fun (_, lstats) -> add_stats stats lstats) results;
       (bufs_to_pairs (Array.to_list (Array.map fst results)), stats))
 
+(* Each distinct segment is resolved and its translator built once per
+   call; the global starts go into flat arrays and an index permutation
+   is sorted by (desc, anc) with int comparisons only, so no tuple
+   exists until the result list is built. *)
 let global_pairs log pairs =
-  let gstart sid ~start ~stop =
-    let node = Update_log.node_of_sid log sid in
-    fst (Er_node.global_extent_span node ~start ~stop)
-  in
-  Array.to_list pairs
-  |> List.map (fun p ->
-         ( gstart p.a_sid ~start:p.a_start ~stop:p.a_stop,
-           gstart p.d_sid ~start:p.d_start ~stop:p.d_stop ))
-  |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
+  let n = Array.length pairs in
+  let tr = Update_log.translators log in
+  let ga = Array.make n 0 and gd = Array.make n 0 in
+  Array.iteri
+    (fun i p ->
+      ga.(i) <- Er_node.global_start (tr p.a_sid) p.a_start;
+      gd.(i) <- Er_node.global_start (tr p.d_sid) p.d_start)
+    pairs;
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let c = Int.compare (Array.unsafe_get gd i) (Array.unsafe_get gd j) in
+      if c <> 0 then c else Int.compare (Array.unsafe_get ga i) (Array.unsafe_get ga j))
+    order;
+  let acc = ref [] in
+  for k = n - 1 downto 0 do
+    let i = order.(k) in
+    acc := (ga.(i), gd.(i)) :: !acc
+  done;
+  !acc

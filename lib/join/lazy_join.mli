@@ -138,4 +138,6 @@ val run :
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,
     sorted by [(desc, anc)] — the canonical form for comparing against
-    the classical algorithms. *)
+    the classical algorithms.  Each distinct segment is resolved once
+    per call into an {!Lxu_seglog.Er_node.translator}, so a label costs
+    O(log (children + tombstones)) of its segment. *)

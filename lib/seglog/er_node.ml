@@ -105,15 +105,60 @@ let sum_children_upto t x ~incl_eq =
     (fun acc c -> if c.lp < x || (incl_eq && c.lp = x) then acc + c.len else acc)
     0 t.children
 
-let phys_of_virt t x =
-  t.gp + (x - tombstoned_before t x) + sum_children_upto t x ~incl_eq:true
-
 let global_extent_span t ~start ~stop =
   let gstart = t.gp + (start - tombstoned_before t start) + sum_children_upto t start ~incl_eq:true in
   let gstop = t.gp + (stop - tombstoned_before t stop) + sum_children_upto t stop ~incl_eq:false in
   (gstart, gstop)
 
 let global_extent t e = global_extent_span t ~start:e.start ~stop:e.stop
+
+type translator = {
+  base : int;  (* [gp] at build time *)
+  tomb_starts : int array;
+  tomb_stops : int array;
+  tomb_before : int array;  (* [.(k)]: bytes in tombstones [0, k) *)
+  kid_lps : int array;
+  kid_before : int array;  (* [.(k)]: [len] of children [0, k) *)
+}
+
+let prefix_sums n f =
+  let a = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    a.(i + 1) <- a.(i) + f i
+  done;
+  a
+
+let translator t =
+  let tombs = Vec.to_array t.tombstones and kids = Vec.to_array t.children in
+  {
+    base = t.gp;
+    tomb_starts = Array.map fst tombs;
+    tomb_stops = Array.map snd tombs;
+    tomb_before = prefix_sums (Array.length tombs) (fun i -> snd tombs.(i) - fst tombs.(i));
+    kid_lps = Array.map (fun c -> c.lp) kids;
+    kid_before = prefix_sums (Array.length kids) (fun i -> kids.(i).len);
+  }
+
+(* Number of entries of the sorted array [a] that are [< x], or [<= x]
+   with [incl_eq]. *)
+let count_below a x ~incl_eq =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get a mid in
+    if v < x || (incl_eq && v = x) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Tombstones are sorted and disjoint, so of those starting before [x]
+   only the last can extend past it. *)
+let translate tr x ~incl_eq =
+  let k = count_below tr.tomb_starts x ~incl_eq:false in
+  let dead = if k = 0 then 0 else tr.tomb_before.(k) - max 0 (tr.tomb_stops.(k - 1) - x) in
+  tr.base + (x - dead) + tr.kid_before.(count_below tr.kid_lps x ~incl_eq)
+
+let global_start tr x = translate tr x ~incl_eq:true
+let global_stop tr x = translate tr x ~incl_eq:false
 
 let rec iter_subtree t f =
   f t;

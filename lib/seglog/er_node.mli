@@ -85,21 +85,43 @@ val child_index_for_gp : t -> int -> int
     be inserted to keep the vector sorted (after any child with equal
     [gp]). *)
 
-val phys_of_virt : t -> int -> int
-(** Global physical position of virtual offset [x] of this node's own
-    text: [gp] plus live own bytes before [x] plus the lengths of
-    children at positions [<= x] (a child inserted exactly at [x]
-    precedes it).  This realizes Definition 2 in reverse. *)
-
 val global_extent : t -> elem -> int * int
-(** Current global [(start, stop)] of an element, accounting for
-    tombstones and embedded child segments.  This is the local→global
-    translation that lets classical join algorithms run on the lazy
-    store (§4). *)
+(** Current global [(start, stop)] of an element: [gp], plus the live
+    own bytes before each end (tombstones subtracted), plus the
+    lengths of the children hooked before it — a child inserted
+    exactly at the start precedes the element, one inserted exactly at
+    the stop lies inside it.  This is the local→global translation
+    that lets classical join algorithms run on the lazy store (§4).
+
+    It is the {e linear reference}: every call scans all of the node's
+    tombstones and children.  The STD baseline and the
+    {!Update_log.global_elements} oracle use it; query paths that
+    translate many labels of one segment build a {!translator}
+    instead. *)
 
 val global_extent_span : t -> start:int -> stop:int -> int * int
-(** As {!global_extent}, but on a bare local [(start, stop)] span —
-    the record-free form used by columnar consumers. *)
+(** As {!global_extent}, but on a bare local [(start, stop)] span. *)
+
+type translator
+(** A node's local→global translation frozen into prefix sums over its
+    sorted tombstones and over its children's [lp]/[len]: each
+    {!global_start}/{!global_stop} is two binary searches,
+    O(log (children + tombstones)), and agrees with
+    {!global_extent_span}.  Building one is O(children + tombstones).
+    It captures [gp], [len]s, tombstones and children as they are when
+    built, so it is valid only until the next update. *)
+
+val translator : t -> translator
+
+val global_start : translator -> int -> int
+(** Global position of an element starting at local [x] — the first
+    component of {!global_extent_span}: a child hooked exactly at [x]
+    precedes it. *)
+
+val global_stop : translator -> int -> int
+(** Global position of an element stopping at local [x] — the second
+    component of {!global_extent_span}: a child hooked exactly at [x]
+    lies inside it. *)
 
 val iter_subtree : t -> (t -> unit) -> unit
 (** Pre-order traversal of the node and its descendants. *)

@@ -633,6 +633,18 @@ let node_of_sid t sid =
   if t.sb_dirty then failwith "Update_log.node_of_sid: stale SB-tree, call prepare_for_query";
   match Sb_index.find t.sb sid with Some n -> n | None -> raise Not_found
 
+module Int_tbl = Hashtbl.Make (Int)
+
+let translators t =
+  let memo = Int_tbl.create 64 in
+  fun sid ->
+    match Int_tbl.find memo sid with
+    | tr -> tr
+    | exception Not_found ->
+      let tr = Er_node.translator (node_of_sid t sid) in
+      Int_tbl.add memo sid tr;
+      tr
+
 let segments_for_tag t ~tag =
   match Tag_registry.find t.registry tag with
   | None -> [||]

@@ -116,6 +116,13 @@ val node_of_sid : t -> int -> Er_node.t
 (** SB-tree lookup.  Under [Lazy_static], call {!prepare_for_query}
     first. @raise Not_found on unknown or removed sids. *)
 
+val translators : t -> int -> Er_node.translator
+(** [translators t] is a lookup from sid to that segment's
+    {!Er_node.translator}, resolving each sid ({!node_of_sid} plus the
+    build) at most once.  The memo lives as long as the returned
+    closure: use one per read and drop it before the next update.
+    @raise Not_found as {!node_of_sid}. *)
+
 val segments_for_tag : t -> tag:string -> Tag_list.entry array
 (** Tag-list lookup: segments containing the tag, in global-position
     order (the [SL] input lists of Lazy-Join). *)

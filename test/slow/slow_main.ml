@@ -17,7 +17,10 @@
      with background maintenance, crashed at every maintenance-step
      and checkpoint-truncation boundary (plus torn/bit-flipped tails
      and backup restores), and a point-in-time restore sweep proving
-     every committed prefix state reconstructible.
+     every committed prefix state reconstructible;
+   - the translation stress case: one segment with >= 5,000 child
+     segments and a tombstoned parent, joins and paths checked against
+     the materialized oracle.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -67,4 +70,7 @@ let () =
   Lxu_crash_harness.Maint_harness.run_matrix
     ~seeds:(List.init maint_seeds (fun i -> i + 1))
     ~target_ops:maint_ops;
-  Printf.printf "maint matrix: all recoveries fingerprint-identical, every prefix restorable\n%!"
+  Printf.printf "maint matrix: all recoveries fingerprint-identical, every prefix restorable\n%!";
+  let children = Translate_stress.run ~groups:5_000 in
+  Printf.printf "translate stress: %d child segments under one parent, answers match the oracle\n%!"
+    children

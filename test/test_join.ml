@@ -227,33 +227,63 @@ let edit_gen =
         (1, map (fun a -> Del a) (int_bound 10_000));
       ])
 
+(* Strictly increasing in (desc, anc): the canonical order of
+   [Lazy_join.global_pairs], with no duplicate pair. *)
+let strictly_sorted pairs =
+  let rec go = function
+    | (a1, d1) :: ((a2, d2) :: _ as rest) -> (d1 < d2 || (d1 = d2 && a1 < a2)) && go rest
+    | _ -> true
+  in
+  go pairs
+
+(* One random edit sequence replayed on an in-memory and a paged log;
+   an MVCC snapshot of the in-memory log is frozen halfway and must
+   keep answering for the text it was frozen at while the live log
+   moves on.  Every Lazy-Join result is checked against the naive
+   oracle on the matching materialization and for canonical order. *)
 let run_equivalence mode edits =
   let log = Update_log.create ~mode () in
+  let paged =
+    let store =
+      Lxu_storage.Page_store.create ~device:(Lxu_storage.Sim_file.in_memory ()) ~page_size:512 ()
+    in
+    Update_log.create ~mode ~backend:(Lxu_btree.Storage_backend.Paged { store; attach = false }) ()
+  in
   let text = ref "" in
-  List.iter
-    (fun edit ->
-      match edit with
+  let epoch = ref 0 in
+  let frozen = ref None in
+  let half = List.length edits / 2 in
+  List.iteri
+    (fun i edit ->
+      if i = half then frozen := Some (Update_log.freeze log ~epoch:!epoch, !text);
+      (match edit with
       | Ins (pick, fi) ->
         let frag = fragments.(fi) in
         let points = valid_insert_points !text frag in
         if points <> [] then begin
           let gp = List.nth points (pick mod List.length points) in
-          ignore (Update_log.insert log ~gp frag);
+          List.iter (fun l -> ignore (Update_log.insert l ~gp frag)) [ log; paged ];
           text := string_insert !text ~gp frag
         end
       | Del pick ->
         let extents = element_extents !text in
         if extents <> [] then begin
           let s, e = List.nth extents (pick mod List.length extents) in
-          Update_log.remove log ~gp:s ~len:(e - s);
+          List.iter (fun l -> Update_log.remove l ~gp:s ~len:(e - s)) [ log; paged ];
           text := string_remove !text ~gp:s ~len:(e - s)
-        end)
+        end);
+      incr epoch;
+      Seg_cache.publish (Update_log.cache log) ~epoch:!epoch)
     edits;
+  let frozen_log, frozen_text = Option.get !frozen in
   List.for_all
     (fun (axis, std_axis) ->
       let expected = naive_pairs ~axis:std_axis !text ~anc:"A" ~desc:"D" in
       let std = std_pairs ~axis:std_axis !text ~anc:"A" ~desc:"D" in
-      let lzy, _ = lazy_pairs ~axis log ~anc:"A" ~desc:"D" in
+      let lazy_ok log expected =
+        let got, _ = lazy_pairs ~axis log ~anc:"A" ~desc:"D" in
+        got = expected && strictly_sorted got
+      in
       let base =
         let pairs, _ = Std_baseline.run ~axis:std_axis log ~anc:"A" ~desc:"D" () in
         List.map
@@ -261,7 +291,8 @@ let run_equivalence mode edits =
           pairs
         |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
       in
-      expected = std && expected = lzy && expected = base)
+      expected = std && expected = base && lazy_ok log expected && lazy_ok paged expected
+      && lazy_ok frozen_log (naive_pairs ~axis:std_axis frozen_text ~anc:"A" ~desc:"D"))
     [ (Lazy_join.Descendant, Stack_tree_desc.Descendant); (Lazy_join.Child, Stack_tree_desc.Child) ]
 
 let prop_equivalence mode name =

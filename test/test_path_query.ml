@@ -177,6 +177,55 @@ let prop_random_docs =
           && naive_eval !text path = Path_query.eval_string ~strategy:Path_query.Holistic db path)
         [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c" ])
 
+(* Inserts interleaved with removes, so segments carry tombstones and
+   removed children: the lazy extents must still translate every
+   surviving label to the position the oracle sees in the text. *)
+let prop_random_docs_with_removes =
+  let fragments =
+    [| "<a/>"; "<b><c/></b>"; "<a><b><c/></b></a>"; "<c><a/></c>"; "<b/><c/>"; "<a>t<c/></a>" |]
+  in
+  let extents text =
+    let acc = ref [] in
+    Lxu_xml.Tree.iter_elements (Lxu_xml.Parser.parse_fragment text) (fun e ~level:_ ->
+        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !acc);
+    List.rev !acc
+  in
+  let gen =
+    QCheck2.Gen.(list_size (int_range 2 14) (triple (int_bound 4) (int_bound 1000) (int_bound 5)))
+  in
+  QCheck2.Test.make ~name:"path query = naive after removes" ~count:80 gen (fun edits ->
+      let dbs = [ Lazy_db.create ~engine:Lazy_db.LD (); Lazy_db.create ~engine:Lazy_db.LS () ] in
+      let text = ref "" in
+      List.iter
+        (fun (kind, pick, fi) ->
+          match (kind, extents !text) with
+          | 0, (_ :: _ as ext) ->
+            let s, e = List.nth ext (pick mod List.length ext) in
+            List.iter (fun db -> Lazy_db.remove db ~gp:s ~len:(e - s)) dbs;
+            text := String.sub !text 0 s ^ String.sub !text e (String.length !text - e)
+          | _ -> (
+            let frag = fragments.(fi) in
+            let points = ref [] in
+            for gp = 0 to String.length !text do
+              let cand =
+                String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)
+              in
+              if Lxu_xml.Parser.is_well_formed_fragment cand then points := gp :: !points
+            done;
+            match !points with
+            | [] -> ()
+            | ps ->
+              let gp = List.nth ps (pick mod List.length ps) in
+              List.iter (fun db -> Lazy_db.insert db ~gp frag) dbs;
+              text := String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)))
+        edits;
+      List.for_all
+        (fun db ->
+          List.for_all
+            (fun path -> naive_eval !text path = Path_query.eval_string db path)
+            [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c"; "//c"; "//a/c" ])
+        dbs)
+
 let suite =
   [
     Alcotest.test_case "parse forms" `Quick test_parse_forms;
@@ -186,6 +235,7 @@ let suite =
     Alcotest.test_case "count" `Quick test_count;
     Alcotest.test_case "eval after update" `Quick test_eval_after_update;
     QCheck_alcotest.to_alcotest prop_random_docs;
+    QCheck_alcotest.to_alcotest prop_random_docs_with_removes;
   ]
 
 (* --- twig predicates ---------------------------------------------------- *)
