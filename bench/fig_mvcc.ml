@@ -122,7 +122,7 @@ let run () =
     (Printf.sprintf
        "MVCC snapshot reads: lock-free reader, read-only vs one writer streaming batch-%d inserts"
        writer_batch);
-  let t = Shared_db.create ~engine:Lazy_db.LD ~index_attributes:true () in
+  let t = Shared_db.create ~index_attributes:true () in
   let text =
     Generator.generate_text
       ~params:{ Generator.default_params with Generator.tags = vocabulary }

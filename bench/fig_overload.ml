@@ -78,7 +78,7 @@ let run () =
     (Printf.sprintf "Overload shedding: %d read slots, closed-loop clients at 1x/4x/16x capacity"
        max_readers);
   let config = { Governor.max_readers; max_writer_queue = 8; default_deadline_s = None } in
-  let gov = Governor.create ~config ~engine:Lazy_db.LD () in
+  let gov = Governor.create ~config () in
   let text =
     Generator.generate_text
       ~params:{ Generator.default_params with Generator.tags = vocabulary }

@@ -57,7 +57,6 @@ let chunks k xs =
 let engine_name = function
   | Lazy_db.LD -> "LD"
   | Lazy_db.LS -> "LS"
-  | Lazy_db.STD -> "STD"
 
 let build ~engine ~dir ~batch edits =
   let durability = match dir with Some d -> `Wal d | None -> `None in

@@ -30,8 +30,7 @@ let write_file path s =
 let engine_of_string = function
   | "ld" -> Lazy_db.LD
   | "ls" -> Lazy_db.LS
-  | "std" -> Lazy_db.STD
-  | s -> failwith (Printf.sprintf "unknown engine %S (expected ld, ls or std)" s)
+  | s -> failwith (Printf.sprintf "unknown engine %S (expected ld or ls)" s)
 
 let shape_of_string = function
   | "balanced" -> Lxu_workload.Chopper.Balanced
@@ -55,7 +54,7 @@ let doc_arg =
 
 let engine_arg =
   Arg.(value & opt string "ld" & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Index engine: ld (lazy dynamic), ls (lazy static) or std (traditional relabeling).")
+         ~doc:"Index engine: ld (lazy dynamic) or ls (lazy static).")
 
 let segments_arg =
   Arg.(value & opt int 1 & info [ "segments" ] ~docv:"N"
@@ -133,11 +132,9 @@ let stats_cmd =
     Printf.printf "elements       : %d\n" (Lazy_db.element_count db);
     Printf.printf "segments       : %d\n" (Lazy_db.segment_count db);
     Printf.printf "index bytes    : %d\n" (Lazy_db.size_bytes db);
-    match Lazy_db.log db with
-    | None -> ()
-    | Some log ->
-      Printf.printf "  sb-tree      : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
-      Printf.printf "  tag-list     : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log)
+    let log = Option.get (Lazy_db.log db) in
+    Printf.printf "  sb-tree      : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
+    Printf.printf "  tag-list     : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print index statistics for a document.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg)
@@ -206,17 +203,7 @@ let insert_cmd =
     | _ ->
       Printf.printf "inserted %d edits (%d bytes) in %.3f ms (%d segments, index %d bytes)\n"
         (List.length edits) bytes ms (Lazy_db.segment_count db) (Lazy_db.size_bytes db));
-    match Lazy_db.log db with
-    | Some _ -> write_file doc (Lazy_db.text db)
-    | None ->
-      (* STD keeps no text; reapply the edits to the file directly. *)
-      let text =
-        List.fold_left
-          (fun text (at, frag) ->
-            String.sub text 0 at ^ frag ^ String.sub text at (String.length text - at))
-          (read_file doc) edits
-      in
-      write_file doc text
+    write_file doc (Lazy_db.text db)
   in
   Cmd.v (Cmd.info "insert" ~doc:"Insert one fragment — or a batch of them — and write the document back.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ at $ frag $ batch)
@@ -225,15 +212,13 @@ let remove_cmd =
   let at = Arg.(required & opt (some int) None & info [ "at" ] ~docv:"POS" ~doc:"Byte position.") in
   let len = Arg.(required & opt (some int) None & info [ "len" ] ~docv:"LEN" ~doc:"Byte count.") in
   let run doc engine segments shape at len =
-    let db, text = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
+    let db, _ = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
     let t0 = Unix.gettimeofday () in
     Lazy_db.remove db ~gp:at ~len;
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Printf.printf "removed %d bytes at %d in %.3f ms (%d segments remain)\n" len at ms
       (Lazy_db.segment_count db);
-    match Lazy_db.log db with
-    | Some _ -> write_file doc (Lazy_db.text db)
-    | None -> write_file doc (String.sub text 0 at ^ String.sub text (at + len) (String.length text - at - len))
+    write_file doc (Lazy_db.text db)
   in
   Cmd.v (Cmd.info "remove" ~doc:"Remove a byte range and write the document back.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ at $ len)
@@ -268,8 +253,7 @@ let path_cmd =
   let expr = Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH"
                     ~doc:"Path expression, e.g. //person/profile//interest or //person/@id.") in
   let attrs = Arg.(value & flag & info [ "attributes" ] ~doc:"Index attributes as @name subelements.") in
-  let holistic = Arg.(value & flag & info [ "holistic" ] ~doc:"Use the PathStack strategy.") in
-  let run doc engine segments shape expr attrs holistic deadline_ms =
+  let run doc engine segments shape expr attrs deadline_ms =
     let text = read_file doc in
     let db = Lazy_db.create ~engine:(engine_of_string engine) ~index_attributes:attrs () in
     if segments <= 1 then Lazy_db.insert db ~gp:0 text
@@ -277,10 +261,9 @@ let path_cmd =
       List.iter
         (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
         (Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape));
-    let strategy = if holistic then Path_query.Holistic else Path_query.Pairwise in
     let t0 = Unix.gettimeofday () in
     let matches =
-      with_deadline deadline_ms (fun guard -> Path_query.eval_string ~strategy ?guard db expr)
+      with_deadline deadline_ms (fun guard -> Path_query.eval_string ?guard db expr)
     in
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Printf.printf "%s: %d matches in %.2f ms
@@ -289,7 +272,7 @@ let path_cmd =
 " s e) matches
   in
   Cmd.v (Cmd.info "path" ~doc:"Evaluate a path expression over a document.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ holistic $ deadline_arg)
+    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ deadline_arg)
 
 (* --- explain --------------------------------------------------------------- *)
 
@@ -485,32 +468,30 @@ let info_cmd =
         p.Lxu_storage.Buffer_pool.lookups p.Lxu_storage.Buffer_pool.hits
         p.Lxu_storage.Buffer_pool.misses p.Lxu_storage.Buffer_pool.evictions
         p.Lxu_storage.Buffer_pool.writebacks);
-    (match Lazy_db.log db with
-    | None -> ()
-    | Some log ->
-      let f = Lxu_seglog.Update_log.frag_stats log in
-      Printf.printf "fragmentation   : %d live / %d dead segment(s), er depth %d, %d dirty \
-                     tag(s), widest tag %d segment(s)\n"
-        f.Lxu_seglog.Update_log.live_segments f.Lxu_seglog.Update_log.dead_segments
-        f.Lxu_seglog.Update_log.er_depth f.Lxu_seglog.Update_log.dirty_tags
-        f.Lxu_seglog.Update_log.max_tag_segments;
-      let syn = Lxu_seglog.Update_log.synopsis log in
-      Printf.printf "synopsis        : %d distinct path(s), %d element(s), %d bytes\n"
-        (Lxu_seglog.Path_synopsis.distinct_paths syn)
-        (Lxu_seglog.Path_synopsis.elements syn)
-        (Lxu_seglog.Path_synopsis.size_bytes syn);
-      if paths > 0 then begin
-        let reg = Lxu_seglog.Update_log.registry log in
-        let all = Lxu_seglog.Path_synopsis.to_sorted_list syn in
-        let heaviest = List.sort (fun (_, a) (_, b) -> compare b a) all in
-        List.iteri
-          (fun i (path, n) ->
-            if i < paths then
-              Printf.printf "  %8d  /%s\n" n
-                (String.concat "/"
-                   (List.map (Lxu_seglog.Tag_registry.name reg) path)))
-          heaviest
-      end);
+    let log = Option.get (Lazy_db.log db) in
+    let f = Lxu_seglog.Update_log.frag_stats log in
+    Printf.printf "fragmentation   : %d live / %d dead segment(s), er depth %d, %d dirty \
+                   tag(s), widest tag %d segment(s)\n"
+      f.Lxu_seglog.Update_log.live_segments f.Lxu_seglog.Update_log.dead_segments
+      f.Lxu_seglog.Update_log.er_depth f.Lxu_seglog.Update_log.dirty_tags
+      f.Lxu_seglog.Update_log.max_tag_segments;
+    let syn = Lxu_seglog.Update_log.synopsis log in
+    Printf.printf "synopsis        : %d distinct path(s), %d element(s), %d bytes\n"
+      (Lxu_seglog.Path_synopsis.distinct_paths syn)
+      (Lxu_seglog.Path_synopsis.elements syn)
+      (Lxu_seglog.Path_synopsis.size_bytes syn);
+    if paths > 0 then begin
+      let reg = Lxu_seglog.Update_log.registry log in
+      let all = Lxu_seglog.Path_synopsis.to_sorted_list syn in
+      let heaviest = List.sort (fun (_, a) (_, b) -> compare b a) all in
+      List.iteri
+        (fun i (path, n) ->
+          if i < paths then
+            Printf.printf "  %8d  /%s\n" n
+              (String.concat "/"
+                 (List.map (Lxu_seglog.Tag_registry.name reg) path)))
+        heaviest
+    end;
     Lazy_db.close db
   in
   Cmd.v

@@ -1,6 +1,6 @@
 (* A news portal: concurrent readers querying while the editorial feed
    keeps publishing — exercising the three capabilities beyond single
-   joins: path expressions with twig predicates, the reader-writer
+   joins: path expressions with twig predicates, the MVCC shared-access
    wrapper (the paper's §6 concurrency direction), and snapshots.
 
    Run with:  dune exec examples/news_portal.exe *)

@@ -100,8 +100,8 @@ let wrap ?(config = default_config) sdb =
     cqueue = Queue.create ();
   }
 
-let create ?config ?engine ?index_attributes ?domains ?durability () =
-  wrap ?config (Shared_db.create ?engine ?index_attributes ?domains ?durability ())
+let create ?config ?index_attributes ?domains ?durability () =
+  wrap ?config (Shared_db.create ?index_attributes ?domains ?durability ())
 
 let shared t = t.sdb
 let config t = t.cfg
@@ -250,17 +250,19 @@ let lead t ~gp ~text =
       Mutex.unlock t.cmutex;
       group := members;
       let edits = (gp, text) :: List.map (fun p -> (p.p_gp, p.p_text)) members in
-      if List.compare_length_with edits 1 > 0 && Lazy_db.engine db <> Lazy_db.STD then (
+      if List.compare_length_with edits 1 > 0 then (
+        let before = Lazy_db.doc_length db in
         match Lazy_db.insert_many db edits with
         | () -> List.map (fun _ -> Ok ()) edits
-        | exception _ ->
-          (* The batch is all-or-nothing for the lazy engines, so
-             nothing was applied: re-run the edits one by one to
-             isolate the offender instead of failing the whole group.
-             STD never takes the batched path — its one-at-a-time loop
-             could stop mid-list, and replaying it would double-apply
-             the prefix. *)
-          List.map (apply db) edits)
+        | exception _ when Lazy_db.doc_length db = before ->
+          (* Nothing was applied (inserts only add bytes, and empty
+             fragments are rejected): re-run the edits one by one to
+             isolate the offender instead of failing the whole group. *)
+          List.map (apply db) edits
+        | exception e ->
+          (* The batch went in and something after the apply failed
+             (e.g. the WAL append): replaying would apply it twice. *)
+          List.map (fun _ -> Error e) edits)
       else List.map (apply db) edits)
   with
   | own :: follower_results ->

@@ -80,7 +80,6 @@ type t
 
 val create :
   ?config:config ->
-  ?engine:Lazy_db.engine ->
   ?index_attributes:bool ->
   ?domains:int ->
   ?durability:[ `None | `Wal of string ] ->
@@ -143,12 +142,14 @@ val insert : t -> ?cancel:Lxu_util.Deadline.Cancel.t -> gp:int -> string -> (uni
     admitted one) instead of contending for the lock themselves.  The
     leader applies the whole group through {!Lazy_db.insert_many} —
     one lock hold, one batched index merge, one WAL flush — and hands
-    each follower its own outcome; if the batch fails as a whole the
-    leader re-runs the edits one by one, so an invalid edit fails only
-    its own caller.  Groups are capped (at 64): overflow writers take
-    the lock alone.  The batch grows with lock contention and is
-    empty when the system is idle, so an uncontended insert behaves
-    exactly as before. *)
+    each follower its own outcome.  If the batch is rejected before
+    applying anything (an invalid edit) the leader re-runs the edits
+    one by one, so the invalid edit fails only its own caller; if it
+    fails after the apply (e.g. the WAL append) every member of the
+    group gets the exception and nothing is re-run.  Groups are
+    capped (at 64): overflow writers take the lock alone.  The batch
+    grows with lock contention and is empty when the system is idle,
+    so an uncontended insert behaves exactly as before. *)
 
 val insert_many :
   t -> ?cancel:Lxu_util.Deadline.Cancel.t -> (int * string) list -> (unit, rejection) result

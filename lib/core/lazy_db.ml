@@ -1,14 +1,10 @@
 open Lxu_seglog
-open Lxu_labeling
 
-type engine = LD | LS | STD
+type engine = LD | LS
 type axis = Descendant | Child
 
-type backend = Log of Update_log.t | Store of Interval_store.t
-
 type t = {
-  engine : engine;
-  mutable backend : backend;
+  mutable log : Update_log.t;  (* its mode is the engine *)
   pack_threshold : int option;
   domains : int;
   mutable pool : Lxu_util.Domain_pool.t option;  (* created on first parallel query *)
@@ -32,21 +28,19 @@ let spec_of_pstore = function
   | None -> Lxu_btree.Storage_backend.Mem
   | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
 
-let make_backend ~index_attributes ?cache_bytes ~pstore = function
-  | LD ->
-    Log
-      (Update_log.create ~mode:Update_log.Lazy_dynamic ~index_attributes ?cache_bytes
-         ~backend:(spec_of_pstore pstore) ())
-  | LS ->
-    Log
-      (Update_log.create ~mode:Update_log.Lazy_static ~index_attributes ?cache_bytes
-         ~backend:(spec_of_pstore pstore) ())
-  | STD -> Store (Interval_store.create ~index_attributes ())
+let resolve_storage = function
+  | Some s -> s
+  | None -> (
+    match Sys.getenv_opt "LXU_STORAGE" with
+    | Some s when String.lowercase_ascii (String.trim s) = "paged" -> `Paged
+    | _ -> `Mem)
 
-let storage_from_env () =
-  match Sys.getenv_opt "LXU_STORAGE" with
-  | Some s when String.lowercase_ascii (String.trim s) = "paged" -> `Paged
-  | _ -> `Mem
+let resolve_domains ~who domains =
+  match domains with
+  | Some d ->
+    if d < 1 then invalid_arg (who ^ ": domains < 1");
+    d
+  | None -> Option.value (Lxu_util.Domain_pool.env_domains ()) ~default:1
 
 let pages_path dir = Filename.concat dir "pages"
 
@@ -73,45 +67,33 @@ let fresh_pstore ~durability =
   in
   Lxu_storage.Page_store.create ~device ()
 
-let mode_of_engine = function
-  | LD -> Update_log.Lazy_dynamic
-  | LS -> Update_log.Lazy_static
-  | STD -> invalid_arg "Lazy_db: the STD engine keeps no reconstructible state"
+let mode_of_engine = function LD -> Update_log.Lazy_dynamic | LS -> Update_log.Lazy_static
 
 let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
     ?(durability = `None) ?cache_bytes ?storage () =
   (match pack_threshold with
   | Some k when k < 1 -> invalid_arg "Lazy_db.create: pack_threshold < 1"
   | _ -> ());
-  let storage = match storage with Some s -> s | None -> storage_from_env () in
-  if storage = `Paged && engine = STD then
-    invalid_arg "Lazy_db.create: paged storage requires a lazy engine (LD or LS)";
-  let domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Lazy_db.create: domains < 1";
-      d
-    | None -> Option.value (Lxu_util.Domain_pool.env_domains ()) ~default:1
-  in
+  let storage = resolve_storage storage in
+  let domains = resolve_domains ~who:"Lazy_db.create" domains in
+  let mode = mode_of_engine engine in
   let durable =
     match durability with
     | `None -> None
-    | `Wal dir ->
-      if engine = STD then
-        invalid_arg "Lazy_db.create: durability requires a lazy engine (LD or LS)";
-      Some
-        (Lxu_storage.Wal_store.fresh ~dir ~mode:(mode_of_engine engine) ~index_attributes)
+    | `Wal dir -> Some (Lxu_storage.Wal_store.fresh ~dir ~mode ~index_attributes)
   in
   let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability) in
-  { engine; backend = make_backend ~index_attributes ?cache_bytes ~pstore engine; pack_threshold;
-    domains; pool = None; durable; pstore; epoch = 0 }
+  let log =
+    Update_log.create ~mode ~index_attributes ?cache_bytes ~backend:(spec_of_pstore pstore) ()
+  in
+  { log; pack_threshold; domains; pool = None; durable; pstore; epoch = 0 }
 
-let engine t = t.engine
+let engine t =
+  match Update_log.mode t.log with Update_log.Lazy_dynamic -> LD | Update_log.Lazy_static -> LS
+
 let domains t = t.domains
 let epoch t = t.epoch
-
-let is_snapshot t =
-  match t.backend with Log log -> Update_log.is_frozen log | Store _ -> false
+let is_snapshot t = Update_log.is_frozen t.log
 
 let snapshot_guard t who =
   if is_snapshot t then invalid_arg (who ^ ": frozen snapshot, updates go to the live database")
@@ -124,9 +106,7 @@ let snapshot_guard t who =
    are session-local and never persisted. *)
 let commit_epoch t =
   t.epoch <- t.epoch + 1;
-  match t.backend with
-  | Log log -> Seg_cache.publish (Update_log.cache log) ~epoch:t.epoch
-  | Store _ -> ()
+  Seg_cache.publish (Update_log.cache t.log) ~epoch:t.epoch
 
 (* Parallel queries draw on the process-wide shared pool for their
    domain count: databases are cheap and numerous, domains are neither
@@ -152,29 +132,45 @@ let query_pool = pool_of
 let log_op t op =
   match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_op s op
 
-(* Forward declaration for the auto-packing hook. *)
-let rec insert t ~gp text =
-  (match t.backend with
-  | Log log -> ignore (Update_log.insert log ~gp text)
-  | Store store -> Interval_store.insert store ~gp text);
+(* Re-indexes the whole document as a single segment in a fresh log
+   with the same mode, attribute flag and cache budget.  Materialize
+   before creating the fresh log: with paged storage the new log's
+   indexes clear the store's previous trees, after which the old log's
+   index handles are dead. *)
+let repack t =
+  let log = t.log in
+  let whole = Update_log.materialize log in
+  let fresh =
+    Update_log.create ~mode:(Update_log.mode log)
+      ~index_attributes:(Update_log.indexes_attributes log)
+      ~cache_bytes:(Seg_cache.max_bytes (Update_log.cache log))
+      ~backend:(spec_of_pstore t.pstore) ()
+  in
+  if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
+  t.log <- fresh
+
+(* The paper's "maintenance hours" automated: past the threshold the
+   whole database is re-indexed as a single segment. *)
+let maybe_pack t =
+  match t.pack_threshold with
+  | Some k when Update_log.segment_count t.log > k -> repack t
+  | _ -> ()
+
+let insert t ~gp text =
+  ignore (Update_log.insert t.log ~gp text);
   log_op t (Lxu_storage.Wal.Insert { gp; text });
   maybe_pack t;
   commit_epoch t
 
-and insert_many t edits =
+let insert_many t edits =
   match edits with
   | [] -> ()
   | [ (gp, text) ] -> insert t ~gp text
   | _ ->
-    (match t.backend with
-    | Log log -> ignore (Update_log.insert_batch ?pool:(pool_of t) log edits)
-    | Store store ->
-      (* STD has no batched path (global relabelling dominates anyway):
-         apply one at a time. *)
-      List.iter (fun (gp, text) -> Interval_store.insert store ~gp text) edits);
-    (* One WAL record group, one flush: the lazy-engine apply above is
-       all-or-nothing, so either every record describes an applied edit
-       or none was logged. *)
+    ignore (Update_log.insert_batch ?pool:(pool_of t) t.log edits);
+    (* One WAL record group, one flush: the apply above is
+       all-or-nothing, so either every record describes an applied
+       edit or none was logged. *)
     (match t.durable with
     | None -> ()
     | Some s ->
@@ -183,206 +179,103 @@ and insert_many t edits =
     maybe_pack t;
     commit_epoch t
 
-and remove t ~gp ~len =
-  (match t.backend with
-  | Log log -> Update_log.remove log ~gp ~len
-  | Store store -> Interval_store.remove store ~gp ~len);
+let remove t ~gp ~len =
+  Update_log.remove t.log ~gp ~len;
   log_op t (Lxu_storage.Wal.Remove { gp; len });
   maybe_pack t;
   commit_epoch t
 
-(* The paper's "maintenance hours" automated: past the threshold the
-   whole database is re-indexed as a single segment. *)
-and maybe_pack t =
-  match (t.pack_threshold, t.backend) with
-  | Some k, Log log when Update_log.segment_count log > k ->
-    (* Materialize before creating the fresh log: with paged storage
-       the new log's indexes clear the store's previous trees, after
-       which the old log's index handles are dead. *)
-    let whole = Update_log.materialize log in
-    let fresh =
-      Update_log.create ~mode:(Update_log.mode log)
-        ~index_attributes:(Update_log.indexes_attributes log)
-        ~cache_bytes:(Seg_cache.max_bytes (Update_log.cache log))
-        ~backend:(spec_of_pstore t.pstore) ()
-    in
-    if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
-    t.backend <- Log fresh
-  | _ -> ()
+let doc_length t = Update_log.doc_length t.log
+let element_count t = Update_log.element_count t.log
+let segment_count t = Update_log.segment_count t.log
 
-let doc_length t =
-  match t.backend with
-  | Log log -> Update_log.doc_length log
-  | Store store -> Interval_store.doc_length store
-
-let element_count t =
-  match t.backend with
-  | Log log -> Update_log.element_count log
-  | Store store -> Interval_store.element_count store
-
-let segment_count t =
-  match t.backend with Log log -> Update_log.segment_count log | Store _ -> 0
+let join_axis = function
+  | Descendant -> Lxu_join.Lazy_join.Descendant
+  | Child -> Lxu_join.Lazy_join.Child
 
 let query t ?(axis = Descendant) ?guard ~anc ~desc () =
-  match t.backend with
-  | Log log ->
-    let jaxis = match axis with Descendant -> Lxu_join.Lazy_join.Descendant | Child -> Lxu_join.Lazy_join.Child in
-    let pairs, stats = Lxu_join.Lazy_join.run ~axis:jaxis ?pool:(pool_of t) ?guard log ~anc ~desc () in
-    let global = Lxu_join.Lazy_join.global_pairs log pairs in
-    ( global,
-      {
-        pair_count = Array.length pairs;
-        cross_pairs = stats.Lxu_join.Lazy_join.cross_pairs;
-        in_pairs = stats.Lxu_join.Lazy_join.in_pairs;
-        segments_skipped = stats.Lxu_join.Lazy_join.segments_skipped;
-        elements_scanned = stats.Lxu_join.Lazy_join.elements_fetched;
-      } )
-  | Store store ->
-    let jaxis = match axis with Descendant -> Lxu_join.Stack_tree_desc.Descendant | Child -> Lxu_join.Stack_tree_desc.Child in
-    Lxu_util.Deadline.check_opt guard;
-    let a = Interval_store.elements store ~tag:anc in
-    let d = Interval_store.elements store ~tag:desc in
-    let pairs, stats = Lxu_join.Stack_tree_desc.join ~axis:jaxis ~anc:a ~desc:d () in
-    let global =
-      pairs
-      |> List.map (fun ((a : Interval.t), (d : Interval.t)) -> (a.Interval.start, d.Interval.start))
-      |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
-    in
-    ( global,
-      {
-        pair_count = List.length global;
-        cross_pairs = 0;
-        in_pairs = List.length global;
-        segments_skipped = 0;
-        elements_scanned =
-          stats.Lxu_join.Stack_tree_desc.a_scanned + stats.Lxu_join.Stack_tree_desc.d_scanned;
-      } )
+  let pairs, stats =
+    Lxu_join.Lazy_join.run ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
+  in
+  let global = Lxu_join.Lazy_join.global_pairs t.log pairs in
+  ( global,
+    {
+      pair_count = Array.length pairs;
+      cross_pairs = stats.Lxu_join.Lazy_join.cross_pairs;
+      in_pairs = stats.Lxu_join.Lazy_join.in_pairs;
+      segments_skipped = stats.Lxu_join.Lazy_join.segments_skipped;
+      elements_scanned = stats.Lxu_join.Lazy_join.elements_fetched;
+    } )
 
 (* Cardinality without the local->global translation of [query]: the
    join itself produces label pairs; counting needs no conversion. *)
 let count t ?(axis = Descendant) ?guard ~anc ~desc () =
-  match t.backend with
-  | Log log ->
-    let jaxis = match axis with Descendant -> Lxu_join.Lazy_join.Descendant | Child -> Lxu_join.Lazy_join.Child in
-    let pairs, _ = Lxu_join.Lazy_join.run ~axis:jaxis ?pool:(pool_of t) ?guard log ~anc ~desc () in
-    Array.length pairs
-  | Store store ->
-    let jaxis = match axis with Descendant -> Lxu_join.Stack_tree_desc.Descendant | Child -> Lxu_join.Stack_tree_desc.Child in
-    Lxu_util.Deadline.check_opt guard;
-    let a = Interval_store.elements store ~tag:anc in
-    let d = Interval_store.elements store ~tag:desc in
-    let _, stats = Lxu_join.Stack_tree_desc.join ~axis:jaxis ~anc:a ~desc:d () in
-    stats.Lxu_join.Stack_tree_desc.pairs
+  let pairs, _ =
+    Lxu_join.Lazy_join.run ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
+  in
+  Array.length pairs
 
-let text t =
-  match t.backend with
-  | Log log -> Update_log.materialize log
-  | Store _ ->
-    invalid_arg "Lazy_db.text: the STD engine keeps labels only, not the document text"
+let text t = Update_log.materialize t.log
 
 let rebuild t =
   snapshot_guard t "Lazy_db.rebuild";
-  match t.backend with
-  | Store _ -> ()
-  | Log log ->
-    let whole = Update_log.materialize log in
-    let mode = Update_log.mode log in
-    let fresh =
-      Update_log.create ~mode ~index_attributes:(Update_log.indexes_attributes log)
-        ~cache_bytes:(Seg_cache.max_bytes (Update_log.cache log))
-        ~backend:(spec_of_pstore t.pstore) ()
-    in
-    if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
-    t.backend <- Log fresh;
-    log_op t Lxu_storage.Wal.Rebuild;
-    commit_epoch t
+  repack t;
+  log_op t Lxu_storage.Wal.Rebuild;
+  commit_epoch t
 
 let pack_subtree t ~gp ~len =
   snapshot_guard t "Lazy_db.pack_subtree";
-  match t.backend with
-  | Store _ -> ()
-  | Log log ->
-    let whole = Update_log.materialize log in
-    if gp < 0 || len <= 0 || gp + len > String.length whole then
-      invalid_arg "Lazy_db.pack_subtree: range out of bounds";
-    let slice = String.sub whole gp len in
-    Update_log.remove log ~gp ~len;
-    ignore (Update_log.insert log ~gp slice);
-    (* One logical record: replay re-executes the pack, keeping the
-       recovered segment structure identical.  The remove + insert pair
-       above is one logical update, so it commits one epoch: a reader
-       pinned below it sees the whole pre-pack state. *)
-    log_op t (Lxu_storage.Wal.Pack { gp; len });
-    commit_epoch t
+  let whole = Update_log.materialize t.log in
+  if gp < 0 || len <= 0 || gp + len > String.length whole then
+    invalid_arg "Lazy_db.pack_subtree: range out of bounds";
+  let slice = String.sub whole gp len in
+  Update_log.remove t.log ~gp ~len;
+  ignore (Update_log.insert t.log ~gp slice);
+  (* One logical record: replay re-executes the pack, keeping the
+     recovered segment structure identical.  The remove + insert pair
+     above is one logical update, so it commits one epoch: a reader
+     pinned below it sees the whole pre-pack state. *)
+  log_op t (Lxu_storage.Wal.Pack { gp; len });
+  commit_epoch t
 
-let log t = match t.backend with Log log -> Some log | Store _ -> None
-let store t = match t.backend with Store s -> Some s | Log _ -> None
+let log t = Some t.log
 
 (* A snapshot is a full Lazy_db over a frozen clone of the log, pinned
    at the current epoch: queries run the same engines over the same
    shared cache, just with epoch-pinned lookups.  No durability handle
-   and no pack threshold — snapshots never write. *)
+   and no pack threshold — snapshots never write.  No pstore either:
+   frozen clones keep in-memory indexes (they materialize from shared
+   segment skeletons), so snapshot reads never touch — or pin — the
+   live database's page store. *)
 let snapshot t =
-  match t.backend with
-  | Store _ ->
-    invalid_arg "Lazy_db.snapshot: the STD engine keeps no versioned state (use LD or LS)"
-  | Log log ->
-    let frozen = Update_log.freeze log ~epoch:t.epoch in
-    (* No pstore either: frozen clones keep in-memory indexes (they
-       materialize from shared segment skeletons), so snapshot reads
-       never touch — or pin — the live database's page store. *)
-    { engine = t.engine; backend = Log frozen; pack_threshold = None; domains = t.domains;
-      pool = None; durable = None; pstore = None; epoch = t.epoch }
+  { log = Update_log.freeze t.log ~epoch:t.epoch; pack_threshold = None; domains = t.domains;
+    pool = None; durable = None; pstore = None; epoch = t.epoch }
 
 let with_snapshot t f = f (snapshot t)
-
-let cache_stats t =
-  match t.backend with
-  | Log log -> Some (Seg_cache.stats (Update_log.cache log))
-  | Store _ -> None
+let cache_stats t = Some (Seg_cache.stats (Update_log.cache t.log))
 
 let size_bytes t =
-  match t.backend with
-  | Log log -> Update_log.size_bytes log + Element_index.size_bytes (Update_log.element_index log)
-  | Store store -> Interval_store.element_count store * 3 * 8
+  Update_log.size_bytes t.log + Element_index.size_bytes (Update_log.element_index t.log)
 
-let check t =
-  match t.backend with
-  | Log log -> Update_log.check log
-  | Store store -> Interval_store.check store
+let check t = Update_log.check t.log
 
 let save t path =
-  match t.backend with
-  | Store _ -> invalid_arg "Lazy_db.save: the STD engine keeps no reconstructible state"
-  | Log lg ->
-    let oc = open_out_bin path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Update_log.save lg oc)
-
-let resolve_domains ~who domains =
-  match domains with
-  | Some d ->
-    if d < 1 then invalid_arg (who ^ ": domains < 1");
-    d
-  | None -> Option.value (Lxu_util.Domain_pool.env_domains ()) ~default:1
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Update_log.save t.log oc)
 
 let of_log ?domains lg =
-  let engine =
-    match Update_log.mode lg with Update_log.Lazy_dynamic -> LD | Update_log.Lazy_static -> LS
-  in
-  { engine; backend = Log lg; pack_threshold = None;
-    domains = resolve_domains ~who:"Lazy_db.of_log" domains; pool = None; durable = None;
-    pstore = None; epoch = 0 }
+  { log = lg; pack_threshold = None; domains = resolve_domains ~who:"Lazy_db.of_log" domains;
+    pool = None; durable = None; pstore = None; epoch = 0 }
 
 let checkpoint t =
-  match (t.durable, t.backend) with
-  | None, _ ->
+  match t.durable with
+  | None ->
     invalid_arg "Lazy_db.checkpoint: database has no WAL (create with ~durability:(`Wal dir))"
-  | Some _, Store _ -> assert false (* create rejects STD + durability *)
-  | Some s, Log log ->
+  | Some s ->
     let page_checkpoint =
       Option.map (fun ps lsn -> Lxu_storage.Page_store.checkpoint ps ~lsn) t.pstore
     in
-    Lxu_storage.Wal_store.checkpoint ?page_checkpoint s log
+    Lxu_storage.Wal_store.checkpoint ?page_checkpoint s t.log
 
 let batch t f =
   match t.durable with None -> f () | Some s -> Lxu_storage.Wal_store.batch s f
@@ -405,8 +298,9 @@ let close t =
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
 let load ?domains ?(durability = `None) ?storage path =
-  let storage = match storage with Some s -> s | None -> storage_from_env () in
-  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability) in
+  let pstore =
+    match resolve_storage storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability)
+  in
   let ic = open_in_bin path in
   let lg =
     Fun.protect
@@ -434,9 +328,8 @@ let load ?domains ?(durability = `None) ?storage path =
   t
 
 let recover ?domains ?storage dir =
-  let storage = match storage with Some s -> s | None -> storage_from_env () in
   let pstore =
-    match storage with
+    match resolve_storage storage with
     | `Mem -> None
     | `Paged ->
       let device = Lxu_storage.Sim_file.open_path ~append:true (pages_path dir) in

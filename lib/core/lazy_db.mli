@@ -2,32 +2,34 @@
 
     A database is a single {e super document} edited by inserting and
     removing well-formed XML segments at byte positions, exactly the
-    text-editing model of §1.  Three engines implement the same
+    text-editing model of §1.  Two engines implement the same
     interface:
 
     {ul
     {- [LD] (lazy dynamic): the update log of §3 kept query-ready on
        every update; queries run Lazy-Join (§4.2).}
     {- [LS] (lazy static): updates maintain only the ER-tree; tag lists
-       are sorted and the SB-tree rebuilt at query time (§5.1).}
-    {- [STD] (traditional): global interval labels relabelled on every
-       update; queries run Stack-Tree-Desc — the baseline the paper
-       compares against.}}
+       are sorted and the SB-tree rebuilt at query time (§5.1).}}
+
+    The paper's traditional baseline (global interval labels relabelled
+    on every update, joined with Stack-Tree-Desc) is not an engine
+    here: it lives beside this facade, as the interval store of
+    [lib/labeling] and the Stack-Tree-Desc joins of [lib/join], which
+    the benchmarks call directly.
 
     Queries are single structural joins [anc//desc] or [anc/desc],
     the primitive the paper (and the structural-join literature it
     builds on) optimizes. *)
 
-type engine = LD | LS | STD
+type engine = LD | LS
 type axis = Descendant | Child
 
 type t
 
 type query_stats = {
   pair_count : int;
-  cross_pairs : int;  (** cross-segment pairs (0 for [STD]) *)
-  in_pairs : int;
-      (** in-segment pairs (every pair, for the segment-less [STD]) *)
+  cross_pairs : int;  (** cross-segment pairs *)
+  in_pairs : int;  (** in-segment pairs *)
   segments_skipped : int;  (** SL_A segments pruned by Lazy-Join *)
   elements_scanned : int;
 }
@@ -47,17 +49,14 @@ val create :
     named ["@name"] and can appear in queries (e.g. [~desc:"@id"]).
     [pack_threshold] automates the paper's "maintenance hours": after
     any update leaving more than that many segments, the database is
-    re-indexed as a single segment (ignored by [STD]).
+    re-indexed as a single segment.
 
     [domains] sets the degree of query parallelism for the lazy
     engines: with [domains > 1] Lazy-Join runs its per-segment join
     units on a process-wide shared domain pool of that size (see
     {!Lxu_util.Domain_pool}), returning results identical to the
     sequential path.  Defaults to the [LXU_DOMAINS] environment
-    variable, or 1 (fully sequential) when unset.  The [STD] engine's
-    Stack-Tree-Desc baseline works on one global interval list whose
-    merge carries stack state across the whole scan, so it stays
-    sequential regardless of [domains].
+    variable, or 1 (fully sequential) when unset.
 
     [durability] (default [`None]) makes every update crash-safe:
     with [`Wal dir] the database owns directory [dir], appending one
@@ -72,8 +71,8 @@ val create :
     [cache_bytes] bounds the lazy engines' read-side element cache
     (see {!Lxu_seglog.Seg_cache}; default
     {!Lxu_seglog.Seg_cache.default_max_bytes}, [<= 0] disables it).
-    The setting survives re-indexing ({!rebuild}, [pack_threshold]);
-    ignored by [STD].  Caching never changes results or join
+    The setting survives re-indexing ({!rebuild}, [pack_threshold]).
+    Caching never changes results or join
     statistics — only which fetches hit memory instead of the element
     index.
 
@@ -88,11 +87,10 @@ val create :
     Defaults to the [LXU_STORAGE] environment variable ([paged]
     selects [`Paged]), or [`Mem] when unset.  Results are
     fingerprint-identical across backends.
-    @raise Invalid_argument if [pack_threshold < 1], [domains < 1],
-    or [durability] or [`Paged] storage is combined with the [STD]
-    engine (which keeps no reconstructible state). *)
+    @raise Invalid_argument if [pack_threshold < 1] or [domains < 1]. *)
 
 val engine : t -> engine
+(** The engine, read off the update log's mode. *)
 
 val domains : t -> int
 (** The configured query parallelism (1 = sequential). *)
@@ -125,9 +123,7 @@ val snapshot : t -> t
     lock — {!Shared_db} builds its lock-free reader path on exactly
     this.  Updates and maintenance on the snapshot raise
     [Invalid_argument]; queries, counts, {!text}, {!check} and
-    {!save} all work.
-    @raise Invalid_argument for the [STD] engine, which keeps no
-    versioned state. *)
+    {!save} all work. *)
 
 val with_snapshot : t -> (t -> 'a) -> 'a
 (** [with_snapshot t f] runs [f] on {!snapshot}[ t] — the multi-op
@@ -150,11 +146,8 @@ val insert_many : t -> (int * string) list -> unit
     group persisted with a single flush.  A crash mid-batch recovers a
     prefix of the batch.
 
-    For the lazy engines the batch is all-or-nothing: on
-    [Invalid_argument] or [Parse_error] no edit is applied and nothing
-    is logged.  The [STD] engine applies edits one at a time (no
-    batched path; it is the paper's baseline) and may stop mid-list on
-    an invalid edit.
+    The batch is all-or-nothing: on [Invalid_argument] or
+    [Parse_error] no edit is applied and nothing is logged.
     @raise Invalid_argument / [Parse_error] as {!insert}, with gp
     bounds checked against the document as it will be after the
     preceding edits of the batch. *)
@@ -188,45 +181,42 @@ val doc_length : t -> int
 val element_count : t -> int
 
 val segment_count : t -> int
-(** Live segments (always 1 after {!rebuild}; 0 for [STD] engines and
-    empty documents). *)
+(** Live segments (always 1 after {!rebuild}; 0 for an empty
+    document). *)
 
 val text : t -> string
 (** The full super-document text. *)
 
 val rebuild : t -> unit
 (** The "maintenance hours" operation of §1: re-indexes the whole
-    database as a single segment and clears the update log.  No-op for
-    [STD]. *)
+    database as a single segment and clears the update log. *)
 
 val pack_subtree : t -> gp:int -> len:int -> unit
 (** Segment packing (the future-work direction of §6): collapses every
     segment overlapping the byte range [gp, gp+len) — which must be a
     well-formed fragment — into a single segment, reducing the segment
-    count at the cost of re-indexing that range.  No-op for [STD]. *)
+    count at the cost of re-indexing that range. *)
 
 val log : t -> Lxu_seglog.Update_log.t option
-(** The underlying update log ([None] for [STD]). *)
-
-val store : t -> Lxu_labeling.Interval_store.t option
-(** The underlying traditional store ([None] for lazy engines). *)
+(** The underlying update log — always [Some].  The option type is
+    kept only because [perfbench/perfbench.ml] binds this signature;
+    it goes when the benchmark is next revised. *)
 
 val cache_stats : t -> Lxu_seglog.Seg_cache.stats option
-(** Read-side cache counters of the current log ([None] for [STD]).
-    Counters reset when the log is replaced ({!rebuild}, auto-pack,
-    {!load}, {!recover} — all of which also start the cache cold). *)
+(** Read-side cache counters of the current log — always [Some]; the
+    option type stays for the same reason as {!log}'s.  Counters
+    reset when the log is replaced ({!rebuild}, auto-pack, {!load},
+    {!recover} — all of which also start the cache cold). *)
 
 val size_bytes : t -> int
-(** Footprint of the index structures (update log, or interval store). *)
+(** Footprint of the index structures (update log and element index). *)
 
 val check : t -> unit
 (** Full invariant check (test helper). *)
 
 val save : t -> string -> unit
-(** [save t path] writes a snapshot of a lazy-engine database —
-    segment structure, immutable local labels, tombstones — to [path].
-    @raise Invalid_argument for the [STD] engine, which keeps no
-    reconstructible state. *)
+(** [save t path] writes a snapshot of the database — segment
+    structure, immutable local labels, tombstones — to [path]. *)
 
 val load :
   ?domains:int ->

@@ -148,61 +148,59 @@ let step t db =
     Some (Checkpoint wal)
   end
   else
-    match Lazy_db.log db with
-    | None -> None
-    | Some log -> (
-      let fs = Update_log.frag_stats log in
-      (* Tag skew: one tag scattered over that many segments degrades
-         its structural joins even when overall fragmentation is mild,
-         so it lowers the bar to "any multi-segment subtree". *)
-      let skew =
-        cfg.pack_tag_skew > 0 && fs.Update_log.max_tag_segments >= cfg.pack_tag_skew
-      in
-      (* O(1) gate before the O(segments) subtree scan: no subtree can
-         beat a bound the whole log does not reach. *)
-      let pick =
-        if
-          skew
-          || fs.Update_log.live_segments > cfg.pack_min_segments
-          || fs.Update_log.er_depth >= cfg.pack_min_depth
-        then
-          Update_log.fragmented_subtrees log
-          |> List.find_opt (fun (s : Update_log.subtree_frag) ->
-                 s.Update_log.segments > 1
-                 && s.Update_log.len <= cfg.max_pack_bytes
-                 && (skew
-                    || s.Update_log.segments > cfg.pack_min_segments
-                    || s.Update_log.depth >= cfg.pack_min_depth))
-        else None
-      in
-      match pick with
-      | Some s ->
-        Lazy_db.pack_subtree db ~gp:s.Update_log.gp ~len:s.Update_log.len;
-        Some
-          (Pack
-             {
-               gp = s.Update_log.gp;
-               len = s.Update_log.len;
-               segments = s.Update_log.segments;
-               depth = s.Update_log.depth;
-             })
-      | None ->
-        if cfg.merge_dirty_tags > 0 && fs.Update_log.dirty_tags >= cfg.merge_dirty_tags
-        then begin
-          Update_log.prepare_for_query log;
-          Some (Merge_tag_runs fs.Update_log.dirty_tags)
-        end
-        else (
-          match cfg.backup_dir with
-          | Some dir
-            when cfg.backup_every > 0
-                 && Lazy_db.wal_dir db <> None
-                 && Atomic.get t.ticks - Atomic.get t.last_backup_tick >= cfg.backup_every
-            ->
-            let lsn = Lazy_db.backup db ~dir in
-            Atomic.set t.last_backup_tick (Atomic.get t.ticks);
-            Some (Backup { dir; lsn })
-          | _ -> None))
+    let log = Option.get (Lazy_db.log db) in
+    let fs = Update_log.frag_stats log in
+    (* Tag skew: one tag scattered over that many segments degrades
+       its structural joins even when overall fragmentation is mild,
+       so it lowers the bar to "any multi-segment subtree". *)
+    let skew =
+      cfg.pack_tag_skew > 0 && fs.Update_log.max_tag_segments >= cfg.pack_tag_skew
+    in
+    (* O(1) gate before the O(segments) subtree scan: no subtree can
+       beat a bound the whole log does not reach. *)
+    let pick =
+      if
+        skew
+        || fs.Update_log.live_segments > cfg.pack_min_segments
+        || fs.Update_log.er_depth >= cfg.pack_min_depth
+      then
+        Update_log.fragmented_subtrees log
+        |> List.find_opt (fun (s : Update_log.subtree_frag) ->
+               s.Update_log.segments > 1
+               && s.Update_log.len <= cfg.max_pack_bytes
+               && (skew
+                  || s.Update_log.segments > cfg.pack_min_segments
+                  || s.Update_log.depth >= cfg.pack_min_depth))
+      else None
+    in
+    match pick with
+    | Some s ->
+      Lazy_db.pack_subtree db ~gp:s.Update_log.gp ~len:s.Update_log.len;
+      Some
+        (Pack
+           {
+             gp = s.Update_log.gp;
+             len = s.Update_log.len;
+             segments = s.Update_log.segments;
+             depth = s.Update_log.depth;
+           })
+    | None ->
+      if cfg.merge_dirty_tags > 0 && fs.Update_log.dirty_tags >= cfg.merge_dirty_tags
+      then begin
+        Update_log.prepare_for_query log;
+        Some (Merge_tag_runs fs.Update_log.dirty_tags)
+      end
+      else (
+        match cfg.backup_dir with
+        | Some dir
+          when cfg.backup_every > 0
+               && Lazy_db.wal_dir db <> None
+               && Atomic.get t.ticks - Atomic.get t.last_backup_tick >= cfg.backup_every
+          ->
+          let lsn = Lazy_db.backup db ~dir in
+          Atomic.set t.last_backup_tick (Atomic.get t.ticks);
+          Some (Backup { dir; lsn })
+        | _ -> None)
 
 let record t = function
   | Ran (Pack _) -> Atomic.incr t.packs

@@ -1,12 +1,9 @@
 open Lxu_seglog
-open Lxu_labeling
 
 type axis = Desc | Child
 
 type step = { axis : axis; tag : string; predicates : t list }
 and t = step list
-
-type strategy = Pairwise | Holistic
 
 (* --- parsing --------------------------------------------------------- *)
 
@@ -74,10 +71,10 @@ and step_to_string { axis; tag; predicates } =
   ^ tag
   ^ String.concat "" (List.map (fun p -> "[" ^ to_string p ^ "]") predicates)
 
-(* --- generic evaluation ------------------------------------------------
+(* --- evaluation ----------------------------------------------------------
 
-   One evaluator shared by the lazy-log and interval-store engines,
-   parameterized by set operations over "elements of one tag":
+   The evaluator works on sets of element refs [(sid, start)] of one
+   tag, through these operations:
    - [all tag]                       every element of [tag]
    - [roots_only tag set]            restrict to document-level elements
    - [up axis ~anc ~desc set]        elements of tag [anc] related by
@@ -86,13 +83,24 @@ and step_to_string { axis; tag; predicates } =
                                      [axis] to an [anc]-element in [set]
    - [extents tag set]               global (start, stop) pairs, sorted *)
 
-type 'set ops = {
-  all : string -> 'set;
-  roots_only : string -> 'set -> 'set;
-  up : axis -> anc:string -> desc:string -> 'set -> 'set;
-  down : axis -> anc:string -> 'set -> desc:string -> 'set;
-  inter : 'set -> 'set -> 'set;
-  extents : string -> 'set -> (int * int) list;
+(* Lexicographic order on int pairs without polymorphic [compare]:
+   element refs [(sid, start)] and global extents [(start, stop)]. *)
+let compare_int_pair (a1, b1) (a2, b2) =
+  let c = Int.compare a1 a2 in
+  if c <> 0 then c else Int.compare b1 b2
+
+module Ref_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare_int_pair
+end)
+
+type ops = {
+  all : string -> Ref_set.t;
+  roots_only : string -> Ref_set.t -> Ref_set.t;
+  up : axis -> anc:string -> desc:string -> Ref_set.t -> Ref_set.t;
+  down : axis -> anc:string -> Ref_set.t -> desc:string -> Ref_set.t;
+  extents : string -> Ref_set.t -> (int * int) list;
 }
 
 (* Elements able to head predicate path [steps], with the suffix and
@@ -116,7 +124,7 @@ and apply_predicates ops ~tag set preds =
       | [] -> acc
       | first :: _ ->
         let heads = pred_head_set ops pred in
-        ops.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
+        Ref_set.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
     set preds
 
 let eval_steps ops steps =
@@ -136,20 +144,6 @@ let eval_steps ops steps =
         (first.tag, initial) rest
     in
     ops.extents final_tag final_set
-
-(* --- lazy-log instantiation -------------------------------------------- *)
-
-(* Lexicographic order on int pairs without polymorphic [compare]:
-   element refs [(sid, start)] and global extents [(start, stop)]. *)
-let compare_int_pair (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
-
-module Ref_set = Set.Make (struct
-  type t = int * int
-
-  let compare = compare_int_pair
-end)
 
 let log_ops ?guard log =
   let reg = Update_log.registry log in
@@ -211,7 +205,6 @@ let log_ops ?guard log =
           (fun acc p ->
             if Ref_set.mem (anc_key p) set then Ref_set.add (desc_key p) acc else acc)
           Ref_set.empty (join axis ~anc ~desc));
-    inter = Ref_set.inter;
     extents =
       (fun tag set ->
         let tr = Update_log.translators log in
@@ -226,147 +219,8 @@ let log_ops ?guard log =
         |> List.sort compare_int_pair);
   }
 
-(* --- interval-store instantiation --------------------------------------- *)
-
-module Int_set = Set.Make (Int)
-
-let store_ops ?guard store =
-  let elements tag = Interval_store.elements store ~tag in
-  let jaxis = function
-    | Desc -> Lxu_join.Stack_tree_desc.Descendant
-    | Child -> Lxu_join.Stack_tree_desc.Child
-  in
-  let join axis ~anc ~desc =
-    (* Stack-Tree-Desc itself is not guard-aware; checking per join
-       call still bounds a multi-step path between steps. *)
-    Lxu_util.Deadline.check_opt guard;
-    fst (Lxu_join.Stack_tree_desc.join ~axis:(jaxis axis) ~anc:(elements anc) ~desc:(elements desc) ())
-  in
-  {
-    all =
-      (fun tag ->
-        Array.fold_left
-          (fun acc (l : Interval.t) -> Int_set.add l.Interval.start acc)
-          Int_set.empty (elements tag));
-    roots_only =
-      (fun tag set ->
-        Array.fold_left
-          (fun acc (l : Interval.t) ->
-            if l.Interval.level = 0 && Int_set.mem l.Interval.start set then
-              Int_set.add l.Interval.start acc
-            else acc)
-          Int_set.empty (elements tag));
-    up =
-      (fun axis ~anc ~desc set ->
-        List.fold_left
-          (fun acc ((a : Interval.t), (d : Interval.t)) ->
-            if Int_set.mem d.Interval.start set then Int_set.add a.Interval.start acc
-            else acc)
-          Int_set.empty (join axis ~anc ~desc));
-    down =
-      (fun axis ~anc set ~desc ->
-        List.fold_left
-          (fun acc ((a : Interval.t), (d : Interval.t)) ->
-            if Int_set.mem a.Interval.start set then Int_set.add d.Interval.start acc
-            else acc)
-          Int_set.empty (join axis ~anc ~desc));
-    inter = Int_set.inter;
-    extents =
-      (fun tag set ->
-        Array.to_list (elements tag)
-        |> List.filter_map (fun (l : Interval.t) ->
-               if Int_set.mem l.Interval.start set then
-                 Some (l.Interval.start, l.Interval.stop)
-               else None)
-        |> List.sort compare);
-  }
-
-(* --- holistic evaluation (PathStack; predicate-free paths only) --------- *)
-
 let rec has_predicates steps =
   List.exists (fun s -> s.predicates <> [] || List.exists has_predicates s.predicates) steps
-
-(* Builds a TwigStack query from a predicate path: the spine is a
-   chain whose last node is the output; predicates hang off their
-   step as extra branches. *)
-let twig_of_steps log steps =
-  let next_id = ref 0 in
-  let stream_of tag = Lxu_join.Std_baseline.global_list log ~tag in
-  let edge_of = function Desc -> Lxu_join.Twig_stack.Desc | Child -> Lxu_join.Twig_stack.Child in
-  let rec pred_chain (ps : t) =
-    match ps with
-    | [] -> []
-    | s :: rest ->
-      let qid = !next_id in
-      incr next_id;
-      let pred_kids = List.concat_map pred_chain (List.map (fun p -> p) s.predicates) in
-      let deeper = pred_chain rest in
-      [ { Lxu_join.Twig_stack.qid; stream = stream_of s.tag; edge = edge_of s.axis;
-          children = pred_kids @ deeper } ]
-  in
-  let rec spine (ss : t) =
-    match ss with
-    | [] -> invalid_arg "Path_query: empty path"
-    | [ s ] ->
-      let qid = !next_id in
-      incr next_id;
-      let kids = List.concat_map pred_chain s.predicates in
-      ({ Lxu_join.Twig_stack.qid; stream = stream_of s.tag; edge = edge_of s.axis;
-         children = kids }, qid)
-    | s :: rest ->
-      let qid = !next_id in
-      incr next_id;
-      let kids = List.concat_map pred_chain s.predicates in
-      let deeper, out = spine rest in
-      ({ Lxu_join.Twig_stack.qid; stream = stream_of s.tag; edge = edge_of s.axis;
-         children = kids @ [ deeper ] }, out)
-  in
-  spine steps
-
-let eval_log_twig log steps =
-  let root, out_qid =
-    match steps with
-    | first :: _ when first.axis = Child ->
-      (* Restrict the first stream to document roots. *)
-      let root, out = twig_of_steps log steps in
-      let stream =
-        Array.of_list
-          (List.filter (fun (l : Interval.t) -> l.Interval.level = 0)
-             (Array.to_list root.Lxu_join.Twig_stack.stream))
-      in
-      ({ root with Lxu_join.Twig_stack.stream }, out)
-    | _ -> twig_of_steps log steps
-  in
-  Lxu_join.Twig_stack.matches root
-  |> List.map (fun row ->
-         let iv = row.(out_qid) in
-         (iv.Interval.start, iv.Interval.stop))
-  |> List.sort_uniq compare
-
-let eval_log_holistic log steps =
-  let steps_a = Array.of_list steps in
-  let streams =
-    Array.map (fun { tag; _ } -> Lxu_join.Std_baseline.global_list log ~tag) steps_a
-  in
-  (match steps_a.(0).axis with
-  | Child ->
-    streams.(0) <-
-      Array.of_list
-        (List.filter
-           (fun (l : Interval.t) -> l.Interval.level = 0)
-           (Array.to_list streams.(0)))
-  | Desc -> ());
-  let edges =
-    Array.init
-      (Array.length steps_a - 1)
-      (fun i ->
-        match steps_a.(i + 1).axis with
-        | Desc -> Lxu_join.Path_stack.Desc
-        | Child -> Lxu_join.Path_stack.Child)
-  in
-  Lxu_join.Path_stack.leaves ~streams ~edges
-  |> List.map (fun (l : Interval.t) -> (l.Interval.start, l.Interval.stop))
-  |> List.sort compare
 
 (* --- planned evaluation (lib/plan) -------------------------------------- *)
 
@@ -531,15 +385,9 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
       o.Lxu_plan.Plan.actual_step;
     []
 
-(* Resolves the requested planning mode against the [LXU_PLAN] escape
-   hatch: [LXU_PLAN=naive] preserves strict left-to-right evaluation
-   regardless of the caller. *)
-let resolve_plan_mode plan =
-  match Sys.getenv_opt "LXU_PLAN" with Some "naive" -> `Naive | _ -> plan
-
-(* Cost-based plan for a spine over a log engine, and its execution.
-   Holistic auto-selection stays conservative (wide margin in the cost
-   model) and is disabled on frozen snapshots. *)
+(* Cost-based plan for a spine, and its execution.  Holistic
+   auto-selection stays conservative (wide margin in the cost model)
+   and is disabled on frozen snapshots. *)
 let choose_plan ~force_seed log steps =
   Lxu_plan.Plan.choose ?force_seed
     ~allow_holistic:(not (Update_log.is_frozen log))
@@ -549,54 +397,40 @@ let eval_log_plan ?guard ?pool log steps plan =
   match plan with
   | Lxu_plan.Plan.Naive -> eval_steps (log_ops ?guard log) steps
   | Lxu_plan.Plan.Holistic _ ->
-    (* Plans are only chosen for predicate-free chains here; sort_uniq
-       normalizes the leaf list to the extents fingerprint. *)
-    List.sort_uniq compare (eval_log_holistic log steps)
+    (* Only chosen for predicate-free chains, whose leaves are exactly
+       the final-step matches. *)
+    let c = chain_of_steps steps in
+    let edge = function
+      | Lxu_plan.Plan.Desc -> Lxu_join.Path_stack.Desc
+      | Lxu_plan.Plan.Child -> Lxu_join.Path_stack.Child
+    in
+    Lxu_join.Std_baseline.path_leaves log ~tags:c.Lxu_plan.Plan.tags
+      ~edges:(Array.map edge c.Lxu_plan.Plan.axes)
   | Lxu_plan.Plan.Ordered o -> eval_log_planned ?guard ?pool log steps o
 
-let eval ?(strategy = Pairwise) ?(plan = `Auto) ?guard db steps =
+let live_log db = Option.get (Lazy_db.log db)
+
+let eval ?(plan = `Auto) ?guard db steps =
   if steps = [] then invalid_arg "Path_query.eval: empty path";
   Lxu_util.Deadline.check_opt guard;
-  match (Lazy_db.log db, strategy) with
-  | Some log, Holistic when not (has_predicates steps) ->
-    (* The holistic passes run on materialized global lists; the guard
-       bounds their stream construction, not the single merge pass. *)
-    Update_log.prepare_for_query log;
-    Lxu_util.Deadline.check_opt guard;
-    eval_log_holistic log steps
-  | Some log, Holistic ->
-    (* Predicate paths are branching twigs: TwigStack. *)
-    Update_log.prepare_for_query log;
-    Lxu_util.Deadline.check_opt guard;
-    eval_log_twig log steps
-  | Some log, Pairwise -> begin
-    Update_log.prepare_for_query log;
-    match resolve_plan_mode plan with
-    | `Naive -> eval_steps (log_ops ?guard log) steps
-    | (`Auto | `Seed _) as m ->
-      let force_seed = match m with `Seed s -> Some s | `Auto -> None in
-      eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps
-        (choose_plan ~force_seed log steps)
-  end
-  | None, _ -> eval_steps (store_ops ?guard (Option.get (Lazy_db.store db))) steps
+  let log = live_log db in
+  Update_log.prepare_for_query log;
+  match plan with
+  | `Naive -> eval_steps (log_ops ?guard log) steps
+  | (`Auto | `Seed _) as m ->
+    let force_seed = match m with `Seed s -> Some s | `Auto -> None in
+    eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps
+      (choose_plan ~force_seed log steps)
 
 let explain ?guard db steps =
   if steps = [] then invalid_arg "Path_query.explain: empty path";
-  match Lazy_db.log db with
-  | None ->
-    ("plan: STD fallback (interval store, naive left-to-right)", eval ?guard db steps)
-  | Some log -> begin
-    Update_log.prepare_for_query log;
-    match resolve_plan_mode `Auto with
-    | `Naive ->
-      ("plan: naive (LXU_PLAN=naive)", eval_steps (log_ops ?guard log) steps)
-    | _ ->
-      let plan = choose_plan ~force_seed:None log steps in
-      (* Execute first: the ordered plan's actual cardinalities are
-         filled in by the run, so the rendering carries est vs actual. *)
-      let results = eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps plan in
-      (Lxu_plan.Plan.explain (chain_of_steps steps) plan, results)
-  end
+  let log = live_log db in
+  Update_log.prepare_for_query log;
+  let plan = choose_plan ~force_seed:None log steps in
+  (* Execute first: the ordered plan's actual cardinalities are filled
+     in by the run, so the rendering carries est vs actual. *)
+  let results = eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps plan in
+  (Lxu_plan.Plan.explain (chain_of_steps steps) plan, results)
 
-let eval_string ?strategy ?plan ?guard db s = eval ?strategy ?plan ?guard db (parse_exn s)
-let count ?strategy ?plan ?guard db s = List.length (eval_string ?strategy ?plan ?guard db s)
+let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
+let count ?plan ?guard db s = List.length (eval_string ?plan ?guard db s)

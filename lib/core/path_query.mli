@@ -13,19 +13,14 @@
     ["/site/people/person\[profile//interest\]/name"],
     ["person\[watches/watch\]\[@id\]"].
 
-    Two evaluation strategies:
-    {ul
-    {- [Pairwise] (default): one segment-aware Lazy-Join per step on
-       lazy engines (Stack-Tree-Desc on the [STD] engine), filtering
-       each join's pairs by the surviving ancestor set.}
-    {- [Holistic]: one holistic pass over the translated global
-       element lists — PathStack for linear paths, TwigStack for paths
-       with predicates (the two algorithms of §2's [2]).  Falls back
-       to [Pairwise] on the [STD] engine.}}
-
-    Both return the {e final-step matches}: distinct elements of the
-    last tag reachable through the whole path, as global
-    [(start, stop)] extents in document order. *)
+    Each step runs one segment-aware Lazy-Join, filtering the join's
+    pairs by the surviving ancestor set; the cost-based planner
+    ({!Lxu_plan.Plan}) picks the order of those joins, or — on a
+    predicate-free chain where streaming every tag once is far cheaper
+    — one holistic PathStack pass instead.  Evaluation
+    returns the {e final-step matches}: distinct elements of the last
+    tag reachable through the whole path, as global [(start, stop)]
+    extents in document order. *)
 
 type axis = Desc | Child
 
@@ -39,8 +34,6 @@ type step = { axis : axis; tag : string; predicates : t list }
 
 and t = step list
 
-type strategy = Pairwise | Holistic
-
 val parse : string -> (t, string) result
 (** @return [Error _] on empty input or malformed syntax. *)
 
@@ -49,18 +42,14 @@ val parse_exn : string -> t
 val to_string : t -> string
 
 val eval :
-  ?strategy:strategy ->
   ?plan:[ `Auto | `Naive | `Seed of int ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
   t ->
   (int * int) list
-(** Matches of the final step, sorted by start position.  The
-    [Holistic] strategy requires a lazy engine ([LD]/[LS]); on [STD]
-    it falls back to [Pairwise].
+(** Matches of the final step, sorted by start position.
 
-    [plan] controls cost-based planning of [Pairwise] evaluation on
-    lazy engines (it is ignored by [Holistic] and on [STD]):
+    [plan] controls cost-based planning:
     {ul
     {- [`Auto] (default): {!Lxu_plan.Plan.choose} picks the join order
        (a seed step, joins climbing then descending from it), the
@@ -71,8 +60,6 @@ val eval :
     {- [`Naive]: today's strict left-to-right composition.}
     {- [`Seed k]: force the seed step (clamped), for benchmarking
        hand-picked orders.}}
-    Setting the environment variable [LXU_PLAN=naive] forces [`Naive]
-    regardless of [plan].
 
     [guard] makes evaluation cooperative: it is threaded into every
     per-step Lazy-Join and checked between steps and per tag-list
@@ -85,12 +72,9 @@ val explain :
 (** Plans the path as [eval ~plan:`Auto], executes it, and returns a
     human-readable rendering of the chosen plan — join order, engine
     and push settings per join, estimated vs actual cardinalities —
-    together with the results (identical to [eval]'s).  On [STD] (or
-    under [LXU_PLAN=naive]) the string says so and evaluation is
-    naive. *)
+    together with the results (identical to [eval]'s). *)
 
 val eval_string :
-  ?strategy:strategy ->
   ?plan:[ `Auto | `Naive | `Seed of int ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
@@ -99,7 +83,6 @@ val eval_string :
 (** [parse] + [eval]. @raise Invalid_argument on a syntax error. *)
 
 val count :
-  ?strategy:strategy ->
   ?plan:[ `Auto | `Naive | `Seed of int ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->

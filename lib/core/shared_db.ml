@@ -1,9 +1,7 @@
-(* MVCC for the lazy engines: readers pin the newest published
-   snapshot (O(1) under [vlock], never held during a query), writers
-   serialize among themselves under [wlock] and publish a fresh frozen
-   snapshot after every committing call.  The STD engine keeps the old
-   reader–writer lock: it relabels globally in place and has no
-   versioned state to snapshot. *)
+(* MVCC: readers pin the newest published snapshot (O(1) under
+   [vlock], never held during a query), writers serialize among
+   themselves under [wlock] and publish a fresh frozen snapshot after
+   every committing call. *)
 
 type version = {
   v_epoch : int;
@@ -11,82 +9,38 @@ type version = {
   mutable v_pins : int;  (* readers currently inside [f v_db] *)
 }
 
-type mvcc = {
-  m_db : Lazy_db.t;  (* the live database; touched only under [wlock] *)
+type t = {
+  db : Lazy_db.t;  (* the live database; touched only under [wlock] *)
   wlock : Mutex.t;  (* writer–writer serialization *)
   vlock : Mutex.t;  (* version table; every hold is O(versions) *)
   mutable current : version;  (* newest published snapshot *)
   mutable versions : version list;  (* retained versions, newest first *)
   mutable floor : int;  (* last reclamation floor pushed to the cache *)
-}
-
-(* Classic rw-lock with writer preference — the pre-MVCC scheme, kept
-   for STD. *)
-type locked = {
-  l_db : Lazy_db.t;
-  lock : Mutex.t;
-  can_read : Condition.t;
-  can_write : Condition.t;
-  mutable active_readers : int;
-  mutable writer_active : bool;
-  mutable writers_waiting : int;
-}
-
-type mode = Mvcc of mvcc | Locked of locked
-
-type t = {
-  mode : mode;
   reads_done : int Atomic.t;
   writes_done : int Atomic.t;
 }
 
-type mvcc_stats = {
-  versions : int;
-  pinned : int;
-  published_epoch : int;
-  floor : int;
-}
+let cache_of db = Lxu_seglog.Update_log.cache (Option.get (Lazy_db.log db))
 
 let wrap db =
-  let mode =
-    match Lazy_db.engine db with
-    | Lazy_db.STD ->
-      Locked
-        {
-          l_db = db;
-          lock = Mutex.create ();
-          can_read = Condition.create ();
-          can_write = Condition.create ();
-          active_readers = 0;
-          writer_active = false;
-          writers_waiting = 0;
-        }
-    | Lazy_db.LD | Lazy_db.LS ->
-      let v0 = { v_epoch = Lazy_db.epoch db; v_db = Lazy_db.snapshot db; v_pins = 0 } in
-      let m =
-        {
-          m_db = db;
-          wlock = Mutex.create ();
-          vlock = Mutex.create ();
-          current = v0;
-          versions = [ v0 ];
-          floor = Lazy_db.epoch db;
-        }
-      in
-      (* Lower the cache floor from its standalone-log default
-         ([latest], eager stale dropping) to the pinnable range right
-         away, so retired versions survive for pinned readers. *)
-      (match Lazy_db.log db with
-      | Some log -> Lxu_seglog.Seg_cache.reclaim (Lxu_seglog.Update_log.cache log) ~floor:m.floor
-      | None -> ());
-      Mvcc m
-  in
-  { mode; reads_done = Atomic.make 0; writes_done = Atomic.make 0 }
+  let v0 = { v_epoch = Lazy_db.epoch db; v_db = Lazy_db.snapshot db; v_pins = 0 } in
+  (* Lower the cache floor from its standalone-log default ([latest],
+     eager stale dropping) to the pinnable range right away, so
+     retired versions survive for pinned readers. *)
+  Lxu_seglog.Seg_cache.reclaim (cache_of db) ~floor:(Lazy_db.epoch db);
+  {
+    db;
+    wlock = Mutex.create ();
+    vlock = Mutex.create ();
+    current = v0;
+    versions = [ v0 ];
+    floor = Lazy_db.epoch db;
+    reads_done = Atomic.make 0;
+    writes_done = Atomic.make 0;
+  }
 
-let create ?(engine = Lazy_db.LD) ?index_attributes ?domains ?durability () =
-  if engine = Lazy_db.LS then
-    invalid_arg "Shared_db.create: LS queries mutate the log; use LD";
-  wrap (Lazy_db.create ~engine ?index_attributes ?domains ?durability ())
+let create ?index_attributes ?domains ?durability () =
+  wrap (Lazy_db.create ?index_attributes ?domains ?durability ())
 
 (* --- MVCC internals -------------------------------------------------- *)
 
@@ -95,116 +49,72 @@ let create ?(engine = Lazy_db.LD) ?index_attributes ?domains ?durability () =
    the live cache so it reclaims the retired column snapshots nobody
    can reach.  New readers only ever pin [current], so the floor is
    the min over pinned versions and [current] itself. *)
-let reclaim_locked (m : mvcc) =
-  m.versions <-
-    List.filter (fun v -> v == m.current || v.v_pins > 0) m.versions;
+let reclaim_locked t =
+  t.versions <-
+    List.filter (fun v -> v == t.current || v.v_pins > 0) t.versions;
   let floor =
-    List.fold_left (fun acc v -> min acc v.v_epoch) m.current.v_epoch m.versions
+    List.fold_left (fun acc v -> min acc v.v_epoch) t.current.v_epoch t.versions
   in
-  m.floor <- floor;
+  t.floor <- floor;
   (* Push unconditionally: rebuild / auto-pack install a fresh cache
      whose floor starts back at [Seg_cache.latest] (the standalone-log
      default), and the sweep is O(1) when nothing is retired. *)
-  match Lazy_db.log m.m_db with
-  | Some log -> Lxu_seglog.Seg_cache.reclaim (Lxu_seglog.Update_log.cache log) ~floor
-  | None -> ()
+  Lxu_seglog.Seg_cache.reclaim (cache_of t.db) ~floor
 
-let pin (m : mvcc) =
-  Mutex.lock m.vlock;
-  let v = m.current in
+let pin t =
+  Mutex.lock t.vlock;
+  let v = t.current in
   v.v_pins <- v.v_pins + 1;
-  Mutex.unlock m.vlock;
+  Mutex.unlock t.vlock;
   v
 
-let unpin m v =
-  Mutex.lock m.vlock;
+let unpin t v =
+  Mutex.lock t.vlock;
   v.v_pins <- v.v_pins - 1;
-  reclaim_locked m;
-  Mutex.unlock m.vlock
+  reclaim_locked t;
+  Mutex.unlock t.vlock
 
 (* With [wlock] held and the live database quiescent: freeze it and
    install the snapshot as [current].  Freezing happens outside
    [vlock] — only the installation is a critical section. *)
-let publish_locked (m : mvcc) =
+let publish_locked t =
   let v =
-    { v_epoch = Lazy_db.epoch m.m_db; v_db = Lazy_db.snapshot m.m_db; v_pins = 0 }
+    { v_epoch = Lazy_db.epoch t.db; v_db = Lazy_db.snapshot t.db; v_pins = 0 }
   in
-  Mutex.lock m.vlock;
-  m.current <- v;
-  m.versions <- v :: m.versions;
-  reclaim_locked m;
-  Mutex.unlock m.vlock
+  Mutex.lock t.vlock;
+  t.current <- v;
+  t.versions <- v :: t.versions;
+  reclaim_locked t;
+  Mutex.unlock t.vlock
 
 (* --- the shared surface ---------------------------------------------- *)
 
 let read t f =
-  match t.mode with
-  | Mvcc m ->
-    let v = pin m in
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.incr t.reads_done;
-        unpin m v)
-      (fun () -> f v.v_db)
-  | Locked l ->
-    Mutex.lock l.lock;
-    (* Writer preference: an arriving reader also yields to queued
-       writers. *)
-    while l.writer_active || l.writers_waiting > 0 do
-      Condition.wait l.can_read l.lock
-    done;
-    l.active_readers <- l.active_readers + 1;
-    Mutex.unlock l.lock;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock l.lock;
-        l.active_readers <- l.active_readers - 1;
-        Atomic.incr t.reads_done;
-        if l.active_readers = 0 then Condition.signal l.can_write;
-        Mutex.unlock l.lock)
-      (fun () -> f l.l_db)
+  let v = pin t in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.incr t.reads_done;
+      unpin t v)
+    (fun () -> f v.v_db)
 
 let write t f =
-  match t.mode with
-  | Mvcc m ->
-    Mutex.lock m.wlock;
-    let before = Lazy_db.epoch m.m_db in
-    Fun.protect
-      ~finally:(fun () ->
-        (* Publish whatever committed, even when [f] raised after some
-           epochs went through (each Lazy_db op is all-or-nothing, so
-           the live state is consistent at every op boundary). *)
-        if Lazy_db.epoch m.m_db <> before then publish_locked m;
-        Atomic.incr t.writes_done;
-        Mutex.unlock m.wlock)
-      (fun () -> f m.m_db)
-  | Locked l ->
-    Mutex.lock l.lock;
-    l.writers_waiting <- l.writers_waiting + 1;
-    while l.writer_active || l.active_readers > 0 do
-      Condition.wait l.can_write l.lock
-    done;
-    l.writers_waiting <- l.writers_waiting - 1;
-    l.writer_active <- true;
-    Mutex.unlock l.lock;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock l.lock;
-        l.writer_active <- false;
-        Atomic.incr t.writes_done;
-        if l.writers_waiting > 0 then Condition.signal l.can_write
-        else Condition.broadcast l.can_read;
-        Mutex.unlock l.lock)
-      (fun () -> f l.l_db)
+  Mutex.lock t.wlock;
+  let before = Lazy_db.epoch t.db in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Publish whatever committed, even when [f] raised after some
+         epochs went through (each Lazy_db op is all-or-nothing, so
+         the live state is consistent at every op boundary). *)
+      if Lazy_db.epoch t.db <> before then publish_locked t;
+      Atomic.incr t.writes_done;
+      Mutex.unlock t.wlock)
+    (fun () -> f t.db)
 
 (* --- explicit snapshot handles --------------------------------------- *)
 
-type snapshot = { s_owner : mvcc; s_version : version; mutable s_ended : bool }
+type snapshot = { s_owner : t; s_version : version; mutable s_ended : bool }
 
-let begin_snapshot t =
-  match t.mode with
-  | Locked _ -> invalid_arg "Shared_db.begin_snapshot: the STD engine keeps no versioned state"
-  | Mvcc m -> { s_owner = m; s_version = pin m; s_ended = false }
+let begin_snapshot t = { s_owner = t; s_version = pin t; s_ended = false }
 
 let end_snapshot s =
   if not s.s_ended then begin
@@ -240,36 +150,34 @@ let count t ?axis ~anc ~desc () = read t (fun db -> Lazy_db.count db ?axis ~anc 
 let path_count t path = read t (fun db -> Path_query.count db path)
 
 let sweep t =
-  match t.mode with
-  | Locked _ -> ()
-  | Mvcc m ->
-    Mutex.lock m.vlock;
-    reclaim_locked m;
-    Mutex.unlock m.vlock
+  Mutex.lock t.vlock;
+  reclaim_locked t;
+  Mutex.unlock t.vlock
 
 let stats t = (Atomic.get t.reads_done, Atomic.get t.writes_done)
 
 let current_epoch t =
-  match t.mode with
-  | Mvcc m ->
-    Mutex.lock m.vlock;
-    let e = m.current.v_epoch in
-    Mutex.unlock m.vlock;
-    e
-  | Locked _ -> 0
+  Mutex.lock t.vlock;
+  let e = t.current.v_epoch in
+  Mutex.unlock t.vlock;
+  e
+
+type mvcc_stats = {
+  versions : int;
+  pinned : int;
+  published_epoch : int;
+  floor : int;
+}
 
 let mvcc_stats t =
-  match t.mode with
-  | Locked _ -> None
-  | Mvcc m ->
-    Mutex.lock m.vlock;
-    let s =
-      {
-        versions = List.length m.versions;
-        pinned = List.fold_left (fun acc v -> acc + v.v_pins) 0 m.versions;
-        published_epoch = m.current.v_epoch;
-        floor = m.floor;
-      }
-    in
-    Mutex.unlock m.vlock;
-    Some s
+  Mutex.lock t.vlock;
+  let s =
+    {
+      versions = List.length t.versions;
+      pinned = List.fold_left (fun acc v -> acc + v.v_pins) 0 t.versions;
+      published_epoch = t.current.v_epoch;
+      floor = t.floor;
+    }
+  in
+  Mutex.unlock t.vlock;
+  Some s

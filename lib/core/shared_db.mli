@@ -1,9 +1,9 @@
 (** Concurrent access to a lazy XML database — the concurrency
     direction the paper leaves as future work (§6).
 
-    For the lazy engines this is MVCC with snapshot isolation: every
-    committing update publishes an immutable frozen snapshot of the
-    update log (see {!Lazy_db.snapshot}), and a reader pins the newest
+    This is MVCC with snapshot isolation: every committing update
+    publishes an immutable frozen snapshot of the update log (see
+    {!Lazy_db.snapshot}), and a reader pins the newest
     published snapshot on entry — an O(1) critical section — then
     evaluates its queries against it {e without holding any lock}.
     Readers never block writers, writers never block readers; writers
@@ -13,19 +13,14 @@
     last pin drops, at which point the shared element cache's retired
     column versions are swept too ({!Lxu_seglog.Seg_cache.reclaim}).
 
-    The [STD] engine keeps the previous reader–writer lock (writer
-    preference): it relabels its one global interval list in place and
-    has no versioned state to snapshot.
-
-    Engines: [LD] and [STD].  [LS] is rejected — its deferred sorting
-    makes the first query after an update a writer, defeating shared
-    reads (use {!Lazy_db.with_snapshot} directly for single-writer LS
-    setups). *)
+    The engine is always [LD].  [LS] is not served — its deferred
+    sorting makes the first query after an update a writer, defeating
+    shared reads (use {!Lazy_db.with_snapshot} directly for
+    single-writer LS setups). *)
 
 type t
 
 val create :
-  ?engine:Lazy_db.engine ->
   ?index_attributes:bool ->
   ?domains:int ->
   ?durability:[ `None | `Wal of string ] ->
@@ -35,13 +30,13 @@ val create :
     wrapped database fan out over a shared domain pool when
     [domains > 1], and writers append their WAL records under the
     writer lock, so the on-disk log always reflects a serializable
-    update history.
-    @raise Invalid_argument for the [LS] engine. *)
+    update history.  The database is an [LD] one. *)
 
 val recover : ?domains:int -> string -> t * Lxu_storage.Recovery.report
 (** Restores a crashed durable database (see {!Lazy_db.recover}) and
     wraps it for shared access.
-    @raise Invalid_argument if the recovered log is [LS]-mode. *)
+    @raise Invalid_argument if the recovered log is [LS]-mode — the
+    only place this module rejects an engine. *)
 
 val checkpoint : t -> unit
 (** Snapshots and rotates the WAL under the writer lock.  Commits no
@@ -71,12 +66,10 @@ val path_count : t -> string -> int
 
 val read : t -> (Lazy_db.t -> 'a) -> 'a
 (** Runs [f] against the newest published snapshot, pinned for the
-    duration of the call — no lock is held while [f] runs (lazy
-    engines).  Every query [f] issues sees the same epoch; updates
-    committing meanwhile become visible to {e later} reads only.  [f]
-    must not update the database (the snapshot raises
-    [Invalid_argument] if it tries).  Under [STD], runs [f] on the
-    live database under the read lock as before. *)
+    duration of the call — no lock is held while [f] runs.  Every
+    query [f] issues sees the same epoch; updates committing meanwhile
+    become visible to {e later} reads only.  [f] must not update the
+    database (the snapshot raises [Invalid_argument] if it tries). *)
 
 val write : t -> (Lazy_db.t -> 'a) -> 'a
 (** Runs [f] on the live database under the writer lock.  All epochs
@@ -95,8 +88,7 @@ val write : t -> (Lazy_db.t -> 'a) -> 'a
 type snapshot
 
 val begin_snapshot : t -> snapshot
-(** Pins the newest published snapshot.
-    @raise Invalid_argument under [STD]. *)
+(** Pins the newest published snapshot. *)
 
 val snapshot_db : snapshot -> Lazy_db.t
 (** The pinned frozen database; valid until {!end_snapshot}.
@@ -113,7 +105,7 @@ val sweep : t -> unit
     resulting floor to the shared element cache, dropping retired
     column versions no reader can reach — the maintenance scheduler's
     cache-GC hook.  Reclamation also happens automatically when pins
-    drop; this just makes it schedulable.  No-op under [STD]. *)
+    drop; this just makes it schedulable. *)
 
 (** {2 Introspection} *)
 
@@ -122,7 +114,7 @@ val stats : t -> int * int
     atomics, so no completion is ever lost to a racing update. *)
 
 val current_epoch : t -> int
-(** Epoch of the newest published snapshot (0 under [STD]). *)
+(** Epoch of the newest published snapshot. *)
 
 type mvcc_stats = {
   versions : int;  (** retained snapshot versions, including current *)
@@ -132,6 +124,8 @@ type mvcc_stats = {
 }
 
 val mvcc_stats : t -> mvcc_stats option
-(** [None] under [STD].  At quiescence (no pinned readers),
+(** Always [Some]: the option type is kept only because
+    [perfbench/perfbench.ml] binds this signature, and goes when the
+    benchmark is next revised.  At quiescence (no pinned readers),
     [versions = 1] and [pinned = 0] — the leak check the MVCC harness
     asserts. *)

@@ -56,3 +56,16 @@ let run ?axis log ~anc ~desc () =
   let pairs, jstats = Stack_tree_desc.join ?axis ~anc:a ~desc:d () in
   stats.pairs <- jstats.Stack_tree_desc.pairs;
   (pairs, stats)
+
+let path_leaves log ~tags ~edges =
+  let n = Array.length tags in
+  if n = 0 || Array.length edges <> n then
+    invalid_arg "Std_baseline.path_leaves: need one edge per tag";
+  let streams = Array.map (fun tag -> global_list log ~tag) tags in
+  if edges.(0) = Path_stack.Child then
+    streams.(0) <-
+      Array.of_seq
+        (Seq.filter (fun (l : Interval.t) -> l.Interval.level = 0) (Array.to_seq streams.(0)));
+  Path_stack.leaves ~streams ~edges:(Array.sub edges 1 (n - 1))
+  |> List.map (fun (l : Interval.t) -> (l.Interval.start, l.Interval.stop))
+  |> List.sort_uniq compare

@@ -33,3 +33,14 @@ val global_list : Lxu_seglog.Update_log.t -> tag:string -> Lxu_labeling.Interval
 val global_cols : Lxu_seglog.Update_log.t -> tag:string -> Lxu_seglog.Seg_cache.cols
 (** {!global_list} in columnar form (global coordinates, sorted by
     start) — the input of the allocation-light {!Mpmgjn.join_cols}. *)
+
+val path_leaves :
+  Lxu_seglog.Update_log.t -> tags:string array -> edges:Path_stack.edge array -> (int * int) list
+(** Holistic evaluation of a predicate-free path over the translated
+    global lists: one PathStack pass instead of one join per step — the
+    executor of the planner's [Holistic] plan.  [tags.(i)] is step [i];
+    [edges.(0)] is the leading axis ([Child] keeps only document-level
+    elements of the first step) and [edges.(i)] relates step [i-1] to
+    step [i].  Returns the distinct final-step matches as global
+    [(start, stop)] extents, sorted.
+    @raise Invalid_argument if [tags] is empty or the lengths differ. *)

@@ -110,37 +110,9 @@ let merge_slot s ~gp_of =
   end;
   s.dirty <- false
 
-(* Legacy path (LXU_TAGSORT=resort): concatenate and stable-sort the
-   whole list.  Kept as the differential oracle for the merge path —
-   stability makes the two agree byte-for-byte on equal gps. *)
-let resort_slot s ~gp_of =
-  let np = Vec.length s.pending in
-  for k = 0 to np - 1 do
-    Vec.push s.entries (Vec.get s.pending k)
-  done;
-  Vec.truncate s.pending 0;
-  let n = Vec.length s.entries in
-  let a =
-    Array.init n (fun i ->
-        let e = Vec.get s.entries i in
-        (gp_of e.sid, e))
-  in
-  Array.stable_sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) a;
-  for i = 0 to n - 1 do
-    Vec.set s.entries i (snd a.(i))
-  done;
-  s.dirty <- false
-
 let sort_all t ~gp_of =
   if t.dirty_count > 0 then begin
-    let resort =
-      match Sys.getenv_opt "LXU_TAGSORT" with Some "resort" -> true | _ -> false
-    in
-    Hashtbl.iter
-      (fun _ s ->
-        if s.dirty then
-          if resort then resort_slot s ~gp_of else merge_slot s ~gp_of)
-      t.lists;
+    Hashtbl.iter (fun _ s -> if s.dirty then merge_slot s ~gp_of) t.lists;
     t.dirty_count <- 0
   end
 

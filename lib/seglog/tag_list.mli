@@ -39,9 +39,7 @@ val sort_all : t -> gp_of:(int -> int) -> unit
     needs sorting, followed by a single two-way merge: O(n + p·log p)
     for p pending entries in a list of n.  Entries with equal gps keep
     the main run first and pending arrivals in order, byte-identical
-    to having inserted each entry with {!add_sorted}.  Set
-    [LXU_TAGSORT=resort] to use the legacy full re-sort instead (the
-    differential oracle in the test suite). *)
+    to having inserted each entry with {!add_sorted}. *)
 
 val is_dirty : t -> bool
 (** Whether any per-tag list is dirty (O(1)). *)

@@ -287,7 +287,7 @@ let sweep db =
    nothing from the generator. *)
 let run_churn_perf ~seed ~epochs ~maintain () =
   let rng = Rng.create seed in
-  let gov = Governor.create ~engine:Lazy_db.LD () in
+  let gov = Governor.create () in
   (* The perf run gives the maintainer the strictest mandate — any
      subtree that drifts from single-segment is pack-eligible — so the
      steady state it defends is the day-one layout itself; the cost of

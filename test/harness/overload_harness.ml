@@ -30,15 +30,11 @@ let note t = function
   | Error (Governor.Timed_out _) -> t.t_timeo <- t.t_timeo + 1
   | Error (Governor.Cancelled _) -> t.t_canc <- t.t_canc + 1
 
-(* Query-visible state, STD-safe: the STD engine keeps labels only
-   (no text), so its fingerprint is counts plus the all-pairs output
-   of every vocabulary join — the same equality the crash harness
-   uses, minus the materialized text. *)
-let fingerprint ~engine db =
+(* Query-visible state: the text, counts and the all-pairs output of
+   every vocabulary join — the same equality the crash harness uses. *)
+let fingerprint db =
   let buf = Buffer.create 512 in
-  (match engine with
-  | Lazy_db.STD -> Buffer.add_string buf (Printf.sprintf "len=%d" (Lazy_db.doc_length db))
-  | Lazy_db.LD | Lazy_db.LS -> Buffer.add_string buf (Lazy_db.text db));
+  Buffer.add_string buf (Lazy_db.text db);
   Buffer.add_string buf (Printf.sprintf "|elems=%d" (Lazy_db.element_count db));
   let descs = Array.to_list Crash_harness.vocabulary @ [ "@k" ] in
   Array.iter
@@ -61,7 +57,7 @@ let n_writers = 3
 let reader_iters = 24
 let writer_iters = 16
 
-let run_one ~engine ~domains ~seed () =
+let run_one ~domains ~seed () =
   let setup = Crash_harness.gen_ops ~seed ~target_ops:30 in
   (* Updates that actually applied, appended under the writer lock —
      so list order is the writers' serialization order. *)
@@ -70,9 +66,7 @@ let run_one ~engine ~domains ~seed () =
     Printf.ksprintf
       (fun msg ->
         failwith
-          (Printf.sprintf "overload seed %d engine %s domains %d: %s\n  replay: schedule=[%s]"
-             seed
-             (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS" | Lazy_db.STD -> "STD")
+          (Printf.sprintf "overload seed %d domains %d: %s\n  replay: schedule=[%s]" seed
              domains msg
              (Crash_harness.ops_to_string (setup @ List.rev !applied))))
       fmt
@@ -83,7 +77,7 @@ let run_one ~engine ~domains ~seed () =
   let config =
     { Governor.max_readers = n_victims + 1; max_writer_queue = 2; default_deadline_s = None }
   in
-  let gov = Governor.create ~config ~engine ~index_attributes:true ~domains () in
+  let gov = Governor.create ~config ~index_attributes:true ~domains () in
   (* Preload through the raw Shared_db, outside governor accounting. *)
   List.iter (fun op -> Shared_db.write (Governor.shared gov) (fun db -> Crash_harness.apply db op))
     setup;
@@ -165,7 +159,7 @@ let run_one ~engine ~domains ~seed () =
                   Governor.write gov (fun _guard db ->
                       let roll = Rng.int rng 100 in
                       let op =
-                        if engine <> Lazy_db.STD && roll < 30 && Lazy_db.doc_length db > 0 then begin
+                        if roll < 30 && Lazy_db.doc_length db > 0 then begin
                           match Crash_harness.element_extents (Lazy_db.text db) with
                           | [] -> Wal.Insert { gp = 0; text = Rng.pick rng Crash_harness.fragments }
                           | extents ->
@@ -196,17 +190,15 @@ let run_one ~engine ~domains ~seed () =
   Array.iter Domain.join writers;
   (* --- mixed read/write phase ---------------------------------------- *)
   (* One writer streams [insert_many] batches while readers keep
-     querying and — under the lazy engines — parked pins hold their
+     querying and parked pins hold their
      epochs across the whole stream.  Readers must never observe a
      [Dirty_tag_list]: every snapshot they pin is query-ready by
      construction. *)
   let shared = Governor.shared gov in
   let pins =
-    if engine = Lazy_db.STD then [||]
-    else
-      Array.init 2 (fun _ ->
-          let s = Shared_db.begin_snapshot shared in
-          (s, Shared_db.snapshot_epoch s, fingerprint ~engine (Shared_db.snapshot_db s)))
+    Array.init 2 (fun _ ->
+        let s = Shared_db.begin_snapshot shared in
+        (s, Shared_db.snapshot_epoch s, fingerprint (Shared_db.snapshot_db s)))
   in
   let mixed_writer_tally = tally () in
   let mixed_reader_tallies = Array.init n_readers (fun _ -> tally ()) in
@@ -259,7 +251,7 @@ let run_one ~engine ~domains ~seed () =
     (fun (s, epoch0, fp0) ->
       if Shared_db.snapshot_epoch s <> epoch0 then
         fail "parked pin moved from epoch %d to %d" epoch0 (Shared_db.snapshot_epoch s);
-      let fp = fingerprint ~engine (Shared_db.snapshot_db s) in
+      let fp = fingerprint (Shared_db.snapshot_db s) in
       if fp <> fp0 then
         fail "parked pin at epoch %d changed under the insert_many stream\n  was %S\n  now %S"
           epoch0 fp0 fp;
@@ -304,11 +296,11 @@ let run_one ~engine ~domains ~seed () =
   if cancelled < n_victims then fail "only %d Cancelled rejections for %d victims" cancelled n_victims;
   (* Torn-state differential: replay exactly the updates that
      reported success onto an unpressured database. *)
-  let final = Shared_db.read (Governor.shared gov) (fun db -> fingerprint ~engine db) in
-  let reference = Lazy_db.create ~engine ~index_attributes:true () in
+  let final = Shared_db.read (Governor.shared gov) (fun db -> fingerprint db) in
+  let reference = Lazy_db.create ~index_attributes:true () in
   List.iter (Crash_harness.apply reference) setup;
   List.iter (Crash_harness.apply reference) (List.rev !applied);
-  let expected = fingerprint ~engine reference in
+  let expected = fingerprint reference in
   if final <> expected then
     fail "post-pressure state diverges from the unpressured replay\n  expected %S\n  got      %S"
       expected final;
@@ -321,20 +313,16 @@ let run_one ~engine ~domains ~seed () =
     elapsed_s = Deadline.now () -. started;
   }
 
-let run_matrix ~engines ~domains ~seeds =
+let run_matrix ~domains ~seeds =
   List.iter
-    (fun engine ->
+    (fun d ->
       List.iter
-        (fun d ->
-          List.iter
-            (fun seed ->
-              let r = run_one ~engine ~domains:d ~seed () in
-              Printf.printf
-                "overload %s domains=%d seed %d: ok=%d shed(overload=%d timeout=%d cancel=%d) \
-                 cancel_latency=%.4fs in %.2fs\n\
-                 %!"
-                (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS" | Lazy_db.STD -> "STD")
-                d seed r.ok r.overloaded r.timed_out r.cancelled r.max_cancel_latency_s r.elapsed_s)
-            seeds)
-        domains)
-    engines
+        (fun seed ->
+          let r = run_one ~domains:d ~seed () in
+          Printf.printf
+            "overload LD domains=%d seed %d: ok=%d shed(overload=%d timeout=%d cancel=%d) \
+             cancel_latency=%.4fs in %.2fs\n\
+             %!"
+            d seed r.ok r.overloaded r.timed_out r.cancelled r.max_cancel_latency_s r.elapsed_s)
+        seeds)
+    domains

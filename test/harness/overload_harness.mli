@@ -27,14 +27,15 @@
 
     After the pressure phase a {b mixed read/write phase} runs: one
     writer streams {!Lazy_xml.Governor.insert_many} batches while
-    reader domains keep querying and — under the lazy engines — two
-    parked snapshot pins hold their epochs across the whole stream.
-    Asserted: no read ever observes
+    reader domains keep querying and two parked snapshot pins hold
+    their epochs across the whole stream.  Asserted: no read ever
+    observes
     [Lxu_seglog.Tag_list.Dirty_tag_list], the parked pins keep their
     epoch {e and} their bytes, and the phase's attempts fold into the
     same bucket-exact shed accounting as the pressure phase.
 
-    Failures raise [Failure] with the seed, engine, domain count and
+    The database is an [LD] one (the only engine {!Lazy_xml.Shared_db}
+    serves).  Failures raise [Failure] with the seed, domain count and
     the full applied schedule ({!Crash_harness.ops_to_string}), so any
     report replays deterministically. *)
 
@@ -48,13 +49,11 @@ type report = {
   elapsed_s : float;
 }
 
-val run_one :
-  engine:Lazy_xml.Lazy_db.engine -> domains:int -> seed:int -> unit -> report
+val run_one : domains:int -> seed:int -> unit -> report
 (** One chaos run against a fresh governed database.
-    @raise Failure (with the seed and engine in the message) on any
+    @raise Failure (with the seed in the message) on any
     violated assertion. *)
 
-val run_matrix :
-  engines:Lazy_xml.Lazy_db.engine list -> domains:int list -> seeds:int list -> unit
+val run_matrix : domains:int list -> seeds:int list -> unit
 (** {!run_one} over the full cross product, one progress line each.
     @raise Failure on the first violation. *)

@@ -3,8 +3,8 @@
    - the full crash-recovery matrix: >= 30 randomized workloads, each
      crashed at every WAL record boundary and under injected torn /
      bit-flipped / duplicated tails;
-   - the full overload chaos matrix: LD and STD engines x sequential
-     and 4-domain parallelism x several seeds, each run asserting
+   - the full overload chaos matrix: LD x sequential and 4-domain
+     parallelism x several seeds, each run asserting
      typed shedding, bounded cancellation, a torn-state-free
      post-pressure fingerprint, and a mixed read/write phase with
      parked snapshot pins under an insert_many stream;
@@ -44,10 +44,8 @@ let () =
   Lxu_crash_harness.Crash_harness.run_matrix ~seeds:(List.init seeds (fun i -> i + 1)) ~target_ops;
   Printf.printf "crash matrix: all %d workloads recovered byte-identically\n%!" seeds;
   let overload_seeds = int_env "LXU_OVERLOAD_SEEDS" 6 in
-  Printf.printf "overload matrix: {LD,STD} x domains {1,4} x %d seeds\n%!" overload_seeds;
-  Lxu_crash_harness.Overload_harness.run_matrix
-    ~engines:[ Lazy_xml.Lazy_db.LD; Lazy_xml.Lazy_db.STD ]
-    ~domains:[ 1; 4 ]
+  Printf.printf "overload matrix: LD x domains {1,4} x %d seeds\n%!" overload_seeds;
+  Lxu_crash_harness.Overload_harness.run_matrix ~domains:[ 1; 4 ]
     ~seeds:(List.init overload_seeds (fun i -> i + 1));
   Printf.printf "overload matrix: no hangs, typed shedding, fingerprints identical\n%!";
   let mvcc_seeds = int_env "LXU_MVCC_SEEDS" 8 in

@@ -1,5 +1,5 @@
-(* Tests for the Lazy_db facade: engine equivalence, maintenance
-   operations, and statistics. *)
+(* Tests for the Lazy_db facade: engine equivalence (LD, LS and the
+   STD baseline), maintenance operations, and statistics. *)
 
 open Lazy_xml
 
@@ -7,14 +7,14 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let pair_list = Alcotest.(list (pair int int))
 
-let engines = [ (Lazy_db.LD, "LD"); (Lazy_db.LS, "LS"); (Lazy_db.STD, "STD") ]
+let engines = [ (Lazy_db.LD, "LD"); (Lazy_db.LS, "LS") ]
 
-let apply_edits db edits =
+let apply_edits ~insert ~remove edits =
   List.iter
     (fun edit ->
       match edit with
-      | `Ins (gp, frag) -> Lazy_db.insert db ~gp frag
-      | `Del (gp, len) -> Lazy_db.remove db ~gp ~len)
+      | `Ins (gp, frag) -> insert ~gp frag
+      | `Del (gp, len) -> remove ~gp ~len)
     edits
 
 let sample_edits =
@@ -31,11 +31,17 @@ let test_engines_agree () =
     List.map
       (fun (engine, name) ->
         let db = Lazy_db.create ~engine () in
-        apply_edits db sample_edits;
+        apply_edits ~insert:(Lazy_db.insert db) ~remove:(Lazy_db.remove db) sample_edits;
         Lazy_db.check db;
         let pairs, _ = Lazy_db.query db ~anc:"book" ~desc:"author" () in
         (name, pairs))
       engines
+    @
+    let store = Lxu_labeling.Interval_store.create () in
+    apply_edits ~insert:(Lxu_labeling.Interval_store.insert store)
+      ~remove:(Lxu_labeling.Interval_store.remove store) sample_edits;
+    Lxu_labeling.Interval_store.check store;
+    [ ("STD", Std_ref.query store ~anc:"book" ~desc:"author") ]
   in
   match results with
   | (_, first) :: rest ->
@@ -52,7 +58,12 @@ let test_both_axes () =
       let child = Lazy_db.count db ~axis:Lazy_db.Child ~anc:"a" ~desc:"b" () in
       check_int (name ^ " desc") 2 desc;
       check_int (name ^ " child") 1 child)
-    engines
+    engines;
+  let store = Lxu_labeling.Interval_store.create () in
+  Lxu_labeling.Interval_store.insert store ~gp:0 "<a><a><b/></a></a>";
+  check_int "STD desc" 2 (Std_ref.count store ~anc:"a" ~desc:"b");
+  check_int "STD child" 1
+    (Std_ref.count ~axis:Lxu_join.Stack_tree_desc.Child store ~anc:"a" ~desc:"b")
 
 let test_counts_and_lengths () =
   let db = Lazy_db.create () in
@@ -98,15 +109,6 @@ let test_rebuild_empty () =
   Lazy_db.rebuild db;
   check_int "still empty" 0 (Lazy_db.segment_count db)
 
-let test_std_has_no_log () =
-  let db = Lazy_db.create ~engine:Lazy_db.STD () in
-  check_bool "no log" true (Lazy_db.log db = None);
-  check_bool "has store" true (Lazy_db.store db <> None);
-  Lazy_db.insert db ~gp:0 "<a/>";
-  Alcotest.check_raises "text unavailable"
-    (Invalid_argument "Lazy_db.text: the STD engine keeps labels only, not the document text")
-    (fun () -> ignore (Lazy_db.text db))
-
 let test_query_stats () =
   let db = Lazy_db.create () in
   Lazy_db.insert db ~gp:0 "<a></a>";
@@ -124,7 +126,6 @@ let suite =
     Alcotest.test_case "rebuild" `Quick test_rebuild;
     Alcotest.test_case "pack subtree" `Quick test_pack_subtree;
     Alcotest.test_case "rebuild empty" `Quick test_rebuild_empty;
-    Alcotest.test_case "std has no log" `Quick test_std_has_no_log;
     Alcotest.test_case "query stats" `Quick test_query_stats;
   ]
 

@@ -223,7 +223,7 @@ let test_tag_skew_pack () =
 (* --- governed mode: shed-first under load ----------------------------- *)
 
 let test_governed_busy () =
-  let gov = Governor.create ~engine:Lazy_db.LD ~index_attributes:true () in
+  let gov = Governor.create ~index_attributes:true () in
   (match Governor.insert gov ~gp:0 "<a><b>x</b></a>" with
   | Ok () -> ()
   | Error r -> Alcotest.fail (Governor.rejection_to_string r));
@@ -254,7 +254,7 @@ let test_governed_busy () =
   | o -> Alcotest.failf "expected idle after release, got %s" (Maintainer.outcome_to_string o)
 
 let test_background_loop () =
-  let gov = Governor.create ~engine:Lazy_db.LD ~index_attributes:true () in
+  let gov = Governor.create ~index_attributes:true () in
   let m = Maintainer.of_governor ~config:quiet_config gov in
   check_bool "not running" false (Maintainer.running m);
   Maintainer.start ~period_s:0.005 m;
@@ -275,7 +275,7 @@ let test_background_loop () =
 (* --- satellite: pinned snapshot across an auto-pack -------------------- *)
 
 let test_pinned_snapshot_across_pack () =
-  let gov = Governor.create ~engine:Lazy_db.LD ~index_attributes:true () in
+  let gov = Governor.create ~index_attributes:true () in
   let ok = function
     | Ok () -> ()
     | Error r -> Alcotest.fail (Governor.rejection_to_string r)

@@ -159,22 +159,6 @@ let test_snapshot_is_read_only () =
           ("pack_subtree", fun () -> Lazy_db.pack_subtree db ~gp:0 ~len:4);
         ])
 
-let test_std_keeps_locked_path () =
-  let t = Shared_db.create ~engine:Lazy_db.STD () in
-  Shared_db.insert t ~gp:0 "<a><b/></a>";
-  check_int "std count" 1 (Shared_db.count t ~anc:"a" ~desc:"b" ());
-  check_int "std epoch" 0 (Shared_db.current_epoch t);
-  check_bool "no mvcc stats" true (Shared_db.mvcc_stats t = None);
-  Alcotest.check_raises "begin_snapshot raises"
-    (Invalid_argument "Shared_db.begin_snapshot: the STD engine keeps no versioned state")
-    (fun () -> ignore (Shared_db.begin_snapshot t))
-
-let test_std_snapshot_rejected () =
-  let db = Lazy_db.create ~engine:Lazy_db.STD () in
-  Alcotest.check_raises "snapshot raises"
-    (Invalid_argument "Lazy_db.snapshot: the STD engine keeps no versioned state (use LD or LS)")
-    (fun () -> ignore (Lazy_db.snapshot db))
-
 (* --- quick slice of the isolation harness (full matrix under @slow) -- *)
 
 let test_harness_quick () =
@@ -186,8 +170,6 @@ let suite =
   [
     Alcotest.test_case "version lifecycle + reclamation" `Quick test_version_lifecycle;
     Alcotest.test_case "snapshots are read-only" `Quick test_snapshot_is_read_only;
-    Alcotest.test_case "STD keeps the locked path" `Quick test_std_keeps_locked_path;
-    Alcotest.test_case "STD snapshot rejected" `Quick test_std_snapshot_rejected;
     Alcotest.test_case "pinned across pack + checkpoint" `Quick
       test_pinned_across_pack_and_checkpoint;
     Alcotest.test_case "isolation harness quick slice" `Quick test_harness_quick;

@@ -98,24 +98,17 @@ let test_matches_naive () =
 
 let test_strategies_and_engines_agree () =
   let dbs =
-    [
-      ("LD", load Lazy_db.LD 6, Path_query.Pairwise);
-      ("LD-holistic", load Lazy_db.LD 6, Path_query.Holistic);
-      ("LS", load Lazy_db.LS 6, Path_query.Pairwise);
-      ("LS-holistic", load Lazy_db.LS 6, Path_query.Holistic);
-      ("STD", load Lazy_db.STD 1, Path_query.Pairwise);
-      ("one-segment", load Lazy_db.LD 1, Path_query.Pairwise);
-    ]
+    [ ("LD", load Lazy_db.LD 6); ("LS", load Lazy_db.LS 6); ("one-segment", load Lazy_db.LD 1) ]
   in
   List.iter
     (fun path ->
       let expected = naive_eval doc path in
       List.iter
-        (fun (name, db, strategy) ->
+        (fun (name, db) ->
           Alcotest.(check (list (pair int int)))
             (path ^ " on " ^ name)
             expected
-            (Path_query.eval_string ~strategy db path))
+            (Path_query.eval_string db path))
         dbs)
     paths
 
@@ -143,6 +136,19 @@ let test_eval_after_update () =
   check_bool "oracle agrees" true
     (Path_query.eval_string db "//person//interest"
     = naive_eval (Lazy_db.text db) "//person//interest")
+
+(* The planner's holistic executor, run directly on a predicate-free
+   path. *)
+let holistic db path =
+  let steps = Array.of_list (Path_query.parse_exn path) in
+  let edge (s : Path_query.step) =
+    match s.Path_query.axis with
+    | Path_query.Desc -> Lxu_join.Path_stack.Desc
+    | Path_query.Child -> Lxu_join.Path_stack.Child
+  in
+  Lxu_join.Std_baseline.path_leaves (Option.get (Lazy_db.log db))
+    ~tags:(Array.map (fun (s : Path_query.step) -> s.Path_query.tag) steps)
+    ~edges:(Array.map edge steps)
 
 let prop_random_docs =
   let fragments =
@@ -174,7 +180,7 @@ let prop_random_docs =
       List.for_all
         (fun path ->
           naive_eval !text path = Path_query.eval_string db path
-          && naive_eval !text path = Path_query.eval_string ~strategy:Path_query.Holistic db path)
+          && naive_eval !text path = holistic db path)
         [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c" ])
 
 (* Inserts interleaved with removes, so segments carry tombstones and
@@ -306,22 +312,11 @@ let test_twig_predicates () =
         (fun path ->
           let expected = naive_twig twig_doc path in
           Alcotest.(check (list (pair int int)))
-            (path ^ " / " ^ (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS" | Lazy_db.STD -> "STD"))
+            (path ^ " / " ^ (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS"))
             expected
             (Path_query.eval_string db path))
         twig_paths)
-    [ Lazy_db.LD; Lazy_db.LS; Lazy_db.STD ]
-
-let test_twig_holistic_strategy () =
-  let db = Lazy_db.create () in
-  Lazy_db.insert db ~gp:0 twig_doc;
-  List.iter
-    (fun path ->
-      Alcotest.(check (list (pair int int)))
-        (path ^ " holistic")
-        (naive_twig twig_doc path)
-        (Path_query.eval_string ~strategy:Path_query.Holistic db path))
-    twig_paths
+    [ Lazy_db.LD; Lazy_db.LS ]
 
 let test_twig_segmented () =
   let db = Lazy_db.create () in
@@ -376,10 +371,7 @@ let prop_twig_random =
               String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp))
         picks;
       List.for_all
-        (fun path ->
-          naive_twig !text path = Path_query.eval_string db path
-          && naive_twig !text path
-             = Path_query.eval_string ~strategy:Path_query.Holistic db path)
+        (fun path -> naive_twig !text path = Path_query.eval_string db path)
         [ "//a[b]"; "//a[b/c]"; "//b[c]//c"; "//a[b][c]"; "/a[b//c]"; "//c[a]" ])
 
 let suite =
@@ -387,7 +379,6 @@ let suite =
   @ [
       Alcotest.test_case "twig predicates (all engines)" `Quick test_twig_predicates;
       Alcotest.test_case "twig over segments" `Quick test_twig_segmented;
-      Alcotest.test_case "twig holistic strategy" `Quick test_twig_holistic_strategy;
       Alcotest.test_case "twig parse roundtrip" `Quick test_twig_parse_roundtrip;
       Alcotest.test_case "twig parse errors" `Quick test_twig_parse_errors;
       QCheck_alcotest.to_alcotest prop_twig_random;

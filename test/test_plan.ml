@@ -105,34 +105,6 @@ let prop_planned_equals_naive =
 
 (* --- deterministic corners -------------------------------------------- *)
 
-let test_std_fallback () =
-  let db = Lazy_db.create ~engine:Lazy_db.STD () in
-  Lazy_db.insert db ~gp:0 "<r><a><b/></a><a><b/><b/></a></r>";
-  let twig = [ step Path_query.Desc "a" []; step Path_query.Desc "b" [] ] in
-  Alcotest.check pair_list "plan ignored on STD"
-    (Path_query.eval ~plan:`Naive db twig)
-    (Path_query.eval ~plan:`Auto db twig)
-
-let test_env_escape_hatch () =
-  (* LXU_PLAN=naive forces the left-to-right order; the explain string
-     says so.  (Set/unset around the calls — the suite is single
-     threaded.) *)
-  let db = Lazy_db.create ~engine:Lazy_db.LD () in
-  List.iter
-    (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
-    (Chopper.chop ~text:(Xmark.generate_text ~persons:8 ~seed:3 ()) ~segments:6 Chopper.Balanced)
-  ;
-  let twig = Path_query.parse_exn "//person//interest" in
-  let naive = Path_query.eval ~plan:`Naive db twig in
-  Unix.putenv "LXU_PLAN" "naive";
-  let forced = Path_query.eval ~plan:`Auto db twig in
-  let explained, matches = Path_query.explain db twig in
-  Unix.putenv "LXU_PLAN" "";
-  Alcotest.check pair_list "escape hatch = naive" naive forced;
-  Alcotest.check pair_list "explain matches under escape hatch" naive matches;
-  check_bool "explain mentions the escape hatch" true
-    (String.length explained >= 5 && String.sub explained 0 5 = "plan:")
-
 let test_choose_sanity () =
   (* Many <a><b/></a> groups and a single rare <q><a><b><z/></b></a></q>:
      for //a//b//z the cheapest anchor is the rare tail, and the
@@ -187,8 +159,6 @@ let test_provably_empty () =
 
 let suite =
   [
-    Alcotest.test_case "STD ignores plan" `Quick test_std_fallback;
-    Alcotest.test_case "LXU_PLAN=naive escape hatch" `Quick test_env_escape_hatch;
     Alcotest.test_case "choose anchors at the rare tail" `Quick test_choose_sanity;
     Alcotest.test_case "synopsis-proven empty result" `Quick test_provably_empty;
     QCheck_alcotest.to_alcotest prop_planned_equals_naive;

@@ -179,12 +179,6 @@ let test_error_paths () =
       | exception Failure msg -> check_bool "load names path" true (contains ~needle:path msg)
       | _ -> Alcotest.fail "junk snapshot accepted")
 
-let test_std_rejects_durability () =
-  check_bool "STD + WAL rejected" true
-    (match Lazy_db.create ~engine:Lazy_db.STD ~durability:(`Wal (fresh_dir "std")) () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let suite =
   [
     Alcotest.test_case "durable roundtrip" `Quick test_durable_roundtrip;
@@ -195,5 +189,4 @@ let suite =
     Alcotest.test_case "load with durability" `Quick test_load_with_durability;
     Alcotest.test_case "quick crash matrix" `Quick test_quick_matrix;
     Alcotest.test_case "error paths name files" `Quick test_error_paths;
-    Alcotest.test_case "STD rejects durability" `Quick test_std_rejects_durability;
   ]

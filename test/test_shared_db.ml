@@ -18,10 +18,30 @@ let test_sequential_semantics () =
   check_bool "reads counted" true (reads >= 2);
   check_int "writes counted" 3 writes
 
+let wal_dir tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "lazyxml_test_shared_%s_%d" tag (Unix.getpid ()))
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+(* Shared_db serves LD only, and [recover] is the one entry point that
+   could hand it another engine: a WAL directory written by an LS
+   database. *)
 let test_ls_rejected () =
-  Alcotest.check_raises "ls"
-    (Invalid_argument "Shared_db.create: LS queries mutate the log; use LD") (fun () ->
-      ignore (Shared_db.create ~engine:Lazy_db.LS ()))
+  let dir = wal_dir "ls" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let db = Lazy_db.create ~engine:Lazy_db.LS ~durability:(`Wal dir) () in
+      Lazy_db.insert db ~gp:0 "<a><b/></a>";
+      Lazy_db.close db;
+      Alcotest.check_raises "ls"
+        (Invalid_argument "Shared_db.recover: LS queries mutate the log; use LD") (fun () ->
+          ignore (Shared_db.recover dir)))
 
 let test_concurrent_readers_and_writer () =
   let t = Shared_db.create () in
@@ -123,16 +143,7 @@ let test_interleaving_never_torn () =
 let test_durable_writers () =
   (* Racing durable writers: the WAL serializes under the write lock,
      so recovery reproduces exactly the final state. *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lazyxml_test_shared_wal_%d" (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
+  let dir = wal_dir "wal" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->

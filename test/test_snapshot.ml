@@ -85,12 +85,6 @@ let test_ls_mode_roundtrip () =
   check_bool "mode preserved" true (Lazy_db.engine db' = Lazy_db.LS);
   check_int "query works" 2 (Lazy_db.count db' ~anc:"a" ~desc:"b" ())
 
-let test_std_cannot_save () =
-  let db = Lazy_db.create ~engine:Lazy_db.STD () in
-  Alcotest.check_raises "std"
-    (Invalid_argument "Lazy_db.save: the STD engine keeps no reconstructible state")
-    (fun () -> Lazy_db.save db (tmp "std"))
-
 let test_malformed_snapshot () =
   let path = tmp "malformed" in
   let oc = open_out path in
@@ -162,7 +156,6 @@ let suite =
     Alcotest.test_case "queries after load" `Quick test_queries_after_load;
     Alcotest.test_case "updates after load" `Quick test_updates_after_load;
     Alcotest.test_case "LS mode roundtrip" `Quick test_ls_mode_roundtrip;
-    Alcotest.test_case "std cannot save" `Quick test_std_cannot_save;
     Alcotest.test_case "malformed rejected" `Quick test_malformed_snapshot;
     Alcotest.test_case "malformed sweep" `Quick test_malformed_snapshot_sweep;
     Alcotest.test_case "empty roundtrip" `Quick test_empty_db_roundtrip;

@@ -112,11 +112,14 @@ let test_tids_and_sizes () =
   check_bool "size" true (Tag_list.size_bytes t > 0);
   check_bool "ops counted" true (Tag_list.path_ops t >= 2)
 
-(* Differential: the run-merge sort path (default) against the legacy
-   full re-sort (LXU_TAGSORT=resort), on an op schedule with gp
-   collisions, mid-stream sorts, decrements and segment removals.  The
-   two must agree entry-for-entry — including the order of equal-gp
-   entries, which is where a naive unstable sort would diverge. *)
+(* Differential: the run-merge sort path against an oracle kept here —
+   each tag's live entries in arrival order, stably sorted by gp at the
+   end — on an op schedule with gp collisions, mid-stream sorts,
+   decrements and segment removals.  gps never move in this schedule,
+   and every entry of the main run arrived before every pending one,
+   so the merge path must agree with the oracle entry-for-entry —
+   including the order of equal-gp entries, which is where a naive
+   unstable sort would diverge. *)
 let test_merge_matches_resort () =
   (* Plenty of collisions: five distinct gps over ~40 sids. *)
   let gp_of sid = sid mod 5 * 10 in
@@ -131,8 +134,7 @@ let test_merge_matches_resort () =
         | 3 | 4 -> `Add_sorted (tid, entry sid [ 0; sid ] (1 + (i mod 3)))
         | _ -> `Append (tid, entry sid [ 0; sid ] (1 + (i mod 3))))
   in
-  let apply mode ops =
-    Unix.putenv "LXU_TAGSORT" mode;
+  let merged ops =
     let t = Tag_list.create () in
     List.iter
       (function
@@ -143,18 +145,51 @@ let test_merge_matches_resort () =
         | `Append (tid, e) -> Tag_list.append t ~tid e)
       ops;
     Tag_list.sort_all t ~gp_of;
-    Unix.putenv "LXU_TAGSORT" "";
     t
+  in
+  (* The oracle: tid -> live (sid, path, count) triples in arrival
+     order.  Sorts are no-ops until the end. *)
+  let oracle ops =
+    let lists = Hashtbl.create 8 in
+    let update tid f =
+      match Hashtbl.find_opt lists tid with
+      | Some l -> Hashtbl.replace lists tid (f l)
+      | None -> ()
+    in
+    let add tid (e : Tag_list.entry) =
+      let l = Option.value (Hashtbl.find_opt lists tid) ~default:[] in
+      let triple = (e.Tag_list.sid, Array.to_list e.Tag_list.path, e.Tag_list.count) in
+      Hashtbl.replace lists tid (l @ [ triple ])
+    in
+    List.iter
+      (function
+        | `Sort -> ()
+        | `Decrement (tid, sid) ->
+          update tid (fun l ->
+              List.filter_map
+                (fun (s, p, c) ->
+                  if s <> sid then Some (s, p, c) else if c > 1 then Some (s, p, c - 1) else None)
+                l)
+        | `Remove_segment sid ->
+          List.iter
+            (fun tid -> update tid (List.filter (fun (s, _, _) -> s <> sid)))
+            (List.of_seq (Hashtbl.to_seq_keys lists))
+        | `Add_sorted (tid, e) | `Append (tid, e) -> add tid e)
+      ops;
+    let by_gp (s1, _, _) (s2, _, _) = Int.compare (gp_of s1) (gp_of s2) in
+    List.of_seq (Hashtbl.to_seq lists)
+    |> List.map (fun (tid, l) -> (tid, List.stable_sort by_gp l))
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   List.iter
     (fun seed ->
       (* The same schedule twice: entries must be fresh per run
          (counts are mutable), so regenerate from the same seed. *)
-      let merged = apply "merge" (ops (Lxu_workload.Rng.create seed)) in
-      let resorted = apply "resort" (ops (Lxu_workload.Rng.create seed)) in
-      Alcotest.(check (list int)) "same tags" (Tag_list.tids merged) (Tag_list.tids resorted);
+      let merged = merged (ops (Lxu_workload.Rng.create seed)) in
+      let expected = oracle (ops (Lxu_workload.Rng.create seed)) in
+      Alcotest.(check (list int)) "same tags" (Tag_list.tids merged) (List.map fst expected);
       List.iter
-        (fun tid ->
+        (fun (tid, want) ->
           let dump t =
             Tag_list.entries t ~tid |> Array.to_list
             |> List.map (fun e -> (e.Tag_list.sid, Array.to_list e.Tag_list.path, e.Tag_list.count))
@@ -162,8 +197,8 @@ let test_merge_matches_resort () =
           check_bool
             (Printf.sprintf "seed %d tid %d identical" seed tid)
             true
-            (dump merged = dump resorted))
-        (Tag_list.tids merged))
+            (dump merged = want))
+        expected)
     [ 1; 2; 3; 42 ]
 
 let suite =

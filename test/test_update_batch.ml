@@ -66,7 +66,7 @@ let test_batch_equals_sequential () =
     Lazy_db.check batch_db;
     let ctx =
       Printf.sprintf "%s domains=%d batch=%d %s"
-        (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS" | Lazy_db.STD -> "STD")
+        (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
         domains batch
         (match shape with Lxu_workload.Chopper.Balanced -> "balanced" | Nested -> "nested")
     in

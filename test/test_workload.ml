@@ -96,14 +96,14 @@ let test_joinmix_matches_std () =
       let spec = { Joinmix.segments = 12; pairs_per_segment = 2; cross_percent = 50; shape } in
       let schedule = Joinmix.generate spec in
       let lazy_db = Lazy_db.create ~engine:Lazy_db.LD () in
-      let std_db = Lazy_db.create ~engine:Lazy_db.STD () in
+      let store = Lxu_labeling.Interval_store.create () in
       List.iter
         (fun (gp, frag) ->
           Lazy_db.insert lazy_db ~gp frag;
-          Lazy_db.insert std_db ~gp frag)
+          Lxu_labeling.Interval_store.insert store ~gp frag)
         schedule.Joinmix.edits;
       let p1 = fst (Lazy_db.query lazy_db ~anc:"A" ~desc:"D" ()) in
-      let p2 = fst (Lazy_db.query std_db ~anc:"A" ~desc:"D" ()) in
+      let p2 = Std_ref.query store ~anc:"A" ~desc:"D" in
       check_bool "identical results" true (p1 = p2))
     [ Joinmix.Balanced; Joinmix.Nested ]
 
