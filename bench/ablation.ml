@@ -112,133 +112,6 @@ let run_joins () =
   lazy_variant "Lazy-Join (no top trimming)" ~push_filter:true ~trim_top:false;
   lazy_variant "Lazy-Join (neither)" ~push_filter:false ~trim_top:false
 
-(* Columnar segment cache on/off, cold/warm, on the fig_parallel
-   workload (same document, same five queries).  "cold" clears the
-   cache before every pass; "warm" is the median of repeated passes
-   after one priming pass — the repeated-query case the cache exists
-   for.  Emits BENCH_cache.json (see EXPERIMENTS.md for the schema). *)
-let run_cache () =
-  Bench_util.header "Ablation: columnar segment cache, cold/warm on the parallel workload";
-  (* Earlier targets leave a grown, fragmented major heap behind;
-     compacting first keeps this figure's numbers independent of
-     which targets ran before it. *)
-  Gc.compact ();
-  let text, edits = Fig_parallel.workload () in
-  let queries = Lxu_workload.Xmark.queries in
-  (* One scratch shared by every pass of both variants: a server
-     issuing repeated queries would hold one too, and it keeps the
-     comparison about the cache, not about buffer churn. *)
-  let pass =
-    let scratch = Lxu_join.Lazy_join.scratch () in
-    fun log ->
-      List.fold_left
-        (fun acc (_, anc, desc) ->
-          let pairs, _ = Lxu_join.Lazy_join.run ~scratch log ~anc ~desc () in
-          acc + Array.length pairs)
-        0 queries
-  in
-  let variant ~label ~cache_bytes =
-    let log = Bench_util.load_log ?cache_bytes Update_log.Lazy_dynamic edits in
-    Update_log.prepare_for_query log;
-    let cache = Update_log.cache log in
-    (* Cold: every pass starts from an empty cache (a no-op clear when
-       the cache is disabled, so "off" cold = "off" warm modulo noise). *)
-    (* Passes are a few ms, so a high repeat count is cheap; best-of
-       keeps the verdict about the code rather than about whichever
-       variant the host's scheduler happened to preempt. *)
-    let cold_ms =
-      Bench_util.measure_min ~repeat:31 (fun () ->
-          Seg_cache.clear cache;
-          ignore (pass log))
-    in
-    let total_pairs = pass log (* priming pass *) in
-    let warm_ms = Bench_util.measure_min ~repeat:31 (fun () -> ignore (pass log)) in
-    let a0 = Gc.allocated_bytes () in
-    ignore (pass log);
-    let alloc_bytes = Gc.allocated_bytes () -. a0 in
-    let s = Seg_cache.stats cache in
-    let hit_rate =
-      if s.Seg_cache.lookups > 0 then
-        float_of_int s.Seg_cache.hits /. float_of_int s.Seg_cache.lookups
-      else 0.0
-    in
-    (label, cold_ms, warm_ms, alloc_bytes, hit_rate, s, total_pairs)
-  in
-  let on = variant ~label:"cache on" ~cache_bytes:None in
-  let off = variant ~label:"cache off" ~cache_bytes:(Some 0) in
-  let _, _, _, _, _, _, total_pairs = on in
-  Printf.printf "document: %d bytes, %d pairs per query pass\n\n" (String.length text)
-    total_pairs;
-  Bench_util.columns [ 14; 12; 12; 16; 10 ]
-    [ "variant"; "cold ms"; "warm ms"; "alloc MB/pass"; "hit rate" ];
-  let rows = [ on; off ] in
-  List.iter
-    (fun (label, cold_ms, warm_ms, alloc, hit_rate, _, _) ->
-      Bench_util.columns [ 14; 12; 12; 16; 10 ]
-        [
-          label;
-          Bench_util.fmt_ms cold_ms;
-          Bench_util.fmt_ms warm_ms;
-          Printf.sprintf "%.1f" (alloc /. 1e6);
-          Printf.sprintf "%.3f" hit_rate;
-        ])
-    rows;
-  let warm_of (_, _, w, _, _, _, _) = w in
-  let warm_speedup = if warm_of on > 0.0 then warm_of off /. warm_of on else 0.0 in
-  Printf.printf "\nwarm speedup (cache on vs off): %.2fx %s\n" warm_speedup
-    (if warm_speedup >= 2.0 then "(meets the >=2x target)" else "(below the >=2x target)");
-  let open Bench_util in
-  let series =
-    List.map
-      (fun (label, cold_ms, warm_ms, alloc, hit_rate, s, pairs) ->
-        let pps = if warm_ms > 0.0 then float_of_int pairs /. (warm_ms /. 1000.0) else 0.0 in
-        J_obj
-          [
-            ("cache", J_str label);
-            ("cold_ms", J_float cold_ms);
-            ("warm_ms", J_float warm_ms);
-            ("warm_pairs_per_sec", J_float pps);
-            ("alloc_bytes_per_pass", J_float alloc);
-            ("hit_rate", J_float hit_rate);
-            ( "cache_stats",
-              J_obj
-                [
-                  ("lookups", J_int s.Seg_cache.lookups);
-                  ("hits", J_int s.Seg_cache.hits);
-                  ("misses", J_int s.Seg_cache.misses);
-                  ("evictions", J_int s.Seg_cache.evictions);
-                  ("invalidations", J_int s.Seg_cache.invalidations);
-                  ("stale_drops", J_int s.Seg_cache.stale_drops);
-                  ("entries", J_int s.Seg_cache.entries);
-                  ("bytes", J_int s.Seg_cache.bytes);
-                  ("max_bytes", J_int s.Seg_cache.max_bytes);
-                ] );
-          ])
-      rows
-  in
-  let json =
-    J_obj
-      [
-        ("bench", J_str "cache_ablation");
-        ("schema_version", J_int 1);
-        ( "workload",
-          J_obj
-            [
-              ("generator", J_str "xmark+chopper (fig_parallel)");
-              ("doc_bytes", J_int (String.length text));
-              ("total_pairs", J_int total_pairs);
-              ( "queries",
-                J_list
-                  (List.map (fun (n, a, d) -> J_str (Printf.sprintf "%s:%s//%s" n a d)) queries)
-              );
-            ] );
-        ("series", J_list series);
-        ("warm_speedup_vs_off", J_float warm_speedup);
-        ("meets_2x_warm", J_bool (warm_speedup >= 2.0));
-      ]
-  in
-  write_json (json_out ~default:"BENCH_cache.json") json
-
 let run_labels () =
   Bench_util.header "Ablation: labeling scheme storage under adversarial insertion";
   Printf.printf

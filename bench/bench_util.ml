@@ -121,11 +121,9 @@ let load_db engine edits =
   List.iter (fun (gp, frag) -> Lazy_xml.Lazy_db.insert db ~gp frag) edits;
   db
 
-(* Builds an update log (LD or LS) from an edit schedule.
-   [cache_bytes] sets the read-side segment-cache budget ([0]
-   disables it). *)
-let load_log ?cache_bytes mode edits =
-  let log = Lxu_seglog.Update_log.create ~mode ?cache_bytes () in
+(* Builds an update log (LD or LS) from an edit schedule. *)
+let load_log mode edits =
+  let log = Lxu_seglog.Update_log.create ~mode () in
   List.iter (fun (gp, frag) -> ignore (Lxu_seglog.Update_log.insert log ~gp frag)) edits;
   log
 

@@ -15,8 +15,8 @@ open Lxu_util
 let persons = 2_000 * Bench_util.scale
 let target_segments = 500 * Bench_util.scale
 
-(* The benchmark document and its edit schedule; shared with the cache
-   ablation (bench/ablation.ml) so both measure the same workload. *)
+(* The benchmark document and its edit schedule; shared with the paged
+   benchmark (bench/fig_paged.ml) so both measure the same workload. *)
 let workload () =
   let text = Xmark.generate_text ~persons ~items:(persons * 3 / 5) ~seed:42 () in
   (* Raise the cross-segment share the way fig14_15 does: extra watch

@@ -19,7 +19,7 @@ open Lxu_workload
 open Lazy_xml
 
 (* Small document, many segments: ~200 bytes per segment keeps the
-   per-element costs (parsing, element-index descent) minor next to
+   per-element costs (parsing, column building) minor next to
    the per-insert O(segments) bookkeeping — gp-table construction and
    sorted tag-list maintenance — that batching amortizes. *)
 let persons = 300 * Bench_util.scale

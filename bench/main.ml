@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- fig12 fig16
 
    Available targets: fig11a fig11b fig12 fig13 fig14 fig15 fig16
-   fig17a fig17b fig17c joins cache labels boxes micro parallel
+   fig17a fig17b fig17c joins labels boxes micro parallel
    recovery overload update mvcc maint plan paged.  (fig14 and fig15
    share one workload and always run together.)
 
@@ -16,11 +16,11 @@
    figs 12-16 by k (paper-scale runs take minutes).
 
    --json <path> redirects the machine-readable output of figures
-   that emit one ([parallel] -> BENCH_join.json, [cache] ->
-   BENCH_cache.json, [update] -> BENCH_update.json, [mvcc] ->
-   BENCH_mvcc.json, [maint] -> BENCH_maint.json, [plan] ->
-   BENCH_plan.json, [paged] -> BENCH_paged.json) to <path>; the flag
-   is shared wiring for the whole perf trajectory. *)
+   that emit one ([parallel] -> BENCH_join.json, [update] ->
+   BENCH_update.json, [mvcc] -> BENCH_mvcc.json, [maint] ->
+   BENCH_maint.json, [plan] -> BENCH_plan.json, [paged] ->
+   BENCH_paged.json) to <path>; the flag is shared wiring for the
+   whole perf trajectory. *)
 
 (* (target, runner-id, runner): fig14 and fig15 share one runner. *)
 let targets : (string * string * (unit -> unit)) list =
@@ -36,7 +36,6 @@ let targets : (string * string * (unit -> unit)) list =
     ("fig17b", "fig17b", Fig17.run_b);
     ("fig17c", "fig17c", Fig17.run_c);
     ("joins", "joins", Ablation.run_joins);
-    ("cache", "cache", Ablation.run_cache);
     ("labels", "labels", Ablation.run_labels);
     ("boxes", "boxes", Ablation.run_boxes);
     ("micro", "micro", Micro.run);

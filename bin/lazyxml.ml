@@ -65,16 +65,22 @@ let shape_arg =
          ~doc:"Chopping shape: balanced or nested.")
 
 let storage_arg =
-  Arg.(value & opt (some string) None & info [ "storage" ] ~docv:"KIND"
-         ~doc:"Index storage backend: mem (OCaml heap) or paged (page-backed B+-trees, \
-               buffer pool bounded by LXU_POOL_BYTES).  Defaults to the LXU_STORAGE \
-               environment variable, or mem.")
+  Arg.(value & opt string "mem" & info [ "storage" ] ~docv:"KIND"
+         ~doc:"SB-tree storage backend: mem (OCaml heap, the default) or paged \
+               (page-backed B+-tree, buffer pool bounded by LXU_POOL_BYTES).")
 
 let storage_of_string = function
-  | None -> None
-  | Some "mem" -> Some `Mem
-  | Some "paged" -> Some `Paged
-  | Some s -> failwith (Printf.sprintf "unknown storage %S (expected mem or paged)" s)
+  | "mem" -> `Mem
+  | "paged" -> `Paged
+  | s -> failwith (Printf.sprintf "unknown storage %S (expected mem or paged)" s)
+
+(* The index-bytes total and its parts, which add up to it. *)
+let print_index_bytes ~indent db =
+  let log = Option.get (Lazy_db.log db) in
+  Printf.printf "index bytes    %s: %d\n" (String.make indent ' ') (Lazy_db.size_bytes db);
+  Printf.printf "  sb-tree         : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
+  Printf.printf "  tag-list        : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log);
+  Printf.printf "  element columns : %d bytes\n" (Lxu_seglog.Update_log.columns_size_bytes log)
 
 let deadline_arg =
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
@@ -131,10 +137,7 @@ let stats_cmd =
     Printf.printf "document bytes : %d\n" (String.length text);
     Printf.printf "elements       : %d\n" (Lazy_db.element_count db);
     Printf.printf "segments       : %d\n" (Lazy_db.segment_count db);
-    Printf.printf "index bytes    : %d\n" (Lazy_db.size_bytes db);
-    let log = Option.get (Lazy_db.log db) in
-    Printf.printf "  sb-tree      : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
-    Printf.printf "  tag-list     : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log)
+    print_index_bytes ~indent:0 db
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print index statistics for a document.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg)
@@ -381,7 +384,7 @@ let checkpoint_cmd =
       | Some doc ->
         let text = read_file doc in
         let db =
-          Lazy_db.create ~engine:(engine_of_string engine) ~durability:(`Wal dir) ?storage ()
+          Lazy_db.create ~engine:(engine_of_string engine) ~durability:(`Wal dir) ~storage ()
         in
         if segments <= 1 then Lazy_db.insert db ~gp:0 text
         else
@@ -390,7 +393,7 @@ let checkpoint_cmd =
             (Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape));
         db
       | None ->
-        let db, report = Lazy_db.recover ?storage dir in
+        let db, report = Lazy_db.recover ~storage dir in
         print_report dir report;
         db
     in
@@ -410,7 +413,7 @@ let recover_cmd =
   let out = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
                    ~doc:"Also write the recovered document text to $(docv).") in
   let run dir out storage =
-    let db, report = Lazy_db.recover ?storage:(storage_of_string storage) dir in
+    let db, report = Lazy_db.recover ~storage:(storage_of_string storage) dir in
     print_report dir report;
     Printf.printf "state: %d segment(s), %d element(s), %d byte(s) of document\n"
       (Lazy_db.segment_count db) (Lazy_db.element_count db) (Lazy_db.doc_length db);
@@ -435,12 +438,12 @@ let info_cmd =
                      ~doc:"Also list the $(docv) heaviest root-to-element paths of the \
                            synopsis.") in
   let run dir storage paths =
-    let db, report = Lazy_db.recover ?storage:(storage_of_string storage) dir in
+    let db, report = Lazy_db.recover ~storage:(storage_of_string storage) dir in
     print_report dir report;
     Printf.printf "document bytes  : %d\n" (Lazy_db.doc_length db);
     Printf.printf "elements        : %d\n" (Lazy_db.element_count db);
     Printf.printf "segments        : %d\n" (Lazy_db.segment_count db);
-    Printf.printf "index bytes     : %d\n" (Lazy_db.size_bytes db);
+    print_index_bytes ~indent:1 db;
     (match Lazy_db.wal_bytes db with
     | Some b -> Printf.printf "wal bytes       : %d\n" b
     | None -> ());
@@ -464,10 +467,10 @@ let info_cmd =
         p.Lxu_storage.Buffer_pool.frames p.Lxu_storage.Buffer_pool.dirty_frames
         p.Lxu_storage.Buffer_pool.pinned_frames;
       Printf.printf "  pool traffic  : %d lookup(s), %d hit(s), %d miss(es), %d eviction(s), \
-                     %d writeback(s)\n"
+                     %d writeback(s), %d overrun(s)\n"
         p.Lxu_storage.Buffer_pool.lookups p.Lxu_storage.Buffer_pool.hits
         p.Lxu_storage.Buffer_pool.misses p.Lxu_storage.Buffer_pool.evictions
-        p.Lxu_storage.Buffer_pool.writebacks);
+        p.Lxu_storage.Buffer_pool.writebacks p.Lxu_storage.Buffer_pool.overruns);
     let log = Option.get (Lazy_db.log db) in
     let f = Lxu_seglog.Update_log.frag_stats log in
     Printf.printf "fragmentation   : %d live / %d dead segment(s), er depth %d, %d dirty \

@@ -28,13 +28,6 @@ let spec_of_pstore = function
   | None -> Lxu_btree.Storage_backend.Mem
   | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
 
-let resolve_storage = function
-  | Some s -> s
-  | None -> (
-    match Sys.getenv_opt "LXU_STORAGE" with
-    | Some s when String.lowercase_ascii (String.trim s) = "paged" -> `Paged
-    | _ -> `Mem)
-
 let resolve_domains ~who domains =
   match domains with
   | Some d ->
@@ -70,11 +63,10 @@ let fresh_pstore ~durability =
 let mode_of_engine = function LD -> Update_log.Lazy_dynamic | LS -> Update_log.Lazy_static
 
 let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
-    ?(durability = `None) ?cache_bytes ?storage () =
+    ?(durability = `None) ?cache_bytes:_ ?(storage = `Mem) () =
   (match pack_threshold with
   | Some k when k < 1 -> invalid_arg "Lazy_db.create: pack_threshold < 1"
   | _ -> ());
-  let storage = resolve_storage storage in
   let domains = resolve_domains ~who:"Lazy_db.create" domains in
   let mode = mode_of_engine engine in
   let durable =
@@ -84,7 +76,7 @@ let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
   in
   let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability) in
   let log =
-    Update_log.create ~mode ~index_attributes ?cache_bytes ~backend:(spec_of_pstore pstore) ()
+    Update_log.create ~mode ~index_attributes ~backend:(spec_of_pstore pstore) ()
   in
   { log; pack_threshold; domains; pool = None; durable; pstore; epoch = 0 }
 
@@ -98,15 +90,11 @@ let is_snapshot t = Update_log.is_frozen t.log
 let snapshot_guard t who =
   if is_snapshot t then invalid_arg (who ^ ": frozen snapshot, updates go to the live database")
 
-(* Every successful update commits one epoch: the counter bumps, and
-   the cache learns the new epoch so this operation's segment
-   invalidations retire exactly there — snapshots pinned at or below
-   the previous epoch keep their versions.  The WAL record (when
+(* Every successful update commits one epoch: the MVCC version number
+   {!Shared_db} publishes snapshots under.  The WAL record (when
    durability is on) is already written by the caller; epoch numbers
    are session-local and never persisted. *)
-let commit_epoch t =
-  t.epoch <- t.epoch + 1;
-  Seg_cache.publish (Update_log.cache t.log) ~epoch:t.epoch
+let commit_epoch t = t.epoch <- t.epoch + 1
 
 (* Parallel queries draw on the process-wide shared pool for their
    domain count: databases are cheap and numerous, domains are neither
@@ -133,7 +121,7 @@ let log_op t op =
   match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_op s op
 
 (* Re-indexes the whole document as a single segment in a fresh log
-   with the same mode, attribute flag and cache budget.  Materialize
+   with the same mode and attribute flag.  Materialize
    before creating the fresh log: with paged storage the new log's
    indexes clear the store's previous trees, after which the old log's
    index handles are dead. *)
@@ -143,7 +131,6 @@ let repack t =
   let fresh =
     Update_log.create ~mode:(Update_log.mode log)
       ~index_attributes:(Update_log.indexes_attributes log)
-      ~cache_bytes:(Seg_cache.max_bytes (Update_log.cache log))
       ~backend:(spec_of_pstore t.pstore) ()
   in
   if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
@@ -241,21 +228,18 @@ let pack_subtree t ~gp ~len =
 let log t = Some t.log
 
 (* A snapshot is a full Lazy_db over a frozen clone of the log, pinned
-   at the current epoch: queries run the same engines over the same
-   shared cache, just with epoch-pinned lookups.  No durability handle
-   and no pack threshold — snapshots never write.  No pstore either:
-   frozen clones keep in-memory indexes (they materialize from shared
-   segment skeletons), so snapshot reads never touch — or pin — the
+   at the current epoch: queries run the same engines over the shared
+   segment columns.  No durability handle and no pack threshold —
+   snapshots never write.  No pstore either: frozen clones keep an
+   in-memory SB-tree, so snapshot reads never touch — or pin — the
    live database's page store. *)
 let snapshot t =
-  { log = Update_log.freeze t.log ~epoch:t.epoch; pack_threshold = None; domains = t.domains;
+  { log = Update_log.freeze t.log; pack_threshold = None; domains = t.domains;
     pool = None; durable = None; pstore = None; epoch = t.epoch }
 
 let with_snapshot t f = f (snapshot t)
-let cache_stats t = Some (Seg_cache.stats (Update_log.cache t.log))
-
-let size_bytes t =
-  Update_log.size_bytes t.log + Element_index.size_bytes (Update_log.element_index t.log)
+let cache_stats _ = None
+let size_bytes t = Update_log.size_bytes t.log
 
 let check t = Update_log.check t.log
 
@@ -297,9 +281,9 @@ let close t =
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.close s);
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
-let load ?domains ?(durability = `None) ?storage path =
+let load ?domains ?(durability = `None) ?(storage = `Mem) path =
   let pstore =
-    match resolve_storage storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability)
+    match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability)
   in
   let ic = open_in_bin path in
   let lg =
@@ -327,9 +311,9 @@ let load ?domains ?(durability = `None) ?storage path =
     checkpoint t);
   t
 
-let recover ?domains ?storage dir =
+let recover ?domains ?(storage = `Mem) dir =
   let pstore =
-    match resolve_storage storage with
+    match storage with
     | `Mem -> None
     | `Paged ->
       let device = Lxu_storage.Sim_file.open_path ~append:true (pages_path dir) in

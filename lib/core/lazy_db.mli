@@ -68,24 +68,19 @@ val create :
     changes the document text, and recovery reproduces query-visible
     state, not internal segmentation chosen by thresholds.
 
-    [cache_bytes] bounds the lazy engines' read-side element cache
-    (see {!Lxu_seglog.Seg_cache}; default
-    {!Lxu_seglog.Seg_cache.default_max_bytes}, [<= 0] disables it).
-    The setting survives re-indexing ({!rebuild}, [pack_threshold]).
-    Caching never changes results or join
-    statistics — only which fetches hit memory instead of the element
-    index.
+    [cache_bytes] is accepted and ignored: the element cache it sized
+    is gone (segments keep their own columns).  It stays only because
+    [perfbench/perfbench.ml] passes it, and goes when the benchmark is
+    next revised.
 
-    [storage] picks where the big indexes live.  [`Mem] (the default)
-    keeps the element index and SB-tree on the OCaml heap.  [`Paged]
-    puts them on copy-on-write pages in a {!Lxu_storage.Page_store}
-    whose RAM residency is bounded by the buffer-pool budget
-    ([LXU_POOL_BYTES]) — the beyond-RAM path: with [`Wal dir]
-    durability the pages live in [dir/pages] and {!checkpoint} makes
-    them durable alongside the snapshot; without durability they live
-    on an in-memory device (bounded residency, no persistence).
-    Defaults to the [LXU_STORAGE] environment variable ([paged]
-    selects [`Paged]), or [`Mem] when unset.  Results are
+    [storage] (default [`Mem]) picks where the SB-tree lives.  [`Mem]
+    keeps it on the OCaml heap.  [`Paged] puts it on copy-on-write
+    pages in a {!Lxu_storage.Page_store} whose RAM residency is
+    bounded by the buffer-pool budget ([LXU_POOL_BYTES]): with [`Wal
+    dir] durability the pages live in [dir/pages] and {!checkpoint}
+    makes them durable alongside the snapshot; without durability
+    they live on an in-memory device.  Segment skeletons, element
+    columns and texts stay on the heap under both.  Results are
     fingerprint-identical across backends.
     @raise Invalid_argument if [pack_threshold < 1] or [domains < 1]. *)
 
@@ -105,9 +100,8 @@ val query_pool : t -> Lxu_util.Domain_pool.t option
 
     Every successful update ({!insert}, {!insert_many}, {!remove},
     {!rebuild}, {!pack_subtree}) commits one {e epoch} — a
-    session-local version number published to the read-side element
-    cache, so the segment invalidations of epoch [e] take effect
-    exactly at [e] and snapshots pinned below keep their versions. *)
+    session-local version number that {!Shared_db} publishes
+    snapshots under. *)
 
 val epoch : t -> int
 (** Committed update operations so far (0 for a fresh database); for a
@@ -115,10 +109,11 @@ val epoch : t -> int
 
 val snapshot : t -> t
 (** An immutable snapshot of the database at its current epoch: a
-    frozen clone of the update log (segment texts and element arrays
-    shared, bookkeeping copied) served by the same query engines and
-    the same element cache, with every columnar lookup pinned at the
-    snapshot's epoch.  Queries on the snapshot and updates on the live
+    frozen clone of the update log (segment texts, skeletons and
+    element columns shared, bookkeeping copied) served by the same
+    query engines.  A later remove replaces the columns of the
+    segments it cuts copy-on-write, so the snapshot keeps the state of
+    its epoch.  Queries on the snapshot and updates on the live
     database may run concurrently from different domains without any
     lock — {!Shared_db} builds its lock-free reader path on exactly
     this.  Updates and maintenance on the snapshot raise
@@ -203,13 +198,14 @@ val log : t -> Lxu_seglog.Update_log.t option
     it goes when the benchmark is next revised. *)
 
 val cache_stats : t -> Lxu_seglog.Seg_cache.stats option
-(** Read-side cache counters of the current log — always [Some]; the
-    option type stays for the same reason as {!log}'s.  Counters
-    reset when the log is replaced ({!rebuild}, auto-pack, {!load},
-    {!recover} — all of which also start the cache cold). *)
+(** Always [None]: there is no element cache any more.  Kept only
+    because [perfbench/perfbench.ml] binds it; goes when the benchmark
+    is next revised. *)
 
 val size_bytes : t -> int
-(** Footprint of the index structures (update log and element index). *)
+(** Footprint of the index structures:
+    {!Lxu_seglog.Update_log.size_bytes} of the log (SB/ER bookkeeping,
+    tag lists and element columns). *)
 
 val check : t -> unit
 (** Full invariant check (test helper). *)
@@ -268,13 +264,13 @@ val recover :
     torn tail in place.  The report says what was replayed, skipped
     and discarded.
 
-    With [`Paged] storage (explicit or via [LXU_STORAGE]) the page
-    store at [dir/pages] is reopened: when its durable checkpoint LSN
-    matches the snapshot's, the paged indexes are {e attached} as-is —
-    recovery cost proportional to the WAL suffix, not the index size;
-    on any mismatch (crash between the page checkpoint and the
-    snapshot, missing or torn pages file) the indexes are rebuilt into
-    a reset store, which is slower but always sound.
+    With [`Paged] storage (default [`Mem]) the page store at
+    [dir/pages] is reopened and its checkpoint LSN checked against the
+    snapshot's; a mismatch, or a missing or torn pages file, resets
+    the store.  Either way the SB-tree is rebuilt into it from the
+    snapshot: the only paged tree left is that small one, so there is
+    nothing durable worth re-attaching until segment columns move onto
+    pages.
     @raise Failure when [dir] holds nothing recoverable. *)
 
 val wal_dir : t -> string option

@@ -229,8 +229,8 @@ let tick t =
         | Error r -> Shed r
         | Ok (Some j) -> Ran j
         | Ok None -> (
-          (* Write side fully paid down: reclaim retired snapshot and
-             cache versions if any linger. *)
+          (* Write side fully paid down: reclaim superseded snapshot
+             versions if any linger. *)
           let sdb = Governor.shared gov in
           match Shared_db.mvcc_stats sdb with
           | Some ms when ms.Shared_db.versions > 1 && ms.Shared_db.pinned = 0 ->

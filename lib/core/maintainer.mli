@@ -24,9 +24,8 @@
     {- {b Scheduled backup}: ships snapshot + WAL to [backup_dir]
        every [backup_every] ticks; any committed state of the backup
        is reconstructible with {!Lazy_db.restore_to}.}
-    {- {b Cache sweep}: retired MVCC snapshot and element-cache
-       versions are reclaimed when nothing pins them
-       ({!Shared_db.sweep}).}}
+    {- {b Cache sweep}: superseded MVCC snapshot versions are
+       reclaimed when nothing pins them ({!Shared_db.sweep}).}}
 
     In governed mode every job runs through {!Governor.write}, so
     maintenance is bounded by the same admission as live traffic and

@@ -148,7 +148,7 @@ let eval_steps ops steps =
 let log_ops ?guard log =
   let reg = Update_log.registry log in
   (* Folds [f acc ~sid ~start ~stop ~level] over every element of the
-     tag, segment by segment through the columnar cache — no key
+     tag, segment by segment over the segments' columns — no key
      records are materialized. *)
   let fold_tag tag f init =
     match Tag_registry.find reg tag with
@@ -158,8 +158,8 @@ let log_ops ?guard log =
         (fun acc (entry : Tag_list.entry) ->
           Lxu_util.Deadline.check_opt guard;
           let sid = entry.Tag_list.sid in
-          let c : Seg_cache.cols = Update_log.elements_cols log ~tid ~sid in
-          let n = Seg_cache.cols_length c in
+          let c : Er_node.cols = Update_log.elements_cols log ~tid ~sid in
+          let n = Er_node.cols_length c in
           let acc = ref acc in
           for i = 0 to n - 1 do
             acc := f !acc ~sid ~start:c.starts.(i) ~stop:c.stops.(i) ~level:c.levels.(i)

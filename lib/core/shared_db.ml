@@ -15,26 +15,18 @@ type t = {
   vlock : Mutex.t;  (* version table; every hold is O(versions) *)
   mutable current : version;  (* newest published snapshot *)
   mutable versions : version list;  (* retained versions, newest first *)
-  mutable floor : int;  (* last reclamation floor pushed to the cache *)
   reads_done : int Atomic.t;
   writes_done : int Atomic.t;
 }
 
-let cache_of db = Lxu_seglog.Update_log.cache (Option.get (Lazy_db.log db))
-
 let wrap db =
   let v0 = { v_epoch = Lazy_db.epoch db; v_db = Lazy_db.snapshot db; v_pins = 0 } in
-  (* Lower the cache floor from its standalone-log default ([latest],
-     eager stale dropping) to the pinnable range right away, so
-     retired versions survive for pinned readers. *)
-  Lxu_seglog.Seg_cache.reclaim (cache_of db) ~floor:(Lazy_db.epoch db);
   {
     db;
     wlock = Mutex.create ();
     vlock = Mutex.create ();
     current = v0;
     versions = [ v0 ];
-    floor = Lazy_db.epoch db;
     reads_done = Atomic.make 0;
     writes_done = Atomic.make 0;
   }
@@ -44,22 +36,13 @@ let create ?index_attributes ?domains ?durability () =
 
 (* --- MVCC internals -------------------------------------------------- *)
 
-(* With [vlock] held: drop unpinned superseded versions, then push the
-   new floor — the oldest epoch any reader can still be pinned at — to
-   the live cache so it reclaims the retired column snapshots nobody
-   can reach.  New readers only ever pin [current], so the floor is
-   the min over pinned versions and [current] itself. *)
+(* With [vlock] held: drop unpinned superseded versions.  A dropped
+   snapshot's clone is garbage once its last reader returns; the
+   segment columns it shared with newer versions stay reachable from
+   them. *)
 let reclaim_locked t =
   t.versions <-
-    List.filter (fun v -> v == t.current || v.v_pins > 0) t.versions;
-  let floor =
-    List.fold_left (fun acc v -> min acc v.v_epoch) t.current.v_epoch t.versions
-  in
-  t.floor <- floor;
-  (* Push unconditionally: rebuild / auto-pack install a fresh cache
-     whose floor starts back at [Seg_cache.latest] (the standalone-log
-     default), and the sweep is O(1) when nothing is retired. *)
-  Lxu_seglog.Seg_cache.reclaim (cache_of t.db) ~floor
+    List.filter (fun v -> v == t.current || v.v_pins > 0) t.versions
 
 let pin t =
   Mutex.lock t.vlock;
@@ -176,7 +159,7 @@ let mvcc_stats t =
       versions = List.length t.versions;
       pinned = List.fold_left (fun acc v -> acc + v.v_pins) 0 t.versions;
       published_epoch = t.current.v_epoch;
-      floor = t.floor;
+      floor = List.fold_left (fun acc v -> min acc v.v_epoch) t.current.v_epoch t.versions;
     }
   in
   Mutex.unlock t.vlock;

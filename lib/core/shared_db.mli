@@ -10,8 +10,9 @@
     serialize among themselves, preserving the WAL's serializable
     update history exactly as before.  Superseded snapshots are
     retained while any reader is pinned to them and reclaimed when the
-    last pin drops, at which point the shared element cache's retired
-    column versions are swept too ({!Lxu_seglog.Seg_cache.reclaim}).
+    last pin drops.  Snapshots share every segment's immutable element
+    columns with the live log; a write that cuts into a segment swaps
+    in new columns, so there is no per-version cache to sweep.
 
     The engine is always [LD].  [LS] is not served — its deferred
     sorting makes the first query after an update a writer, defeating
@@ -98,14 +99,12 @@ val snapshot_epoch : snapshot -> int
 
 val end_snapshot : snapshot -> unit
 (** Releases the pin (idempotent).  Dropping the last pin of a
-    superseded version reclaims it and sweeps the element cache. *)
+    superseded version reclaims it. *)
 
 val sweep : t -> unit
-(** Reclaims superseded unpinned snapshot versions and pushes the
-    resulting floor to the shared element cache, dropping retired
-    column versions no reader can reach — the maintenance scheduler's
-    cache-GC hook.  Reclamation also happens automatically when pins
-    drop; this just makes it schedulable. *)
+(** Reclaims superseded unpinned snapshot versions — the maintenance
+    scheduler's GC hook.  Reclamation also happens automatically when
+    pins drop; this just makes it schedulable. *)
 
 (** {2 Introspection} *)
 

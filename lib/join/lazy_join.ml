@@ -56,10 +56,10 @@ let add_stats into s =
 type frame = {
   node : Er_node.t;
   depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
-  mutable elems : Seg_cache.cols;
+  mutable elems : Er_node.cols;
       (* candidate A-elements, by start; replaced (never mutated in
          place) so join units that captured an earlier version keep it
-         — and so that cache-owned snapshots stay pristine *)
+         — and so that the segment's own columns stay pristine *)
 }
 
 let contains_seg (a : Er_node.t) (d : Er_node.t) =
@@ -81,10 +81,10 @@ let p_of_frame log fr (path : int array) =
 
 (* Order-preserving index filter that returns the input columns
    untouched when nothing is dropped — the common case on the push
-   path.  Always copies when it does drop: snapshots may be shared
-   with the cache and with captured join units. *)
-let cols_filter keep (c : Seg_cache.cols) =
-  let n = Seg_cache.cols_length c in
+   path.  Always copies when it does drop: columns are shared with the
+   segment store and with captured join units. *)
+let cols_filter keep (c : Er_node.cols) =
+  let n = Er_node.cols_length c in
   let kept = ref 0 in
   let mask = Bytes.make n '\000' in
   for i = 0 to n - 1 do
@@ -94,7 +94,7 @@ let cols_filter keep (c : Seg_cache.cols) =
     end
   done;
   if !kept = n then c
-  else if !kept = 0 then Seg_cache.empty_cols
+  else if !kept = 0 then Er_node.empty_cols
   else begin
     let starts = Array.make !kept 0
     and stops = Array.make !kept 0
@@ -108,7 +108,7 @@ let cols_filter keep (c : Seg_cache.cols) =
         incr j
       end
     done;
-    { Seg_cache.starts; stops; levels }
+    { Er_node.starts; stops; levels }
   end
 
 (* Chunked flat output buffer: 8 ints per pair
@@ -228,8 +228,8 @@ let bufs_to_pairs bufs =
    array, so the merge loop allocates nothing at all.  [guard] is
    checked once per merge step, so a cancel or deadline stops a large
    in-segment join mid-scan. *)
-let in_segment_join ?guard ~axis ~(anc : Seg_cache.cols) ~(desc : Seg_cache.cols) ~emit () =
-  let n_a = Seg_cache.cols_length anc and n_d = Seg_cache.cols_length desc in
+let in_segment_join ?guard ~axis ~(anc : Er_node.cols) ~(desc : Er_node.cols) ~emit () =
+  let n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
   if n_a > 0 && n_d > 0 then begin
     let stack = ref (Array.make (min 16 n_a) 0) in
     let top = ref 0 in
@@ -284,61 +284,51 @@ let in_segment_join ?guard ~axis ~(anc : Seg_cache.cols) ~(desc : Seg_cache.cols
 
 (* One unit of join generation (everything Step 3 of Figure 9 needs
    for one SL_D entry), produced by the sequential segment-merge pass
-   and executable on any domain: it captures plain integers and
-   immutable columnar snapshots, and its execution touches the log
-   only through the read-only element index — or not at all, when the
-   merge pass pre-resolved its snapshots ([d_pre]/[a_pre]) through the
-   cache.  Pre-resolution is what keeps worker domains away from the
-   cache's LRU bookkeeping. *)
+   and executable on any domain: it captures plain integers, immutable
+   columns and the SL_D segment's node, resolved through the SB-tree
+   on the planning thread.  Executing it reads only that node's
+   immutable columns, never the SB-tree. *)
 type d_task = {
-  d_sid : int;
-  cross : (int * int * Seg_cache.cols) list;
+  d_node : Er_node.t;
+  cross : (int * int * Er_node.cols) list;
       (* (P_T^S, ancestor sid, surviving A-elements) per stack frame, top first *)
   in_seg : bool;  (* the same segment holds both tags *)
-  mutable d_pre : Seg_cache.cols option;
-  mutable a_pre : Seg_cache.cols option;
 }
 
 (* Runs one task: cross-segment emission (Proposition 3), then the
    in-segment join.  [stats] and [out] are owned by the caller — under
    the pool each chunk gets its own, merged afterwards.  D-elements
-   are resolved on first use (and counted then, whether pre-resolved
-   or fetched), preserving the lazy fetch accounting of the
-   list-based implementation exactly.  [guard] is checked at task
-   entry and per cross frame, so a parallel join observes a cancel
-   within one pool chunk. *)
+   are fetched (and counted) on first use, preserving the lazy fetch
+   accounting of the list-based implementation exactly.  [guard] is
+   checked at task entry and per cross frame, so a parallel join
+   observes a cancel within one pool chunk. *)
 let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
   Deadline.check_opt guard;
+  let d_sid = task.d_node.Er_node.sid in
   let d_got = ref None in
   let get_d () =
     match !d_got with
     | Some c -> c
     | None ->
-      let c =
-        match task.d_pre with
-        | Some c ->
-          stats.elements_fetched <- stats.elements_fetched + Seg_cache.cols_length c;
-          c
-        | None -> fetch_d task.d_sid
-      in
+      let c = fetch_d task.d_node in
       d_got := Some c;
       c
   in
   List.iter
-    (fun (p, a_sid, (a : Seg_cache.cols)) ->
+    (fun (p, a_sid, (a : Er_node.cols)) ->
       Deadline.check_opt guard;
-      let n_a = Seg_cache.cols_length a in
+      let n_a = Er_node.cols_length a in
       for i = 0 to n_a - 1 do
         if Array.unsafe_get a.starts i < p && Array.unsafe_get a.stops i > p then begin
           let d = get_d () in
-          let n_d = Seg_cache.cols_length d in
+          let n_d = Er_node.cols_length d in
           let a_start = Array.unsafe_get a.starts i
           and a_stop = Array.unsafe_get a.stops i
           and a_level = Array.unsafe_get a.levels i in
           match axis with
           | Descendant ->
             for j = 0 to n_d - 1 do
-              buf_push8 out a_sid a_start a_stop a_level task.d_sid
+              buf_push8 out a_sid a_start a_stop a_level d_sid
                 (Array.unsafe_get d.starts j)
                 (Array.unsafe_get d.stops j)
                 (Array.unsafe_get d.levels j)
@@ -348,7 +338,7 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
             let child_level = a_level + 1 in
             for j = 0 to n_d - 1 do
               if Array.unsafe_get d.levels j = child_level then begin
-                buf_push8 out a_sid a_start a_stop a_level task.d_sid
+                buf_push8 out a_sid a_start a_stop a_level d_sid
                   (Array.unsafe_get d.starts j)
                   (Array.unsafe_get d.stops j)
                   (Array.unsafe_get d.levels j);
@@ -359,21 +349,15 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
       done)
     task.cross;
   if task.in_seg then begin
-    let a =
-      match task.a_pre with
-      | Some c ->
-        stats.elements_fetched <- stats.elements_fetched + Seg_cache.cols_length c;
-        c
-      | None -> fetch_a task.d_sid
-    in
+    let a = fetch_a task.d_node in
     let d = get_d () in
     in_segment_join ?guard ~axis ~anc:a ~desc:d
       ~emit:(fun ai di ->
-        buf_push8 out task.d_sid
+        buf_push8 out d_sid
           (Array.unsafe_get a.starts ai)
           (Array.unsafe_get a.stops ai)
           (Array.unsafe_get a.levels ai)
-          task.d_sid
+          d_sid
           (Array.unsafe_get d.starts di)
           (Array.unsafe_get d.stops di)
           (Array.unsafe_get d.levels di);
@@ -384,8 +368,8 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
 (* The segment-merge pass of Figure 9 (steps 1-3): walks SL_A and SL_D
    by global position with the segment stack and hands every surviving
    SL_D entry to [emit_task] as a self-contained work unit.  All
-   ER-tree, tag-list and cache access happens here, on the calling
-   thread; only element-index reads are deferred to the tasks. *)
+   ER-tree, SB-tree and tag-list access happens here, on the calling
+   thread; the tasks only read segment columns. *)
 let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld () =
   let stack = ref [] in
   let ia = ref 0 and id = ref 0 in
@@ -411,7 +395,7 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
            disjoint from everything at or after sd). *)
         stats.a_segments <- stats.a_segments + 1;
         if contains_seg sa sd_node then begin
-          let base : Seg_cache.cols = fetch_a sa.Er_node.sid in
+          let base : Er_node.cols = fetch_a sa in
           (* Optimization (i): keep only A-elements that contain at
              least one child-segment position.  Children are kept in
              document order, so the smallest hook position above
@@ -422,7 +406,7 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
             else begin
               let kids = sa.Er_node.children in
               let nk = Vec.length kids in
-              if nk = 0 then Seg_cache.empty_cols
+              if nk = 0 then Er_node.empty_cols
               else
                 cols_filter
                   (fun i ->
@@ -443,7 +427,7 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
             match p_of_frame log top (Er_node.path sa) with
             | p ->
               let e = top.elems in
-              top.elems <- cols_filter (fun i -> e.Seg_cache.stops.(i) > p) e
+              top.elems <- cols_filter (fun i -> e.Er_node.stops.(i) > p) e
             | exception Not_found -> ()
           end
           | _ -> ());
@@ -462,7 +446,7 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         let cross =
           List.filter_map
             (fun fr ->
-              if Seg_cache.cols_length fr.elems = 0 then None
+              if Er_node.cols_length fr.elems = 0 then None
               else
                 match p_of_frame log fr sd_entry.Tag_list.path with
                 | p -> Some (p, fr.node.Er_node.sid, fr.elems)
@@ -476,7 +460,7 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         in
         if in_seg then stats.in_segment_joins <- stats.in_segment_joins + 1;
         if cross <> [] || in_seg then
-          emit_task { d_sid = sd_node.Er_node.sid; cross; in_seg; d_pre = None; a_pre = None };
+          emit_task { d_node = sd_node; cross; in_seg };
         stats.d_segments <- stats.d_segments + 1;
         incr id)
   done
@@ -491,7 +475,7 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
   | None, _ | _, None -> ([||], stats)
   | Some tid_a, Some tid_d ->
     (* Planner-supplied prefilters (selective Proposition 3): entries
-       dropped here are skipped before any ER-tree or element-index
+       dropped here are skipped before any ER-tree or column
        access.  An A-side drop removes exactly the pairs whose ancestor
        lives in that segment (in-segment pairs included — the in-seg
        trigger fires off the current SL_A entry); a D-side drop removes
@@ -514,13 +498,13 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
     in
     let sla = prefilter a_filter (Update_log.segments_for_tag log ~tag:anc) in
     let sld = prefilter d_filter (Update_log.segments_for_tag log ~tag:desc) in
-    (* Columnar elements of one tag in one segment, resolved through
-       the log's cache; the snapshots are then shared by every emitted
-       pair.  [into] receives the fetch count — the per-chunk stats
-       record under the pool. *)
-    let fetch tid into sid =
-      let c = Update_log.elements_cols log ~tid ~sid in
-      into.elements_fetched <- into.elements_fetched + Seg_cache.cols_length c;
+    (* Columnar elements of one tag in one resolved segment — its own
+       immutable columns, shared by every emitted pair.  [into]
+       receives the fetch count — the per-chunk stats record under the
+       pool. *)
+    let fetch tid into node =
+      let c = Er_node.cols node ~tid in
+      into.elements_fetched <- into.elements_fetched + Er_node.cols_length c;
       c
     in
     let parallel =
@@ -552,25 +536,11 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
          executes them with per-task output buffers and stats, and the
          merge below re-reads both in task order — so pairs come out
          byte-identical to the sequential path and stats totals are
-         exact, not approximate.  With the cache enabled, the merge
-         pass also pre-resolves each task's snapshots here on the
-         calling thread (uncounted — tasks count at first use), so
-         worker domains never touch the cache.  With it disabled,
-         workers read the element index directly, as before.  Each
-         task re-checks [guard], so a cancel aborts the pool run
-         within one chunk. *)
-      let cache_on = Seg_cache.enabled (Update_log.cache log) in
+         exact, not approximate.  Each task re-checks [guard], so a
+         cancel aborts the pool run within one chunk. *)
       let tasks = Vec.create () in
-      let collect (t : d_task) =
-        if cache_on then begin
-          t.d_pre <- Some (Update_log.elements_cols log ~tid:tid_d ~sid:t.d_sid);
-          if t.in_seg then
-            t.a_pre <- Some (Update_log.elements_cols log ~tid:tid_a ~sid:t.d_sid)
-        end;
-        Vec.push tasks t
-      in
       plan ?guard ~push_filter ~trim_top ~stats ~fetch_a:(fetch tid_a stats)
-        ~emit_task:collect log ~sla ~sld ();
+        ~emit_task:(Vec.push tasks) log ~sla ~sld ();
       let tasks = Vec.to_array tasks in
       let results =
         Domain_pool.map p (Array.length tasks) (fun i ->

@@ -27,16 +27,14 @@
     therefore identical to the sequential path — order included —
     regardless of pool size or schedule.
 
-    Element sets are fetched through the log's
-    {!Lxu_seglog.Seg_cache} as columnar struct-of-arrays snapshots,
-    and the join kernels run directly on those unboxed [int array]s,
-    writing results into a flat integer buffer: the inner loops
-    allocate nothing per element.  [pair] records are built once at
-    the API boundary.  Under a pool with the cache enabled, each
-    unit's snapshots are pre-resolved during the (sequential) merge
-    pass, so worker domains never touch the cache's bookkeeping —
-    with the cache disabled they read the element index directly, as
-    before. *)
+    Element sets are each segment's own immutable per-tag columns
+    ({!Lxu_seglog.Er_node.cols}), and the join kernels run directly on
+    those unboxed [int array]s, writing results into a flat integer
+    buffer: the inner loops allocate nothing per element.  [pair]
+    records are built once at the API boundary.  Every unit carries
+    its segment node, resolved during the (sequential) merge pass, so
+    worker domains read only immutable columns and never the
+    SB-tree. *)
 
 type axis = Descendant | Child
 
@@ -64,7 +62,7 @@ type stats = {
   mutable in_segment_joins : int;  (** segment pairs joined in-segment *)
   mutable cross_pairs : int;
   mutable in_pairs : int;
-  mutable elements_fetched : int;  (** element-index records read *)
+  mutable elements_fetched : int;  (** column entries read *)
   mutable segments_prefiltered : int;
       (** SL entries dropped by the caller's [a_filter]/[d_filter]
           before any ER-tree or element access *)

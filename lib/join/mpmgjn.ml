@@ -1,10 +1,10 @@
 open Lxu_labeling
 
 let join_cols ?(axis = Stack_tree_desc.Descendant) ?guard
-    ~(anc : Lxu_seglog.Seg_cache.cols) ~(desc : Lxu_seglog.Seg_cache.cols) () =
+    ~(anc : Lxu_seglog.Er_node.cols) ~(desc : Lxu_seglog.Er_node.cols) () =
   let stats = { Stack_tree_desc.a_scanned = 0; d_scanned = 0; pairs = 0 } in
   let open Lxu_seglog in
-  let n_a = Seg_cache.cols_length anc and n_d = Seg_cache.cols_length desc in
+  let n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
   (* Flat output, (a_start, d_start) per pair: the merge loop writes
      plain ints, no interval records or list cells. *)
   let out = ref (Array.make (max 64 (2 * n_d)) 0) in

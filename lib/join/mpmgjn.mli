@@ -25,8 +25,8 @@ val join :
 val join_cols :
   ?axis:Stack_tree_desc.axis ->
   ?guard:Lxu_util.Deadline.guard ->
-  anc:Lxu_seglog.Seg_cache.cols ->
-  desc:Lxu_seglog.Seg_cache.cols ->
+  anc:Lxu_seglog.Er_node.cols ->
+  desc:Lxu_seglog.Er_node.cols ->
   unit ->
   int array * Stack_tree_desc.stats
 (** Columnar, allocation-light variant of {!join} over global

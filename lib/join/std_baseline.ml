@@ -16,8 +16,8 @@ let global_list_counted log ~tag stats =
     Array.iter
       (fun (entry : Tag_list.entry) ->
         let node = Update_log.node_of_sid log entry.Tag_list.sid in
-        let c : Seg_cache.cols = Update_log.elements_cols log ~tid ~sid:entry.Tag_list.sid in
-        let n = Seg_cache.cols_length c in
+        let c : Er_node.cols = Update_log.elements_cols log ~tid ~sid:entry.Tag_list.sid in
+        let n = Er_node.cols_length c in
         (match stats with
         | Some s -> s.elements_read <- s.elements_read + n
         | None -> ());
@@ -46,7 +46,7 @@ let global_cols log ~tag =
       stops.(i) <- iv.Interval.stop;
       levels.(i) <- iv.Interval.level)
     a;
-  { Seg_cache.starts; stops; levels }
+  { Er_node.starts; stops; levels }
 
 let run ?axis log ~anc ~desc () =
   let stats = { elements_read = 0; pairs = 0 } in

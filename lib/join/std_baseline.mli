@@ -25,12 +25,12 @@ val run :
 
 val global_list : Lxu_seglog.Update_log.t -> tag:string -> Lxu_labeling.Interval.t array
 (** The translated, globally-sorted element list of one tag (the input
-    list STD consumes).  Per-segment element sets are fetched through
-    the log's {!Lxu_seglog.Seg_cache}; translation to global
-    coordinates still happens per query (global positions move under
-    updates, so they cannot be cached). *)
+    list STD consumes).  Per-segment element sets are the segments'
+    own columns ({!Lxu_seglog.Update_log.elements_cols}); translation
+    to global coordinates still happens per query (global positions
+    move under updates, so they cannot be cached). *)
 
-val global_cols : Lxu_seglog.Update_log.t -> tag:string -> Lxu_seglog.Seg_cache.cols
+val global_cols : Lxu_seglog.Update_log.t -> tag:string -> Lxu_seglog.Er_node.cols
 (** {!global_list} in columnar form (global coordinates, sorted by
     start) — the input of the allocation-light {!Mpmgjn.join_cols}. *)
 

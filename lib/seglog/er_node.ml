@@ -2,6 +2,15 @@ open Lxu_util
 
 type elem = { start : int; stop : int; level : int; tid : int }
 
+type cols = { starts : int array; stops : int array; levels : int array }
+
+let empty_cols = { starts = [||]; stops = [||]; levels = [||] }
+let cols_length c = Array.length c.starts
+
+(* Per-tag columns of one segment: [per_tag.(i)] holds the elements of
+   tag [tids.(i)]; [tids] is sorted ascending. *)
+type columns = { tids : int array; per_tag : cols array }
+
 type t = {
   sid : int;
   mutable gp : int;
@@ -14,9 +23,100 @@ type t = {
   children : t Vec.t;
   tombstones : (int * int) Vec.t;
   mutable elems : elem Vec.t;
+  mutable columns : columns;
 }
 
+(* Index of the first entry of the sorted array [tids] that is [>= tid]. *)
+let tid_slot tids tid =
+  let lo = ref 0 and hi = ref (Array.length tids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get tids mid < tid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Splits a start-sorted skeleton into per-tag columns, each still
+   sorted by start. *)
+let columns_of_elems elems =
+  let n = Vec.length elems in
+  let all = Array.init n (fun i -> (Vec.get elems i).tid) in
+  Array.sort Int.compare all;
+  let distinct = Vec.create () in
+  Array.iteri (fun i tid -> if i = 0 || all.(i - 1) <> tid then Vec.push distinct tid) all;
+  let tids = Vec.to_array distinct in
+  let slot tid = tid_slot tids tid in
+  let counts = Array.make (Array.length tids) 0 in
+  Vec.iter (fun e -> let k = slot e.tid in counts.(k) <- counts.(k) + 1) elems;
+  let per_tag =
+    Array.map
+      (fun c -> { starts = Array.make c 0; stops = Array.make c 0; levels = Array.make c 0 })
+      counts
+  in
+  let fill = Array.make (Array.length tids) 0 in
+  Vec.iter
+    (fun e ->
+      let k = slot e.tid in
+      let c = per_tag.(k) and i = fill.(k) in
+      c.starts.(i) <- e.start;
+      c.stops.(i) <- e.stop;
+      c.levels.(i) <- e.level;
+      fill.(k) <- i + 1)
+    elems;
+  { tids; per_tag }
+
+let set_elems t elems =
+  t.elems <- elems;
+  t.columns <- columns_of_elems elems
+
+let cols t ~tid =
+  let tids = t.columns.tids in
+  let i = tid_slot tids tid in
+  if i < Array.length tids && tids.(i) = tid then t.columns.per_tag.(i) else empty_cols
+
+(* Walks the skeleton once against the columns without rebuilding
+   them: each element must be the next entry of its tag's columns, and
+   every column must be used up.  [tids] must be strictly ascending
+   (the binary search relies on it) with no empty tag. *)
+let columns_agree t =
+  let { tids; per_tag } = t.columns in
+  let k = Array.length tids in
+  let fill = Array.make k 0 in
+  let ok = ref (Array.length per_tag = k) in
+  for i = 1 to k - 1 do
+    if tids.(i - 1) >= tids.(i) then ok := false
+  done;
+  if !ok then
+    Vec.iter
+      (fun e ->
+        let j = tid_slot tids e.tid in
+        if j >= k || tids.(j) <> e.tid then ok := false
+        else begin
+          let c = per_tag.(j) and i = fill.(j) in
+          if i >= cols_length c || c.starts.(i) <> e.start || c.stops.(i) <> e.stop
+             || c.levels.(i) <> e.level
+          then ok := false
+          else fill.(j) <- i + 1
+        end)
+      t.elems;
+  !ok
+  && Array.for_all2
+       (fun c n ->
+         n > 0 && n = cols_length c && Array.length c.stops = n && Array.length c.levels = n)
+       per_tag fill
+
+let iter_columns t f = Array.iteri (fun i tid -> f tid t.columns.per_tag.(i)) t.columns.tids
+
+(* Heap words of the columns, headers included: the [columns] record
+   and its two arrays, then per tag one [cols] record and three
+   arrays. *)
+let columns_size_bytes t =
+  let k = Array.length t.columns.tids in
+  let words = ref (3 + (2 * (k + 1))) in
+  Array.iter (fun c -> words := !words + 4 + (3 * (cols_length c + 1))) t.columns.per_tag;
+  8 * !words
+
 let make ~sid ~gp ~lp ~base_level ~text ~elems =
+  let elems = Vec.of_list elems in
   {
     sid;
     gp;
@@ -28,7 +128,8 @@ let make ~sid ~gp ~lp ~base_level ~text ~elems =
     parent = None;
     children = Vec.create ();
     tombstones = Vec.create ();
-    elems = Vec.of_list elems;
+    elems;
+    columns = columns_of_elems elems;
   }
 
 let make_root () = make ~sid:0 ~gp:0 ~lp:0 ~base_level:0 ~text:"" ~elems:[]
@@ -165,9 +266,10 @@ let rec iter_subtree t f =
   Vec.iter (fun c -> iter_subtree c f) t.children
 
 let rec clone n =
-  (* [text] is immutable and [elems] is only ever replaced wholesale
-     (never mutated in place), so both are shared; [tombstones] and
-     [children] are mutated in place by updates and get fresh Vecs. *)
+  (* [text] is immutable and [elems] and [columns] are only ever
+     replaced wholesale by [set_elems] (never mutated in place), so all
+     three are shared; [tombstones] and [children] are mutated in place
+     by updates and get fresh Vecs. *)
   let c =
     {
       sid = n.sid;
@@ -181,6 +283,7 @@ let rec clone n =
       children = Vec.create ();
       tombstones = Vec.of_array (Vec.to_array n.tombstones);
       elems = n.elems;
+      columns = n.columns;
     }
   in
   Vec.iter

@@ -18,6 +18,20 @@ type elem = { start : int; stop : int; level : int; tid : int }
 (** An element of a segment: virtual local extent [start, stop) and
     absolute depth [level] in the super document. *)
 
+type cols = { starts : int array; stops : int array; levels : int array }
+(** One segment's elements of one tag in local document order:
+    [[starts.(i), stops.(i))] is element [i]'s immutable virtual
+    extent, [levels.(i)] its absolute depth.  All three arrays have
+    equal length.  Never mutated after construction: callers share
+    them freely, across domains and frozen snapshots. *)
+
+val empty_cols : cols
+val cols_length : cols -> int
+
+type columns = private { tids : int array; per_tag : cols array }
+(** A segment's element store: the skeleton split per tag, [tids]
+    ascending and [per_tag.(i)] the columns of tag [tids.(i)]. *)
+
 type t = {
   sid : int;
   mutable gp : int;  (** physical global position of the first byte *)
@@ -32,9 +46,11 @@ type t = {
       (** deleted virtual ranges of own text; sorted, disjoint,
           non-adjacent *)
   mutable elems : elem Lxu_util.Vec.t;
-      (** surviving elements, sorted by [start].  Replaced wholesale on
-          element removal — never mutated in place — so frozen clones
-          can share the Vec (see {!clone}). *)
+      (** surviving elements, sorted by [start].  Replaced wholesale,
+          only through {!set_elems} — never mutated in place — so frozen
+          clones can share the Vec (see {!clone}). *)
+  mutable columns : columns;
+      (** [elems] as per-tag columns; rebuilt by {!set_elems} only *)
 }
 
 val make_root : unit -> t
@@ -44,7 +60,26 @@ val make_root : unit -> t
 val make :
   sid:int -> gp:int -> lp:int -> base_level:int -> text:string -> elems:elem list -> t
 (** A fresh segment node; [len] and [orig_len] are the text length,
-    elements must be sorted by [start]. *)
+    elements must be sorted by [start].  Builds the per-tag columns. *)
+
+val set_elems : t -> elem Lxu_util.Vec.t -> unit
+(** Replaces the skeleton (start-sorted) and rebuilds the columns from
+    it — the one way a segment's elements change.  The old Vec and
+    columns are left untouched, so clones keep reading them. *)
+
+val cols : t -> tid:int -> cols
+(** The segment's elements of tag [tid] ({!empty_cols} when it has
+    none).  O(log distinct tags), no allocation. *)
+
+val iter_columns : t -> (int -> cols -> unit) -> unit
+(** [f tid cols] for every tag present in the segment, ascending. *)
+
+val columns_agree : t -> bool
+(** The columns equal a fresh per-tag split of the skeleton — the
+    store's invariant, asserted by {!Update_log.check}. *)
+
+val columns_size_bytes : t -> int
+(** Heap bytes of the columns, headers included. *)
 
 val is_root : t -> bool
 
@@ -130,7 +165,7 @@ val clone : t -> t
 (** Deep structural copy of the subtree for frozen snapshots: fresh
     node records, children and tombstone Vecs (both mutated in place
     by updates); shares the immutable [text] and the replace-only
-    [elems] Vec.  The clone's [parent] is [None]. *)
+    [elems] Vec and [columns].  The clone's [parent] is [None]. *)
 
 val check : t -> unit
 (** Validates subtree invariants: children sorted and disjoint,

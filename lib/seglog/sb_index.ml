@@ -4,8 +4,8 @@ open Lxu_btree
 module Sb = Bptree.Make (Int)
 
 (* Paged repr: the tree maps sid -> slot into [nodes]; the skeleton
-   nodes themselves always stay in memory (they are the small, hot
-   part of the store — the element index is what outgrows RAM).  Slots
+   nodes themselves always stay in memory (they hold the segments'
+   element columns, which are not on pages yet).  Slots
    of removed or re-inserted sids leak until the next [load_sorted]
    rebuild (prepare_for_query, pack), which compacts the vector. *)
 type repr =

@@ -1,314 +1,9 @@
-type cols = { starts : int array; stops : int array; levels : int array }
+(** Compatibility shim.  The versioned column cache that lived here is
+    gone: every segment now keeps its elements as immutable per-tag
+    columns ({!Er_node.cols}), which live and frozen logs read
+    directly.  Only this record type remains, because the benchmark in
+    [perfbench/] still names it and may only change in a benchmark
+    revision.  No value of it is ever built ({!Lazy_db.cache_stats}
+    always returns [None]); delete it with that revision. *)
 
-let empty_cols = { starts = [||]; stops = [||]; levels = [||] }
-let cols_length c = Array.length c.starts
-
-type stats = {
-  lookups : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  invalidations : int;
-  stale_drops : int;
-  stale_skips : int;
-  retired_entries : int;
-  reclaimed : int;
-  entries : int;
-  bytes : int;
-  max_bytes : int;
-  epoch : int;
-  floor : int;
-}
-
-(* The epoch every mutable (non-frozen) log reads and fills at: past
-   any publishable epoch, so a lookup at [latest] sees exactly the
-   live entries.  [max_int] itself is the "still live" retirement
-   sentinel, so [latest] stays strictly below it. *)
-let latest = max_int - 1
-
-(* Intrusive doubly-linked LRU: [head] is the hot (MRU) end, [tail]
-   the cold end.  Every mutation happens under [mu].
-
-   Versioning: an entry is valid for the half-open epoch interval
-   [e_born, e_retired).  Live entries have [e_retired = max_int];
-   {!invalidate_segment} retires them at the next publishable epoch.
-   Retired entries stay findable for readers pinned at older epochs
-   until the reclamation floor passes them. *)
-type entry = {
-  e_tid : int;
-  e_sid : int;
-  e_cols : cols;
-  e_bytes : int;
-  e_born : int;
-  mutable e_retired : int;  (* max_int while live *)
-  mutable e_dead : bool;  (* dropped from the table (lazy [by_sid] cleanup) *)
-  mutable prev : entry option;  (* toward head *)
-  mutable next : entry option;  (* toward tail *)
-}
-
-type t = {
-  limit : int;
-  mu : Mutex.t;
-  tbl : (int * int, entry list) Hashtbl.t;  (* (tid, sid) -> versions, newest first *)
-  by_sid : (int, entry list) Hashtbl.t;  (* sid -> entries, for eager retirement *)
-  last_inval : (int, int) Hashtbl.t;  (* sid -> epoch of its latest invalidation *)
-  mutable epoch : int;  (* latest published epoch *)
-  mutable floor : int;  (* oldest epoch any reader may still pin *)
-  mutable head : entry option;
-  mutable tail : entry option;
-  mutable bytes : int;
-  mutable retired : int;  (* retired entries currently held *)
-  mutable lookups : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-  mutable stale_drops : int;
-  mutable stale_skips : int;
-  mutable reclaimed : int;
-}
-
-let default_max_bytes () =
-  match Sys.getenv_opt "LXU_CACHE_BYTES" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some b -> b | None -> 64 * 1024 * 1024)
-  | None -> 64 * 1024 * 1024
-
-let create ?max_bytes () =
-  let limit = match max_bytes with Some b -> b | None -> default_max_bytes () in
-  {
-    limit;
-    mu = Mutex.create ();
-    tbl = Hashtbl.create 256;
-    by_sid = Hashtbl.create 64;
-    last_inval = Hashtbl.create 64;
-    epoch = 0;
-    floor = latest;
-    head = None;
-    tail = None;
-    bytes = 0;
-    retired = 0;
-    lookups = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    invalidations = 0;
-    stale_drops = 0;
-    stale_skips = 0;
-    reclaimed = 0;
-  }
-
-let enabled t = t.limit > 0
-let max_bytes t = t.limit
-
-(* Actual major-heap words charged per entry, so LXU_CACHE_BYTES and
-   the page pool's LXU_POOL_BYTES budgets mean the same thing:
-   three unboxed int arrays at (n+1) words each (payload + header),
-   the entry record (9 fields + header = 10 words = 80 bytes), the
-   cols record (3 fields + header = 32), the two list cons cells in
-   the hash bucket and by-sid list (2 × 3 words = 48), and the
-   (tid, sid) hash key tuple (3 words = 24). *)
-let entry_bytes n = (3 * (n + 1) * 8) + 184
-
-let last_inval_of t sid = Option.value ~default:0 (Hashtbl.find_opt t.last_inval sid)
-
-let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
-
-let push_front t e =
-  e.prev <- None;
-  e.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
-
-let drop t e =
-  unlink t e;
-  e.e_dead <- true;
-  let key = (e.e_tid, e.e_sid) in
-  (match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some l -> (
-    match List.filter (fun x -> x != e) l with
-    | [] -> Hashtbl.remove t.tbl key
-    | l' -> Hashtbl.replace t.tbl key l'));
-  if e.e_retired <> max_int then t.retired <- t.retired - 1;
-  t.bytes <- t.bytes - e.e_bytes
-
-let find_at t ~epoch ~tid ~sid =
-  if t.limit <= 0 then None
-  else begin
-    Mutex.lock t.mu;
-    t.lookups <- t.lookups + 1;
-    (* Scan the key's version list: drop versions no pinnable epoch
-       can reach any more (retired at or below the floor), return the
-       one whose validity interval covers [epoch]. *)
-    let rec scan = function
-      | [] -> None
-      | e :: rest ->
-        if e.e_retired <= t.floor then begin
-          drop t e;
-          t.stale_drops <- t.stale_drops + 1;
-          scan rest
-        end
-        else if e.e_born <= epoch && epoch < e.e_retired then Some e
-        else scan rest
-    in
-    let versions = Option.value ~default:[] (Hashtbl.find_opt t.tbl (tid, sid)) in
-    let r =
-      match scan versions with
-      | None ->
-        t.misses <- t.misses + 1;
-        None
-      | Some e ->
-        t.hits <- t.hits + 1;
-        if t.head != Some e then begin
-          unlink t e;
-          push_front t e
-        end;
-        Some e.e_cols
-    in
-    Mutex.unlock t.mu;
-    r
-  end
-
-let add_at t ~epoch ~tid ~sid cols =
-  if t.limit > 0 then begin
-    Mutex.lock t.mu;
-    let li = last_inval_of t sid in
-    (* A filler whose pinned epoch predates the segment's latest
-       invalidation cannot tell which of the intervening versions its
-       snapshot belongs to — refusing the insert is always safe (the
-       next lookup at that epoch just re-materializes). *)
-    if epoch < li then t.stale_skips <- t.stale_skips + 1
-    else begin
-      let b = entry_bytes (cols_length cols) in
-      (* At most one live version per key: since every live entry was
-         filled after the segment's last invalidation, a replacement
-         carries the same validity interval (and, from honest fillers,
-         the same content). *)
-      List.iter
-        (fun e -> if e.e_retired = max_int then drop t e)
-        (Option.value ~default:[] (Hashtbl.find_opt t.tbl (tid, sid)));
-      (* An oversize snapshot would evict everything and still not fit:
-         skip it rather than thrash the whole cache. *)
-      if b <= t.limit then begin
-        let e =
-          { e_tid = tid; e_sid = sid; e_cols = cols; e_bytes = b; e_born = li;
-            e_retired = max_int; e_dead = false; prev = None; next = None }
-        in
-        Hashtbl.replace t.tbl (tid, sid)
-          (e :: Option.value ~default:[] (Hashtbl.find_opt t.tbl (tid, sid)));
-        Hashtbl.replace t.by_sid sid
-          (e :: Option.value ~default:[] (Hashtbl.find_opt t.by_sid sid));
-        push_front t e;
-        t.bytes <- t.bytes + b;
-        while t.bytes > t.limit do
-          match t.tail with
-          | Some cold ->
-            drop t cold;
-            t.evictions <- t.evictions + 1
-          | None -> assert false (* bytes > 0 implies a tail *)
-        done
-      end
-    end;
-    Mutex.unlock t.mu
-  end
-
-let find t ~tid ~sid = find_at t ~epoch:latest ~tid ~sid
-let add t ~tid ~sid cols = add_at t ~epoch:latest ~tid ~sid cols
-
-let invalidate_segment t ~sid =
-  if t.limit > 0 then begin
-    Mutex.lock t.mu;
-    (* The invalidation takes effect at the next publishable epoch:
-       readers pinned at or below [t.epoch] keep the retired versions,
-       epochs from [r] on must re-materialize. *)
-    let r = t.epoch + 1 in
-    Hashtbl.replace t.last_inval sid r;
-    (match Hashtbl.find_opt t.by_sid sid with
-    | None -> ()
-    | Some l ->
-      let live = List.filter (fun e -> not e.e_dead) l in
-      List.iter
-        (fun e ->
-          if e.e_retired = max_int then begin
-            e.e_retired <- r;
-            t.retired <- t.retired + 1
-          end)
-        live;
-      (match live with
-      | [] -> Hashtbl.remove t.by_sid sid
-      | l' -> Hashtbl.replace t.by_sid sid l'));
-    t.invalidations <- t.invalidations + 1;
-    Mutex.unlock t.mu
-  end
-
-let publish t ~epoch =
-  Mutex.lock t.mu;
-  (* Monotonic max: a fresh cache installed mid-stream (pack, rebuild)
-     starts at 0 while version numbers keep rising. *)
-  if epoch > t.epoch then t.epoch <- epoch;
-  Mutex.unlock t.mu
-
-let reclaim t ~floor =
-  Mutex.lock t.mu;
-  t.floor <- floor;
-  if t.retired > 0 then begin
-    (* Sweep: collect then drop (dropping unlinks, so no walking while
-       splicing). *)
-    let doomed = ref [] in
-    let rec walk = function
-      | None -> ()
-      | Some e ->
-        if e.e_retired <= floor then doomed := e :: !doomed;
-        walk e.next
-    in
-    walk t.head;
-    List.iter
-      (fun e ->
-        drop t e;
-        t.reclaimed <- t.reclaimed + 1)
-      !doomed
-  end;
-  Mutex.unlock t.mu
-
-let current_epoch t =
-  Mutex.lock t.mu;
-  let e = t.epoch in
-  Mutex.unlock t.mu;
-  e
-
-let clear t =
-  Mutex.lock t.mu;
-  Hashtbl.reset t.tbl;
-  Hashtbl.reset t.by_sid;
-  t.head <- None;
-  t.tail <- None;
-  t.bytes <- 0;
-  t.retired <- 0;
-  Mutex.unlock t.mu
-
-let stats t =
-  Mutex.lock t.mu;
-  let s =
-    {
-      lookups = t.lookups;
-      hits = t.hits;
-      misses = t.misses;
-      evictions = t.evictions;
-      invalidations = t.invalidations;
-      stale_drops = t.stale_drops;
-      stale_skips = t.stale_skips;
-      retired_entries = t.retired;
-      reclaimed = t.reclaimed;
-      entries = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.tbl 0;
-      bytes = t.bytes;
-      max_bytes = t.limit;
-      epoch = t.epoch;
-      floor = t.floor;
-    }
-  in
-  Mutex.unlock t.mu;
-  s
+type stats = { lookups : int; hits : int; evictions : int; invalidations : int }

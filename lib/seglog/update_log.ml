@@ -19,11 +19,10 @@ type t = {
   mutable sb : Sb_index.t;
   mutable sb_dirty : bool;
   tag_list : Tag_list.t;
-  element_index : Element_index.t;
   mutable synopsis : Path_synopsis.t;
-  cache : Seg_cache.t;
   mutable next_sid : int;
   mutable live_segments : int;  (* segments alive, dummy root excluded *)
+  mutable live_elements : int;  (* skeleton elements over all segments *)
   mutable er_depth : int;
   (* Deepest ER chain (edges below the dummy root): a high-water mark
      bumped on insert and re-anchored to the exact value by every
@@ -31,13 +30,9 @@ type t = {
   branching : int;
   metrics : metrics;
   frozen : bool;  (* immutable snapshot produced by [freeze] *)
-  qepoch : int;  (* cache epoch for lookups/fills: the snapshot's pinned
-                    epoch, or [Seg_cache.latest] on the mutable side *)
-  frozen_elems : int;  (* element count captured at freeze time (the
-                          snapshot carries no element index) *)
 }
 
-let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) ?cache_bytes
+let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32)
     ?(backend = Storage_backend.Mem) () =
   let root = Er_node.make_root () in
   let sb = Sb_index.create ~branching ~backend () in
@@ -50,11 +45,10 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) 
     sb;
     sb_dirty = false;
     tag_list = Tag_list.create ();
-    element_index = Element_index.create ~branching ~backend ();
     synopsis = Path_synopsis.create ();
-    cache = Seg_cache.create ?max_bytes:cache_bytes ();
     next_sid = 1;
     live_segments = 0;
+    live_elements = 0;
     er_depth = 0;
     branching;
     metrics =
@@ -66,8 +60,6 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) 
         elements_removed = 0;
       };
     frozen = false;
-    qepoch = Seg_cache.latest;
-    frozen_elems = 0;
   }
 
 let mode t = t.mode
@@ -96,17 +88,20 @@ let refresh_er_depth t =
   t.er_depth <- !deepest;
   !deepest
 
-let element_count t =
-  if t.frozen then t.frozen_elems else Element_index.size t.element_index
+let element_count t = t.live_elements
+
+(* Reference implementation of {!element_count}, checked like
+   [segment_count_walk]. *)
+let element_count_walk t =
+  let n = ref 0 in
+  Er_node.iter_subtree t.root (fun node -> n := !n + Vec.length node.Er_node.elems);
+  !n
 
 let is_frozen t = t.frozen
-let epoch t = t.qepoch
 let root t = t.root
 let registry t = t.registry
-let element_index t = t.element_index
 let metrics t = t.metrics
 let tag_list t = t.tag_list
-let cache t = t.cache
 let synopsis t = t.synopsis
 
 (* gp resolution used to keep tag lists sorted; walks the ER-tree
@@ -231,6 +226,7 @@ let link_new_segment t ~gp ~text ~elems_for =
   node.parent <- Some parent;
   Vec.insert_at parent.children (child_index_for_gp parent gp) node;
   t.live_segments <- t.live_segments + 1;
+  t.live_elements <- t.live_elements + Vec.length node.elems;
   let rec chain d (n : Er_node.t) =
     match n.parent with None -> d | Some p -> chain (d + 1) p
   in
@@ -252,15 +248,11 @@ let link_new_segment t ~gp ~text ~elems_for =
   Path_synopsis.add_segment t.synopsis ~sid ~ctx_tids ~elems:node.elems;
   node
 
-(* Distinct-tag element counts of a segment, for tag-list entries. *)
-let tag_counts (node : Er_node.t) =
-  let counts = Hashtbl.create 8 in
-  Vec.iter
-    (fun (e : Er_node.elem) ->
-      Hashtbl.replace counts e.Er_node.tid
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.Er_node.tid)))
-    node.Er_node.elems;
-  counts
+(* One tag-list entry per distinct tag of the segment. *)
+let iter_tag_entries (node : Er_node.t) f =
+  let path = Er_node.path node in
+  Er_node.iter_columns node (fun tid c ->
+      f ~tid { Tag_list.sid = node.Er_node.sid; path; count = Er_node.cols_length c })
 
 let frozen_guard t who =
   if t.frozen then invalid_arg (who ^ ": frozen snapshot, updates go to the live log")
@@ -285,28 +277,15 @@ let insert t ~gp text =
   (match t.mode with
   | Lazy_dynamic -> Sb_index.insert t.sb sid node
   | Lazy_static -> t.sb_dirty <- true);
-  (* Step 6: element index. *)
-  Vec.iter
-    (fun (e : elem) ->
-      Element_index.add t.element_index
-        { tid = e.tid; sid; start = e.start; stop = e.stop; level = e.level })
-    node.elems;
-  (* Step 7: tag-list, one path entry per distinct tag in the segment. *)
-  let counts = tag_counts node in
-  let path = Er_node.path node in
+  (* Step 6: tag-list, one path entry per distinct tag in the segment
+     (the element index of the paper is the node's own columns, built
+     with it). *)
   let gp_of = lazy (gp_table t) in
-  Hashtbl.iter
-    (fun tid count ->
-      let entry = { Tag_list.sid; path; count } in
+  iter_tag_entries node (fun ~tid entry ->
       match t.mode with
       | Lazy_dynamic -> Tag_list.add_sorted t.tag_list ~tid entry ~gp_of:(Lazy.force gp_of)
-      | Lazy_static -> Tag_list.append t.tag_list ~tid entry)
-    counts;
+      | Lazy_static -> Tag_list.append t.tag_list ~tid entry);
   t.metrics.segments_inserted <- t.metrics.segments_inserted + 1;
-  (* Read cache: only the new segment's epoch moves — element sets of
-     every existing segment are untouched by an insert (local labels
-     are immutable), so their cached snapshots stay valid. *)
-  Seg_cache.invalidate_segment t.cache ~sid;
   sid
 
 (* --- batched insertion --------------------------------------------- *)
@@ -350,10 +329,9 @@ let insert_batch ?pool t edits =
       | _ -> Array.init b label
     in
     (* Serial ER-tree application.  Index maintenance is deferred:
-       instead of B SB-tree descents, B element-index insert runs and B
-       tag-list passes, the batch pays one bulk merge into each. *)
+       instead of B SB-tree descents and B tag-list passes, the batch
+       pays one bulk merge into each. *)
     let sb_pairs = ref [] in
-    let ekeys = Vec.create () in
     let sids = ref [] in
     Array.iteri
       (fun k (gp, text) ->
@@ -372,28 +350,10 @@ let insert_batch ?pool t edits =
         (match t.mode with
         | Lazy_dynamic -> sb_pairs := (sid, node) :: !sb_pairs
         | Lazy_static -> t.sb_dirty <- true);
-        Vec.iter
-          (fun (e : elem) ->
-            Vec.push ekeys
-              {
-                Element_index.tid = e.tid;
-                sid;
-                start = e.start;
-                stop = e.stop;
-                level = e.level;
-              })
-          node.elems;
-        let path = Er_node.path node in
-        Hashtbl.iter
-          (fun tid count ->
-            Tag_list.append t.tag_list ~tid { Tag_list.sid = sid; path; count })
-          (tag_counts node);
+        iter_tag_entries node (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry);
         t.metrics.segments_inserted <- t.metrics.segments_inserted + 1;
-        Seg_cache.invalidate_segment t.cache ~sid;
         sids := sid :: !sids)
       edits;
-    (* One element-index bulk merge for the whole batch. *)
-    Element_index.add_batch t.element_index (Vec.to_array ekeys);
     (match t.mode with
     | Lazy_dynamic ->
       (* One SB-tree batch insert — sids were assigned in ascending
@@ -469,23 +429,20 @@ let remove t ~gp ~len =
   let removed_sids = ref [] in
   (* (sid, tid, count) decrements for partially affected segments. *)
   let decrements = Hashtbl.create 8 in
+  let elements_gone k =
+    t.metrics.elements_removed <- t.metrics.elements_removed + k;
+    t.live_elements <- t.live_elements - k
+  in
   let note_removed_elem sid (e : elem) =
     let key = (sid, e.tid) in
     Hashtbl.replace decrements key (1 + Option.value ~default:0 (Hashtbl.find_opt decrements key));
-    t.metrics.elements_removed <- t.metrics.elements_removed + 1;
-    ignore (Element_index.remove t.element_index
-              { tid = e.tid; sid; start = e.start; stop = e.stop; level = e.level })
+    elements_gone 1
   in
   let delete_subtree k =
     Er_node.iter_subtree k (fun n ->
         removed_sids := n.sid :: !removed_sids;
         Path_synopsis.remove_segment t.synopsis ~sid:n.sid ~elems:n.elems;
-        Vec.iter
-          (fun (e : elem) ->
-            t.metrics.elements_removed <- t.metrics.elements_removed + 1;
-            ignore (Element_index.remove t.element_index
-                      { tid = e.tid; sid = n.sid; start = e.start; stop = e.stop; level = e.level }))
-          n.elems;
+        elements_gone (Vec.length n.elems);
         match t.mode with
         | Lazy_dynamic -> ignore (Sb_index.remove t.sb n.sid)
         | Lazy_static -> t.sb_dirty <- true)
@@ -512,9 +469,11 @@ let remove t ~gp ~len =
           invalid_arg "Update_log.remove: range splits an element (not a well-formed fragment)";
         if fully_inside then note_removed_elem s.sid e else Vec.push kept e)
       s.elems;
-    (* Replace the Vec wholesale instead of clearing in place: frozen
-       snapshots share [elems] with the live tree. *)
-    s.elems <- kept;
+    (* Replace the skeleton and columns wholesale instead of editing in
+       place: frozen snapshots share both with the live tree.  A gap
+       over own text alone (no element inside) leaves them as they
+       are. *)
+    if Vec.length kept <> Vec.length s.elems then set_elems s kept;
     add_tombstone s vu vv
   in
   (* Recursive removal in pre-removal global coordinates; [x, y) is
@@ -597,14 +556,6 @@ let remove t ~gp ~len =
   Hashtbl.iter
     (fun (sid, tid) count -> Tag_list.decrement t.tag_list ~tid ~sid ~by:count)
     decrements;
-  (* Read cache: exactly the segments whose element sets changed —
-     deleted subtrees and partially-tombstoned survivors. *)
-  if Seg_cache.enabled t.cache then begin
-    let soiled = Hashtbl.create 8 in
-    List.iter (fun sid -> Hashtbl.replace soiled sid ()) !removed_sids;
-    Hashtbl.iter (fun (sid, _) _ -> Hashtbl.replace soiled sid ()) decrements;
-    Hashtbl.iter (fun sid () -> Seg_cache.invalidate_segment t.cache ~sid) soiled
-  end;
   t.live_segments <- t.live_segments - List.length !removed_sids;
   t.metrics.segments_removed <- t.metrics.segments_removed + List.length !removed_sids
 
@@ -650,52 +601,7 @@ let segments_for_tag t ~tag =
   | None -> [||]
   | Some tid -> Tag_list.entries t.tag_list ~tid
 
-(* Frozen snapshots carry no element index; their per-segment element
-   sets come straight from the cloned skeletons, whose [elems] Vecs are
-   already in ascending-[start] order — the same order the index scan
-   produces. *)
-let cols_of_node (n : Er_node.t) ~tid =
-  let count = ref 0 in
-  Vec.iter (fun (e : Er_node.elem) -> if e.Er_node.tid = tid then incr count) n.Er_node.elems;
-  let k = !count in
-  let starts = Array.make k 0 and stops = Array.make k 0 and levels = Array.make k 0 in
-  let i = ref 0 in
-  Vec.iter
-    (fun (e : Er_node.elem) ->
-      if e.Er_node.tid = tid then begin
-        starts.(!i) <- e.Er_node.start;
-        stops.(!i) <- e.Er_node.stop;
-        levels.(!i) <- e.Er_node.level;
-        incr i
-      end)
-    n.Er_node.elems;
-  { Seg_cache.starts; stops; levels }
-
-let elements_of t ~tid ~sid =
-  if t.frozen then begin
-    let n = node_of_sid t sid in
-    let acc = Vec.create () in
-    Vec.iter
-      (fun (e : Er_node.elem) ->
-        if e.Er_node.tid = tid then
-          Vec.push acc
-            { Element_index.tid; sid; start = e.Er_node.start; stop = e.Er_node.stop;
-              level = e.Er_node.level })
-      n.Er_node.elems;
-    Vec.to_array acc
-  end
-  else Element_index.elements_of_segment t.element_index ~tid ~sid
-
-let elements_cols t ~tid ~sid =
-  match Seg_cache.find_at t.cache ~epoch:t.qepoch ~tid ~sid with
-  | Some c -> c
-  | None ->
-    let c =
-      if t.frozen then cols_of_node (node_of_sid t sid) ~tid
-      else Element_index.cols_of_segment t.element_index ~tid ~sid
-    in
-    Seg_cache.add_at t.cache ~epoch:t.qepoch ~tid ~sid c;
-    c
+let elements_cols t ~tid ~sid = Er_node.cols (node_of_sid t sid) ~tid
 
 (* --- materialization oracle ---------------------------------------- *)
 
@@ -752,39 +658,26 @@ let sb_size_bytes t =
 
 let tag_list_size_bytes t = Tag_list.size_bytes t.tag_list
 
-let size_bytes t = sb_size_bytes t + tag_list_size_bytes t
+let columns_size_bytes t =
+  let n = ref 0 in
+  Er_node.iter_subtree t.root (fun node -> n := !n + Er_node.columns_size_bytes node);
+  !n
+
+let size_bytes t = sb_size_bytes t + tag_list_size_bytes t + columns_size_bytes t
 
 let check t =
   Er_node.check t.root;
-  (* Element index agrees with the per-segment skeletons. *)
-  let skeleton_count = ref 0 in
+  (* Every segment's columns are its tag-filtered skeleton, and the
+     element counter agrees with the skeleton walk. *)
   Er_node.iter_subtree t.root (fun n ->
-      Vec.iter
-        (fun (e : Er_node.elem) ->
-          incr skeleton_count;
-          let key =
-            {
-              Element_index.tid = e.tid;
-              sid = n.Er_node.sid;
-              start = e.start;
-              stop = e.stop;
-              level = e.level;
-            }
-          in
-          ignore key)
-        n.Er_node.elems);
-  (* Frozen snapshots carry no element index; their stored element
-     count stands in for it. *)
-  if t.frozen then begin
-    if t.frozen_elems <> !skeleton_count then
-      failwith
-        (Printf.sprintf "frozen element count is %d, skeletons have %d" t.frozen_elems
-           !skeleton_count)
-  end
-  else if Element_index.size t.element_index <> !skeleton_count then
+      if not (Er_node.columns_agree n) then
+        failwith
+          (Printf.sprintf "segment %d: element columns disagree with its skeleton"
+             n.Er_node.sid));
+  if t.live_elements <> element_count_walk t then
     failwith
-      (Printf.sprintf "element index has %d records, skeletons have %d"
-         (Element_index.size t.element_index) !skeleton_count);
+      (Printf.sprintf "element counter says %d, skeleton walk says %d" t.live_elements
+         (element_count_walk t));
   (* Tag-list counts agree with the skeletons (sorting first: LS lists
      may be dirty, and sorting does not change their contents). *)
   Tag_list.sort_all t.tag_list ~gp_of:(gp_table t);
@@ -840,7 +733,7 @@ let check t =
 
 (* --- frozen snapshots (MVCC read side) ------------------------------- *)
 
-let freeze t ~epoch =
+let freeze t =
   if t.frozen then invalid_arg "Update_log.freeze: already frozen";
   (* LS logs may be mid-laziness; bring derived structures current so
      the clone is query-ready without ever needing to mutate. *)
@@ -851,8 +744,6 @@ let freeze t ~epoch =
   let pairs = Vec.to_array pairs in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
   let sb = Sb_index.of_sorted_mem ~branching:t.branching pairs in
-  let elems = ref 0 in
-  Er_node.iter_subtree root (fun n -> elems := !elems + Vec.length n.Er_node.elems);
   {
     mode = t.mode;
     index_attributes = t.index_attributes;
@@ -861,13 +752,10 @@ let freeze t ~epoch =
     sb;
     sb_dirty = false;
     tag_list = Tag_list.clone t.tag_list;
-    (* No element index: the snapshot serves element sets from the
-       cloned skeletons, through the shared versioned cache. *)
-    element_index = Element_index.create ~branching:t.branching ();
     synopsis = Path_synopsis.clone t.synopsis;
-    cache = t.cache;
     next_sid = t.next_sid;
     live_segments = t.live_segments;
+    live_elements = t.live_elements;
     er_depth = t.er_depth;
     branching = t.branching;
     metrics =
@@ -879,8 +767,6 @@ let freeze t ~epoch =
         elements_removed = t.metrics.elements_removed;
       };
     frozen = true;
-    qepoch = epoch;
-    frozen_elems = !elems;
   }
 
 (* --- snapshots ------------------------------------------------------- *)
@@ -978,18 +864,16 @@ let load ?(backend = Storage_backend.Mem) ic =
     | '\n' -> ()
     | _ -> fail "missing newline after segment text"
     | exception End_of_file -> fail "snapshot truncated");
-    let node = Er_node.make ~sid ~gp ~lp ~base_level ~text ~elems:[] in
+    let tombs =
+      List.init n_tomb (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
+    in
+    let elems =
+      List.init n_elems (fun _ ->
+          scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }))
+    in
+    let node = Er_node.make ~sid ~gp ~lp ~base_level ~text ~elems in
     node.len <- len;
-    for _ = 1 to n_tomb do
-      let a, b = scan "t %d %d" (fun a b -> (a, b)) in
-      Vec.push node.tombstones (a, b)
-    done;
-    for _ = 1 to n_elems do
-      let start, stop, level, tid =
-        scan "e %d %d %d %d" (fun a b c d -> (a, b, c, d))
-      in
-      Vec.push node.elems { start; stop; level; tid }
-    done;
+    List.iter (Vec.push node.tombstones) tombs;
     let parent =
       match Hashtbl.find_opt by_sid parent_sid with
       | Some p -> p
@@ -1002,37 +886,12 @@ let load ?(backend = Storage_backend.Mem) ic =
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
-  (* Rebuild derived structures: element index and tag lists from the
-     skeletons, SB-tree from the ER-tree.  When attaching to a paged
-     store whose checkpoint matches this snapshot, the element index is
-     already durable and the per-element inserts are skipped entirely —
-     [full_check] below still cross-validates it against the skeletons.
-     Otherwise the keys are collected and merged in one sorted batch
-     (one bulk pass instead of a descent per element). *)
-  let attached =
-    match backend with
-    | Storage_backend.Paged { attach = true; _ } -> true
-    | _ -> false
-  in
-  let ekeys = Vec.create () in
+  t.live_elements <- element_count_walk t;
+  (* Rebuild derived structures: tag lists from the segments' columns
+     (built with each node above), SB-tree from the ER-tree. *)
   Er_node.iter_subtree t.root (fun n ->
-      if not (is_root n) then begin
-        let counts = Hashtbl.create 8 in
-        Vec.iter
-          (fun (e : elem) ->
-            if not attached then
-              Vec.push ekeys
-                { Element_index.tid = e.tid; sid = n.sid; start = e.start; stop = e.stop;
-                  level = e.level };
-            Hashtbl.replace counts e.tid
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.tid)))
-          n.elems;
-        let path = Er_node.path n in
-        Hashtbl.iter
-          (fun tid count -> Tag_list.append t.tag_list ~tid { Tag_list.sid = n.sid; path; count })
-          counts
-      end);
-  if not attached then Element_index.add_batch t.element_index (Vec.to_array ekeys);
+      if not (is_root n) then
+        iter_tag_entries n (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry));
   t.sb_dirty <- true;
   t.synopsis <- synopsis_of_tree t.root;
   ignore (refresh_er_depth t);

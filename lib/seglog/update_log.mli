@@ -1,14 +1,14 @@
-(** The in-memory update log (§3): SB-tree + ER-tree + tag-list +
-    element index, with the segment insertion and removal algorithms of
-    Figures 5 and 7.
+(** The in-memory update log (§3): SB-tree + ER-tree + tag-list, with
+    the segment insertion and removal algorithms of Figures 5 and 7.
 
     The super document starts empty (a dummy root).  [insert] adds a
     well-formed XML fragment at a global byte position; [remove]
     deletes a byte range that must itself be a well-formed fragment of
     the current document.  Existing element labels are never touched:
-    elements are keyed by [(tid, sid, local start)] in the element
-    index, and only the small per-segment bookkeeping (global
-    positions, lengths) moves.
+    the paper's element index is each segment's own immutable per-tag
+    columns ({!Er_node.cols}), reached through the SB-tree by sid, and
+    only the small per-segment bookkeeping (global positions, lengths)
+    moves.
 
     Two maintenance disciplines mirror the paper's experiments:
     {ul
@@ -32,17 +32,15 @@ type metrics = {
 type t
 
 val create :
-  ?mode:mode -> ?index_attributes:bool -> ?branching:int -> ?cache_bytes:int ->
+  ?mode:mode -> ?index_attributes:bool -> ?branching:int ->
   ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
 (** An empty super document. [mode] defaults to [Lazy_dynamic];
     [index_attributes] (default false) additionally indexes every
     attribute as a subelement named ["@name"] (§1: "attributes can be
-    considered as subelements"); [branching] is used for the SB-tree
-    and element index; [cache_bytes] is the read-side {!Seg_cache}
-    budget (default {!Seg_cache.default_max_bytes}, [<= 0] disables
-    caching); [backend] (default in-memory) puts the element index and
-    SB-tree on copy-on-write pages whose RAM residency is bounded by
-    the page store's buffer pool — the beyond-RAM path. *)
+    considered as subelements"); [branching] is used for the SB-tree;
+    [backend] (default in-memory) puts the SB-tree on copy-on-write
+    pages of a page store.  Segment skeletons, columns and texts stay
+    on the heap either way. *)
 
 val mode : t -> mode
 val indexes_attributes : t -> bool
@@ -56,9 +54,11 @@ val segment_count_walk : t -> int
     {!check} (and the tests) assert the two agree. *)
 
 val element_count : t -> int
+(** Live elements — an O(1) counter like {!segment_count}; {!check}
+    asserts it equals a walk over every segment's skeleton. *)
+
 val root : t -> Er_node.t
 val registry : t -> Tag_registry.t
-val element_index : t -> Element_index.t
 val metrics : t -> metrics
 
 val insert : t -> gp:int -> string -> int
@@ -77,10 +77,10 @@ val insert_batch :
     them one at a time with {!insert} — but with batched index
     maintenance: all fragments are parsed and labelled first (fanned
     out over [pool] when given — parsing is pure), then the ER-tree
-    edits are applied serially, followed by {e one} element-index bulk
-    merge, {e one} SB-tree batch insert and {e one} tag-list merge
-    pass over a single gp table (under [Lazy_dynamic]; [Lazy_static]
-    defers those to {!prepare_for_query} as usual).
+    edits are applied serially, followed by {e one} SB-tree batch
+    insert and {e one} tag-list merge pass over a single gp table
+    (under [Lazy_dynamic]; [Lazy_static] defers those to
+    {!prepare_for_query} as usual).
 
     All-or-nothing: every edit is validated before anything is
     mutated.  [gp] bounds are checked against the document as it will
@@ -127,21 +127,13 @@ val segments_for_tag : t -> tag:string -> Tag_list.entry array
 (** Tag-list lookup: segments containing the tag, in global-position
     order (the [SL] input lists of Lazy-Join). *)
 
-val elements_of : t -> tid:int -> sid:int -> Element_index.key array
-(** Elements of one tag in one segment, in local order.  Always scans
-    the element index directly (no caching) — the reference path. *)
-
-val elements_cols : t -> tid:int -> sid:int -> Seg_cache.cols
-(** Columnar variant of {!elements_of}, fetched through the log's
-    {!Seg_cache}: a hit returns the cached struct-of-arrays snapshot;
-    a miss scans the element index once and caches the result.
-    Updates ([insert]/[remove]) bump the epochs of exactly the touched
-    segments, so a returned snapshot always reflects the current log
-    state.  Snapshots are immutable — callers must not mutate the
-    arrays. *)
-
-val cache : t -> Seg_cache.t
-(** The log's read-side element cache (stats, clearing, budget). *)
+val elements_cols : t -> tid:int -> sid:int -> Er_node.cols
+(** Elements of one tag in one segment, in local order: the segment's
+    own columns ({!Er_node.cols} of {!node_of_sid}), the same on live
+    and frozen logs.  The arrays are immutable; a remove that cuts
+    into the segment swaps in new ones, so a returned value stays the
+    state it was read at.
+    @raise Not_found as {!node_of_sid}. *)
 
 val tag_list : t -> Tag_list.t
 
@@ -170,32 +162,33 @@ val global_elements : t -> tag:string -> (int * int * int) list
 
 val sb_size_bytes : t -> int
 val tag_list_size_bytes : t -> int
-val size_bytes : t -> int
-(** Total update-log footprint (Figure 11a). *)
 
-val freeze : t -> epoch:int -> t
-(** [freeze t ~epoch] returns an immutable snapshot of [t] pinned at
-    cache epoch [epoch]: a clone of the ER-tree (sharing the immutable
-    segment texts and element arrays), SB-tree, tag lists and registry,
-    {e sharing} [t]'s {!Seg_cache} — its columnar lookups and fills go
-    through {!Seg_cache.find_at} at the pinned epoch, so the snapshot
-    keeps reading retired versions while the live log moves on.  The
-    snapshot carries no element index; {!elements_of} and cache misses
-    materialize from the cloned segment skeletons instead.  The clone
-    is query-ready ([prepare_for_query] is run first, so an LS source
-    log is brought current) and every update entry point raises
-    [Invalid_argument] on it.  O(segments + tag-list entries); element
-    arrays and texts are shared, not copied. *)
+val columns_size_bytes : t -> int
+(** Heap bytes of every segment's element columns. *)
+
+val size_bytes : t -> int
+(** Total update-log footprint (Figure 11a): SB/ER bookkeeping, tag
+    lists and element columns — exactly the sum of the three sizes
+    above. *)
+
+val freeze : t -> t
+(** [freeze t] returns an immutable snapshot of [t]: a clone of the
+    ER-tree (sharing the immutable segment texts, skeletons and
+    element columns), SB-tree, tag lists and registry.  Later removes
+    on [t] replace the touched segments' columns copy-on-write, so the
+    snapshot keeps reading the state it was frozen at with no
+    versioning.  The clone is query-ready ([prepare_for_query] is run
+    first, so an LS source log is brought current) and every update
+    entry point raises [Invalid_argument] on it.
+    O(segments + tag-list entries). *)
 
 val is_frozen : t -> bool
 
-val epoch : t -> int
-(** The pinned cache epoch of a frozen snapshot, or
-    {!Seg_cache.latest} on a live log. *)
-
 val check : t -> unit
-(** Full invariant check across the ER-tree, SB-tree, element index
-    and tag-list (test helper). @raise Failure on violation. *)
+(** Full invariant check across the ER-tree, element columns, SB-tree
+    and tag-list: every segment's columns equal its tag-filtered
+    skeleton and {!element_count} equals the skeleton walk (test
+    helper, and run by every {!load}). @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit
 (** Serializes the complete log — segment tree with virtual
@@ -204,12 +197,10 @@ val save : t -> out_channel -> unit
     (a re-chop of the materialized text would assign new ones). *)
 
 val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
-(** Restores a log written by {!save}; derived structures (SB-tree,
-    element index, tag lists) are rebuilt from the segment data.
-    With [Paged { attach = true; _ }] the element index is {e not}
-    rebuilt — the durable paged tree is reopened as-is, which is only
-    sound when the page store's checkpoint LSN matches this snapshot
-    (callers must verify; {!full_check} cross-validates afterwards).
+(** Restores a log written by {!save}; derived structures (element
+    columns, SB-tree, tag lists) are rebuilt from the segment data and
+    then cross-checked by {!check}.  [backend] is where the SB-tree
+    goes; it is rebuilt there even when [attach] is set.
     @raise Failure on a malformed or incompatible snapshot. *)
 
 (** {1 Fragmentation statistics}

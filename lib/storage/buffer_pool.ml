@@ -1,7 +1,7 @@
 (* Buffer pool over a Page_file: pinned frames, dirty tracking, LRU
-   eviction under a byte budget — the same intrusive doubly-linked LRU
-   discipline as Seg_cache (head = hot, tail = cold, one mutex), with
-   pins replacing epochs as the "may not evict" condition. *)
+   eviction under a byte budget — an intrusive doubly-linked LRU
+   (head = hot, tail = cold, one mutex) where a pin is the "may not
+   evict" condition. *)
 
 type frame = {
   f_pid : int;
@@ -18,6 +18,7 @@ type stats = {
   misses : int;
   evictions : int;
   writebacks : int;
+  overruns : int;
   frames : int;
   dirty_frames : int;
   pinned_frames : int;
@@ -38,6 +39,7 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable writebacks : int;
+  mutable overruns : int;
 }
 
 let default_max_bytes () =
@@ -51,13 +53,13 @@ let create ?max_bytes file =
     match max_bytes with Some b -> max b (4 * Page_file.page_size file) | None -> default_max_bytes ()
   in
   { file; limit; mu = Mutex.create (); tbl = Hashtbl.create 256; head = None; tail = None;
-    bytes = 0; lookups = 0; hits = 0; misses = 0; evictions = 0; writebacks = 0 }
+    bytes = 0; lookups = 0; hits = 0; misses = 0; evictions = 0; writebacks = 0; overruns = 0 }
 
 let max_bytes t = t.limit
 
 (* What one resident frame charges against the budget: the payload
    array (length + header word) plus the frame record, hash slot and
-   LRU links — the same actual-words accounting Seg_cache uses. *)
+   LRU links, in actual heap words. *)
 let frame_bytes t = Page_file.payload_bytes t.file + 8 + (8 * 8) + (3 * 8)
 
 let unlink t f =
@@ -82,12 +84,13 @@ let write_back t f =
 (* Evict cold unpinned frames until the budget holds.  Pinned frames
    are skipped; when everything resident is pinned the pool runs over
    budget rather than deadlock (pins are short-lived: a descent holds
-   O(tree height) pages). *)
+   O(tree height) pages), and the frame just admitted counts as an
+   overrun. *)
 let evict_to_budget t =
   let rec loop candidate =
     if t.bytes > t.limit then
       match candidate with
-      | None -> ()
+      | None -> t.overruns <- t.overruns + 1
       | Some f ->
         let colder = f.prev in
         if f.pins = 0 then begin
@@ -183,7 +186,7 @@ let stats t =
     t.tbl;
   let s =
     { lookups = t.lookups; hits = t.hits; misses = t.misses; evictions = t.evictions;
-      writebacks = t.writebacks; frames = Hashtbl.length t.tbl; dirty_frames = !dirty;
+      writebacks = t.writebacks; overruns = t.overruns; frames = Hashtbl.length t.tbl; dirty_frames = !dirty;
       pinned_frames = !pinned; bytes = t.bytes; max_bytes = t.limit }
   in
   Mutex.unlock t.mu;

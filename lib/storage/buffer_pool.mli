@@ -5,7 +5,7 @@
     (faulting it in on miss), read or mutate [frame.buf] while pinned,
     and {!unpin} it when done, calling {!mark_dirty} after mutation.
     Unpinned frames stay resident and are evicted coldest-first
-    (intrusive LRU, as in [Seg_cache]) once residency exceeds the byte
+    (intrusive LRU) once residency exceeds the byte
     budget — dirty victims are written back first.  The budget comes
     from [LXU_POOL_BYTES] (default 16 MiB) unless overridden.
 
@@ -29,6 +29,9 @@ type stats = {
   misses : int;
   evictions : int;
   writebacks : int;
+  overruns : int;
+      (** frames admitted while every resident frame was pinned, so the
+          pool stayed over budget instead of blocking *)
   frames : int;
   dirty_frames : int;
   pinned_frames : int;

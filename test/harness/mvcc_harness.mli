@@ -20,10 +20,8 @@
        identical bytes while the mutator streams on;}
     {- {b read-only snapshots}: updates on a pinned snapshot raise.}}
 
-    And at quiescence: exactly one retained version, zero pins, zero
-    retired cache versions past the reclamation floor, cache bytes
-    within budget, and the live state byte-identical to the full
-    replay.
+    And at quiescence: exactly one retained version, zero pins, and
+    the live state byte-identical to the full replay.
 
     Failures raise [Failure] with the seed, domain count, pinned
     epoch, and the schedule prefix up to that epoch — enough to replay
@@ -32,7 +30,6 @@
 type report = {
   reads_checked : int;  (** reader iterations that verified a pinned epoch *)
   epochs_published : int;  (** total committed operations *)
-  retired_reclaimed : int;  (** retired cache versions swept during the run *)
   elapsed_s : float;
 }
 

@@ -8,7 +8,6 @@ let () =
       ("labeling", Test_labeling.suite);
       ("seglog", Test_seglog.suite);
       ("er_node", Test_er_node.suite);
-      ("element_index", Test_element_index.suite);
       ("tag_list", Test_tag_list.suite);
       ("synopsis", Test_synopsis.suite);
       ("plan", Test_plan.suite);
@@ -22,7 +21,6 @@ let () =
       ("core", Test_core.suite);
       ("workload", Test_workload.suite);
       ("parallel_join", Test_parallel_join.suite);
-      ("seg_cache", Test_seg_cache.suite);
       ("storage", Test_storage.suite);
       ("paged", Test_paged.suite);
       ("recovery", Test_recovery.suite);

@@ -102,8 +102,8 @@ let test_small_branching_rejected () =
     (fun () -> ignore (IT.create ~branching:3 ()))
 
 let test_tuple_keys () =
-  (* The element index uses 5-tuple keys; verify lexicographic order
-     through a tuple key module. *)
+  (* Tuple keys (as a composite element key would use): verify
+     lexicographic order through a tuple key module. *)
   let module K = struct
     type t = int * int * int
 

@@ -118,9 +118,23 @@ let test_query_stats () =
   check_int "cross" 1 stats.Lazy_db.cross_pairs;
   check_int "none in-segment" 0 stats.Lazy_db.in_pairs
 
+(* The reported index bytes are exactly the three parts lazyxml lists
+   under them. *)
+let test_size_breakdown () =
+  let db = Lazy_db.create () in
+  Lazy_db.insert db ~gp:0 "<a><b/><c><b/></c></a>";
+  Lazy_db.insert db ~gp:3 "<b><c/></b>";
+  Lazy_db.remove db ~gp:3 ~len:11;
+  let log = Option.get (Lazy_db.log db) in
+  let module U = Lxu_seglog.Update_log in
+  check_bool "columns counted" true (U.columns_size_bytes log > 0);
+  check_int "parts add up" (Lazy_db.size_bytes db)
+    (U.sb_size_bytes log + U.tag_list_size_bytes log + U.columns_size_bytes log)
+
 let suite =
   [
     Alcotest.test_case "engines agree" `Quick test_engines_agree;
+    Alcotest.test_case "index bytes = sum of parts" `Quick test_size_breakdown;
     Alcotest.test_case "both axes" `Quick test_both_axes;
     Alcotest.test_case "counts and lengths" `Quick test_counts_and_lengths;
     Alcotest.test_case "rebuild" `Quick test_rebuild;

@@ -151,8 +151,41 @@ let test_check_detects_overlapping_elems () =
   check_bool "detected" true
     (match Er_node.check n with exception Failure _ -> true | () -> false)
 
+(* Segment "<a><b/><a/><b/></a>": tags a (tid 1) and b (tid 2)
+   interleaved, one tag (tid 3) absent. *)
+let columns_sample () =
+  mk "<a><b/><a/><b/></a>" [ (0, 19, 0, 1); (3, 7, 1, 2); (7, 11, 1, 1); (11, 15, 1, 2) ]
+
+let test_columns_order () =
+  let n = columns_sample () in
+  let a = Er_node.cols n ~tid:1 and b = Er_node.cols n ~tid:2 in
+  Alcotest.(check (list int)) "a starts" [ 0; 7 ] (Array.to_list a.Er_node.starts);
+  Alcotest.(check (list int)) "a stops" [ 19; 11 ] (Array.to_list a.Er_node.stops);
+  Alcotest.(check (list int)) "a levels" [ 0; 1 ] (Array.to_list a.Er_node.levels);
+  Alcotest.(check (list int)) "b starts" [ 3; 11 ] (Array.to_list b.Er_node.starts);
+  let tids = ref [] in
+  Er_node.iter_columns n (fun tid _ -> tids := tid :: !tids);
+  Alcotest.(check (list int)) "tags ascending" [ 1; 2 ] (List.rev !tids)
+
+let test_columns_isolation () =
+  let n = columns_sample () in
+  let other = mk ~sid:2 "<b/>" [ (0, 4, 0, 2) ] in
+  check_int "absent tag is empty" 0 (Er_node.cols_length (Er_node.cols n ~tid:3));
+  check_int "tid 0 is empty" 0 (Er_node.cols_length (Er_node.cols n ~tid:0));
+  check_int "b stays in its segment" 2 (Er_node.cols_length (Er_node.cols n ~tid:2));
+  check_int "other segment's b" 1 (Er_node.cols_length (Er_node.cols other ~tid:2));
+  (* Replacing the skeleton swaps in new columns and leaves the old
+     ones intact for whoever still holds them. *)
+  let old_b = Er_node.cols n ~tid:2 in
+  Er_node.set_elems n (Vec.of_list (List.filter (fun e -> e.Er_node.tid = 1) (Vec.to_list n.Er_node.elems)));
+  check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2));
+  check_int "old b columns untouched" 2 (Er_node.cols_length old_b);
+  check_bool "columns agree" true (Er_node.columns_agree n)
+
 let suite =
   [
+    Alcotest.test_case "columns: per-tag order" `Quick test_columns_order;
+    Alcotest.test_case "columns: per-tag isolation" `Quick test_columns_isolation;
     Alcotest.test_case "make_root" `Quick test_make_root;
     Alcotest.test_case "tombstone accounting" `Quick test_tombstone_accounting;
     Alcotest.test_case "tombstone merge" `Quick test_tombstone_merge;

@@ -250,12 +250,11 @@ let run_equivalence mode edits =
     Update_log.create ~mode ~backend:(Lxu_btree.Storage_backend.Paged { store; attach = false }) ()
   in
   let text = ref "" in
-  let epoch = ref 0 in
   let frozen = ref None in
   let half = List.length edits / 2 in
   List.iteri
     (fun i edit ->
-      if i = half then frozen := Some (Update_log.freeze log ~epoch:!epoch, !text);
+      if i = half then frozen := Some (Update_log.freeze log, !text);
       (match edit with
       | Ins (pick, fi) ->
         let frag = fragments.(fi) in
@@ -271,9 +270,7 @@ let run_equivalence mode edits =
           let s, e = List.nth extents (pick mod List.length extents) in
           List.iter (fun l -> Update_log.remove l ~gp:s ~len:(e - s)) [ log; paged ];
           text := string_remove !text ~gp:s ~len:(e - s)
-        end);
-      incr epoch;
-      Seg_cache.publish (Update_log.cache log) ~epoch:!epoch)
+        end))
     edits;
   let frozen_log, frozen_text = Option.get !frozen in
   List.for_all
@@ -307,6 +304,55 @@ let props =
       prop_equivalence Update_log.Lazy_static "lazy-join(LS) = STD = naive on random docs";
     ]
 
+(* A Joinmix schedule (even seeds) or a chopped generated document
+   (odd seeds), with the tag pair to query. *)
+let build_edits seed =
+  let open Lxu_workload in
+  if seed mod 2 = 0 then begin
+    let spec =
+      {
+        Joinmix.segments = 6 + (seed mod 16);
+        pairs_per_segment = 1 + (seed mod 4);
+        cross_percent = seed * 13 mod 101;
+        shape = (if seed mod 4 = 0 then Joinmix.Nested else Joinmix.Balanced);
+      }
+    in
+    let sch = Joinmix.generate spec in
+    (sch.Joinmix.edits, sch.Joinmix.anc_tag, sch.Joinmix.desc_tag)
+  end
+  else begin
+    let params =
+      { Generator.default_params with tags = [| "a"; "b"; "d" |]; text_chance_pct = 15 }
+    in
+    let text =
+      Generator.generate_text ~params ~seed ~target_elements:(50 + (7 * (seed mod 8))) ()
+    in
+    let shape = if seed mod 3 = 0 then Chopper.Nested else Chopper.Balanced in
+    (Chopper.chop ~text ~segments:(6 + (seed mod 10)) shape, "a", "d")
+  end
+
+(* A scratch recycles output chunks between runs, never results:
+   scratch-carrying repeats must match a scratch-free run exactly,
+   including after an update changes the store mid-stream. *)
+let test_scratch_reuse () =
+  let open Lazy_xml in
+  let edits, anc, desc = build_edits 11 in
+  let db = Lazy_db.create () in
+  List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) edits;
+  let log = Option.get (Lazy_db.log db) in
+  let scratch = Lazy_join.scratch () in
+  let check ctx =
+    let p0, s0 = Lazy_join.run log ~anc ~desc () in
+    for i = 1 to 3 do
+      let p, s = Lazy_join.run ~scratch log ~anc ~desc () in
+      if p <> p0 then Alcotest.failf "%s: scratch run %d pairs differ" ctx i;
+      if s <> s0 then Alcotest.failf "%s: scratch run %d stats differ" ctx i
+    done
+  in
+  check "initial";
+  Lazy_db.insert db ~gp:0 "<a><d/></a>";
+  check "after insert"
+
 let suite =
   [
     Alcotest.test_case "std simple" `Quick test_std_simple;
@@ -321,5 +367,6 @@ let suite =
     Alcotest.test_case "lazy child axis" `Quick test_lazy_child_axis;
     Alcotest.test_case "lazy missing tags" `Quick test_lazy_missing_tags;
     Alcotest.test_case "lazy after removal" `Quick test_lazy_after_removal;
+    Alcotest.test_case "scratch reuse is invisible" `Quick test_scratch_reuse;
   ]
   @ props

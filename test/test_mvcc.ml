@@ -1,11 +1,10 @@
 (* MVCC snapshot reads: epoch-pinned snapshots must be isolated from
    every later update — verified against single-threaded replays — and
-   retired versions must be reclaimed once nobody can pin them. *)
+   superseded versions must be reclaimed once nobody can pin them. *)
 
 open Lazy_xml
 module Crash_harness = Lxu_crash_harness.Crash_harness
 module Mvcc_harness = Lxu_crash_harness.Mvcc_harness
-module Seg_cache = Lxu_seglog.Seg_cache
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -122,13 +121,10 @@ let test_version_lifecycle () =
     check_int "pinned version retained" 2 m.Shared_db.versions;
     check_int "one pin" 1 m.Shared_db.pinned
   | None -> Alcotest.fail "mvcc stats");
-  (* The pin reads pre-remove state — through the cache's retired
-     version — while the live side reads post-remove state. *)
+  (* The pin reads pre-remove state — the segment's old columns —
+     while the live side reads post-remove state. *)
   check_int "pinned count" 2 (Lazy_db.count (Shared_db.snapshot_db s) ~anc:"a" ~desc:"b" ());
   check_int "live count" 1 (Shared_db.count t ~anc:"a" ~desc:"b" ());
-  (match Shared_db.read t Lazy_db.cache_stats with
-  | Some cs -> check_bool "retired versions held for the pin" true (cs.Seg_cache.retired_entries > 0)
-  | None -> Alcotest.fail "cache stats");
   Shared_db.end_snapshot s;
   Shared_db.end_snapshot s (* idempotent *);
   (match Shared_db.mvcc_stats t with
@@ -136,10 +132,34 @@ let test_version_lifecycle () =
     check_int "superseded version reclaimed" 1 m.Shared_db.versions;
     check_int "no pins" 0 m.Shared_db.pinned;
     check_int "floor caught up" 2 m.Shared_db.floor
-  | None -> Alcotest.fail "mvcc stats");
-  match Shared_db.read t Lazy_db.cache_stats with
-  | Some cs -> check_int "retired versions swept" 0 cs.Seg_cache.retired_entries
-  | None -> Alcotest.fail "cache stats"
+  | None -> Alcotest.fail "mvcc stats")
+
+(* Copy-on-write element columns: a snapshot pinned before a remove
+   that cuts segment S keeps S's pre-remove elements, while segments
+   the remove never touched share their columns, physically, with the
+   live log. *)
+let test_snapshot_shares_columns () =
+  let module U = Lxu_seglog.Update_log in
+  let db = Lazy_db.create () in
+  Lazy_db.insert db ~gp:0 "<r><a><b/><b/></a></r>";
+  Lazy_db.insert db ~gp:22 "<q><b/></q>";
+  let snap = Lazy_db.snapshot db in
+  Lazy_db.remove db ~gp:6 ~len:4;
+  let live = Option.get (Lazy_db.log db) and frozen = Option.get (Lazy_db.log snap) in
+  let tid = Option.get (Lxu_seglog.Tag_registry.find (U.registry live) "b") in
+  let cut = 1 and untouched = 2 in
+  let b log sid = U.elements_cols log ~tid ~sid in
+  check_int "snapshot keeps both b of the cut segment" 2
+    (Lxu_seglog.Er_node.cols_length (b frozen cut));
+  check_int "live cut segment lost one b" 1 (Lxu_seglog.Er_node.cols_length (b live cut));
+  check_bool "untouched columns shared" true (b frozen untouched == b live untouched);
+  check_bool "untouched store shared" true
+    ((U.node_of_sid frozen untouched).Lxu_seglog.Er_node.columns
+    == (U.node_of_sid live untouched).Lxu_seglog.Er_node.columns);
+  check_int "snapshot join" 2 (Lazy_db.count snap ~anc:"a" ~desc:"b" ());
+  check_int "live join" 1 (Lazy_db.count db ~anc:"a" ~desc:"b" ());
+  Lazy_db.check snap;
+  Lazy_db.check db
 
 let test_snapshot_is_read_only () =
   let t = Shared_db.create () in
@@ -170,6 +190,7 @@ let suite =
   [
     Alcotest.test_case "version lifecycle + reclamation" `Quick test_version_lifecycle;
     Alcotest.test_case "snapshots are read-only" `Quick test_snapshot_is_read_only;
+    Alcotest.test_case "snapshot shares untouched columns" `Quick test_snapshot_shares_columns;
     Alcotest.test_case "pinned across pack + checkpoint" `Quick
       test_pinned_across_pack_and_checkpoint;
     Alcotest.test_case "isolation harness quick slice" `Quick test_harness_quick;

@@ -12,6 +12,7 @@ module H = Lxu_crash_harness.Crash_harness
 module Sim_file = Lxu_storage.Sim_file
 module Page_file = Lxu_storage.Page_file
 module Page_store = Lxu_storage.Page_store
+module Buffer_pool = Lxu_storage.Buffer_pool
 module Paged_bptree = Lxu_btree.Paged_bptree
 module Rng = Lxu_workload.Rng
 
@@ -26,8 +27,8 @@ let with_dir tag f =
 
 (* Small pages so a few hundred keys already build a multi-level
    tree: splits, separators and the lazy-deletion paths all fire. *)
-let small_store ?(page_size = 512) () =
-  Page_store.create ~device:(Sim_file.in_memory ()) ~page_size ()
+let small_store ?(page_size = 512) ?pool_bytes () =
+  Page_store.create ~device:(Sim_file.in_memory ()) ~page_size ?pool_bytes ()
 
 (* --- paged B+-tree vs Map, random schedule -------------------------- *)
 
@@ -37,8 +38,10 @@ module IPM = Map.Make (struct
   let compare = compare
 end)
 
+(* The pool holds a few pages of a tree many times larger, so every
+   lookup path also exercises eviction and dirty write-back. *)
 let test_bptree_differential () =
-  let ps = small_store () in
+  let ps = small_store ~pool_bytes:(8 * 512) () in
   let tr = Paged_bptree.create ps ~slot:"t" ~kw:2 ~vw:1 in
   let rng = Rng.create 42 in
   let model = ref IPM.empty in
@@ -91,7 +94,29 @@ let test_bptree_differential () =
       true);
   let expect = List.filter (fun (k, _) -> k >= lo) expect in
   check_int "bounded scan" (List.length expect) (List.length !got);
+  let pool = (Page_store.stats ps).Page_store.pool in
+  check_bool "pool evicted" true (pool.Buffer_pool.evictions > 0);
+  check_bool "pool wrote back" true (pool.Buffer_pool.writebacks > 0);
+  check_int "lookups = hits + misses" pool.Buffer_pool.lookups
+    (pool.Buffer_pool.hits + pool.Buffer_pool.misses);
   Page_store.close ps
+
+(* Pinning more frames than the budget holds must run the pool over
+   budget (counted as overruns) rather than block; once the pins are
+   released, the next fault evicts back under budget. *)
+let test_pool_overrun () =
+  let file = Page_file.create ~device:(Sim_file.in_memory ()) ~page_size:512 in
+  let pool = Buffer_pool.create ~max_bytes:(4 * 512) file in
+  let frames = List.init 12 (fun pid -> Buffer_pool.pin pool pid ~read:false) in
+  let s = Buffer_pool.stats pool in
+  check_bool "overruns counted" true (s.Buffer_pool.overruns > 0);
+  check_bool "over budget while pinned" true (s.Buffer_pool.bytes > s.Buffer_pool.max_bytes);
+  check_int "every pin resident" 12 s.Buffer_pool.pinned_frames;
+  List.iter (Buffer_pool.unpin pool) frames;
+  Buffer_pool.unpin pool (Buffer_pool.pin pool 99 ~read:false);
+  let s' = Buffer_pool.stats pool in
+  check_bool "back under budget" true (s'.Buffer_pool.bytes <= s'.Buffer_pool.max_bytes);
+  check_int "no overrun once unpinned" s.Buffer_pool.overruns s'.Buffer_pool.overruns
 
 let test_bptree_bulk () =
   let ps = small_store () in
@@ -405,13 +430,10 @@ let test_beyond_ram () =
   with_env "LXU_POOL_BYTES" "65536" (fun () ->
       with_dir "beyond" (fun dir ->
           (* Generated XML appended until the document is well past
-             2x the 64 KiB pool: the element index cannot stay
-             resident. *)
+             2x the 64 KiB pool. *)
           let frag seed = Lxu_workload.Generator.generate_text ~seed ~target_elements:80 () in
           let mem = Lazy_db.create ~storage:`Mem () in
-          let paged =
-            Lazy_db.create ~storage:`Paged ~durability:(`Wal dir) ~cache_bytes:0 ()
-          in
+          let paged = Lazy_db.create ~storage:`Paged ~durability:(`Wal dir) () in
           let bytes = ref 0 and seed = ref 0 in
           while !bytes < 160_000 do
             incr seed;
@@ -423,9 +445,7 @@ let test_beyond_ram () =
           let stats = Option.get (Lazy_db.page_stats paged) in
           check_bool "doc exceeds 2x pool budget"
             true
-            (Lazy_db.doc_length paged > 2 * stats.Page_store.pool.Lxu_storage.Buffer_pool.max_bytes);
-          check_bool "pool actually evicted" true
-            (stats.Page_store.pool.Lxu_storage.Buffer_pool.evictions > 0);
+            (Lazy_db.doc_length paged > 2 * stats.Page_store.pool.Buffer_pool.max_bytes);
           (* Planned twig queries agree with the in-memory engine. *)
           let twig db = Path_query.eval_string db "//a//b/c" in
           check_bool "twig matches mem" true (twig mem = twig paged);
@@ -447,6 +467,7 @@ let suite =
   [
     Alcotest.test_case "paged bptree vs Map (random ops)" `Quick test_bptree_differential;
     Alcotest.test_case "paged bptree bulk load + batch merge" `Quick test_bptree_bulk;
+    Alcotest.test_case "pinned pool overruns, never blocks" `Quick test_pool_overrun;
     Alcotest.test_case "checkpoint + reopen" `Quick test_checkpoint_reopen;
     Alcotest.test_case "crash rolls back to checkpoint" `Quick test_crash_rollback;
     Alcotest.test_case "torn page detected by checksum" `Quick test_torn_page_detected;

@@ -1,5 +1,5 @@
 (* Tests for the update log: segment insertion/removal (Figures 5 and
-   7), coordinates, tag-list and element-index maintenance.  The gold
+   7), coordinates, tag-list and element-column maintenance.  The gold
    oracle is materialization: the log must reconstruct exactly the text
    that naive string editing produces, and its derived global element
    labels must match a fresh parse of that text. *)
@@ -140,7 +140,7 @@ let test_insert_errors () =
   Update_log.check log;
   check_int "still empty" 0 (Update_log.segment_count log)
 
-(* --- tag-list and element index ------------------------------------- *)
+(* --- tag-list and element columns ----------------------------------- *)
 
 let test_tag_list_paths () =
   let log = Update_log.create () in
@@ -154,8 +154,8 @@ let test_tag_list_paths () =
   check_bool "path of s2" true (entries.(1).Tag_list.path = [| 0; s1; s2 |]);
   check_int "count of b in s2" 2 entries.(1).Tag_list.count;
   let tid = Option.get (Tag_registry.find (Update_log.registry log) "b") in
-  let elems = Update_log.elements_of log ~tid ~sid:s2 in
-  check_int "b records in s2" 2 (Array.length elems)
+  let elems = Update_log.elements_cols log ~tid ~sid:s2 in
+  check_int "b records in s2" 2 (Er_node.cols_length elems)
 
 let test_unknown_tag () =
   let log = Update_log.create () in
@@ -220,10 +220,10 @@ let test_remove_right_intersection () =
   check_int "s2 gp moved to removal start" 3 n2.Er_node.gp;
   (* The surviving <e/> keeps its virtual label [4,8) inside s2. *)
   let tid = Option.get (Tag_registry.find (Update_log.registry log) "e") in
-  (match Update_log.elements_of log ~tid ~sid:s2 with
-  | [| e |] ->
-    check_int "e virtual start unchanged" 4 e.Element_index.start;
-    check_int "e virtual stop unchanged" 8 e.Element_index.stop
+  (match Update_log.elements_cols log ~tid ~sid:s2 with
+  | { Er_node.starts = [| start |]; stops = [| stop |]; _ } ->
+    check_int "e virtual start unchanged" 4 start;
+    check_int "e virtual stop unchanged" 8 stop
   | _ -> Alcotest.fail "expected exactly one e record")
 
 let test_remove_figure6_combination () =
@@ -526,7 +526,7 @@ let test_lazy_static_removal () =
 
 let test_small_branching_log () =
   (* A tiny B+-tree branching factor forces splits and merges in the
-     SB-tree and element index during ordinary use. *)
+     SB-tree during ordinary use. *)
   let log = Update_log.create ~branching:4 () in
   ignore (Update_log.insert log ~gp:0 "<r></r>");
   for _ = 1 to 40 do
@@ -538,11 +538,28 @@ let test_small_branching_log () =
   Update_log.check log;
   check_int "ten left" 10 (Array.length (Update_log.segments_for_tag log ~tag:"x"))
 
+(* [check] must catch columns that drifted from their skeleton: here
+   one segment's columns are swapped for another's behind the setter's
+   back. *)
+let test_check_catches_stale_columns () =
+  let log = Update_log.create () in
+  let s1 = Update_log.insert log ~gp:0 "<a><b/></a>" in
+  let s2 = Update_log.insert log ~gp:11 "<c/>" in
+  Update_log.check log;
+  let n1 = Update_log.node_of_sid log s1 and n2 = Update_log.node_of_sid log s2 in
+  n1.Er_node.columns <- n2.Er_node.columns;
+  match Update_log.check log with
+  | () -> Alcotest.fail "stale columns accepted"
+  | exception Failure msg ->
+    check_bool "names the columns" true
+      (String.starts_with ~prefix:(Printf.sprintf "segment %d: element columns" s1) msg)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "lazy static removal" `Quick test_lazy_static_removal;
       Alcotest.test_case "small branching log" `Quick test_small_branching_log;
+      Alcotest.test_case "check catches stale columns" `Quick test_check_catches_stale_columns;
     ]
 
 (* Oracle with attribute indexing on: attribute records must track the

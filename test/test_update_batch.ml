@@ -11,9 +11,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Query-visible state plus the raw element index: document text,
-   counts, every (tid, sid, start, stop, level) key in index order,
-   and the full all-pairs join output over [tags] on both axes.
+(* Query-visible state plus the raw element store: document text,
+   counts, every (tid, sid, start, stop, level) of the segments'
+   columns in that order, and the full all-pairs join output over
+   [tags] on both axes.
    Equality of two fingerprints means the two databases cannot be told
    apart by any supported query. *)
 let fingerprint ~tags db =
@@ -22,9 +23,18 @@ let fingerprint ~tags db =
   Printf.bprintf b "|elems=%d|segs=%d" (Lazy_db.element_count db) (Lazy_db.segment_count db);
   (match Lazy_db.log db with
   | Some log ->
-    Element_index.iter_all (Update_log.element_index log) (fun k ->
-        Printf.bprintf b "|%d,%d,%d,%d,%d" k.Element_index.tid k.Element_index.sid
-          k.Element_index.start k.Element_index.stop k.Element_index.level)
+    let keys = ref [] in
+    Er_node.iter_subtree (Update_log.root log) (fun n ->
+        Er_node.iter_columns n (fun tid c ->
+            for i = 0 to Er_node.cols_length c - 1 do
+              keys :=
+                (tid, n.Er_node.sid, c.Er_node.starts.(i), c.Er_node.stops.(i), c.Er_node.levels.(i))
+                :: !keys
+            done));
+    List.iter
+      (fun (tid, sid, start, stop, level) ->
+        Printf.bprintf b "|%d,%d,%d,%d,%d" tid sid start stop level)
+      (List.sort compare !keys)
   | None -> ());
   List.iter
     (fun anc ->
