@@ -112,33 +112,55 @@ let gp_table t =
   fun sid -> Hashtbl.find table sid
 
 (* From-scratch path synopsis of an ER-tree: the incremental oracle
-   (used by [load], [check] and the tests).  Context chains come from
-   the current skeletons with the same strict-containment predicate
-   insertion uses; pre-order traversal guarantees a parent's chain is
-   recorded before its children need it. *)
+   (used by [load], [check] and the tests).  A child's context chain is
+   its parent's chain plus the parent elements strictly containing the
+   child's lp ([start < lp < stop], the predicate insertion uses).
+   Children are lp-sorted and the skeleton is start-sorted and properly
+   nested, so one ancestor stack swept along the children yields every
+   child's containing elements in O(parent elements + children): the
+   stack holds the open elements, innermost on top, and an element
+   whose stop is at or before the current lp can never contain a later
+   child.  ([Er_node.check] rejects trees breaking either order, so a
+   hostile snapshot fails [load] whatever this returns for it.)
+   Segments are registered in pre-order, as an [iter_subtree] walk
+   would. *)
 let synopsis_of_tree (root : Er_node.t) =
   let open Er_node in
   let syn = Path_synopsis.create () in
-  let ctxs = Hashtbl.create 64 in
-  Hashtbl.add ctxs root.sid [||];
-  Er_node.iter_subtree root (fun n ->
-      if not (is_root n) then begin
-        let parent = match n.parent with Some p -> p | None -> root in
-        let pctx = try Hashtbl.find ctxs parent.sid with Not_found -> [||] in
-        let own =
-          Vec.fold_left
-            (fun acc (e : elem) ->
-              if e.start < n.lp && e.stop > n.lp then e.tid :: acc else acc)
-            [] parent.elems
-        in
-        let ctx =
-          match own with
-          | [] -> pctx
-          | _ -> Array.append pctx (Array.of_list (List.rev own))
-        in
-        Hashtbl.add ctxs n.sid ctx;
-        Path_synopsis.add_segment syn ~sid:n.sid ~ctx_tids:ctx ~elems:n.elems
-      end);
+  let stack = Vec.create () in
+  let pop_until x =
+    while (not (Vec.is_empty stack)) && (Vec.last stack).stop <= x do
+      ignore (Vec.pop stack)
+    done
+  in
+  let rec visit (n : Er_node.t) pctx =
+    let children = Vec.to_array n.children in
+    Vec.clear stack;
+    let next = ref 0 in
+    let ctxs =
+      Array.map
+        (fun (c : Er_node.t) ->
+          while !next < Vec.length n.elems && (Vec.get n.elems !next).start < c.lp do
+            let e = Vec.get n.elems !next in
+            pop_until e.start;
+            Vec.push stack e;
+            incr next
+          done;
+          pop_until c.lp;
+          let np = Array.length pctx in
+          if Vec.is_empty stack then pctx
+          else
+            Array.init (np + Vec.length stack) (fun i ->
+                if i < np then pctx.(i) else (Vec.get stack (i - np)).tid))
+        children
+    in
+    Array.iteri
+      (fun i (c : Er_node.t) ->
+        Path_synopsis.add_segment syn ~sid:c.sid ~ctx_tids:ctxs.(i) ~elems:c.elems;
+        visit c ctxs.(i))
+      children
+  in
+  visit root [||];
   syn
 
 let synopsis_rebuilt t = synopsis_of_tree t.root
@@ -679,15 +701,26 @@ let check t =
       (Printf.sprintf "element counter says %d, skeleton walk says %d" t.live_elements
          (element_count_walk t));
   (* Tag-list counts agree with the skeletons (sorting first: LS lists
-     may be dirty, and sorting does not change their contents). *)
+     may be dirty, and sorting does not change their contents); on the
+     way, every element's tag is registered and no live sid has
+     reached [next_sid]. *)
   Tag_list.sort_all t.tag_list ~gp_of:(gp_table t);
   let counts = Hashtbl.create 64 in
+  let n_tags = Tag_registry.count t.registry in
+  let max_sid = ref 0 in
   Er_node.iter_subtree t.root (fun n ->
+      if n.Er_node.sid > !max_sid then max_sid := n.Er_node.sid;
       Vec.iter
         (fun (e : Er_node.elem) ->
+          if e.Er_node.tid < 0 || e.Er_node.tid >= n_tags then
+            failwith
+              (Printf.sprintf "segment %d: element tag id %d outside the %d-tag registry"
+                 n.Er_node.sid e.Er_node.tid n_tags);
           let key = (e.Er_node.tid, n.Er_node.sid) in
           Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
         n.Er_node.elems);
+  if t.next_sid <= !max_sid then
+    failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->
@@ -775,38 +808,47 @@ let freeze t =
    Everything needed to reproduce behaviour exactly is stored:
    segments in pre-order with their immutable virtual data (text, lp,
    base level, elements, tombstones) plus current gp/len; derived
-   structures are rebuilt on load. *)
+   structures are rebuilt on load.  The payload ends with a trailer
+   line [crc <8 hex digits>], the CRC-32 of every byte before it:
+   segment texts are stored raw, so without it a flipped byte would
+   load as a different document. *)
 
-let snapshot_magic = "LAZYXML-SNAPSHOT-1"
+let snapshot_magic = "LAZYXML-SNAPSHOT-2"
 
 let save t oc =
   let open Er_node in
-  Printf.fprintf oc "%s\n" snapshot_magic;
-  Printf.fprintf oc "mode %s\n"
-    (match t.mode with Lazy_dynamic -> "LD" | Lazy_static -> "LS");
-  Printf.fprintf oc "attrs %b\n" t.index_attributes;
-  Printf.fprintf oc "next_sid %d\n" t.next_sid;
-  Printf.fprintf oc "tags %d\n" (Tag_registry.count t.registry);
+  (* Written piece by piece, checksummed on the way: no payload-sized
+     buffer, so a checkpoint allocates nothing for the major heap. *)
+  let crc = ref 0 in
+  let emit s =
+    output_string oc s;
+    crc := Lxu_storage_core.Crc32.update !crc s ~pos:0 ~len:(String.length s)
+  in
+  let line fmt = Printf.ksprintf emit fmt in
+  line "%s\n" snapshot_magic;
+  line "mode %s\n" (match t.mode with Lazy_dynamic -> "LD" | Lazy_static -> "LS");
+  line "attrs %b\n" t.index_attributes;
+  line "next_sid %d\n" t.next_sid;
+  line "tags %d\n" (Tag_registry.count t.registry);
   for tid = 0 to Tag_registry.count t.registry - 1 do
-    Printf.fprintf oc "%s\n" (Tag_registry.name t.registry tid)
+    line "%s\n" (Tag_registry.name t.registry tid)
   done;
   let count = ref 0 in
   iter_subtree t.root (fun _ -> incr count);
-  Printf.fprintf oc "segments %d\n" (!count - 1);
+  line "segments %d\n" (!count - 1);
   iter_subtree t.root (fun n ->
       if not (is_root n) then begin
         let parent_sid =
           match n.parent with Some p -> p.sid | None -> failwith "orphan segment"
         in
-        Printf.fprintf oc "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid n.gp n.len
-          n.lp n.base_level n.orig_len (Vec.length n.tombstones) (Vec.length n.elems);
-        output_string oc n.text;
-        output_char oc '\n';
-        Vec.iter (fun (a, b) -> Printf.fprintf oc "t %d %d\n" a b) n.tombstones;
-        Vec.iter
-          (fun (e : elem) -> Printf.fprintf oc "e %d %d %d %d\n" e.start e.stop e.level e.tid)
-          n.elems
-      end)
+        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid n.gp n.len n.lp n.base_level
+          n.orig_len (Vec.length n.tombstones) (Vec.length n.elems);
+        emit n.text;
+        emit "\n";
+        Vec.iter (fun (a, b) -> line "t %d %d\n" a b) n.tombstones;
+        Vec.iter (fun (e : elem) -> line "e %d %d %d %d\n" e.start e.stop e.level e.tid) n.elems
+      end);
+  Printf.fprintf oc "crc %08x\n" !crc
 
 let full_check = check
 
@@ -814,26 +856,68 @@ let load ?(backend = Storage_backend.Mem) ic =
   let open Er_node in
   (* Every refusal is a [Failure] naming the byte offset — callers
      (Lazy_db.load, Recovery.read_snapshot) prepend the file path.
-     Nothing in here may escape as End_of_file or Invalid_argument:
-     a truncated or hostile snapshot must never look like a crash. *)
+     Nothing in here may escape as End_of_file, Invalid_argument or
+     Out_of_memory: a truncated or hostile snapshot must never look
+     like a crash.  Two passes over the (seekable) channel: the first
+     verifies the checksum trailer, the second parses, bounding every
+     count and length by the payload bytes left before it allocates.
+     Neither holds the whole file in memory. *)
+  let base = pos_in ic in
   let fail fmt =
     Printf.ksprintf
       (fun msg -> failwith (Printf.sprintf "%s (snapshot byte %d)" msg (pos_in ic)))
       fmt
   in
   let line () = try input_line ic with End_of_file -> fail "snapshot truncated" in
+  (match line () with
+  | m when m = snapshot_magic -> ()
+  | "LAZYXML-SNAPSHOT-1" ->
+    fail "snapshot format 1 (no checksum) is no longer supported; re-save it"
+  | _ -> fail "not a lazy-xml snapshot");
+  (* Trailer: the last 13 bytes, [crc XXXXXXXX\n] (lowercase hex), over
+     every byte before it. *)
+  let limit = in_channel_length ic - 13 in
+  if limit < pos_in ic then fail "snapshot truncated (no checksum trailer)";
+  seek_in ic limit;
+  let trailer = really_input_string ic 13 in
+  let hex = String.sub trailer 4 8 in
+  if not
+       (String.sub trailer 0 4 = "crc "
+       && trailer.[12] = '\n'
+       && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) hex)
+  then fail "snapshot truncated (no checksum trailer)";
+  let stored = int_of_string ("0x" ^ hex) in
+  seek_in ic base;
+  let chunk = Bytes.create 65536 in
+  let rec crc_to acc =
+    let want = min (Bytes.length chunk) (limit - pos_in ic) in
+    if want = 0 then acc
+    else begin
+      really_input ic chunk 0 want;
+      (* The chunk is not mutated while [update] reads it. *)
+      crc_to (Lxu_storage_core.Crc32.update acc (Bytes.unsafe_to_string chunk) ~pos:0 ~len:want)
+    end
+  in
+  let actual = crc_to 0 in
+  if stored <> actual then
+    fail "snapshot checksum mismatch (stored %08x, computed %08x)" stored actual;
+  seek_in ic base;
+  let left () = limit - pos_in ic in
   let scan fmt k =
     let l = line () in
     (* Scanf signals a line that ends mid-format with End_of_file. *)
     try Scanf.sscanf l fmt k
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad snapshot line: %s" l
   in
-  let input_exactly n what =
-    if n < 0 then fail "negative %s length %d" what n;
-    try really_input_string ic n
-    with End_of_file -> fail "snapshot truncated reading %d-byte %s" n what
+  (* Each counted record takes at least one byte, so a count above the
+     bytes left is a lie — refuse it before allocating for it. *)
+  let bounded n what =
+    if n < 0 then fail "negative %s %d" what n;
+    if n > left () then fail "%s %d exceeds the %d bytes left" what n (left ());
+    n
   in
-  if line () <> snapshot_magic then fail "not a lazy-xml snapshot";
+  let input_exactly n what = really_input_string ic (bounded n what) in
+  ignore (line ());
   let mode =
     scan "mode %s" (function
       | "LD" -> Lazy_dynamic
@@ -844,13 +928,12 @@ let load ?(backend = Storage_backend.Mem) ic =
   let next_sid = scan "next_sid %d" Fun.id in
   let t = create ~mode ~index_attributes ~backend () in
   t.next_sid <- next_sid;
-  let tag_count = scan "tags %d" Fun.id in
+  let tag_count = bounded (scan "tags %d" Fun.id) "tag count" in
   for expected = 0 to tag_count - 1 do
     let tid = Tag_registry.intern t.registry (line ()) in
     if tid <> expected then fail "tag table out of order"
   done;
-  let seg_count = scan "segments %d" Fun.id in
-  if seg_count < 0 then fail "negative segment count %d" seg_count;
+  let seg_count = bounded (scan "segments %d" Fun.id) "segment count" in
   let by_sid = Hashtbl.create (seg_count + 1) in
   Hashtbl.add by_sid 0 t.root;
   for _ = 1 to seg_count do
@@ -858,18 +941,18 @@ let load ?(backend = Storage_backend.Mem) ic =
       scan "seg %d %d %d %d %d %d %d %d %d" (fun a b c d e f g h i ->
           (a, b, c, d, e, f, g, h, i))
     in
-    if n_tomb < 0 || n_elems < 0 then fail "negative record count in segment %d" sid;
-    let text = input_exactly orig_len "segment text" in
-    (match input_char ic with
-    | '\n' -> ()
-    | _ -> fail "missing newline after segment text"
-    | exception End_of_file -> fail "snapshot truncated");
+    if Hashtbl.mem by_sid sid then fail "segment sid %d appears twice" sid;
+    let text = input_exactly orig_len "segment text length" in
+    if left () < 1 || input_char ic <> '\n' then fail "missing newline after segment text";
     let tombs =
-      List.init n_tomb (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
+      List.init (bounded n_tomb "tombstone count") (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
     in
     let elems =
-      List.init n_elems (fun _ ->
-          scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }))
+      List.init (bounded n_elems "element count") (fun _ ->
+          let e = scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }) in
+          if e.tid < 0 || e.tid >= tag_count then
+            fail "segment %d: element tag id %d outside the %d-tag table" sid e.tid tag_count;
+          e)
     in
     let node = Er_node.make ~sid ~gp ~lp ~base_level ~text ~elems in
     node.len <- len;
@@ -883,6 +966,7 @@ let load ?(backend = Storage_backend.Mem) ic =
     Vec.push parent.children node;
     Hashtbl.add by_sid sid node
   done;
+  if left () <> 0 then fail "%d unparsed bytes before the checksum trailer" (left ());
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;

@@ -148,7 +148,8 @@ val synopsis : t -> Path_synopsis.t
 val synopsis_rebuilt : t -> Path_synopsis.t
 (** From-scratch synopsis rebuilt off the current segment skeletons —
     the incremental-maintenance oracle ({!check} asserts the two agree;
-    exposed for the tests). *)
+    exposed for the tests).  O(segments + elements): one ancestor-stack
+    sweep per parent hands every child its context chain. *)
 
 val materialize : t -> string
 (** Reconstructs the full super-document text from the ER-tree — the
@@ -185,23 +186,34 @@ val freeze : t -> t
 val is_frozen : t -> bool
 
 val check : t -> unit
-(** Full invariant check across the ER-tree, element columns, SB-tree
-    and tag-list: every segment's columns equal its tag-filtered
-    skeleton and {!element_count} equals the skeleton walk (test
-    helper, and run by every {!load}). @raise Failure on violation. *)
+(** Full invariant check across the ER-tree, element columns, SB-tree,
+    tag-list and path synopsis: every segment's columns equal its
+    tag-filtered skeleton, {!element_count} equals the skeleton walk,
+    every element's tag id is in the registry, the next sid is above
+    every live sid, and the synopsis equals a from-scratch
+    {!synopsis_rebuilt} (test helper, and run by every {!load}).
+    @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit
 (** Serializes the complete log — segment tree with virtual
     coordinates, tombstones, element skeletons, tag registry — so a
     {!load} restores byte-identical behaviour, including local labels
-    (a re-chop of the materialized text would assign new ones). *)
+    (a re-chop of the materialized text would assign new ones).  The
+    payload ends with a [crc <8 hex digits>] line: the CRC-32 of
+    every byte before it. *)
 
 val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
-(** Restores a log written by {!save}; derived structures (element
-    columns, SB-tree, tag lists) are rebuilt from the segment data and
-    then cross-checked by {!check}.  [backend] is where the SB-tree
-    goes; it is rebuilt there even when [attach] is set.
-    @raise Failure on a malformed or incompatible snapshot. *)
+(** Restores a log written by {!save} from the channel's position to
+    its end; the channel must be seekable (a file).  The checksum
+    trailer is verified in a first pass before anything is parsed, and
+    every count and length is bounded by the bytes left before it is
+    allocated.  Derived structures (element columns, SB-tree, tag
+    lists, path synopsis) are rebuilt from the segment data in time
+    linear in the snapshot and then cross-checked by {!check}.
+    [backend] is where the SB-tree goes; it is rebuilt there even when
+    [attach] is set.
+    @raise Failure on a malformed, damaged or incompatible snapshot
+    (including the checksum-less format 1); never another exception. *)
 
 (** {1 Fragmentation statistics}
 

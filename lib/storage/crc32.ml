@@ -7,15 +7,17 @@ let table =
          done;
          !c))
 
-let sub s ~pos ~len =
+let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.sub: range out of bounds";
+    invalid_arg "Crc32: range out of bounds";
   let t = Lazy.force table in
-  let crc = ref 0xFFFFFFFF in
+  let crc = ref (crc lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     crc := t.((!crc lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
+
+let sub s ~pos ~len = update 0 s ~pos ~len
 
 let string s = sub s ~pos:0 ~len:(String.length s)
 

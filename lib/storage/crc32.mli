@@ -10,6 +10,13 @@ val sub : string -> pos:int -> len:int -> int
 val string : string -> int
 (** Checksum of the whole string. *)
 
+val update : int -> string -> pos:int -> len:int -> int
+(** [update crc s ~pos ~len] extends checksum [crc] of some bytes with
+    the range [pos, pos+len) of [s]: [update (string a) b ~pos:0
+    ~len:(String.length b) = string (a ^ b)], and [update 0] is
+    {!sub}.  For checksumming a stream written piece by piece.
+    @raise Invalid_argument on an out-of-bounds range. *)
+
 val bytes_sub : bytes -> pos:int -> len:int -> int
 (** Checksum of a byte range of a mutable buffer (no copy; the buffer
     must not be mutated concurrently).

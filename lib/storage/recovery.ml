@@ -126,35 +126,72 @@ let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
   let last_lsn = ref snapshot_lsn in
   (* End offset of the last record kept; replay failure truncates to it. *)
   let prev_end = ref Wal.header_bytes in
+  let kept (r : Wal.record) =
+    incr applied;
+    last_lsn := r.Wal.lsn;
+    prev_end := r.Wal.end_off
+  in
+  (* A record that passes the checksum but cannot replay is corruption
+     all the same: keep everything before it. *)
+  let failed (r : Wal.record) e =
+    note := Some (Printf.sprintf "replay of lsn %d failed: %s" r.Wal.lsn (Printexc.to_string e));
+    valid := !prev_end;
+    raise Exit
+  in
+  let replay_one (r : Wal.record) =
+    match replay ?pstore !log r.Wal.op with
+    | l ->
+      log := l;
+      kept r
+    | exception e -> failed r e
+  in
+  (* A maximal run of consecutive inserts replays as one
+     [Update_log.insert_batch]: one SB-tree batch and one tag-list
+     merge instead of one of each per record, with the same resulting
+     log.  The batch validates every edit before it mutates anything,
+     so when it refuses the run the log is untouched and the run
+     replays record by record, which pins the failure on the exact
+     LSN.  Anything else raised mid-batch (a storage fault) is charged
+     to the run's first record, which keeps only the records before
+     the run. *)
+  let flush_run = function
+    | [] -> ()
+    | [ (r, _) ] -> replay_one r
+    | run -> (
+      let records, edits = List.split (List.rev run) in
+      match Update_log.insert_batch !log edits with
+      | _ -> List.iter kept records
+      | exception (Invalid_argument _ | Lxu_xml.Parser.Parse_error _) ->
+        List.iter replay_one records
+      | exception e -> failed (List.hd records) e)
+  in
   (try
-     List.iter
-       (fun (r : Wal.record) ->
-         if r.Wal.lsn <= snapshot_lsn then begin
-           incr skipped;
-           prev_end := r.Wal.end_off
-         end
-         else if r.Wal.lsn > upto_lsn then
-           (* Point-in-time restore: the record is valid but beyond the
-              requested LSN.  Not corruption — just history the caller
-              does not want. *)
-           incr skipped
-         else begin
-           match replay ?pstore !log r.Wal.op with
-           | l ->
-             log := l;
-             incr applied;
-             last_lsn := r.Wal.lsn;
-             prev_end := r.Wal.end_off
-           | exception e ->
-             (* A record that passes the checksum but cannot replay is
-                corruption all the same: keep everything before it. *)
-             note :=
-               Some
-                 (Printf.sprintf "replay of lsn %d failed: %s" r.Wal.lsn (Printexc.to_string e));
-             valid := !prev_end;
-             raise Exit
-         end)
-       scan.Wal.records
+     let run =
+       List.fold_left
+         (fun run (r : Wal.record) ->
+           if r.Wal.lsn <= snapshot_lsn then begin
+             incr skipped;
+             prev_end := r.Wal.end_off;
+             run
+           end
+           else if r.Wal.lsn > upto_lsn then begin
+             (* Point-in-time restore: the record is valid but beyond
+                the requested LSN.  Not corruption — just history the
+                caller does not want. *)
+             flush_run run;
+             incr skipped;
+             []
+           end
+           else
+             match r.Wal.op with
+             | Wal.Insert { gp; text } -> (r, (gp, text)) :: run
+             | _ ->
+               flush_run run;
+               replay_one r;
+               [])
+         [] scan.Wal.records
+     in
+     flush_run run
    with Exit -> ());
   ( !log,
     {

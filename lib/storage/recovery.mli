@@ -23,7 +23,8 @@ type report = {
 
 val write_snapshot : path:string -> lsn:int -> Lxu_seglog.Update_log.t -> unit
 (** Writes ["LXUCKPT1 lsn <n>"] followed by the
-    {!Lxu_seglog.Update_log.save} payload, via the full atomic-rename
+    {!Lxu_seglog.Update_log.save} payload (checksummed by its own
+    CRC-32 trailer), via the full atomic-rename
     protocol: temp file, file fsync, rename into place, directory
     fsync.  A crash at any point leaves either the previous snapshot
     or the new one, durably — never a torn file, and never a rename
@@ -64,6 +65,13 @@ val recover_bytes :
     from; without it replay starts from an empty log configured by
     the WAL header.  The [base] log is mutated in place (pass a
     private copy).
+
+    Each maximal run of consecutive [Insert] records replays as one
+    {!Lxu_seglog.Update_log.insert_batch} (one SB-tree batch and one
+    tag-list merge per run), which yields the same log as replaying
+    them one by one.  A run the batch refuses replays record by
+    record, so a record that cannot replay is still reported by its
+    own LSN with everything before it kept.
 
     [upto_lsn] (default: everything) is the point-in-time restore
     bound: valid records with a higher LSN are skipped, not treated as

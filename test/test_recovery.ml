@@ -179,6 +179,75 @@ let test_error_paths () =
       | exception Failure msg -> check_bool "load names path" true (contains ~needle:path msg)
       | _ -> Alcotest.fail "junk snapshot accepted")
 
+(* Replay applies each run of consecutive inserts as one batch.  A
+   checksum-valid insert that cannot replay, in the middle of a run,
+   must still be pinned exactly: the records before it kept, the
+   failure named by its LSN, the WAL cut at its first byte. *)
+let test_bad_insert_mid_run () =
+  let good_before =
+    [ Wal.Insert { gp = 0; text = "<r></r>" }; Wal.Insert { gp = 3; text = "<a/>" };
+      Wal.Insert { gp = 3; text = "<b>t</b>" } ]
+  in
+  let good_after = [ Wal.Insert { gp = 3; text = "<c/>" }; Wal.Insert { gp = 0; text = "<d/>" } ] in
+  List.iter
+    (fun (what, bad) ->
+      with_dir "badrun" (fun dir ->
+          let st =
+            Wal_store.fresh ~dir ~mode:Lxu_seglog.Update_log.Lazy_dynamic
+              ~index_attributes:false
+          in
+          List.iter (Wal_store.log_op st) (good_before @ [ bad ] @ good_after);
+          Wal_store.close st;
+          let wal = Wal_store.wal_path dir in
+          let records = (Wal.scan (read_file wal)).Wal.records in
+          check_int (what ^ ": records written") 6 (List.length records);
+          let bad_start = (List.nth records 2).Wal.end_off in
+          let db, report = Lazy_db.recover dir in
+          check_string (what ^ ": state before the bad record") "<r><b>t</b><a/></r>"
+            (Lazy_db.text db);
+          check_int (what ^ ": records applied") 3 report.Recovery.records_applied;
+          check_int (what ^ ": last lsn") 3 report.Recovery.last_lsn;
+          check_int (what ^ ": valid bytes end at the bad record") bad_start
+            report.Recovery.valid_bytes;
+          (match report.Recovery.corruption with
+          | Some note ->
+            check_bool (what ^ ": note names lsn 4") true
+              (contains ~needle:"replay of lsn 4 failed" note)
+          | None -> Alcotest.failf "%s: no corruption reported" what);
+          Lazy_db.check db;
+          Lazy_db.close db;
+          check_int (what ^ ": wal truncated at the bad record") bad_start
+            (String.length (read_file wal))))
+    [
+      ("gp out of bounds", Wal.Insert { gp = 10_000; text = "<x/>" });
+      ("ill-formed fragment", Wal.Insert { gp = 3; text = "<x>" });
+    ]
+
+(* Point-in-time restore to an LSN inside a run of inserts stops
+   exactly there. *)
+let test_restore_mid_run () =
+  with_dir "pitr_run" (fun dir ->
+      let db = Lazy_db.create ~durability:(`Wal dir) () in
+      Lazy_db.insert db ~gp:0 "<r></r>";
+      let texts = ref [ Lazy_db.text db ] in
+      List.iter
+        (fun frag ->
+          Lazy_db.insert db ~gp:3 frag;
+          texts := Lazy_db.text db :: !texts)
+        [ "<a/>"; "<b/>"; "<c>t</c>"; "<d/>"; "<e/>" ];
+      Lazy_db.close db;
+      let texts = Array.of_list (List.rev !texts) in
+      let n = Array.length texts in
+      for lsn = 1 to n do
+        let db', report = Lazy_db.restore_to ~lsn dir in
+        check_string (Printf.sprintf "state at lsn %d" lsn) texts.(lsn - 1) (Lazy_db.text db');
+        check_int "records applied" lsn report.Recovery.records_applied;
+        check_int "last lsn" lsn report.Recovery.last_lsn;
+        check_int "later records skipped" (n - lsn) report.Recovery.records_skipped;
+        check_bool "not corruption" true (report.Recovery.corruption = None);
+        Lazy_db.check db'
+      done)
+
 let suite =
   [
     Alcotest.test_case "durable roundtrip" `Quick test_durable_roundtrip;
@@ -189,4 +258,6 @@ let suite =
     Alcotest.test_case "load with durability" `Quick test_load_with_durability;
     Alcotest.test_case "quick crash matrix" `Quick test_quick_matrix;
     Alcotest.test_case "error paths name files" `Quick test_error_paths;
+    Alcotest.test_case "bad insert mid-run pinned" `Quick test_bad_insert_mid_run;
+    Alcotest.test_case "restore_to inside an insert run" `Quick test_restore_mid_run;
   ]

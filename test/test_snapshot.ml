@@ -9,6 +9,11 @@ let check_string = Alcotest.(check string)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("lazyxml_test_" ^ name)
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let build_sample () =
   let db = Lazy_db.create ~index_attributes:true () in
   Lazy_db.insert db ~gp:0 "<lib></lib>";
@@ -114,11 +119,6 @@ let test_malformed_snapshot_sweep () =
     write s;
     match Lazy_db.load path with
     | exception Failure msg ->
-      let contains ~needle hay =
-        let n = String.length needle and h = String.length hay in
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      in
       check_bool
         (Printf.sprintf "%s: %S names the file" what msg)
         true
@@ -140,6 +140,156 @@ let test_malformed_snapshot_sweep () =
   attempt ~what:"garbage header" "LXUSNAP1 garbage\n";
   Sys.remove path
 
+(* Hostile snapshots carry a valid checksum (a checksum only guards
+   against damage, not against a writer), so each one is a saved
+   payload with one line rewritten and the trailer recomputed.  The
+   oracle is the sweep's: a [Failure] naming the file, or a loaded
+   state that is intact. *)
+let saved_payload db =
+  let path = tmp "payload" in
+  Lazy_db.save db path;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (* Drop the 13-byte [crc XXXXXXXX\n] trailer. *)
+  String.sub bytes 0 (String.length bytes - 13)
+
+let seal payload = payload ^ Printf.sprintf "crc %08x\n" (Lxu_storage.Crc32.string payload)
+
+(* Rewrites the [nth] line (from 0) starting with [prefix]. *)
+let rewrite_line ?(nth = 0) payload ~prefix f =
+  let lines = String.split_on_char '\n' payload in
+  let seen = ref (-1) in
+  let hit = ref false in
+  let lines =
+    List.map
+      (fun l ->
+        if String.starts_with ~prefix l then begin
+          incr seen;
+          if !seen = nth then begin
+            hit := true;
+            f l
+          end
+          else l
+        end
+        else l)
+      lines
+  in
+  if not !hit then Alcotest.failf "no line %d starting with %S" nth prefix;
+  String.concat "\n" lines
+
+(* [seg sid parent gp len lp base orig_len n_tomb n_elems] with field
+   [i] (0 = sid) replaced. *)
+let set_seg_field i v l =
+  match String.split_on_char ' ' l with
+  | "seg" :: fields ->
+    String.concat " " ("seg" :: List.mapi (fun j f -> if j = i then v else f) fields)
+  | _ -> Alcotest.failf "not a seg line: %S" l
+
+(* The sweep's oracle, then [refused]: the load must have failed. *)
+let expect_refused ~what path bytes ~reference =
+  let oc = open_out_bin path in
+  output_string oc bytes;
+  close_out oc;
+  match Lazy_db.load path with
+  | exception Failure msg ->
+    check_bool (Printf.sprintf "%s: %S names the file" what msg) true (contains ~needle:path msg)
+  | exception e -> Alcotest.failf "%s: raised %s, not Failure" what (Printexc.to_string e)
+  | db' ->
+    check_string (what ^ ": loaded state intact") reference (Lazy_db.text db');
+    Alcotest.failf "%s: loaded" what
+
+let test_hostile_snapshots () =
+  let db = build_sample () in
+  let reference = Lazy_db.text db in
+  let payload = saved_payload db in
+  let path = tmp "hostile" in
+  let attempt what p = expect_refused ~what path (seal p) ~reference in
+  (* The untouched payload resealed loads: the helpers are sound. *)
+  let write bytes =
+    let oc = open_out_bin path in
+    output_string oc bytes;
+    close_out oc
+  in
+  write (seal payload);
+  check_string "resealed original loads" reference (Lazy_db.text (Lazy_db.load path));
+  (* Counts and lengths far beyond the file. *)
+  attempt "segments 10^15"
+    (rewrite_line payload ~prefix:"segments " (fun _ -> "segments 1000000000000000"));
+  attempt "tags 10^15" (rewrite_line payload ~prefix:"tags " (fun _ -> "tags 1000000000000000"));
+  attempt "text length 10^15"
+    (rewrite_line payload ~prefix:"seg " (set_seg_field 6 "1000000000000000"));
+  attempt "element count 10^15"
+    (rewrite_line payload ~prefix:"seg " (set_seg_field 8 "1000000000000000"));
+  attempt "tombstone count 10^15"
+    (rewrite_line payload ~prefix:"seg " (set_seg_field 7 "1000000000000000"));
+  (* A repeated sid: the second segment claims the first one's sid. *)
+  let first_sid =
+    let l = List.find (String.starts_with ~prefix:"seg ") (String.split_on_char '\n' payload) in
+    List.nth (String.split_on_char ' ' l) 1
+  in
+  attempt "repeated sid" (rewrite_line ~nth:1 payload ~prefix:"seg " (set_seg_field 0 first_sid));
+  (* Element tag ids outside the tag table. *)
+  let tags =
+    let l = List.find (String.starts_with ~prefix:"tags ") (String.split_on_char '\n' payload) in
+    Scanf.sscanf l "tags %d" Fun.id
+  in
+  let set_tid v l =
+    match String.split_on_char ' ' l with
+    | [ "e"; a; b; c; _ ] -> String.concat " " [ "e"; a; b; c; v ]
+    | _ -> Alcotest.failf "not an element line: %S" l
+  in
+  attempt "tid = tag count" (rewrite_line payload ~prefix:"e " (set_tid (string_of_int tags)));
+  attempt "tid 10^15" (rewrite_line payload ~prefix:"e " (set_tid "1000000000000000"));
+  attempt "negative tid" (rewrite_line payload ~prefix:"e " (set_tid "-1"));
+  (* next_sid at or below a stored sid. *)
+  attempt "next_sid 1" (rewrite_line payload ~prefix:"next_sid " (fun _ -> "next_sid 1"));
+  attempt "next_sid = max sid"
+    (rewrite_line payload ~prefix:"next_sid " (fun l ->
+         Printf.sprintf "next_sid %d" (Scanf.sscanf l "next_sid %d" Fun.id - 1)));
+  (* The previous format, checksum-less, is refused by its magic. *)
+  attempt "format 1"
+    (rewrite_line payload ~prefix:"LAZYXML-SNAPSHOT-" (fun _ -> "LAZYXML-SNAPSHOT-1"));
+  expect_refused ~what:"format 1, no trailer" path
+    (rewrite_line payload ~prefix:"LAZYXML-SNAPSHOT-" (fun _ -> "LAZYXML-SNAPSHOT-1"))
+    ~reference;
+  (* Bytes after the last segment, inside the checksummed payload. *)
+  attempt "trailing garbage" (payload ^ "e 0 1 0 0\n");
+  Sys.remove path
+
+(* The checksum: a flipped byte anywhere in the file — segment text
+   included, where the parser cannot see it — is refused. *)
+let test_flipped_bytes () =
+  let db = build_sample () in
+  let reference = Lazy_db.text db in
+  let path = tmp "flip" in
+  Lazy_db.save db path;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let flip i mask =
+    let b = Bytes.of_string bytes in
+    Bytes.set b i (Char.chr (Char.code bytes.[i] lxor mask));
+    Bytes.to_string b
+  in
+  for i = 0 to String.length bytes - 1 do
+    List.iter
+      (fun mask ->
+        let what = Printf.sprintf "byte %d xor %#x" i mask in
+        expect_refused ~what path (flip i mask) ~reference)
+      [ 0x01; 0x20; 0x80 ]
+  done;
+  (* The motivating case: one letter of segment text. *)
+  let i =
+    let rec find k = if String.sub bytes k 4 = "t&am" then k else find (k + 1) in
+    find 0
+  in
+  expect_refused ~what:"t&amp; -> J&amp;" path
+    (String.mapi (fun k c -> if k = i then 'J' else c) bytes)
+    ~reference;
+  Sys.remove path
+
 let test_empty_db_roundtrip () =
   let db = Lazy_db.create () in
   let path = tmp "empty" in
@@ -158,6 +308,8 @@ let suite =
     Alcotest.test_case "LS mode roundtrip" `Quick test_ls_mode_roundtrip;
     Alcotest.test_case "malformed rejected" `Quick test_malformed_snapshot;
     Alcotest.test_case "malformed sweep" `Quick test_malformed_snapshot_sweep;
+    Alcotest.test_case "hostile snapshots refused" `Quick test_hostile_snapshots;
+    Alcotest.test_case "flipped bytes refused" `Quick test_flipped_bytes;
     Alcotest.test_case "empty roundtrip" `Quick test_empty_db_roundtrip;
   ]
 

@@ -30,6 +30,19 @@ let sample_wal () =
 
 (* --- crc32 ------------------------------------------------------------ *)
 
+(* Checksumming a stream piece by piece gives the checksum of the
+   whole: split the check string at every point. *)
+let test_crc_update () =
+  let s = "123456789" in
+  for k = 0 to String.length s do
+    let a = String.sub s 0 k and b = String.sub s k (String.length s - k) in
+    Alcotest.(check int)
+      (Printf.sprintf "split at %d" k)
+      0xCBF43926
+      (Crc32.update (Crc32.string a) b ~pos:0 ~len:(String.length b))
+  done;
+  Alcotest.(check int) "update 0 = sub" (Crc32.sub s ~pos:2 ~len:5) (Crc32.update 0 s ~pos:2 ~len:5)
+
 let test_crc_vectors () =
   (* The IEEE 802.3 check value. *)
   Alcotest.(check int) "check value" 0xCBF43926 (Crc32.string "123456789");
@@ -229,6 +242,7 @@ let test_random_fault_deterministic () =
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc_vectors;
+    Alcotest.test_case "crc32 update chains" `Quick test_crc_update;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal header modes" `Quick test_wal_modes;
     Alcotest.test_case "torn tail truncates" `Quick test_torn_tail;

@@ -10,9 +10,12 @@ open Lxu_seglog
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Incremental = linear rebuild = quadratic reference. *)
 let agrees ctx log =
-  check_bool ctx true
-    (Path_synopsis.equal (Update_log.synopsis log) (Update_log.synopsis_rebuilt log))
+  let rebuilt = Update_log.synopsis_rebuilt log in
+  check_bool ctx true (Path_synopsis.equal (Update_log.synopsis log) rebuilt);
+  check_bool (ctx ^ ": rebuild = reference") true
+    (Path_synopsis.equal rebuilt (Synopsis_ref.synopsis_of_tree (Update_log.root log)))
 
 let log_of db = Option.get (Lazy_db.log db)
 
@@ -144,7 +147,85 @@ let test_may_have_ancestor () =
     (Path_synopsis.may_have_ancestor syn ~sid:99999 ~tid:(tid "a"));
   agrees "small doc" log
 
+(* --- linear rebuild edge cases ----------------------------------------- *)
+
+let path_counts log =
+  let reg = Update_log.registry log in
+  List.map
+    (fun (path, n) -> (List.map (Tag_registry.name reg) path, n))
+    (Path_synopsis.to_sorted_list (Update_log.synopsis_rebuilt log))
+
+let context log sid =
+  let reg = Update_log.registry log in
+  Array.to_list
+    (Array.map (Tag_registry.name reg)
+       (Path_synopsis.context (Update_log.synopsis_rebuilt log) ~sid))
+
+let check_context log sid expected =
+  Alcotest.(check (list string)) (Printf.sprintf "context of segment %d" sid) expected
+    (context log sid)
+
+(* Containment is strict: a child spliced exactly at an element's start
+   or stop lies outside it. *)
+let test_strict_containment () =
+  let log = Update_log.create () in
+  (* <a><b></b></a>: a = [0,14), b = [3,10). *)
+  ignore (Update_log.insert log ~gp:0 "<a><b></b></a>");
+  (* Right to left, so each gp is still the original offset. *)
+  let at_b_stop = Update_log.insert log ~gp:10 "<c/>" in
+  let inside_b = Update_log.insert log ~gp:6 "<e/>" in
+  let at_b_start = Update_log.insert log ~gp:3 "<d/>" in
+  check_context log at_b_stop [ "a" ];
+  check_context log inside_b [ "a"; "b" ];
+  check_context log at_b_start [ "a" ];
+  Alcotest.(check (list (pair (list string) int)))
+    "paths"
+    (List.sort compare
+       [ ([ "a" ], 1); ([ "a"; "b" ], 1); ([ "a"; "c" ], 1); ([ "a"; "b"; "e" ], 1);
+         ([ "a"; "d" ], 1) ])
+    (List.sort compare (path_counts log));
+  agrees "strict containment" log;
+  Update_log.check log
+
+(* Tombstones on both sides of a child: the parent's surviving skeleton
+   still gives the child its context, and removed elements count for
+   nothing. *)
+let test_tombstones_around_child () =
+  let log = Update_log.create () in
+  (* <r><x/><y/><z/></r>: x = [3,7), y = [7,11), z = [11,15). *)
+  ignore (Update_log.insert log ~gp:0 "<r><x/><y/><z/></r>");
+  let child = Update_log.insert log ~gp:7 "<c><d/></c>" in
+  (* Remove x (before the child), then z (after it and after y). *)
+  Update_log.remove log ~gp:3 ~len:4;
+  Update_log.remove log ~gp:18 ~len:4;
+  Alcotest.(check string) "text" "<r><c><d/></c><y/></r>" (Update_log.materialize log);
+  check_context log child [ "r" ];
+  Alcotest.(check (list (pair (list string) int)))
+    "paths"
+    (List.sort compare [ ([ "r" ], 1); ([ "r"; "y" ], 1); ([ "r"; "c" ], 1); ([ "r"; "c"; "d" ], 1) ])
+    (List.filter (fun (_, n) -> n > 0) (List.sort compare (path_counts log)));
+  agrees "tombstones around a child" log;
+  Update_log.check log
+
 (* --- qcheck: random edit scripts -------------------------------------- *)
+
+(* Insert/remove/pack/rebuild schedules from the crash harness: after
+   every operation the linear rebuild equals the quadratic reference
+   (and the incremental synopsis). *)
+let prop_linear_rebuild =
+  let module H = Lxu_crash_harness.Crash_harness in
+  QCheck2.Test.make ~name:"linear synopsis rebuild = quadratic reference" ~count:40
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 30))
+    (fun (seed, target_ops) ->
+      let db = Lazy_db.create ~index_attributes:(seed mod 2 = 0) () in
+      List.for_all
+        (fun op ->
+          H.apply db op;
+          let log = log_of db in
+          let rebuilt = Update_log.synopsis_rebuilt log in
+          Path_synopsis.equal rebuilt (Synopsis_ref.synopsis_of_tree (Update_log.root log))
+          && Path_synopsis.equal rebuilt (Update_log.synopsis log))
+        (H.gen_ops ~seed ~target_ops))
 
 let prop_random_scripts =
   QCheck2.Test.make ~name:"synopsis incremental = rebuilt (random scripts)" ~count:30
@@ -198,5 +279,8 @@ let suite =
     Alcotest.test_case "save/load reconstructs" `Quick test_save_load;
     Alcotest.test_case "tag_total matches query counts" `Quick test_tag_total;
     Alcotest.test_case "Proposition-3 ancestor evidence" `Quick test_may_have_ancestor;
+    Alcotest.test_case "rebuild: containment is strict" `Quick test_strict_containment;
+    Alcotest.test_case "rebuild: tombstones around a child" `Quick test_tombstones_around_child;
     QCheck_alcotest.to_alcotest prop_random_scripts;
+    QCheck_alcotest.to_alcotest prop_linear_rebuild;
   ]
