@@ -11,3 +11,5 @@ type spec =
   | Paged of { store : Lxu_storage_core.Page_store.t; attach : bool }
 
 let is_paged = function Mem -> false | Paged _ -> true
+
+let fresh = function None -> Mem | Some store -> Paged { store; attach = false }

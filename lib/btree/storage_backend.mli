@@ -12,3 +12,8 @@ type spec =
   | Paged of { store : Lxu_storage_core.Page_store.t; attach : bool }
 
 val is_paged : spec -> bool
+
+val fresh : Lxu_storage_core.Page_store.t option -> spec
+(** The backend of a log built from scratch: [Mem] without a store, a
+    non-attaching [Paged] on it otherwise (its previous trees are
+    cleared and re-indexed into new pages). *)

@@ -250,20 +250,18 @@ let lead t ~gp ~text =
       Mutex.unlock t.cmutex;
       group := members;
       let edits = (gp, text) :: List.map (fun p -> (p.p_gp, p.p_text)) members in
-      if List.compare_length_with edits 1 > 0 then (
-        let before = Lazy_db.doc_length db in
-        match Lazy_db.insert_many db edits with
-        | () -> List.map (fun _ -> Ok ()) edits
-        | exception _ when Lazy_db.doc_length db = before ->
-          (* Nothing was applied (inserts only add bytes, and empty
-             fragments are rejected): re-run the edits one by one to
-             isolate the offender instead of failing the whole group. *)
-          List.map (apply db) edits
-        | exception e ->
-          (* The batch went in and something after the apply failed
-             (e.g. the WAL append): replaying would apply it twice. *)
-          List.map (fun _ -> Error e) edits)
-      else List.map (apply db) edits)
+      let before = Lazy_db.doc_length db in
+      match Lazy_db.insert_many db edits with
+      | () -> List.map (fun _ -> Ok ()) edits
+      | exception _ when Lazy_db.doc_length db = before ->
+        (* Nothing was applied (inserts only add bytes, and empty
+           fragments are rejected): re-run the edits one by one to
+           isolate the offender instead of failing the whole group. *)
+        List.map (apply db) edits
+      | exception e ->
+        (* The batch went in and something after the apply failed
+           (e.g. the WAL append): replaying would apply it twice. *)
+        List.map (fun _ -> Error e) edits)
   with
   | own :: follower_results ->
     Mutex.lock t.cmutex;

@@ -11,6 +11,7 @@ type t = {
   mutable durable : Lxu_storage.Wal_store.t option;  (* WAL home, when durability is on *)
   mutable pstore : Lxu_storage.Page_store.t option;  (* page store, when storage is paged *)
   mutable epoch : int;  (* committed update operations so far — the MVCC version number *)
+  mutable closed : bool;  (* set by [close]: every later write is refused *)
 }
 
 type query_stats = {
@@ -20,13 +21,6 @@ type query_stats = {
   segments_skipped : int;
   elements_scanned : int;
 }
-
-(* A paged index backend never re-attaches durable trees outside
-   recovery: every fresh log built here (create, load, pack, rebuild)
-   clears the store's previous trees and re-indexes into new pages. *)
-let spec_of_pstore = function
-  | None -> Lxu_btree.Storage_backend.Mem
-  | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
 
 let resolve_domains ~who domains =
   match domains with
@@ -76,9 +70,9 @@ let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
   in
   let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability) in
   let log =
-    Update_log.create ~mode ~index_attributes ~backend:(spec_of_pstore pstore) ()
+    Update_log.create ~mode ~index_attributes ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
   in
-  { log; pack_threshold; domains; pool = None; durable; pstore; epoch = 0 }
+  { log; pack_threshold; domains; pool = None; durable; pstore; epoch = 0; closed = false }
 
 let engine t =
   match Update_log.mode t.log with Update_log.Lazy_dynamic -> LD | Update_log.Lazy_static -> LS
@@ -89,12 +83,6 @@ let is_snapshot t = Update_log.is_frozen t.log
 
 let snapshot_guard t who =
   if is_snapshot t then invalid_arg (who ^ ": frozen snapshot, updates go to the live database")
-
-(* Every successful update commits one epoch: the MVCC version number
-   {!Shared_db} publishes snapshots under.  The WAL record (when
-   durability is on) is already written by the caller; epoch numbers
-   are session-local and never persisted. *)
-let commit_epoch t = t.epoch <- t.epoch + 1
 
 (* Parallel queries draw on the process-wide shared pool for their
    domain count: databases are cheap and numerous, domains are neither
@@ -111,66 +99,39 @@ let pool_of t =
 
 let query_pool = pool_of
 
-(* The WAL records an operation only after the in-memory apply
-   validates it (bounds, well-formedness): the log must replay
-   cleanly, so it never holds a record for an update that was
-   rejected.  A crash between apply and commit loses at most the
-   uncommitted tail — indistinguishable from crashing just before
-   those updates. *)
-let log_op t op =
-  match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_op s op
+(* The one write path: every update is a list of WAL ops applied by
+   [Recovery.replay], the function recovery replays them with, so a
+   live write and its replay cannot diverge.  A refused op changes
+   nothing ([replay] validates a run before it mutates), and the WAL
+   records ops only after the apply accepted them, so the log always
+   replays cleanly; a crash between apply and commit loses at most the
+   uncommitted tail.  Auto-pack (the paper's "maintenance hours",
+   automated) replays [Rebuild] unlogged: it never changes the text,
+   and recovery reproduces query-visible state, not segmentation.
+   Each write commits one epoch, the MVCC version {!Shared_db}
+   publishes under (session-local, never persisted). *)
+let write ~who t ops =
+  snapshot_guard t who;
+  if t.closed then invalid_arg (who ^ ": database is closed");
+  let replay log ops = Lxu_storage.Recovery.replay ?pool:(pool_of t) ?pstore:t.pstore log ops in
+  t.log <- replay t.log ops;
+  (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_ops s ops);
+  (match t.pack_threshold with
+  | Some k when Update_log.segment_count t.log > k ->
+    t.log <- replay t.log [ Lxu_storage.Wal.Rebuild ]
+  | _ -> ());
+  t.epoch <- t.epoch + 1
 
-(* Re-indexes the whole document as a single segment in a fresh log
-   with the same mode and attribute flag.  Materialize
-   before creating the fresh log: with paged storage the new log's
-   indexes clear the store's previous trees, after which the old log's
-   index handles are dead. *)
-let repack t =
-  let log = t.log in
-  let whole = Update_log.materialize log in
-  let fresh =
-    Update_log.create ~mode:(Update_log.mode log)
-      ~index_attributes:(Update_log.indexes_attributes log)
-      ~backend:(spec_of_pstore t.pstore) ()
-  in
-  if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
-  t.log <- fresh
+let insert t ~gp text = write ~who:"Lazy_db.insert" t [ Lxu_storage.Wal.Insert { gp; text } ]
 
-(* The paper's "maintenance hours" automated: past the threshold the
-   whole database is re-indexed as a single segment. *)
-let maybe_pack t =
-  match t.pack_threshold with
-  | Some k when Update_log.segment_count t.log > k -> repack t
-  | _ -> ()
-
-let insert t ~gp text =
-  ignore (Update_log.insert t.log ~gp text);
-  log_op t (Lxu_storage.Wal.Insert { gp; text });
-  maybe_pack t;
-  commit_epoch t
-
+(* One WAL record group, one flush: the batch is all-or-nothing, so
+   either every record describes an applied edit or none was logged. *)
 let insert_many t edits =
-  match edits with
-  | [] -> ()
-  | [ (gp, text) ] -> insert t ~gp text
-  | _ ->
-    ignore (Update_log.insert_batch ?pool:(pool_of t) t.log edits);
-    (* One WAL record group, one flush: the apply above is
-       all-or-nothing, so either every record describes an applied
-       edit or none was logged. *)
-    (match t.durable with
-    | None -> ()
-    | Some s ->
-      Lxu_storage.Wal_store.log_ops s
-        (List.map (fun (gp, text) -> Lxu_storage.Wal.Insert { gp; text }) edits));
-    maybe_pack t;
-    commit_epoch t
+  if edits <> [] then
+    write ~who:"Lazy_db.insert_many" t
+      (List.map (fun (gp, text) -> Lxu_storage.Wal.Insert { gp; text }) edits)
 
-let remove t ~gp ~len =
-  Update_log.remove t.log ~gp ~len;
-  log_op t (Lxu_storage.Wal.Remove { gp; len });
-  maybe_pack t;
-  commit_epoch t
+let remove t ~gp ~len = write ~who:"Lazy_db.remove" t [ Lxu_storage.Wal.Remove { gp; len } ]
 
 let doc_length t = Update_log.doc_length t.log
 let element_count t = Update_log.element_count t.log
@@ -204,26 +165,14 @@ let count t ?(axis = Descendant) ?guard ~anc ~desc () =
 
 let text t = Update_log.materialize t.log
 
-let rebuild t =
-  snapshot_guard t "Lazy_db.rebuild";
-  repack t;
-  log_op t Lxu_storage.Wal.Rebuild;
-  commit_epoch t
+let rebuild t = write ~who:"Lazy_db.rebuild" t [ Lxu_storage.Wal.Rebuild ]
 
+(* One logical record: replay re-executes the pack, keeping the
+   recovered segment structure identical.  Its remove + insert pair is
+   one logical update, so it commits one epoch: a reader pinned below
+   it sees the whole pre-pack state. *)
 let pack_subtree t ~gp ~len =
-  snapshot_guard t "Lazy_db.pack_subtree";
-  let whole = Update_log.materialize t.log in
-  if gp < 0 || len <= 0 || gp + len > String.length whole then
-    invalid_arg "Lazy_db.pack_subtree: range out of bounds";
-  let slice = String.sub whole gp len in
-  Update_log.remove t.log ~gp ~len;
-  ignore (Update_log.insert t.log ~gp slice);
-  (* One logical record: replay re-executes the pack, keeping the
-     recovered segment structure identical.  The remove + insert pair
-     above is one logical update, so it commits one epoch: a reader
-     pinned below it sees the whole pre-pack state. *)
-  log_op t (Lxu_storage.Wal.Pack { gp; len });
-  commit_epoch t
+  write ~who:"Lazy_db.pack_subtree" t [ Lxu_storage.Wal.Pack { gp; len } ]
 
 let log t = Some t.log
 
@@ -235,7 +184,7 @@ let log t = Some t.log
    live database's page store. *)
 let snapshot t =
   { log = Update_log.freeze t.log; pack_threshold = None; domains = t.domains;
-    pool = None; durable = None; pstore = None; epoch = t.epoch }
+    pool = None; durable = None; pstore = None; epoch = t.epoch; closed = false }
 
 let with_snapshot t f = f (snapshot t)
 let cache_stats _ = None
@@ -249,7 +198,7 @@ let save t path =
 
 let of_log ?domains lg =
   { log = lg; pack_threshold = None; domains = resolve_domains ~who:"Lazy_db.of_log" domains;
-    pool = None; durable = None; pstore = None; epoch = 0 }
+    pool = None; durable = None; pstore = None; epoch = 0; closed = false }
 
 let checkpoint t =
   match t.durable with
@@ -278,6 +227,7 @@ let page_store t = t.pstore
 let page_stats t = Option.map Lxu_storage.Page_store.stats t.pstore
 
 let close t =
+  t.closed <- true;
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.close s);
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
@@ -292,7 +242,7 @@ let load ?domains ?(durability = `None) ?(storage = `Mem) path =
       (fun () ->
         (* Re-raise snapshot errors with the offending file: the
            messages carry the byte offset, this adds which file. *)
-        try Update_log.load ~backend:(spec_of_pstore pstore) ic
+        try Update_log.load ~backend:(Lxu_btree.Storage_backend.fresh pstore) ic
         with Failure msg -> failwith (Printf.sprintf "Lazy_db.load: %s: %s" path msg))
   in
   let t = of_log ?domains lg in

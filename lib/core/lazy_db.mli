@@ -61,11 +61,14 @@ val create :
     [durability] (default [`None]) makes every update crash-safe:
     with [`Wal dir] the database owns directory [dir], appending one
     checksummed record per {!insert}/{!remove}/{!pack_subtree}/
-    {!rebuild} to a write-ahead log there (see {!Lxu_storage.Wal}),
-    so {!recover} restores the state after a crash.  [`Wal] starts
+    {!rebuild} (one per edit for {!insert_many}) to a write-ahead log
+    there (see {!Lxu_storage.Wal}), so {!recover} restores the state
+    after a crash.  Every update applies its records through
+    {!Lxu_storage.Recovery.replay} — the function recovery replays
+    them with — and logs them only once the apply accepted them.  [`Wal] starts
     [dir] fresh — use {!recover} to resume an existing one.
-    Auto-packing via [pack_threshold] is {e not} logged: it never
-    changes the document text, and recovery reproduces query-visible
+    Auto-packing via [pack_threshold] replays a [Rebuild] that is
+    {e not} logged: it never changes the document text, and recovery reproduces query-visible
     state, not internal segmentation chosen by thresholds.
 
     [cache_bytes] is accepted and ignored: the element cache it sized
@@ -127,9 +130,19 @@ val with_snapshot : t -> (t -> 'a) -> 'a
 
 val is_snapshot : t -> bool
 
+(** {2 Updates}
+
+    Every update is one write: it is refused on a {!snapshot} or after
+    {!close} ([Invalid_argument], nothing applied), applied through
+    {!Lxu_storage.Recovery.replay}, logged as one WAL record group
+    when the database is durable, auto-packed past [pack_threshold],
+    and committed as one epoch.  A refused update changes nothing. *)
+
 val insert : t -> gp:int -> string -> unit
-(** Inserts a well-formed fragment at global byte position [gp].
-    @raise Invalid_argument on out-of-bounds positions or empty text.
+(** Inserts a well-formed fragment at global byte position [gp] — a
+    batch of one ({!insert_many} with one edit).
+    @raise Invalid_argument on out-of-bounds positions or empty text,
+    on a snapshot, or after {!close}.
     @raise Lxu_xml.Parser.Parse_error on ill-formed text. *)
 
 val insert_many : t -> (int * string) list -> unit
@@ -313,8 +326,9 @@ val restore_to :
     snapshot already covers more history than [lsn]. *)
 
 val close : t -> unit
-(** Commits any buffered WAL records and closes the log file.  No-op
-    without durability; idempotent. *)
+(** Commits any buffered WAL records and closes the log file (and the
+    page store, when paged).  Every later update raises
+    [Invalid_argument] before applying anything.  Idempotent. *)
 
 val of_log : ?domains:int -> Lxu_seglog.Update_log.t -> t
 (** Wraps an existing update log (engine inferred from its mode, no

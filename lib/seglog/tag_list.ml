@@ -15,8 +15,8 @@ exception Dirty_tag_list of int
    same delta), so the relative order of existing entries never
    changes.  [pending] accumulates entries appended since the last
    sort, in arrival order; [sort_all] sorts only the pending run and
-   merges the two, O(n + p·log p) instead of a full O((n+p)·log(n+p))
-   re-sort.  Clean slots have an empty pending run. *)
+   merges it in ([merge_slot]) instead of re-sorting the whole list.
+   Clean slots have an empty pending run. *)
 type slot = {
   entries : entry Vec.t;
   pending : entry Vec.t;
@@ -49,19 +49,6 @@ let soil t s =
     t.dirty_count <- t.dirty_count + 1
   end
 
-let add_sorted t ~tid entry ~gp_of =
-  let s = slot_for t tid in
-  if s.dirty then Vec.push s.pending entry (* merged on the next sort_all anyway *)
-  else begin
-    let gp = gp_of entry.sid in
-    let i =
-      Vec.lower_bound s.entries ~compare:(fun e -> if gp_of e.sid <= gp then -1 else 0)
-    in
-    Vec.insert_at s.entries i entry
-  end;
-  s.elems <- s.elems + entry.count;
-  t.path_ops <- t.path_ops + 1
-
 let append t ~tid entry =
   let s = slot_for t tid in
   Vec.push s.pending entry;
@@ -71,9 +58,18 @@ let append t ~tid entry =
 
 (* Merge path: sort the pending run (stably, so same-gp arrivals keep
    their order), then merge it into the main run from the back, in
-   place.  Equal gps keep main-run entries first — exactly where
-   repeated [add_sorted] calls would have put the newcomers, which is
-   what the batched/sequential differential suite relies on. *)
+   place.  Equal gps keep main-run entries first, so an entry that
+   arrives alone lands after every main-run entry at its gp.
+
+   The merge gallops: for each pending entry, largest first, it finds
+   the main-run entries that go after it by an exponential search back
+   from the last insertion point, then a binary search inside the last
+   step.  Main-run gps are looked up only at the probed positions, so
+   a merge costs O(p·log(n/p + 1)) gp lookups for p pending entries in
+   a list of n — O(log n) for the single entry every one-segment insert
+   brings.  The main-run entries between two insertion points move
+   with one blit, so the moves stay one shift of the entries behind
+   the first insertion point. *)
 let merge_slot s ~gp_of =
   let np = Vec.length s.pending in
   if np > 0 then begin
@@ -84,26 +80,47 @@ let merge_slot s ~gp_of =
     in
     Array.stable_sort (fun (g1, _) (g2, _) -> Int.compare g1 g2) pend;
     let n = Vec.length s.entries in
-    let mgp = Array.init n (fun i -> gp_of (Vec.get s.entries i).sid) in
     for k = 0 to np - 1 do
       Vec.push s.entries (snd pend.(k))
     done;
-    (* Backward merge: position [w] receives the largest remaining
-       element; reads of main-run slots happen before any write can
-       reach them (writes stay strictly ahead while pending entries
-       remain).  Once the pending run is exhausted the main prefix is
-       already in place. *)
-    let i = ref (n - 1) and j = ref (np - 1) in
-    let w = ref (n + np - 1) in
-    while !j >= 0 do
-      if !i >= 0 && mgp.(!i) > fst pend.(!j) then begin
-        Vec.set s.entries !w (Vec.get s.entries !i);
-        decr i
-      end
-      else begin
-        Vec.set s.entries !w (snd pend.(!j));
-        decr j
-      end;
+    let gp_at k = gp_of (Vec.get s.entries k).sid in
+    (* Main-run entries [0, !i] are still unmerged, slots above [!w]
+       are final; [!w > !i] while pending entries remain, so no write
+       reaches an unread main-run slot. *)
+    let i = ref (n - 1) and w = ref (n + np - 1) in
+    for j = np - 1 downto 0 do
+      let g, e = pend.(j) in
+      (* First main-run index in [0, !i + 1) whose gp exceeds [g]:
+         [lo] has gp <= g (or is -1), [hi] has gp > g. *)
+      let first_after =
+        if !i < 0 || gp_at !i <= g then !i + 1
+        else begin
+          let hi = ref !i and lo = ref (-1) and step = ref 1 in
+          let searching = ref true in
+          while !searching do
+            let k = !hi - !step in
+            if k < 0 then searching := false
+            else if gp_at k <= g then begin
+              lo := k;
+              searching := false
+            end
+            else begin
+              hi := k;
+              step := 2 * !step
+            end
+          done;
+          while !hi - !lo > 1 do
+            let mid = (!lo + !hi) / 2 in
+            if gp_at mid <= g then lo := mid else hi := mid
+          done;
+          !hi
+        end
+      in
+      let moved = !i + 1 - first_after in
+      Vec.move s.entries ~src:first_after ~dst:(!w - moved + 1) ~len:moved;
+      w := !w - moved;
+      i := first_after - 1;
+      Vec.set s.entries !w e;
       decr w
     done;
     Vec.truncate s.pending 0

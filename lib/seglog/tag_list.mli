@@ -5,9 +5,9 @@
     ancestors plus its own) and the count of elements of that tag in
     the segment, which decides when to drop the entry on deletion
     (§3.3).  Per-tag lists are kept sorted by the segments' current
-    global positions under the lazy-dynamic discipline; the
-    lazy-static discipline appends unsorted and sorts on demand just
-    before querying (§5.1). *)
+    global positions under the lazy-dynamic discipline (every insert
+    appends and merges at once); the lazy-static discipline appends
+    unsorted and sorts on demand just before querying (§5.1). *)
 
 type entry = { sid : int; path : int array; mutable count : int }
 
@@ -19,27 +19,29 @@ type t
 
 val create : unit -> t
 
-val add_sorted : t -> tid:int -> entry -> gp_of:(int -> int) -> unit
-(** Inserts the entry at its global-position rank (the LD discipline).
-    [gp_of] resolves a segment's current global position. *)
-
 val append : t -> tid:int -> entry -> unit
 (** Appends to the tag's {e pending run} and marks that tag's list
-    dirty (the LS discipline).  Dirtiness is tracked per tag, so
-    updating one tag never forces a re-sort of the others. *)
+    dirty.  Dirtiness is tracked per tag, so updating one tag never
+    forces a re-sort of the others.  This is the only way in: an LD
+    insert appends and then calls {!sort_all} at once, an LS insert
+    leaves the sort to the next query. *)
 
 val sort_all : t -> gp_of:(int -> int) -> unit
-(** Brings every dirty per-tag list back to global-position order —
-    the LS pre-query step.  Clean lists (including all lists of tags
-    no update touched) are left alone.
+(** Brings every dirty per-tag list back to global-position order.
+    Clean lists (including all lists of tags no update touched) are
+    left alone.
 
     The main run of a list stays sorted by {e current} gp across
     updates (gp shifts are monotone, so they never reorder existing
     entries), so only the pending run accumulated since the last sort
-    needs sorting, followed by a single two-way merge: O(n + p·log p)
-    for p pending entries in a list of n.  Entries with equal gps keep
-    the main run first and pending arrivals in order, byte-identical
-    to having inserted each entry with {!add_sorted}. *)
+    needs sorting, followed by one backward merge that gallops: each
+    pending entry finds its place by an exponential search back from
+    the previous insertion point, then a binary search.  For p pending
+    entries in a list of n that is O(p·log p) to sort plus
+    O(p·log(n/p + 1)) calls to [gp_of] to merge — O(log n) for the
+    one entry a single-segment insert brings — and the entries behind
+    the first insertion point shift once.  Entries with equal gps keep
+    the main run first and pending arrivals in arrival order. *)
 
 val is_dirty : t -> bool
 (** Whether any per-tag list is dirty (O(1)). *)

@@ -167,7 +167,7 @@ let synopsis_rebuilt t = synopsis_of_tree t.root
 
 (* --- insertion (Figure 5) ------------------------------------------ *)
 
-(* Steps 1-4 of Figure 5, shared by [insert] and [insert_batch]: shift
+(* Steps 1-4 of Figure 5 for one segment of an [insert_batch]: shift
    global positions, descend to the covering parent, derive the local
    position and base level, then build and link the new node.
    [elems_for] receives the computed base level and produces the
@@ -279,99 +279,92 @@ let iter_tag_entries (node : Er_node.t) f =
 let frozen_guard t who =
   if t.frozen then invalid_arg (who ^ ": frozen snapshot, updates go to the live log")
 
-let insert t ~gp text =
+(* AddNewSegment (Figure 5), for a list of segments applied in order.
+   A single insert is the one-edit case: there is no second body.
+   [who] names the entry point in refusals. *)
+let insert_edits ~who ?pool t edits =
   let open Er_node in
-  frozen_guard t "Update_log.insert";
-  if text = "" then invalid_arg "Update_log.insert: empty segment";
-  if gp < 0 || gp > t.root.len then invalid_arg "Update_log.insert: gp out of bounds";
-  let nodes = Lxu_xml.Parser.parse_fragment text in
-  let node =
-    link_new_segment t ~gp ~text ~elems_for:(fun ~base_level ->
-        let elems = ref [] in
-        Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes ~base_level nodes
-          (fun ~name ~start ~stop ~level ->
-            elems :=
-              { start; stop; level; tid = Tag_registry.intern t.registry name } :: !elems);
-        List.rev !elems)
-  in
-  let sid = node.sid in
-  (* Step 5: SB-tree (kept fresh only under LD). *)
-  (match t.mode with
-  | Lazy_dynamic -> Sb_index.insert t.sb sid node
-  | Lazy_static -> t.sb_dirty <- true);
-  (* Step 6: tag-list, one path entry per distinct tag in the segment
-     (the element index of the paper is the node's own columns, built
-     with it). *)
-  let gp_of = lazy (gp_table t) in
-  iter_tag_entries node (fun ~tid entry ->
-      match t.mode with
-      | Lazy_dynamic -> Tag_list.add_sorted t.tag_list ~tid entry ~gp_of:(Lazy.force gp_of)
-      | Lazy_static -> Tag_list.append t.tag_list ~tid entry);
-  t.metrics.segments_inserted <- t.metrics.segments_inserted + 1;
-  sid
-
-(* --- batched insertion --------------------------------------------- *)
-
-let insert_batch ?pool t edits =
-  let open Er_node in
-  frozen_guard t "Update_log.insert_batch";
+  frozen_guard t who;
   match edits with
   | [] -> []
   | _ ->
     let edits = Array.of_list edits in
     let b = Array.length edits in
-    (* All-or-nothing up-front validation: every failure mode of
-       [insert] is decidable before anything is mutated.  Emptiness and
+    (* All-or-nothing up-front validation: every failure mode is
+       decidable before anything is mutated.  Emptiness and
        well-formedness are per-fragment and pure; the gp bound of edit
        k is the document length after the k-1 edits before it — a
        running sum. *)
     let running = ref t.root.len in
     Array.iter
       (fun (gp, text) ->
-        if text = "" then invalid_arg "Update_log.insert_batch: empty segment";
-        if gp < 0 || gp > !running then
-          invalid_arg "Update_log.insert_batch: gp out of bounds";
+        if text = "" then invalid_arg (who ^ ": empty segment");
+        if gp < 0 || gp > !running then invalid_arg (who ^ ": gp out of bounds");
         running := !running + String.length text)
       edits;
-    (* Parse and label every fragment first — parsing is pure, so this
-       fans out over the domain pool.  Levels are extracted relative to
-       the fragment root and rebased once the insertion point is known;
-       tag interning (shared registry) stays on the applying thread. *)
-    let label i =
-      let _, text = edits.(i) in
-      let nodes = Lxu_xml.Parser.parse_fragment text in
-      let acc = ref [] in
-      Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes ~base_level:0 nodes
-        (fun ~name ~start ~stop ~level -> acc := (name, start, stop, level) :: !acc);
-      Array.of_list (List.rev !acc)
-    in
+    (* Parse and label every fragment first — both are pure, so this
+       fans out over the domain pool.  Levels are relative to the
+       fragment root and rebased once the insertion point is known;
+       tag interning (shared registry) stays on the applying thread.
+       A fragment's labels are two flat arrays, names and (start, stop,
+       level) triples, counted in a first pass over the tree: its
+       elements then cost four words while the batch waits, and its
+       parse tree is garbage as soon as it is labelled. *)
     let labelled =
+      let label i =
+        let nodes = Lxu_xml.Parser.parse_fragment (snd edits.(i)) in
+        let labels f = Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes nodes f in
+        let n = ref 0 in
+        labels (fun ~name:_ ~start:_ ~stop:_ ~level:_ -> incr n);
+        let names = Array.make !n "" and nums = Array.make (3 * !n) 0 in
+        let k = ref 0 in
+        labels (fun ~name ~start ~stop ~level ->
+            names.(!k) <- name;
+            nums.(3 * !k) <- start;
+            nums.((3 * !k) + 1) <- stop;
+            nums.((3 * !k) + 2) <- level;
+            incr k);
+        (names, nums)
+      in
       match pool with
       | Some p when b > 1 -> Domain_pool.map p b label
       | _ -> Array.init b label
     in
-    (* Serial ER-tree application.  Index maintenance is deferred:
-       instead of B SB-tree descents and B tag-list passes, the batch
-       pays one bulk merge into each. *)
+    (* Serial ER-tree application (steps 1-4).  Index maintenance
+       (steps 5-6) is deferred: instead of one SB-tree descent and one
+       tag-list pass per segment, the batch pays one bulk merge into
+       each. *)
     let sb_pairs = ref [] in
     let sids = ref [] in
     Array.iteri
       (fun k (gp, text) ->
         let node =
           link_new_segment t ~gp ~text ~elems_for:(fun ~base_level ->
-              Array.to_list labelled.(k)
-              |> List.map (fun (name, start, stop, level) ->
-                     {
-                       start;
-                       stop;
-                       level = base_level + level;
-                       tid = Tag_registry.intern t.registry name;
-                     }))
+              let names, nums = labelled.(k) in
+              (* Interned in document order, the order tids are assigned. *)
+              let tids = Array.map (Tag_registry.intern t.registry) names in
+              let elems = ref [] in
+              for j = Array.length names - 1 downto 0 do
+                elems :=
+                  {
+                    start = nums.(3 * j);
+                    stop = nums.((3 * j) + 1);
+                    level = base_level + nums.((3 * j) + 2);
+                    tid = tids.(j);
+                  }
+                  :: !elems
+              done;
+              !elems)
         in
+        (* Labelled: free them now, not at the end of a long batch. *)
+        labelled.(k) <- ([||], [||]);
         let sid = node.sid in
         (match t.mode with
         | Lazy_dynamic -> sb_pairs := (sid, node) :: !sb_pairs
         | Lazy_static -> t.sb_dirty <- true);
+        (* One tag-list entry per distinct tag in the segment (the
+           element index of the paper is the node's own columns, built
+           with it). *)
         iter_tag_entries node (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry);
         t.metrics.segments_inserted <- t.metrics.segments_inserted + 1;
         sids := sid :: !sids)
@@ -381,63 +374,86 @@ let insert_batch ?pool t edits =
       (* One SB-tree batch insert — sids were assigned in ascending
          order, so the pairs are already sorted — and one tag-list
          merge over a single gp table, restoring the LD query-ready
-         invariant with one pass instead of B. *)
+         invariant with one pass instead of B.  A segment without
+         elements touches no tag list and needs no table. *)
       Sb_index.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
-      Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
+      if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
     | Lazy_static -> ());
     List.rev !sids
 
+let insert_batch ?pool t edits = insert_edits ~who:"Update_log.insert_batch" ?pool t edits
+
+let insert t ~gp text =
+  match insert_edits ~who:"Update_log.insert" t [ (gp, text) ] with
+  | [ sid ] -> sid
+  | _ -> assert false
+
 (* --- removal (Figure 7) -------------------------------------------- *)
 
-(* Pure pre-check mirroring [remove]'s gap computation: raises if the
+(* Pre-removal extents [(child, gp, gp + len)] of [s]'s children. *)
+let child_extents (s : Er_node.t) =
+  Vec.to_list s.Er_node.children |> List.map (fun (k : Er_node.t) -> (k, k.gp, k.gp + k.len))
+
+(* The own text of [s] inside global range [x, y), as one virtual range
+   [(vu, vv)] of [s]'s text, or [None] when children cover all of it.
+   The own-text gaps of [x, y) form one contiguous virtual range: any
+   child strictly between two gaps is fully covered by the removal, so
+   it occupies zero virtual width.  Converting the outermost gap ends
+   gives the range — per-gap tombstones would wrongly report an element
+   spanning a removed child as split.  [extents] is [child_extents s]. *)
+let own_virtual_range (s : Er_node.t) extents x y =
+  let first = ref None and last = ref (x, x) and cursor = ref x in
+  let gap u v =
+    if !first = None then first := Some u;
+    last := (u, v)
+  in
+  List.iter
+    (fun (_, a, b) ->
+      if b > x && a < y then begin
+        if a > !cursor then gap !cursor a;
+        cursor := max !cursor (min b y)
+      end)
+    extents;
+  if !cursor < y then gap !cursor y;
+  match !first with
+  | None -> None
+  | Some u0 ->
+    let local u =
+      let before_len =
+        List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 extents
+      in
+      u - s.gp - before_len
+    in
+    let ulast, vlast = !last in
+    Some
+      ( Er_node.virt_of_own_phys s (local u0),
+        Er_node.virt_of_own_phys s (local ulast + (vlast - ulast)) )
+
+(* Whether removing virtual range [vu, vv) would cut [e] in two. *)
+let splits (e : Er_node.elem) vu vv =
+  (e.start >= vu && e.start < vv && e.stop > vv) || (e.start < vu && e.stop > vu && e.stop <= vv)
+
+(* Pure pre-check over the segments [remove] will cut: raises if the
    range would split an element, before anything is mutated — a failed
    removal must leave the log untouched. *)
 let validate_remove t ~gp ~len =
-  let open Er_node in
   let rec walk (s : Er_node.t) x y =
-    let snapshot = Vec.to_list s.children |> List.map (fun k -> (k, k.gp, k.gp + k.len)) in
-    let own_gaps =
-      let gaps = ref [] in
-      let cursor = ref x in
-      List.iter
-        (fun (_, a, b) ->
-          if b <= x || a >= y then ()
-          else begin
-            if a > !cursor then gaps := (!cursor, a) :: !gaps;
-            cursor := max !cursor (min b y)
-          end)
-        snapshot;
-      if !cursor < y then gaps := (!cursor, y) :: !gaps;
-      List.rev !gaps
-    in
-    (match own_gaps with
-    | [] -> ()
-    | (u0, v0) :: _ ->
-      let local u =
-        let before_len =
-          List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 snapshot
-        in
-        u - s.gp - before_len
-      in
-      let ulast, vlast = match List.rev own_gaps with last :: _ -> last | [] -> (u0, v0) in
-      let vu = virt_of_own_phys s (local u0) in
-      let vv = virt_of_own_phys s (local ulast + (vlast - ulast)) in
+    let extents = child_extents s in
+    (match own_virtual_range s extents x y with
+    | None -> ()
+    | Some (vu, vv) ->
       Vec.iter
-        (fun (e : elem) ->
-          let crosses =
-            (e.start >= vu && e.start < vv && e.stop > vv)
-            || (e.start < vu && e.stop > vu && e.stop <= vv)
-          in
-          if crosses then
+        (fun e ->
+          if splits e vu vv then
             invalid_arg
               "Update_log.remove: range splits an element (not a well-formed fragment)")
-        s.elems);
+        s.Er_node.elems);
     List.iter
       (fun (k, a, b) ->
         if b <= x || a >= y then ()
         else if x <= a && b <= y then ()
         else walk k (max a x) (min b y))
-      snapshot
+      extents
   in
   walk t.root gp (gp + len)
 
@@ -470,26 +486,18 @@ let remove t ~gp ~len =
         | Lazy_static -> t.sb_dirty <- true)
   in
   (* Removes virtual range [vu, vv) of [s]'s own text: tombstone it and
-     drop the elements it covered. *)
+     drop the elements it covered.  [validate_remove] has refused every
+     range that splits an element, so each element is either inside
+     the range or untouched by it. *)
   let tombstone_own s vu vv =
     (* Synopsis decrements need the pre-removal skeleton (surviving
-       elements still enclose the removed ones during the scan);
-       [validate_remove] already rejected element-splitting ranges, so
-       this runs only on edits that will complete. *)
+       elements still enclose the removed ones during the scan). *)
     Path_synopsis.remove_matching ~until:vv t.synopsis ~sid:s.sid ~elems:s.elems
       ~removed:(fun (e : elem) -> e.start >= vu && e.stop <= vv);
-    (* Collect covered elements first; reject element-splitting edits. *)
     let kept = Vec.create () in
     Vec.iter
       (fun (e : elem) ->
-        let fully_inside = e.start >= vu && e.stop <= vv in
-        let crosses =
-          (e.start >= vu && e.start < vv && e.stop > vv)
-          || (e.start < vu && e.stop > vu && e.stop <= vv)
-        in
-        if crosses then
-          invalid_arg "Update_log.remove: range splits an element (not a well-formed fragment)";
-        if fully_inside then note_removed_elem s.sid e else Vec.push kept e)
+        if e.start >= vu && e.stop <= vv then note_removed_elem s.sid e else Vec.push kept e)
       s.elems;
     (* Replace the skeleton and columns wholesale instead of editing in
        place: frozen snapshots share both with the live tree.  A gap
@@ -503,46 +511,10 @@ let remove t ~gp ~len =
   let rec remove_range s x y =
     t.metrics.nodes_visited <- t.metrics.nodes_visited + 1;
     s.len <- s.len - (y - x);
-    (* Pre-removal child extents. *)
-    let snapshot =
-      Vec.to_list s.children |> List.map (fun k -> (k, k.gp, k.gp + k.len))
-    in
-    (* Own-text bytes of [x, y): the parts not covered by children, in
-       left-to-right order. *)
-    let own_gaps =
-      let gaps = ref [] in
-      let cursor = ref x in
-      List.iter
-        (fun (_, a, b) ->
-          if b <= x || a >= y then ()
-          else begin
-            if a > !cursor then gaps := (!cursor, a) :: !gaps;
-            cursor := max !cursor (min b y)
-          end)
-        snapshot;
-      if !cursor < y then gaps := (!cursor, y) :: !gaps;
-      List.rev !gaps
-    in
-    (* The gaps form one contiguous virtual range: any child strictly
-       between two gaps is fully covered by the removal, so it occupies
-       zero virtual width.  Convert the extreme points to virtual
-       coordinates and tombstone once — per-gap tombstones would
-       wrongly report an element spanning a removed child as split. *)
-    (match own_gaps with
-    | [] -> ()
-    | (u0, v0) :: _ ->
-      let local u =
-        let before_len =
-          List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 snapshot
-        in
-        u - s.gp - before_len
-      in
-      let ulast, vlast =
-        match List.rev own_gaps with last :: _ -> last | [] -> (u0, v0)
-      in
-      let vu = virt_of_own_phys s (local u0) in
-      let vv = virt_of_own_phys s (local ulast + (vlast - ulast)) in
-      tombstone_own s vu vv);
+    let snapshot = child_extents s in
+    (match own_virtual_range s snapshot x y with
+    | None -> ()
+    | Some (vu, vv) -> tombstone_own s vu vv);
     (* Children cases of §3.3. *)
     List.iter
       (fun (k, a, b) ->

@@ -63,9 +63,12 @@ val metrics : t -> metrics
 
 val insert : t -> gp:int -> string -> int
 (** [insert t ~gp text] inserts segment [text] at global position
-    [gp] and returns its fresh sid.  [gp] must be a valid split point
-    of the current document (between nodes or inside text content —
-    the paper's text-editing model guarantees this for real updates).
+    [gp] and returns its fresh sid.  It is the one-edit case of
+    {!insert_batch} — the same body, checks and cost model — with
+    refusals naming [Update_log.insert].  [gp] must be a valid split
+    point of the current document (between nodes or inside text
+    content — the paper's text-editing model guarantees this for real
+    updates).
     @raise Invalid_argument if [gp] is out of bounds or [text] is empty.
     @raise Lxu_xml.Parser.Parse_error if [text] is not a well-formed
     fragment. *)
@@ -73,14 +76,14 @@ val insert : t -> gp:int -> string -> int
 val insert_batch :
   ?pool:Lxu_util.Domain_pool.t -> t -> (int * string) list -> int list
 (** [insert_batch t edits] applies the [(gp, text)] edits in order and
-    returns their sids, producing a log byte-identical to inserting
-    them one at a time with {!insert} — but with batched index
-    maintenance: all fragments are parsed and labelled first (fanned
-    out over [pool] when given — parsing is pure), then the ER-tree
-    edits are applied serially, followed by {e one} SB-tree batch
-    insert and {e one} tag-list merge pass over a single gp table
-    (under [Lazy_dynamic]; [Lazy_static] defers those to
-    {!prepare_for_query} as usual).
+    returns their sids: the one implementation of AddNewSegment
+    (Figure 5).  All fragments are parsed and labelled first (fanned
+    out over [pool] when given and there is more than one — both are
+    pure), then the ER-tree edits are applied serially, followed by
+    {e one} SB-tree batch insert and {e one} tag-list merge over a
+    single gp table (under [Lazy_dynamic]; [Lazy_static] defers those
+    to {!prepare_for_query} as usual).  The result is the same log as
+    applying the edits one at a time.
 
     All-or-nothing: every edit is validated before anything is
     mutated.  [gp] bounds are checked against the document as it will
@@ -96,7 +99,9 @@ val remove : t -> gp:int -> len:int -> unit
     covered segments disappear, left/right-intersected segments lose
     their tail/head.
     @raise Invalid_argument if the range is out of bounds or would
-    split an element; a rejected removal leaves the log unchanged.
+    split an element; a rejected removal leaves the log unchanged (a
+    pure pre-check walks the segments the removal will cut, with the
+    same own-text range computation, before anything is mutated).
     Detection works at element granularity: a range whose endpoints
     both fall inside one element's tags or inside comments/PIs (which
     are not indexed) is the caller's responsibility, as in the paper's

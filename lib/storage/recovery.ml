@@ -14,7 +14,14 @@ type report = {
 
 (* --- checkpoint snapshots -------------------------------------------- *)
 
-let snapshot_magic = "LXUCKPT1"
+(* The header line is [LXUCKPT2 lsn <n> crc <8 hex>], the CRC-32 of the
+   [lsn <n>] text: the payload's own trailer does not cover the LSN,
+   and a flipped digit there would skip or re-apply WAL records. *)
+let snapshot_magic = "LXUCKPT2"
+
+let header_line lsn =
+  let body = Printf.sprintf "lsn %d" lsn in
+  Printf.sprintf "%s %s crc %08x" snapshot_magic body (Crc32.string body)
 
 (* The full atomic-rename protocol: write to a temp file, fsync it,
    rename over the target, fsync the directory.  Without the file
@@ -27,7 +34,7 @@ let write_snapshot ~path ~lsn log =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     Printf.fprintf oc "%s lsn %d\n" snapshot_magic lsn;
+     output_string oc (header_line lsn ^ "\n");
      Update_log.save log oc;
      flush oc;
      Unix.fsync (Unix.descr_of_out_channel oc);
@@ -59,11 +66,16 @@ let read_snapshot ?pstore ~path () =
     (fun () ->
       let fail msg = failwith (Printf.sprintf "%s: %s (at byte %d)" path msg (pos_in ic)) in
       let first = try input_line ic with End_of_file -> fail "truncated checkpoint header" in
+      if String.starts_with ~prefix:"LXUCKPT1 " first then
+        fail "checkpoint format 1 (no header checksum) is no longer supported";
       let lsn =
-        try Scanf.sscanf first "LXUCKPT1 lsn %d%!" Fun.id
+        try Scanf.sscanf first "LXUCKPT2 lsn %d crc %_x%!" Fun.id
         with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "not a lazyxml checkpoint"
       in
-      if lsn < 0 then fail "negative checkpoint lsn";
+      (* The line must be exactly what [write_snapshot] writes for this
+         LSN, checksum included: any other spelling of a number that
+         parses is a damaged header. *)
+      if lsn < 0 || first <> header_line lsn then fail "checkpoint header checksum mismatch";
       (* Update_log.load's messages already carry the byte offset. *)
       let log =
         try Update_log.load ~backend:(backend_for ?pstore lsn) ic
@@ -73,37 +85,61 @@ let read_snapshot ?pstore ~path () =
 
 (* --- replay ----------------------------------------------------------- *)
 
-let replay ?pstore log (op : Wal.op) =
-  match op with
-  | Wal.Insert { gp; text } ->
-    ignore (Update_log.insert log ~gp text);
-    log
-  | Wal.Remove { gp; len } ->
+(* Splits [xs] into maximal runs of consecutive inserts and single
+   other ops, in order.  [op_of] reads the op of an element. *)
+let runs op_of xs =
+  let close run acc = if run = [] then acc else List.rev run :: acc in
+  let run, acc =
+    List.fold_left
+      (fun (run, acc) x ->
+        match op_of x with
+        | Wal.Insert _ -> (x :: run, acc)
+        | _ -> ([], [ x ] :: close run acc))
+      ([], []) xs
+  in
+  List.rev (close run acc)
+
+(* Applies one run of [runs]: one non-insert op, or inserts as one
+   batch. *)
+let apply_run ?pool ?pstore log = function
+  | [ Wal.Remove { gp; len } ] ->
     Update_log.remove log ~gp ~len;
     log
-  | Wal.Pack { gp; len } ->
-    (* Mirrors Lazy_db.pack_subtree: re-index the byte range as one
-       segment. *)
+  | [ Wal.Pack { gp; len } ] ->
+    (* Re-index the byte range as one segment: one remove and one
+       insert of the same bytes.  The remove checks splits only at
+       element granularity, so parse the slice before it: a range cut
+       inside a comment must be refused while nothing has moved. *)
     let whole = Update_log.materialize log in
     if gp < 0 || len <= 0 || gp + len > String.length whole then
       invalid_arg "Recovery.replay: pack range out of bounds";
     let slice = String.sub whole gp len in
+    ignore (Lxu_xml.Parser.parse_fragment slice);
     Update_log.remove log ~gp ~len;
     ignore (Update_log.insert log ~gp slice);
     log
-  | Wal.Rebuild ->
+  | [ Wal.Rebuild ] ->
+    (* Materialize before creating the fresh log: with paged storage
+       the new log's indexes clear the store's previous trees, after
+       which the old log's index handles are dead. *)
     let whole = Update_log.materialize log in
-    let backend =
-      match pstore with
-      | None -> Lxu_btree.Storage_backend.Mem
-      | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
-    in
     let fresh =
       Update_log.create ~mode:(Update_log.mode log)
-        ~index_attributes:(Update_log.indexes_attributes log) ~backend ()
+        ~index_attributes:(Update_log.indexes_attributes log)
+        ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
     in
     if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
     fresh
+  | inserts ->
+    let edit = function
+      | Wal.Insert { gp; text } -> (gp, text)
+      | _ -> invalid_arg "Recovery.replay: not a run"
+    in
+    ignore (Update_log.insert_batch ?pool log (List.map edit inserts));
+    log
+
+let replay ?pool ?pstore log ops =
+  List.fold_left (fun log run -> apply_run ?pool ?pstore log run) log (runs Fun.id ops)
 
 let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
   let scan = Wal.scan ?path wal_bytes in
@@ -111,21 +147,26 @@ let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
     match base with
     | Some (lsn, log) -> (lsn, log)
     | None ->
-      let backend =
-        match pstore with
-        | None -> Lxu_btree.Storage_backend.Mem
-        | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
-      in
       ( 0,
         Update_log.create ~mode:scan.Wal.header.Wal.mode
-          ~index_attributes:scan.Wal.header.Wal.index_attributes ~backend () )
+          ~index_attributes:scan.Wal.header.Wal.index_attributes
+          ~backend:(Lxu_btree.Storage_backend.fresh pstore) () )
   in
+  (* Records arrive in strictly increasing LSN order: first those the
+     snapshot already holds, then the ones to replay, then — for a
+     point-in-time restore — valid history past [upto_lsn], which is
+     skipped, not treated as corruption. *)
+  let lsn_at_most n (r : Wal.record) = r.Wal.lsn <= n in
+  let held, rest = List.partition (lsn_at_most snapshot_lsn) scan.Wal.records in
+  let todo, beyond = List.partition (lsn_at_most upto_lsn) rest in
   let log = ref log0 in
-  let applied = ref 0 and skipped = ref 0 in
+  let applied = ref 0 in
   let valid = ref scan.Wal.valid_bytes and note = ref scan.Wal.corruption in
   let last_lsn = ref snapshot_lsn in
   (* End offset of the last record kept; replay failure truncates to it. *)
-  let prev_end = ref Wal.header_bytes in
+  let prev_end =
+    ref (List.fold_left (fun _ (r : Wal.record) -> r.Wal.end_off) Wal.header_bytes held)
+  in
   let kept (r : Wal.record) =
     incr applied;
     last_lsn := r.Wal.lsn;
@@ -138,67 +179,33 @@ let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
     valid := !prev_end;
     raise Exit
   in
-  let replay_one (r : Wal.record) =
-    match replay ?pstore !log r.Wal.op with
-    | l ->
-      log := l;
-      kept r
-    | exception e -> failed r e
-  in
-  (* A maximal run of consecutive inserts replays as one
-     [Update_log.insert_batch]: one SB-tree batch and one tag-list
-     merge instead of one of each per record, with the same resulting
-     log.  The batch validates every edit before it mutates anything,
-     so when it refuses the run the log is untouched and the run
-     replays record by record, which pins the failure on the exact
-     LSN.  Anything else raised mid-batch (a storage fault) is charged
-     to the run's first record, which keeps only the records before
-     the run. *)
-  let flush_run = function
-    | [] -> ()
-    | [ (r, _) ] -> replay_one r
-    | run -> (
-      let records, edits = List.split (List.rev run) in
-      match Update_log.insert_batch !log edits with
-      | _ -> List.iter kept records
-      | exception (Invalid_argument _ | Lxu_xml.Parser.Parse_error _) ->
-        List.iter replay_one records
-      | exception e -> failed (List.hd records) e)
-  in
+  let op_of (r : Wal.record) = r.Wal.op in
+  let replay_records records = log := replay ?pstore !log (List.map op_of records) in
+  (* Each run ({!replay}'s unit: a maximal run of inserts as one batch,
+     or one other op) replays whole.  A run refuses before it mutates
+     anything, so when one does, its records replay one by one, which
+     pins the failure on the exact LSN.  Anything else raised mid-run
+     (a storage fault) is charged to the run's first record, which
+     keeps only the records before the run. *)
   (try
-     let run =
-       List.fold_left
-         (fun run (r : Wal.record) ->
-           if r.Wal.lsn <= snapshot_lsn then begin
-             incr skipped;
-             prev_end := r.Wal.end_off;
+     List.iter
+       (fun run ->
+         match replay_records run with
+         | () -> List.iter kept run
+         | exception (Invalid_argument _ | Lxu_xml.Parser.Parse_error _) ->
+           List.iter
+             (fun r ->
+               match replay_records [ r ] with () -> kept r | exception e -> failed r e)
              run
-           end
-           else if r.Wal.lsn > upto_lsn then begin
-             (* Point-in-time restore: the record is valid but beyond
-                the requested LSN.  Not corruption — just history the
-                caller does not want. *)
-             flush_run run;
-             incr skipped;
-             []
-           end
-           else
-             match r.Wal.op with
-             | Wal.Insert { gp; text } -> (r, (gp, text)) :: run
-             | _ ->
-               flush_run run;
-               replay_one r;
-               [])
-         [] scan.Wal.records
-     in
-     flush_run run
+         | exception e -> failed (List.hd run) e)
+       (runs op_of todo)
    with Exit -> ());
   ( !log,
     {
       snapshot_lsn;
       records_total = List.length scan.Wal.records;
       records_applied = !applied;
-      records_skipped = !skipped;
+      records_skipped = List.length held + List.length beyond;
       valid_bytes = !valid;
       total_bytes = scan.Wal.total_bytes;
       corruption = !note;

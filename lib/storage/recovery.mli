@@ -22,7 +22,8 @@ type report = {
 (** {1 Checkpoint snapshots} *)
 
 val write_snapshot : path:string -> lsn:int -> Lxu_seglog.Update_log.t -> unit
-(** Writes ["LXUCKPT1 lsn <n>"] followed by the
+(** Writes the header line ["LXUCKPT2 lsn <n> crc <8 hex>"], where the
+    CRC-32 covers the ["lsn <n>"] text, followed by the
     {!Lxu_seglog.Update_log.save} payload (checksummed by its own
     CRC-32 trailer), via the full atomic-rename
     protocol: temp file, file fsync, rename into place, directory
@@ -39,19 +40,31 @@ val read_snapshot :
     taken together and both survived), rebuilt into the store
     otherwise — a crash between the two leaves an LSN mismatch and a
     sound, slower rebuild.
-    @raise Failure on a malformed snapshot; the message includes
-    [path] and the byte offset. *)
+    @raise Failure on a malformed snapshot, a header whose checksum
+    does not match its LSN, or a format-1 ([LXUCKPT1], unchecksummed
+    header) file; the message includes [path] and the byte offset. *)
 
 (** {1 Replay} *)
 
 val replay :
+  ?pool:Lxu_util.Domain_pool.t ->
   ?pstore:Lxu_storage_core.Page_store.t ->
-  Lxu_seglog.Update_log.t -> Wal.op -> Lxu_seglog.Update_log.t
-(** Applies one logged operation.  Returns the log to use from now on
-    — [Rebuild] replaces it with a freshly indexed one, mirroring
-    {!Lazy_db.rebuild}.
+  Lxu_seglog.Update_log.t -> Wal.op list -> Lxu_seglog.Update_log.t
+(** The one write path: live writes ({!Lazy_db}) and WAL replay apply
+    their ops through this function.  Each maximal run of consecutive
+    [Insert]s is one {!Lxu_seglog.Update_log.insert_batch} (its parse
+    fanned out over [pool]); [Remove] is one
+    {!Lxu_seglog.Update_log.remove}; [Pack] re-indexes its byte range
+    as one segment (a remove and an insert of the same bytes);
+    [Rebuild] re-indexes the whole document as one segment in a fresh
+    log, on a non-attaching backend in [pstore] when given.  Returns
+    the log to use from now on — [Rebuild] replaces it.
+
+    A run refuses before it mutates anything: a one-op list is
+    all-or-nothing, and so is a list of inserts.  A longer mixed list
+    may stop part-way.
     @raise Invalid_argument or [Parse_error] on a semantically
-    impossible record (which {!recover_bytes} treats as corruption). *)
+    impossible op (which {!recover_bytes} treats as corruption). *)
 
 val recover_bytes :
   ?pstore:Lxu_storage_core.Page_store.t ->
@@ -66,12 +79,10 @@ val recover_bytes :
     the WAL header.  The [base] log is mutated in place (pass a
     private copy).
 
-    Each maximal run of consecutive [Insert] records replays as one
-    {!Lxu_seglog.Update_log.insert_batch} (one SB-tree batch and one
-    tag-list merge per run), which yields the same log as replaying
-    them one by one.  A run the batch refuses replays record by
-    record, so a record that cannot replay is still reported by its
-    own LSN with everything before it kept.
+    Records replay through {!replay}, one run at a time (a maximal
+    run of consecutive [Insert] records is one batch).  A run that
+    refuses replays record by record, so a record that cannot replay
+    is still reported by its own LSN with everything before it kept.
 
     [upto_lsn] (default: everything) is the point-in-time restore
     bound: valid records with a higher LSN are skipped, not treated as

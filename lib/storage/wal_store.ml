@@ -43,11 +43,6 @@ let commit ?sync t =
   check_open t "commit";
   Wal.commit ?sync t.wal
 
-let log_op t op =
-  check_open t "log_op";
-  ignore (Wal.append t.wal op);
-  if not t.batching then Wal.commit t.wal
-
 let log_ops t ops =
   check_open t "log_ops";
   List.iter (fun op -> ignore (Wal.append t.wal op)) ops;

@@ -3,7 +3,7 @@
     everything since).
 
     Lifecycle: {!fresh} initialises the directory for a new database;
-    {!log_op}/{!commit} (or {!batch} for group commit) persist each
+    {!log_ops}/{!commit} (or {!batch} for group commit) persist each
     update; {!checkpoint} snapshots the current log and rotates the
     WAL; {!recover} rebuilds the state after a crash, truncating any
     torn or corrupt WAL tail in place so the next writer appends to a
@@ -27,16 +27,13 @@ val fresh :
     starts an empty WAL.  Existing contents are discarded: this is
     for {e new} databases; use {!recover} to resume one. *)
 
-val log_op : t -> Wal.op -> unit
-(** Appends one record and commits it — unless inside {!batch}, where
-    records accumulate in the group-commit buffer. *)
-
 val log_ops : t -> Wal.op list -> unit
-(** Appends the records as one group and commits them with a single
-    device write (none at all inside {!batch}, whose commit covers
-    them).  A crash mid-write persists a prefix of the group — each
-    record replays individually, so recovery yields the state after
-    that prefix. *)
+(** Appends the records of one write as one group and commits them
+    with a single device write (none at all inside {!batch}, whose
+    commit covers them, so records accumulate in the group-commit
+    buffer).  A single update is a group of one.  A crash mid-write
+    persists a prefix of the group — each record replays individually,
+    so recovery yields the state after that prefix. *)
 
 val commit : ?sync:bool -> t -> unit
 

@@ -58,6 +58,11 @@ let remove_range v i n =
   Array.blit v.data (i + n) v.data i (v.len - i - n);
   v.len <- v.len - n
 
+let move v ~src ~dst ~len =
+  if len < 0 || src < 0 || dst < 0 || src + len > v.len || dst + len > v.len then
+    invalid_arg "Vec.move: range out of bounds";
+  Array.blit v.data src v.data dst len
+
 let clear v = v.len <- 0
 
 let truncate v n =

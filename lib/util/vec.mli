@@ -35,6 +35,12 @@ val remove_at : 'a t -> int -> 'a
 val remove_range : 'a t -> int -> int -> unit
 (** [remove_range v i n] removes elements [i .. i+n-1]. *)
 
+val move : 'a t -> src:int -> dst:int -> len:int -> unit
+(** [move v ~src ~dst ~len] copies elements [src .. src+len-1] to
+    [dst .. dst+len-1] in one blit; the ranges may overlap and must
+    both lie inside [0, length v).  The length is unchanged.
+    @raise Invalid_argument on a range outside the vector. *)
+
 val clear : 'a t -> unit
 
 val truncate : 'a t -> int -> unit

@@ -196,7 +196,7 @@ let test_bad_insert_mid_run () =
             Wal_store.fresh ~dir ~mode:Lxu_seglog.Update_log.Lazy_dynamic
               ~index_attributes:false
           in
-          List.iter (Wal_store.log_op st) (good_before @ [ bad ] @ good_after);
+          Wal_store.log_ops st (good_before @ [ bad ] @ good_after);
           Wal_store.close st;
           let wal = Wal_store.wal_path dir in
           let records = (Wal.scan (read_file wal)).Wal.records in
@@ -248,6 +248,108 @@ let test_restore_mid_run () =
         Lazy_db.check db'
       done)
 
+(* A closed durable handle refuses every write kind before applying
+   it: the live text stays what recovery gives, so the two can never
+   disagree about an update the WAL never saw. *)
+let test_closed_handle_refuses_writes () =
+  with_dir "closed" (fun dir ->
+      let db = Lazy_db.create ~durability:(`Wal dir) () in
+      Lazy_db.insert db ~gp:0 "<a><b/></a>";
+      Lazy_db.close db;
+      let text = Lazy_db.text db and len = Lazy_db.doc_length db in
+      List.iter
+        (fun (what, write) ->
+          (match write () with
+          | () -> Alcotest.failf "%s on a closed handle was accepted" what
+          | exception Invalid_argument msg ->
+            check_bool (what ^ ": says closed") true (contains ~needle:"closed" msg));
+          check_string (what ^ ": text unchanged") text (Lazy_db.text db);
+          check_int (what ^ ": doc_length unchanged") len (Lazy_db.doc_length db))
+        [
+          ("insert", fun () -> Lazy_db.insert db ~gp:3 "<c/>");
+          ("insert_many", fun () -> Lazy_db.insert_many db [ (3, "<c/>"); (3, "<d/>") ]);
+          ("remove", fun () -> Lazy_db.remove db ~gp:3 ~len:4);
+          ("pack_subtree", fun () -> Lazy_db.pack_subtree db ~gp:0 ~len:11);
+          ("rebuild", fun () -> Lazy_db.rebuild db);
+        ];
+      let db', _ = Lazy_db.recover dir in
+      check_string "recover agrees with the live text" text (Lazy_db.text db');
+      Lazy_db.close db')
+
+(* A pack whose range the remove accepts (it splits no element) but
+   whose bytes do not parse (it cuts a comment) is refused before
+   anything moves: the live text stays what recovery gives. *)
+let test_refused_pack_changes_nothing () =
+  with_dir "badpack" (fun dir ->
+      let db = Lazy_db.create ~durability:(`Wal dir) () in
+      Lazy_db.insert db ~gp:0 "<a><!--xy--><b/></a>";
+      let text = Lazy_db.text db in
+      (match Lazy_db.pack_subtree db ~gp:3 ~len:6 with
+      | () -> Alcotest.fail "pack of a cut comment accepted"
+      | exception Lxu_xml.Parser.Parse_error _ -> ());
+      check_string "text unchanged" text (Lazy_db.text db);
+      Lazy_db.check db;
+      Lazy_db.close db;
+      let db', _ = Lazy_db.recover dir in
+      check_string "recover agrees with the live text" text (Lazy_db.text db');
+      Lazy_db.close db')
+
+(* The checkpoint header's LSN is checksummed: flipping any bit pattern
+   of any byte of the header line is refused with the path named —
+   never read as a different LSN, which would skip or re-apply WAL
+   records.  The old unchecksummed format is refused by its magic. *)
+let test_checkpoint_header_flips () =
+  with_dir "ckpt_header" (fun dir ->
+      let db = Lazy_db.create ~durability:(`Wal dir) () in
+      Lazy_db.insert db ~gp:0 "<r></r>";
+      for _ = 2 to 12 do
+        Lazy_db.insert db ~gp:3 "<x/>"
+      done;
+      Lazy_db.checkpoint db;
+      for _ = 1 to 3 do
+        Lazy_db.insert db ~gp:3 "<y/>"
+      done;
+      let text = Lazy_db.text db in
+      Lazy_db.close db;
+      let snap = Wal_store.snapshot_path dir in
+      let good = read_file snap in
+      let header_len = String.index good '\n' + 1 in
+      check_string "header"
+        (Printf.sprintf "LXUCKPT2 lsn 12 crc %08x\n" (Lxu_storage.Crc32.string "lsn 12"))
+        (String.sub good 0 header_len);
+      let names_path what msg =
+        check_bool (what ^ ": names the path") true (contains ~needle:snap msg)
+      in
+      let refused what =
+        (match Recovery.read_snapshot ~path:snap () with
+        | exception Failure msg -> names_path what msg
+        | lsn, _ -> Alcotest.failf "%s: read as lsn %d" what lsn);
+        match Lazy_db.recover dir with
+        | exception Failure msg -> names_path (what ^ " (recover)") msg
+        | _ -> Alcotest.failf "%s: recovered" what
+      in
+      for i = 0 to header_len - 1 do
+        List.iter
+          (fun mask ->
+            let b = Bytes.of_string good in
+            Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
+            write_file snap (Bytes.to_string b);
+            refused (Printf.sprintf "byte %d xor 0x%02x" i mask))
+          [ 0x01; 0x20; 0x80 ]
+      done;
+      let payload = String.sub good header_len (String.length good - header_len) in
+      write_file snap ("LXUCKPT1 lsn 12\n" ^ payload);
+      (match Recovery.read_snapshot ~path:snap () with
+      | exception Failure msg ->
+        check_bool "format 1 refused by its magic" true (contains ~needle:"format 1" msg)
+      | _ -> Alcotest.fail "format 1 header accepted");
+      write_file snap good;
+      let db', report = Lazy_db.recover dir in
+      check_int "intact header: snapshot lsn" 12 report.Recovery.snapshot_lsn;
+      check_int "intact header: the 3 later records replay" 3 report.Recovery.records_applied;
+      check_string "intact header: text" text (Lazy_db.text db');
+      Lazy_db.close db')
+
 let suite =
   [
     Alcotest.test_case "durable roundtrip" `Quick test_durable_roundtrip;
@@ -260,4 +362,7 @@ let suite =
     Alcotest.test_case "error paths name files" `Quick test_error_paths;
     Alcotest.test_case "bad insert mid-run pinned" `Quick test_bad_insert_mid_run;
     Alcotest.test_case "restore_to inside an insert run" `Quick test_restore_mid_run;
+    Alcotest.test_case "closed handle refuses writes" `Quick test_closed_handle_refuses_writes;
+    Alcotest.test_case "refused pack changes nothing" `Quick test_refused_pack_changes_nothing;
+    Alcotest.test_case "checkpoint header flips refused" `Quick test_checkpoint_header_flips;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the tag-list: sorted insertion, LS-style deferred sorting,
-   count bookkeeping on deletion. *)
+(* Tests for the tag-list: appends merged by sort_all (at once under LD,
+   deferred under LS), count bookkeeping on deletion. *)
 
 open Lxu_seglog
 
@@ -13,16 +13,23 @@ let gp_of = function 1 -> 100 | 2 -> 50 | 3 -> 75 | 4 -> 10 | _ -> 0
 
 let sids t tid = Array.to_list (Array.map (fun e -> e.Tag_list.sid) (Tag_list.entries t ~tid))
 
-let test_add_sorted () =
+(* The LD discipline: every entry is appended and merged at once, so
+   each merge is a pending run of one into a sorted main run. *)
+let append_merged t ~tid e ~gp_of =
+  Tag_list.append t ~tid e;
+  Tag_list.sort_all t ~gp_of
+
+let test_append_sort_one () =
   let t = Tag_list.create () in
-  Tag_list.add_sorted t ~tid:7 (entry 1 [ 0; 1 ] 3) ~gp_of;
-  Tag_list.add_sorted t ~tid:7 (entry 2 [ 0; 2 ] 1) ~gp_of;
-  Tag_list.add_sorted t ~tid:7 (entry 3 [ 0; 2; 3 ] 2) ~gp_of;
+  append_merged t ~tid:7 (entry 1 [ 0; 1 ] 3) ~gp_of;
+  append_merged t ~tid:7 (entry 2 [ 0; 2 ] 1) ~gp_of;
+  append_merged t ~tid:7 (entry 3 [ 0; 2; 3 ] 2) ~gp_of;
   Alcotest.(check (list int)) "gp order" [ 2; 3; 1 ] (sids t 7);
   check_bool "not dirty" false (Tag_list.is_dirty t)
 
 let test_append_and_sort () =
   let t = Tag_list.create () in
+  append_merged t ~tid:9 (entry 1 [ 0; 1 ] 1) ~gp_of;
   Tag_list.append t ~tid:7 (entry 1 [ 0; 1 ] 1);
   Tag_list.append t ~tid:7 (entry 4 [ 0; 4 ] 1);
   Tag_list.append t ~tid:7 (entry 2 [ 0; 2 ] 1);
@@ -33,7 +40,6 @@ let test_append_and_sort () =
     | _ -> false);
   (* Dirtiness is per tag: a clean tag stays readable while tag 7 is
      dirty, and a soiled one raises with its own tid. *)
-  Tag_list.add_sorted t ~tid:9 (entry 1 [ 0; 1 ] 1) ~gp_of;
   check_int "clean tag readable beside a dirty one" 1
     (Array.length (Tag_list.entries t ~tid:9));
   Tag_list.append t ~tid:9 (entry 2 [ 0; 2 ] 1);
@@ -47,7 +53,7 @@ let test_append_and_sort () =
 
 let test_mark_dirty () =
   let t = Tag_list.create () in
-  Tag_list.add_sorted t ~tid:1 (entry 1 [ 0; 1 ] 1) ~gp_of;
+  append_merged t ~tid:1 (entry 1 [ 0; 1 ] 1) ~gp_of;
   Tag_list.mark_dirty t;
   check_bool "dirty again" true (Tag_list.is_dirty t);
   Tag_list.sort_all t ~gp_of;
@@ -55,7 +61,7 @@ let test_mark_dirty () =
 
 let test_decrement () =
   let t = Tag_list.create () in
-  Tag_list.add_sorted t ~tid:1 (entry 1 [ 0; 1 ] 3) ~gp_of;
+  append_merged t ~tid:1 (entry 1 [ 0; 1 ] 3) ~gp_of;
   Tag_list.decrement t ~tid:1 ~sid:1 ~by:2;
   check_int "count lowered" 1 (Tag_list.entries t ~tid:1).(0).Tag_list.count;
   Tag_list.decrement t ~tid:1 ~sid:1 ~by:1;
@@ -66,9 +72,9 @@ let test_decrement () =
 
 let test_remove_segment () =
   let t = Tag_list.create () in
-  Tag_list.add_sorted t ~tid:1 (entry 1 [ 0; 1 ] 1) ~gp_of;
-  Tag_list.add_sorted t ~tid:2 (entry 1 [ 0; 1 ] 4) ~gp_of;
-  Tag_list.add_sorted t ~tid:2 (entry 2 [ 0; 2 ] 1) ~gp_of;
+  append_merged t ~tid:1 (entry 1 [ 0; 1 ] 1) ~gp_of;
+  append_merged t ~tid:2 (entry 1 [ 0; 1 ] 4) ~gp_of;
+  append_merged t ~tid:2 (entry 2 [ 0; 2 ] 1) ~gp_of;
   Tag_list.remove_segment t ~sid:1;
   check_int "tid1 empty" 0 (Array.length (Tag_list.entries t ~tid:1));
   Alcotest.(check (list int)) "tid2 keeps sid2" [ 2 ] (sids t 2)
@@ -81,9 +87,9 @@ let test_cardinalities () =
   check_int "empty tag segments" 0 (Tag_list.tag_segments t ~tid:1);
   check_int "empty tag elements" 0 (Tag_list.tag_elements t ~tid:1);
   check_int "empty max" 0 (Tag_list.max_segments t);
-  Tag_list.add_sorted t ~tid:1 (entry 1 [ 0; 1 ] 3) ~gp_of;
-  Tag_list.add_sorted t ~tid:1 (entry 2 [ 0; 2 ] 2) ~gp_of;
-  Tag_list.add_sorted t ~tid:2 (entry 1 [ 0; 1 ] 5) ~gp_of;
+  append_merged t ~tid:1 (entry 1 [ 0; 1 ] 3) ~gp_of;
+  append_merged t ~tid:1 (entry 2 [ 0; 2 ] 2) ~gp_of;
+  append_merged t ~tid:2 (entry 1 [ 0; 1 ] 5) ~gp_of;
   check_int "segments" 2 (Tag_list.tag_segments t ~tid:1);
   check_int "elements" 5 (Tag_list.tag_elements t ~tid:1);
   check_int "max over tags" 2 (Tag_list.max_segments t);
@@ -106,34 +112,21 @@ let test_cardinalities () =
 
 let test_tids_and_sizes () =
   let t = Tag_list.create () in
-  Tag_list.add_sorted t ~tid:5 (entry 1 [ 0; 1 ] 1) ~gp_of;
-  Tag_list.add_sorted t ~tid:3 (entry 1 [ 0; 1 ] 1) ~gp_of;
+  append_merged t ~tid:5 (entry 1 [ 0; 1 ] 1) ~gp_of;
+  append_merged t ~tid:3 (entry 1 [ 0; 1 ] 1) ~gp_of;
   Alcotest.(check (list int)) "tids sorted" [ 3; 5 ] (Tag_list.tids t);
   check_bool "size" true (Tag_list.size_bytes t > 0);
   check_bool "ops counted" true (Tag_list.path_ops t >= 2)
 
 (* Differential: the run-merge sort path against an oracle kept here —
    each tag's live entries in arrival order, stably sorted by gp at the
-   end — on an op schedule with gp collisions, mid-stream sorts,
-   decrements and segment removals.  gps never move in this schedule,
-   and every entry of the main run arrived before every pending one,
-   so the merge path must agree with the oracle entry-for-entry —
-   including the order of equal-gp entries, which is where a naive
-   unstable sort would diverge. *)
-let test_merge_matches_resort () =
-  (* Plenty of collisions: five distinct gps over ~40 sids. *)
-  let gp_of sid = sid mod 5 * 10 in
-  let ops rng =
-    List.init 400 (fun i ->
-        let tid = 1 + Lxu_workload.Rng.int rng 6 in
-        let sid = 1 + Lxu_workload.Rng.int rng 40 in
-        match Lxu_workload.Rng.int rng 10 with
-        | 0 -> `Sort
-        | 1 -> `Decrement (tid, sid)
-        | 2 when i > 50 -> `Remove_segment sid
-        | 3 | 4 -> `Add_sorted (tid, entry sid [ 0; sid ] (1 + (i mod 3)))
-        | _ -> `Append (tid, entry sid [ 0; sid ] (1 + (i mod 3))))
-  in
+   end — on op schedules with mid-stream sorts, decrements and segment
+   removals.  gps never move in these schedules, and every entry of the
+   main run arrived before every pending one, so the merge path must
+   agree with the oracle entry-for-entry — including the order of
+   equal-gp entries, which is where a naive unstable sort would
+   diverge. *)
+let merge_differential ~gp_of ~ops seeds =
   let merged ops =
     let t = Tag_list.create () in
     List.iter
@@ -141,7 +134,6 @@ let test_merge_matches_resort () =
         | `Sort -> Tag_list.sort_all t ~gp_of
         | `Decrement (tid, sid) -> Tag_list.decrement t ~tid ~sid ~by:1
         | `Remove_segment sid -> Tag_list.remove_segment t ~sid
-        | `Add_sorted (tid, e) -> Tag_list.add_sorted t ~tid e ~gp_of
         | `Append (tid, e) -> Tag_list.append t ~tid e)
       ops;
     Tag_list.sort_all t ~gp_of;
@@ -174,7 +166,7 @@ let test_merge_matches_resort () =
           List.iter
             (fun tid -> update tid (List.filter (fun (s, _, _) -> s <> sid)))
             (List.of_seq (Hashtbl.to_seq_keys lists))
-        | `Add_sorted (tid, e) | `Append (tid, e) -> add tid e)
+        | `Append (tid, e) -> add tid e)
       ops;
     let by_gp (s1, _, _) (s2, _, _) = Int.compare (gp_of s1) (gp_of s2) in
     List.of_seq (Hashtbl.to_seq lists)
@@ -199,11 +191,40 @@ let test_merge_matches_resort () =
             true
             (dump merged = want))
         expected)
-    [ 1; 2; 3; 42 ]
+    seeds
+
+let test_merge_matches_resort () =
+  (* Plenty of collisions: five distinct gps over ~40 sids.  An LD
+     insert is an append merged at once (a pending run of one). *)
+  merge_differential ~gp_of:(fun sid -> sid mod 5 * 10) [ 1; 2; 3; 42 ] ~ops:(fun rng ->
+      List.concat
+        (List.init 400 (fun i ->
+             let tid = 1 + Lxu_workload.Rng.int rng 6 in
+             let sid = 1 + Lxu_workload.Rng.int rng 40 in
+             match Lxu_workload.Rng.int rng 10 with
+             | 0 -> [ `Sort ]
+             | 1 -> [ `Decrement (tid, sid) ]
+             | 2 when i > 50 -> [ `Remove_segment sid ]
+             | 3 | 4 -> [ `Append (tid, entry sid [ 0; sid ] (1 + (i mod 3))); `Sort ]
+             | _ -> [ `Append (tid, entry sid [ 0; sid ] (1 + (i mod 3))) ])));
+  (* Long pending runs: sorts only at ops 3^k, so each pending run is
+     twice as long as the main run it merges into, over a hundred
+     distinct gps (with collisions) so the gallop travels both far and
+     not at all. *)
+  merge_differential ~gp_of:(fun sid -> sid * 37 mod 101) [ 1; 2; 3; 42 ] ~ops:(fun rng ->
+      List.init 729 (fun i ->
+          let tid = 1 + Lxu_workload.Rng.int rng 2 in
+          let sid = 1 + Lxu_workload.Rng.int rng 300 in
+          if List.mem i [ 1; 3; 9; 27; 81; 243 ] then `Sort
+          else
+            match Lxu_workload.Rng.int rng 20 with
+            | 0 -> `Decrement (tid, sid)
+            | 1 when i > 50 -> `Remove_segment sid
+            | _ -> `Append (tid, entry sid [ 0; sid ] (1 + (i mod 3)))))
 
 let suite =
   [
-    Alcotest.test_case "add_sorted keeps gp order" `Quick test_add_sorted;
+    Alcotest.test_case "one-entry merges keep gp order" `Quick test_append_sort_one;
     Alcotest.test_case "append then sort_all" `Quick test_append_and_sort;
     Alcotest.test_case "mark_dirty" `Quick test_mark_dirty;
     Alcotest.test_case "decrement" `Quick test_decrement;

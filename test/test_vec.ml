@@ -31,7 +31,16 @@ let test_insert_remove () =
   check_int "removed" 3 (Vec.remove_at v 3);
   check_list "after remove" [ 0; 1; 2; 4; 5 ] (Vec.to_list v);
   Vec.remove_range v 1 3;
-  check_list "after remove_range" [ 0; 5 ] (Vec.to_list v)
+  check_list "after remove_range" [ 0; 5 ] (Vec.to_list v);
+  (* [move] blits within the vector; overlapping ranges either way. *)
+  let v = Vec.of_list [ 0; 1; 2; 3; 4; 5 ] in
+  Vec.move v ~src:1 ~dst:2 ~len:3;
+  check_list "move right, overlapping" [ 0; 1; 1; 2; 3; 5 ] (Vec.to_list v);
+  Vec.move v ~src:2 ~dst:0 ~len:4;
+  check_list "move left, overlapping" [ 1; 2; 3; 5; 3; 5 ] (Vec.to_list v);
+  Vec.move v ~src:6 ~dst:0 ~len:0;
+  Alcotest.check_raises "move past the end" (Invalid_argument "Vec.move: range out of bounds")
+    (fun () -> Vec.move v ~src:3 ~dst:4 ~len:3)
 
 let test_truncate () =
   let v = Vec.of_list [ 0; 1; 2; 3; 4 ] in
