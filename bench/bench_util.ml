@@ -36,75 +36,17 @@ let measure_min ?(repeat = 5) f =
     infinity
     (List.init repeat Fun.id)
 
+(* Sizes the minor heap for measurement (64 MB): the runtime default
+   (2 MB) forces minor collections mid-pass, and the promotion of live
+   working state adds milliseconds of identical, variance-heavy noise
+   to every variant — drowning the deltas the figures and the gate
+   exist to show.  This is runtime sizing a long-lived query server
+   would use anyway.  OCAMLRUNPARAM cannot override it (Gc.set wins),
+   so edit here to experiment. *)
+let size_heap () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 }
+
 let header title =
   Printf.printf "\n=== %s ===\n" title
-
-(* --- machine-readable output ---------------------------------------- *)
-
-(* Figures that emit machine-readable results (the BENCH_*.json perf
-   trajectory) write to the path given with [--json <path>] on the
-   main.exe command line, or to their own default filename.  The flag
-   is parsed by bench/main.ml and shared by every figure. *)
-let json_path : string option ref = ref None
-
-let json_out ~default = match !json_path with Some p -> p | None -> default
-
-(* Minimal JSON construction — enough for flat benchmark records, no
-   external dependency. *)
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let rec render_json buf = function
-  | J_null -> Buffer.add_string buf "null"
-  | J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | J_int i -> Buffer.add_string buf (string_of_int i)
-  | J_float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | J_str s ->
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | J_list l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        render_json buf x)
-      l;
-    Buffer.add_char buf ']'
-  | J_obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        render_json buf (J_str k);
-        Buffer.add_char buf ':';
-        render_json buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let write_json path json =
-  let buf = Buffer.create 1024 in
-  render_json buf json;
-  Buffer.add_char buf '\n';
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "wrote %s\n" path
 
 let columns widths cells =
   List.iter2 (fun w c -> Printf.printf "%-*s" w c) widths cells;
