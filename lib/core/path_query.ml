@@ -81,7 +81,14 @@ and step_to_string { axis; tag; predicates } =
                                      [axis] to a [desc]-element in [set]
    - [down axis ~anc set ~desc]      elements of tag [desc] related by
                                      [axis] to an [anc]-element in [set]
-   - [extents tag set]               global (start, stop) pairs, sorted *)
+   - [extents tag set]               global (start, stop) pairs, sorted
+
+   [extents] walks the tag's segments in tag-list order and each
+   segment's column in local order, translating through one
+   [Er_node.cursor] per segment, so the extents come out in sorted
+   runs (a child segment's elements sit inside its parent's, but are
+   listed after them); [Run_merge.sort] merges the runs instead of
+   sorting. *)
 
 (* Lexicographic order on int pairs without polymorphic [compare]:
    element refs [(sid, start)] and global extents [(start, stop)]. *)
@@ -208,15 +215,27 @@ let log_ops ?guard log =
     extents =
       (fun tag set ->
         let tr = Update_log.translators log in
+        let gs = Lxu_util.Vec.create () and ge = Lxu_util.Vec.create () in
+        let cur_sid = ref (-1) and cur = ref None in
         fold_tag tag
-          (fun acc ~sid ~start ~stop ~level:_ ->
+          (fun () ~sid ~start ~stop ~level:_ ->
             if Ref_set.mem (sid, start) set then begin
-              let t = tr sid in
-              (Er_node.global_start t start, Er_node.global_stop t stop) :: acc
-            end
-            else acc)
-          []
-        |> List.sort compare_int_pair);
+              let c =
+                match !cur with
+                | Some c when !cur_sid = sid -> c
+                | _ ->
+                  let c = Er_node.cursor (tr sid) in
+                  cur_sid := sid;
+                  cur := Some c;
+                  c
+              in
+              Lxu_util.Vec.push gs (Er_node.cursor_start c start);
+              Lxu_util.Vec.push ge (Er_node.cursor_stop c stop)
+            end)
+          ();
+        let gs = Lxu_util.Vec.to_array gs and ge = Lxu_util.Vec.to_array ge in
+        Lxu_util.Run_merge.sort gs ge;
+        List.init (Array.length gs) (fun i -> (gs.(i), ge.(i))));
   }
 
 let rec has_predicates steps =

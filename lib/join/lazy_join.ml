@@ -553,28 +553,45 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
       Array.iter (fun (_, lstats) -> add_stats stats lstats) results;
       (bufs_to_pairs (Array.to_list (Array.map fst results)), stats))
 
-(* Each distinct segment is resolved and its translator built once per
-   call; the global starts go into flat arrays and an index permutation
-   is sorted by (desc, anc) with int comparisons only, so no tuple
-   exists until the result list is built. *)
+(* Translates in emission order into two flat columns, then merges
+   their sorted runs; no tuple exists until the result list is built.
+   Each side keeps its own cursor (an in-segment pair has both sides in
+   one segment, and interleaving them on one cursor would step back at
+   every pair). *)
 let global_pairs log pairs =
   let n = Array.length pairs in
-  let tr = Update_log.translators log in
-  let ga = Array.make n 0 and gd = Array.make n 0 in
-  Array.iteri
-    (fun i p ->
-      ga.(i) <- Er_node.global_start (tr p.a_sid) p.a_start;
-      gd.(i) <- Er_node.global_start (tr p.d_sid) p.d_start)
-    pairs;
-  let order = Array.init n Fun.id in
-  Array.stable_sort
-    (fun i j ->
-      let c = Int.compare (Array.unsafe_get gd i) (Array.unsafe_get gd j) in
-      if c <> 0 then c else Int.compare (Array.unsafe_get ga i) (Array.unsafe_get ga j))
-    order;
-  let acc = ref [] in
-  for k = n - 1 downto 0 do
-    let i = order.(k) in
-    acc := (ga.(i), gd.(i)) :: !acc
-  done;
-  !acc
+  if n = 0 then []
+  else begin
+    let tr = Update_log.translators log in
+    let ga = Array.make n 0 and gd = Array.make n 0 in
+    let p0 = pairs.(0) in
+    let a_sid = ref p0.a_sid and a_cur = ref (Er_node.cursor (tr p0.a_sid)) in
+    let a_start = ref p0.a_start in
+    let a_g = ref (Er_node.cursor_start !a_cur p0.a_start) in
+    let d_sid = ref p0.d_sid and d_cur = ref (Er_node.cursor (tr p0.d_sid)) in
+    for i = 0 to n - 1 do
+      let p = Array.unsafe_get pairs i in
+      if p.a_sid <> !a_sid then begin
+        a_sid := p.a_sid;
+        a_cur := Er_node.cursor (tr p.a_sid);
+        a_start := p.a_start;
+        a_g := Er_node.cursor_start !a_cur p.a_start
+      end
+      else if p.a_start <> !a_start then begin
+        a_start := p.a_start;
+        a_g := Er_node.cursor_start !a_cur p.a_start
+      end;
+      if p.d_sid <> !d_sid then begin
+        d_sid := p.d_sid;
+        d_cur := Er_node.cursor (tr p.d_sid)
+      end;
+      Array.unsafe_set ga i !a_g;
+      Array.unsafe_set gd i (Er_node.cursor_start !d_cur p.d_start)
+    done;
+    Run_merge.sort gd ga;
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      acc := (Array.unsafe_get ga i, Array.unsafe_get gd i) :: !acc
+    done;
+    !acc
+  end

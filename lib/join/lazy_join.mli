@@ -136,6 +136,16 @@ val run :
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,
     sorted by [(desc, anc)] — the canonical form for comparing against
-    the classical algorithms.  Each distinct segment is resolved once
-    per call into an {!Lxu_seglog.Er_node.translator}, so a label costs
-    O(log (children + tombstones)) of its segment. *)
+    the classical algorithms.
+
+    The pairs are walked in emission order with one
+    {!Lxu_seglog.Er_node.cursor} per side: a side's translator is
+    looked up only when its sid changes, and an ancestor repeated
+    across consecutive pairs (a cross-segment emission) reuses its
+    global start.  Within a segment the join emits labels mostly in
+    local order, so a cursor mostly moves forward and a run costs
+    O(labels + children + tombstones) of its segment.  The translated
+    columns come out in a few sorted runs — segment nesting and
+    innermost-first ancestors break the order — which
+    {!Lxu_util.Run_merge.sort} merges: O(n) when the pairs are already
+    sorted, O(n log runs) otherwise. *)

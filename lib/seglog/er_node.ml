@@ -240,26 +240,72 @@ let translator t =
     kid_before = prefix_sums (Array.length kids) (fun i -> kids.(i).len);
   }
 
-(* Number of entries of the sorted array [a] that are [< x], or [<= x]
-   with [incl_eq]. *)
+(* Whether [a.(i)] counts as before [x]: [< x], or [<= x] with
+   [incl_eq]. *)
+let before (a : int array) i x ~incl_eq =
+  let v = Array.unsafe_get a i in
+  v < x || (incl_eq && v = x)
+
+(* Number of entries of the sorted array [a] that are before [x]. *)
 let count_below a x ~incl_eq =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let v = Array.unsafe_get a mid in
-    if v < x || (incl_eq && v = x) then lo := mid + 1 else hi := mid
+    if before a mid x ~incl_eq then lo := mid + 1 else hi := mid
   done;
   !lo
 
+(* [count_below a x] given that at least [from] entries are before
+   [x]: gallops forward from [from] in doubling steps, then binary
+   searches the last step — O(log gap), so a forward walk over the
+   whole array costs O(length) in total. *)
+let gallop a from x ~incl_eq =
+  let n = Array.length a in
+  if from >= n || not (before a from x ~incl_eq) then from
+  else begin
+    (* [lo] is before [x]; [hi] is not, or is [n]. *)
+    let lo = ref from and step = ref 1 in
+    while !lo + !step < n && before a (!lo + !step) x ~incl_eq do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    let hi = ref (min n (!lo + !step)) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) lsr 1 in
+      if before a mid x ~incl_eq then lo := mid else hi := mid
+    done;
+    !hi
+  end
+
+(* A seat holds, for its last offset [x], how many tombstones start
+   before [x] and how many children hook before it (or at it, on a
+   start seat).  [x = max_int] means not yet seated: every real offset
+   is then a step back, which seats by binary search. *)
+type seat = { mutable x : int; mutable tomb : int; mutable kid : int }
+
+type cursor = { tr : translator; starts : seat; stops : seat }
+
+let cursor tr =
+  { tr; starts = { x = max_int; tomb = 0; kid = 0 }; stops = { x = max_int; tomb = 0; kid = 0 } }
+
 (* Tombstones are sorted and disjoint, so of those starting before [x]
    only the last can extend past it. *)
-let translate tr x ~incl_eq =
-  let k = count_below tr.tomb_starts x ~incl_eq:false in
+let translate tr s x ~incl_eq =
+  if x < s.x then begin
+    s.tomb <- count_below tr.tomb_starts x ~incl_eq:false;
+    s.kid <- count_below tr.kid_lps x ~incl_eq
+  end
+  else if x > s.x then begin
+    s.tomb <- gallop tr.tomb_starts s.tomb x ~incl_eq:false;
+    s.kid <- gallop tr.kid_lps s.kid x ~incl_eq
+  end;
+  s.x <- x;
+  let k = s.tomb in
   let dead = if k = 0 then 0 else tr.tomb_before.(k) - max 0 (tr.tomb_stops.(k - 1) - x) in
-  tr.base + (x - dead) + tr.kid_before.(count_below tr.kid_lps x ~incl_eq)
+  tr.base + (x - dead) + tr.kid_before.(s.kid)
 
-let global_start tr x = translate tr x ~incl_eq:true
-let global_stop tr x = translate tr x ~incl_eq:false
+let cursor_start c x = translate c.tr c.starts x ~incl_eq:true
+let cursor_stop c x = translate c.tr c.stops x ~incl_eq:false
 
 let rec iter_subtree t f =
   f t;

@@ -131,32 +131,43 @@ val global_extent : t -> elem -> int * int
     It is the {e linear reference}: every call scans all of the node's
     tombstones and children.  The STD baseline and the
     {!Update_log.global_elements} oracle use it; query paths that
-    translate many labels of one segment build a {!translator}
-    instead. *)
+    translate many labels of one segment walk a {!cursor} instead. *)
 
 val global_extent_span : t -> start:int -> stop:int -> int * int
 (** As {!global_extent}, but on a bare local [(start, stop)] span. *)
 
 type translator
 (** A node's local→global translation frozen into prefix sums over its
-    sorted tombstones and over its children's [lp]/[len]: each
-    {!global_start}/{!global_stop} is two binary searches,
-    O(log (children + tombstones)), and agrees with
-    {!global_extent_span}.  Building one is O(children + tombstones).
-    It captures [gp], [len]s, tombstones and children as they are when
-    built, so it is valid only until the next update. *)
+    sorted tombstones and over its children's [lp]/[len], built in
+    O(children + tombstones).  It is immutable, so one translator
+    serves any number of {!cursor}s.  It captures [gp], [len]s,
+    tombstones and children as they are when built, so it is valid
+    only until the next update. *)
 
 val translator : t -> translator
 
-val global_start : translator -> int -> int
-(** Global position of an element starting at local [x] — the first
-    component of {!global_extent_span}: a child hooked exactly at [x]
-    precedes it. *)
+type cursor
+(** A walk over one translator.  A cursor keeps two seats, one for
+    starts and one for stops; a seat remembers the last offset it
+    translated as its position in the sorted tombstone starts and
+    child [lp]s.  A larger offset moves the seat forward by galloping,
+    O(log gap); a smaller one, and the first, re-seats it by binary
+    search, O(log (children + tombstones)).  So translating a column
+    in local order — or any run of offsets that only goes up — costs
+    O(offsets + children + tombstones) in all, with no hashing.  A
+    cursor is mutable: give each walk its own. *)
 
-val global_stop : translator -> int -> int
-(** Global position of an element stopping at local [x] — the second
-    component of {!global_extent_span}: a child hooked exactly at [x]
-    lies inside it. *)
+val cursor : translator -> cursor
+
+val cursor_start : cursor -> int -> int
+(** [cursor_start c x] is the global position of an element starting
+    at local [x] — the first component of {!global_extent_span}: a
+    child hooked exactly at [x] precedes it. *)
+
+val cursor_stop : cursor -> int -> int
+(** [cursor_stop c x] is the global position of an element stopping
+    at local [x] — the second component of {!global_extent_span}: a
+    child hooked exactly at [x] lies inside it. *)
 
 val iter_subtree : t -> (t -> unit) -> unit
 (** Pre-order traversal of the node and its descendants. *)

@@ -104,12 +104,22 @@ let metrics t = t.metrics
 let tag_list t = t.tag_list
 let synopsis t = t.synopsis
 
-(* gp resolution used to keep tag lists sorted; walks the ER-tree
-   structures already in memory, independent of SB-tree freshness. *)
+(* gp resolution for [check], which must not trust the SB-tree: a
+   table of every segment, from a walk of the ER-tree. *)
 let gp_table t =
   let table = Hashtbl.create 256 in
   Er_node.iter_subtree t.root (fun n -> Hashtbl.replace table n.Er_node.sid n.Er_node.gp);
   fun sid -> Hashtbl.find table sid
+
+(* Brings the dirty tag lists back to gp order, resolving the merge's
+   gp probes through the SB-tree.  Only for callers that have just made
+   the SB-tree hold every live segment: the end of an LD insert and
+   [prepare_for_query].  It reads the tree itself, not [node_of_sid]:
+   an LD tree stays complete even while [mark_stale] flags it. *)
+let sort_tag_lists t =
+  if Tag_list.is_dirty t.tag_list then
+    Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
+        match Sb_index.find t.sb sid with Some n -> n.Er_node.gp | None -> raise Not_found)
 
 (* From-scratch path synopsis of an ER-tree: the incremental oracle
    (used by [load], [check] and the tests).  A child's context chain is
@@ -372,12 +382,12 @@ let insert_edits ~who ?pool t edits =
     (match t.mode with
     | Lazy_dynamic ->
       (* One SB-tree batch insert — sids were assigned in ascending
-         order, so the pairs are already sorted — and one tag-list
-         merge over a single gp table, restoring the LD query-ready
-         invariant with one pass instead of B.  A segment without
-         elements touches no tag list and needs no table. *)
+         order, so the pairs are already sorted — then one tag-list
+         merge, restoring the LD query-ready invariant with one pass
+         instead of B.  The merge resolves gps through the SB-tree the
+         batch insert has just completed. *)
       Sb_index.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
-      if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
+      sort_tag_lists t
     | Lazy_static -> ());
     List.rev !sids
 
@@ -572,7 +582,7 @@ let prepare_for_query t =
     Sb_index.load_sorted t.sb pairs;
     t.sb_dirty <- false
   end;
-  if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
+  sort_tag_lists t
 
 let node_of_sid t sid =
   if t.sb_dirty then failwith "Update_log.node_of_sid: stale SB-tree, call prepare_for_query";

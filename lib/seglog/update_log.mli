@@ -80,9 +80,9 @@ val insert_batch :
     (Figure 5).  All fragments are parsed and labelled first (fanned
     out over [pool] when given and there is more than one — both are
     pure), then the ER-tree edits are applied serially, followed by
-    {e one} SB-tree batch insert and {e one} tag-list merge over a
-    single gp table (under [Lazy_dynamic]; [Lazy_static] defers those
-    to {!prepare_for_query} as usual).  The result is the same log as
+    {e one} SB-tree batch insert and {e one} tag-list merge, whose gp
+    probes go through that SB-tree (under [Lazy_dynamic];
+    [Lazy_static] defers those to {!prepare_for_query} as usual).  The result is the same log as
     applying the edits one at a time.
 
     All-or-nothing: every edit is validated before anything is
@@ -124,8 +124,11 @@ val node_of_sid : t -> int -> Er_node.t
 val translators : t -> int -> Er_node.translator
 (** [translators t] is a lookup from sid to that segment's
     {!Er_node.translator}, resolving each sid ({!node_of_sid} plus the
-    build) at most once.  The memo lives as long as the returned
-    closure: use one per read and drop it before the next update.
+    build) at most once.  Readers walk results in segment runs and
+    probe it only when the sid changes, then translate the run with an
+    {!Er_node.cursor} on the translator — one hash probe per run, not
+    per label.  The memo lives as long as the returned closure: use
+    one per read and drop it before the next update.
     @raise Not_found as {!node_of_sid}. *)
 
 val segments_for_tag : t -> tag:string -> Tag_list.entry array

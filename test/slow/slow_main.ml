@@ -20,7 +20,10 @@
      every committed prefix state reconstructible;
    - the translation stress case: one segment with >= 5,000 child
      segments and a tombstoned parent, joins and paths checked against
-     the materialized oracle.
+     the materialized oracle;
+   - the translation properties at 2,000 cases each: the cursor against
+     [Er_node.global_extent_span], the run merge against
+     [List.stable_sort].
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -71,4 +74,11 @@ let () =
   Printf.printf "maint matrix: all recoveries fingerprint-identical, every prefix restorable\n%!";
   let children = Translate_stress.run ~groups:5_000 in
   Printf.printf "translate stress: %d child segments under one parent, answers match the oracle\n%!"
-    children
+    children;
+  let cases = 2_000 in
+  List.iter
+    (fun t -> QCheck2.Test.check_exn ~rand:(Random.State.make [| 21 |]) t)
+    Lxu_props.Translate_props.
+      [ cursor_sweep ~count:cases; cursor_walk ~count:cases; run_merge ~count:cases ];
+  Printf.printf "translate properties: cursor and run merge agree with their references, %d cases each\n%!"
+    cases

@@ -231,82 +231,33 @@ let prop_virt_phys_inverse =
 
 let suite = suite @ [ prop_virt_phys_inverse ]
 
-(* --- translator vs the linear reference -------------------------------- *)
-
-let hook parent ~sid ~lp ~len =
-  let child = mk ~sid ~gp:parent.Er_node.gp ~lp (String.make len 'c') [] in
-  child.Er_node.parent <- Some parent;
-  Vec.push parent.Er_node.children child;
-  parent.Er_node.len <- parent.Er_node.len + len
-
-let reference n x = Er_node.global_extent_span n ~start:x ~stop:x
+(* --- translation cursor vs the linear reference ------------------------ *)
 
 let test_translator_boundaries () =
   (* Tombstone [2,5); children hooked at its start (len 3), inside it
      (len 1) and at its stop (len 4). *)
   let n = mk ~gp:100 "0123456789" [] in
   Er_node.add_tombstone n 2 5;
-  hook n ~sid:2 ~lp:2 ~len:3;
-  hook n ~sid:3 ~lp:3 ~len:1;
-  hook n ~sid:4 ~lp:5 ~len:4;
-  let tr = Er_node.translator n in
-  let expect x ~start ~stop =
-    check_int (Printf.sprintf "start %d" x) start (Er_node.global_start tr x);
-    check_int (Printf.sprintf "stop %d" x) stop (Er_node.global_stop tr x);
-    check_bool (Printf.sprintf "reference %d" x) true (reference n x = (start, stop))
+  Lxu_props.Translate_props.hook n ~sid:2 ~lp:2 ~len:3;
+  Lxu_props.Translate_props.hook n ~sid:3 ~lp:3 ~len:1;
+  Lxu_props.Translate_props.hook n ~sid:4 ~lp:5 ~len:4;
+  (* One cursor walks the offsets forward, then back down again. *)
+  let c = Er_node.cursor (Er_node.translator n) in
+  let expect (x, start, stop) =
+    check_int (Printf.sprintf "start %d" x) start (Er_node.cursor_start c x);
+    check_int (Printf.sprintf "stop %d" x) stop (Er_node.cursor_stop c x);
+    check_bool (Printf.sprintf "reference %d" x) true
+      (Lxu_props.Translate_props.reference n x = (start, stop))
   in
-  expect 0 ~start:100 ~stop:100;
-  expect 2 ~start:105 ~stop:102;
-  expect 3 ~start:106 ~stop:105;
-  expect 5 ~start:110 ~stop:106;
-  expect 10 ~start:115 ~stop:115
-
-(* Random segments: tombstones anywhere, children hooked at random
-   offsets, at tombstone edges and inside tombstones.  Every offset
-   [0, orig_len] is translated as a start and as a stop, so child lps
-   equal to the offset and offsets on or inside tombstones are all
-   exercised. *)
-let prop_translator_matches_reference =
-  let gen =
-    QCheck2.Gen.(
-      quad (int_range 1 80)
-        (list_size (int_range 0 6) (pair (int_bound 80) (int_range 1 10)))
-        (list_size (int_range 0 8) (triple (int_bound 3) (int_bound 80) (int_range 1 15)))
-        (int_bound 1000))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"translator = global_extent_span" ~count:300 gen
-       (fun (orig_len, ranges, kids, gp) ->
-         let n = mk ~gp (String.make orig_len 'x') [] in
-         List.iter
-           (fun (a, w) ->
-             let b = min orig_len (a + w) in
-             if a < b then Er_node.add_tombstone n a b)
-           ranges;
-         let tombs = Vec.to_array n.Er_node.tombstones in
-         let lp_of (mode, r, _) =
-           let nt = Array.length tombs in
-           if mode = 0 || nt = 0 then r mod (orig_len + 1)
-           else begin
-             let a, b = tombs.(r mod nt) in
-             match mode with 1 -> a | 2 -> b | _ -> (a + b) / 2
-           end
-         in
-         List.map (fun k -> (lp_of k, k)) kids
-         |> List.stable_sort (fun (x, _) (y, _) -> Int.compare x y)
-         |> List.iteri (fun i (lp, (_, _, len)) -> hook n ~sid:(i + 2) ~lp ~len);
-         let tr = Er_node.translator n in
-         let ok = ref true in
-         for x = 0 to orig_len do
-           let gs, ge = reference n x in
-           if Er_node.global_start tr x <> gs || Er_node.global_stop tr x <> ge then ok := false
-         done;
-         !ok))
+  let table = [ (0, 100, 100); (2, 105, 102); (3, 106, 105); (5, 110, 106); (10, 115, 115) ] in
+  List.iter expect table;
+  List.iter expect (List.rev table)
 
 let suite =
   suite
   @ [
       Alcotest.test_case "translator at tombstone and child boundaries" `Quick
         test_translator_boundaries;
-      prop_translator_matches_reference;
+      QCheck_alcotest.to_alcotest (Lxu_props.Translate_props.cursor_sweep ~count:300);
+      QCheck_alcotest.to_alcotest (Lxu_props.Translate_props.cursor_walk ~count:300);
     ]

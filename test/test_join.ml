@@ -185,6 +185,39 @@ let test_lazy_after_removal () =
   let got, _ = lazy_pairs log ~anc:"A" ~desc:"B" in
   Alcotest.check pair_list "post-removal pairs" expected got
 
+(* The join emits pairs grouped by descendant segment, cross-segment
+   frames innermost first and in-segment ancestors innermost first, so
+   its raw output is far from (desc, anc) order: [global_pairs] must
+   merge several runs.  Same-tag ancestors nest across three segments,
+   each segment holds an in-segment A chain, and a tombstone shifts
+   the outer segment's later labels. *)
+let test_lazy_unsorted_runs () =
+  let log = Update_log.create () in
+  ignore (Update_log.insert log ~gp:0 "<A><A><B/></A><z>zz</z><x></x><B/></A>");
+  (* S2 inside S1's <x> (offset 26 of S1's text). *)
+  ignore (Update_log.insert log ~gp:26 "<A><A><B/></A><y></y><B/></A>");
+  (* S3 inside S2's <y> (offset 17 of S2's text). *)
+  ignore (Update_log.insert log ~gp:43 "<A><A><B/></A><B/></A>");
+  (* Tombstone S1's <z>zz</z>, before both child segments. *)
+  Update_log.remove log ~gp:14 ~len:9;
+  let pairs, _ = Lazy_join.run log ~anc:"A" ~desc:"B" () in
+  let global sid start =
+    fst (Er_node.global_extent_span (Update_log.node_of_sid log sid) ~start ~stop:start)
+  in
+  let raw =
+    Array.map
+      (fun (p : Lazy_join.pair) -> (global p.d_sid p.d_start, global p.a_sid p.a_start))
+      pairs
+  in
+  let descents = ref 0 in
+  for i = 1 to Array.length raw - 1 do
+    if compare raw.(i - 1) raw.(i) > 0 then incr descents
+  done;
+  check_bool (Printf.sprintf "raw pairs have >= 3 descents (%d)" !descents) true (!descents >= 3);
+  let text = Update_log.materialize log in
+  Alcotest.check pair_list "= naive on the materialization" (naive_pairs text ~anc:"A" ~desc:"B")
+    (Lazy_join.global_pairs log pairs)
+
 (* --- randomized equivalence over segmented documents ----------------- *)
 
 let fragments =
@@ -367,6 +400,7 @@ let suite =
     Alcotest.test_case "lazy child axis" `Quick test_lazy_child_axis;
     Alcotest.test_case "lazy missing tags" `Quick test_lazy_missing_tags;
     Alcotest.test_case "lazy after removal" `Quick test_lazy_after_removal;
+    Alcotest.test_case "lazy unsorted runs merge" `Quick test_lazy_unsorted_runs;
     Alcotest.test_case "scratch reuse is invisible" `Quick test_scratch_reuse;
   ]
   @ props
