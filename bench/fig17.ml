@@ -25,8 +25,8 @@ let mid_insert_point log =
   let target = Update_log.doc_length log / 2 in
   let best = ref 0 in
   Er_node.iter_subtree (Update_log.root log) (fun n ->
-      if (not (Er_node.is_root n)) && n.Er_node.gp <= target && n.Er_node.gp > !best then
-        best := n.Er_node.gp);
+      let gp = Update_log.gp log n in
+      if (not (Er_node.is_root n)) && gp <= target && gp > !best then best := gp);
   !best
 
 (* Median per-element insertion time into a fresh log each round. *)

@@ -19,6 +19,6 @@ let segment_boundary log =
   let target = Update_log.doc_length log / 2 in
   let best = ref 0 in
   Er_node.iter_subtree (Update_log.root log) (fun nd ->
-      if (not (Er_node.is_root nd)) && nd.Er_node.gp <= target && nd.Er_node.gp > !best then
-        best := nd.Er_node.gp);
+      let gp = Update_log.gp log nd in
+      if (not (Er_node.is_root nd)) && gp <= target && gp > !best then best := gp);
   !best

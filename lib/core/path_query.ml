@@ -214,7 +214,7 @@ let log_ops ?guard log =
           Ref_set.empty (join axis ~anc ~desc));
     extents =
       (fun tag set ->
-        let tr = Update_log.translators log in
+        let cursor = Update_log.cursors log in
         let gs = Lxu_util.Vec.create () and ge = Lxu_util.Vec.create () in
         let cur_sid = ref (-1) and cur = ref None in
         fold_tag tag
@@ -224,7 +224,7 @@ let log_ops ?guard log =
                 match !cur with
                 | Some c when !cur_sid = sid -> c
                 | _ ->
-                  let c = Er_node.cursor (tr sid) in
+                  let c = cursor sid in
                   cur_sid := sid;
                   cur := Some c;
                   c
@@ -276,7 +276,6 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
   let ops = log_ops ?guard log in
   let stepsa = Array.of_list steps in
   let n = Array.length stepsa in
-  let syn = Update_log.synopsis log in
   let reg = Update_log.registry log in
   let k = o.Lxu_plan.Plan.seed in
   let anc_key (p : Lxu_join.Lazy_join.pair) =
@@ -285,13 +284,14 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
     (p.Lxu_join.Lazy_join.d_sid, p.Lxu_join.Lazy_join.d_start)
   in
   let segs_of set = Ref_set.fold (fun (sid, _) acc -> Sid_set.add sid acc) set Sid_set.empty in
-  (* Summary evidence: may any element of the segment have an ancestor
-     tagged like step [anc_i]?  [false] proves no pair can come out of
-     the segment, so it is skipped before any element access. *)
+  (* Summary evidence: may any element of the entry's segment have an
+     ancestor tagged like step [anc_i]?  [false] proves no pair can
+     come out of the segment, so it is skipped before any element
+     access. *)
   let prop3 anc_i =
     match Tag_registry.find reg stepsa.(anc_i).tag with
     | None -> fun _ -> true
-    | Some tid -> fun sid -> Path_synopsis.may_have_ancestor syn ~sid ~tid
+    | Some tid -> fun e -> Tag_list.may_have_ancestor e ~tid
   in
   let spec_for dir anc_i =
     Array.fold_left
@@ -344,7 +344,7 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
       let restr = segs_of above in
       let p3 = prop3 i in
       let d_filter (e : Tag_list.entry) =
-        Sid_set.mem e.Tag_list.sid restr && p3 e.Tag_list.sid
+        Sid_set.mem e.Tag_list.sid restr && p3 e
       in
       let pairs =
         run_join ~dir:`Up ~anc_i:i ~desc_i:(i + 1) ~a_filter:None ~d_filter:(Some d_filter)
@@ -381,7 +381,7 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
           let restr = segs_of prev in
           let a_filter (e : Tag_list.entry) = Sid_set.mem e.Tag_list.sid restr in
           let p3 = prop3 (i - 1) in
-          let d_filter (e : Tag_list.entry) = p3 e.Tag_list.sid in
+          let d_filter (e : Tag_list.entry) = p3 e in
           let pairs =
             run_join ~dir:`Down ~anc_i:(i - 1) ~desc_i:i ~a_filter:(Some a_filter)
               ~d_filter:(Some d_filter)

@@ -59,7 +59,18 @@ let unpin t v =
 
 (* With [wlock] held and the live database quiescent: freeze it and
    install the snapshot as [current].  Freezing happens outside
-   [vlock] — only the installation is a critical section. *)
+   [vlock] — only the installation is a critical section.
+
+   The writer then empties the minor heap.  A freeze shares the old
+   version instead of cloning it, so a write allocates too little to
+   set off collections of its own; without this, the first read to set
+   one off paid for promoting everything young the writes and earlier
+   reads had left (the new version's copies, and pair records still
+   referenced from major-heap result arrays).  On churn_durable that
+   read was the median path query: path p50 4.1 ms, against 2.1 ms
+   with the collection here and 2.7 ms at the cloning parent, while
+   update p50 stays at 0.43 ms against the parent's 2.4 ms
+   (EXPERIMENTS.md, "publish without a clone"). *)
 let publish_locked t =
   let v =
     { v_epoch = Lazy_db.epoch t.db; v_db = Lazy_db.snapshot t.db; v_pins = 0 }
@@ -68,7 +79,8 @@ let publish_locked t =
   t.current <- v;
   t.versions <- v :: t.versions;
   reclaim_locked t;
-  Mutex.unlock t.vlock
+  Mutex.unlock t.vlock;
+  Gc.minor ()
 
 (* --- the shared surface ---------------------------------------------- *)
 

@@ -62,12 +62,9 @@ type frame = {
          — and so that the segment's own columns stay pristine *)
 }
 
-let contains_seg (a : Er_node.t) (d : Er_node.t) =
-  a.Er_node.gp < d.Er_node.gp && a.Er_node.gp + a.Er_node.len > d.Er_node.gp + d.Er_node.len
-
-let seg_depth (n : Er_node.t) =
-  let rec up acc = function None -> acc | Some p -> up (acc + 1) p.Er_node.parent in
-  up 0 n.Er_node.parent
+let contains_seg log (a : Er_node.t) (d : Er_node.t) =
+  let ga = Update_log.gp log a and gd = Update_log.gp log d in
+  ga < gd && ga + a.Er_node.len > gd + d.Er_node.len
 
 (* Local position, within the frame's segment, of the child segment on
    the path to the segment whose tag-list [path] is given (P_T^S of
@@ -378,7 +375,8 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
     let sd_entry = sld.(!id) in
     let sd_node = Update_log.node_of_sid log sd_entry.Tag_list.sid in
     match !stack with
-    | top :: rest when sd_node.Er_node.gp > top.node.Er_node.gp + top.node.Er_node.len ->
+    | top :: rest
+      when Update_log.gp log sd_node > Update_log.gp log top.node + top.node.Er_node.len ->
       (* Step 1: the top segment cannot contain sd nor any later
          segment of SL_D. *)
       stack := rest
@@ -389,12 +387,12 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         else None
       in
       (match sa_node with
-      | Some sa when sa.Er_node.gp < sd_node.Er_node.gp ->
+      | Some sa when Update_log.gp log sa < Update_log.gp log sd_node ->
         (* Step 2: push sa if it contains sd, else skip it forever
            (segments nest as a tree, so not containing means
            disjoint from everything at or after sd). *)
         stats.a_segments <- stats.a_segments + 1;
-        if contains_seg sa sd_node then begin
+        if contains_seg log sa sd_node then begin
           let base : Er_node.cols = fetch_a sa in
           (* Optimization (i): keep only A-elements that contain at
              least one child-segment position.  Children are kept in
@@ -424,14 +422,14 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
              they cannot contain sa or any later segment. *)
           (match !stack with
           | top :: _ when trim_top -> begin
-            match p_of_frame log top (Er_node.path sa) with
+            match p_of_frame log top sa.Er_node.path with
             | p ->
               let e = top.elems in
               top.elems <- cols_filter (fun i -> e.Er_node.stops.(i) > p) e
             | exception Not_found -> ()
           end
           | _ -> ());
-          stack := { node = sa; depth = seg_depth sa; elems } :: !stack;
+          stack := { node = sa; depth = Array.length sa.Er_node.path - 1; elems } :: !stack;
           stats.segments_pushed <- stats.segments_pushed + 1
         end
         else stats.segments_skipped <- stats.segments_skipped + 1;
@@ -562,18 +560,18 @@ let global_pairs log pairs =
   let n = Array.length pairs in
   if n = 0 then []
   else begin
-    let tr = Update_log.translators log in
+    let cursor = Update_log.cursors log in
     let ga = Array.make n 0 and gd = Array.make n 0 in
     let p0 = pairs.(0) in
-    let a_sid = ref p0.a_sid and a_cur = ref (Er_node.cursor (tr p0.a_sid)) in
+    let a_sid = ref p0.a_sid and a_cur = ref (cursor p0.a_sid) in
     let a_start = ref p0.a_start in
     let a_g = ref (Er_node.cursor_start !a_cur p0.a_start) in
-    let d_sid = ref p0.d_sid and d_cur = ref (Er_node.cursor (tr p0.d_sid)) in
+    let d_sid = ref p0.d_sid and d_cur = ref (cursor p0.d_sid) in
     for i = 0 to n - 1 do
       let p = Array.unsafe_get pairs i in
       if p.a_sid <> !a_sid then begin
         a_sid := p.a_sid;
-        a_cur := Er_node.cursor (tr p.a_sid);
+        a_cur := cursor p.a_sid;
         a_start := p.a_start;
         a_g := Er_node.cursor_start !a_cur p.a_start
       end
@@ -583,7 +581,7 @@ let global_pairs log pairs =
       end;
       if p.d_sid <> !d_sid then begin
         d_sid := p.d_sid;
-        d_cur := Er_node.cursor (tr p.d_sid)
+        d_cur := cursor p.d_sid
       end;
       Array.unsafe_set ga i !a_g;
       Array.unsafe_set gd i (Er_node.cursor_start !d_cur p.d_start)

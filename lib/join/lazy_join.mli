@@ -139,8 +139,9 @@ val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
     the classical algorithms.
 
     The pairs are walked in emission order with one
-    {!Lxu_seglog.Er_node.cursor} per side: a side's translator is
-    looked up only when its sid changes, and an ancestor repeated
+    {!Lxu_seglog.Er_node.cursor} per side: a side's cursor is taken
+    ({!Lxu_seglog.Update_log.cursors}, over the segment's cached
+    translator) only when its sid changes, and an ancestor repeated
     across consecutive pairs (a cross-segment emission) reuses its
     global start.  Within a segment the join emits labels mostly in
     local order, so a cursor mostly moves forward and a run costs

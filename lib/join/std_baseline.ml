@@ -23,7 +23,8 @@ let global_list_counted log ~tag stats =
         | None -> ());
         for i = 0 to n - 1 do
           let gstart, gstop =
-            Er_node.global_extent_span node ~start:c.starts.(i) ~stop:c.stops.(i)
+            Er_node.global_extent_span ~gp:(Update_log.gp log node) node ~start:c.starts.(i)
+              ~stop:c.stops.(i)
           in
           Vec.push acc (Interval.make ~start:gstart ~stop:gstop ~level:c.levels.(i))
         done)

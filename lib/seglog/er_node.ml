@@ -11,19 +11,36 @@ let cols_length c = Array.length c.starts
    tag [tids.(i)]; [tids] is sorted ascending. *)
 type columns = { tids : int array; per_tag : cols array }
 
+(* Prefix sums over one segment's sorted tombstones and its children's
+   lp/len; gp-free, so a version adds its own gp at use. *)
+type translator = {
+  tomb_starts : int array;
+  tomb_stops : int array;
+  tomb_before : int array;  (* [.(k)]: bytes in tombstones [0, k) *)
+  kid_lps : int array;
+  kid_before : int array;  (* [.(k)]: [len] of children [0, k) *)
+}
+
+(* The empty cache: compared physically, never read as a translator. *)
+let no_translator =
+  { tomb_starts = [||]; tomb_stops = [||]; tomb_before = [||]; kid_lps = [||]; kid_before = [||] }
+
 type t = {
   sid : int;
-  mutable gp : int;
+  slot : int;
+  gen : int;
   mutable len : int;
   lp : int;
   orig_len : int;
   base_level : int;
   text : string;
-  mutable parent : t option;
+  path : int array;
+  mutable ctx : int array;
   children : t Vec.t;
-  tombstones : (int * int) Vec.t;
+  mutable tombstones : (int * int) Vec.t;
   mutable elems : elem Vec.t;
   mutable columns : columns;
+  mutable tr : translator;
 }
 
 (* Index of the first entry of the sorted array [tids] that is [>= tid]. *)
@@ -115,24 +132,35 @@ let columns_size_bytes t =
   Array.iter (fun c -> words := !words + 4 + (3 * (cols_length c + 1))) t.columns.per_tag;
   8 * !words
 
-let make ~sid ~gp ~lp ~base_level ~text ~elems =
+let make ~sid ~slot ~gen ~parent_path ~lp ~base_level ~text ~elems =
   let elems = Vec.of_list elems in
   {
     sid;
-    gp;
+    slot;
+    gen;
     len = String.length text;
     lp;
     orig_len = String.length text;
     base_level;
     text;
-    parent = None;
+    path = Array.append parent_path [| sid |];
+    ctx = [||];
     children = Vec.create ();
     tombstones = Vec.create ();
     elems;
     columns = columns_of_elems elems;
+    tr = no_translator;
   }
 
-let make_root () = make ~sid:0 ~gp:0 ~lp:0 ~base_level:0 ~text:"" ~elems:[]
+let make_root () =
+  make ~sid:0 ~slot:0 ~gen:0 ~parent_path:[||] ~lp:0 ~base_level:0 ~text:"" ~elems:[]
+
+let own ~gen n =
+  if n.gen = gen then begin
+    n.tr <- no_translator;
+    n
+  end
+  else { n with gen; children = Vec.copy n.children; tr = no_translator }
 
 let is_root t = t.sid = 0
 
@@ -181,8 +209,7 @@ let add_tombstone t a b =
     t.tombstones;
   Vec.push keep (!merged_a, !merged_b);
   Vec.sort (fun (x, _) (y, _) -> Int.compare x y) keep;
-  Vec.clear t.tombstones;
-  Vec.iter (Vec.push t.tombstones) keep
+  t.tombstones <- keep
 
 let depth_at t x =
   let depth = ref t.base_level in
@@ -194,33 +221,20 @@ let depth_at t x =
   done;
   !depth
 
-let path t =
-  let rec up acc n = match n.parent with None -> n.sid :: acc | Some p -> up (n.sid :: acc) p in
-  Array.of_list (up [] t)
-
-let child_index_for_gp t gp =
-  Vec.lower_bound t.children ~compare:(fun c -> if c.gp <= gp then -1 else 0)
+let child_index_for_gp ~gps t gp =
+  Vec.lower_bound t.children ~compare:(fun c -> if gps.(c.slot) <= gp then -1 else 0)
 
 let sum_children_upto t x ~incl_eq =
   Vec.fold_left
     (fun acc c -> if c.lp < x || (incl_eq && c.lp = x) then acc + c.len else acc)
     0 t.children
 
-let global_extent_span t ~start ~stop =
-  let gstart = t.gp + (start - tombstoned_before t start) + sum_children_upto t start ~incl_eq:true in
-  let gstop = t.gp + (stop - tombstoned_before t stop) + sum_children_upto t stop ~incl_eq:false in
+let global_extent_span ~gp t ~start ~stop =
+  let gstart = gp + (start - tombstoned_before t start) + sum_children_upto t start ~incl_eq:true in
+  let gstop = gp + (stop - tombstoned_before t stop) + sum_children_upto t stop ~incl_eq:false in
   (gstart, gstop)
 
-let global_extent t e = global_extent_span t ~start:e.start ~stop:e.stop
-
-type translator = {
-  base : int;  (* [gp] at build time *)
-  tomb_starts : int array;
-  tomb_stops : int array;
-  tomb_before : int array;  (* [.(k)]: bytes in tombstones [0, k) *)
-  kid_lps : int array;
-  kid_before : int array;  (* [.(k)]: [len] of children [0, k) *)
-}
+let global_extent ~gp t e = global_extent_span ~gp t ~start:e.start ~stop:e.stop
 
 let prefix_sums n f =
   let a = Array.make (n + 1) 0 in
@@ -229,16 +243,26 @@ let prefix_sums n f =
   done;
   a
 
-let translator t =
+let build_translator t =
   let tombs = Vec.to_array t.tombstones and kids = Vec.to_array t.children in
   {
-    base = t.gp;
     tomb_starts = Array.map fst tombs;
     tomb_stops = Array.map snd tombs;
     tomb_before = prefix_sums (Array.length tombs) (fun i -> snd tombs.(i) - fst tombs.(i));
     kid_lps = Array.map (fun c -> c.lp) kids;
     kid_before = prefix_sums (Array.length kids) (fun i -> kids.(i).len);
   }
+
+(* Racing readers of one published record may both build and store:
+   they store equal values, and a reader sees either the sentinel or a
+   complete translator. *)
+let translator t =
+  if t.tr != no_translator then t.tr
+  else begin
+    let tr = build_translator t in
+    t.tr <- tr;
+    tr
+  end
 
 (* Whether [a.(i)] counts as before [x]: [< x], or [<= x] with
    [incl_eq]. *)
@@ -283,14 +307,14 @@ let gallop a from x ~incl_eq =
    is then a step back, which seats by binary search. *)
 type seat = { mutable x : int; mutable tomb : int; mutable kid : int }
 
-type cursor = { tr : translator; starts : seat; stops : seat }
+type cursor = { tr : translator; base : int; starts : seat; stops : seat }
 
-let cursor tr =
-  { tr; starts = { x = max_int; tomb = 0; kid = 0 }; stops = { x = max_int; tomb = 0; kid = 0 } }
+let cursor tr ~gp =
+  { tr; base = gp; starts = { x = max_int; tomb = 0; kid = 0 }; stops = { x = max_int; tomb = 0; kid = 0 } }
 
 (* Tombstones are sorted and disjoint, so of those starting before [x]
    only the last can extend past it. *)
-let translate tr s x ~incl_eq =
+let translate tr ~base s x ~incl_eq =
   if x < s.x then begin
     s.tomb <- count_below tr.tomb_starts x ~incl_eq:false;
     s.kid <- count_below tr.kid_lps x ~incl_eq
@@ -302,51 +326,22 @@ let translate tr s x ~incl_eq =
   s.x <- x;
   let k = s.tomb in
   let dead = if k = 0 then 0 else tr.tomb_before.(k) - max 0 (tr.tomb_stops.(k - 1) - x) in
-  tr.base + (x - dead) + tr.kid_before.(s.kid)
+  base + (x - dead) + tr.kid_before.(s.kid)
 
-let cursor_start c x = translate c.tr c.starts x ~incl_eq:true
-let cursor_stop c x = translate c.tr c.stops x ~incl_eq:false
+let cursor_start c x = translate c.tr ~base:c.base c.starts x ~incl_eq:true
+let cursor_stop c x = translate c.tr ~base:c.base c.stops x ~incl_eq:false
 
 let rec iter_subtree t f =
   f t;
   Vec.iter (fun c -> iter_subtree c f) t.children
 
-let rec clone n =
-  (* [text] is immutable and [elems] and [columns] are only ever
-     replaced wholesale by [set_elems] (never mutated in place), so all
-     three are shared; [tombstones] and [children] are mutated in place
-     by updates and get fresh Vecs. *)
-  let c =
-    {
-      sid = n.sid;
-      gp = n.gp;
-      len = n.len;
-      lp = n.lp;
-      orig_len = n.orig_len;
-      base_level = n.base_level;
-      text = n.text;
-      parent = None;
-      children = Vec.create ();
-      tombstones = Vec.of_array (Vec.to_array n.tombstones);
-      elems = n.elems;
-      columns = n.columns;
-    }
-  in
-  Vec.iter
-    (fun k ->
-      let kc = clone k in
-      kc.parent <- Some c;
-      Vec.push c.children kc)
-    n.children;
-  c
-
-let check t =
+let check ~gps t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let rec go n =
     if n.len <> own_len n + children_len n then
       fail "segment %d: len %d <> own %d + children %d" n.sid n.len (own_len n)
         (children_len n);
-    if is_root n && n.gp <> 0 then fail "root gp moved to %d" n.gp;
+    if is_root n && gps.(n.slot) <> 0 then fail "root gp moved to %d" gps.(n.slot);
     (* Tombstones: sorted, disjoint, within the original text. *)
     let prev_stop = ref (-1) in
     Vec.iter
@@ -374,19 +369,26 @@ let check t =
         stack := e :: !stack)
       n.elems;
     (* Children: inside the parent span, disjoint, gp- and lp-sorted. *)
-    let cursor = ref n.gp in
+    let cursor = ref gps.(n.slot) in
     let prev_lp = ref min_int in
     Vec.iter
       (fun c ->
-        (match c.parent with
-        | Some p when p == n -> ()
-        | _ -> fail "segment %d: child %d has wrong parent" n.sid c.sid);
-        if c.gp < !cursor then fail "segment %d: children overlap at %d" n.sid c.sid;
-        if c.gp + c.len > n.gp + n.len then fail "segment %d: child %d escapes" n.sid c.sid;
+        let depth = Array.length n.path in
+        if not
+             (Array.length c.path = depth + 1
+             && c.path.(depth) = c.sid
+             && Array.sub c.path 0 depth = n.path)
+        then fail "segment %d: child %d has wrong ancestry" n.sid c.sid;
+        if c.gen > n.gen then
+          fail "segment %d: child %d is newer than its parent (generation %d > %d)" n.sid c.sid
+            c.gen n.gen;
+        let gp = gps.(c.slot) in
+        if gp < !cursor then fail "segment %d: children overlap at %d" n.sid c.sid;
+        if gp + c.len > gps.(n.slot) + n.len then fail "segment %d: child %d escapes" n.sid c.sid;
         if c.lp < !prev_lp then fail "segment %d: child lps out of order" n.sid;
         if c.lp < 0 || c.lp > n.orig_len then fail "segment %d: child %d lp out of range" n.sid c.sid;
         prev_lp := c.lp;
-        cursor := c.gp + c.len;
+        cursor := gp + c.len;
         go c)
       n.children
   in

@@ -1,10 +1,18 @@
 (** ER-tree nodes: one per XML segment (§3.2 of the paper).
 
-    A node records the segment's mutable {e physical} global position
-    [gp] and length [len], its immutable {e virtual} local position
-    [lp] within its parent, its parent/children links (children sorted
-    by [gp]) and the segment's element skeleton in virtual local
-    coordinates.
+    A node records the segment's {e physical} length [len], its
+    immutable {e virtual} local position [lp] within its parent, its
+    ancestry and children (sorted by global position) and the
+    segment's element skeleton in virtual local coordinates.  Its
+    global position [gp] is not on the node: the owning log keeps
+    every segment's gp in one flat int array indexed by the node's
+    [slot], so shifting positions touches no node.
+
+    {b Versions.}  Nodes are shared between the live log and the
+    frozen snapshots it publishes.  Each node carries the generation
+    it was made in; the live log changes a node in place only when
+    the node is of its current generation, and otherwise works on a
+    copy from {!own}.  A snapshot therefore never sees a node change.
 
     {b Coordinate model.}  Virtual coordinates are offsets into the
     segment's original text at insertion time; element labels and child
@@ -32,25 +40,42 @@ type columns = private { tids : int array; per_tag : cols array }
 (** A segment's element store: the skeleton split per tag, [tids]
     ascending and [per_tag.(i)] the columns of tag [tids.(i)]. *)
 
+type translator
+(** A node's local→global translation frozen into prefix sums over its
+    sorted tombstones and over its children's [lp]/[len], built in
+    O(children + tombstones).  It holds no global position: a
+    {!cursor} adds the reading version's [gp].  It is immutable, so
+    one translator serves any number of cursors. *)
+
 type t = {
   sid : int;
-  mutable gp : int;  (** physical global position of the first byte *)
+  slot : int;  (** index of the segment's gp in the owning log's gp array *)
+  gen : int;  (** generation the node was made or copied in (see {!own}) *)
   mutable len : int;  (** physical length, descendants included *)
   lp : int;  (** virtual local position within the parent; immutable *)
   orig_len : int;  (** length of the original segment text *)
   base_level : int;  (** depth of the insertion point *)
   text : string;  (** original segment text (materialization oracle) *)
-  mutable parent : t option;
-  children : t Lxu_util.Vec.t;  (** sorted by [gp] *)
-  tombstones : (int * int) Lxu_util.Vec.t;
+  path : int array;
+      (** ancestry: sids from the dummy root down to this node (the
+          tag-list path); immutable *)
+  mutable ctx : int array;
+      (** context chain for the path synopsis: tag ids of the elements
+          of ancestor segments strictly containing the splice point,
+          outermost first.  Written once, when the node is linked or
+          loaded, and never mutated. *)
+  children : t Lxu_util.Vec.t;  (** sorted by global position *)
+  mutable tombstones : (int * int) Lxu_util.Vec.t;
       (** deleted virtual ranges of own text; sorted, disjoint,
-          non-adjacent *)
+          non-adjacent.  Replaced wholesale by {!add_tombstone}, never
+          edited in place, so copies share it. *)
   mutable elems : elem Lxu_util.Vec.t;
       (** surviving elements, sorted by [start].  Replaced wholesale,
-          only through {!set_elems} — never mutated in place — so frozen
-          clones can share the Vec (see {!clone}). *)
+          only through {!set_elems} — never mutated in place — so node
+          copies and snapshots can share the Vec. *)
   mutable columns : columns;
       (** [elems] as per-tag columns; rebuilt by {!set_elems} only *)
+  mutable tr : translator;  (** cache of {!translator}; see there *)
 }
 
 val make_root : unit -> t
@@ -58,14 +83,33 @@ val make_root : unit -> t
     document. *)
 
 val make :
-  sid:int -> gp:int -> lp:int -> base_level:int -> text:string -> elems:elem list -> t
-(** A fresh segment node; [len] and [orig_len] are the text length,
-    elements must be sorted by [start].  Builds the per-tag columns. *)
+  sid:int ->
+  slot:int ->
+  gen:int ->
+  parent_path:int array ->
+  lp:int ->
+  base_level:int ->
+  text:string ->
+  elems:elem list ->
+  t
+(** A fresh segment node of generation [gen] whose gp lives at [slot];
+    [path] is [parent_path] plus [sid], [ctx] is empty, [len] and
+    [orig_len] are the text length, and elements must be sorted by
+    [start].  Builds the per-tag columns. *)
+
+val own : gen:int -> t -> t
+(** [own ~gen n] is a version of [n] that generation [gen] may change
+    in place: [n] itself when it was made in [gen], otherwise a copy
+    stamped [gen] with its own children vector, sharing text,
+    skeleton, columns and tombstones (all replace-only).  Either way
+    the result has no cached translator.  The caller relinks a copy:
+    into its parent's children, which must be owned first (a path
+    from the root), and into the sid map. *)
 
 val set_elems : t -> elem Lxu_util.Vec.t -> unit
 (** Replaces the skeleton (start-sorted) and rebuilds the columns from
     it — the one way a segment's elements change.  The old Vec and
-    columns are left untouched, so clones keep reading them. *)
+    columns are left untouched, so snapshots keep reading them. *)
 
 val cols : t -> tid:int -> cols
 (** The segment's elements of tag [tid] ({!empty_cols} when it has
@@ -112,16 +156,14 @@ val depth_at : t -> int -> int
 (** Absolute depth of virtual position [x]: [base_level] plus the
     number of surviving elements strictly containing [x]. *)
 
-val path : t -> int array
-(** Sids from the dummy root down to this node (the tag-list path). *)
-
-val child_index_for_gp : t -> int -> int
+val child_index_for_gp : gps:int array -> t -> int -> int
 (** Index in [children] where a child with global position [gp] should
     be inserted to keep the vector sorted (after any child with equal
-    [gp]). *)
+    [gp]); [gps] is the owning log's gp array. *)
 
-val global_extent : t -> elem -> int * int
-(** Current global [(start, stop)] of an element: [gp], plus the live
+val global_extent : gp:int -> t -> elem -> int * int
+(** Current global [(start, stop)] of an element: [gp] (the node's),
+    plus the live
     own bytes before each end (tombstones subtracted), plus the
     lengths of the children hooked before it — a child inserted
     exactly at the start precedes the element, one inserted exactly at
@@ -133,18 +175,18 @@ val global_extent : t -> elem -> int * int
     {!Update_log.global_elements} oracle use it; query paths that
     translate many labels of one segment walk a {!cursor} instead. *)
 
-val global_extent_span : t -> start:int -> stop:int -> int * int
+val global_extent_span : gp:int -> t -> start:int -> stop:int -> int * int
 (** As {!global_extent}, but on a bare local [(start, stop)] span. *)
 
-type translator
-(** A node's local→global translation frozen into prefix sums over its
-    sorted tombstones and over its children's [lp]/[len], built in
-    O(children + tombstones).  It is immutable, so one translator
-    serves any number of {!cursor}s.  It captures [gp], [len]s,
-    tombstones and children as they are when built, so it is valid
-    only until the next update. *)
-
 val translator : t -> translator
+(** The node's translator, built on first use and cached on the node.
+    {!own} drops the cache, and every in-place change goes through
+    {!own} first, so a cached translator always matches the node.  A
+    published node never changes: a snapshot builds each translator
+    at most once however many reads it serves. *)
+
+val build_translator : t -> translator
+(** A fresh translator, bypassing the cache (the cache's reference). *)
 
 type cursor
 (** A walk over one translator.  A cursor keeps two seats, one for
@@ -157,7 +199,9 @@ type cursor
     O(offsets + children + tombstones) in all, with no hashing.  A
     cursor is mutable: give each walk its own. *)
 
-val cursor : translator -> cursor
+val cursor : translator -> gp:int -> cursor
+(** A cursor over a translator of a node whose global position is
+    [gp]. *)
 
 val cursor_start : cursor -> int -> int
 (** [cursor_start c x] is the global position of an element starting
@@ -172,14 +216,10 @@ val cursor_stop : cursor -> int -> int
 val iter_subtree : t -> (t -> unit) -> unit
 (** Pre-order traversal of the node and its descendants. *)
 
-val clone : t -> t
-(** Deep structural copy of the subtree for frozen snapshots: fresh
-    node records, children and tombstone Vecs (both mutated in place
-    by updates); shares the immutable [text] and the replace-only
-    [elems] Vec and [columns].  The clone's [parent] is [None]. *)
-
-val check : t -> unit
-(** Validates subtree invariants: children sorted and disjoint,
-    lengths consistent, tombstones sorted/disjoint, elements sorted
-    and properly nested (test helper).
+val check : gps:int array -> t -> unit
+(** Validates subtree invariants: children sorted and disjoint (by
+    their gps in [gps]), each child's ancestry its parent's plus its
+    own sid and its generation no newer than its parent's, lengths
+    consistent, tombstones sorted/disjoint, elements sorted and
+    properly nested (test helper).
     @raise Failure on violation. *)

@@ -1,14 +1,9 @@
 open Lxu_util
 
-(* Per-segment record: the context chain fixed at insertion time, and
-   the (sorted, distinct) tags of the segment's own fragment.  Both are
-   write-once, so frozen clones share them. *)
-type seg_info = { ctx_tids : int array; tag_set : int array }
-
 (* Counts live in a flat array indexed by an append-only path -> slot
    table, not in per-path ref cells, and [clone] is copy-on-write:
    MVCC publishes a frozen clone after every committing write, so the
-   clone itself must be O(segments) at worst.  The frozen side shares
+   clone itself is O(1).  The frozen side shares
    [index], [counts] and [tag_counts] outright (it never mutates); the
    live side copies a shared structure right before its first mutation
    after a freeze — one flat [Array.copy] per write for the counts,
@@ -26,7 +21,6 @@ type t = {
   mutable counts_shared : bool;  (* covers [counts] and [tag_counts] *)
   mutable n_slots : int;
   mutable live_paths : int;  (* slots with a non-zero count *)
-  segs : (int, seg_info) Hashtbl.t;
   mutable elems : int;
 }
 
@@ -39,14 +33,13 @@ let create () =
     counts_shared = false;
     n_slots = 0;
     live_paths = 0;
-    segs = Hashtbl.create 64;
     elems = 0;
   }
 
 let clone t =
   t.index_shared <- true;
   t.counts_shared <- true;
-  { t with segs = Hashtbl.copy t.segs; index_shared = true; counts_shared = true }
+  { t with index_shared = true; counts_shared = true }
 
 (* Before the live side touches a count cell: take ownership of the
    flat arrays if a frozen clone still shares them. *)
@@ -62,19 +55,6 @@ let distinct_paths t = t.live_paths
 
 let tag_total t ~tid =
   if tid >= 0 && tid < Array.length t.tag_counts then t.tag_counts.(tid) else 0
-
-let context t ~sid =
-  match Hashtbl.find_opt t.segs sid with Some s -> s.ctx_tids | None -> [||]
-
-let mem_int a x =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = x || go (i + 1)) in
-  go 0
-
-let may_have_ancestor t ~sid ~tid =
-  match Hashtbl.find_opt t.segs sid with
-  | None -> true
-  | Some s -> mem_int s.ctx_tids tid || mem_int s.tag_set tid
 
 let bump_total t tid d =
   if tid >= Array.length t.tag_counts then begin
@@ -143,15 +123,8 @@ let iter_element_paths ?(until = max_int) ~ctx_tids elems f =
       elems
   with Exit -> ()
 
-let add_segment t ~sid ~ctx_tids ~elems =
+let add_segment t ~ctx_tids ~elems =
   own_counts t;
-  let tags = ref [] in
-  Vec.iter
-    (fun (e : Er_node.elem) ->
-      if not (List.mem e.Er_node.tid !tags) then tags := e.Er_node.tid :: !tags)
-    elems;
-  let tag_set = Array.of_list (List.sort Int.compare !tags) in
-  Hashtbl.replace t.segs sid { ctx_tids; tag_set };
   (* Sibling runs repeat the same path back to back, so memoize the
      last slot and skip the hash round-trip for repeats. *)
   let last_key = ref [||] in
@@ -179,9 +152,8 @@ let add_segment t ~sid ~ctx_tids ~elems =
       if t.counts.(s) = 0 then t.live_paths <- t.live_paths + 1;
       t.counts.(s) <- t.counts.(s) + 1)
 
-let remove_matching ?until t ~sid ~elems ~removed =
+let remove_matching ?until t ~ctx_tids ~elems ~removed =
   own_counts t;
-  let ctx_tids = context t ~sid in
   iter_element_paths ?until ~ctx_tids elems (fun buf len e ->
       if removed e then begin
         bump_total t e.Er_node.tid (-1);
@@ -194,9 +166,7 @@ let remove_matching ?until t ~sid ~elems ~removed =
         | Some _ | None -> ()
       end)
 
-let remove_segment t ~sid ~elems =
-  remove_matching t ~sid ~elems ~removed:(fun _ -> true);
-  Hashtbl.remove t.segs sid
+let remove_segment t ~ctx_tids ~elems = remove_matching t ~ctx_tids ~elems ~removed:(fun _ -> true)
 
 let iter t f =
   let counts = t.counts in
@@ -234,10 +204,4 @@ let size_bytes t =
   let paths =
     Hashtbl.fold (fun k _ acc -> acc + (8 * (Array.length k + 3))) t.index 0
   in
-  let segs =
-    Hashtbl.fold
-      (fun _ s acc ->
-        acc + (8 * (Array.length s.ctx_tids + Array.length s.tag_set + 4)))
-      t.segs 0
-  in
-  paths + segs + (8 * (Array.length t.counts + Array.length t.tag_counts))
+  paths + (8 * (Array.length t.counts + Array.length t.tag_counts))

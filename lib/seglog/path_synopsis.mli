@@ -13,7 +13,8 @@
        at insertion time and immutable for the segment's lifetime (an
        enclosing element cannot be removed while the segment survives:
        its extent covers the whole segment, so removing it removes the
-       segment too); and}
+       segment too).  It is kept on the segment's node
+       ({!Er_node.t}[.ctx]) and passed in by the caller; and}
     {- the enclosing elements within the segment's own fragment, read
        off the segment's element skeleton with one stack scan.}}
     The synopsis therefore maintains exact per-path counts under
@@ -31,11 +32,11 @@ type t
 val create : unit -> t
 
 val clone : t -> t
-(** Copy-on-write snapshot for frozen clones, cheap enough for the
-    MVCC publish path (which freezes after every committing write):
-    the clone shares the path index and count arrays outright, and the
-    live side copies a shared structure just before its first mutation
-    after the freeze — one flat array copy per write, plus a
+(** Copy-on-write snapshot for frozen clones, O(1), cheap enough for
+    the MVCC publish path (which freezes after every committing
+    write): the clone shares the path index and count arrays outright,
+    and the live side copies a shared structure just before its first
+    mutation after the freeze — one flat array copy per write, plus a
     bucket-level index copy only when a new distinct path appears.
     The clone itself must never be mutated concurrently with the
     original (frozen logs never are). *)
@@ -48,36 +49,19 @@ val distinct_paths : t -> int
 val tag_total : t -> tid:int -> int
 (** Live elements of one tag, O(1). *)
 
-val context : t -> sid:int -> int array
-(** The segment's context chain: tag ids of the elements strictly
-    containing its splice point, outermost first.  [[||]] for unknown
-    sids (and for segments spliced at document level).  The returned
-    array is shared — do not mutate. *)
+val add_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> unit
+(** Registers a fresh segment with context chain [ctx_tids]: increments
+    the path of every element of [elems] (which must be sorted by
+    virtual start and properly nested, as segment skeletons are). *)
 
-val may_have_ancestor : t -> sid:int -> tid:int -> bool
-(** Summary evidence for Proposition-3 skipping: [false] proves that
-    no element of segment [sid] has an ancestor tagged [tid] — the tag
-    appears neither in the segment's context chain nor among the tags
-    of the segment's own fragment — so the segment can be skipped
-    without touching the element index.  [true] is a may-answer (the
-    own-fragment tag set is not shrunk by element removals).  Unknown
-    sids answer [true]. *)
-
-val add_segment : t -> sid:int -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> unit
-(** Registers a fresh segment: records its context chain (the array is
-    kept, not copied) and increments the path of every element of
-    [elems] (which must be sorted by virtual start and properly
-    nested, as segment skeletons are). *)
-
-val remove_segment : t -> sid:int -> elems:Er_node.elem Lxu_util.Vec.t -> unit
-(** Full segment deletion: decrements every element's path and forgets
-    the segment's context record.  [elems] is the segment's skeleton
-    as it was before the deletion. *)
+val remove_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> unit
+(** Full segment deletion: decrements every element's path.  [elems]
+    is the segment's skeleton as it was before the deletion. *)
 
 val remove_matching :
   ?until:int ->
   t ->
-  sid:int ->
+  ctx_tids:int array ->
   elems:Er_node.elem Lxu_util.Vec.t ->
   removed:(Er_node.elem -> bool) ->
   unit
@@ -99,9 +83,7 @@ val to_sorted_list : t -> (int list * int) list
 (** Deterministic dump for tests, sorted by path. *)
 
 val equal : t -> t -> bool
-(** Same path set with the same counts (context records and tag sets
-    are ignored: the own-fragment tag set is a monotone superset, not
-    state the counts depend on). *)
+(** Same path set with the same counts. *)
 
 val size_bytes : t -> int
-(** Approximate footprint of paths and context records. *)
+(** Approximate footprint of the paths and their counts. *)

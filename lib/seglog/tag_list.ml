@@ -1,8 +1,14 @@
 open Lxu_util
 
-type entry = { sid : int; path : int array; mutable count : int }
+type entry = { sid : int; path : int array; ctx : int array; tags : int array; count : int }
 
 exception Dirty_tag_list of int
+
+let mem_int (a : int array) x =
+  let rec go i = i < Array.length a && (a.(i) = x || go (i + 1)) in
+  go 0
+
+let may_have_ancestor e ~tid = mem_int e.ctx tid || mem_int e.tags tid
 
 (* One per-tag list with its own dirty bit: an LS-mode append soils
    only the tag it touches, so the pre-query sort processes exactly the
@@ -16,8 +22,15 @@ exception Dirty_tag_list of int
    changes.  [pending] accumulates entries appended since the last
    sort, in arrival order; [sort_all] sorts only the pending run and
    merges it in ([merge_slot]) instead of re-sorting the whole list.
-   Clean slots have an empty pending run. *)
+   Clean slots have an empty pending run.
+
+   Slots are shared with frozen snapshots.  [gen] is the generation the
+   slot was made or copied in: the live list changes a slot in place
+   only when it is of the list's current generation, and copies it
+   first otherwise ([own]); entries are immutable and shared by both
+   copies. *)
 type slot = {
+  gen : int;
   entries : entry Vec.t;
   pending : entry Vec.t;
   mutable dirty : bool;
@@ -27,21 +40,57 @@ type slot = {
          even while the slot is dirty *)
 }
 
+(* [slots] is indexed by tid; [absent] (compared physically) marks a
+   tag never appended.  The array itself is shared with snapshots too:
+   [slots_gen] is the generation it was copied in. *)
 type t = {
-  lists : (int, slot) Hashtbl.t;
+  mutable slots : slot array;
+  mutable slots_gen : int;
+  mutable gen : int;
   mutable dirty_count : int;  (* number of dirty slots, for O(1) is_dirty *)
   mutable path_ops : int;
 }
 
-let create () = { lists = Hashtbl.create 64; dirty_count = 0; path_ops = 0 }
+let absent = { gen = -1; entries = Vec.create (); pending = Vec.create (); dirty = false; elems = 0 }
 
-let slot_for t tid =
-  match Hashtbl.find_opt t.lists tid with
-  | Some s -> s
-  | None ->
-    let s = { entries = Vec.create (); pending = Vec.create (); dirty = false; elems = 0 } in
-    Hashtbl.add t.lists tid s;
-    s
+let create () = { slots = [||]; slots_gen = 0; gen = 0; dirty_count = 0; path_ops = 0 }
+
+let find t tid =
+  if tid >= 0 && tid < Array.length t.slots then
+    let s = t.slots.(tid) in
+    if s == absent then None else Some s
+  else None
+
+let iter_slots t f = Array.iteri (fun tid s -> if s != absent then f tid s) t.slots
+
+let freeze t =
+  let snap = { t with slots = t.slots } in
+  t.gen <- t.gen + 1;
+  snap
+
+(* The slot of [tid], changeable in place by the live list: the slot
+   array and the slot are copied first when a snapshot shares them. *)
+let own t tid =
+  if t.slots_gen <> t.gen then begin
+    t.slots <- Array.copy t.slots;
+    t.slots_gen <- t.gen
+  end;
+  if tid >= Array.length t.slots then begin
+    let bigger = Array.make (max (tid + 1) (2 * Array.length t.slots)) absent in
+    Array.blit t.slots 0 bigger 0 (Array.length t.slots);
+    t.slots <- bigger
+  end;
+  let s = t.slots.(tid) in
+  if s.gen = t.gen then s
+  else begin
+    let c =
+      if s == absent then
+        { gen = t.gen; entries = Vec.create (); pending = Vec.create (); dirty = false; elems = 0 }
+      else { s with gen = t.gen; entries = Vec.copy s.entries; pending = Vec.copy s.pending }
+    in
+    t.slots.(tid) <- c;
+    c
+  end
 
 let soil t s =
   if not s.dirty then begin
@@ -50,7 +99,7 @@ let soil t s =
   end
 
 let append t ~tid entry =
-  let s = slot_for t tid in
+  let s = own t tid in
   Vec.push s.pending entry;
   s.elems <- s.elems + entry.count;
   soil t s;
@@ -129,7 +178,7 @@ let merge_slot s ~gp_of =
 
 let sort_all t ~gp_of =
   if t.dirty_count > 0 then begin
-    Hashtbl.iter (fun _ s -> if s.dirty then merge_slot s ~gp_of) t.lists;
+    iter_slots t (fun tid s -> if s.dirty then merge_slot (own t tid) ~gp_of);
     t.dirty_count <- 0
   end
 
@@ -139,7 +188,7 @@ let dirty_count t = t.dirty_count
 let mark_dirty t =
   (* Conservative full invalidation (benchmark helper / external
      staleness signal): every list pays the next sort_all pass. *)
-  Hashtbl.iter (fun _ s -> soil t s) t.lists
+  iter_slots t (fun tid s -> if not s.dirty then soil t (own t tid))
 
 (* Compact in place with a write cursor: removing k of n entries costs
    one pass and zero allocation, instead of rebuilding the whole vector
@@ -161,15 +210,17 @@ let remove_where t s v pred =
   done;
   if !w < n then Vec.truncate v !w
 
+(* A decrement replaces the entry: entries are shared with snapshots. *)
 let decrement t ~tid ~sid ~by =
-  match Hashtbl.find_opt t.lists tid with
+  match find t tid with
   | None -> ()
-  | Some s ->
+  | Some _ ->
+    let s = own t tid in
     let touch v =
-      Vec.iter
-        (fun e ->
+      Vec.iteri
+        (fun i e ->
           if e.sid = sid then begin
-            e.count <- e.count - by;
+            Vec.set v i { e with count = e.count - by };
             s.elems <- s.elems - by
           end)
         v;
@@ -179,34 +230,16 @@ let decrement t ~tid ~sid ~by =
     touch s.pending
 
 let remove_segment t ~sid =
-  Hashtbl.iter
-    (fun _ s ->
-      remove_where t s s.entries (fun e -> e.sid = sid);
-      remove_where t s s.pending (fun e -> e.sid = sid))
-    t.lists
-
-let clone t =
-  let lists = Hashtbl.create (max 16 (Hashtbl.length t.lists)) in
-  (* Entry records have a mutable [count] (decremented by removes on
-     the live side), so each gets a fresh record; the [path] arrays are
-     write-once and shared. *)
-  let copy_run v =
-    Vec.of_array (Array.map (fun e -> { e with count = e.count }) (Vec.to_array v))
-  in
-  Hashtbl.iter
-    (fun tid s ->
-      Hashtbl.add lists tid
-        {
-          entries = copy_run s.entries;
-          pending = copy_run s.pending;
-          dirty = s.dirty;
-          elems = s.elems;
-        })
-    t.lists;
-  { lists; dirty_count = t.dirty_count; path_ops = t.path_ops }
+  iter_slots t (fun tid s ->
+      let holds v = Vec.exists (fun e -> e.sid = sid) v in
+      if holds s.entries || holds s.pending then begin
+        let s = own t tid in
+        remove_where t s s.entries (fun e -> e.sid = sid);
+        remove_where t s s.pending (fun e -> e.sid = sid)
+      end)
 
 let entries t ~tid =
-  match Hashtbl.find_opt t.lists tid with
+  match find t tid with
   | None -> [||]
   | Some s ->
     if s.dirty then raise (Dirty_tag_list tid);
@@ -216,24 +249,29 @@ let entries t ~tid =
    run lengths (and the maintained element counter) never depend on
    sortedness, unlike [entries]. *)
 let tag_segments t ~tid =
-  match Hashtbl.find_opt t.lists tid with
+  match find t tid with
   | None -> 0
   | Some s -> Vec.length s.entries + Vec.length s.pending
 
 let tag_elements t ~tid =
-  match Hashtbl.find_opt t.lists tid with None -> 0 | Some s -> s.elems
+  match find t tid with None -> 0 | Some s -> s.elems
 
 (* Widest tag-list (in segments): the skew signal the maintenance
    scheduler prioritizes by.  O(distinct tags), no sort forced. *)
 let max_segments t =
-  Hashtbl.fold
-    (fun _ s acc -> max acc (Vec.length s.entries + Vec.length s.pending))
-    t.lists 0
+  let m = ref 0 in
+  iter_slots t (fun _ s -> m := max !m (Vec.length s.entries + Vec.length s.pending));
+  !m
 
-let tids t = Hashtbl.fold (fun tid _ acc -> tid :: acc) t.lists [] |> List.sort Int.compare
+let tids t =
+  let acc = ref [] in
+  iter_slots t (fun tid _ -> acc := tid :: !acc);
+  List.rev !acc
 
 let path_ops t = t.path_ops
 
 let size_bytes t =
   let run v = Vec.fold_left (fun a e -> a + (8 * (Array.length e.path + 3))) 0 v in
-  Hashtbl.fold (fun _ s acc -> acc + run s.entries + run s.pending) t.lists 0
+  let n = ref 0 in
+  iter_slots t (fun _ s -> n := !n + run s.entries + run s.pending);
+  !n

@@ -2,14 +2,35 @@
     segments containing at least one element of that tag.
 
     Each entry carries the segment's ER-tree {e path} (the sids of its
-    ancestors plus its own) and the count of elements of that tag in
-    the segment, which decides when to drop the entry on deletion
-    (§3.3).  Per-tag lists are kept sorted by the segments' current
+    ancestors plus its own), the count of elements of that tag in the
+    segment, which decides when to drop the entry on deletion (§3.3),
+    and the segment's synopsis context chain and tag set, so the
+    planner's Proposition-3 filter needs no SB-tree lookup.  Per-tag lists are kept sorted by the segments' current
     global positions under the lazy-dynamic discipline (every insert
     appends and merges at once); the lazy-static discipline appends
-    unsorted and sorts on demand just before querying (§5.1). *)
+    unsorted and sorts on demand just before querying (§5.1).
 
-type entry = { sid : int; path : int array; mutable count : int }
+    {b Versions.}  {!freeze} shares the whole list with a snapshot in
+    O(1).  Each per-tag list carries the generation it was made or
+    copied in, and the live side copies a list of an older generation
+    (O(its length)) before its first change, so lists a write does not
+    touch stay shared.  Entries are immutable: a decrement replaces
+    the entry. *)
+
+type entry = {
+  sid : int;
+  path : int array;
+  ctx : int array;  (** the segment's context chain ({!Er_node.t}[.ctx]), shared *)
+  tags : int array;  (** the tags the segment held when inserted, ascending, shared *)
+  count : int;
+}
+
+val may_have_ancestor : entry -> tid:int -> bool
+(** Summary evidence for Proposition-3 skipping, read off the entry
+    alone: [false] proves that no element of the entry's segment has
+    an ancestor tagged [tid] — the tag is neither in the segment's
+    context chain nor among its tags.  [true] is a may-answer (the tag
+    set is not shrunk by element removals). *)
 
 exception Dirty_tag_list of int
 (** Raised by {!entries} when the requested tag's list is dirty; the
@@ -64,10 +85,10 @@ val remove_segment : t -> sid:int -> unit
 (** Removes the segment's entries from every per-tag list (full
     segment deletion). *)
 
-val clone : t -> t
-(** Independent copy for frozen snapshots: fresh slot and entry
-    records (entry counts are mutable), shared write-once [path]
-    arrays.  Dirty bits and cost counters carry over. *)
+val freeze : t -> t
+(** A snapshot of the list sharing every per-tag list with [t], in
+    O(1).  Later changes to [t] copy a shared per-tag list first, so
+    the snapshot never changes; it must not be changed itself. *)
 
 val entries : t -> tid:int -> entry array
 (** Entries for a tag in global-position order.

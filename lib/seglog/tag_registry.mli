@@ -12,8 +12,8 @@ val intern : t -> string -> int
 (** [intern t tag] returns the tid of [tag], allocating one if new. *)
 
 val clone : t -> t
-(** Independent copy for frozen snapshots ({!intern} on the live side
-    mutates the table). *)
+(** Copy for frozen snapshots, O(1): the copy shares the table, and
+    the next {!intern} of a new tag on either side copies it first. *)
 
 val find : t -> string -> int option
 (** The tid of [tag], if it has been seen. *)

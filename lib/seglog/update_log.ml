@@ -11,11 +11,25 @@ type metrics = {
   mutable elements_removed : int;
 }
 
+(* Versions.  [freeze] hands a snapshot the current root, sid map, tag
+   list and synopsis and bumps [gen]; from then on the live side
+   changes a node only through [own_root]/[own_child], which copy a
+   node of an older generation (and its path from the root) first and
+   relink the copy in the sid map.  Global positions are not on the
+   nodes: [gps.(n.slot)] is node [n]'s, a flat array that [freeze]
+   copies, so the insert/remove gp shift is a loop over unboxed ints
+   that never touches a node.  Slots [0, n_slots) are in use or on
+   [free_slots] (holding gp -1, which no shift moves); the root is
+   slot 0, gp 0. *)
 type t = {
   mode : mode;
   index_attributes : bool;
   registry : Tag_registry.t;
-  root : Er_node.t;
+  mutable root : Er_node.t;
+  mutable gen : int;
+  mutable gps : int array;
+  mutable n_slots : int;
+  mutable free_slots : int list;
   mutable sb : Sb_index.t;
   mutable sb_dirty : bool;
   tag_list : Tag_list.t;
@@ -27,21 +41,24 @@ type t = {
   (* Deepest ER chain (edges below the dummy root): a high-water mark
      bumped on insert and re-anchored to the exact value by every
      [fragmented_subtrees] scan (removes never lower it on their own). *)
-  branching : int;
   metrics : metrics;
   frozen : bool;  (* immutable snapshot produced by [freeze] *)
 }
 
-let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32)
-    ?(backend = Storage_backend.Mem) () =
+let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(backend = Storage_backend.Mem)
+    () =
   let root = Er_node.make_root () in
-  let sb = Sb_index.create ~branching ~backend () in
+  let sb = Sb_index.create ~backend () in
   Sb_index.insert sb 0 root;
   {
     mode;
     index_attributes;
     registry = Tag_registry.create ();
     root;
+    gen = 0;
+    gps = Array.make 64 0;
+    n_slots = 1;
+    free_slots = [];
     sb;
     sb_dirty = false;
     tag_list = Tag_list.create ();
@@ -50,7 +67,6 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32)
     live_segments = 0;
     live_elements = 0;
     er_depth = 0;
-    branching;
     metrics =
       {
         gp_shifts = 0;
@@ -103,13 +119,68 @@ let registry t = t.registry
 let metrics t = t.metrics
 let tag_list t = t.tag_list
 let synopsis t = t.synopsis
+let gp t (n : Er_node.t) = t.gps.(n.Er_node.slot)
 
-(* gp resolution for [check], which must not trust the SB-tree: a
-   table of every segment, from a walk of the ER-tree. *)
-let gp_table t =
-  let table = Hashtbl.create 256 in
-  Er_node.iter_subtree t.root (fun n -> Hashtbl.replace table n.Er_node.sid n.Er_node.gp);
-  fun sid -> Hashtbl.find table sid
+(* A slot for a new segment at global position [gp]. *)
+let alloc_slot t gp =
+  match t.free_slots with
+  | s :: rest ->
+    t.free_slots <- rest;
+    t.gps.(s) <- gp;
+    s
+  | [] ->
+    let s = t.n_slots in
+    if s = Array.length t.gps then begin
+      let bigger = Array.make (2 * s) 0 in
+      Array.blit t.gps 0 bigger 0 s;
+      t.gps <- bigger
+    end;
+    t.gps.(s) <- gp;
+    t.n_slots <- s + 1;
+    s
+
+let free_slot t slot =
+  t.gps.(slot) <- -1;
+  t.free_slots <- slot :: t.free_slots
+
+(* Adds [delta] to every gp at or after [from] (the root's excepted):
+   the gp shift of Figures 5 and 7. *)
+let shift_gps t ~from delta =
+  let gps = t.gps and shifted = ref 0 in
+  for i = 1 to t.n_slots - 1 do
+    let g = Array.unsafe_get gps i in
+    if g >= from then begin
+      Array.unsafe_set gps i (g + delta);
+      incr shifted
+    end
+  done;
+  t.metrics.gp_shifts <- t.metrics.gp_shifts + !shifted
+
+(* The live root, changeable in place (copied first if a snapshot
+   shares it). *)
+let own_root t =
+  let r = Er_node.own ~gen:t.gen t.root in
+  if r != t.root then begin
+    t.root <- r;
+    Sb_index.replace t.sb 0 r
+  end;
+  r
+
+(* Child [i] of the owned node [p], changeable in place. *)
+let own_child t (p : Er_node.t) i =
+  let c = Vec.get p.Er_node.children i in
+  let c' = Er_node.own ~gen:t.gen c in
+  if c' != c then begin
+    Vec.set p.Er_node.children i c';
+    Sb_index.replace t.sb c.Er_node.sid c'
+  end;
+  c'
+
+(* [own_child] for a child known by its node rather than its index. *)
+let own_child_node t (p : Er_node.t) (c : Er_node.t) =
+  let kids = p.Er_node.children in
+  let rec find i = if Vec.get kids i == c then i else find (i + 1) in
+  own_child t p (find 0)
 
 (* Brings the dirty tag lists back to gp order, resolving the merge's
    gp probes through the SB-tree.  Only for callers that have just made
@@ -119,24 +190,23 @@ let gp_table t =
 let sort_tag_lists t =
   if Tag_list.is_dirty t.tag_list then
     Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
-        match Sb_index.find t.sb sid with Some n -> n.Er_node.gp | None -> raise Not_found)
+        match Sb_index.find t.sb sid with Some n -> gp t n | None -> raise Not_found)
 
-(* From-scratch path synopsis of an ER-tree: the incremental oracle
-   (used by [load], [check] and the tests).  A child's context chain is
-   its parent's chain plus the parent elements strictly containing the
-   child's lp ([start < lp < stop], the predicate insertion uses).
-   Children are lp-sorted and the skeleton is start-sorted and properly
-   nested, so one ancestor stack swept along the children yields every
-   child's containing elements in O(parent elements + children): the
-   stack holds the open elements, innermost on top, and an element
-   whose stop is at or before the current lp can never contain a later
-   child.  ([Er_node.check] rejects trees breaking either order, so a
-   hostile snapshot fails [load] whatever this returns for it.)
-   Segments are registered in pre-order, as an [iter_subtree] walk
-   would. *)
-let synopsis_of_tree (root : Er_node.t) =
+(* Every segment's context chain rebuilt from the ER-tree, handed to
+   [f node ctx] in pre-order: the oracle for the chains recorded on the
+   nodes and for the incremental synopsis (used by [load], [check] and
+   the tests).  A child's context chain is its parent's chain plus the
+   parent elements strictly containing the child's lp ([start < lp <
+   stop], the predicate insertion uses).  Children are lp-sorted and
+   the skeleton is start-sorted and properly nested, so one ancestor
+   stack swept along the children yields every child's containing
+   elements in O(parent elements + children): the stack holds the open
+   elements, innermost on top, and an element whose stop is at or
+   before the current lp can never contain a later child.
+   ([Er_node.check] rejects trees breaking either order, so a hostile
+   snapshot fails [load] whatever this returns for it.) *)
+let iter_contexts (root : Er_node.t) f =
   let open Er_node in
-  let syn = Path_synopsis.create () in
   let stack = Vec.create () in
   let pop_until x =
     while (not (Vec.is_empty stack)) && (Vec.last stack).stop <= x do
@@ -166,14 +236,17 @@ let synopsis_of_tree (root : Er_node.t) =
     in
     Array.iteri
       (fun i (c : Er_node.t) ->
-        Path_synopsis.add_segment syn ~sid:c.sid ~ctx_tids:ctxs.(i) ~elems:c.elems;
+        f c ctxs.(i);
         visit c ctxs.(i))
       children
   in
-  visit root [||];
-  syn
+  visit root [||]
 
-let synopsis_rebuilt t = synopsis_of_tree t.root
+let synopsis_rebuilt t =
+  let syn = Path_synopsis.create () in
+  iter_contexts t.root (fun n ctx ->
+      Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.Er_node.elems);
+  syn
 
 (* --- insertion (Figure 5) ------------------------------------------ *)
 
@@ -187,48 +260,41 @@ let link_new_segment t ~gp ~text ~elems_for =
   let len = String.length text in
   (* Step 1: shift the global position of every segment at or after the
      insertion point (AddNewSegment_Start). *)
-  Er_node.iter_subtree t.root (fun m ->
-      if (not (is_root m)) && m.gp >= gp then begin
-        m.gp <- m.gp + len;
-        t.metrics.gp_shifts <- t.metrics.gp_shifts + 1
-      end);
+  shift_gps t ~from:gp len;
+  let gps = t.gps in
   (* Step 2: descend to the parent segment, growing lengths on the way
      (AddNewSegment).  A child still covers the insertion point iff
      [c.gp < gp < c.gp + c.len]: shifted children now start after [gp],
-     and an unshifted child's length is not yet updated. *)
+     and an unshifted child's length is not yet updated.  Every node on
+     the way is owned: its length changes, and the parent's children. *)
   let rec descend s =
     t.metrics.nodes_visited <- t.metrics.nodes_visited + 1;
     s.len <- s.len + len;
-    let covering =
-      (* Only the last child starting before [gp] can cover it. *)
-      let i = child_index_for_gp s gp in
-      if i = 0 then None
-      else begin
-        let c = Vec.get s.children (i - 1) in
-        if c.gp < gp && gp < c.gp + c.len then Some c else None
-      end
-    in
-    match covering with Some c -> descend c | None -> s
+    (* Only the last child starting before [gp] can cover it. *)
+    let i = child_index_for_gp ~gps s gp in
+    if i = 0 then s
+    else begin
+      let c = Vec.get s.children (i - 1) in
+      let cgp = gps.(c.slot) in
+      if cgp < gp && gp < cgp + c.len then descend (own_child t s (i - 1)) else s
+    end
   in
-  let parent = descend t.root in
+  let parent = descend (own_root t) in
   (* Step 3: local position (Definition 2), converted to the parent's
      virtual coordinates. *)
   let before_len =
     Vec.fold_left
-      (fun acc (c : Er_node.t) -> if c.gp < gp then acc + c.len else acc)
+      (fun acc (c : Er_node.t) -> if gps.(c.slot) < gp then acc + c.len else acc)
       0 parent.children
   in
-  let x_phys = gp - parent.gp - before_len in
+  let x_phys = gp - gps.(parent.slot) - before_len in
   (* When [x_phys] sits on a tombstone boundary, every virtual position
      across the gap is physically equivalent; clamp against the left
      sibling's lp so child local positions stay ordered. *)
+  let at = child_index_for_gp ~gps parent gp in
   let lp =
     let vlow = virt_of_own_phys_before parent x_phys in
-    let prev_lp =
-      let i = child_index_for_gp parent gp in
-      if i = 0 then vlow else (Vec.get parent.children (i - 1)).lp
-    in
-    max vlow prev_lp
+    if at = 0 then vlow else max vlow (Vec.get parent.children (at - 1)).lp
   in
   (* One early-exit prefix scan (the [depth_at] predicate) yields both
      the splice depth and the tids of the parent elements strictly
@@ -254,37 +320,32 @@ let link_new_segment t ~gp ~text ~elems_for =
   let sid = t.next_sid in
   t.next_sid <- t.next_sid + 1;
   let elems = elems_for ~base_level in
-  let node = Er_node.make ~sid ~gp ~lp ~base_level ~text ~elems in
-  node.parent <- Some parent;
-  Vec.insert_at parent.children (child_index_for_gp parent gp) node;
+  let node =
+    Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp
+      ~base_level ~text ~elems
+  in
+  Vec.insert_at parent.children at node;
   t.live_segments <- t.live_segments + 1;
   t.live_elements <- t.live_elements + Vec.length node.elems;
-  let rec chain d (n : Er_node.t) =
-    match n.parent with None -> d | Some p -> chain (d + 1) p
-  in
-  let d = chain 0 node in
+  (* Edges below the dummy root. *)
+  let d = Array.length node.path - 1 in
   if d > t.er_depth then t.er_depth <- d;
   (* Path synopsis: the segment's context chain is its parent's chain
      plus the containing elements collected above, so the chain length
      equals [base_level].  It is immutable for the segment's lifetime:
      an enclosing element's extent covers the whole segment, so
      removing it removes the segment too. *)
-  let ctx_tids =
-    let pctx =
-      if is_root parent then [||] else Path_synopsis.context t.synopsis ~sid:parent.sid
-    in
-    match own_ctx with
-    | [] -> pctx
-    | own -> Array.append pctx (Array.of_list own)
-  in
-  Path_synopsis.add_segment t.synopsis ~sid ~ctx_tids ~elems:node.elems;
+  node.ctx <-
+    (match own_ctx with [] -> parent.ctx | own -> Array.append parent.ctx (Array.of_list own));
+  Path_synopsis.add_segment t.synopsis ~ctx_tids:node.ctx ~elems:node.elems;
   node
 
-(* One tag-list entry per distinct tag of the segment. *)
+(* One tag-list entry per distinct tag of the segment; its context
+   chain must be set. *)
 let iter_tag_entries (node : Er_node.t) f =
-  let path = Er_node.path node in
+  let { Er_node.sid; path; ctx; columns; _ } = node in
   Er_node.iter_columns node (fun tid c ->
-      f ~tid { Tag_list.sid = node.Er_node.sid; path; count = Er_node.cols_length c })
+      f ~tid { Tag_list.sid; path; ctx; tags = columns.tids; count = Er_node.cols_length c })
 
 let frozen_guard t who =
   if t.frozen then invalid_arg (who ^ ": frozen snapshot, updates go to the live log")
@@ -401,8 +462,9 @@ let insert t ~gp text =
 (* --- removal (Figure 7) -------------------------------------------- *)
 
 (* Pre-removal extents [(child, gp, gp + len)] of [s]'s children. *)
-let child_extents (s : Er_node.t) =
-  Vec.to_list s.Er_node.children |> List.map (fun (k : Er_node.t) -> (k, k.gp, k.gp + k.len))
+let child_extents t (s : Er_node.t) =
+  Vec.to_list s.Er_node.children
+  |> List.map (fun (k : Er_node.t) -> (k, gp t k, gp t k + k.len))
 
 (* The own text of [s] inside global range [x, y), as one virtual range
    [(vu, vv)] of [s]'s text, or [None] when children cover all of it.
@@ -411,7 +473,7 @@ let child_extents (s : Er_node.t) =
    it occupies zero virtual width.  Converting the outermost gap ends
    gives the range — per-gap tombstones would wrongly report an element
    spanning a removed child as split.  [extents] is [child_extents s]. *)
-let own_virtual_range (s : Er_node.t) extents x y =
+let own_virtual_range t (s : Er_node.t) extents x y =
   let first = ref None and last = ref (x, x) and cursor = ref x in
   let gap u v =
     if !first = None then first := Some u;
@@ -432,7 +494,7 @@ let own_virtual_range (s : Er_node.t) extents x y =
       let before_len =
         List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 extents
       in
-      u - s.gp - before_len
+      u - gp t s - before_len
     in
     let ulast, vlast = !last in
     Some
@@ -448,8 +510,8 @@ let splits (e : Er_node.elem) vu vv =
    removal must leave the log untouched. *)
 let validate_remove t ~gp ~len =
   let rec walk (s : Er_node.t) x y =
-    let extents = child_extents s in
-    (match own_virtual_range s extents x y with
+    let extents = child_extents t s in
+    (match own_virtual_range t s extents x y with
     | None -> ()
     | Some (vu, vv) ->
       Vec.iter
@@ -486,23 +548,25 @@ let remove t ~gp ~len =
     Hashtbl.replace decrements key (1 + Option.value ~default:0 (Hashtbl.find_opt decrements key));
     elements_gone 1
   in
+  (* The subtree's nodes stay as they are: snapshots may share them. *)
   let delete_subtree k =
     Er_node.iter_subtree k (fun n ->
         removed_sids := n.sid :: !removed_sids;
-        Path_synopsis.remove_segment t.synopsis ~sid:n.sid ~elems:n.elems;
+        Path_synopsis.remove_segment t.synopsis ~ctx_tids:n.ctx ~elems:n.elems;
         elements_gone (Vec.length n.elems);
+        free_slot t n.slot;
         match t.mode with
         | Lazy_dynamic -> ignore (Sb_index.remove t.sb n.sid)
         | Lazy_static -> t.sb_dirty <- true)
   in
-  (* Removes virtual range [vu, vv) of [s]'s own text: tombstone it and
-     drop the elements it covered.  [validate_remove] has refused every
-     range that splits an element, so each element is either inside
-     the range or untouched by it. *)
+  (* Removes virtual range [vu, vv) of the owned [s]'s own text:
+     tombstone it and drop the elements it covered.  [validate_remove]
+     has refused every range that splits an element, so each element is
+     either inside the range or untouched by it. *)
   let tombstone_own s vu vv =
     (* Synopsis decrements need the pre-removal skeleton (surviving
        elements still enclose the removed ones during the scan). *)
-    Path_synopsis.remove_matching ~until:vv t.synopsis ~sid:s.sid ~elems:s.elems
+    Path_synopsis.remove_matching ~until:vv t.synopsis ~ctx_tids:s.ctx ~elems:s.elems
       ~removed:(fun (e : elem) -> e.start >= vu && e.stop <= vv);
     let kept = Vec.create () in
     Vec.iter
@@ -510,19 +574,18 @@ let remove t ~gp ~len =
         if e.start >= vu && e.stop <= vv then note_removed_elem s.sid e else Vec.push kept e)
       s.elems;
     (* Replace the skeleton and columns wholesale instead of editing in
-       place: frozen snapshots share both with the live tree.  A gap
-       over own text alone (no element inside) leaves them as they
-       are. *)
+       place: copies of the node share both.  A gap over own text alone
+       (no element inside) leaves them as they are. *)
     if Vec.length kept <> Vec.length s.elems then set_elems s kept;
     add_tombstone s vu vv
   in
   (* Recursive removal in pre-removal global coordinates; [x, y) is
-     contained in [s]'s span and [s] survives. *)
+     contained in the owned [s]'s span and [s] survives. *)
   let rec remove_range s x y =
     t.metrics.nodes_visited <- t.metrics.nodes_visited + 1;
     s.len <- s.len - (y - x);
-    let snapshot = child_extents s in
-    (match own_virtual_range s snapshot x y with
+    let snapshot = child_extents t s in
+    (match own_virtual_range t s snapshot x y with
     | None -> ()
     | Some (vu, vv) -> tombstone_own s vu vv);
     (* Children cases of §3.3. *)
@@ -540,21 +603,18 @@ let remove t ~gp ~len =
           (* Cases 1 and 3: recurse with the clipped range (the
              auxiliary segment of Figure 7). *)
           let sx = max a x and sy = min b y in
+          let k = own_child_node t s k in
           remove_range k sx sy;
           (* Right intersection: the survivors of k start at the end of
              the removed range (pre-shift coordinates). *)
-          if sx = a then k.gp <- sy
+          if sx = a then t.gps.(k.slot) <- sy
         end)
       snapshot
   in
-  remove_range t.root gp y_end;
+  remove_range (own_root t) gp y_end;
   (* Global shift (RemoveSegment_Start, applied once at the end so the
      recursion works in one coordinate system). *)
-  Er_node.iter_subtree t.root (fun m ->
-      if (not (is_root m)) && m.gp >= y_end then begin
-        m.gp <- m.gp - len;
-        t.metrics.gp_shifts <- t.metrics.gp_shifts + 1
-      end);
+  shift_gps t ~from:y_end (-len);
   (* Tag-list maintenance. *)
   List.iter (fun sid -> Tag_list.remove_segment t.tag_list ~sid) !removed_sids;
   Hashtbl.iter
@@ -590,15 +650,19 @@ let node_of_sid t sid =
 
 module Int_tbl = Hashtbl.Make (Int)
 
-let translators t =
+let cursors t =
   let memo = Int_tbl.create 64 in
   fun sid ->
-    match Int_tbl.find memo sid with
-    | tr -> tr
-    | exception Not_found ->
-      let tr = Er_node.translator (node_of_sid t sid) in
-      Int_tbl.add memo sid tr;
-      tr
+    let tr, gp =
+      match Int_tbl.find memo sid with
+      | v -> v
+      | exception Not_found ->
+        let n = node_of_sid t sid in
+        let v = (Er_node.translator n, gp t n) in
+        Int_tbl.add memo sid v;
+        v
+    in
+    Er_node.cursor tr ~gp
 
 let segments_for_tag t ~tag =
   match Tag_registry.find t.registry tag with
@@ -645,7 +709,7 @@ let global_elements t ~tag =
         Vec.iter
           (fun (e : Er_node.elem) ->
             if e.tid = tid then begin
-              let gstart, gstop = Er_node.global_extent n e in
+              let gstart, gstop = Er_node.global_extent ~gp:(gp t n) n e in
               acc := (gstart, gstop, e.level) :: !acc
             end)
           n.elems);
@@ -656,7 +720,7 @@ let global_elements t ~tag =
 let sb_size_bytes t =
   let n = ref 0 in
   Er_node.iter_subtree t.root (fun node ->
-      (* sid, gp, len, lp, parent pointer, child pointers, tombstones. *)
+      (* sid, gp, len, lp, ancestry pointer, child pointers, tombstones. *)
       n := !n + (8 * (8 + Vec.length node.Er_node.children + (2 * Vec.length node.Er_node.tombstones))));
   !n
 
@@ -670,7 +734,19 @@ let columns_size_bytes t =
 let size_bytes t = sb_size_bytes t + tag_list_size_bytes t + columns_size_bytes t
 
 let check t =
-  Er_node.check t.root;
+  Er_node.check ~gps:t.gps t.root;
+  (* Slots: every live segment has its own, inside [0, n_slots) and off
+     the free list; the root has slot 0. *)
+  let used = Array.make t.n_slots false in
+  List.iter (fun s -> used.(s) <- true) t.free_slots;
+  Er_node.iter_subtree t.root (fun n ->
+      let s = n.Er_node.slot in
+      if s < 0 || s >= t.n_slots || used.(s) then
+        failwith (Printf.sprintf "segment %d: slot %d is out of range, shared or free" n.Er_node.sid s);
+      used.(s) <- true;
+      if n.Er_node.gen > t.gen then
+        failwith (Printf.sprintf "segment %d is of a future generation" n.Er_node.sid));
+  if t.root.Er_node.slot <> 0 then failwith "root is not at slot 0";
   (* Every segment's columns are its tag-filtered skeleton, and the
      element counter agrees with the skeleton walk. *)
   Er_node.iter_subtree t.root (fun n ->
@@ -686,7 +762,9 @@ let check t =
      may be dirty, and sorting does not change their contents); on the
      way, every element's tag is registered and no live sid has
      reached [next_sid]. *)
-  Tag_list.sort_all t.tag_list ~gp_of:(gp_table t);
+  let node_by_sid = Hashtbl.create 256 in
+  Er_node.iter_subtree t.root (fun n -> Hashtbl.replace node_by_sid n.Er_node.sid n);
+  Tag_list.sort_all t.tag_list ~gp_of:(fun sid -> gp t (Hashtbl.find node_by_sid sid));
   let counts = Hashtbl.create 64 in
   let n_tags = Tag_registry.count t.registry in
   let max_sid = ref 0 in
@@ -703,11 +781,22 @@ let check t =
         n.Er_node.elems);
   if t.next_sid <= !max_sid then
     failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
+  (* Each entry carries its segment's context chain and a superset of
+     its current tags (the planner's Proposition-3 evidence). *)
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->
       Array.iter
-        (fun (e : Tag_list.entry) -> Hashtbl.replace listed (tid, e.sid) e.count)
+        (fun (e : Tag_list.entry) ->
+          (match Hashtbl.find_opt node_by_sid e.sid with
+          | Some n
+            when e.ctx <> n.Er_node.ctx
+                 || not (Array.for_all (fun tid -> Array.mem tid e.tags) n.Er_node.columns.tids) ->
+            failwith
+              (Printf.sprintf "tag-list entry (tid %d, sid %d) carries a stale context or tag set"
+                 tid e.sid)
+          | Some _ | None (* a stale entry, reported below *) -> ());
+          Hashtbl.replace listed (tid, e.sid) e.count)
         (Tag_list.entries t.tag_list ~tid))
     (Tag_list.tids t.tag_list);
   Hashtbl.iter
@@ -741,9 +830,14 @@ let check t =
     failwith
       (Printf.sprintf "segment counter says %d, ER-tree walk says %d" t.live_segments
          (segment_count_walk t));
-  (* The incrementally maintained path synopsis agrees with a
-     from-scratch rebuild off the skeletons. *)
-  if not (Path_synopsis.equal t.synopsis (synopsis_of_tree t.root)) then
+  (* The context chains on the nodes and the incrementally maintained
+     path synopsis agree with a from-scratch rebuild off the skeletons. *)
+  let rebuilt = Path_synopsis.create () in
+  iter_contexts t.root (fun n ctx ->
+      if n.Er_node.ctx <> ctx then
+        failwith (Printf.sprintf "segment %d: context chain disagrees with a rebuild" n.Er_node.sid);
+      Path_synopsis.add_segment rebuilt ~ctx_tids:ctx ~elems:n.Er_node.elems);
+  if not (Path_synopsis.equal t.synopsis rebuilt) then
     failwith "path synopsis disagrees with a from-scratch rebuild"
 
 (* --- frozen snapshots (MVCC read side) ------------------------------- *)
@@ -751,38 +845,24 @@ let check t =
 let freeze t =
   if t.frozen then invalid_arg "Update_log.freeze: already frozen";
   (* LS logs may be mid-laziness; bring derived structures current so
-     the clone is query-ready without ever needing to mutate. *)
+     the snapshot is query-ready without ever needing to mutate. *)
   prepare_for_query t;
-  let root = Er_node.clone t.root in
-  let pairs = Vec.create () in
-  Er_node.iter_subtree root (fun n -> Vec.push pairs (n.Er_node.sid, n));
-  let pairs = Vec.to_array pairs in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-  let sb = Sb_index.of_sorted_mem ~branching:t.branching pairs in
-  {
-    mode = t.mode;
-    index_attributes = t.index_attributes;
-    registry = Tag_registry.clone t.registry;
-    root;
-    sb;
-    sb_dirty = false;
-    tag_list = Tag_list.clone t.tag_list;
-    synopsis = Path_synopsis.clone t.synopsis;
-    next_sid = t.next_sid;
-    live_segments = t.live_segments;
-    live_elements = t.live_elements;
-    er_depth = t.er_depth;
-    branching = t.branching;
-    metrics =
-      {
-        gp_shifts = t.metrics.gp_shifts;
-        nodes_visited = t.metrics.nodes_visited;
-        segments_inserted = t.metrics.segments_inserted;
-        segments_removed = t.metrics.segments_removed;
-        elements_removed = t.metrics.elements_removed;
-      };
-    frozen = true;
-  }
+  let snap =
+    {
+      t with
+      registry = Tag_registry.clone t.registry;
+      gps = Array.sub t.gps 0 t.n_slots;
+      free_slots = [];
+      sb = Sb_index.freeze t.sb ~iter:(Er_node.iter_subtree t.root);
+      tag_list = Tag_list.freeze t.tag_list;
+      synopsis = Path_synopsis.clone t.synopsis;
+      metrics = { t.metrics with gp_shifts = t.metrics.gp_shifts };
+      frozen = true;
+    }
+  in
+  (* Every node now existing is shared with [snap]. *)
+  t.gen <- t.gen + 1;
+  snap
 
 (* --- snapshots ------------------------------------------------------- *)
 
@@ -820,10 +900,8 @@ let save t oc =
   line "segments %d\n" (!count - 1);
   iter_subtree t.root (fun n ->
       if not (is_root n) then begin
-        let parent_sid =
-          match n.parent with Some p -> p.sid | None -> failwith "orphan segment"
-        in
-        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid n.gp n.len n.lp n.base_level
+        let parent_sid = n.path.(Array.length n.path - 2) in
+        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid (gp t n) n.len n.lp n.base_level
           n.orig_len (Vec.length n.tombstones) (Vec.length n.elems);
         emit n.text;
         emit "\n";
@@ -936,15 +1014,17 @@ let load ?(backend = Storage_backend.Mem) ic =
             fail "segment %d: element tag id %d outside the %d-tag table" sid e.tid tag_count;
           e)
     in
-    let node = Er_node.make ~sid ~gp ~lp ~base_level ~text ~elems in
-    node.len <- len;
-    List.iter (Vec.push node.tombstones) tombs;
     let parent =
       match Hashtbl.find_opt by_sid parent_sid with
       | Some p -> p
       | None -> fail "segment %d arrives before its parent %d" sid parent_sid
     in
-    node.parent <- Some parent;
+    let node =
+      Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp
+        ~base_level ~text ~elems
+    in
+    node.len <- len;
+    List.iter (Vec.push node.tombstones) tombs;
     Vec.push parent.children node;
     Hashtbl.add by_sid sid node
   done;
@@ -953,13 +1033,16 @@ let load ?(backend = Storage_backend.Mem) ic =
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
   t.live_elements <- element_count_walk t;
-  (* Rebuild derived structures: tag lists from the segments' columns
-     (built with each node above), SB-tree from the ER-tree. *)
+  (* Rebuild derived structures: context chains and the synopsis,
+     tag lists from the segments' columns (built with each node above)
+     and chains, SB-tree from the ER-tree. *)
+  iter_contexts t.root (fun n ctx ->
+      n.ctx <- ctx;
+      Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~elems:n.elems);
   Er_node.iter_subtree t.root (fun n ->
       if not (is_root n) then
         iter_tag_entries n (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry));
   t.sb_dirty <- true;
-  t.synopsis <- synopsis_of_tree t.root;
   ignore (refresh_er_depth t);
   prepare_for_query t;
   full_check t;
@@ -1004,7 +1087,7 @@ let fragmented_subtrees (t : t) =
       subtrees :=
         {
           sid = c.Er_node.sid;
-          gp = c.Er_node.gp;
+          gp = gp t c;
           len = c.Er_node.len;
           segments = !segs;
           depth = !dmax;

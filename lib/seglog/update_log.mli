@@ -16,7 +16,23 @@
        query-ready on every update.}
     {- [Lazy_static] (LS): updates only maintain the ER-tree; the
        SB-tree is rebuilt and tag lists sorted by
-       {!prepare_for_query}.}} *)
+       {!prepare_for_query}.}}
+
+    {b Global positions.}  A segment's gp is not on its node: the log
+    keeps every live segment's gp in one flat int array, indexed by
+    the node's [slot] (a removed segment's slot is reused), read with
+    {!gp}.  The gp shift of an insert or a remove is a loop over that
+    array and touches no node.
+
+    {b Versions.}  {!freeze} publishes a snapshot that shares every
+    node, the sid map, every per-tag list and the synopsis with the
+    live log, and copies only the gp array.  It then advances the live
+    log's generation: before its first in-place change after a freeze,
+    the live log copies a node stamped with an older generation,
+    together with its path from the root (relinking each copy in the
+    sid map), and copies a per-tag list likewise.  So a publish costs
+    O(segments) int copies plus what the next write touches, and no
+    snapshot ever sees a change. *)
 
 type mode = Lazy_dynamic | Lazy_static
 
@@ -32,13 +48,12 @@ type metrics = {
 type t
 
 val create :
-  ?mode:mode -> ?index_attributes:bool -> ?branching:int ->
-  ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
+  ?mode:mode -> ?index_attributes:bool -> ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
 (** An empty super document. [mode] defaults to [Lazy_dynamic];
     [index_attributes] (default false) additionally indexes every
     attribute as a subelement named ["@name"] (§1: "attributes can be
-    considered as subelements"); [branching] is used for the SB-tree;
-    [backend] (default in-memory) puts the SB-tree on copy-on-write
+    considered as subelements"); [backend] (default in-memory) puts
+    the SB-tree on copy-on-write
     pages of a page store.  Segment skeletons, columns and texts stay
     on the heap either way. *)
 
@@ -58,6 +73,11 @@ val element_count : t -> int
     asserts it equals a walk over every segment's skeleton. *)
 
 val root : t -> Er_node.t
+
+val gp : t -> Er_node.t -> int
+(** The node's current global position in this version of the log,
+    O(1).  The node must be one of this version's. *)
+
 val registry : t -> Tag_registry.t
 val metrics : t -> metrics
 
@@ -121,14 +141,13 @@ val node_of_sid : t -> int -> Er_node.t
 (** SB-tree lookup.  Under [Lazy_static], call {!prepare_for_query}
     first. @raise Not_found on unknown or removed sids. *)
 
-val translators : t -> int -> Er_node.translator
-(** [translators t] is a lookup from sid to that segment's
-    {!Er_node.translator}, resolving each sid ({!node_of_sid} plus the
-    build) at most once.  Readers walk results in segment runs and
-    probe it only when the sid changes, then translate the run with an
-    {!Er_node.cursor} on the translator — one hash probe per run, not
-    per label.  The memo lives as long as the returned closure: use
-    one per read and drop it before the next update.
+val cursors : t -> int -> Er_node.cursor
+(** [cursors t] is a lookup from sid to a fresh {!Er_node.cursor} over
+    that segment's cached translator ({!Er_node.translator}) at its gp
+    in [t], resolving each sid ({!node_of_sid}) at most once.  Readers
+    walk results in segment runs and take a cursor only when the sid
+    changes — one hash probe per run, not per label.  The memo lives as
+    long as the returned closure: use one per read.
     @raise Not_found as {!node_of_sid}. *)
 
 val segments_for_tag : t -> tag:string -> Tag_list.entry array
@@ -149,15 +168,17 @@ val synopsis : t -> Path_synopsis.t
 (** The log's path-summary synopsis: exact per-root-to-element-path
     counts, maintained incrementally by {!insert}, {!insert_batch} and
     {!remove} (and therefore by packing, which is remove+insert).
-    Frozen snapshots carry an independent clone.  The planner's input:
+    Frozen snapshots carry a copy-on-write clone.  The planner's input:
     cardinality estimation and Proposition-3 segment skipping read it
     without forcing a dirty tag-list sort. *)
 
 val synopsis_rebuilt : t -> Path_synopsis.t
 (** From-scratch synopsis rebuilt off the current segment skeletons —
-    the incremental-maintenance oracle ({!check} asserts the two agree;
-    exposed for the tests).  O(segments + elements): one ancestor-stack
-    sweep per parent hands every child its context chain. *)
+    the incremental-maintenance oracle ({!check} asserts the two agree,
+    and that every node's recorded context chain equals the rebuilt
+    one; exposed for the tests).  O(segments + elements): one
+    ancestor-stack sweep per parent hands every child its context
+    chain. *)
 
 val materialize : t -> string
 (** Reconstructs the full super-document text from the ER-tree — the
@@ -181,21 +202,26 @@ val size_bytes : t -> int
     above. *)
 
 val freeze : t -> t
-(** [freeze t] returns an immutable snapshot of [t]: a clone of the
-    ER-tree (sharing the immutable segment texts, skeletons and
-    element columns), SB-tree, tag lists and registry.  Later removes
-    on [t] replace the touched segments' columns copy-on-write, so the
-    snapshot keeps reading the state it was frozen at with no
-    versioning.  The clone is query-ready ([prepare_for_query] is run
-    first, so an LS source log is brought current) and every update
-    entry point raises [Invalid_argument] on it.
-    O(segments + tag-list entries). *)
+(** [freeze t] returns an immutable snapshot of [t] that shares every
+    node, the sid map (in memory, a persistent map), every per-tag
+    list, the registry and the synopsis with [t], and copies only the
+    gp array (one int per segment slot).  It then advances [t]'s
+    generation, so [t] copies whatever it changes next — a node and
+    its path from the root, a per-tag list — and the snapshot keeps
+    reading the state it was frozen at.  Element columns, skeletons,
+    tombstones and texts are replace-only and shared as they are.  A
+    paged log's snapshot builds its in-memory sid map by one walk.
+    The snapshot is query-ready ([prepare_for_query] is run first, so
+    an LS source log is brought current) and every update entry point
+    raises [Invalid_argument] on it. *)
 
 val is_frozen : t -> bool
 
 val check : t -> unit
-(** Full invariant check across the ER-tree, element columns, SB-tree,
-    tag-list and path synopsis: every segment's columns equal its
+(** Full invariant check across the ER-tree, gp slots, element
+    columns, SB-tree, tag-list and path synopsis: every live segment
+    has its own slot and no node is newer than its parent (a changed
+    node's path was copied with it), every segment's columns equal its
     tag-filtered skeleton, {!element_count} equals the skeleton walk,
     every element's tag id is in the registry, the next sid is above
     every live sid, and the synopsis equals a from-scratch

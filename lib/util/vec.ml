@@ -5,6 +5,14 @@ let create () = { data = [||]; len = 0 }
 let of_array a = { data = Array.copy a; len = Array.length a }
 let of_list l = of_array (Array.of_list l)
 
+let copy v =
+  if v.len = 0 then create ()
+  else begin
+    let data = Array.make (v.len + 1) v.data.(0) in
+    Array.blit v.data 0 data 0 v.len;
+    { data; len = v.len }
+  end
+
 let length v = v.len
 let is_empty v = v.len = 0
 

@@ -11,6 +11,11 @@ type 'a t
 val create : unit -> 'a t
 val of_list : 'a list -> 'a t
 val of_array : 'a array -> 'a t
+
+val copy : 'a t -> 'a t
+(** An independent vector with the same elements and room for one
+    more: the copy-on-write step before a shared vector is changed. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

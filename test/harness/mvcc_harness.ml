@@ -156,3 +156,60 @@ let run_matrix ~seeds ~target_ops ~domains =
             r.reads_checked r.epochs_published r.elapsed_s)
         seeds)
     domains
+
+(* --- with_snapshot at epoch E = replay of the first E ops ------------- *)
+
+(* Replays the first [k] schedule ops into a fresh store — the oracle
+   a snapshot pinned at epoch [k] must match byte for byte. *)
+let replay ~engine k ops =
+  let db = Lazy_db.create ~engine ~index_attributes:true () in
+  List.iteri (fun i op -> if i < k then Crash_harness.apply db op) ops;
+  db
+
+let prop_snapshot_replay ~count =
+  QCheck2.Test.make ~name:"with_snapshot = prefix replay (LD/LS, packs + rebuilds)" ~count
+    QCheck2.Gen.(int_range 1 1000)
+    (fun seed ->
+      let ops = Crash_harness.gen_ops ~seed ~target_ops:20 in
+      let n = List.length ops in
+      List.iter
+        (fun (engine, ename) ->
+          let db = Lazy_db.create ~engine ~index_attributes:true () in
+          (* Pin a snapshot at every prefix boundary and hold them all
+             while the rest of the schedule — removes, packs, rebuilds
+             included — applies. *)
+          let pinned = ref [ (0, Lazy_db.snapshot db) ] in
+          List.iteri
+            (fun i op ->
+              Crash_harness.apply db op;
+              if Lazy_db.epoch db <> i + 1 then
+                failwith
+                  (Printf.sprintf "seed %d %s: epoch %d after op %d" seed ename (Lazy_db.epoch db) i);
+              pinned := (i + 1, Lazy_db.snapshot db) :: !pinned)
+            ops;
+          (* Every held snapshot still passes the full invariant check
+             (a node or tag list the live side changed in place would
+             break it) and still fingerprints as its own epoch. *)
+          List.iter
+            (fun (e, snap) ->
+              (try Lazy_db.check snap
+               with Failure msg ->
+                 failwith (Printf.sprintf "seed %d %s: snapshot at epoch %d: %s" seed ename e msg));
+              let expected = Crash_harness.fingerprint (replay ~engine e ops) in
+              let got = Crash_harness.fingerprint snap in
+              if got <> expected then
+                failwith
+                  (Printf.sprintf
+                     "seed %d %s: snapshot at epoch %d diverges from replay\n\
+                     \  expected %S\n\
+                     \  got      %S\n\
+                     \  replay: seed=%d prefix=[%s]"
+                     seed ename e expected got seed
+                     (Crash_harness.ops_to_string (List.filteri (fun i _ -> i < e) ops))))
+            !pinned;
+          (* with_snapshot at the final epoch = the live state. *)
+          Lazy_db.with_snapshot db (fun s ->
+              if Crash_harness.fingerprint s <> Crash_harness.fingerprint (replay ~engine n ops)
+              then failwith (Printf.sprintf "seed %d %s: final snapshot diverges" seed ename)))
+        [ (Lazy_db.LD, "LD"); (Lazy_db.LS, "LS") ];
+      true)

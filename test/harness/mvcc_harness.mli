@@ -42,3 +42,10 @@ val run_one : seed:int -> target_ops:int -> domains:int -> unit -> report
 val run_matrix : seeds:int list -> target_ops:int -> domains:int list -> unit
 (** {!run_one} over the full [domains × seeds] grid, one progress line
     each. @raise Failure on the first violation. *)
+
+val prop_snapshot_replay : count:int -> QCheck2.Test.t
+(** For a seeded schedule on LD and LS: a {!Lazy_xml.Lazy_db.snapshot}
+    pinned after every prefix and held to the end still passes
+    {!Lazy_xml.Lazy_db.check} and fingerprints exactly as a fresh
+    replay of its prefix; a snapshot at the end equals the full
+    replay.  [count] seeds. *)

@@ -1,21 +1,22 @@
 (* Properties of local->global translation and of merging its sorted
    runs, each against a plain reference: [Er_node.global_extent_span]
-   for the cursor, [List.stable_sort] for [Run_merge.sort].  The
-   default suite runs them at a few hundred cases; the slow tier at
+   for the cursor, [Er_node.build_translator] for the translator cached
+   on a node, [List.stable_sort] for [Run_merge.sort].  The default
+   suite runs them at a few hundred cases; the slow tier at
    thousands. *)
 
 open Lxu_seglog
 open Lxu_util
 
-let mk ~sid ~gp ~lp text = Er_node.make ~sid ~gp ~lp ~base_level:0 ~text ~elems:[]
+let mk ~sid ~parent_path ~lp text =
+  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level:0 ~text ~elems:[]
 
 let hook parent ~sid ~lp ~len =
-  let child = mk ~sid ~gp:parent.Er_node.gp ~lp (String.make len 'c') in
-  child.Er_node.parent <- Some parent;
+  let child = mk ~sid ~parent_path:parent.Er_node.path ~lp (String.make len 'c') in
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + len
 
-let reference n x = Er_node.global_extent_span n ~start:x ~stop:x
+let reference ~gp n x = Er_node.global_extent_span ~gp n ~start:x ~stop:x
 
 (* Random segments: tombstones anywhere, children hooked at random
    offsets, at tombstone edges and inside tombstones. *)
@@ -26,8 +27,8 @@ let gen_segment =
       (list_size (int_range 0 8) (triple (int_bound 3) (int_bound 80) (int_range 1 15)))
       (int_bound 1000))
 
-let build_segment (orig_len, ranges, kids, gp) =
-  let n = mk ~sid:1 ~gp ~lp:0 (String.make orig_len 'x') in
+let build_segment (orig_len, ranges, kids, _) =
+  let n = mk ~sid:1 ~parent_path:[| 0 |] ~lp:0 (String.make orig_len 'x') in
   List.iter
     (fun (a, w) ->
       let b = min orig_len (a + w) in
@@ -48,12 +49,13 @@ let build_segment (orig_len, ranges, kids, gp) =
   n
 
 (* Whether one cursor translates every offset of [xs], in that order,
-   as a start and as a stop exactly as the reference does. *)
-let cursor_agrees n xs =
-  let c = Er_node.cursor (Er_node.translator n) in
+   as a start and as a stop exactly as the reference does, with the
+   segment at global position [gp]. *)
+let cursor_agrees ~gp n xs =
+  let c = Er_node.cursor (Er_node.translator n) ~gp in
   List.for_all
     (fun x ->
-      let gs, ge = reference n x in
+      let gs, ge = reference ~gp n x in
       Er_node.cursor_start c x = gs && Er_node.cursor_stop c x = ge)
     xs
 
@@ -61,8 +63,8 @@ let cursor_agrees n xs =
    offset and offsets on or inside tombstones are all exercised. *)
 let cursor_sweep ~count =
   QCheck2.Test.make ~name:"translator = global_extent_span" ~count gen_segment
-    (fun ((orig_len, _, _, _) as seg) ->
-      cursor_agrees (build_segment seg) (List.init (orig_len + 1) Fun.id))
+    (fun ((orig_len, _, _, gp) as seg) ->
+      cursor_agrees ~gp (build_segment seg) (List.init (orig_len + 1) Fun.id))
 
 (* One cursor fed an arbitrary sequence of offsets in [0, orig_len]:
    the first at the far end, then repeats, descents, short steps and
@@ -71,7 +73,7 @@ let cursor_walk ~count =
   QCheck2.Test.make ~name:"cursor over random offsets = global_extent_span" ~count
     QCheck2.Gen.(
       pair gen_segment (list_size (int_range 0 60) (pair (int_bound 4) (int_bound 1000))))
-    (fun (((orig_len, _, _, _) as seg), moves) ->
+    (fun (((orig_len, _, _, gp) as seg), moves) ->
       let x = ref orig_len in
       let step (kind, r) =
         (x :=
@@ -82,7 +84,61 @@ let cursor_walk ~count =
            | _ -> !x + (r mod (orig_len - !x + 1)));
         !x
       in
-      cursor_agrees (build_segment seg) (orig_len :: List.map step moves))
+      cursor_agrees ~gp (build_segment seg) (orig_len :: List.map step moves))
+
+(* Random edits on one log — inserts at tag boundaries, removes of
+   whole elements — with freezes in between; after every step the
+   translators of some nodes of the live log and of every snapshot are
+   read (so cached).  At the end every node of every version must cache
+   exactly the translator a fresh build gives, and every version must
+   pass [Update_log.check]: a node changed in place after a reader
+   cached its translator, or a node a snapshot shares changed under
+   it, breaks one or the other. *)
+let fragments = [| "<a/>"; "<b><a/></b>"; "<a>x<b/>y</a>"; "<c>zz</c>" |]
+
+let cached_translators ~count =
+  QCheck2.Test.make ~name:"cached translator = fresh build, after edits and freezes" ~count
+    QCheck2.Gen.(list_size (int_range 1 40) (pair (int_bound 9) (int_bound 10_000)))
+    (fun steps ->
+      let log = Update_log.create () in
+      ignore (Update_log.insert log ~gp:0 "<r></r>");
+      let versions = ref [] in
+      let warm r v =
+        Er_node.iter_subtree (Update_log.root v) (fun n ->
+            if (n.Er_node.sid + r) mod 3 <> 0 then ignore (Er_node.translator n))
+      in
+      List.iter
+        (fun (kind, r) ->
+          (match kind with
+          | 0 | 1 | 2 | 3 ->
+            let text = Update_log.materialize log in
+            let at =
+              List.filter
+                (fun i -> i = 0 || text.[i - 1] = '>')
+                (List.init (String.length text + 1) Fun.id)
+            in
+            ignore
+              (Update_log.insert log
+                 ~gp:(List.nth at (r mod List.length at))
+                 fragments.(r mod Array.length fragments))
+          | 4 | 5 -> (
+            match Update_log.global_elements log ~tag:[| "a"; "b"; "c" |].(r mod 3) with
+            | [] -> ()
+            | els ->
+              let start, stop, _ = List.nth els (r mod List.length els) in
+              Update_log.remove log ~gp:start ~len:(stop - start))
+          | 6 | 7 -> versions := Update_log.freeze log :: !versions
+          | _ -> ());
+          List.iter (warm r) (log :: !versions))
+        steps;
+      List.for_all
+        (fun v ->
+          Update_log.check v;
+          let fresh = ref true in
+          Er_node.iter_subtree (Update_log.root v) (fun n ->
+              if Er_node.translator n <> Er_node.build_translator n then fresh := false);
+          !fresh)
+        (log :: !versions))
 
 (* Rows shaped like query output: a sorted list, its reversal (one run
    per row), sorted runs concatenated, or noise — over few distinct

@@ -22,8 +22,12 @@
      segments and a tombstoned parent, joins and paths checked against
      the materialized oracle;
    - the translation properties at 2,000 cases each: the cursor against
-     [Er_node.global_extent_span], the run merge against
-     [List.stable_sort].
+     [Er_node.global_extent_span], cached translators against fresh
+     builds after random edits and freezes, the run merge against
+     [List.stable_sort];
+   - the snapshot-replay property at 2,000 schedules: every snapshot
+     held across the rest of an LD or LS schedule passes
+     [Update_log.check] and fingerprints as a replay of its prefix.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -79,6 +83,16 @@ let () =
   List.iter
     (fun t -> QCheck2.Test.check_exn ~rand:(Random.State.make [| 21 |]) t)
     Lxu_props.Translate_props.
-      [ cursor_sweep ~count:cases; cursor_walk ~count:cases; run_merge ~count:cases ];
-  Printf.printf "translate properties: cursor and run merge agree with their references, %d cases each\n%!"
+      [
+        cursor_sweep ~count:cases;
+        cursor_walk ~count:cases;
+        cached_translators ~count:cases;
+        run_merge ~count:cases;
+      ];
+  Printf.printf
+    "translate properties: cursor, cached translators and run merge agree with their references, %d cases each\n%!"
+    cases;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 22 |])
+    (Lxu_crash_harness.Mvcc_harness.prop_snapshot_replay ~count:cases);
+  Printf.printf "snapshot replay: %d schedules, every held snapshot checked and equal to its prefix\n%!"
     cases

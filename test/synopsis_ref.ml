@@ -11,11 +11,12 @@ module Vec = Lxu_util.Vec
 let synopsis_of_tree (root : Er_node.t) =
   let open Er_node in
   let syn = Path_synopsis.create () in
-  let ctxs = Hashtbl.create 64 in
+  let ctxs = Hashtbl.create 64 and nodes = Hashtbl.create 64 in
   Hashtbl.add ctxs root.sid [||];
   Er_node.iter_subtree root (fun n ->
+      Hashtbl.add nodes n.sid n;
       if not (is_root n) then begin
-        let parent = match n.parent with Some p -> p | None -> root in
+        let parent = Hashtbl.find nodes n.path.(Array.length n.path - 2) in
         let pctx = try Hashtbl.find ctxs parent.sid with Not_found -> [||] in
         let own =
           Vec.fold_left
@@ -29,6 +30,6 @@ let synopsis_of_tree (root : Er_node.t) =
           | _ -> Array.append pctx (Array.of_list (List.rev own))
         in
         Hashtbl.add ctxs n.sid ctx;
-        Path_synopsis.add_segment syn ~sid:n.sid ~ctx_tids:ctx ~elems:n.elems
+        Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.elems
       end);
   syn

@@ -9,17 +9,17 @@ open Lxu_util
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let mk ?(sid = 1) ?(gp = 0) ?(lp = 0) ?(base_level = 0) text elems =
-  Er_node.make ~sid ~gp ~lp ~base_level ~text
+let mk ?(sid = 1) ?(parent_path = [||]) ?(lp = 0) ?(base_level = 0) text elems =
+  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level ~text
     ~elems:(List.map (fun (start, stop, level, tid) -> { Er_node.start; stop; level; tid }) elems)
 
 let test_make_root () =
   let r = Er_node.make_root () in
   check_bool "is_root" true (Er_node.is_root r);
-  check_int "gp" 0 r.Er_node.gp;
+  check_int "gp slot" 0 r.Er_node.slot;
   check_int "len" 0 r.Er_node.len;
   check_int "own_len" 0 (Er_node.own_len r);
-  check_bool "path" true (Er_node.path r = [| 0 |])
+  check_bool "path" true (r.Er_node.path = [| 0 |])
 
 let test_tombstone_accounting () =
   let n = mk "0123456789" [] in
@@ -91,65 +91,63 @@ let test_depth_at_with_base () =
 let test_global_extent_with_child () =
   (* Segment at gp 100 with element [0,10) and a child segment of
      length 7 hanging at lp 4 (inside the element). *)
-  let parent = mk ~gp:100 "<a>bcdef</a>" [ (0, 12, 0, 0) ] in
-  let child = mk ~sid:2 ~gp:104 ~lp:4 "<c>zzz</c>" [] in
-  child.Er_node.parent <- Some parent;
+  let parent = mk "<a>bcdef</a>" [ (0, 12, 0, 0) ] in
+  let child = mk ~sid:2 ~parent_path:parent.Er_node.path ~lp:4 "<c>zzz</c>" [] in
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 10;
-  let gstart, gstop = Er_node.global_extent parent { Er_node.start = 0; stop = 12; level = 0; tid = 0 } in
+  let gstart, gstop = Er_node.global_extent ~gp:100 parent { Er_node.start = 0; stop = 12; level = 0; tid = 0 } in
   check_int "gstart" 100 gstart;
   check_int "gstop includes child" 122 gstop
 
 let test_global_extent_child_at_boundary () =
   (* A child exactly at the element's start pushes it right; a child
      exactly at its stop does not extend it. *)
-  let parent = mk ~gp:0 "<a>b</a><d/>" [ (0, 8, 0, 0); (8, 12, 0, 1) ] in
-  let child = mk ~sid:2 ~gp:0 ~lp:0 "<c/>" [] in
-  child.Er_node.parent <- Some parent;
+  let parent = mk "<a>b</a><d/>" [ (0, 8, 0, 0); (8, 12, 0, 1) ] in
+  let child = mk ~sid:2 ~parent_path:parent.Er_node.path ~lp:0 "<c/>" [] in
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 4;
-  let a_start, a_stop = Er_node.global_extent parent { Er_node.start = 0; stop = 8; level = 0; tid = 0 } in
+  let a_start, a_stop = Er_node.global_extent ~gp:0 parent { Er_node.start = 0; stop = 8; level = 0; tid = 0 } in
   check_int "a pushed right" 4 a_start;
   check_int "a stop" 12 a_stop;
   (* The second element sits after both. *)
-  let d_start, _ = Er_node.global_extent parent { Er_node.start = 8; stop = 12; level = 0; tid = 1 } in
+  let d_start, _ = Er_node.global_extent ~gp:0 parent { Er_node.start = 8; stop = 12; level = 0; tid = 1 } in
   check_int "d start" 12 d_start
 
 let test_path_chain () =
   let a = mk ~sid:1 "<a/>" [] in
-  let b = mk ~sid:2 "<b/>" [] in
-  let c = mk ~sid:3 "<c/>" [] in
-  b.Er_node.parent <- Some a;
-  c.Er_node.parent <- Some b;
-  check_bool "path" true (Er_node.path c = [| 1; 2; 3 |])
+  let b = mk ~sid:2 ~parent_path:a.Er_node.path "<b/>" [] in
+  let c = mk ~sid:3 ~parent_path:b.Er_node.path "<c/>" [] in
+  check_bool "path" true (c.Er_node.path = [| 1; 2; 3 |])
 
 let test_child_index_for_gp () =
   let p = mk "0123456789" [] in
+  (* Children's gps by slot; a child's slot is its sid. *)
+  let gps = Array.make 10 0 in
   let add gp =
-    let c = mk ~sid:gp ~gp ~lp:gp "<x/>" [] in
-    c.Er_node.parent <- Some p;
-    Vec.insert_at p.Er_node.children (Er_node.child_index_for_gp p gp) c
+    let c = mk ~sid:gp ~parent_path:p.Er_node.path ~lp:gp "<x/>" [] in
+    gps.(gp) <- gp;
+    Vec.insert_at p.Er_node.children (Er_node.child_index_for_gp ~gps p gp) c
   in
   add 8;
   add 2;
   add 5;
-  let gps = List.map (fun (c : Er_node.t) -> c.Er_node.gp) (Vec.to_list p.Er_node.children) in
-  check_bool "sorted" true (gps = [ 2; 5; 8 ]);
-  check_int "before all" 0 (Er_node.child_index_for_gp p 1);
-  check_int "after equal" 1 (Er_node.child_index_for_gp p 2);
-  check_int "past all" 3 (Er_node.child_index_for_gp p 9)
+  let kid_gps = List.map (fun (c : Er_node.t) -> gps.(c.Er_node.slot)) (Vec.to_list p.Er_node.children) in
+  check_bool "sorted" true (kid_gps = [ 2; 5; 8 ]);
+  check_int "before all" 0 (Er_node.child_index_for_gp ~gps p 1);
+  check_int "after equal" 1 (Er_node.child_index_for_gp ~gps p 2);
+  check_int "past all" 3 (Er_node.child_index_for_gp ~gps p 9)
 
 let test_check_detects_bad_length () =
   let n = mk "<a/>" [] in
   n.Er_node.len <- 7;
   check_bool "detected" true
-    (match Er_node.check n with exception Failure _ -> true | () -> false)
+    (match Er_node.check ~gps:(Array.make 2 0) n with exception Failure _ -> true | () -> false)
 
 let test_check_detects_overlapping_elems () =
   (* Crossing extents [0,6) and [3,9) are not a tree. *)
   let n = mk "<a>bc</a>" [ (0, 6, 0, 0); (3, 9, 1, 1) ] in
   check_bool "detected" true
-    (match Er_node.check n with exception Failure _ -> true | () -> false)
+    (match Er_node.check ~gps:(Array.make 2 0) n with exception Failure _ -> true | () -> false)
 
 (* Segment "<a><b/><a/><b/></a>": tags a (tid 1) and b (tid 2)
    interleaved, one tag (tid 3) absent. *)
@@ -236,18 +234,18 @@ let suite = suite @ [ prop_virt_phys_inverse ]
 let test_translator_boundaries () =
   (* Tombstone [2,5); children hooked at its start (len 3), inside it
      (len 1) and at its stop (len 4). *)
-  let n = mk ~gp:100 "0123456789" [] in
+  let n = mk "0123456789" [] in
   Er_node.add_tombstone n 2 5;
   Lxu_props.Translate_props.hook n ~sid:2 ~lp:2 ~len:3;
   Lxu_props.Translate_props.hook n ~sid:3 ~lp:3 ~len:1;
   Lxu_props.Translate_props.hook n ~sid:4 ~lp:5 ~len:4;
   (* One cursor walks the offsets forward, then back down again. *)
-  let c = Er_node.cursor (Er_node.translator n) in
+  let c = Er_node.cursor (Er_node.translator n) ~gp:100 in
   let expect (x, start, stop) =
     check_int (Printf.sprintf "start %d" x) start (Er_node.cursor_start c x);
     check_int (Printf.sprintf "stop %d" x) stop (Er_node.cursor_stop c x);
     check_bool (Printf.sprintf "reference %d" x) true
-      (Lxu_props.Translate_props.reference n x = (start, stop))
+      (Lxu_props.Translate_props.reference ~gp:100 n x = (start, stop))
   in
   let table = [ (0, 100, 100); (2, 105, 102); (3, 106, 105); (5, 110, 106); (10, 115, 115) ] in
   List.iter expect table;
@@ -260,4 +258,5 @@ let suite =
         test_translator_boundaries;
       QCheck_alcotest.to_alcotest (Lxu_props.Translate_props.cursor_sweep ~count:300);
       QCheck_alcotest.to_alcotest (Lxu_props.Translate_props.cursor_walk ~count:300);
+      QCheck_alcotest.to_alcotest (Lxu_props.Translate_props.cached_translators ~count:300);
     ]

@@ -202,7 +202,8 @@ let test_lazy_unsorted_runs () =
   Update_log.remove log ~gp:14 ~len:9;
   let pairs, _ = Lazy_join.run log ~anc:"A" ~desc:"B" () in
   let global sid start =
-    fst (Er_node.global_extent_span (Update_log.node_of_sid log sid) ~start ~stop:start)
+    let n = Update_log.node_of_sid log sid in
+    fst (Er_node.global_extent_span ~gp:(Update_log.gp log n) n ~start ~stop:start)
   in
   let raw =
     Array.map

@@ -129,22 +129,15 @@ let test_may_have_ancestor () =
   Lazy_db.insert db ~gp:3 "<a><b/></a>";
   Lazy_db.insert db ~gp:14 "<c><d/></c>";
   let log = log_of db in
-  let syn = Update_log.synopsis log in
   let reg = Update_log.registry log in
   let tid tag = Option.get (Tag_registry.find reg tag) in
-  let sid_of tag =
-    (Tag_list.entries (Update_log.tag_list log) ~tid:(tid tag)).(0).Tag_list.sid
-  in
-  let d_sid = sid_of "d" in
+  let d_entry = (Tag_list.entries (Update_log.tag_list log) ~tid:(tid "d")).(0) in
   check_bool "d segment may have c ancestor" true
-    (Path_synopsis.may_have_ancestor syn ~sid:d_sid ~tid:(tid "c"));
+    (Tag_list.may_have_ancestor d_entry ~tid:(tid "c"));
   check_bool "d segment may have r ancestor" true
-    (Path_synopsis.may_have_ancestor syn ~sid:d_sid ~tid:(tid "r"));
+    (Tag_list.may_have_ancestor d_entry ~tid:(tid "r"));
   check_bool "d segment provably has no a ancestor" false
-    (Path_synopsis.may_have_ancestor syn ~sid:d_sid ~tid:(tid "a"));
-  (* Unknown segments must stay conservative. *)
-  check_bool "unknown sid is conservative" true
-    (Path_synopsis.may_have_ancestor syn ~sid:99999 ~tid:(tid "a"));
+    (Tag_list.may_have_ancestor d_entry ~tid:(tid "a"));
   agrees "small doc" log
 
 (* --- linear rebuild edge cases ----------------------------------------- *)
@@ -155,11 +148,13 @@ let path_counts log =
     (fun (path, n) -> (List.map (Tag_registry.name reg) path, n))
     (Path_synopsis.to_sorted_list (Update_log.synopsis_rebuilt log))
 
+(* The chain recorded on the node; [check] asserts it equals the
+   one-sweep rebuild's. *)
 let context log sid =
+  Update_log.check log;
   let reg = Update_log.registry log in
   Array.to_list
-    (Array.map (Tag_registry.name reg)
-       (Path_synopsis.context (Update_log.synopsis_rebuilt log) ~sid))
+    (Array.map (Tag_registry.name reg) (Update_log.node_of_sid log sid).Er_node.ctx)
 
 let check_context log sid expected =
   Alcotest.(check (list string)) (Printf.sprintf "context of segment %d" sid) expected
