@@ -66,17 +66,6 @@ let test_fig17_crt_solve =
   Test.make ~name:"fig17: CRT solve (one PRIME group, k=10)"
     (Staged.stage (fun () -> ignore (Lxu_bignum.Crt.solve pairs)))
 
-let test_substrate_btree =
-  let module T = Lxu_btree.Bptree.Make (Int) in
-  let t = T.create () in
-  for i = 0 to 9999 do
-    T.insert t i i
-  done;
-  Test.make ~name:"substrate: b+tree insert+remove (10k keys)"
-    (Staged.stage (fun () ->
-         T.insert t 10_001 1;
-         ignore (T.remove t 10_001)))
-
 let test_substrate_parse =
   let text = Lxu_workload.Generator.generate_text ~seed:3 ~target_elements:500 () in
   Test.make ~name:"substrate: xml parse (500 elements)"
@@ -90,7 +79,6 @@ let tests =
       test_fig12_std_join;
       test_fig16_store_insert_remove;
       test_fig17_crt_solve;
-      test_substrate_btree;
       test_substrate_parse;
     ]
 

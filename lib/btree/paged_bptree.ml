@@ -75,8 +75,6 @@ let attach ps ~slot ~kw ~vw =
   | _ -> create ps ~slot ~kw ~vw
 
 let length t = t.size
-let key_words t = t.kw
-let value_words t = t.vw
 let store t = t.ps
 
 (* compare the kw-word key at word offset [off] of [b] with [k] *)
@@ -586,8 +584,7 @@ let insert_sorted_batch t ~n ~get =
     else begin
       (* merge-rebuild: stream old ∪ batch (batch wins ties) into a
          packed tree, then free the old one *)
-      let old_root = t.root and old_size = t.size in
-      ignore old_size;
+      let old_root = t.root in
       let b = builder t in
       let bk = Array.make t.kw 0 and bv = Array.make t.vw 0 in
       let bi = ref 0 in
@@ -645,17 +642,6 @@ let insert_sorted_batch t ~n ~get =
   end
 
 (* --- diagnostics --- *)
-
-(* Footprint estimate without touching pages: assumes packed leaves
-   (an upper tree shape bound under lazy deletion is the entry count
-   itself, but packed is the right expectation after bulk loads). *)
-let approx_bytes t =
-  if t.size = 0 then 0
-  else begin
-    let leaves = ((t.size + t.leaf_cap - 1) / t.leaf_cap) in
-    let branches = (leaves + t.branch_cap - 1) / t.branch_cap in
-    (leaves + branches + 1) * Page_store.page_size t.ps
-  end
 
 let height t =
   if t.root < 0 then 0

@@ -1,5 +1,5 @@
 (** Page-backed B+-tree over a copy-on-write
-    {!Lxu_storage_core.Page_store} — the big-data twin of {!Bptree}.
+    {!Lxu_storage_core.Page_store}: the paged SB-tree's sid map.
 
     Keys are fixed-width int tuples ([kw] words, lexicographic order);
     values fixed [vw]-word tuples, stored inline.  All node bytes live
@@ -7,7 +7,7 @@
     the tree itself can exceed memory.
 
     Deletion is lazy (no rebalancing; empty nodes unlink, the root
-    collapses), mirroring {!Bptree}; bulk loads pack leaves full.
+    collapses); bulk loads pack leaves full.
     Insert has replace semantics on duplicate keys.
 
     Mutations follow the store's COW protocol: changed nodes relocate
@@ -32,8 +32,6 @@ val attach : Lxu_storage_core.Page_store.t -> slot:string -> kw:int -> vw:int ->
     matches the rest of the state being loaded. *)
 
 val length : t -> int
-val key_words : t -> int
-val value_words : t -> int
 val store : t -> Lxu_storage_core.Page_store.t
 
 val insert : t -> int array -> int array -> unit
@@ -70,10 +68,6 @@ val clear : t -> unit
 (** Frees every page; the tree becomes empty. *)
 
 val height : t -> int
-
-val approx_bytes : t -> int
-(** Estimated on-page footprint (packed-tree shape), without touching
-    any page. *)
 
 val node_counts : t -> int * int
 (** (leaves, branches). *)

@@ -10,6 +10,4 @@ type spec =
   | Mem
   | Paged of { store : Lxu_storage_core.Page_store.t; attach : bool }
 
-let is_paged = function Mem -> false | Paged _ -> true
-
 let fresh = function None -> Mem | Some store -> Paged { store; attach = false }

@@ -11,8 +11,6 @@ type spec =
   | Mem
   | Paged of { store : Lxu_storage_core.Page_store.t; attach : bool }
 
-val is_paged : spec -> bool
-
 val fresh : Lxu_storage_core.Page_store.t option -> spec
 (** The backend of a log built from scratch: [Mem] without a store, a
     non-attaching [Paged] on it otherwise (its previous trees are

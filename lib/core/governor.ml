@@ -32,20 +32,6 @@ type stats = {
   failed : int;
 }
 
-(* One writer queued behind an open commit group: its edit, and the
-   slot where the group leader deposits its outcome. *)
-type pending = {
-  p_gp : int;
-  p_text : string;
-  mutable p_result : (unit, exn) result option;
-}
-
-(* Cap on how many followers one leader carries.  Internal (not a
-   config knob): past this size the batched log merge already
-   amortizes all per-batch costs, and an unbounded group would let a
-   firehose of writers stretch one write-lock hold arbitrarily. *)
-let max_group = 64
-
 type t = {
   sdb : Shared_db.t;
   cfg : config;
@@ -64,14 +50,6 @@ type t = {
   rejected_timeout : int Atomic.t;
   rejected_cancel : int Atomic.t;
   failed : int Atomic.t;
-  (* Write coalescing: while a leader waits for the write lock
-     ([collecting]), arriving {!insert}s park in [cqueue] instead of
-     queueing on the lock themselves; the leader applies the whole
-     group through {!Lazy_db.insert_many} under one lock hold. *)
-  cmutex : Mutex.t;
-  ccond : Condition.t;
-  mutable collecting : bool;
-  cqueue : pending Queue.t;
 }
 
 let wrap ?(config = default_config) sdb =
@@ -94,10 +72,6 @@ let wrap ?(config = default_config) sdb =
     rejected_timeout = Atomic.make 0;
     rejected_cancel = Atomic.make 0;
     failed = Atomic.make 0;
-    cmutex = Mutex.create ();
-    ccond = Condition.create ();
-    collecting = false;
-    cqueue = Queue.create ();
   }
 
 let create ?config ?index_attributes ?domains ?durability () =
@@ -228,115 +202,12 @@ let run t ~op ?deadline_s ?cancel f =
 let read t ?deadline_s ?cancel f = run t ~op:`Read ?deadline_s ?cancel f
 let write t ?deadline_s ?cancel f = run t ~op:`Write ?deadline_s ?cancel f
 
-(* The group leader: applies its own edit plus every insert that
-   parked in [cqueue] while it waited for the write lock — one lock
-   hold, one batched log merge, one WAL flush for the whole group.
-   The group closes {e inside} the write callback: followers keep
-   joining for exactly as long as the lock is contended, so the batch
-   grows with load and vanishes when the system is idle. *)
-let lead t ~gp ~text =
-  let group = ref [] in
-  let closed = ref false in
-  let apply db (g, x) =
-    match Lazy_db.insert db ~gp:g x with () -> Ok () | exception e -> Error e
-  in
-  match
-    Shared_db.write t.sdb (fun db ->
-      Mutex.lock t.cmutex;
-      t.collecting <- false;
-      closed := true;
-      let members = List.of_seq (Queue.to_seq t.cqueue) in
-      Queue.clear t.cqueue;
-      Mutex.unlock t.cmutex;
-      group := members;
-      let edits = (gp, text) :: List.map (fun p -> (p.p_gp, p.p_text)) members in
-      let before = Lazy_db.doc_length db in
-      match Lazy_db.insert_many db edits with
-      | () -> List.map (fun _ -> Ok ()) edits
-      | exception _ when Lazy_db.doc_length db = before ->
-        (* Nothing was applied (inserts only add bytes, and empty
-           fragments are rejected): re-run the edits one by one to
-           isolate the offender instead of failing the whole group. *)
-        List.map (apply db) edits
-      | exception e ->
-        (* The batch went in and something after the apply failed
-           (e.g. the WAL append): replaying would apply it twice. *)
-        List.map (fun _ -> Error e) edits)
-  with
-  | own :: follower_results ->
-    Mutex.lock t.cmutex;
-    List.iter2 (fun p r -> p.p_result <- Some r) !group follower_results;
-    Condition.broadcast t.ccond;
-    Mutex.unlock t.cmutex;
-    own
-  | [] -> assert false (* edits always starts with the leader's own *)
-  | exception e ->
-    (* Nothing reached the followers: fail every parked one rather
-       than leaving it waiting on the condition forever. *)
-    Mutex.lock t.cmutex;
-    if not !closed then begin
-      t.collecting <- false;
-      group := !group @ List.of_seq (Queue.to_seq t.cqueue);
-      Queue.clear t.cqueue
-    end;
-    List.iter (fun p -> if p.p_result = None then p.p_result <- Some (Error e)) !group;
-    Condition.broadcast t.ccond;
-    Mutex.unlock t.cmutex;
-    Error e
-
 (* Updates are never killed mid-flight: they take the writer-queue
-   bound and the admission-time token check, but no deadline, so an
-   admitted update always completes and rejection is all-or-nothing.
-   Under write contention, inserts coalesce: the first writer to find
-   no group open becomes the leader; writers arriving while it waits
-   for the lock park as followers (still counted against the writer
-   queue — a parked insert is an admitted one) and are applied by the
-   leader in one batch. *)
+   bound and the admission-time token check, but no deadline is
+   observed inside them, so an admitted update always completes and
+   rejection is all-or-nothing. *)
 let insert t ?cancel ~gp text =
-  match pre_admission ~cancel ~deadline:None with
-  | Some r -> reject t r
-  | None ->
-    (match admit t ~op:`Write with
-    | Error r -> reject t r
-    | Ok () ->
-      Atomic.incr t.admitted_writes;
-      (* Three ways through: join the open group, overflow past a
-         full one, or open a group and lead it. *)
-      let join_or_lead () =
-        Mutex.lock t.cmutex;
-        if t.collecting && Queue.length t.cqueue < max_group then begin
-          let cell = { p_gp = gp; p_text = text; p_result = None } in
-          Queue.add cell t.cqueue;
-          while cell.p_result = None do
-            Condition.wait t.ccond t.cmutex
-          done;
-          Mutex.unlock t.cmutex;
-          Option.get cell.p_result
-        end
-        else if t.collecting then begin
-          (* Group full: go through the lock alone rather than
-             stretching an already-large batch further. *)
-          Mutex.unlock t.cmutex;
-          match Shared_db.insert t.sdb ~gp text with
-          | () -> Ok ()
-          | exception e -> Error e
-        end
-        else begin
-          t.collecting <- true;
-          Mutex.unlock t.cmutex;
-          lead t ~gp ~text
-        end
-      in
-      Fun.protect
-        ~finally:(fun () -> release t ~op:`Write)
-        (fun () ->
-          match join_or_lead () with
-          | Ok () ->
-            Atomic.incr t.completed_writes;
-            Ok ()
-          | Error e ->
-            Atomic.incr t.failed;
-            raise e))
+  run t ~op:`Write ?cancel (fun _guard db -> Lazy_db.insert db ~gp text)
 
 let insert_many t ?cancel edits =
   run t ~op:`Write ?cancel (fun _guard db -> Lazy_db.insert_many db edits)

@@ -133,31 +133,14 @@ val insert : t -> ?cancel:Lxu_util.Deadline.Cancel.t -> gp:int -> string -> (uni
 (** Governed {!Lazy_db.insert}: bounded by the writer queue and the
     token (checked at admission), never by a deadline — an admitted
     update always runs to completion, so rejections are all-or-
-    nothing.
-
-    Under write contention, admitted inserts {e coalesce}: the first
-    writer to find no commit group open leads one, and inserts
-    arriving while it waits for the write lock park as followers
-    (still holding their admission slot — a parked insert is an
-    admitted one) instead of contending for the lock themselves.  The
-    leader applies the whole group through {!Lazy_db.insert_many} —
-    one lock hold, one batched index merge, one WAL flush — and hands
-    each follower its own outcome.  If the batch is rejected before
-    applying anything (an invalid edit) the leader re-runs the edits
-    one by one, so the invalid edit fails only its own caller; if it
-    fails after the apply (e.g. the WAL append) every member of the
-    group gets the exception and nothing is re-run.  Groups are
-    capped (at 64): overflow writers take the lock alone.  The batch
-    grows with lock contention and is empty when the system is idle,
-    so an uncontended insert behaves exactly as before. *)
+    nothing.  Concurrent inserts serialize on the {!Shared_db}
+    writer lock, each its own commit. *)
 
 val insert_many :
   t -> ?cancel:Lxu_util.Deadline.Cancel.t -> (int * string) list -> (unit, rejection) result
 (** Governed {!Lazy_db.insert_many}: one admission slot, one write-
     lock hold and one WAL flush for the whole batch.  A caller with a
-    batch in hand should prefer this over feeding {!insert} in a loop
-    — it skips the coalescing machinery entirely because the batch is
-    already formed. *)
+    batch in hand should prefer this over feeding {!insert} in a loop. *)
 
 val remove :
   t -> ?cancel:Lxu_util.Deadline.Cancel.t -> gp:int -> len:int -> unit -> (unit, rejection) result

@@ -5,7 +5,6 @@ type axis = Descendant | Child
 
 type t = {
   mutable log : Update_log.t;  (* its mode is the engine *)
-  pack_threshold : int option;
   domains : int;
   mutable pool : Lxu_util.Domain_pool.t option;  (* created on first parallel query *)
   mutable durable : Lxu_storage.Wal_store.t option;  (* WAL home, when durability is on *)
@@ -56,11 +55,8 @@ let fresh_pstore ~durability =
 
 let mode_of_engine = function LD -> Update_log.Lazy_dynamic | LS -> Update_log.Lazy_static
 
-let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
-    ?(durability = `None) ?cache_bytes:_ ?(storage = `Mem) () =
-  (match pack_threshold with
-  | Some k when k < 1 -> invalid_arg "Lazy_db.create: pack_threshold < 1"
-  | _ -> ());
+let create ?(engine = LD) ?(index_attributes = false) ?domains ?(durability = `None)
+    ?cache_bytes:_ ?(storage = `Mem) () =
   let domains = resolve_domains ~who:"Lazy_db.create" domains in
   let mode = mode_of_engine engine in
   let durable =
@@ -72,7 +68,7 @@ let create ?(engine = LD) ?(index_attributes = false) ?pack_threshold ?domains
   let log =
     Update_log.create ~mode ~index_attributes ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
   in
-  { log; pack_threshold; domains; pool = None; durable; pstore; epoch = 0; closed = false }
+  { log; domains; pool = None; durable; pstore; epoch = 0; closed = false }
 
 let engine t =
   match Update_log.mode t.log with Update_log.Lazy_dynamic -> LD | Update_log.Lazy_static -> LS
@@ -105,21 +101,13 @@ let query_pool = pool_of
    nothing ([replay] validates a run before it mutates), and the WAL
    records ops only after the apply accepted them, so the log always
    replays cleanly; a crash between apply and commit loses at most the
-   uncommitted tail.  Auto-pack (the paper's "maintenance hours",
-   automated) replays [Rebuild] unlogged: it never changes the text,
-   and recovery reproduces query-visible state, not segmentation.
-   Each write commits one epoch, the MVCC version {!Shared_db}
-   publishes under (session-local, never persisted). *)
+   uncommitted tail.  Each write commits one epoch, the MVCC version
+   {!Shared_db} publishes under (session-local, never persisted). *)
 let write ~who t ops =
   snapshot_guard t who;
   if t.closed then invalid_arg (who ^ ": database is closed");
-  let replay log ops = Lxu_storage.Recovery.replay ?pool:(pool_of t) ?pstore:t.pstore log ops in
-  t.log <- replay t.log ops;
+  t.log <- Lxu_storage.Recovery.replay ?pool:(pool_of t) ?pstore:t.pstore t.log ops;
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_ops s ops);
-  (match t.pack_threshold with
-  | Some k when Update_log.segment_count t.log > k ->
-    t.log <- replay t.log [ Lxu_storage.Wal.Rebuild ]
-  | _ -> ());
   t.epoch <- t.epoch + 1
 
 let insert t ~gp text = write ~who:"Lazy_db.insert" t [ Lxu_storage.Wal.Insert { gp; text } ]
@@ -155,13 +143,11 @@ let query t ?(axis = Descendant) ?guard ~anc ~desc () =
       elements_scanned = stats.Lxu_join.Lazy_join.elements_fetched;
     } )
 
-(* Cardinality without the local->global translation of [query]: the
-   join itself produces label pairs; counting needs no conversion. *)
+(* Cardinality without the local->global translation of [query], and
+   without the pair records: the join's flat output buffers already
+   hold the count. *)
 let count t ?(axis = Descendant) ?guard ~anc ~desc () =
-  let pairs, _ =
-    Lxu_join.Lazy_join.run ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
-  in
-  Array.length pairs
+  Lxu_join.Lazy_join.count ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
 
 let text t = Update_log.materialize t.log
 
@@ -178,12 +164,12 @@ let log t = Some t.log
 
 (* A snapshot is a full Lazy_db over a frozen clone of the log, pinned
    at the current epoch: queries run the same engines over the shared
-   segment columns.  No durability handle and no pack threshold —
-   snapshots never write.  No pstore either: frozen clones keep an
-   in-memory SB-tree, so snapshot reads never touch — or pin — the
-   live database's page store. *)
+   segment columns.  No durability handle — snapshots never write.
+   No pstore either: frozen clones keep an in-memory SB-tree, so
+   snapshot reads never touch — or pin — the live database's page
+   store. *)
 let snapshot t =
-  { log = Update_log.freeze t.log; pack_threshold = None; domains = t.domains;
+  { log = Update_log.freeze t.log; domains = t.domains;
     pool = None; durable = None; pstore = None; epoch = t.epoch; closed = false }
 
 let with_snapshot t f = f (snapshot t)
@@ -197,7 +183,7 @@ let save t path =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Update_log.save t.log oc)
 
 let of_log ?domains lg =
-  { log = lg; pack_threshold = None; domains = resolve_domains ~who:"Lazy_db.of_log" domains;
+  { log = lg; domains = resolve_domains ~who:"Lazy_db.of_log" domains;
     pool = None; durable = None; pstore = None; epoch = 0; closed = false }
 
 let checkpoint t =

@@ -37,7 +37,6 @@ type query_stats = {
 val create :
   ?engine:engine ->
   ?index_attributes:bool ->
-  ?pack_threshold:int ->
   ?domains:int ->
   ?durability:[ `None | `Wal of string ] ->
   ?cache_bytes:int ->
@@ -47,9 +46,6 @@ val create :
 (** An empty database; [engine] defaults to [LD].  With
     [~index_attributes:true] attributes are indexed as subelements
     named ["@name"] and can appear in queries (e.g. [~desc:"@id"]).
-    [pack_threshold] automates the paper's "maintenance hours": after
-    any update leaving more than that many segments, the database is
-    re-indexed as a single segment.
 
     [domains] sets the degree of query parallelism for the lazy
     engines: with [domains > 1] Lazy-Join runs its per-segment join
@@ -67,9 +63,6 @@ val create :
     {!Lxu_storage.Recovery.replay} — the function recovery replays
     them with — and logs them only once the apply accepted them.  [`Wal] starts
     [dir] fresh — use {!recover} to resume an existing one.
-    Auto-packing via [pack_threshold] replays a [Rebuild] that is
-    {e not} logged: it never changes the document text, and recovery reproduces query-visible
-    state, not internal segmentation chosen by thresholds.
 
     [cache_bytes] is accepted and ignored: the element cache it sized
     is gone (segments keep their own columns).  It stays only because
@@ -85,7 +78,7 @@ val create :
     they live on an in-memory device.  Segment skeletons, element
     columns and texts stay on the heap under both.  Results are
     fingerprint-identical across backends.
-    @raise Invalid_argument if [pack_threshold < 1] or [domains < 1]. *)
+    @raise Invalid_argument if [domains < 1]. *)
 
 val engine : t -> engine
 (** The engine, read off the update log's mode. *)
@@ -135,8 +128,7 @@ val is_snapshot : t -> bool
     Every update is one write: it is refused on a {!snapshot} or after
     {!close} ([Invalid_argument], nothing applied), applied through
     {!Lxu_storage.Recovery.replay}, logged as one WAL record group
-    when the database is durable, auto-packed past [pack_threshold],
-    and committed as one epoch.  A refused update changes nothing. *)
+    when the database is durable, and committed as one epoch.  A refused update changes nothing. *)
 
 val insert : t -> gp:int -> string -> unit
 (** Inserts a well-formed fragment at global byte position [gp] — a
@@ -183,7 +175,9 @@ val query :
 
 val count :
   t -> ?axis:axis -> ?guard:Lxu_util.Deadline.guard -> anc:string -> desc:string -> unit -> int
-(** Result cardinality of the join.  [guard] as in {!query}. *)
+(** Result cardinality of the join, read off the join's output
+    buffers ({!Lxu_join.Lazy_join.count}): no pair is translated or
+    materialized.  [guard] as in {!query}. *)
 
 val doc_length : t -> int
 val element_count : t -> int

@@ -28,7 +28,6 @@ type job =
   | Merge_tag_runs of int
   | Checkpoint of int
   | Backup of { dir : string; lsn : int }
-  | Cache_sweep
 
 type outcome = Ran of job | Idle | Busy | Shed of Governor.rejection
 
@@ -38,7 +37,6 @@ let job_to_string = function
   | Merge_tag_runs n -> Printf.sprintf "merge %d dirty tag lists" n
   | Checkpoint bytes -> Printf.sprintf "checkpoint (wal was %d bytes)" bytes
   | Backup { dir; lsn } -> Printf.sprintf "backup to %s through lsn %d" dir lsn
-  | Cache_sweep -> "cache sweep"
 
 let outcome_to_string = function
   | Ran j -> "ran: " ^ job_to_string j
@@ -54,7 +52,6 @@ type stats = {
   merges : int;
   checkpoints : int;
   backups : int;
-  sweeps : int;
   idle : int;
   busy : int;
   shed : int;
@@ -69,7 +66,6 @@ type t = {
   merges : int Atomic.t;
   checkpoints : int Atomic.t;
   backups : int Atomic.t;
-  sweeps : int Atomic.t;
   idle : int Atomic.t;
   busy : int Atomic.t;
   shed : int Atomic.t;
@@ -96,7 +92,6 @@ let make cfg target =
     merges = Atomic.make 0;
     checkpoints = Atomic.make 0;
     backups = Atomic.make 0;
-    sweeps = Atomic.make 0;
     idle = Atomic.make 0;
     busy = Atomic.make 0;
     shed = Atomic.make 0;
@@ -117,7 +112,6 @@ let stats t =
     merges = Atomic.get t.merges;
     checkpoints = Atomic.get t.checkpoints;
     backups = Atomic.get t.backups;
-    sweeps = Atomic.get t.sweeps;
     idle = Atomic.get t.idle;
     busy = Atomic.get t.busy;
     shed = Atomic.get t.shed;
@@ -207,7 +201,6 @@ let record t = function
   | Ran (Merge_tag_runs _) -> Atomic.incr t.merges
   | Ran (Checkpoint _) -> Atomic.incr t.checkpoints
   | Ran (Backup _) -> Atomic.incr t.backups
-  | Ran Cache_sweep -> Atomic.incr t.sweeps
   | Idle -> Atomic.incr t.idle
   | Busy -> Atomic.incr t.busy
   | Shed _ -> Atomic.incr t.shed
@@ -228,15 +221,7 @@ let tick t =
         match Governor.write gov (fun _guard db -> step t db) with
         | Error r -> Shed r
         | Ok (Some j) -> Ran j
-        | Ok None -> (
-          (* Write side fully paid down: reclaim superseded snapshot
-             versions if any linger. *)
-          let sdb = Governor.shared gov in
-          match Shared_db.mvcc_stats sdb with
-          | Some ms when ms.Shared_db.versions > 1 && ms.Shared_db.pinned = 0 ->
-            Shared_db.sweep sdb;
-            Ran Cache_sweep
-          | _ -> Idle))
+        | Ok None -> Idle)
   in
   record t out;
   out

@@ -23,9 +23,10 @@
        query path ([Lazy_static] debt).}
     {- {b Scheduled backup}: ships snapshot + WAL to [backup_dir]
        every [backup_every] ticks; any committed state of the backup
-       is reconstructible with {!Lazy_db.restore_to}.}
-    {- {b Cache sweep}: superseded MVCC snapshot versions are
-       reclaimed when nothing pins them ({!Shared_db.sweep}).}}
+       is reconstructible with {!Lazy_db.restore_to}.}}
+
+    Superseded MVCC snapshot versions need no job: {!Shared_db}
+    reclaims each one when its last pin drops.
 
     In governed mode every job runs through {!Governor.write}, so
     maintenance is bounded by the same admission as live traffic and
@@ -74,7 +75,6 @@ type job =
   | Checkpoint of int  (** WAL size (bytes) that triggered the roll *)
   | Backup of { dir : string; lsn : int }
       (** shipped through committed LSN [lsn] *)
-  | Cache_sweep
 
 type outcome =
   | Ran of job
@@ -134,7 +134,6 @@ type stats = {
   merges : int;
   checkpoints : int;
   backups : int;
-  sweeps : int;
   idle : int;
   busy : int;
   shed : int;

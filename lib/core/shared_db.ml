@@ -144,11 +144,6 @@ let close t = write t Lazy_db.close
 let count t ?axis ~anc ~desc () = read t (fun db -> Lazy_db.count db ?axis ~anc ~desc ())
 let path_count t path = read t (fun db -> Path_query.count db path)
 
-let sweep t =
-  Mutex.lock t.vlock;
-  reclaim_locked t;
-  Mutex.unlock t.vlock
-
 let stats t = (Atomic.get t.reads_done, Atomic.get t.writes_done)
 
 let current_epoch t =

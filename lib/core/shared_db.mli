@@ -101,11 +101,6 @@ val end_snapshot : snapshot -> unit
 (** Releases the pin (idempotent).  Dropping the last pin of a
     superseded version reclaims it. *)
 
-val sweep : t -> unit
-(** Reclaims superseded unpinned snapshot versions — the maintenance
-    scheduler's GC hook.  Reclamation also happens automatically when
-    pins drop; this just makes it schedulable. *)
-
 (** {2 Introspection} *)
 
 val stats : t -> int * int

@@ -120,36 +120,16 @@ let cols_filter keep (c : Er_node.cols) =
    at capacity). *)
 type buf = {
   mutable full : int array list;
-  mutable spare : int array list;
-      (* chunks handed back by [buf_reset], smallest first — chunks
-         larger than 256 words live on the major heap, so recycling
-         them across runs is what makes repeated queries
-         allocation-light *)
   mutable cur : int array;
   mutable cur_len : int;
   mutable total : int;  (* ints across [full] and [cur] *)
 }
 
-let buf_create () = { full = []; spare = []; cur = [||]; cur_len = 0; total = 0 }
-
-(* Rewinds for reuse: every chunk the run filled becomes spare
-   capacity for the next run.  [full] is reverse push order
-   (largest-first), so the rebuilt spare list is smallest-first,
-   matching the escalation order [buf_grow] re-consumes them in. *)
-let buf_reset b =
-  b.spare <- List.rev_append b.full (if Array.length b.cur > 0 then [ b.cur ] else b.spare);
-  b.full <- [];
-  b.cur <- [||];
-  b.cur_len <- 0;
-  b.total <- 0
+let buf_create () = { full = []; cur = [||]; cur_len = 0; total = 0 }
 
 let buf_grow b =
   if b.cur_len > 0 then b.full <- b.cur :: b.full;
-  (match b.spare with
-  | c :: rest ->
-    b.cur <- c;
-    b.spare <- rest
-  | [] -> b.cur <- Array.make (max 256 (min 65536 (2 * Array.length b.cur))) 0);
+  b.cur <- Array.make (max 256 (min 65536 (2 * Array.length b.cur))) 0;
   b.cur_len <- 0
 
 let buf_push8 b x0 x1 x2 x3 x4 x5 x6 x7 =
@@ -166,16 +146,13 @@ let buf_push8 b x0 x1 x2 x3 x4 x5 x6 x7 =
   b.cur_len <- o + 8;
   b.total <- b.total + 8
 
-type scratch = buf
-
-let scratch = buf_create
+let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 8
 
 (* Materializes the pair records for a sequence of buffers in order —
    the single conversion at the API boundary, shared by the sequential
    (one buffer) and pool (one buffer per join unit, unit order) paths. *)
 let bufs_to_pairs bufs =
-  let total = List.fold_left (fun acc b -> acc + b.total) 0 bufs in
-  let n = total / 8 in
+  let n = pair_count bufs in
   if n = 0 then [||]
   else begin
     let out =
@@ -463,14 +440,15 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         incr id)
   done
 
-let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
-    ?pool ?guard ?scratch log ~anc ~desc () =
+(* The whole join up to materialization: the filled output buffers, in
+   emission order, and the stats. *)
+let fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc =
   let stats = zero_stats () in
   Deadline.check_opt guard;
   Update_log.prepare_for_query log;
   let reg = Update_log.registry log in
   match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
-  | None, _ | _, None -> ([||], stats)
+  | None, _ | _, None -> ([], stats)
   | Some tid_a, Some tid_d ->
     (* Planner-supplied prefilters (selective Proposition 3): entries
        dropped here are skipped before any ER-tree or column
@@ -512,23 +490,14 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
     in
     (match parallel with
     | None ->
-      (* Sequential: execute each join unit as the merge produces it.
-         With [?scratch] the output chunks of the previous run are
-         recycled, so a warm repeated query allocates no fresh buffer
-         storage. *)
-      let out =
-        match scratch with
-        | Some b ->
-          buf_reset b;
-          b
-        | None -> buf_create ()
-      in
+      (* Sequential: execute each join unit as the merge produces it. *)
+      let out = buf_create () in
       plan ?guard ~push_filter ~trim_top ~stats ~fetch_a:(fetch tid_a stats)
         ~emit_task:
           (exec_task ?guard ~axis ~fetch_a:(fetch tid_a stats)
              ~fetch_d:(fetch tid_d stats) ~stats ~out)
         log ~sla ~sld ();
-      (bufs_to_pairs [ out ], stats)
+      ([ out ], stats)
     | Some p ->
       (* Parallel: the merge pass collects the join units, the pool
          executes them with per-task output buffers and stats, and the
@@ -549,7 +518,17 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
             (out, lstats))
       in
       Array.iter (fun (_, lstats) -> add_stats stats lstats) results;
-      (bufs_to_pairs (Array.to_list (Array.map fst results)), stats))
+      (Array.to_list (Array.map fst results), stats))
+
+let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
+    ?pool ?guard log ~anc ~desc () =
+  let bufs, stats =
+    fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc
+  in
+  (bufs_to_pairs bufs, stats)
+
+let count ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
+  pair_count (fst (fill ~axis ~push_filter:true ~trim_top:true ?pool ?guard log ~anc ~desc))
 
 (* Translates in emission order into two flat columns, then merges
    their sorted runs; no tuple exists until the result list is built.

@@ -68,19 +68,6 @@ type stats = {
           before any ER-tree or element access *)
 }
 
-type scratch
-(** Reusable output-buffer storage for {!run}.  The join writes
-    results into fixed-size integer chunks; chunks above 256 words are
-    major-heap allocations, so a caller issuing many queries can hand
-    the same scratch to each sequential [run] and the chunks are
-    recycled instead of re-allocated — repeated warm queries then add
-    no buffer garbage.  A scratch must not be shared between
-    concurrent runs; it is rewound (not read) on entry, so reuse never
-    affects results. *)
-
-val scratch : unit -> scratch
-(** A fresh, empty scratch. *)
-
 val run :
   ?axis:axis ->
   ?push_filter:bool ->
@@ -89,7 +76,6 @@ val run :
   ?d_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
   ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
-  ?scratch:scratch ->
   Lxu_seglog.Update_log.t ->
   anc:string ->
   desc:string ->
@@ -121,10 +107,6 @@ val run :
     (see the module comment); omitted, or with a pool of size 1, the
     run is fully sequential.  Results never depend on the choice.
 
-    [scratch] recycles output-buffer chunks across sequential runs
-    (see {!type:scratch}); it is ignored when the run goes parallel,
-    where each task owns a private buffer.
-
     [guard] makes the join cooperative: the segment-merge loop, every
     join unit, and every in-segment merge step call
     {!Lxu_util.Deadline.check}, so the run raises
@@ -132,6 +114,20 @@ val run :
     deadline expiring or the token firing — under a pool, within one
     chunk.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)
+
+val count :
+  ?axis:axis ->
+  ?pool:Lxu_util.Domain_pool.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  anc:string ->
+  desc:string ->
+  unit ->
+  int
+(** [Array.length (fst (run log ~anc ~desc ()))] without the pair
+    records: the join fills its flat output buffers as {!run} does and
+    the count is read off their length.  [axis], [pool] and [guard] as
+    in {!run}. *)
 
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,

@@ -21,17 +21,3 @@ val join :
     ancestor, so the merge raises
     [Lxu_util.Deadline.Cancel.Cancelled] promptly on cancel or
     deadline expiry. *)
-
-val join_cols :
-  ?axis:Stack_tree_desc.axis ->
-  ?guard:Lxu_util.Deadline.guard ->
-  anc:Lxu_seglog.Er_node.cols ->
-  desc:Lxu_seglog.Er_node.cols ->
-  unit ->
-  int array * Stack_tree_desc.stats
-(** Columnar, allocation-light variant of {!join} over global
-    coordinates (see {!Std_baseline.global_cols}): same merge and same
-    stats, but the result is a flat
-    [[|a0_start; d0_start; a1_start; d1_start; ...|]] buffer instead
-    of a list of interval pairs — the kernel allocates nothing per
-    element beyond buffer growth. *)

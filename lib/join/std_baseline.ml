@@ -37,18 +37,6 @@ let global_list log ~tag =
   Update_log.prepare_for_query log;
   global_list_counted log ~tag None
 
-let global_cols log ~tag =
-  let a = global_list log ~tag in
-  let n = Array.length a in
-  let starts = Array.make n 0 and stops = Array.make n 0 and levels = Array.make n 0 in
-  Array.iteri
-    (fun i (iv : Interval.t) ->
-      starts.(i) <- iv.Interval.start;
-      stops.(i) <- iv.Interval.stop;
-      levels.(i) <- iv.Interval.level)
-    a;
-  { Er_node.starts; stops; levels }
-
 let run ?axis log ~anc ~desc () =
   let stats = { elements_read = 0; pairs = 0 } in
   Update_log.prepare_for_query log;

@@ -30,10 +30,6 @@ val global_list : Lxu_seglog.Update_log.t -> tag:string -> Lxu_labeling.Interval
     to global coordinates still happens per query (global positions
     move under updates, so they cannot be cached). *)
 
-val global_cols : Lxu_seglog.Update_log.t -> tag:string -> Lxu_seglog.Er_node.cols
-(** {!global_list} in columnar form (global coordinates, sorted by
-    start) — the input of the allocation-light {!Mpmgjn.join_cols}. *)
-
 val path_leaves :
   Lxu_seglog.Update_log.t -> tags:string array -> edges:Path_stack.edge array -> (int * int) list
 (** Holistic evaluation of a predicate-free path over the translated

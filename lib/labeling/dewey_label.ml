@@ -2,8 +2,6 @@ type t = int array
 
 let root = [| 1 |]
 
-let components = Array.copy
-
 (* [land 1] is 1 for negative odds too, so one test covers all ints. *)
 let odd v = v land 1 = 1
 

@@ -15,8 +15,6 @@ type t
 val root : t
 (** The label of the document root (pos-path [[1]]). *)
 
-val components : t -> int array
-
 val child_between : parent:t -> left:t option -> right:t option -> t
 (** [child_between ~parent ~left ~right] produces a fresh child label
     of [parent] ordered strictly between [left] and [right] (existing

@@ -37,10 +37,6 @@ val elements : t -> tag:string -> Interval.t array
 val tags : t -> string list
 (** Distinct tags present, sorted. *)
 
-val level_at : t -> int -> int
-(** Nesting depth of byte offset [pos]: the number of elements whose
-    interval strictly contains [pos]. *)
-
 val last_relabel_count : t -> int
 (** Number of labels shifted by the most recent {!insert} or
     {!remove} — the machine-independent cost metric of Figure 16. *)

@@ -34,9 +34,7 @@ let create ?(k = 10) ?(capacity = 20_000) () =
   }
 
 let size t = Vec.length t.order
-let group_count t = Vec.length t.groups
 let sc_recomputations t = t.sc_recomputations
-let self_label n = n.self
 let label n = n.label
 
 let is_ancestor a d =

@@ -44,14 +44,11 @@ val is_ancestor : node -> node -> bool
 val order_of : t -> node -> int
 (** Document-order position recovered from the SC table. *)
 
-val self_label : node -> int
 val label : node -> Lxu_bignum.Bignum.t
 
 val sc_recomputations : t -> int
 (** Cumulative count of group-SC recomputations (the Figure 17 cost
     metric, machine independent). *)
-
-val group_count : t -> int
 
 val label_bits : t -> int
 (** Total bits across all stored label products (space metric). *)

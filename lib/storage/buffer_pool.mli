@@ -41,11 +41,9 @@ type stats = {
 
 type t
 
-val default_max_bytes : unit -> int
-(** [LXU_POOL_BYTES] if set and parseable, else 16 MiB. *)
-
 val create : ?max_bytes:int -> Page_file.t -> t
-(** [max_bytes] is clamped up to 4 pages (a descent must fit). *)
+(** [max_bytes] is clamped up to 4 pages (a descent must fit); it
+    defaults to [LXU_POOL_BYTES] if set and parseable, else 16 MiB. *)
 
 val max_bytes : t -> int
 

@@ -34,14 +34,11 @@ type stats = {
   pool : Buffer_pool.stats;
 }
 
-val default_page_size : int
-(** 8 KiB. *)
-
 val create :
   device:Sim_file.t -> ?page_size:int -> ?pool_bytes:int -> unit -> t
 (** Initializes a fresh store on [device]: raw geometry header at
     byte 0, generation-0 meta, one sync.  [page_size] defaults to
-    {!default_page_size}; [pool_bytes] defaults to the
+    8 KiB; [pool_bytes] defaults to the
     [LXU_POOL_BYTES] budget. *)
 
 val open_existing : device:Sim_file.t -> ?pool_bytes:int -> unit -> t

@@ -10,9 +10,7 @@ type t = float (* absolute seconds on the [now] clock; infinity = never *)
 
 let never = infinity
 let after s = now () +. s
-let is_never d = d = infinity
 let expired d = d < infinity && now () >= d
-let remaining_s d = if d = infinity then infinity else d -. now ()
 
 module Cancel = struct
   type reason = Timeout | User of string
@@ -27,7 +25,6 @@ module Cancel = struct
     ignore (Atomic.compare_and_set t None (Some (User reason)))
 
   let reason = Atomic.get
-  let is_cancelled t = Atomic.get t <> None
 end
 
 type guard = {

@@ -19,7 +19,7 @@
     boundaries (per segment entry, per join unit, per descendant
     scan), and the guard raises {!Cancel.Cancelled} once the deadline
     passed or the token fired.  The cancellation check is one atomic
-    load; clock probes are amortized over {!probe_period} checks, so a
+    load; clock probes are amortized over 64 checks, so a
     guard adds no measurable cost to the hot loops — and a [None]
     guard adds exactly one branch, keeping the no-governor fast path
     byte-identical in results and stats. *)
@@ -39,13 +39,7 @@ val after : float -> t
 (** [after s] expires [s] seconds from now ([s <= 0.] is already
     expired). *)
 
-val is_never : t -> bool
-
 val expired : t -> bool
-
-val remaining_s : t -> float
-(** Seconds until expiry; negative once expired, [infinity] for
-    {!never}. *)
 
 (** Cooperative cancellation tokens. *)
 module Cancel : sig
@@ -69,15 +63,10 @@ module Cancel : sig
 
   val reason : t -> reason option
   (** [Some _] once cancelled. *)
-
-  val is_cancelled : t -> bool
 end
 
 type guard
 (** A deadline and/or token bundled into one cheap check point. *)
-
-val probe_period : int
-(** Number of {!check} calls between clock probes. *)
 
 val guard : ?deadline:t -> ?cancel:Cancel.t -> unit -> guard option
 (** [None] when neither a (finite) deadline nor a token is given —
@@ -87,7 +76,7 @@ val guard : ?deadline:t -> ?cancel:Cancel.t -> unit -> guard option
 val check : guard -> unit
 (** @raise Cancel.Cancelled with [Timeout] once the deadline passed,
     or with the token's reason once it fired.  The token is read on
-    every call; the clock only every {!probe_period} calls (shared
+    every call; the clock only every 64th call (shared
     guards may probe more often under parallel execution — the
     counter is racy by design, never the outcome). *)
 

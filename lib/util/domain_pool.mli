@@ -14,20 +14,14 @@
 
 type t
 
-type ticket
-(** An in-flight task set, redeemed with {!await}. *)
-
 val env_domains : unit -> int option
 (** The [LXU_DOMAINS] override, when set to a valid positive integer. *)
 
-val default_size : unit -> int
-(** [LXU_DOMAINS] when set, otherwise
-    [Domain.recommended_domain_count ()]. *)
-
 val create : ?size:int -> unit -> t
 (** A pool of [size] domains total: [size - 1] spawned workers plus
-    the submitting thread, which participates during {!await}.
-    [size] defaults to {!default_size} and is clamped to [1, 64]
+    the calling thread, which participates in every {!map}.
+    [size] defaults to [LXU_DOMAINS] when set, otherwise
+    [Domain.recommended_domain_count ()], and is clamped to [1, 64]
     (OCaml caps live domains at 128).
     @raise Invalid_argument if [size < 1]. *)
 
@@ -40,28 +34,20 @@ val shared : size:int -> t
     many short-lived owners (e.g. databases) need a pool: spawning a
     pool per owner would exhaust the domain limit. *)
 
-val submit : ?chunk:int -> t -> int -> (int -> unit) -> ticket
-(** [submit pool n f] schedules tasks [f 0 .. f (n-1)] and returns
-    without running them to completion (workers start immediately).
-    [chunk] is the number of consecutive indices a worker claims at a
-    time; it defaults to [max 1 (n / (8 * size))].  Blocks while a
-    previous task set of this pool is still in flight.
-    @raise Invalid_argument if [n < 0] or the pool is shut down. *)
-
-val await : ticket -> unit
-(** Runs tasks on the calling thread alongside the workers until the
-    set is exhausted, then blocks until every claimed task finished.
-    If any task raised, the first exception (by completion order) is
-    re-raised here with its backtrace; remaining unclaimed tasks are
-    abandoned. *)
-
 val map : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
 (** [map pool n f] is [[| f 0; ...; f (n-1) |]], computed on the pool.
     Equivalent to sequential [Array.init n f] for any [f] whose tasks
-    are independent; the result order never depends on the schedule. *)
+    are independent; the result order never depends on the schedule.
+    [chunk] is the number of consecutive indices a worker claims at a
+    time; it defaults to [max 1 (n / (8 * size))].  The calling
+    thread runs tasks alongside the workers, then blocks until every
+    claimed task finished.  Blocks first while a previous task set of
+    this pool is still in flight.  If any task raised, the first
+    exception (by completion order) is re-raised with its backtrace;
+    remaining unclaimed tasks are abandoned. *)
 
 val shutdown : t -> unit
 (** Waits for the in-flight task set, then stops and joins every
-    worker.  Idempotent.  Subsequent {!submit}s raise; {!map} over a
-    shut-down pool of size 1 still works (it never leaves the caller's
+    worker.  Idempotent.  Subsequent {!map}s raise, except over a
+    pool of size 1, which still works (it never leaves the caller's
     thread). *)

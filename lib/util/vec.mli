@@ -10,7 +10,6 @@ type 'a t
 
 val create : unit -> 'a t
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
 
 val copy : 'a t -> 'a t
 (** An independent vector with the same elements and room for one

@@ -22,21 +22,13 @@ val generate : ?params:params -> seed:int -> target_elements:int -> unit -> Lxu_
 val generate_text : ?params:params -> seed:int -> target_elements:int -> unit -> string
 (** Rendered form of {!generate}. *)
 
-val generate_with_spine :
-  ?params:params ->
-  seed:int ->
-  target_elements:int ->
-  spine_depth:int ->
-  unit ->
-  Lxu_xml.Tree.node list
+val generate_with_spine_text :
+  ?params:params -> seed:int -> target_elements:int -> spine_depth:int -> unit -> string
 (** A document with a guaranteed nesting chain of [spine_depth]
     elements, each spine level carrying random filler subtrees so the
     total lands near [target_elements].  Deep chains are what the
     nested chopping shape needs; plain random trees rarely exceed a
     few dozen levels. *)
-
-val generate_with_spine_text :
-  ?params:params -> seed:int -> target_elements:int -> spine_depth:int -> unit -> string
 
 val deep_chain : tags:string array -> depth:int -> payload:string -> string
 (** A document of exactly [depth] nested elements cycling through

@@ -32,10 +32,6 @@ val line_col : string -> int -> int * int
     [pos] is clamped into [0, length].  Columns count bytes from the
     last ['\n']. *)
 
-val error_message : input:string -> pos:int -> msg:string -> string
-(** Renders a {!Parse_error} against its input as
-    ["parse error at line L, column C (byte P): msg"]. *)
-
 val parse_fragment : ?limits:limits -> string -> Tree.node list
 (** Parses a well-formed XML fragment: a sequence of elements, text and
     miscellaneous nodes.  Every returned node is annotated with its
@@ -49,7 +45,7 @@ val parse_document : ?limits:limits -> string -> Tree.element
     @raise Parse_error on ill-formed input or multiple roots. *)
 
 val parse_fragment_result : ?limits:limits -> string -> (Tree.node list, string) result
-(** Exception-free variant; the error string carries line, column and
-    byte position (see {!error_message}). *)
+(** Exception-free variant; the error string reads
+    ["parse error at line L, column C (byte P): msg"]. *)
 
 val is_well_formed_fragment : ?limits:limits -> string -> bool

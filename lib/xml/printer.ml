@@ -61,7 +61,6 @@ let render nodes =
   List.iter (add_node buf) nodes;
   Buffer.contents buf
 
-let render_node node = render [ node ]
 
 let render_indented ?(indent = 2) nodes =
   let buf = Buffer.create 256 in

@@ -8,8 +8,6 @@
 val render : Tree.node list -> string
 (** Compact rendering (no added whitespace). *)
 
-val render_node : Tree.node -> string
-
 val render_indented : ?indent:int -> Tree.node list -> string
 (** Pretty rendering for humans; inserts newlines and indentation, so
     offsets of a re-parse will differ from {!render}. *)

@@ -26,14 +26,6 @@ let el ?(attrs = []) tag children =
 let txt content = Text { content; t_start = -1; t_end = -1 }
 let comment content = Comment { content; t_start = -1; t_end = -1 }
 
-let node_start = function
-  | Element e -> e.e_start
-  | Text t | Cdata t | Comment t | Pi t -> t.t_start
-
-let node_end = function
-  | Element e -> e.e_end
-  | Text t | Cdata t | Comment t | Pi t -> t.t_end
-
 let iter_elements ?(base_level = 0) forest f =
   let rec go level = function
     | Element e ->
@@ -93,14 +85,3 @@ let find_all forest ~tag =
   let acc = ref [] in
   iter_elements forest (fun e ~level:_ -> if e.tag = tag then acc := e :: !acc);
   List.rev !acc
-
-let rec pp_node fmt = function
-  | Element e ->
-    Format.fprintf fmt "@[<v 2>%s[%d,%d)" e.tag e.e_start e.e_end;
-    List.iter (fun a -> Format.fprintf fmt "@ @%s=%S" a.attr_name a.attr_value) e.attrs;
-    List.iter (fun c -> Format.fprintf fmt "@ %a" pp_node c) e.children;
-    Format.fprintf fmt "@]"
-  | Text t -> Format.fprintf fmt "text[%d,%d)%S" t.t_start t.t_end t.content
-  | Cdata t -> Format.fprintf fmt "cdata[%d,%d)%S" t.t_start t.t_end t.content
-  | Comment t -> Format.fprintf fmt "comment[%d,%d)%S" t.t_start t.t_end t.content
-  | Pi t -> Format.fprintf fmt "pi[%d,%d)%S" t.t_start t.t_end t.content

@@ -39,9 +39,6 @@ val txt : string -> node
 
 val comment : string -> node
 
-val node_start : node -> int
-val node_end : node -> int
-
 val iter_elements : ?base_level:int -> node list -> (element -> level:int -> unit) -> unit
 (** Pre-order traversal over all elements of a forest; [level] is the
     nesting depth starting at [base_level] (default 0) for roots. *)
@@ -73,6 +70,3 @@ val equal_structure : node list -> node list -> bool
 
 val find_all : node list -> tag:string -> element list
 (** All elements with the given tag, in document order. *)
-
-val pp_node : Format.formatter -> node -> unit
-(** Debugging printer (structure with offsets). *)

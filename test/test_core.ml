@@ -142,30 +142,3 @@ let suite =
     Alcotest.test_case "rebuild empty" `Quick test_rebuild_empty;
     Alcotest.test_case "query stats" `Quick test_query_stats;
   ]
-
-let test_auto_pack () =
-  let db = Lazy_db.create ~pack_threshold:5 () in
-  Lazy_db.insert db ~gp:0 "<r></r>";
-  for _ = 1 to 4 do
-    Lazy_db.insert db ~gp:3 "<x/>"
-  done;
-  check_int "below threshold: untouched" 5 (Lazy_db.segment_count db);
-  Lazy_db.insert db ~gp:3 "<x/>";
-  check_int "packed to one" 1 (Lazy_db.segment_count db);
-  check_int "answers intact" 5 (Lazy_db.count db ~anc:"r" ~desc:"x" ());
-  Lazy_db.check db;
-  (* Removals trigger the check too (segment count only shrinks, so
-     this just documents the hook). *)
-  Lazy_db.remove db ~gp:3 ~len:4;
-  check_int "after removal" 4 (Lazy_db.count db ~anc:"r" ~desc:"x" ())
-
-let test_auto_pack_invalid () =
-  Alcotest.check_raises "zero" (Invalid_argument "Lazy_db.create: pack_threshold < 1")
-    (fun () -> ignore (Lazy_db.create ~pack_threshold:0 ()))
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "auto pack" `Quick test_auto_pack;
-      Alcotest.test_case "auto pack invalid" `Quick test_auto_pack_invalid;
-    ]

@@ -278,47 +278,70 @@ let test_admission_bound_under_race () =
   check_int "every attempt accounted" (8 * 200)
     (s.Governor.completed_reads + s.Governor.rejected_overload)
 
-(* --- write coalescing ------------------------------------------------- *)
+(* --- concurrent writers ------------------------------------------------ *)
 
 let wide_config =
   { Governor.max_readers = 1; max_writer_queue = 8; default_deadline_s = None }
 
-let test_concurrent_inserts_coalesce_exactly () =
-  (* 4 domains hammer [insert] concurrently.  Whatever grouping the
-     leader/follower protocol settles on, accounting must stay exact:
-     every insert admitted, completed, and visible in the document —
-     a lost follower result or a double-applied group member would
-     show up in one of these counts. *)
-  let gov = Governor.create ~config:wide_config () in
-  let per_domain = 25 in
-  let domains =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              match Governor.insert gov ~gp:0 "<a/>" with
-              | Ok () -> ()
-              | Error r -> Alcotest.fail ("insert shed: " ^ Governor.rejection_to_string r)
-            done))
-  in
-  Array.iter Domain.join domains;
-  let n = 4 * per_domain in
-  let s = Governor.stats gov in
-  check_int "admitted" n s.Governor.admitted_writes;
-  check_int "completed" n s.Governor.completed_writes;
-  check_int "failed" 0 s.Governor.failed;
-  (* Parked followers hold their admission slot, so at most one slot
-     per domain is ever occupied: nothing sheds under an 8-slot bound. *)
-  check_int "no overload" 0 s.Governor.rejected_overload;
-  Shared_db.read (Governor.shared gov) (fun db ->
-      check_int "every element landed" n (Lazy_db.element_count db);
-      Lazy_db.check db)
+let temp_dir tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "lazyxml_test_governor_%s_%d" tag (Unix.getpid ()))
 
-let test_group_error_isolation () =
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let concurrent_inserts_account_exactly durability () =
+  (* 4 domains hammer [insert] concurrently.  Accounting must stay
+     exact: every insert admitted, completed, and visible in the
+     document — a lost or double-applied insert would show up in one
+     of these counts.  Durable, the WAL must replay to the same text. *)
+  let dir = temp_dir "account" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let durability = if durability then `Wal dir else `None in
+      let gov = Governor.create ~config:wide_config ~durability () in
+      let per_domain = 25 in
+      let domains =
+        Array.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                for _ = 1 to per_domain do
+                  match Governor.insert gov ~gp:0 "<a/>" with
+                  | Ok () -> ()
+                  | Error r -> Alcotest.fail ("insert shed: " ^ Governor.rejection_to_string r)
+                done))
+      in
+      Array.iter Domain.join domains;
+      let n = 4 * per_domain in
+      let s = Governor.stats gov in
+      check_int "admitted" n s.Governor.admitted_writes;
+      check_int "completed" n s.Governor.completed_writes;
+      check_int "failed" 0 s.Governor.failed;
+      (* At most one slot per domain is ever occupied: nothing sheds
+         under an 8-slot bound. *)
+      check_int "no overload" 0 s.Governor.rejected_overload;
+      let live =
+        Shared_db.read (Governor.shared gov) (fun db ->
+            check_int "every element landed" n (Lazy_db.element_count db);
+            Lazy_db.check db;
+            Lazy_db.text db)
+      in
+      if durability <> `None then begin
+        Shared_db.close (Governor.shared gov);
+        let db, _ = Lazy_db.recover dir in
+        Alcotest.(check string) "recovered text = live text" live (Lazy_db.text db);
+        check_int "recovered elements" n (Lazy_db.element_count db);
+        Lazy_db.close db
+      end)
+
+let test_bad_insert_fails_only_its_caller () =
   (* One doomed insert (gp far past the end) races three good ones
      while a direct writer holds the lock, so the four pile up behind
-     it — typically one leader plus parked followers.  Only the doomed
-     caller may see the exception; the group fallback must land the
-     other three. *)
+     it.  Only the doomed caller may see the exception; the other
+     three must land. *)
   let gov = Governor.create ~config:wide_config () in
   let entered = Atomic.make false and release = Atomic.make false in
   let holder =
@@ -339,7 +362,7 @@ let test_group_error_isolation () =
         | Error r -> `Rejected r)
   in
   (* All four admitted (counters are atomics, safe to poll) before the
-     lock frees: they are parked or blocked, none has run yet. *)
+     lock frees: they are blocked on it, none has run yet. *)
   while (Governor.stats gov).Governor.admitted_writes < 4 do
     Domain.cpu_relax ()
   done;
@@ -363,22 +386,10 @@ let test_group_error_isolation () =
       check_int "good elements only" 3 (Lazy_db.element_count db);
       Lazy_db.check db)
 
-let test_group_failure_after_apply () =
-  (* A coalesced group whose batch applies in memory and then fails —
-     here the WAL append, on a closed store.  The leader must not
-     replay the edits one by one: that would apply the batch a second
-     time.  Every member sees the exception, and each edit is applied
-     at most once. *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lazyxml_test_governor_group_%d" (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
+let test_closed_store_refuses_inserts () =
+  (* Concurrent inserts on a closed durable store: every caller sees
+     the exception and none of the edits is applied. *)
+  let dir = temp_dir "closed" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
@@ -406,9 +417,6 @@ let test_group_failure_after_apply () =
       while (Governor.stats gov).Governor.admitted_writes < 4 do
         Domain.cpu_relax ()
       done;
-      (* Admitted is counted before a writer parks: give the three a
-         moment to reach the group before the lock frees. *)
-      Unix.sleepf 0.05;
       Atomic.set release true;
       ignore (Domain.join holder);
       Array.iter
@@ -421,10 +429,7 @@ let test_group_failure_after_apply () =
         inserts;
       check_int "three failed" 3 (Governor.stats gov).Governor.failed;
       let len = Shared_db.write (Governor.shared gov) Lazy_db.doc_length in
-      check_bool
-        (Printf.sprintf "each edit applied at most once (doc length %d)" len)
-        true
-        (len = 7 || len = 7 + 12))
+      check_int "no edit applied" 7 len)
 
 let test_insert_many () =
   (* The governed batch entry point: one admission, one write, all
@@ -461,11 +466,14 @@ let suite =
     Alcotest.test_case "retry schedule is seeded jittered backoff" `Quick test_retry_schedule;
     Alcotest.test_case "retry scope" `Quick test_retry_gives_up_and_passes_through;
     Alcotest.test_case "admission bound holds under race" `Quick test_admission_bound_under_race;
-    Alcotest.test_case "concurrent inserts coalesce exactly" `Quick
-      test_concurrent_inserts_coalesce_exactly;
-    Alcotest.test_case "group error isolation" `Quick test_group_error_isolation;
-    Alcotest.test_case "group failure after apply is not replayed" `Quick
-      test_group_failure_after_apply;
+    Alcotest.test_case "concurrent inserts account exactly" `Quick
+      (concurrent_inserts_account_exactly false);
+    Alcotest.test_case "concurrent durable inserts account exactly" `Quick
+      (concurrent_inserts_account_exactly true);
+    Alcotest.test_case "bad insert fails only its caller" `Quick
+      test_bad_insert_fails_only_its_caller;
+    Alcotest.test_case "closed store refuses every insert" `Quick
+      test_closed_store_refuses_inserts;
     Alcotest.test_case "insert_many" `Quick test_insert_many;
     Alcotest.test_case "chaos LD sequential" `Quick (chaos 1 1);
     Alcotest.test_case "chaos LD parallel" `Quick (chaos 4 2);

@@ -365,28 +365,6 @@ let build_edits seed =
     (Chopper.chop ~text ~segments:(6 + (seed mod 10)) shape, "a", "d")
   end
 
-(* A scratch recycles output chunks between runs, never results:
-   scratch-carrying repeats must match a scratch-free run exactly,
-   including after an update changes the store mid-stream. *)
-let test_scratch_reuse () =
-  let open Lazy_xml in
-  let edits, anc, desc = build_edits 11 in
-  let db = Lazy_db.create () in
-  List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) edits;
-  let log = Option.get (Lazy_db.log db) in
-  let scratch = Lazy_join.scratch () in
-  let check ctx =
-    let p0, s0 = Lazy_join.run log ~anc ~desc () in
-    for i = 1 to 3 do
-      let p, s = Lazy_join.run ~scratch log ~anc ~desc () in
-      if p <> p0 then Alcotest.failf "%s: scratch run %d pairs differ" ctx i;
-      if s <> s0 then Alcotest.failf "%s: scratch run %d stats differ" ctx i
-    done
-  in
-  check "initial";
-  Lazy_db.insert db ~gp:0 "<a><d/></a>";
-  check "after insert"
-
 let suite =
   [
     Alcotest.test_case "std simple" `Quick test_std_simple;
@@ -402,6 +380,5 @@ let suite =
     Alcotest.test_case "lazy missing tags" `Quick test_lazy_missing_tags;
     Alcotest.test_case "lazy after removal" `Quick test_lazy_after_removal;
     Alcotest.test_case "lazy unsorted runs merge" `Quick test_lazy_unsorted_runs;
-    Alcotest.test_case "scratch reuse is invisible" `Quick test_scratch_reuse;
   ]
   @ props

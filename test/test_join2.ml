@@ -270,125 +270,3 @@ let suite =
       Alcotest.test_case "xr join skips descendants" `Quick test_xr_join_skips;
       Alcotest.test_case "xr join stabs ancestors" `Quick test_xr_join_stab_side;
     ]
-
-(* --- TwigStack ------------------------------------------------------------ *)
-
-(* Twig patterns for the tests: tag, edge-to-parent, children. *)
-type tw = Tw of string * Twig_stack.edge * tw list
-
-(* Naive twig-match counter over the parsed tree: number of complete
-   assignments of elements to query nodes respecting tags and edges. *)
-let naive_twig_count text pattern =
-  let forest = Lxu_xml.Parser.parse_fragment text in
-  let child_elems e =
-    List.filter_map (function Lxu_xml.Tree.Element c -> Some c | _ -> None) e.Lxu_xml.Tree.children
-  in
-  let rec descendants e = List.concat_map (fun c -> c :: descendants c) (child_elems e) in
-  let roots = List.filter_map (function Lxu_xml.Tree.Element e -> Some e | _ -> None) forest in
-  let all = List.concat_map (fun r -> r :: descendants r) roots in
-  let rec assignments anchor (Tw (tag, edge, kids)) =
-    let pool =
-      match (anchor, edge) with
-      | None, _ -> all
-      | Some e, Twig_stack.Desc -> descendants e
-      | Some e, Twig_stack.Child -> child_elems e
-    in
-    List.fold_left
-      (fun acc e ->
-        if e.Lxu_xml.Tree.tag = tag then
-          acc + List.fold_left (fun p k -> p * assignments (Some e) k) 1 kids
-        else acc)
-      0 pool
-  in
-  assignments None pattern
-
-(* Builds a Twig_stack.query from the same pattern over fresh labels. *)
-let twig_query text pattern =
-  let next_id = ref 0 in
-  let rec build (Tw (tag, edge, kids)) =
-    let qid = !next_id in
-    incr next_id;
-    let children = List.map build kids in
-    { Twig_stack.qid; stream = intervals text ~tag; edge; children }
-  in
-  build pattern
-
-let test_twig_linear_equals_pathstack () =
-  let text = "<a><b><c/><c/></b><b/></a><b><c/></b>" in
-  let pattern = Tw ("a", Twig_stack.Desc, [ Tw ("b", Twig_stack.Desc, [ Tw ("c", Twig_stack.Desc, []) ]) ]) in
-  check_int "count" (naive_twig_count text pattern)
-    (Twig_stack.count (twig_query text pattern))
-
-let test_twig_branching () =
-  let text = "<a><b/><c/></a><a><b/></a><a><c/></a>" in
-  let pattern =
-    Tw ("a", Twig_stack.Desc, [ Tw ("b", Twig_stack.Desc, []); Tw ("c", Twig_stack.Desc, []) ])
-  in
-  check_int "only the first a matches" 1 (Twig_stack.count (twig_query text pattern));
-  let roots = Twig_stack.root_matches (twig_query text pattern) in
-  check_int "one root" 1 (List.length roots);
-  check_int "it is the first a" 0 (List.hd roots).Interval.start
-
-let test_twig_shared_branch_consistency () =
-  (* r//a[b][c]: the SAME a must have both; separate a's don't count. *)
-  let text = "<r><a><b/></a><a><c/></a></r><r><a><b/><c/></a></r>" in
-  let pattern =
-    Tw
-      ( "r",
-        Twig_stack.Desc,
-        [ Tw ("a", Twig_stack.Desc, [ Tw ("b", Twig_stack.Desc, []); Tw ("c", Twig_stack.Desc, []) ]) ] )
-  in
-  check_int "count" (naive_twig_count text pattern)
-    (Twig_stack.count (twig_query text pattern));
-  check_int "one root only" 1 (List.length (Twig_stack.root_matches (twig_query text pattern)))
-
-let test_twig_child_edges () =
-  let text = "<a><b><c/></b><c/></a>" in
-  let p_desc = Tw ("a", Twig_stack.Desc, [ Tw ("c", Twig_stack.Desc, []) ]) in
-  let p_child = Tw ("a", Twig_stack.Desc, [ Tw ("c", Twig_stack.Child, []) ]) in
-  check_int "a//c" 2 (Twig_stack.count (twig_query text p_desc));
-  check_int "a/c" 1 (Twig_stack.count (twig_query text p_child))
-
-let test_twig_single_node () =
-  let text = "<a><a/></a>" in
-  check_int "all" 2 (Twig_stack.count (twig_query text (Tw ("a", Twig_stack.Desc, []))))
-
-let test_twig_equals_naive_random () =
-  let patterns =
-    [
-      Tw ("a", Twig_stack.Desc, [ Tw ("d", Twig_stack.Desc, []) ]);
-      Tw ("a", Twig_stack.Desc, [ Tw ("d", Twig_stack.Desc, []); Tw ("x", Twig_stack.Desc, []) ]);
-      Tw
-        ( "a",
-          Twig_stack.Desc,
-          [ Tw ("d", Twig_stack.Child, []); Tw ("x", Twig_stack.Desc, [ Tw ("d", Twig_stack.Desc, []) ]) ] );
-      Tw ("x", Twig_stack.Desc, [ Tw ("a", Twig_stack.Desc, [ Tw ("d", Twig_stack.Desc, []) ]) ]);
-    ]
-  in
-  for seed = 1 to 25 do
-    let text = mk_doc (400 + seed) in
-    List.iter
-      (fun pattern ->
-        check_int
-          (Printf.sprintf "seed %d" seed)
-          (naive_twig_count text pattern)
-          (Twig_stack.count (twig_query text pattern)))
-      patterns
-  done
-
-let test_twig_bad_qids () =
-  let q = { Twig_stack.qid = 3; stream = [||]; edge = Twig_stack.Desc; children = [] } in
-  Alcotest.check_raises "bad ids" (Invalid_argument "Twig_stack: qids must be exactly 0..n-1")
-    (fun () -> ignore (Twig_stack.count q))
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "twig linear" `Quick test_twig_linear_equals_pathstack;
-      Alcotest.test_case "twig branching" `Quick test_twig_branching;
-      Alcotest.test_case "twig shared-branch consistency" `Quick test_twig_shared_branch_consistency;
-      Alcotest.test_case "twig child edges" `Quick test_twig_child_edges;
-      Alcotest.test_case "twig single node" `Quick test_twig_single_node;
-      Alcotest.test_case "twig = naive (random)" `Quick test_twig_equals_naive_random;
-      Alcotest.test_case "twig bad qids" `Quick test_twig_bad_qids;
-    ]

@@ -250,7 +250,7 @@ let test_governed_busy () =
   Domain.join d;
   (* quiet again: admitted, nothing to do *)
   match Maintainer.tick m with
-  | Maintainer.Idle | Maintainer.Ran Maintainer.Cache_sweep -> ()
+  | Maintainer.Idle -> ()
   | o -> Alcotest.failf "expected idle after release, got %s" (Maintainer.outcome_to_string o)
 
 let test_background_loop () =
@@ -302,10 +302,7 @@ let test_pinned_snapshot_across_pack () =
   | Ok got -> check_bool "live state preserved" true (got = lfp)
   | Error r -> Alcotest.fail (Governor.rejection_to_string r));
   Shared_db.end_snapshot snap;
-  (* dropping the pin reclaims the retired version on its own; the
-     schedulable sweep is the belt-and-braces path and must be a safe
-     no-op on an already-clean store *)
-  Shared_db.sweep sdb;
+  (* dropping the pin reclaims the retired version on its own *)
   match Shared_db.mvcc_stats sdb with
   | Some ms ->
     check_int "retired versions reclaimed once unpinned" 1 ms.Shared_db.versions;

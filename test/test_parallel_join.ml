@@ -71,7 +71,13 @@ let compare_queries ~ctx seq par ~anc ~desc =
       check_int (ctx ^ " segments_skipped") ss.Lazy_db.segments_skipped
         ps.Lazy_db.segments_skipped;
       check_int (ctx ^ " elements_scanned") ss.Lazy_db.elements_scanned
-        ps.Lazy_db.elements_scanned)
+        ps.Lazy_db.elements_scanned;
+      (* [count] reads the join's buffers instead of building pairs;
+         it must agree with the materialized result on both sides. *)
+      check_int (ctx ^ " count = pair_count (seq)") ss.Lazy_db.pair_count
+        (Lazy_db.count seq ~axis ~anc ~desc ());
+      check_int (ctx ^ " count = pair_count (pooled)") ps.Lazy_db.pair_count
+        (Lazy_db.count par ~axis ~anc ~desc ()))
     [ (Lazy_db.Descendant, "desc"); (Lazy_db.Child, "child") ]
 
 (* The raw join must agree pair-for-pair too (local labels, emission
