@@ -73,8 +73,14 @@ and step_to_string { axis; tag; predicates } =
 
 (* --- evaluation ----------------------------------------------------------
 
-   The evaluator works on sets of element refs [(sid, start)] of one
-   tag, through these operations:
+   A predicate-free chain under [`Auto] is a partition scan: the
+   planner matches the chain against the synopsis' distinct paths
+   ({!Lxu_plan.Plan.partition}), and the answer is the last tag's
+   elements whose path slot matched — one pass over that tag's
+   columns, no join.  Every other evaluation composes structural
+   joins, and works on sets of element refs of one tag — a segment and
+   a virtual start packed in one int ({!Lxu_join.Lazy_join.ref_of}),
+   kept as sorted int arrays — through these operations:
    - [all tag]                       every element of [tag]
    - [roots_only tag set]            restrict to document-level elements
    - [up axis ~anc ~desc set]        elements of tag [anc] related by
@@ -83,31 +89,84 @@ and step_to_string { axis; tag; predicates } =
                                      [axis] to an [anc]-element in [set]
    - [extents tag set]               global (start, stop) pairs, sorted
 
-   [extents] walks the tag's segments in tag-list order and each
-   segment's column in local order, translating through one
-   [Er_node.cursor] per segment, so the extents come out in sorted
-   runs (a child segment's elements sit inside its parent's, but are
-   listed after them); [Run_merge.sort] merges the runs instead of
-   sorting. *)
+   Both executors end the same way: they walk the tag's segments in
+   tag-list order and each segment's column in local order,
+   translating through one [Er_node.cursor] per segment, so the
+   extents come out in sorted runs (a child segment's elements sit
+   inside its parent's, but are listed after them), which
+   [Run_merge.sort] merges instead of sorting. *)
 
-(* Lexicographic order on int pairs without polymorphic [compare]:
-   element refs [(sid, start)] and global extents [(start, stop)]. *)
-let compare_int_pair (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
+module Lj = Lxu_join.Lazy_join
 
-module Ref_set = Set.Make (struct
-  type t = int * int
+(* Sets of element refs: sorted int arrays without duplicates. *)
+module Refs = struct
+  type t = int array
 
-  let compare = compare_int_pair
-end)
+  let empty : t = [||]
+  let is_empty (a : t) = Array.length a = 0
+  let cardinal (a : t) = Array.length a
+
+  let mem (a : t) x =
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length a && Array.unsafe_get a !lo = x
+
+  (* The set of the first [n] entries of [buf], which it sorts. *)
+  let of_prefix (buf : int array) n : t =
+    let a = if n = Array.length buf then buf else Array.sub buf 0 n in
+    Array.stable_sort Int.compare a;
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if i = 0 || a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    if !k = n then a else Array.sub a 0 !k
+
+  let inter (a : t) (b : t) : t =
+    let out = Array.make (min (Array.length a) (Array.length b)) 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < Array.length a && !j < Array.length b do
+      let x = a.(!i) and y = b.(!j) in
+      if x < y then incr i
+      else if y < x then incr j
+      else begin
+        out.(!k) <- x;
+        incr k;
+        incr i;
+        incr j
+      end
+    done;
+    Array.sub out 0 !k
+
+  (* The distinct segments of the set, ascending: refs order by
+     segment first. *)
+  let sids (a : t) : t =
+    of_prefix (Array.map Lj.ref_sid a) (Array.length a)
+
+  (* [pick.(i)] for every [i] with [key.(i)] in [set]. *)
+  let select ~(set : t) ~(key : int array) ~(pick : int array) : t =
+    let buf = Array.make (Array.length key) 0 and n = ref 0 in
+    Array.iteri
+      (fun i k ->
+        if mem set k then begin
+          buf.(!n) <- pick.(i);
+          incr n
+        end)
+      key;
+    of_prefix buf !n
+end
 
 type ops = {
-  all : string -> Ref_set.t;
-  roots_only : string -> Ref_set.t -> Ref_set.t;
-  up : axis -> anc:string -> desc:string -> Ref_set.t -> Ref_set.t;
-  down : axis -> anc:string -> Ref_set.t -> desc:string -> Ref_set.t;
-  extents : string -> Ref_set.t -> (int * int) list;
+  all : string -> Refs.t;
+  roots_only : string -> Refs.t -> Refs.t;
+  up : axis -> anc:string -> desc:string -> Refs.t -> Refs.t;
+  down : axis -> anc:string -> Refs.t -> desc:string -> Refs.t;
+  extents : string -> Refs.t -> (int * int) list;
 }
 
 (* Elements able to head predicate path [steps], with the suffix and
@@ -131,7 +190,7 @@ and apply_predicates ops ~tag set preds =
       | [] -> acc
       | first :: _ ->
         let heads = pred_head_set ops pred in
-        Ref_set.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
+        Refs.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
     set preds
 
 let eval_steps ops steps =
@@ -152,98 +211,101 @@ let eval_steps ops steps =
     in
     ops.extents final_tag final_set
 
+let jaxis = function Desc -> Lj.Descendant | Child -> Lj.Child
+
+(* Translates the elements of tag [tid] that [keep ~sid ~start ~pid]
+   accepts to sorted global extents: segment by segment in tag-list
+   order, each column in local order, one cursor per segment that
+   holds a match.  [hint] sizes the output columns. *)
+let scan_extents ?guard log ~tid ~hint keep =
+  let gs = ref (Array.make (max 16 hint) 0) and ge = ref (Array.make (max 16 hint) 0) in
+  let n = ref 0 in
+  Array.iter
+    (fun (entry : Tag_list.entry) ->
+      Lxu_util.Deadline.check_opt guard;
+      let sid = entry.Tag_list.sid in
+      let node = Update_log.node_of_sid log sid in
+      let c = Er_node.cols node ~tid in
+      let cur = ref None in
+      for i = 0 to Er_node.cols_length c - 1 do
+        let start = c.starts.(i) in
+        if keep ~sid ~start ~pid:c.pids.(i) then begin
+          let k =
+            match !cur with
+            | Some k -> k
+            | None ->
+              let k = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
+              cur := Some k;
+              k
+          in
+          if !n = Array.length !gs then begin
+            let grow a = Array.append a (Array.make (Array.length a) 0) in
+            gs := grow !gs;
+            ge := grow !ge
+          end;
+          !gs.(!n) <- Er_node.cursor_start k start;
+          !ge.(!n) <- Er_node.cursor_stop k c.stops.(i);
+          incr n
+        end
+      done)
+    (Tag_list.entries (Update_log.tag_list log) ~tid);
+  let gs = Array.sub !gs 0 !n and ge = Array.sub !ge 0 !n in
+  Lxu_util.Run_merge.sort gs ge;
+  List.init !n (fun i -> (gs.(i), ge.(i)))
+
 let log_ops ?guard log =
   let reg = Update_log.registry log in
-  (* Folds [f acc ~sid ~start ~stop ~level] over every element of the
-     tag, segment by segment over the segments' columns — no key
-     records are materialized. *)
-  let fold_tag tag f init =
+  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
+  (* The refs of the tag's elements that [keep ~pid] accepts, segment
+     by segment over the segments' columns. *)
+  let refs_of tag keep =
     match Tag_registry.find reg tag with
-    | None -> init
+    | None -> Refs.empty
     | Some tid ->
-      Array.fold_left
-        (fun acc (entry : Tag_list.entry) ->
+      let entries = Tag_list.entries (Update_log.tag_list log) ~tid in
+      let total =
+        Array.fold_left (fun acc (e : Tag_list.entry) -> acc + e.Tag_list.count) 0 entries
+      in
+      let buf = Array.make total 0 and n = ref 0 in
+      Array.iter
+        (fun (entry : Tag_list.entry) ->
           Lxu_util.Deadline.check_opt guard;
           let sid = entry.Tag_list.sid in
           let c : Er_node.cols = Update_log.elements_cols log ~tid ~sid in
-          let n = Er_node.cols_length c in
-          let acc = ref acc in
-          for i = 0 to n - 1 do
-            acc := f !acc ~sid ~start:c.starts.(i) ~stop:c.stops.(i) ~level:c.levels.(i)
-          done;
-          !acc)
-        init
-        (Update_log.segments_for_tag log ~tag)
+          for i = 0 to Er_node.cols_length c - 1 do
+            if keep c.pids.(i) then begin
+              buf.(!n) <- Lj.ref_of ~sid ~start:c.starts.(i);
+              incr n
+            end
+          done)
+        entries;
+      Refs.of_prefix buf !n
   in
-  let jaxis = function
-    | Desc -> Lxu_join.Lazy_join.Descendant
-    | Child -> Lxu_join.Lazy_join.Child
-  in
-  let join axis ~anc ~desc =
-    fst (Lxu_join.Lazy_join.run ~axis:(jaxis axis) ?guard log ~anc ~desc ())
-  in
-  let anc_key (p : Lxu_join.Lazy_join.pair) =
-    (p.Lxu_join.Lazy_join.a_sid, p.Lxu_join.Lazy_join.a_start)
-  and desc_key (p : Lxu_join.Lazy_join.pair) =
-    (p.Lxu_join.Lazy_join.d_sid, p.Lxu_join.Lazy_join.d_start)
-  in
+  let join axis ~anc ~desc = Lj.run_refs ~axis:(jaxis axis) ?guard log ~anc ~desc () in
   {
-    all =
-      (fun tag ->
-        fold_tag tag
-          (fun acc ~sid ~start ~stop:_ ~level:_ -> Ref_set.add (sid, start) acc)
-          Ref_set.empty);
-    roots_only =
-      (fun tag set ->
-        fold_tag tag
-          (fun acc ~sid ~start ~stop:_ ~level ->
-            if level = 0 && Ref_set.mem (sid, start) set then Ref_set.add (sid, start) acc
-            else acc)
-          Ref_set.empty);
+    all = (fun tag -> refs_of tag (fun _ -> true));
+    roots_only = (fun tag set -> Refs.inter set (refs_of tag (fun pid -> depth.(pid) = 0)));
     up =
       (fun axis ~anc ~desc set ->
-        Array.fold_left
-          (fun acc p ->
-            if Ref_set.mem (desc_key p) set then Ref_set.add (anc_key p) acc else acc)
-          Ref_set.empty (join axis ~anc ~desc));
+        let a, d, _ = join axis ~anc ~desc in
+        Refs.select ~set ~key:d ~pick:a);
     down =
       (fun axis ~anc set ~desc ->
-        Array.fold_left
-          (fun acc p ->
-            if Ref_set.mem (anc_key p) set then Ref_set.add (desc_key p) acc else acc)
-          Ref_set.empty (join axis ~anc ~desc));
+        let a, d, _ = join axis ~anc ~desc in
+        Refs.select ~set ~key:a ~pick:d);
     extents =
       (fun tag set ->
-        let cursor = Update_log.cursors log in
-        let gs = Lxu_util.Vec.create () and ge = Lxu_util.Vec.create () in
-        let cur_sid = ref (-1) and cur = ref None in
-        fold_tag tag
-          (fun () ~sid ~start ~stop ~level:_ ->
-            if Ref_set.mem (sid, start) set then begin
-              let c =
-                match !cur with
-                | Some c when !cur_sid = sid -> c
-                | _ ->
-                  let c = cursor sid in
-                  cur_sid := sid;
-                  cur := Some c;
-                  c
-              in
-              Lxu_util.Vec.push gs (Er_node.cursor_start c start);
-              Lxu_util.Vec.push ge (Er_node.cursor_stop c stop)
-            end)
-          ();
-        let gs = Lxu_util.Vec.to_array gs and ge = Lxu_util.Vec.to_array ge in
-        Lxu_util.Run_merge.sort gs ge;
-        List.init (Array.length gs) (fun i -> (gs.(i), ge.(i))));
+        match Tag_registry.find reg tag with
+        | None -> []
+        | Some tid ->
+          scan_extents ?guard log ~tid ~hint:(Refs.cardinal set) (fun ~sid ~start ~pid:_ ->
+              Refs.mem set (Lj.ref_of ~sid ~start)));
   }
 
 let rec has_predicates steps =
   List.exists (fun s -> s.predicates <> [] || List.exists has_predicates s.predicates) steps
 
 (* --- planned evaluation (lib/plan) -------------------------------------- *)
-
-module Sid_set = Set.Make (Int)
 
 let chain_of_steps (steps : t) =
   let arr = Array.of_list steps in
@@ -256,6 +318,20 @@ let chain_of_steps (steps : t) =
         arr;
     has_preds = has_predicates steps;
   }
+
+(* Executes a partition plan: the scanned tag's elements whose path
+   slot matched.  A zero estimate is exact, so it proves the result
+   empty without touching a column. *)
+let eval_partition ?guard log (p : Lxu_plan.Plan.partition) =
+  let results =
+    if p.Lxu_plan.Plan.est = 0 then []
+    else
+      let slots = p.Lxu_plan.Plan.slots in
+      scan_extents ?guard log ~tid:p.Lxu_plan.Plan.tid ~hint:p.Lxu_plan.Plan.est
+        (fun ~sid:_ ~start:_ ~pid -> slots.(pid))
+  in
+  p.Lxu_plan.Plan.actual <- List.length results;
+  results
 
 exception Empty_result
 
@@ -270,6 +346,9 @@ exception Empty_result
    is crossed, and only the final step's extents are returned — so
    results are fingerprint-identical to the naive order.
 
+   Joins hand back their pairs as two ref columns, and the up phase
+   caches the kept pairs the same way: no pair record is built or kept.
+
    [actual_step]/[actual_pairs] of the plan are filled in as execution
    proceeds (the explain output's actuals). *)
 let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
@@ -278,12 +357,6 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
   let n = Array.length stepsa in
   let reg = Update_log.registry log in
   let k = o.Lxu_plan.Plan.seed in
-  let anc_key (p : Lxu_join.Lazy_join.pair) =
-    (p.Lxu_join.Lazy_join.a_sid, p.Lxu_join.Lazy_join.a_start)
-  and desc_key (p : Lxu_join.Lazy_join.pair) =
-    (p.Lxu_join.Lazy_join.d_sid, p.Lxu_join.Lazy_join.d_start)
-  in
-  let segs_of set = Ref_set.fold (fun (sid, _) acc -> Sid_set.add sid acc) set Sid_set.empty in
   (* Summary evidence: may any element of the entry's segment have an
      ancestor tagged like step [anc_i]?  [false] proves no pair can
      come out of the segment, so it is skipped before any element
@@ -307,27 +380,21 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
       | Some s -> (s.Lxu_plan.Plan.push_filter, s.Lxu_plan.Plan.trim_top)
       | None -> (true, true)
     in
-    let jaxis =
-      match stepsa.(desc_i).axis with
-      | Desc -> Lxu_join.Lazy_join.Descendant
-      | Child -> Lxu_join.Lazy_join.Child
+    let a, d, _ =
+      Lj.run_refs ~axis:(jaxis stepsa.(desc_i).axis) ~push_filter ~trim_top ?a_filter ?d_filter
+        ?pool ?guard log ~anc:stepsa.(anc_i).tag ~desc:stepsa.(desc_i).tag ()
     in
-    let pairs =
-      fst
-        (Lxu_join.Lazy_join.run ~axis:jaxis ~push_filter ~trim_top ?a_filter ?d_filter
-           ?pool ?guard log ~anc:stepsa.(anc_i).tag ~desc:stepsa.(desc_i).tag ())
-    in
-    (match spec with Some s -> s.Lxu_plan.Plan.actual_pairs <- Array.length pairs | None -> ());
-    pairs
+    (match spec with Some s -> s.Lxu_plan.Plan.actual_pairs <- Array.length a | None -> ());
+    (a, d)
   in
-  let record i set = o.Lxu_plan.Plan.actual_step.(i) <- Ref_set.cardinal set in
+  let record i set = o.Lxu_plan.Plan.actual_step.(i) <- Refs.cardinal set in
   try
     (* Spine-match estimates are exact upper bounds (predicates only
        shrink sets), so a zero at the tail is a synopsis proof of
        emptiness: nothing to execute. *)
     if o.Lxu_plan.Plan.est_step.(n - 1) = 0 then raise Empty_result;
     (* Seed set. *)
-    let a_sets = Array.make n Ref_set.empty in
+    let a_sets = Array.make n Refs.empty in
     let init =
       let s = ops.all stepsa.(k).tag in
       let s = if k = 0 && stepsa.(0).axis = Child then ops.roots_only stepsa.(0).tag s else s in
@@ -335,28 +402,31 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
     in
     a_sets.(k) <- init;
     (* Up phase: frontier sets A_i (elements of step i with a full
-       predicate-checked chain down to the seed), with the join pairs
+       predicate-checked chain down to the seed), with the kept pairs
        cached for replay on the way back down. *)
-    let cached = Array.make (max 1 (n - 1)) [||] in
+    let cached = Array.make (max 1 (n - 1)) ([||], [||]) in
     for i = k - 1 downto 0 do
       let above = a_sets.(i + 1) in
-      if Ref_set.is_empty above then raise Empty_result;
-      let restr = segs_of above in
+      if Refs.is_empty above then raise Empty_result;
+      let restr = Refs.sids above in
       let p3 = prop3 i in
-      let d_filter (e : Tag_list.entry) =
-        Sid_set.mem e.Tag_list.sid restr && p3 e
-      in
-      let pairs =
+      let d_filter (e : Tag_list.entry) = Refs.mem restr e.Tag_list.sid && p3 e in
+      let a, d =
         run_join ~dir:`Up ~anc_i:i ~desc_i:(i + 1) ~a_filter:None ~d_filter:(Some d_filter)
       in
-      let kept =
-        Array.of_list
-          (List.filter (fun p -> Ref_set.mem (desc_key p) above) (Array.to_list pairs))
-      in
-      cached.(i) <- kept;
-      let aset =
-        Array.fold_left (fun acc p -> Ref_set.add (anc_key p) acc) Ref_set.empty kept
-      in
+      let ka = Array.make (Array.length a) 0 and kd = Array.make (Array.length d) 0 in
+      let kept = ref 0 in
+      Array.iteri
+        (fun j dref ->
+          if Refs.mem above dref then begin
+            ka.(!kept) <- a.(j);
+            kd.(!kept) <- dref;
+            incr kept
+          end)
+        d;
+      let ka = Array.sub ka 0 !kept and kd = Array.sub kd 0 !kept in
+      cached.(i) <- (ka, kd);
+      let aset = Refs.of_prefix (Array.copy ka) !kept in
       let aset =
         if i = 0 && stepsa.(0).axis = Child then ops.roots_only stepsa.(0).tag aset else aset
       in
@@ -366,33 +436,28 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
     let b = ref a_sets.(0) in
     record 0 !b;
     for i = 1 to n - 1 do
-      if Ref_set.is_empty !b then raise Empty_result;
+      if Refs.is_empty !b then raise Empty_result;
       let prev = !b in
       let next =
-        if i <= k then
+        if i <= k then begin
           (* Through the seed: replay the cached pairs — descendants
              are already inside the predicate-checked frontier A_i, so
              no join runs and no predicates re-apply. *)
-          Array.fold_left
-            (fun acc p ->
-              if Ref_set.mem (anc_key p) prev then Ref_set.add (desc_key p) acc else acc)
-            Ref_set.empty cached.(i - 1)
+          let ka, kd = cached.(i - 1) in
+          Refs.select ~set:prev ~key:ka ~pick:kd
+        end
         else begin
-          let restr = segs_of prev in
-          let a_filter (e : Tag_list.entry) = Sid_set.mem e.Tag_list.sid restr in
+          let restr = Refs.sids prev in
+          let a_filter (e : Tag_list.entry) = Refs.mem restr e.Tag_list.sid in
           let p3 = prop3 (i - 1) in
           let d_filter (e : Tag_list.entry) = p3 e in
-          let pairs =
+          let a, d =
             run_join ~dir:`Down ~anc_i:(i - 1) ~desc_i:i ~a_filter:(Some a_filter)
               ~d_filter:(Some d_filter)
           in
-          let s =
-            Array.fold_left
-              (fun acc p ->
-                if Ref_set.mem (anc_key p) prev then Ref_set.add (desc_key p) acc else acc)
-              Ref_set.empty pairs
-          in
-          apply_predicates ops ~tag:stepsa.(i).tag s stepsa.(i).predicates
+          apply_predicates ops ~tag:stepsa.(i).tag
+            (Refs.select ~set:prev ~key:a ~pick:d)
+            stepsa.(i).predicates
         end
       in
       b := next;
@@ -404,27 +469,13 @@ let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
       o.Lxu_plan.Plan.actual_step;
     []
 
-(* Cost-based plan for a spine, and its execution.  Holistic
-   auto-selection stays conservative (wide margin in the cost model)
-   and is disabled on frozen snapshots. *)
-let choose_plan ~force_seed log steps =
-  Lxu_plan.Plan.choose ?force_seed
-    ~allow_holistic:(not (Update_log.is_frozen log))
-    ~log (chain_of_steps steps)
-
 let eval_log_plan ?guard ?pool log steps plan =
   match plan with
   | Lxu_plan.Plan.Naive -> eval_steps (log_ops ?guard log) steps
   | Lxu_plan.Plan.Holistic _ ->
-    (* Only chosen for predicate-free chains, whose leaves are exactly
-       the final-step matches. *)
-    let c = chain_of_steps steps in
-    let edge = function
-      | Lxu_plan.Plan.Desc -> Lxu_join.Path_stack.Desc
-      | Lxu_plan.Plan.Child -> Lxu_join.Path_stack.Child
-    in
-    Lxu_join.Std_baseline.path_leaves log ~tags:c.Lxu_plan.Plan.tags
-      ~edges:(Array.map edge c.Lxu_plan.Plan.axes)
+    (* Only chosen for predicate-free chains, which the partition scan
+       answers without a join. *)
+    eval_partition ?guard log (Lxu_plan.Plan.partition ~log (chain_of_steps steps))
   | Lxu_plan.Plan.Ordered o -> eval_log_planned ?guard ?pool log steps o
 
 let live_log db = Option.get (Lazy_db.log db)
@@ -436,20 +487,30 @@ let eval ?(plan = `Auto) ?guard db steps =
   Update_log.prepare_for_query log;
   match plan with
   | `Naive -> eval_steps (log_ops ?guard log) steps
+  | `Auto when not (has_predicates steps) ->
+    eval_partition ?guard log (Lxu_plan.Plan.partition ~log (chain_of_steps steps))
   | (`Auto | `Seed _) as m ->
     let force_seed = match m with `Seed s -> Some s | `Auto -> None in
     eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps
-      (choose_plan ~force_seed log steps)
+      (Lxu_plan.Plan.choose ?force_seed ~log (chain_of_steps steps))
 
 let explain ?guard db steps =
   if steps = [] then invalid_arg "Path_query.explain: empty path";
   let log = live_log db in
   Update_log.prepare_for_query log;
-  let plan = choose_plan ~force_seed:None log steps in
-  (* Execute first: the ordered plan's actual cardinalities are filled
-     in by the run, so the rendering carries est vs actual. *)
-  let results = eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps plan in
-  (Lxu_plan.Plan.explain (chain_of_steps steps) plan, results)
+  let chain = chain_of_steps steps in
+  (* Execute first: the plan's actual cardinalities are filled in by
+     the run, so the rendering carries est vs actual. *)
+  if not chain.Lxu_plan.Plan.has_preds then begin
+    let p = Lxu_plan.Plan.partition ~log chain in
+    let results = eval_partition ?guard log p in
+    (Lxu_plan.Plan.explain_partition ~log chain p, results)
+  end
+  else begin
+    let plan = Lxu_plan.Plan.choose ~log chain in
+    let results = eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps plan in
+    (Lxu_plan.Plan.explain chain plan, results)
+  end
 
 let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
 let count ?plan ?guard db s = List.length (eval_string ?plan ?guard db s)

@@ -62,9 +62,14 @@ type frame = {
          — and so that the segment's own columns stay pristine *)
 }
 
-let contains_seg log (a : Er_node.t) (d : Er_node.t) =
-  let ga = Update_log.gp log a and gd = Update_log.gp log d in
-  ga < gd && ga + a.Er_node.len > gd + d.Er_node.len
+(* Whether segment [a] is a proper ancestor of segment [d]: [a]'s sid
+   sits on [d]'s root path.  Decided on the ER-tree, not by comparing
+   global extents: a parent whose own text before (or after) a child
+   is all tombstoned starts (or ends) where the child does, so strict
+   extent containment would miss it. *)
+let is_ancestor (a : Er_node.t) (d : Er_node.t) =
+  let i = Array.length a.Er_node.path - 1 in
+  i < Array.length d.Er_node.path - 1 && d.Er_node.path.(i) = a.Er_node.sid
 
 (* Local position, within the frame's segment, of the child segment on
    the path to the segment whose tag-list [path] is given (P_T^S of
@@ -95,37 +100,40 @@ let cols_filter keep (c : Er_node.cols) =
   else begin
     let starts = Array.make !kept 0
     and stops = Array.make !kept 0
-    and levels = Array.make !kept 0 in
+    and pids = Array.make !kept 0 in
     let j = ref 0 in
     for i = 0 to n - 1 do
       if Bytes.unsafe_get mask i = '\001' then begin
         starts.(!j) <- c.starts.(i);
         stops.(!j) <- c.stops.(i);
-        levels.(!j) <- c.levels.(i);
+        pids.(!j) <- c.pids.(i);
         incr j
       end
     done;
-    { Er_node.starts; stops; levels }
+    { Er_node.starts; stops; pids }
   end
 
 (* Chunked flat output buffer: 8 ints per pair
-   [a_sid; a_start; a_stop; a_level; d_sid; d_start; d_stop; d_level],
-   written into fixed chunks that are never re-grown — a growable
+   [a_sid; a_start; a_stop; a_pid; d_sid; d_start; d_stop; d_pid]
+   (path slots as the columns hold them; only pair records turn them
+   into levels), written into fixed chunks that are never re-grown — a growable
    array would alloc+zero+copy its whole prefix on every doubling
    round, which dominates emission cost once the buffer outgrows the
    minor heap.  Chunk sizes escalate 256 → … → 65536 ints so small
    join units stay small and big ones amortize.  [full] holds
    completely-filled chunks in reverse push order (chunk sizes are
    multiples of 8 and pushes advance by 8, so rotation happens exactly
-   at capacity). *)
+   at capacity).  A [counting] buffer only counts: a count needs no
+   pair, so it allocates nothing per pair. *)
 type buf = {
+  counting : bool;
   mutable full : int array list;
   mutable cur : int array;
   mutable cur_len : int;
-  mutable total : int;  (* ints across [full] and [cur] *)
+  mutable total : int;  (* ints pushed, across [full] and [cur] *)
 }
 
-let buf_create () = { full = []; cur = [||]; cur_len = 0; total = 0 }
+let buf_create ~counting = { counting; full = []; cur = [||]; cur_len = 0; total = 0 }
 
 let buf_grow b =
   if b.cur_len > 0 then b.full <- b.cur :: b.full;
@@ -133,25 +141,36 @@ let buf_grow b =
   b.cur_len <- 0
 
 let buf_push8 b x0 x1 x2 x3 x4 x5 x6 x7 =
-  if b.cur_len + 8 > Array.length b.cur then buf_grow b;
-  let d = b.cur and o = b.cur_len in
-  Array.unsafe_set d o x0;
-  Array.unsafe_set d (o + 1) x1;
-  Array.unsafe_set d (o + 2) x2;
-  Array.unsafe_set d (o + 3) x3;
-  Array.unsafe_set d (o + 4) x4;
-  Array.unsafe_set d (o + 5) x5;
-  Array.unsafe_set d (o + 6) x6;
-  Array.unsafe_set d (o + 7) x7;
-  b.cur_len <- o + 8;
+  if not b.counting then begin
+    if b.cur_len + 8 > Array.length b.cur then buf_grow b;
+    let d = b.cur and o = b.cur_len in
+    Array.unsafe_set d o x0;
+    Array.unsafe_set d (o + 1) x1;
+    Array.unsafe_set d (o + 2) x2;
+    Array.unsafe_set d (o + 3) x3;
+    Array.unsafe_set d (o + 4) x4;
+    Array.unsafe_set d (o + 5) x5;
+    Array.unsafe_set d (o + 6) x6;
+    Array.unsafe_set d (o + 7) x7;
+    b.cur_len <- o + 8
+  end;
   b.total <- b.total + 8
 
 let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 8
 
+(* [f chunk len] over every filled chunk prefix, in push order. *)
+let iter_chunks bufs f =
+  List.iter
+    (fun b ->
+      List.iter (fun c -> f c (Array.length c)) (List.rev b.full);
+      f b.cur b.cur_len)
+    bufs
+
 (* Materializes the pair records for a sequence of buffers in order —
    the single conversion at the API boundary, shared by the sequential
-   (one buffer) and pool (one buffer per join unit, unit order) paths. *)
-let bufs_to_pairs bufs =
+   (one buffer) and pool (one buffer per join unit, unit order) paths.
+   [depth] turns path slots into levels. *)
+let bufs_to_pairs ~depth bufs =
   let n = pair_count bufs in
   if n = 0 then [||]
   else begin
@@ -178,23 +197,47 @@ let bufs_to_pairs bufs =
             a_sid = Array.unsafe_get data p;
             a_start = Array.unsafe_get data (p + 1);
             a_stop = Array.unsafe_get data (p + 2);
-            a_level = Array.unsafe_get data (p + 3);
+            a_level = depth.(Array.unsafe_get data (p + 3));
             d_sid = Array.unsafe_get data (p + 4);
             d_start = Array.unsafe_get data (p + 5);
             d_stop = Array.unsafe_get data (p + 6);
-            d_level = Array.unsafe_get data (p + 7);
+            d_level = depth.(Array.unsafe_get data (p + 7));
           };
         incr k;
         o := p + 8
       done
     in
-    List.iter
-      (fun b ->
-        List.iter (fun c -> emit c (Array.length c)) (List.rev b.full);
-        emit b.cur b.cur_len)
-      bufs;
+    iter_chunks bufs emit;
     out
   end
+
+let ref_of ~sid ~start =
+  if start lsr 32 <> 0 || sid lsr 30 <> 0 then invalid_arg "Lazy_join.ref_of: out of range";
+  (sid lsl 32) lor start
+
+let ref_sid r = r lsr 32
+
+(* The pairs of a sequence of buffers as two flat columns of element
+   refs, in emission order: no record, and nothing for the GC to scan
+   (arrays of ints). *)
+let bufs_to_refs bufs =
+  let n = pair_count bufs in
+  let anc = Array.make n 0 and desc = Array.make n 0 in
+  let k = ref 0 in
+  let emit data len =
+    let o = ref 0 in
+    while !o < len do
+      let p = !o in
+      Array.unsafe_set anc !k
+        (ref_of ~sid:(Array.unsafe_get data p) ~start:(Array.unsafe_get data (p + 1)));
+      Array.unsafe_set desc !k
+        (ref_of ~sid:(Array.unsafe_get data (p + 4)) ~start:(Array.unsafe_get data (p + 5)));
+      incr k;
+      o := p + 8
+    done
+  in
+  iter_chunks bufs emit;
+  (anc, desc)
 
 (* Stack-Tree-Desc specialized to the columnar element snapshots of one
    segment (virtual local labels), emitting index pairs through [emit].
@@ -202,7 +245,7 @@ let bufs_to_pairs bufs =
    array, so the merge loop allocates nothing at all.  [guard] is
    checked once per merge step, so a cancel or deadline stops a large
    in-segment join mid-scan. *)
-let in_segment_join ?guard ~axis ~(anc : Er_node.cols) ~(desc : Er_node.cols) ~emit () =
+let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.cols) ~emit () =
   let n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
   if n_a > 0 && n_d > 0 then begin
     let stack = ref (Array.make (min 16 n_a) 0) in
@@ -246,10 +289,10 @@ let in_segment_join ?guard ~axis ~(anc : Er_node.cols) ~(desc : Er_node.cols) ~e
             emit (Array.unsafe_get !stack j) !id
           done
         | Child ->
-          let dl = Array.unsafe_get desc.levels !id in
+          let dl = depth.(Array.unsafe_get desc.pids !id) in
           for j = !top - 1 downto 0 do
             let ai = Array.unsafe_get !stack j in
-            if dl = Array.unsafe_get anc.levels ai + 1 then emit ai !id
+            if dl = depth.(Array.unsafe_get anc.pids ai) + 1 then emit ai !id
           done);
         incr id
       end
@@ -275,8 +318,10 @@ type d_task = {
    are fetched (and counted) on first use, preserving the lazy fetch
    accounting of the list-based implementation exactly.  [guard] is
    checked at task entry and per cross frame, so a parallel join
-   observes a cancel within one pool chunk. *)
-let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
+   observes a cancel within one pool chunk.  The Child axis reads
+   levels through [depth], the synopsis' slot -> depth table captured
+   by the caller. *)
+let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
   Deadline.check_opt guard;
   let d_sid = task.d_node.Er_node.sid in
   let d_got = ref None in
@@ -298,24 +343,25 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
           let n_d = Er_node.cols_length d in
           let a_start = Array.unsafe_get a.starts i
           and a_stop = Array.unsafe_get a.stops i
-          and a_level = Array.unsafe_get a.levels i in
+          and a_pid = Array.unsafe_get a.pids i in
           match axis with
           | Descendant ->
             for j = 0 to n_d - 1 do
-              buf_push8 out a_sid a_start a_stop a_level d_sid
+              buf_push8 out a_sid a_start a_stop a_pid d_sid
                 (Array.unsafe_get d.starts j)
                 (Array.unsafe_get d.stops j)
-                (Array.unsafe_get d.levels j)
+                (Array.unsafe_get d.pids j)
             done;
             stats.cross_pairs <- stats.cross_pairs + n_d
           | Child ->
-            let child_level = a_level + 1 in
+            let child_level = depth.(a_pid) + 1 in
             for j = 0 to n_d - 1 do
-              if Array.unsafe_get d.levels j = child_level then begin
-                buf_push8 out a_sid a_start a_stop a_level d_sid
+              let d_pid = Array.unsafe_get d.pids j in
+              if depth.(d_pid) = child_level then begin
+                buf_push8 out a_sid a_start a_stop a_pid d_sid
                   (Array.unsafe_get d.starts j)
                   (Array.unsafe_get d.stops j)
-                  (Array.unsafe_get d.levels j);
+                  d_pid;
                 stats.cross_pairs <- stats.cross_pairs + 1
               end
             done
@@ -325,16 +371,16 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
   if task.in_seg then begin
     let a = fetch_a task.d_node in
     let d = get_d () in
-    in_segment_join ?guard ~axis ~anc:a ~desc:d
+    in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
       ~emit:(fun ai di ->
         buf_push8 out d_sid
           (Array.unsafe_get a.starts ai)
           (Array.unsafe_get a.stops ai)
-          (Array.unsafe_get a.levels ai)
+          (Array.unsafe_get a.pids ai)
           d_sid
           (Array.unsafe_get d.starts di)
           (Array.unsafe_get d.stops di)
-          (Array.unsafe_get d.levels di);
+          (Array.unsafe_get d.pids di);
         stats.in_pairs <- stats.in_pairs + 1)
       ()
   end
@@ -345,6 +391,14 @@ let exec_task ?guard ~axis ~fetch_a ~fetch_d ~stats ~out task =
    ER-tree, SB-tree and tag-list access happens here, on the calling
    thread; the tasks only read segment columns. *)
 let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld () =
+  (* Whether [sa] comes before [sd] in document order.  Two segments
+     share a gp only when one is the other's ancestor (the ancestor's
+     own text before the child is all tombstoned), and the tag lists
+     keep the ancestor first. *)
+  let precedes sa sd =
+    let ga = Update_log.gp log sa and gd = Update_log.gp log sd in
+    ga < gd || (ga = gd && is_ancestor sa sd)
+  in
   let stack = ref [] in
   let ia = ref 0 and id = ref 0 in
   while !id < Array.length sld && (!ia < Array.length sla || !stack <> []) do
@@ -364,12 +418,12 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         else None
       in
       (match sa_node with
-      | Some sa when Update_log.gp log sa < Update_log.gp log sd_node ->
+      | Some sa when precedes sa sd_node ->
         (* Step 2: push sa if it contains sd, else skip it forever
            (segments nest as a tree, so not containing means
            disjoint from everything at or after sd). *)
         stats.a_segments <- stats.a_segments + 1;
-        if contains_seg log sa sd_node then begin
+        if is_ancestor sa sd_node then begin
           let base : Er_node.cols = fetch_a sa in
           (* Optimization (i): keep only A-elements that contain at
              least one child-segment position.  Children are kept in
@@ -440,13 +494,21 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
         incr id)
   done
 
+let runs_total = Atomic.make 0
+let runs () = Atomic.get runs_total
+
 (* The whole join up to materialization: the filled output buffers, in
-   emission order, and the stats. *)
-let fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc =
+   emission order, and the stats.  [counting] buffers only count. *)
+let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc =
   let stats = zero_stats () in
+  Atomic.incr runs_total;
   Deadline.check_opt guard;
   Update_log.prepare_for_query log;
   let reg = Update_log.registry log in
+  (* Read on the calling thread: pool workers then only ever see this
+     version's table, which no write touches (a write after a freeze
+     registers its new paths in a copy). *)
+  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
   match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ([], stats)
   | Some tid_a, Some tid_d ->
@@ -491,10 +553,10 @@ let fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc 
     (match parallel with
     | None ->
       (* Sequential: execute each join unit as the merge produces it. *)
-      let out = buf_create () in
+      let out = buf_create ~counting in
       plan ?guard ~push_filter ~trim_top ~stats ~fetch_a:(fetch tid_a stats)
         ~emit_task:
-          (exec_task ?guard ~axis ~fetch_a:(fetch tid_a stats)
+          (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a stats)
              ~fetch_d:(fetch tid_d stats) ~stats ~out)
         log ~sla ~sld ();
       ([ out ], stats)
@@ -512,8 +574,8 @@ let fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc 
       let results =
         Domain_pool.map p (Array.length tasks) (fun i ->
             let lstats = zero_stats () in
-            let out = buf_create () in
-            exec_task ?guard ~axis ~fetch_a:(fetch tid_a lstats)
+            let out = buf_create ~counting in
+            exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a lstats)
               ~fetch_d:(fetch tid_d lstats) ~stats:lstats ~out tasks.(i);
             (out, lstats))
       in
@@ -523,12 +585,23 @@ let fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc 
 let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
     ?pool ?guard log ~anc ~desc () =
   let bufs, stats =
-    fill ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc
+    fill ~counting:false ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc
+      ~desc
   in
-  (bufs_to_pairs bufs, stats)
+  (bufs_to_pairs ~depth:(Path_synopsis.depth_table (Update_log.synopsis log)) bufs, stats)
+
+let run_refs ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
+    ?pool ?guard log ~anc ~desc () =
+  let bufs, stats =
+    fill ~counting:false ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc
+      ~desc
+  in
+  let a, d = bufs_to_refs bufs in
+  (a, d, stats)
 
 let count ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
-  pair_count (fst (fill ~axis ~push_filter:true ~trim_top:true ?pool ?guard log ~anc ~desc))
+  pair_count
+    (fst (fill ~counting:true ~axis ~push_filter:true ~trim_top:true ?pool ?guard log ~anc ~desc))
 
 (* Translates in emission order into two flat columns, then merges
    their sorted runs; no tuple exists until the result list is built.

@@ -30,7 +30,10 @@
     Element sets are each segment's own immutable per-tag columns
     ({!Lxu_seglog.Er_node.cols}), and the join kernels run directly on
     those unboxed [int array]s, writing results into a flat integer
-    buffer: the inner loops allocate nothing per element.  [pair]
+    buffer: the inner loops allocate nothing per element.  An
+    element's level is its path slot's depth
+    ({!Lxu_seglog.Path_synopsis.depth_table}), read from the table of
+    the log version being joined, captured on the calling thread.  [pair]
     records are built once at the API boundary.  Every unit carries
     its segment node, resolved during the (sequential) merge pass, so
     worker domains read only immutable columns and never the
@@ -115,6 +118,38 @@ val run :
     chunk.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)
 
+val ref_of : sid:int -> start:int -> int
+(** An element ref: segment [sid] and virtual start [start] packed in
+    one int, [sid] in the high bits — refs order like the pairs
+    [(sid, start)].
+    @raise Invalid_argument unless [0 <= start < 2{^32}] and
+    [0 <= sid < 2{^30}]. *)
+
+val ref_sid : int -> int
+(** The segment of a ref. *)
+
+val run_refs :
+  ?axis:axis ->
+  ?push_filter:bool ->
+  ?trim_top:bool ->
+  ?a_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
+  ?d_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
+  ?pool:Lxu_util.Domain_pool.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  anc:string ->
+  desc:string ->
+  unit ->
+  int array * int array * stats
+(** {!run}'s pairs as two columns of refs ({!ref_of}), in the same
+    order: pair [i] is [(anc.(i), desc.(i))].  No pair record is
+    built — the path executor's input, which only needs element
+    identities. *)
+
+val runs : unit -> int
+(** Joins started in this process ({!run}, {!run_refs} and {!count}
+    each add one) — lets tests prove that an evaluation ran none. *)
+
 val count :
   ?axis:axis ->
   ?pool:Lxu_util.Domain_pool.t ->
@@ -124,10 +159,10 @@ val count :
   desc:string ->
   unit ->
   int
-(** [Array.length (fst (run log ~anc ~desc ()))] without the pair
-    records: the join fills its flat output buffers as {!run} does and
-    the count is read off their length.  [axis], [pool] and [guard] as
-    in {!run}. *)
+(** [Array.length (fst (run log ~anc ~desc ()))] without the pairs:
+    the join runs as {!run} does, but its output buffers only count
+    what would be written, so a count allocates nothing per pair.
+    [axis], [pool] and [guard] as in {!run}. *)
 
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,

@@ -12,6 +12,7 @@ let global_list_counted log ~tag stats =
   match Tag_registry.find reg tag with
   | None -> [||]
   | Some tid ->
+    let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
     let acc = Vec.create () in
     Array.iter
       (fun (entry : Tag_list.entry) ->
@@ -26,7 +27,7 @@ let global_list_counted log ~tag stats =
             Er_node.global_extent_span ~gp:(Update_log.gp log node) node ~start:c.starts.(i)
               ~stop:c.stops.(i)
           in
-          Vec.push acc (Interval.make ~start:gstart ~stop:gstop ~level:c.levels.(i))
+          Vec.push acc (Interval.make ~start:gstart ~stop:gstop ~level:depth.(c.pids.(i)))
         done)
       (Update_log.segments_for_tag log ~tag);
     let a = Vec.to_array acc in
@@ -45,16 +46,3 @@ let run ?axis log ~anc ~desc () =
   let pairs, jstats = Stack_tree_desc.join ?axis ~anc:a ~desc:d () in
   stats.pairs <- jstats.Stack_tree_desc.pairs;
   (pairs, stats)
-
-let path_leaves log ~tags ~edges =
-  let n = Array.length tags in
-  if n = 0 || Array.length edges <> n then
-    invalid_arg "Std_baseline.path_leaves: need one edge per tag";
-  let streams = Array.map (fun tag -> global_list log ~tag) tags in
-  if edges.(0) = Path_stack.Child then
-    streams.(0) <-
-      Array.of_seq
-        (Seq.filter (fun (l : Interval.t) -> l.Interval.level = 0) (Array.to_seq streams.(0)));
-  Path_stack.leaves ~streams ~edges:(Array.sub edges 1 (n - 1))
-  |> List.map (fun (l : Interval.t) -> (l.Interval.start, l.Interval.stop))
-  |> List.sort_uniq compare

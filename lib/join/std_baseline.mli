@@ -29,14 +29,3 @@ val global_list : Lxu_seglog.Update_log.t -> tag:string -> Lxu_labeling.Interval
     own columns ({!Lxu_seglog.Update_log.elements_cols}); translation
     to global coordinates still happens per query (global positions
     move under updates, so they cannot be cached). *)
-
-val path_leaves :
-  Lxu_seglog.Update_log.t -> tags:string array -> edges:Path_stack.edge array -> (int * int) list
-(** Holistic evaluation of a predicate-free path over the translated
-    global lists: one PathStack pass instead of one join per step — the
-    executor of the planner's [Holistic] plan.  [tags.(i)] is step [i];
-    [edges.(0)] is the leading axis ([Child] keeps only document-level
-    elements of the first step) and [edges.(i)] relates step [i-1] to
-    step [i].  Returns the distinct final-step matches as global
-    [(start, stop)] extents, sorted.
-    @raise Invalid_argument if [tags] is empty or the lengths differ. *)

@@ -9,8 +9,9 @@
        (seed towards the head) followed by a down phase (towards the
        tail);}
     {- an {e engine}: per-join Lazy-Join with push-optimization
-       settings, or a holistic PathStack pass when streaming every tag
-       once is provably cheaper than the best join order;}
+       settings, or a holistic pass when streaming every tag once is
+       provably cheaper than the best join order (the executor runs a
+       predicate-free chain as a {!partition} scan);}
     {- per-join {e restriction evidence}: each planned join carries
        segment filters (membership of the frontier set, synopsis
        ancestor-tag evidence) that Lazy-Join applies before touching
@@ -64,8 +65,8 @@ type ordered = {
 type t =
   | Naive  (** single-step chains and forced fallback: no plan *)
   | Holistic of { est_stream : int }
-      (** stream all tags once through PathStack (predicate-free
-          chains only) *)
+      (** stream all tags once (predicate-free chains only); executed
+          as a {!partition} scan *)
   | Ordered of ordered
 
 val choose :
@@ -75,7 +76,7 @@ val choose :
     down-join pairs], and returns the cheapest plan.  [force_seed]
     skips enumeration and orders around the given step (the bench's
     best-hand-ordered oracle); out-of-range values are clamped.
-    [allow_holistic] (default true) permits the PathStack engine when
+    [allow_holistic] (default true) permits the holistic engine when
     its streaming estimate beats the best join order by a wide margin
     (conservative: joins win ties).  Chains shorter than two steps
     return {!Naive}. *)
@@ -84,3 +85,35 @@ val explain : chain -> t -> string
 (** Multi-line rendering of the plan: join order, engine and push
     settings per join, estimated vs actual cardinalities (actuals show
     as [-] until the executor fills them in). *)
+
+(** {1 Path partitioning}
+
+    A predicate-free chain needs no join at all.  Every element carries
+    its synopsis path slot ({!Lxu_seglog.Er_node.cols}[.pids]), and an
+    element matches the chain exactly when its root-to-element path
+    does: its ancestors are the path's prefixes.  So the chain is
+    matched once against the synopsis' distinct paths, and the answer
+    is the last step's elements whose slot matched. *)
+
+type partition = {
+  tid : int;
+      (** the last step's tag id — the one tag whose columns are
+          scanned; [-1] when some step's tag is not in the registry *)
+  slots : bool array;
+      (** [slots.(s)]: synopsis slot [s] holds a live path the chain
+          matches (indexed by every slot handed out when planned) *)
+  est : int;
+      (** live elements on the matching paths: the exact result
+          count, so [0] proves the result empty *)
+  mutable actual : int;  (** [-1] until executed *)
+}
+
+val partition : log:Lxu_seglog.Update_log.t -> chain -> partition
+(** Matches the chain against every live synopsis path, O(paths ×
+    steps × path length), touching no element.
+    @raise Invalid_argument if the chain has predicates. *)
+
+val explain_partition : log:Lxu_seglog.Update_log.t -> chain -> partition -> string
+(** Multi-line rendering: the scanned tag, how many paths match, the
+    estimated vs actual result count, then one line per matching path
+    with its element count. *)

@@ -2,9 +2,9 @@ open Lxu_util
 
 type elem = { start : int; stop : int; level : int; tid : int }
 
-type cols = { starts : int array; stops : int array; levels : int array }
+type cols = { starts : int array; stops : int array; pids : int array }
 
-let empty_cols = { starts = [||]; stops = [||]; levels = [||] }
+let empty_cols = { starts = [||]; stops = [||]; pids = [||] }
 let cols_length c = Array.length c.starts
 
 (* Per-tag columns of one segment: [per_tag.(i)] holds the elements of
@@ -43,83 +43,113 @@ type t = {
   mutable tr : translator;
 }
 
-(* Index of the first entry of the sorted array [tids] that is [>= tid]. *)
-let tid_slot tids tid =
-  let lo = ref 0 and hi = ref (Array.length tids) in
+(* Index of the first entry of the sorted array [a] that is [>= x]. *)
+let lower_bound (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get tids mid < tid then lo := mid + 1 else hi := mid
+    if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
   done;
   !lo
 
+let no_columns = { tids = [||]; per_tag = [||] }
+
 (* Splits a start-sorted skeleton into per-tag columns, each still
-   sorted by start. *)
-let columns_of_elems elems =
+   sorted by start; [pids.(i)] is element [i]'s synopsis slot. *)
+let columns_of_elems elems pids =
   let n = Vec.length elems in
+  if Array.length pids <> n then invalid_arg "Er_node.index: one slot per element";
   let all = Array.init n (fun i -> (Vec.get elems i).tid) in
   Array.sort Int.compare all;
   let distinct = Vec.create () in
   Array.iteri (fun i tid -> if i = 0 || all.(i - 1) <> tid then Vec.push distinct tid) all;
   let tids = Vec.to_array distinct in
-  let slot tid = tid_slot tids tid in
+  let slot tid = lower_bound tids tid in
   let counts = Array.make (Array.length tids) 0 in
   Vec.iter (fun e -> let k = slot e.tid in counts.(k) <- counts.(k) + 1) elems;
   let per_tag =
     Array.map
-      (fun c -> { starts = Array.make c 0; stops = Array.make c 0; levels = Array.make c 0 })
+      (fun c -> { starts = Array.make c 0; stops = Array.make c 0; pids = Array.make c 0 })
       counts
   in
   let fill = Array.make (Array.length tids) 0 in
-  Vec.iter
-    (fun e ->
+  Vec.iteri
+    (fun j e ->
       let k = slot e.tid in
       let c = per_tag.(k) and i = fill.(k) in
       c.starts.(i) <- e.start;
       c.stops.(i) <- e.stop;
-      c.levels.(i) <- e.level;
+      c.pids.(i) <- pids.(j);
       fill.(k) <- i + 1)
     elems;
   { tids; per_tag }
 
-let set_elems t elems =
-  t.elems <- elems;
-  t.columns <- columns_of_elems elems
+let index t ~pids = t.columns <- columns_of_elems t.elems pids
 
 let cols t ~tid =
   let tids = t.columns.tids in
-  let i = tid_slot tids tid in
+  let i = lower_bound tids tid in
   if i < Array.length tids && tids.(i) = tid then t.columns.per_tag.(i) else empty_cols
 
 (* Walks the skeleton once against the columns without rebuilding
    them: each element must be the next entry of its tag's columns, and
    every column must be used up.  [tids] must be strictly ascending
-   (the binary search relies on it) with no empty tag. *)
-let columns_agree t =
+   (the binary search relies on it) with no empty tag.  On agreement
+   returns each skeleton element's slot, read off its column entry. *)
+let skeleton_pids t =
   let { tids; per_tag } = t.columns in
   let k = Array.length tids in
   let fill = Array.make k 0 in
+  let pids = Array.make (Vec.length t.elems) 0 in
   let ok = ref (Array.length per_tag = k) in
   for i = 1 to k - 1 do
     if tids.(i - 1) >= tids.(i) then ok := false
   done;
   if !ok then
-    Vec.iter
-      (fun e ->
-        let j = tid_slot tids e.tid in
+    Vec.iteri
+      (fun x e ->
+        let j = lower_bound tids e.tid in
         if j >= k || tids.(j) <> e.tid then ok := false
         else begin
           let c = per_tag.(j) and i = fill.(j) in
-          if i >= cols_length c || c.starts.(i) <> e.start || c.stops.(i) <> e.stop
-             || c.levels.(i) <> e.level
-          then ok := false
-          else fill.(j) <- i + 1
+          if i >= cols_length c || c.starts.(i) <> e.start || c.stops.(i) <> e.stop then ok := false
+          else begin
+            pids.(x) <- c.pids.(i);
+            fill.(j) <- i + 1
+          end
         end)
       t.elems;
-  !ok
-  && Array.for_all2
-       (fun c n ->
-         n > 0 && n = cols_length c && Array.length c.stops = n && Array.length c.levels = n)
-       per_tag fill
+  if
+    !ok
+    && Array.for_all2
+         (fun c n ->
+           n > 0 && n = cols_length c && Array.length c.stops = n && Array.length c.pids = n)
+         per_tag fill
+  then Some pids
+  else None
+
+let remove_elements t ~vu ~vv f =
+  let inside (e : elem) = e.start >= vu && e.stop <= vv in
+  if Vec.exists inside t.elems then begin
+    let pids =
+      match skeleton_pids t with
+      | Some p -> p
+      | None -> invalid_arg "Er_node.remove_elements: columns disagree with the skeleton"
+    in
+    let kept = Vec.create () and kept_pids = Vec.create () in
+    Vec.iteri
+      (fun i e ->
+        if inside e then f ~tid:e.tid ~pid:pids.(i)
+        else begin
+          Vec.push kept e;
+          Vec.push kept_pids pids.(i)
+        end)
+      t.elems;
+    (* Replaced wholesale, never edited in place: copies of the node
+       and frozen readers keep the old skeleton and columns. *)
+    t.elems <- kept;
+    t.columns <- columns_of_elems kept (Vec.to_array kept_pids)
+  end
 
 let iter_columns t f = Array.iteri (fun i tid -> f tid t.columns.per_tag.(i)) t.columns.tids
 
@@ -133,7 +163,6 @@ let columns_size_bytes t =
   8 * !words
 
 let make ~sid ~slot ~gen ~parent_path ~lp ~base_level ~text ~elems =
-  let elems = Vec.of_list elems in
   {
     sid;
     slot;
@@ -148,12 +177,12 @@ let make ~sid ~slot ~gen ~parent_path ~lp ~base_level ~text ~elems =
     children = Vec.create ();
     tombstones = Vec.create ();
     elems;
-    columns = columns_of_elems elems;
+    columns = no_columns;
     tr = no_translator;
   }
 
 let make_root () =
-  make ~sid:0 ~slot:0 ~gen:0 ~parent_path:[||] ~lp:0 ~base_level:0 ~text:"" ~elems:[]
+  make ~sid:0 ~slot:0 ~gen:0 ~parent_path:[||] ~lp:0 ~base_level:0 ~text:"" ~elems:(Vec.create ())
 
 let own ~gen n =
   if n.gen = gen then begin

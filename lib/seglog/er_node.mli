@@ -26,12 +26,15 @@ type elem = { start : int; stop : int; level : int; tid : int }
 (** An element of a segment: virtual local extent [start, stop) and
     absolute depth [level] in the super document. *)
 
-type cols = { starts : int array; stops : int array; levels : int array }
+type cols = { starts : int array; stops : int array; pids : int array }
 (** One segment's elements of one tag in local document order:
     [[starts.(i), stops.(i))] is element [i]'s immutable virtual
-    extent, [levels.(i)] its absolute depth.  All three arrays have
-    equal length.  Never mutated after construction: callers share
-    them freely, across domains and frozen snapshots. *)
+    extent, [pids.(i)] its path-synopsis slot
+    ({!Path_synopsis.add_segment}): the slot of its root-to-element tag
+    path, which never changes, so neither does the slot.  Its absolute
+    depth is [(Path_synopsis.depth_table syn).(pids.(i))].  All three
+    arrays have equal length.  Never mutated after construction:
+    callers share them freely, across domains and frozen snapshots. *)
 
 val empty_cols : cols
 val cols_length : cols -> int
@@ -71,10 +74,11 @@ type t = {
           edited in place, so copies share it. *)
   mutable elems : elem Lxu_util.Vec.t;
       (** surviving elements, sorted by [start].  Replaced wholesale,
-          only through {!set_elems} — never mutated in place — so node
+          only by {!remove_elements} — never mutated in place — so node
           copies and snapshots can share the Vec. *)
   mutable columns : columns;
-      (** [elems] as per-tag columns; rebuilt by {!set_elems} only *)
+      (** [elems] as per-tag columns; built by {!index}, replaced by
+          {!remove_elements} *)
   mutable tr : translator;  (** cache of {!translator}; see there *)
 }
 
@@ -90,12 +94,13 @@ val make :
   lp:int ->
   base_level:int ->
   text:string ->
-  elems:elem list ->
+  elems:elem Lxu_util.Vec.t ->
   t
 (** A fresh segment node of generation [gen] whose gp lives at [slot];
     [path] is [parent_path] plus [sid], [ctx] is empty, [len] and
     [orig_len] are the text length, and elements must be sorted by
-    [start].  Builds the per-tag columns. *)
+    [start].  Its columns stay empty until {!index} is given the
+    elements' synopsis slots. *)
 
 val own : gen:int -> t -> t
 (** [own ~gen n] is a version of [n] that generation [gen] may change
@@ -106,10 +111,19 @@ val own : gen:int -> t -> t
     into its parent's children, which must be owned first (a path
     from the root), and into the sid map. *)
 
-val set_elems : t -> elem Lxu_util.Vec.t -> unit
-(** Replaces the skeleton (start-sorted) and rebuilds the columns from
-    it — the one way a segment's elements change.  The old Vec and
-    columns are left untouched, so snapshots keep reading them. *)
+val index : t -> pids:int array -> unit
+(** Builds the per-tag columns from the skeleton, [pids.(i)] being
+    skeleton element [i]'s synopsis slot — once per node, after the
+    synopsis scan that assigns the slots.
+    @raise Invalid_argument unless there is one slot per element. *)
+
+val remove_elements : t -> vu:int -> vv:int -> (tid:int -> pid:int -> unit) -> unit
+(** Drops the elements inside virtual range [[vu, vv)] from the
+    skeleton and the columns, calling [f ~tid ~pid] on each — the one
+    way a segment's elements change.  Both are replaced wholesale (the
+    old Vec and columns are left untouched, so snapshots keep reading
+    them), and only when an element is dropped.  The range must not
+    split an element. *)
 
 val cols : t -> tid:int -> cols
 (** The segment's elements of tag [tid] ({!empty_cols} when it has
@@ -118,9 +132,12 @@ val cols : t -> tid:int -> cols
 val iter_columns : t -> (int -> cols -> unit) -> unit
 (** [f tid cols] for every tag present in the segment, ascending. *)
 
-val columns_agree : t -> bool
-(** The columns equal a fresh per-tag split of the skeleton — the
-    store's invariant, asserted by {!Update_log.check}. *)
+val skeleton_pids : t -> int array option
+(** [Some pids] when the columns hold exactly the skeleton split per
+    tag (extents and order), [pids.(i)] being the slot stored for
+    skeleton element [i]; [None] otherwise.  The store's invariant:
+    {!Update_log.check} asserts it, then checks each slot against the
+    synopsis with {!Path_synopsis.check_slots}. *)
 
 val columns_size_bytes : t -> int
 (** Heap bytes of the columns, headers included. *)

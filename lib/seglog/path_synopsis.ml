@@ -3,19 +3,23 @@ open Lxu_util
 (* Counts live in a flat array indexed by an append-only path -> slot
    table, not in per-path ref cells, and [clone] is copy-on-write:
    MVCC publishes a frozen clone after every committing write, so the
-   clone itself is O(1).  The frozen side shares
-   [index], [counts] and [tag_counts] outright (it never mutates); the
+   clone itself is O(1).  The frozen side shares [index], [paths],
+   [depth], [counts] and [tag_counts] outright (it never mutates); the
    live side copies a shared structure right before its first mutation
    after a freeze — one flat [Array.copy] per write for the counts,
-   and a bucket-level [Hashtbl.copy] of the index only when a {e new}
-   distinct path appears, which steady-state traffic almost never
-   does.  Slots whose count returns to zero are kept (the table only
-   ever grows to the number of distinct paths ever seen). *)
+   and a bucket-level [Hashtbl.copy] of the index (with the two slot
+   arrays) only when a {e new} distinct path appears, which
+   steady-state traffic almost never does.  Slots are never reused:
+   one whose count returns to zero keeps its path, because elements
+   carry their slot in their segment's columns and a frozen reader may
+   still hold columns naming it. *)
 type t = {
   mutable index : (int array, int) Hashtbl.t;
       (* root-to-element tag-id path -> slot.  Key arrays are
-         write-once and shared with clones; slots are never removed. *)
-  mutable index_shared : bool;
+         write-once and shared with clones and with [paths]. *)
+  mutable paths : int array array;  (* slot -> path *)
+  mutable depth : int array;  (* slot -> level: path length - 1 *)
+  mutable index_shared : bool;  (* covers [index], [paths] and [depth] *)
   mutable counts : int array;  (* slot -> live element count *)
   mutable tag_counts : int array;  (* tag id -> live element count *)
   mutable counts_shared : bool;  (* covers [counts] and [tag_counts] *)
@@ -27,6 +31,8 @@ type t = {
 let create () =
   {
     index = Hashtbl.create 256;
+    paths = Array.make 256 [||];
+    depth = Array.make 256 0;
     index_shared = false;
     counts = Array.make 256 0;
     tag_counts = Array.make 64 0;
@@ -50,8 +56,22 @@ let own_counts t =
     t.counts_shared <- false
   end
 
+(* Before the live side registers a new path: likewise for the index
+   and the slot tables. *)
+let own_index t =
+  if t.index_shared then begin
+    t.index <- Hashtbl.copy t.index;
+    t.paths <- Array.copy t.paths;
+    t.depth <- Array.copy t.depth;
+    t.index_shared <- false
+  end
+
 let elements t = t.elems
 let distinct_paths t = t.live_paths
+let slots t = t.n_slots
+let depth_table t = t.depth
+let path t s = t.paths.(s)
+let count t s = t.counts.(s)
 
 let tag_total t ~tid =
   if tid >= 0 && tid < Array.length t.tag_counts then t.tag_counts.(tid) else 0
@@ -64,144 +84,153 @@ let bump_total t tid d =
   end;
   t.tag_counts.(tid) <- t.tag_counts.(tid) + d
 
+let grow a fill =
+  let na = Array.make (max 16 (2 * Array.length a)) fill in
+  Array.blit a 0 na 0 (Array.length a);
+  na
+
 let slot_for t key =
   match Hashtbl.find_opt t.index key with
   | Some s -> s
   | None ->
-    if t.index_shared then begin
-      t.index <- Hashtbl.copy t.index;
-      t.index_shared <- false
-    end;
+    own_index t;
     let s = t.n_slots in
     if s >= Array.length t.counts then begin
-      let na = Array.make (max 16 (2 * Array.length t.counts)) 0 in
-      Array.blit t.counts 0 na 0 (Array.length t.counts);
-      t.counts <- na;
-      t.counts_shared <- false
+      (* A fresh array is owned whatever [counts_shared] says, but
+         [tag_counts] may still be shared: [own_counts] ran first. *)
+      t.counts <- grow t.counts 0;
+      t.paths <- grow t.paths [||];
+      t.depth <- grow t.depth 0
     end;
     t.n_slots <- s + 1;
+    t.paths.(s) <- key;
+    t.depth.(s) <- Array.length key - 1;
     Hashtbl.add t.index key s;
     s
 
 (* Walks [elems] (sorted by virtual start, properly nested) with an
-   ancestor stack and hands [f] each element's full root-to-element
-   path in a scratch buffer: [ctx_tids], then the tags of the enclosing
-   fragment elements, then the element's own tag.  The buffer is only
-   valid for the duration of the call.  [until] stops the walk at the
-   first element starting at or past that virtual position — sound
-   whenever the caller only cares about elements starting before it. *)
-let iter_element_paths ?(until = max_int) ~ctx_tids elems f =
+   ancestor stack and hands [f] each element's index and full
+   root-to-element path in a scratch buffer: [ctx_tids], then the tags
+   of the enclosing fragment elements, then the element's own tag.
+   The buffer is only valid for the duration of the call. *)
+let iter_element_paths ~ctx_tids elems f =
   let nctx = Array.length ctx_tids in
   let buf = ref (Array.make (nctx + 16) 0) in
   Array.blit ctx_tids 0 !buf 0 nctx;
   let stops = ref (Array.make 16 0) in
   let depth = ref 0 in
-  try
-    Vec.iter
-      (fun (e : Er_node.elem) ->
-        if e.Er_node.start >= until then raise Exit;
-        while !depth > 0 && !stops.(!depth - 1) <= e.Er_node.start do
-          decr depth
-        done;
-        let len = nctx + !depth + 1 in
-        if len > Array.length !buf then begin
-          let nb = Array.make (2 * len) 0 in
-          Array.blit !buf 0 nb 0 (Array.length !buf);
-          buf := nb
-        end;
-        !buf.(len - 1) <- e.Er_node.tid;
-        f !buf len e;
-        (* Push after the call: the slot written above doubles as the
-           stack entry for elements nested inside [e]. *)
-        if !depth = Array.length !stops then begin
-          let ns = Array.make (2 * !depth) 0 in
-          Array.blit !stops 0 ns 0 !depth;
-          stops := ns
-        end;
-        !stops.(!depth) <- e.Er_node.stop;
-        incr depth)
-      elems
-  with Exit -> ()
+  Vec.iteri
+    (fun i (e : Er_node.elem) ->
+      while !depth > 0 && !stops.(!depth - 1) <= e.Er_node.start do
+        decr depth
+      done;
+      let len = nctx + !depth + 1 in
+      if len > Array.length !buf then begin
+        let nb = Array.make (2 * len) 0 in
+        Array.blit !buf 0 nb 0 (Array.length !buf);
+        buf := nb
+      end;
+      !buf.(len - 1) <- e.Er_node.tid;
+      f i !buf len e;
+      (* Push after the call: the slot written above doubles as the
+         stack entry for elements nested inside [e]. *)
+      if !depth = Array.length !stops then begin
+        let ns = Array.make (2 * !depth) 0 in
+        Array.blit !stops 0 ns 0 !depth;
+        stops := ns
+      end;
+      !stops.(!depth) <- e.Er_node.stop;
+      incr depth)
+    elems
+
+let prefix_equal (key : int array) (buf : int array) len =
+  Array.length key = len
+  &&
+  let rec eq i = i >= len || (key.(i) = buf.(i) && eq (i + 1)) in
+  eq 0
 
 let add_segment t ~ctx_tids ~elems =
   own_counts t;
+  let pids = Array.make (Vec.length elems) 0 in
   (* Sibling runs repeat the same path back to back, so memoize the
      last slot and skip the hash round-trip for repeats. *)
   let last_key = ref [||] in
   let last_slot = ref (-1) in
-  iter_element_paths ~ctx_tids elems (fun buf len e ->
+  iter_element_paths ~ctx_tids elems (fun i buf len e ->
       bump_total t e.Er_node.tid 1;
       t.elems <- t.elems + 1;
-      let lk = !last_key in
-      let same =
-        Array.length lk = len
-        &&
-        let rec eq i = i >= len || (lk.(i) = buf.(i) && eq (i + 1)) in
-        eq 0
-      in
       let s =
-        if same then !last_slot
+        if prefix_equal !last_key buf len then !last_slot
         else begin
           let key = Array.sub buf 0 len in
           let s = slot_for t key in
-          last_key := key;
+          last_key := t.paths.(s);
           last_slot := s;
           s
         end
       in
       if t.counts.(s) = 0 then t.live_paths <- t.live_paths + 1;
-      t.counts.(s) <- t.counts.(s) + 1)
+      t.counts.(s) <- t.counts.(s) + 1;
+      pids.(i) <- s);
+  pids
 
-let remove_matching ?until t ~ctx_tids ~elems ~removed =
+let remove_pid t ~tid pid =
   own_counts t;
-  iter_element_paths ?until ~ctx_tids elems (fun buf len e ->
-      if removed e then begin
-        bump_total t e.Er_node.tid (-1);
-        t.elems <- t.elems - 1;
-        let key = Array.sub buf 0 len in
-        match Hashtbl.find_opt t.index key with
-        | Some s when t.counts.(s) > 0 ->
-          t.counts.(s) <- t.counts.(s) - 1;
-          if t.counts.(s) = 0 then t.live_paths <- t.live_paths - 1
-        | Some _ | None -> ()
-      end)
+  bump_total t tid (-1);
+  t.elems <- t.elems - 1;
+  let c = t.counts.(pid) - 1 in
+  t.counts.(pid) <- c;
+  if c = 0 then t.live_paths <- t.live_paths - 1
 
-let remove_segment t ~ctx_tids ~elems = remove_matching t ~ctx_tids ~elems ~removed:(fun _ -> true)
+let remove_segment t (n : Er_node.t) =
+  own_counts t;
+  Er_node.iter_columns n (fun tid c ->
+      let k = Er_node.cols_length c in
+      bump_total t tid (-k);
+      t.elems <- t.elems - k;
+      Array.iter
+        (fun pid ->
+          let c = t.counts.(pid) - 1 in
+          t.counts.(pid) <- c;
+          if c = 0 then t.live_paths <- t.live_paths - 1)
+        c.Er_node.pids)
+
+let check_slots t ~ctx_tids ~elems ~pids =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  iter_element_paths ~ctx_tids elems (fun i buf len (e : Er_node.elem) ->
+      let s = pids.(i) in
+      if s < 0 || s >= t.n_slots then fail "element at %d: slot %d outside the table" e.start s;
+      if t.depth.(s) <> e.level then
+        fail "element at %d: slot %d has depth %d, the skeleton says level %d" e.start s
+          t.depth.(s) e.level;
+      if not (prefix_equal t.paths.(s) buf len) then
+        fail "element at %d: slot %d holds another path than the skeleton derives" e.start s)
 
 let iter t f =
-  let counts = t.counts in
-  Hashtbl.iter
-    (fun k s ->
-      let c = counts.(s) in
-      if c > 0 then f k c)
-    t.index
+  for s = 0 to t.n_slots - 1 do
+    let c = t.counts.(s) in
+    if c > 0 then f t.paths.(s) c
+  done
 
 let to_sorted_list t =
-  let counts = t.counts in
-  Hashtbl.fold
-    (fun k s acc ->
-      let c = counts.(s) in
-      if c > 0 then (Array.to_list k, c) :: acc else acc)
-    t.index []
-  |> List.sort compare
+  let acc = ref [] in
+  iter t (fun k c -> acc := (Array.to_list k, c) :: !acc);
+  List.sort compare !acc
 
 let equal a b =
   a.elems = b.elems
   && a.live_paths = b.live_paths
-  && Hashtbl.fold
-       (fun k s ok ->
-         ok
-         &&
-         let c = a.counts.(s) in
-         c = 0
-         ||
-         match Hashtbl.find_opt b.index k with
-         | Some s' -> b.counts.(s') = c
-         | None -> false)
-       a.index true
+  &&
+  let ok = ref true in
+  iter a (fun k c ->
+      match Hashtbl.find_opt b.index k with
+      | Some s' when b.counts.(s') = c -> ()
+      | _ -> ok := false);
+  !ok
 
 let size_bytes t =
-  let paths =
-    Hashtbl.fold (fun k _ acc -> acc + (8 * (Array.length k + 3))) t.index 0
-  in
-  paths + (8 * (Array.length t.counts + Array.length t.tag_counts))
+  let paths = ref 0 in
+  for s = 0 to t.n_slots - 1 do
+    paths := !paths + (8 * (Array.length t.paths.(s) + 3))
+  done;
+  !paths + (8 * (Array.length t.counts + Array.length t.tag_counts + Array.length t.depth))

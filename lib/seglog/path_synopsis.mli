@@ -22,10 +22,21 @@
     touching the element index, and without forcing a dirty tag-list
     sort.
 
-    Costs: O(elements) per segment insert/remove (one stack scan, one
-    hash update per element), O(distinct paths) space.  Counts are
-    {e exact}, so a zero is proof of absence — the planner's license
-    to skip whole joins and segments (selective Proposition 3). *)
+    {b Slots.}  Every distinct path ever seen has a {e slot}: an index
+    into flat tables of its path, its depth and its live count.  Slots
+    are append-only and never reused, and an element's path never
+    changes (a segment is inserted whole and never gains an ancestor),
+    so {!add_segment} hands each element its slot once and the segment
+    keeps it in its columns ({!Er_node.cols}[.pids]).  An element's
+    level is then [depth.(pid)], removes decrement by slot with no
+    path walk, and a predicate-free path query reduces to a set of
+    slots (path partitioning).
+
+    Costs: O(elements) per segment insert (one stack scan, one hash
+    probe per run of equal paths) and per removal (one decrement per
+    element), O(distinct paths) space.  Counts are {e exact}, so a
+    zero is proof of absence — the planner's license to skip whole
+    joins and segments (selective Proposition 3). *)
 
 type t
 
@@ -34,56 +45,69 @@ val create : unit -> t
 val clone : t -> t
 (** Copy-on-write snapshot for frozen clones, O(1), cheap enough for
     the MVCC publish path (which freezes after every committing
-    write): the clone shares the path index and count arrays outright,
-    and the live side copies a shared structure just before its first
-    mutation after the freeze — one flat array copy per write, plus a
-    bucket-level index copy only when a new distinct path appears.
-    The clone itself must never be mutated concurrently with the
-    original (frozen logs never are). *)
+    write): the clone shares the path index, the slot tables and the
+    count arrays outright, and the live side copies a shared structure
+    just before its first mutation after the freeze — one flat array
+    copy per write, plus an index and slot-table copy only when a new
+    distinct path appears.  The clone itself must never be mutated
+    concurrently with the original (frozen logs never are). *)
 
 val elements : t -> int
 (** Live elements across all paths. *)
 
 val distinct_paths : t -> int
+(** Paths with at least one live element. *)
+
+val slots : t -> int
+(** Slots handed out so far, live or not: valid slots are [0, slots). *)
+
+val depth_table : t -> int array
+(** [depth_table t].(s) is the level of every element on slot [s]'s
+    path (its length minus one).  Entries below {!slots} never change,
+    and the array is never written once a {!clone} shares it — the
+    live side writes to its own copy — so a reader may capture it once
+    and hand it to other domains. *)
+
+val path : t -> int -> int array
+(** Slot [s]'s root-to-element tag-id path, shared — do not mutate. *)
+
+val count : t -> int -> int
+(** Live elements on slot [s]'s path. *)
 
 val tag_total : t -> tid:int -> int
 (** Live elements of one tag, O(1). *)
 
-val add_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> unit
-(** Registers a fresh segment with context chain [ctx_tids]: increments
-    the path of every element of [elems] (which must be sorted by
-    virtual start and properly nested, as segment skeletons are). *)
+val add_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> int array
+(** Registers a fresh segment with context chain [ctx_tids]: one stack
+    scan increments the path of every element of [elems] (which must
+    be sorted by virtual start and properly nested, as segment
+    skeletons are) and returns each element's slot, parallel to
+    [elems] — the [pids] that {!Er_node.index} stores in the columns. *)
 
-val remove_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> unit
-(** Full segment deletion: decrements every element's path.  [elems]
-    is the segment's skeleton as it was before the deletion. *)
+val remove_segment : t -> Er_node.t -> unit
+(** Full segment deletion: decrements the slot of every element in the
+    segment's columns. *)
 
-val remove_matching :
-  ?until:int ->
-  t ->
-  ctx_tids:int array ->
-  elems:Er_node.elem Lxu_util.Vec.t ->
-  removed:(Er_node.elem -> bool) ->
-  unit
-(** Partial removal (tombstoning): decrements the paths of the
-    elements of [elems] satisfying [removed].  [elems] must be the
-    {e pre-removal} skeleton — surviving elements still enclose the
-    removed ones during the scan, so paths come out exact.  [until]
-    stops the scan at the first element starting at or past that
-    virtual position: sound whenever [removed] rejects every element
-    starting there or later, and it keeps range removals (packing's
-    bread and butter) from walking the whole segment skeleton. *)
+val remove_pid : t -> tid:int -> int -> unit
+(** [remove_pid t ~tid pid] decrements one removed element of tag
+    [tid] on slot [pid] (partial removal, tombstoning). *)
+
+val check_slots : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> pids:int array -> unit
+(** Asserts that element [i] of [elems] sits on slot [pids.(i)]: the
+    slot's depth is the element's level and its path is the one the
+    stack scan derives from [ctx_tids] and the skeleton.
+    @raise Failure on the first disagreement. *)
 
 val iter : t -> (int array -> int -> unit) -> unit
-(** [iter t f] calls [f path count] for every distinct live path.
-    Paths are root-to-element tag-id arrays, shared — do not mutate.
-    Iteration order is unspecified. *)
+(** [iter t f] calls [f path count] for every distinct live path, in
+    slot order.  Paths are root-to-element tag-id arrays, shared — do
+    not mutate. *)
 
 val to_sorted_list : t -> (int list * int) list
 (** Deterministic dump for tests, sorted by path. *)
 
 val equal : t -> t -> bool
-(** Same path set with the same counts. *)
+(** Same path set with the same counts (slot numbers may differ). *)
 
 val size_bytes : t -> int
-(** Approximate footprint of the paths and their counts. *)
+(** Approximate footprint of the paths, their depths and counts. *)

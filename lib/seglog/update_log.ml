@@ -245,7 +245,7 @@ let iter_contexts (root : Er_node.t) f =
 let synopsis_rebuilt t =
   let syn = Path_synopsis.create () in
   iter_contexts t.root (fun n ctx ->
-      Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.Er_node.elems);
+      ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.Er_node.elems));
   syn
 
 (* --- insertion (Figure 5) ------------------------------------------ *)
@@ -254,7 +254,8 @@ let synopsis_rebuilt t =
    global positions, descend to the covering parent, derive the local
    position and base level, then build and link the new node.
    [elems_for] receives the computed base level and produces the
-   segment's element skeletons. *)
+   segment's element skeleton.  The synopsis scan of the new elements
+   hands each its path slot, and the columns are built from those. *)
 let link_new_segment t ~gp ~text ~elems_for =
   let open Er_node in
   let len = String.length text in
@@ -334,10 +335,11 @@ let link_new_segment t ~gp ~text ~elems_for =
      plus the containing elements collected above, so the chain length
      equals [base_level].  It is immutable for the segment's lifetime:
      an enclosing element's extent covers the whole segment, so
-     removing it removes the segment too. *)
+     removing it removes the segment too.  One scan counts every
+     element's path and returns its slot for the columns. *)
   node.ctx <-
     (match own_ctx with [] -> parent.ctx | own -> Array.append parent.ctx (Array.of_list own));
-  Path_synopsis.add_segment t.synopsis ~ctx_tids:node.ctx ~elems:node.elems;
+  index node ~pids:(Path_synopsis.add_segment t.synopsis ~ctx_tids:node.ctx ~elems:node.elems);
   node
 
 (* One tag-list entry per distinct tag of the segment; its context
@@ -414,18 +416,17 @@ let insert_edits ~who ?pool t edits =
               let names, nums = labelled.(k) in
               (* Interned in document order, the order tids are assigned. *)
               let tids = Array.map (Tag_registry.intern t.registry) names in
-              let elems = ref [] in
-              for j = Array.length names - 1 downto 0 do
-                elems :=
+              let elems = Vec.create () in
+              for j = 0 to Array.length names - 1 do
+                Vec.push elems
                   {
                     start = nums.(3 * j);
                     stop = nums.((3 * j) + 1);
                     level = base_level + nums.((3 * j) + 2);
                     tid = tids.(j);
                   }
-                  :: !elems
               done;
-              !elems)
+              elems)
         in
         (* Labelled: free them now, not at the end of a long batch. *)
         labelled.(k) <- ([||], [||]);
@@ -543,8 +544,8 @@ let remove t ~gp ~len =
     t.metrics.elements_removed <- t.metrics.elements_removed + k;
     t.live_elements <- t.live_elements - k
   in
-  let note_removed_elem sid (e : elem) =
-    let key = (sid, e.tid) in
+  let note_removed_elem sid tid =
+    let key = (sid, tid) in
     Hashtbl.replace decrements key (1 + Option.value ~default:0 (Hashtbl.find_opt decrements key));
     elements_gone 1
   in
@@ -552,7 +553,7 @@ let remove t ~gp ~len =
   let delete_subtree k =
     Er_node.iter_subtree k (fun n ->
         removed_sids := n.sid :: !removed_sids;
-        Path_synopsis.remove_segment t.synopsis ~ctx_tids:n.ctx ~elems:n.elems;
+        Path_synopsis.remove_segment t.synopsis n;
         elements_gone (Vec.length n.elems);
         free_slot t n.slot;
         match t.mode with
@@ -564,19 +565,12 @@ let remove t ~gp ~len =
      has refused every range that splits an element, so each element is
      either inside the range or untouched by it. *)
   let tombstone_own s vu vv =
-    (* Synopsis decrements need the pre-removal skeleton (surviving
-       elements still enclose the removed ones during the scan). *)
-    Path_synopsis.remove_matching ~until:vv t.synopsis ~ctx_tids:s.ctx ~elems:s.elems
-      ~removed:(fun (e : elem) -> e.start >= vu && e.stop <= vv);
-    let kept = Vec.create () in
-    Vec.iter
-      (fun (e : elem) ->
-        if e.start >= vu && e.stop <= vv then note_removed_elem s.sid e else Vec.push kept e)
-      s.elems;
-    (* Replace the skeleton and columns wholesale instead of editing in
-       place: copies of the node share both.  A gap over own text alone
-       (no element inside) leaves them as they are. *)
-    if Vec.length kept <> Vec.length s.elems then set_elems s kept;
+    (* The skeleton and columns are replaced wholesale, not edited in
+       place: copies of the node share both.  Each dropped element
+       names its synopsis slot, so the decrement walks no path. *)
+    remove_elements s ~vu ~vv (fun ~tid ~pid ->
+        Path_synopsis.remove_pid t.synopsis ~tid pid;
+        note_removed_elem s.sid tid);
     add_tombstone s vu vv
   in
   (* Recursive removal in pre-removal global coordinates; [x, y) is
@@ -749,8 +743,11 @@ let check t =
   if t.root.Er_node.slot <> 0 then failwith "root is not at slot 0";
   (* Every segment's columns are its tag-filtered skeleton, and the
      element counter agrees with the skeleton walk. *)
+  let pids = Hashtbl.create 256 in
   Er_node.iter_subtree t.root (fun n ->
-      if not (Er_node.columns_agree n) then
+      match Er_node.skeleton_pids n with
+      | Some p -> Hashtbl.replace pids n.Er_node.sid p
+      | None ->
         failwith
           (Printf.sprintf "segment %d: element columns disagree with its skeleton"
              n.Er_node.sid));
@@ -831,12 +828,19 @@ let check t =
       (Printf.sprintf "segment counter says %d, ER-tree walk says %d" t.live_segments
          (segment_count_walk t));
   (* The context chains on the nodes and the incrementally maintained
-     path synopsis agree with a from-scratch rebuild off the skeletons. *)
+     path synopsis agree with a from-scratch rebuild off the skeletons,
+     and every column entry's slot holds the path the skeleton derives
+     for its element, at the element's level. *)
   let rebuilt = Path_synopsis.create () in
   iter_contexts t.root (fun n ctx ->
+      let sid = n.Er_node.sid in
       if n.Er_node.ctx <> ctx then
-        failwith (Printf.sprintf "segment %d: context chain disagrees with a rebuild" n.Er_node.sid);
-      Path_synopsis.add_segment rebuilt ~ctx_tids:ctx ~elems:n.Er_node.elems);
+        failwith (Printf.sprintf "segment %d: context chain disagrees with a rebuild" sid);
+      (try
+         Path_synopsis.check_slots t.synopsis ~ctx_tids:ctx ~elems:n.Er_node.elems
+           ~pids:(Hashtbl.find pids sid)
+       with Failure msg -> failwith (Printf.sprintf "segment %d: %s" sid msg));
+      ignore (Path_synopsis.add_segment rebuilt ~ctx_tids:ctx ~elems:n.Er_node.elems));
   if not (Path_synopsis.equal t.synopsis rebuilt) then
     failwith "path synopsis disagrees with a from-scratch rebuild"
 
@@ -1007,13 +1011,13 @@ let load ?(backend = Storage_backend.Mem) ic =
     let tombs =
       List.init (bounded n_tomb "tombstone count") (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
     in
-    let elems =
-      List.init (bounded n_elems "element count") (fun _ ->
-          let e = scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }) in
-          if e.tid < 0 || e.tid >= tag_count then
-            fail "segment %d: element tag id %d outside the %d-tag table" sid e.tid tag_count;
-          e)
-    in
+    let elems = Vec.create () in
+    for _ = 1 to bounded n_elems "element count" do
+      let e = scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }) in
+      if e.tid < 0 || e.tid >= tag_count then
+        fail "segment %d: element tag id %d outside the %d-tag table" sid e.tid tag_count;
+      Vec.push elems e
+    done;
     let parent =
       match Hashtbl.find_opt by_sid parent_sid with
       | Some p -> p
@@ -1033,12 +1037,14 @@ let load ?(backend = Storage_backend.Mem) ic =
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
   t.live_elements <- element_count_walk t;
-  (* Rebuild derived structures: context chains and the synopsis,
-     tag lists from the segments' columns (built with each node above)
-     and chains, SB-tree from the ER-tree. *)
+  (* Rebuild derived structures: context chains and the synopsis, each
+     segment's columns from the slots its synopsis scan hands out, tag
+     lists from the columns and chains, SB-tree from the ER-tree.  A
+     hostile skeleton (out of order, overlapping) makes the columns
+     wrong, never raises here: [full_check] refuses it below. *)
   iter_contexts t.root (fun n ctx ->
       n.ctx <- ctx;
-      Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~elems:n.elems);
+      index n ~pids:(Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~elems:n.elems));
   Er_node.iter_subtree t.root (fun n ->
       if not (is_root n) then
         iter_tag_entries n (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry));

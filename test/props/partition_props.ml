@@ -1,0 +1,183 @@
+(* The partition-scan property: on random predicate-free chains, the
+   default plan (a partition scan over the synopsis' path slots), the
+   naive join composition, every forced seed of the ordered executor
+   and an oracle over a fresh parse of the text all agree.  Chains mix
+   Child and Desc steps (a Child first step included), repeat tags
+   ([//a//a], [//a/a]), step onto attributes and name a tag that never
+   occurs.  The stores see random inserts, whole-element removes and
+   packs, on LD and LS, in memory and paged, and a snapshot pinned
+   before further writes must keep answering for the text it was
+   taken at.  The default suite runs it at a hundred-odd cases; the
+   slow tier at thousands. *)
+
+open Lazy_xml
+
+let fragments =
+  [|
+    "<a/>";
+    "<a><a/></a>";
+    "<a k=\"1\"><b/></a>";
+    "<b><a><a k=\"2\"/></a></b>";
+    "<c>t<a/></c>";
+    "<b/><c k=\"3\">x</c>";
+    "<a><b><c/></b></a>";
+  |]
+
+let tags = [| "a"; "b"; "c"; "@k"; "zz" |]
+
+(* Fixed chains covering the corners; random ones are added per case. *)
+let corner_chains = [ "//a//a"; "//a/a"; "/a"; "/a/a"; "//a/@k"; "/b//c"; "//zz"; "//a//zz" ]
+
+let splice text ~gp frag =
+  String.sub text 0 gp ^ frag ^ String.sub text gp (String.length text - gp)
+
+(* Every indexed item of the text (attributes as "@name"), as
+   (name, start, stop, level). *)
+let labels text =
+  let acc = ref [] in
+  Lxu_xml.Tree.iter_labels ~attributes:true (Lxu_xml.Parser.parse_fragment text)
+    (fun ~name ~start ~stop ~level -> acc := (name, start, stop, level) :: !acc);
+  !acc
+
+(* Final-step matches straight off the parse. *)
+let oracle text (steps : Path_query.t) =
+  let all = labels text in
+  let of_tag tag = List.filter (fun (n, _, _, _) -> n = tag) all in
+  match steps with
+  | [] -> []
+  | first :: rest ->
+    let initial =
+      List.filter
+        (fun (_, _, _, l) -> first.Path_query.axis = Path_query.Desc || l = 0)
+        (of_tag first.Path_query.tag)
+    in
+    List.fold_left
+      (fun survivors (step : Path_query.step) ->
+        List.filter
+          (fun (_, s, e, l) ->
+            List.exists
+              (fun (_, ps, pe, pl) ->
+                ps < s && pe > e && (step.Path_query.axis = Path_query.Desc || l = pl + 1))
+              survivors)
+          (of_tag step.Path_query.tag))
+      initial rest
+    |> List.map (fun (_, s, e, _) -> (s, e))
+    |> List.sort_uniq compare
+
+(* Where a fragment may go: before or after any element, or just
+   inside an end tag — whichever keeps the text well formed. *)
+let insert_points text frag =
+  let cands = ref [ 0; String.length text ] in
+  List.iter
+    (fun (name, s, e, _) ->
+      if name.[0] <> '@' then cands := s :: e :: (e - String.length name - 3) :: !cands)
+    (labels text);
+  List.sort_uniq compare !cands
+  |> List.filter (fun gp ->
+         gp >= 0 && gp <= String.length text
+         && Lxu_xml.Parser.is_well_formed_fragment (splice text ~gp frag))
+
+let elements text = List.filter (fun (name, _, _, _) -> name.[0] <> '@') (labels text)
+
+(* One random write, applied to every store and to the text. *)
+let write st dbs text =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  match Random.State.int st 10 with
+  | (0 | 1 | 2) when elements !text <> [] ->
+    let _, s, e, _ = pick (elements !text) in
+    List.iter (fun db -> Lazy_db.remove db ~gp:s ~len:(e - s)) dbs;
+    text := String.sub !text 0 s ^ String.sub !text e (String.length !text - e)
+  | 3 when elements !text <> [] ->
+    (* Pack one top-level element, or the whole document. *)
+    let tops = List.filter (fun (_, _, _, l) -> l = 0) (elements !text) in
+    let gp, len =
+      if Random.State.bool st then (0, String.length !text)
+      else
+        let _, s, e, _ = pick tops in
+        (s, e - s)
+    in
+    List.iter (fun db -> Lazy_db.pack_subtree db ~gp ~len) dbs
+  | _ -> (
+    let frag = fragments.(Random.State.int st (Array.length fragments)) in
+    match insert_points !text frag with
+    | [] -> ()
+    | points ->
+      let gp = pick points in
+      List.iter (fun db -> Lazy_db.insert db ~gp frag) dbs;
+      text := splice !text ~gp frag)
+
+let random_chain st =
+  let n = 1 + Random.State.int st 4 in
+  List.init n (fun _ ->
+      {
+        Path_query.axis = (if Random.State.bool st then Path_query.Desc else Path_query.Child);
+        tag = tags.(Random.State.int st (Array.length tags));
+        predicates = [];
+      })
+
+let plan_name = function
+  | `Auto -> "auto"
+  | `Naive -> "naive"
+  | `Seed k -> Printf.sprintf "seed %d" k
+
+(* Every plan and the oracle on one chain; a disagreement fails the
+   case, naming the chain, the plan and the text. *)
+let agree db text steps =
+  let expected = oracle text steps in
+  let plans = `Auto :: `Naive :: List.init (List.length steps) (fun k -> `Seed k) in
+  let show l = String.concat " " (List.map (fun (s, e) -> Printf.sprintf "[%d,%d)" s e) l) in
+  List.for_all
+    (fun plan ->
+      let got = Path_query.eval ~plan db steps in
+      got = expected
+      || QCheck2.Test.fail_reportf "%s under %s on %s/%s%s: got %s, the oracle says %s on %S"
+           (Path_query.to_string steps) (plan_name plan)
+           (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
+           (match Lazy_db.storage_kind db with `Mem -> "mem" | `Paged -> "paged")
+           (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
+           (show got) (show expected) text)
+    plans
+
+let configs =
+  [
+    (Lazy_db.LD, `Mem); (Lazy_db.LS, `Mem); (Lazy_db.LD, `Paged); (Lazy_db.LS, `Paged);
+  ]
+
+(* One case: a random schedule from [seed], then every chain checked
+   on the live stores and on snapshots pinned midway. *)
+let case seed =
+  let st = Random.State.make [| seed |] in
+  let dbs =
+    List.map
+      (fun (engine, storage) -> Lazy_db.create ~engine ~storage ~index_attributes:true ())
+      configs
+  in
+  let text = ref "" in
+  for _ = 1 to 4 + Random.State.int st 8 do
+    write st dbs text
+  done;
+  let chains =
+    List.map Path_query.parse_exn corner_chains @ List.init 4 (fun _ -> random_chain st)
+  in
+  let live_ok = List.for_all (fun db -> List.for_all (agree db !text) chains) dbs in
+  (* A snapshot pinned before more writes answers for its own text. *)
+  let pinned = !text in
+  let snaps = List.map Lazy_db.snapshot dbs in
+  for _ = 1 to 3 do
+    write st dbs text
+  done;
+  let chains = List.init 4 (fun _ -> random_chain st) @ chains in
+  live_ok
+  && List.for_all (fun db -> List.for_all (agree db pinned) chains) snaps
+  && List.for_all (fun db -> List.for_all (agree db !text) chains) dbs
+  && List.for_all
+       (fun db ->
+         Lazy_db.check db;
+         true)
+       (dbs @ snaps)
+
+let all_plans_agree ~count =
+  QCheck2.Test.make ~name:"partition scan = naive = every seed = oracle (random chains)" ~count
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    case

@@ -27,7 +27,12 @@
      [List.stable_sort];
    - the snapshot-replay property at 2,000 schedules: every snapshot
      held across the rest of an LD or LS schedule passes
-     [Update_log.check] and fingerprints as a replay of its prefix.
+     [Update_log.check] and fingerprints as a replay of its prefix;
+   - the partition-scan property at 2,000 cases: on random
+     predicate-free chains the default plan, the naive join
+     composition, every forced seed and a text oracle agree, on LD/LS
+     x Mem/Paged stores under inserts, removes and packs, and on
+     snapshots pinned while the live store keeps writing.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -95,4 +100,9 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 22 |])
     (Lxu_crash_harness.Mvcc_harness.prop_snapshot_replay ~count:cases);
   Printf.printf "snapshot replay: %d schedules, every held snapshot checked and equal to its prefix\n%!"
+    cases;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    (Lxu_props.Partition_props.all_plans_agree ~count:cases);
+  Printf.printf
+    "partition scan: %d cases, every plan equal to the oracle on LD/LS x Mem/Paged and pinned snapshots\n%!"
     cases

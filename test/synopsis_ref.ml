@@ -30,6 +30,6 @@ let synopsis_of_tree (root : Er_node.t) =
           | _ -> Array.append pctx (Array.of_list (List.rev own))
         in
         Hashtbl.add ctxs n.sid ctx;
-        Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.elems
+        ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.elems)
       end);
   syn

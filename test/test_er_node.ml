@@ -9,9 +9,17 @@ open Lxu_util
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Each element's synopsis slot is stood in for by its level: the
+   columns store whatever slots they are given. *)
 let mk ?(sid = 1) ?(parent_path = [||]) ?(lp = 0) ?(base_level = 0) text elems =
-  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level ~text
-    ~elems:(List.map (fun (start, stop, level, tid) -> { Er_node.start; stop; level; tid }) elems)
+  let n =
+    Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level ~text
+      ~elems:
+        (Vec.of_list
+           (List.map (fun (start, stop, level, tid) -> { Er_node.start; stop; level; tid }) elems))
+  in
+  Er_node.index n ~pids:(Array.of_list (List.map (fun (_, _, level, _) -> level) elems));
+  n
 
 let test_make_root () =
   let r = Er_node.make_root () in
@@ -159,7 +167,7 @@ let test_columns_order () =
   let a = Er_node.cols n ~tid:1 and b = Er_node.cols n ~tid:2 in
   Alcotest.(check (list int)) "a starts" [ 0; 7 ] (Array.to_list a.Er_node.starts);
   Alcotest.(check (list int)) "a stops" [ 19; 11 ] (Array.to_list a.Er_node.stops);
-  Alcotest.(check (list int)) "a levels" [ 0; 1 ] (Array.to_list a.Er_node.levels);
+  Alcotest.(check (list int)) "a slots" [ 0; 1 ] (Array.to_list a.Er_node.pids);
   Alcotest.(check (list int)) "b starts" [ 3; 11 ] (Array.to_list b.Er_node.starts);
   let tids = ref [] in
   Er_node.iter_columns n (fun tid _ -> tids := tid :: !tids);
@@ -172,13 +180,18 @@ let test_columns_isolation () =
   check_int "tid 0 is empty" 0 (Er_node.cols_length (Er_node.cols n ~tid:0));
   check_int "b stays in its segment" 2 (Er_node.cols_length (Er_node.cols n ~tid:2));
   check_int "other segment's b" 1 (Er_node.cols_length (Er_node.cols other ~tid:2));
-  (* Replacing the skeleton swaps in new columns and leaves the old
-     ones intact for whoever still holds them. *)
-  let old_b = Er_node.cols n ~tid:2 in
-  Er_node.set_elems n (Vec.of_list (List.filter (fun e -> e.Er_node.tid = 1) (Vec.to_list n.Er_node.elems)));
-  check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2));
+  (* Removing elements swaps in new columns and leaves the old ones
+     intact for whoever still holds them. *)
+  let old_b = Er_node.cols n ~tid:2 and old_elems = n.Er_node.elems in
+  let dropped = ref [] in
+  Er_node.remove_elements n ~vu:3 ~vv:7 (fun ~tid ~pid -> dropped := (tid, pid) :: !dropped);
+  Alcotest.(check (list (pair int int))) "dropped b with its slot" [ (2, 1) ] !dropped;
+  check_int "one b left" 1 (Er_node.cols_length (Er_node.cols n ~tid:2));
   check_int "old b columns untouched" 2 (Er_node.cols_length old_b);
-  check_bool "columns agree" true (Er_node.columns_agree n)
+  check_int "old skeleton untouched" 4 (Vec.length old_elems);
+  Er_node.remove_elements n ~vu:11 ~vv:15 (fun ~tid:_ ~pid:_ -> ());
+  check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2));
+  check_bool "columns agree" true (Er_node.skeleton_pids n = Some [| 0; 1 |])
 
 let suite =
   [

@@ -1,5 +1,5 @@
 (* Tests for the additional join algorithms: Stack-Tree-Anc, MPMGJN and
-   PathStack.  Oracle: Stack-Tree-Desc / naive join re-sorted as
+   the XR-tree join.  Oracle: Stack-Tree-Desc / naive join re-sorted as
    needed. *)
 
 open Lxu_join
@@ -105,78 +105,6 @@ let test_mpmgjn_rescans () =
   in
   check_int "std reads each d once" 3 std_stats.Stack_tree_desc.d_scanned
 
-(* --- PathStack ---------------------------------------------------------- *)
-
-(* Naive path-match count: all chains e1 ⊃ e2 ⊃ ... ⊃ en with the
-   requested edge kinds. *)
-let naive_path_count text tags edges =
-  let labels = List.map (fun tag -> fresh_labels text ~tag) tags in
-  let rec chains prev rest edge_idx =
-    match rest with
-    | [] -> 1
-    | cur :: rest' ->
-      List.fold_left
-        (fun acc (s, e, l) ->
-          let ps, pe, pl = prev in
-          let contains = ps < s && pe > e in
-          let edge_ok =
-            match List.nth edges edge_idx with
-            | Path_stack.Desc -> true
-            | Path_stack.Child -> l = pl + 1
-          in
-          if contains && edge_ok then acc + chains (s, e, l) rest' (edge_idx + 1) else acc)
-        0 cur
-  in
-  match labels with
-  | [] -> 0
-  | first :: rest -> List.fold_left (fun acc e -> acc + chains e rest 0) 0 first
-
-let test_pathstack_single_node () =
-  let text = "<a><a/></a>" in
-  let streams = [| intervals text ~tag:"a" |] in
-  check_int "all elements" 2 (Path_stack.count ~streams ~edges:[||]);
-  check_int "matches" 2 (List.length (Path_stack.matches ~streams ~edges:[||]))
-
-let test_pathstack_linear () =
-  let text = "<a><b><c/><c/></b><b/></a><b><c/></b>" in
-  let streams = [| intervals text ~tag:"a"; intervals text ~tag:"b"; intervals text ~tag:"c" |] in
-  let edges = [| Path_stack.Desc; Path_stack.Desc |] in
-  check_int "a//b//c" 2 (Path_stack.count ~streams ~edges);
-  let ms = Path_stack.matches ~streams ~edges in
-  check_int "tuples" 2 (List.length ms);
-  List.iter (fun m -> check_int "width" 3 (Array.length m)) ms;
-  check_int "distinct leaves" 2 (List.length (Path_stack.leaves ~streams ~edges))
-
-let test_pathstack_child_edges () =
-  let text = "<a><b><c/></b><c/></a>" in
-  let streams = [| intervals text ~tag:"a"; intervals text ~tag:"c" |] in
-  check_int "a//c" 2 (Path_stack.count ~streams ~edges:[| Path_stack.Desc |]);
-  check_int "a/c" 1 (Path_stack.count ~streams ~edges:[| Path_stack.Child |])
-
-let test_pathstack_equals_naive () =
-  for seed = 1 to 25 do
-    let text = mk_doc (200 + seed) in
-    List.iter
-      (fun edges_l ->
-        let tags = [ "a"; "d"; "x" ] in
-        let expected = naive_path_count text tags edges_l in
-        let streams = Array.of_list (List.map (fun tag -> intervals text ~tag) tags) in
-        let got = Path_stack.count ~streams ~edges:(Array.of_list edges_l) in
-        check_int (Printf.sprintf "seed %d" seed) expected got)
-      [
-        [ Path_stack.Desc; Path_stack.Desc ];
-        [ Path_stack.Desc; Path_stack.Child ];
-        [ Path_stack.Child; Path_stack.Desc ];
-        [ Path_stack.Child; Path_stack.Child ];
-      ]
-  done
-
-let test_pathstack_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Path_stack: empty pattern") (fun () ->
-      ignore (Path_stack.count ~streams:[||] ~edges:[||]));
-  Alcotest.check_raises "mismatch" (Invalid_argument "Path_stack: edges/streams mismatch")
-    (fun () -> ignore (Path_stack.count ~streams:[| [||] |] ~edges:[| Path_stack.Desc |]))
-
 let suite =
   [
     Alcotest.test_case "stack-tree-anc order" `Quick test_sta_order;
@@ -184,11 +112,6 @@ let suite =
     Alcotest.test_case "stack-tree-anc empty" `Quick test_sta_empty;
     Alcotest.test_case "mpmgjn = std" `Quick test_mpmgjn_equals_std;
     Alcotest.test_case "mpmgjn rescans counted" `Quick test_mpmgjn_rescans;
-    Alcotest.test_case "pathstack single node" `Quick test_pathstack_single_node;
-    Alcotest.test_case "pathstack linear" `Quick test_pathstack_linear;
-    Alcotest.test_case "pathstack child edges" `Quick test_pathstack_child_edges;
-    Alcotest.test_case "pathstack = naive" `Quick test_pathstack_equals_naive;
-    Alcotest.test_case "pathstack validation" `Quick test_pathstack_validation;
   ]
 
 (* --- XR-tree index and join --------------------------------------------- *)

@@ -137,19 +137,6 @@ let test_eval_after_update () =
     (Path_query.eval_string db "//person//interest"
     = naive_eval (Lazy_db.text db) "//person//interest")
 
-(* The planner's holistic executor, run directly on a predicate-free
-   path. *)
-let holistic db path =
-  let steps = Array.of_list (Path_query.parse_exn path) in
-  let edge (s : Path_query.step) =
-    match s.Path_query.axis with
-    | Path_query.Desc -> Lxu_join.Path_stack.Desc
-    | Path_query.Child -> Lxu_join.Path_stack.Child
-  in
-  Lxu_join.Std_baseline.path_leaves (Option.get (Lazy_db.log db))
-    ~tags:(Array.map (fun (s : Path_query.step) -> s.Path_query.tag) steps)
-    ~edges:(Array.map edge steps)
-
 let prop_random_docs =
   let fragments =
     [| "<a/>"; "<b><c/></b>"; "<a><b><c/></b></a>"; "<c><a/></c>"; "<b/><c/>" |]
@@ -180,7 +167,7 @@ let prop_random_docs =
       List.for_all
         (fun path ->
           naive_eval !text path = Path_query.eval_string db path
-          && naive_eval !text path = holistic db path)
+          && naive_eval !text path = Path_query.eval_string ~plan:`Naive db path)
         [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c" ])
 
 (* Inserts interleaved with removes, so segments carry tombstones and
@@ -382,4 +369,28 @@ let suite =
       Alcotest.test_case "twig parse roundtrip" `Quick test_twig_parse_roundtrip;
       Alcotest.test_case "twig parse errors" `Quick test_twig_parse_errors;
       QCheck_alcotest.to_alcotest prop_twig_random;
+    ]
+
+(* --- partition scan ------------------------------------------------------ *)
+
+(* A predicate-free chain under the default plan runs no join at all:
+   it is answered from the path slots in the last tag's columns. *)
+let test_partition_runs_no_join () =
+  let db = load Lazy_db.LD 6 in
+  List.iter
+    (fun path ->
+      let before = Lxu_join.Lazy_join.runs () in
+      let got = Path_query.eval_string db path in
+      check_int (path ^ ": no join") before (Lxu_join.Lazy_join.runs ());
+      Alcotest.(check (list (pair int int))) path (naive_eval doc path) got;
+      (* The reference composition does join. *)
+      ignore (Path_query.eval_string ~plan:`Naive db path))
+    paths;
+  check_bool "naive joined" true (Lxu_join.Lazy_join.runs () > 0)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "partition scan runs no join" `Quick test_partition_runs_no_join;
+      QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.all_plans_agree ~count:120);
     ]

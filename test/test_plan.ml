@@ -11,6 +11,11 @@ open Lxu_workload
 let pair_list = Alcotest.(list (pair int int))
 let check_bool = Alcotest.(check bool)
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec find i = i + n <= h && (String.sub hay i n = needle || find (i + 1)) in
+  find 0
+
 let step axis tag predicates = { Path_query.axis; tag; predicates }
 
 (* Random linear path with occasional one-step predicates, over a tag
@@ -135,15 +140,22 @@ let test_choose_sanity () =
       (o.Lxu_plan.Plan.est_cost < o.Lxu_plan.Plan.naive_cost)
   | Lxu_plan.Plan.Naive -> Alcotest.fail "expected an ordered plan, got naive"
   | Lxu_plan.Plan.Holistic _ -> Alcotest.fail "expected an ordered plan, got holistic");
-  (* The executed explain agrees with eval and renders actuals. *)
-  let twig = Path_query.parse_exn "//a//b//z" in
+  (* The executed explain agrees with eval and renders actuals.  A
+     predicated twig keeps the ordered executor, and its seed. *)
+  let twig = Path_query.parse_exn "//a//b[z]//z" in
   let explained, matches = Path_query.explain db twig in
   Alcotest.check pair_list "explain results = eval" (Path_query.eval db twig) matches;
-  check_bool "explain shows the seed" true
-    (let needle = "seed step 2" in
-     let n = String.length needle and h = String.length explained in
-     let rec find i = i + n <= h && (String.sub explained i n = needle || find (i + 1)) in
-     find 0)
+  check_bool "explain shows the seed" true (contains explained "seed step 2");
+  (* The predicate-free chain is a partition scan: one matching path,
+     the z column scanned, an exact estimate. *)
+  let twig = Path_query.parse_exn "//a//b//z" in
+  let explained, matches = Path_query.explain db twig in
+  Alcotest.check pair_list "partition results = naive" (Path_query.eval ~plan:`Naive db twig)
+    matches;
+  check_bool "explain shows the partition scan" true
+    (contains explained "partition scan of z columns, no join; 1 of");
+  check_bool "explain shows est and actual" true (contains explained "est 1, actual 1");
+  check_bool "explain lists the matching path" true (contains explained "path /r/q/a/b/z (1)")
 
 let test_provably_empty () =
   (* z never appears under c: the synopsis proves the result empty and

@@ -88,6 +88,25 @@ let test_snapshot_isolation () =
       check_int "snapshot path count unchanged" before
         (Path_synopsis.distinct_paths (Update_log.synopsis (log_of snap))))
 
+(* A frozen synopsis' depth table is read by pool workers without a
+   lock, so the live side must never write into it, not even past the
+   snapshot's last slot: a new path goes into the live side's own
+   copy. *)
+let test_frozen_depth_table () =
+  let db = Lazy_db.create ~engine:Lazy_db.LD () in
+  List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) (xmark_edits Lxu_workload.Chopper.Balanced);
+  Lazy_db.with_snapshot db (fun snap ->
+      let syn = Update_log.synopsis (log_of snap) in
+      let table = Path_synopsis.depth_table syn in
+      let before = Array.copy table in
+      let slots = Path_synopsis.slots syn in
+      Lazy_db.insert db ~gp:(Lazy_db.doc_length db) "<zzz><yyy><xxx/></yyy></zzz>";
+      check_bool "live side registered new paths" true
+        (Path_synopsis.slots (Update_log.synopsis (log_of db)) > slots);
+      check_bool "snapshot keeps its table" true (Path_synopsis.depth_table syn == table);
+      check_bool "no entry of it changed" true (table = before);
+      check_int "nor its slot count" slots (Path_synopsis.slots syn))
+
 (* --- save / load ------------------------------------------------------ *)
 
 let test_save_load () =
@@ -271,6 +290,7 @@ let suite =
     Alcotest.test_case "incremental = rebuilt across removes" `Quick test_removes;
     Alcotest.test_case "incremental = rebuilt after pack" `Quick test_pack;
     Alcotest.test_case "frozen snapshots are isolated" `Quick test_snapshot_isolation;
+    Alcotest.test_case "frozen depth table is never written" `Quick test_frozen_depth_table;
     Alcotest.test_case "save/load reconstructs" `Quick test_save_load;
     Alcotest.test_case "tag_total matches query counts" `Quick test_tag_total;
     Alcotest.test_case "Proposition-3 ancestor evidence" `Quick test_may_have_ancestor;

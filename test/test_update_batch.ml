@@ -24,11 +24,16 @@ let fingerprint ~tags db =
   (match Lazy_db.log db with
   | Some log ->
     let keys = ref [] in
+    let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
     Er_node.iter_subtree (Update_log.root log) (fun n ->
         Er_node.iter_columns n (fun tid c ->
             for i = 0 to Er_node.cols_length c - 1 do
               keys :=
-                (tid, n.Er_node.sid, c.Er_node.starts.(i), c.Er_node.stops.(i), c.Er_node.levels.(i))
+                ( tid,
+                  n.Er_node.sid,
+                  c.Er_node.starts.(i),
+                  c.Er_node.stops.(i),
+                  depth.(c.Er_node.pids.(i)) )
                 :: !keys
             done));
     List.iter
