@@ -1,6 +1,6 @@
 (* Perf gate for the claims that go beyond the paper's figures: join
    throughput, paged storage, batched updates, MVCC reads, autonomous
-   maintenance and the twig planner.
+   maintenance and path partitions.
 
      dune exec bench/gate.exe                   measure every claim and
                                                 check it against
@@ -357,15 +357,16 @@ let maint () =
 (* Reversed-selectivity twig queries where left-to-right evaluation is
    the worst order: thousands of common <g><a><b/>x4</a></g> groups and
    40 rare <g><q><a><b><c/></b></a></q></g> groups, chopped into 80
-   segments so the rare tags are segment-local.  //a//b//q is provably
-   empty (the planner answers without a join) and //a//b is the control
-   where plan and naive coincide, bounding planner overhead.
+   segments so the rare tags are segment-local.  Every query is
+   predicate-free, so the default plan is a partition scan: //a//b//q
+   is provably empty (the scan answers it from the synopsis without a
+   join) and //a//b is the control, where the scan reads every b.
 
-   Naive, planned and every fixed seed are timed interleaved, best of
-   7, with a full major GC before every timed pass: otherwise each
-   variant pays the major-GC debt of the previous one's garbage, which
-   put the control's planned/naive ratio at 1.55-1.71 although the
-   planner picks the naive plan there. *)
+   Naive and the default plan are timed interleaved, best of 7, with a
+   full major GC before every timed pass: otherwise each variant pays
+   the major-GC debt of the previous one's garbage, which once put the
+   control's ratio at 1.55-1.71 with both variants running the same
+   joins. *)
 let plan () =
   let common_groups = 2500 and rare_groups = 40 in
   let buf = Buffer.create (common_groups * 32) in
@@ -387,7 +388,7 @@ let plan () =
     List.map
       (fun expr ->
         let twig = Path_query.parse_exn expr in
-        let variants = `Naive :: `Auto :: List.init (List.length twig) (fun k -> `Seed k) in
+        let variants = [ `Naive; `Auto ] in
         let reference = Path_query.eval ~plan:`Naive db twig in
         let same = List.for_all (fun plan -> Path_query.eval ~plan db twig = reference) variants in
         let mins = Array.make (List.length variants) infinity in

@@ -15,7 +15,7 @@
    figs 12-16 by k (paper-scale runs take minutes).
 
    The claims beyond the paper (join throughput, paged storage,
-   batched updates, MVCC reads, maintenance, the twig planner) are
+   batched updates, MVCC reads, maintenance, path partitions) are
    measured and checked by bench/gate.exe. *)
 
 (* (target, runner-id, runner): fig14 and fig15 share one runner. *)

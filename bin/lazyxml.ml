@@ -303,8 +303,9 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain"
-       ~doc:"Show the cost-based plan chosen for a path expression — join order, engine \
-             per join, estimated vs actual cardinalities — then run it.")
+       ~doc:"Run a path expression and show how: a predicate-free path is a partition \
+             scan (matching synopsis paths, estimated vs actual matches); a path with \
+             predicates shows each join's pairs and each step's estimate vs survivors.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ deadline_arg)
 
 (* --- snapshots -------------------------------------------------------------- *)

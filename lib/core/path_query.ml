@@ -73,12 +73,13 @@ and step_to_string { axis; tag; predicates } =
 
 (* --- evaluation ----------------------------------------------------------
 
-   A predicate-free chain under [`Auto] is a partition scan: the
-   planner matches the chain against the synopsis' distinct paths
+   A predicate-free chain under [`Auto] is a partition scan: the chain
+   is matched against the synopsis' distinct paths
    ({!Lxu_plan.Plan.partition}), and the answer is the last tag's
    elements whose path slot matched — one pass over that tag's
-   columns, no join.  Every other evaluation composes structural
-   joins, and works on sets of element refs of one tag — a segment and
+   columns, no join.  Every other evaluation composes structural joins
+   left to right ([eval_steps]; under [`Auto] with segment-restricted
+   down joins), and works on sets of element refs of one tag — a segment and
    a virtual start packed in one int ({!Lxu_join.Lazy_join.ref_of}),
    kept as sorted int arrays — through these operations:
    - [all tag]                       every element of [tag]
@@ -161,12 +162,19 @@ module Refs = struct
     of_prefix buf !n
 end
 
+(* What an explained run records, in execution order: the survivors of
+   spine step [i], and the pairs of every join. *)
+type event =
+  | Step of { i : int; survivors : int }
+  | Join of { dir : [ `Up | `Down ]; anc : string; axis : axis; desc : string; pairs : int }
+
 type ops = {
   all : string -> Refs.t;
   roots_only : string -> Refs.t -> Refs.t;
   up : axis -> anc:string -> desc:string -> Refs.t -> Refs.t;
   down : axis -> anc:string -> Refs.t -> desc:string -> Refs.t;
   extents : string -> Refs.t -> (int * int) list;
+  note : event -> unit;
 }
 
 (* Elements able to head predicate path [steps], with the suffix and
@@ -182,17 +190,21 @@ let rec pred_head_set ops (steps : t) =
       s.predicates
 
 (* Restrict [set] (elements of [tag]) to those satisfying every
-   predicate path. *)
+   predicate path; an empty set needs no join. *)
 and apply_predicates ops ~tag set preds =
   List.fold_left
     (fun acc pred ->
       match pred with
       | [] -> acc
+      | _ when Refs.is_empty acc -> acc
       | first :: _ ->
         let heads = pred_head_set ops pred in
         Refs.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
     set preds
 
+(* Left to right: the first step's elements, then one down join per
+   step from the previous step's survivors; nothing more runs once a
+   step has none. *)
 let eval_steps ops steps =
   match steps with
   | [] -> invalid_arg "Path_query.eval: empty path"
@@ -202,14 +214,17 @@ let eval_steps ops steps =
       let s = if first.axis = Child then ops.roots_only first.tag s else s in
       apply_predicates ops ~tag:first.tag s first.predicates
     in
-    let final_tag, final_set =
-      List.fold_left
-        (fun (prev_tag, survivors) step ->
-          let next = ops.down step.axis ~anc:prev_tag survivors ~desc:step.tag in
-          (step.tag, apply_predicates ops ~tag:step.tag next step.predicates))
-        (first.tag, initial) rest
+    ops.note (Step { i = 0; survivors = Refs.cardinal initial });
+    let rec go i tag survivors = function
+      | _ when Refs.is_empty survivors -> []
+      | [] -> ops.extents tag survivors
+      | step :: rest ->
+        let next = ops.down step.axis ~anc:tag survivors ~desc:step.tag in
+        let next = apply_predicates ops ~tag:step.tag next step.predicates in
+        ops.note (Step { i; survivors = Refs.cardinal next });
+        go (i + 1) step.tag next rest
     in
-    ops.extents final_tag final_set
+    go 1 first.tag initial rest
 
 let jaxis = function Desc -> Lj.Descendant | Child -> Lj.Child
 
@@ -253,7 +268,15 @@ let scan_extents ?guard log ~tid ~hint keep =
   Lxu_util.Run_merge.sort gs ge;
   List.init !n (fun i -> (gs.(i), ge.(i)))
 
-let log_ops ?guard log =
+(* [restrict] is the default plan's selective Proposition 3 on down
+   joins: the ancestor side keeps only the segments of the previous
+   step's survivors, and the descendant side only the segments whose
+   tag-list entry may have an ancestor of the ancestor tag (summary
+   evidence, no element access).  A dropped segment holds no pair the
+   step keeps, so results do not change.  Predicate up joins stay
+   unrestricted: their descendant set is often a whole tag, and the
+   filter then costs more than it skips. *)
+let log_ops ?guard ?pool ?(note = ignore) ~restrict log =
   let reg = Update_log.registry log in
   let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
   (* The refs of the tag's elements that [keep ~pid] accepts, segment
@@ -281,17 +304,33 @@ let log_ops ?guard log =
         entries;
       Refs.of_prefix buf !n
   in
-  let join axis ~anc ~desc = Lj.run_refs ~axis:(jaxis axis) ?guard log ~anc ~desc () in
+  let join ?a_filter ?d_filter dir axis ~anc ~desc =
+    Lxu_util.Deadline.check_opt guard;
+    let a, d, _ =
+      Lj.run_refs ~axis:(jaxis axis) ?a_filter ?d_filter ?pool ?guard log ~anc ~desc ()
+    in
+    note (Join { dir; anc; axis; desc; pairs = Array.length a });
+    (a, d)
+  in
   {
     all = (fun tag -> refs_of tag (fun _ -> true));
     roots_only = (fun tag set -> Refs.inter set (refs_of tag (fun pid -> depth.(pid) = 0)));
     up =
       (fun axis ~anc ~desc set ->
-        let a, d, _ = join axis ~anc ~desc in
+        let a, d = join `Up axis ~anc ~desc in
         Refs.select ~set ~key:d ~pick:a);
     down =
       (fun axis ~anc set ~desc ->
-        let a, d, _ = join axis ~anc ~desc in
+        let a, d =
+          if not restrict then join `Down axis ~anc ~desc
+          else begin
+            let sids = Refs.sids set and tid = Tag_registry.find reg anc in
+            join `Down axis ~anc ~desc
+              ~a_filter:(fun e -> Refs.mem sids e.Tag_list.sid)
+              ~d_filter:(fun e ->
+                match tid with Some tid -> Tag_list.may_have_ancestor e ~tid | None -> false)
+          end
+        in
         Refs.select ~set ~key:a ~pick:d);
     extents =
       (fun tag set ->
@@ -300,183 +339,45 @@ let log_ops ?guard log =
         | Some tid ->
           scan_extents ?guard log ~tid ~hint:(Refs.cardinal set) (fun ~sid ~start ~pid:_ ->
               Refs.mem set (Lj.ref_of ~sid ~start)));
+    note;
   }
 
 let rec has_predicates steps =
   List.exists (fun s -> s.predicates <> [] || List.exists has_predicates s.predicates) steps
 
-(* --- planned evaluation (lib/plan) -------------------------------------- *)
+module Plan = Lxu_plan.Plan
 
 let chain_of_steps (steps : t) =
   let arr = Array.of_list steps in
   {
-    Lxu_plan.Plan.tags = Array.map (fun s -> s.tag) arr;
-    axes =
-      Array.map
-        (fun s ->
-          match s.axis with Desc -> Lxu_plan.Plan.Desc | Child -> Lxu_plan.Plan.Child)
-        arr;
+    Plan.tags = Array.map (fun s -> s.tag) arr;
+    axes = Array.map (fun s -> match s.axis with Desc -> Plan.Desc | Child -> Plan.Child) arr;
     has_preds = has_predicates steps;
   }
 
 (* Executes a partition plan: the scanned tag's elements whose path
    slot matched.  A zero estimate is exact, so it proves the result
    empty without touching a column. *)
-let eval_partition ?guard log (p : Lxu_plan.Plan.partition) =
+let eval_partition ?guard log (p : Plan.partition) =
   let results =
-    if p.Lxu_plan.Plan.est = 0 then []
+    if p.Plan.est = 0 then []
     else
-      let slots = p.Lxu_plan.Plan.slots in
-      scan_extents ?guard log ~tid:p.Lxu_plan.Plan.tid ~hint:p.Lxu_plan.Plan.est
-        (fun ~sid:_ ~start:_ ~pid -> slots.(pid))
+      let slots = p.Plan.slots in
+      scan_extents ?guard log ~tid:p.Plan.tid ~hint:p.Plan.est (fun ~sid:_ ~start:_ ~pid ->
+          slots.(pid))
   in
-  p.Lxu_plan.Plan.actual <- List.length results;
+  p.Plan.actual <- List.length results;
   results
 
-exception Empty_result
-
-(* Executes an [Ordered] plan: anchor at the seed step, climb towards
-   the head restricting each join's descendant side to the current
-   frontier's segments (plus synopsis ancestor-tag evidence — selective
-   Proposition 3), then descend towards the tail replaying the cached
-   up-phase pairs through the seed and running ancestor-restricted
-   joins past it.  The final per-step survivor sets equal naive
-   left-to-right evaluation's: the up phase's extra
-   "reaches-the-seed-downward" constraint vanishes by the time the seed
-   is crossed, and only the final step's extents are returned — so
-   results are fingerprint-identical to the naive order.
-
-   Joins hand back their pairs as two ref columns, and the up phase
-   caches the kept pairs the same way: no pair record is built or kept.
-
-   [actual_step]/[actual_pairs] of the plan are filled in as execution
-   proceeds (the explain output's actuals). *)
-let eval_log_planned ?guard ?pool log (steps : t) (o : Lxu_plan.Plan.ordered) =
-  let ops = log_ops ?guard log in
-  let stepsa = Array.of_list steps in
-  let n = Array.length stepsa in
-  let reg = Update_log.registry log in
-  let k = o.Lxu_plan.Plan.seed in
-  (* Summary evidence: may any element of the entry's segment have an
-     ancestor tagged like step [anc_i]?  [false] proves no pair can
-     come out of the segment, so it is skipped before any element
-     access. *)
-  let prop3 anc_i =
-    match Tag_registry.find reg stepsa.(anc_i).tag with
-    | None -> fun _ -> true
-    | Some tid -> fun e -> Tag_list.may_have_ancestor e ~tid
-  in
-  let spec_for dir anc_i =
-    Array.fold_left
-      (fun acc (js : Lxu_plan.Plan.join_spec) ->
-        if js.Lxu_plan.Plan.dir = dir && js.Lxu_plan.Plan.anc = anc_i then Some js else acc)
-      None o.Lxu_plan.Plan.joins
-  in
-  let run_join ~dir ~anc_i ~desc_i ~a_filter ~d_filter =
-    Lxu_util.Deadline.check_opt guard;
-    let spec = spec_for dir anc_i in
-    let push_filter, trim_top =
-      match spec with
-      | Some s -> (s.Lxu_plan.Plan.push_filter, s.Lxu_plan.Plan.trim_top)
-      | None -> (true, true)
-    in
-    let a, d, _ =
-      Lj.run_refs ~axis:(jaxis stepsa.(desc_i).axis) ~push_filter ~trim_top ?a_filter ?d_filter
-        ?pool ?guard log ~anc:stepsa.(anc_i).tag ~desc:stepsa.(desc_i).tag ()
-    in
-    (match spec with Some s -> s.Lxu_plan.Plan.actual_pairs <- Array.length a | None -> ());
-    (a, d)
-  in
-  let record i set = o.Lxu_plan.Plan.actual_step.(i) <- Refs.cardinal set in
-  try
-    (* Spine-match estimates are exact upper bounds (predicates only
-       shrink sets), so a zero at the tail is a synopsis proof of
-       emptiness: nothing to execute. *)
-    if o.Lxu_plan.Plan.est_step.(n - 1) = 0 then raise Empty_result;
-    (* Seed set. *)
-    let a_sets = Array.make n Refs.empty in
-    let init =
-      let s = ops.all stepsa.(k).tag in
-      let s = if k = 0 && stepsa.(0).axis = Child then ops.roots_only stepsa.(0).tag s else s in
-      apply_predicates ops ~tag:stepsa.(k).tag s stepsa.(k).predicates
-    in
-    a_sets.(k) <- init;
-    (* Up phase: frontier sets A_i (elements of step i with a full
-       predicate-checked chain down to the seed), with the kept pairs
-       cached for replay on the way back down. *)
-    let cached = Array.make (max 1 (n - 1)) ([||], [||]) in
-    for i = k - 1 downto 0 do
-      let above = a_sets.(i + 1) in
-      if Refs.is_empty above then raise Empty_result;
-      let restr = Refs.sids above in
-      let p3 = prop3 i in
-      let d_filter (e : Tag_list.entry) = Refs.mem restr e.Tag_list.sid && p3 e in
-      let a, d =
-        run_join ~dir:`Up ~anc_i:i ~desc_i:(i + 1) ~a_filter:None ~d_filter:(Some d_filter)
-      in
-      let ka = Array.make (Array.length a) 0 and kd = Array.make (Array.length d) 0 in
-      let kept = ref 0 in
-      Array.iteri
-        (fun j dref ->
-          if Refs.mem above dref then begin
-            ka.(!kept) <- a.(j);
-            kd.(!kept) <- dref;
-            incr kept
-          end)
-        d;
-      let ka = Array.sub ka 0 !kept and kd = Array.sub kd 0 !kept in
-      cached.(i) <- (ka, kd);
-      let aset = Refs.of_prefix (Array.copy ka) !kept in
-      let aset =
-        if i = 0 && stepsa.(0).axis = Child then ops.roots_only stepsa.(0).tag aset else aset
-      in
-      a_sets.(i) <- apply_predicates ops ~tag:stepsa.(i).tag aset stepsa.(i).predicates
-    done;
-    (* Down phase. *)
-    let b = ref a_sets.(0) in
-    record 0 !b;
-    for i = 1 to n - 1 do
-      if Refs.is_empty !b then raise Empty_result;
-      let prev = !b in
-      let next =
-        if i <= k then begin
-          (* Through the seed: replay the cached pairs — descendants
-             are already inside the predicate-checked frontier A_i, so
-             no join runs and no predicates re-apply. *)
-          let ka, kd = cached.(i - 1) in
-          Refs.select ~set:prev ~key:ka ~pick:kd
-        end
-        else begin
-          let restr = Refs.sids prev in
-          let a_filter (e : Tag_list.entry) = Refs.mem restr e.Tag_list.sid in
-          let p3 = prop3 (i - 1) in
-          let d_filter (e : Tag_list.entry) = p3 e in
-          let a, d =
-            run_join ~dir:`Down ~anc_i:(i - 1) ~desc_i:i ~a_filter:(Some a_filter)
-              ~d_filter:(Some d_filter)
-          in
-          apply_predicates ops ~tag:stepsa.(i).tag
-            (Refs.select ~set:prev ~key:a ~pick:d)
-            stepsa.(i).predicates
-        end
-      in
-      b := next;
-      record i !b
-    done;
-    ops.extents stepsa.(n - 1).tag !b
-  with Empty_result ->
-    Array.iteri (fun i v -> if v < 0 then o.Lxu_plan.Plan.actual_step.(i) <- 0)
-      o.Lxu_plan.Plan.actual_step;
-    []
-
-let eval_log_plan ?guard ?pool log steps plan =
-  match plan with
-  | Lxu_plan.Plan.Naive -> eval_steps (log_ops ?guard log) steps
-  | Lxu_plan.Plan.Holistic _ ->
-    (* Only chosen for predicate-free chains, which the partition scan
-       answers without a join. *)
-    eval_partition ?guard log (Lxu_plan.Plan.partition ~log (chain_of_steps steps))
-  | Lxu_plan.Plan.Ordered o -> eval_log_planned ?guard ?pool log steps o
+(* The default plan, given the chain's partition [p]: a
+   predicate-free chain is a partition scan; a chain with predicates
+   runs left to right with restricted down joins, unless its spine's
+   partition estimate (an upper bound) is 0, which proves it empty
+   without a join. *)
+let eval_auto ?guard ?note db log steps (chain : Plan.chain) p =
+  if not chain.Plan.has_preds then eval_partition ?guard log p
+  else if p.Plan.est = 0 then []
+  else eval_steps (log_ops ?guard ?pool:(Lazy_db.query_pool db) ?note ~restrict:true log) steps
 
 let live_log db = Option.get (Lazy_db.log db)
 
@@ -486,31 +387,48 @@ let eval ?(plan = `Auto) ?guard db steps =
   let log = live_log db in
   Update_log.prepare_for_query log;
   match plan with
-  | `Naive -> eval_steps (log_ops ?guard log) steps
-  | `Auto when not (has_predicates steps) ->
-    eval_partition ?guard log (Lxu_plan.Plan.partition ~log (chain_of_steps steps))
-  | (`Auto | `Seed _) as m ->
-    let force_seed = match m with `Seed s -> Some s | `Auto -> None in
-    eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps
-      (Lxu_plan.Plan.choose ?force_seed ~log (chain_of_steps steps))
+  | `Naive -> eval_steps (log_ops ?guard ~restrict:false log) steps
+  | `Auto ->
+    let chain = chain_of_steps steps in
+    eval_auto ?guard db log steps chain (Plan.partition ~log chain)
+
+(* The join rendering: every join's pairs and every spine step's
+   partition estimate against its survivors, in execution order. *)
+let explain_joins ~log steps events =
+  let b = Buffer.create 256 in
+  let axis_str = function Desc -> "//" | Child -> "/" in
+  Buffer.add_string b
+    "plan: left-to-right joins (spine est is an upper bound: predicates are not counted)\n";
+  List.iter
+    (function
+      | Join { dir; anc; axis; desc; pairs } ->
+        Buffer.add_string b
+          (Printf.sprintf "  %s join %s%s%s: %d pairs\n"
+             (match dir with `Up -> "predicate" | `Down -> "down")
+             anc (axis_str axis) desc pairs)
+      | Step { i; survivors } ->
+        let s = List.nth steps i in
+        let prefix = chain_of_steps (List.filteri (fun j _ -> j <= i) steps) in
+        Buffer.add_string b
+          (Printf.sprintf "  step %d %s%s: est %d, actual %d\n" i (axis_str s.axis) s.tag
+             (Plan.partition ~log prefix).Plan.est survivors))
+    events;
+  Buffer.contents b
 
 let explain ?guard db steps =
   if steps = [] then invalid_arg "Path_query.explain: empty path";
   let log = live_log db in
   Update_log.prepare_for_query log;
   let chain = chain_of_steps steps in
-  (* Execute first: the plan's actual cardinalities are filled in by
-     the run, so the rendering carries est vs actual. *)
-  if not chain.Lxu_plan.Plan.has_preds then begin
-    let p = Lxu_plan.Plan.partition ~log chain in
-    let results = eval_partition ?guard log p in
-    (Lxu_plan.Plan.explain_partition ~log chain p, results)
-  end
-  else begin
-    let plan = Lxu_plan.Plan.choose ~log chain in
-    let results = eval_log_plan ?guard ?pool:(Lazy_db.query_pool db) log steps plan in
-    (Lxu_plan.Plan.explain chain plan, results)
-  end
+  let p = Plan.partition ~log chain in
+  let events = ref [] in
+  let results = eval_auto ?guard ~note:(fun e -> events := e :: !events) db log steps chain p in
+  let rendering =
+    if not chain.Plan.has_preds then Plan.explain_partition ~log chain p
+    else if p.Plan.est = 0 then "plan: the spine's partition est is 0, empty without a join\n"
+    else explain_joins ~log steps (List.rev !events)
+  in
+  (rendering, results)
 
 let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
 let count ?plan ?guard db s = List.length (eval_string ?plan ?guard db s)

@@ -20,11 +20,12 @@
     is the last tag's elements whose slot matched, read off that tag's
     columns alone and translated with one cursor per segment.
 
-    {b Join composition.}  A chain with predicates is a composition of
-    segment-aware Lazy-Joins, each step semi-joining the previous
-    step's matches with the next tag; the cost-based planner
-    ({!Lxu_plan.Plan}) picks the order of those joins.  Element sets
-    are sorted arrays of packed element refs.
+    {b Join composition.}  Every other evaluation is one left-to-right
+    composition of segment-aware Lazy-Joins: the first step's
+    elements, then per step a down join from the previous step's
+    survivors to the next tag, and per predicate an up join from the
+    predicate path's head set.  Element sets are sorted arrays of
+    packed element refs.
 
     Evaluation returns the {e final-step matches}: distinct elements of
     the last tag reachable through the whole path, as global
@@ -50,46 +51,47 @@ val parse_exn : string -> t
 val to_string : t -> string
 
 val eval :
-  ?plan:[ `Auto | `Naive | `Seed of int ] ->
+  ?plan:[ `Auto | `Naive ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
   t ->
   (int * int) list
 (** Matches of the final step, sorted by start position.
 
-    [plan] controls planning:
+    [plan] picks the executor:
     {ul
     {- [`Auto] (default): a predicate-free chain is a partition scan —
        no join runs, and a synopsis zero answers without touching a
-       column.  Otherwise {!Lxu_plan.Plan.choose} picks the join order
-       (a seed step, joins climbing then descending from it), the
-       engine per join, and the push-optimization settings from the
-       path-summary synopsis; segments the synopsis proves irrelevant
-       are skipped ("selective Proposition 3").  Results are
-       fingerprint-identical to the naive order.}
-    {- [`Naive]: strict left-to-right join composition — the
-       reference.}
-    {- [`Seed k]: join composition around a forced seed step
-       (clamped), for benchmarking hand-picked orders.}}
+       column.  A chain with predicates runs the join composition
+       with restricted down joins: the ancestor side keeps the
+       previous survivors' segments, and the descendant side drops
+       every segment whose tag-list entry proves it has no ancestor of
+       the ancestor tag ({!Lxu_seglog.Tag_list.may_have_ancestor},
+       selective Proposition 3).  Its spine's partition estimate is an
+       upper bound, so a zero returns [\[\]] without a join.  Joins
+       run on {!Lazy_db.query_pool}.}
+    {- [`Naive]: the same composition with no segment filter,
+       sequential — the reference.}}
+    Both return the same results.
 
     [guard] makes evaluation cooperative: it is threaded into every
-    per-step Lazy-Join and checked between steps and per tag-list
-    segment, so evaluation raises [Lxu_util.Deadline.Cancel.Cancelled]
-    promptly after a cancel or deadline expiry.
+    Lazy-Join and checked between steps and per tag-list segment, so
+    evaluation raises [Lxu_util.Deadline.Cancel.Cancelled] promptly
+    after a cancel or deadline expiry.
     @raise Invalid_argument on an empty path. *)
 
 val explain :
   ?guard:Lxu_util.Deadline.guard -> Lazy_db.t -> t -> string * (int * int) list
-(** Plans the path as [eval ~plan:`Auto], executes it, and returns a
-    human-readable rendering of the chosen plan together with the
-    results (identical to [eval]'s).  A partition scan shows the
-    scanned tag, the matching paths with their counts and the
-    estimated vs actual result count; a join plan shows the join
-    order, engine and push settings per join, and estimated vs actual
-    cardinalities. *)
+(** Runs the path as [eval ~plan:`Auto] and returns a human-readable
+    rendering of the run together with the results (identical to
+    [eval]'s).  A partition scan shows the scanned tag, the matching
+    paths with their counts and the estimated vs actual result count.
+    A join composition shows, in execution order, the pairs of every
+    join and, per spine step, its partition estimate (an upper bound)
+    against the actual survivors. *)
 
 val eval_string :
-  ?plan:[ `Auto | `Naive | `Seed of int ] ->
+  ?plan:[ `Auto | `Naive ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
   string ->
@@ -97,7 +99,7 @@ val eval_string :
 (** [parse] + [eval]. @raise Invalid_argument on a syntax error. *)
 
 val count :
-  ?plan:[ `Auto | `Naive | `Seed of int ] ->
+  ?plan:[ `Auto | `Naive ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
   string ->

@@ -3,19 +3,10 @@ open Lxu_seglog
 
 type axis = Descendant | Child
 
-(* One flat block of eight immediate fields per pair — no nested
+(* One flat block of four immediate fields per pair — no nested
    element records, so materializing N pairs allocates N+1 blocks
    rather than 3N+1 and the GC never chases intra-pair pointers. *)
-type pair = {
-  a_sid : int;
-  a_start : int;
-  a_stop : int;
-  a_level : int;
-  d_sid : int;
-  d_start : int;
-  d_stop : int;
-  d_level : int;
-}
+type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
 
 type stats = {
   mutable a_segments : int;
@@ -113,16 +104,16 @@ let cols_filter keep (c : Er_node.cols) =
     { Er_node.starts; stops; pids }
   end
 
-(* Chunked flat output buffer: 8 ints per pair
-   [a_sid; a_start; a_stop; a_pid; d_sid; d_start; d_stop; d_pid]
-   (path slots as the columns hold them; only pair records turn them
-   into levels), written into fixed chunks that are never re-grown — a growable
+(* Chunked flat output buffer: 4 ints per pair
+   [a_sid; a_start; d_sid; d_start] (an element's identity; the Child
+   axis checks levels on the columns before emitting), written into
+   fixed chunks that are never re-grown — a growable
    array would alloc+zero+copy its whole prefix on every doubling
    round, which dominates emission cost once the buffer outgrows the
    minor heap.  Chunk sizes escalate 256 → … → 65536 ints so small
    join units stay small and big ones amortize.  [full] holds
    completely-filled chunks in reverse push order (chunk sizes are
-   multiples of 8 and pushes advance by 8, so rotation happens exactly
+   multiples of 4 and pushes advance by 4, so rotation happens exactly
    at capacity).  A [counting] buffer only counts: a count needs no
    pair, so it allocates nothing per pair. *)
 type buf = {
@@ -140,23 +131,19 @@ let buf_grow b =
   b.cur <- Array.make (max 256 (min 65536 (2 * Array.length b.cur))) 0;
   b.cur_len <- 0
 
-let buf_push8 b x0 x1 x2 x3 x4 x5 x6 x7 =
+let buf_push4 b x0 x1 x2 x3 =
   if not b.counting then begin
-    if b.cur_len + 8 > Array.length b.cur then buf_grow b;
+    if b.cur_len + 4 > Array.length b.cur then buf_grow b;
     let d = b.cur and o = b.cur_len in
     Array.unsafe_set d o x0;
     Array.unsafe_set d (o + 1) x1;
     Array.unsafe_set d (o + 2) x2;
     Array.unsafe_set d (o + 3) x3;
-    Array.unsafe_set d (o + 4) x4;
-    Array.unsafe_set d (o + 5) x5;
-    Array.unsafe_set d (o + 6) x6;
-    Array.unsafe_set d (o + 7) x7;
-    b.cur_len <- o + 8
+    b.cur_len <- o + 4
   end;
-  b.total <- b.total + 8
+  b.total <- b.total + 4
 
-let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 8
+let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 4
 
 (* [f chunk len] over every filled chunk prefix, in push order. *)
 let iter_chunks bufs f =
@@ -168,25 +155,12 @@ let iter_chunks bufs f =
 
 (* Materializes the pair records for a sequence of buffers in order —
    the single conversion at the API boundary, shared by the sequential
-   (one buffer) and pool (one buffer per join unit, unit order) paths.
-   [depth] turns path slots into levels. *)
-let bufs_to_pairs ~depth bufs =
+   (one buffer) and pool (one buffer per join unit, unit order) paths. *)
+let bufs_to_pairs bufs =
   let n = pair_count bufs in
   if n = 0 then [||]
   else begin
-    let out =
-      Array.make n
-        {
-          a_sid = 0;
-          a_start = 0;
-          a_stop = 0;
-          a_level = 0;
-          d_sid = 0;
-          d_start = 0;
-          d_stop = 0;
-          d_level = 0;
-        }
-    in
+    let out = Array.make n { a_sid = 0; a_start = 0; d_sid = 0; d_start = 0 } in
     let k = ref 0 in
     let emit data len =
       let o = ref 0 in
@@ -196,15 +170,11 @@ let bufs_to_pairs ~depth bufs =
           {
             a_sid = Array.unsafe_get data p;
             a_start = Array.unsafe_get data (p + 1);
-            a_stop = Array.unsafe_get data (p + 2);
-            a_level = depth.(Array.unsafe_get data (p + 3));
-            d_sid = Array.unsafe_get data (p + 4);
-            d_start = Array.unsafe_get data (p + 5);
-            d_stop = Array.unsafe_get data (p + 6);
-            d_level = depth.(Array.unsafe_get data (p + 7));
+            d_sid = Array.unsafe_get data (p + 2);
+            d_start = Array.unsafe_get data (p + 3);
           };
         incr k;
-        o := p + 8
+        o := p + 4
       done
     in
     iter_chunks bufs emit;
@@ -231,9 +201,9 @@ let bufs_to_refs bufs =
       Array.unsafe_set anc !k
         (ref_of ~sid:(Array.unsafe_get data p) ~start:(Array.unsafe_get data (p + 1)));
       Array.unsafe_set desc !k
-        (ref_of ~sid:(Array.unsafe_get data (p + 4)) ~start:(Array.unsafe_get data (p + 5)));
+        (ref_of ~sid:(Array.unsafe_get data (p + 2)) ~start:(Array.unsafe_get data (p + 3)));
       incr k;
-      o := p + 8
+      o := p + 4
     done
   in
   iter_chunks bufs emit;
@@ -341,27 +311,18 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
         if Array.unsafe_get a.starts i < p && Array.unsafe_get a.stops i > p then begin
           let d = get_d () in
           let n_d = Er_node.cols_length d in
-          let a_start = Array.unsafe_get a.starts i
-          and a_stop = Array.unsafe_get a.stops i
-          and a_pid = Array.unsafe_get a.pids i in
+          let a_start = Array.unsafe_get a.starts i in
           match axis with
           | Descendant ->
             for j = 0 to n_d - 1 do
-              buf_push8 out a_sid a_start a_stop a_pid d_sid
-                (Array.unsafe_get d.starts j)
-                (Array.unsafe_get d.stops j)
-                (Array.unsafe_get d.pids j)
+              buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j)
             done;
             stats.cross_pairs <- stats.cross_pairs + n_d
           | Child ->
-            let child_level = depth.(a_pid) + 1 in
+            let child_level = depth.(Array.unsafe_get a.pids i) + 1 in
             for j = 0 to n_d - 1 do
-              let d_pid = Array.unsafe_get d.pids j in
-              if depth.(d_pid) = child_level then begin
-                buf_push8 out a_sid a_start a_stop a_pid d_sid
-                  (Array.unsafe_get d.starts j)
-                  (Array.unsafe_get d.stops j)
-                  d_pid;
+              if depth.(Array.unsafe_get d.pids j) = child_level then begin
+                buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j);
                 stats.cross_pairs <- stats.cross_pairs + 1
               end
             done
@@ -373,14 +334,7 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
     let d = get_d () in
     in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
       ~emit:(fun ai di ->
-        buf_push8 out d_sid
-          (Array.unsafe_get a.starts ai)
-          (Array.unsafe_get a.stops ai)
-          (Array.unsafe_get a.pids ai)
-          d_sid
-          (Array.unsafe_get d.starts di)
-          (Array.unsafe_get d.stops di)
-          (Array.unsafe_get d.pids di);
+        buf_push4 out d_sid (Array.unsafe_get a.starts ai) d_sid (Array.unsafe_get d.starts di);
         stats.in_pairs <- stats.in_pairs + 1)
       ()
   end
@@ -512,7 +466,7 @@ let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard
   match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ([], stats)
   | Some tid_a, Some tid_d ->
-    (* Planner-supplied prefilters (selective Proposition 3): entries
+    (* Caller-supplied prefilters (selective Proposition 3): entries
        dropped here are skipped before any ER-tree or column
        access.  An A-side drop removes exactly the pairs whose ancestor
        lives in that segment (in-segment pairs included — the in-seg
@@ -588,7 +542,7 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
     fill ~counting:false ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc
       ~desc
   in
-  (bufs_to_pairs ~depth:(Path_synopsis.depth_table (Update_log.synopsis log)) bufs, stats)
+  (bufs_to_pairs bufs, stats)
 
 let run_refs ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
     ?pool ?guard log ~anc ~desc () =

@@ -41,18 +41,9 @@
 
 type axis = Descendant | Child
 
-type pair = {
-  a_sid : int;
-  a_start : int;
-  a_stop : int;
-  a_level : int;
-  d_sid : int;
-  d_start : int;
-  d_stop : int;
-  d_level : int;
-}
-(** One ancestor/descendant result: each side is (segment, virtual
-    extent, absolute level).  A single flat block of immediate fields
+type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
+(** One ancestor/descendant result: each side is an element's identity,
+    its segment and virtual start.  A single flat block of immediate fields
     — materializing a result array allocates one small block per pair
     and nothing the GC has to trace into. *)
 
@@ -96,8 +87,8 @@ val run :
     results.
 
     [a_filter]/[d_filter] (default: keep everything) drop tag-list
-    entries from [SL_A]/[SL_D] before the merge pass — the planner's
-    selective Proposition 3.  A dropped entry is never resolved to an
+    entries from [SL_A]/[SL_D] before the merge pass — selective
+    Proposition 3, which the path executor's restricted joins use.  A dropped entry is never resolved to an
     ER node and its elements are never fetched.  Soundness is the
     caller's contract: the result is exactly the unfiltered pair set
     minus pairs whose ancestor (A-side drop) or descendant (D-side

@@ -35,7 +35,7 @@
     Costs: O(elements) per segment insert (one stack scan, one hash
     probe per run of equal paths) and per removal (one decrement per
     element), O(distinct paths) space.  Counts are {e exact}, so a
-    zero is proof of absence — the planner's license to skip whole
+    zero is proof of absence — the path executor's license to skip whole
     joins and segments (selective Proposition 3). *)
 
 type t

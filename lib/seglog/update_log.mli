@@ -168,7 +168,7 @@ val synopsis : t -> Path_synopsis.t
 (** The log's path-summary synopsis: exact per-root-to-element-path
     counts, maintained incrementally by {!insert}, {!insert_batch} and
     {!remove} (and therefore by packing, which is remove+insert).
-    Frozen snapshots carry a copy-on-write clone.  The planner's input:
+    Frozen snapshots carry a copy-on-write clone.  The path executor's input:
     cardinality estimation and Proposition-3 segment skipping read it
     without forcing a dirty tag-list sort. *)
 

@@ -1,14 +1,15 @@
 (* The partition-scan property: on random predicate-free chains, the
    default plan (a partition scan over the synopsis' path slots), the
-   naive join composition, every forced seed of the ordered executor
-   and an oracle over a fresh parse of the text all agree.  Chains mix
+   naive join composition and an oracle over a fresh parse of the text
+   all agree.  Chains mix
    Child and Desc steps (a Child first step included), repeat tags
    ([//a//a], [//a/a]), step onto attributes and name a tag that never
    occurs.  The stores see random inserts, whole-element removes and
    packs, on LD and LS, in memory and paged, and a snapshot pinned
    before further writes must keep answering for the text it was
-   taken at.  The default suite runs it at a hundred-odd cases; the
-   slow tier at thousands. *)
+   taken at.  A sibling property checks predicated twigs against the
+   tree oracle the same way.  The default suite runs each at a
+   hundred-odd cases; the slow tier at thousands. *)
 
 open Lazy_xml
 
@@ -115,61 +116,58 @@ let random_chain st =
         predicates = [];
       })
 
-let plan_name = function
-  | `Auto -> "auto"
-  | `Naive -> "naive"
-  | `Seed k -> Printf.sprintf "seed %d" k
+let plans = [ `Auto; `Naive ]
 
-(* Every plan and the oracle on one chain; a disagreement fails the
-   case, naming the chain, the plan and the text. *)
-let agree db text steps =
+let plan_name = function `Auto -> "auto" | `Naive -> "naive"
+
+let store_name db =
+  Printf.sprintf "%s/%s/%d domain(s)%s"
+    (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
+    (match Lazy_db.storage_kind db with `Mem -> "mem" | `Paged -> "paged")
+    (Lazy_db.domains db)
+    (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
+
+(* Both plans and [oracle] on one path; a disagreement fails the case,
+   naming the path, the plan, the store and the text. *)
+let agree oracle db text steps =
   let expected = oracle text steps in
-  let plans = `Auto :: `Naive :: List.init (List.length steps) (fun k -> `Seed k) in
   let show l = String.concat " " (List.map (fun (s, e) -> Printf.sprintf "[%d,%d)" s e) l) in
   List.for_all
     (fun plan ->
       let got = Path_query.eval ~plan db steps in
       got = expected
-      || QCheck2.Test.fail_reportf "%s under %s on %s/%s%s: got %s, the oracle says %s on %S"
-           (Path_query.to_string steps) (plan_name plan)
-           (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
-           (match Lazy_db.storage_kind db with `Mem -> "mem" | `Paged -> "paged")
-           (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
-           (show got) (show expected) text)
+      || QCheck2.Test.fail_reportf "%s under %s on %s: got %s, the oracle says %s on %S"
+           (Path_query.to_string steps) (plan_name plan) (store_name db) (show got)
+           (show expected) text)
     plans
 
-let configs =
-  [
-    (Lazy_db.LD, `Mem); (Lazy_db.LS, `Mem); (Lazy_db.LD, `Paged); (Lazy_db.LS, `Paged);
-  ]
-
-(* One case: a random schedule from [seed], then every chain checked
-   on the live stores and on snapshots pinned midway. *)
-let case seed =
+(* One case: a random schedule from [seed] applied to a store per
+   config, then the corner paths and random ones checked on the live
+   stores and on snapshots pinned midway, which must keep answering for
+   the text they were taken at while the stores write on. *)
+let run_case ~configs ~oracle ~corners ~random seed =
   let st = Random.State.make [| seed |] in
   let dbs =
     List.map
-      (fun (engine, storage) -> Lazy_db.create ~engine ~storage ~index_attributes:true ())
+      (fun (engine, storage, domains) ->
+        Lazy_db.create ~engine ~storage ~domains ~index_attributes:true ())
       configs
   in
   let text = ref "" in
   for _ = 1 to 4 + Random.State.int st 8 do
     write st dbs text
   done;
-  let chains =
-    List.map Path_query.parse_exn corner_chains @ List.init 4 (fun _ -> random_chain st)
-  in
-  let live_ok = List.for_all (fun db -> List.for_all (agree db !text) chains) dbs in
-  (* A snapshot pinned before more writes answers for its own text. *)
+  let paths = List.map Path_query.parse_exn corners @ List.init 4 (fun _ -> random st) in
+  let live_ok = List.for_all (fun db -> List.for_all (agree oracle db !text) paths) dbs in
   let pinned = !text in
   let snaps = List.map Lazy_db.snapshot dbs in
   for _ = 1 to 3 do
     write st dbs text
   done;
-  let chains = List.init 4 (fun _ -> random_chain st) @ chains in
+  let paths = List.init 4 (fun _ -> random st) @ paths in
   live_ok
-  && List.for_all (fun db -> List.for_all (agree db pinned) chains) snaps
-  && List.for_all (fun db -> List.for_all (agree db !text) chains) dbs
+  && List.for_all (fun db -> List.for_all (agree oracle db pinned) paths) snaps
+  && List.for_all (fun db -> List.for_all (agree oracle db !text) paths) dbs
   && List.for_all
        (fun db ->
          Lazy_db.check db;
@@ -177,7 +175,66 @@ let case seed =
        (dbs @ snaps)
 
 let all_plans_agree ~count =
-  QCheck2.Test.make ~name:"partition scan = naive = every seed = oracle (random chains)" ~count
+  QCheck2.Test.make ~name:"partition scan = naive = oracle (random chains)" ~count
     ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
-    case
+    (run_case
+       ~configs:
+         [
+           (Lazy_db.LD, `Mem, 1); (Lazy_db.LS, `Mem, 1); (Lazy_db.LD, `Paged, 1);
+           (Lazy_db.LS, `Paged, 1);
+         ]
+       ~oracle ~corners:corner_chains ~random:random_chain)
+
+(* --- predicated twigs ------------------------------------------------ *)
+
+(* One-step, nested and stacked predicates, attribute predicates, a
+   Child-headed twig, and predicates or spines that cannot match. *)
+let corner_twigs =
+  [
+    "//a[b]"; "//a[@k]/b"; "//b[a/a]//a"; "/a[a]"; "//a[b[c]]"; "//a[b][c]//c"; "//a[zz]//b";
+    "//c[a]"; "//a[/a]/@k"; "//b[a[@k]]//a"; "//c//zz[a]";
+  ]
+
+(* A random twig of one to three steps with at least one predicate,
+   predicates nesting up to two deep. *)
+let random_twig st =
+  let rec path ~depth ~len =
+    List.init len (fun _ ->
+        let predicates =
+          if depth < 2 && Random.State.int st 3 = 0 then
+            [ path ~depth:(depth + 1) ~len:(1 + Random.State.int st 2) ]
+          else []
+        in
+        {
+          Path_query.axis = (if Random.State.bool st then Path_query.Desc else Path_query.Child);
+          tag = tags.(Random.State.int st (Array.length tags));
+          predicates;
+        })
+  in
+  let steps = path ~depth:0 ~len:(1 + Random.State.int st 3) in
+  let k = Random.State.int st (List.length steps) in
+  List.mapi
+    (fun i (s : Path_query.step) ->
+      if i = k && s.predicates = [] then { s with predicates = [ path ~depth:1 ~len:1 ] } else s)
+    steps
+
+(* The twig property: on random predicated twigs, the default plan
+   (left to right with restricted down joins) and the unfiltered naive
+   composition agree with the tree oracle on LD/LS x Mem/Paged x 1 and
+   4 domains, live and pinned. *)
+let predicated_twigs_agree ~count =
+  QCheck2.Test.make ~name:"restricted joins = naive = tree oracle (random predicated twigs)"
+    ~count ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (run_case
+       ~configs:
+         (List.concat_map
+            (fun domains ->
+              [
+                (Lazy_db.LD, `Mem, domains); (Lazy_db.LS, `Mem, domains);
+                (Lazy_db.LD, `Paged, domains); (Lazy_db.LS, `Paged, domains);
+              ])
+            [ 1; 4 ])
+       ~oracle:(Twig_oracle.matches ~attributes:true)
+       ~corners:corner_twigs ~random:random_twig)

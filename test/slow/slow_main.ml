@@ -30,9 +30,13 @@
      [Update_log.check] and fingerprints as a replay of its prefix;
    - the partition-scan property at 2,000 cases: on random
      predicate-free chains the default plan, the naive join
-     composition, every forced seed and a text oracle agree, on LD/LS
-     x Mem/Paged stores under inserts, removes and packs, and on
-     snapshots pinned while the live store keeps writing.
+     composition and a text oracle agree, on LD/LS x Mem/Paged stores
+     under inserts, removes and packs, and on snapshots pinned while
+     the live store keeps writing;
+   - the predicated-twig property at 2,000 cases: on random twigs with
+     one-step and nested predicates the default plan's restricted
+     joins, the naive composition and the tree oracle agree, on LD/LS
+     x Mem/Paged x 1/4 domains, live and pinned.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -104,5 +108,10 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 23 |])
     (Lxu_props.Partition_props.all_plans_agree ~count:cases);
   Printf.printf
-    "partition scan: %d cases, every plan equal to the oracle on LD/LS x Mem/Paged and pinned snapshots\n%!"
+    "partition scan: %d cases, both plans equal to the oracle on LD/LS x Mem/Paged and pinned snapshots\n%!"
+    cases;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 24 |])
+    (Lxu_props.Partition_props.predicated_twigs_agree ~count:cases);
+  Printf.printf
+    "predicated twigs: %d cases, both plans equal to the tree oracle on LD/LS x Mem/Paged x 1/4 domains and pinned snapshots\n%!"
     cases

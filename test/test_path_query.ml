@@ -233,45 +233,8 @@ let suite =
 
 (* --- twig predicates ---------------------------------------------------- *)
 
-(* An independent oracle evaluated directly on the parsed tree. *)
-let naive_twig text path =
-  let steps = Path_query.parse_exn path in
-  let forest = Lxu_xml.Parser.parse_fragment text in
-  let child_elems e =
-    List.filter_map
-      (function Lxu_xml.Tree.Element c -> Some c | _ -> None)
-      e.Lxu_xml.Tree.children
-  in
-  let rec descendants e =
-    List.concat_map (fun c -> c :: descendants c) (child_elems e)
-  in
-  let roots = List.filter_map (function Lxu_xml.Tree.Element e -> Some e | _ -> None) forest in
-  let all_elements = List.concat_map (fun r -> r :: descendants r) roots in
-  (* Elements reachable from [anchor] (None = virtual root) via the
-     relative path [steps]; predicates checked existentially. *)
-  let rec reach anchor steps =
-    match steps with
-    | [] -> (match anchor with Some e -> [ e ] | None -> [])
-    | s :: rest ->
-      let pool =
-        match (anchor, s.Path_query.axis) with
-        | None, Path_query.Desc -> all_elements
-        | None, Path_query.Child -> roots
-        | Some e, Path_query.Desc -> descendants e
-        | Some e, Path_query.Child -> child_elems e
-      in
-      let here =
-        List.filter
-          (fun e ->
-            e.Lxu_xml.Tree.tag = s.Path_query.tag
-            && List.for_all (fun p -> reach (Some e) p <> []) s.Path_query.predicates)
-          pool
-      in
-      List.concat_map (fun e -> reach (Some e) rest) here
-  in
-  reach None steps
-  |> List.map (fun e -> (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end))
-  |> List.sort_uniq compare
+(* The tree oracle, shared with the predicated-twig property. *)
+let naive_twig text path = Lxu_props.Twig_oracle.matches text (Path_query.parse_exn path)
 
 let twig_doc =
   "<site><person><profile><interest/></profile><name>a</name></person>"
@@ -393,4 +356,5 @@ let suite =
   @ [
       Alcotest.test_case "partition scan runs no join" `Quick test_partition_runs_no_join;
       QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.all_plans_agree ~count:120);
+      QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.predicated_twigs_agree ~count:120);
     ]

@@ -1,9 +1,10 @@
-(* Differential tests for the cost-based twig planner: planned
-   evaluation (auto or any forced seed) must be result-identical to the
-   naive left-to-right order — across engines LD/LS, 1 and 4 domains,
-   random documents, random twigs (with and without predicates),
-   synopsis staleness from removes and packs, and frozen snapshots.
-   Plus sanity checks on plan selection and the explain rendering. *)
+(* Differential tests for the default plan: a partition scan for a
+   predicate-free chain, restricted left-to-right joins otherwise.  It
+   must be result-identical to the unfiltered naive composition —
+   across engines LD/LS, 1 and 4 domains, random documents, random
+   twigs (with and without predicates), synopsis changes from removes
+   and packs, and frozen snapshots.  Plus the explain rendering and the
+   synopsis-proven empty shortcut. *)
 
 open Lazy_xml
 open Lxu_workload
@@ -54,8 +55,8 @@ let pool_for ~seed =
   else [| "a"; "b"; "c"; "d"; "zzz" |]
 
 let mutate st db =
-  (* A couple of whole-element removes, sometimes a pack: the planner
-     must stay exact on the post-edit synopsis. *)
+  (* A couple of whole-element removes, sometimes a pack: the default
+     plan must stay exact on the post-edit synopsis. *)
   for _ = 1 to 2 do
     let nodes = Lxu_xml.Parser.parse_fragment (Lazy_db.text db) in
     let extents = ref [] in
@@ -75,12 +76,7 @@ let mutate st db =
 let check_planned_equals_naive ~ctx db twig =
   let naive = Path_query.eval ~plan:`Naive db twig in
   let auto = Path_query.eval ~plan:`Auto db twig in
-  Alcotest.check pair_list (ctx ^ " auto = naive") naive auto;
-  let n = List.length twig in
-  for k = 0 to n - 1 do
-    let forced = Path_query.eval ~plan:(`Seed k) db twig in
-    Alcotest.check pair_list (Printf.sprintf "%s seed %d = naive" ctx k) naive forced
-  done
+  Alcotest.check pair_list (ctx ^ " auto = naive") naive auto
 
 let prop_planned_equals_naive =
   QCheck2.Test.make ~name:"planned = naive (random docs, random twigs)" ~count:40
@@ -110,10 +106,8 @@ let prop_planned_equals_naive =
 
 (* --- deterministic corners -------------------------------------------- *)
 
-let test_choose_sanity () =
-  (* Many <a><b/></a> groups and a single rare <q><a><b><z/></b></a></q>:
-     for //a//b//z the cheapest anchor is the rare tail, and the
-     planner must see a tiny estimate for it. *)
+let test_explain () =
+  (* Many <a><b/></a> groups and a single rare <q><a><b><z/></b></a></q>. *)
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "<r>";
   for _ = 1 to 200 do
@@ -124,28 +118,17 @@ let test_choose_sanity () =
   List.iter
     (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
     (Chopper.chop ~text:(Buffer.contents buf) ~segments:16 Chopper.Balanced);
-  let log = Option.get (Lazy_db.log db) in
-  let chain =
-    {
-      Lxu_plan.Plan.tags = [| "a"; "b"; "z" |];
-      axes = [| Lxu_plan.Plan.Desc; Lxu_plan.Plan.Desc; Lxu_plan.Plan.Desc |];
-      has_preds = false;
-    }
-  in
-  (match Lxu_plan.Plan.choose ~log chain with
-  | Lxu_plan.Plan.Ordered o ->
-    Alcotest.(check int) "anchors at the rare tail" 2 o.Lxu_plan.Plan.seed;
-    Alcotest.(check int) "exact tail estimate" 1 o.Lxu_plan.Plan.est_step.(2);
-    check_bool "estimated cheaper than naive" true
-      (o.Lxu_plan.Plan.est_cost < o.Lxu_plan.Plan.naive_cost)
-  | Lxu_plan.Plan.Naive -> Alcotest.fail "expected an ordered plan, got naive"
-  | Lxu_plan.Plan.Holistic _ -> Alcotest.fail "expected an ordered plan, got holistic");
-  (* The executed explain agrees with eval and renders actuals.  A
-     predicated twig keeps the ordered executor, and its seed. *)
+  (* A predicated twig runs the joins left to right: per spine step the
+     partition estimate against the survivors, per join its pairs. *)
   let twig = Path_query.parse_exn "//a//b[z]//z" in
   let explained, matches = Path_query.explain db twig in
   Alcotest.check pair_list "explain results = eval" (Path_query.eval db twig) matches;
-  check_bool "explain shows the seed" true (contains explained "seed step 2");
+  check_bool "explain names the executor" true (contains explained "plan: left-to-right joins");
+  check_bool "head step: est = actual" true (contains explained "step 0 //a: est 201, actual 201");
+  check_bool "predicate cuts the second step" true (contains explained "step 1 //b: est 401, actual 1");
+  check_bool "predicate join pairs" true (contains explained "predicate join b//z: 1 pairs");
+  check_bool "down join pairs" true (contains explained "down join a//b: 401 pairs");
+  check_bool "tail step: est 1, actual 1" true (contains explained "step 2 //z: est 1, actual 1");
   (* The predicate-free chain is a partition scan: one matching path,
      the z column scanned, an exact estimate. *)
   let twig = Path_query.parse_exn "//a//b//z" in
@@ -165,13 +148,18 @@ let test_provably_empty () =
     (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
     (Chopper.chop ~text:"<r><c><d/><d/></c><a><z/></a><c><d/></c></r>" ~segments:3
        Chopper.Balanced);
-  let twig = Path_query.parse_exn "//c//z" in
-  Alcotest.check pair_list "provably empty" [] (Path_query.eval ~plan:`Auto db twig);
-  Alcotest.check pair_list "naive agrees" [] (Path_query.eval ~plan:`Naive db twig)
+  List.iter
+    (fun path ->
+      let twig = Path_query.parse_exn path in
+      let before = Lxu_join.Lazy_join.runs () in
+      Alcotest.check pair_list (path ^ " provably empty") [] (Path_query.eval ~plan:`Auto db twig);
+      Alcotest.(check int) (path ^ " ran no join") before (Lxu_join.Lazy_join.runs ());
+      Alcotest.check pair_list (path ^ " naive agrees") [] (Path_query.eval ~plan:`Naive db twig))
+    [ "//c//z"; "//c[d]//z" ]
 
 let suite =
   [
-    Alcotest.test_case "choose anchors at the rare tail" `Quick test_choose_sanity;
+    Alcotest.test_case "explain renders the run" `Quick test_explain;
     Alcotest.test_case "synopsis-proven empty result" `Quick test_provably_empty;
     QCheck_alcotest.to_alcotest prop_planned_equals_naive;
   ]
