@@ -59,6 +59,9 @@ let claims =
     { name = "plan fingerprints"; key = "plan_fingerprints_ok"; bound = Holds };
     { name = "plan >=3x"; key = "plan_frac_ge3"; bound = At_least (Some 0.5, None) };
     { name = "plan worst"; key = "plan_worst_ratio"; bound = At_most (Some 1.1, Some 0.9) };
+    (* Predicated reversed twigs: slot-restricted semi-joins never lose
+       to the unrestricted composition. *)
+    { name = "plan twigs"; key = "plan_twig_ratio"; bound = At_most (Some 1.0, None) };
   ]
 
 (* The bound [grace] sets against the committed value [c]. *)
@@ -357,10 +360,13 @@ let maint () =
 (* Reversed-selectivity twig queries where left-to-right evaluation is
    the worst order: thousands of common <g><a><b/>x4</a></g> groups and
    40 rare <g><q><a><b><c/></b></a></q></g> groups, chopped into 80
-   segments so the rare tags are segment-local.  Every query is
+   segments so the rare tags are segment-local.  The chains are
    predicate-free, so the default plan is a partition scan: //a//b//q
    is provably empty (the scan answers it from the synopsis without a
-   join) and //a//b is the control, where the scan reads every b.
+   join) and //a//b is the control, where the scan reads every b.  The
+   twigs carry predicates: the default plan joins only the candidates
+   on slots that can match (the 40 bs under q for //a//b[c]//c), Naive
+   every element of every step.
 
    Naive and the default plan are timed interleaved, best of 7, with a
    full major GC before every timed pass: otherwise each variant pays
@@ -381,10 +387,10 @@ let plan () =
   List.iter
     (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
     (Chopper.chop ~text:(Buffer.contents buf) ~segments:80 Chopper.Balanced);
-  let queries =
+  let chains =
     [ "//a//b//c"; "//a//c"; "//a/b//c"; "//q//a//b"; "//g//q//a//c"; "//a//b//q"; "//a//b" ]
-  in
-  let rows =
+  and twigs = [ "//a//b[c]//c"; "//g//a[b/c]" ] in
+  let measure =
     List.map
       (fun expr ->
         let twig = Path_query.parse_exn expr in
@@ -401,13 +407,15 @@ let plan () =
             variants
         done;
         (mins.(0), mins.(1), same))
-      queries
   in
+  let rows = measure chains and twig_rows = measure twigs in
   let count p = float_of_int (List.length (List.filter p rows)) in
+  let worst rows = List.fold_left (fun acc (naive, planned, _) -> max acc (planned /. naive)) 0.0 rows in
   [
-    ("plan_fingerprints_ok", Flag (List.for_all (fun (_, _, same) -> same) rows));
+    ("plan_fingerprints_ok", Flag (List.for_all (fun (_, _, same) -> same) (rows @ twig_rows)));
     ("plan_frac_ge3", Num (count (fun (naive, planned, _) -> naive >= 3.0 *. planned) /. count (fun _ -> true)));
-    ("plan_worst_ratio", Num (List.fold_left (fun acc (naive, planned, _) -> max acc (planned /. naive)) 0.0 rows));
+    ("plan_worst_ratio", Num (worst rows));
+    ("plan_twig_ratio", Num (worst twig_rows));
   ]
 
 (* Each group measured from a compacted heap, as if in its own

@@ -73,285 +73,241 @@ and step_to_string { axis; tag; predicates } =
 
 (* --- evaluation ----------------------------------------------------------
 
-   A predicate-free chain under [`Auto] is a partition scan: the chain
-   is matched against the synopsis' distinct paths
-   ({!Lxu_plan.Plan.partition}), and the answer is the last tag's
-   elements whose path slot matched — one pass over that tag's
-   columns, no join.  Every other evaluation composes structural joins
-   left to right ([eval_steps]; under [`Auto] with segment-restricted
-   down joins), and works on sets of element refs of one tag — a segment and
-   a virtual start packed in one int ({!Lxu_join.Lazy_join.ref_of}),
-   kept as sorted int arrays — through these operations:
-   - [all tag]                       every element of [tag]
-   - [roots_only tag set]            restrict to document-level elements
-   - [up axis ~anc ~desc set]        elements of tag [anc] related by
-                                     [axis] to a [desc]-element in [set]
-   - [down axis ~anc set ~desc]      elements of tag [desc] related by
-                                     [axis] to an [anc]-element in [set]
-   - [extents tag set]               global (start, stop) pairs, sorted
-
-   Both executors end the same way: they walk the tag's segments in
-   tag-list order and each segment's column in local order,
-   translating through one [Er_node.cursor] per segment, so the
-   extents come out in sorted runs (a child segment's elements sit
-   inside its parent's, but are listed after them), which
-   [Run_merge.sort] merges instead of sorting. *)
+   A predicate-free chain under [`Auto] is a partition scan
+   ({!Lxu_plan.Plan.partition}): the last tag's elements whose slot
+   matched, no join.  Everything else is a chain of semi-joins over
+   selection masks ({!Lxu_join.Lazy_join.semi}), where a join's [ok]
+   table checks the steps it spans on the descendant's own path.
+   Either way the extents come from one walk over the tag's segments
+   in tag-list order with one [Er_node.cursor] each, in sorted runs
+   (a child segment's elements sit inside its parent's but are listed
+   after them) that [Run_merge.sort] merges instead of sorting. *)
 
 module Lj = Lxu_join.Lazy_join
+module Plan = Lxu_plan.Plan
 
-(* Sets of element refs: sorted int arrays without duplicates. *)
-module Refs = struct
-  type t = int array
+let paxis = function Desc -> Plan.Desc | Child -> Plan.Child
 
-  let empty : t = [||]
-  let is_empty (a : t) = Array.length a = 0
-  let cardinal (a : t) = Array.length a
+(* A step with its tag id ([-1]: the tag never occurs) and its
+   candidate slots, its predicate paths annotated likewise. *)
+type node = { step : step; tid : int; cand : bool array; preds : node list list }
 
-  let mem (a : t) x =
-    let lo = ref 0 and hi = ref (Array.length a) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+(* Annotates [steps], whose first step relates to the slots [above]
+   ([None]: the document root).  Under [`Auto] a candidate slot
+   matches the path from the root down to the step
+   ({!Lxu_plan.Plan.down}) and holds a candidate of every predicate
+   head and of the next step below it ({!Lxu_plan.Plan.up}) — so in
+   [//a//b\[c\]//c] only the [b]s on a path that has a [c] below are
+   candidates.  Under [`Naive] every slot of the tag is, except for a
+   leading [/tag], which must be document-level. *)
+let rec annotate ~auto syn reg ~above ~root (steps : t) =
+  match steps with
+  | [] -> []
+  | s :: rest ->
+    let tid = Option.value (Tag_registry.find reg s.tag) ~default:(-1) in
+    let down =
+      if auto then Plan.down syn ~above (paxis s.axis) ~tid
+      else Plan.down syn ~above:None (if root then paxis s.axis else Plan.Desc) ~tid
+    in
+    let below = annotate ~auto syn reg ~above:(Some down) ~root:false in
+    let preds = List.map below s.predicates and rest = below rest in
+    let cand =
+      if not auto then down
+      else
+        List.fold_left
+          (fun acc -> function
+            | [] -> acc
+            | k :: _ -> Array.map2 ( && ) acc (Plan.up syn (paxis k.step.axis) k.cand))
+          down (rest :: preds)
+    in
+    { step = s; tid; cand; preds } :: rest
+
+(* The top-down pass after [annotate]'s bottom-up one: a candidate
+   must also lie in [axis] relation below a candidate of the step
+   above, which in [//a\[b\]//b\[z\]] leaves the predicate's [b]s only
+   under the [a]s that can hold a [z]. *)
+let rec narrow syn ~above nodes =
+  match nodes with
+  | [] -> []
+  | n :: rest ->
+    let cand =
+      match above with
+      | None -> n.cand
+      | Some _ -> Array.map2 ( && ) n.cand (Plan.down syn ~above (paxis n.step.axis) ~tid:n.tid)
+    in
+    let below = narrow syn ~above:(Some cand) in
+    { n with cand; preds = List.map below n.preds } :: below rest
+
+(* The next join's reach from an anchor: the nodes up to the first
+   with predicates, or the last, under [`Auto]; one node under
+   [`Naive].  Returns them and the nodes after. *)
+let rec split ~auto = function
+  | [] -> invalid_arg "Path_query: empty path"
+  | n :: rest when (not auto) || n.preds <> [] || rest = [] -> ([ n ], rest)
+  | n :: rest ->
+    let hop, after = split ~auto rest in
+    (n :: hop, after)
+
+let rec last = function [ n ] -> n | _ :: l -> last l | [] -> invalid_arg "Path_query.last"
+
+(* [ok_row hop p]: byte [da] is set when the positions of path [p]
+   below depth [da] spell the hop's steps, its last step at [p]'s end. *)
+let ok_row (hop : node array) (p : int array) =
+  let dt = Array.length p - 1 and m = Array.length hop in
+  (* [b.(q)]: hop steps j.. spell p.(q..dt), step j at q. *)
+  let b = ref (Array.init (dt + 1) (fun q -> q = dt && p.(q) = hop.(m - 1).tid)) in
+  for j = m - 2 downto 0 do
+    let next = !b and cur = Array.make (dt + 1) false and later = ref false in
+    for q = dt downto 0 do
+      cur.(q) <-
+        p.(q) = hop.(j).tid
+        && (match hop.(j + 1).step.axis with Child -> q < dt && next.(q + 1) | Desc -> !later);
+      if next.(q) then later := true
     done;
-    !lo < Array.length a && Array.unsafe_get a !lo = x
+    b := cur
+  done;
+  let row = Bytes.make dt '\000' and later = ref false in
+  for da = dt - 1 downto 0 do
+    if !b.(da + 1) then later := true;
+    if (match hop.(0).step.axis with Child -> !b.(da + 1) | Desc -> !later) then
+      Bytes.set row da '\001'
+  done;
+  row
 
-  (* The set of the first [n] entries of [buf], which it sorts. *)
-  let of_prefix (buf : int array) n : t =
-    let a = if n = Array.length buf then buf else Array.sub buf 0 n in
-    Array.stable_sort Int.compare a;
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if i = 0 || a.(i) <> a.(!k - 1) then begin
-        a.(!k) <- a.(i);
-        incr k
-      end
-    done;
-    if !k = n then a else Array.sub a 0 !k
+(* The join's [ok] table for a hop: a row per live candidate slot of
+   its last node. *)
+let ok_table syn hop =
+  let target = last hop and hop = Array.of_list hop in
+  Array.init (Path_synopsis.slots syn) (fun t ->
+      if target.cand.(t) && Path_synopsis.count syn t > 0 then ok_row hop (Path_synopsis.path syn t)
+      else Bytes.empty)
 
-  let inter (a : t) (b : t) : t =
-    let out = Array.make (min (Array.length a) (Array.length b)) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < Array.length a && !j < Array.length b do
-      let x = a.(!i) and y = b.(!j) in
-      if x < y then incr i
-      else if y < x then incr j
-      else begin
-        out.(!k) <- x;
-        incr k;
-        incr i;
-        incr j
-      end
-    done;
-    Array.sub out 0 !k
-
-  (* The distinct segments of the set, ascending: refs order by
-     segment first. *)
-  let sids (a : t) : t =
-    of_prefix (Array.map Lj.ref_sid a) (Array.length a)
-
-  (* [pick.(i)] for every [i] with [key.(i)] in [set]. *)
-  let select ~(set : t) ~(key : int array) ~(pick : int array) : t =
-    let buf = Array.make (Array.length key) 0 and n = ref 0 in
-    Array.iteri
-      (fun i k ->
-        if mem set k then begin
-          buf.(!n) <- pick.(i);
-          incr n
-        end)
-      key;
-    of_prefix buf !n
-end
-
-(* What an explained run records, in execution order: the survivors of
-   spine step [i], and the pairs of every join. *)
+(* What an explained run records, in execution order: per spine step
+   reached by a join and per predicate, the candidates and the
+   survivors. *)
 type event =
-  | Step of { i : int; survivors : int }
-  | Join of { dir : [ `Up | `Down ]; anc : string; axis : axis; desc : string; pairs : int }
+  | Step of { i : int; node : node; candidates : Lj.mask; survivors : Lj.mask }
+  | Pred of { on : node; pred : node list; target : node; candidates : Lj.mask; survivors : Lj.mask }
 
-type ops = {
-  all : string -> Refs.t;
-  roots_only : string -> Refs.t -> Refs.t;
-  up : axis -> anc:string -> desc:string -> Refs.t -> Refs.t;
-  down : axis -> anc:string -> Refs.t -> desc:string -> Refs.t;
-  extents : string -> Refs.t -> (int * int) list;
-  note : event -> unit;
+type ctx = {
+  log : Update_log.t;
+  syn : Path_synopsis.t;
+  auto : bool;
+  guard : Lxu_util.Deadline.guard option;
+  pool : Lxu_util.Domain_pool.t option;
+  note : (event -> unit) option;
 }
 
-(* Elements able to head predicate path [steps], with the suffix and
-   all nested predicates satisfied below them. *)
-let rec pred_head_set ops (steps : t) =
-  match steps with
-  | [] -> invalid_arg "Path_query: empty predicate"
-  | [ s ] -> apply_predicates ops ~tag:s.tag (ops.all s.tag) s.predicates
-  | s :: (next :: _ as rest) ->
-    let below = pred_head_set ops rest in
-    apply_predicates ops ~tag:s.tag
-      (ops.up next.axis ~anc:s.tag ~desc:next.tag below)
-      s.predicates
+let candidates ctx n =
+  Lj.select ?guard:ctx.guard ctx.log
+    ~tid:(if Plan.live ctx.syn n.cand = 0 then -1 else n.tid)
+    n.cand
 
-(* Restrict [set] (elements of [tag]) to those satisfying every
-   predicate path; an empty set needs no join. *)
-and apply_predicates ops ~tag set preds =
-  List.fold_left
-    (fun acc pred ->
-      match pred with
-      | [] -> acc
-      | _ when Refs.is_empty acc -> acc
-      | first :: _ ->
-        let heads = pred_head_set ops pred in
-        Refs.inter acc (ops.up first.axis ~anc:tag ~desc:first.tag heads))
-    set preds
+let is_empty m = Array.for_all (fun b -> Bytes.length b = 0) m.Lj.sel
+let note ctx e = Option.iter (fun f -> f e) ctx.note
 
-(* Left to right: the first step's elements, then one down join per
-   step from the previous step's survivors; nothing more runs once a
-   step has none. *)
-let eval_steps ops steps =
-  match steps with
-  | [] -> invalid_arg "Path_query.eval: empty path"
-  | first :: rest ->
-    let initial =
-      let s = ops.all first.tag in
-      let s = if first.axis = Child then ops.roots_only first.tag s else s in
-      apply_predicates ops ~tag:first.tag s first.predicates
-    in
-    ops.note (Step { i = 0; survivors = Refs.cardinal initial });
-    let rec go i tag survivors = function
-      | _ when Refs.is_empty survivors -> []
-      | [] -> ops.extents tag survivors
-      | step :: rest ->
-        let next = ops.down step.axis ~anc:tag survivors ~desc:step.tag in
-        let next = apply_predicates ops ~tag:step.tag next step.predicates in
-        ops.note (Step { i; survivors = Refs.cardinal next });
-        go (i + 1) step.tag next rest
-    in
-    go 1 first.tag initial rest
+let join ctx ~anc ~desc hop keep =
+  Lxu_util.Deadline.check_opt ctx.guard;
+  Lj.semi ~restrict:ctx.auto ?pool:ctx.pool ?guard:ctx.guard ctx.log ~anc ~desc
+    ~ok:(ok_table ctx.syn hop) ~keep
 
-let jaxis = function Desc -> Lj.Descendant | Child -> Lj.Child
+(* The members of [mask] (elements of node [n]) that satisfy every
+   predicate of [n]. *)
+let rec satisfy ctx n mask =
+  List.fold_left (fun m pred -> if is_empty m then m else holds ctx n m pred) mask n.preds
 
-(* Translates the elements of tag [tid] that [keep ~sid ~start ~pid]
-   accepts to sorted global extents: segment by segment in tag-list
-   order, each column in local order, one cursor per segment that
-   holds a match.  [hint] sizes the output columns. *)
-let scan_extents ?guard log ~tid ~hint keep =
+(* The members of [mask] with a match of predicate path [pred] below:
+   the join's far end is satisfied first (inner predicates first), and
+   the path's remainder after it is one more predicate of it. *)
+and holds ctx n mask pred =
+  let hop, rest = split ~auto:ctx.auto pred in
+  let target = last hop in
+  let c = candidates ctx target in
+  let t = satisfy ctx target c in
+  let t = if rest = [] || is_empty t then t else holds ctx target t rest in
+  let out =
+    if is_empty t then { mask with Lj.sel = Array.map (fun _ -> Bytes.empty) mask.Lj.sel }
+    else join ctx ~anc:mask ~desc:t hop `Anc
+  in
+  note ctx (Pred { on = n; pred; target; candidates = c; survivors = out });
+  out
+
+(* Left to right: the first join target's candidates (under [`Auto]
+   the steps before it carry no predicate, so its slots alone decide
+   them), its predicates, then per hop a step down and the target's
+   predicates; nothing runs once a step has no survivors.  Returns
+   the last step's tag id and survivors. *)
+let eval_twig ctx nodes =
+  let step i node candidates survivors = note ctx (Step { i; node; candidates; survivors }) in
+  let hop, rest = split ~auto:ctx.auto nodes in
+  let first = last hop in
+  let c = candidates ctx first in
+  let m = satisfy ctx first c in
+  step (List.length hop - 1) first c m;
+  let rec go i anc m = function
+    | [] -> (anc.tid, m)
+    | _ when is_empty m -> (anc.tid, m)
+    | nodes ->
+      let hop, rest = split ~auto:ctx.auto nodes in
+      let target = last hop and i = i + List.length hop in
+      let c = candidates ctx target in
+      let m = satisfy ctx target (join ctx ~anc:m ~desc:c hop `Desc) in
+      step i target c m;
+      go i target m rest
+  in
+  go (List.length hop - 1) first m rest
+
+(* Translates the elements of tag [tid] in segments [nodes] (the tag's,
+   in tag-list order) that [keep k i pid] accepts — element [i] of
+   segment [k]'s column, on slot [pid] — to sorted global extents: each column
+   in local order, one cursor per segment that holds a match.  [hint]
+   sizes the output columns. *)
+let scan_extents ?guard log ~tid ~hint nodes keep =
   let gs = ref (Array.make (max 16 hint) 0) and ge = ref (Array.make (max 16 hint) 0) in
   let n = ref 0 in
-  Array.iter
-    (fun (entry : Tag_list.entry) ->
+  Array.iteri
+    (fun k node ->
       Lxu_util.Deadline.check_opt guard;
-      let sid = entry.Tag_list.sid in
-      let node = Update_log.node_of_sid log sid in
       let c = Er_node.cols node ~tid in
       let cur = ref None in
       for i = 0 to Er_node.cols_length c - 1 do
-        let start = c.starts.(i) in
-        if keep ~sid ~start ~pid:c.pids.(i) then begin
-          let k =
+        if keep k i c.pids.(i) then begin
+          let cursor =
             match !cur with
-            | Some k -> k
+            | Some cursor -> cursor
             | None ->
-              let k = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
-              cur := Some k;
-              k
+              let cursor = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
+              cur := Some cursor;
+              cursor
           in
           if !n = Array.length !gs then begin
             let grow a = Array.append a (Array.make (Array.length a) 0) in
             gs := grow !gs;
             ge := grow !ge
           end;
-          !gs.(!n) <- Er_node.cursor_start k start;
-          !ge.(!n) <- Er_node.cursor_stop k c.stops.(i);
+          !gs.(!n) <- Er_node.cursor_start cursor c.starts.(i);
+          !ge.(!n) <- Er_node.cursor_stop cursor c.stops.(i);
           incr n
         end
       done)
-    (Tag_list.entries (Update_log.tag_list log) ~tid);
+    nodes;
   let gs = Array.sub !gs 0 !n and ge = Array.sub !ge 0 !n in
   Lxu_util.Run_merge.sort gs ge;
   List.init !n (fun i -> (gs.(i), ge.(i)))
 
-(* [restrict] is the default plan's selective Proposition 3 on down
-   joins: the ancestor side keeps only the segments of the previous
-   step's survivors, and the descendant side only the segments whose
-   tag-list entry may have an ancestor of the ancestor tag (summary
-   evidence, no element access).  A dropped segment holds no pair the
-   step keeps, so results do not change.  Predicate up joins stay
-   unrestricted: their descendant set is often a whole tag, and the
-   filter then costs more than it skips. *)
-let log_ops ?guard ?pool ?(note = ignore) ~restrict log =
-  let reg = Update_log.registry log in
-  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
-  (* The refs of the tag's elements that [keep ~pid] accepts, segment
-     by segment over the segments' columns. *)
-  let refs_of tag keep =
-    match Tag_registry.find reg tag with
-    | None -> Refs.empty
-    | Some tid ->
-      let entries = Tag_list.entries (Update_log.tag_list log) ~tid in
-      let total =
-        Array.fold_left (fun acc (e : Tag_list.entry) -> acc + e.Tag_list.count) 0 entries
-      in
-      let buf = Array.make total 0 and n = ref 0 in
-      Array.iter
-        (fun (entry : Tag_list.entry) ->
-          Lxu_util.Deadline.check_opt guard;
-          let sid = entry.Tag_list.sid in
-          let c : Er_node.cols = Update_log.elements_cols log ~tid ~sid in
-          for i = 0 to Er_node.cols_length c - 1 do
-            if keep c.pids.(i) then begin
-              buf.(!n) <- Lj.ref_of ~sid ~start:c.starts.(i);
-              incr n
-            end
-          done)
-        entries;
-      Refs.of_prefix buf !n
-  in
-  let join ?a_filter ?d_filter dir axis ~anc ~desc =
-    Lxu_util.Deadline.check_opt guard;
-    let a, d, _ =
-      Lj.run_refs ~axis:(jaxis axis) ?a_filter ?d_filter ?pool ?guard log ~anc ~desc ()
-    in
-    note (Join { dir; anc; axis; desc; pairs = Array.length a });
-    (a, d)
-  in
-  {
-    all = (fun tag -> refs_of tag (fun _ -> true));
-    roots_only = (fun tag set -> Refs.inter set (refs_of tag (fun pid -> depth.(pid) = 0)));
-    up =
-      (fun axis ~anc ~desc set ->
-        let a, d = join `Up axis ~anc ~desc in
-        Refs.select ~set ~key:d ~pick:a);
-    down =
-      (fun axis ~anc set ~desc ->
-        let a, d =
-          if not restrict then join `Down axis ~anc ~desc
-          else begin
-            let sids = Refs.sids set and tid = Tag_registry.find reg anc in
-            join `Down axis ~anc ~desc
-              ~a_filter:(fun e -> Refs.mem sids e.Tag_list.sid)
-              ~d_filter:(fun e ->
-                match tid with Some tid -> Tag_list.may_have_ancestor e ~tid | None -> false)
-          end
-        in
-        Refs.select ~set ~key:a ~pick:d);
-    extents =
-      (fun tag set ->
-        match Tag_registry.find reg tag with
-        | None -> []
-        | Some tid ->
-          scan_extents ?guard log ~tid ~hint:(Refs.cardinal set) (fun ~sid ~start ~pid:_ ->
-              Refs.mem set (Lj.ref_of ~sid ~start)));
-    note;
-  }
+let extents ?guard log (tid, (m : Lj.mask)) =
+  scan_extents ?guard log ~tid ~hint:(Lj.mask_count m) m.Lj.nodes (fun k i _ ->
+      let b = m.Lj.sel.(k) in
+      Bytes.length b > 0 && Bytes.unsafe_get b i <> '\000')
 
 let rec has_predicates steps =
   List.exists (fun s -> s.predicates <> [] || List.exists has_predicates s.predicates) steps
-
-module Plan = Lxu_plan.Plan
 
 let chain_of_steps (steps : t) =
   let arr = Array.of_list steps in
   {
     Plan.tags = Array.map (fun s -> s.tag) arr;
-    axes = Array.map (fun s -> match s.axis with Desc -> Plan.Desc | Child -> Plan.Child) arr;
+    axes = Array.map (fun s -> paxis s.axis) arr;
     has_preds = has_predicates steps;
   }
 
@@ -362,73 +318,85 @@ let eval_partition ?guard log (p : Plan.partition) =
   let results =
     if p.Plan.est = 0 then []
     else
-      let slots = p.Plan.slots in
-      scan_extents ?guard log ~tid:p.Plan.tid ~hint:p.Plan.est (fun ~sid:_ ~start:_ ~pid ->
-          slots.(pid))
+      let slots = p.Plan.slots and tid = p.Plan.tid in
+      let nodes =
+        Array.map
+          (fun (e : Tag_list.entry) -> Update_log.node_of_sid log e.Tag_list.sid)
+          (Tag_list.entries (Update_log.tag_list log) ~tid)
+      in
+      scan_extents ?guard log ~tid ~hint:p.Plan.est nodes (fun _ _ pid -> slots.(pid))
   in
   p.Plan.actual <- List.length results;
   results
 
-(* The default plan, given the chain's partition [p]: a
-   predicate-free chain is a partition scan; a chain with predicates
-   runs left to right with restricted down joins, unless its spine's
-   partition estimate (an upper bound) is 0, which proves it empty
-   without a join. *)
-let eval_auto ?guard ?note db log steps (chain : Plan.chain) p =
-  if not chain.Plan.has_preds then eval_partition ?guard log p
-  else if p.Plan.est = 0 then []
-  else eval_steps (log_ops ?guard ?pool:(Lazy_db.query_pool db) ?note ~restrict:true log) steps
-
 let live_log db = Option.get (Lazy_db.log db)
 
-let eval ?(plan = `Auto) ?guard db steps =
+(* Runs [steps] through the semi-join executor: under [`Auto] with
+   annotated candidates, restricted joins and the database's query
+   pool; a first step with no live candidate proves the result empty
+   without a join (every candidate set below it is then empty too). *)
+let eval_joins ?guard ?note ~auto db log steps =
+  let syn = Update_log.synopsis log in
+  let nodes = annotate ~auto syn (Update_log.registry log) ~above:None ~root:true steps in
+  let nodes = if auto then narrow syn ~above:None nodes else nodes in
+  let pool = if auto then Lazy_db.query_pool db else None in
+  eval_twig { log; syn; auto; guard; pool; note } nodes
+
+let prepared ?guard db steps =
   if steps = [] then invalid_arg "Path_query.eval: empty path";
   Lxu_util.Deadline.check_opt guard;
   let log = live_log db in
   Update_log.prepare_for_query log;
-  match plan with
-  | `Naive -> eval_steps (log_ops ?guard ~restrict:false log) steps
-  | `Auto ->
-    let chain = chain_of_steps steps in
-    eval_auto ?guard db log steps chain (Plan.partition ~log chain)
+  log
 
-(* The join rendering: every join's pairs and every spine step's
-   partition estimate against its survivors, in execution order. *)
-let explain_joins ~log steps events =
+let eval ?(plan = `Auto) ?guard db steps =
+  let log = prepared ?guard db steps in
+  if plan = `Auto && not (has_predicates steps) then
+    eval_partition ?guard log (Plan.partition ~log (chain_of_steps steps))
+  else extents ?guard log (eval_joins ?guard ~auto:(plan = `Auto) db log steps)
+
+let axis_str = function Desc -> "//" | Child -> "/"
+
+(* The join rendering: per spine step reached by a join and per
+   predicate, its candidates against its survivors, in execution
+   order. *)
+let explain_joins events =
   let b = Buffer.create 256 in
-  let axis_str = function Desc -> "//" | Child -> "/" in
   Buffer.add_string b
-    "plan: left-to-right joins (spine est is an upper bound: predicates are not counted)\n";
+    "plan: slot-restricted semi-joins (candidates: elements on a slot that can match)\n";
   List.iter
     (function
-      | Join { dir; anc; axis; desc; pairs } ->
+      | Step { i; node; candidates; survivors } ->
         Buffer.add_string b
-          (Printf.sprintf "  %s join %s%s%s: %d pairs\n"
-             (match dir with `Up -> "predicate" | `Down -> "down")
-             anc (axis_str axis) desc pairs)
-      | Step { i; survivors } ->
-        let s = List.nth steps i in
-        let prefix = chain_of_steps (List.filteri (fun j _ -> j <= i) steps) in
+          (Printf.sprintf "  step %d %s%s: %d candidates, %d survivors\n" i
+             (axis_str node.step.axis) node.step.tag (Lj.mask_count candidates)
+             (Lj.mask_count survivors))
+      | Pred { on; pred; target; candidates; survivors } ->
         Buffer.add_string b
-          (Printf.sprintf "  step %d %s%s: est %d, actual %d\n" i (axis_str s.axis) s.tag
-             (Plan.partition ~log prefix).Plan.est survivors))
+          (Printf.sprintf "  predicate %s[%s]: %d %s candidates, %d survivors\n" on.step.tag
+             (to_string (List.map (fun n -> n.step) pred))
+             (Lj.mask_count candidates) target.step.tag (Lj.mask_count survivors)))
     events;
   Buffer.contents b
 
 let explain ?guard db steps =
-  if steps = [] then invalid_arg "Path_query.explain: empty path";
-  let log = live_log db in
-  Update_log.prepare_for_query log;
+  let log = prepared ?guard db steps in
   let chain = chain_of_steps steps in
-  let p = Plan.partition ~log chain in
-  let events = ref [] in
-  let results = eval_auto ?guard ~note:(fun e -> events := e :: !events) db log steps chain p in
-  let rendering =
-    if not chain.Plan.has_preds then Plan.explain_partition ~log chain p
-    else if p.Plan.est = 0 then "plan: the spine's partition est is 0, empty without a join\n"
-    else explain_joins ~log steps (List.rev !events)
-  in
-  (rendering, results)
+  if not chain.Plan.has_preds then begin
+    let p = Plan.partition ~log chain in
+    let results = eval_partition ?guard log p in
+    (Plan.explain_partition ~log chain p, results)
+  end
+  else begin
+    let events = ref [] in
+    let final = eval_joins ?guard ~note:(fun e -> events := e :: !events) ~auto:true db log steps in
+    (explain_joins (List.rev !events), extents ?guard log final)
+  end
 
 let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
-let count ?plan ?guard db s = List.length (eval_string ?plan ?guard db s)
+
+let count ?(plan = `Auto) ?guard db s =
+  let steps = parse_exn s in
+  let log = prepared ?guard db steps in
+  if plan = `Auto && not (has_predicates steps) then (Plan.partition ~log (chain_of_steps steps)).Plan.est
+  else Lj.mask_count (snd (eval_joins ?guard ~auto:(plan = `Auto) db log steps))

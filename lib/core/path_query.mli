@@ -20,12 +20,16 @@
     is the last tag's elements whose slot matched, read off that tag's
     columns alone and translated with one cursor per segment.
 
-    {b Join composition.}  Every other evaluation is one left-to-right
-    composition of segment-aware Lazy-Joins: the first step's
-    elements, then per step a down join from the previous step's
-    survivors to the next tag, and per predicate an up join from the
-    predicate path's head set.  Element sets are sorted arrays of
-    packed element refs.
+    {b Semi-joins over slot masks.}  Every other evaluation is a
+    chain of semi-joins ({!Lxu_join.Lazy_join.semi}).  An element set
+    is a selection mask over one tag's per-segment columns.  A step's
+    candidates are the elements on the slots where it can sit in a
+    match of the whole twig (the synopsis matched down from the root
+    and up from every predicate and later step); a predicate keeps the
+    candidates with a match below, a step down keeps the next step's
+    candidates below a survivor.  One join spans every predicate-free
+    step to the next step that has predicates: the steps in between
+    are checked on the descendant's own path.
 
     Evaluation returns the {e final-step matches}: distinct elements of
     the last tag reachable through the whole path, as global
@@ -62,16 +66,12 @@ val eval :
     {ul
     {- [`Auto] (default): a predicate-free chain is a partition scan —
        no join runs, and a synopsis zero answers without touching a
-       column.  A chain with predicates runs the join composition
-       with restricted down joins: the ancestor side keeps the
-       previous survivors' segments, and the descendant side drops
-       every segment whose tag-list entry proves it has no ancestor of
-       the ancestor tag ({!Lxu_seglog.Tag_list.may_have_ancestor},
-       selective Proposition 3).  Its spine's partition estimate is an
-       upper bound, so a zero returns [\[\]] without a join.  Joins
-       run on {!Lazy_db.query_pool}.}
-    {- [`Naive]: the same composition with no segment filter,
-       sequential — the reference.}}
+       column.  A chain with predicates runs the semi-joins on
+       candidate masks, each join reading only the segments that hold
+       a member on both sides; a first step with no candidate returns
+       [\[\]] without a join.  Joins run on {!Lazy_db.query_pool}.}
+    {- [`Naive]: one semi-join per step, every slot of a tag a
+       candidate, every segment read, sequential — the reference.}}
     Both return the same results.
 
     [guard] makes evaluation cooperative: it is threaded into every
@@ -86,9 +86,9 @@ val explain :
     rendering of the run together with the results (identical to
     [eval]'s).  A partition scan shows the scanned tag, the matching
     paths with their counts and the estimated vs actual result count.
-    A join composition shows, in execution order, the pairs of every
-    join and, per spine step, its partition estimate (an upper bound)
-    against the actual survivors. *)
+    A semi-join run shows, in execution order, every predicate and
+    every spine step a join reaches with its candidates (elements on
+    the slots that can match) and its survivors. *)
 
 val eval_string :
   ?plan:[ `Auto | `Naive ] ->
@@ -104,3 +104,7 @@ val count :
   Lazy_db.t ->
   string ->
   int
+(** The number of [eval]'s matches without building them: the
+    partition's exact count for a predicate-free chain under [`Auto],
+    else a popcount of the last step's survivors.  No extent is
+    translated. *)

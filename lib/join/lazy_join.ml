@@ -181,34 +181,6 @@ let bufs_to_pairs bufs =
     out
   end
 
-let ref_of ~sid ~start =
-  if start lsr 32 <> 0 || sid lsr 30 <> 0 then invalid_arg "Lazy_join.ref_of: out of range";
-  (sid lsl 32) lor start
-
-let ref_sid r = r lsr 32
-
-(* The pairs of a sequence of buffers as two flat columns of element
-   refs, in emission order: no record, and nothing for the GC to scan
-   (arrays of ints). *)
-let bufs_to_refs bufs =
-  let n = pair_count bufs in
-  let anc = Array.make n 0 and desc = Array.make n 0 in
-  let k = ref 0 in
-  let emit data len =
-    let o = ref 0 in
-    while !o < len do
-      let p = !o in
-      Array.unsafe_set anc !k
-        (ref_of ~sid:(Array.unsafe_get data p) ~start:(Array.unsafe_get data (p + 1)));
-      Array.unsafe_set desc !k
-        (ref_of ~sid:(Array.unsafe_get data (p + 2)) ~start:(Array.unsafe_get data (p + 3)));
-      incr k;
-      o := p + 4
-    done
-  in
-  iter_chunks bufs emit;
-  (anc, desc)
-
 (* Stack-Tree-Desc specialized to the columnar element snapshots of one
    segment (virtual local labels), emitting index pairs through [emit].
    The ancestor stack holds plain indices into [anc] in a growable int
@@ -544,18 +516,241 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
   in
   (bufs_to_pairs bufs, stats)
 
-let run_refs ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
-    ?pool ?guard log ~anc ~desc () =
-  let bufs, stats =
-    fill ~counting:false ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc
-      ~desc
-  in
-  let a, d = bufs_to_refs bufs in
-  (a, d, stats)
-
 let count ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
   pair_count
     (fst (fill ~counting:true ~axis ~push_filter:true ~trim_top:true ?pool ?guard log ~anc ~desc))
+
+(* --- semi-joins over selection masks -------------------------------- *)
+
+type mask = {
+  entries : Tag_list.entry array;
+  nodes : Er_node.t array;
+  cols : Er_node.cols array;
+  sel : Bytes.t array;
+}
+
+let is_sel b i = Bytes.unsafe_get b i <> '\000'
+
+let select ?guard log ~tid (slots : bool array) =
+  let entries = if tid < 0 then [||] else Tag_list.entries (Update_log.tag_list log) ~tid in
+  let nodes = Array.map (fun (e : Tag_list.entry) -> Update_log.node_of_sid log e.sid) entries in
+  let cols = Array.map (fun n -> Er_node.cols n ~tid) nodes in
+  let sel =
+    Array.map
+      (fun (c : Er_node.cols) ->
+        Deadline.check_opt guard;
+        let n = Er_node.cols_length c in
+        let b = Bytes.make n '\000' and any = ref false in
+        for i = 0 to n - 1 do
+          if slots.(Array.unsafe_get c.pids i) then begin
+            Bytes.unsafe_set b i '\001';
+            any := true
+          end
+        done;
+        if !any then b else Bytes.empty)
+      cols
+  in
+  { entries; nodes; cols; sel }
+
+let mask_count m =
+  Array.fold_left
+    (fun acc b ->
+      let c = ref acc in
+      for i = 0 to Bytes.length b - 1 do
+        if is_sel b i then incr c
+      done;
+      !c)
+    0 m.sel
+
+(* One join unit of a semi-join: [exec_task]'s cross- and in-segment
+   loops over the unit's D column [d] and its selection [dsel],
+   deciding each candidate pair by [ok] instead of emitting it.  On
+   the [`Anc] side every A-element with a match is handed to [mark_a]
+   (its segment, the columns read and its index there; repeats
+   allowed); on the [`Desc] side the result is the unit's survivor
+   bytes over [d] ([Bytes.empty] for none).  [a_cols sid] are the
+   members of segment [sid]. *)
+let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.cols) ~dsel ~mark_a
+    task =
+  Deadline.check_opt guard;
+  if Bytes.length dsel = 0 then Bytes.empty
+  else begin
+    let n_d = Er_node.cols_length d in
+    let ok_at j da =
+      let row = Array.unsafe_get ok (Array.unsafe_get d.pids j) in
+      da < Bytes.length row && is_sel row da
+    in
+    let contains (a : Er_node.cols) p i =
+      Array.unsafe_get a.starts i < p && Array.unsafe_get a.stops i > p
+    in
+    let in_seg emit =
+      if task.in_seg then begin
+        let a = a_cols task.d_node.Er_node.sid in
+        in_segment_join ?guard ~axis:Descendant ~depth ~anc:a ~desc:d ~emit:(emit a) ()
+      end
+    in
+    match keep with
+    | `Anc ->
+      (* Whether a selected D-element matches an ancestor at depth
+         [da]; the frames' elements mostly share one depth. *)
+      let last = ref (-1) and last_ok = ref false in
+      let any_d da =
+        if da <> !last then begin
+          last := da;
+          last_ok := false;
+          let j = ref 0 in
+          while (not !last_ok) && !j < n_d do
+            if is_sel dsel !j && ok_at !j da then last_ok := true;
+            incr j
+          done
+        end;
+        !last_ok
+      in
+      List.iter
+        (fun (p, a_sid, (a : Er_node.cols)) ->
+          Deadline.check_opt guard;
+          for i = 0 to Er_node.cols_length a - 1 do
+            if contains a p i && any_d depth.(Array.unsafe_get a.pids i) then mark_a a_sid a i
+          done)
+        task.cross;
+      in_seg (fun a ->
+          let seen = Bytes.make (Er_node.cols_length a) '\000' in
+          fun ai di ->
+            if (not (is_sel seen ai)) && is_sel dsel di
+               && ok_at di depth.(Array.unsafe_get a.pids ai)
+            then begin
+              Bytes.unsafe_set seen ai '\001';
+              mark_a task.d_node.Er_node.sid a ai
+            end);
+      Bytes.empty
+    | `Desc ->
+      let hit = ref Bytes.empty in
+      let mark j =
+        if Bytes.length !hit = 0 then hit := Bytes.make n_d '\000';
+        Bytes.unsafe_set !hit j '\001'
+      in
+      (* Cross-segment, a D-element's match depends only on the depths
+         of the A-elements containing the hook. *)
+      let das = ref [] in
+      List.iter
+        (fun (p, _, (a : Er_node.cols)) ->
+          for i = 0 to Er_node.cols_length a - 1 do
+            if contains a p i then begin
+              let da = depth.(Array.unsafe_get a.pids i) in
+              if not (List.mem da !das) then das := da :: !das
+            end
+          done)
+        task.cross;
+      let rec any j = function [] -> false | da :: das -> ok_at j da || any j das in
+      if !das <> [] then
+        for j = 0 to n_d - 1 do
+          if is_sel dsel j && any j !das then mark j
+        done;
+      in_seg (fun a ->
+          let pids = a.pids in
+          fun ai di ->
+            if is_sel dsel di
+               && (Bytes.length !hit = 0 || not (is_sel !hit di))
+               && ok_at di depth.(Array.unsafe_get pids ai)
+            then mark di);
+      !hit
+  end
+
+(* The index in [c] of element [i] of [sub], a subset of [c]'s
+   elements: [i] itself when [sub] is [c], else found by its start. *)
+let index_in (c : Er_node.cols) (sub : Er_node.cols) i =
+  if sub == c then i
+  else begin
+    let start = sub.starts.(i) in
+    let lo = ref 0 and hi = ref (Er_node.cols_length c) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get c.starts mid < start then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
+module Int_tbl = Hashtbl.Make (Int)
+
+let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
+  Atomic.incr runs_total;
+  Deadline.check_opt guard;
+  Update_log.prepare_for_query log;
+  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
+  (* The mask positions the merge pass walks (restricted: only the
+     segments holding a member), and each one's position by sid. *)
+  let walked m =
+    let ks = Vec.create () in
+    Array.iteri (fun k b -> if (not restrict) || Bytes.length b > 0 then Vec.push ks k) m.sel;
+    let ks = Vec.to_array ks in
+    let pos = Int_tbl.create (Array.length ks) in
+    Array.iter (fun k -> Int_tbl.replace pos m.entries.(k).Tag_list.sid k) ks;
+    (ks, Int_tbl.find pos)
+  in
+  let ka, a_k = walked anc and kd, d_k = walked desc in
+  (* Each walked A segment's members as columns, the segment's own
+     when all of it is selected; read-only once built, so pool units
+     share it. *)
+  let a_cols = Int_tbl.create (Array.length ka) in
+  Array.iter
+    (fun k ->
+      let b = anc.sel.(k) in
+      Int_tbl.replace a_cols anc.entries.(k).Tag_list.sid
+        (if Bytes.length b = 0 then Er_node.empty_cols
+         else if not (Bytes.contains b '\000') then anc.cols.(k)
+         else cols_filter (is_sel b) anc.cols.(k)))
+    ka;
+  let a_cols sid = Int_tbl.find a_cols sid in
+  let exec ~mark_a task =
+    let k = d_k task.d_node.Er_node.sid in
+    exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
+  in
+  let out = Array.make (Array.length (match keep with `Anc -> anc | `Desc -> desc).sel) Bytes.empty in
+  (* [set k i] marks element [i] of A segment [k]'s own column; units
+     hand over the columns they read, resolved by [index_in]. *)
+  let set k i =
+    if Bytes.length out.(k) = 0 then
+      out.(k) <- Bytes.make (Er_node.cols_length anc.cols.(k)) '\000';
+    Bytes.unsafe_set out.(k) i '\001'
+  in
+  let index sid sub i =
+    let k = a_k sid in
+    (k, index_in anc.cols.(k) sub i)
+  in
+  let store task hit = if Bytes.length hit > 0 then out.(d_k task.d_node.Er_node.sid) <- hit in
+  let merge_pass emit_task =
+    plan ?guard ~push_filter:true ~trim_top:true ~stats:(zero_stats ())
+      ~fetch_a:(fun node -> a_cols node.Er_node.sid)
+      ~emit_task log
+      ~sla:(Array.map (fun k -> anc.entries.(k)) ka)
+      ~sld:(Array.map (fun k -> desc.entries.(k)) kd)
+      ()
+  in
+  (match pool with
+  | Some p when Domain_pool.size p > 1 && Array.length kd > 1 ->
+    (* Each unit writes only its own result; the marks are applied
+       here, on the calling thread. *)
+    let tasks = Vec.create () in
+    merge_pass (Vec.push tasks);
+    let tasks = Vec.to_array tasks in
+    let results =
+      Domain_pool.map p (Array.length tasks) (fun i ->
+          let marks = ref [] in
+          let hit = exec ~mark_a:(fun sid sub i -> marks := index sid sub i :: !marks) tasks.(i) in
+          (hit, !marks))
+    in
+    Array.iteri
+      (fun i (hit, marks) ->
+        store tasks.(i) hit;
+        List.iter (fun (k, i) -> set k i) marks)
+      results
+  | _ ->
+    let mark_a sid sub i =
+      let k, i = index sid sub i in
+      set k i
+    in
+    merge_pass (fun task -> store task (exec ~mark_a task)));
+  { (match keep with `Anc -> anc | `Desc -> desc) with sel = out }
 
 (* Translates in emission order into two flat columns, then merges
    their sorted runs; no tuple exists until the result list is built.

@@ -88,8 +88,8 @@ val run :
 
     [a_filter]/[d_filter] (default: keep everything) drop tag-list
     entries from [SL_A]/[SL_D] before the merge pass — selective
-    Proposition 3, which the path executor's restricted joins use.  A dropped entry is never resolved to an
-    ER node and its elements are never fetched.  Soundness is the
+    Proposition 3.  A dropped entry is never resolved to an ER node and
+    its elements are never fetched.  Soundness is the
     caller's contract: the result is exactly the unfiltered pair set
     minus pairs whose ancestor (A-side drop) or descendant (D-side
     drop) lives in a dropped segment, so filters are lossless whenever
@@ -109,37 +109,9 @@ val run :
     chunk.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)
 
-val ref_of : sid:int -> start:int -> int
-(** An element ref: segment [sid] and virtual start [start] packed in
-    one int, [sid] in the high bits — refs order like the pairs
-    [(sid, start)].
-    @raise Invalid_argument unless [0 <= start < 2{^32}] and
-    [0 <= sid < 2{^30}]. *)
-
-val ref_sid : int -> int
-(** The segment of a ref. *)
-
-val run_refs :
-  ?axis:axis ->
-  ?push_filter:bool ->
-  ?trim_top:bool ->
-  ?a_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
-  ?d_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
-  ?pool:Lxu_util.Domain_pool.t ->
-  ?guard:Lxu_util.Deadline.guard ->
-  Lxu_seglog.Update_log.t ->
-  anc:string ->
-  desc:string ->
-  unit ->
-  int array * int array * stats
-(** {!run}'s pairs as two columns of refs ({!ref_of}), in the same
-    order: pair [i] is [(anc.(i), desc.(i))].  No pair record is
-    built — the path executor's input, which only needs element
-    identities. *)
-
 val runs : unit -> int
-(** Joins started in this process ({!run}, {!run_refs} and {!count}
-    each add one) — lets tests prove that an evaluation ran none. *)
+(** Joins started in this process ({!run}, {!count} and {!semi} each
+    add one) — lets tests prove that an evaluation ran none. *)
 
 val count :
   ?axis:axis ->
@@ -154,6 +126,62 @@ val count :
     the join runs as {!run} does, but its output buffers only count
     what would be written, so a count allocates nothing per pair.
     [axis], [pool] and [guard] as in {!run}. *)
+
+(** {2 Semi-joins}
+
+    The path executor's joins keep elements, not pairs.  An element
+    set of one tag is a {e selection mask} over that tag's per-segment
+    columns, and a semi-join walks the same segment-merge pass and the
+    same cross- and in-segment loops as {!run}, but marks survivors
+    instead of writing pairs: no buffer, no pair, no ref. *)
+
+type mask = {
+  entries : Lxu_seglog.Tag_list.entry array;  (** the tag's tag-list entries, in order *)
+  nodes : Lxu_seglog.Er_node.t array;  (** each entry's segment *)
+  cols : Lxu_seglog.Er_node.cols array;  (** each segment's column of the tag *)
+  sel : Bytes.t array;
+      (** [sel.(k)] has one byte per element of [cols.(k)], non-zero
+          for a member; [Bytes.empty] when the segment has none *)
+}
+
+val select :
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  tid:int ->
+  bool array ->
+  mask
+(** [select log ~tid slots]: the elements of tag [tid] on a slot set in
+    [slots] (indexed by path slot), one pass over the tag's columns.
+    [tid < 0] (a tag that never occurs) is the empty mask of no
+    segment. *)
+
+val mask_count : mask -> int
+(** The members: a popcount, no translation. *)
+
+val semi :
+  ?restrict:bool ->
+  ?pool:Lxu_util.Domain_pool.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  anc:mask ->
+  desc:mask ->
+  ok:Bytes.t array ->
+  keep:[ `Anc | `Desc ] ->
+  mask
+(** The semi-join of the members of [anc] (an ancestor tag's mask) and
+    [desc] (a descendant tag's, on the same log): a pair [(a, d)] with
+    [a] a proper ancestor of [d] matches when [ok.(pid_d)] has a
+    non-zero byte at [a]'s depth, where [pid_d] is [d]'s path slot —
+    so one lookup decides whether [d]'s path spells what must lie
+    between them (for one [Child] step: exactly the next depth).  The
+    result is [anc]'s members with a match ([`Anc], a predicate) or
+    [desc]'s ([`Desc], a step down), a subset of that side's mask.
+
+    [restrict] (default on) walks only the segments holding a member
+    on each side; off, every segment of both tags (the unrestricted
+    reference).  [pool] runs the join units as {!run} does, each unit
+    writing only its own output, merged on the calling thread.
+    [guard] as in {!run}. *)
 
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,

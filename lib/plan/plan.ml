@@ -11,63 +11,59 @@ type partition = {
   mutable actual : int;
 }
 
-(* [m.(j).(q)]: positions 0..q of path [p] spell a match of spine
-   steps 0..j ending at q, [tmatch j v] telling whether step [j]'s tag
-   is tag id [v].  A leading Child step must sit at position 0 (a
-   document-level element); a later Child step right below its
-   predecessor's position, a Desc step anywhere below it. *)
-let spine_matrix chain tmatch p =
-  let n = Array.length chain.tags in
-  let len = Array.length p in
-  let last = len - 1 in
-  let m = Array.make_matrix n len false in
-  for q = 0 to last do
-    m.(0).(q) <- tmatch 0 p.(q) && (chain.axes.(0) = Desc || q = 0)
-  done;
-  for j = 1 to n - 1 do
-    match chain.axes.(j) with
-    | Child ->
-      for q = 1 to last do
-        m.(j).(q) <- tmatch j p.(q) && m.(j - 1).(q - 1)
-      done
-    | Desc ->
-      let any = ref false in
-      for q = 0 to last do
-        m.(j).(q) <- tmatch j p.(q) && !any;
-        if m.(j - 1).(q) then any := true
-      done
-  done;
-  m
+let tag_of syn s =
+  let p = Path_synopsis.path syn s in
+  p.(Array.length p - 1)
 
-let chain_tids ~log chain =
-  let reg = Update_log.registry log in
-  Array.map (fun tag -> Tag_registry.find reg tag) chain.tags
+(* Both passes walk the slot tree: a slot's parent (its path minus the
+   last tag) always has a smaller slot, so ascending order visits
+   parents first and descending order children first. *)
+let down syn ~above axis ~tid =
+  let n = Path_synopsis.slots syn in
+  let parent = Path_synopsis.parent_table syn in
+  match above with
+  | None ->
+    let depth = Path_synopsis.depth_table syn in
+    Array.init n (fun s -> tag_of syn s = tid && (axis = Desc || depth.(s) = 0))
+  | Some (a : bool array) -> (
+    match axis with
+    | Child -> Array.init n (fun s -> parent.(s) >= 0 && a.(parent.(s)) && tag_of syn s = tid)
+    | Desc ->
+      (* [under.(s)]: [s] or one of its ancestors is in [a]. *)
+      let under = Array.make n false and out = Array.make n false in
+      for s = 0 to n - 1 do
+        let p = parent.(s) in
+        let below_a = p >= 0 && under.(p) in
+        out.(s) <- below_a && tag_of syn s = tid;
+        under.(s) <- below_a || a.(s)
+      done;
+      out)
+
+let up syn axis (below : bool array) =
+  let n = Path_synopsis.slots syn in
+  let parent = Path_synopsis.parent_table syn in
+  let out = Array.make n false in
+  for t = n - 1 downto 0 do
+    let p = parent.(t) in
+    if p >= 0 && (below.(t) || (axis = Desc && out.(t))) then out.(p) <- true
+  done;
+  out
+
+let live syn slots =
+  let c = ref 0 in
+  Array.iteri (fun s hit -> if hit then c := !c + Path_synopsis.count syn s) slots;
+  !c
 
 let partition ~log chain =
-  let n = Array.length chain.tags in
-  let syn = Update_log.synopsis log in
-  let slots = Array.make (Path_synopsis.slots syn) false in
-  let tids = chain_tids ~log chain in
-  if n = 0 || Array.exists Option.is_none tids then
-    { tid = -1; slots; est = 0; actual = -1 }
-  else begin
-    let tids = Array.map Option.get tids in
-    let tid = tids.(n - 1) in
-    let tmatch j v = tids.(j) = v in
-    let est = ref 0 in
-    for s = 0 to Path_synopsis.slots syn - 1 do
-      let c = Path_synopsis.count syn s in
-      let p = Path_synopsis.path syn s in
-      let last = Array.length p - 1 in
-      (* Only a path ending in the last step's tag can match; the rest
-         need the full spine match. *)
-      if c > 0 && p.(last) = tid && (spine_matrix chain tmatch p).(n - 1).(last) then begin
-        slots.(s) <- true;
-        est := !est + c
-      end
-    done;
-    { tid; slots; est = !est; actual = -1 }
-  end
+  let syn = Update_log.synopsis log and reg = Update_log.registry log in
+  let tid tag = Option.value (Tag_registry.find reg tag) ~default:(-1) in
+  let set = ref (Array.make (Path_synopsis.slots syn) false) and n = Array.length chain.tags in
+  Array.iteri
+    (fun j tag ->
+      set := down syn ~above:(if j = 0 then None else Some !set) chain.axes.(j) ~tid:(tid tag))
+    chain.tags;
+  let slots = Array.mapi (fun s hit -> hit && Path_synopsis.count syn s > 0) !set in
+  { tid = (if n = 0 then -1 else tid chain.tags.(n - 1)); slots; est = live syn slots; actual = -1 }
 
 let explain_partition ~log chain p =
   let reg = Update_log.registry log in

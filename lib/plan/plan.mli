@@ -1,4 +1,4 @@
-(** Path partitioning over the path-summary synopsis.
+(** Path partitioning and twig matching over the path-summary synopsis.
 
     Every element carries its synopsis path slot
     ({!Lxu_seglog.Er_node.cols}[.pids]), and an element's ancestor
@@ -22,7 +22,7 @@ type chain = {
 type partition = {
   tid : int;
       (** the last step's tag id — the one tag whose columns are
-          scanned; [-1] when some step's tag is not in the registry *)
+          scanned; [-1] when it never occurs *)
   slots : bool array;
       (** [slots.(s)]: synopsis slot [s] holds a live path the spine
           matches (indexed by every slot handed out when planned) *)
@@ -34,9 +34,29 @@ type partition = {
 }
 
 val partition : log:Lxu_seglog.Update_log.t -> chain -> partition
-(** Matches the chain's spine against every live synopsis path,
-    O(paths × steps × path length), touching no element.  Predicates
+(** Matches the chain's spine against the synopsis with one {!down}
+    pass per step, O(slots × steps), touching no element.  Predicates
     are ignored. *)
+
+(** {2 Slot sets}
+
+    A [bool array] over every slot handed out.  Slots form a tree
+    (a slot's parent is its path minus the last tag), and a pattern is
+    matched with a {!down} pass per step from the root and an {!up}
+    pass per step from below. *)
+
+val down :
+  Lxu_seglog.Path_synopsis.t -> above:bool array option -> axis -> tid:int -> bool array
+(** The slots of tag [tid] in [axis] relation to a slot of [above]
+    ([None]: to the document root, so [Child] means depth 0 and
+    [Desc] any slot of the tag). *)
+
+val up : Lxu_seglog.Path_synopsis.t -> axis -> bool array -> bool array
+(** The slots with a slot of [below] as a child ([Child]) or as a
+    proper descendant ([Desc]). *)
+
+val live : Lxu_seglog.Path_synopsis.t -> bool array -> int
+(** Live elements on the set's slots. *)
 
 val explain_partition : log:Lxu_seglog.Update_log.t -> chain -> partition -> string
 (** Multi-line rendering: the scanned tag, how many paths match, the

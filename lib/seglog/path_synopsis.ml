@@ -19,7 +19,8 @@ type t = {
          write-once and shared with clones and with [paths]. *)
   mutable paths : int array array;  (* slot -> path *)
   mutable depth : int array;  (* slot -> level: path length - 1 *)
-  mutable index_shared : bool;  (* covers [index], [paths] and [depth] *)
+  mutable parent : int array;  (* slot -> its path's parent prefix's slot, -1 at the root *)
+  mutable index_shared : bool;  (* covers [index], [paths], [depth] and [parent] *)
   mutable counts : int array;  (* slot -> live element count *)
   mutable tag_counts : int array;  (* tag id -> live element count *)
   mutable counts_shared : bool;  (* covers [counts] and [tag_counts] *)
@@ -33,6 +34,7 @@ let create () =
     index = Hashtbl.create 256;
     paths = Array.make 256 [||];
     depth = Array.make 256 0;
+    parent = Array.make 256 (-1);
     index_shared = false;
     counts = Array.make 256 0;
     tag_counts = Array.make 64 0;
@@ -63,6 +65,7 @@ let own_index t =
     t.index <- Hashtbl.copy t.index;
     t.paths <- Array.copy t.paths;
     t.depth <- Array.copy t.depth;
+    t.parent <- Array.copy t.parent;
     t.index_shared <- false
   end
 
@@ -70,6 +73,7 @@ let elements t = t.elems
 let distinct_paths t = t.live_paths
 let slots t = t.n_slots
 let depth_table t = t.depth
+let parent_table t = t.parent
 let path t s = t.paths.(s)
 let count t s = t.counts.(s)
 
@@ -89,10 +93,15 @@ let grow a fill =
   Array.blit a 0 na 0 (Array.length a);
   na
 
-let slot_for t key =
+(* A new path's parent prefix gets its slot first (an ancestor's path
+   is normally registered already), so a parent's slot is always below
+   its children's. *)
+let rec slot_for t key =
   match Hashtbl.find_opt t.index key with
   | Some s -> s
   | None ->
+    let len = Array.length key in
+    let parent = if len <= 1 then -1 else slot_for t (Array.sub key 0 (len - 1)) in
     own_index t;
     let s = t.n_slots in
     if s >= Array.length t.counts then begin
@@ -100,11 +109,13 @@ let slot_for t key =
          [tag_counts] may still be shared: [own_counts] ran first. *)
       t.counts <- grow t.counts 0;
       t.paths <- grow t.paths [||];
-      t.depth <- grow t.depth 0
+      t.depth <- grow t.depth 0;
+      t.parent <- grow t.parent (-1)
     end;
     t.n_slots <- s + 1;
     t.paths.(s) <- key;
-    t.depth.(s) <- Array.length key - 1;
+    t.depth.(s) <- len - 1;
+    t.parent.(s) <- parent;
     Hashtbl.add t.index key s;
     s
 
@@ -233,4 +244,6 @@ let size_bytes t =
   for s = 0 to t.n_slots - 1 do
     paths := !paths + (8 * (Array.length t.paths.(s) + 3))
   done;
-  !paths + (8 * (Array.length t.counts + Array.length t.tag_counts + Array.length t.depth))
+  !paths
+  + (8 * (Array.length t.counts + Array.length t.tag_counts + Array.length t.depth
+          + Array.length t.parent))

@@ -68,6 +68,13 @@ val depth_table : t -> int array
     live side writes to its own copy — so a reader may capture it once
     and hand it to other domains. *)
 
+val parent_table : t -> int array
+(** [parent_table t].(s) is the slot of slot [s]'s path without its
+    last tag ([-1] for a one-tag path), always below [s]: a path's
+    prefixes get their slots first.  Shared and never rewritten like
+    {!depth_table}, so ascending slot order visits parents before
+    children — the order the path matcher's dynamic programs use. *)
+
 val path : t -> int -> int array
 (** Slot [s]'s root-to-element tag-id path, shared — do not mutate. *)
 

@@ -4,8 +4,9 @@
     Each entry carries the segment's ER-tree {e path} (the sids of its
     ancestors plus its own), the count of elements of that tag in the
     segment, which decides when to drop the entry on deletion (§3.3),
-    and the segment's synopsis context chain and tag set, so the
-    restricted joins' Proposition-3 filter needs no SB-tree lookup.  Per-tag lists are kept sorted by the segments' current
+    and the segment's synopsis context chain and tag set, so
+    Proposition-3 evidence ({!may_have_ancestor}) needs no SB-tree
+    lookup.  Per-tag lists are kept sorted by the segments' current
     global positions under the lazy-dynamic discipline (every insert
     appends and merges at once); the lazy-static discipline appends
     unsorted and sorts on demand just before querying (§5.1).

@@ -779,7 +779,7 @@ let check t =
   if t.next_sid <= !max_sid then
     failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
   (* Each entry carries its segment's context chain and a superset of
-     its current tags (the restricted joins' Proposition-3 evidence). *)
+     its current tags ({!Tag_list.may_have_ancestor}'s evidence). *)
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->

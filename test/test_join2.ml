@@ -193,3 +193,119 @@ let suite =
       Alcotest.test_case "xr join skips descendants" `Quick test_xr_join_skips;
       Alcotest.test_case "xr join stabs ancestors" `Quick test_xr_join_stab_side;
     ]
+
+(* --- Lazy-Join semi-joins ---------------------------------------------- *)
+
+(* Every element of a parsed forest with its level and root-to-element
+   tag path. *)
+let labels_with_paths text =
+  let acc = ref [] in
+  let rec walk path level = function
+    | Lxu_xml.Tree.Element e ->
+      let path = path @ [ e.Lxu_xml.Tree.tag ] in
+      acc := (e.Lxu_xml.Tree.tag, (e.e_start, e.e_end, level), path) :: !acc;
+      List.iter (walk path (level + 1)) e.children
+    | _ -> ()
+  in
+  List.iter (walk [] 0) (Lxu_xml.Parser.parse_fragment text);
+  !acc
+
+(* The semi-join property: on random LD/LS stores (chopped random
+   documents, some whole elements removed, 1 or 4 domains), both sides
+   of [Lazy_join.semi] — restricted or not, every slot a candidate or a
+   random half of the paths — equal the distinct ancestors and the
+   distinct descendants of [Naive_join]'s pairs among the candidates.
+   The [ok] table is the plain axis check: any depth above for
+   Descendant, the depth right above for Child. *)
+let prop_semi_join =
+  let open Lazy_xml in
+  QCheck2.Test.make ~name:"semi-join sides = naive pairs' distinct ends" ~count:60 ~print:string_of_int
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let engine = if seed mod 2 = 0 then Lazy_db.LD else Lazy_db.LS in
+      let domains = if seed mod 4 < 2 then 1 else 4 in
+      let db = Lazy_db.create ~engine ~domains () in
+      let params =
+        { Lxu_workload.Generator.default_params with tags = [| "a"; "b"; "d" |]; text_chance_pct = 10 }
+      in
+      let text =
+        Lxu_workload.Generator.generate_text ~params ~seed ~target_elements:(40 + (seed mod 60)) ()
+      in
+      List.iter
+        (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
+        (Lxu_workload.Chopper.chop ~text ~segments:(4 + (seed mod 12))
+           (if seed mod 3 = 0 then Lxu_workload.Chopper.Nested else Lxu_workload.Chopper.Balanced));
+      for _ = 1 to Random.State.int st 3 do
+        match labels_with_paths (Lazy_db.text db) with
+        | [] -> ()
+        | l ->
+          let _, (s, e, _), _ = List.nth l (Random.State.int st (List.length l)) in
+          Lazy_db.remove db ~gp:s ~len:(e - s)
+      done;
+      let log = Option.get (Lazy_db.log db) in
+      Lxu_seglog.Update_log.prepare_for_query log;
+      let syn = Lxu_seglog.Update_log.synopsis log and reg = Lxu_seglog.Update_log.registry log in
+      let nslots = Lxu_seglog.Path_synopsis.slots syn in
+      let path_of s =
+        Array.to_list
+          (Array.map (Lxu_seglog.Tag_registry.name reg) (Lxu_seglog.Path_synopsis.path syn s))
+      in
+      let anc_tag = [| "a"; "b" |].(Random.State.int st 2) and desc_tag = "d" in
+      let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
+      let labels = labels_with_paths (Lazy_db.text db) in
+      let cursor = Lxu_seglog.Update_log.cursors log in
+      let starts (m : Lazy_join.mask) =
+        let acc = ref [] in
+        Array.iteri
+          (fun k b ->
+            for i = 0 to Bytes.length b - 1 do
+              if Bytes.get b i <> '\000' then
+                acc :=
+                  Lxu_seglog.Er_node.cursor_start
+                    (cursor m.Lazy_join.entries.(k).Lxu_seglog.Tag_list.sid)
+                    m.Lazy_join.cols.(k).Lxu_seglog.Er_node.starts.(i)
+                  :: !acc
+            done)
+          m.Lazy_join.sel;
+        List.sort compare !acc
+      in
+      let depth = Lxu_seglog.Path_synopsis.depth_table syn in
+      List.for_all
+        (fun (axis, restricted, restrict) ->
+          (* A random half of the paths, or all of them. *)
+          let keep = Array.init nslots (fun _ -> (not restricted) || Random.State.bool st) in
+          let kept_paths = List.filter_map (fun s -> if keep.(s) then Some (path_of s) else None) (List.init nslots Fun.id) in
+          let side tag =
+            List.filter_map
+              (fun (t, lab, path) -> if t = tag && List.mem path kept_paths then Some lab else None)
+              labels
+          in
+          let pairs =
+            Naive_join.join ~axis ~anc:(side anc_tag) ~desc:(side desc_tag) ()
+          in
+          let distinct f = List.sort_uniq compare (List.map f pairs) in
+          let ok =
+            Array.init nslots (fun s ->
+                Bytes.init depth.(s) (fun da ->
+                    if axis = Stack_tree_desc.Descendant || da = depth.(s) - 1 then '\001' else '\000'))
+          in
+          let anc = Lazy_join.select log ~tid:(tid anc_tag) keep
+          and desc = Lazy_join.select log ~tid:(tid desc_tag) keep in
+          let semi keep =
+            starts
+              (Lazy_join.semi ~restrict ?pool:(Lazy_db.query_pool db) log ~anc ~desc ~ok ~keep)
+          in
+          let ctx =
+            Printf.sprintf "%s//%s axis=%s restricted=%b restrict=%b" anc_tag desc_tag
+              (if axis = Stack_tree_desc.Child then "child" else "desc") restricted restrict
+          in
+          (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: ancestor side differs" ctx)
+          && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: descendant side differs" ctx))
+        [
+          (Stack_tree_desc.Descendant, false, true); (Stack_tree_desc.Descendant, true, true);
+          (Stack_tree_desc.Child, false, true); (Stack_tree_desc.Child, true, true);
+          (Stack_tree_desc.Descendant, true, false); (Stack_tree_desc.Child, true, false);
+        ])
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_semi_join ]

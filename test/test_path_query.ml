@@ -358,3 +358,40 @@ let suite =
       QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.all_plans_agree ~count:120);
       QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.predicated_twigs_agree ~count:120);
     ]
+
+(* --- slot-restricted candidates ---------------------------------------- *)
+
+(* The reversed twig of the perf gate's plan group: 2,500 common
+   <g><a><b/>x4</a></g> groups and 40 rare <g><q><a><b><c/></b></a></q></g>
+   groups in 80 segments (under one root element).  Only the 40 bs
+   under a q can hold a c, so they are the step's only candidates and
+   no join reads the 10,000 others. *)
+let test_reversed_twig_candidates () =
+  let buf = Buffer.create 100_000 in
+  Buffer.add_string buf "<r>";
+  for i = 1 to 2500 do
+    Buffer.add_string buf "<g><a><b/><b/><b/><b/></a></g>";
+    if i mod 62 = 0 then Buffer.add_string buf "<g><q><a><b><c/></b></a></q></g>"
+  done;
+  Buffer.add_string buf "</r>";
+  let text = Buffer.contents buf in
+  let db = Lazy_db.create ~engine:Lazy_db.LD () in
+  List.iter
+    (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
+    (Lxu_workload.Chopper.chop ~text ~segments:80 Lxu_workload.Chopper.Balanced);
+  let twig = Path_query.parse_exn "//a//b[c]//c" in
+  let explained, matches = Path_query.explain db twig in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length explained && (String.sub explained i n = needle || go (i + 1)) in
+    go 0
+  in
+  check_bool "40 b candidates" true (contains "step 1 //b: 40 candidates, 40 survivors");
+  check_int "40 matches" 40 (List.length matches);
+  Alcotest.(check (list (pair int int))) "= tree oracle" (naive_twig text "//a//b[c]//c") matches;
+  check_int "count = matches" 40 (Path_query.count db "//a//b[c]//c");
+  check_int "naive count" 40 (Path_query.count ~plan:`Naive db "//a//b[c]//c")
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "reversed twig: 40 b candidates" `Quick test_reversed_twig_candidates ]
