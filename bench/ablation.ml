@@ -2,10 +2,12 @@
 
    [run_joins]: the structural-join family on one workload — MPMGJN
    (merge join, [14]), Stack-Tree-Desc/-Anc ([1]), the classical join
-   over the lazy store (§4's translation), and Lazy-Join with each of
-   Figure 9's optimizations toggled off.  This quantifies the paper's
-   §2 narrative (stacks remove merge-join re-scans) and its own design
-   choices.
+   over the lazy store (§4's translation) and Lazy-Join.  This
+   quantifies the paper's §2 narrative (stacks remove merge-join
+   re-scans).  A scale row then times Lazy-Join with k child segments
+   under one frame of k A-elements, the shape lazy updates build: the
+   cross-segment step sweeps each frame once, so it grows linearly in
+   k.
 
    [run_labels]: the labeling schemes of §2 under a worst-case
    insertion pattern — repeated insertion at the same point — reporting
@@ -15,11 +17,10 @@
 open Lxu_seglog
 open Lxu_labeling
 
-(* A workload where Figure 9's optimizations have teeth: a nested chain
-   of segments, each carrying many A-elements of which only ONE wraps
-   the hook where the next segments (and the D-carrying children) live.
-   Without the push filter every frame drags all its A-elements;
-   without top trimming dead elements linger on deep stacks. *)
+(* A nested chain of segments, each carrying many A-elements of which
+   only ONE wraps the hook where the next segments (and the D-carrying
+   children) live: every frame drags inert A-elements unless Figure
+   9's push filter drops them. *)
 let ablation_edits ~segments ~anc_per_segment ~d_per_child =
   let buf = Buffer.create 256 in
   for _ = 2 to anc_per_segment do
@@ -51,6 +52,14 @@ let ablation_edits ~segments ~anc_per_segment ~d_per_child =
     |> List.map (fun gp -> (gp, cross))
   in
   List.rev !edits @ attach
+
+(* [k] hooks under one frame: a root segment of [k] disjoint
+   [<A>t</A>], then one [<D/>] segment inserted into each, last first
+   so every earlier gp stays put. *)
+let hook_edits k =
+  let unit = "<A>t</A>" in
+  let root = "<r>" ^ String.concat "" (List.init k (fun _ -> unit)) ^ "</r>" in
+  (0, root) :: List.init k (fun i -> (3 + (String.length unit * (k - 1 - i)) + 3, "<D/>"))
 
 let run_joins () =
   Bench_util.header "Ablation: structural join algorithms on one workload";
@@ -100,17 +109,25 @@ let run_joins () =
     Bench_util.measure (fun () -> ignore (Lxu_join.Std_baseline.run log ~anc ~desc ()))
   in
   row "classical join over lazy store" t_base None;
-  let lazy_variant name ~push_filter ~trim_top =
-    let ms =
-      Bench_util.measure (fun () ->
-          ignore (Lxu_join.Lazy_join.run ~push_filter ~trim_top log ~anc ~desc ()))
-    in
-    row name ms None
-  in
-  lazy_variant "Lazy-Join (both optimizations)" ~push_filter:true ~trim_top:true;
-  lazy_variant "Lazy-Join (no push filter)" ~push_filter:false ~trim_top:true;
-  lazy_variant "Lazy-Join (no top trimming)" ~push_filter:true ~trim_top:false;
-  lazy_variant "Lazy-Join (neither)" ~push_filter:false ~trim_top:false
+  row "Lazy-Join"
+    (Bench_util.measure (fun () -> ignore (Lxu_join.Lazy_join.run log ~anc ~desc ())))
+    None;
+  Printf.printf
+    "\nLazy-Join scale: one segment of k disjoint A-elements, a <D/> child\n\
+     segment inserted into each (k hooks under one frame, k cross pairs)\n\n";
+  Bench_util.columns [ 34; 12; 12 ] [ "k"; "ms"; "pairs" ];
+  List.iter
+    (fun k ->
+      let log = Bench_util.load_log Update_log.Lazy_dynamic (hook_edits k) in
+      Update_log.prepare_for_query log;
+      let pairs = ref 0 in
+      let ms =
+        Bench_util.measure (fun () ->
+            pairs := Array.length (fst (Lxu_join.Lazy_join.run log ~anc ~desc ())))
+      in
+      Bench_util.columns [ 34; 12; 12 ]
+        [ string_of_int k; Bench_util.fmt_ms ms; string_of_int !pairs ])
+    [ 1_000; 4_000; 16_000 ]
 
 let run_labels () =
   Bench_util.header "Ablation: labeling scheme storage under adversarial insertion";

@@ -17,7 +17,6 @@ type stats = {
   mutable cross_pairs : int;
   mutable in_pairs : int;
   mutable elements_fetched : int;
-  mutable segments_prefiltered : int;
 }
 
 let zero_stats () =
@@ -30,7 +29,6 @@ let zero_stats () =
     cross_pairs = 0;
     in_pairs = 0;
     elements_fetched = 0;
-    segments_prefiltered = 0;
   }
 
 let add_stats into s =
@@ -41,16 +39,25 @@ let add_stats into s =
   into.in_segment_joins <- into.in_segment_joins + s.in_segment_joins;
   into.cross_pairs <- into.cross_pairs + s.cross_pairs;
   into.in_pairs <- into.in_pairs + s.in_pairs;
-  into.elements_fetched <- into.elements_fetched + s.elements_fetched;
-  into.segments_prefiltered <- into.segments_prefiltered + s.segments_prefiltered
+  into.elements_fetched <- into.elements_fetched + s.elements_fetched
 
+(* One frame of the segment stack, swept once (Stack-Tree-Desc applied
+   to the hooks).  Hooks reach a frame in non-decreasing order — SL_D
+   is in document order and a node's children are kept in document
+   order with non-decreasing [lp]s — and one segment's elements of one
+   tag are nested or disjoint.  So the frame's elements open in start
+   order as hooks pass their start and close for good once a hook
+   reaches their stop, and [opened] always holds the elements
+   containing the last hook.  Frames are reused across pushes: [push]
+   resets every cursor. *)
 type frame = {
-  node : Er_node.t;
-  depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
-  mutable elems : Er_node.cols;
-      (* candidate A-elements, by start; replaced (never mutated in
-         place) so join units that captured an earlier version keep it
-         — and so that the segment's own columns stay pristine *)
+  mutable node : Er_node.t;
+  mutable depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
+  mutable elems : Er_node.cols;  (* A-elements holding a child hook, by start *)
+  mutable next : int;  (* first element of [elems] not yet opened *)
+  mutable opened : int array;  (* the open elements' indices, outermost first *)
+  mutable top : int;  (* how many of [opened] are open *)
+  mutable kid : int;  (* child cursor: index in [node.children] of the last hook's child *)
 }
 
 (* Whether segment [a] is a proper ancestor of segment [d]: [a]'s sid
@@ -63,19 +70,53 @@ let is_ancestor (a : Er_node.t) (d : Er_node.t) =
   i < Array.length d.Er_node.path - 1 && d.Er_node.path.(i) = a.Er_node.sid
 
 (* Local position, within the frame's segment, of the child segment on
-   the path to the segment whose tag-list [path] is given (P_T^S of
-   §4.1).  Paths are root chains, so the frame's sid sits at index
-   [frame.depth] of every descendant's path — an O(1) lookup the paper
-   sketches as "computed after each push and stored". *)
-let p_of_frame log fr (path : int array) =
-  let i = fr.depth in
-  if i + 1 >= Array.length path || path.(i) <> fr.node.Er_node.sid then raise Not_found
-  else (Update_log.node_of_sid log path.(i + 1)).Er_node.lp
+   the descendant root path [path] (P_T^S of §4.1), read off the
+   frame's child cursor.  The frame's sid sits at index [fr.depth] of
+   every descendant's path and the child's at the next; hooks arrive
+   in document order, so the cursor only moves forward and a frame
+   walks its children once however many descendant segments it
+   meets. *)
+let hook fr (path : int array) =
+  let kids = fr.node.Er_node.children in
+  let sid = path.(fr.depth + 1) and n = Vec.length kids in
+  let k = ref fr.kid in
+  while !k < n && (Vec.get kids !k).Er_node.sid <> sid do
+    incr k
+  done;
+  if !k = n then invalid_arg "Lazy_join: SL_D out of document order";
+  fr.kid <- !k;
+  (Vec.get kids !k).Er_node.lp
+
+(* Opens the frame's elements that start before hook [p] and closes the
+   open ones that stop at or before it: afterwards
+   [opened.(0 .. top - 1)] are exactly the elements containing [p],
+   outermost (lowest index) first. *)
+let sweep fr p =
+  let e = fr.elems in
+  let n = Er_node.cols_length e in
+  while fr.next < n && Array.unsafe_get e.starts fr.next < p do
+    let s = Array.unsafe_get e.starts fr.next in
+    while fr.top > 0 && Array.unsafe_get e.stops fr.opened.(fr.top - 1) <= s do
+      fr.top <- fr.top - 1
+    done;
+    if fr.top = Array.length fr.opened then begin
+      let bigger = Array.make (max 8 (2 * fr.top)) 0 in
+      Array.blit fr.opened 0 bigger 0 fr.top;
+      fr.opened <- bigger
+    end;
+    fr.opened.(fr.top) <- fr.next;
+    fr.top <- fr.top + 1;
+    fr.next <- fr.next + 1
+  done;
+  while fr.top > 0 && Array.unsafe_get e.stops fr.opened.(fr.top - 1) <= p do
+    fr.top <- fr.top - 1
+  done
 
 (* Order-preserving index filter that returns the input columns
    untouched when nothing is dropped — the common case on the push
    path.  Always copies when it does drop: columns are shared with the
-   segment store and with captured join units. *)
+   segment store and with captured join units.  [keep] is called once
+   per index, in ascending order. *)
 let cols_filter keep (c : Er_node.cols) =
   let n = Er_node.cols_length c in
   let kept = ref 0 in
@@ -102,6 +143,25 @@ let cols_filter keep (c : Er_node.cols) =
       end
     done;
     { Er_node.starts; stops; pids }
+  end
+
+(* Figure 9's optimization (i): the elements of [c] that strictly
+   contain at least one child's hook.  Starts and the children's lps
+   both ascend, so one merge decides it: the first child past an
+   element's start is the only one to test against its stop. *)
+let holding_hooks (c : Er_node.cols) (kids : Er_node.t Vec.t) =
+  let nk = Vec.length kids in
+  if nk = 0 then Er_node.empty_cols
+  else begin
+    let j = ref 0 in
+    cols_filter
+      (fun i ->
+        let s = Array.unsafe_get c.starts i in
+        while !j < nk && (Vec.get kids !j).Er_node.lp <= s do
+          incr j
+        done;
+        !j < nk && (Vec.get kids !j).Er_node.lp < Array.unsafe_get c.stops i)
+      c
   end
 
 (* Chunked flat output buffer: 4 ints per pair
@@ -142,6 +202,9 @@ let buf_push4 b x0 x1 x2 x3 =
     b.cur_len <- o + 4
   end;
   b.total <- b.total + 4
+
+(* [n] pairs at once on a counting buffer. *)
+let buf_count b n = b.total <- b.total + (4 * n)
 
 let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 4
 
@@ -241,69 +304,64 @@ let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.c
     done
   end
 
+(* One frame's share of a join unit: the frame's segment [seg], its
+   columns [a] and the indices of its elements containing the unit's
+   hook, [idx.(0 .. n - 1)], outermost first. *)
+type cross = { seg : int; a : Er_node.cols; idx : int array; n : int }
+
 (* One unit of join generation (everything Step 3 of Figure 9 needs
    for one SL_D entry), produced by the sequential segment-merge pass
-   and executable on any domain: it captures plain integers, immutable
-   columns and the SL_D segment's node, resolved through the SB-tree
-   on the planning thread.  Executing it reads only that node's
-   immutable columns, never the SB-tree. *)
+   and executable on any domain: it captures plain integers, columns
+   and the SL_D segment's node, resolved on the planning thread.
+   Executing it reads only immutable columns, never the SB-tree.  A
+   sequential run executes each unit as it is planned, so its [idx]
+   arrays are the frames' own; a pool unit gets copies. *)
 type d_task = {
   d_node : Er_node.t;
-  cross : (int * int * Er_node.cols) list;
-      (* (P_T^S, ancestor sid, surviving A-elements) per stack frame, top first *)
+  cross : cross list;  (* frames with an element containing the hook, top first *)
   in_seg : bool;  (* the same segment holds both tags *)
 }
 
 (* Runs one task: cross-segment emission (Proposition 3), then the
    in-segment join.  [stats] and [out] are owned by the caller — under
-   the pool each chunk gets its own, merged afterwards.  D-elements
-   are fetched (and counted) on first use, preserving the lazy fetch
-   accounting of the list-based implementation exactly.  [guard] is
-   checked at task entry and per cross frame, so a parallel join
-   observes a cancel within one pool chunk.  The Child axis reads
-   levels through [depth], the synopsis' slot -> depth table captured
-   by the caller. *)
+   the pool each chunk gets its own, merged afterwards.  A task exists
+   only when it emits or joins in-segment, so its D-elements are
+   fetched (and counted) exactly once.  [guard] is checked at task
+   entry and per cross frame, so a parallel join observes a cancel
+   within one pool chunk.  The Child axis reads levels through
+   [depth], the synopsis' slot -> depth table captured by the
+   caller. *)
 let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
   Deadline.check_opt guard;
   let d_sid = task.d_node.Er_node.sid in
-  let d_got = ref None in
-  let get_d () =
-    match !d_got with
-    | Some c -> c
-    | None ->
-      let c = fetch_d task.d_node in
-      d_got := Some c;
-      c
-  in
+  let d = fetch_d task.d_node in
+  let n_d = Er_node.cols_length d in
   List.iter
-    (fun (p, a_sid, (a : Er_node.cols)) ->
+    (fun { seg = a_sid; a; idx; n } ->
       Deadline.check_opt guard;
-      let n_a = Er_node.cols_length a in
-      for i = 0 to n_a - 1 do
-        if Array.unsafe_get a.starts i < p && Array.unsafe_get a.stops i > p then begin
-          let d = get_d () in
-          let n_d = Er_node.cols_length d in
-          let a_start = Array.unsafe_get a.starts i in
-          match axis with
-          | Descendant ->
+      for k = 0 to n - 1 do
+        let i = Array.unsafe_get idx k in
+        let a_start = Array.unsafe_get a.starts i in
+        match axis with
+        | Descendant ->
+          if out.counting then buf_count out n_d
+          else
             for j = 0 to n_d - 1 do
               buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j)
             done;
-            stats.cross_pairs <- stats.cross_pairs + n_d
-          | Child ->
-            let child_level = depth.(Array.unsafe_get a.pids i) + 1 in
-            for j = 0 to n_d - 1 do
-              if depth.(Array.unsafe_get d.pids j) = child_level then begin
-                buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j);
-                stats.cross_pairs <- stats.cross_pairs + 1
-              end
-            done
-        end
+          stats.cross_pairs <- stats.cross_pairs + n_d
+        | Child ->
+          let child_level = depth.(Array.unsafe_get a.pids i) + 1 in
+          for j = 0 to n_d - 1 do
+            if depth.(Array.unsafe_get d.pids j) = child_level then begin
+              buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j);
+              stats.cross_pairs <- stats.cross_pairs + 1
+            end
+          done
       done)
     task.cross;
   if task.in_seg then begin
     let a = fetch_a task.d_node in
-    let d = get_d () in
     in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
       ~emit:(fun ai di ->
         buf_push4 out d_sid (Array.unsafe_get a.starts ai) d_sid (Array.unsafe_get d.starts di);
@@ -311,12 +369,32 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
       ()
   end
 
+(* [node i] for ascending [i < n], each index resolved once, on first
+   use — so the merge pass never resolves an entry it stops before.
+   On a paged store every resolution is a buffer-pool B+-tree probe:
+   resolving whole lists up front more than doubled paged_beyond_ram's
+   [count_p50_ms]. *)
+let heads n resolve =
+  let at = ref (-1) and cur = ref None in
+  fun i ->
+    if i >= n then None
+    else begin
+      if i <> !at then begin
+        at := i;
+        cur := Some (resolve i)
+      end;
+      !cur
+    end
+
 (* The segment-merge pass of Figure 9 (steps 1-3): walks SL_A and SL_D
-   by global position with the segment stack and hands every surviving
-   SL_D entry to [emit_task] as a self-contained work unit.  All
-   ER-tree, SB-tree and tag-list access happens here, on the calling
-   thread; the tasks only read segment columns. *)
-let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld () =
+   by global position with the segment stack and hands every SL_D
+   entry with output to [emit_task] as a self-contained work unit.
+   [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries to their
+   segments.  All ER-tree, SB-tree and tag-list access happens here,
+   on the calling thread; the tasks only read segment columns.
+   [copy] gives each unit its own copy of the frames' open-element
+   indices, for units that run after the pass moves on. *)
+let plan ?guard ~copy ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
   (* Whether [sa] comes before [sd] in document order.  Two segments
      share a gp only when one is the other's ancestor (the ancestor's
      own text before the child is all tombstoned), and the tag lists
@@ -325,68 +403,50 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
     let ga = Update_log.gp log sa and gd = Update_log.gp log sd in
     ga < gd || (ga = gd && is_ancestor sa sd)
   in
-  let stack = ref [] in
+  let a_head = heads n_a sla and d_head = heads n_d sld in
+  (* The stack is [frames.(0 .. nf - 1)], top last. *)
+  let frames = Vec.create () and nf = ref 0 in
+  let push (sa : Er_node.t) elems =
+    let depth = Array.length sa.Er_node.path - 1 in
+    if !nf = Vec.length frames then
+      Vec.push frames { node = sa; depth; elems; next = 0; opened = [||]; top = 0; kid = 0 }
+    else begin
+      let fr = Vec.get frames !nf in
+      fr.node <- sa;
+      fr.depth <- depth;
+      fr.elems <- elems;
+      fr.next <- 0;
+      fr.top <- 0;
+      fr.kid <- 0
+    end;
+    incr nf
+  in
   let ia = ref 0 and id = ref 0 in
-  while !id < Array.length sld && (!ia < Array.length sla || !stack <> []) do
+  while !id < n_d && (!ia < n_a || !nf > 0) do
     Deadline.check_opt guard;
-    let sd_entry = sld.(!id) in
-    let sd_node = Update_log.node_of_sid log sd_entry.Tag_list.sid in
-    match !stack with
-    | top :: rest
-      when Update_log.gp log sd_node > Update_log.gp log top.node + top.node.Er_node.len ->
+    let sd_node = Option.get (d_head !id) in
+    if
+      !nf > 0
+      &&
+      let top = (Vec.get frames (!nf - 1)).node in
+      Update_log.gp log sd_node > Update_log.gp log top + top.Er_node.len
+    then
       (* Step 1: the top segment cannot contain sd nor any later
          segment of SL_D. *)
-      stack := rest
-    | _ ->
-      let sa_node =
-        if !ia < Array.length sla then
-          Some (Update_log.node_of_sid log sla.(!ia).Tag_list.sid)
-        else None
-      in
-      (match sa_node with
+      decr nf
+    else
+      let sa_node = a_head !ia in
+      match sa_node with
       | Some sa when precedes sa sd_node ->
         (* Step 2: push sa if it contains sd, else skip it forever
            (segments nest as a tree, so not containing means
-           disjoint from everything at or after sd). *)
+           disjoint from everything at or after sd).  Only elements
+           holding a child hook can ever emit (optimization (i));
+           those that stop before later hooks close in the sweep
+           (optimization (ii)). *)
         stats.a_segments <- stats.a_segments + 1;
         if is_ancestor sa sd_node then begin
-          let base : Er_node.cols = fetch_a sa in
-          (* Optimization (i): keep only A-elements that contain at
-             least one child-segment position.  Children are kept in
-             document order, so the smallest hook position above
-             [start] — found by binary search — decides containment
-             without scanning the whole child list per element. *)
-          let elems =
-            if not push_filter then base
-            else begin
-              let kids = sa.Er_node.children in
-              let nk = Vec.length kids in
-              if nk = 0 then Er_node.empty_cols
-              else
-                cols_filter
-                  (fun i ->
-                    let s = base.starts.(i) in
-                    let j =
-                      Vec.lower_bound kids ~compare:(fun (c : Er_node.t) ->
-                          if c.Er_node.lp <= s then -1 else 1)
-                    in
-                    j < nk && (Vec.get kids j).Er_node.lp < base.stops.(i))
-                  base
-            end
-          in
-          (* Optimization (ii): drop from the current top the
-             elements that end at or before the position of sa —
-             they cannot contain sa or any later segment. *)
-          (match !stack with
-          | top :: _ when trim_top -> begin
-            match p_of_frame log top sa.Er_node.path with
-            | p ->
-              let e = top.elems in
-              top.elems <- cols_filter (fun i -> e.Er_node.stops.(i) > p) e
-            | exception Not_found -> ()
-          end
-          | _ -> ());
-          stack := { node = sa; depth = Array.length sa.Er_node.path - 1; elems } :: !stack;
+          push sa (holding_hooks (fetch_a sa) sa.Er_node.children);
           stats.segments_pushed <- stats.segments_pushed + 1
         end
         else stats.segments_skipped <- stats.segments_skipped + 1;
@@ -397,27 +457,38 @@ let plan ?guard ~push_filter ~trim_top ~stats ~fetch_a ~emit_task log ~sla ~sld 
            execution time: with multi-rooted fragments an intermediate
            segment can contribute zero element depth, so (unlike the
            single-rooted case of §4.2) they are not confined to the
-           direct parent segment. *)
-        let cross =
-          List.filter_map
-            (fun fr ->
-              if Er_node.cols_length fr.elems = 0 then None
-              else
-                match p_of_frame log fr sd_entry.Tag_list.path with
-                | p -> Some (p, fr.node.Er_node.sid, fr.elems)
-                | exception Not_found -> None)
-            !stack
-        in
+           direct parent segment.  Walking the frames bottom-up and
+           consing lists them top first. *)
+        let path = sd_node.Er_node.path in
+        let cross = ref [] in
+        for f = 0 to !nf - 1 do
+          let fr = Vec.get frames f in
+          if
+            (fr.next < Er_node.cols_length fr.elems || fr.top > 0)
+            && fr.depth + 1 < Array.length path
+            && path.(fr.depth) = fr.node.Er_node.sid
+          then begin
+            sweep fr (hook fr path);
+            if fr.top > 0 then
+              cross :=
+                {
+                  seg = fr.node.Er_node.sid;
+                  a = fr.elems;
+                  idx = (if copy then Array.sub fr.opened 0 fr.top else fr.opened);
+                  n = fr.top;
+                }
+                :: !cross
+          end
+        done;
         let in_seg =
           match sa_node with
           | Some sa when sa.Er_node.sid = sd_node.Er_node.sid -> true
           | _ -> false
         in
         if in_seg then stats.in_segment_joins <- stats.in_segment_joins + 1;
-        if cross <> [] || in_seg then
-          emit_task { d_node = sd_node; cross; in_seg };
+        if !cross <> [] || in_seg then emit_task { d_node = sd_node; cross = !cross; in_seg };
         stats.d_segments <- stats.d_segments + 1;
-        incr id)
+        incr id
   done
 
 let runs_total = Atomic.make 0
@@ -425,7 +496,7 @@ let runs () = Atomic.get runs_total
 
 (* The whole join up to materialization: the filled output buffers, in
    emission order, and the stats.  [counting] buffers only count. *)
-let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc ~desc =
+let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
   let stats = zero_stats () in
   Atomic.incr runs_total;
   Deadline.check_opt guard;
@@ -438,30 +509,9 @@ let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard
   match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ([], stats)
   | Some tid_a, Some tid_d ->
-    (* Caller-supplied prefilters (selective Proposition 3): entries
-       dropped here are skipped before any ER-tree or column
-       access.  An A-side drop removes exactly the pairs whose ancestor
-       lives in that segment (in-segment pairs included — the in-seg
-       trigger fires off the current SL_A entry); a D-side drop removes
-       exactly the pairs whose descendant lives there. *)
-    let prefilter f arr =
-      match f with
-      | None -> arr
-      | Some keep ->
-        let out = Array.copy arr in
-        let kept = ref 0 in
-        Array.iter
-          (fun e ->
-            if keep e then begin
-              out.(!kept) <- e;
-              incr kept
-            end)
-          arr;
-        stats.segments_prefiltered <- stats.segments_prefiltered + Array.length arr - !kept;
-        Array.sub out 0 !kept
-    in
-    let sla = prefilter a_filter (Update_log.segments_for_tag log ~tag:anc) in
-    let sld = prefilter d_filter (Update_log.segments_for_tag log ~tag:desc) in
+    let sla = Update_log.segments_for_tag log ~tag:anc in
+    let sld = Update_log.segments_for_tag log ~tag:desc in
+    let node (l : Tag_list.entry array) i = Update_log.node_of_sid log l.(i).Tag_list.sid in
     (* Columnar elements of one tag in one resolved segment — its own
        immutable columns, shared by every emitted pair.  [into]
        receives the fetch count — the per-chunk stats record under the
@@ -471,22 +521,12 @@ let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard
       into.elements_fetched <- into.elements_fetched + Er_node.cols_length c;
       c
     in
-    let parallel =
-      match pool with
-      | Some p when Domain_pool.size p > 1 && Array.length sld > 1 -> Some p
-      | _ -> None
+    let merge_pass ~copy emit_task =
+      plan ?guard ~copy ~stats ~fetch_a:(fetch tid_a stats) ~emit_task log
+        ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ()
     in
-    (match parallel with
-    | None ->
-      (* Sequential: execute each join unit as the merge produces it. *)
-      let out = buf_create ~counting in
-      plan ?guard ~push_filter ~trim_top ~stats ~fetch_a:(fetch tid_a stats)
-        ~emit_task:
-          (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a stats)
-             ~fetch_d:(fetch tid_d stats) ~stats ~out)
-        log ~sla ~sld ();
-      ([ out ], stats)
-    | Some p ->
+    (match pool with
+    | Some p when Domain_pool.size p > 1 && Array.length sld > 1 ->
       (* Parallel: the merge pass collects the join units, the pool
          executes them with per-task output buffers and stats, and the
          merge below re-reads both in task order — so pairs come out
@@ -494,8 +534,7 @@ let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard
          exact, not approximate.  Each task re-checks [guard], so a
          cancel aborts the pool run within one chunk. *)
       let tasks = Vec.create () in
-      plan ?guard ~push_filter ~trim_top ~stats ~fetch_a:(fetch tid_a stats)
-        ~emit_task:(Vec.push tasks) log ~sla ~sld ();
+      merge_pass ~copy:true (Vec.push tasks);
       let tasks = Vec.to_array tasks in
       let results =
         Domain_pool.map p (Array.length tasks) (fun i ->
@@ -506,19 +545,21 @@ let fill ~counting ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard
             (out, lstats))
       in
       Array.iter (fun (_, lstats) -> add_stats stats lstats) results;
-      (Array.to_list (Array.map fst results), stats))
+      (Array.to_list (Array.map fst results), stats)
+    | _ ->
+      (* Sequential: execute each join unit as the merge produces it. *)
+      let out = buf_create ~counting in
+      merge_pass ~copy:false
+        (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a stats) ~fetch_d:(fetch tid_d stats)
+           ~stats ~out);
+      ([ out ], stats))
 
-let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter ?d_filter
-    ?pool ?guard log ~anc ~desc () =
-  let bufs, stats =
-    fill ~counting:false ~axis ~push_filter ~trim_top ?a_filter ?d_filter ?pool ?guard log ~anc
-      ~desc
-  in
+let run ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
+  let bufs, stats = fill ~counting:false ~axis ?pool ?guard log ~anc ~desc in
   (bufs_to_pairs bufs, stats)
 
 let count ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
-  pair_count
-    (fst (fill ~counting:true ~axis ~push_filter:true ~trim_top:true ?pool ?guard log ~anc ~desc))
+  pair_count (fst (fill ~counting:true ~axis ?pool ?guard log ~anc ~desc))
 
 (* --- semi-joins over selection masks -------------------------------- *)
 
@@ -580,9 +621,6 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
       let row = Array.unsafe_get ok (Array.unsafe_get d.pids j) in
       da < Bytes.length row && is_sel row da
     in
-    let contains (a : Er_node.cols) p i =
-      Array.unsafe_get a.starts i < p && Array.unsafe_get a.stops i > p
-    in
     let in_seg emit =
       if task.in_seg then begin
         let a = a_cols task.d_node.Er_node.sid in
@@ -607,10 +645,11 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
         !last_ok
       in
       List.iter
-        (fun (p, a_sid, (a : Er_node.cols)) ->
+        (fun { seg = a_sid; a; idx; n } ->
           Deadline.check_opt guard;
-          for i = 0 to Er_node.cols_length a - 1 do
-            if contains a p i && any_d depth.(Array.unsafe_get a.pids i) then mark_a a_sid a i
+          for k = 0 to n - 1 do
+            let i = Array.unsafe_get idx k in
+            if any_d depth.(Array.unsafe_get a.pids i) then mark_a a_sid a i
           done)
         task.cross;
       in_seg (fun a ->
@@ -633,12 +672,10 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
          of the A-elements containing the hook. *)
       let das = ref [] in
       List.iter
-        (fun (p, _, (a : Er_node.cols)) ->
-          for i = 0 to Er_node.cols_length a - 1 do
-            if contains a p i then begin
-              let da = depth.(Array.unsafe_get a.pids i) in
-              if not (List.mem da !das) then das := da :: !das
-            end
+        (fun { a; idx; n; _ } ->
+          for k = 0 to n - 1 do
+            let da = depth.(Array.unsafe_get a.pids (Array.unsafe_get idx k)) in
+            if not (List.mem da !das) then das := da :: !das
           done)
         task.cross;
       let rec any j = function [] -> false | da :: das -> ok_at j da || any j das in
@@ -718,12 +755,15 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
     (k, index_in anc.cols.(k) sub i)
   in
   let store task hit = if Bytes.length hit > 0 then out.(d_k task.d_node.Er_node.sid) <- hit in
-  let merge_pass emit_task =
-    plan ?guard ~push_filter:true ~trim_top:true ~stats:(zero_stats ())
+  (* [select] resolved every entry: the pass reads [nodes], never the
+     SB-tree. *)
+  let merge_pass ~copy emit_task =
+    plan ?guard ~copy ~stats:(zero_stats ())
       ~fetch_a:(fun node -> a_cols node.Er_node.sid)
-      ~emit_task log
-      ~sla:(Array.map (fun k -> anc.entries.(k)) ka)
-      ~sld:(Array.map (fun k -> desc.entries.(k)) kd)
+      ~emit_task log ~n_a:(Array.length ka)
+      ~sla:(fun i -> anc.nodes.(ka.(i)))
+      ~n_d:(Array.length kd)
+      ~sld:(fun i -> desc.nodes.(kd.(i)))
       ()
   in
   (match pool with
@@ -731,7 +771,7 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
     (* Each unit writes only its own result; the marks are applied
        here, on the calling thread. *)
     let tasks = Vec.create () in
-    merge_pass (Vec.push tasks);
+    merge_pass ~copy:true (Vec.push tasks);
     let tasks = Vec.to_array tasks in
     let results =
       Domain_pool.map p (Array.length tasks) (fun i ->
@@ -749,7 +789,7 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
       let k, i = index sid sub i in
       set k i
     in
-    merge_pass (fun task -> store task (exec ~mark_a task)));
+    merge_pass ~copy:false (fun task -> store task (exec ~mark_a task)));
   { (match keep with `Anc -> anc | `Desc -> desc) with sel = out }
 
 (* Translates in emission order into two flat columns, then merges

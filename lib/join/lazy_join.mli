@@ -9,9 +9,18 @@
     without per-element comparisons.  In-segment joins fall back to
     Stack-Tree-Desc on the segment's immutable virtual labels.
 
-    Both Figure 9 optimizations are applied: only A-elements containing
-    at least one child segment are pushed, and on each push the top
-    frame drops elements that end before the pushed segment starts.
+    Step 3 sweeps each stack frame once, Stack-Tree-Desc style, over
+    the hooks P_T^S of the descendant segments it meets: they reach a
+    frame in document order, so the frame opens its elements in start
+    order as hooks pass them and closes each for good once a hook
+    reaches its stop, and a descendant segment reads exactly the open
+    elements — O(elements + children + output) per frame, however
+    many descendant segments hang below it.  A frame reads P_T^S off a
+    forward-only cursor over its node's children, not the SB-tree.
+    Both Figure 9 optimizations are built in: a frame holds only the
+    A-elements containing at least one child hook (one merge of the
+    element starts against the children's [lp]s), and the sweep's
+    close is the top-frame trim.
 
     Under a [Lazy_static] log the pre-query sorting cost is incurred
     here (the run calls {!Lxu_seglog.Update_log.prepare_for_query}),
@@ -20,8 +29,8 @@
     With [?pool], the element-level work is executed segment-parallel
     on OCaml 5 domains: the segment-merge pass (which touches the
     mutable ER-tree, SB-tree and tag lists) stays on the calling
-    thread and produces one self-contained join unit per surviving
-    SL_D entry; the pool then runs the units' in-segment joins and
+    thread and produces one self-contained join unit per SL_D entry
+    with output; the pool then runs the units' in-segment joins and
     cross-segment emission in chunks, each with its own output buffer
     and stats record, merged back in unit order.  Pairs and stats are
     therefore identical to the sequential path — order included —
@@ -57,17 +66,10 @@ type stats = {
   mutable cross_pairs : int;
   mutable in_pairs : int;
   mutable elements_fetched : int;  (** column entries read *)
-  mutable segments_prefiltered : int;
-      (** SL entries dropped by the caller's [a_filter]/[d_filter]
-          before any ER-tree or element access *)
 }
 
 val run :
   ?axis:axis ->
-  ?push_filter:bool ->
-  ?trim_top:bool ->
-  ?a_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
-  ?d_filter:(Lxu_seglog.Tag_list.entry -> bool) ->
   ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->
@@ -77,25 +79,8 @@ val run :
   pair array * stats
 (** [run log ~anc ~desc ()] evaluates the path expression
     [anc//desc] (or [anc/desc] with [~axis:Child]), returning pairs
-    ordered by descendant segment.
-
-    [push_filter] (default on) is Figure 9's optimization (i): push
-    only A-elements containing at least one child segment.  [trim_top]
-    (default on) is optimization (ii): on each push, drop from the top
-    frame the elements ending before the pushed segment.  Both flags
-    exist for the ablation benchmark; disabling them changes cost, not
-    results.
-
-    [a_filter]/[d_filter] (default: keep everything) drop tag-list
-    entries from [SL_A]/[SL_D] before the merge pass — selective
-    Proposition 3.  A dropped entry is never resolved to an ER node and
-    its elements are never fetched.  Soundness is the
-    caller's contract: the result is exactly the unfiltered pair set
-    minus pairs whose ancestor (A-side drop) or descendant (D-side
-    drop) lives in a dropped segment, so filters are lossless whenever
-    the caller only discards segments it can prove contribute no
-    wanted pair (e.g. by synopsis evidence or membership of a
-    restriction set).
+    ordered by descendant segment.  The merge pass resolves each
+    tag-list entry it reaches through the SB-tree once.
 
     [pool] runs the per-segment join units on the given domain pool
     (see the module comment); omitted, or with a pool of size 1, the

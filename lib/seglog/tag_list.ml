@@ -1,14 +1,8 @@
 open Lxu_util
 
-type entry = { sid : int; path : int array; ctx : int array; tags : int array; count : int }
+type entry = { sid : int; path : int array; count : int }
 
 exception Dirty_tag_list of int
-
-let mem_int (a : int array) x =
-  let rec go i = i < Array.length a && (a.(i) = x || go (i + 1)) in
-  go 0
-
-let may_have_ancestor e ~tid = mem_int e.ctx tid || mem_int e.tags tid
 
 (* One per-tag list with its own dirty bit: an LS-mode append soils
    only the tag it touches, so the pre-query sort processes exactly the

@@ -3,10 +3,8 @@
 
     Each entry carries the segment's ER-tree {e path} (the sids of its
     ancestors plus its own), the count of elements of that tag in the
-    segment, which decides when to drop the entry on deletion (§3.3),
-    and the segment's synopsis context chain and tag set, so
-    Proposition-3 evidence ({!may_have_ancestor}) needs no SB-tree
-    lookup.  Per-tag lists are kept sorted by the segments' current
+    segment, which decides when to drop the entry on deletion (§3.3).
+    Per-tag lists are kept sorted by the segments' current
     global positions under the lazy-dynamic discipline (every insert
     appends and merges at once); the lazy-static discipline appends
     unsorted and sorts on demand just before querying (§5.1).
@@ -18,20 +16,7 @@
     touch stay shared.  Entries are immutable: a decrement replaces
     the entry. *)
 
-type entry = {
-  sid : int;
-  path : int array;
-  ctx : int array;  (** the segment's context chain ({!Er_node.t}[.ctx]), shared *)
-  tags : int array;  (** the tags the segment held when inserted, ascending, shared *)
-  count : int;
-}
-
-val may_have_ancestor : entry -> tid:int -> bool
-(** Summary evidence for Proposition-3 skipping, read off the entry
-    alone: [false] proves that no element of the entry's segment has
-    an ancestor tagged [tid] — the tag is neither in the segment's
-    context chain nor among its tags.  [true] is a may-answer (the tag
-    set is not shrunk by element removals). *)
+type entry = { sid : int; path : int array; count : int }
 
 exception Dirty_tag_list of int
 (** Raised by {!entries} when the requested tag's list is dirty; the

@@ -342,12 +342,11 @@ let link_new_segment t ~gp ~text ~elems_for =
   index node ~pids:(Path_synopsis.add_segment t.synopsis ~ctx_tids:node.ctx ~elems:node.elems);
   node
 
-(* One tag-list entry per distinct tag of the segment; its context
-   chain must be set. *)
+(* One tag-list entry per distinct tag of the segment. *)
 let iter_tag_entries (node : Er_node.t) f =
-  let { Er_node.sid; path; ctx; columns; _ } = node in
+  let { Er_node.sid; path; _ } = node in
   Er_node.iter_columns node (fun tid c ->
-      f ~tid { Tag_list.sid; path; ctx; tags = columns.tids; count = Er_node.cols_length c })
+      f ~tid { Tag_list.sid; path; count = Er_node.cols_length c })
 
 let frozen_guard t who =
   if t.frozen then invalid_arg (who ^ ": frozen snapshot, updates go to the live log")
@@ -778,22 +777,11 @@ let check t =
         n.Er_node.elems);
   if t.next_sid <= !max_sid then
     failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
-  (* Each entry carries its segment's context chain and a superset of
-     its current tags ({!Tag_list.may_have_ancestor}'s evidence). *)
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->
       Array.iter
-        (fun (e : Tag_list.entry) ->
-          (match Hashtbl.find_opt node_by_sid e.sid with
-          | Some n
-            when e.ctx <> n.Er_node.ctx
-                 || not (Array.for_all (fun tid -> Array.mem tid e.tags) n.Er_node.columns.tids) ->
-            failwith
-              (Printf.sprintf "tag-list entry (tid %d, sid %d) carries a stale context or tag set"
-                 tid e.sid)
-          | Some _ | None (* a stale entry, reported below *) -> ());
-          Hashtbl.replace listed (tid, e.sid) e.count)
+        (fun (e : Tag_list.entry) -> Hashtbl.replace listed (tid, e.sid) e.count)
         (Tag_list.entries t.tag_list ~tid))
     (Tag_list.tids t.tag_list);
   Hashtbl.iter

@@ -169,8 +169,8 @@ val synopsis : t -> Path_synopsis.t
     counts, maintained incrementally by {!insert}, {!insert_batch} and
     {!remove} (and therefore by packing, which is remove+insert).
     Frozen snapshots carry a copy-on-write clone.  The path executor's input:
-    cardinality estimation and Proposition-3 segment skipping read it
-    without forcing a dirty tag-list sort. *)
+    partition scans and slot selection read it without forcing a dirty
+    tag-list sort. *)
 
 val synopsis_rebuilt : t -> Path_synopsis.t
 (** From-scratch synopsis rebuilt off the current segment skeletons —

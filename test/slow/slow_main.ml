@@ -36,7 +36,11 @@
    - the predicated-twig property at 2,000 cases: on random twigs with
      one-step and nested predicates the default plan's restricted
      joins, the naive composition and the tree oracle agree, on LD/LS
-     x Mem/Paged x 1/4 domains, live and pinned.
+     x Mem/Paged x 1/4 domains, live and pinned;
+   - the frame-sweep property at 2,000 cases: many child segments at
+     increasing, equal and interleaved hooks under nested same-tag
+     ancestors, with text tombstoned around the hooks, joined by
+     [run], [count] and [semi] and checked against the naive join.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -114,4 +118,9 @@ let () =
     (Lxu_props.Partition_props.predicated_twigs_agree ~count:cases);
   Printf.printf
     "predicated twigs: %d cases, both plans equal to the tree oracle on LD/LS x Mem/Paged x 1/4 domains and pinned snapshots\n%!"
+    cases;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 25 |])
+    (Lxu_props.Sweep_props.hooks_agree ~count:cases);
+  Printf.printf
+    "frame sweep: %d cases, run/count/semi equal to the naive join on LD/LS x 1/4 domains\n%!"
     cases

@@ -308,4 +308,9 @@ let prop_semi_join =
           (Stack_tree_desc.Descendant, true, false); (Stack_tree_desc.Child, true, false);
         ])
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_semi_join ]
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_semi_join;
+      QCheck_alcotest.to_alcotest (Lxu_props.Sweep_props.hooks_agree ~count:120);
+    ]

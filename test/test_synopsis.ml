@@ -1,8 +1,7 @@
 (* Tests for the path-summary synopsis: incremental maintenance under
    inserts, batches, removes and packs must agree with a from-scratch
    rebuild; frozen clones are isolated from later writes; save/load
-   reconstructs; cardinalities and the Proposition-3 ancestor evidence
-   are consistent with the document. *)
+   reconstructs; cardinalities are consistent with the document. *)
 
 open Lazy_xml
 open Lxu_seglog
@@ -120,7 +119,7 @@ let test_save_load () =
   check_bool "same synopsis as the saved db" true
     (Path_synopsis.equal (Update_log.synopsis (log_of db)) (Update_log.synopsis (log_of db2)))
 
-(* --- cardinalities and Proposition-3 evidence ------------------------- *)
+(* --- cardinalities -------------------------------------------------------- *)
 
 let test_tag_total () =
   let db = Lazy_db.create ~engine:Lazy_db.LD () in
@@ -138,26 +137,6 @@ let test_tag_total () =
       in
       check_int ("tag_total " ^ tag) expected got)
     [ "person"; "profile"; "interest"; "watch"; "nosuchtag" ]
-
-let test_may_have_ancestor () =
-  let db = Lazy_db.create ~engine:Lazy_db.LD () in
-  (* Two sibling subtrees in their own segments under a shared root:
-     <r><a><b/></a><c><d/></c></r>.  The segment holding d has c and r
-     above it but never a. *)
-  Lazy_db.insert db ~gp:0 "<r></r>";
-  Lazy_db.insert db ~gp:3 "<a><b/></a>";
-  Lazy_db.insert db ~gp:14 "<c><d/></c>";
-  let log = log_of db in
-  let reg = Update_log.registry log in
-  let tid tag = Option.get (Tag_registry.find reg tag) in
-  let d_entry = (Tag_list.entries (Update_log.tag_list log) ~tid:(tid "d")).(0) in
-  check_bool "d segment may have c ancestor" true
-    (Tag_list.may_have_ancestor d_entry ~tid:(tid "c"));
-  check_bool "d segment may have r ancestor" true
-    (Tag_list.may_have_ancestor d_entry ~tid:(tid "r"));
-  check_bool "d segment provably has no a ancestor" false
-    (Tag_list.may_have_ancestor d_entry ~tid:(tid "a"));
-  agrees "small doc" log
 
 (* --- linear rebuild edge cases ----------------------------------------- *)
 
@@ -293,7 +272,6 @@ let suite =
     Alcotest.test_case "frozen depth table is never written" `Quick test_frozen_depth_table;
     Alcotest.test_case "save/load reconstructs" `Quick test_save_load;
     Alcotest.test_case "tag_total matches query counts" `Quick test_tag_total;
-    Alcotest.test_case "Proposition-3 ancestor evidence" `Quick test_may_have_ancestor;
     Alcotest.test_case "rebuild: containment is strict" `Quick test_strict_containment;
     Alcotest.test_case "rebuild: tombstones around a child" `Quick test_tombstones_around_child;
     QCheck_alcotest.to_alcotest prop_random_scripts;

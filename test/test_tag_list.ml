@@ -6,7 +6,7 @@ open Lxu_seglog
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let entry sid path count = { Tag_list.sid; path = Array.of_list path; ctx = [||]; tags = [||]; count }
+let entry sid path count = { Tag_list.sid; path = Array.of_list path; count }
 
 (* A fixed gp assignment for sorting tests. *)
 let gp_of = function 1 -> 100 | 2 -> 50 | 3 -> 75 | 4 -> 10 | _ -> 0
