@@ -1,6 +1,6 @@
 (* Perf gate for the claims that go beyond the paper's figures: join
    throughput, paged storage, batched updates, MVCC reads, autonomous
-   maintenance and path partitions.
+   maintenance and path queries.
 
      dune exec bench/gate.exe                   measure every claim and
                                                 check it against
@@ -361,11 +361,12 @@ let maint () =
    the worst order: thousands of common <g><a><b/>x4</a></g> groups and
    40 rare <g><q><a><b><c/></b></a></q></g> groups, chopped into 80
    segments so the rare tags are segment-local.  The chains are
-   predicate-free, so the default plan is a partition scan: //a//b//q
-   is provably empty (the scan answers it from the synopsis without a
-   join) and //a//b is the control, where the scan reads every b.  The
-   twigs carry predicates: the default plan joins only the candidates
-   on slots that can match (the 40 bs under q for //a//b[c]//c), Naive
+   predicate-free, so under the default plan each is one hop with no
+   join, its last step's candidates the answer: //a//b//q is provably
+   empty (the synopsis answers it without touching a column) and
+   //a//b is the control, where every b is a candidate.  The twigs
+   carry predicates: the default plan joins only the candidates on
+   slots that can match (the 40 bs under q for //a//b[c]//c), Naive
    every element of every step.
 
    Naive and the default plan are timed interleaved, best of 7, with a

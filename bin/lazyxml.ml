@@ -303,9 +303,9 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain"
-       ~doc:"Run a path expression and show how: a predicate-free path is a partition \
-             scan (matching synopsis paths, estimated vs actual matches); a path with \
-             predicates shows each join's pairs and each step's estimate vs survivors.")
+       ~doc:"Run a path expression and show how: each predicate and each spine step \
+             that ends a semi-join hop, with its slot-restricted candidates and its \
+             survivors.  A predicate-free path is one hop and runs no join.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ deadline_arg)
 
 (* --- snapshots -------------------------------------------------------------- *)

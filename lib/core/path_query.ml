@@ -73,15 +73,15 @@ and step_to_string { axis; tag; predicates } =
 
 (* --- evaluation ----------------------------------------------------------
 
-   A predicate-free chain under [`Auto] is a partition scan
-   ({!Lxu_plan.Plan.partition}): the last tag's elements whose slot
-   matched, no join.  Everything else is a chain of semi-joins over
-   selection masks ({!Lxu_join.Lazy_join.semi}), where a join's [ok]
-   table checks the steps it spans on the descendant's own path.
-   Either way the extents come from one walk over the tag's segments
-   in tag-list order with one [Er_node.cursor] each, in sorted runs
-   (a child segment's elements sit inside its parent's but are listed
-   after them) that [Run_merge.sort] merges instead of sorting. *)
+   Every path runs as a chain of semi-joins over selection masks
+   ({!Lxu_join.Lazy_join.semi}), where a join's [ok] table checks the
+   steps it spans on the descendant's own path.  A predicate-free chain
+   is one hop: its last step's candidates are the answer and no join
+   runs.  The extents come from one walk over the final mask's
+   segments in tag-list order with one [Er_node.cursor] each, in sorted
+   runs (a child segment's elements sit inside its parent's but are
+   listed after them) that [Run_merge.sort] merges instead of
+   sorting. *)
 
 module Lj = Lxu_join.Lazy_join
 module Plan = Lxu_plan.Plan
@@ -183,7 +183,7 @@ let ok_table syn hop =
       else Bytes.empty)
 
 (* What an explained run records, in execution order: per spine step
-   reached by a join and per predicate, the candidates and the
+   that ends a hop and per predicate, the candidates and the
    survivors. *)
 type event =
   | Step of { i : int; node : node; candidates : Lj.mask; survivors : Lj.mask }
@@ -235,8 +235,8 @@ and holds ctx n mask pred =
 (* Left to right: the first join target's candidates (under [`Auto]
    the steps before it carry no predicate, so its slots alone decide
    them), its predicates, then per hop a step down and the target's
-   predicates; nothing runs once a step has no survivors.  Returns
-   the last step's tag id and survivors. *)
+   predicates; nothing runs once a step has no survivors.  Returns the
+   last step's survivors. *)
 let eval_twig ctx nodes =
   let step i node candidates survivors = note ctx (Step { i; node; candidates; survivors }) in
   let hop, rest = split ~auto:ctx.auto nodes in
@@ -244,123 +244,72 @@ let eval_twig ctx nodes =
   let c = candidates ctx first in
   let m = satisfy ctx first c in
   step (List.length hop - 1) first c m;
-  let rec go i anc m = function
-    | [] -> (anc.tid, m)
-    | _ when is_empty m -> (anc.tid, m)
+  let rec go i m = function
+    | [] -> m
+    | _ when is_empty m -> m
     | nodes ->
       let hop, rest = split ~auto:ctx.auto nodes in
       let target = last hop and i = i + List.length hop in
       let c = candidates ctx target in
       let m = satisfy ctx target (join ctx ~anc:m ~desc:c hop `Desc) in
       step i target c m;
-      go i target m rest
+      go i m rest
   in
-  go (List.length hop - 1) first m rest
+  go (List.length hop - 1) m rest
 
-(* Translates the elements of tag [tid] in segments [nodes] (the tag's,
-   in tag-list order) that [keep k i pid] accepts — element [i] of
-   segment [k]'s column, on slot [pid] — to sorted global extents: each column
-   in local order, one cursor per segment that holds a match.  [hint]
-   sizes the output columns. *)
-let scan_extents ?guard log ~tid ~hint nodes keep =
-  let gs = ref (Array.make (max 16 hint) 0) and ge = ref (Array.make (max 16 hint) 0) in
-  let n = ref 0 in
+(* The members of [m] as sorted global extents: per segment holding a
+   member, in tag-list order, one cursor over the mask's own node and
+   columns. *)
+let extents ?guard log (m : Lj.mask) =
+  let n = Lj.mask_count m in
+  let gs = Array.make n 0 and ge = Array.make n 0 and j = ref 0 in
   Array.iteri
-    (fun k node ->
+    (fun k b ->
       Lxu_util.Deadline.check_opt guard;
-      let c = Er_node.cols node ~tid in
-      let cur = ref None in
-      for i = 0 to Er_node.cols_length c - 1 do
-        if keep k i c.pids.(i) then begin
-          let cursor =
-            match !cur with
-            | Some cursor -> cursor
-            | None ->
-              let cursor = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
-              cur := Some cursor;
-              cursor
-          in
-          if !n = Array.length !gs then begin
-            let grow a = Array.append a (Array.make (Array.length a) 0) in
-            gs := grow !gs;
-            ge := grow !ge
-          end;
-          !gs.(!n) <- Er_node.cursor_start cursor c.starts.(i);
-          !ge.(!n) <- Er_node.cursor_stop cursor c.stops.(i);
-          incr n
-        end
-      done)
-    nodes;
-  let gs = Array.sub !gs 0 !n and ge = Array.sub !ge 0 !n in
+      if Bytes.length b > 0 then begin
+        let node = m.Lj.nodes.(k) and c = m.Lj.cols.(k) in
+        let cursor = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
+        for i = 0 to Bytes.length b - 1 do
+          if Bytes.unsafe_get b i <> '\000' then begin
+            gs.(!j) <- Er_node.cursor_start cursor c.starts.(i);
+            ge.(!j) <- Er_node.cursor_stop cursor c.stops.(i);
+            incr j
+          end
+        done
+      end)
+    m.Lj.sel;
   Lxu_util.Run_merge.sort gs ge;
-  List.init !n (fun i -> (gs.(i), ge.(i)))
-
-let extents ?guard log (tid, (m : Lj.mask)) =
-  scan_extents ?guard log ~tid ~hint:(Lj.mask_count m) m.Lj.nodes (fun k i _ ->
-      let b = m.Lj.sel.(k) in
-      Bytes.length b > 0 && Bytes.unsafe_get b i <> '\000')
-
-let rec has_predicates steps =
-  List.exists (fun s -> s.predicates <> [] || List.exists has_predicates s.predicates) steps
-
-let chain_of_steps (steps : t) =
-  let arr = Array.of_list steps in
-  {
-    Plan.tags = Array.map (fun s -> s.tag) arr;
-    axes = Array.map (fun s -> paxis s.axis) arr;
-    has_preds = has_predicates steps;
-  }
-
-(* Executes a partition plan: the scanned tag's elements whose path
-   slot matched.  A zero estimate is exact, so it proves the result
-   empty without touching a column. *)
-let eval_partition ?guard log (p : Plan.partition) =
-  let results =
-    if p.Plan.est = 0 then []
-    else
-      let slots = p.Plan.slots and tid = p.Plan.tid in
-      let nodes =
-        Array.map
-          (fun (e : Tag_list.entry) -> Update_log.node_of_sid log e.Tag_list.sid)
-          (Tag_list.entries (Update_log.tag_list log) ~tid)
-      in
-      scan_extents ?guard log ~tid ~hint:p.Plan.est nodes (fun _ _ pid -> slots.(pid))
-  in
-  p.Plan.actual <- List.length results;
-  results
+  List.init n (fun i -> (gs.(i), ge.(i)))
 
 let live_log db = Option.get (Lazy_db.log db)
 
 (* Runs [steps] through the semi-join executor: under [`Auto] with
    annotated candidates, restricted joins and the database's query
    pool; a first step with no live candidate proves the result empty
-   without a join (every candidate set below it is then empty too). *)
-let eval_joins ?guard ?note ~auto db log steps =
-  let syn = Update_log.synopsis log in
-  let nodes = annotate ~auto syn (Update_log.registry log) ~above:None ~root:true steps in
-  let nodes = if auto then narrow syn ~above:None nodes else nodes in
-  let pool = if auto then Lazy_db.query_pool db else None in
-  eval_twig { log; syn; auto; guard; pool; note } nodes
-
-let prepared ?guard db steps =
+   without a join (every candidate set below it is then empty too).
+   Returns the last step's survivors. *)
+let eval_joins ?guard ?note ~auto db steps =
   if steps = [] then invalid_arg "Path_query.eval: empty path";
   Lxu_util.Deadline.check_opt guard;
   let log = live_log db in
   Update_log.prepare_for_query log;
-  log
+  let syn = Update_log.synopsis log in
+  let nodes = annotate ~auto syn (Update_log.registry log) ~above:None ~root:true steps in
+  let nodes = if auto then narrow syn ~above:None nodes else nodes in
+  let pool = if auto then Lazy_db.query_pool db else None in
+  (log, eval_twig { log; syn; auto; guard; pool; note } nodes)
 
 let eval ?(plan = `Auto) ?guard db steps =
-  let log = prepared ?guard db steps in
-  if plan = `Auto && not (has_predicates steps) then
-    eval_partition ?guard log (Plan.partition ~log (chain_of_steps steps))
-  else extents ?guard log (eval_joins ?guard ~auto:(plan = `Auto) db log steps)
+  let log, m = eval_joins ?guard ~auto:(plan = `Auto) db steps in
+  extents ?guard log m
 
 let axis_str = function Desc -> "//" | Child -> "/"
 
-(* The join rendering: per spine step reached by a join and per
-   predicate, its candidates against its survivors, in execution
-   order. *)
-let explain_joins events =
+(* The rendering: per spine step that ends a hop and per predicate,
+   its candidates against its survivors, in execution order.  A
+   predicate-free chain is one hop, so it shows one step and no
+   predicate. *)
+let render events =
   let b = Buffer.create 256 in
   Buffer.add_string b
     "plan: slot-restricted semi-joins (candidates: elements on a slot that can match)\n";
@@ -380,23 +329,11 @@ let explain_joins events =
   Buffer.contents b
 
 let explain ?guard db steps =
-  let log = prepared ?guard db steps in
-  let chain = chain_of_steps steps in
-  if not chain.Plan.has_preds then begin
-    let p = Plan.partition ~log chain in
-    let results = eval_partition ?guard log p in
-    (Plan.explain_partition ~log chain p, results)
-  end
-  else begin
-    let events = ref [] in
-    let final = eval_joins ?guard ~note:(fun e -> events := e :: !events) ~auto:true db log steps in
-    (explain_joins (List.rev !events), extents ?guard log final)
-  end
+  let events = ref [] in
+  let log, m = eval_joins ?guard ~note:(fun e -> events := e :: !events) ~auto:true db steps in
+  (render (List.rev !events), extents ?guard log m)
 
 let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
 
 let count ?(plan = `Auto) ?guard db s =
-  let steps = parse_exn s in
-  let log = prepared ?guard db steps in
-  if plan = `Auto && not (has_predicates steps) then (Plan.partition ~log (chain_of_steps steps)).Plan.est
-  else Lj.mask_count (snd (eval_joins ?guard ~auto:(plan = `Auto) db log steps))
+  Lj.mask_count (snd (eval_joins ?guard ~auto:(plan = `Auto) db (parse_exn s)))

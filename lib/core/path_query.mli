@@ -2,7 +2,8 @@
 
     The paper's positioning (§1): structural-join results "are later
     used to evaluate other path query expressions".  This module
-    parses a linear XPath subset and evaluates it two ways.
+    parses a linear XPath subset and evaluates it with structural
+    semi-joins.
 
     Grammar: [('/' | '//') tag pred* ( ('/' | '//') tag pred* )*] with
     [pred ::= '\[' path '\]']; a leading tag without an axis means
@@ -11,18 +12,9 @@
     ["/site/people/person\[profile//interest\]/name"],
     ["person\[watches/watch\]\[@id\]"].
 
-    {b Path partitioning.}  A chain without predicates needs no join.
-    Under lazy updates a segment is inserted whole and never gains an
-    ancestor, so every element's root-to-element tag path is fixed at
-    insertion, and each element carries its path's synopsis slot in
-    its segment's columns.  The chain is matched once against the
-    synopsis' distinct paths ({!Lxu_plan.Plan.partition}); the answer
-    is the last tag's elements whose slot matched, read off that tag's
-    columns alone and translated with one cursor per segment.
-
-    {b Semi-joins over slot masks.}  Every other evaluation is a
-    chain of semi-joins ({!Lxu_join.Lazy_join.semi}).  An element set
-    is a selection mask over one tag's per-segment columns.  A step's
+    {b Semi-joins over slot masks.}  Every evaluation is a chain of
+    semi-joins ({!Lxu_join.Lazy_join.semi}).  An element set is a
+    selection mask over one tag's per-segment columns.  A step's
     candidates are the elements on the slots where it can sit in a
     match of the whole twig (the synopsis matched down from the root
     and up from every predicate and later step); a predicate keeps the
@@ -30,6 +22,13 @@
     candidates below a survivor.  One join spans every predicate-free
     step to the next step that has predicates: the steps in between
     are checked on the descendant's own path.
+
+    {b Path partitioning} is how candidates are chosen.  Under lazy
+    updates a segment is inserted whole and never gains an ancestor,
+    so every element's root-to-element tag path is fixed at insertion,
+    and each element carries its path's synopsis slot in its segment's
+    columns.  So a chain without predicates is one hop whose last
+    step's candidates are exactly its matches: no join runs.
 
     Evaluation returns the {e final-step matches}: distinct elements of
     the last tag reachable through the whole path, as global
@@ -62,14 +61,14 @@ val eval :
   (int * int) list
 (** Matches of the final step, sorted by start position.
 
-    [plan] picks the executor:
+    [plan] picks how the chain of semi-joins runs:
     {ul
-    {- [`Auto] (default): a predicate-free chain is a partition scan —
-       no join runs, and a synopsis zero answers without touching a
-       column.  A chain with predicates runs the semi-joins on
-       candidate masks, each join reading only the segments that hold
-       a member on both sides; a first step with no candidate returns
-       [\[\]] without a join.  Joins run on {!Lazy_db.query_pool}.}
+    {- [`Auto] (default): on candidate masks, each join reading only
+       the segments that hold a member on both sides and spanning
+       every predicate-free step up to the next predicated one, so a
+       predicate-free chain runs no join.  A first step with no
+       candidate returns [\[\]] without a join.  Joins run on
+       {!Lazy_db.query_pool}.}
     {- [`Naive]: one semi-join per step, every slot of a tag a
        candidate, every segment read, sequential — the reference.}}
     Both return the same results.
@@ -84,11 +83,10 @@ val explain :
   ?guard:Lxu_util.Deadline.guard -> Lazy_db.t -> t -> string * (int * int) list
 (** Runs the path as [eval ~plan:`Auto] and returns a human-readable
     rendering of the run together with the results (identical to
-    [eval]'s).  A partition scan shows the scanned tag, the matching
-    paths with their counts and the estimated vs actual result count.
-    A semi-join run shows, in execution order, every predicate and
-    every spine step a join reaches with its candidates (elements on
-    the slots that can match) and its survivors. *)
+    [eval]'s): in execution order, every predicate and every spine
+    step that ends a hop, with its candidates (elements on the slots
+    that can match) and its survivors.  A predicate-free chain shows
+    its last step alone, candidates = survivors. *)
 
 val eval_string :
   ?plan:[ `Auto | `Naive ] ->
@@ -104,7 +102,5 @@ val count :
   Lazy_db.t ->
   string ->
   int
-(** The number of [eval]'s matches without building them: the
-    partition's exact count for a predicate-free chain under [`Auto],
-    else a popcount of the last step's survivors.  No extent is
-    translated. *)
+(** The number of [eval]'s matches without building them: a popcount
+    of the last step's survivors.  No extent is translated. *)

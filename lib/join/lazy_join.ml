@@ -494,18 +494,45 @@ let plan ?guard ~copy ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
 let runs_total = Atomic.make 0
 let runs () = Atomic.get runs_total
 
+(* What every join does first: count the run, check [guard], ready the
+   SB-tree and the sorted tag lists, and read the synopsis' slot ->
+   depth table.  Read on the calling thread: pool workers then only
+   ever see this version's table, which no write touches (a write
+   after a freeze registers its new paths in a copy). *)
+let start ?guard log =
+  Atomic.incr runs_total;
+  Deadline.check_opt guard;
+  Update_log.prepare_for_query log;
+  Path_synopsis.depth_table (Update_log.synopsis log)
+
+(* Runs the units [merge_pass ~copy emit_task] plans ([n_d]: the SL_D
+   entries it walks); [exec sink task] runs one unit, writing through
+   [sink].  Sequentially every unit writes through [direct] as it is
+   planned.  With a pool of more than one domain the pass collects the
+   units (each with its own copy of the frames' indices), the pool runs
+   each into its own [fresh ()] sink, and [merge] applies the sinks in
+   unit order on the calling thread — so results and stats come out
+   identical to the sequential path.  Each unit re-checks the guard, so
+   a cancel aborts a pool run within one chunk. *)
+let run_units pool ~n_d ~merge_pass ~exec ~direct ~fresh ~merge =
+  match pool with
+  | Some p when Domain_pool.size p > 1 && n_d > 1 ->
+    let tasks = Vec.create () in
+    merge_pass ~copy:true (Vec.push tasks);
+    let tasks = Vec.to_array tasks in
+    Array.iter merge
+      (Domain_pool.map p (Array.length tasks) (fun i ->
+           let sink = fresh () in
+           exec sink tasks.(i);
+           sink))
+  | _ -> merge_pass ~copy:false (exec direct)
+
 (* The whole join up to materialization: the filled output buffers, in
    emission order, and the stats.  [counting] buffers only count. *)
 let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
   let stats = zero_stats () in
-  Atomic.incr runs_total;
-  Deadline.check_opt guard;
-  Update_log.prepare_for_query log;
+  let depth = start ?guard log in
   let reg = Update_log.registry log in
-  (* Read on the calling thread: pool workers then only ever see this
-     version's table, which no write touches (a write after a freeze
-     registers its new paths in a copy). *)
-  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
   match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ([], stats)
   | Some tid_a, Some tid_d ->
@@ -514,8 +541,7 @@ let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
     let node (l : Tag_list.entry array) i = Update_log.node_of_sid log l.(i).Tag_list.sid in
     (* Columnar elements of one tag in one resolved segment — its own
        immutable columns, shared by every emitted pair.  [into]
-       receives the fetch count — the per-chunk stats record under the
-       pool. *)
+       receives the fetch count. *)
     let fetch tid into node =
       let c = Er_node.cols node ~tid in
       into.elements_fetched <- into.elements_fetched + Er_node.cols_length c;
@@ -525,34 +551,17 @@ let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
       plan ?guard ~copy ~stats ~fetch_a:(fetch tid_a stats) ~emit_task log
         ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ()
     in
-    (match pool with
-    | Some p when Domain_pool.size p > 1 && Array.length sld > 1 ->
-      (* Parallel: the merge pass collects the join units, the pool
-         executes them with per-task output buffers and stats, and the
-         merge below re-reads both in task order — so pairs come out
-         byte-identical to the sequential path and stats totals are
-         exact, not approximate.  Each task re-checks [guard], so a
-         cancel aborts the pool run within one chunk. *)
-      let tasks = Vec.create () in
-      merge_pass ~copy:true (Vec.push tasks);
-      let tasks = Vec.to_array tasks in
-      let results =
-        Domain_pool.map p (Array.length tasks) (fun i ->
-            let lstats = zero_stats () in
-            let out = buf_create ~counting in
-            exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a lstats)
-              ~fetch_d:(fetch tid_d lstats) ~stats:lstats ~out tasks.(i);
-            (out, lstats))
-      in
-      Array.iter (fun (_, lstats) -> add_stats stats lstats) results;
-      (Array.to_list (Array.map fst results), stats)
-    | _ ->
-      (* Sequential: execute each join unit as the merge produces it. *)
-      let out = buf_create ~counting in
-      merge_pass ~copy:false
-        (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a stats) ~fetch_d:(fetch tid_d stats)
-           ~stats ~out);
-      ([ out ], stats))
+    let seq = buf_create ~counting and bufs = ref [] in
+    run_units pool ~n_d:(Array.length sld) ~merge_pass
+      ~exec:(fun (out, ustats) ->
+        exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a ustats)
+          ~fetch_d:(fetch tid_d ustats) ~stats:ustats ~out)
+      ~direct:(seq, stats)
+      ~fresh:(fun () -> (buf_create ~counting, zero_stats ()))
+      ~merge:(fun (out, ustats) ->
+        add_stats stats ustats;
+        bufs := out :: !bufs);
+    (seq :: List.rev !bufs, stats)
 
 let run ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
   let bufs, stats = fill ~counting:false ~axis ?pool ?guard log ~anc ~desc in
@@ -572,25 +581,31 @@ type mask = {
 
 let is_sel b i = Bytes.unsafe_get b i <> '\000'
 
+(* Every entry is resolved before any column is read: one loop that
+   resolved an entry and scanned its column in turn read perfbench's
+   paged_beyond_ram [path_p95_ms] 22 % higher, in 8 of 8 paired runs on
+   a 2-vCPU x86-64 host.  [cols] and [sel] start filled with static
+   values: an [Array.map] whose first result is a fresh [Bytes] forces
+   a minor collection whenever the array is allocated in the major heap
+   (over 256 entries). *)
 let select ?guard log ~tid (slots : bool array) =
   let entries = if tid < 0 then [||] else Tag_list.entries (Update_log.tag_list log) ~tid in
   let nodes = Array.map (fun (e : Tag_list.entry) -> Update_log.node_of_sid log e.sid) entries in
-  let cols = Array.map (fun n -> Er_node.cols n ~tid) nodes in
-  let sel =
-    Array.map
-      (fun (c : Er_node.cols) ->
-        Deadline.check_opt guard;
-        let n = Er_node.cols_length c in
-        let b = Bytes.make n '\000' and any = ref false in
-        for i = 0 to n - 1 do
-          if slots.(Array.unsafe_get c.pids i) then begin
-            Bytes.unsafe_set b i '\001';
-            any := true
-          end
-        done;
-        if !any then b else Bytes.empty)
-      cols
-  in
+  let n = Array.length nodes in
+  let cols = Array.make n Er_node.empty_cols and sel = Array.make n Bytes.empty in
+  for k = 0 to n - 1 do
+    Deadline.check_opt guard;
+    let c = Er_node.cols nodes.(k) ~tid in
+    let b = ref Bytes.empty in
+    for i = 0 to Er_node.cols_length c - 1 do
+      if slots.(Array.unsafe_get c.pids i) then begin
+        if Bytes.length !b = 0 then b := Bytes.make (Er_node.cols_length c) '\000';
+        Bytes.unsafe_set !b i '\001'
+      end
+    done;
+    cols.(k) <- c;
+    sel.(k) <- !b
+  done;
   { entries; nodes; cols; sel }
 
 let mask_count m =
@@ -709,11 +724,16 @@ let index_in (c : Er_node.cols) (sub : Er_node.cols) i =
 
 module Int_tbl = Hashtbl.Make (Int)
 
+(* Where a semi-join unit's results go: straight into the result mask
+   (sequential), or collected for the calling thread to apply (a pool
+   unit): the A-elements it marked, as (A position, index in that
+   segment's own column), and its survivor bytes by D position. *)
+type semi_sink =
+  | Direct
+  | Collect of { mutable marks : (int * int) list; mutable hits : (int * Bytes.t) list }
+
 let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
-  Atomic.incr runs_total;
-  Deadline.check_opt guard;
-  Update_log.prepare_for_query log;
-  let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
+  let depth = start ?guard log in
   (* The mask positions the merge pass walks (restricted: only the
      segments holding a member), and each one's position by sid. *)
   let walked m =
@@ -738,23 +758,7 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
          else cols_filter (is_sel b) anc.cols.(k)))
     ka;
   let a_cols sid = Int_tbl.find a_cols sid in
-  let exec ~mark_a task =
-    let k = d_k task.d_node.Er_node.sid in
-    exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
-  in
   let out = Array.make (Array.length (match keep with `Anc -> anc | `Desc -> desc).sel) Bytes.empty in
-  (* [set k i] marks element [i] of A segment [k]'s own column; units
-     hand over the columns they read, resolved by [index_in]. *)
-  let set k i =
-    if Bytes.length out.(k) = 0 then
-      out.(k) <- Bytes.make (Er_node.cols_length anc.cols.(k)) '\000';
-    Bytes.unsafe_set out.(k) i '\001'
-  in
-  let index sid sub i =
-    let k = a_k sid in
-    (k, index_in anc.cols.(k) sub i)
-  in
-  let store task hit = if Bytes.length hit > 0 then out.(d_k task.d_node.Er_node.sid) <- hit in
   (* [select] resolved every entry: the pass reads [nodes], never the
      SB-tree. *)
   let merge_pass ~copy emit_task =
@@ -766,30 +770,34 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
       ~sld:(fun i -> desc.nodes.(kd.(i)))
       ()
   in
-  (match pool with
-  | Some p when Domain_pool.size p > 1 && Array.length kd > 1 ->
-    (* Each unit writes only its own result; the marks are applied
-       here, on the calling thread. *)
-    let tasks = Vec.create () in
-    merge_pass ~copy:true (Vec.push tasks);
-    let tasks = Vec.to_array tasks in
-    let results =
-      Domain_pool.map p (Array.length tasks) (fun i ->
-          let marks = ref [] in
-          let hit = exec ~mark_a:(fun sid sub i -> marks := index sid sub i :: !marks) tasks.(i) in
-          (hit, !marks))
-    in
-    Array.iteri
-      (fun i (hit, marks) ->
-        store tasks.(i) hit;
-        List.iter (fun (k, i) -> set k i) marks)
-      results
-  | _ ->
-    let mark_a sid sub i =
-      let k, i = index sid sub i in
-      set k i
-    in
-    merge_pass ~copy:false (fun task -> store task (exec ~mark_a task)));
+  (* [set k i] marks element [i] of A position [k]'s own column. *)
+  let set k i =
+    if Bytes.length out.(k) = 0 then
+      out.(k) <- Bytes.make (Er_node.cols_length anc.cols.(k)) '\000';
+    Bytes.unsafe_set out.(k) i '\001'
+  in
+  run_units pool ~n_d:(Array.length kd) ~merge_pass
+    ~exec:(fun sink ->
+      (* Units hand over the columns they read, resolved by [index_in]. *)
+      let mark_a sid sub i =
+        let k = a_k sid in
+        let i = index_in anc.cols.(k) sub i in
+        match sink with Direct -> set k i | Collect c -> c.marks <- (k, i) :: c.marks
+      in
+      fun task ->
+        let k = d_k task.d_node.Er_node.sid in
+        let hit =
+          exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
+        in
+        if Bytes.length hit > 0 then
+          match sink with Direct -> out.(k) <- hit | Collect c -> c.hits <- (k, hit) :: c.hits)
+    ~direct:Direct
+    ~fresh:(fun () -> Collect { marks = []; hits = [] })
+    ~merge:(function
+      | Direct -> ()
+      | Collect c ->
+        List.iter (fun (k, hit) -> out.(k) <- hit) c.hits;
+        List.iter (fun (k, i) -> set k i) c.marks);
   { (match keep with `Anc -> anc | `Desc -> desc) with sel = out }
 
 (* Translates in emission order into two flat columns, then merges

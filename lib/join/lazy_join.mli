@@ -136,9 +136,10 @@ val select :
   bool array ->
   mask
 (** [select log ~tid slots]: the elements of tag [tid] on a slot set in
-    [slots] (indexed by path slot), one pass over the tag's columns.
-    [tid < 0] (a tag that never occurs) is the empty mask of no
-    segment. *)
+    [slots] (indexed by path slot): each entry of the tag's list
+    resolved once, each column scanned once, and a selection allocated
+    only for a segment holding a member.  [tid < 0] (a tag that never
+    occurs) is the empty mask of no segment. *)
 
 val mask_count : mask -> int
 (** The members: a popcount, no translation. *)

@@ -4,13 +4,6 @@ type axis = Desc | Child
 
 type chain = { tags : string array; axes : axis array; has_preds : bool }
 
-type partition = {
-  tid : int;
-  slots : bool array;
-  est : int;
-  mutable actual : int;
-}
-
 let tag_of syn s =
   let p = Path_synopsis.path syn s in
   p.(Array.length p - 1)
@@ -54,35 +47,4 @@ let live syn slots =
   Array.iteri (fun s hit -> if hit then c := !c + Path_synopsis.count syn s) slots;
   !c
 
-let partition ~log chain =
-  let syn = Update_log.synopsis log and reg = Update_log.registry log in
-  let tid tag = Option.value (Tag_registry.find reg tag) ~default:(-1) in
-  let set = ref (Array.make (Path_synopsis.slots syn) false) and n = Array.length chain.tags in
-  Array.iteri
-    (fun j tag ->
-      set := down syn ~above:(if j = 0 then None else Some !set) chain.axes.(j) ~tid:(tid tag))
-    chain.tags;
-  let slots = Array.mapi (fun s hit -> hit && Path_synopsis.count syn s > 0) !set in
-  { tid = (if n = 0 then -1 else tid chain.tags.(n - 1)); slots; est = live syn slots; actual = -1 }
-
-let explain_partition ~log chain p =
-  let reg = Update_log.registry log in
-  let syn = Update_log.synopsis log in
-  let card v = if v < 0 then "-" else string_of_int v in
-  let paths = Buffer.create 256 and matching = ref 0 in
-  Array.iteri
-    (fun s hit ->
-      if hit then begin
-        incr matching;
-        let names = Array.map (Tag_registry.name reg) (Path_synopsis.path syn s) in
-        Buffer.add_string paths
-          (Printf.sprintf "  path /%s (%d)\n"
-             (String.concat "/" (Array.to_list names))
-             (Path_synopsis.count syn s))
-      end)
-    p.slots;
-  Printf.sprintf "plan: partition scan of %s columns, no join; %d of %d paths match; est %d, actual %s\n%s"
-    chain.tags.(Array.length chain.tags - 1)
-    !matching (Path_synopsis.distinct_paths syn) p.est (card p.actual) (Buffer.contents paths)
-
-let choose ?allow_holistic:_ ~log chain = partition ~log chain
+let choose ?allow_holistic:_ ~log:_ _ = ()

@@ -1,7 +1,8 @@
-(* The partition-scan property: on random predicate-free chains, the
-   default plan (a partition scan over the synopsis' path slots), the
-   naive join composition and an oracle over a fresh parse of the text
-   all agree.  Chains mix
+(* The path-partitioning property: on random predicate-free chains,
+   the default plan (one hop: the last step's candidates on the
+   synopsis' matching path slots, no join), the naive join composition
+   and an oracle over a fresh parse of the text all agree, and each
+   plan's [count] equals its [eval]'s length.  Chains mix
    Child and Desc steps (a Child first step included), repeat tags
    ([//a//a], [//a/a]), step onto attributes and name a tag that never
    occurs.  The stores see random inserts, whole-element removes and
@@ -127,18 +128,23 @@ let store_name db =
     (Lazy_db.domains db)
     (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
 
-(* Both plans and [oracle] on one path; a disagreement fails the case,
-   naming the path, the plan, the store and the text. *)
+(* Both plans and [oracle] on one path, and each plan's [count]
+   against its own [eval]; a disagreement fails the case, naming the
+   path, the plan, the store and the text. *)
 let agree oracle db text steps =
   let expected = oracle text steps in
   let show l = String.concat " " (List.map (fun (s, e) -> Printf.sprintf "[%d,%d)" s e) l) in
+  let path = Path_query.to_string steps in
   List.for_all
     (fun plan ->
       let got = Path_query.eval ~plan db steps in
-      got = expected
-      || QCheck2.Test.fail_reportf "%s under %s on %s: got %s, the oracle says %s on %S"
-           (Path_query.to_string steps) (plan_name plan) (store_name db) (show got)
-           (show expected) text)
+      let counted = Path_query.count ~plan db path in
+      (got = expected
+      || QCheck2.Test.fail_reportf "%s under %s on %s: got %s, the oracle says %s on %S" path
+           (plan_name plan) (store_name db) (show got) (show expected) text)
+      && (counted = List.length got
+         || QCheck2.Test.fail_reportf "%s under %s on %s: count %d, eval %d on %S" path
+              (plan_name plan) (store_name db) counted (List.length got) text))
     plans
 
 (* One case: a random schedule from [seed] applied to a store per

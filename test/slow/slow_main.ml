@@ -28,15 +28,15 @@
    - the snapshot-replay property at 2,000 schedules: every snapshot
      held across the rest of an LD or LS schedule passes
      [Update_log.check] and fingerprints as a replay of its prefix;
-   - the partition-scan property at 2,000 cases: on random
-     predicate-free chains the default plan, the naive join
-     composition and a text oracle agree, on LD/LS x Mem/Paged stores
-     under inserts, removes and packs, and on snapshots pinned while
-     the live store keeps writing;
+   - the predicate-free chain property at 2,000 cases: on random
+     chains the default plan, the naive join composition and a text
+     oracle agree, and each plan's count equals its eval's length, on
+     LD/LS x Mem/Paged stores under inserts, removes and packs, and on
+     snapshots pinned while the live store keeps writing;
    - the predicated-twig property at 2,000 cases: on random twigs with
      one-step and nested predicates the default plan's restricted
-     joins, the naive composition and the tree oracle agree, on LD/LS
-     x Mem/Paged x 1/4 domains, live and pinned;
+     joins, the naive composition and the tree oracle agree (counts
+     included), on LD/LS x Mem/Paged x 1/4 domains, live and pinned;
    - the frame-sweep property at 2,000 cases: many child segments at
      increasing, equal and interleaved hooks under nested same-tag
      ancestors, with text tombstoned around the hooks, joined by
@@ -112,7 +112,7 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 23 |])
     (Lxu_props.Partition_props.all_plans_agree ~count:cases);
   Printf.printf
-    "partition scan: %d cases, both plans equal to the oracle on LD/LS x Mem/Paged and pinned snapshots\n%!"
+    "predicate-free chains: %d cases, both plans equal to the oracle (counts equal to evals) on LD/LS x Mem/Paged and pinned snapshots\n%!"
     cases;
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 24 |])
     (Lxu_props.Partition_props.predicated_twigs_agree ~count:cases);

@@ -334,11 +334,12 @@ let suite =
       QCheck_alcotest.to_alcotest prop_twig_random;
     ]
 
-(* --- partition scan ------------------------------------------------------ *)
+(* --- predicate-free chains ----------------------------------------------- *)
 
 (* A predicate-free chain under the default plan runs no join at all:
-   it is answered from the path slots in the last tag's columns. *)
-let test_partition_runs_no_join () =
+   it is one hop, answered from the path slots in the last tag's
+   columns. *)
+let test_chain_runs_no_join () =
   let db = load Lazy_db.LD 6 in
   List.iter
     (fun path ->
@@ -354,7 +355,7 @@ let test_partition_runs_no_join () =
 let suite =
   suite
   @ [
-      Alcotest.test_case "partition scan runs no join" `Quick test_partition_runs_no_join;
+      Alcotest.test_case "predicate-free chain runs no join" `Quick test_chain_runs_no_join;
       QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.all_plans_agree ~count:120);
       QCheck_alcotest.to_alcotest (Lxu_props.Partition_props.predicated_twigs_agree ~count:120);
     ]
