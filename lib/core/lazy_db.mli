@@ -75,8 +75,8 @@ val create :
     bounded by the buffer-pool budget ([LXU_POOL_BYTES]): with [`Wal
     dir] durability the pages live in [dir/pages] and {!checkpoint}
     makes them durable alongside the snapshot; without durability
-    they live on an in-memory device.  Segment skeletons, element
-    columns and texts stay on the heap under both.  Results are
+    they live on an in-memory device.  Element columns and segment
+    texts stay on the heap under both.  Results are
     fingerprint-identical across backends.
     @raise Invalid_argument if [domains < 1]. *)
 
@@ -105,8 +105,8 @@ val epoch : t -> int
 
 val snapshot : t -> t
 (** An immutable snapshot of the database at its current epoch: a
-    frozen clone of the update log (segment texts, skeletons and
-    element columns shared, bookkeeping copied) served by the same
+    frozen clone of the update log (segment texts and element
+    columns shared, bookkeeping copied) served by the same
     query engines.  A later remove replaces the columns of the
     segments it cuts copy-on-write, so the snapshot keeps the state of
     its epoch.  Queries on the snapshot and updates on the live

@@ -112,39 +112,6 @@ let sweep fr p =
     fr.top <- fr.top - 1
   done
 
-(* Order-preserving index filter that returns the input columns
-   untouched when nothing is dropped — the common case on the push
-   path.  Always copies when it does drop: columns are shared with the
-   segment store and with captured join units.  [keep] is called once
-   per index, in ascending order. *)
-let cols_filter keep (c : Er_node.cols) =
-  let n = Er_node.cols_length c in
-  let kept = ref 0 in
-  let mask = Bytes.make n '\000' in
-  for i = 0 to n - 1 do
-    if keep i then begin
-      Bytes.unsafe_set mask i '\001';
-      incr kept
-    end
-  done;
-  if !kept = n then c
-  else if !kept = 0 then Er_node.empty_cols
-  else begin
-    let starts = Array.make !kept 0
-    and stops = Array.make !kept 0
-    and pids = Array.make !kept 0 in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.unsafe_get mask i = '\001' then begin
-        starts.(!j) <- c.starts.(i);
-        stops.(!j) <- c.stops.(i);
-        pids.(!j) <- c.pids.(i);
-        incr j
-      end
-    done;
-    { Er_node.starts; stops; pids }
-  end
-
 (* Figure 9's optimization (i): the elements of [c] that strictly
    contain at least one child's hook.  Starts and the children's lps
    both ascend, so one merge decides it: the first child past an
@@ -154,7 +121,7 @@ let holding_hooks (c : Er_node.cols) (kids : Er_node.t Vec.t) =
   if nk = 0 then Er_node.empty_cols
   else begin
     let j = ref 0 in
-    cols_filter
+    Er_node.cols_filter
       (fun i ->
         let s = Array.unsafe_get c.starts i in
         while !j < nk && (Vec.get kids !j).Er_node.lp <= s do
@@ -755,7 +722,7 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
       Int_tbl.replace a_cols anc.entries.(k).Tag_list.sid
         (if Bytes.length b = 0 then Er_node.empty_cols
          else if not (Bytes.contains b '\000') then anc.cols.(k)
-         else cols_filter (is_sel b) anc.cols.(k)))
+         else Er_node.cols_filter (is_sel b) anc.cols.(k)))
     ka;
   let a_cols sid = Int_tbl.find a_cols sid in
   let out = Array.make (Array.length (match keep with `Anc -> anc | `Desc -> desc).sel) Bytes.empty in

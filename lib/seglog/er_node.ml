@@ -1,7 +1,5 @@
 open Lxu_util
 
-type elem = { start : int; stop : int; level : int; tid : int }
-
 type cols = { starts : int array; stops : int array; pids : int array }
 
 let empty_cols = { starts = [||]; stops = [||]; pids = [||] }
@@ -32,126 +30,174 @@ type t = {
   mutable len : int;
   lp : int;
   orig_len : int;
-  base_level : int;
   text : string;
   path : int array;
   mutable ctx : int array;
   children : t Vec.t;
   mutable tombstones : (int * int) Vec.t;
-  mutable elems : elem Vec.t;
   mutable columns : columns;
   mutable tr : translator;
 }
 
-(* Index of the first entry of the sorted array [a] that is [>= x]. *)
-let lower_bound (a : int array) x =
+(* Whether [a.(i)] counts as before [x]: [< x], or [<= x] with
+   [incl_eq]. *)
+let before (a : int array) i x ~incl_eq =
+  let v = Array.unsafe_get a i in
+  v < x || (incl_eq && v = x)
+
+(* Number of entries of the sorted array [a] that are before [x]. *)
+let count_below a x ~incl_eq =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+    if before a mid x ~incl_eq then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let no_columns = { tids = [||]; per_tag = [||] }
 
-(* Splits a start-sorted skeleton into per-tag columns, each still
-   sorted by start; [pids.(i)] is element [i]'s synopsis slot. *)
-let columns_of_elems elems pids =
-  let n = Vec.length elems in
-  if Array.length pids <> n then invalid_arg "Er_node.index: one slot per element";
-  let all = Array.init n (fun i -> (Vec.get elems i).tid) in
-  Array.sort Int.compare all;
-  let distinct = Vec.create () in
-  Array.iteri (fun i tid -> if i = 0 || all.(i - 1) <> tid then Vec.push distinct tid) all;
-  let tids = Vec.to_array distinct in
-  let slot tid = lower_bound tids tid in
-  let counts = Array.make (Array.length tids) 0 in
-  Vec.iter (fun e -> let k = slot e.tid in counts.(k) <- counts.(k) + 1) elems;
+(* Splits a segment's elements, given in document order as parallel
+   arrays, into per-tag columns: a stable sort of the element indices
+   by tag keeps each tag's run in document order. *)
+let columns_of ~tids ~starts ~stops ~pids =
+  let n = Array.length tids in
+  if Array.length starts <> n || Array.length stops <> n || Array.length pids <> n then
+    invalid_arg "Er_node.columns_of: one start, stop and slot per element";
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare tids.(a) tids.(b)) order;
+  let firsts = Vec.create () in
+  Array.iteri (fun r j -> if r = 0 || tids.(order.(r - 1)) <> tids.(j) then Vec.push firsts r) order;
+  let firsts = Vec.to_array firsts in
+  let k = Array.length firsts in
   let per_tag =
-    Array.map
-      (fun c -> { starts = Array.make c 0; stops = Array.make c 0; pids = Array.make c 0 })
-      counts
+    Array.init k (fun x ->
+        let lo = firsts.(x) and hi = if x + 1 < k then firsts.(x + 1) else n in
+        let pick a = Array.init (hi - lo) (fun r -> a.(order.(lo + r))) in
+        { starts = pick starts; stops = pick stops; pids = pick pids })
   in
-  let fill = Array.make (Array.length tids) 0 in
-  Vec.iteri
-    (fun j e ->
-      let k = slot e.tid in
-      let c = per_tag.(k) and i = fill.(k) in
-      c.starts.(i) <- e.start;
-      c.stops.(i) <- e.stop;
-      c.pids.(i) <- pids.(j);
-      fill.(k) <- i + 1)
-    elems;
-  { tids; per_tag }
-
-let index t ~pids = t.columns <- columns_of_elems t.elems pids
+  { tids = Array.map (fun r -> tids.(order.(r))) firsts; per_tag }
 
 let cols t ~tid =
   let tids = t.columns.tids in
-  let i = lower_bound tids tid in
+  let i = count_below tids tid ~incl_eq:false in
   if i < Array.length tids && tids.(i) = tid then t.columns.per_tag.(i) else empty_cols
 
-(* Walks the skeleton once against the columns without rebuilding
-   them: each element must be the next entry of its tag's columns, and
-   every column must be used up.  [tids] must be strictly ascending
-   (the binary search relies on it) with no empty tag.  On agreement
-   returns each skeleton element's slot, read off its column entry. *)
-let skeleton_pids t =
-  let { tids; per_tag } = t.columns in
-  let k = Array.length tids in
-  let fill = Array.make k 0 in
-  let pids = Array.make (Vec.length t.elems) 0 in
-  let ok = ref (Array.length per_tag = k) in
-  for i = 1 to k - 1 do
-    if tids.(i - 1) >= tids.(i) then ok := false
+let element_count t = Array.fold_left (fun acc c -> acc + cols_length c) 0 t.columns.per_tag
+
+(* Always copies when it drops: columns are shared with node copies,
+   frozen snapshots and captured join units. *)
+let cols_filter keep c =
+  let n = cols_length c in
+  let kept = ref 0 in
+  let mask = Bytes.make n '\000' in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      Bytes.unsafe_set mask i '\001';
+      incr kept
+    end
   done;
-  if !ok then
-    Vec.iteri
-      (fun x e ->
-        let j = lower_bound tids e.tid in
-        if j >= k || tids.(j) <> e.tid then ok := false
-        else begin
-          let c = per_tag.(j) and i = fill.(j) in
-          if i >= cols_length c || c.starts.(i) <> e.start || c.stops.(i) <> e.stop then ok := false
-          else begin
-            pids.(x) <- c.pids.(i);
-            fill.(j) <- i + 1
-          end
-        end)
-      t.elems;
-  if
-    !ok
-    && Array.for_all2
-         (fun c n ->
-           n > 0 && n = cols_length c && Array.length c.stops = n && Array.length c.pids = n)
-         per_tag fill
-  then Some pids
-  else None
+  if !kept = n then c
+  else if !kept = 0 then empty_cols
+  else begin
+    let starts = Array.make !kept 0
+    and stops = Array.make !kept 0
+    and pids = Array.make !kept 0 in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get mask i = '\001' then begin
+        starts.(!j) <- c.starts.(i);
+        stops.(!j) <- c.stops.(i);
+        pids.(!j) <- c.pids.(i);
+        incr j
+      end
+    done;
+    { starts; stops; pids }
+  end
 
 let remove_elements t ~vu ~vv f =
-  let inside (e : elem) = e.start >= vu && e.stop <= vv in
-  if Vec.exists inside t.elems then begin
-    let pids =
-      match skeleton_pids t with
-      | Some p -> p
-      | None -> invalid_arg "Er_node.remove_elements: columns disagree with the skeleton"
-    in
-    let kept = Vec.create () and kept_pids = Vec.create () in
-    Vec.iteri
-      (fun i e ->
-        if inside e then f ~tid:e.tid ~pid:pids.(i)
-        else begin
-          Vec.push kept e;
-          Vec.push kept_pids pids.(i)
-        end)
-      t.elems;
-    (* Replaced wholesale, never edited in place: copies of the node
-       and frozen readers keep the old skeleton and columns. *)
-    t.elems <- kept;
-    t.columns <- columns_of_elems kept (Vec.to_array kept_pids)
+  let { tids; per_tag } = t.columns in
+  let kept =
+    Array.mapi
+      (fun k c ->
+        (* Starts ascend, so only the run starting in [vu, vv) can lie
+           inside the range: a tag without one keeps its columns. *)
+        let lo = count_below c.starts vu ~incl_eq:false in
+        let hi = count_below c.starts vv ~incl_eq:false in
+        if lo = hi then c
+        else
+          cols_filter
+            (fun i ->
+              let inside = i >= lo && i < hi && c.stops.(i) <= vv in
+              if inside then f ~tid:tids.(k) ~pid:c.pids.(i);
+              not inside)
+            c)
+      per_tag
+  in
+  if Array.exists2 ( != ) kept per_tag then begin
+    let live = List.filter (fun k -> cols_length kept.(k) > 0) (List.init (Array.length kept) Fun.id) in
+    let pick a = Array.of_list (List.map (Array.get a) live) in
+    t.columns <- { tids = pick tids; per_tag = pick kept }
   end
 
 let iter_columns t f = Array.iteri (fun i tid -> f tid t.columns.per_tag.(i)) t.columns.tids
+
+let iter_elements t f =
+  let { tids; per_tag } = t.columns in
+  let k = Array.length per_tag in
+  (* A binary min-heap of tags: [hj.(h)] is a tag's index, [hk.(h)] the
+     start of its next element.  Every column is non-empty, so every
+     tag starts on the heap. *)
+  let next = Array.make k 0 and hj = Array.init k Fun.id in
+  let hk = Array.init k (fun j -> per_tag.(j).starts.(0)) and size = ref k in
+  let rec sift h =
+    let l = (2 * h) + 1 in
+    if l < !size then begin
+      let m = if l + 1 < !size && hk.(l + 1) < hk.(l) then l + 1 else l in
+      if hk.(m) < hk.(h) then begin
+        let j = hj.(h) and x = hk.(h) in
+        hj.(h) <- hj.(m);
+        hk.(h) <- hk.(m);
+        hj.(m) <- j;
+        hk.(m) <- x;
+        sift m
+      end
+    end
+  in
+  for h = (k / 2) - 1 downto 0 do
+    sift h
+  done;
+  while !size > 0 do
+    let j = hj.(0) in
+    let c = per_tag.(j) and i = next.(j) in
+    f ~tid:tids.(j) ~start:c.starts.(i) ~stop:c.stops.(i) ~pid:c.pids.(i);
+    next.(j) <- i + 1;
+    if i + 1 < cols_length c then hk.(0) <- c.starts.(i + 1)
+    else begin
+      decr size;
+      hj.(0) <- hj.(!size);
+      hk.(0) <- hk.(!size)
+    end;
+    sift 0
+  done
+
+let container_slot t x =
+  let best = ref (-1) and slot = ref 0 in
+  Array.iter
+    (fun c ->
+      (* Back from the last start before [x]: the first element found
+         holding [x] is this tag's innermost, and no element starting
+         at or before the best so far can beat it. *)
+      let i = ref (count_below c.starts x ~incl_eq:false - 1) in
+      while !i >= 0 && c.starts.(!i) > !best do
+        if c.stops.(!i) > x then begin
+          best := c.starts.(!i);
+          slot := c.pids.(!i);
+          i := -1
+        end
+        else decr i
+      done)
+    t.columns.per_tag;
+  if !best < 0 then None else Some !slot
 
 (* Heap words of the columns, headers included: the [columns] record
    and its two arrays, then per tag one [cols] record and three
@@ -162,7 +208,7 @@ let columns_size_bytes t =
   Array.iter (fun c -> words := !words + 4 + (3 * (cols_length c + 1))) t.columns.per_tag;
   8 * !words
 
-let make ~sid ~slot ~gen ~parent_path ~lp ~base_level ~text ~elems =
+let make ~sid ~slot ~gen ~parent_path ~lp ~text ~columns =
   {
     sid;
     slot;
@@ -170,19 +216,17 @@ let make ~sid ~slot ~gen ~parent_path ~lp ~base_level ~text ~elems =
     len = String.length text;
     lp;
     orig_len = String.length text;
-    base_level;
     text;
     path = Array.append parent_path [| sid |];
     ctx = [||];
     children = Vec.create ();
     tombstones = Vec.create ();
-    elems;
-    columns = no_columns;
+    columns;
     tr = no_translator;
   }
 
 let make_root () =
-  make ~sid:0 ~slot:0 ~gen:0 ~parent_path:[||] ~lp:0 ~base_level:0 ~text:"" ~elems:(Vec.create ())
+  make ~sid:0 ~slot:0 ~gen:0 ~parent_path:[||] ~lp:0 ~text:"" ~columns:no_columns
 
 let own ~gen n =
   if n.gen = gen then begin
@@ -240,16 +284,6 @@ let add_tombstone t a b =
   Vec.sort (fun (x, _) (y, _) -> Int.compare x y) keep;
   t.tombstones <- keep
 
-let depth_at t x =
-  let depth = ref t.base_level in
-  let i = ref 0 in
-  while !i < Vec.length t.elems && (Vec.get t.elems !i).start < x do
-    let e = Vec.get t.elems !i in
-    if e.stop > x then incr depth;
-    incr i
-  done;
-  !depth
-
 let child_index_for_gp ~gps t gp =
   Vec.lower_bound t.children ~compare:(fun c -> if gps.(c.slot) <= gp then -1 else 0)
 
@@ -262,8 +296,6 @@ let global_extent_span ~gp t ~start ~stop =
   let gstart = gp + (start - tombstoned_before t start) + sum_children_upto t start ~incl_eq:true in
   let gstop = gp + (stop - tombstoned_before t stop) + sum_children_upto t stop ~incl_eq:false in
   (gstart, gstop)
-
-let global_extent ~gp t e = global_extent_span ~gp t ~start:e.start ~stop:e.stop
 
 let prefix_sums n f =
   let a = Array.make (n + 1) 0 in
@@ -292,21 +324,6 @@ let translator t =
     t.tr <- tr;
     tr
   end
-
-(* Whether [a.(i)] counts as before [x]: [< x], or [<= x] with
-   [incl_eq]. *)
-let before (a : int array) i x ~incl_eq =
-  let v = Array.unsafe_get a i in
-  v < x || (incl_eq && v = x)
-
-(* Number of entries of the sorted array [a] that are before [x]. *)
-let count_below a x ~incl_eq =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if before a mid x ~incl_eq then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* [count_below a x] given that at least [from] entries are before
    [x]: gallops forward from [from] in doubling steps, then binary
@@ -379,24 +396,34 @@ let check ~gps t =
         if a <= !prev_stop then fail "segment %d: tombstones overlap or touch" n.sid;
         prev_stop := b)
       n.tombstones;
-    (* Elements: strictly ordered starts, proper nesting, sane extents. *)
+    (* Columns: tags strictly ascending, each with a non-empty column
+       of equal-length arrays. *)
+    let { tids; per_tag } = n.columns in
+    if Array.length per_tag <> Array.length tids then fail "segment %d: tags and columns differ" n.sid;
+    Array.iteri
+      (fun k c ->
+        let len = cols_length c in
+        if k > 0 && tids.(k - 1) >= tids.(k) then fail "segment %d: column tags not ascending" n.sid;
+        if len = 0 || Array.length c.stops <> len || Array.length c.pids <> len then
+          fail "segment %d: tag %d has empty or ragged columns" n.sid tids.(k))
+      per_tag;
+    (* Elements in document order: strictly increasing starts (which
+       also holds each tag's column sorted, or the merge would step
+       back), proper nesting, extents inside the original text. *)
     let stack = ref [] in
     let prev_start = ref (-1) in
-    Vec.iter
-      (fun e ->
-        if e.start >= e.stop || e.start < 0 || e.stop > n.orig_len then
-          fail "segment %d: element extent [%d,%d) out of range" n.sid e.start e.stop;
-        if e.start <= !prev_start then fail "segment %d: element starts not increasing" n.sid;
-        prev_start := e.start;
-        while (match !stack with top :: _ -> top.stop <= e.start | [] -> false) do
+    iter_elements n (fun ~tid:_ ~start ~stop ~pid:_ ->
+        if start >= stop || start < 0 || stop > n.orig_len then
+          fail "segment %d: element extent [%d,%d) out of range" n.sid start stop;
+        if start <= !prev_start then fail "segment %d: element starts not increasing" n.sid;
+        prev_start := start;
+        while (match !stack with top :: _ -> top <= start | [] -> false) do
           stack := List.tl !stack
         done;
         (match !stack with
-        | top :: _ when top.stop < e.stop -> fail "segment %d: elements overlap" n.sid
+        | top :: _ when top < stop -> fail "segment %d: elements overlap" n.sid
         | _ -> ());
-        if e.level < n.base_level then fail "segment %d: element above base level" n.sid;
-        stack := e :: !stack)
-      n.elems;
+        stack := stop :: !stack);
     (* Children: inside the parent span, disjoint, gp- and lp-sorted. *)
     let cursor = ref gps.(n.slot) in
     let prev_lp = ref min_int in

@@ -3,10 +3,12 @@
     A node records the segment's {e physical} length [len], its
     immutable {e virtual} local position [lp] within its parent, its
     ancestry and children (sorted by global position) and the
-    segment's element skeleton in virtual local coordinates.  Its
-    global position [gp] is not on the node: the owning log keeps
-    every segment's gp in one flat int array indexed by the node's
-    [slot], so shifting positions touches no node.
+    segment's elements in virtual local coordinates, stored once, as
+    per-tag columns ({!cols}): the paper's element index (§3.4) is
+    the only copy of a segment's elements.  Its global position [gp]
+    is not on the node: the owning log keeps every segment's gp in
+    one flat int array indexed by the node's [slot], so shifting
+    positions touches no node.
 
     {b Versions.}  Nodes are shared between the live log and the
     frozen snapshots it publishes.  Each node carries the generation
@@ -22,10 +24,6 @@
     additionally includes the lengths of all descendant segments, as
     maintained by the update algorithms of Figures 5 and 7. *)
 
-type elem = { start : int; stop : int; level : int; tid : int }
-(** An element of a segment: virtual local extent [start, stop) and
-    absolute depth [level] in the super document. *)
-
 type cols = { starts : int array; stops : int array; pids : int array }
 (** One segment's elements of one tag in local document order:
     [[starts.(i), stops.(i))] is element [i]'s immutable virtual
@@ -39,9 +37,25 @@ type cols = { starts : int array; stops : int array; pids : int array }
 val empty_cols : cols
 val cols_length : cols -> int
 
+val cols_filter : (int -> bool) -> cols -> cols
+(** The entries [i] of [c] with [keep i], in order: [c] itself when
+    all are kept, otherwise new arrays ({!empty_cols} when none is).
+    [keep] is called once per index, ascending. *)
+
 type columns = private { tids : int array; per_tag : cols array }
-(** A segment's element store: the skeleton split per tag, [tids]
-    ascending and [per_tag.(i)] the columns of tag [tids.(i)]. *)
+(** A segment's element store: [tids] strictly ascending and
+    [per_tag.(i)] the non-empty columns of tag [tids.(i)].  Starts
+    are distinct across the segment. *)
+
+val no_columns : columns
+(** The store of a segment without elements. *)
+
+val columns_of :
+  tids:int array -> starts:int array -> stops:int array -> pids:int array -> columns
+(** Splits a segment's elements, given in document order as parallel
+    arrays (element [j] has tag [tids.(j)], extent [[starts.(j),
+    stops.(j))] and slot [pids.(j)]), into per-tag columns.
+    @raise Invalid_argument on arrays of unequal length. *)
 
 type translator
 (** A node's local→global translation frozen into prefix sums over its
@@ -57,7 +71,6 @@ type t = {
   mutable len : int;  (** physical length, descendants included *)
   lp : int;  (** virtual local position within the parent; immutable *)
   orig_len : int;  (** length of the original segment text *)
-  base_level : int;  (** depth of the insertion point *)
   text : string;  (** original segment text (materialization oracle) *)
   path : int array;
       (** ancestry: sids from the dummy root down to this node (the
@@ -65,20 +78,18 @@ type t = {
   mutable ctx : int array;
       (** context chain for the path synopsis: tag ids of the elements
           of ancestor segments strictly containing the splice point,
-          outermost first.  Written once, when the node is linked or
-          loaded, and never mutated. *)
+          outermost first; its length is the splice point's depth.
+          Written once, when the node is linked or loaded, and never
+          mutated. *)
   children : t Lxu_util.Vec.t;  (** sorted by global position *)
   mutable tombstones : (int * int) Lxu_util.Vec.t;
       (** deleted virtual ranges of own text; sorted, disjoint,
           non-adjacent.  Replaced wholesale by {!add_tombstone}, never
           edited in place, so copies share it. *)
-  mutable elems : elem Lxu_util.Vec.t;
-      (** surviving elements, sorted by [start].  Replaced wholesale,
-          only by {!remove_elements} — never mutated in place — so node
-          copies and snapshots can share the Vec. *)
   mutable columns : columns;
-      (** [elems] as per-tag columns; built by {!index}, replaced by
-          {!remove_elements} *)
+      (** the surviving elements: set by {!make} (or once by
+          {!Update_log.load}), then replaced wholesale, only by
+          {!remove_elements}, so node copies and snapshots share them *)
   mutable tr : translator;  (** cache of {!translator}; see there *)
 }
 
@@ -92,38 +103,31 @@ val make :
   gen:int ->
   parent_path:int array ->
   lp:int ->
-  base_level:int ->
   text:string ->
-  elems:elem Lxu_util.Vec.t ->
+  columns:columns ->
   t
-(** A fresh segment node of generation [gen] whose gp lives at [slot];
-    [path] is [parent_path] plus [sid], [ctx] is empty, [len] and
-    [orig_len] are the text length, and elements must be sorted by
-    [start].  Its columns stay empty until {!index} is given the
-    elements' synopsis slots. *)
+(** A fresh segment node of generation [gen] whose gp lives at [slot]
+    and whose elements are [columns]; [path] is [parent_path] plus
+    [sid], [ctx] is empty, and [len] and [orig_len] are the text
+    length. *)
 
 val own : gen:int -> t -> t
 (** [own ~gen n] is a version of [n] that generation [gen] may change
     in place: [n] itself when it was made in [gen], otherwise a copy
     stamped [gen] with its own children vector, sharing text,
-    skeleton, columns and tombstones (all replace-only).  Either way
+    columns and tombstones (all replace-only).  Either way
     the result has no cached translator.  The caller relinks a copy:
     into its parent's children, which must be owned first (a path
     from the root), and into the sid map. *)
 
-val index : t -> pids:int array -> unit
-(** Builds the per-tag columns from the skeleton, [pids.(i)] being
-    skeleton element [i]'s synopsis slot — once per node, after the
-    synopsis scan that assigns the slots.
-    @raise Invalid_argument unless there is one slot per element. *)
-
 val remove_elements : t -> vu:int -> vv:int -> (tid:int -> pid:int -> unit) -> unit
-(** Drops the elements inside virtual range [[vu, vv)] from the
-    skeleton and the columns, calling [f ~tid ~pid] on each — the one
-    way a segment's elements change.  Both are replaced wholesale (the
-    old Vec and columns are left untouched, so snapshots keep reading
-    them), and only when an element is dropped.  The range must not
-    split an element. *)
+(** Drops the elements inside virtual range [[vu, vv)], calling
+    [f ~tid ~pid] on each — the one way a segment's elements change.
+    Only a tag holding such an element gets filtered columns; the
+    others are shared, and a tag left empty leaves the segment.  The
+    store is replaced wholesale (snapshots keep reading the old one),
+    and only when an element is dropped.  The range must not split an
+    element. *)
 
 val cols : t -> tid:int -> cols
 (** The segment's elements of tag [tid] ({!empty_cols} when it has
@@ -132,12 +136,19 @@ val cols : t -> tid:int -> cols
 val iter_columns : t -> (int -> cols -> unit) -> unit
 (** [f tid cols] for every tag present in the segment, ascending. *)
 
-val skeleton_pids : t -> int array option
-(** [Some pids] when the columns hold exactly the skeleton split per
-    tag (extents and order), [pids.(i)] being the slot stored for
-    skeleton element [i]; [None] otherwise.  The store's invariant:
-    {!Update_log.check} asserts it, then checks each slot against the
-    synopsis with {!Path_synopsis.check_slots}. *)
+val element_count : t -> int
+(** The segment's surviving elements, O(distinct tags). *)
+
+val iter_elements : t -> (tid:int -> start:int -> stop:int -> pid:int -> unit) -> unit
+(** Every element of the segment in document order: a merge of the
+    per-tag columns by start, O(n log k) for n elements over k tags.
+    The one whole-segment walk (snapshots, checks, context chains). *)
+
+val container_slot : t -> int -> int option
+(** The synopsis slot of the innermost element strictly containing
+    virtual position [x] ([start < x < stop]), [None] when no element
+    does: its path is the context chain of a segment spliced at [x].
+    O(elements starting before [x]) at worst. *)
 
 val columns_size_bytes : t -> int
 (** Heap bytes of the columns, headers included. *)
@@ -169,18 +180,14 @@ val add_tombstone : t -> int -> int -> unit
     with existing tombstones.  Ranges must cover only live bytes or
     whole existing tombstones. *)
 
-val depth_at : t -> int -> int
-(** Absolute depth of virtual position [x]: [base_level] plus the
-    number of surviving elements strictly containing [x]. *)
-
 val child_index_for_gp : gps:int array -> t -> int -> int
 (** Index in [children] where a child with global position [gp] should
     be inserted to keep the vector sorted (after any child with equal
     [gp]); [gps] is the owning log's gp array. *)
 
-val global_extent : gp:int -> t -> elem -> int * int
-(** Current global [(start, stop)] of an element: [gp] (the node's),
-    plus the live
+val global_extent_span : gp:int -> t -> start:int -> stop:int -> int * int
+(** Current global [(start, stop)] of an element of local extent
+    [[start, stop)]: [gp] (the node's), plus the live
     own bytes before each end (tombstones subtracted), plus the
     lengths of the children hooked before it — a child inserted
     exactly at the start precedes the element, one inserted exactly at
@@ -191,9 +198,6 @@ val global_extent : gp:int -> t -> elem -> int * int
     tombstones and children.  The STD baseline and the
     {!Update_log.global_elements} oracle use it; query paths that
     translate many labels of one segment walk a {!cursor} instead. *)
-
-val global_extent_span : gp:int -> t -> start:int -> stop:int -> int * int
-(** As {!global_extent}, but on a bare local [(start, stop)] span. *)
 
 val translator : t -> translator
 (** The node's translator, built on first use and cached on the node.
@@ -237,6 +241,9 @@ val check : gps:int array -> t -> unit
 (** Validates subtree invariants: children sorted and disjoint (by
     their gps in [gps]), each child's ancestry its parent's plus its
     own sid and its generation no newer than its parent's, lengths
-    consistent, tombstones sorted/disjoint, elements sorted and
-    properly nested (test helper).
+    consistent, tombstones sorted/disjoint, column tags strictly
+    ascending with non-empty equal-length columns, and the
+    {!iter_elements} walk strictly ascending, properly nested and
+    inside the original text (test helper; slots are
+    {!Update_log.check}'s).
     @raise Failure on violation. *)

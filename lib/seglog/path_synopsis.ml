@@ -1,5 +1,3 @@
-open Lxu_util
-
 (* Counts live in a flat array indexed by an append-only path -> slot
    table, not in per-path ref cells, and [clone] is copy-on-write:
    MVCC publishes a frozen clone after every committing write, so the
@@ -119,20 +117,21 @@ let rec slot_for t key =
     Hashtbl.add t.index key s;
     s
 
-(* Walks [elems] (sorted by virtual start, properly nested) with an
-   ancestor stack and hands [f] each element's index and full
-   root-to-element path in a scratch buffer: [ctx_tids], then the tags
-   of the enclosing fragment elements, then the element's own tag.
-   The buffer is only valid for the duration of the call. *)
-let iter_element_paths ~ctx_tids elems f =
+(* Walks a segment's elements, given in document order as parallel
+   arrays (properly nested), with an ancestor stack and hands [f] each
+   element's index and full root-to-element path in a scratch buffer:
+   [ctx_tids], then the tags of the enclosing fragment elements, then
+   the element's own tag.  The buffer is only valid for the duration
+   of the call. *)
+let iter_element_paths ~ctx_tids ~tids ~starts ~stops f =
   let nctx = Array.length ctx_tids in
   let buf = ref (Array.make (nctx + 16) 0) in
   Array.blit ctx_tids 0 !buf 0 nctx;
-  let stops = ref (Array.make 16 0) in
+  let open_stops = ref (Array.make 16 0) in
   let depth = ref 0 in
-  Vec.iteri
-    (fun i (e : Er_node.elem) ->
-      while !depth > 0 && !stops.(!depth - 1) <= e.Er_node.start do
+  Array.iteri
+    (fun i tid ->
+      while !depth > 0 && !open_stops.(!depth - 1) <= starts.(i) do
         decr depth
       done;
       let len = nctx + !depth + 1 in
@@ -141,18 +140,18 @@ let iter_element_paths ~ctx_tids elems f =
         Array.blit !buf 0 nb 0 (Array.length !buf);
         buf := nb
       end;
-      !buf.(len - 1) <- e.Er_node.tid;
-      f i !buf len e;
+      !buf.(len - 1) <- tid;
+      f i !buf len;
       (* Push after the call: the slot written above doubles as the
-         stack entry for elements nested inside [e]. *)
-      if !depth = Array.length !stops then begin
+         stack entry for elements nested inside element [i]. *)
+      if !depth = Array.length !open_stops then begin
         let ns = Array.make (2 * !depth) 0 in
-        Array.blit !stops 0 ns 0 !depth;
-        stops := ns
+        Array.blit !open_stops 0 ns 0 !depth;
+        open_stops := ns
       end;
-      !stops.(!depth) <- e.Er_node.stop;
+      !open_stops.(!depth) <- stops.(i);
       incr depth)
-    elems
+    tids
 
 let prefix_equal (key : int array) (buf : int array) len =
   Array.length key = len
@@ -160,15 +159,15 @@ let prefix_equal (key : int array) (buf : int array) len =
   let rec eq i = i >= len || (key.(i) = buf.(i) && eq (i + 1)) in
   eq 0
 
-let add_segment t ~ctx_tids ~elems =
+let add_segment t ~ctx_tids ~tids ~starts ~stops =
   own_counts t;
-  let pids = Array.make (Vec.length elems) 0 in
+  let pids = Array.make (Array.length tids) 0 in
   (* Sibling runs repeat the same path back to back, so memoize the
      last slot and skip the hash round-trip for repeats. *)
   let last_key = ref [||] in
   let last_slot = ref (-1) in
-  iter_element_paths ~ctx_tids elems (fun i buf len e ->
-      bump_total t e.Er_node.tid 1;
+  iter_element_paths ~ctx_tids ~tids ~starts ~stops (fun i buf len ->
+      bump_total t tids.(i) 1;
       t.elems <- t.elems + 1;
       let s =
         if prefix_equal !last_key buf len then !last_slot
@@ -205,17 +204,6 @@ let remove_segment t (n : Er_node.t) =
           t.counts.(pid) <- c;
           if c = 0 then t.live_paths <- t.live_paths - 1)
         c.Er_node.pids)
-
-let check_slots t ~ctx_tids ~elems ~pids =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  iter_element_paths ~ctx_tids elems (fun i buf len (e : Er_node.elem) ->
-      let s = pids.(i) in
-      if s < 0 || s >= t.n_slots then fail "element at %d: slot %d outside the table" e.start s;
-      if t.depth.(s) <> e.level then
-        fail "element at %d: slot %d has depth %d, the skeleton says level %d" e.start s
-          t.depth.(s) e.level;
-      if not (prefix_equal t.paths.(s) buf len) then
-        fail "element at %d: slot %d holds another path than the skeleton derives" e.start s)
 
 let iter t f =
   for s = 0 to t.n_slots - 1 do

@@ -16,7 +16,8 @@
        segment too).  It is kept on the segment's node
        ({!Er_node.t}[.ctx]) and passed in by the caller; and}
     {- the enclosing elements within the segment's own fragment, read
-       off the segment's element skeleton with one stack scan.}}
+       off the segment's elements in document order with one stack
+       scan.}}
     The synopsis therefore maintains exact per-path counts under
     [insert], [insert_batch], [remove] and packing without ever
     touching the element index, and without forcing a dirty tag-list
@@ -84,12 +85,15 @@ val count : t -> int -> int
 val tag_total : t -> tid:int -> int
 (** Live elements of one tag, O(1). *)
 
-val add_segment : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> int array
+val add_segment :
+  t -> ctx_tids:int array -> tids:int array -> starts:int array -> stops:int array -> int array
 (** Registers a fresh segment with context chain [ctx_tids]: one stack
-    scan increments the path of every element of [elems] (which must
-    be sorted by virtual start and properly nested, as segment
-    skeletons are) and returns each element's slot, parallel to
-    [elems] — the [pids] that {!Er_node.index} stores in the columns. *)
+    scan increments the path of every element and returns each
+    element's slot.  The elements come in document order (ascending
+    start, properly nested) as parallel arrays — element [j] has tag
+    [tids.(j)] and extent [[starts.(j), stops.(j))] — and so do the
+    slots: the [pids] that {!Er_node.columns_of} stores in the
+    columns. *)
 
 val remove_segment : t -> Er_node.t -> unit
 (** Full segment deletion: decrements the slot of every element in the
@@ -98,12 +102,6 @@ val remove_segment : t -> Er_node.t -> unit
 val remove_pid : t -> tid:int -> int -> unit
 (** [remove_pid t ~tid pid] decrements one removed element of tag
     [tid] on slot [pid] (partial removal, tombstoning). *)
-
-val check_slots : t -> ctx_tids:int array -> elems:Er_node.elem Lxu_util.Vec.t -> pids:int array -> unit
-(** Asserts that element [i] of [elems] sits on slot [pids.(i)]: the
-    slot's depth is the element's level and its path is the one the
-    stack scan derives from [ctx_tids] and the skeleton.
-    @raise Failure on the first disagreement. *)
 
 val iter : t -> (int array -> int -> unit) -> unit
 (** [iter t f] calls [f path count] for every distinct live path, in

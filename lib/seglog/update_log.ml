@@ -36,7 +36,7 @@ type t = {
   mutable synopsis : Path_synopsis.t;
   mutable next_sid : int;
   mutable live_segments : int;  (* segments alive, dummy root excluded *)
-  mutable live_elements : int;  (* skeleton elements over all segments *)
+  mutable live_elements : int;  (* column entries over all segments *)
   mutable er_depth : int;
   (* Deepest ER chain (edges below the dummy root): a high-water mark
      bumped on insert and re-anchored to the exact value by every
@@ -110,7 +110,7 @@ let element_count t = t.live_elements
    [segment_count_walk]. *)
 let element_count_walk t =
   let n = ref 0 in
-  Er_node.iter_subtree t.root (fun node -> n := !n + Vec.length node.Er_node.elems);
+  Er_node.iter_subtree t.root (fun node -> n := !n + Er_node.element_count node);
   !n
 
 let is_frozen t = t.frozen
@@ -197,66 +197,83 @@ let sort_tag_lists t =
    nodes and for the incremental synopsis (used by [load], [check] and
    the tests).  A child's context chain is its parent's chain plus the
    parent elements strictly containing the child's lp ([start < lp <
-   stop], the predicate insertion uses).  Children are lp-sorted and
-   the skeleton is start-sorted and properly nested, so one ancestor
-   stack swept along the children yields every child's containing
-   elements in O(parent elements + children): the stack holds the open
-   elements, innermost on top, and an element whose stop is at or
-   before the current lp can never contain a later child.
+   stop]).  Children are lp-sorted and the parent's document-order
+   walk is properly nested, so one ancestor stack swept along the
+   children yields every child's containing elements in
+   O(parent elements + children).  Tags and extents only, never slots,
+   so it checks them; [f] sees a child before the child's own
+   children are swept, so [load] sets the columns there.
    ([Er_node.check] rejects trees breaking either order, so a hostile
    snapshot fails [load] whatever this returns for it.) *)
 let iter_contexts (root : Er_node.t) f =
-  let open Er_node in
-  let stack = Vec.create () in
+  let stops = Vec.create () and tids = Vec.create () in
   let pop_until x =
-    while (not (Vec.is_empty stack)) && (Vec.last stack).stop <= x do
-      ignore (Vec.pop stack)
+    while (not (Vec.is_empty stops)) && Vec.last stops <= x do
+      ignore (Vec.pop stops);
+      ignore (Vec.pop tids)
     done
   in
   let rec visit (n : Er_node.t) pctx =
-    let children = Vec.to_array n.children in
-    Vec.clear stack;
+    let children = Vec.to_array n.Er_node.children in
+    let ctxs = Array.make (Array.length children) pctx in
     let next = ref 0 in
-    let ctxs =
-      Array.map
-        (fun (c : Er_node.t) ->
-          while !next < Vec.length n.elems && (Vec.get n.elems !next).start < c.lp do
-            let e = Vec.get n.elems !next in
-            pop_until e.start;
-            Vec.push stack e;
-            incr next
-          done;
-          pop_until c.lp;
-          let np = Array.length pctx in
-          if Vec.is_empty stack then pctx
-          else
-            Array.init (np + Vec.length stack) (fun i ->
-                if i < np then pctx.(i) else (Vec.get stack (i - np)).tid))
-        children
+    (* Settles the children hooked at or before [x]: the stack then
+       holds the elements starting before each one's lp. *)
+    let settle x =
+      while !next < Array.length children && children.(!next).Er_node.lp <= x do
+        pop_until children.(!next).Er_node.lp;
+        if not (Vec.is_empty tids) then ctxs.(!next) <- Array.append pctx (Vec.to_array tids);
+        incr next
+      done
     in
+    Vec.clear stops;
+    Vec.clear tids;
+    if Array.length children > 0 then
+      Er_node.iter_elements n (fun ~tid ~start ~stop ~pid:_ ->
+          settle start;
+          pop_until start;
+          Vec.push stops stop;
+          Vec.push tids tid);
+    settle max_int;
     Array.iteri
-      (fun i (c : Er_node.t) ->
+      (fun i c ->
         f c ctxs.(i);
         visit c ctxs.(i))
       children
   in
   visit root [||]
 
+(* A segment's elements in document order as parallel arrays: tags,
+   starts, stops and slots. *)
+let flat_elements (n : Er_node.t) =
+  let k = Er_node.element_count n in
+  let tids = Array.make k 0 and starts = Array.make k 0 in
+  let stops = Array.make k 0 and pids = Array.make k 0 in
+  let j = ref 0 in
+  Er_node.iter_elements n (fun ~tid ~start ~stop ~pid ->
+      tids.(!j) <- tid;
+      starts.(!j) <- start;
+      stops.(!j) <- stop;
+      pids.(!j) <- pid;
+      incr j);
+  (tids, starts, stops, pids)
+
 let synopsis_rebuilt t =
   let syn = Path_synopsis.create () in
   iter_contexts t.root (fun n ctx ->
-      ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~elems:n.Er_node.elems));
+      let tids, starts, stops, _ = flat_elements n in
+      ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~tids ~starts ~stops));
   syn
 
 (* --- insertion (Figure 5) ------------------------------------------ *)
 
 (* Steps 1-4 of Figure 5 for one segment of an [insert_batch]: shift
    global positions, descend to the covering parent, derive the local
-   position and base level, then build and link the new node.
-   [elems_for] receives the computed base level and produces the
-   segment's element skeleton.  The synopsis scan of the new elements
-   hands each its path slot, and the columns are built from those. *)
-let link_new_segment t ~gp ~text ~elems_for =
+   position and base level, then build and link the new node.  The
+   segment's elements come in document order as parallel arrays of
+   tags, starts and stops; the synopsis scan hands each its path slot,
+   and the columns are built from those. *)
+let link_new_segment t ~gp ~text ~tids ~starts ~stops =
   let open Er_node in
   let len = String.length text in
   (* Step 1: shift the global position of every segment at or after the
@@ -297,49 +314,33 @@ let link_new_segment t ~gp ~text ~elems_for =
     let vlow = virt_of_own_phys_before parent x_phys in
     if at = 0 then vlow else max vlow (Vec.get parent.children (at - 1)).lp
   in
-  (* One early-exit prefix scan (the [depth_at] predicate) yields both
-     the splice depth and the tids of the parent elements strictly
-     containing the splice point — the segment's own slice of its
-     context chain, collected here so the synopsis bookkeeping below
-     never re-walks [parent.elems]. *)
-  let base_level, own_ctx =
-    let depth = ref parent.base_level in
-    let own = ref [] in
-    let i = ref 0 in
-    let n = Vec.length parent.elems in
-    while !i < n && (Vec.get parent.elems !i).start < lp do
-      let e = Vec.get parent.elems !i in
-      if e.stop > lp then begin
-        incr depth;
-        own := e.tid :: !own
-      end;
-      incr i
-    done;
-    (!depth, List.rev !own)
+  (* The splice's context chain — fixed for the segment's lifetime: an
+     enclosing element's extent covers the whole segment, so removing
+     it removes the segment too — is the synopsis path of the innermost
+     parent element strictly containing [lp]: the parent's chain, then
+     every parent element containing [lp]. *)
+  let ctx =
+    match container_slot parent lp with
+    | None -> parent.ctx
+    | Some pid -> Path_synopsis.path t.synopsis pid
   in
   (* Step 4: build and link the node. *)
   let sid = t.next_sid in
   t.next_sid <- t.next_sid + 1;
-  let elems = elems_for ~base_level in
+  (* One synopsis scan counts every element's path and returns its
+     slot for the columns. *)
+  let pids = Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~tids ~starts ~stops in
   let node =
-    Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp
-      ~base_level ~text ~elems
+    Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
+      ~columns:(columns_of ~tids ~starts ~stops ~pids)
   in
+  node.ctx <- ctx;
   Vec.insert_at parent.children at node;
   t.live_segments <- t.live_segments + 1;
-  t.live_elements <- t.live_elements + Vec.length node.elems;
+  t.live_elements <- t.live_elements + Array.length tids;
   (* Edges below the dummy root. *)
   let d = Array.length node.path - 1 in
   if d > t.er_depth then t.er_depth <- d;
-  (* Path synopsis: the segment's context chain is its parent's chain
-     plus the containing elements collected above, so the chain length
-     equals [base_level].  It is immutable for the segment's lifetime:
-     an enclosing element's extent covers the whole segment, so
-     removing it removes the segment too.  One scan counts every
-     element's path and returns its slot for the columns. *)
-  node.ctx <-
-    (match own_ctx with [] -> parent.ctx | own -> Array.append parent.ctx (Array.of_list own));
-  index node ~pids:(Path_synopsis.add_segment t.synopsis ~ctx_tids:node.ctx ~elems:node.elems);
   node
 
 (* One tag-list entry per distinct tag of the segment. *)
@@ -375,28 +376,27 @@ let insert_edits ~who ?pool t edits =
         running := !running + String.length text)
       edits;
     (* Parse and label every fragment first — both are pure, so this
-       fans out over the domain pool.  Levels are relative to the
-       fragment root and rebased once the insertion point is known;
-       tag interning (shared registry) stays on the applying thread.
-       A fragment's labels are two flat arrays, names and (start, stop,
-       level) triples, counted in a first pass over the tree: its
-       elements then cost four words while the batch waits, and its
-       parse tree is garbage as soon as it is labelled. *)
+       fans out over the domain pool; tag interning (shared registry)
+       stays on the applying thread.  A fragment's labels are three
+       flat arrays in document order, names, starts and stops, counted
+       in a first pass over the tree: its elements then cost three
+       words while the batch waits, and its parse tree is garbage as
+       soon as it is labelled.  Levels are not kept: an element's
+       level is its synopsis slot's depth. *)
     let labelled =
       let label i =
         let nodes = Lxu_xml.Parser.parse_fragment (snd edits.(i)) in
         let labels f = Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes nodes f in
         let n = ref 0 in
         labels (fun ~name:_ ~start:_ ~stop:_ ~level:_ -> incr n);
-        let names = Array.make !n "" and nums = Array.make (3 * !n) 0 in
+        let names = Array.make !n "" and starts = Array.make !n 0 and stops = Array.make !n 0 in
         let k = ref 0 in
-        labels (fun ~name ~start ~stop ~level ->
+        labels (fun ~name ~start ~stop ~level:_ ->
             names.(!k) <- name;
-            nums.(3 * !k) <- start;
-            nums.((3 * !k) + 1) <- stop;
-            nums.((3 * !k) + 2) <- level;
+            starts.(!k) <- start;
+            stops.(!k) <- stop;
             incr k);
-        (names, nums)
+        (names, starts, stops)
       in
       match pool with
       | Some p when b > 1 -> Domain_pool.map p b label
@@ -410,25 +410,12 @@ let insert_edits ~who ?pool t edits =
     let sids = ref [] in
     Array.iteri
       (fun k (gp, text) ->
-        let node =
-          link_new_segment t ~gp ~text ~elems_for:(fun ~base_level ->
-              let names, nums = labelled.(k) in
-              (* Interned in document order, the order tids are assigned. *)
-              let tids = Array.map (Tag_registry.intern t.registry) names in
-              let elems = Vec.create () in
-              for j = 0 to Array.length names - 1 do
-                Vec.push elems
-                  {
-                    start = nums.(3 * j);
-                    stop = nums.((3 * j) + 1);
-                    level = base_level + nums.((3 * j) + 2);
-                    tid = tids.(j);
-                  }
-              done;
-              elems)
-        in
+        let names, starts, stops = labelled.(k) in
+        (* Interned in document order, the order tids are assigned. *)
+        let tids = Array.map (Tag_registry.intern t.registry) names in
+        let node = link_new_segment t ~gp ~text ~tids ~starts ~stops in
         (* Labelled: free them now, not at the end of a long batch. *)
-        labelled.(k) <- ([||], [||]);
+        labelled.(k) <- ([||], [||], [||]);
         let sid = node.sid in
         (match t.mode with
         | Lazy_dynamic -> sb_pairs := (sid, node) :: !sb_pairs
@@ -501,10 +488,6 @@ let own_virtual_range t (s : Er_node.t) extents x y =
       ( Er_node.virt_of_own_phys s (local u0),
         Er_node.virt_of_own_phys s (local ulast + (vlast - ulast)) )
 
-(* Whether removing virtual range [vu, vv) would cut [e] in two. *)
-let splits (e : Er_node.elem) vu vv =
-  (e.start >= vu && e.start < vv && e.stop > vv) || (e.start < vu && e.stop > vu && e.stop <= vv)
-
 (* Pure pre-check over the segments [remove] will cut: raises if the
    range would split an element, before anything is mutated — a failed
    removal must leave the log untouched. *)
@@ -514,12 +497,13 @@ let validate_remove t ~gp ~len =
     (match own_virtual_range t s extents x y with
     | None -> ()
     | Some (vu, vv) ->
-      Vec.iter
-        (fun e ->
-          if splits e vu vv then
-            invalid_arg
-              "Update_log.remove: range splits an element (not a well-formed fragment)")
-        s.Er_node.elems);
+      (* An element is cut in two when exactly one end falls inside. *)
+      Er_node.iter_columns s (fun _ c ->
+          for i = 0 to Er_node.cols_length c - 1 do
+            let start = c.starts.(i) and stop = c.stops.(i) in
+            if (start >= vu && start < vv && stop > vv) || (start < vu && stop > vu && stop <= vv)
+            then invalid_arg "Update_log.remove: range splits an element (not a well-formed fragment)"
+          done));
     List.iter
       (fun (k, a, b) ->
         if b <= x || a >= y then ()
@@ -553,7 +537,7 @@ let remove t ~gp ~len =
     Er_node.iter_subtree k (fun n ->
         removed_sids := n.sid :: !removed_sids;
         Path_synopsis.remove_segment t.synopsis n;
-        elements_gone (Vec.length n.elems);
+        elements_gone (Er_node.element_count n);
         free_slot t n.slot;
         match t.mode with
         | Lazy_dynamic -> ignore (Sb_index.remove t.sb n.sid)
@@ -564,9 +548,9 @@ let remove t ~gp ~len =
      has refused every range that splits an element, so each element is
      either inside the range or untouched by it. *)
   let tombstone_own s vu vv =
-    (* The skeleton and columns are replaced wholesale, not edited in
-       place: copies of the node share both.  Each dropped element
-       names its synopsis slot, so the decrement walks no path. *)
+    (* The columns are replaced wholesale, not edited in place: copies
+       of the node share them.  Each dropped element names its synopsis
+       slot, so the decrement walks no path. *)
     remove_elements s ~vu ~vv (fun ~tid ~pid ->
         Path_synopsis.remove_pid t.synopsis ~tid pid;
         note_removed_elem s.sid tid);
@@ -697,15 +681,16 @@ let global_elements t ~tag =
   match Tag_registry.find t.registry tag with
   | None -> []
   | Some tid ->
+    let depth = Path_synopsis.depth_table t.synopsis in
     let acc = ref [] in
     Er_node.iter_subtree t.root (fun n ->
-        Vec.iter
-          (fun (e : Er_node.elem) ->
-            if e.tid = tid then begin
-              let gstart, gstop = Er_node.global_extent ~gp:(gp t n) n e in
-              acc := (gstart, gstop, e.level) :: !acc
-            end)
-          n.elems);
+        let c = Er_node.cols n ~tid in
+        for i = 0 to Er_node.cols_length c - 1 do
+          let gstart, gstop =
+            Er_node.global_extent_span ~gp:(gp t n) n ~start:c.starts.(i) ~stop:c.stops.(i)
+          in
+          acc := (gstart, gstop, depth.(c.pids.(i))) :: !acc
+        done);
     List.sort compare !acc
 
 (* --- sizes and checks ----------------------------------------------- *)
@@ -740,43 +725,13 @@ let check t =
       if n.Er_node.gen > t.gen then
         failwith (Printf.sprintf "segment %d is of a future generation" n.Er_node.sid));
   if t.root.Er_node.slot <> 0 then failwith "root is not at slot 0";
-  (* Every segment's columns are its tag-filtered skeleton, and the
-     element counter agrees with the skeleton walk. *)
-  let pids = Hashtbl.create 256 in
-  Er_node.iter_subtree t.root (fun n ->
-      match Er_node.skeleton_pids n with
-      | Some p -> Hashtbl.replace pids n.Er_node.sid p
-      | None ->
-        failwith
-          (Printf.sprintf "segment %d: element columns disagree with its skeleton"
-             n.Er_node.sid));
-  if t.live_elements <> element_count_walk t then
-    failwith
-      (Printf.sprintf "element counter says %d, skeleton walk says %d" t.live_elements
-         (element_count_walk t));
-  (* Tag-list counts agree with the skeletons (sorting first: LS lists
+  (* Tag-list counts agree with the columns (sorting first: LS lists
      may be dirty, and sorting does not change their contents); on the
-     way, every element's tag is registered and no live sid has
-     reached [next_sid]. *)
+     way, every column's tag is registered and no live sid has reached
+     [next_sid]. *)
   let node_by_sid = Hashtbl.create 256 in
   Er_node.iter_subtree t.root (fun n -> Hashtbl.replace node_by_sid n.Er_node.sid n);
   Tag_list.sort_all t.tag_list ~gp_of:(fun sid -> gp t (Hashtbl.find node_by_sid sid));
-  let counts = Hashtbl.create 64 in
-  let n_tags = Tag_registry.count t.registry in
-  let max_sid = ref 0 in
-  Er_node.iter_subtree t.root (fun n ->
-      if n.Er_node.sid > !max_sid then max_sid := n.Er_node.sid;
-      Vec.iter
-        (fun (e : Er_node.elem) ->
-          if e.Er_node.tid < 0 || e.Er_node.tid >= n_tags then
-            failwith
-              (Printf.sprintf "segment %d: element tag id %d outside the %d-tag registry"
-                 n.Er_node.sid e.Er_node.tid n_tags);
-          let key = (e.Er_node.tid, n.Er_node.sid) in
-          Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-        n.Er_node.elems);
-  if t.next_sid <= !max_sid then
-    failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->
@@ -784,22 +739,34 @@ let check t =
         (fun (e : Tag_list.entry) -> Hashtbl.replace listed (tid, e.sid) e.count)
         (Tag_list.entries t.tag_list ~tid))
     (Tag_list.tids t.tag_list);
+  let n_tags = Tag_registry.count t.registry in
+  let max_sid = ref 0 in
+  Er_node.iter_subtree t.root (fun n ->
+      let sid = n.Er_node.sid in
+      if sid > !max_sid then max_sid := sid;
+      Er_node.iter_columns n (fun tid c ->
+          if tid < 0 || tid >= n_tags then
+            failwith
+              (Printf.sprintf "segment %d: element tag id %d outside the %d-tag registry" sid tid
+                 n_tags);
+          let held = Er_node.cols_length c in
+          match Hashtbl.find_opt listed (tid, sid) with
+          | Some c when c = held -> Hashtbl.remove listed (tid, sid)
+          | found ->
+            failwith
+              (Printf.sprintf "segment %d: element columns hold %d of tag %d, the tag list %s" sid
+                 held tid
+                 (match found with Some c -> string_of_int c | None -> "none"))));
   Hashtbl.iter
-    (fun key count ->
-      match Hashtbl.find_opt listed key with
-      | Some c when c = count -> ()
-      | Some c ->
-        failwith
-          (Printf.sprintf "tag-list count for (tid %d, sid %d) is %d, skeleton says %d"
-             (fst key) (snd key) c count)
-      | None ->
-        failwith (Printf.sprintf "tag-list misses (tid %d, sid %d)" (fst key) (snd key)))
-    counts;
-  Hashtbl.iter
-    (fun key _ ->
-      if not (Hashtbl.mem counts key) then
-        failwith (Printf.sprintf "tag-list has stale entry (tid %d, sid %d)" (fst key) (snd key)))
+    (fun (tid, sid) _ ->
+      failwith (Printf.sprintf "tag-list has stale entry (tid %d, sid %d)" tid sid))
     listed;
+  if t.next_sid <= !max_sid then
+    failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
+  if t.live_elements <> element_count_walk t then
+    failwith
+      (Printf.sprintf "element counter says %d, column walk says %d" t.live_elements
+         (element_count_walk t));
   (* SB-tree agrees with the ER-tree under LD. *)
   if t.mode = Lazy_dynamic && not t.sb_dirty then begin
     let live = ref 0 in
@@ -816,19 +783,26 @@ let check t =
       (Printf.sprintf "segment counter says %d, ER-tree walk says %d" t.live_segments
          (segment_count_walk t));
   (* The context chains on the nodes and the incrementally maintained
-     path synopsis agree with a from-scratch rebuild off the skeletons,
-     and every column entry's slot holds the path the skeleton derives
-     for its element, at the element's level. *)
+     path synopsis agree with a from-scratch rebuild off the columns'
+     tags and extents, and every column entry's slot holds the path the
+     rebuild gives its element. *)
   let rebuilt = Path_synopsis.create () in
   iter_contexts t.root (fun n ctx ->
       let sid = n.Er_node.sid in
       if n.Er_node.ctx <> ctx then
         failwith (Printf.sprintf "segment %d: context chain disagrees with a rebuild" sid);
-      (try
-         Path_synopsis.check_slots t.synopsis ~ctx_tids:ctx ~elems:n.Er_node.elems
-           ~pids:(Hashtbl.find pids sid)
-       with Failure msg -> failwith (Printf.sprintf "segment %d: %s" sid msg));
-      ignore (Path_synopsis.add_segment rebuilt ~ctx_tids:ctx ~elems:n.Er_node.elems));
+      let tids, starts, stops, pids = flat_elements n in
+      let slots = Path_synopsis.add_segment rebuilt ~ctx_tids:ctx ~tids ~starts ~stops in
+      Array.iteri
+        (fun j pid ->
+          if
+            pid < 0 || pid >= Path_synopsis.slots t.synopsis
+            || Path_synopsis.path t.synopsis pid <> Path_synopsis.path rebuilt slots.(j)
+          then
+            failwith
+              (Printf.sprintf "segment %d: element at %d sits on slot %d, off its rebuilt path" sid
+                 starts.(j) pid))
+        pids);
   if not (Path_synopsis.equal t.synopsis rebuilt) then
     failwith "path synopsis disagrees with a from-scratch rebuild"
 
@@ -861,7 +835,9 @@ let freeze t =
 (* A line-oriented format with length-prefixed raw text blocks.
    Everything needed to reproduce behaviour exactly is stored:
    segments in pre-order with their immutable virtual data (text, lp,
-   base level, elements, tombstones) plus current gp/len; derived
+   base level, elements in document order with their levels,
+   tombstones) plus current gp/len; levels are written from the slots'
+   depths, the base level from the context chain's length; derived
    structures are rebuilt on load.  The payload ends with a trailer
    line [crc <8 hex digits>], the CRC-32 of every byte before it:
    segment texts are stored raw, so without it a flipped byte would
@@ -890,15 +866,18 @@ let save t oc =
   let count = ref 0 in
   iter_subtree t.root (fun _ -> incr count);
   line "segments %d\n" (!count - 1);
+  let depth = Path_synopsis.depth_table t.synopsis in
   iter_subtree t.root (fun n ->
       if not (is_root n) then begin
         let parent_sid = n.path.(Array.length n.path - 2) in
-        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid (gp t n) n.len n.lp n.base_level
-          n.orig_len (Vec.length n.tombstones) (Vec.length n.elems);
+        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid (gp t n) n.len n.lp
+          (Array.length n.ctx)
+          n.orig_len (Vec.length n.tombstones) (element_count n);
         emit n.text;
         emit "\n";
         Vec.iter (fun (a, b) -> line "t %d %d\n" a b) n.tombstones;
-        Vec.iter (fun (e : elem) -> line "e %d %d %d %d\n" e.start e.stop e.level e.tid) n.elems
+        iter_elements n (fun ~tid ~start ~stop ~pid ->
+            line "e %d %d %d %d\n" start stop depth.(pid) tid)
       end);
   Printf.fprintf oc "crc %08x\n" !crc
 
@@ -988,6 +967,7 @@ let load ?(backend = Storage_backend.Mem) ic =
   let seg_count = bounded (scan "segments %d" Fun.id) "segment count" in
   let by_sid = Hashtbl.create (seg_count + 1) in
   Hashtbl.add by_sid 0 t.root;
+  let elements = Hashtbl.create (seg_count + 1) in
   for _ = 1 to seg_count do
     let sid, parent_sid, gp, len, lp, base_level, orig_len, n_tomb, n_elems =
       scan "seg %d %d %d %d %d %d %d %d %d" (fun a b c d e f g h i ->
@@ -999,40 +979,65 @@ let load ?(backend = Storage_backend.Mem) ic =
     let tombs =
       List.init (bounded n_tomb "tombstone count") (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
     in
-    let elems = Vec.create () in
-    for _ = 1 to bounded n_elems "element count" do
-      let e = scan "e %d %d %d %d" (fun start stop level tid -> { start; stop; level; tid }) in
-      if e.tid < 0 || e.tid >= tag_count then
-        fail "segment %d: element tag id %d outside the %d-tag table" sid e.tid tag_count;
-      Vec.push elems e
+    let n_elems = bounded n_elems "element count" in
+    let tids = Array.make n_elems 0 and starts = Array.make n_elems 0 in
+    let stops = Array.make n_elems 0 and levels = Array.make n_elems 0 in
+    for j = 0 to n_elems - 1 do
+      let start, stop, level, tid = scan "e %d %d %d %d" (fun a b c d -> (a, b, c, d)) in
+      if tid < 0 || tid >= tag_count then
+        fail "segment %d: element tag id %d outside the %d-tag table" sid tid tag_count;
+      if j > 0 && start <= starts.(j - 1) then
+        fail "segment %d: element starts out of document order" sid;
+      tids.(j) <- tid;
+      starts.(j) <- start;
+      stops.(j) <- stop;
+      levels.(j) <- level
     done;
     let parent =
       match Hashtbl.find_opt by_sid parent_sid with
       | Some p -> p
       | None -> fail "segment %d arrives before its parent %d" sid parent_sid
     in
+    (* The columns wait for the slots, which wait for the context
+       chain: both are set in the sweep below. *)
     let node =
-      Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp
-        ~base_level ~text ~elems
+      Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
+        ~columns:no_columns
     in
     node.len <- len;
     List.iter (Vec.push node.tombstones) tombs;
     Vec.push parent.children node;
-    Hashtbl.add by_sid sid node
+    Hashtbl.add by_sid sid node;
+    Hashtbl.add elements sid (base_level, tids, starts, stops, levels)
   done;
   if left () <> 0 then fail "%d unparsed bytes before the checksum trailer" (left ());
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
-  t.live_elements <- element_count_walk t;
   (* Rebuild derived structures: context chains and the synopsis, each
-     segment's columns from the slots its synopsis scan hands out, tag
-     lists from the columns and chains, SB-tree from the ER-tree.  A
-     hostile skeleton (out of order, overlapping) makes the columns
-     wrong, never raises here: [full_check] refuses it below. *)
+     segment's columns from the slots its synopsis scan hands out (the
+     sweep reaches a segment's children only after its columns are
+     set), tag lists from the columns and chains, SB-tree from the
+     ER-tree.  A stored base level must be the rebuilt chain's length,
+     a stored level its rebuilt slot's depth.  Hostile
+     elements (overlapping, outside the text) make the slots wrong,
+     never raise here: [full_check] refuses them below. *)
   iter_contexts t.root (fun n ctx ->
+      let base_level, tids, starts, stops, levels = Hashtbl.find elements n.sid in
+      if base_level <> Array.length ctx then
+        fail "segment %d: base level %d under a context chain of %d" n.sid base_level
+          (Array.length ctx);
+      let pids = Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~tids ~starts ~stops in
+      let depth = Path_synopsis.depth_table t.synopsis in
+      Array.iteri
+        (fun j pid ->
+          if levels.(j) <> depth.(pid) then
+            fail "segment %d: element at %d stored at level %d, its path has depth %d" n.sid
+              starts.(j) levels.(j) depth.(pid))
+        pids;
       n.ctx <- ctx;
-      index n ~pids:(Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~elems:n.elems));
+      n.columns <- columns_of ~tids ~starts ~stops ~pids);
+  t.live_elements <- element_count_walk t;
   Er_node.iter_subtree t.root (fun n ->
       if not (is_root n) then
         iter_tag_entries n (fun ~tid entry -> Tag_list.append t.tag_list ~tid entry));

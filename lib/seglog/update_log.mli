@@ -54,8 +54,8 @@ val create :
     attribute as a subelement named ["@name"] (§1: "attributes can be
     considered as subelements"); [backend] (default in-memory) puts
     the SB-tree on copy-on-write
-    pages of a page store.  Segment skeletons, columns and texts stay
-    on the heap either way. *)
+    pages of a page store.  Element columns and segment texts stay on
+    the heap either way. *)
 
 val mode : t -> mode
 val indexes_attributes : t -> bool
@@ -70,7 +70,7 @@ val segment_count_walk : t -> int
 
 val element_count : t -> int
 (** Live elements — an O(1) counter like {!segment_count}; {!check}
-    asserts it equals a walk over every segment's skeleton. *)
+    asserts it equals the sum of every segment's column lengths. *)
 
 val root : t -> Er_node.t
 
@@ -173,12 +173,12 @@ val synopsis : t -> Path_synopsis.t
     tag-list sort. *)
 
 val synopsis_rebuilt : t -> Path_synopsis.t
-(** From-scratch synopsis rebuilt off the current segment skeletons —
-    the incremental-maintenance oracle ({!check} asserts the two agree,
-    and that every node's recorded context chain equals the rebuilt
-    one; exposed for the tests).  O(segments + elements): one
-    ancestor-stack sweep per parent hands every child its context
-    chain. *)
+(** From-scratch synopsis rebuilt off the tags and extents in the
+    segments' columns, never their slots — the incremental-maintenance
+    oracle ({!check} asserts the two agree, and that every node's
+    recorded context chain equals the rebuilt one; exposed for the
+    tests).  O(segments + elements): one ancestor-stack sweep per
+    parent hands every child its context chain. *)
 
 val materialize : t -> string
 (** Reconstructs the full super-document text from the ER-tree — the
@@ -208,8 +208,8 @@ val freeze : t -> t
     gp array (one int per segment slot).  It then advances [t]'s
     generation, so [t] copies whatever it changes next — a node and
     its path from the root, a per-tag list — and the snapshot keeps
-    reading the state it was frozen at.  Element columns, skeletons,
-    tombstones and texts are replace-only and shared as they are.  A
+    reading the state it was frozen at.  Element columns, tombstones
+    and texts are replace-only and shared as they are.  A
     paged log's snapshot builds its in-memory sid map by one walk.
     The snapshot is query-ready ([prepare_for_query] is run first, so
     an LS source log is brought current) and every update entry point
@@ -221,16 +221,18 @@ val check : t -> unit
 (** Full invariant check across the ER-tree, gp slots, element
     columns, SB-tree, tag-list and path synopsis: every live segment
     has its own slot and no node is newer than its parent (a changed
-    node's path was copied with it), every segment's columns equal its
-    tag-filtered skeleton, {!element_count} equals the skeleton walk,
-    every element's tag id is in the registry, the next sid is above
-    every live sid, and the synopsis equals a from-scratch
-    {!synopsis_rebuilt} (test helper, and run by every {!load}).
+    node's path was copied with it), the tag list holds exactly each
+    segment's per-tag column lengths and {!element_count} their sum,
+    every column's tag id is in the registry, the next sid is above
+    every live sid, and every context chain, every element's slot and
+    the synopsis equal a from-scratch {!synopsis_rebuilt} (test
+    helper, and run by every {!load}).
     @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit
 (** Serializes the complete log — segment tree with virtual
-    coordinates, tombstones, element skeletons, tag registry — so a
+    coordinates, tombstones, elements (in document order, each with
+    the depth of its slot as its level), tag registry — so a
     {!load} restores byte-identical behaviour, including local labels
     (a re-chop of the materialized text would assign new ones).  The
     payload ends with a [crc <8 hex digits>] line: the CRC-32 of
@@ -243,7 +245,8 @@ val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
     every count and length is bounded by the bytes left before it is
     allocated.  Derived structures (element columns, SB-tree, tag
     lists, path synopsis) are rebuilt from the segment data in time
-    linear in the snapshot and then cross-checked by {!check}.
+    linear in the snapshot, stored levels must equal the rebuilt ones,
+    and the result is cross-checked by {!check}.
     [backend] is where the SB-tree goes; it is rebuilt there even when
     [attach] is set.
     @raise Failure on a malformed, damaged or incompatible snapshot

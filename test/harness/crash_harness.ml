@@ -155,6 +155,17 @@ let recover_image ~tag ~snapshot ~wal_prefix =
       Lazy_db.close db;
       (db, report))
 
+(* save . load . save: the checkpoint at [path] read back and written
+   again at its LSN is byte-identical, which pins the snapshot format
+   to what the store holds. *)
+let check_resave ~ctx path =
+  let lsn, log = Recovery.read_snapshot ~path () in
+  let again = path ^ ".resave" in
+  Recovery.write_snapshot ~path:again ~lsn log;
+  let saved = read_file path and resaved = read_file again in
+  Sys.remove again;
+  if saved <> resaved then failwith (ctx ^ ": a loaded checkpoint saves different bytes")
+
 let run_one_inner ?checkpoint_at ~seed ~ops () =
   let n = List.length ops in
   let checkpoint_at =
@@ -173,7 +184,11 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
         (fun i op ->
           apply durable op;
           (match checkpoint_at with
-          | Some k when k = i + 1 -> Lazy_db.checkpoint durable
+          | Some k when k = i + 1 ->
+            Lazy_db.checkpoint durable;
+            check_resave
+              ~ctx:(Printf.sprintf "seed %d checkpoint" seed)
+              (Lxu_storage.Wal_store.snapshot_path dir)
           | _ -> ());
           apply reference op;
           fps.(i + 1) <- fingerprint reference)

@@ -9,7 +9,7 @@ open Lxu_seglog
 open Lxu_util
 
 let mk ~sid ~parent_path ~lp text =
-  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level:0 ~text ~elems:(Vec.create ())
+  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~text ~columns:Er_node.no_columns
 
 let hook parent ~sid ~lp ~len =
   let child = mk ~sid ~parent_path:parent.Er_node.path ~lp (String.make len 'c') in

@@ -1,5 +1,5 @@
 (* Direct tests of the ER-node coordinate machinery: tombstones,
-   virtual/physical conversion, depth computation and global extents.
+   virtual/physical conversion, splice containers and global extents.
    (The update-log suite exercises these end-to-end; here the edge
    cases get pinned down in isolation.) *)
 
@@ -9,17 +9,18 @@ open Lxu_util
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* Each element's synopsis slot is stood in for by its level: the
-   columns store whatever slots they are given. *)
-let mk ?(sid = 1) ?(parent_path = [||]) ?(lp = 0) ?(base_level = 0) text elems =
-  let n =
-    Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~base_level ~text
-      ~elems:
-        (Vec.of_list
-           (List.map (fun (start, stop, level, tid) -> { Er_node.start; stop; level; tid }) elems))
-  in
-  Er_node.index n ~pids:(Array.of_list (List.map (fun (_, _, level, _) -> level) elems));
-  n
+(* Elements are [(start, stop, level, tid)] in document order.  Each
+   element's synopsis slot is stood in for by its level: the columns
+   store whatever slots they are given. *)
+let mk ?(sid = 1) ?(parent_path = [||]) ?(lp = 0) text elems =
+  let field f = Array.of_list (List.map f elems) in
+  Er_node.make ~sid ~slot:sid ~gen:0 ~parent_path ~lp ~text
+    ~columns:
+      (Er_node.columns_of
+         ~tids:(field (fun (_, _, _, tid) -> tid))
+         ~starts:(field (fun (start, _, _, _) -> start))
+         ~stops:(field (fun (_, stop, _, _) -> stop))
+         ~pids:(field (fun (_, _, level, _) -> level)))
 
 let test_make_root () =
   let r = Er_node.make_root () in
@@ -82,19 +83,22 @@ let test_virt_conversion_two_gaps () =
   check_int "phys 3" 7 (Er_node.virt_of_own_phys n 3);
   check_int "phys 5" 9 (Er_node.virt_of_own_phys n 5)
 
-let test_depth_at () =
+(* The innermost element strictly containing a splice point, by its
+   slot (here its level): its depth plus one is the splice's level. *)
+let test_container_slot () =
   (*         0123456789012345678 *)
   let text = "<a><b>xx</b>yy</a>" in
   let n = mk text [ (0, 18, 0, 0); (3, 12, 1, 1) ] in
-  check_int "outside" 0 (Er_node.depth_at n 0);
-  check_int "inside a" 1 (Er_node.depth_at n 3);
-  check_int "inside b" 2 (Er_node.depth_at n 7);
-  check_int "between b and /a" 1 (Er_node.depth_at n 13);
-  check_int "at end" 0 (Er_node.depth_at n 18)
+  let check_slot what want x = Alcotest.(check (option int)) what want (Er_node.container_slot n x) in
+  check_slot "outside" None 0;
+  check_slot "inside a" (Some 0) 3;
+  check_slot "inside b" (Some 1) 7;
+  check_slot "between b and /a" (Some 0) 13;
+  check_slot "at end" None 18
 
-let test_depth_at_with_base () =
-  let n = mk ~base_level:5 "<a>x</a>" [ (0, 8, 5, 0) ] in
-  check_int "base plus nesting" 6 (Er_node.depth_at n 4)
+let test_container_slot_deep () =
+  let n = mk "<a>x</a>" [ (0, 8, 5, 0) ] in
+  Alcotest.(check (option int)) "the element's own slot" (Some 5) (Er_node.container_slot n 4)
 
 let test_global_extent_with_child () =
   (* Segment at gp 100 with element [0,10) and a child segment of
@@ -103,7 +107,7 @@ let test_global_extent_with_child () =
   let child = mk ~sid:2 ~parent_path:parent.Er_node.path ~lp:4 "<c>zzz</c>" [] in
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 10;
-  let gstart, gstop = Er_node.global_extent ~gp:100 parent { Er_node.start = 0; stop = 12; level = 0; tid = 0 } in
+  let gstart, gstop = Er_node.global_extent_span ~gp:100 parent ~start:0 ~stop:12 in
   check_int "gstart" 100 gstart;
   check_int "gstop includes child" 122 gstop
 
@@ -114,11 +118,11 @@ let test_global_extent_child_at_boundary () =
   let child = mk ~sid:2 ~parent_path:parent.Er_node.path ~lp:0 "<c/>" [] in
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 4;
-  let a_start, a_stop = Er_node.global_extent ~gp:0 parent { Er_node.start = 0; stop = 8; level = 0; tid = 0 } in
+  let a_start, a_stop = Er_node.global_extent_span ~gp:0 parent ~start:0 ~stop:8 in
   check_int "a pushed right" 4 a_start;
   check_int "a stop" 12 a_stop;
   (* The second element sits after both. *)
-  let d_start, _ = Er_node.global_extent ~gp:0 parent { Er_node.start = 8; stop = 12; level = 0; tid = 1 } in
+  let d_start, _ = Er_node.global_extent_span ~gp:0 parent ~start:8 ~stop:12 in
   check_int "d start" 12 d_start
 
 let test_path_chain () =
@@ -182,16 +186,14 @@ let test_columns_isolation () =
   check_int "other segment's b" 1 (Er_node.cols_length (Er_node.cols other ~tid:2));
   (* Removing elements swaps in new columns and leaves the old ones
      intact for whoever still holds them. *)
-  let old_b = Er_node.cols n ~tid:2 and old_elems = n.Er_node.elems in
+  let old_b = Er_node.cols n ~tid:2 in
   let dropped = ref [] in
   Er_node.remove_elements n ~vu:3 ~vv:7 (fun ~tid ~pid -> dropped := (tid, pid) :: !dropped);
   Alcotest.(check (list (pair int int))) "dropped b with its slot" [ (2, 1) ] !dropped;
   check_int "one b left" 1 (Er_node.cols_length (Er_node.cols n ~tid:2));
   check_int "old b columns untouched" 2 (Er_node.cols_length old_b);
-  check_int "old skeleton untouched" 4 (Vec.length old_elems);
   Er_node.remove_elements n ~vu:11 ~vv:15 (fun ~tid:_ ~pid:_ -> ());
-  check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2));
-  check_bool "columns agree" true (Er_node.skeleton_pids n = Some [| 0; 1 |])
+  check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2))
 
 let suite =
   [
@@ -204,8 +206,8 @@ let suite =
     Alcotest.test_case "tombstone invalid" `Quick test_tombstone_invalid;
     Alcotest.test_case "virt conversion" `Quick test_virt_conversion;
     Alcotest.test_case "virt conversion, two gaps" `Quick test_virt_conversion_two_gaps;
-    Alcotest.test_case "depth_at" `Quick test_depth_at;
-    Alcotest.test_case "depth_at with base" `Quick test_depth_at_with_base;
+    Alcotest.test_case "container_slot" `Quick test_container_slot;
+    Alcotest.test_case "container_slot, deep element" `Quick test_container_slot_deep;
     Alcotest.test_case "global extent with child" `Quick test_global_extent_with_child;
     Alcotest.test_case "global extent at boundaries" `Quick test_global_extent_child_at_boundary;
     Alcotest.test_case "path chain" `Quick test_path_chain;

@@ -66,7 +66,7 @@ let test_single_segment () =
   check_int "gp" 0 (Update_log.gp log n);
   check_int "len" 11 n.Er_node.len;
   check_int "lp" 0 n.Er_node.lp;
-  check_int "base level" 0 n.Er_node.base_level
+  check_int "base level" 0 (Array.length n.Er_node.ctx)
 
 let test_nested_insertion () =
   let log = Update_log.create () in
@@ -79,7 +79,7 @@ let test_nested_insertion () =
   check_int "s1 len grew" 22 n1.Er_node.len;
   check_int "s2 gp" 6 (Update_log.gp log n2);
   check_int "s2 lp" 6 n2.Er_node.lp;
-  check_int "s2 base level" 2 n2.Er_node.base_level;
+  check_int "s2 base level" 2 (Array.length n2.Er_node.ctx);
   check_bool "s2 child of s1" true
     (n2.Er_node.path = [| 0; s1; s2 |]);
   (* The <c> element must report absolute level 2. *)

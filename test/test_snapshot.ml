@@ -23,17 +23,33 @@ let build_sample () =
   Lazy_db.remove db ~gp:19 ~len:18;
   db
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  bytes
+
 let test_roundtrip_state () =
   let db = build_sample () in
+  (* A grandchild of the lib segment, with an indexed attribute. *)
+  let text = Lazy_db.text db in
+  let at = String.length text - String.length "</book></lib>" in
+  check_string "splice point" "</book></lib>" (String.sub text at (String.length text - at));
+  Lazy_db.insert db ~gp:at "<note k=\"v\">n</note>";
   let path = tmp "roundtrip" in
   Lazy_db.save db path;
+  let saved = read_bytes path in
   let db' = Lazy_db.load path in
-  Sys.remove path;
   Lazy_db.check db';
   check_string "text" (Lazy_db.text db) (Lazy_db.text db');
   check_int "segments" (Lazy_db.segment_count db) (Lazy_db.segment_count db');
   check_int "elements" (Lazy_db.element_count db) (Lazy_db.element_count db');
-  check_bool "engine" true (Lazy_db.engine db' = Lazy_db.LD)
+  check_bool "engine" true (Lazy_db.engine db' = Lazy_db.LD);
+  (* save . load . save is byte-identical: the format is pinned. *)
+  Lazy_db.save db' path;
+  let resaved = read_bytes path in
+  Sys.remove path;
+  check_bool "re-saved bytes identical" true (saved = resaved)
 
 let test_labels_survive () =
   (* Local labels must be preserved exactly — not reassigned by a
@@ -254,6 +270,31 @@ let test_hostile_snapshots () =
   expect_refused ~what:"format 1, no trailer" path
     (rewrite_line payload ~prefix:"LAZYXML-SNAPSHOT-" (fun _ -> "LAZYXML-SNAPSHOT-1"))
     ~reference;
+  (* Elements: the first two consecutive element lines of a segment,
+     [a] then [b], rewritten. *)
+  let rewrite_pair f =
+    let lines = Array.of_list (String.split_on_char '\n' payload) in
+    let is_e l = String.starts_with ~prefix:"e " l in
+    let rec first i =
+      if i + 1 >= Array.length lines then Alcotest.fail "no two consecutive element lines"
+      else if is_e lines.(i) && is_e lines.(i + 1) then i
+      else first (i + 1)
+    in
+    let i = first 0 in
+    let parse l = Scanf.sscanf l "e %d %d %d %d" (fun a b c d -> (a, b, c, d)) in
+    let a, b = f (parse lines.(i)) (parse lines.(i + 1)) in
+    let unparse (s, e, l, t) = Printf.sprintf "e %d %d %d %d" s e l t in
+    lines.(i) <- unparse a;
+    lines.(i + 1) <- unparse b;
+    String.concat "\n" (Array.to_list lines)
+  in
+  attempt "element starts out of order" (rewrite_pair (fun a b -> (b, a)));
+  attempt "overlapping elements"
+    (rewrite_pair (fun (s, _, l, t) ((s', e', _, _) as b) ->
+         if e' <= s' + 1 then Alcotest.fail "second element too short to cross";
+         ((s, s' + 1, l, t), b)));
+  attempt "extent past the text" (rewrite_pair (fun (s, _, l, t) b -> ((s, 1_000_000, l, t), b)));
+  attempt "level off its nesting" (rewrite_pair (fun a (s, e, l, t) -> (a, (s, e, l + 1, t))));
   (* Bytes after the last segment, inside the checksummed payload. *)
   attempt "trailing garbage" (payload ^ "e 0 1 0 0\n");
   Sys.remove path
