@@ -57,25 +57,77 @@ let count_below a x ~incl_eq =
 let no_columns = { tids = [||]; per_tag = [||] }
 
 (* Splits a segment's elements, given in document order as parallel
-   arrays, into per-tag columns: a stable sort of the element indices
-   by tag keeps each tag's run in document order. *)
+   arrays, into per-tag columns by a stable counting sort of the
+   element indices on tag id, so each tag's run keeps document order.
+   The count table has one entry per id in the segment's span, up to
+   256; ids spanning more are sorted a byte at a time, low byte first
+   (LSD radix).  The table is sized by the span because most inserts
+   are a few elements, where zeroing and summing 256 entries cost
+   more than a comparison sort. *)
 let columns_of ~tids ~starts ~stops ~pids =
   let n = Array.length tids in
   if Array.length starts <> n || Array.length stops <> n || Array.length pids <> n then
     invalid_arg "Er_node.columns_of: one start, stop and slot per element";
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> Int.compare tids.(a) tids.(b)) order;
-  let firsts = Vec.create () in
-  Array.iteri (fun r j -> if r = 0 || tids.(order.(r - 1)) <> tids.(j) then Vec.push firsts r) order;
-  let firsts = Vec.to_array firsts in
-  let k = Array.length firsts in
-  let per_tag =
-    Array.init k (fun x ->
-        let lo = firsts.(x) and hi = if x + 1 < k then firsts.(x + 1) else n in
-        let pick a = Array.init (hi - lo) (fun r -> a.(order.(lo + r))) in
-        { starts = pick starts; stops = pick stops; pids = pick pids })
-  in
-  { tids = Array.map (fun r -> tids.(order.(r))) firsts; per_tag }
+  let lo = ref max_int and hi = ref 0 in
+  Array.iter
+    (fun tid ->
+      if tid < 0 then invalid_arg "Er_node.columns_of: negative tag id";
+      if tid < !lo then lo := tid;
+      if tid > !hi then hi := tid)
+    tids;
+  let lo = !lo and span = if n = 0 then 0 else !hi - !lo in
+  let order = ref (Array.init n Fun.id) and spare = ref (Array.make n 0) in
+  let buckets = if span < 256 then span + 1 else 256 in
+  let count = Array.make buckets 0 and shift = ref 0 in
+  while !shift < Sys.int_size && span lsr !shift > 0 do
+    let src = !order and dst = !spare and sh = !shift in
+    let digit j = ((tids.(j) - lo) lsr sh) land 0xff in
+    Array.fill count 0 buckets 0;
+    Array.iter
+      (fun j ->
+        let d = digit j in
+        count.(d) <- count.(d) + 1)
+      src;
+    let sum = ref 0 in
+    for d = 0 to buckets - 1 do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    Array.iter
+      (fun j ->
+        let d = digit j in
+        dst.(count.(d)) <- j;
+        count.(d) <- count.(d) + 1)
+      src;
+    order := dst;
+    spare := src;
+    shift := sh + 8
+  done;
+  let order = !order in
+  let k = ref 0 in
+  for r = 0 to n - 1 do
+    if r = 0 || tids.(order.(r)) <> tids.(order.(r - 1)) then incr k
+  done;
+  let out_tids = Array.make !k 0 and per_tag = Array.make !k empty_cols in
+  let r = ref 0 in
+  for g = 0 to !k - 1 do
+    let first = !r and tid = tids.(order.(!r)) in
+    while !r < n && tids.(order.(!r)) = tid do
+      incr r
+    done;
+    let len = !r - first in
+    let s = Array.make len 0 and e = Array.make len 0 and p = Array.make len 0 in
+    for x = 0 to len - 1 do
+      let j = order.(first + x) in
+      s.(x) <- starts.(j);
+      e.(x) <- stops.(j);
+      p.(x) <- pids.(j)
+    done;
+    out_tids.(g) <- tid;
+    per_tag.(g) <- { starts = s; stops = e; pids = p }
+  done;
+  { tids = out_tids; per_tag }
 
 let cols t ~tid =
   let tids = t.columns.tids in

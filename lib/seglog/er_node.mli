@@ -54,8 +54,12 @@ val columns_of :
   tids:int array -> starts:int array -> stops:int array -> pids:int array -> columns
 (** Splits a segment's elements, given in document order as parallel
     arrays (element [j] has tag [tids.(j)], extent [[starts.(j),
-    stops.(j))] and slot [pids.(j)]), into per-tag columns.
-    @raise Invalid_argument on arrays of unequal length. *)
+    stops.(j))] and slot [pids.(j)]), into per-tag columns by a
+    stable counting sort on tag id: one O(n + span) pass for ids
+    spanning at most 256 values, one more pass per further byte of
+    span.
+    @raise Invalid_argument on arrays of unequal length or a negative
+    tag id. *)
 
 type translator
 (** A node's local→global translation frozen into prefix sums over its

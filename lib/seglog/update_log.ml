@@ -847,99 +847,106 @@ let snapshot_magic = "LAZYXML-SNAPSHOT-2"
 
 let save t oc =
   let open Er_node in
-  (* Written piece by piece, checksummed on the way: no payload-sized
-     buffer, so a checkpoint allocates nothing for the major heap. *)
-  let crc = ref 0 in
-  let emit s =
-    output_string oc s;
-    crc := Lxu_storage_core.Crc32.update !crc s ~pos:0 ~len:(String.length s)
+  let module W = Lxu_storage_core.Snapshot_io in
+  let w = W.writer oc in
+  let str s =
+    W.add_string w s;
+    W.add_char w '\n'
   in
-  let line fmt = Printf.ksprintf emit fmt in
-  line "%s\n" snapshot_magic;
-  line "mode %s\n" (match t.mode with Lazy_dynamic -> "LD" | Lazy_static -> "LS");
-  line "attrs %b\n" t.index_attributes;
-  line "next_sid %d\n" t.next_sid;
-  line "tags %d\n" (Tag_registry.count t.registry);
+  let field n =
+    W.add_char w ' ';
+    W.add_int w n
+  in
+  let int_line key n =
+    W.add_string w key;
+    field n;
+    W.add_char w '\n'
+  in
+  str snapshot_magic;
+  str (match t.mode with Lazy_dynamic -> "mode LD" | Lazy_static -> "mode LS");
+  str (if t.index_attributes then "attrs true" else "attrs false");
+  int_line "next_sid" t.next_sid;
+  int_line "tags" (Tag_registry.count t.registry);
   for tid = 0 to Tag_registry.count t.registry - 1 do
-    line "%s\n" (Tag_registry.name t.registry tid)
+    str (Tag_registry.name t.registry tid)
   done;
   let count = ref 0 in
   iter_subtree t.root (fun _ -> incr count);
-  line "segments %d\n" (!count - 1);
+  int_line "segments" (!count - 1);
   let depth = Path_synopsis.depth_table t.synopsis in
   iter_subtree t.root (fun n ->
       if not (is_root n) then begin
-        let parent_sid = n.path.(Array.length n.path - 2) in
-        line "seg %d %d %d %d %d %d %d %d %d\n" n.sid parent_sid (gp t n) n.len n.lp
-          (Array.length n.ctx)
-          n.orig_len (Vec.length n.tombstones) (element_count n);
-        emit n.text;
-        emit "\n";
-        Vec.iter (fun (a, b) -> line "t %d %d\n" a b) n.tombstones;
+        W.add_string w "seg";
+        List.iter field
+          [
+            n.sid;
+            n.path.(Array.length n.path - 2);
+            gp t n;
+            n.len;
+            n.lp;
+            Array.length n.ctx;
+            n.orig_len;
+            Vec.length n.tombstones;
+            element_count n;
+          ];
+        W.add_char w '\n';
+        str n.text;
+        Vec.iter
+          (fun (a, b) ->
+            W.add_char w 't';
+            field a;
+            field b;
+            W.add_char w '\n')
+          n.tombstones;
         iter_elements n (fun ~tid ~start ~stop ~pid ->
-            line "e %d %d %d %d\n" start stop depth.(pid) tid)
+            W.add_char w 'e';
+            field start;
+            field stop;
+            field depth.(pid);
+            field tid;
+            W.add_char w '\n')
       end);
-  Printf.fprintf oc "crc %08x\n" !crc
+  W.finish w
 
 let full_check = check
 
 let load ?(backend = Storage_backend.Mem) ic =
   let open Er_node in
-  (* Every refusal is a [Failure] naming the byte offset — callers
-     (Lazy_db.load, Recovery.read_snapshot) prepend the file path.
-     Nothing in here may escape as End_of_file, Invalid_argument or
-     Out_of_memory: a truncated or hostile snapshot must never look
-     like a crash.  Two passes over the (seekable) channel: the first
-     verifies the checksum trailer, the second parses, bounding every
+  let module R = Lxu_storage_core.Snapshot_io in
+  (* Every refusal is a [Failure] naming the byte offset of the line
+     at fault — callers (Lazy_db.load, Recovery.read_snapshot) prepend
+     the file path.  Nothing in here may escape as End_of_file,
+     Invalid_argument or Out_of_memory: a truncated or hostile
+     snapshot must never look like a crash.  Two passes over the
+     (seekable) channel: the first verifies the checksum trailer, the
+     second parses through the reader's bounded buffer, bounding every
      count and length by the payload bytes left before it allocates.
      Neither holds the whole file in memory. *)
-  let base = pos_in ic in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg -> failwith (Printf.sprintf "%s (snapshot byte %d)" msg (pos_in ic)))
-      fmt
-  in
-  let line () = try input_line ic with End_of_file -> fail "snapshot truncated" in
-  (match line () with
+  let r = R.reader ic in
+  let fail fmt = R.fail r fmt in
+  let line () = if not (R.next_line r) then fail "snapshot truncated" in
+  line ();
+  (match R.line r with
   | m when m = snapshot_magic -> ()
   | "LAZYXML-SNAPSHOT-1" ->
     fail "snapshot format 1 (no checksum) is no longer supported; re-save it"
   | _ -> fail "not a lazy-xml snapshot");
-  (* Trailer: the last 13 bytes, [crc XXXXXXXX\n] (lowercase hex), over
-     every byte before it. *)
-  let limit = in_channel_length ic - 13 in
-  if limit < pos_in ic then fail "snapshot truncated (no checksum trailer)";
-  seek_in ic limit;
-  let trailer = really_input_string ic 13 in
-  let hex = String.sub trailer 4 8 in
-  if not
-       (String.sub trailer 0 4 = "crc "
-       && trailer.[12] = '\n'
-       && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) hex)
-  then fail "snapshot truncated (no checksum trailer)";
-  let stored = int_of_string ("0x" ^ hex) in
-  seek_in ic base;
-  let chunk = Bytes.create 65536 in
-  let rec crc_to acc =
-    let want = min (Bytes.length chunk) (limit - pos_in ic) in
-    if want = 0 then acc
-    else begin
-      really_input ic chunk 0 want;
-      (* The chunk is not mutated while [update] reads it. *)
-      crc_to (Lxu_storage_core.Crc32.update acc (Bytes.unsafe_to_string chunk) ~pos:0 ~len:want)
-    end
+  R.verify_trailer r;
+  let left () = R.left r in
+  (* The next line: [key], then the fields [f] reads, then its end. *)
+  let fields key f =
+    line ();
+    match
+      R.keyword r key;
+      let v = f () in
+      R.eol r;
+      v
+    with
+    | v -> v
+    | exception R.Malformed -> fail "bad snapshot line: %s" (R.line r)
   in
-  let actual = crc_to 0 in
-  if stored <> actual then
-    fail "snapshot checksum mismatch (stored %08x, computed %08x)" stored actual;
-  seek_in ic base;
-  let left () = limit - pos_in ic in
-  let scan fmt k =
-    let l = line () in
-    (* Scanf signals a line that ends mid-format with End_of_file. *)
-    try Scanf.sscanf l fmt k
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad snapshot line: %s" l
-  in
+  let word_line key = fields key (fun () -> R.word r) in
+  let int_line key = fields key (fun () -> R.int r) in
   (* Each counted record takes at least one byte, so a count above the
      bytes left is a lie — refuse it before allocating for it. *)
   let bounded n what =
@@ -947,51 +954,75 @@ let load ?(backend = Storage_backend.Mem) ic =
     if n > left () then fail "%s %d exceeds the %d bytes left" what n (left ());
     n
   in
-  let input_exactly n what = really_input_string ic (bounded n what) in
-  ignore (line ());
   let mode =
-    scan "mode %s" (function
-      | "LD" -> Lazy_dynamic
-      | "LS" -> Lazy_static
-      | m -> fail "unknown mode %s" m)
+    match word_line "mode" with
+    | "LD" -> Lazy_dynamic
+    | "LS" -> Lazy_static
+    | m -> fail "unknown mode %s" m
   in
-  let index_attributes = scan "attrs %B" Fun.id in
-  let next_sid = scan "next_sid %d" Fun.id in
+  let index_attributes =
+    match word_line "attrs" with
+    | "true" -> true
+    | "false" -> false
+    | a -> fail "bad attrs flag %s" a
+  in
+  let next_sid = int_line "next_sid" in
   let t = create ~mode ~index_attributes ~backend () in
   t.next_sid <- next_sid;
-  let tag_count = bounded (scan "tags %d" Fun.id) "tag count" in
+  let tag_count = bounded (int_line "tags") "tag count" in
   for expected = 0 to tag_count - 1 do
-    let tid = Tag_registry.intern t.registry (line ()) in
+    line ();
+    let tid = Tag_registry.intern t.registry (R.line r) in
     if tid <> expected then fail "tag table out of order"
   done;
-  let seg_count = bounded (scan "segments %d" Fun.id) "segment count" in
+  let seg_count = bounded (int_line "segments") "segment count" in
   let by_sid = Hashtbl.create (seg_count + 1) in
   Hashtbl.add by_sid 0 t.root;
   let elements = Hashtbl.create (seg_count + 1) in
   for _ = 1 to seg_count do
     let sid, parent_sid, gp, len, lp, base_level, orig_len, n_tomb, n_elems =
-      scan "seg %d %d %d %d %d %d %d %d %d" (fun a b c d e f g h i ->
-          (a, b, c, d, e, f, g, h, i))
+      fields "seg" (fun () ->
+          (* Fields are read left to right. *)
+          let sid = R.int r in
+          let parent_sid = R.int r in
+          let gp = R.int r in
+          let len = R.int r in
+          let lp = R.int r in
+          let base_level = R.int r in
+          let orig_len = R.int r in
+          let n_tomb = R.int r in
+          let n_elems = R.int r in
+          (sid, parent_sid, gp, len, lp, base_level, orig_len, n_tomb, n_elems))
     in
+    let seg_off = R.line_offset r in
     if Hashtbl.mem by_sid sid then fail "segment sid %d appears twice" sid;
-    let text = input_exactly orig_len "segment text length" in
-    if left () < 1 || input_char ic <> '\n' then fail "missing newline after segment text";
+    let text =
+      match R.block r (bounded orig_len "segment text length") with
+      | text -> text
+      | exception R.Malformed -> fail "snapshot truncated"
+    in
+    if R.byte r <> Char.code '\n' then fail "missing newline after segment text";
     let tombs =
-      List.init (bounded n_tomb "tombstone count") (fun _ -> scan "t %d %d" (fun a b -> (a, b)))
+      List.init (bounded n_tomb "tombstone count") (fun _ ->
+          fields "t" (fun () ->
+              let a = R.int r in
+              let b = R.int r in
+              (a, b)))
     in
     let n_elems = bounded n_elems "element count" in
     let tids = Array.make n_elems 0 and starts = Array.make n_elems 0 in
     let stops = Array.make n_elems 0 and levels = Array.make n_elems 0 in
     for j = 0 to n_elems - 1 do
-      let start, stop, level, tid = scan "e %d %d %d %d" (fun a b c d -> (a, b, c, d)) in
+      fields "e" (fun () ->
+          starts.(j) <- R.int r;
+          stops.(j) <- R.int r;
+          levels.(j) <- R.int r;
+          tids.(j) <- R.int r);
+      let tid = tids.(j) in
       if tid < 0 || tid >= tag_count then
         fail "segment %d: element tag id %d outside the %d-tag table" sid tid tag_count;
-      if j > 0 && start <= starts.(j - 1) then
-        fail "segment %d: element starts out of document order" sid;
-      tids.(j) <- tid;
-      starts.(j) <- start;
-      stops.(j) <- stop;
-      levels.(j) <- level
+      if j > 0 && starts.(j) <= starts.(j - 1) then
+        fail "segment %d: element starts out of document order" sid
     done;
     let parent =
       match Hashtbl.find_opt by_sid parent_sid with
@@ -1008,9 +1039,10 @@ let load ?(backend = Storage_backend.Mem) ic =
     List.iter (Vec.push node.tombstones) tombs;
     Vec.push parent.children node;
     Hashtbl.add by_sid sid node;
-    Hashtbl.add elements sid (base_level, tids, starts, stops, levels)
+    Hashtbl.add elements sid (seg_off, base_level, tids, starts, stops, levels)
   done;
-  if left () <> 0 then fail "%d unparsed bytes before the checksum trailer" (left ());
+  if left () <> 0 then
+    R.fail_at (R.offset r) "%d unparsed bytes before the checksum trailer" (left ());
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
@@ -1023,7 +1055,8 @@ let load ?(backend = Storage_backend.Mem) ic =
      elements (overlapping, outside the text) make the slots wrong,
      never raise here: [full_check] refuses them below. *)
   iter_contexts t.root (fun n ctx ->
-      let base_level, tids, starts, stops, levels = Hashtbl.find elements n.sid in
+      let seg_off, base_level, tids, starts, stops, levels = Hashtbl.find elements n.sid in
+      let fail fmt = R.fail_at seg_off fmt in
       if base_level <> Array.length ctx then
         fail "segment %d: base level %d under a context chain of %d" n.sid base_level
           (Array.length ctx);

@@ -243,7 +243,10 @@ val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
     its end; the channel must be seekable (a file).  The checksum
     trailer is verified in a first pass before anything is parsed, and
     every count and length is bounded by the bytes left before it is
-    allocated.  Derived structures (element columns, SB-tree, tag
+    allocated.  Lines are scanned in place through a bounded buffer
+    ({!Lxu_storage_core.Snapshot_io}) and accepted only in the
+    spelling {!save} writes: single spaces, ints as [-?[0-9]+] within
+    [max_int], ['\n'] line ends, no trailing bytes.  Derived structures (element columns, SB-tree, tag
     lists, path synopsis) are rebuilt from the segment data in time
     linear in the snapshot, stored levels must equal the rebuilt ones,
     and the result is cross-checked by {!check}.

@@ -1,5 +1,5 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the per-record
-    checksum of the write-ahead log.  Pure OCaml, table-driven; values
+    checksum of the write-ahead log.  Pure OCaml, slicing-by-8; values
     are non-negative ints in [0, 2{^32}).  The reference check value
     is [string "123456789" = 0xCBF43926]. *)
 
@@ -14,7 +14,8 @@ val update : int -> string -> pos:int -> len:int -> int
 (** [update crc s ~pos ~len] extends checksum [crc] of some bytes with
     the range [pos, pos+len) of [s]: [update (string a) b ~pos:0
     ~len:(String.length b) = string (a ^ b)], and [update 0] is
-    {!sub}.  For checksumming a stream written piece by piece.
+    {!sub}.  Only the low 32 bits of [crc] are read.  For
+    checksumming a stream written piece by piece.
     @raise Invalid_argument on an out-of-bounds range. *)
 
 val bytes_sub : bytes -> pos:int -> len:int -> int

@@ -64,18 +64,34 @@ let read_snapshot ?pstore ~path () =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let fail msg = failwith (Printf.sprintf "%s: %s (at byte %d)" path msg (pos_in ic)) in
-      let first = try input_line ic with End_of_file -> fail "truncated checkpoint header" in
+      let r = Snapshot_io.reader ic in
+      let fail msg =
+        failwith (Printf.sprintf "%s: %s (at byte %d)" path msg (Snapshot_io.line_offset r))
+      in
+      if not (Snapshot_io.next_line r) then fail "truncated checkpoint header";
+      let first = Snapshot_io.line r in
       if String.starts_with ~prefix:"LXUCKPT1 " first then
         fail "checkpoint format 1 (no header checksum) is no longer supported";
       let lsn =
-        try Scanf.sscanf first "LXUCKPT2 lsn %d crc %_x%!" Fun.id
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "not a lazyxml checkpoint"
+        match
+          Snapshot_io.keyword r snapshot_magic;
+          if Snapshot_io.word r <> "lsn" then raise Snapshot_io.Malformed;
+          let lsn = Snapshot_io.int r in
+          if Snapshot_io.word r <> "crc" then raise Snapshot_io.Malformed;
+          ignore (Snapshot_io.word r);
+          Snapshot_io.eol r;
+          lsn
+        with
+        | lsn -> lsn
+        | exception Snapshot_io.Malformed -> fail "not a lazyxml checkpoint"
       in
       (* The line must be exactly what [write_snapshot] writes for this
          LSN, checksum included: any other spelling of a number that
          parses is a damaged header. *)
       if lsn < 0 || first <> header_line lsn then fail "checkpoint header checksum mismatch";
+      (* The payload starts after the header line, wherever the
+         reader's buffer has got to. *)
+      seek_in ic (Snapshot_io.offset r);
       (* Update_log.load's messages already carry the byte offset. *)
       let log =
         try Update_log.load ~backend:(backend_for ?pstore lsn) ic

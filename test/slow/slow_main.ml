@@ -41,6 +41,8 @@
      increasing, equal and interleaved hooks under nested same-tag
      ancestors, with text tombstoned around the hooks, joined by
      [run], [count] and [semi] and checked against the naive join.
+   - snapshot bytes on perfbench's two XMark stores: pinned length
+     and trailer checksum, and save . load . save byte-identical.
 
    Quick versions of all four run under the default test alias; this
    tier is:
@@ -123,4 +125,6 @@ let () =
     (Lxu_props.Sweep_props.hooks_agree ~count:cases);
   Printf.printf
     "frame sweep: %d cases, run/count/semi equal to the naive join on LD/LS x 1/4 domains\n%!"
-    cases
+    cases;
+  Snapshot_golden.run ();
+  Printf.printf "snapshot bytes: XMark stores of 2,000 and 4,000 persons save to their pinned bytes and re-save identically\n%!"

@@ -195,10 +195,64 @@ let test_columns_isolation () =
   Er_node.remove_elements n ~vu:11 ~vv:15 (fun ~tid:_ ~pid:_ -> ());
   check_int "b gone" 0 (Er_node.cols_length (Er_node.cols n ~tid:2))
 
+(* [columns_of] against a stable sort of the element indices by tag,
+   grouped into runs: each tag's column holds its elements in document
+   order. *)
+let reference_columns ~tids ~starts ~stops ~pids =
+  let order = List.stable_sort (fun a b -> compare tids.(a) tids.(b)) (List.init (Array.length tids) Fun.id) in
+  let rec group = function
+    | [] -> []
+    | j :: _ as l ->
+      let run, rest = List.partition (fun k -> tids.(k) = tids.(j)) l in
+      let pick a = Array.of_list (List.map (Array.get a) run) in
+      (tids.(j), (pick starts, pick stops, pick pids)) :: group rest
+  in
+  group order
+
+let test_columns_counting_sort () =
+  let rng = Random.State.make [| 30 |] in
+  let agree what tids =
+    let n = Array.length tids in
+    let starts = Array.init n (fun j -> 3 * j) and stops = Array.init n (fun j -> (3 * j) + 1) in
+    let pids = Array.init n (fun _ -> Random.State.int rng 1000) in
+    let c = Er_node.columns_of ~tids ~starts ~stops ~pids in
+    let got =
+      List.combine (Array.to_list c.Er_node.tids)
+        (List.map
+           (fun (k : Er_node.cols) -> (k.starts, k.stops, k.pids))
+           (Array.to_list c.Er_node.per_tag))
+    in
+    check_bool what true (got = reference_columns ~tids ~starts ~stops ~pids)
+  in
+  agree "empty" [||];
+  agree "single tag" (Array.make 50 7);
+  agree "one element" [| 1 lsl 40 |];
+  for round = 1 to 60 do
+    let n = Random.State.int rng 300 in
+    (* Dense small ids, ids spanning more than one byte, and a few
+       sparse ids up to max_int. *)
+    let pool =
+      match round mod 3 with
+      | 0 -> Array.init 12 Fun.id
+      | 1 -> Array.init 40 (fun _ -> Random.State.int rng 70_000)
+      | _ -> [| 0; 255; 256; 1 lsl 40; (1 lsl 40) + 1; max_int |]
+    in
+    agree
+      (Printf.sprintf "round %d" round)
+      (Array.init n (fun _ -> pool.(Random.State.int rng (Array.length pool))))
+  done;
+  let one = [| 0 |] in
+  Alcotest.check_raises "negative tag id" (Invalid_argument "Er_node.columns_of: negative tag id")
+    (fun () -> ignore (Er_node.columns_of ~tids:[| 2; -1 |] ~starts:[| 0; 1 |] ~stops:[| 5; 2 |] ~pids:[| 0; 1 |]));
+  Alcotest.check_raises "ragged arrays"
+    (Invalid_argument "Er_node.columns_of: one start, stop and slot per element") (fun () ->
+      ignore (Er_node.columns_of ~tids:one ~starts:one ~stops:[||] ~pids:one))
+
 let suite =
   [
     Alcotest.test_case "columns: per-tag order" `Quick test_columns_order;
     Alcotest.test_case "columns: per-tag isolation" `Quick test_columns_isolation;
+    Alcotest.test_case "columns: counting sort = stable sort" `Quick test_columns_counting_sort;
     Alcotest.test_case "make_root" `Quick test_make_root;
     Alcotest.test_case "tombstone accounting" `Quick test_tombstone_accounting;
     Alcotest.test_case "tombstone merge" `Quick test_tombstone_merge;

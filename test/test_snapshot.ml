@@ -297,6 +297,92 @@ let test_hostile_snapshots () =
   attempt "level off its nesting" (rewrite_pair (fun a (s, e, l, t) -> (a, (s, e, l + 1, t))));
   (* Bytes after the last segment, inside the checksummed payload. *)
   attempt "trailing garbage" (payload ^ "e 0 1 0 0\n");
+  (* Fields in any spelling but the writer's: one space between
+     fields, decimal ints with at most a leading '-', '\n' line ends.
+     Scanf accepted trailing bytes and "+5". *)
+  let e_line f = rewrite_line payload ~prefix:"e " f in
+  let replace_first ~sub ~by l =
+    let i =
+      let rec find i = if String.sub l i (String.length sub) = sub then i else find (i + 1) in
+      find 0
+    in
+    let rest = i + String.length sub in
+    String.sub l 0 i ^ by ^ String.sub l rest (String.length l - rest)
+  in
+  let past_max_int = Printf.sprintf "%Lu" (Int64.succ (Int64.of_int max_int)) in
+  attempt "int past max_int" (e_line (set_tid past_max_int));
+  (* 2^63 + tid wraps to tid itself in unchecked 63-bit arithmetic. *)
+  attempt "int wrapping onto its own value"
+    (e_line (fun l ->
+         let tid = List.nth (String.split_on_char ' ' l) 4 in
+         set_tid (Printf.sprintf "%Lu" (Int64.add Int64.min_int (Int64.of_string tid))) l));
+  attempt "count past max_int"
+    (rewrite_line payload ~prefix:"seg " (set_seg_field 8 past_max_int));
+  attempt "missing field" (e_line (fun l -> String.sub l 0 (String.rindex l ' ')));
+  attempt "missing seg field"
+    (rewrite_line payload ~prefix:"seg " (fun l -> String.sub l 0 (String.rindex l ' ')));
+  attempt "extra field" (e_line (fun l -> l ^ " 0"));
+  attempt "trailing bytes" (e_line (fun l -> l ^ "x"));
+  attempt "trailing bytes after a word" (rewrite_line payload ~prefix:"attrs " (fun l -> l ^ "x"));
+  attempt "empty field" (e_line (replace_first ~sub:" " ~by:"  "));
+  attempt "lone -" (e_line (set_tid "-"));
+  attempt "+5" (rewrite_line payload ~prefix:"seg " (fun l -> set_seg_field 0 ("+" ^ first_sid) l));
+  attempt "tab separator" (e_line (replace_first ~sub:" " ~by:"\t"));
+  attempt "CRLF line end" (e_line (fun l -> l ^ "\r"));
+  attempt "CRLF after a count" (rewrite_line payload ~prefix:"segments " (fun l -> l ^ "\r"));
+  Sys.remove path
+
+(* The bytes the format-2 writer has always produced for
+   [build_sample]: a writer change that moves one byte fails here, and
+   loading them back proves the reader still takes them. *)
+let golden_sample =
+  "LAZYXML-SNAPSHOT-2\nmode LD\nattrs true\nnext_sid 4\ntags 5\nlib\nbook\n@id\ntitle\nauthor\nsegments 3\nseg 1 0 0 75 0 0 11 0 1\n<lib></lib>\ne 0 11 0 0\nseg 3 1 5 21 5 1 39 1 2\n<book id=\"b2\"><author>a</author></book>\nt 14 32\ne 0 39 1 1\ne 6 13 2 2\nseg 2 1 26 43 5 1 43 0 3\n<book id=\"b1\"><title>t&amp;t</title></book>\ne 0 43 1 1\ne 6 13 2 2\ne 14 36 2 3\ncrc 0d7b44f6\n"
+
+let test_golden_bytes () =
+  let db = build_sample () in
+  let path = tmp "golden" in
+  Lazy_db.save db path;
+  check_string "saved bytes" golden_sample (read_bytes path);
+  let oc = open_out_bin path in
+  output_string oc golden_sample;
+  close_out oc;
+  let db' = Lazy_db.load path in
+  Sys.remove path;
+  check_string "golden bytes load" (Lazy_db.text db) (Lazy_db.text db');
+  Lazy_db.check db'
+
+(* The writer's ints at every digit-count boundary, negatives
+   included, read back by the scanner; [min_int] is written but is
+   past the scanner's range, like every magnitude above [max_int]. *)
+let test_int_fields () =
+  let module S = Lxu_storage_core.Snapshot_io in
+  let ints =
+    List.concat_map (fun p -> [ p - 1; p ]) (List.init 19 (fun k -> int_of_float (10. ** float k)))
+    @ [ 0; max_int; -1; -10; -max_int ]
+  in
+  let path = tmp "ints" in
+  let oc = open_out_bin path in
+  let w = S.writer oc in
+  S.add_string w "i";
+  List.iter
+    (fun n ->
+      S.add_char w ' ';
+      S.add_int w n)
+    (ints @ [ min_int ]);
+  S.add_char w '\n';
+  S.finish w;
+  close_out oc;
+  let body = "i " ^ String.concat " " (List.map string_of_int (ints @ [ min_int ])) ^ "\n" in
+  check_string "written as string_of_int" (seal body) (read_bytes path);
+  let ic = open_in_bin path in
+  let r = S.reader ic in
+  S.verify_trailer r;
+  check_bool "one line" true (S.next_line r);
+  S.keyword r "i";
+  List.iter (fun n -> check_int (string_of_int n) n (S.int r)) ints;
+  check_bool "min_int refused" true
+    (match S.int r with exception S.Malformed -> true | _ -> false);
+  close_in ic;
   Sys.remove path
 
 (* The checksum: a flipped byte anywhere in the file — segment text
@@ -350,6 +436,8 @@ let suite =
     Alcotest.test_case "malformed rejected" `Quick test_malformed_snapshot;
     Alcotest.test_case "malformed sweep" `Quick test_malformed_snapshot_sweep;
     Alcotest.test_case "hostile snapshots refused" `Quick test_hostile_snapshots;
+    Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+    Alcotest.test_case "int fields round-trip" `Quick test_int_fields;
     Alcotest.test_case "flipped bytes refused" `Quick test_flipped_bytes;
     Alcotest.test_case "empty roundtrip" `Quick test_empty_db_roundtrip;
   ]

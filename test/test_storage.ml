@@ -53,6 +53,79 @@ let test_crc_vectors () =
   Alcotest.(check bool) "one bit changes the sum" true
     (Crc32.string "123456789" <> Crc32.string "123456799")
 
+(* The bytewise table CRC, one lookup per byte: the reference the
+   slicing-by-8 [Crc32.update] must agree with everywhere. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_update crc s ~pos ~len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := ref_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_differential () =
+  let rng = Random.State.make [| 30 |] in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let check what expected got = Alcotest.(check int) what expected got in
+  for _ = 1 to 200 do
+    let s = random_string (Random.State.int rng 600) in
+    check "random string" (ref_update 0 s ~pos:0 ~len:(String.length s)) (Crc32.string s)
+  done;
+  (* Every offset into an 8-byte step and every length up to 40: whole
+     steps, tails, and ranges shorter than one step. *)
+  let s = random_string 48 in
+  for pos = 0 to 7 do
+    for len = 0 to 40 do
+      check
+        (Printf.sprintf "pos %d len %d" pos len)
+        (ref_update 0 s ~pos ~len) (Crc32.sub s ~pos ~len)
+    done
+  done;
+  (* Chained updates over random cuts, each piece at its own offset. *)
+  for _ = 1 to 100 do
+    let s = random_string (Random.State.int rng 300) in
+    let rec chain crc at =
+      if at = String.length s then crc
+      else begin
+        let len = 1 + Random.State.int rng (String.length s - at) in
+        let pad = Random.State.int rng 8 in
+        let piece = random_string pad ^ String.sub s at len ^ random_string pad in
+        chain (Crc32.update crc piece ~pos:pad ~len) (at + len)
+      end
+    in
+    check "chained" (ref_update 0 s ~pos:0 ~len:(String.length s)) (chain 0 0)
+  done;
+  let b = Bytes.of_string (random_string 100) in
+  for pos = 0 to 9 do
+    check
+      (Printf.sprintf "bytes_sub pos %d" pos)
+      (ref_update 0 (Bytes.to_string b) ~pos ~len:(90 - pos))
+      (Crc32.bytes_sub b ~pos ~len:(90 - pos))
+  done;
+  (* Bits above the 32 of a checksum are ignored, never used as an
+     index. *)
+  List.iter
+    (fun crc ->
+      check
+        (Printf.sprintf "crc argument %d" crc)
+        (Crc32.update (crc land 0xFFFFFFFF) s ~pos:0 ~len:48)
+        (Crc32.update crc s ~pos:0 ~len:48))
+    [ -1; min_int; max_int; (1 lsl 40) lor 5 ];
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d refused" pos len)
+        (Invalid_argument "Crc32: range out of bounds")
+        (fun () -> ignore (Crc32.sub s ~pos ~len)))
+    [ (-1, 2); (0, -1); (40, 9); (49, 0); (1, max_int) ]
+
 (* --- wal encode / scan ------------------------------------------------ *)
 
 let test_wal_roundtrip () =
@@ -243,6 +316,7 @@ let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc32 update chains" `Quick test_crc_update;
+    Alcotest.test_case "crc32 = bytewise reference" `Quick test_crc_differential;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal header modes" `Quick test_wal_modes;
     Alcotest.test_case "torn tail truncates" `Quick test_torn_tail;
