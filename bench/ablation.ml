@@ -15,7 +15,7 @@
    approach. *)
 
 open Lxu_seglog
-open Lxu_labeling
+open Lxu_baselines
 
 (* A nested chain of segments, each carrying many A-elements of which
    only ONE wraps the hook where the next segments (and the D-carrying
@@ -79,8 +79,8 @@ let run_joins () =
   Update_log.prepare_for_query log;
   let anc = "A" and desc = "D" in
   (* Shared global input lists for the list-based algorithms. *)
-  let a = Lxu_join.Std_baseline.global_list log ~tag:anc in
-  let d = Lxu_join.Std_baseline.global_list log ~tag:desc in
+  let a = Std_baseline.global_list log ~tag:anc in
+  let d = Std_baseline.global_list log ~tag:desc in
   Printf.printf
     "workload: %d segments in a chain, %d A-elements (1 hook + 19 inert per\n\
      segment), %d D-elements in leaf carriers; all joins cross-segment\n\n"
@@ -93,31 +93,24 @@ let run_joins () =
   let scans = ref 0 in
   let t_mpm =
     best_of_9 (fun () ->
-        let _, s = Lxu_join.Mpmgjn.join ~anc:a ~desc:d () in
-        scans := s.Lxu_join.Stack_tree_desc.d_scanned)
+        let _, s = Mpmgjn.join ~anc:a ~desc:d () in
+        scans := s.Stack_tree_desc.d_scanned)
   in
   row "MPMGJN (merge join, lists ready)" t_mpm (Some !scans);
   let t_std =
     best_of_9 (fun () ->
-        let _, s = Lxu_join.Stack_tree_desc.join ~anc:a ~desc:d () in
-        scans := s.Lxu_join.Stack_tree_desc.d_scanned)
+        let _, s = Stack_tree_desc.join ~anc:a ~desc:d () in
+        scans := s.Stack_tree_desc.d_scanned)
   in
   row "Stack-Tree-Desc (lists ready)" t_std (Some !scans);
   let t_sta =
     best_of_9 (fun () ->
-        let _, s = Lxu_join.Stack_tree_anc.join ~anc:a ~desc:d () in
-        scans := s.Lxu_join.Stack_tree_desc.d_scanned)
+        let _, s = Stack_tree_anc.join ~anc:a ~desc:d () in
+        scans := s.Stack_tree_desc.d_scanned)
   in
   row "Stack-Tree-Anc (lists ready)" t_sta (Some !scans);
-  let xr_a = Lxu_join.Xr_index.build a and xr_d = Lxu_join.Xr_index.build d in
-  let t_xr =
-    best_of_9 (fun () ->
-        let _, s = Lxu_join.Xr_join.join ~anc:xr_a ~desc:xr_d () in
-        scans := s.Lxu_join.Stack_tree_desc.d_scanned)
-  in
-  row "XR-tree join (indexes ready)" t_xr (Some !scans);
   let t_base =
-    best_of_9 (fun () -> ignore (Lxu_join.Std_baseline.run log ~anc ~desc ()))
+    best_of_9 (fun () -> ignore (Std_baseline.run log ~anc ~desc ()))
   in
   row "classical join over lazy store" t_base None;
   row "Lazy-Join"
@@ -143,49 +136,13 @@ let run_joins () =
 let run_labels () =
   Bench_util.header "Ablation: labeling scheme storage under adversarial insertion";
   Printf.printf
-    "(n siblings inserted by repeated bisection between the same two\n\
-    \ neighbours — the worst case for immutable prefix labels [4];\n\
-    \ 'max' is the largest single label in bits)\n\n";
-  Bench_util.columns [ 8; 12; 12; 12; 14; 12; 14 ]
-    [ "n"; "interval"; "dewey tot"; "dewey max"; "binary tot"; "binary max"; "prime tot" ];
+    "(n siblings inserted at the same point; total label bits)\n\n";
+  Bench_util.columns [ 8; 12; 14 ] [ "n"; "interval"; "prime tot" ];
   List.iter
     (fun n ->
       (* Interval labels: fixed 3 machine words per element, but every
          insertion relabels (Figure 16's cost, not shown here). *)
       let interval_bits = n * 3 * 63 in
-      (* Dewey/ORDPATH under alternating bisection: every new label
-         lands between the two most recent neighbours, flipping sides —
-         the pattern that defeats value-growth escapes and forces
-         component-count growth. *)
-      let dewey_total, dewey_max =
-        let root = Dewey_label.root in
-        let left = ref (Dewey_label.nth_child root 0) in
-        let right = ref (Dewey_label.nth_child root 1) in
-        let total = ref (Dewey_label.bit_size !left + Dewey_label.bit_size !right) in
-        let biggest = ref 0 in
-        for i = 3 to n do
-          let lbl =
-            Dewey_label.child_between ~parent:root ~left:(Some !left) ~right:(Some !right)
-          in
-          total := !total + Dewey_label.bit_size lbl;
-          if Dewey_label.bit_size lbl > !biggest then biggest := Dewey_label.bit_size lbl;
-          if i mod 2 = 0 then left := lbl else right := lbl
-        done;
-        (!total, !biggest)
-      in
-      (* CKM binary codes support appends only (the paper's critique);
-         measured in their only (best) case. *)
-      let binary_total, binary_max =
-        let code = ref Binary_label.first_code in
-        let total = ref (String.length !code) in
-        let biggest = ref (String.length !code) in
-        for _ = 2 to n do
-          code := Binary_label.next_code !code;
-          total := !total + String.length !code;
-          if String.length !code > !biggest then biggest := String.length !code
-        done;
-        (!total, !biggest)
-      in
       (* PRIME: label products plus the SC table for a flat tree with
          middle insertions. *)
       let prime_bits =
@@ -196,23 +153,14 @@ let run_labels () =
         done;
         Prime_label.label_bits t + Prime_label.sc_bits t
       in
-      Bench_util.columns [ 8; 12; 12; 12; 14; 12; 14 ]
-        [
-          string_of_int n;
-          string_of_int interval_bits;
-          string_of_int dewey_total;
-          string_of_int dewey_max;
-          string_of_int binary_total;
-          string_of_int binary_max;
-          string_of_int prime_bits;
-        ])
+      Bench_util.columns [ 8; 12; 14 ]
+        [ string_of_int n; string_of_int interval_bits; string_of_int prime_bits ])
     [ 50; 100; 200; 400; 800 ];
   Printf.printf
-    "\nUnder bisection the largest Dewey label grows linearly with n (the\n\
-     Omega(n)-bits-per-label bound of [4]), while interval labels stay at\n\
-     three words but pay Figure 16's relabeling on every update.  The lazy\n\
-     scheme gets the best of both: interval-sized labels that never change,\n\
-     at the price of the (small) update log.\n"
+    "\nPRIME's label products and SC table grow superlinearly, while interval\n\
+     labels stay at three words but pay Figure 16's relabeling on every\n\
+     update.  The lazy scheme gets the best of both: interval-sized labels\n\
+     that never change, at the price of the (small) update log.\n"
 
 (* The comparison the paper defers to future work (§6): the lazy
    approach against W-BOX-style order-maintenance labeling [9], plus
@@ -274,13 +222,13 @@ let run_boxes () =
       (* Traditional: same shape; insert+remove one element mid-doc. *)
       let trad_ms, trad_touch =
         let store = Bench_util.load_store (Fig_workload.balanced_doc n) in
-        let gp = Lxu_labeling.Interval_store.doc_length store / 2 / 4 * 4 in
+        let gp = Interval_store.doc_length store / 2 / 4 * 4 in
         let ms =
           Bench_util.measure ~repeat:5 (fun () ->
-              Lxu_labeling.Interval_store.insert store ~gp "<x/>";
-              Lxu_labeling.Interval_store.remove store ~gp ~len:4)
+              Interval_store.insert store ~gp "<x/>";
+              Interval_store.remove store ~gp ~len:4)
         in
-        (ms, Lxu_labeling.Interval_store.last_relabel_count store)
+        (ms, Interval_store.last_relabel_count store)
       in
       (* PRIME: n nodes; middle insertion (no removal support: measure
          a handful of inserts on a fresh structure). *)

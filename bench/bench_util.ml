@@ -71,8 +71,8 @@ let load_log mode edits =
 
 (* Builds the traditional interval store from an edit schedule. *)
 let load_store edits =
-  let store = Lxu_labeling.Interval_store.create () in
-  List.iter (fun (gp, frag) -> Lxu_labeling.Interval_store.insert store ~gp frag) edits;
+  let store = Lxu_baselines.Interval_store.create () in
+  List.iter (fun (gp, frag) -> Lxu_baselines.Interval_store.insert store ~gp frag) edits;
   store
 
 (* The three query timers used across figures; all measure the join
@@ -94,4 +94,4 @@ let time_ls log ~anc ~desc =
    exactly as reading the full element lists is for the paper's STD. *)
 let time_std log ~anc ~desc =
   Lxu_seglog.Update_log.prepare_for_query log;
-  measure (fun () -> ignore (Lxu_join.Std_baseline.run log ~anc ~desc ()))
+  measure (fun () -> ignore (Lxu_baselines.Std_baseline.run log ~anc ~desc ()))

@@ -7,7 +7,7 @@
 
 open Lxu_workload
 open Lxu_seglog
-open Lxu_labeling
+open Lxu_baselines
 
 let new_segment =
   "<person id=\"pnew\"><name>new arrival</name><emailaddress>x@example.com</emailaddress><phone>+1 (555) 0100000</phone></person>"

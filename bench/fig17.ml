@@ -45,7 +45,7 @@ let lazy_per_element mode shape segments ~elements ~tags =
 (* Per-element PRIME insertion: [elements] middle insertions into an
    existing document order of [base] nodes. *)
 let prime_per_element ~k ~base ~elements =
-  let open Lxu_labeling in
+  let open Lxu_baselines in
   let t = Prime_label.create ~k ~capacity:(base + elements + 8) () in
   let root = Prime_label.append t ~parent:None in
   for _ = 1 to base - 1 do

@@ -40,10 +40,10 @@ let test_fig12_std_join =
   in
   let schedule = Lxu_workload.Joinmix.generate spec in
   let store = Bench_util.load_store schedule.Lxu_workload.Joinmix.edits in
-  let a = Lxu_labeling.Interval_store.elements store ~tag:"A" in
-  let d = Lxu_labeling.Interval_store.elements store ~tag:"D" in
+  let a = Lxu_baselines.Interval_store.elements store ~tag:"A" in
+  let d = Lxu_baselines.Interval_store.elements store ~tag:"D" in
   Test.make ~name:"fig12/13/15: stack-tree-desc A//D"
-    (Staged.stage (fun () -> ignore (Lxu_join.Stack_tree_desc.join ~anc:a ~desc:d ())))
+    (Staged.stage (fun () -> ignore (Lxu_baselines.Stack_tree_desc.join ~anc:a ~desc:d ())))
 
 let test_fig16_store_insert_remove =
   let text = Lxu_workload.Xmark.generate_text ~persons:300 ~seed:9 () in
@@ -57,14 +57,14 @@ let test_fig16_store_insert_remove =
   in
   Test.make ~name:"fig16: traditional relabel insert+remove"
     (Staged.stage (fun () ->
-         Lxu_labeling.Interval_store.insert store ~gp frag;
-         Lxu_labeling.Interval_store.remove store ~gp ~len:(String.length frag)))
+         Lxu_baselines.Interval_store.insert store ~gp frag;
+         Lxu_baselines.Interval_store.remove store ~gp ~len:(String.length frag)))
 
 let test_fig17_crt_solve =
-  let primes = Lxu_bignum.Prime_gen.create () in
-  let pairs = List.init 10 (fun i -> (i, Lxu_bignum.Prime_gen.nth primes (i + 2000))) in
+  let primes = Lxu_baselines.Prime_gen.create () in
+  let pairs = List.init 10 (fun i -> (i, Lxu_baselines.Prime_gen.nth primes (i + 2000))) in
   Test.make ~name:"fig17: CRT solve (one PRIME group, k=10)"
-    (Staged.stage (fun () -> ignore (Lxu_bignum.Crt.solve pairs)))
+    (Staged.stage (fun () -> ignore (Lxu_baselines.Crt.solve pairs)))
 
 let test_substrate_parse =
   let text = Lxu_workload.Generator.generate_text ~seed:3 ~target_elements:500 () in

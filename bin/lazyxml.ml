@@ -115,7 +115,7 @@ let query_cmd =
       load ~engine:(engine_of_string engine) ~index_attributes:attrs ~segments
         ~shape:(shape_of_string shape) doc
     in
-    let axis = if child then Lazy_db.Child else Lazy_db.Descendant in
+    let axis = if child then Lxu_util.Axis.Child else Lxu_util.Axis.Desc in
     let t0 = Unix.gettimeofday () in
     let pairs, stats =
       with_deadline deadline_ms (fun guard -> Lazy_db.query db ~axis ?guard ~anc ~desc ())

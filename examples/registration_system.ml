@@ -61,6 +61,6 @@ let () =
 
   (* Parent-child axis: direct children only. *)
   Printf.printf "  registration/occupation (child axis) -> %d\n"
-    (Lazy_db.count db ~axis:Lazy_db.Child ~anc:"registration" ~desc:"occupation" ());
+    (Lazy_db.count db ~axis:Lxu_util.Axis.Child ~anc:"registration" ~desc:"occupation" ());
   Printf.printf "  registration/name (child axis, none expected) -> %d\n"
-    (Lazy_db.count db ~axis:Lazy_db.Child ~anc:"registration" ~desc:"name" ())
+    (Lazy_db.count db ~axis:Lxu_util.Axis.Child ~anc:"registration" ~desc:"name" ())

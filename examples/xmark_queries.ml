@@ -28,10 +28,10 @@ let () =
   in
   let ld, ld_ms = load Lazy_db.LD in
   let ls, ls_ms = load Lazy_db.LS in
-  let store = Lxu_labeling.Interval_store.create () in
+  let store = Lxu_baselines.Interval_store.create () in
   let (), std_ms =
     time (fun () ->
-        List.iter (fun (gp, frag) -> Lxu_labeling.Interval_store.insert store ~gp frag) edits)
+        List.iter (fun (gp, frag) -> Lxu_baselines.Interval_store.insert store ~gp frag) edits)
   in
   Printf.printf "load time: LD %.1f ms | LS %.1f ms | STD %.1f ms\n\n%!" ld_ms ls_ms std_ms;
 
@@ -43,9 +43,9 @@ let () =
       let n_ls, t_ls = run ls in
       let n_std, t_std =
         time (fun () ->
-            let anc = Lxu_labeling.Interval_store.elements store ~tag:anc
-            and desc = Lxu_labeling.Interval_store.elements store ~tag:desc in
-            (snd (Lxu_join.Stack_tree_desc.join ~anc ~desc ())).Lxu_join.Stack_tree_desc.pairs)
+            let anc = Lxu_baselines.Interval_store.elements store ~tag:anc
+            and desc = Lxu_baselines.Interval_store.elements store ~tag:desc in
+            (snd (Lxu_baselines.Stack_tree_desc.join ~anc ~desc ())).Lxu_baselines.Stack_tree_desc.pairs)
       in
       assert (n_ld = n_ls && n_ls = n_std);
       Printf.printf "%-4s %-20s %10d %12.2f %12.2f %12.2f\n" name

@@ -149,7 +149,7 @@ val count :
   t ->
   ?deadline_s:float ->
   ?cancel:Lxu_util.Deadline.Cancel.t ->
-  ?axis:Lazy_db.axis ->
+  ?axis:Lxu_util.Axis.t ->
   anc:string ->
   desc:string ->
   unit ->

@@ -1,7 +1,6 @@
 open Lxu_seglog
 
 type engine = LD | LS
-type axis = Descendant | Child
 
 type t = {
   mutable log : Update_log.t;  (* its mode is the engine *)
@@ -125,13 +124,9 @@ let doc_length t = Update_log.doc_length t.log
 let element_count t = Update_log.element_count t.log
 let segment_count t = Update_log.segment_count t.log
 
-let join_axis = function
-  | Descendant -> Lxu_join.Lazy_join.Descendant
-  | Child -> Lxu_join.Lazy_join.Child
-
-let query t ?(axis = Descendant) ?guard ~anc ~desc () =
+let query t ?axis ?guard ~anc ~desc () =
   let pairs, stats =
-    Lxu_join.Lazy_join.run ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
+    Lxu_join.Lazy_join.run ?axis ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
   in
   let global = Lxu_join.Lazy_join.global_pairs t.log pairs in
   ( global,
@@ -146,8 +141,8 @@ let query t ?(axis = Descendant) ?guard ~anc ~desc () =
 (* Cardinality without the local->global translation of [query], and
    without the pair records: the join's flat output buffers already
    hold the count. *)
-let count t ?(axis = Descendant) ?guard ~anc ~desc () =
-  Lxu_join.Lazy_join.count ~axis:(join_axis axis) ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
+let count t ?axis ?guard ~anc ~desc () =
+  Lxu_join.Lazy_join.count ?axis ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
 
 let text t = Update_log.materialize t.log
 

@@ -13,16 +13,15 @@
 
     The paper's traditional baseline (global interval labels relabelled
     on every update, joined with Stack-Tree-Desc) is not an engine
-    here: it lives beside this facade, as the interval store of
-    [lib/labeling] and the Stack-Tree-Desc joins of [lib/join], which
-    the benchmarks call directly.
+    here: it lives beside this facade, as the interval store and the
+    Stack-Tree-Desc joins of the baseline library [lib/baselines],
+    which only the benchmarks and tests link.
 
     Queries are single structural joins [anc//desc] or [anc/desc],
     the primitive the paper (and the structural-join literature it
     builds on) optimizes. *)
 
 type engine = LD | LS
-type axis = Descendant | Child
 
 type t
 
@@ -158,7 +157,7 @@ val remove : t -> gp:int -> len:int -> unit
 
 val query :
   t ->
-  ?axis:axis ->
+  ?axis:Lxu_util.Axis.t ->
   ?guard:Lxu_util.Deadline.guard ->
   anc:string ->
   desc:string ->
@@ -174,7 +173,13 @@ val query :
     Without it, behaviour and cost are exactly as before. *)
 
 val count :
-  t -> ?axis:axis -> ?guard:Lxu_util.Deadline.guard -> anc:string -> desc:string -> unit -> int
+  t ->
+  ?axis:Lxu_util.Axis.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  anc:string ->
+  desc:string ->
+  unit ->
+  int
 (** Result cardinality of the join, read off the join's output
     buffers ({!Lxu_join.Lazy_join.count}): no pair is translated or
     materialized.  [guard] as in {!query}. *)

@@ -1,6 +1,6 @@
 open Lxu_seglog
 
-type axis = Desc | Child
+type axis = Lxu_util.Axis.t = Desc | Child
 
 type step = { axis : axis; tag : string; predicates : t list }
 and t = step list
@@ -86,8 +86,6 @@ and step_to_string { axis; tag; predicates } =
 module Lj = Lxu_join.Lazy_join
 module Plan = Lxu_plan.Plan
 
-let paxis = function Desc -> Plan.Desc | Child -> Plan.Child
-
 (* A step with its tag id ([-1]: the tag never occurs) and its
    candidate slots, its predicate paths annotated likewise. *)
 type node = { step : step; tid : int; cand : bool array; preds : node list list }
@@ -106,8 +104,8 @@ let rec annotate ~auto syn reg ~above ~root (steps : t) =
   | s :: rest ->
     let tid = Option.value (Tag_registry.find reg s.tag) ~default:(-1) in
     let down =
-      if auto then Plan.down syn ~above (paxis s.axis) ~tid
-      else Plan.down syn ~above:None (if root then paxis s.axis else Plan.Desc) ~tid
+      if auto then Plan.down syn ~above s.axis ~tid
+      else Plan.down syn ~above:None (if root then s.axis else Desc) ~tid
     in
     let below = annotate ~auto syn reg ~above:(Some down) ~root:false in
     let preds = List.map below s.predicates and rest = below rest in
@@ -117,7 +115,7 @@ let rec annotate ~auto syn reg ~above ~root (steps : t) =
         List.fold_left
           (fun acc -> function
             | [] -> acc
-            | k :: _ -> Array.map2 ( && ) acc (Plan.up syn (paxis k.step.axis) k.cand))
+            | k :: _ -> Array.map2 ( && ) acc (Plan.up syn k.step.axis k.cand))
           down (rest :: preds)
     in
     { step = s; tid; cand; preds } :: rest
@@ -133,7 +131,7 @@ let rec narrow syn ~above nodes =
     let cand =
       match above with
       | None -> n.cand
-      | Some _ -> Array.map2 ( && ) n.cand (Plan.down syn ~above (paxis n.step.axis) ~tid:n.tid)
+      | Some _ -> Array.map2 ( && ) n.cand (Plan.down syn ~above n.step.axis ~tid:n.tid)
     in
     let below = narrow syn ~above:(Some cand) in
     { n with cand; preds = List.map below n.preds } :: below rest

@@ -34,7 +34,7 @@
     the last tag reachable through the whole path, as global
     [(start, stop)] extents in document order. *)
 
-type axis = Desc | Child
+type axis = Lxu_util.Axis.t = Desc | Child
 
 type step = { axis : axis; tag : string; predicates : t list }
 (** A step with optional existential twig predicates: in

@@ -59,7 +59,7 @@ val insert_many : t -> (int * string) list -> unit
 val remove : t -> gp:int -> len:int -> unit
 (** Serialized update; publishes a new snapshot on success. *)
 
-val count : t -> ?axis:Lazy_db.axis -> anc:string -> desc:string -> unit -> int
+val count : t -> ?axis:Lxu_util.Axis.t -> anc:string -> desc:string -> unit -> int
 (** Lock-free snapshot query. *)
 
 val path_count : t -> string -> int

@@ -1,8 +1,6 @@
 open Lxu_util
 open Lxu_seglog
 
-type axis = Descendant | Child
-
 (* One flat block of four immediate fields per pair — no nested
    element records, so materializing N pairs allocates N+1 blocks
    rather than 3N+1 and the GC never chases intra-pair pointers. *)
@@ -256,11 +254,11 @@ let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.c
         (* Innermost (most recently pushed) ancestor first, matching
            the emission order of the list-stack original. *)
         (match axis with
-        | Descendant ->
+        | Axis.Desc ->
           for j = !top - 1 downto 0 do
             emit (Array.unsafe_get !stack j) !id
           done
-        | Child ->
+        | Axis.Child ->
           let dl = depth.(Array.unsafe_get desc.pids !id) in
           for j = !top - 1 downto 0 do
             let ai = Array.unsafe_get !stack j in
@@ -310,14 +308,14 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
         let i = Array.unsafe_get idx k in
         let a_start = Array.unsafe_get a.starts i in
         match axis with
-        | Descendant ->
+        | Axis.Desc ->
           if out.counting then buf_count out n_d
           else
             for j = 0 to n_d - 1 do
               buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j)
             done;
           stats.cross_pairs <- stats.cross_pairs + n_d
-        | Child ->
+        | Axis.Child ->
           let child_level = depth.(Array.unsafe_get a.pids i) + 1 in
           for j = 0 to n_d - 1 do
             if depth.(Array.unsafe_get d.pids j) = child_level then begin
@@ -530,11 +528,11 @@ let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
         bufs := out :: !bufs);
     (seq :: List.rev !bufs, stats)
 
-let run ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
+let run ?(axis = Axis.Desc) ?pool ?guard log ~anc ~desc () =
   let bufs, stats = fill ~counting:false ~axis ?pool ?guard log ~anc ~desc in
   (bufs_to_pairs bufs, stats)
 
-let count ?(axis = Descendant) ?pool ?guard log ~anc ~desc () =
+let count ?(axis = Axis.Desc) ?pool ?guard log ~anc ~desc () =
   pair_count (fst (fill ~counting:true ~axis ?pool ?guard log ~anc ~desc))
 
 (* --- semi-joins over selection masks -------------------------------- *)
@@ -606,7 +604,7 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
     let in_seg emit =
       if task.in_seg then begin
         let a = a_cols task.d_node.Er_node.sid in
-        in_segment_join ?guard ~axis:Descendant ~depth ~anc:a ~desc:d ~emit:(emit a) ()
+        in_segment_join ?guard ~axis:Axis.Desc ~depth ~anc:a ~desc:d ~emit:(emit a) ()
       end
     in
     match keep with

@@ -48,8 +48,6 @@
     worker domains read only immutable columns and never the
     SB-tree. *)
 
-type axis = Descendant | Child
-
 type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
 (** One ancestor/descendant result: each side is an element's identity,
     its segment and virtual start.  A single flat block of immediate fields
@@ -69,7 +67,7 @@ type stats = {
 }
 
 val run :
-  ?axis:axis ->
+  ?axis:Lxu_util.Axis.t ->
   ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->
@@ -99,7 +97,7 @@ val runs : unit -> int
     add one) — lets tests prove that an evaluation ran none. *)
 
 val count :
-  ?axis:axis ->
+  ?axis:Lxu_util.Axis.t ->
   ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->

@@ -1,6 +1,6 @@
 open Lxu_seglog
 
-type axis = Desc | Child
+type axis = Lxu_util.Axis.t = Desc | Child
 
 type chain = { tags : string array; axes : axis array; has_preds : bool }
 

@@ -10,7 +10,7 @@
     elements on a matching slot, and predicates only shrink sets.  A
     candidate set with no live element proves the result empty. *)
 
-type axis = Desc | Child
+type axis = Lxu_util.Axis.t = Desc | Child
 
 (** {2 Slot sets}
 

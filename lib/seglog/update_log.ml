@@ -197,14 +197,16 @@ let sort_tag_lists t =
    nodes and for the incremental synopsis (used by [load], [check] and
    the tests).  A child's context chain is its parent's chain plus the
    parent elements strictly containing the child's lp ([start < lp <
-   stop]).  Children are lp-sorted and the parent's document-order
-   walk is properly nested, so one ancestor stack swept along the
-   children yields every child's containing elements in
-   O(parent elements + children).  Tags and extents only, never slots,
-   so it checks them; [f] sees a child before the child's own
-   children are swept, so [load] sets the columns there.
-   ([Er_node.check] rejects trees breaking either order, so a hostile
-   snapshot fails [load] whatever this returns for it.) *)
+   stop]).  [f] returns the segment's elements in document order as
+   [(tids, starts, stops)], arrays it already holds for its own use, and
+   the segment's children are placed by sweeping those, so a walk
+   merges each segment's columns at most once.  Children are
+   lp-sorted and the document-order walk is properly nested, so one
+   ancestor stack swept along the children yields every child's
+   containing elements in O(parent elements + children).  Tags and
+   extents only, never slots, so it checks them.  ([Er_node.check]
+   rejects trees breaking either order, so a hostile snapshot fails
+   [load] whatever this returns for it.) *)
 let iter_contexts (root : Er_node.t) f =
   let stops = Vec.create () and tids = Vec.create () in
   let pop_until x =
@@ -213,7 +215,7 @@ let iter_contexts (root : Er_node.t) f =
       ignore (Vec.pop tids)
     done
   in
-  let rec visit (n : Er_node.t) pctx =
+  let rec visit (n : Er_node.t) pctx (e_tids, e_starts, e_stops) =
     let children = Vec.to_array n.Er_node.children in
     let ctxs = Array.make (Array.length children) pctx in
     let next = ref 0 in
@@ -229,19 +231,17 @@ let iter_contexts (root : Er_node.t) f =
     Vec.clear stops;
     Vec.clear tids;
     if Array.length children > 0 then
-      Er_node.iter_elements n (fun ~tid ~start ~stop ~pid:_ ->
+      Array.iteri
+        (fun j start ->
           settle start;
           pop_until start;
-          Vec.push stops stop;
-          Vec.push tids tid);
+          Vec.push stops e_stops.(j);
+          Vec.push tids e_tids.(j))
+        e_starts;
     settle max_int;
-    Array.iteri
-      (fun i c ->
-        f c ctxs.(i);
-        visit c ctxs.(i))
-      children
+    Array.iteri (fun i c -> visit c ctxs.(i) (f c ctxs.(i))) children
   in
-  visit root [||]
+  visit root [||] ([||], [||], [||])
 
 (* A segment's elements in document order as parallel arrays: tags,
    starts, stops and slots. *)
@@ -262,7 +262,8 @@ let synopsis_rebuilt t =
   let syn = Path_synopsis.create () in
   iter_contexts t.root (fun n ctx ->
       let tids, starts, stops, _ = flat_elements n in
-      ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~tids ~starts ~stops));
+      ignore (Path_synopsis.add_segment syn ~ctx_tids:ctx ~tids ~starts ~stops);
+      (tids, starts, stops));
   syn
 
 (* --- insertion (Figure 5) ------------------------------------------ *)
@@ -802,7 +803,8 @@ let check t =
             failwith
               (Printf.sprintf "segment %d: element at %d sits on slot %d, off its rebuilt path" sid
                  starts.(j) pid))
-        pids);
+        pids;
+      (tids, starts, stops));
   if not (Path_synopsis.equal t.synopsis rebuilt) then
     failwith "path synopsis disagrees with a from-scratch rebuild"
 
@@ -1048,12 +1050,12 @@ let load ?(backend = Storage_backend.Mem) ic =
   t.live_segments <- segment_count_walk t;
   (* Rebuild derived structures: context chains and the synopsis, each
      segment's columns from the slots its synopsis scan hands out (the
-     sweep reaches a segment's children only after its columns are
-     set), tag lists from the columns and chains, SB-tree from the
-     ER-tree.  A stored base level must be the rebuilt chain's length,
-     a stored level its rebuilt slot's depth.  Hostile
-     elements (overlapping, outside the text) make the slots wrong,
-     never raise here: [full_check] refuses them below. *)
+     sweep places a segment's children with the parsed arrays, checked
+     above to be in document order), tag lists from the columns and
+     chains, SB-tree from the ER-tree.  A stored base level must be the
+     rebuilt chain's length, a stored level its rebuilt slot's depth.
+     Hostile elements (overlapping, outside the text) make the slots
+     wrong, never raise here: [full_check] refuses them below. *)
   iter_contexts t.root (fun n ctx ->
       let seg_off, base_level, tids, starts, stops, levels = Hashtbl.find elements n.sid in
       let fail fmt = R.fail_at seg_off fmt in
@@ -1069,7 +1071,8 @@ let load ?(backend = Storage_backend.Mem) ic =
               starts.(j) levels.(j) depth.(pid))
         pids;
       n.ctx <- ctx;
-      n.columns <- columns_of ~tids ~starts ~stops ~pids);
+      n.columns <- columns_of ~tids ~starts ~stops ~pids;
+      (tids, starts, stops));
   t.live_elements <- element_count_walk t;
   Er_node.iter_subtree t.root (fun n ->
       if not (is_root n) then

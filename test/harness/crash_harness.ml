@@ -97,7 +97,7 @@ let fingerprint db =
               let pairs, _ = Lazy_db.query db ~axis ~anc ~desc () in
               Buffer.add_string buf (Printf.sprintf "|%s/%s:" anc desc);
               List.iter (fun (a, d) -> Buffer.add_string buf (Printf.sprintf "%d-%d," a d)) pairs)
-            [ Lazy_db.Descendant; Lazy_db.Child ])
+            [ Lxu_util.Axis.Desc; Lxu_util.Axis.Child ])
         descs)
     vocabulary;
   Buffer.contents buf

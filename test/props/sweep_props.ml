@@ -8,7 +8,7 @@
    children too — then partial removes that tombstone text around the
    hooks, and a child whose parent's text before it is all tombstoned
    (parent and child then share a global position).  On LD/LS x 1/4
-   domains, [run] and [count] under Descendant and Child and [semi] on
+   domains, [run] and [count] under Desc and Child and [semi] on
    both sides must equal [Naive_join] over a fresh parse of the
    text. *)
 
@@ -160,20 +160,20 @@ let hooks_agree ~count =
       let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
       let every = Array.make nslots true in
       List.for_all
-        (fun ((anc, desc), (axis, jaxis)) ->
+        (fun ((anc, desc), axis) ->
           let ctx =
             Printf.sprintf "%s%s%s (%s, %d domains)" anc
-              (if axis = Stack_tree_desc.Child then "/" else "//")
+              (if axis = Lxu_util.Axis.Child then "/" else "//")
               desc
               (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
               (Lazy_db.domains db)
           in
           let expected = Naive_join.join ~axis ~anc:(of_tag anc) ~desc:(of_tag desc) () in
-          let pairs, _ = Lazy_join.run ~axis:jaxis ?pool log ~anc ~desc () in
+          let pairs, _ = Lazy_join.run ~axis ?pool log ~anc ~desc () in
           let ok =
             Array.init nslots (fun s ->
                 Bytes.init depth.(s) (fun da ->
-                    if axis = Stack_tree_desc.Descendant || da = depth.(s) - 1 then '\001'
+                    if axis = Lxu_util.Axis.Desc || da = depth.(s) - 1 then '\001'
                     else '\000'))
           in
           let semi keep =
@@ -186,14 +186,10 @@ let hooks_agree ~count =
           let distinct f = List.sort_uniq compare (List.map f expected) in
           (Lazy_join.global_pairs log pairs = expected
           || QCheck2.Test.fail_reportf "%s: run differs from the naive join" ctx)
-          && (Lazy_join.count ~axis:jaxis ?pool log ~anc ~desc () = List.length expected
+          && (Lazy_join.count ~axis ?pool log ~anc ~desc () = List.length expected
              || QCheck2.Test.fail_reportf "%s: count differs" ctx)
           && (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: semi `Anc differs" ctx)
           && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: semi `Desc differs" ctx))
         (List.concat_map
-           (fun tags ->
-             [
-               (tags, (Stack_tree_desc.Descendant, Lazy_join.Descendant));
-               (tags, (Stack_tree_desc.Child, Lazy_join.Child));
-             ])
+           (fun tags -> [ (tags, Lxu_util.Axis.Desc); (tags, Lxu_util.Axis.Child) ])
            [ ("a", "d"); ("a", "a") ]))

@@ -3,11 +3,11 @@
    Stack-Tree-Desc — the same pairing the benchmarks build with
    [Bench_util.load_store]. *)
 
-open Lxu_labeling
-module Std = Lxu_join.Stack_tree_desc
+open Lxu_baselines
+module Std = Stack_tree_desc
 
-let join ?(axis = Std.Descendant) store ~anc ~desc =
-  Std.join ~axis ~anc:(Interval_store.elements store ~tag:anc)
+let join ?axis store ~anc ~desc =
+  Std.join ?axis ~anc:(Interval_store.elements store ~tag:anc)
     ~desc:(Interval_store.elements store ~tag:desc) ()
 
 (* [(anc_start, desc_start)] pairs sorted by [(desc, anc)], the order

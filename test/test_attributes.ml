@@ -53,14 +53,14 @@ let test_query_attributes () =
       check_int "people//@first" 1 (Lazy_db.count db ~anc:"people" ~desc:"@first" ());
       (* The attribute is a direct child of its element. *)
       check_int "person/@id (child axis)" 2
-        (Lazy_db.count db ~axis:Lazy_db.Child ~anc:"person" ~desc:"@id" ());
+        (Lazy_db.count db ~axis:Lxu_util.Axis.Child ~anc:"person" ~desc:"@id" ());
       check_int "people/@id is not a child" 0
-        (Lazy_db.count db ~axis:Lazy_db.Child ~anc:"people" ~desc:"@id" ()))
+        (Lazy_db.count db ~axis:Lxu_util.Axis.Child ~anc:"people" ~desc:"@id" ()))
     [ Lazy_db.LD; Lazy_db.LS ];
   (* The STD baseline indexes attributes the same way. *)
-  let store = Lxu_labeling.Interval_store.create ~index_attributes:true () in
-  Lxu_labeling.Interval_store.insert store ~gp:0 doc;
-  let child = Lxu_join.Stack_tree_desc.Child in
+  let store = Lxu_baselines.Interval_store.create ~index_attributes:true () in
+  Lxu_baselines.Interval_store.insert store ~gp:0 doc;
+  let child = Lxu_util.Axis.Child in
   check_int "STD person//@id" 2 (Std_ref.count store ~anc:"person" ~desc:"@id");
   check_int "STD people//@first" 1 (Std_ref.count store ~anc:"people" ~desc:"@first");
   check_int "STD person/@id" 2 (Std_ref.count ~axis:child store ~anc:"person" ~desc:"@id");

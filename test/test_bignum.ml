@@ -1,7 +1,7 @@
 (* Unit and property tests for the big-natural arithmetic backing the
    PRIME labeling baseline. *)
 
-open Lxu_bignum
+open Lxu_baselines
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)

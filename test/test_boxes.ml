@@ -1,7 +1,7 @@
 (* Tests for the order-maintenance list labeling and the W-BOX-style
    element store built on it. *)
 
-open Lxu_labeling
+open Lxu_baselines
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

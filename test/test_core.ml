@@ -37,10 +37,10 @@ let test_engines_agree () =
         (name, pairs))
       engines
     @
-    let store = Lxu_labeling.Interval_store.create () in
-    apply_edits ~insert:(Lxu_labeling.Interval_store.insert store)
-      ~remove:(Lxu_labeling.Interval_store.remove store) sample_edits;
-    Lxu_labeling.Interval_store.check store;
+    let store = Lxu_baselines.Interval_store.create () in
+    apply_edits ~insert:(Lxu_baselines.Interval_store.insert store)
+      ~remove:(Lxu_baselines.Interval_store.remove store) sample_edits;
+    Lxu_baselines.Interval_store.check store;
     [ ("STD", Std_ref.query store ~anc:"book" ~desc:"author") ]
   in
   match results with
@@ -55,15 +55,15 @@ let test_both_axes () =
       let db = Lazy_db.create ~engine () in
       Lazy_db.insert db ~gp:0 "<a><a><b/></a></a>";
       let desc = Lazy_db.count db ~anc:"a" ~desc:"b" () in
-      let child = Lazy_db.count db ~axis:Lazy_db.Child ~anc:"a" ~desc:"b" () in
+      let child = Lazy_db.count db ~axis:Lxu_util.Axis.Child ~anc:"a" ~desc:"b" () in
       check_int (name ^ " desc") 2 desc;
       check_int (name ^ " child") 1 child)
     engines;
-  let store = Lxu_labeling.Interval_store.create () in
-  Lxu_labeling.Interval_store.insert store ~gp:0 "<a><a><b/></a></a>";
+  let store = Lxu_baselines.Interval_store.create () in
+  Lxu_baselines.Interval_store.insert store ~gp:0 "<a><a><b/></a></a>";
   check_int "STD desc" 2 (Std_ref.count store ~anc:"a" ~desc:"b");
   check_int "STD child" 1
-    (Std_ref.count ~axis:Lxu_join.Stack_tree_desc.Child store ~anc:"a" ~desc:"b")
+    (Std_ref.count ~axis:Lxu_util.Axis.Child store ~anc:"a" ~desc:"b")
 
 let test_counts_and_lengths () =
   let db = Lazy_db.create () in

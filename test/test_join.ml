@@ -4,7 +4,8 @@
 
 open Lxu_seglog
 open Lxu_join
-open Lxu_labeling
+open Lxu_baselines
+open Lxu_util
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -33,7 +34,8 @@ let std_pairs ?axis text ~anc ~desc =
   |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
 
 let naive_pairs ?axis text ~anc ~desc =
-  Naive_join.join ?axis ~anc:(fresh_labels text ~tag:anc) ~desc:(fresh_labels text ~tag:desc) ()
+  Lxu_props.Naive_join.join ?axis ~anc:(fresh_labels text ~tag:anc)
+    ~desc:(fresh_labels text ~tag:desc) ()
 
 (* --- Stack-Tree-Desc ------------------------------------------------ *)
 
@@ -45,10 +47,10 @@ let test_std_simple () =
 
 let test_std_child_axis () =
   let text = "<a><b/><a><b/></a></a><b/>" in
-  let got = std_pairs ~axis:Stack_tree_desc.Child text ~anc:"a" ~desc:"b" in
+  let got = std_pairs ~axis:Axis.Child text ~anc:"a" ~desc:"b" in
   Alcotest.check pair_list "pairs" [ (0, 3); (7, 10) ] got;
   (* a/a: nested direct *)
-  let got = std_pairs ~axis:Stack_tree_desc.Child text ~anc:"a" ~desc:"a" in
+  let got = std_pairs ~axis:Axis.Child text ~anc:"a" ~desc:"a" in
   Alcotest.check pair_list "self tag" [ (0, 7) ] got
 
 let test_std_empty_inputs () =
@@ -92,13 +94,13 @@ let test_std_matches_naive_random () =
         let expected = naive_pairs ~axis text ~anc:"a" ~desc:"d" in
         let got = std_pairs ~axis text ~anc:"a" ~desc:"d" in
         Alcotest.check pair_list (Printf.sprintf "seed %d" seed) expected got)
-      [ Stack_tree_desc.Descendant; Stack_tree_desc.Child ]
+      [ Axis.Desc; Axis.Child ]
   done
 
 (* --- Lazy-Join ------------------------------------------------------- *)
 
-let lazy_pairs ?(axis = Lazy_join.Descendant) log ~anc ~desc =
-  let pairs, stats = Lazy_join.run ~axis log ~anc ~desc () in
+let lazy_pairs ?axis log ~anc ~desc =
+  let pairs, stats = Lazy_join.run ?axis log ~anc ~desc () in
   (Lazy_join.global_pairs log pairs, stats)
 
 let test_lazy_single_segment () =
@@ -158,14 +160,11 @@ let test_lazy_child_axis () =
   ignore (Update_log.insert log ~gp:6 "<A><B/></A>");
   let text = Update_log.materialize log in
   List.iter
-    (fun (axis, std_axis, name) ->
-      let expected = naive_pairs ~axis:std_axis text ~anc:"A" ~desc:"B" in
+    (fun (axis, name) ->
+      let expected = naive_pairs ~axis text ~anc:"A" ~desc:"B" in
       let got, _ = lazy_pairs ~axis log ~anc:"A" ~desc:"B" in
       Alcotest.check pair_list name expected got)
-    [
-      (Lazy_join.Descendant, Stack_tree_desc.Descendant, "descendant");
-      (Lazy_join.Child, Stack_tree_desc.Child, "child");
-    ]
+    [ (Axis.Desc, "descendant"); (Axis.Child, "child") ]
 
 let test_lazy_missing_tags () =
   let log = Update_log.create () in
@@ -308,23 +307,23 @@ let run_equivalence mode edits =
     edits;
   let frozen_log, frozen_text = Option.get !frozen in
   List.for_all
-    (fun (axis, std_axis) ->
-      let expected = naive_pairs ~axis:std_axis !text ~anc:"A" ~desc:"D" in
-      let std = std_pairs ~axis:std_axis !text ~anc:"A" ~desc:"D" in
+    (fun axis ->
+      let expected = naive_pairs ~axis !text ~anc:"A" ~desc:"D" in
+      let std = std_pairs ~axis !text ~anc:"A" ~desc:"D" in
       let lazy_ok log expected =
         let got, _ = lazy_pairs ~axis log ~anc:"A" ~desc:"D" in
         got = expected && strictly_sorted got
       in
       let base =
-        let pairs, _ = Std_baseline.run ~axis:std_axis log ~anc:"A" ~desc:"D" () in
+        let pairs, _ = Std_baseline.run ~axis log ~anc:"A" ~desc:"D" () in
         List.map
           (fun ((a : Interval.t), (d : Interval.t)) -> (a.Interval.start, d.Interval.start))
           pairs
         |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
       in
       expected = std && expected = base && lazy_ok log expected && lazy_ok paged expected
-      && lazy_ok frozen_log (naive_pairs ~axis:std_axis frozen_text ~anc:"A" ~desc:"D"))
-    [ (Lazy_join.Descendant, Stack_tree_desc.Descendant); (Lazy_join.Child, Stack_tree_desc.Child) ]
+      && lazy_ok frozen_log (naive_pairs ~axis frozen_text ~anc:"A" ~desc:"D"))
+    [ Axis.Desc; Axis.Child ]
 
 let prop_equivalence mode name =
   QCheck2.Test.make ~name ~count:120

@@ -1,9 +1,10 @@
-(* Tests for the additional join algorithms: Stack-Tree-Anc, MPMGJN and
-   the XR-tree join.  Oracle: Stack-Tree-Desc / naive join re-sorted as
-   needed. *)
+(* Tests for the additional join algorithms: Stack-Tree-Anc and MPMGJN
+   against Stack-Tree-Desc, and Lazy-Join's semi-joins against the
+   naive join. *)
 
 open Lxu_join
-open Lxu_labeling
+open Lxu_baselines
+open Lxu_util
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -69,7 +70,7 @@ let test_sta_equals_std_as_sets () =
         (* And the emitted order is ancestor-major. *)
         check_bool "sorted by anc" true
           (starts a_pairs = List.sort (fun (a1, d1) (a2, d2) -> compare (a1, d1) (a2, d2)) (starts a_pairs)))
-      [ Stack_tree_desc.Descendant; Stack_tree_desc.Child ]
+      [ Axis.Desc; Axis.Child ]
   done
 
 let test_sta_empty () =
@@ -90,7 +91,7 @@ let test_mpmgjn_equals_std () =
           (Printf.sprintf "seed %d" seed)
           (List.sort compare (starts d_pairs))
           (List.sort compare (starts m_pairs)))
-      [ Stack_tree_desc.Descendant; Stack_tree_desc.Child ]
+      [ Axis.Desc; Axis.Child ]
   done
 
 let test_mpmgjn_rescans () =
@@ -114,86 +115,6 @@ let suite =
     Alcotest.test_case "mpmgjn rescans counted" `Quick test_mpmgjn_rescans;
   ]
 
-(* --- XR-tree index and join --------------------------------------------- *)
-
-let test_xr_index_probes () =
-  let text = "<a><a><d/></a><d/></a><d/>" in
-  let anc = Xr_index.build (intervals text ~tag:"a") in
-  check_int "length" 2 (Xr_index.length anc);
-  check_int "first_from 0" 0 (Xr_index.first_from anc 0);
-  check_int "first_from 1" 1 (Xr_index.first_from anc 1);
-  check_int "first_from 4" 2 (Xr_index.first_from anc 4);
-  check_int "first_from 99" 2 (Xr_index.first_from anc 99);
-  (* Position 7 (inside the inner d) is contained in both a's. *)
-  Alcotest.(check (list int)) "stab inner" [ 0; 1 ] (Xr_index.stab anc 7);
-  Alcotest.(check (list int)) "stab outer only" [ 0 ] (Xr_index.stab anc 15);
-  Alcotest.(check (list int)) "stab outside" [] (Xr_index.stab anc 23);
-  check_bool "probes counted" true (Xr_index.probes anc > 0)
-
-let test_xr_index_rejects_unsorted () =
-  let i1 = Interval.make ~start:10 ~stop:20 ~level:0 in
-  let i2 = Interval.make ~start:0 ~stop:5 ~level:0 in
-  Alcotest.check_raises "unsorted" (Invalid_argument "Xr_index.build: not sorted by start")
-    (fun () -> ignore (Xr_index.build [| i1; i2 |]))
-
-let test_xr_join_equals_std () =
-  for seed = 1 to 30 do
-    let text = mk_doc (300 + seed) in
-    let anc = intervals text ~tag:"a" and desc = intervals text ~tag:"d" in
-    List.iter
-      (fun axis ->
-        let d_pairs, _ = Stack_tree_desc.join ~axis ~anc ~desc () in
-        let x_pairs, _ =
-          Xr_join.join ~axis ~anc:(Xr_index.build anc) ~desc:(Xr_index.build desc) ()
-        in
-        Alcotest.check pair_list
-          (Printf.sprintf "seed %d" seed)
-          (List.sort compare (starts d_pairs))
-          (List.sort compare (starts x_pairs)))
-      [ Stack_tree_desc.Descendant; Stack_tree_desc.Child ]
-  done
-
-let test_xr_join_skips () =
-  (* One tiny A-list against a long D-list mostly outside the A's:
-     the ancestor-driven strategy must not touch the useless Ds. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "<a><d/><d/></a>";
-  for _ = 1 to 200 do
-    Buffer.add_string buf "<x><d/></x>"
-  done;
-  let text = Buffer.contents buf in
-  let anc = Xr_index.build (intervals text ~tag:"a") in
-  let desc = Xr_index.build (intervals text ~tag:"d") in
-  let pairs, stats = Xr_join.join ~anc ~desc () in
-  check_int "pairs" 2 (List.length pairs);
-  check_int "d touched" 2 stats.Stack_tree_desc.d_scanned;
-  check_bool "skipped the rest" true (stats.Stack_tree_desc.d_scanned < 10)
-
-let test_xr_join_stab_side () =
-  (* Long A-list, short D-list: the descendant-driven strategy stabs
-     instead of scanning ancestors. *)
-  let buf = Buffer.create 256 in
-  for _ = 1 to 100 do
-    Buffer.add_string buf "<a>t</a>"
-  done;
-  Buffer.add_string buf "<a><a><d/></a></a>";
-  let text = Buffer.contents buf in
-  let anc = Xr_index.build (intervals text ~tag:"a") in
-  let desc = Xr_index.build (intervals text ~tag:"d") in
-  let pairs, stats = Xr_join.join ~anc ~desc () in
-  check_int "pairs" 2 (List.length pairs);
-  check_bool "ancestors fetched, not scanned" true (stats.Stack_tree_desc.a_scanned <= 4)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "xr index probes" `Quick test_xr_index_probes;
-      Alcotest.test_case "xr index rejects unsorted" `Quick test_xr_index_rejects_unsorted;
-      Alcotest.test_case "xr join = std" `Quick test_xr_join_equals_std;
-      Alcotest.test_case "xr join skips descendants" `Quick test_xr_join_skips;
-      Alcotest.test_case "xr join stabs ancestors" `Quick test_xr_join_stab_side;
-    ]
-
 (* --- Lazy-Join semi-joins ---------------------------------------------- *)
 
 (* Every element of a parsed forest with its level and root-to-element
@@ -216,7 +137,7 @@ let labels_with_paths text =
    random half of the paths — equal the distinct ancestors and the
    distinct descendants of [Naive_join]'s pairs among the candidates.
    The [ok] table is the plain axis check: any depth above for
-   Descendant, the depth right above for Child. *)
+   Desc, the depth right above for Child. *)
 let prop_semi_join =
   let open Lazy_xml in
   QCheck2.Test.make ~name:"semi-join sides = naive pairs' distinct ends" ~count:60 ~print:string_of_int
@@ -282,13 +203,13 @@ let prop_semi_join =
               labels
           in
           let pairs =
-            Naive_join.join ~axis ~anc:(side anc_tag) ~desc:(side desc_tag) ()
+            Lxu_props.Naive_join.join ~axis ~anc:(side anc_tag) ~desc:(side desc_tag) ()
           in
           let distinct f = List.sort_uniq compare (List.map f pairs) in
           let ok =
             Array.init nslots (fun s ->
                 Bytes.init depth.(s) (fun da ->
-                    if axis = Stack_tree_desc.Descendant || da = depth.(s) - 1 then '\001' else '\000'))
+                    if axis = Axis.Desc || da = depth.(s) - 1 then '\001' else '\000'))
           in
           let anc = Lazy_join.select log ~tid:(tid anc_tag) keep
           and desc = Lazy_join.select log ~tid:(tid desc_tag) keep in
@@ -298,14 +219,14 @@ let prop_semi_join =
           in
           let ctx =
             Printf.sprintf "%s//%s axis=%s restricted=%b restrict=%b" anc_tag desc_tag
-              (if axis = Stack_tree_desc.Child then "child" else "desc") restricted restrict
+              (if axis = Axis.Child then "child" else "desc") restricted restrict
           in
           (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: ancestor side differs" ctx)
           && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: descendant side differs" ctx))
         [
-          (Stack_tree_desc.Descendant, false, true); (Stack_tree_desc.Descendant, true, true);
-          (Stack_tree_desc.Child, false, true); (Stack_tree_desc.Child, true, true);
-          (Stack_tree_desc.Descendant, true, false); (Stack_tree_desc.Child, true, false);
+          (Axis.Desc, false, true); (Axis.Desc, true, true);
+          (Axis.Child, false, true); (Axis.Child, true, true);
+          (Axis.Desc, true, false); (Axis.Child, true, false);
         ])
 
 let suite =

@@ -1,7 +1,7 @@
 (* Tests for the labeling schemes: interval store (traditional
-   baseline), PRIME, ORDPATH-style Dewey and CKM binary labels. *)
+   baseline) and PRIME. *)
 
-open Lxu_labeling
+open Lxu_baselines
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -187,124 +187,6 @@ let prop_prime_random_inserts =
          Prime_label.check t;
          true))
 
-(* --- Dewey --------------------------------------------------------- *)
-
-let test_dewey_static () =
-  let r = Dewey_label.root in
-  let c0 = Dewey_label.nth_child r 0 in
-  let c1 = Dewey_label.nth_child r 1 in
-  let g = Dewey_label.nth_child c1 0 in
-  check_bool "root anc c0" true (Dewey_label.is_ancestor r c0);
-  check_bool "c1 anc g" true (Dewey_label.is_ancestor c1 g);
-  check_bool "c0 not anc g" false (Dewey_label.is_ancestor c0 g);
-  check_bool "order" true (Dewey_label.compare c0 c1 < 0);
-  check_bool "anc before desc" true (Dewey_label.compare c1 g < 0);
-  check_int "level root" 0 (Dewey_label.level r);
-  check_int "level g" 2 (Dewey_label.level g);
-  check_bool "parent of g" true
-    (match Dewey_label.parent g with Some p -> Dewey_label.equal p c1 | None -> false);
-  check_bool "parent of root" true (Dewey_label.parent r = None)
-
-let test_dewey_between_adjacent () =
-  let r = Dewey_label.root in
-  let c0 = Dewey_label.nth_child r 0 in
-  let c1 = Dewey_label.nth_child r 1 in
-  let m = Dewey_label.child_between ~parent:r ~left:(Some c0) ~right:(Some c1) in
-  check_bool "ordered" true (Dewey_label.compare c0 m < 0 && Dewey_label.compare m c1 < 0);
-  check_bool "is child" true (Dewey_label.is_ancestor r m);
-  check_int "level" 1 (Dewey_label.level m)
-
-let test_dewey_extremes () =
-  let r = Dewey_label.root in
-  let c = Dewey_label.child_between ~parent:r ~left:None ~right:None in
-  let before = Dewey_label.child_between ~parent:r ~left:None ~right:(Some c) in
-  let after = Dewey_label.child_between ~parent:r ~left:(Some c) ~right:None in
-  check_bool "before < c" true (Dewey_label.compare before c < 0);
-  check_bool "c < after" true (Dewey_label.compare c after < 0)
-
-let test_dewey_rejects_non_child () =
-  let r = Dewey_label.root in
-  let c = Dewey_label.nth_child r 0 in
-  let g = Dewey_label.nth_child c 0 in
-  Alcotest.check_raises "grandchild as sibling"
-    (Invalid_argument "Dewey_label.child_between: left is not a child") (fun () ->
-      ignore (Dewey_label.child_between ~parent:r ~left:(Some g) ~right:None))
-
-(* Repeated splitting between the same two siblings must keep producing
-   fresh, strictly ordered, prefix-sound labels. *)
-let prop_dewey_repeated_splits =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"dewey: repeated between stays sound" ~count:100
-       QCheck2.Gen.(list_size (int_range 1 60) bool)
-       (fun sides ->
-         let r = Dewey_label.root in
-         let left = ref (Dewey_label.nth_child r 0) in
-         let right = ref (Dewey_label.nth_child r 1) in
-         List.for_all
-           (fun go_left ->
-             let m = Dewey_label.child_between ~parent:r ~left:(Some !left) ~right:(Some !right) in
-             let ok =
-               Dewey_label.compare !left m < 0
-               && Dewey_label.compare m !right < 0
-               && Dewey_label.is_ancestor r m
-               && (not (Dewey_label.is_ancestor !left m))
-               && not (Dewey_label.is_ancestor m !right)
-             in
-             if go_left then right := m else left := m;
-             ok)
-           sides))
-
-(* --- Binary (CKM) --------------------------------------------------- *)
-
-let test_binary_code_sequence () =
-  let codes = ref [ Binary_label.first_code ] in
-  for _ = 1 to 5 do
-    codes := Binary_label.next_code (List.hd !codes) :: !codes
-  done;
-  Alcotest.(check (list string))
-    "paper's doubling sequence"
-    [ "0"; "10"; "1100"; "1101"; "1110"; "11110000" ]
-    (List.rev !codes)
-
-let test_binary_prefix_free_codes () =
-  let rec take n c = if n = 0 then [] else c :: take (n - 1) (Binary_label.next_code c) in
-  let codes = take 40 Binary_label.first_code in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if i <> j then
-            check_bool "prefix-free" false
-              (String.length a <= String.length b && String.sub b 0 (String.length a) = a))
-        codes)
-    codes
-
-let test_binary_ancestry () =
-  let r = Binary_label.root in
-  let c0 = Binary_label.extend r Binary_label.first_code in
-  let c1 = Binary_label.extend r (Binary_label.next_code Binary_label.first_code) in
-  let g = Binary_label.extend c1 Binary_label.first_code in
-  check_bool "root anc c0" true (Binary_label.is_ancestor r c0);
-  check_bool "c1 anc g" true (Binary_label.is_ancestor c1 g);
-  check_bool "c0 not anc g" false (Binary_label.is_ancestor c0 g);
-  check_bool "sibling order" true (Binary_label.compare c0 c1 < 0)
-
-let test_binary_growth () =
-  (* Code length roughly doubles the optimal log2(i) bits — the
-     storage critique of §2.  After 130 increments the length group is
-     16 bits (groups hold 2^(L/2) - 1 codes: 1, 1, 3, 15, 255, ...). *)
-  let code = ref Binary_label.first_code in
-  for _ = 1 to 130 do
-    code := Binary_label.next_code !code
-  done;
-  check_int "length group" 16 (String.length !code);
-  (* Concatenation along a deep path accumulates linearly. *)
-  let lbl = ref Binary_label.root in
-  for _ = 1 to 10 do
-    lbl := Binary_label.extend !lbl "1110"
-  done;
-  check_int "deep label bits" 40 (Binary_label.bits !lbl)
-
 let suite =
   [
     Alcotest.test_case "interval predicates" `Quick test_interval_predicates;
@@ -322,13 +204,4 @@ let suite =
       test_prime_middle_insert_recomputes;
     Alcotest.test_case "prime capacity" `Quick test_prime_capacity;
     prop_prime_random_inserts;
-    Alcotest.test_case "dewey static" `Quick test_dewey_static;
-    Alcotest.test_case "dewey between adjacent" `Quick test_dewey_between_adjacent;
-    Alcotest.test_case "dewey extremes" `Quick test_dewey_extremes;
-    Alcotest.test_case "dewey rejects non-child" `Quick test_dewey_rejects_non_child;
-    prop_dewey_repeated_splits;
-    Alcotest.test_case "binary code sequence" `Quick test_binary_code_sequence;
-    Alcotest.test_case "binary codes prefix-free" `Quick test_binary_prefix_free_codes;
-    Alcotest.test_case "binary ancestry" `Quick test_binary_ancestry;
-    Alcotest.test_case "binary growth" `Quick test_binary_growth;
   ]

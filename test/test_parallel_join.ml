@@ -78,7 +78,7 @@ let compare_queries ~ctx seq par ~anc ~desc =
         (Lazy_db.count seq ~axis ~anc ~desc ());
       check_int (ctx ^ " count = pair_count (pooled)") ps.Lazy_db.pair_count
         (Lazy_db.count par ~axis ~anc ~desc ()))
-    [ (Lazy_db.Descendant, "desc"); (Lazy_db.Child, "child") ]
+    [ (Lxu_util.Axis.Desc, "desc"); (Lxu_util.Axis.Child, "child") ]
 
 (* The raw join must agree pair-for-pair too (local labels, emission
    order), not just after the global translation and sort. *)

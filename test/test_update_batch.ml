@@ -49,7 +49,7 @@ let fingerprint ~tags db =
             (fun axis ->
               let pairs, _ = Lazy_db.query db ~axis ~anc ~desc () in
               List.iter (fun (a, d) -> Printf.bprintf b "|%d>%d" a d) pairs)
-            [ Lazy_db.Descendant; Lazy_db.Child ])
+            [ Lxu_util.Axis.Desc; Lxu_util.Axis.Child ])
         tags)
     tags;
   Digest.to_hex (Digest.string (Buffer.contents b))
