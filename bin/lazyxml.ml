@@ -15,12 +15,7 @@
 open Cmdliner
 open Lazy_xml
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file = Lxu_storage.Sim_file.read_file
 
 let write_file path s =
   let oc = open_out_bin path in

@@ -6,8 +6,8 @@ type t = {
   mutable log : Update_log.t;  (* its mode is the engine *)
   domains : int;
   mutable pool : Lxu_util.Domain_pool.t option;  (* created on first parallel query *)
-  mutable durable : Lxu_storage.Wal_store.t option;  (* WAL home, when durability is on *)
-  mutable pstore : Lxu_storage.Page_store.t option;  (* page store, when storage is paged *)
+  durable : Lxu_storage.Wal_store.t option;  (* WAL home, when durability is on *)
+  pstore : Lxu_storage.Page_store.t option;  (* page store, when storage is paged *)
   mutable epoch : int;  (* committed update operations so far — the MVCC version number *)
   mutable closed : bool;  (* set by [close]: every later write is refused *)
 }
@@ -29,26 +29,15 @@ let resolve_domains ~who domains =
 
 let pages_path dir = Filename.concat dir "pages"
 
-let mkdir_p dir =
-  let rec make d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      make (Filename.dirname d);
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-  in
-  make dir
-
 (* The page device: a real file beside the WAL when the database is
    durable (so pages survive restarts and recovery can re-attach), an
    in-memory device otherwise (paged still bounds index RAM by the
    pool budget — the beyond-RAM discipline without persistence). *)
-let fresh_pstore ~durability =
+let fresh_pstore durable =
   let device =
-    match durability with
-    | `None -> Lxu_storage.Sim_file.in_memory ()
-    | `Wal dir ->
-      mkdir_p dir;
-      Lxu_storage.Sim_file.open_path (pages_path dir)
+    match durable with
+    | None -> Lxu_storage.Sim_file.in_memory ()
+    | Some s -> Lxu_storage.Sim_file.open_path (pages_path (Lxu_storage.Wal_store.dir s))
   in
   Lxu_storage.Page_store.create ~device ()
 
@@ -63,7 +52,7 @@ let create ?(engine = LD) ?(index_attributes = false) ?domains ?(durability = `N
     | `None -> None
     | `Wal dir -> Some (Lxu_storage.Wal_store.fresh ~dir ~mode ~index_attributes)
   in
-  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability) in
+  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore durable) in
   let log =
     Update_log.create ~mode ~index_attributes ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
   in
@@ -100,11 +89,14 @@ let query_pool = pool_of
    nothing ([replay] validates a run before it mutates), and the WAL
    records ops only after the apply accepted them, so the log always
    replays cleanly; a crash between apply and commit loses at most the
-   uncommitted tail.  Each write commits one epoch, the MVCC version
-   {!Shared_db} publishes under (session-local, never persisted). *)
+   uncommitted tail; a WAL write that raises fails the store, which
+   refuses every later write before it applies.  Each write commits
+   one epoch, the MVCC version {!Shared_db} publishes under
+   (session-local, never persisted). *)
 let write ~who t ops =
   snapshot_guard t who;
   if t.closed then invalid_arg (who ^ ": database is closed");
+  Option.iter (Lxu_storage.Wal_store.check_writable ~who) t.durable;
   t.log <- Lxu_storage.Recovery.replay ?pool:(pool_of t) ?pstore:t.pstore t.log ops;
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_ops s ops);
   t.epoch <- t.epoch + 1
@@ -191,11 +183,22 @@ let checkpoint t =
     in
     Lxu_storage.Wal_store.checkpoint ?page_checkpoint s t.log
 
+(* A batch whose commit fails logged none of its writes: their epochs
+   are taken back. *)
 let batch t f =
-  match t.durable with None -> f () | Some s -> Lxu_storage.Wal_store.batch s f
+  match t.durable with
+  | None -> f ()
+  | Some s -> (
+    let before = t.epoch in
+    try Lxu_storage.Wal_store.batch s f
+    with e when Lxu_storage.Wal_store.failed s ->
+      t.epoch <- before;
+      raise e)
 
 let wal_dir t = Option.map Lxu_storage.Wal_store.dir t.durable
 let wal_bytes t = Option.map Lxu_storage.Wal_store.wal_bytes t.durable
+let wal_device t = Option.map Lxu_storage.Wal_store.device t.durable
+let wal_failed t = Option.fold ~none:false ~some:Lxu_storage.Wal_store.failed t.durable
 
 let backup t ~dir =
   match t.durable with
@@ -212,10 +215,8 @@ let close t =
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.close s);
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
-let load ?domains ?(durability = `None) ?(storage = `Mem) path =
-  let pstore =
-    match storage with `Mem -> None | `Paged -> Some (fresh_pstore ~durability)
-  in
+let load ?domains ?(storage = `Mem) path =
+  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore None) in
   let ic = open_in_bin path in
   let lg =
     Fun.protect
@@ -226,21 +227,7 @@ let load ?domains ?(durability = `None) ?(storage = `Mem) path =
         try Update_log.load ~backend:(Lxu_btree.Storage_backend.fresh pstore) ic
         with Failure msg -> failwith (Printf.sprintf "Lazy_db.load: %s: %s" path msg))
   in
-  let t = of_log ?domains lg in
-  t.pstore <- pstore;
-  (match durability with
-  | `None -> ()
-  | `Wal dir ->
-    let s =
-      Lxu_storage.Wal_store.fresh ~dir ~mode:(Update_log.mode lg)
-        ~index_attributes:(Update_log.indexes_attributes lg)
-    in
-    t.durable <- Some s;
-    (* The WAL dir starts from this snapshot, not from empty: write
-       the base checkpoint immediately (page store included) so
-       recovery has it. *)
-    checkpoint t);
-  t
+  { (of_log ?domains lg) with pstore }
 
 let recover ?domains ?(storage = `Mem) dir =
   let pstore =
@@ -261,10 +248,7 @@ let recover ?domains ?(storage = `Mem) dir =
       Some ps
   in
   let lg, store, report = Lxu_storage.Wal_store.recover ?pstore ~dir () in
-  let t = of_log ?domains lg in
-  t.durable <- Some store;
-  t.pstore <- pstore;
-  (t, report)
+  ({ (of_log ?domains lg) with durable = Some store; pstore }, report)
 
 let restore_to ?domains ~lsn dir =
   let lg, report = Lxu_storage.Wal_store.restore_to ~dir ~lsn in

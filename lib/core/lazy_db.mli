@@ -127,7 +127,14 @@ val is_snapshot : t -> bool
     Every update is one write: it is refused on a {!snapshot} or after
     {!close} ([Invalid_argument], nothing applied), applied through
     {!Lxu_storage.Recovery.replay}, logged as one WAL record group
-    when the database is durable, and committed as one epoch.  A refused update changes nothing. *)
+    when the database is durable, and committed as one epoch.  A refused update changes nothing.
+
+    If the WAL write raises (say, a full disk), the update is applied
+    but not logged: the exception propagates, the epoch stays, and the
+    handle is failed ({!wal_failed}) — every later update, {!checkpoint}
+    and {!backup} raises [Failure] pointing to {!recover}, which
+    returns the state at the last committed LSN.  So does a {!batch}
+    whose commit raises ([Fun.Finally_raised]); its epochs are undone. *)
 
 val insert : t -> gp:int -> string -> unit
 (** Inserts a well-formed fragment at global byte position [gp] — a
@@ -226,19 +233,13 @@ val save : t -> string -> unit
 (** [save t path] writes a snapshot of the database — segment
     structure, immutable local labels, tombstones — to [path]. *)
 
-val load :
-  ?domains:int ->
-  ?durability:[ `None | `Wal of string ] ->
-  ?storage:[ `Mem | `Paged ] ->
-  string ->
-  t
+val load : ?domains:int -> ?storage:[ `Mem | `Paged ] -> string -> t
 (** Restores a database saved with {!save}; queries, updates and local
     labels behave exactly as before the save.  [domains] and [storage]
     as in {!create} (a save file carries no storage kind — the indexes
-    are rebuilt into whichever backend is requested).  With
-    [~durability:(`Wal dir)] the loaded state immediately becomes the
-    base checkpoint of a fresh WAL directory, and subsequent updates
-    are logged there.
+    are rebuilt into whichever backend is requested).  The result has
+    no WAL: a durable database starts from {!create} with
+    [~durability] or from {!recover}.
     @raise Failure on a malformed snapshot; the message includes the
     file path and byte offset.
     @raise Sys_error if the file cannot be read. *)
@@ -288,6 +289,12 @@ val recover :
 val wal_dir : t -> string option
 (** The durability directory, when the database has one. *)
 
+val wal_device : t -> Lxu_storage.Sim_file.t option
+(** The live WAL's device (a new one after each {!checkpoint}). *)
+
+val wal_failed : t -> bool
+(** A WAL write raised; the handle refuses every write (see Updates). *)
+
 val storage_kind : t -> [ `Mem | `Paged ]
 
 val page_store : t -> Lxu_storage.Page_store.t option
@@ -326,7 +333,8 @@ val restore_to :
 
 val close : t -> unit
 (** Commits any buffered WAL records and closes the log file (and the
-    page store, when paged).  Every later update raises
+    page store, when paged) — on a failed handle without writing the
+    refused group again.  Every later update raises
     [Invalid_argument] before applying anything.  Idempotent. *)
 
 val of_log : ?domains:int -> Lxu_seglog.Update_log.t -> t

@@ -84,7 +84,55 @@ and step_to_string { axis; tag; predicates } =
    sorting. *)
 
 module Lj = Lxu_join.Lazy_join
-module Plan = Lxu_plan.Plan
+
+(* --- slot sets: a [bool array] over every synopsis slot; an element
+   can sit in a match only if its slot does ------------------------- *)
+
+let tag_of syn s =
+  let p = Path_synopsis.path syn s in
+  p.(Array.length p - 1)
+
+(* Both passes walk the slot tree: a slot's parent (its path minus the
+   last tag) always has a smaller slot, so ascending order visits
+   parents first and descending order children first.  [down_slots]:
+   tag [tid]'s slots in [axis] relation to one of [above] ([None]: the
+   root); [up_slots]: the slots with one of [below] under them. *)
+let down_slots syn ~above axis ~tid =
+  let n = Path_synopsis.slots syn in
+  let parent = Path_synopsis.parent_table syn in
+  match above with
+  | None ->
+    let depth = Path_synopsis.depth_table syn in
+    Array.init n (fun s -> tag_of syn s = tid && (axis = Desc || depth.(s) = 0))
+  | Some (a : bool array) -> (
+    match axis with
+    | Child -> Array.init n (fun s -> parent.(s) >= 0 && a.(parent.(s)) && tag_of syn s = tid)
+    | Desc ->
+      (* [under.(s)]: [s] or one of its ancestors is in [a]. *)
+      let under = Array.make n false and out = Array.make n false in
+      for s = 0 to n - 1 do
+        let p = parent.(s) in
+        let below_a = p >= 0 && under.(p) in
+        out.(s) <- below_a && tag_of syn s = tid;
+        under.(s) <- below_a || a.(s)
+      done;
+      out)
+
+let up_slots syn axis (below : bool array) =
+  let n = Path_synopsis.slots syn in
+  let parent = Path_synopsis.parent_table syn in
+  let out = Array.make n false in
+  for t = n - 1 downto 0 do
+    let p = parent.(t) in
+    if p >= 0 && (below.(t) || (axis = Desc && out.(t))) then out.(p) <- true
+  done;
+  out
+
+(* Live elements on the set's slots. *)
+let live_in syn slots =
+  let c = ref 0 in
+  Array.iteri (fun s hit -> if hit then c := !c + Path_synopsis.count syn s) slots;
+  !c
 
 (* A step with its tag id ([-1]: the tag never occurs) and its
    candidate slots, its predicate paths annotated likewise. *)
@@ -92,9 +140,9 @@ type node = { step : step; tid : int; cand : bool array; preds : node list list 
 
 (* Annotates [steps], whose first step relates to the slots [above]
    ([None]: the document root).  Under [`Auto] a candidate slot
-   matches the path from the root down to the step
-   ({!Lxu_plan.Plan.down}) and holds a candidate of every predicate
-   head and of the next step below it ({!Lxu_plan.Plan.up}) — so in
+   matches the path from the root down to the step ([down_slots]) and
+   holds a candidate of every predicate head and of the next step below
+   it ([up_slots]) — so in
    [//a//b\[c\]//c] only the [b]s on a path that has a [c] below are
    candidates.  Under [`Naive] every slot of the tag is, except for a
    leading [/tag], which must be document-level. *)
@@ -104,8 +152,8 @@ let rec annotate ~auto syn reg ~above ~root (steps : t) =
   | s :: rest ->
     let tid = Option.value (Tag_registry.find reg s.tag) ~default:(-1) in
     let down =
-      if auto then Plan.down syn ~above s.axis ~tid
-      else Plan.down syn ~above:None (if root then s.axis else Desc) ~tid
+      if auto then down_slots syn ~above s.axis ~tid
+      else down_slots syn ~above:None (if root then s.axis else Desc) ~tid
     in
     let below = annotate ~auto syn reg ~above:(Some down) ~root:false in
     let preds = List.map below s.predicates and rest = below rest in
@@ -115,7 +163,7 @@ let rec annotate ~auto syn reg ~above ~root (steps : t) =
         List.fold_left
           (fun acc -> function
             | [] -> acc
-            | k :: _ -> Array.map2 ( && ) acc (Plan.up syn k.step.axis k.cand))
+            | k :: _ -> Array.map2 ( && ) acc (up_slots syn k.step.axis k.cand))
           down (rest :: preds)
     in
     { step = s; tid; cand; preds } :: rest
@@ -131,7 +179,7 @@ let rec narrow syn ~above nodes =
     let cand =
       match above with
       | None -> n.cand
-      | Some _ -> Array.map2 ( && ) n.cand (Plan.down syn ~above n.step.axis ~tid:n.tid)
+      | Some _ -> Array.map2 ( && ) n.cand (down_slots syn ~above n.step.axis ~tid:n.tid)
     in
     let below = narrow syn ~above:(Some cand) in
     { n with cand; preds = List.map below n.preds } :: below rest
@@ -198,7 +246,7 @@ type ctx = {
 
 let candidates ctx n =
   Lj.select ?guard:ctx.guard ctx.log
-    ~tid:(if Plan.live ctx.syn n.cand = 0 then -1 else n.tid)
+    ~tid:(if live_in ctx.syn n.cand = 0 then -1 else n.tid)
     n.cand
 
 let is_empty m = Array.for_all (fun b -> Bytes.length b = 0) m.Lj.sel

@@ -99,8 +99,10 @@ let write t f =
     ~finally:(fun () ->
       (* Publish whatever committed, even when [f] raised after some
          epochs went through (each Lazy_db op is all-or-nothing, so
-         the live state is consistent at every op boundary). *)
-      if Lazy_db.epoch t.db <> before then publish_locked t;
+         the live state is consistent at every op boundary) — unless
+         a WAL write failed: the live state then holds an update the
+         log never saw, and readers keep the last published version. *)
+      if Lazy_db.epoch t.db <> before && not (Lazy_db.wal_failed t.db) then publish_locked t;
       Atomic.incr t.writes_done;
       Mutex.unlock t.wlock)
     (fun () -> f t.db)

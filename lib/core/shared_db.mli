@@ -77,7 +77,9 @@ val write : t -> (Lazy_db.t -> 'a) -> 'a
     [f] commits are published as one new snapshot version when it
     returns (also on exception: every committed {!Lazy_db} op is
     all-or-nothing, so whatever prefix committed is consistent and
-    becomes visible). *)
+    becomes visible) — except when a WAL write failed during [f]
+    ({!Lazy_db.wal_failed}): then nothing is published and readers
+    keep the last published version. *)
 
 (** {2 Explicit snapshot handles}
 

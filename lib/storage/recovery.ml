@@ -12,6 +12,20 @@ type report = {
   last_lsn : int;
 }
 
+(* The one report literal: the state is the snapshot at [lsn] and no
+   WAL record replayed. *)
+let nothing_replayed ?corruption ~total_bytes lsn =
+  {
+    snapshot_lsn = lsn;
+    records_total = 0;
+    records_applied = 0;
+    records_skipped = 0;
+    valid_bytes = 0;
+    total_bytes;
+    corruption;
+    last_lsn = lsn;
+  }
+
 (* --- checkpoint snapshots -------------------------------------------- *)
 
 (* The header line is [LXUCKPT2 lsn <n> crc <8 hex>], the CRC-32 of the
@@ -23,28 +37,13 @@ let header_line lsn =
   let body = Printf.sprintf "lsn %d" lsn in
   Printf.sprintf "%s %s crc %08x" snapshot_magic body (Crc32.string body)
 
-(* The full atomic-rename protocol: write to a temp file, fsync it,
-   rename over the target, fsync the directory.  Without the file
-   fsync the rename can land before the data; without the directory
-   fsync the rename itself can be lost — either way a crash could
-   leave a snapshot that claims LSN [lsn] but does not hold it, and a
-   later WAL truncation would then destroy the only copy of those
-   records. *)
+(* Through [Sim_file.replace]: a crash leaves the previous snapshot or
+   this one, durably, so a later WAL truncation never destroys the only
+   copy of the records a snapshot claims to hold. *)
 let write_snapshot ~path ~lsn log =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (header_line lsn ^ "\n");
-     Update_log.save log oc;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
-  Sim_file.fsync_dir (Filename.dirname path)
+  Sim_file.replace path (fun oc ->
+      output_string oc (header_line lsn ^ "\n");
+      Update_log.save log oc)
 
 (* With a page store at hand, the snapshot's indexes may live there
    already: attach when the store's durable checkpoint carries exactly
@@ -218,12 +217,10 @@ let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
    with Exit -> ());
   ( !log,
     {
-      snapshot_lsn;
+      (nothing_replayed ?corruption:!note ~total_bytes:scan.Wal.total_bytes snapshot_lsn) with
       records_total = List.length scan.Wal.records;
       records_applied = !applied;
       records_skipped = List.length held + List.length beyond;
       valid_bytes = !valid;
-      total_bytes = scan.Wal.total_bytes;
-      corruption = !note;
       last_lsn = !last_lsn;
     } )

@@ -19,18 +19,20 @@ type report = {
   last_lsn : int;  (** state LSN after recovery; next record is [last_lsn + 1] *)
 }
 
+val nothing_replayed : ?corruption:string -> total_bytes:int -> int -> report
+(** The report of a recovery that kept the snapshot at [lsn] and
+    replayed no record of the [total_bytes] of WAL it found. *)
+
 (** {1 Checkpoint snapshots} *)
 
 val write_snapshot : path:string -> lsn:int -> Lxu_seglog.Update_log.t -> unit
 (** Writes the header line ["LXUCKPT2 lsn <n> crc <8 hex>"], where the
     CRC-32 covers the ["lsn <n>"] text, followed by the
     {!Lxu_seglog.Update_log.save} payload (checksummed by its own
-    CRC-32 trailer), via the full atomic-rename
-    protocol: temp file, file fsync, rename into place, directory
-    fsync.  A crash at any point leaves either the previous snapshot
-    or the new one, durably — never a torn file, and never a rename
-    that a power cut can roll back after the WAL was truncated on its
-    strength. *)
+    CRC-32 trailer), through {!Lxu_storage_core.Sim_file.replace}: a crash at any point
+    leaves either the previous snapshot or the new one, durably, so the
+    WAL is never truncated on the strength of a snapshot a power cut
+    can roll back. *)
 
 val read_snapshot :
   ?pstore:Lxu_storage_core.Page_store.t -> path:string -> unit -> int * Lxu_seglog.Update_log.t

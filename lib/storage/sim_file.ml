@@ -29,6 +29,7 @@ type pending_write = { at : int option; data : string }
 type t = {
   backing : backing;
   faults : (int, fault) Hashtbl.t;
+  mutable failing : int list;  (* write indices that fail as on a full disk *)
   mutable nwrites : int;
   write_back : bool;
   (* Writes buffered in the "page cache" (write-back mode only):
@@ -39,7 +40,7 @@ type t = {
 
 let in_memory ?(write_back = false) () =
   { backing = Memory { data = Bytes.create 256; len = 0 }; faults = Hashtbl.create 4;
-    nwrites = 0; write_back; pending = [] }
+    failing = []; nwrites = 0; write_back; pending = [] }
 
 let open_path ?(append = false) ?(write_back = false) path =
   let flags =
@@ -47,11 +48,12 @@ let open_path ?(append = false) ?(write_back = false) path =
   in
   let oc = open_out_gen flags 0o644 path in
   { backing = File { path; oc; closed = false; fd = None }; faults = Hashtbl.create 4;
-    nwrites = 0; write_back; pending = [] }
+    failing = []; nwrites = 0; write_back; pending = [] }
 
 let is_write_back t = t.write_back
 
 let inject t ~nth_write fault = Hashtbl.replace t.faults nth_write fault
+let fail_write t ~nth_write = t.failing <- nth_write :: t.failing
 
 let apply_fault data = function
   | Truncate_tail n ->
@@ -128,6 +130,11 @@ let persist_at t ~at data =
     write_all fd (Bytes.unsafe_of_string data) 0 (String.length data)
 
 let write_gen t ~at data =
+  if List.mem t.nwrites t.failing then begin
+    t.nwrites <- t.nwrites + 1;
+    (* What a write or flush into a full file system raises. *)
+    raise (Sys_error "No space left on device")
+  end;
   let data =
     match Hashtbl.find_opt t.faults t.nwrites with
     | Some f -> apply_fault data f
@@ -302,3 +309,44 @@ let fsync_dir dir =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+
+(* Without the file fsync the rename can land before the data; without
+   the directory fsync the rename itself can be lost — either way a
+   crash could leave a file that claims state it does not hold. *)
+let replace path write =
+  let tmp = path ^ ".tmp" in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        write oc;
+        Stdlib.flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Sys.rename tmp path
+  with
+  | () -> fsync_dir (Filename.dirname path)
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let remove_durable path =
+  if Sys.file_exists path then begin
+    Sys.remove path;
+    fsync_dir (Filename.dirname path)
+  end
+
+let mkdir_p dir =
+  let rec make d =
+    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+      make (Filename.dirname d);
+      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    end
+  in
+  make dir
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -47,6 +47,10 @@ val inject : t -> nth_write:int -> fault -> unit
     every {!write} since the device was opened).  At most one fault
     per write; the last injection wins. *)
 
+val fail_write : t -> nth_write:int -> unit
+(** Write number [nth_write] (counted as for {!inject}) persists
+    nothing and raises [Sys_error "No space left on device"]. *)
+
 val apply_fault : string -> fault -> string
 (** What a faulty write persists instead of [data] — the pure
     corruption function, also usable directly on captured WAL bytes.
@@ -130,8 +134,19 @@ val close : t -> unit
     never implied durability; call {!sync} first for a clean
     shutdown. *)
 
-val fsync_dir : string -> unit
-(** fsync on the directory itself, making renames/creates/unlinks
-    inside it durable — the missing half of every atomic-rename
-    protocol.  Errors from filesystems that reject directory fsync
-    are swallowed (no durability is available there to enforce). *)
+(** {1 Whole files} *)
+
+val replace : string -> (out_channel -> unit) -> unit
+(** [replace path write]: [write] fills [path ^ ".tmp"], which is
+    fsynced and renamed over [path] before the directory is fsynced,
+    so a crash leaves the old file or the new one, durably.  If a step
+    raises, the temp file is removed and [path] left as it was. *)
+
+val remove_durable : string -> unit
+(** Removes [path], if it exists, and fsyncs its directory. *)
+
+val mkdir_p : string -> unit
+(** Creates a directory and its missing parents. *)
+
+val read_file : string -> string
+(** A whole file's bytes. *)

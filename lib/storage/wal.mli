@@ -42,6 +42,9 @@ type scan_result = {
   corruption : string option;  (** why the scan stopped early, with byte offset *)
 }
 
+val encode_header : header -> string
+(** The file header {!create} writes: {!header_bytes} long. *)
+
 val header_bytes : int
 (** Size of the file header (the first record boundary). *)
 

@@ -3,7 +3,7 @@
     everything since).
 
     Lifecycle: {!fresh} initialises the directory for a new database;
-    {!log_ops}/{!commit} (or {!batch} for group commit) persist each
+    {!log_ops} (or {!batch} for group commit) persist each
     update; {!checkpoint} snapshots the current log and rotates the
     WAL; {!recover} rebuilds the state after a crash, truncating any
     torn or corrupt WAL tail in place so the next writer appends to a
@@ -21,6 +21,18 @@ val wal_bytes : t -> int
 (** Current size of the live WAL file — the maintenance scheduler's
     rolling-checkpoint trigger. *)
 
+val device : t -> Lxu_storage_core.Sim_file.t
+(** The live WAL's device (a new one after each {!checkpoint}). *)
+
+val failed : t -> bool
+(** A WAL commit raised: its group never reached the log, so every
+    later write, checkpoint and backup raises [Failure] pointing to
+    {!recover}, and {!close} does not write the group again. *)
+
+val check_writable : who:string -> t -> unit
+(** @raise Failure, prefixed with [who], when the store has
+    {!failed}. *)
+
 val fresh :
   dir:string -> mode:Lxu_seglog.Update_log.mode -> index_attributes:bool -> t
 (** Creates [dir] if needed, removes any previous snapshot, and
@@ -35,17 +47,19 @@ val log_ops : t -> Wal.op list -> unit
     persists a prefix of the group — each record replays individually,
     so recovery yields the state after that prefix. *)
 
-val commit : ?sync:bool -> t -> unit
-
 val batch : t -> (unit -> 'a) -> 'a
 (** Runs [f] with auto-commit off, then commits every record it
     logged with one device write.  On an exception the records logged
     so far are still committed (they describe updates that did
-    happen).  Not reentrant. *)
+    happen); a commit that raises surfaces as [Fun.Finally_raised].  Not
+    reentrant. *)
 
 val checkpoint : ?page_checkpoint:(int -> unit) -> t -> Lxu_seglog.Update_log.t -> unit
-(** Writes a snapshot at the current LSN (temp file + fsync + rename +
-    directory fsync), then rotates the WAL to empty (same protocol).
+(** Writes a snapshot at the current LSN, then rotates the WAL to
+    empty, each through {!Lxu_storage_core.Sim_file.replace}.  If
+    either step raises, its temp file is gone and the store still
+    appends to the old WAL (a snapshot already renamed into place
+    makes recovery skip the records it holds).
     A crash between the two steps is safe: recovery skips replayed
     records at or below the snapshot LSN — and because the snapshot is
     durable {e before} the rotation's directory fsync, a resurrected
@@ -61,8 +75,8 @@ val checkpoint : ?page_checkpoint:(int -> unit) -> t -> Lxu_seglog.Update_log.t 
 
 val backup : t -> dir:string -> int
 (** [backup t ~dir] commits and fsyncs the live WAL, then copies the
-    snapshot (if any) and the WAL into [dir] — each through the
-    atomic-rename protocol, snapshot first, so a crash mid-backup
+    snapshot (if any) and the WAL into [dir] — each through
+    {!Lxu_storage_core.Sim_file.replace}, snapshot first, so a crash mid-backup
     leaves [dir] restorable to {e some} committed point, never torn.
     Returns the last committed LSN (what {!restore_to} on the backup
     can reach).  Call with the store quiescent (e.g. under the
@@ -93,4 +107,5 @@ val recover :
     no readable WAL header); messages include the path. *)
 
 val close : t -> unit
-(** Commits buffered records and closes the device; idempotent. *)
+(** Commits buffered records — unless the store has {!failed} — and
+    closes the device; idempotent. *)

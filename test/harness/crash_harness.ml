@@ -82,11 +82,11 @@ let op_to_string = function
 
 let ops_to_string ops = String.concat "; " (List.map op_to_string ops)
 
-let fingerprint db =
+let fingerprint ?(segments = true) db =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Lazy_db.text db);
-  Buffer.add_string buf (Printf.sprintf "|elems=%d|segs=%d" (Lazy_db.element_count db)
-                           (Lazy_db.segment_count db));
+  Buffer.add_string buf (Printf.sprintf "|elems=%d" (Lazy_db.element_count db));
+  if segments then Buffer.add_string buf (Printf.sprintf "|segs=%d" (Lazy_db.segment_count db));
   let descs = Array.to_list vocabulary @ [ "@k"; "@w" ] in
   Array.iter
     (fun anc ->
@@ -117,18 +117,17 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let with_dir tag f =
+  let dir = fresh_dir tag in
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let read_file = Sim_file.read_file
 
 let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
   close_out oc
-
-let copy_file src dst = write_file dst (read_file src)
 
 (* --- the differential ------------------------------------------------- *)
 
@@ -138,22 +137,55 @@ let check ~ctx expected db =
     failwith
       (Printf.sprintf "%s: recovered state diverges\n  expected %S\n  got      %S" ctx expected got)
 
-(* Recovers the crashed image [wal_prefix] (with [snapshot] when the
-   workload checkpointed) through the real directory path, and
-   returns the database plus report. *)
-let recover_image ~tag ~snapshot ~wal_prefix =
-  let dir = fresh_dir tag in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      (match snapshot with
-      | Some src -> copy_file src (Lxu_storage.Wal_store.snapshot_path dir)
-      | None -> ());
-      write_file (Lxu_storage.Wal_store.wal_path dir) wal_prefix;
+(* Recovers a crash image — byte-for-byte copies of the WAL and, when
+   the workload checkpointed, the snapshot — through the real
+   directory path, and returns the database plus report. *)
+let recover_image ~tag ?snapshot_bytes ~wal_bytes () =
+  with_dir tag (fun dir ->
+      Option.iter (write_file (Lxu_storage.Wal_store.snapshot_path dir)) snapshot_bytes;
+      write_file (Lxu_storage.Wal_store.wal_path dir) wal_bytes;
       let db, report = Lazy_db.recover dir in
       Lazy_db.close db;
       (db, report))
+
+let refused ~ctx what f =
+  match f () with
+  | () -> failwith (Printf.sprintf "%s: a failed handle accepted %s" ctx what)
+  | exception Failure _ -> ()
+
+(* The WAL refuses the write of op [f] as a full disk would: the op
+   raises, the handle is failed with its epoch unmoved and refuses
+   every later write, checkpoint and backup, and [close] drops the
+   refused group — so recovery lands exactly on the state after the
+   first [f] ops, at LSN [f]. *)
+let check_wal_failure ?checkpoint_at ~seed ~ops ~fps f =
+  let ctx = Printf.sprintf "seed %d wal failure at op %d" seed f in
+  with_dir "walfail" (fun dir ->
+      let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      List.iteri
+        (fun i op ->
+          if i < f then begin
+            apply db op;
+            if checkpoint_at = Some (i + 1) then Lazy_db.checkpoint db
+          end)
+        ops;
+      let device = Option.get (Lazy_db.wal_device db) in
+      Sim_file.fail_write device ~nth_write:(Sim_file.writes device);
+      let epoch = Lazy_db.epoch db in
+      (match apply db (List.nth ops f) with
+      | () -> failwith (ctx ^ ": the refused WAL write went unnoticed")
+      | exception Sys_error _ -> ());
+      if not (Lazy_db.wal_failed db) then failwith (ctx ^ ": handle not failed");
+      if Lazy_db.epoch db <> epoch then failwith (ctx ^ ": epoch advanced");
+      refused ~ctx "an insert" (fun () -> Lazy_db.insert db ~gp:0 "<a/>");
+      refused ~ctx "a checkpoint" (fun () -> Lazy_db.checkpoint db);
+      refused ~ctx "a backup" (fun () -> ignore (Lazy_db.backup db ~dir:(dir ^ "_bak")));
+      Lazy_db.close db;
+      let db', report = Lazy_db.recover dir in
+      Lazy_db.close db';
+      if report.Recovery.last_lsn <> f then
+        failwith (Printf.sprintf "%s: recovered to lsn %d" ctx report.Recovery.last_lsn);
+      check ~ctx fps.(f) db')
 
 (* save . load . save: the checkpoint at [path] read back and written
    again at its LSN is byte-identical, which pins the snapshot format
@@ -166,7 +198,7 @@ let check_resave ~ctx path =
   Sys.remove again;
   if saved <> resaved then failwith (ctx ^ ": a loaded checkpoint saves different bytes")
 
-let run_one_inner ?checkpoint_at ~seed ~ops () =
+let run_one_inner ?checkpoint_at ~wal_fail_every ~seed ~ops () =
   let n = List.length ops in
   let checkpoint_at =
     match checkpoint_at with Some k when k >= n -> None | other -> other
@@ -195,9 +227,9 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
         ops;
       Lazy_db.close durable;
       let wal_bytes = read_file (Lxu_storage.Wal_store.wal_path dir) in
-      let snapshot =
+      let snapshot_bytes =
         match checkpoint_at with
-        | Some _ -> Some (Lxu_storage.Wal_store.snapshot_path dir)
+        | Some _ -> Some (read_file (Lxu_storage.Wal_store.snapshot_path dir))
         | None -> None
       in
       let base = match checkpoint_at with Some k -> k | None -> 0 in
@@ -218,7 +250,7 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
         let prefix = String.sub wal_bytes 0 (boundary_off j) in
         let ctx = Printf.sprintf "seed %d boundary %d/%d" seed j (Array.length records) in
         incr recoveries;
-        match snapshot with
+        match snapshot_bytes with
         | None ->
           let log, report = Recovery.recover_bytes prefix in
           if report.Recovery.corruption <> None then
@@ -228,7 +260,7 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
               (Printf.sprintf "%s: applied %d of %d records" ctx report.Recovery.records_applied j);
           check ~ctx fps.(base + j) (Lazy_db.of_log log)
         | Some _ ->
-          let db, report = recover_image ~tag:"boundary" ~snapshot ~wal_prefix:prefix in
+          let db, report = recover_image ~tag:"boundary" ?snapshot_bytes ~wal_bytes:prefix () in
           if report.Recovery.records_applied <> j then
             failwith
               (Printf.sprintf "%s: applied %d of %d records" ctx report.Recovery.records_applied j);
@@ -251,13 +283,15 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
           let ctx = Printf.sprintf "seed %d fault %d" seed t in
           incr recoveries;
           let applied =
-            match snapshot with
+            match snapshot_bytes with
             | None ->
               let log, report = Recovery.recover_bytes corrupted in
               check ~ctx fps.(base + report.Recovery.records_applied) (Lazy_db.of_log log);
               report.Recovery.records_applied
             | Some _ ->
-              let db, report = recover_image ~tag:"fault" ~snapshot ~wal_prefix:corrupted in
+              let db, report =
+                recover_image ~tag:"fault" ?snapshot_bytes ~wal_bytes:corrupted ()
+              in
               check ~ctx fps.(base + report.Recovery.records_applied) db;
               report.Recovery.records_applied
           in
@@ -271,23 +305,30 @@ let run_one_inner ?checkpoint_at ~seed ~ops () =
                  | Sim_file.Duplicate_tail k -> Printf.sprintf "dup %d" k))
         done
       end;
+      (* A WAL write refused at every [wal_fail_every]-th op. *)
+      for f = 0 to n - 1 do
+        if f mod wal_fail_every = 0 then begin
+          incr recoveries;
+          check_wal_failure ?checkpoint_at ~seed ~ops ~fps f
+        end
+      done;
       !recoveries)
 
-let run_one ?checkpoint_at ~seed ~target_ops () =
+let run_one ?checkpoint_at ~wal_fail_every ~seed ~target_ops () =
   let ops = gen_ops ~seed ~target_ops in
   (* Any divergence reports the exact schedule: the seed regenerates
      it, and the printed prefix replays even without the generator. *)
-  try run_one_inner ?checkpoint_at ~seed ~ops ()
+  try run_one_inner ?checkpoint_at ~wal_fail_every ~seed ~ops ()
   with Failure msg ->
     failwith
       (Printf.sprintf "%s\n  replay: seed=%d target_ops=%d schedule=[%s]" msg seed target_ops
          (ops_to_string ops))
 
-let run_matrix ~seeds ~target_ops =
+let run_matrix ~seeds ~target_ops ~wal_fail_every =
   List.iter
     (fun seed ->
       let checkpoint_at = if seed mod 3 = 0 then Some (target_ops / 2) else None in
-      let recoveries = run_one ?checkpoint_at ~seed ~target_ops () in
+      let recoveries = run_one ?checkpoint_at ~wal_fail_every ~seed ~target_ops () in
       Printf.printf "crash matrix seed %d: %d recoveries ok%s\n%!" seed recoveries
         (match checkpoint_at with Some k -> Printf.sprintf " (checkpoint at %d)" k | None -> ""))
     seeds

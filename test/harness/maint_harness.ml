@@ -19,23 +19,6 @@ let harness_config ~backup_dir =
     backup_dir;
   }
 
-(* Recovers a captured crash image (byte-for-byte copies of the WAL
-   and optional snapshot, taken at a maintenance-step boundary)
-   through the real directory path. *)
-let recover_image ~tag ?snapshot_bytes ~wal_bytes () =
-  let dir = Crash_harness.fresh_dir tag in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> Crash_harness.rm_rf dir)
-    (fun () ->
-      (match snapshot_bytes with
-      | Some s -> Crash_harness.write_file (Wal_store.snapshot_path dir) s
-      | None -> ());
-      Crash_harness.write_file (Wal_store.wal_path dir) wal_bytes;
-      let db, report = Lazy_db.recover dir in
-      Lazy_db.close db;
-      (db, report))
-
 (* --- crash churn: kill the store at every maintenance boundary ------- *)
 
 (* The churn schedule interleaves the generated update stream with a
@@ -69,7 +52,7 @@ let run_churn_crash_inner ~maint_every ~seed ~ops () =
       in
       let expect_now ~ctx ?snapshot_bytes ~wal_bytes () =
         incr recoveries;
-        let db, _ = recover_image ~tag:"maint" ?snapshot_bytes ~wal_bytes () in
+        let db, _ = Crash_harness.recover_image ~tag:"maint" ?snapshot_bytes ~wal_bytes () in
         Crash_harness.check ~ctx (Hashtbl.find fps !lsn) db
       in
       let rng = Rng.create ((seed * 104729) + 1) in
@@ -135,7 +118,7 @@ let run_churn_crash_inner ~maint_every ~seed ~ops () =
                     let body = String.sub wal_post Wal.header_bytes body_len in
                     let image = head ^ Sim_file.apply_fault body fault in
                     let db, report =
-                      recover_image ~tag:"maintfault" ?snapshot_bytes:snap_post
+                      Crash_harness.recover_image ~tag:"maintfault" ?snapshot_bytes:snap_post
                         ~wal_bytes:image ()
                     in
                     let ctx = ctx0 ^ " fault" in

@@ -30,26 +30,9 @@ let note t = function
   | Error (Governor.Timed_out _) -> t.t_timeo <- t.t_timeo + 1
   | Error (Governor.Cancelled _) -> t.t_canc <- t.t_canc + 1
 
-(* Query-visible state: the text, counts and the all-pairs output of
-   every vocabulary join — the same equality the crash harness uses. *)
-let fingerprint db =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Lazy_db.text db);
-  Buffer.add_string buf (Printf.sprintf "|elems=%d" (Lazy_db.element_count db));
-  let descs = Array.to_list Crash_harness.vocabulary @ [ "@k" ] in
-  Array.iter
-    (fun anc ->
-      List.iter
-        (fun desc ->
-          List.iter
-            (fun axis ->
-              let pairs, _ = Lazy_db.query db ~axis ~anc ~desc () in
-              Buffer.add_string buf (Printf.sprintf "|%s/%s:" anc desc);
-              List.iter (fun (a, d) -> Buffer.add_string buf (Printf.sprintf "%d-%d," a d)) pairs)
-            [ Lxu_util.Axis.Desc; Lxu_util.Axis.Child ])
-        descs)
-    Crash_harness.vocabulary;
-  Buffer.contents buf
+(* Query-visible state: the crash harness's fingerprint without the
+   physical segment count, which this differential never compared. *)
+let fingerprint db = Crash_harness.fingerprint ~segments:false db
 
 let n_victims = 2
 let n_readers = 3

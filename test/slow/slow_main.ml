@@ -2,7 +2,8 @@
 
    - the full crash-recovery matrix: >= 30 randomized workloads, each
      crashed at every WAL record boundary and under injected torn /
-     bit-flipped / duplicated tails;
+     bit-flipped / duplicated tails, and rerun with the WAL refusing
+     the write of each operation in turn (a full disk);
    - the full overload chaos matrix: LD x sequential and 4-domain
      parallelism x several seeds, each run asserting
      typed shedding, bounded cancellation, a torn-state-free
@@ -61,9 +62,12 @@ let int_env name default =
 let () =
   let seeds = int_env "LXU_CRASH_SEEDS" 48 in
   let target_ops = int_env "LXU_CRASH_OPS" 48 in
-  Printf.printf "crash matrix: %d workloads x ~%d ops, every record boundary + 3 faults each\n%!"
+  Printf.printf
+    "crash matrix: %d workloads x ~%d ops, every record boundary + 3 faults + a refused WAL write at every op each\n%!"
     seeds target_ops;
-  Lxu_crash_harness.Crash_harness.run_matrix ~seeds:(List.init seeds (fun i -> i + 1)) ~target_ops;
+  Lxu_crash_harness.Crash_harness.run_matrix
+    ~seeds:(List.init seeds (fun i -> i + 1))
+    ~target_ops ~wal_fail_every:1;
   Printf.printf "crash matrix: all %d workloads recovered byte-identically\n%!" seeds;
   let overload_seeds = int_env "LXU_OVERLOAD_SEEDS" 6 in
   Printf.printf "overload matrix: LD x domains {1,4} x %d seeds\n%!" overload_seeds;

@@ -6,6 +6,7 @@
 open Lazy_xml
 module Deadline = Lxu_util.Deadline
 module Rng = Lxu_workload.Rng
+module H = Lxu_crash_harness.Crash_harness
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -15,8 +16,8 @@ let small_config =
 
 let seeded_db gov =
   List.iter
-    (fun op -> Shared_db.write (Governor.shared gov) (fun db -> Lxu_crash_harness.Crash_harness.apply db op))
-    (Lxu_crash_harness.Crash_harness.gen_ops ~seed:11 ~target_ops:20)
+    (fun op -> Shared_db.write (Governor.shared gov) (fun db -> H.apply db op))
+    (H.gen_ops ~seed:11 ~target_ops:20)
 
 let spin_until flag = while not (Atomic.get flag) do Domain.cpu_relax () done
 
@@ -283,25 +284,12 @@ let test_admission_bound_under_race () =
 let wide_config =
   { Governor.max_readers = 1; max_writer_queue = 8; default_deadline_s = None }
 
-let temp_dir tag =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "lazyxml_test_governor_%s_%d" tag (Unix.getpid ()))
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
 let concurrent_inserts_account_exactly durability () =
   (* 4 domains hammer [insert] concurrently.  Accounting must stay
      exact: every insert admitted, completed, and visible in the
      document — a lost or double-applied insert would show up in one
      of these counts.  Durable, the WAL must replay to the same text. *)
-  let dir = temp_dir "account" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "governor_account" (fun dir ->
       let durability = if durability then `Wal dir else `None in
       let gov = Governor.create ~config:wide_config ~durability () in
       let per_domain = 25 in
@@ -389,10 +377,7 @@ let test_bad_insert_fails_only_its_caller () =
 let test_closed_store_refuses_inserts () =
   (* Concurrent inserts on a closed durable store: every caller sees
      the exception and none of the edits is applied. *)
-  let dir = temp_dir "closed" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "governor_closed" (fun dir ->
       let gov = Governor.create ~config:wide_config ~durability:(`Wal dir) () in
       (match Governor.insert gov ~gp:0 "<r></r>" with
       | Ok () -> ()

@@ -15,14 +15,9 @@ module Recovery = Lxu_storage.Recovery
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* The crash-harness fingerprint includes the physical segment count,
-   which packing legitimately changes: state comparisons across a
-   pack must drop that one token. *)
-let logical_fp db =
-  Crash_harness.fingerprint db
-  |> String.split_on_char '|'
-  |> List.filter (fun tok -> not (String.length tok >= 5 && String.sub tok 0 5 = "segs="))
-  |> String.concat "|"
+(* Packing legitimately changes the physical segment count: state
+   comparisons across a pack leave it out. *)
+let logical_fp db = Crash_harness.fingerprint ~segments:false db
 
 let check_logical ~ctx expected db =
   let got = logical_fp db in

@@ -13,19 +13,7 @@ let check_bool = Alcotest.(check bool)
 (* --- satellite: reader pinned across pack_subtree + checkpoint ------- *)
 
 let test_pinned_across_pack_and_checkpoint () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lazyxml_test_mvcc_wal_%d" (Unix.getpid ()))
-  in
-  let rm_rf dir =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir
-    end
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Crash_harness.with_dir "mvcc_wal" (fun dir ->
       let t = Shared_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       Shared_db.insert t ~gp:0 "<a><b/><b/></a>";
       Shared_db.insert t ~gp:3 "<c><b/></c>";

@@ -20,11 +20,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let with_dir tag f =
-  let dir = H.fresh_dir ("paged_" ^ tag) in
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> H.rm_rf dir) (fun () -> f dir)
-
 (* Small pages so a few hundred keys already build a multi-level
    tree: splits, separators and the lazy-deletion paths all fire. *)
 let small_store ?(page_size = 512) ?pool_bytes () =
@@ -152,7 +147,7 @@ let fill tr lo hi =
   done
 
 let test_checkpoint_reopen () =
-  with_dir "reopen" (fun dir ->
+  H.with_dir "paged_reopen" (fun dir ->
       let path = Filename.concat dir "pages" in
       let ps = Page_store.create ~device:(Sim_file.open_path path) ~page_size:512 () in
       let tr = Paged_bptree.create ps ~slot:"t" ~kw:1 ~vw:1 in
@@ -313,7 +308,7 @@ let build_paged_durable dir ~seed ~target_ops ~checkpoint_at =
   (ops, fp)
 
 let test_db_recover_attach () =
-  with_dir "attach" (fun dir ->
+  H.with_dir "paged_attach" (fun dir ->
       let _, fp = build_paged_durable dir ~seed:21 ~target_ops:16 ~checkpoint_at:7 in
       let db, report = Lazy_db.recover ~storage:`Paged dir in
       (* The final checkpoint emptied the WAL: recovery must attach the
@@ -333,7 +328,7 @@ let test_db_recover_attach () =
       Lazy_db.close db2)
 
 let test_db_recover_suffix_replay () =
-  with_dir "suffix" (fun dir ->
+  H.with_dir "paged_suffix" (fun dir ->
       (* Checkpoint mid-stream, then more updates land in the WAL: the
          page store's LSN is behind the WAL tail, so recovery attaches
          the checkpointed trees and replays the suffix on top. *)
@@ -380,7 +375,7 @@ let test_db_recover_rebuild_paths () =
   in
   List.iter
     (fun (name, corrupt) ->
-      with_dir "rebuild" (fun dir ->
+      H.with_dir "paged_rebuild" (fun dir ->
           let _, fp = build_paged_durable dir ~seed:23 ~target_ops:14 ~checkpoint_at:6 in
           corrupt dir;
           let storage = if name = "recovered with mem storage instead" then `Mem else `Paged in
@@ -391,7 +386,7 @@ let test_db_recover_rebuild_paths () =
     scenarios
 
 let test_db_crash_between_checkpoints () =
-  with_dir "mismatch" (fun dir ->
+  H.with_dir "paged_mismatch" (fun dir ->
       (* A snapshot written without the page checkpoint (simulating the
          crash window): the LSNs mismatch, recovery must rebuild. *)
       let ops = H.gen_ops ~seed:24 ~target_ops:12 in
@@ -428,7 +423,7 @@ let with_env var value f =
 
 let test_beyond_ram () =
   with_env "LXU_POOL_BYTES" "65536" (fun () ->
-      with_dir "beyond" (fun dir ->
+      H.with_dir "paged_beyond" (fun dir ->
           (* Generated XML appended until the document is well past
              2x the 64 KiB pool. *)
           let frag seed = Lxu_workload.Generator.generate_text ~seed ~target_elements:80 () in

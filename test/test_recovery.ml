@@ -9,39 +9,11 @@ module H = Lxu_crash_harness.Crash_harness
 module Wal = Lxu_storage.Wal
 module Wal_store = Lxu_storage.Wal_store
 module Recovery = Lxu_storage.Recovery
+module Sim_file = Lxu_storage.Sim_file
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun tag ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lazyxml_test_recovery_%d_%s_%d" (Unix.getpid ()) tag !counter)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let with_dir tag f =
-  let dir = fresh_dir tag in
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -60,7 +32,7 @@ let build_durable ?after dir ~seed ~target_ops =
   (ops, fp)
 
 let test_durable_roundtrip () =
-  with_dir "roundtrip" (fun dir ->
+  H.with_dir "roundtrip" (fun dir ->
       let ops, fp = build_durable dir ~seed:11 ~target_ops:15 in
       let db, report = Lazy_db.recover dir in
       check_string "recovered state" fp (H.fingerprint db);
@@ -70,7 +42,7 @@ let test_durable_roundtrip () =
       Lazy_db.close db)
 
 let test_checkpoint_and_suffix () =
-  with_dir "ckpt" (fun dir ->
+  H.with_dir "ckpt" (fun dir ->
       let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       let ops = H.gen_ops ~seed:12 ~target_ops:16 in
       List.iteri
@@ -87,7 +59,7 @@ let test_checkpoint_and_suffix () =
       Lazy_db.close db')
 
 let test_recover_then_continue () =
-  with_dir "continue" (fun dir ->
+  H.with_dir "continue" (fun dir ->
       let _, _ = build_durable dir ~seed:13 ~target_ops:10 in
       let db, _ = Lazy_db.recover dir in
       let more = H.gen_ops ~seed:14 ~target_ops:6 in
@@ -102,28 +74,28 @@ let test_recover_then_continue () =
       Lazy_db.close db')
 
 let test_torn_tail_repaired_in_place () =
-  with_dir "torn" (fun dir ->
+  H.with_dir "torn" (fun dir ->
       let _, _ = build_durable dir ~seed:15 ~target_ops:12 in
       let wal = Wal_store.wal_path dir in
-      let bytes = read_file wal in
+      let bytes = H.read_file wal in
       let clean = Wal.scan bytes in
       let n = List.length clean.Wal.records in
-      write_file wal (String.sub bytes 0 (String.length bytes - 5));
+      H.write_file wal (String.sub bytes 0 (String.length bytes - 5));
       let db, report = Lazy_db.recover dir in
       check_int "lost exactly the torn record" (n - 1) report.Recovery.records_applied;
       check_bool "tear reported" true (report.Recovery.corruption <> None);
       Lazy_db.close db;
       (* The tail was truncated on disk: a second recovery is clean. *)
-      let rescan = Wal.scan (read_file wal) in
+      let rescan = Wal.scan (H.read_file wal) in
       check_bool "wal repaired" true (rescan.Wal.corruption = None);
-      check_int "repaired length" report.Recovery.valid_bytes (String.length (read_file wal));
+      check_int "repaired length" report.Recovery.valid_bytes (String.length (H.read_file wal));
       let db', report' = Lazy_db.recover dir in
       check_bool "second recovery clean" true (report'.Recovery.corruption = None);
       check_int "same state" (n - 1) report'.Recovery.records_applied;
       Lazy_db.close db')
 
 let test_batch_group_commit () =
-  with_dir "batch" (fun dir ->
+  H.with_dir "batch" (fun dir ->
       let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       let ops = H.gen_ops ~seed:16 ~target_ops:12 in
       Lazy_db.batch db (fun () -> List.iter (H.apply db) ops);
@@ -134,44 +106,26 @@ let test_batch_group_commit () =
       check_int "all records" (List.length ops) report.Recovery.records_applied;
       Lazy_db.close db')
 
-let test_load_with_durability () =
-  with_dir "load" (fun dir ->
-      (* Build a plain snapshot, then open it durably. *)
-      let src = Lazy_db.create ~index_attributes:true () in
-      List.iter (H.apply src) (H.gen_ops ~seed:17 ~target_ops:8);
-      let snap = Filename.concat (Filename.get_temp_dir_name ()) "lazyxml_test_load_src" in
-      Lazy_db.save src snap;
-      Fun.protect
-        ~finally:(fun () -> Sys.remove snap)
-        (fun () ->
-          let db = Lazy_db.load ~durability:(`Wal dir) snap in
-          Lazy_db.insert db ~gp:0 "<a/>";
-          let fp = H.fingerprint db in
-          Lazy_db.close db;
-          let db', _ = Lazy_db.recover dir in
-          check_string "loaded base + wal suffix" fp (H.fingerprint db');
-          Lazy_db.close db'))
-
 let test_quick_matrix () =
   (* A quick slice of the @slow acceptance matrix. *)
-  H.run_matrix ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~target_ops:12
+  H.run_matrix ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~target_ops:12 ~wal_fail_every:4
 
 let test_error_paths () =
-  with_dir "errors" (fun dir ->
+  H.with_dir "errors" (fun dir ->
       (* Nothing recoverable: the message names the directory. *)
       (match Lazy_db.recover dir with
       | exception Failure msg -> check_bool "recover names dir" true (contains ~needle:dir msg)
       | _ -> Alcotest.fail "recovered from an empty directory");
       (* Malformed snapshot: path in the message. *)
       let snap = Wal_store.snapshot_path dir in
-      write_file snap "LXUCKPT1 lsn garbage\n";
+      H.write_file snap "LXUCKPT1 lsn garbage\n";
       (match Recovery.read_snapshot ~path:snap () with
       | exception Failure msg -> check_bool "snapshot names path" true (contains ~needle:snap msg)
       | _ -> Alcotest.fail "malformed checkpoint accepted");
       Sys.remove snap);
   (* Lazy_db.load wraps Update_log failures with the path. *)
   let path = Filename.concat (Filename.get_temp_dir_name ()) "lazyxml_test_badsnap" in
-  write_file path "junk";
+  H.write_file path "junk";
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -191,7 +145,7 @@ let test_bad_insert_mid_run () =
   let good_after = [ Wal.Insert { gp = 3; text = "<c/>" }; Wal.Insert { gp = 0; text = "<d/>" } ] in
   List.iter
     (fun (what, bad) ->
-      with_dir "badrun" (fun dir ->
+      H.with_dir "badrun" (fun dir ->
           let st =
             Wal_store.fresh ~dir ~mode:Lxu_seglog.Update_log.Lazy_dynamic
               ~index_attributes:false
@@ -199,7 +153,7 @@ let test_bad_insert_mid_run () =
           Wal_store.log_ops st (good_before @ [ bad ] @ good_after);
           Wal_store.close st;
           let wal = Wal_store.wal_path dir in
-          let records = (Wal.scan (read_file wal)).Wal.records in
+          let records = (Wal.scan (H.read_file wal)).Wal.records in
           check_int (what ^ ": records written") 6 (List.length records);
           let bad_start = (List.nth records 2).Wal.end_off in
           let db, report = Lazy_db.recover dir in
@@ -217,7 +171,7 @@ let test_bad_insert_mid_run () =
           Lazy_db.check db;
           Lazy_db.close db;
           check_int (what ^ ": wal truncated at the bad record") bad_start
-            (String.length (read_file wal))))
+            (String.length (H.read_file wal))))
     [
       ("gp out of bounds", Wal.Insert { gp = 10_000; text = "<x/>" });
       ("ill-formed fragment", Wal.Insert { gp = 3; text = "<x>" });
@@ -226,7 +180,7 @@ let test_bad_insert_mid_run () =
 (* Point-in-time restore to an LSN inside a run of inserts stops
    exactly there. *)
 let test_restore_mid_run () =
-  with_dir "pitr_run" (fun dir ->
+  H.with_dir "pitr_run" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<r></r>";
       let texts = ref [ Lazy_db.text db ] in
@@ -252,7 +206,7 @@ let test_restore_mid_run () =
    it: the live text stays what recovery gives, so the two can never
    disagree about an update the WAL never saw. *)
 let test_closed_handle_refuses_writes () =
-  with_dir "closed" (fun dir ->
+  H.with_dir "closed" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<a><b/></a>";
       Lazy_db.close db;
@@ -280,7 +234,7 @@ let test_closed_handle_refuses_writes () =
    whose bytes do not parse (it cuts a comment) is refused before
    anything moves: the live text stays what recovery gives. *)
 let test_refused_pack_changes_nothing () =
-  with_dir "badpack" (fun dir ->
+  H.with_dir "badpack" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<a><!--xy--><b/></a>";
       let text = Lazy_db.text db in
@@ -299,7 +253,7 @@ let test_refused_pack_changes_nothing () =
    never read as a different LSN, which would skip or re-apply WAL
    records.  The old unchecksummed format is refused by its magic. *)
 let test_checkpoint_header_flips () =
-  with_dir "ckpt_header" (fun dir ->
+  H.with_dir "ckpt_header" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<r></r>";
       for _ = 2 to 12 do
@@ -312,7 +266,7 @@ let test_checkpoint_header_flips () =
       let text = Lazy_db.text db in
       Lazy_db.close db;
       let snap = Wal_store.snapshot_path dir in
-      let good = read_file snap in
+      let good = H.read_file snap in
       let header_len = String.index good '\n' + 1 in
       check_string "header"
         (Printf.sprintf "LXUCKPT2 lsn 12 crc %08x\n" (Lxu_storage.Crc32.string "lsn 12"))
@@ -333,22 +287,192 @@ let test_checkpoint_header_flips () =
           (fun mask ->
             let b = Bytes.of_string good in
             Bytes.set b i (Char.chr (Char.code good.[i] lxor mask));
-            write_file snap (Bytes.to_string b);
+            H.write_file snap (Bytes.to_string b);
             refused (Printf.sprintf "byte %d xor 0x%02x" i mask))
           [ 0x01; 0x20; 0x80 ]
       done;
       let payload = String.sub good header_len (String.length good - header_len) in
-      write_file snap ("LXUCKPT1 lsn 12\n" ^ payload);
+      H.write_file snap ("LXUCKPT1 lsn 12\n" ^ payload);
       (match Recovery.read_snapshot ~path:snap () with
       | exception Failure msg ->
         check_bool "format 1 refused by its magic" true (contains ~needle:"format 1" msg)
       | _ -> Alcotest.fail "format 1 header accepted");
-      write_file snap good;
+      H.write_file snap good;
       let db', report = Lazy_db.recover dir in
       check_int "intact header: snapshot lsn" 12 report.Recovery.snapshot_lsn;
       check_int "intact header: the 3 later records replay" 3 report.Recovery.records_applied;
       check_string "intact header: text" text (Lazy_db.text db');
       Lazy_db.close db')
+
+(* --- a write the WAL refuses ----------------------------------------- *)
+
+(* The next write of the handle's WAL device fails as on a full disk. *)
+let fail_next_wal_write db =
+  let device = Option.get (Lazy_db.wal_device db) in
+  Sim_file.fail_write device ~nth_write:(Sim_file.writes device)
+
+(* A failed handle refuses [f] with a message that names the failed
+   WAL write and points to recover. *)
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s on a failed handle was accepted" what
+  | exception Failure msg ->
+    check_bool (what ^ ": names the failed write") true (contains ~needle:"WAL write failed" msg);
+    check_bool (what ^ ": points to recover") true (contains ~needle:"recover" msg)
+
+(* The op whose WAL write fails has been applied but not logged: the
+   call raises, the epoch stays, every later write, checkpoint and
+   backup is refused before it applies, [close] does not write the
+   refused group again, and recovery lands on the last committed LSN. *)
+let test_wal_write_failure () =
+  H.with_dir "walfail" (fun dir ->
+      let ops = H.gen_ops ~seed:18 ~target_ops:10 in
+      let k = 6 in
+      check_bool "schedule long enough" true (List.length ops > k);
+      let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      let reference = Lazy_db.create ~index_attributes:true () in
+      List.iteri
+        (fun i op ->
+          if i < k then begin
+            H.apply db op;
+            H.apply reference op
+          end)
+        ops;
+      fail_next_wal_write db;
+      let epoch = Lazy_db.epoch db in
+      (match H.apply db (List.nth ops k) with
+      | () -> Alcotest.fail "a refused WAL write went unnoticed"
+      | exception Sys_error msg ->
+        check_bool "ENOSPC-shaped" true (contains ~needle:"No space left on device" msg));
+      check_bool "handle failed" true (Lazy_db.wal_failed db);
+      check_int "epoch unmoved" epoch (Lazy_db.epoch db);
+      let text = Lazy_db.text db in
+      refused "insert" (fun () -> Lazy_db.insert db ~gp:0 "<a/>");
+      refused "insert_many" (fun () -> Lazy_db.insert_many db [ (0, "<a/>"); (0, "<b/>") ]);
+      refused "remove" (fun () -> Lazy_db.remove db ~gp:0 ~len:1);
+      refused "pack_subtree" (fun () -> Lazy_db.pack_subtree db ~gp:0 ~len:1);
+      refused "rebuild" (fun () -> Lazy_db.rebuild db);
+      refused "batch" (fun () -> Lazy_db.batch db ignore);
+      refused "checkpoint" (fun () -> Lazy_db.checkpoint db);
+      refused "backup" (fun () -> Lazy_db.backup db ~dir:(dir ^ "_bak"));
+      check_string "refused writes applied nothing" text (Lazy_db.text db);
+      check_int "epoch still unmoved" epoch (Lazy_db.epoch db);
+      let wal = Wal_store.wal_path dir in
+      let logged = H.read_file wal in
+      Lazy_db.close db;
+      check_string "close wrote nothing" logged (H.read_file wal);
+      let db', report = Lazy_db.recover dir in
+      check_int "last committed lsn" k report.Recovery.last_lsn;
+      check_bool "clean" true (report.Recovery.corruption = None);
+      check_string "state at the last committed lsn" (H.fingerprint reference) (H.fingerprint db');
+      (* The recovered handle writes again, from lsn k + 1. *)
+      H.apply db' (List.nth ops k);
+      H.apply reference (List.nth ops k);
+      Lazy_db.close db';
+      let db'', report' = Lazy_db.recover dir in
+      check_int "the retried op logged" (k + 1) report'.Recovery.last_lsn;
+      check_string "and recovered" (H.fingerprint reference) (H.fingerprint db'');
+      Lazy_db.close db'')
+
+(* A batch's single commit is its only WAL write: when it fails, none
+   of the batch's writes is logged and their epochs are taken back. *)
+let test_batch_commit_failure () =
+  H.with_dir "batchfail" (fun dir ->
+      let ops = H.gen_ops ~seed:19 ~target_ops:12 in
+      let before = List.filteri (fun i _ -> i < 5) ops
+      and inside = List.filteri (fun i _ -> i >= 5) ops in
+      let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      let reference = Lazy_db.create ~index_attributes:true () in
+      List.iter
+        (fun op ->
+          H.apply db op;
+          H.apply reference op)
+        before;
+      let epoch = Lazy_db.epoch db in
+      fail_next_wal_write db;
+      (match Lazy_db.batch db (fun () -> List.iter (H.apply db) inside) with
+      | () -> Alcotest.fail "a refused batch commit went unnoticed"
+      | exception Fun.Finally_raised (Sys_error _) -> ());
+      check_bool "handle failed" true (Lazy_db.wal_failed db);
+      check_int "epochs taken back" epoch (Lazy_db.epoch db);
+      refused "insert after the batch" (fun () -> Lazy_db.insert db ~gp:0 "<a/>");
+      Lazy_db.close db;
+      let db', report = Lazy_db.recover dir in
+      check_int "last committed lsn" (List.length before) report.Recovery.last_lsn;
+      check_string "state before the batch" (H.fingerprint reference) (H.fingerprint db');
+      Lazy_db.close db')
+
+(* A Shared_db write group whose second op fails to log publishes
+   nothing: readers keep the last published version, although the
+   first op is committed and recovery holds it. *)
+let test_shared_write_group_failure () =
+  H.with_dir "sharedfail" (fun dir ->
+      let t = Shared_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      Shared_db.insert t ~gp:0 "<r></r>";
+      let published = Shared_db.current_epoch t in
+      let fp = Shared_db.read t H.fingerprint in
+      (match
+         Shared_db.write t (fun db ->
+             Lazy_db.insert db ~gp:3 "<a/>";
+             fail_next_wal_write db;
+             Lazy_db.insert db ~gp:3 "<b/>")
+       with
+      | () -> Alcotest.fail "a refused WAL write went unnoticed"
+      | exception Sys_error _ -> ());
+      check_int "published epoch unchanged" published (Shared_db.current_epoch t);
+      check_string "readers keep the last published version" fp (Shared_db.read t H.fingerprint);
+      refused "a later Shared_db write" (fun () -> Shared_db.insert t ~gp:0 "<c/>");
+      check_int "still unpublished" published (Shared_db.current_epoch t);
+      Shared_db.close t;
+      let db, report = Lazy_db.recover dir in
+      check_int "the first op committed" 2 report.Recovery.last_lsn;
+      check_string "recover holds the first op" "<r><a/></r>" (Lazy_db.text db);
+      Lazy_db.close db)
+
+(* Checkpoint and backup onto a full disk: each [*.tmp] in turn is a
+   symlink to /dev/full, where every write fails with ENOSPC.  The call
+   raises, the temp file is gone, the handle still writes, and
+   recovery matches the live state. *)
+let test_full_disk_checkpoint_and_backup () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  H.with_dir "fulldisk" (fun dir ->
+      H.with_dir "fulldisk_bak" (fun bdir ->
+          let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+          let ops = H.gen_ops ~seed:20 ~target_ops:10 in
+          let next = ref ops in
+          let write_one what =
+            match !next with
+            | op :: rest ->
+              H.apply db op;
+              next := rest
+            | [] -> Alcotest.failf "%s: schedule exhausted" what
+          in
+          write_one "first";
+          write_one "second";
+          let full_disk what tmp f =
+            Unix.symlink "/dev/full" tmp;
+            (match f () with
+            | () -> Alcotest.failf "%s onto a full disk succeeded" what
+            | exception Sys_error _ -> ());
+            check_bool (what ^ ": no tmp file left") false (Sys.file_exists tmp);
+            check_bool (what ^ ": handle not failed") false (Lazy_db.wal_failed db);
+            write_one what;
+            let fp = H.fingerprint db in
+            let db', _ = Lazy_db.recover dir in
+            check_string (what ^ ": recover matches the live state") fp (H.fingerprint db');
+            Lazy_db.close db'
+          in
+          let ckpt () = Lazy_db.checkpoint db in
+          let backup () = ignore (Lazy_db.backup db ~dir:bdir) in
+          full_disk "checkpoint (snapshot)" (Wal_store.snapshot_path dir ^ ".tmp") ckpt;
+          full_disk "checkpoint (wal rotation)" (Wal_store.wal_path dir ^ ".tmp") ckpt;
+          full_disk "backup (snapshot)" (Wal_store.snapshot_path bdir ^ ".tmp") backup;
+          full_disk "backup (wal)" (Wal_store.wal_path bdir ^ ".tmp") backup;
+          let fp = H.fingerprint db in
+          Lazy_db.close db;
+          let db', _ = Lazy_db.recover dir in
+          check_string "final recover" fp (H.fingerprint db');
+          Lazy_db.close db'))
 
 let suite =
   [
@@ -357,7 +481,6 @@ let suite =
     Alcotest.test_case "recover then continue" `Quick test_recover_then_continue;
     Alcotest.test_case "torn tail repaired in place" `Quick test_torn_tail_repaired_in_place;
     Alcotest.test_case "batch group commit" `Quick test_batch_group_commit;
-    Alcotest.test_case "load with durability" `Quick test_load_with_durability;
     Alcotest.test_case "quick crash matrix" `Quick test_quick_matrix;
     Alcotest.test_case "error paths name files" `Quick test_error_paths;
     Alcotest.test_case "bad insert mid-run pinned" `Quick test_bad_insert_mid_run;
@@ -365,4 +488,10 @@ let suite =
     Alcotest.test_case "closed handle refuses writes" `Quick test_closed_handle_refuses_writes;
     Alcotest.test_case "refused pack changes nothing" `Quick test_refused_pack_changes_nothing;
     Alcotest.test_case "checkpoint header flips refused" `Quick test_checkpoint_header_flips;
+    Alcotest.test_case "refused wal write fails the handle" `Quick test_wal_write_failure;
+    Alcotest.test_case "refused batch commit fails the handle" `Quick test_batch_commit_failure;
+    Alcotest.test_case "shared write group with a refused wal write" `Quick
+      test_shared_write_group_failure;
+    Alcotest.test_case "checkpoint and backup onto a full disk" `Quick
+      test_full_disk_checkpoint_and_backup;
   ]

@@ -2,6 +2,7 @@
    of updates must always observe consistent states. *)
 
 open Lazy_xml
+module H = Lxu_crash_harness.Crash_harness
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -18,24 +19,11 @@ let test_sequential_semantics () =
   check_bool "reads counted" true (reads >= 2);
   check_int "writes counted" 3 writes
 
-let wal_dir tag =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "lazyxml_test_shared_%s_%d" tag (Unix.getpid ()))
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
 (* Shared_db serves LD only, and [recover] is the one entry point that
    could hand it another engine: a WAL directory written by an LS
    database. *)
 let test_ls_rejected () =
-  let dir = wal_dir "ls" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "shared_ls" (fun dir ->
       let db = Lazy_db.create ~engine:Lazy_db.LS ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<a><b/></a>";
       Lazy_db.close db;
@@ -143,10 +131,7 @@ let test_interleaving_never_torn () =
 let test_durable_writers () =
   (* Racing durable writers: the WAL serializes under the write lock,
      so recovery reproduces exactly the final state. *)
-  let dir = wal_dir "wal" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "shared_wal" (fun dir ->
       let t = Shared_db.create ~durability:(`Wal dir) () in
       Shared_db.insert t ~gp:0 "<r></r>";
       let writers =

@@ -162,25 +162,6 @@ let test_segment_counter_matches_walk () =
 
 (* --- WAL group commit and crash replay ------------------------------- *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lazyxml_test_batch_%d_%d" (Unix.getpid ()) !counter)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* One insert_many group becomes one run of WAL records committed with
    a single flush; a crash at any record boundary must recover exactly
    the state after that prefix of the batch. *)
@@ -200,17 +181,14 @@ let test_wal_group_crash_replay () =
       Lazy_db.insert reference ~gp text;
       fps.(i + 1) <- fingerprint ~tags reference)
     ops;
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "batch" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       let gp0, t0 = first in
       Lazy_db.insert db ~gp:gp0 t0;
       Lazy_db.insert_many db batch;
       check_string "durable db state" fps.(n) (fingerprint ~tags db);
       Lazy_db.close db;
-      let wal_bytes = read_file (Lxu_storage.Wal_store.wal_path dir) in
+      let wal_bytes = H.read_file (Lxu_storage.Wal_store.wal_path dir) in
       let scan = Lxu_storage.Wal.scan wal_bytes in
       check_bool "clean WAL" true (scan.Lxu_storage.Wal.corruption = None);
       let records = Array.of_list scan.Lxu_storage.Wal.records in
@@ -233,17 +211,14 @@ let test_wal_group_crash_replay () =
 (* The group is logged only once it applied: a failing batch leaves
    the WAL without any record of the group. *)
 let test_wal_failed_batch_logs_nothing () =
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  H.with_dir "batch" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       Lazy_db.insert db ~gp:0 "<r><a/></r>";
       (match Lazy_db.insert_many db [ (3, "<x/>"); (99_999, "<x/>") ] with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail "bad batch applied");
       Lazy_db.close db;
-      let scan = Lxu_storage.Wal.scan (read_file (Lxu_storage.Wal_store.wal_path dir)) in
+      let scan = Lxu_storage.Wal.scan (H.read_file (Lxu_storage.Wal_store.wal_path dir)) in
       check_int "only the first insert is logged" 1
         (List.length scan.Lxu_storage.Wal.records))
 
