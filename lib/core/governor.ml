@@ -74,8 +74,8 @@ let wrap ?(config = default_config) sdb =
     failed = Atomic.make 0;
   }
 
-let create ?config ?index_attributes ?domains ?durability () =
-  wrap ?config (Shared_db.create ?index_attributes ?domains ?durability ())
+let create ?config ?index_attributes ?domains:_ ?durability () =
+  wrap ?config (Shared_db.create ?index_attributes ?durability ())
 
 let shared t = t.sdb
 let config t = t.cfg

@@ -27,7 +27,7 @@
        optional per-op deadline (or the config default) and an
        optional {!Lxu_util.Deadline.Cancel.t}; both are folded into a
        guard that the join loops check cooperatively, so a runaway
-       query stops within one loop iteration / pool chunk and returns
+       query stops within one loop iteration and returns
        {!rejection.Timed_out} or {!rejection.Cancelled}.  A token
        already fired (or a deadline already passed) rejects {e at
        admission}, before touching any lock.}}
@@ -85,8 +85,10 @@ val create :
   ?durability:[ `None | `Wal of string ] ->
   unit ->
   t
-(** A fresh governed database; the non-config parameters are
-    {!Shared_db.create}'s. *)
+(** A fresh governed database; [index_attributes] and [durability] are
+    {!Shared_db.create}'s.  [domains] is accepted and ignored, as in
+    {!Lazy_db.create}: it stays only because
+    [perfbench/perfbench.ml] passes it. *)
 
 val wrap : ?config:config -> Shared_db.t -> t
 (** Governs an existing shared database.  Operations that bypass the

@@ -4,8 +4,6 @@ type engine = LD | LS
 
 type t = {
   mutable log : Update_log.t;  (* its mode is the engine *)
-  domains : int;
-  mutable pool : Lxu_util.Domain_pool.t option;  (* created on first parallel query *)
   durable : Lxu_storage.Wal_store.t option;  (* WAL home, when durability is on *)
   pstore : Lxu_storage.Page_store.t option;  (* page store, when storage is paged *)
   mutable epoch : int;  (* committed update operations so far — the MVCC version number *)
@@ -19,13 +17,6 @@ type query_stats = {
   segments_skipped : int;
   elements_scanned : int;
 }
-
-let resolve_domains ~who domains =
-  match domains with
-  | Some d ->
-    if d < 1 then invalid_arg (who ^ ": domains < 1");
-    d
-  | None -> Option.value (Lxu_util.Domain_pool.env_domains ()) ~default:1
 
 let pages_path dir = Filename.concat dir "pages"
 
@@ -43,9 +34,8 @@ let fresh_pstore durable =
 
 let mode_of_engine = function LD -> Update_log.Lazy_dynamic | LS -> Update_log.Lazy_static
 
-let create ?(engine = LD) ?(index_attributes = false) ?domains ?(durability = `None)
+let create ?(engine = LD) ?(index_attributes = false) ?domains:_ ?(durability = `None)
     ?cache_bytes:_ ?(storage = `Mem) () =
-  let domains = resolve_domains ~who:"Lazy_db.create" domains in
   let mode = mode_of_engine engine in
   let durable =
     match durability with
@@ -56,32 +46,16 @@ let create ?(engine = LD) ?(index_attributes = false) ?domains ?(durability = `N
   let log =
     Update_log.create ~mode ~index_attributes ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
   in
-  { log; domains; pool = None; durable; pstore; epoch = 0; closed = false }
+  { log; durable; pstore; epoch = 0; closed = false }
 
 let engine t =
   match Update_log.mode t.log with Update_log.Lazy_dynamic -> LD | Update_log.Lazy_static -> LS
 
-let domains t = t.domains
 let epoch t = t.epoch
 let is_snapshot t = Update_log.is_frozen t.log
 
 let snapshot_guard t who =
   if is_snapshot t then invalid_arg (who ^ ": frozen snapshot, updates go to the live database")
-
-(* Parallel queries draw on the process-wide shared pool for their
-   domain count: databases are cheap and numerous, domains are neither
-   (OCaml caps them at 128), so per-database pools would not fly. *)
-let pool_of t =
-  if t.domains <= 1 then None
-  else
-    match t.pool with
-    | Some _ as p -> p
-    | None ->
-      let p = Lxu_util.Domain_pool.shared ~size:t.domains in
-      t.pool <- Some p;
-      Some p
-
-let query_pool = pool_of
 
 (* The one write path: every update is a list of WAL ops applied by
    [Recovery.replay], the function recovery replays them with, so a
@@ -97,7 +71,7 @@ let write ~who t ops =
   snapshot_guard t who;
   if t.closed then invalid_arg (who ^ ": database is closed");
   Option.iter (Lxu_storage.Wal_store.check_writable ~who) t.durable;
-  t.log <- Lxu_storage.Recovery.replay ?pool:(pool_of t) ?pstore:t.pstore t.log ops;
+  t.log <- Lxu_storage.Recovery.replay ?pstore:t.pstore t.log ops;
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.log_ops s ops);
   t.epoch <- t.epoch + 1
 
@@ -117,9 +91,7 @@ let element_count t = Update_log.element_count t.log
 let segment_count t = Update_log.segment_count t.log
 
 let query t ?axis ?guard ~anc ~desc () =
-  let pairs, stats =
-    Lxu_join.Lazy_join.run ?axis ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
-  in
+  let pairs, stats = Lxu_join.Lazy_join.run ?axis ?guard t.log ~anc ~desc () in
   let global = Lxu_join.Lazy_join.global_pairs t.log pairs in
   ( global,
     {
@@ -131,10 +103,9 @@ let query t ?axis ?guard ~anc ~desc () =
     } )
 
 (* Cardinality without the local->global translation of [query], and
-   without the pair records: the join's flat output buffers already
-   hold the count. *)
-let count t ?axis ?guard ~anc ~desc () =
-  Lxu_join.Lazy_join.count ?axis ?pool:(pool_of t) ?guard t.log ~anc ~desc ()
+   without the pair records: the join's flat output buffer already
+   holds the count. *)
+let count t ?axis ?guard ~anc ~desc () = Lxu_join.Lazy_join.count ?axis ?guard t.log ~anc ~desc ()
 
 let text t = Update_log.materialize t.log
 
@@ -156,8 +127,7 @@ let log t = Some t.log
    snapshot reads never touch — or pin — the live database's page
    store. *)
 let snapshot t =
-  { log = Update_log.freeze t.log; domains = t.domains;
-    pool = None; durable = None; pstore = None; epoch = t.epoch; closed = false }
+  { log = Update_log.freeze t.log; durable = None; pstore = None; epoch = t.epoch; closed = false }
 
 let with_snapshot t f = f (snapshot t)
 let cache_stats _ = None
@@ -169,9 +139,7 @@ let save t path =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Update_log.save t.log oc)
 
-let of_log ?domains lg =
-  { log = lg; domains = resolve_domains ~who:"Lazy_db.of_log" domains;
-    pool = None; durable = None; pstore = None; epoch = 0; closed = false }
+let of_log lg = { log = lg; durable = None; pstore = None; epoch = 0; closed = false }
 
 let checkpoint t =
   match t.durable with
@@ -215,7 +183,7 @@ let close t =
   (match t.durable with None -> () | Some s -> Lxu_storage.Wal_store.close s);
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
-let load ?domains ?(storage = `Mem) path =
+let load ?domains:_ ?(storage = `Mem) path =
   let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore None) in
   let ic = open_in_bin path in
   let lg =
@@ -227,9 +195,9 @@ let load ?domains ?(storage = `Mem) path =
         try Update_log.load ~backend:(Lxu_btree.Storage_backend.fresh pstore) ic
         with Failure msg -> failwith (Printf.sprintf "Lazy_db.load: %s: %s" path msg))
   in
-  { (of_log ?domains lg) with pstore }
+  { (of_log lg) with pstore }
 
-let recover ?domains ?(storage = `Mem) dir =
+let recover ?domains:_ ?(storage = `Mem) dir =
   let pstore =
     match storage with
     | `Mem -> None
@@ -248,11 +216,11 @@ let recover ?domains ?(storage = `Mem) dir =
       Some ps
   in
   let lg, store, report = Lxu_storage.Wal_store.recover ?pstore ~dir () in
-  ({ (of_log ?domains lg) with durable = Some store; pstore }, report)
+  ({ (of_log lg) with durable = Some store; pstore }, report)
 
-let restore_to ?domains ~lsn dir =
+let restore_to ~lsn dir =
   let lg, report = Lxu_storage.Wal_store.restore_to ~dir ~lsn in
   (* Deliberately no durability handle: the restored state is a point
      in the middle of [dir]'s history — appending to its WAL would
      fork it with non-monotonic LSNs.  Persist via [save]/[load]. *)
-  (of_log ?domains lg, report)
+  (of_log lg, report)

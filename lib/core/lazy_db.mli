@@ -46,12 +46,11 @@ val create :
     [~index_attributes:true] attributes are indexed as subelements
     named ["@name"] and can appear in queries (e.g. [~desc:"@id"]).
 
-    [domains] sets the degree of query parallelism for the lazy
-    engines: with [domains > 1] Lazy-Join runs its per-segment join
-    units on a process-wide shared domain pool of that size (see
-    {!Lxu_util.Domain_pool}), returning results identical to the
-    sequential path.  Defaults to the [LXU_DOMAINS] environment
-    variable, or 1 (fully sequential) when unset.
+    Every query and write runs on the calling domain.  [domains] is
+    accepted and ignored: the query parallelism it set is gone (it was
+    slower than one domain; see EXPERIMENTS.md).  It stays, like
+    [cache_bytes], only because [perfbench/perfbench.ml] passes it,
+    and goes when the benchmark is next revised.
 
     [durability] (default [`None]) makes every update crash-safe:
     with [`Wal dir] the database owns directory [dir], appending one
@@ -76,20 +75,10 @@ val create :
     makes them durable alongside the snapshot; without durability
     they live on an in-memory device.  Element columns and segment
     texts stay on the heap under both.  Results are
-    fingerprint-identical across backends.
-    @raise Invalid_argument if [domains < 1]. *)
+    fingerprint-identical across backends. *)
 
 val engine : t -> engine
 (** The engine, read off the update log's mode. *)
-
-val domains : t -> int
-(** The configured query parallelism (1 = sequential). *)
-
-val query_pool : t -> Lxu_util.Domain_pool.t option
-(** The shared domain pool {!query} draws on, created lazily on first
-    use: [None] iff [domains <= 1].  Exposed so planned path
-    evaluation can run its joins with the same parallelism as direct
-    queries. *)
 
 (** {2 MVCC snapshots}
 
@@ -146,8 +135,8 @@ val insert : t -> gp:int -> string -> unit
 val insert_many : t -> (int * string) list -> unit
 (** [insert_many t edits] applies the [(gp, text)] inserts in order,
     equivalent to — and fingerprint-identical with — calling {!insert}
-    for each, but through the batched write path: one parse fan-out
-    (over the database's domain pool), one bulk merge into each index
+    for each, but through the batched write path: every fragment
+    parsed before any is applied, one bulk merge into each index
     (see {!Lxu_seglog.Update_log.insert_batch}), and one WAL record
     group persisted with a single flush.  A crash mid-batch recovers a
     prefix of the batch.
@@ -235,8 +224,8 @@ val save : t -> string -> unit
 
 val load : ?domains:int -> ?storage:[ `Mem | `Paged ] -> string -> t
 (** Restores a database saved with {!save}; queries, updates and local
-    labels behave exactly as before the save.  [domains] and [storage]
-    as in {!create} (a save file carries no storage kind — the indexes
+    labels behave exactly as before the save.  [domains] (ignored) and
+    [storage] as in {!create} (a save file carries no storage kind — the indexes
     are rebuilt into whichever backend is requested).  The result has
     no WAL: a durable database starts from {!create} with
     [~durability] or from {!recover}.
@@ -275,7 +264,7 @@ val recover :
 (** [recover dir] restores the database whose durability directory is
     [dir] and reopens its WAL for appending, repairing (truncating) a
     torn tail in place.  The report says what was replayed, skipped
-    and discarded.
+    and discarded.  [domains] is ignored, as in {!create}.
 
     With [`Paged] storage (default [`Mem]) the page store at
     [dir/pages] is reopened and its checkpoint LSN checked against the
@@ -318,8 +307,7 @@ val backup : t -> dir:string -> int
     @raise Invalid_argument without durability, inside {!batch}, or
     when [dir] is the live directory. *)
 
-val restore_to :
-  ?domains:int -> lsn:int -> string -> t * Lxu_storage.Recovery.report
+val restore_to : lsn:int -> string -> t * Lxu_storage.Recovery.report
 (** [restore_to ~lsn dir] is point-in-time restore: rebuilds the
     database exactly as of committed LSN [lsn] from [dir] (a live
     durability directory or a {!backup}), replaying the WAL prefix and
@@ -337,7 +325,7 @@ val close : t -> unit
     refused group again.  Every later update raises
     [Invalid_argument] before applying anything.  Idempotent. *)
 
-val of_log : ?domains:int -> Lxu_seglog.Update_log.t -> t
+val of_log : Lxu_seglog.Update_log.t -> t
 (** Wraps an existing update log (engine inferred from its mode, no
     durability) — the hook the recovery test harness uses to query
     logs it rebuilt by hand. *)

@@ -114,10 +114,8 @@ val run_until_idle : ?max_steps:int -> t -> int
 val start : ?period_s:float -> t -> unit
 (** Spawns the background loop: one dedicated domain ticking every
     [period_s] (default 0.05s).  The loop defers to live traffic via
-    the governed-mode gauges rather than by sharing the query pool —
-    a long-lived loop would monopolize a {!Lxu_util.Domain_pool}
-    task slot, so it gets its own domain and yields through
-    admission instead.  Exceptions thrown by jobs are counted in
+    the governed-mode gauges: it yields through admission, never by
+    sharing a domain with queries.  Exceptions thrown by jobs are counted in
     {!stats}[.failed] and the loop continues.
     @raise Invalid_argument if already running or [period_s <= 0]. *)
 

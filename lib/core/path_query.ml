@@ -240,7 +240,6 @@ type ctx = {
   syn : Path_synopsis.t;
   auto : bool;
   guard : Lxu_util.Deadline.guard option;
-  pool : Lxu_util.Domain_pool.t option;
   note : (event -> unit) option;
 }
 
@@ -254,7 +253,7 @@ let note ctx e = Option.iter (fun f -> f e) ctx.note
 
 let join ctx ~anc ~desc hop keep =
   Lxu_util.Deadline.check_opt ctx.guard;
-  Lj.semi ~restrict:ctx.auto ?pool:ctx.pool ?guard:ctx.guard ctx.log ~anc ~desc
+  Lj.semi ~restrict:ctx.auto ?guard:ctx.guard ctx.log ~anc ~desc
     ~ok:(ok_table ctx.syn hop) ~keep
 
 (* The members of [mask] (elements of node [n]) that satisfy every
@@ -330,8 +329,7 @@ let extents ?guard log (m : Lj.mask) =
 let live_log db = Option.get (Lazy_db.log db)
 
 (* Runs [steps] through the semi-join executor: under [`Auto] with
-   annotated candidates, restricted joins and the database's query
-   pool; a first step with no live candidate proves the result empty
+   annotated candidates and restricted joins; a first step with no live candidate proves the result empty
    without a join (every candidate set below it is then empty too).
    Returns the last step's survivors. *)
 let eval_joins ?guard ?note ~auto db steps =
@@ -342,8 +340,7 @@ let eval_joins ?guard ?note ~auto db steps =
   let syn = Update_log.synopsis log in
   let nodes = annotate ~auto syn (Update_log.registry log) ~above:None ~root:true steps in
   let nodes = if auto then narrow syn ~above:None nodes else nodes in
-  let pool = if auto then Lazy_db.query_pool db else None in
-  (log, eval_twig { log; syn; auto; guard; pool; note } nodes)
+  (log, eval_twig { log; syn; auto; guard; note } nodes)
 
 let eval ?(plan = `Auto) ?guard db steps =
   let log, m = eval_joins ?guard ~auto:(plan = `Auto) db steps in

@@ -67,10 +67,9 @@ val eval :
        the segments that hold a member on both sides and spanning
        every predicate-free step up to the next predicated one, so a
        predicate-free chain runs no join.  A first step with no
-       candidate returns [\[\]] without a join.  Joins run on
-       {!Lazy_db.query_pool}.}
+       candidate returns [\[\]] without a join.}
     {- [`Naive]: one semi-join per step, every slot of a tag a
-       candidate, every segment read, sequential — the reference.}}
+       candidate, every segment read — the reference.}}
     Both return the same results.
 
     [guard] makes evaluation cooperative: it is threaded into every

@@ -31,8 +31,7 @@ let wrap db =
     writes_done = Atomic.make 0;
   }
 
-let create ?index_attributes ?domains ?durability () =
-  wrap (Lazy_db.create ?index_attributes ?domains ?durability ())
+let create ?index_attributes ?durability () = wrap (Lazy_db.create ?index_attributes ?durability ())
 
 (* --- MVCC internals -------------------------------------------------- *)
 
@@ -127,8 +126,8 @@ let snapshot_epoch s = s.s_version.v_epoch
 
 (* --------------------------------------------------------------------- *)
 
-let recover ?domains dir =
-  let db, report = Lazy_db.recover ?domains dir in
+let recover dir =
+  let db, report = Lazy_db.recover dir in
   if Lazy_db.engine db = Lazy_db.LS then
     invalid_arg "Shared_db.recover: LS queries mutate the log; use LD";
   (wrap db, report)

@@ -23,17 +23,14 @@ type t
 
 val create :
   ?index_attributes:bool ->
-  ?domains:int ->
   ?durability:[ `None | `Wal of string ] ->
   unit ->
   t
-(** [domains] and [durability] as in {!Lazy_db.create}: queries of the
-    wrapped database fan out over a shared domain pool when
-    [domains > 1], and writers append their WAL records under the
-    writer lock, so the on-disk log always reflects a serializable
+(** [durability] as in {!Lazy_db.create}: writers append their WAL
+    records under the writer lock, so the on-disk log always reflects a serializable
     update history.  The database is an [LD] one. *)
 
-val recover : ?domains:int -> string -> t * Lxu_storage.Recovery.report
+val recover : string -> t * Lxu_storage.Recovery.report
 (** Restores a crashed durable database (see {!Lazy_db.recover}) and
     wraps it for shared access.
     @raise Invalid_argument if the recovered log is [LS]-mode — the

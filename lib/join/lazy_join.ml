@@ -29,16 +29,6 @@ let zero_stats () =
     elements_fetched = 0;
   }
 
-let add_stats into s =
-  into.a_segments <- into.a_segments + s.a_segments;
-  into.d_segments <- into.d_segments + s.d_segments;
-  into.segments_pushed <- into.segments_pushed + s.segments_pushed;
-  into.segments_skipped <- into.segments_skipped + s.segments_skipped;
-  into.in_segment_joins <- into.in_segment_joins + s.in_segment_joins;
-  into.cross_pairs <- into.cross_pairs + s.cross_pairs;
-  into.in_pairs <- into.in_pairs + s.in_pairs;
-  into.elements_fetched <- into.elements_fetched + s.elements_fetched
-
 (* One frame of the segment stack, swept once (Stack-Tree-Desc applied
    to the hooks).  Hooks reach a frame in non-decreasing order — SL_D
    is in document order and a node's children are kept in document
@@ -136,7 +126,7 @@ let holding_hooks (c : Er_node.cols) (kids : Er_node.t Vec.t) =
    array would alloc+zero+copy its whole prefix on every doubling
    round, which dominates emission cost once the buffer outgrows the
    minor heap.  Chunk sizes escalate 256 → … → 65536 ints so small
-   join units stay small and big ones amortize.  [full] holds
+   joins stay small and big ones amortize.  [full] holds
    completely-filled chunks in reverse push order (chunk sizes are
    multiples of 4 and pushes advance by 4, so rotation happens exactly
    at capacity).  A [counting] buffer only counts: a count needs no
@@ -171,21 +161,12 @@ let buf_push4 b x0 x1 x2 x3 =
 (* [n] pairs at once on a counting buffer. *)
 let buf_count b n = b.total <- b.total + (4 * n)
 
-let pair_count bufs = List.fold_left (fun acc b -> acc + b.total) 0 bufs / 4
+let pair_count b = b.total / 4
 
-(* [f chunk len] over every filled chunk prefix, in push order. *)
-let iter_chunks bufs f =
-  List.iter
-    (fun b ->
-      List.iter (fun c -> f c (Array.length c)) (List.rev b.full);
-      f b.cur b.cur_len)
-    bufs
-
-(* Materializes the pair records for a sequence of buffers in order —
-   the single conversion at the API boundary, shared by the sequential
-   (one buffer) and pool (one buffer per join unit, unit order) paths. *)
-let bufs_to_pairs bufs =
-  let n = pair_count bufs in
+(* Materializes the pair records in push order — the single conversion
+   at the API boundary. *)
+let buf_to_pairs b =
+  let n = pair_count b in
   if n = 0 then [||]
   else begin
     let out = Array.make n { a_sid = 0; a_start = 0; d_sid = 0; d_start = 0 } in
@@ -205,7 +186,8 @@ let bufs_to_pairs bufs =
         o := p + 4
       done
     in
-    iter_chunks bufs emit;
+    List.iter (fun c -> emit c (Array.length c)) (List.rev b.full);
+    emit b.cur b.cur_len;
     out
   end
 
@@ -274,13 +256,9 @@ let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.c
    hook, [idx.(0 .. n - 1)], outermost first. *)
 type cross = { seg : int; a : Er_node.cols; idx : int array; n : int }
 
-(* One unit of join generation (everything Step 3 of Figure 9 needs
-   for one SL_D entry), produced by the sequential segment-merge pass
-   and executable on any domain: it captures plain integers, columns
-   and the SL_D segment's node, resolved on the planning thread.
-   Executing it reads only immutable columns, never the SB-tree.  A
-   sequential run executes each unit as it is planned, so its [idx]
-   arrays are the frames' own; a pool unit gets copies. *)
+(* One unit of join generation: everything Step 3 of Figure 9 needs
+   for one SL_D entry, handed out by the segment-merge pass and run
+   at once, so its [idx] arrays are the frames' own. *)
 type d_task = {
   d_node : Er_node.t;
   cross : cross list;  (* frames with an element containing the hook, top first *)
@@ -288,14 +266,11 @@ type d_task = {
 }
 
 (* Runs one task: cross-segment emission (Proposition 3), then the
-   in-segment join.  [stats] and [out] are owned by the caller — under
-   the pool each chunk gets its own, merged afterwards.  A task exists
-   only when it emits or joins in-segment, so its D-elements are
-   fetched (and counted) exactly once.  [guard] is checked at task
-   entry and per cross frame, so a parallel join observes a cancel
-   within one pool chunk.  The Child axis reads levels through
-   [depth], the synopsis' slot -> depth table captured by the
-   caller. *)
+   in-segment join.  A task exists only when it emits or joins
+   in-segment, so its D-elements are fetched (and counted) exactly
+   once.  [guard] is checked at task entry and per cross frame.  The
+   Child axis reads levels through [depth], the synopsis' slot ->
+   depth table read by {!start}. *)
 let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
   Deadline.check_opt guard;
   let d_sid = task.d_node.Er_node.sid in
@@ -353,13 +328,11 @@ let heads n resolve =
 
 (* The segment-merge pass of Figure 9 (steps 1-3): walks SL_A and SL_D
    by global position with the segment stack and hands every SL_D
-   entry with output to [emit_task] as a self-contained work unit.
-   [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries to their
-   segments.  All ER-tree, SB-tree and tag-list access happens here,
-   on the calling thread; the tasks only read segment columns.
-   [copy] gives each unit its own copy of the frames' open-element
-   indices, for units that run after the pass moves on. *)
-let plan ?guard ~copy ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
+   entry with output to [emit_task], which runs it before the pass
+   moves on.  [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries
+   to their segments.  All ER-tree, SB-tree and tag-list access
+   happens here; the tasks only read segment columns. *)
+let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
   (* Whether [sa] comes before [sd] in document order.  Two segments
      share a gp only when one is the other's ancestor (the ancestor's
      own text before the child is all tombstoned), and the tag lists
@@ -439,7 +412,7 @@ let plan ?guard ~copy ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
                 {
                   seg = fr.node.Er_node.sid;
                   a = fr.elems;
-                  idx = (if copy then Array.sub fr.opened 0 fr.top else fr.opened);
+                  idx = fr.opened;
                   n = fr.top;
                 }
                 :: !cross
@@ -461,79 +434,45 @@ let runs () = Atomic.get runs_total
 
 (* What every join does first: count the run, check [guard], ready the
    SB-tree and the sorted tag lists, and read the synopsis' slot ->
-   depth table.  Read on the calling thread: pool workers then only
-   ever see this version's table, which no write touches (a write
-   after a freeze registers its new paths in a copy). *)
+   depth table. *)
 let start ?guard log =
   Atomic.incr runs_total;
   Deadline.check_opt guard;
   Update_log.prepare_for_query log;
   Path_synopsis.depth_table (Update_log.synopsis log)
 
-(* Runs the units [merge_pass ~copy emit_task] plans ([n_d]: the SL_D
-   entries it walks); [exec sink task] runs one unit, writing through
-   [sink].  Sequentially every unit writes through [direct] as it is
-   planned.  With a pool of more than one domain the pass collects the
-   units (each with its own copy of the frames' indices), the pool runs
-   each into its own [fresh ()] sink, and [merge] applies the sinks in
-   unit order on the calling thread — so results and stats come out
-   identical to the sequential path.  Each unit re-checks the guard, so
-   a cancel aborts a pool run within one chunk. *)
-let run_units pool ~n_d ~merge_pass ~exec ~direct ~fresh ~merge =
-  match pool with
-  | Some p when Domain_pool.size p > 1 && n_d > 1 ->
-    let tasks = Vec.create () in
-    merge_pass ~copy:true (Vec.push tasks);
-    let tasks = Vec.to_array tasks in
-    Array.iter merge
-      (Domain_pool.map p (Array.length tasks) (fun i ->
-           let sink = fresh () in
-           exec sink tasks.(i);
-           sink))
-  | _ -> merge_pass ~copy:false (exec direct)
-
-(* The whole join up to materialization: the filled output buffers, in
-   emission order, and the stats.  [counting] buffers only count. *)
-let fill ~counting ~axis ?pool ?guard log ~anc ~desc =
+(* The whole join up to materialization: the filled output buffer and
+   the stats.  A [counting] buffer only counts. *)
+let fill ~counting ~axis ?guard log ~anc ~desc =
   let stats = zero_stats () in
   let depth = start ?guard log in
+  let out = buf_create ~counting in
   let reg = Update_log.registry log in
-  match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
-  | None, _ | _, None -> ([], stats)
+  (match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
+  | None, _ | _, None -> ()
   | Some tid_a, Some tid_d ->
     let sla = Update_log.segments_for_tag log ~tag:anc in
     let sld = Update_log.segments_for_tag log ~tag:desc in
     let node (l : Tag_list.entry array) i = Update_log.node_of_sid log l.(i).Tag_list.sid in
     (* Columnar elements of one tag in one resolved segment — its own
-       immutable columns, shared by every emitted pair.  [into]
-       receives the fetch count. *)
-    let fetch tid into node =
+       immutable columns, shared by every emitted pair. *)
+    let fetch tid node =
       let c = Er_node.cols node ~tid in
-      into.elements_fetched <- into.elements_fetched + Er_node.cols_length c;
+      stats.elements_fetched <- stats.elements_fetched + Er_node.cols_length c;
       c
     in
-    let merge_pass ~copy emit_task =
-      plan ?guard ~copy ~stats ~fetch_a:(fetch tid_a stats) ~emit_task log
-        ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ()
-    in
-    let seq = buf_create ~counting and bufs = ref [] in
-    run_units pool ~n_d:(Array.length sld) ~merge_pass
-      ~exec:(fun (out, ustats) ->
-        exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a ustats)
-          ~fetch_d:(fetch tid_d ustats) ~stats:ustats ~out)
-      ~direct:(seq, stats)
-      ~fresh:(fun () -> (buf_create ~counting, zero_stats ()))
-      ~merge:(fun (out, ustats) ->
-        add_stats stats ustats;
-        bufs := out :: !bufs);
-    (seq :: List.rev !bufs, stats)
+    plan ?guard ~stats ~fetch_a:(fetch tid_a)
+      ~emit_task:
+        (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a) ~fetch_d:(fetch tid_d) ~stats ~out)
+      log ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ());
+  (out, stats)
 
-let run ?(axis = Axis.Desc) ?pool ?guard log ~anc ~desc () =
-  let bufs, stats = fill ~counting:false ~axis ?pool ?guard log ~anc ~desc in
-  (bufs_to_pairs bufs, stats)
+let run ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
+  let out, stats = fill ~counting:false ~axis ?guard log ~anc ~desc in
+  (buf_to_pairs out, stats)
 
-let count ?(axis = Axis.Desc) ?pool ?guard log ~anc ~desc () =
-  pair_count (fst (fill ~counting:true ~axis ?pool ?guard log ~anc ~desc))
+let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
+  pair_count (fst (fill ~counting:true ~axis ?guard log ~anc ~desc))
 
 (* --- semi-joins over selection masks -------------------------------- *)
 
@@ -689,15 +628,7 @@ let index_in (c : Er_node.cols) (sub : Er_node.cols) i =
 
 module Int_tbl = Hashtbl.Make (Int)
 
-(* Where a semi-join unit's results go: straight into the result mask
-   (sequential), or collected for the calling thread to apply (a pool
-   unit): the A-elements it marked, as (A position, index in that
-   segment's own column), and its survivor bytes by D position. *)
-type semi_sink =
-  | Direct
-  | Collect of { mutable marks : (int * int) list; mutable hits : (int * Bytes.t) list }
-
-let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
+let semi ?(restrict = true) ?guard log ~anc ~desc ~ok ~keep =
   let depth = start ?guard log in
   (* The mask positions the merge pass walks (restricted: only the
      segments holding a member), and each one's position by sid. *)
@@ -711,8 +642,7 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
   in
   let ka, a_k = walked anc and kd, d_k = walked desc in
   (* Each walked A segment's members as columns, the segment's own
-     when all of it is selected; read-only once built, so pool units
-     share it. *)
+     when all of it is selected. *)
   let a_cols = Int_tbl.create (Array.length ka) in
   Array.iter
     (fun k ->
@@ -724,45 +654,33 @@ let semi ?(restrict = true) ?pool ?guard log ~anc ~desc ~ok ~keep =
     ka;
   let a_cols sid = Int_tbl.find a_cols sid in
   let out = Array.make (Array.length (match keep with `Anc -> anc | `Desc -> desc).sel) Bytes.empty in
-  (* [select] resolved every entry: the pass reads [nodes], never the
-     SB-tree. *)
-  let merge_pass ~copy emit_task =
-    plan ?guard ~copy ~stats:(zero_stats ())
-      ~fetch_a:(fun node -> a_cols node.Er_node.sid)
-      ~emit_task log ~n_a:(Array.length ka)
-      ~sla:(fun i -> anc.nodes.(ka.(i)))
-      ~n_d:(Array.length kd)
-      ~sld:(fun i -> desc.nodes.(kd.(i)))
-      ()
-  in
   (* [set k i] marks element [i] of A position [k]'s own column. *)
   let set k i =
     if Bytes.length out.(k) = 0 then
       out.(k) <- Bytes.make (Er_node.cols_length anc.cols.(k)) '\000';
     Bytes.unsafe_set out.(k) i '\001'
   in
-  run_units pool ~n_d:(Array.length kd) ~merge_pass
-    ~exec:(fun sink ->
-      (* Units hand over the columns they read, resolved by [index_in]. *)
-      let mark_a sid sub i =
-        let k = a_k sid in
-        let i = index_in anc.cols.(k) sub i in
-        match sink with Direct -> set k i | Collect c -> c.marks <- (k, i) :: c.marks
-      in
-      fun task ->
-        let k = d_k task.d_node.Er_node.sid in
-        let hit =
-          exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
-        in
-        if Bytes.length hit > 0 then
-          match sink with Direct -> out.(k) <- hit | Collect c -> c.hits <- (k, hit) :: c.hits)
-    ~direct:Direct
-    ~fresh:(fun () -> Collect { marks = []; hits = [] })
-    ~merge:(function
-      | Direct -> ()
-      | Collect c ->
-        List.iter (fun (k, hit) -> out.(k) <- hit) c.hits;
-        List.iter (fun (k, i) -> set k i) c.marks);
+  (* Tasks hand over the columns they read, resolved by [index_in]. *)
+  let mark_a sid sub i =
+    let k = a_k sid in
+    set k (index_in anc.cols.(k) sub i)
+  in
+  let exec task =
+    let k = d_k task.d_node.Er_node.sid in
+    let hit =
+      exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
+    in
+    if Bytes.length hit > 0 then out.(k) <- hit
+  in
+  (* [select] resolved every entry: the pass reads [nodes], never the
+     SB-tree. *)
+  plan ?guard ~stats:(zero_stats ())
+    ~fetch_a:(fun node -> a_cols node.Er_node.sid)
+    ~emit_task:exec log ~n_a:(Array.length ka)
+    ~sla:(fun i -> anc.nodes.(ka.(i)))
+    ~n_d:(Array.length kd)
+    ~sld:(fun i -> desc.nodes.(kd.(i)))
+    ();
   { (match keep with `Anc -> anc | `Desc -> desc) with sel = out }
 
 (* Translates in emission order into two flat columns, then merges

@@ -26,15 +26,10 @@
     here (the run calls {!Lxu_seglog.Update_log.prepare_for_query}),
     matching the paper's LS accounting.
 
-    With [?pool], the element-level work is executed segment-parallel
-    on OCaml 5 domains: the segment-merge pass (which touches the
-    mutable ER-tree, SB-tree and tag lists) stays on the calling
-    thread and produces one self-contained join unit per SL_D entry
-    with output; the pool then runs the units' in-segment joins and
-    cross-segment emission in chunks, each with its own output buffer
-    and stats record, merged back in unit order.  Pairs and stats are
-    therefore identical to the sequential path — order included —
-    regardless of pool size or schedule.
+    A join runs on the calling domain, as the paper's does: the
+    segment-merge pass (which reads the ER-tree, SB-tree and tag
+    lists) hands each SL_D entry with output to its in-segment join
+    and cross-segment emission, which write into one output buffer.
 
     Element sets are each segment's own immutable per-tag columns
     ({!Lxu_seglog.Er_node.cols}), and the join kernels run directly on
@@ -42,11 +37,8 @@
     buffer: the inner loops allocate nothing per element.  An
     element's level is its path slot's depth
     ({!Lxu_seglog.Path_synopsis.depth_table}), read from the table of
-    the log version being joined, captured on the calling thread.  [pair]
-    records are built once at the API boundary.  Every unit carries
-    its segment node, resolved during the (sequential) merge pass, so
-    worker domains read only immutable columns and never the
-    SB-tree. *)
+    the log version being joined.  [pair] records are built once at
+    the API boundary. *)
 
 type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
 (** One ancestor/descendant result: each side is an element's identity,
@@ -68,7 +60,6 @@ type stats = {
 
 val run :
   ?axis:Lxu_util.Axis.t ->
-  ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->
   anc:string ->
@@ -80,16 +71,11 @@ val run :
     ordered by descendant segment.  The merge pass resolves each
     tag-list entry it reaches through the SB-tree once.
 
-    [pool] runs the per-segment join units on the given domain pool
-    (see the module comment); omitted, or with a pool of size 1, the
-    run is fully sequential.  Results never depend on the choice.
-
     [guard] makes the join cooperative: the segment-merge loop, every
-    join unit, and every in-segment merge step call
-    {!Lxu_util.Deadline.check}, so the run raises
-    [Lxu_util.Deadline.Cancel.Cancelled] within one unit of the
-    deadline expiring or the token firing — under a pool, within one
-    chunk.  Without [guard] the run is exactly the ungoverned join:
+    SL_D entry's join, every cross frame and every in-segment merge
+    step call {!Lxu_util.Deadline.check}, so the run raises
+    [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
+    deadline expiring or the token firing.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)
 
 val runs : unit -> int
@@ -98,7 +84,6 @@ val runs : unit -> int
 
 val count :
   ?axis:Lxu_util.Axis.t ->
-  ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->
   anc:string ->
@@ -106,9 +91,9 @@ val count :
   unit ->
   int
 (** [Array.length (fst (run log ~anc ~desc ()))] without the pairs:
-    the join runs as {!run} does, but its output buffers only count
+    the join runs as {!run} does, but its output buffer only counts
     what would be written, so a count allocates nothing per pair.
-    [axis], [pool] and [guard] as in {!run}. *)
+    [axis] and [guard] as in {!run}. *)
 
 (** {2 Semi-joins}
 
@@ -144,7 +129,6 @@ val mask_count : mask -> int
 
 val semi :
   ?restrict:bool ->
-  ?pool:Lxu_util.Domain_pool.t ->
   ?guard:Lxu_util.Deadline.guard ->
   Lxu_seglog.Update_log.t ->
   anc:mask ->
@@ -163,9 +147,7 @@ val semi :
 
     [restrict] (default on) walks only the segments holding a member
     on each side; off, every segment of both tags (the unrestricted
-    reference).  [pool] runs the join units as {!run} does, each unit
-    writing only its own output, merged on the calling thread.
-    [guard] as in {!run}. *)
+    reference).  [guard] as in {!run}. *)
 
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,

@@ -32,7 +32,8 @@ type cols = { starts : int array; stops : int array; pids : int array }
     path, which never changes, so neither does the slot.  Its absolute
     depth is [(Path_synopsis.depth_table syn).(pids.(i))].  All three
     arrays have equal length.  Never mutated after construction:
-    callers share them freely, across domains and frozen snapshots. *)
+    callers share them freely, across frozen snapshots and the
+    domains that read them (MVCC readers). *)
 
 val empty_cols : cols
 val cols_length : cols -> int

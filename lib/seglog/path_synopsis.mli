@@ -66,8 +66,8 @@ val depth_table : t -> int array
 (** [depth_table t].(s) is the level of every element on slot [s]'s
     path (its length minus one).  Entries below {!slots} never change,
     and the array is never written once a {!clone} shares it — the
-    live side writes to its own copy — so a reader may capture it once
-    and hand it to other domains. *)
+    live side writes to its own copy — so a reader of a frozen
+    snapshot may capture it once while the writer goes on. *)
 
 val parent_table : t -> int array
 (** [parent_table t].(s) is the slot of slot [s]'s path without its

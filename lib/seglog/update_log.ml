@@ -356,7 +356,7 @@ let frozen_guard t who =
 (* AddNewSegment (Figure 5), for a list of segments applied in order.
    A single insert is the one-edit case: there is no second body.
    [who] names the entry point in refusals. *)
-let insert_edits ~who ?pool t edits =
+let insert_edits ~who t edits =
   let open Er_node in
   frozen_guard t who;
   match edits with
@@ -376,32 +376,27 @@ let insert_edits ~who ?pool t edits =
         if gp < 0 || gp > !running then invalid_arg (who ^ ": gp out of bounds");
         running := !running + String.length text)
       edits;
-    (* Parse and label every fragment first — both are pure, so this
-       fans out over the domain pool; tag interning (shared registry)
-       stays on the applying thread.  A fragment's labels are three
+    (* Parse and label every fragment first, so a malformed one is
+       refused before anything is mutated.  A fragment's labels are three
        flat arrays in document order, names, starts and stops, counted
        in a first pass over the tree: its elements then cost three
        words while the batch waits, and its parse tree is garbage as
        soon as it is labelled.  Levels are not kept: an element's
        level is its synopsis slot's depth. *)
     let labelled =
-      let label i =
-        let nodes = Lxu_xml.Parser.parse_fragment (snd edits.(i)) in
-        let labels f = Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes nodes f in
-        let n = ref 0 in
-        labels (fun ~name:_ ~start:_ ~stop:_ ~level:_ -> incr n);
-        let names = Array.make !n "" and starts = Array.make !n 0 and stops = Array.make !n 0 in
-        let k = ref 0 in
-        labels (fun ~name ~start ~stop ~level:_ ->
-            names.(!k) <- name;
-            starts.(!k) <- start;
-            stops.(!k) <- stop;
-            incr k);
-        (names, starts, stops)
-      in
-      match pool with
-      | Some p when b > 1 -> Domain_pool.map p b label
-      | _ -> Array.init b label
+      Array.init b (fun i ->
+          let nodes = Lxu_xml.Parser.parse_fragment (snd edits.(i)) in
+          let labels f = Lxu_xml.Tree.iter_labels ~attributes:t.index_attributes nodes f in
+          let n = ref 0 in
+          labels (fun ~name:_ ~start:_ ~stop:_ ~level:_ -> incr n);
+          let names = Array.make !n "" and starts = Array.make !n 0 and stops = Array.make !n 0 in
+          let k = ref 0 in
+          labels (fun ~name ~start ~stop ~level:_ ->
+              names.(!k) <- name;
+              starts.(!k) <- start;
+              stops.(!k) <- stop;
+              incr k);
+          (names, starts, stops))
     in
     (* Serial ER-tree application (steps 1-4).  Index maintenance
        (steps 5-6) is deferred: instead of one SB-tree descent and one
@@ -440,7 +435,7 @@ let insert_edits ~who ?pool t edits =
     | Lazy_static -> ());
     List.rev !sids
 
-let insert_batch ?pool t edits = insert_edits ~who:"Update_log.insert_batch" ?pool t edits
+let insert_batch t edits = insert_edits ~who:"Update_log.insert_batch" t edits
 
 let insert t ~gp text =
   match insert_edits ~who:"Update_log.insert" t [ (gp, text) ] with

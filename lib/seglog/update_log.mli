@@ -93,13 +93,11 @@ val insert : t -> gp:int -> string -> int
     @raise Lxu_xml.Parser.Parse_error if [text] is not a well-formed
     fragment. *)
 
-val insert_batch :
-  ?pool:Lxu_util.Domain_pool.t -> t -> (int * string) list -> int list
+val insert_batch : t -> (int * string) list -> int list
 (** [insert_batch t edits] applies the [(gp, text)] edits in order and
     returns their sids: the one implementation of AddNewSegment
-    (Figure 5).  All fragments are parsed and labelled first (fanned
-    out over [pool] when given and there is more than one — both are
-    pure), then the ER-tree edits are applied serially, followed by
+    (Figure 5).  All fragments are parsed and labelled first, then
+    the ER-tree edits are applied in order, followed by
     {e one} SB-tree batch insert and {e one} tag-list merge, whose gp
     probes go through that SB-tree (under [Lazy_dynamic];
     [Lazy_static] defers those to {!prepare_for_query} as usual).  The result is the same log as

@@ -116,7 +116,7 @@ let runs op_of xs =
 
 (* Applies one run of [runs]: one non-insert op, or inserts as one
    batch. *)
-let apply_run ?pool ?pstore log = function
+let apply_run ?pstore log = function
   | [ Wal.Remove { gp; len } ] ->
     Update_log.remove log ~gp ~len;
     log
@@ -150,11 +150,11 @@ let apply_run ?pool ?pstore log = function
       | Wal.Insert { gp; text } -> (gp, text)
       | _ -> invalid_arg "Recovery.replay: not a run"
     in
-    ignore (Update_log.insert_batch ?pool log (List.map edit inserts));
+    ignore (Update_log.insert_batch log (List.map edit inserts));
     log
 
-let replay ?pool ?pstore log ops =
-  List.fold_left (fun log run -> apply_run ?pool ?pstore log run) log (runs Fun.id ops)
+let replay ?pstore log ops =
+  List.fold_left (fun log run -> apply_run ?pstore log run) log (runs Fun.id ops)
 
 let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
   let scan = Wal.scan ?path wal_bytes in

@@ -49,13 +49,11 @@ val read_snapshot :
 (** {1 Replay} *)
 
 val replay :
-  ?pool:Lxu_util.Domain_pool.t ->
   ?pstore:Lxu_storage_core.Page_store.t ->
   Lxu_seglog.Update_log.t -> Wal.op list -> Lxu_seglog.Update_log.t
 (** The one write path: live writes ({!Lazy_db}) and WAL replay apply
     their ops through this function.  Each maximal run of consecutive
-    [Insert]s is one {!Lxu_seglog.Update_log.insert_batch} (its parse
-    fanned out over [pool]); [Remove] is one
+    [Insert]s is one {!Lxu_seglog.Update_log.insert_batch}; [Remove] is one
     {!Lxu_seglog.Update_log.remove}; [Pack] re-indexes its byte range
     as one segment (a remove and an insert of the same bytes);
     [Rebuild] re-indexes the whole document as one segment in a fresh

@@ -8,14 +8,14 @@ type fault =
    file length; [data] may be longer. *)
 type mem = { mutable data : Bytes.t; mutable len : int }
 
+(* One descriptor for appends and positional I/O alike, opened
+   without [O_APPEND] (page writes land at their offsets): an append
+   seeks to the end first.  Nothing is buffered in the process, so
+   [close] has nothing left to write. *)
 type file_backing = {
   path : string;
-  mutable oc : out_channel;
+  fd : Unix.file_descr;
   mutable closed : bool;
-  (* Positional I/O descriptor, opened on first [write_at]/[read_at]
-     and kept until [close].  The append channel [oc] is flushed
-     before every positional operation so the two views agree. *)
-  mutable fd : Unix.file_descr option;
 }
 
 type backing =
@@ -42,12 +42,16 @@ let in_memory ?(write_back = false) () =
   { backing = Memory { data = Bytes.create 256; len = 0 }; faults = Hashtbl.create 4;
     failing = []; nwrites = 0; write_back; pending = [] }
 
+(* A failed system call on [path] raises [Sys_error], as a failed
+   channel operation would: callers see one exception for a full disk,
+   injected or real. *)
+let unix path call x =
+  try call x with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
 let open_path ?(append = false) ?(write_back = false) path =
-  let flags =
-    [ Open_wronly; Open_creat; Open_binary ] @ if append then [ Open_append ] else [ Open_trunc ]
-  in
-  let oc = open_out_gen flags 0o644 path in
-  { backing = File { path; oc; closed = false; fd = None }; faults = Hashtbl.create 4;
+  let flags = Unix.[ O_RDWR; O_CREAT ] @ if append then [] else [ Unix.O_TRUNC ] in
+  let fd = unix path (Unix.openfile path flags) 0o644 in
+  { backing = File { path; fd; closed = false }; faults = Hashtbl.create 4;
     failing = []; nwrites = 0; write_back; pending = [] }
 
 let is_write_back t = t.write_back
@@ -101,33 +105,29 @@ let mem_write_at (m : mem) ~off data =
 
 let file_fd f =
   if f.closed then invalid_arg "Sim_file: device is closed";
-  match f.fd with
-  | Some fd -> fd
-  | None ->
-    let fd = Unix.openfile f.path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-    f.fd <- Some fd;
-    fd
+  f.fd
 
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    let n = Unix.write fd buf pos len in
-    write_all fd buf (pos + n) (len - n)
-  end
+(* [at = None] appends: the descriptor has no [O_APPEND], so seek to
+   the end first. *)
+let write_all f ~at data =
+  let fd = file_fd f in
+  let buf = Bytes.unsafe_of_string data in
+  (match at with
+  | None -> ignore (unix f.path (Unix.lseek fd 0) Unix.SEEK_END)
+  | Some off -> ignore (unix f.path (Unix.lseek fd off) Unix.SEEK_SET));
+  let rec go pos len =
+    if len > 0 then begin
+      let n = unix f.path (Unix.write fd buf pos) len in
+      go (pos + n) (len - n)
+    end
+  in
+  go 0 (String.length data)
 
 let persist_at t ~at data =
   match (t.backing, at) with
   | Memory m, None -> mem_write_at m ~off:m.len data
   | Memory m, Some off -> mem_write_at m ~off data
-  | File f, None ->
-    if f.closed then invalid_arg "Sim_file.write: device is closed";
-    output_string f.oc data
-  | File f, Some off ->
-    (* Keep the append channel's buffered bytes ahead of the positional
-       write so the file never reorders them. *)
-    if not f.closed then flush f.oc;
-    let fd = file_fd f in
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    write_all fd (Bytes.unsafe_of_string data) 0 (String.length data)
+  | File f, _ -> write_all f ~at data
 
 let write_gen t ~at data =
   if List.mem t.nwrites t.failing then begin
@@ -162,14 +162,11 @@ let drain t =
   List.iter (fun w -> persist_at t ~at:w.at w.data) (List.rev t.pending);
   t.pending <- []
 
-let flush t = match t.backing with Memory _ -> () | File f -> if not f.closed then flush f.oc
-
 let sync t =
   drain t;
-  flush t;
   match t.backing with
   | Memory _ -> ()
-  | File f -> if not f.closed then Unix.fsync (Unix.descr_of_out_channel f.oc)
+  | File f -> if not f.closed then unix f.path Unix.fsync f.fd
 
 let crash ?(keep = 0) t =
   let n = List.length t.pending in
@@ -180,11 +177,9 @@ let crash ?(keep = 0) t =
     (fun i w -> if n - i <= kept then survivors := w :: !survivors else incr dropped)
     t.pending;
   List.iter (fun w -> persist_at t ~at:w.at w.data) !survivors;
-  t.pending <- [];
-  flush t
+  t.pending <- []
 
 let backed_size t =
-  flush t;
   match t.backing with
   | Memory m -> m.len
   | File f -> (Unix.stat f.path).Unix.st_size
@@ -201,7 +196,6 @@ let size t =
     backed (List.rev t.pending)
 
 let durable_contents t =
-  flush t;
   match t.backing with
   | Memory m -> Bytes.sub_string m.data 0 m.len
   | File f ->
@@ -226,7 +220,6 @@ let contents t =
 
 let read_at t ~off buf =
   if off < 0 then invalid_arg "Sim_file.read_at: negative offset";
-  flush t;
   let want = Bytes.length buf in
   let got =
     match t.backing with
@@ -236,11 +229,11 @@ let read_at t ~off buf =
       n
     | File f ->
       let fd = file_fd f in
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (unix f.path (Unix.lseek fd off) Unix.SEEK_SET);
       let rec loop pos =
         if pos >= want then pos
         else
-          match Unix.read fd buf pos (want - pos) with
+          match unix f.path (Unix.read fd buf pos) (want - pos) with
           | 0 -> pos
           | n -> loop (pos + n)
       in
@@ -270,32 +263,19 @@ let read_at t ~off buf =
 
 let truncate_to t n =
   drain t;
-  flush t;
   match t.backing with
   | Memory m -> m.len <- min n m.len
   | File f ->
-    if not f.closed then close_out f.oc;
-    (match f.fd with
-    | Some fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      f.fd <- None
-    | None -> ());
-    Unix.truncate f.path (min n (Unix.stat f.path).Unix.st_size);
-    f.oc <- open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 f.path;
-    f.closed <- false
+    let fd = file_fd f in
+    unix f.path (Unix.ftruncate fd) (min n (Unix.fstat fd).Unix.st_size)
 
 let close t =
   match t.backing with
   | Memory _ -> ()
   | File f ->
     if not f.closed then begin
-      close_out f.oc;
-      (match f.fd with
-      | Some fd ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        f.fd <- None
-      | None -> ());
-      f.closed <- true
+      f.closed <- true;
+      try Unix.close f.fd with Unix.Unix_error _ -> ()
     end
 
 (* fsync on a directory makes renames/creates/unlinks inside it

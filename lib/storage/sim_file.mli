@@ -11,8 +11,8 @@
 
     {b Write-back mode} ([~write_back:true]) models the OS page cache:
     writes are buffered in memory and reach the backing only on
-    {!sync} — {!flush} does {e not} persist them, exactly as [fwrite]
-    + [fflush] without [fsync] leaves data in the kernel's hands.  A
+    {!sync}, as a [write] without [fsync] leaves data in the kernel's
+    hands.  A
     {!crash} drops the unsynced suffix (optionally keeping a lucky
     prefix the kernel happened to write out), so delayed-write
     reordering bugs — e.g. truncating a log before its replacement
@@ -35,9 +35,12 @@ val in_memory : ?write_back:bool -> unit -> t
     (default false), where it drains the buffered writes. *)
 
 val open_path : ?append:bool -> ?write_back:bool -> string -> t
-(** A file-backed device, created/truncated unless [append] (default
-    false), which keeps existing contents and writes at the end.
-    [write_back] (default false) buffers writes until {!sync}.
+(** A file-backed device: one file descriptor, which every write,
+    read, sync, truncate and close goes through; nothing is buffered
+    in the process.  The file is created/truncated unless [append]
+    (default false), which keeps existing contents.  [write_back]
+    (default false) buffers writes until {!sync}.  A failed system
+    call raises [Sys_error], as an injected {!fail_write} does.
     @raise Sys_error if the file cannot be opened. *)
 
 val is_write_back : t -> bool
@@ -65,7 +68,8 @@ val random_fault : Lxu_workload.Rng.t -> len:int -> fault
 val write : t -> string -> unit
 (** Appends [data], after applying any fault scheduled for this write
     index.  In write-back mode the data lands in the volatile buffer,
-    not the backing. *)
+    not the backing; otherwise a file-backed device writes it to the
+    file before returning (raising [Sys_error] on a full disk). *)
 
 val write_at : t -> off:int -> string -> unit
 (** Positional write: [data] lands at byte offset [off], overwriting
@@ -90,16 +94,10 @@ val pending_writes : t -> int
 (** Buffered writes not yet drained to the backing (0 outside
     write-back mode, and right after {!sync}). *)
 
-val flush : t -> unit
-(** Flushes the backing channel only.  Deliberately does {e not}
-    drain write-back buffers: flushing user-space buffers gives no
-    durability, and modelling that distinction is the point of
-    write-back mode. *)
-
 val sync : t -> unit
-(** Drains buffered writes (write-back mode), then [flush] plus
-    [fsync] for file-backed devices; no-op for an in-memory device
-    outside write-back mode. *)
+(** Drains buffered writes (write-back mode), then [fsync] for
+    file-backed devices; no-op for an in-memory device outside
+    write-back mode. *)
 
 val crash : ?keep:int -> t -> unit
 (** Simulated power loss for write-back devices: the oldest [keep]
@@ -125,14 +123,15 @@ val durable_contents : t -> string
 
 val truncate_to : t -> int -> unit
 (** Discards everything past byte [n] — how recovery repairs a torn
-    tail in place.  Drains buffered writes first (recovery owns the
-    device; there is no concurrent crash to model mid-repair). *)
+    tail in place ([ftruncate] on the device's descriptor).  Drains
+    buffered writes first (recovery owns the device; there is no
+    concurrent crash to model mid-repair). *)
 
 val close : t -> unit
-(** Flushes the backing channel and closes; idempotent.  Buffered
-    write-back data is {e dropped}, not persisted — closing a file
-    never implied durability; call {!sync} first for a clean
-    shutdown. *)
+(** Closes the device; idempotent.  Never writes: a write that failed
+    (a full disk) is not retried, and buffered write-back data is
+    {e dropped}, not persisted — closing a file never implied
+    durability; call {!sync} first for a clean shutdown. *)
 
 (** {1 Whole files} *)
 

@@ -152,4 +152,4 @@ let commit ?(sync = false) t =
     Buffer.clear t.buf;
     t.pending <- 0
   end;
-  if sync then Sim_file.sync t.device else Sim_file.flush t.device
+  if sync then Sim_file.sync t.device

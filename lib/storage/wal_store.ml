@@ -28,7 +28,6 @@ let fresh ~dir ~mode ~index_attributes =
   Sim_file.remove_durable (snapshot_path dir);
   let device = Sim_file.open_path (wal_path dir) in
   let wal = Wal.create ~device { Wal.mode; index_attributes } in
-  Sim_file.flush device;
   make dir wal
 
 (* A WAL write that raises leaves its group unwritten (still buffered:

@@ -76,9 +76,9 @@ val guard : ?deadline:t -> ?cancel:Cancel.t -> unit -> guard option
 val check : guard -> unit
 (** @raise Cancel.Cancelled with [Timeout] once the deadline passed,
     or with the token's reason once it fired.  The token is read on
-    every call; the clock only every 64th call (shared
-    guards may probe more often under parallel execution — the
-    counter is racy by design, never the outcome). *)
+    every call; the clock only every 64th call (a guard shared by
+    several domains may probe more often — the counter is racy by
+    design, never the outcome). *)
 
 val check_opt : guard option -> unit
 (** {!check} through the option; [None] is a no-op. *)

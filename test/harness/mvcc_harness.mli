@@ -23,8 +23,7 @@
     And at quiescence: exactly one retained version, zero pins, and
     the live state byte-identical to the full replay.
 
-    Failures raise [Failure] with the seed, domain count, pinned
-    epoch, and the schedule prefix up to that epoch — enough to replay
+    Failures raise [Failure] with the seed, pinned epoch, and the schedule prefix up to that epoch — enough to replay
     the divergence deterministically. *)
 
 type report = {
@@ -33,15 +32,13 @@ type report = {
   elapsed_s : float;
 }
 
-val run_one : seed:int -> target_ops:int -> domains:int -> unit -> report
-(** One schedule against 3 racing reader domains; [domains] is the
-    query parallelism inside each pinned read ({!Lazy_xml.Lazy_db}'s
-    domain fan-out), giving the 1/4 matrix axis.
+val run_one : seed:int -> target_ops:int -> unit -> report
+(** One schedule against 3 racing reader domains.
     @raise Failure on any isolation violation. *)
 
-val run_matrix : seeds:int list -> target_ops:int -> domains:int list -> unit
-(** {!run_one} over the full [domains × seeds] grid, one progress line
-    each. @raise Failure on the first violation. *)
+val run_matrix : seeds:int list -> target_ops:int -> unit
+(** {!run_one} for every seed, one progress line each.
+    @raise Failure on the first violation. *)
 
 val prop_snapshot_replay : count:int -> QCheck2.Test.t
 (** For a seeded schedule on LD and LS: a {!Lazy_xml.Lazy_db.snapshot}

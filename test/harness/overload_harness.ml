@@ -40,7 +40,7 @@ let n_writers = 3
 let reader_iters = 24
 let writer_iters = 16
 
-let run_one ~domains ~seed () =
+let run_one ~seed () =
   let setup = Crash_harness.gen_ops ~seed ~target_ops:30 in
   (* Updates that actually applied, appended under the writer lock —
      so list order is the writers' serialization order. *)
@@ -49,8 +49,7 @@ let run_one ~domains ~seed () =
     Printf.ksprintf
       (fun msg ->
         failwith
-          (Printf.sprintf "overload seed %d domains %d: %s\n  replay: schedule=[%s]" seed
-             domains msg
+          (Printf.sprintf "overload seed %d: %s\n  replay: schedule=[%s]" seed msg
              (Crash_harness.ops_to_string (setup @ List.rev !applied))))
       fmt
   in
@@ -60,7 +59,7 @@ let run_one ~domains ~seed () =
   let config =
     { Governor.max_readers = n_victims + 1; max_writer_queue = 2; default_deadline_s = None }
   in
-  let gov = Governor.create ~config ~index_attributes:true ~domains () in
+  let gov = Governor.create ~config ~index_attributes:true () in
   (* Preload through the raw Shared_db, outside governor accounting. *)
   List.iter (fun op -> Shared_db.write (Governor.shared gov) (fun db -> Crash_harness.apply db op))
     setup;
@@ -296,16 +295,13 @@ let run_one ~domains ~seed () =
     elapsed_s = Deadline.now () -. started;
   }
 
-let run_matrix ~domains ~seeds =
+let run_matrix ~seeds =
   List.iter
-    (fun d ->
-      List.iter
-        (fun seed ->
-          let r = run_one ~domains:d ~seed () in
-          Printf.printf
-            "overload LD domains=%d seed %d: ok=%d shed(overload=%d timeout=%d cancel=%d) \
-             cancel_latency=%.4fs in %.2fs\n\
-             %!"
-            d seed r.ok r.overloaded r.timed_out r.cancelled r.max_cancel_latency_s r.elapsed_s)
-        seeds)
-    domains
+    (fun seed ->
+      let r = run_one ~seed () in
+      Printf.printf
+        "overload LD seed %d: ok=%d shed(overload=%d timeout=%d cancel=%d) \
+         cancel_latency=%.4fs in %.2fs\n\
+         %!"
+        seed r.ok r.overloaded r.timed_out r.cancelled r.max_cancel_latency_s r.elapsed_s)
+    seeds

@@ -35,8 +35,8 @@
     same bucket-exact shed accounting as the pressure phase.
 
     The database is an [LD] one (the only engine {!Lazy_xml.Shared_db}
-    serves).  Failures raise [Failure] with the seed, domain count and
-    the full applied schedule ({!Crash_harness.ops_to_string}), so any
+    serves).  Failures raise [Failure] with the seed and the full
+    applied schedule ({!Crash_harness.ops_to_string}), so any
     report replays deterministically. *)
 
 type report = {
@@ -49,11 +49,11 @@ type report = {
   elapsed_s : float;
 }
 
-val run_one : domains:int -> seed:int -> unit -> report
+val run_one : seed:int -> unit -> report
 (** One chaos run against a fresh governed database.
     @raise Failure (with the seed in the message) on any
     violated assertion. *)
 
-val run_matrix : domains:int list -> seeds:int list -> unit
-(** {!run_one} over the full cross product, one progress line each.
+val run_matrix : seeds:int list -> unit
+(** {!run_one} for every seed, one progress line each.
     @raise Failure on the first violation. *)

@@ -1,3 +1,6 @@
+(* Alcotest truncates a long test name at a width set by the longest
+   suite name, here "join_on_edits" (13 characters): a longer suite
+   name changes how those names print. *)
 let () =
   Alcotest.run "lazy_xml"
     [
@@ -14,6 +17,7 @@ let () =
       ("plan", Test_plan.suite);
       ("join", Test_join.suite);
       ("join2", Test_join2.suite);
+      ("join_on_edits", Test_join.edits_suite);
       ("path_query", Test_path_query.suite);
       ("attributes", Test_attributes.suite);
       ("snapshot", Test_snapshot.suite);
@@ -21,7 +25,6 @@ let () =
       ("boxes", Test_boxes.suite);
       ("core", Test_core.suite);
       ("workload", Test_workload.suite);
-      ("parallel_join", Test_parallel_join.suite);
       ("storage", Test_storage.suite);
       ("paged", Test_paged.suite);
       ("recovery", Test_recovery.suite);

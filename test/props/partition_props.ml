@@ -122,10 +122,9 @@ let plans = [ `Auto; `Naive ]
 let plan_name = function `Auto -> "auto" | `Naive -> "naive"
 
 let store_name db =
-  Printf.sprintf "%s/%s/%d domain(s)%s"
+  Printf.sprintf "%s/%s%s"
     (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
     (match Lazy_db.storage_kind db with `Mem -> "mem" | `Paged -> "paged")
-    (Lazy_db.domains db)
     (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
 
 (* Both plans and [oracle] on one path, and each plan's [count]
@@ -147,17 +146,17 @@ let agree oracle db text steps =
               (plan_name plan) (store_name db) counted (List.length got) text))
     plans
 
-(* One case: a random schedule from [seed] applied to a store per
-   config, then the corner paths and random ones checked on the live
-   stores and on snapshots pinned midway, which must keep answering for
-   the text they were taken at while the stores write on. *)
-let run_case ~configs ~oracle ~corners ~random seed =
+(* One case: a random schedule from [seed] applied to an LD and an LS
+   store on each backend, then the corner paths and random ones checked
+   on the live stores and on snapshots pinned midway, which must keep
+   answering for the text they were taken at while the stores write
+   on. *)
+let run_case ~oracle ~corners ~random seed =
   let st = Random.State.make [| seed |] in
   let dbs =
     List.map
-      (fun (engine, storage, domains) ->
-        Lazy_db.create ~engine ~storage ~domains ~index_attributes:true ())
-      configs
+      (fun (engine, storage) -> Lazy_db.create ~engine ~storage ~index_attributes:true ())
+      [ (Lazy_db.LD, `Mem); (Lazy_db.LS, `Mem); (Lazy_db.LD, `Paged); (Lazy_db.LS, `Paged) ]
   in
   let text = ref "" in
   for _ = 1 to 4 + Random.State.int st 8 do
@@ -185,11 +184,6 @@ let all_plans_agree ~count =
     ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
     (run_case
-       ~configs:
-         [
-           (Lazy_db.LD, `Mem, 1); (Lazy_db.LS, `Mem, 1); (Lazy_db.LD, `Paged, 1);
-           (Lazy_db.LS, `Paged, 1);
-         ]
        ~oracle ~corners:corner_chains ~random:random_chain)
 
 (* --- predicated twigs ------------------------------------------------ *)
@@ -227,20 +221,12 @@ let random_twig st =
 
 (* The twig property: on random predicated twigs, the default plan
    (left to right with restricted down joins) and the unfiltered naive
-   composition agree with the tree oracle on LD/LS x Mem/Paged x 1 and
-   4 domains, live and pinned. *)
+   composition agree with the tree oracle on LD/LS x Mem/Paged, live
+   and pinned. *)
 let predicated_twigs_agree ~count =
   QCheck2.Test.make ~name:"restricted joins = naive = tree oracle (random predicated twigs)"
     ~count ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
     (run_case
-       ~configs:
-         (List.concat_map
-            (fun domains ->
-              [
-                (Lazy_db.LD, `Mem, domains); (Lazy_db.LS, `Mem, domains);
-                (Lazy_db.LD, `Paged, domains); (Lazy_db.LS, `Paged, domains);
-              ])
-            [ 1; 4 ])
        ~oracle:(Twig_oracle.matches ~attributes:true)
        ~corners:corner_twigs ~random:random_twig)

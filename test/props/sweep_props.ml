@@ -7,8 +7,8 @@
    at increasing, equal and interleaved positions — children inside
    children too — then partial removes that tombstone text around the
    hooks, and a child whose parent's text before it is all tombstoned
-   (parent and child then share a global position).  On LD/LS x 1/4
-   domains, [run] and [count] under Desc and Child and [semi] on
+   (parent and child then share a global position).  On LD/LS,
+   [run] and [count] under Desc and Child and [semi] on
    both sides must equal [Naive_join] over a fresh parse of the
    text. *)
 
@@ -85,8 +85,7 @@ let labels text =
 let build seed =
   let st = Random.State.make [| seed |] in
   let engine = if seed land 1 = 0 then Lazy_db.LD else Lazy_db.LS in
-  let domains = if seed land 2 = 0 then 1 else 4 in
-  let db = Lazy_db.create ~engine ~domains () in
+  let db = Lazy_db.create ~engine () in
   Lazy_db.insert db ~gp:0 (parent st ~min_depth:(3 + Random.State.int st 2));
   let last = ref (0, 0) in
   for _ = 1 to 10 + Random.State.int st 30 do
@@ -133,7 +132,6 @@ let hooks_agree ~count =
       let db = build seed in
       let log = Option.get (Lazy_db.log db) in
       Lxu_seglog.Update_log.prepare_for_query log;
-      let pool = Lazy_db.query_pool db in
       let text = Lazy_db.text db in
       let all = labels text in
       let of_tag tag = List.filter_map (fun (t, l) -> if t = tag then Some l else None) all in
@@ -162,14 +160,13 @@ let hooks_agree ~count =
       List.for_all
         (fun ((anc, desc), axis) ->
           let ctx =
-            Printf.sprintf "%s%s%s (%s, %d domains)" anc
+            Printf.sprintf "%s%s%s (%s)" anc
               (if axis = Lxu_util.Axis.Child then "/" else "//")
               desc
               (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
-              (Lazy_db.domains db)
           in
           let expected = Naive_join.join ~axis ~anc:(of_tag anc) ~desc:(of_tag desc) () in
-          let pairs, _ = Lazy_join.run ~axis ?pool log ~anc ~desc () in
+          let pairs, _ = Lazy_join.run ~axis log ~anc ~desc () in
           let ok =
             Array.init nslots (fun s ->
                 Bytes.init depth.(s) (fun da ->
@@ -178,7 +175,7 @@ let hooks_agree ~count =
           in
           let semi keep =
             starts
-              (Lazy_join.semi ?pool log
+              (Lazy_join.semi log
                  ~anc:(Lazy_join.select log ~tid:(tid anc) every)
                  ~desc:(Lazy_join.select log ~tid:(tid desc) every)
                  ~ok ~keep)
@@ -186,7 +183,7 @@ let hooks_agree ~count =
           let distinct f = List.sort_uniq compare (List.map f expected) in
           (Lazy_join.global_pairs log pairs = expected
           || QCheck2.Test.fail_reportf "%s: run differs from the naive join" ctx)
-          && (Lazy_join.count ~axis ?pool log ~anc ~desc () = List.length expected
+          && (Lazy_join.count ~axis log ~anc ~desc () = List.length expected
              || QCheck2.Test.fail_reportf "%s: count differs" ctx)
           && (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: semi `Anc differs" ctx)
           && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: semi `Desc differs" ctx))

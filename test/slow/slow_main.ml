@@ -4,13 +4,13 @@
      crashed at every WAL record boundary and under injected torn /
      bit-flipped / duplicated tails, and rerun with the WAL refusing
      the write of each operation in turn (a full disk);
-   - the full overload chaos matrix: LD x sequential and 4-domain
-     parallelism x several seeds, each run asserting
+   - the full overload chaos matrix: LD x several seeds, each run
+     asserting
      typed shedding, bounded cancellation, a torn-state-free
      post-pressure fingerprint, and a mixed read/write phase with
      parked snapshot pins under an insert_many stream;
-   - the full MVCC snapshot-isolation matrix: domains {1,4} x several
-     seeds, every pinned read proved byte-identical to a
+   - the full MVCC snapshot-isolation matrix: several seeds, every
+     pinned read proved byte-identical to a
      single-threaded replay frozen at its epoch, with zero leaked
      versions at quiescence;
    - the full parser mutation-fuzz corpus;
@@ -37,7 +37,7 @@
    - the predicated-twig property at 2,000 cases: on random twigs with
      one-step and nested predicates the default plan's restricted
      joins, the naive composition and the tree oracle agree (counts
-     included), on LD/LS x Mem/Paged x 1/4 domains, live and pinned;
+     included), on LD/LS x Mem/Paged, live and pinned;
    - the frame-sweep property at 2,000 cases: many child segments at
      increasing, equal and interleaved hooks under nested same-tag
      ancestors, with text tombstoned around the hooks, joined by
@@ -70,16 +70,15 @@ let () =
     ~target_ops ~wal_fail_every:1;
   Printf.printf "crash matrix: all %d workloads recovered byte-identically\n%!" seeds;
   let overload_seeds = int_env "LXU_OVERLOAD_SEEDS" 6 in
-  Printf.printf "overload matrix: LD x domains {1,4} x %d seeds\n%!" overload_seeds;
-  Lxu_crash_harness.Overload_harness.run_matrix ~domains:[ 1; 4 ]
-    ~seeds:(List.init overload_seeds (fun i -> i + 1));
+  Printf.printf "overload matrix: LD x %d seeds\n%!" overload_seeds;
+  Lxu_crash_harness.Overload_harness.run_matrix ~seeds:(List.init overload_seeds (fun i -> i + 1));
   Printf.printf "overload matrix: no hangs, typed shedding, fingerprints identical\n%!";
   let mvcc_seeds = int_env "LXU_MVCC_SEEDS" 8 in
   let mvcc_ops = int_env "LXU_MVCC_OPS" 40 in
-  Printf.printf "mvcc matrix: domains {1,4} x %d seeds x ~%d ops\n%!" mvcc_seeds mvcc_ops;
+  Printf.printf "mvcc matrix: %d seeds x ~%d ops\n%!" mvcc_seeds mvcc_ops;
   Lxu_crash_harness.Mvcc_harness.run_matrix
     ~seeds:(List.init mvcc_seeds (fun i -> i + 1))
-    ~target_ops:mvcc_ops ~domains:[ 1; 4 ];
+    ~target_ops:mvcc_ops;
   Printf.printf "mvcc matrix: zero isolation divergences, zero leaked versions\n%!";
   let fuzz_seeds = int_env "LXU_FUZZ_SEEDS" 40 in
   Lxu_crash_harness.Parser_fuzz.run_corpus
@@ -123,12 +122,12 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 24 |])
     (Lxu_props.Partition_props.predicated_twigs_agree ~count:cases);
   Printf.printf
-    "predicated twigs: %d cases, both plans equal to the tree oracle on LD/LS x Mem/Paged x 1/4 domains and pinned snapshots\n%!"
+    "predicated twigs: %d cases, both plans equal to the tree oracle on LD/LS x Mem/Paged and pinned snapshots\n%!"
     cases;
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 25 |])
     (Lxu_props.Sweep_props.hooks_agree ~count:cases);
   Printf.printf
-    "frame sweep: %d cases, run/count/semi equal to the naive join on LD/LS x 1/4 domains\n%!"
+    "frame sweep: %d cases, run/count/semi equal to the naive join on LD/LS\n%!"
     cases;
   Snapshot_golden.run ();
   Printf.printf "snapshot bytes: XMark stores of 2,000 and 4,000 persons save to their pinned bytes and re-save identically\n%!"

@@ -172,7 +172,11 @@ let test_lazy_missing_tags () =
   let got, _ = lazy_pairs log ~anc:"a" ~desc:"nope" in
   Alcotest.check pair_list "empty" [] got;
   let got, _ = lazy_pairs log ~anc:"nope" ~desc:"a" in
-  Alcotest.check pair_list "empty" [] got
+  Alcotest.check pair_list "empty" [] got;
+  let db = Lazy_xml.Lazy_db.create () in
+  Lazy_xml.Lazy_db.insert db ~gp:0 "<a><b/></a>";
+  check_int "count, absent desc" 0 (Lazy_xml.Lazy_db.count db ~anc:"a" ~desc:"zz" ());
+  check_int "count, absent anc" 0 (Lazy_xml.Lazy_db.count db ~anc:"zz" ~desc:"b" ())
 
 let test_lazy_after_removal () =
   let log = Update_log.create () in
@@ -364,6 +368,57 @@ let build_edits seed =
     (Chopper.chop ~text ~segments:(6 + (seed mod 10)) shape, "a", "d")
   end
 
+(* Removes a randomly chosen whole element from [db]. *)
+let remove_random_element st db =
+  let open Lazy_xml in
+  let extents = ref [] in
+  Lxu_xml.Tree.iter_elements (Lxu_xml.Parser.parse_fragment (Lazy_db.text db)) (fun e ~level:_ ->
+      if e.Lxu_xml.Tree.e_start >= 0 then
+        extents := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !extents);
+  match !extents with
+  | [] -> ()
+  | l ->
+    let s, e = List.nth l (Random.State.int st (List.length l)) in
+    Lazy_db.remove db ~gp:s ~len:(e - s)
+
+(* [Lazy_db.count] reads the join's buffer instead of building pairs:
+   on LD and LS, for both axes, it must equal the materialized
+   [pair_count] after removes, after packing the document into one
+   subtree segment and after a rebuild. *)
+let test_count_equals_pair_count () =
+  let open Lazy_xml in
+  for seed = 1 to 50 do
+    let edits, anc, desc = build_edits seed in
+    let st = Random.State.make [| 0xbeef; seed |] in
+    List.iter
+      (fun engine ->
+        let db = Lazy_db.create ~engine () in
+        List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) edits;
+        for _ = 0 to seed mod 3 do
+          remove_random_element st db
+        done;
+        let check stage =
+          List.iter
+            (fun axis ->
+              let _, stats = Lazy_db.query db ~axis ~anc ~desc () in
+              check_int
+                (Printf.sprintf "seed %d %s %s count" seed stage
+                   (if axis = Axis.Child then "child" else "desc"))
+                stats.Lazy_db.pair_count
+                (Lazy_db.count db ~axis ~anc ~desc ()))
+            [ Axis.Desc; Axis.Child ]
+        in
+        check "removed";
+        let len = Lazy_db.doc_length db in
+        if len > 0 then begin
+          Lazy_db.pack_subtree db ~gp:0 ~len;
+          check "packed"
+        end;
+        Lazy_db.rebuild db;
+        check "rebuilt")
+      [ Lazy_db.LD; Lazy_db.LS ]
+  done
+
 let suite =
   [
     Alcotest.test_case "std simple" `Quick test_std_simple;
@@ -381,3 +436,7 @@ let suite =
     Alcotest.test_case "lazy unsorted runs merge" `Quick test_lazy_unsorted_runs;
   ]
   @ props
+
+(* Lazy-Join through [Lazy_db] after the document has been edited. *)
+let edits_suite =
+  [ Alcotest.test_case "count = pair_count after edits" `Quick test_count_equals_pair_count ]

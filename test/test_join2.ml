@@ -132,7 +132,7 @@ let labels_with_paths text =
   !acc
 
 (* The semi-join property: on random LD/LS stores (chopped random
-   documents, some whole elements removed, 1 or 4 domains), both sides
+   documents, some whole elements removed), both sides
    of [Lazy_join.semi] — restricted or not, every slot a candidate or a
    random half of the paths — equal the distinct ancestors and the
    distinct descendants of [Naive_join]'s pairs among the candidates.
@@ -145,8 +145,7 @@ let prop_semi_join =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let engine = if seed mod 2 = 0 then Lazy_db.LD else Lazy_db.LS in
-      let domains = if seed mod 4 < 2 then 1 else 4 in
-      let db = Lazy_db.create ~engine ~domains () in
+      let db = Lazy_db.create ~engine () in
       let params =
         { Lxu_workload.Generator.default_params with tags = [| "a"; "b"; "d" |]; text_chance_pct = 10 }
       in
@@ -215,7 +214,7 @@ let prop_semi_join =
           and desc = Lazy_join.select log ~tid:(tid desc_tag) keep in
           let semi keep =
             starts
-              (Lazy_join.semi ~restrict ?pool:(Lazy_db.query_pool db) log ~anc ~desc ~ok ~keep)
+              (Lazy_join.semi ~restrict log ~anc ~desc ~ok ~keep)
           in
           let ctx =
             Printf.sprintf "%s//%s axis=%s restricted=%b restrict=%b" anc_tag desc_tag

@@ -120,15 +120,15 @@ let test_snapshot_is_read_only () =
 
 (* --- a pinned reader across every kind of in-place change ------------ *)
 
-(* A reader pins a multi-segment store on 4 domains, and two more
-   domains keep fingerprinting the pin while the writer tombstones part
-   of a segment, packs the whole document into one segment, marks the
-   tag lists stale and lets a maintainer tick merge them.  Then a
-   snapshot of an LS store is held across an insert and the query that
-   runs its [prepare_for_query].  Each of these changes the live log in
-   place, so each must first copy what the pinned version shares: every
-   read of a pin equals the fingerprint taken when it was pinned, and
-   the pin still passes the full check. *)
+(* A reader pins a multi-segment store, and three reader domains keep
+   fingerprinting the pin (four domains with the writer's) while the
+   writer tombstones part of a segment, packs the whole document into
+   one segment, marks the tag lists stale and lets a maintainer tick
+   merge them.  Then a snapshot of an LS store is held across an insert
+   and the query that runs its [prepare_for_query].  Each of these
+   changes the live log in place, so each must first copy what the
+   pinned version shares: every read of a pin equals the fingerprint
+   taken when it was pinned, and the pin still passes the full check. *)
 let test_pinned_across_in_place_changes () =
   (* Offset of the first occurrence of [pat] in the document. *)
   let at db pat =
@@ -136,7 +136,7 @@ let test_pinned_across_in_place_changes () =
     let rec go i = if String.sub text i (String.length pat) = pat then i else go (i + 1) in
     go 0
   in
-  let gov = Governor.create ~index_attributes:true ~domains:4 () in
+  let gov = Governor.create ~index_attributes:true () in
   let t = Governor.shared gov in
   Shared_db.insert t ~gp:0 "<r><a><b/><c>x</c><b/></a><d><b/></d></r>";
   Shared_db.insert t ~gp:(Shared_db.read t (fun db -> at db "<d>" + 3)) "<e><b/><c>y</c></e>";
@@ -154,7 +154,7 @@ let test_pinned_across_in_place_changes () =
     done;
     !bad
   in
-  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
+  let readers = List.init 3 (fun _ -> Domain.spawn reader) in
   let writes () =
     (* Part of the first segment's own text: a tombstone, not a removal
        of a whole segment. *)
@@ -185,7 +185,7 @@ let test_pinned_across_in_place_changes () =
   Shared_db.read t Lazy_db.check;
   (* LS: the live log's tag lists and sid map go stale on insert and
      are rebuilt in place by the next query. *)
-  let db = Lazy_db.create ~engine:Lazy_db.LS ~index_attributes:true ~domains:4 () in
+  let db = Lazy_db.create ~engine:Lazy_db.LS ~index_attributes:true () in
   Lazy_db.insert db ~gp:0 "<r><a><b/></a><d></d></r>";
   Lazy_db.insert db ~gp:(at db "<d>" + 3) "<a><b/><b/></a>";
   ignore (Lazy_db.count db ~anc:"a" ~desc:"b" ());
@@ -240,10 +240,7 @@ let test_publish_allocation () =
 
 (* --- quick slice of the isolation harness (full matrix under @slow) -- *)
 
-let test_harness_quick () =
-  List.iter
-    (fun domains -> ignore (Mvcc_harness.run_one ~seed:1 ~target_ops:15 ~domains ()))
-    [ 1; 4 ]
+let test_harness_quick () = ignore (Mvcc_harness.run_one ~seed:1 ~target_ops:15 ())
 
 let suite =
   [

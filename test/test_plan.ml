@@ -1,8 +1,8 @@
 (* Differential tests for the default plan: left-to-right semi-joins
    over slot-restricted candidates, where a predicate-free chain is one
    hop that runs no join.  It must be result-identical to the
-   unfiltered naive composition — across engines LD/LS, 1 and 4
-   domains, random documents, random twigs (with and without
+   unfiltered naive composition — across engines LD/LS, random
+   documents, random twigs (with and without
    predicates), synopsis changes from removes and packs, and frozen
    snapshots.  Plus the explain rendering and the synopsis-proven empty
    shortcut. *)
@@ -33,8 +33,8 @@ let random_twig st pool =
       in
       step (axis ()) (pick ()) predicates)
 
-let build_db ~engine ~domains ~seed =
-  let db = Lazy_db.create ~engine ~domains () in
+let build_db ~engine ~seed =
+  let db = Lazy_db.create ~engine () in
   let edits =
     if seed mod 2 = 0 then
       let text = Xmark.generate_text ~persons:(10 + (seed mod 15)) ~seed () in
@@ -85,8 +85,7 @@ let prop_planned_equals_naive =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let engine = if seed mod 4 < 2 then Lazy_db.LD else Lazy_db.LS in
-      let domains = if seed mod 8 < 4 then 1 else 4 in
-      let db = build_db ~engine ~domains ~seed in
+      let db = build_db ~engine ~seed in
       let pool = pool_for ~seed in
       let ctx = Printf.sprintf "seed=%d" seed in
       for _ = 1 to 3 do

@@ -90,43 +90,37 @@ let test_concurrent_mixed_updates () =
   check_int "x survived" 40 (Shared_db.count t ~anc:"r" ~desc:"x" ())
 
 let test_interleaving_never_torn () =
-  (* Each write transaction inserts three <b/> at once, and readers —
-     with LXU_DOMAINS=4 so queries themselves fan out over domains —
+  (* Each write transaction inserts three <b/> at once, and readers
      must only ever observe multiples of three: a count that is not
      [= 0 mod 3] would mean a read interleaved inside a write. *)
-  let saved = Sys.getenv_opt "LXU_DOMAINS" in
-  Unix.putenv "LXU_DOMAINS" "4";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "LXU_DOMAINS" (Option.value saved ~default:""))
-    (fun () ->
-      let t = Shared_db.create () in
-      Shared_db.insert t ~gp:0 "<a></a>";
-      let txns = 50 in
-      let writer =
-        Domain.spawn (fun () ->
-            for _ = 1 to txns do
-              Shared_db.write t (fun db ->
-                  Lazy_db.insert db ~gp:3 "<b/>";
-                  Lazy_db.insert db ~gp:3 "<b/>";
-                  Lazy_db.insert db ~gp:3 "<b/>")
-            done)
-      in
-      let reader () =
-        Domain.spawn (fun () ->
-            let ok = ref true in
-            let last = ref 0 in
-            for _ = 1 to 150 do
-              let c = Shared_db.count t ~anc:"a" ~desc:"b" () in
-              if c mod 3 <> 0 || c < !last || c > 3 * txns then ok := false;
-              last := c
-            done;
-            !ok)
-      in
-      let readers = List.init 3 (fun _ -> reader ()) in
-      Domain.join writer;
-      List.iter (fun d -> check_bool "only pre/post-txn counts" true (Domain.join d)) readers;
-      check_int "final count" (3 * txns) (Shared_db.count t ~anc:"a" ~desc:"b" ());
-      Shared_db.read t Lazy_db.check)
+  let t = Shared_db.create () in
+  Shared_db.insert t ~gp:0 "<a></a>";
+  let txns = 50 in
+  let writer =
+    Domain.spawn (fun () ->
+        for _ = 1 to txns do
+          Shared_db.write t (fun db ->
+              Lazy_db.insert db ~gp:3 "<b/>";
+              Lazy_db.insert db ~gp:3 "<b/>";
+              Lazy_db.insert db ~gp:3 "<b/>")
+        done)
+  in
+  let reader () =
+    Domain.spawn (fun () ->
+        let ok = ref true in
+        let last = ref 0 in
+        for _ = 1 to 150 do
+          let c = Shared_db.count t ~anc:"a" ~desc:"b" () in
+          if c mod 3 <> 0 || c < !last || c > 3 * txns then ok := false;
+          last := c
+        done;
+        !ok)
+  in
+  let readers = List.init 3 (fun _ -> reader ()) in
+  Domain.join writer;
+  List.iter (fun d -> check_bool "only pre/post-txn counts" true (Domain.join d)) readers;
+  check_int "final count" (3 * txns) (Shared_db.count t ~anc:"a" ~desc:"b" ());
+  Shared_db.read t Lazy_db.check
 
 let test_durable_writers () =
   (* Racing durable writers: the WAL serializes under the write lock,

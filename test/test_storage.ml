@@ -304,6 +304,19 @@ let test_file_backed () =
       close_in ic;
       Alcotest.(check string) "append mode appends" "hello!?" on_disk)
 
+(* A real full disk: the write that meets it raises, and closing the
+   device afterwards writes nothing, so it cannot raise again (a
+   buffered channel would retry the refused bytes on close). *)
+let test_full_device () =
+  let device = Sim_file.open_path "/dev/full" in
+  (match Sim_file.write device "a refused group" with
+  | () -> Alcotest.fail "a write to /dev/full returned"
+  | exception Sys_error _ -> ());
+  Sim_file.close device;
+  Sim_file.close device;
+  Alcotest.check_raises "closed" (Invalid_argument "Sim_file: device is closed") (fun () ->
+      Sim_file.write device "x")
+
 let test_random_fault_deterministic () =
   let faults seed =
     let rng = Lxu_workload.Rng.create seed in
@@ -328,5 +341,6 @@ let suite =
     Alcotest.test_case "apply_fault semantics" `Quick test_apply_fault;
     Alcotest.test_case "scheduled injection" `Quick test_injection;
     Alcotest.test_case "file-backed device" `Quick test_file_backed;
+    Alcotest.test_case "full device: write raises, close writes nothing" `Quick test_full_device;
     Alcotest.test_case "random faults deterministic" `Quick test_random_fault_deterministic;
   ]

@@ -72,31 +72,26 @@ let xmark_edits shape =
 (* --- batched = sequential ------------------------------------------- *)
 
 let test_batch_equals_sequential () =
-  let run ~engine ~domains ~batch ~shape =
+  let run ~engine ~batch ~shape =
     let edits = xmark_edits shape in
-    let seq_db = Lazy_db.create ~engine ~domains () in
+    let seq_db = Lazy_db.create ~engine () in
     List.iter (fun (gp, frag) -> Lazy_db.insert seq_db ~gp frag) edits;
-    let batch_db = Lazy_db.create ~engine ~domains () in
+    let batch_db = Lazy_db.create ~engine () in
     List.iter (Lazy_db.insert_many batch_db) (chunks batch edits);
     Lazy_db.check batch_db;
     let ctx =
-      Printf.sprintf "%s domains=%d batch=%d %s"
+      Printf.sprintf "%s batch=%d %s"
         (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
-        domains batch
+        batch
         (match shape with Lxu_workload.Chopper.Balanced -> "balanced" | Nested -> "nested")
     in
     check_string ctx (fingerprint ~tags:xmark_tags seq_db) (fingerprint ~tags:xmark_tags batch_db)
   in
   List.iter
     (fun engine ->
-      List.iter
-        (fun domains ->
-          List.iter
-            (fun batch -> run ~engine ~domains ~batch ~shape:Lxu_workload.Chopper.Balanced)
-            [ 2; 7; 64 ])
-        [ 1; 4 ];
+      List.iter (fun batch -> run ~engine ~batch ~shape:Lxu_workload.Chopper.Balanced) [ 2; 7; 64 ];
       (* The chain-shaped worst-case ER-tree, once per engine. *)
-      run ~engine ~domains:1 ~batch:7 ~shape:Lxu_workload.Chopper.Nested)
+      run ~engine ~batch:7 ~shape:Lxu_workload.Chopper.Nested)
     [ Lazy_db.LD; Lazy_db.LS ]
 
 (* One-element batch and whole-schedule batch behave too. *)
@@ -274,7 +269,7 @@ let prop_random_schedules =
 
 let suite =
   [
-    Alcotest.test_case "batched = sequential (engines x domains x sizes)" `Quick
+    Alcotest.test_case "batched = sequential (engines x doc shapes x sizes)" `Quick
       test_batch_equals_sequential;
     Alcotest.test_case "batch extremes" `Quick test_batch_extremes;
     Alcotest.test_case "all-or-nothing" `Quick test_all_or_nothing;
