@@ -7,8 +7,8 @@
     simulates a crash at {e every} WAL record boundary: each prefix
     is recovered and its query-visible state (document text, element
     and segment counts, and the full all-pairs output of every
-    vocabulary join) must be byte-identical to a never-crashed
-    reference database that applied the same operation prefix.  On
+    vocabulary join) must be byte-identical to the never-crashed
+    {!Reference} at the same LSN.  On
     top of the boundary sweep it injects torn, bit-flipped and
     duplicated tails and checks recovery lands exactly on the last
     valid LSN instead of erroring out, and reruns the schedule with
@@ -16,18 +16,21 @@
     stops there and recovery lands on the last committed LSN.
 
     Failures raise [Failure] with the seed, the boundary, and the
-    generated schedule prefix ({!ops_to_string}), so any reported
-    failure replays exactly — with or without the generator. *)
+    generated schedule ({!with_replay}), so any reported failure
+    replays exactly — with or without the generator.
+
+    The module is also the durable half of the test core every
+    harness shares: the schedule generator, {!fingerprint}, the
+    per-LSN {!Reference} replay, the crash-image layer
+    ({!sweep_boundaries}, {!check_tail_fault}) and the file and
+    replay plumbing.  The text model and the oracles are in
+    [Lxu_props]. *)
 
 val vocabulary : string array
 (** Element tags the generated fragments draw from. *)
 
 val fragments : string array
 (** Well-formed fragments the schedules insert. *)
-
-val element_extents : string -> (int * int) list
-(** [(start, stop)] byte extents of every element in a well-formed
-    forest — the legal removal targets. *)
 
 val gen_ops : seed:int -> target_ops:int -> Lxu_storage.Wal.op list
 (** A valid random schedule of about [target_ops] operations. *)
@@ -38,9 +41,8 @@ val op_to_string : Lxu_storage.Wal.op -> string
 (** Human-readable single operation, for replayable failure reports. *)
 
 val ops_to_string : Lxu_storage.Wal.op list -> string
-(** ["; "]-joined {!op_to_string} — the schedule prefix every harness
-    prints on an assertion failure so the run replays without the
-    generator. *)
+(** ["; "]-joined {!op_to_string}: the schedule {!with_replay}
+    prints on a failure. *)
 
 val fingerprint : ?segments:bool -> Lazy_xml.Lazy_db.t -> string
 (** Text, element/segment counts, and all-pairs join output over the
@@ -48,25 +50,74 @@ val fingerprint : ?segments:bool -> Lazy_xml.Lazy_db.t -> string
     [~segments:false] leaves out the physical segment count, which
     packing and concurrent write orders legitimately change. *)
 
-(** {2 Shared plumbing}
+val check : ctx:string -> string -> Lazy_xml.Lazy_db.t -> unit
+(** [check ~ctx expected db] compares {!fingerprint}[ db] against
+    [expected].
+    @raise Failure with [ctx] and both fingerprints on divergence. *)
 
-    The filesystem and differential helpers the other crash-style
-    harnesses (notably [Maint_harness]) build their own schedules
-    on. *)
+val with_replay :
+  seed:int -> target_ops:int -> ?params:string -> (unit -> Lxu_storage.Wal.op list) ->
+  (unit -> 'a) -> 'a
+(** [with_replay ~seed ~target_ops schedule f] runs [f]; a [Failure]
+    it raises is re-raised with
+    [replay: seed=… target_ops=…<params> schedule=[…]] appended, the
+    schedule read when the failure happens — enough to replay it with
+    or without the generator. *)
 
-val fresh_dir : string -> string
-(** A unique per-process temp-directory path (not created). *)
+(** {2 The reference replay}
 
-val rm_rf : string -> unit
-(** Removes a flat directory and its files; no-op if absent. *)
+    A never-crashed in-memory store that applies a schedule and
+    records its fingerprint at every LSN: the state any recovery,
+    restore or pinned snapshot at that LSN must reproduce. *)
+
+module Reference : sig
+  type t
+
+  val create :
+    ?engine:Lazy_xml.Lazy_db.engine -> ?fingerprint:(Lazy_xml.Lazy_db.t -> string) -> unit -> t
+  (** An empty store (attributes indexed) at LSN 0; [fingerprint]
+      defaults to {!fingerprint}. *)
+
+  val apply : t -> Lxu_storage.Wal.op -> unit
+  (** One logged operation: LSN + 1. *)
+
+  val mirror : t -> Lazy_xml.Maintainer.job -> unit
+  (** Mirrors a maintenance job: a pack is a logged operation; the
+      other jobs change no query-visible state and log nothing. *)
+
+  val of_ops : ?engine:Lazy_xml.Lazy_db.engine -> Lxu_storage.Wal.op list -> t
+
+  val lsn : t -> int
+  (** The LSN of the last applied operation. *)
+
+  val at : t -> int -> string
+  (** The fingerprint at an LSN.
+      @raise Failure for an LSN outside [0, lsn]. *)
+
+  val check : t -> ctx:string -> int -> Lazy_xml.Lazy_db.t -> unit
+  (** [check r ~ctx k db]: [db] fingerprints as the reference at LSN
+      [k].  @raise Failure with [ctx] and both fingerprints, or when
+      [k] is outside [0, lsn]. *)
+end
+
+(** {2 Files} *)
 
 val with_dir : string -> (string -> 'a) -> 'a
-(** [with_dir tag f] runs [f] on a fresh, created {!fresh_dir} and
-    removes it afterwards. *)
+(** [with_dir tag f] runs [f] on a fresh, created directory under the
+    temp directory and removes it, with everything in it, afterwards. *)
+
+val with_fresh_tmpdir : (unit -> 'a) -> 'a
+(** Runs [f] with {!Filename.get_temp_dir_name} set to a fresh
+    directory and removes that directory afterwards, also when [f]
+    calls [exit].
+    @raise Failure naming every file [f] left in it (on [exit]: the
+    names go to stderr and the exit code becomes 1). *)
 
 val read_file : string -> string
 
 val write_file : string -> string -> unit
+
+(** {2 The crash-image layer} *)
 
 val recover_image :
   tag:string ->
@@ -79,10 +130,35 @@ val recover_image :
     on a scratch directory, and returns the (closed) database plus
     report. *)
 
-val check : ctx:string -> string -> Lazy_xml.Lazy_db.t -> unit
-(** [check ~ctx expected db] compares {!fingerprint}[ db] against
-    [expected].
-    @raise Failure with [ctx] and both fingerprints on divergence. *)
+val sweep_boundaries :
+  ctx:string ->
+  reference:Reference.t ->
+  ?base:int ->
+  ?snapshot_bytes:string ->
+  wal_bytes:string ->
+  unit ->
+  int
+(** Crashes a clean WAL at every record boundary: after the header and
+    after each record.  The WAL must scan clean and hold one record
+    per reference operation after LSN [base] (default 0, the
+    snapshot's LSN when [snapshot_bytes] is given); the prefix ending
+    at boundary [j] must recover through {!recover_image} with no
+    corruption, [j] records applied and the reference state at LSN
+    [base + j].  Returns the number of recoveries.
+    @raise Failure on any divergence. *)
+
+val check_tail_fault :
+  ctx:string ->
+  reference:Reference.t ->
+  ?snapshot_bytes:string ->
+  head:string ->
+  tail:string ->
+  Lxu_storage.Sim_file.fault ->
+  int
+(** Recovers the image [head ^ apply_fault tail fault] and checks it
+    against the reference at the LSN recovery lands on.  Returns that
+    LSN.
+    @raise Failure on divergence. *)
 
 val run_one :
   ?checkpoint_at:int -> wal_fail_every:int -> seed:int -> target_ops:int -> unit -> int

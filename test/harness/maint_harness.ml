@@ -4,6 +4,7 @@ module Wal = Lxu_storage.Wal
 module Wal_store = Lxu_storage.Wal_store
 module Sim_file = Lxu_storage.Sim_file
 module Recovery = Lxu_storage.Recovery
+module Text_model = Lxu_props.Text_model
 
 (* Thresholds low enough that every job class actually fires inside a
    short schedule: packs after a handful of segments, a rolling
@@ -23,129 +24,96 @@ let harness_config ~backup_dir =
 
 (* The churn schedule interleaves the generated update stream with a
    maintenance tick every [maint_every] ops.  Every op and every
-   WAL-logged maintenance job is mirrored onto an in-memory reference,
-   and the reference fingerprint is recorded per committed LSN — so a
-   recovery from {e any} crash image can be checked against the exact
-   state its surviving WAL prefix promises. *)
+   WAL-logged maintenance job is mirrored onto the reference replay,
+   which records the fingerprint per committed LSN — so a recovery
+   from {e any} crash image can be checked against the exact state its
+   surviving WAL prefix promises. *)
 let run_churn_crash_inner ~maint_every ~seed ~ops () =
-  let dir = Crash_harness.fresh_dir "maintwal" in
-  let bdir = Crash_harness.fresh_dir "maintbak" in
-  Fun.protect
-    ~finally:(fun () ->
-      Crash_harness.rm_rf dir;
-      Crash_harness.rm_rf bdir)
-    (fun () ->
-      let durable = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
-      let reference = Lazy_db.create ~index_attributes:true () in
-      let m = Maintainer.of_db ~config:(harness_config ~backup_dir:(Some bdir)) durable in
-      (* fingerprint of the reference after each committed LSN *)
-      let fps = Hashtbl.create 64 in
-      let lsn = ref 0 in
-      let record_fp () = Hashtbl.replace fps !lsn (Crash_harness.fingerprint reference) in
-      record_fp ();
-      let recoveries = ref 0 in
-      let capture () =
-        let wal = Crash_harness.read_file (Wal_store.wal_path dir) in
-        let sp = Wal_store.snapshot_path dir in
-        let snap = if Sys.file_exists sp then Some (Crash_harness.read_file sp) else None in
-        (snap, wal)
-      in
-      let expect_now ~ctx ?snapshot_bytes ~wal_bytes () =
-        incr recoveries;
-        let db, _ = Crash_harness.recover_image ~tag:"maint" ?snapshot_bytes ~wal_bytes () in
-        Crash_harness.check ~ctx (Hashtbl.find fps !lsn) db
-      in
-      let rng = Rng.create ((seed * 104729) + 1) in
-      List.iteri
-        (fun i op ->
-          Crash_harness.apply durable op;
-          Crash_harness.apply reference op;
-          incr lsn;
-          record_fp ();
-          if (i + 1) mod maint_every = 0 then begin
-            let snap_pre, wal_pre = capture () in
-            match Maintainer.tick m with
-            | Maintainer.Idle | Maintainer.Busy | Maintainer.Shed _ -> ()
-            | Maintainer.Ran job ->
-              (* Mirror the WAL-logged jobs onto the reference; the
-                 others (checkpoint, backup, merge) change no
-                 query-visible state. *)
-              (match job with
-              | Maintainer.Pack { gp; len; _ } ->
-                Lazy_db.pack_subtree reference ~gp ~len;
-                incr lsn;
-                record_fp ()
-              | _ -> ());
-              let ctx0 =
-                Printf.sprintf "seed %d op %d job [%s]" seed (i + 1)
-                  (Maintainer.job_to_string job)
-              in
-              let snap_post, wal_post = capture () in
-              (* Crash exactly at the step boundary. *)
-              expect_now ~ctx:(ctx0 ^ " post") ?snapshot_bytes:snap_post ~wal_bytes:wal_post ();
-              (match job with
-              | Maintainer.Checkpoint _ ->
-                (* The three checkpoint-truncation windows: before the
-                   snapshot rename landed, after it but before the WAL
-                   rotation (a resurrected pre-rotation log), and after
-                   both (= the post image above).  All must recover to
-                   the same state — a checkpoint changes nothing
-                   query-visible. *)
-                expect_now ~ctx:(ctx0 ^ " pre-rename") ?snapshot_bytes:snap_pre
-                  ~wal_bytes:wal_pre ();
-                expect_now ~ctx:(ctx0 ^ " resurrected-log") ?snapshot_bytes:snap_post
-                  ~wal_bytes:wal_pre ()
-              | Maintainer.Backup { dir = b; lsn = blsn } ->
-                (* The shipped backup restores to exactly the state it
-                   was taken at. *)
+  let reference = Crash_harness.Reference.create () in
+  Crash_harness.with_dir "maintwal" @@ fun dir ->
+  Crash_harness.with_dir "maintbak" @@ fun bdir ->
+  let durable = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+  let m = Maintainer.of_db ~config:(harness_config ~backup_dir:(Some bdir)) durable in
+  let recoveries = ref 0 in
+  let capture () =
+    let wal = Crash_harness.read_file (Wal_store.wal_path dir) in
+    let sp = Wal_store.snapshot_path dir in
+    let snap = if Sys.file_exists sp then Some (Crash_harness.read_file sp) else None in
+    (snap, wal)
+  in
+  let expect_now ~ctx ?snapshot_bytes ~wal_bytes () =
+    incr recoveries;
+    let db, _ = Crash_harness.recover_image ~tag:"maint" ?snapshot_bytes ~wal_bytes () in
+    Crash_harness.Reference.check reference ~ctx (Crash_harness.Reference.lsn reference) db
+  in
+  let rng = Rng.create ((seed * 104729) + 1) in
+  List.iteri
+    (fun i op ->
+      Crash_harness.apply durable op;
+      Crash_harness.Reference.apply reference op;
+      if (i + 1) mod maint_every = 0 then begin
+        let snap_pre, wal_pre = capture () in
+        match Maintainer.tick m with
+        | Maintainer.Idle | Maintainer.Busy | Maintainer.Shed _ -> ()
+        | Maintainer.Ran job ->
+          Crash_harness.Reference.mirror reference job;
+          let ctx0 =
+            Printf.sprintf "seed %d op %d job [%s]" seed (i + 1) (Maintainer.job_to_string job)
+          in
+          let snap_post, wal_post = capture () in
+          (* Crash exactly at the step boundary. *)
+          expect_now ~ctx:(ctx0 ^ " post") ?snapshot_bytes:snap_post ~wal_bytes:wal_post ();
+          (match job with
+          | Maintainer.Checkpoint _ ->
+            (* The three checkpoint-truncation windows: before the
+               snapshot rename landed, after it but before the WAL
+               rotation (a resurrected pre-rotation log), and after
+               both (= the post image above).  All must recover to
+               the same state — a checkpoint changes nothing
+               query-visible. *)
+            expect_now ~ctx:(ctx0 ^ " pre-rename") ?snapshot_bytes:snap_pre ~wal_bytes:wal_pre ();
+            expect_now ~ctx:(ctx0 ^ " resurrected-log") ?snapshot_bytes:snap_post
+              ~wal_bytes:wal_pre ()
+          | Maintainer.Backup { dir = b; lsn = blsn } ->
+            (* The shipped backup restores to exactly the state it
+               was taken at. *)
+            incr recoveries;
+            let log, _ = Wal_store.restore_to ~dir:b ~lsn:blsn in
+            Crash_harness.Reference.check reference ~ctx:(ctx0 ^ " backup-restore") blsn
+              (Lazy_db.of_log log)
+          | _ -> ());
+          (* Torn / bit-flipped tails on the crash image: recovery
+             lands on some committed LSN and must reproduce exactly
+             that state.  (Duplicated tails are the plain crash
+             harness's department.) *)
+          if String.length wal_post > Wal.header_bytes then begin
+            let body_len = String.length wal_post - Wal.header_bytes in
+            for _t = 1 to 2 do
+              match Sim_file.random_fault rng ~len:body_len with
+              | Sim_file.Duplicate_tail _ -> ()
+              | fault ->
                 incr recoveries;
-                let log, _ = Wal_store.restore_to ~dir:b ~lsn:blsn in
-                Crash_harness.check ~ctx:(ctx0 ^ " backup-restore") (Hashtbl.find fps blsn)
-                  (Lazy_db.of_log log)
-              | _ -> ());
-              (* Torn / bit-flipped tails on the crash image: recovery
-                 lands on some committed LSN and must reproduce exactly
-                 that state.  (Duplicated tails are the plain crash
-                 harness's department.) *)
-              if String.length wal_post > Wal.header_bytes then begin
-                let body_len = String.length wal_post - Wal.header_bytes in
-                for _t = 1 to 2 do
-                  match Sim_file.random_fault rng ~len:body_len with
-                  | Sim_file.Duplicate_tail _ -> ()
-                  | fault ->
-                    incr recoveries;
-                    let head = String.sub wal_post 0 Wal.header_bytes in
-                    let body = String.sub wal_post Wal.header_bytes body_len in
-                    let image = head ^ Sim_file.apply_fault body fault in
-                    let db, report =
-                      Crash_harness.recover_image ~tag:"maintfault" ?snapshot_bytes:snap_post
-                        ~wal_bytes:image ()
-                    in
-                    let ctx = ctx0 ^ " fault" in
-                    (match Hashtbl.find_opt fps report.Recovery.last_lsn with
-                    | Some fp -> Crash_harness.check ~ctx fp db
-                    | None ->
-                      failwith
-                        (Printf.sprintf "%s: recovered to unrecorded lsn %d" ctx
-                           report.Recovery.last_lsn))
-                done
-              end
-          end)
-        ops;
-      Lazy_db.close durable;
-      let snap, wal = capture () in
-      expect_now ~ctx:(Printf.sprintf "seed %d final" seed) ?snapshot_bytes:snap ~wal_bytes:wal
-        ();
-      !recoveries)
+                ignore
+                  (Crash_harness.check_tail_fault ~ctx:(ctx0 ^ " fault") ~reference
+                     ?snapshot_bytes:snap_post
+                     ~head:(String.sub wal_post 0 Wal.header_bytes)
+                     ~tail:(String.sub wal_post Wal.header_bytes body_len)
+                     fault)
+            done
+          end
+      end)
+    ops;
+  Lazy_db.close durable;
+  let snap, wal = capture () in
+  expect_now ~ctx:(Printf.sprintf "seed %d final" seed) ?snapshot_bytes:snap ~wal_bytes:wal ();
+  !recoveries
 
 let run_churn_crash ?(maint_every = 3) ~seed ~target_ops () =
   let ops = Crash_harness.gen_ops ~seed ~target_ops in
-  try run_churn_crash_inner ~maint_every ~seed ~ops ()
-  with Failure msg ->
-    failwith
-      (Printf.sprintf "%s\n  replay: seed=%d target_ops=%d maint_every=%d schedule=[%s]" msg seed
-         target_ops maint_every
-         (Crash_harness.ops_to_string ops))
+  Crash_harness.with_replay ~seed ~target_ops
+    ~params:(Printf.sprintf " maint_every=%d" maint_every)
+    (fun () -> ops)
+    (run_churn_crash_inner ~maint_every ~seed ~ops)
 
 (* --- point-in-time restore sweep ------------------------------------- *)
 
@@ -155,71 +123,55 @@ let run_churn_crash ?(maint_every = 3) ~seed ~target_ops () =
    the documented bound (earlier states need a pre-checkpoint
    backup). *)
 let run_restore_sweep_inner ~seed ~ops () =
-  let dir = Crash_harness.fresh_dir "pitr" in
-  Fun.protect
-    ~finally:(fun () -> Crash_harness.rm_rf dir)
-    (fun () ->
-      let durable = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
-      let reference = Lazy_db.create ~index_attributes:true () in
-      let cfg =
-        {
-          Maintainer.default_config with
-          pack_min_segments = 4;
-          pack_min_depth = 3;
-          checkpoint_wal_bytes = max_int;
-        }
-      in
-      let m = Maintainer.of_db ~config:cfg durable in
-      let lsn = ref 0 in
-      let fps = ref [ (0, Crash_harness.fingerprint reference) ] in
-      let record_fp () = fps := (!lsn, Crash_harness.fingerprint reference) :: !fps in
-      List.iteri
-        (fun i op ->
-          Crash_harness.apply durable op;
-          Crash_harness.apply reference op;
-          incr lsn;
-          record_fp ();
-          if (i + 1) mod 4 = 0 then
-            match Maintainer.tick m with
-            | Maintainer.Ran (Maintainer.Pack { gp; len; _ }) ->
-              Lazy_db.pack_subtree reference ~gp ~len;
-              incr lsn;
-              record_fp ()
-            | _ -> ())
-        ops;
-      Lazy_db.close durable;
-      List.iter
-        (fun (l, fp) ->
-          let ctx = Printf.sprintf "seed %d restore lsn %d" seed l in
-          let db, report = Lazy_db.restore_to ~lsn:l dir in
-          if report.Recovery.last_lsn <> l then
-            failwith
-              (Printf.sprintf "%s: replay stopped at lsn %d" ctx report.Recovery.last_lsn);
-          Crash_harness.check ~ctx fp db)
-        !fps;
-      (* Checkpointing bounds PITR exactly as documented. *)
-      let db, _ = Lazy_db.recover dir in
-      Lazy_db.checkpoint db;
-      Lazy_db.close db;
-      let db, _ = Lazy_db.restore_to ~lsn:!lsn dir in
-      Crash_harness.check
-        ~ctx:(Printf.sprintf "seed %d post-checkpoint restore" seed)
-        (List.assoc !lsn !fps) db;
-      if !lsn > 0 then (
-        match Lazy_db.restore_to ~lsn:(!lsn - 1) dir with
-        | exception Failure _ -> ()
-        | _ ->
-          failwith
-            (Printf.sprintf "seed %d: restore below the checkpoint unexpectedly succeeded" seed));
-      List.length !fps)
+  let reference = Crash_harness.Reference.create () in
+  Crash_harness.with_dir "pitr" @@ fun dir ->
+  let durable = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+  let cfg =
+    {
+      Maintainer.default_config with
+      pack_min_segments = 4;
+      pack_min_depth = 3;
+      checkpoint_wal_bytes = max_int;
+    }
+  in
+  let m = Maintainer.of_db ~config:cfg durable in
+  List.iteri
+    (fun i op ->
+      Crash_harness.apply durable op;
+      Crash_harness.Reference.apply reference op;
+      if (i + 1) mod 4 = 0 then
+        match Maintainer.tick m with
+        | Maintainer.Ran job -> Crash_harness.Reference.mirror reference job
+        | _ -> ())
+    ops;
+  Lazy_db.close durable;
+  let last = Crash_harness.Reference.lsn reference in
+  for l = 0 to last do
+    let ctx = Printf.sprintf "seed %d restore lsn %d" seed l in
+    let db, report = Lazy_db.restore_to ~lsn:l dir in
+    if report.Recovery.last_lsn <> l then
+      failwith (Printf.sprintf "%s: replay stopped at lsn %d" ctx report.Recovery.last_lsn);
+    Crash_harness.Reference.check reference ~ctx l db
+  done;
+  (* Checkpointing bounds PITR exactly as documented. *)
+  let db, _ = Lazy_db.recover dir in
+  Lazy_db.checkpoint db;
+  Lazy_db.close db;
+  let db, _ = Lazy_db.restore_to ~lsn:last dir in
+  Crash_harness.Reference.check reference
+    ~ctx:(Printf.sprintf "seed %d post-checkpoint restore" seed)
+    last db;
+  if last > 0 then (
+    match Lazy_db.restore_to ~lsn:(last - 1) dir with
+    | exception Failure _ -> ()
+    | _ ->
+      failwith
+        (Printf.sprintf "seed %d: restore below the checkpoint unexpectedly succeeded" seed));
+  last + 1
 
 let run_restore_sweep ~seed ~target_ops () =
   let ops = Crash_harness.gen_ops ~seed ~target_ops in
-  try run_restore_sweep_inner ~seed ~ops ()
-  with Failure msg ->
-    failwith
-      (Printf.sprintf "%s\n  replay: seed=%d target_ops=%d schedule=[%s]" msg seed target_ops
-         (Crash_harness.ops_to_string ops))
+  Crash_harness.with_replay ~seed ~target_ops (fun () -> ops) (run_restore_sweep_inner ~seed ~ops)
 
 (* --- churn performance: auto-maintenance vs. manual-only ------------- *)
 
@@ -290,29 +242,26 @@ let run_churn_perf ~seed ~epochs ~maintain () =
   | Ok () -> ()
   | Error r -> failwith (Governor.rejection_to_string r));
   let lats = ref [] and queries = ref 0 and jobs = ref 0 in
-  let string_insert s ~gp frag =
-    String.sub s 0 gp ^ frag ^ String.sub s gp (String.length s - gp)
-  in
   for _e = 1 to epochs do
     (* a burst of small inserts at random element boundaries *)
     for _k = 1 to 6 do
-      match Crash_harness.element_extents !text with
+      match Text_model.element_extents !text with
       | [] -> ()
       | extents ->
         let s, _ = List.nth extents (Rng.int rng (List.length extents)) in
         let frag = Rng.pick rng churn_fragments in
         (match Governor.insert gov ~gp:s frag with
-        | Ok () -> text := string_insert !text ~gp:s frag
+        | Ok () -> text := Text_model.splice !text ~gp:s frag
         | Error r -> failwith (Governor.rejection_to_string r))
     done;
     (* an occasional remove *)
     if Rng.int rng 100 < 40 then (
-      match Crash_harness.element_extents !text with
+      match Text_model.element_extents !text with
       | [] -> ()
       | extents ->
         let s, e = List.nth extents (Rng.int rng (List.length extents)) in
         (match Governor.remove gov ~gp:s ~len:(e - s) () with
-        | Ok () -> text := String.sub !text 0 s ^ String.sub !text e (String.length !text - e)
+        | Ok () -> text := Text_model.cut !text ~gp:s ~len:(e - s)
         | Error r -> failwith (Governor.rejection_to_string r)));
     (* the idle gap: background maintenance runs before traffic
        returns *)

@@ -8,8 +8,9 @@
        plus injected torn/bit-flipped tails) at {e every}
        maintenance-step boundary — including all three
        checkpoint-truncation windows — asserting each recovery is
-       fingerprint-identical to a never-crashed reference at the LSN
-       the surviving WAL prefix promises, and that every shipped
+       fingerprint-identical to the never-crashed
+       {!Crash_harness.Reference} at the LSN the surviving WAL prefix
+       promises, and that every shipped
        backup restores to exactly the state it was taken at.}
     {- {!run_restore_sweep} proves point-in-time restore complete:
        with checkpoint truncation disabled, {e every} committed prefix

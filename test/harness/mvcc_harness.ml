@@ -9,36 +9,20 @@ type report = {
 
 let n_readers = 3
 
-(* The oracle: fingerprints of a single-threaded replay after every
-   operation prefix.  fps.(k) is the query-visible state a reader
-   pinned at epoch k must observe, byte for byte. *)
-let oracle ops =
-  let reference = Lazy_db.create ~index_attributes:true () in
-  let fps = Array.make (List.length ops + 1) "" in
-  fps.(0) <- Crash_harness.fingerprint reference;
-  List.iteri
-    (fun i op ->
-      Crash_harness.apply reference op;
-      fps.(i + 1) <- Crash_harness.fingerprint reference)
-    ops;
-  fps
-
 let run_one ~seed ~target_ops () =
   let started = Lxu_util.Deadline.now () in
   let ops = Crash_harness.gen_ops ~seed ~target_ops in
   let n = List.length ops in
+  (* The failing epoch's prefix is the schedule's first [epoch] ops. *)
   let fail ~epoch fmt =
     Printf.ksprintf
-      (fun msg ->
-        failwith
-          (Printf.sprintf
-             "mvcc seed %d epoch %d: %s\n  replay: seed=%d target_ops=%d prefix=[%s]"
-             seed epoch msg seed target_ops
-             (Crash_harness.ops_to_string
-                (List.filteri (fun i _ -> i < epoch) ops))))
+      (fun msg -> failwith (Printf.sprintf "mvcc seed %d epoch %d: %s" seed epoch msg))
       fmt
   in
-  let fps = oracle ops in
+  Crash_harness.with_replay ~seed ~target_ops (fun () -> ops) @@ fun () ->
+  (* A reader pinned at epoch k must observe the reference's state at
+     LSN k, byte for byte. *)
+  let reference = Crash_harness.Reference.of_ops ops in
   let t = Shared_db.create ~index_attributes:true () in
   let reads_checked = Atomic.make 0 in
   let stop = Atomic.make false in
@@ -68,8 +52,9 @@ let run_one ~seed ~target_ops () =
                 if e < 0 || e > n then fail ~epoch:e "pinned epoch outside schedule (0..%d)" n;
                 if not (Lazy_db.is_snapshot db) then fail ~epoch:e "pinned database not frozen";
                 let fp = Crash_harness.fingerprint db in
-                if fp <> fps.(e) then
-                  fail ~epoch:e "isolation violated\n  expected %S\n  got      %S" fps.(e) fp;
+                let expected = Crash_harness.Reference.at reference e in
+                if fp <> expected then
+                  fail ~epoch:e "isolation violated\n  expected %S\n  got      %S" expected fp;
                 (* Repeatable read under the same pin. *)
                 if Rng.int rng 4 = 0 then begin
                   let fp' = Crash_harness.fingerprint db in
@@ -136,8 +121,9 @@ let run_one ~seed ~target_ops () =
     if s.Shared_db.published_epoch <> n then
       fail ~epoch:n "final published epoch %d, expected %d" s.Shared_db.published_epoch n);
   let final = Shared_db.read t (fun db -> Crash_harness.fingerprint db) in
-  if final <> fps.(n) then
-    fail ~epoch:n "final state diverges from the full replay\n  expected %S\n  got      %S" fps.(n)
+  let expected = Crash_harness.Reference.at reference n in
+  if final <> expected then
+    fail ~epoch:n "final state diverges from the full replay\n  expected %S\n  got      %S" expected
       final;
   Shared_db.read t Lazy_db.check;
   {
@@ -156,19 +142,13 @@ let run_matrix ~seeds ~target_ops =
 
 (* --- with_snapshot at epoch E = replay of the first E ops ------------- *)
 
-(* Replays the first [k] schedule ops into a fresh store — the oracle
-   a snapshot pinned at epoch [k] must match byte for byte. *)
-let replay ~engine k ops =
-  let db = Lazy_db.create ~engine ~index_attributes:true () in
-  List.iteri (fun i op -> if i < k then Crash_harness.apply db op) ops;
-  db
-
 let prop_snapshot_replay ~count =
   QCheck2.Test.make ~name:"with_snapshot = prefix replay (LD/LS, packs + rebuilds)" ~count
     QCheck2.Gen.(int_range 1 1000)
     (fun seed ->
-      let ops = Crash_harness.gen_ops ~seed ~target_ops:20 in
-      let n = List.length ops in
+      let target_ops = 20 in
+      let ops = Crash_harness.gen_ops ~seed ~target_ops in
+      Crash_harness.with_replay ~seed ~target_ops (fun () -> ops) @@ fun () ->
       List.iter
         (fun (engine, ename) ->
           let db = Lazy_db.create ~engine ~index_attributes:true () in
@@ -184,29 +164,22 @@ let prop_snapshot_replay ~count =
                   (Printf.sprintf "seed %d %s: epoch %d after op %d" seed ename (Lazy_db.epoch db) i);
               pinned := (i + 1, Lazy_db.snapshot db) :: !pinned)
             ops;
+          (* The oracle: one replay of the schedule on the same engine,
+             fingerprinted at every epoch. *)
+          let reference = Crash_harness.Reference.of_ops ~engine ops in
           (* Every held snapshot still passes the full invariant check
              (a node or tag list the live side changed in place would
              break it) and still fingerprints as its own epoch. *)
           List.iter
             (fun (e, snap) ->
-              (try Lazy_db.check snap
-               with Failure msg ->
-                 failwith (Printf.sprintf "seed %d %s: snapshot at epoch %d: %s" seed ename e msg));
-              let expected = Crash_harness.fingerprint (replay ~engine e ops) in
-              let got = Crash_harness.fingerprint snap in
-              if got <> expected then
-                failwith
-                  (Printf.sprintf
-                     "seed %d %s: snapshot at epoch %d diverges from replay\n\
-                     \  expected %S\n\
-                     \  got      %S\n\
-                     \  replay: seed=%d prefix=[%s]"
-                     seed ename e expected got seed
-                     (Crash_harness.ops_to_string (List.filteri (fun i _ -> i < e) ops))))
+              let ctx = Printf.sprintf "seed %d %s: snapshot at epoch %d" seed ename e in
+              (try Lazy_db.check snap with Failure msg -> failwith (ctx ^ ": " ^ msg));
+              Crash_harness.Reference.check reference ~ctx e snap)
             !pinned;
           (* with_snapshot at the final epoch = the live state. *)
           Lazy_db.with_snapshot db (fun s ->
-              if Crash_harness.fingerprint s <> Crash_harness.fingerprint (replay ~engine n ops)
-              then failwith (Printf.sprintf "seed %d %s: final snapshot diverges" seed ename)))
+              Crash_harness.Reference.check reference
+                ~ctx:(Printf.sprintf "seed %d %s: final snapshot" seed ename)
+                (List.length ops) s))
         [ (Lazy_db.LD, "LD"); (Lazy_db.LS, "LS") ];
       true)

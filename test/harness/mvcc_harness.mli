@@ -2,8 +2,9 @@
 
     A seeded schedule of valid updates (the crash harness's generator:
     inserts, removes, subtree packs, rebuilds) is first replayed
-    single-threaded to record the oracle — the full query fingerprint
-    after {e every} operation prefix.  Then one mutator domain streams
+    single-threaded into a {!Crash_harness.Reference}, which records
+    the oracle — the full query fingerprint after {e every} operation
+    prefix.  Then one mutator domain streams
     the schedule into a {!Lazy_xml.Shared_db} in write groups of 1–3
     operations while reader domains race it: each read pins the newest
     published snapshot and must observe {e exactly} the oracle
@@ -23,8 +24,10 @@
     And at quiescence: exactly one retained version, zero pins, and
     the live state byte-identical to the full replay.
 
-    Failures raise [Failure] with the seed, pinned epoch, and the schedule prefix up to that epoch — enough to replay
-    the divergence deterministically. *)
+    Failures raise [Failure] with the seed, the pinned epoch and the
+    schedule ({!Crash_harness.with_replay}), whose first [epoch]
+    operations are the pinned prefix — enough to replay the divergence
+    deterministically. *)
 
 type report = {
   reads_checked : int;  (** reader iterations that verified a pinned epoch *)
@@ -43,6 +46,7 @@ val run_matrix : seeds:int list -> target_ops:int -> unit
 val prop_snapshot_replay : count:int -> QCheck2.Test.t
 (** For a seeded schedule on LD and LS: a {!Lazy_xml.Lazy_db.snapshot}
     pinned after every prefix and held to the end still passes
-    {!Lazy_xml.Lazy_db.check} and fingerprints exactly as a fresh
-    replay of its prefix; a snapshot at the end equals the full
-    replay.  [count] seeds. *)
+    {!Lazy_xml.Lazy_db.check} and fingerprints exactly as one replay
+    of the schedule on the same engine ({!Crash_harness.Reference})
+    at its epoch; a snapshot at the end equals the full replay.
+    [count] seeds. *)

@@ -46,13 +46,9 @@ let run_one ~seed () =
      so list order is the writers' serialization order. *)
   let applied = ref [] in
   let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        failwith
-          (Printf.sprintf "overload seed %d: %s\n  replay: schedule=[%s]" seed msg
-             (Crash_harness.ops_to_string (setup @ List.rev !applied))))
-      fmt
+    Printf.ksprintf (fun msg -> failwith (Printf.sprintf "overload seed %d: %s" seed msg)) fmt
   in
+  Crash_harness.with_replay ~seed ~target_ops:30 (fun () -> setup @ List.rev !applied) @@ fun () ->
   let started = Deadline.now () in
   (* Tight bounds on purpose: the harness must provoke shedding, not
      avoid it. *)
@@ -142,7 +138,7 @@ let run_one ~seed () =
                       let roll = Rng.int rng 100 in
                       let op =
                         if roll < 30 && Lazy_db.doc_length db > 0 then begin
-                          match Crash_harness.element_extents (Lazy_db.text db) with
+                          match Lxu_props.Text_model.element_extents (Lazy_db.text db) with
                           | [] -> Wal.Insert { gp = 0; text = Rng.pick rng Crash_harness.fragments }
                           | extents ->
                             let s, e = List.nth extents (Rng.int rng (List.length extents)) in

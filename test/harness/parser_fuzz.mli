@@ -14,6 +14,9 @@ val mutate : Lxu_workload.Rng.t -> string -> string
 (** 1–8 random byte edits: overwrites, insertions, deletions, slice
     duplications, and injections of XML metacharacters. *)
 
+val preview : string -> string
+(** The first 120 bytes of a mutant, escaped, for failure reports. *)
+
 val check_batch : seed:int -> rounds:int -> (unit, string) result
 (** Runs [rounds] mutate-and-parse rounds from [seed]; [Error msg]
     carries the escaping exception and the offending mutant. *)

@@ -1,15 +1,15 @@
 (* The path-partitioning property: on random predicate-free chains,
    the default plan (one hop: the last step's candidates on the
    synopsis' matching path slots, no join), the naive join composition
-   and an oracle over a fresh parse of the text all agree, and each
-   plan's [count] equals its [eval]'s length.  Chains mix
-   Child and Desc steps (a Child first step included), repeat tags
-   ([//a//a], [//a/a]), step onto attributes and name a tag that never
-   occurs.  The stores see random inserts, whole-element removes and
-   packs, on LD and LS, in memory and paged, and a snapshot pinned
-   before further writes must keep answering for the text it was
-   taken at.  A sibling property checks predicated twigs against the
-   tree oracle the same way.  The default suite runs each at a
+   and the tree oracle ([Twig_oracle]: a chain is a twig without
+   predicates) all agree, and each plan's [count] equals its [eval]'s
+   length.  Chains mix Child and Desc steps (a Child first step
+   included), repeat tags ([//a//a], [//a/a]), step onto attributes and
+   name a tag that never occurs.  The stores see random inserts,
+   whole-element removes and packs, on LD and LS, in memory and paged,
+   and a snapshot pinned before further writes must keep answering for
+   the text it was taken at.  A sibling property checks predicated
+   twigs against the same oracle.  The default suite runs each at a
    hundred-odd cases; the slow tier at thousands. *)
 
 open Lazy_xml
@@ -30,72 +30,36 @@ let tags = [| "a"; "b"; "c"; "@k"; "zz" |]
 (* Fixed chains covering the corners; random ones are added per case. *)
 let corner_chains = [ "//a//a"; "//a/a"; "/a"; "/a/a"; "//a/@k"; "/b//c"; "//zz"; "//a//zz" ]
 
-let splice text ~gp frag =
-  String.sub text 0 gp ^ frag ^ String.sub text gp (String.length text - gp)
-
-(* Every indexed item of the text (attributes as "@name"), as
-   (name, start, stop, level). *)
-let labels text =
-  let acc = ref [] in
-  Lxu_xml.Tree.iter_labels ~attributes:true (Lxu_xml.Parser.parse_fragment text)
-    (fun ~name ~start ~stop ~level -> acc := (name, start, stop, level) :: !acc);
-  !acc
-
-(* Final-step matches straight off the parse. *)
-let oracle text (steps : Path_query.t) =
-  let all = labels text in
-  let of_tag tag = List.filter (fun (n, _, _, _) -> n = tag) all in
-  match steps with
-  | [] -> []
-  | first :: rest ->
-    let initial =
-      List.filter
-        (fun (_, _, _, l) -> first.Path_query.axis = Path_query.Desc || l = 0)
-        (of_tag first.Path_query.tag)
-    in
-    List.fold_left
-      (fun survivors (step : Path_query.step) ->
-        List.filter
-          (fun (_, s, e, l) ->
-            List.exists
-              (fun (_, ps, pe, pl) ->
-                ps < s && pe > e && (step.Path_query.axis = Path_query.Desc || l = pl + 1))
-              survivors)
-          (of_tag step.Path_query.tag))
-      initial rest
-    |> List.map (fun (_, s, e, _) -> (s, e))
-    |> List.sort_uniq compare
-
 (* Where a fragment may go: before or after any element, or just
    inside an end tag — whichever keeps the text well formed. *)
 let insert_points text frag =
   let cands = ref [ 0; String.length text ] in
   List.iter
-    (fun (name, s, e, _) ->
-      if name.[0] <> '@' then cands := s :: e :: (e - String.length name - 3) :: !cands)
-    (labels text);
+    (fun (name, (s, e, _)) -> cands := s :: e :: (e - String.length name - 3) :: !cands)
+    (Text_model.labels text);
   List.sort_uniq compare !cands
   |> List.filter (fun gp ->
          gp >= 0 && gp <= String.length text
-         && Lxu_xml.Parser.is_well_formed_fragment (splice text ~gp frag))
+         && Lxu_xml.Parser.is_well_formed_fragment (Text_model.splice text ~gp frag))
 
-let elements text = List.filter (fun (name, _, _, _) -> name.[0] <> '@') (labels text)
+(* Last element first: the order the schedules were drawn in. *)
+let elements text = List.rev (Text_model.labels text)
 
 (* One random write, applied to every store and to the text. *)
 let write st dbs text =
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   match Random.State.int st 10 with
   | (0 | 1 | 2) when elements !text <> [] ->
-    let _, s, e, _ = pick (elements !text) in
+    let _, (s, e, _) = pick (elements !text) in
     List.iter (fun db -> Lazy_db.remove db ~gp:s ~len:(e - s)) dbs;
-    text := String.sub !text 0 s ^ String.sub !text e (String.length !text - e)
+    text := Text_model.cut !text ~gp:s ~len:(e - s)
   | 3 when elements !text <> [] ->
     (* Pack one top-level element, or the whole document. *)
-    let tops = List.filter (fun (_, _, _, l) -> l = 0) (elements !text) in
+    let tops = List.filter (fun (_, (_, _, l)) -> l = 0) (elements !text) in
     let gp, len =
       if Random.State.bool st then (0, String.length !text)
       else
-        let _, s, e, _ = pick tops in
+        let _, (s, e, _) = pick tops in
         (s, e - s)
     in
     List.iter (fun db -> Lazy_db.pack_subtree db ~gp ~len) dbs
@@ -106,7 +70,7 @@ let write st dbs text =
     | points ->
       let gp = pick points in
       List.iter (fun db -> Lazy_db.insert db ~gp frag) dbs;
-      text := splice !text ~gp frag)
+      text := Text_model.splice !text ~gp frag)
 
 let random_chain st =
   let n = 1 + Random.State.int st 4 in
@@ -127,11 +91,11 @@ let store_name db =
     (match Lazy_db.storage_kind db with `Mem -> "mem" | `Paged -> "paged")
     (if Lazy_db.is_snapshot db then " (pinned snapshot)" else "")
 
-(* Both plans and [oracle] on one path, and each plan's [count]
+(* Both plans and the tree oracle on one path, and each plan's [count]
    against its own [eval]; a disagreement fails the case, naming the
    path, the plan, the store and the text. *)
-let agree oracle db text steps =
-  let expected = oracle text steps in
+let agree db text steps =
+  let expected = Twig_oracle.matches ~attributes:true text steps in
   let show l = String.concat " " (List.map (fun (s, e) -> Printf.sprintf "[%d,%d)" s e) l) in
   let path = Path_query.to_string steps in
   List.for_all
@@ -151,7 +115,7 @@ let agree oracle db text steps =
    on the live stores and on snapshots pinned midway, which must keep
    answering for the text they were taken at while the stores write
    on. *)
-let run_case ~oracle ~corners ~random seed =
+let run_case ~corners ~random seed =
   let st = Random.State.make [| seed |] in
   let dbs =
     List.map
@@ -163,7 +127,7 @@ let run_case ~oracle ~corners ~random seed =
     write st dbs text
   done;
   let paths = List.map Path_query.parse_exn corners @ List.init 4 (fun _ -> random st) in
-  let live_ok = List.for_all (fun db -> List.for_all (agree oracle db !text) paths) dbs in
+  let live_ok = List.for_all (fun db -> List.for_all (agree db !text) paths) dbs in
   let pinned = !text in
   let snaps = List.map Lazy_db.snapshot dbs in
   for _ = 1 to 3 do
@@ -171,8 +135,8 @@ let run_case ~oracle ~corners ~random seed =
   done;
   let paths = List.init 4 (fun _ -> random st) @ paths in
   live_ok
-  && List.for_all (fun db -> List.for_all (agree oracle db pinned) paths) snaps
-  && List.for_all (fun db -> List.for_all (agree oracle db !text) paths) dbs
+  && List.for_all (fun db -> List.for_all (agree db pinned) paths) snaps
+  && List.for_all (fun db -> List.for_all (agree db !text) paths) dbs
   && List.for_all
        (fun db ->
          Lazy_db.check db;
@@ -183,8 +147,7 @@ let all_plans_agree ~count =
   QCheck2.Test.make ~name:"partition scan = naive = oracle (random chains)" ~count
     ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
-    (run_case
-       ~oracle ~corners:corner_chains ~random:random_chain)
+    (run_case ~corners:corner_chains ~random:random_chain)
 
 (* --- predicated twigs ------------------------------------------------ *)
 
@@ -227,6 +190,4 @@ let predicated_twigs_agree ~count =
   QCheck2.Test.make ~name:"restricted joins = naive = tree oracle (random predicated twigs)"
     ~count ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
-    (run_case
-       ~oracle:(Twig_oracle.matches ~attributes:true)
-       ~corners:corner_twigs ~random:random_twig)
+    (run_case ~corners:corner_twigs ~random:random_twig)

@@ -75,13 +75,6 @@ let text_runs text =
   done;
   Array.of_list !acc
 
-(* (tag, (start, stop, level)) of every element of the text. *)
-let labels text =
-  let acc = ref [] in
-  Lxu_xml.Tree.iter_elements (Lxu_xml.Parser.parse_fragment text) (fun e ~level ->
-      acc := (e.Lxu_xml.Tree.tag, (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end, level)) :: !acc);
-  !acc
-
 let build seed =
   let st = Random.State.make [| seed |] in
   let engine = if seed land 1 = 0 then Lazy_db.LD else Lazy_db.LS in
@@ -125,6 +118,33 @@ let build seed =
   done;
   db
 
+(* The global starts of the elements a semi-join mask keeps, sorted. *)
+let mask_starts log (m : Lazy_join.mask) =
+  let cursor = Lxu_seglog.Update_log.cursors log in
+  let acc = ref [] in
+  Array.iteri
+    (fun k b ->
+      Bytes.iteri
+        (fun i c ->
+          if c <> '\000' then
+            acc :=
+              Lxu_seglog.Er_node.cursor_start
+                (cursor m.Lazy_join.entries.(k).Lxu_seglog.Tag_list.sid)
+                m.Lazy_join.cols.(k).Lxu_seglog.Er_node.starts.(i)
+              :: !acc)
+        b)
+    m.Lazy_join.sel;
+  List.sort compare !acc
+
+(* The plain axis check as a semi-join's [ok] table: any depth above
+   for Desc, the depth right above for Child. *)
+let axis_ok log axis =
+  let syn = Lxu_seglog.Update_log.synopsis log in
+  let depth = Lxu_seglog.Path_synopsis.depth_table syn in
+  Array.init (Lxu_seglog.Path_synopsis.slots syn) (fun s ->
+      Bytes.init depth.(s) (fun da ->
+          if axis = Lxu_util.Axis.Desc || da = depth.(s) - 1 then '\001' else '\000'))
+
 let hooks_agree ~count =
   QCheck2.Test.make ~name:"frame sweep = naive join (run, count, semi)" ~count ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
@@ -133,28 +153,9 @@ let hooks_agree ~count =
       let log = Option.get (Lazy_db.log db) in
       Lxu_seglog.Update_log.prepare_for_query log;
       let text = Lazy_db.text db in
-      let all = labels text in
-      let of_tag tag = List.filter_map (fun (t, l) -> if t = tag then Some l else None) all in
-      let syn = Lxu_seglog.Update_log.synopsis log and reg = Lxu_seglog.Update_log.registry log in
-      let nslots = Lxu_seglog.Path_synopsis.slots syn in
-      let depth = Lxu_seglog.Path_synopsis.depth_table syn in
-      let cursor = Lxu_seglog.Update_log.cursors log in
-      let starts (m : Lazy_join.mask) =
-        let acc = ref [] in
-        Array.iteri
-          (fun k b ->
-            Bytes.iteri
-              (fun i c ->
-                if c <> '\000' then
-                  acc :=
-                    Lxu_seglog.Er_node.cursor_start
-                      (cursor m.Lazy_join.entries.(k).Lxu_seglog.Tag_list.sid)
-                      m.Lazy_join.cols.(k).Lxu_seglog.Er_node.starts.(i)
-                    :: !acc)
-              b)
-          m.Lazy_join.sel;
-        List.sort compare !acc
-      in
+      let of_tag = Text_model.of_tag (Text_model.labels text) in
+      let reg = Lxu_seglog.Update_log.registry log in
+      let nslots = Lxu_seglog.Path_synopsis.slots (Lxu_seglog.Update_log.synopsis log) in
       let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
       let every = Array.make nslots true in
       List.for_all
@@ -167,14 +168,9 @@ let hooks_agree ~count =
           in
           let expected = Naive_join.join ~axis ~anc:(of_tag anc) ~desc:(of_tag desc) () in
           let pairs, _ = Lazy_join.run ~axis log ~anc ~desc () in
-          let ok =
-            Array.init nslots (fun s ->
-                Bytes.init depth.(s) (fun da ->
-                    if axis = Lxu_util.Axis.Desc || da = depth.(s) - 1 then '\001'
-                    else '\000'))
-          in
+          let ok = axis_ok log axis in
           let semi keep =
-            starts
+            mask_starts log
               (Lazy_join.semi log
                  ~anc:(Lazy_join.select log ~tid:(tid anc) every)
                  ~desc:(Lazy_join.select log ~tid:(tid desc) every)

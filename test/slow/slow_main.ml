@@ -13,7 +13,10 @@
      pinned read proved byte-identical to a
      single-threaded replay frozen at its epoch, with zero leaked
      versions at quiescence;
-   - the full parser mutation-fuzz corpus;
+   - the full parser mutation-fuzz corpus, and 3,000 mutants each of a
+     resealed snapshot payload and of a WAL image: every one loads (or
+     recovers) into a store that passes [Lazy_db.check], or is refused
+     with [Failure] or [Sys_error];
    - the full maintenance chaos matrix: churn workloads interleaved
      with background maintenance, crashed at every maintenance-step
      and checkpoint-truncation boundary (plus torn/bit-flipped tails
@@ -30,7 +33,7 @@
      held across the rest of an LD or LS schedule passes
      [Update_log.check] and fingerprints as a replay of its prefix;
    - the predicate-free chain property at 2,000 cases: on random
-     chains the default plan, the naive join composition and a text
+     chains the default plan, the naive join composition and the tree
      oracle agree, and each plan's count equals its eval's length, on
      LD/LS x Mem/Paged stores under inserts, removes and packs, and on
      snapshots pinned while the live store keeps writing;
@@ -50,7 +53,8 @@
 
      dune build @slow
 
-   LXU_CRASH_SEEDS / LXU_CRASH_OPS / LXU_OVERLOAD_SEEDS /
+   It runs in a fresh temp directory and fails if any file is left in
+   it.  LXU_CRASH_SEEDS / LXU_CRASH_OPS / LXU_OVERLOAD_SEEDS /
    LXU_MVCC_SEEDS / LXU_MVCC_OPS / LXU_FUZZ_SEEDS / LXU_MAINT_SEEDS /
    LXU_MAINT_OPS override the matrix sizes. *)
 
@@ -60,6 +64,7 @@ let int_env name default =
   | None -> default
 
 let () =
+  Lxu_crash_harness.Crash_harness.with_fresh_tmpdir @@ fun () ->
   let seeds = int_env "LXU_CRASH_SEEDS" 48 in
   let target_ops = int_env "LXU_CRASH_OPS" 48 in
   Printf.printf
@@ -85,6 +90,7 @@ let () =
     ~seeds:(List.init fuzz_seeds (fun i -> (i * 7919) + 1))
     ~rounds:250;
   Printf.printf "parser fuzz: %d seeds x 250 mutants, parser stayed total\n%!" fuzz_seeds;
+  Lxu_crash_harness.Format_fuzz.run_corpus ~seed:2 ~rounds:3_000;
   let maint_seeds = int_env "LXU_MAINT_SEEDS" 12 in
   let maint_ops = int_env "LXU_MAINT_OPS" 36 in
   Printf.printf

@@ -6,27 +6,20 @@ open Lxu_seglog
 open Lxu_join
 open Lxu_baselines
 open Lxu_util
+module Text_model = Lxu_props.Text_model
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let pair_list = Alcotest.(list (pair int int))
 
-(* Global labels of [tag] from a fresh parse. *)
-let fresh_labels text ~tag =
-  let nodes = Lxu_xml.Parser.parse_fragment text in
-  let acc = ref [] in
-  Lxu_xml.Tree.iter_elements nodes (fun e ~level ->
-      if e.Lxu_xml.Tree.tag = tag then
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end, level) :: !acc);
-  List.sort compare !acc
-
 let intervals_of labels =
   Array.of_list
     (List.map (fun (s, e, l) -> Interval.make ~start:s ~stop:e ~level:l) labels)
 
 let std_pairs ?axis text ~anc ~desc =
-  let a = fresh_labels text ~tag:anc and d = fresh_labels text ~tag:desc in
+  let labels = Text_model.labels text in
+  let a = Text_model.of_tag labels anc and d = Text_model.of_tag labels desc in
   let pairs, _ = Stack_tree_desc.join ?axis ~anc:(intervals_of a) ~desc:(intervals_of d) () in
   List.map
     (fun ((a : Interval.t), (d : Interval.t)) -> (a.Interval.start, d.Interval.start))
@@ -34,8 +27,9 @@ let std_pairs ?axis text ~anc ~desc =
   |> List.sort (fun (a1, d1) (a2, d2) -> compare (d1, a1) (d2, a2))
 
 let naive_pairs ?axis text ~anc ~desc =
-  Lxu_props.Naive_join.join ?axis ~anc:(fresh_labels text ~tag:anc)
-    ~desc:(fresh_labels text ~tag:desc) ()
+  let labels = Text_model.labels text in
+  Lxu_props.Naive_join.join ?axis ~anc:(Text_model.of_tag labels anc)
+    ~desc:(Text_model.of_tag labels desc) ()
 
 (* --- Stack-Tree-Desc ------------------------------------------------ *)
 
@@ -235,25 +229,6 @@ let fragments =
     "<A>t</A><D/>";
   |]
 
-let string_insert s ~gp frag = String.sub s 0 gp ^ frag ^ String.sub s gp (String.length s - gp)
-let string_remove s ~gp ~len = String.sub s 0 gp ^ String.sub s (gp + len) (String.length s - gp - len)
-
-let valid_insert_points text frag =
-  let ok = ref [] in
-  for gp = 0 to String.length text do
-    if Lxu_xml.Parser.is_well_formed_fragment (string_insert text ~gp frag) then ok := gp :: !ok
-  done;
-  List.rev !ok
-
-let element_extents text =
-  match Lxu_xml.Parser.parse_fragment_result text with
-  | Error _ -> []
-  | Ok nodes ->
-    let acc = ref [] in
-    Lxu_xml.Tree.iter_elements nodes (fun e ~level:_ ->
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !acc);
-    List.rev !acc
-
 type edit = Ins of int * int | Del of int
 
 let edit_gen =
@@ -295,18 +270,18 @@ let run_equivalence mode edits =
       (match edit with
       | Ins (pick, fi) ->
         let frag = fragments.(fi) in
-        let points = valid_insert_points !text frag in
+        let points = Text_model.valid_insert_points !text frag in
         if points <> [] then begin
           let gp = List.nth points (pick mod List.length points) in
           List.iter (fun l -> ignore (Update_log.insert l ~gp frag)) [ log; paged ];
-          text := string_insert !text ~gp frag
+          text := Text_model.splice !text ~gp frag
         end
       | Del pick ->
-        let extents = element_extents !text in
+        let extents = Text_model.element_extents !text in
         if extents <> [] then begin
           let s, e = List.nth extents (pick mod List.length extents) in
           List.iter (fun l -> Update_log.remove l ~gp:s ~len:(e - s)) [ log; paged ];
-          text := string_remove !text ~gp:s ~len:(e - s)
+          text := Text_model.cut !text ~gp:s ~len:(e - s)
         end))
     edits;
   let frozen_log, frozen_text = Option.get !frozen in
@@ -368,14 +343,11 @@ let build_edits seed =
     (Chopper.chop ~text ~segments:(6 + (seed mod 10)) shape, "a", "d")
   end
 
-(* Removes a randomly chosen whole element from [db]. *)
+(* Removes a randomly chosen whole element from [db] (drawn last
+   element first). *)
 let remove_random_element st db =
   let open Lazy_xml in
-  let extents = ref [] in
-  Lxu_xml.Tree.iter_elements (Lxu_xml.Parser.parse_fragment (Lazy_db.text db)) (fun e ~level:_ ->
-      if e.Lxu_xml.Tree.e_start >= 0 then
-        extents := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !extents);
-  match !extents with
+  match List.rev (Text_model.element_extents (Lazy_db.text db)) with
   | [] -> ()
   | l ->
     let s, e = List.nth l (Random.State.int st (List.length l)) in

@@ -10,17 +10,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let pair_list = Alcotest.(list (pair int int))
 
-let fresh_labels text ~tag =
-  let nodes = Lxu_xml.Parser.parse_fragment text in
-  let acc = ref [] in
-  Lxu_xml.Tree.iter_elements nodes (fun e ~level ->
-      if e.Lxu_xml.Tree.tag = tag then
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end, level) :: !acc);
-  List.sort compare !acc
-
 let intervals text ~tag =
   Array.of_list
-    (List.map (fun (s, e, l) -> Interval.make ~start:s ~stop:e ~level:l) (fresh_labels text ~tag))
+    (List.map
+       (fun (s, e, l) -> Interval.make ~start:s ~stop:e ~level:l)
+       (Lxu_props.Text_model.(of_tag (labels text) tag)))
 
 let starts pairs =
   List.map (fun ((a : Interval.t), (d : Interval.t)) -> (a.Interval.start, d.Interval.start)) pairs
@@ -136,8 +130,7 @@ let labels_with_paths text =
    of [Lazy_join.semi] — restricted or not, every slot a candidate or a
    random half of the paths — equal the distinct ancestors and the
    distinct descendants of [Naive_join]'s pairs among the candidates.
-   The [ok] table is the plain axis check: any depth above for
-   Desc, the depth right above for Child. *)
+   The [ok] table is the plain axis check ([Sweep_props.axis_ok]). *)
 let prop_semi_join =
   let open Lazy_xml in
   QCheck2.Test.make ~name:"semi-join sides = naive pairs' distinct ends" ~count:60 ~print:string_of_int
@@ -174,23 +167,6 @@ let prop_semi_join =
       let anc_tag = [| "a"; "b" |].(Random.State.int st 2) and desc_tag = "d" in
       let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
       let labels = labels_with_paths (Lazy_db.text db) in
-      let cursor = Lxu_seglog.Update_log.cursors log in
-      let starts (m : Lazy_join.mask) =
-        let acc = ref [] in
-        Array.iteri
-          (fun k b ->
-            for i = 0 to Bytes.length b - 1 do
-              if Bytes.get b i <> '\000' then
-                acc :=
-                  Lxu_seglog.Er_node.cursor_start
-                    (cursor m.Lazy_join.entries.(k).Lxu_seglog.Tag_list.sid)
-                    m.Lazy_join.cols.(k).Lxu_seglog.Er_node.starts.(i)
-                  :: !acc
-            done)
-          m.Lazy_join.sel;
-        List.sort compare !acc
-      in
-      let depth = Lxu_seglog.Path_synopsis.depth_table syn in
       List.for_all
         (fun (axis, restricted, restrict) ->
           (* A random half of the paths, or all of them. *)
@@ -205,15 +181,11 @@ let prop_semi_join =
             Lxu_props.Naive_join.join ~axis ~anc:(side anc_tag) ~desc:(side desc_tag) ()
           in
           let distinct f = List.sort_uniq compare (List.map f pairs) in
-          let ok =
-            Array.init nslots (fun s ->
-                Bytes.init depth.(s) (fun da ->
-                    if axis = Axis.Desc || da = depth.(s) - 1 then '\001' else '\000'))
-          in
+          let ok = Lxu_props.Sweep_props.axis_ok log axis in
           let anc = Lazy_join.select log ~tid:(tid anc_tag) keep
           and desc = Lazy_join.select log ~tid:(tid desc_tag) keep in
           let semi keep =
-            starts
+            Lxu_props.Sweep_props.mask_starts log
               (Lazy_join.semi ~restrict log ~anc ~desc ~ok ~keep)
           in
           let ctx =

@@ -102,9 +102,7 @@ let store_matches_fresh_parse edits =
       match Lxu_xml.Parser.parse_fragment_result !text with
       | Error _ -> ()
       | Ok _ ->
-        let candidate =
-          String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)
-        in
+        let candidate = Lxu_props.Text_model.splice !text ~gp frag in
         if Lxu_xml.Parser.is_well_formed_fragment candidate then begin
           Interval_store.insert s ~gp frag;
           text := candidate

@@ -89,10 +89,7 @@ let quiet_config =
   }
 
 let test_pack_until_idle () =
-  let dir = Crash_harness.fresh_dir "maintpack" in
-  Fun.protect
-    ~finally:(fun () -> Crash_harness.rm_rf dir)
-    (fun () ->
+  Crash_harness.with_dir "maintpack" (fun dir ->
       let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       fragment_chain db 6;
       let fp = logical_fp db in
@@ -115,10 +112,7 @@ let test_pack_until_idle () =
       Lazy_db.close rdb)
 
 let test_checkpoint_job () =
-  let dir = Crash_harness.fresh_dir "maintckpt" in
-  Fun.protect
-    ~finally:(fun () -> Crash_harness.rm_rf dir)
-    (fun () ->
+  Crash_harness.with_dir "maintckpt" (fun dir ->
       let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       fragment_chain db 3;
       let before = Option.get (Lazy_db.wal_bytes db) in
@@ -150,13 +144,8 @@ let test_merge_job () =
   | o -> Alcotest.failf "expected idle, got %s" (Maintainer.outcome_to_string o)
 
 let test_backup_cadence () =
-  let dir = Crash_harness.fresh_dir "maintlive" in
-  let bdir = Crash_harness.fresh_dir "maintship" in
-  Fun.protect
-    ~finally:(fun () ->
-      Crash_harness.rm_rf dir;
-      Crash_harness.rm_rf bdir)
-    (fun () ->
+  Crash_harness.with_dir "maintlive" @@ fun dir ->
+  Crash_harness.with_dir "maintship" (fun bdir ->
       let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
       fragment_chain db 2;
       let fp = Crash_harness.fingerprint db in
@@ -324,10 +313,8 @@ let prop_restore_group_commit =
     (fun seed ->
       let ops = Crash_harness.gen_ops ~seed ~target_ops:18 in
       let batches = batches_of 3 ops in
-      let dir = Crash_harness.fresh_dir "pitrprop" in
-      Fun.protect
-        ~finally:(fun () -> Crash_harness.rm_rf dir)
-        (fun () ->
+      let reference = Crash_harness.Reference.of_ops ops in
+      Crash_harness.with_dir "pitrprop" (fun dir ->
           let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
           List.iter
             (fun batch -> Lazy_db.batch db (fun () -> List.iter (Crash_harness.apply db) batch))
@@ -340,11 +327,9 @@ let prop_restore_group_commit =
                  let lsn = lsn + List.length batch in
                  let restored, report = Lazy_db.restore_to ~lsn dir in
                  check_int "replayed exactly to the boundary" lsn report.Recovery.last_lsn;
-                 let oracle = Lazy_db.create ~index_attributes:true () in
-                 List.iteri (fun i op -> if i < lsn then Crash_harness.apply oracle op) ops;
-                 Crash_harness.check
+                 Crash_harness.Reference.check reference
                    ~ctx:(Printf.sprintf "seed %d restore boundary lsn %d" seed lsn)
-                   (Crash_harness.fingerprint oracle) restored;
+                   lsn restored;
                  lsn)
                0 batches);
           true))

@@ -273,11 +273,9 @@ let qcheck_paged_differential =
       H.check ~ctx:(Printf.sprintf "qcheck seed %d" seed) fp paged;
       (* Round-trip the paged database through save/load (indexes are
          rebuilt into a fresh paged store on load). *)
-      let file = H.fresh_dir "paged_qc" ^ ".snap" in
-      Lazy_db.save paged file;
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
-        (fun () ->
+      H.with_dir "paged_qc" (fun dir ->
+          let file = Filename.concat dir "paged.snap" in
+          Lazy_db.save paged file;
           let re = Lazy_db.load ~storage:`Paged file in
           Lazy_db.check re;
           H.check ~ctx:(Printf.sprintf "qcheck reload seed %d" seed) fp re;

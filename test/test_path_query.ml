@@ -1,7 +1,8 @@
 (* Tests for the XPath-subset layer: parsing, evaluation strategies,
-   engine equivalence, and a naive oracle. *)
+   engine equivalence, and the tree oracle. *)
 
 open Lazy_xml
+module Text_model = Lxu_props.Text_model
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -26,41 +27,11 @@ let test_parse_errors () =
   check_bool "trailing slash" true (bad "a/");
   check_bool "space" true (bad "a b")
 
-(* --- naive oracle ----------------------------------------------------- *)
+(* --- the oracle -------------------------------------------------------- *)
 
-(* Final-step matches by brute force over a fresh parse. *)
-let naive_eval text path =
-  let steps = Path_query.parse_exn path in
-  let labels tag =
-    let nodes = Lxu_xml.Parser.parse_fragment text in
-    let acc = ref [] in
-    Lxu_xml.Tree.iter_elements nodes (fun e ~level ->
-        if e.Lxu_xml.Tree.tag = tag then
-          acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end, level) :: !acc);
-    !acc
-  in
-  match steps with
-  | [] -> []
-  | first :: rest ->
-    let initial =
-      List.filter
-        (fun (_, _, l) -> first.Path_query.axis = Path_query.Desc || l = 0)
-        (labels first.Path_query.tag)
-    in
-    let final =
-      List.fold_left
-        (fun survivors step ->
-          List.filter
-            (fun (s, e, l) ->
-              List.exists
-                (fun (ps, pe, pl) ->
-                  ps < s && pe > e
-                  && (step.Path_query.axis = Path_query.Desc || l = pl + 1))
-                survivors)
-            (labels step.Path_query.tag))
-        initial rest
-    in
-    List.sort compare (List.map (fun (s, e, _) -> (s, e)) final)
+(* Final-step matches by the tree oracle over a fresh parse: a chain
+   is a twig without predicates. *)
+let oracle text path = Lxu_props.Twig_oracle.matches text (Path_query.parse_exn path)
 
 let doc =
   "<site><people><person><profile><interest/><interest/></profile>"
@@ -92,7 +63,7 @@ let test_matches_naive () =
   let db = load Lazy_db.LD 6 in
   List.iter
     (fun path ->
-      let expected = naive_eval doc path in
+      let expected = oracle doc path in
       Alcotest.(check (list (pair int int))) path expected (Path_query.eval_string db path))
     paths
 
@@ -102,7 +73,7 @@ let test_strategies_and_engines_agree () =
   in
   List.iter
     (fun path ->
-      let expected = naive_eval doc path in
+      let expected = oracle doc path in
       List.iter
         (fun (name, db) ->
           Alcotest.(check (list (pair int int)))
@@ -135,7 +106,7 @@ let test_eval_after_update () =
   check_int "one more" (before + 1) (Path_query.count db "//person//interest");
   check_bool "oracle agrees" true
     (Path_query.eval_string db "//person//interest"
-    = naive_eval (Lazy_db.text db) "//person//interest")
+    = oracle (Lazy_db.text db) "//person//interest")
 
 let prop_random_docs =
   let fragments =
@@ -149,25 +120,17 @@ let prop_random_docs =
       List.iter
         (fun (pick, fi) ->
           let frag = fragments.(fi) in
-          let points = ref [] in
-          for gp = 0 to String.length !text do
-            let cand =
-              String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)
-            in
-            if Lxu_xml.Parser.is_well_formed_fragment cand then points := gp :: !points
-          done;
-          match !points with
+          match Text_model.valid_insert_points !text frag with
           | [] -> ()
           | ps ->
             let gp = List.nth ps (pick mod List.length ps) in
             Lazy_db.insert db ~gp frag;
-            text :=
-              String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp))
+            text := Text_model.splice !text ~gp frag)
         picks;
       List.for_all
         (fun path ->
-          naive_eval !text path = Path_query.eval_string db path
-          && naive_eval !text path = Path_query.eval_string ~plan:`Naive db path)
+          oracle !text path = Path_query.eval_string db path
+          && oracle !text path = Path_query.eval_string ~plan:`Naive db path)
         [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c" ])
 
 (* Inserts interleaved with removes, so segments carry tombstones and
@@ -177,12 +140,6 @@ let prop_random_docs_with_removes =
   let fragments =
     [| "<a/>"; "<b><c/></b>"; "<a><b><c/></b></a>"; "<c><a/></c>"; "<b/><c/>"; "<a>t<c/></a>" |]
   in
-  let extents text =
-    let acc = ref [] in
-    Lxu_xml.Tree.iter_elements (Lxu_xml.Parser.parse_fragment text) (fun e ~level:_ ->
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !acc);
-    List.rev !acc
-  in
   let gen =
     QCheck2.Gen.(list_size (int_range 2 14) (triple (int_bound 4) (int_bound 1000) (int_bound 5)))
   in
@@ -191,31 +148,24 @@ let prop_random_docs_with_removes =
       let text = ref "" in
       List.iter
         (fun (kind, pick, fi) ->
-          match (kind, extents !text) with
+          match (kind, Text_model.element_extents !text) with
           | 0, (_ :: _ as ext) ->
             let s, e = List.nth ext (pick mod List.length ext) in
             List.iter (fun db -> Lazy_db.remove db ~gp:s ~len:(e - s)) dbs;
-            text := String.sub !text 0 s ^ String.sub !text e (String.length !text - e)
+            text := Text_model.cut !text ~gp:s ~len:(e - s)
           | _ -> (
             let frag = fragments.(fi) in
-            let points = ref [] in
-            for gp = 0 to String.length !text do
-              let cand =
-                String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)
-              in
-              if Lxu_xml.Parser.is_well_formed_fragment cand then points := gp :: !points
-            done;
-            match !points with
+            match Text_model.valid_insert_points !text frag with
             | [] -> ()
             | ps ->
               let gp = List.nth ps (pick mod List.length ps) in
               List.iter (fun db -> Lazy_db.insert db ~gp frag) dbs;
-              text := String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)))
+              text := Text_model.splice !text ~gp frag))
         edits;
       List.for_all
         (fun db ->
           List.for_all
-            (fun path -> naive_eval !text path = Path_query.eval_string db path)
+            (fun path -> oracle !text path = Path_query.eval_string db path)
             [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c"; "//c"; "//a/c" ])
         dbs)
 
@@ -232,9 +182,6 @@ let suite =
   ]
 
 (* --- twig predicates ---------------------------------------------------- *)
-
-(* The tree oracle, shared with the predicated-twig property. *)
-let naive_twig text path = Lxu_props.Twig_oracle.matches text (Path_query.parse_exn path)
 
 let twig_doc =
   "<site><person><profile><interest/></profile><name>a</name></person>"
@@ -260,7 +207,7 @@ let test_twig_predicates () =
       Lazy_db.insert db ~gp:0 twig_doc;
       List.iter
         (fun path ->
-          let expected = naive_twig twig_doc path in
+          let expected = oracle twig_doc path in
           Alcotest.(check (list (pair int int)))
             (path ^ " / " ^ (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS"))
             expected
@@ -276,7 +223,7 @@ let test_twig_segmented () =
   List.iter
     (fun path ->
       Alcotest.(check (list (pair int int)))
-        path (naive_twig twig_doc path) (Path_query.eval_string db path))
+        path (oracle twig_doc path) (Path_query.eval_string db path))
     twig_paths
 
 let test_twig_parse_roundtrip () =
@@ -305,23 +252,15 @@ let prop_twig_random =
       List.iter
         (fun (pick, fi) ->
           let frag = fragments.(fi) in
-          let points = ref [] in
-          for gp = 0 to String.length !text do
-            let cand =
-              String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp)
-            in
-            if Lxu_xml.Parser.is_well_formed_fragment cand then points := gp :: !points
-          done;
-          match !points with
+          match Text_model.valid_insert_points !text frag with
           | [] -> ()
           | ps ->
             let gp = List.nth ps (pick mod List.length ps) in
             Lazy_db.insert db ~gp frag;
-            text :=
-              String.sub !text 0 gp ^ frag ^ String.sub !text gp (String.length !text - gp))
+            text := Text_model.splice !text ~gp frag)
         picks;
       List.for_all
-        (fun path -> naive_twig !text path = Path_query.eval_string db path)
+        (fun path -> oracle !text path = Path_query.eval_string db path)
         [ "//a[b]"; "//a[b/c]"; "//b[c]//c"; "//a[b][c]"; "/a[b//c]"; "//c[a]" ])
 
 let suite =
@@ -346,7 +285,7 @@ let test_chain_runs_no_join () =
       let before = Lxu_join.Lazy_join.runs () in
       let got = Path_query.eval_string db path in
       check_int (path ^ ": no join") before (Lxu_join.Lazy_join.runs ());
-      Alcotest.(check (list (pair int int))) path (naive_eval doc path) got;
+      Alcotest.(check (list (pair int int))) path (oracle doc path) got;
       (* The reference composition does join. *)
       ignore (Path_query.eval_string ~plan:`Naive db path))
     paths;
@@ -389,7 +328,7 @@ let test_reversed_twig_candidates () =
   in
   check_bool "40 b candidates" true (contains "step 1 //b: 40 candidates, 40 survivors");
   check_int "40 matches" 40 (List.length matches);
-  Alcotest.(check (list (pair int int))) "= tree oracle" (naive_twig text "//a//b[c]//c") matches;
+  Alcotest.(check (list (pair int int))) "= tree oracle" (oracle text "//a//b[c]//c") matches;
   check_int "count = matches" 40 (Path_query.count db "//a//b[c]//c");
   check_int "naive count" 40 (Path_query.count ~plan:`Naive db "//a//b[c]//c")
 

@@ -59,12 +59,8 @@ let mutate st db =
   (* A couple of whole-element removes, sometimes a pack: the default
      plan must stay exact on the post-edit synopsis. *)
   for _ = 1 to 2 do
-    let nodes = Lxu_xml.Parser.parse_fragment (Lazy_db.text db) in
-    let extents = ref [] in
-    Lxu_xml.Tree.iter_elements nodes (fun e ~level:_ ->
-        if e.Lxu_xml.Tree.e_start >= 0 then
-          extents := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !extents);
-    match !extents with
+    (* Last element first: the order the cases were drawn in. *)
+    match List.rev (Lxu_props.Text_model.element_extents (Lazy_db.text db)) with
     | [] -> ()
     | l ->
       let arr = Array.of_list l in

@@ -124,11 +124,9 @@ let test_error_paths () =
       | _ -> Alcotest.fail "malformed checkpoint accepted");
       Sys.remove snap);
   (* Lazy_db.load wraps Update_log failures with the path. *)
-  let path = Filename.concat (Filename.get_temp_dir_name ()) "lazyxml_test_badsnap" in
-  H.write_file path "junk";
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  H.with_dir "badsnap" (fun dir ->
+      let path = Filename.concat dir "snapshot" in
+      H.write_file path "junk";
       match Lazy_db.load path with
       | exception Failure msg -> check_bool "load names path" true (contains ~needle:path msg)
       | _ -> Alcotest.fail "junk snapshot accepted")
@@ -474,6 +472,13 @@ let test_full_disk_checkpoint_and_backup () =
           check_string "final recover" fp (H.fingerprint db');
           Lazy_db.close db'))
 
+(* A quick slice of the format fuzzer (the slow tier runs 3,000): raw
+   WAL mutants recover into a checked store or are refused. *)
+let test_mutated_wals () =
+  let t = Lxu_crash_harness.Format_fuzz.wals ~seed:1 ~rounds:200 in
+  check_int "every mutant judged" 200 (t.accepted + t.refused);
+  check_bool "most mutants recover" true (t.accepted > t.refused)
+
 let suite =
   [
     Alcotest.test_case "durable roundtrip" `Quick test_durable_roundtrip;
@@ -494,4 +499,5 @@ let suite =
       test_shared_write_group_failure;
     Alcotest.test_case "checkpoint and backup onto a full disk" `Quick
       test_full_disk_checkpoint_and_backup;
+    Alcotest.test_case "mutated WALs recover or are refused" `Quick test_mutated_wals;
   ]

@@ -10,19 +10,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Naive reference: apply the same edit to a plain string. *)
-let string_insert s ~gp frag = String.sub s 0 gp ^ frag ^ String.sub s gp (String.length s - gp)
-let string_remove s ~gp ~len = String.sub s 0 gp ^ String.sub s (gp + len) (String.length s - gp - len)
-
-(* Global labels from a fresh parse of [text] (start, stop, level) per
-   tag — the ground truth for [global_elements]. *)
-let fresh_labels text ~tag =
-  let nodes = Lxu_xml.Parser.parse_fragment text in
-  let acc = ref [] in
-  Lxu_xml.Tree.iter_elements nodes (fun e ~level ->
-      if e.Lxu_xml.Tree.tag = tag then
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end, level) :: !acc);
-  List.sort compare !acc
+(* The naive reference: the same edits applied to a plain string, and
+   labels from a fresh parse of it — the ground truth for
+   [global_elements]. *)
+module Text_model = Lxu_props.Text_model
 
 let log_agrees_with_text log text =
   Update_log.check log;
@@ -35,9 +26,10 @@ let log_agrees_with_text log text =
     | Ok nodes -> Lxu_xml.Tree.distinct_tags nodes
     | Error _ -> Alcotest.fail "reference text is ill-formed"
   in
+  let labels = Text_model.labels text in
   List.iter
     (fun tag ->
-      let expected = fresh_labels text ~tag in
+      let expected = Text_model.of_tag labels tag in
       let got = Update_log.global_elements log ~tag in
       if got <> expected then
         Alcotest.failf "global labels of <%s> differ:\n  log : %s\n  text: %s" tag
@@ -326,24 +318,6 @@ let fragments =
     "<f/><g/>";
   |]
 
-let valid_insert_points text frag =
-  let n = String.length text in
-  let ok = ref [] in
-  for gp = 0 to n do
-    let candidate = string_insert text ~gp frag in
-    if Lxu_xml.Parser.is_well_formed_fragment candidate then ok := gp :: !ok
-  done;
-  List.rev !ok
-
-let element_extents text =
-  match Lxu_xml.Parser.parse_fragment_result text with
-  | Error _ -> []
-  | Ok nodes ->
-    let acc = ref [] in
-    Lxu_xml.Tree.iter_elements nodes (fun e ~level:_ ->
-        acc := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !acc);
-    List.rev !acc
-
 type edit = Ins of int * int | Del of int
 
 let edit_gen =
@@ -362,18 +336,18 @@ let run_schedule mode edits =
       match edit with
       | Ins (pick, fi) ->
         let frag = fragments.(fi) in
-        let points = valid_insert_points !text frag in
+        let points = Text_model.valid_insert_points !text frag in
         if points <> [] then begin
           let gp = List.nth points (pick mod List.length points) in
           ignore (Update_log.insert log ~gp frag);
-          text := string_insert !text ~gp frag
+          text := Text_model.splice !text ~gp frag
         end
       | Del pick ->
-        let extents = element_extents !text in
+        let extents = Text_model.element_extents !text in
         if extents <> [] then begin
           let s, e = List.nth extents (pick mod List.length extents) in
           Update_log.remove log ~gp:s ~len:(e - s);
-          text := string_remove !text ~gp:s ~len:(e - s)
+          text := Text_model.cut !text ~gp:s ~len:(e - s)
         end)
     edits;
   Update_log.prepare_for_query log;
@@ -488,11 +462,11 @@ let prop_arbitrary_removal_ranges =
       List.iter
         (fun (pick, fi) ->
           let frag = fragments.(fi) in
-          let points = valid_insert_points !text frag in
+          let points = Text_model.valid_insert_points !text frag in
           if points <> [] then begin
             let gp = List.nth points (pick mod List.length points) in
             ignore (Update_log.insert log ~gp frag);
-            text := string_insert !text ~gp frag
+            text := Text_model.splice !text ~gp frag
           end)
         inserts;
       List.for_all
@@ -504,7 +478,7 @@ let prop_arbitrary_removal_ranges =
             let len = 1 + (p2 mod (n - gp)) in
             match Update_log.remove log ~gp ~len with
             | () ->
-              text := string_remove !text ~gp ~len;
+              text := Text_model.cut !text ~gp ~len;
               Update_log.materialize log = !text
             | exception Invalid_argument _ -> Update_log.materialize log = !text
           end)
@@ -577,26 +551,21 @@ let prop_oracle_with_attributes =
       List.iter
         (fun (pick, fi) ->
           let frag = frags.(fi) in
-          let points = valid_insert_points !text frag in
+          let points = Text_model.valid_insert_points !text frag in
           if points <> [] then begin
             let gp = List.nth points (pick mod List.length points) in
             ignore (Update_log.insert log ~gp frag);
-            text := string_insert !text ~gp frag
+            text := Text_model.splice !text ~gp frag
           end)
         picks;
       Update_log.check log;
       (* Fresh attribute labels per @name. *)
-      let fresh = Hashtbl.create 8 in
-      Lxu_xml.Tree.iter_labels ~attributes:true
-        (Lxu_xml.Parser.parse_fragment !text)
-        (fun ~name ~start ~stop ~level ->
-          if name.[0] = '@' then
-            Hashtbl.replace fresh name
-              ((start, stop, level)
-              :: Option.value ~default:[] (Hashtbl.find_opt fresh name)));
-      Hashtbl.fold
-        (fun name labels ok ->
-          ok && Update_log.global_elements log ~tag:name = List.sort compare labels)
-        fresh true)
+      let labels = Text_model.labels ~attributes:true !text in
+      List.for_all
+        (fun (name, _) ->
+          name.[0] <> '@'
+          || Update_log.global_elements log ~tag:name
+             = List.sort compare (Text_model.of_tag labels name))
+        labels)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_oracle_with_attributes ]

@@ -2,6 +2,7 @@
    to the saved one — text, labels, queries, and subsequent updates. *)
 
 open Lazy_xml
+module Format_fuzz = Lxu_crash_harness.Format_fuzz
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -161,17 +162,6 @@ let test_malformed_snapshot_sweep () =
    payload with one line rewritten and the trailer recomputed.  The
    oracle is the sweep's: a [Failure] naming the file, or a loaded
    state that is intact. *)
-let saved_payload db =
-  let path = tmp "payload" in
-  Lazy_db.save db path;
-  let ic = open_in_bin path in
-  let bytes = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  (* Drop the 13-byte [crc XXXXXXXX\n] trailer. *)
-  String.sub bytes 0 (String.length bytes - 13)
-
-let seal payload = payload ^ Printf.sprintf "crc %08x\n" (Lxu_storage.Crc32.string payload)
 
 (* Rewrites the [nth] line (from 0) starting with [prefix]. *)
 let rewrite_line ?(nth = 0) payload ~prefix f =
@@ -219,16 +209,16 @@ let expect_refused ~what path bytes ~reference =
 let test_hostile_snapshots () =
   let db = build_sample () in
   let reference = Lazy_db.text db in
-  let payload = saved_payload db in
+  let payload = Format_fuzz.payload db in
   let path = tmp "hostile" in
-  let attempt what p = expect_refused ~what path (seal p) ~reference in
+  let attempt what p = expect_refused ~what path (Format_fuzz.seal p) ~reference in
   (* The untouched payload resealed loads: the helpers are sound. *)
   let write bytes =
     let oc = open_out_bin path in
     output_string oc bytes;
     close_out oc
   in
-  write (seal payload);
+  write (Format_fuzz.seal payload);
   check_string "resealed original loads" reference (Lazy_db.text (Lazy_db.load path));
   (* Counts and lengths far beyond the file. *)
   attempt "segments 10^15"
@@ -373,7 +363,7 @@ let test_int_fields () =
   S.finish w;
   close_out oc;
   let body = "i " ^ String.concat " " (List.map string_of_int (ints @ [ min_int ])) ^ "\n" in
-  check_string "written as string_of_int" (seal body) (read_bytes path);
+  check_string "written as string_of_int" (Format_fuzz.seal body) (read_bytes path);
   let ic = open_in_bin path in
   let r = S.reader ic in
   S.verify_trailer r;
@@ -426,6 +416,14 @@ let test_empty_db_roundtrip () =
   check_int "no segments" 0 (Lazy_db.segment_count db');
   check_string "empty text" "" (Lazy_db.text db')
 
+(* A quick slice of the format fuzzer (the slow tier runs 3,000):
+   resealed payload mutants load into a checked store or are
+   refused. *)
+let test_mutated_snapshots () =
+  let t = Format_fuzz.snapshots ~seed:1 ~rounds:300 in
+  check_int "every mutant judged" 300 (t.accepted + t.refused);
+  check_bool "most mutants refused" true (t.refused > t.accepted)
+
 let suite =
   [
     Alcotest.test_case "roundtrip state" `Quick test_roundtrip_state;
@@ -448,9 +446,6 @@ let prop_snapshot_roundtrip =
   let fragments =
     [| "<a/>"; "<b>text</b>"; "<c><a/><b/></c>"; "<d k=\"v\"><b/></d>" |]
   in
-  let string_insert s ~gp frag =
-    String.sub s 0 gp ^ frag ^ String.sub s gp (String.length s - gp)
-  in
   let gen = QCheck2.Gen.(list_size (int_range 1 10) (pair (int_bound 1000) (int_bound 3))) in
   QCheck2.Test.make ~name:"snapshot roundtrip on random schedules" ~count:40 gen
     (fun picks ->
@@ -459,17 +454,12 @@ let prop_snapshot_roundtrip =
       List.iter
         (fun (pick, fi) ->
           let frag = fragments.(fi) in
-          let points = ref [] in
-          for gp = 0 to String.length !text do
-            if Lxu_xml.Parser.is_well_formed_fragment (string_insert !text ~gp frag) then
-              points := gp :: !points
-          done;
-          match !points with
+          match Lxu_props.Text_model.valid_insert_points !text frag with
           | [] -> ()
           | ps ->
             let gp = List.nth ps (pick mod List.length ps) in
             Lazy_db.insert db ~gp frag;
-            text := string_insert !text ~gp frag)
+            text := Lxu_props.Text_model.splice !text ~gp frag)
         picks;
       let path = tmp "prop" in
       Lazy_db.save db path;
@@ -506,4 +496,5 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
       QCheck_alcotest.to_alcotest prop_roundtrip_all_pairs;
+      Alcotest.test_case "mutated snapshots load or are refused" `Quick test_mutated_snapshots;
     ]

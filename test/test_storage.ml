@@ -282,10 +282,8 @@ let test_injection () =
   Alcotest.(check int) "writes counted" 3 (Sim_file.writes device)
 
 let test_file_backed () =
-  let path = Filename.temp_file "lxu_simfile" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  Lxu_crash_harness.Crash_harness.with_dir "simfile" (fun dir ->
+      let path = Filename.concat dir "device.bin" in
       let device = Sim_file.open_path path in
       Sim_file.write device "hello ";
       Sim_file.write device "world";

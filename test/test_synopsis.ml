@@ -50,12 +50,8 @@ let test_removes () =
   let st = Random.State.make [| 42 |] in
   for _ = 1 to 12 do
     let text = Lazy_db.text db in
-    let nodes = Lxu_xml.Parser.parse_fragment text in
-    let extents = ref [] in
-    Lxu_xml.Tree.iter_elements nodes (fun e ~level:_ ->
-        if e.Lxu_xml.Tree.e_start >= 0 then
-          extents := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !extents);
-    match !extents with
+    (* Last element first: the order the cases were drawn in. *)
+    match List.rev (Lxu_props.Text_model.element_extents text) with
     | [] -> ()
     | l ->
       let arr = Array.of_list l in
@@ -109,15 +105,17 @@ let test_frozen_depth_table () =
 (* --- save / load ------------------------------------------------------ *)
 
 let test_save_load () =
-  let dir = Filename.temp_file "lxu_syn" "" in
-  Sys.remove dir;
-  let db = Lazy_db.create ~engine:Lazy_db.LD () in
-  List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) (xmark_edits Lxu_workload.Chopper.Balanced);
-  Lazy_db.save db dir;
-  let db2 = Lazy_db.load dir in
-  agrees "after load" (log_of db2);
-  check_bool "same synopsis as the saved db" true
-    (Path_synopsis.equal (Update_log.synopsis (log_of db)) (Update_log.synopsis (log_of db2)))
+  Lxu_crash_harness.Crash_harness.with_dir "synopsis" (fun dir ->
+      let path = Filename.concat dir "snapshot" in
+      let db = Lazy_db.create ~engine:Lazy_db.LD () in
+      List.iter
+        (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
+        (xmark_edits Lxu_workload.Chopper.Balanced);
+      Lazy_db.save db path;
+      let db2 = Lazy_db.load path in
+      agrees "after load" (log_of db2);
+      check_bool "same synopsis as the saved db" true
+        (Path_synopsis.equal (Update_log.synopsis (log_of db)) (Update_log.synopsis (log_of db2))))
 
 (* --- cardinalities -------------------------------------------------------- *)
 
@@ -239,12 +237,8 @@ let prop_random_scripts =
       List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) edits;
       (* A few random whole-element removes, then a pack. *)
       for _ = 1 to 3 do
-        let nodes = Lxu_xml.Parser.parse_fragment (Lazy_db.text db) in
-        let extents = ref [] in
-        Lxu_xml.Tree.iter_elements nodes (fun e ~level:_ ->
-            if e.Lxu_xml.Tree.e_start >= 0 then
-              extents := (e.Lxu_xml.Tree.e_start, e.Lxu_xml.Tree.e_end) :: !extents);
-        match !extents with
+        (* Last element first: the order the cases were drawn in. *)
+        match List.rev (Lxu_props.Text_model.element_extents (Lazy_db.text db)) with
         | [] -> ()
         | l ->
           let arr = Array.of_list l in

@@ -161,47 +161,26 @@ let test_segment_counter_matches_walk () =
    a single flush; a crash at any record boundary must recover exactly
    the state after that prefix of the batch. *)
 let test_wal_group_crash_replay () =
-  let tags = [ "r"; "a"; "b"; "x"; "y"; "z" ] in
   let first = (0, "<r><a/><b/></r>") in
   let batch = [ (3, "<x><a/></x>"); (14, "<y/>"); (18, "<z><b/></z>") ] in
-  let ops = first :: batch in
-  let n = List.length ops in
-  (* Reference fingerprints per op prefix, from a never-crashed
-     database applying the edits one at a time. *)
-  let fps = Array.make (n + 1) "" in
-  let reference = Lazy_db.create () in
-  fps.(0) <- fingerprint ~tags reference;
-  List.iteri
-    (fun i (gp, text) ->
-      Lazy_db.insert reference ~gp text;
-      fps.(i + 1) <- fingerprint ~tags reference)
-    ops;
+  (* A never-crashed database applying the edits one at a time. *)
+  let reference =
+    H.Reference.create ~fingerprint:(fingerprint ~tags:[ "r"; "a"; "b"; "x"; "y"; "z" ]) ()
+  in
+  List.iter (fun (gp, text) -> H.Reference.apply reference (Lxu_storage.Wal.Insert { gp; text }))
+    (first :: batch);
   H.with_dir "batch" (fun dir ->
       let db = Lazy_db.create ~durability:(`Wal dir) () in
       let gp0, t0 = first in
       Lazy_db.insert db ~gp:gp0 t0;
       Lazy_db.insert_many db batch;
-      check_string "durable db state" fps.(n) (fingerprint ~tags db);
+      H.Reference.check reference ~ctx:"durable db state" (H.Reference.lsn reference) db;
       Lazy_db.close db;
-      let wal_bytes = H.read_file (Lxu_storage.Wal_store.wal_path dir) in
-      let scan = Lxu_storage.Wal.scan wal_bytes in
-      check_bool "clean WAL" true (scan.Lxu_storage.Wal.corruption = None);
-      let records = Array.of_list scan.Lxu_storage.Wal.records in
-      check_int "one record per edit of the group" n (Array.length records);
-      let boundary_off j =
-        if j = 0 then Lxu_storage.Wal.header_bytes else records.(j - 1).Lxu_storage.Wal.end_off
-      in
-      for j = 0 to n do
-        let prefix = String.sub wal_bytes 0 (boundary_off j) in
-        let log, report = Lxu_storage.Recovery.recover_bytes prefix in
-        check_int
-          (Printf.sprintf "boundary %d: records applied" j)
-          j report.Lxu_storage.Recovery.records_applied;
-        check_string
-          (Printf.sprintf "boundary %d: prefix state" j)
-          fps.(j)
-          (fingerprint ~tags (Lazy_db.of_log log))
-      done)
+      (* One record per edit of the group, each boundary a clean prefix. *)
+      check_int "every boundary recovered" 5
+        (H.sweep_boundaries ~ctx:"wal group" ~reference
+           ~wal_bytes:(H.read_file (Lxu_storage.Wal_store.wal_path dir))
+           ()))
 
 (* The group is logged only once it applied: a failing batch leaves
    the WAL without any record of the group. *)
@@ -241,14 +220,13 @@ let build_schedule seed n =
       (* Legal insertion points: start/end of any element, or the
          document edges. *)
       0 :: String.length text
-      :: List.concat_map (fun (s, e) -> [ s; e ]) (H.element_extents text)
+      :: List.concat_map (fun (s, e) -> [ s; e ]) (Lxu_props.Text_model.element_extents text)
       |> List.sort_uniq compare
     in
     let gp = List.nth points (Lxu_workload.Rng.int rng (List.length points)) in
     edits := (gp, frag) :: !edits;
     Buffer.clear doc;
-    Buffer.add_string doc
-      (String.sub text 0 gp ^ frag ^ String.sub text gp (String.length text - gp))
+    Buffer.add_string doc (Lxu_props.Text_model.splice text ~gp frag)
   done;
   List.rev !edits
 

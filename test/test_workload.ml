@@ -132,10 +132,8 @@ let test_joinmix_invalid () =
 
 (* --- chopper ---------------------------------------------------------- *)
 
-let string_insert s ~gp frag = String.sub s 0 gp ^ frag ^ String.sub s gp (String.length s - gp)
-
 let reconstructs text edits =
-  List.fold_left (fun acc (gp, frag) -> string_insert acc ~gp frag) "" edits = text
+  List.fold_left (fun acc (gp, frag) -> Lxu_props.Text_model.splice acc ~gp frag) "" edits = text
 
 let test_chopper_balanced_reconstructs () =
   let text = Generator.generate_text ~seed:3 ~target_elements:400 () in
