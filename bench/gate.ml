@@ -285,11 +285,12 @@ let mvcc () =
       List.iter (fun (anc, desc) -> ignore (Lazy_db.count db ~anc ~desc ())) pairs
     done
   in
-  let t = Shared_db.create ~index_attributes:true () in
-  Shared_db.insert t ~gp:0
-    (Generator.generate_text
-       ~params:{ Generator.default_params with Generator.tags = vocabulary }
-       ~seed:42 ~target_elements:8_000 ());
+  let t = Shared_db.of_db (Lazy_db.create ~index_attributes:true ()) in
+  Shared_db.write t (fun db ->
+      Lazy_db.insert db ~gp:0
+        (Generator.generate_text
+           ~params:{ Generator.default_params with Generator.tags = vocabulary }
+           ~seed:42 ~target_elements:8_000 ()));
   for _ = 1 to 3 do
     Shared_db.read t sweep
   done;

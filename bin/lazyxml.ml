@@ -17,62 +17,105 @@ open Lazy_xml
 
 let read_file = Lxu_storage.Sim_file.read_file
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
-let engine_of_string = function
-  | "ld" -> Lazy_db.LD
-  | "ls" -> Lazy_db.LS
-  | s -> failwith (Printf.sprintf "unknown engine %S (expected ld or ls)" s)
+(* Writes [text] to [path] and says so. *)
+let write_doc path text =
+  write_file path text;
+  Printf.printf "wrote %d bytes to %s\n" (String.length text) path
 
-let shape_of_string = function
-  | "balanced" -> Lxu_workload.Chopper.Balanced
-  | "nested" -> Lxu_workload.Chopper.Nested
-  | s -> failwith (Printf.sprintf "unknown shape %S (expected balanced or nested)" s)
+(* --- exit codes ------------------------------------------------------- *)
 
-let load ?(index_attributes = false) ~engine ~segments ~shape path =
-  let text = read_file path in
-  let db = Lazy_db.create ~engine ~index_attributes () in
-  if segments <= 1 then Lazy_db.insert db ~gp:0 text
-  else
-    List.iter
-      (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
-      (Lxu_workload.Chopper.chop ~text ~segments shape);
-  (db, text)
+let exits =
+  [ Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1 ~doc:"when a command fails: a bad value, a malformed batch or snapshot file, \
+                          a WAL directory with nothing to recover.";
+    Cmd.Exit.info 2 ~doc:"on a command-line usage error.";
+    Cmd.Exit.info 124 ~doc:"when $(b,--deadline-ms) trips.";
+    Cmd.Exit.info 125 ~doc:"on an internal error." ]
+
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc ~exits) term
 
 (* --- common arguments ------------------------------------------------ *)
+
+(* A string option converted by [conv]; a [Failure] from [conv] is a
+   user error (exit 1), like every other bad value a command meets. *)
+let converted ~default names ~docv ~doc conv =
+  Term.(const conv $ Arg.(value & opt string default & info names ~docv ~doc))
 
 let doc_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC" ~doc:"XML document file.")
 
-let engine_arg =
-  Arg.(value & opt string "ld" & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Index engine: ld (lazy dynamic) or ls (lazy static).")
+let shape_arg =
+  converted ~default:"balanced" [ "shape" ] ~docv:"SHAPE" ~doc:"Chopping shape: balanced or nested."
+    (function
+      | "balanced" -> Lxu_workload.Chopper.Balanced
+      | "nested" -> Lxu_workload.Chopper.Nested
+      | s -> failwith (Printf.sprintf "unknown shape %S (expected balanced or nested)" s))
 
 let segments_arg =
   Arg.(value & opt int 1 & info [ "segments" ] ~docv:"N"
          ~doc:"Chop the document into up to $(docv) segments when loading.")
 
-let shape_arg =
-  Arg.(value & opt string "balanced" & info [ "shape" ] ~docv:"SHAPE"
-         ~doc:"Chopping shape: balanced or nested.")
-
 let storage_arg =
-  Arg.(value & opt string "mem" & info [ "storage" ] ~docv:"KIND"
-         ~doc:"SB-tree storage backend: mem (OCaml heap, the default) or paged \
-               (page-backed B+-tree, buffer pool bounded by LXU_POOL_BYTES).")
+  converted ~default:"mem" [ "storage" ] ~docv:"KIND"
+    ~doc:"SB-tree storage backend: mem (OCaml heap, the default) or paged \
+          (page-backed B+-tree, buffer pool bounded by LXU_POOL_BYTES)."
+    (function
+      | "mem" -> `Mem
+      | "paged" -> `Paged
+      | s -> failwith (Printf.sprintf "unknown storage %S (expected mem or paged)" s))
 
-let storage_of_string = function
-  | "mem" -> `Mem
-  | "paged" -> `Paged
-  | s -> failwith (Printf.sprintf "unknown storage %S (expected mem or paged)" s)
+(* --engine, --segments and --shape: how a document is loaded.  The
+   result loads a document file into a fresh database, chopped into up
+   to N segments inserted one by one. *)
+let loader =
+  let engine =
+    converted ~default:"ld" [ "engine" ] ~docv:"ENGINE"
+      ~doc:"Index engine: ld (lazy dynamic) or ls (lazy static)."
+      (function
+        | "ld" -> Lazy_db.LD
+        | "ls" -> Lazy_db.LS
+        | s -> failwith (Printf.sprintf "unknown engine %S (expected ld or ls)" s))
+  in
+  let load engine segments shape ~durability ~storage ~index_attributes path =
+    let text = read_file path in
+    let db = Lazy_db.create ~engine ~index_attributes ~durability ~storage () in
+    if segments <= 1 then Lazy_db.insert db ~gp:0 text
+    else
+      List.iter
+        (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
+        (Lxu_workload.Chopper.chop ~text ~segments shape);
+    db
+  in
+  Term.(const load $ engine $ segments_arg $ shape_arg)
 
-(* The index-bytes total and its parts, which add up to it. *)
-let print_index_bytes ~indent db =
+(* DOC loaded by {!loader} in memory; [attributes] adds --attributes. *)
+let document ?(attributes = false) () =
+  let attrs =
+    if attributes then
+      Arg.(value & flag & info [ "attributes" ] ~doc:"Index attributes as @name subelements.")
+    else Term.const false
+  in
+  Term.(
+    const (fun load index_attributes doc ->
+        load ~durability:`None ~storage:`Mem ~index_attributes doc)
+    $ loader $ attrs $ doc_arg)
+
+(* A store's state — segments, elements, document bytes — handed to
+   [pr], a printf of those three counts. *)
+let print_state pr db =
+  pr (Lazy_db.segment_count db) (Lazy_db.element_count db) (Lazy_db.doc_length db)
+
+(* The store's sizes, [indent] more spaces before the colons; the
+   index bytes are followed by their parts, which add up to them. *)
+let print_sizes ~indent db =
   let log = Option.get (Lazy_db.log db) in
-  Printf.printf "index bytes    %s: %d\n" (String.make indent ' ') (Lazy_db.size_bytes db);
+  let size name n = Printf.printf "%-15s%s: %d\n" name (String.make indent ' ') n in
+  size "document bytes" (Lazy_db.doc_length db);
+  size "elements" (Lazy_db.element_count db);
+  size "segments" (Lazy_db.segment_count db);
+  size "index bytes" (Lazy_db.size_bytes db);
   Printf.printf "  sb-tree         : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
   Printf.printf "  tag-list        : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log);
   Printf.printf "  element columns : %d bytes\n" (Lxu_seglog.Update_log.columns_size_bytes log)
@@ -104,38 +147,28 @@ let query_cmd =
   let desc = Arg.(required & opt (some string) None & info [ "desc" ] ~doc:"Descendant tag (use @name for attributes with --attributes).") in
   let child = Arg.(value & flag & info [ "child" ] ~doc:"Parent/child axis instead of ancestor//descendant.") in
   let show = Arg.(value & flag & info [ "pairs" ] ~doc:"Print every result pair.") in
-  let attrs = Arg.(value & flag & info [ "attributes" ] ~doc:"Index attributes as @name subelements.") in
-  let run doc engine segments shape anc desc child show attrs deadline_ms =
-    let db, _ =
-      load ~engine:(engine_of_string engine) ~index_attributes:attrs ~segments
-        ~shape:(shape_of_string shape) doc
-    in
+  let run db anc desc child show deadline_ms =
     let axis = if child then Lxu_util.Axis.Child else Lxu_util.Axis.Desc in
     let t0 = Unix.gettimeofday () in
     let pairs, stats =
       with_deadline deadline_ms (fun guard -> Lazy_db.query db ~axis ?guard ~anc ~desc ())
     in
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    let { Lxu_join.Lazy_join.cross_pairs; in_pairs; segments_skipped; _ } = stats in
     Printf.printf "%s%s%s: %d pairs in %.2f ms (%d cross-segment, %d in-segment, %d segments skipped)\n"
-      anc (if child then "/" else "//") desc stats.Lazy_db.pair_count ms
-      stats.Lazy_db.cross_pairs stats.Lazy_db.in_pairs stats.Lazy_db.segments_skipped;
+      anc (if child then "/" else "//") desc (cross_pairs + in_pairs) ms cross_pairs in_pairs
+      segments_skipped;
     if show then List.iter (fun (a, d) -> Printf.printf "  %d -> %d\n" a d) pairs
   in
-  Cmd.v (Cmd.info "query" ~doc:"Evaluate a structural join over a document.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ anc $ desc $ child $ show $ attrs $ deadline_arg)
+  cmd "query" ~doc:"Evaluate a structural join over a document."
+    Term.(const run $ document ~attributes:true () $ anc $ desc $ child $ show $ deadline_arg)
 
 (* --- stats ------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run doc engine segments shape =
-    let db, text = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
-    Printf.printf "document bytes : %d\n" (String.length text);
-    Printf.printf "elements       : %d\n" (Lazy_db.element_count db);
-    Printf.printf "segments       : %d\n" (Lazy_db.segment_count db);
-    print_index_bytes ~indent:0 db
-  in
-  Cmd.v (Cmd.info "stats" ~doc:"Print index statistics for a document.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg)
+  let run db = print_sizes ~indent:0 db in
+  cmd "stats" ~doc:"Print index statistics for a document."
+    Term.(const run $ document ())
 
 (* --- insert / remove ---------------------------------------------------- *)
 
@@ -143,36 +176,20 @@ let stats_cmd =
    names a file holding the XML fragment to insert at [gp].  Blank
    lines and [#] comments are skipped. *)
 let read_batch_file path =
-  let ic = open_in path in
-  let edits = ref [] in
-  let lineno = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           let line = String.trim line in
-           if line <> "" && line.[0] <> '#' then
-             match String.index_opt line '\t' with
-             | None ->
-               failwith
-                 (Printf.sprintf "%s:%d: expected gp<TAB>fragment-file" path !lineno)
-             | Some tab ->
-               let gp =
-                 match int_of_string_opt (String.trim (String.sub line 0 tab)) with
-                 | Some gp -> gp
-                 | None ->
-                   failwith (Printf.sprintf "%s:%d: malformed byte position" path !lineno)
-               in
-               let frag_path =
-                 String.trim (String.sub line (tab + 1) (String.length line - tab - 1))
-               in
-               edits := (gp, read_file frag_path) :: !edits
-         done
-       with End_of_file -> ());
-      List.rev !edits)
+  String.split_on_char '\n' (read_file path)
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
+  |> List.map (fun (lineno, line) ->
+         let fail what = failwith (Printf.sprintf "%s:%d: %s" path lineno what) in
+         match String.index_opt line '\t' with
+         | None -> fail "expected gp<TAB>fragment-file"
+         | Some tab ->
+           let gp =
+             match int_of_string_opt (String.trim (String.sub line 0 tab)) with
+             | Some gp -> gp
+             | None -> fail "malformed byte position"
+           in
+           (gp, read_file (String.trim (String.sub line (tab + 1) (String.length line - tab - 1)))))
 
 let insert_cmd =
   let at = Arg.(value & opt (some int) None & info [ "at" ] ~docv:"POS" ~doc:"Byte position.") in
@@ -181,7 +198,7 @@ let insert_cmd =
                      ~doc:"Apply a batch of inserts through the group-committed write path: \
                            one edit per line in $(docv), formatted as gp<TAB>fragment-file, \
                            positions interpreted after the preceding edits of the batch.") in
-  let run doc engine segments shape at frag batch =
+  let run db doc at frag batch =
     let edits =
       match (batch, at, frag) with
       | Some path, None, None -> read_batch_file path
@@ -189,7 +206,6 @@ let insert_cmd =
       | Some _, _, _ -> failwith "--batch excludes --at/--fragment"
       | None, _, _ -> failwith "need either --batch or both --at and --fragment"
     in
-    let db, _ = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
     let t0 = Unix.gettimeofday () in
     Lazy_db.insert_many db edits;
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -203,14 +219,14 @@ let insert_cmd =
         (List.length edits) bytes ms (Lazy_db.segment_count db) (Lazy_db.size_bytes db));
     write_file doc (Lazy_db.text db)
   in
-  Cmd.v (Cmd.info "insert" ~doc:"Insert one fragment — or a batch of them — and write the document back.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ at $ frag $ batch)
+  cmd "insert"
+    ~doc:"Insert one fragment — or a batch of them — and write the document back."
+    Term.(const run $ document () $ doc_arg $ at $ frag $ batch)
 
 let remove_cmd =
   let at = Arg.(required & opt (some int) None & info [ "at" ] ~docv:"POS" ~doc:"Byte position.") in
   let len = Arg.(required & opt (some int) None & info [ "len" ] ~docv:"LEN" ~doc:"Byte count.") in
-  let run doc engine segments shape at len =
-    let db, _ = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
+  let run db doc at len =
     let t0 = Unix.gettimeofday () in
     Lazy_db.remove db ~gp:at ~len;
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -218,8 +234,8 @@ let remove_cmd =
       (Lazy_db.segment_count db);
     write_file doc (Lazy_db.text db)
   in
-  Cmd.v (Cmd.info "remove" ~doc:"Remove a byte range and write the document back.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ at $ len)
+  cmd "remove" ~doc:"Remove a byte range and write the document back."
+    Term.(const run $ document () $ doc_arg $ at $ len)
 
 (* --- generate ------------------------------------------------------------ *)
 
@@ -239,10 +255,9 @@ let generate_cmd =
         Lxu_workload.Generator.deep_chain ~tags:[| "a"; "b"; "c" |] ~depth:size ~payload:"x"
       | s -> failwith (Printf.sprintf "unknown kind %S" s)
     in
-    write_file out text;
-    Printf.printf "wrote %d bytes to %s\n" (String.length text) out
+    write_doc out text
   in
-  Cmd.v (Cmd.info "generate" ~doc:"Generate a test document.")
+  cmd "generate" ~doc:"Generate a test document."
     Term.(const run $ kind $ out $ seed $ size)
 
 (* --- path ----------------------------------------------------------------- *)
@@ -250,42 +265,25 @@ let generate_cmd =
 let path_cmd =
   let expr = Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH"
                     ~doc:"Path expression, e.g. //person/profile//interest or //person/@id.") in
-  let attrs = Arg.(value & flag & info [ "attributes" ] ~doc:"Index attributes as @name subelements.") in
-  let run doc engine segments shape expr attrs deadline_ms =
-    let text = read_file doc in
-    let db = Lazy_db.create ~engine:(engine_of_string engine) ~index_attributes:attrs () in
-    if segments <= 1 then Lazy_db.insert db ~gp:0 text
-    else
-      List.iter
-        (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
-        (Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape));
+  let run db expr deadline_ms =
     let t0 = Unix.gettimeofday () in
     let matches =
-      with_deadline deadline_ms (fun guard -> Path_query.eval_string ?guard db expr)
+      with_deadline deadline_ms (fun guard ->
+          Path_query.eval ?guard db (Path_query.parse_exn expr))
     in
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    Printf.printf "%s: %d matches in %.2f ms
-" expr (List.length matches) ms;
-    List.iter (fun (s, e) -> Printf.printf "  [%d, %d)
-" s e) matches
+    Printf.printf "%s: %d matches in %.2f ms\n" expr (List.length matches) ms;
+    List.iter (fun (s, e) -> Printf.printf "  [%d, %d)\n" s e) matches
   in
-  Cmd.v (Cmd.info "path" ~doc:"Evaluate a path expression over a document.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ deadline_arg)
+  cmd "path" ~doc:"Evaluate a path expression over a document."
+    Term.(const run $ document ~attributes:true () $ expr $ deadline_arg)
 
 (* --- explain --------------------------------------------------------------- *)
 
 let explain_cmd =
   let expr = Arg.(required & pos 1 (some string) None & info [] ~docv:"PATH"
                     ~doc:"Path expression, e.g. //person/profile//interest.") in
-  let attrs = Arg.(value & flag & info [ "attributes" ] ~doc:"Index attributes as @name subelements.") in
-  let run doc engine segments shape expr attrs deadline_ms =
-    let text = read_file doc in
-    let db = Lazy_db.create ~engine:(engine_of_string engine) ~index_attributes:attrs () in
-    if segments <= 1 then Lazy_db.insert db ~gp:0 text
-    else
-      List.iter
-        (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
-        (Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape));
+  let run db expr deadline_ms =
     let steps = Path_query.parse_exn expr in
     let t0 = Unix.gettimeofday () in
     let plan, matches =
@@ -296,26 +294,24 @@ let explain_cmd =
     if plan <> "" && plan.[String.length plan - 1] <> '\n' then print_newline ();
     Printf.printf "%s: %d matches in %.2f ms\n" expr (List.length matches) ms
   in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:"Run a path expression and show how: each predicate and each spine step \
-             that ends a semi-join hop, with its slot-restricted candidates and its \
-             survivors.  A predicate-free path is one hop and runs no join.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ expr $ attrs $ deadline_arg)
+  cmd "explain"
+    ~doc:"Run a path expression and show how: each predicate and each spine step \
+          that ends a semi-join hop, with its slot-restricted candidates and its \
+          survivors.  A predicate-free path is one hop and runs no join."
+    Term.(const run $ document ~attributes:true () $ expr $ deadline_arg)
 
 (* --- snapshots -------------------------------------------------------------- *)
 
 let save_cmd =
   let out = Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Snapshot file.") in
-  let run doc engine segments shape out =
-    let db, _ = load ~engine:(engine_of_string engine) ~segments ~shape:(shape_of_string shape) doc in
+  let run db out =
     Lazy_db.save db out;
-    Printf.printf "saved %d segments (%d elements) to %s
-"
-      (Lazy_db.segment_count db) (Lazy_db.element_count db) out
+    print_state
+      (fun segs elems _ -> Printf.printf "saved %d segments (%d elements) to %s\n" segs elems out)
+      db
   in
-  Cmd.v (Cmd.info "save" ~doc:"Load a document and write an index snapshot.")
-    Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg $ out)
+  cmd "save" ~doc:"Load a document and write an index snapshot."
+    Term.(const run $ document () $ out)
 
 let restore_cmd =
   let snap = Arg.(required & pos 0 (some file) None & info [] ~docv:"SNAPSHOT"
@@ -342,30 +338,26 @@ let restore_cmd =
         Lazy_db.load snap
       end
     in
-    Printf.printf "restored %d segments, %d elements, %d bytes of document\n"
-      (Lazy_db.segment_count db) (Lazy_db.element_count db) (Lazy_db.doc_length db);
-    match out with
-    | None -> ()
-    | Some path ->
-      write_file path (Lazy_db.text db);
-      Printf.printf "wrote %d bytes to %s\n" (Lazy_db.doc_length db) path
+    print_state (Printf.printf "restored %d segments, %d elements, %d bytes of document\n") db;
+    Option.iter (fun path -> write_doc path (Lazy_db.text db)) out
   in
-  Cmd.v
-    (Cmd.info "restore"
-       ~doc:"Restore an index snapshot, or a WAL directory as of a chosen LSN (--lsn).")
+  cmd "restore"
+    ~doc:"Restore an index snapshot, or a WAL directory as of a chosen LSN (--lsn)."
     Term.(const run $ snap $ lsn $ out)
 
 (* --- durability: checkpoint / recover ------------------------------------ *)
 
-let print_report dir (r : Lxu_storage.Recovery.report) =
+(* Recovers WAL directory [dir] and prints what recovery did. *)
+let recover ?storage dir =
+  let db, r = Lazy_db.recover ?storage dir in
   Printf.printf "recovered %s: snapshot lsn %d, %d wal record(s) replayed, %d skipped\n" dir
     r.Lxu_storage.Recovery.snapshot_lsn r.Lxu_storage.Recovery.records_applied
     r.Lxu_storage.Recovery.records_skipped;
-  match r.Lxu_storage.Recovery.corruption with
-  | None -> ()
-  | Some why ->
-    Printf.printf "  truncated %d corrupt byte(s): %s\n"
-      (r.Lxu_storage.Recovery.total_bytes - r.Lxu_storage.Recovery.valid_bytes) why
+  Option.iter
+    (Printf.printf "  truncated %d corrupt byte(s): %s\n"
+       (r.Lxu_storage.Recovery.total_bytes - r.Lxu_storage.Recovery.valid_bytes))
+    r.Lxu_storage.Recovery.corruption;
+  db
 
 let checkpoint_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"
@@ -373,35 +365,21 @@ let checkpoint_cmd =
   let from = Arg.(value & opt (some file) None & info [ "from" ] ~docv:"DOC"
                     ~doc:"Initialise $(i,DIR) fresh from this XML document before checkpointing \
                           (otherwise $(i,DIR) is recovered first).") in
-  let run dir engine segments shape from storage =
-    let storage = storage_of_string storage in
+  let run dir load from storage =
     let db =
       match from with
-      | Some doc ->
-        let text = read_file doc in
-        let db =
-          Lazy_db.create ~engine:(engine_of_string engine) ~durability:(`Wal dir) ~storage ()
-        in
-        if segments <= 1 then Lazy_db.insert db ~gp:0 text
-        else
-          List.iter
-            (fun (gp, frag) -> Lazy_db.insert db ~gp frag)
-            (Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape));
-        db
-      | None ->
-        let db, report = Lazy_db.recover ~storage dir in
-        print_report dir report;
-        db
+      | Some doc -> load ~durability:(`Wal dir) ~storage ~index_attributes:false doc
+      | None -> recover ~storage dir
     in
     Lazy_db.checkpoint db;
     Lazy_db.close db;
-    Printf.printf "checkpointed %d segment(s), %d element(s), %d byte(s) into %s\n"
-      (Lazy_db.segment_count db) (Lazy_db.element_count db) (Lazy_db.doc_length db) dir
+    print_state
+      (Printf.printf "checkpointed %d segment(s), %d element(s), %d byte(s) into %s\n")
+      db dir
   in
-  Cmd.v
-    (Cmd.info "checkpoint"
-       ~doc:"Snapshot a WAL directory's database and rotate its log to empty.")
-    Term.(const run $ dir $ engine_arg $ segments_arg $ shape_arg $ from $ storage_arg)
+  cmd "checkpoint"
+    ~doc:"Snapshot a WAL directory's database and rotate its log to empty."
+    Term.(const run $ dir $ loader $ from $ storage_arg)
 
 let recover_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"
@@ -409,20 +387,13 @@ let recover_cmd =
   let out = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
                    ~doc:"Also write the recovered document text to $(docv).") in
   let run dir out storage =
-    let db, report = Lazy_db.recover ~storage:(storage_of_string storage) dir in
-    print_report dir report;
-    Printf.printf "state: %d segment(s), %d element(s), %d byte(s) of document\n"
-      (Lazy_db.segment_count db) (Lazy_db.element_count db) (Lazy_db.doc_length db);
-    (match out with
-    | None -> ()
-    | Some path ->
-      write_file path (Lazy_db.text db);
-      Printf.printf "wrote %d bytes to %s\n" (Lazy_db.doc_length db) path);
+    let db = recover ~storage dir in
+    print_state (Printf.printf "state: %d segment(s), %d element(s), %d byte(s) of document\n") db;
+    Option.iter (fun path -> write_doc path (Lazy_db.text db)) out;
     Lazy_db.close db
   in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:"Recover a database from snapshot + WAL, repairing a torn or corrupt tail.")
+  cmd "recover"
+    ~doc:"Recover a database from snapshot + WAL, repairing a torn or corrupt tail."
     Term.(const run $ dir $ out $ storage_arg)
 
 (* --- info ------------------------------------------------------------------ *)
@@ -434,12 +405,8 @@ let info_cmd =
                      ~doc:"Also list the $(docv) heaviest root-to-element paths of the \
                            synopsis.") in
   let run dir storage paths =
-    let db, report = Lazy_db.recover ~storage:(storage_of_string storage) dir in
-    print_report dir report;
-    Printf.printf "document bytes  : %d\n" (Lazy_db.doc_length db);
-    Printf.printf "elements        : %d\n" (Lazy_db.element_count db);
-    Printf.printf "segments        : %d\n" (Lazy_db.segment_count db);
-    print_index_bytes ~indent:1 db;
+    let db = recover ~storage dir in
+    print_sizes ~indent:1 db;
     (match Lazy_db.wal_bytes db with
     | Some b -> Printf.printf "wal bytes       : %d\n" b
     | None -> ());
@@ -493,10 +460,9 @@ let info_cmd =
     end;
     Lazy_db.close db
   in
-  Cmd.v
-    (Cmd.info "info"
-       ~doc:"Print store statistics for a WAL directory: pages, buffer pool, WAL size, \
-             fragmentation and path-synopsis summary.")
+  cmd "info"
+    ~doc:"Print store statistics for a WAL directory: pages, buffer pool, WAL size, \
+          fragmentation and path-synopsis summary."
     Term.(const run $ dir $ storage_arg $ paths)
 
 (* --- maintenance: compact / backup ---------------------------------------- *)
@@ -509,8 +475,7 @@ let compact_cmd =
   let pack_depth = Arg.(value & opt int 4 & info [ "pack-depth" ] ~docv:"N"
                           ~doc:"Pack subtrees with ER chains at least $(docv) deep.") in
   let run dir pack_segments pack_depth =
-    let db, report = Lazy_db.recover dir in
-    print_report dir report;
+    let db = recover dir in
     let before = Lazy_db.segment_count db in
     let cfg =
       { Maintainer.default_config with
@@ -525,10 +490,9 @@ let compact_cmd =
     Printf.printf "compacted %s: %d maintenance job(s), %d -> %d segment(s), wal truncated\n"
       dir jobs before (Lazy_db.segment_count db)
   in
-  Cmd.v
-    (Cmd.info "compact"
-       ~doc:"Pay down a WAL directory's maintenance debt: pack fragmented subtrees, merge \
-             tag lists, checkpoint and truncate the log.")
+  cmd "compact"
+    ~doc:"Pay down a WAL directory's maintenance debt: pack fragmented subtrees, merge \
+          tag lists, checkpoint and truncate the log."
     Term.(const run $ dir $ pack_segments $ pack_depth)
 
 let backup_cmd =
@@ -537,17 +501,14 @@ let backup_cmd =
   let dst = Arg.(required & pos 1 (some string) None & info [] ~docv:"DEST"
                    ~doc:"Backup target directory (created if missing).") in
   let run src dst =
-    let db, report = Lazy_db.recover src in
-    print_report src report;
+    let db = recover src in
     let lsn = Lazy_db.backup db ~dir:dst in
     Lazy_db.close db;
     Printf.printf "backed up %s through lsn %d into %s (restore any committed prefix with \
                    'lazyxml restore %s --lsn N')\n"
       src lsn dst dst
   in
-  Cmd.v
-    (Cmd.info "backup"
-       ~doc:"Ship a WAL directory's snapshot + log to a backup directory, atomically.")
+  cmd "backup" ~doc:"Ship a WAL directory's snapshot + log to a backup directory, atomically."
     Term.(const run $ src $ dst)
 
 (* --- chop ----------------------------------------------------------------- *)
@@ -555,30 +516,40 @@ let backup_cmd =
 let chop_cmd =
   let run doc segments shape =
     let text = read_file doc in
-    let edits = Lxu_workload.Chopper.chop ~text ~segments (shape_of_string shape) in
+    let edits = Lxu_workload.Chopper.chop ~text ~segments shape in
     Printf.printf "%d segments:\n" (List.length edits);
     List.iter
       (fun (gp, frag) -> Printf.printf "  insert %6d bytes at %d\n" (String.length frag) gp)
       edits
   in
-  Cmd.v (Cmd.info "chop" ~doc:"Show the segment insertion schedule for a document.")
+  cmd "chop" ~doc:"Show the segment insertion schedule for a document."
     Term.(const run $ doc_arg $ segments_arg $ shape_arg)
 
 let () =
   let info =
-    Cmd.info "lazyxml" ~version:"1.0.0"
+    Cmd.info "lazyxml" ~version:"1.0.0" ~exits
       ~doc:"Lazy XML updates and segment-aware structural joins (SIGMOD 2005 reproduction)."
   in
   (* [Failure] is the commands' user-error channel (bad --lsn bound,
-     malformed batch file, ...): report it as a message, not a crash. *)
+     malformed batch file, ...), and a bad position, path, fragment or
+     file is a user error too: report them as a message, not a crash.
+     Anything else escaping is an internal error, never exit 2. *)
   match
-    Cmd.eval ~catch:false
+    Cmd.eval_value ~catch:false
       (Cmd.group info
          [ query_cmd; stats_cmd; insert_cmd; remove_cmd; generate_cmd; chop_cmd; path_cmd;
            explain_cmd; save_cmd; restore_cmd; checkpoint_cmd; recover_cmd; info_cmd;
            compact_cmd; backup_cmd ])
   with
-  | code -> exit code
-  | exception Failure msg ->
+  | Ok _ -> exit 0
+  | Error (`Parse | `Term) -> exit 2
+  | Error `Exn -> exit 125
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
     Printf.eprintf "lazyxml: %s\n" msg;
     exit 1
+  | exception Lxu_xml.Parser.Parse_error { pos; msg } ->
+    Printf.eprintf "lazyxml: XML parse error at byte %d: %s\n" pos msg;
+    exit 1
+  | exception e ->
+    Printf.eprintf "lazyxml: internal error: %s\n" (Printexc.to_string e);
+    exit 125

@@ -20,9 +20,13 @@ let article rng id =
 
 let () =
   let rng = Rng.create 11 in
-  let db = Shared_db.create ~index_attributes:true () in
-  Shared_db.insert db ~gp:0
-    "<portal><world></world><tech></tech><sport></sport></portal>";
+  let db = Shared_db.of_db (Lazy_db.create ~index_attributes:true ()) in
+  Shared_db.write db (fun inner ->
+      Lazy_db.insert inner ~gp:0 "<portal><world></world><tech></tech><sport></sport></portal>");
+  let path_count path =
+    let steps = Path_query.parse_exn path in
+    Shared_db.read db (fun snap -> Path_query.count snap steps)
+  in
 
   (* Editorial feed: 120 articles published into random sections, one
      segment each, from a writer domain. *)
@@ -44,10 +48,10 @@ let () =
     Domain.spawn (fun () ->
         (* Keep polling until the feed is complete. *)
         let last = ref 0 in
-        while Shared_db.path_count db "//article" < 120 do
-          last := Shared_db.path_count db path
+        while path_count "//article" < 120 do
+          last := path_count path
         done;
-        last := Shared_db.path_count db path;
+        last := path_count path;
         (name, path, !last))
   in
   let readers =
@@ -66,9 +70,9 @@ let () =
 
   (* Final consistent answers. *)
   Printf.printf "\nfinal state: %d articles published\n"
-    (Shared_db.path_count db "//article");
+    (path_count "//article");
   List.iter
-    (fun path -> Printf.printf "  %-40s -> %d\n" path (Shared_db.path_count db path))
+    (fun path -> Printf.printf "  %-40s -> %d\n" path (path_count path))
     [
       "//article[media]/headline";
       "//article/@id";
@@ -87,5 +91,5 @@ let () =
   Sys.remove snap;
   Printf.printf "\nsnapshot restored: %d segments, answers intact: %b\n"
     (Lazy_db.segment_count restored)
-    (Path_query.count restored "//article[media]/headline"
-    = Shared_db.path_count db "//article[media]/headline")
+    (Path_query.count restored (Path_query.parse_exn "//article[media]/headline")
+    = path_count "//article[media]/headline")

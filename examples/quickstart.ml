@@ -32,7 +32,7 @@ let () =
   (* 4. Query: a structural join. *)
   let pairs, stats = Lazy_db.query db ~anc:"product" ~desc:"price" () in
   Printf.printf "\nproduct//price -> %d pairs (%d cross-segment, %d in-segment)\n"
-    stats.Lazy_db.pair_count stats.Lazy_db.cross_pairs stats.Lazy_db.in_pairs;
+    (List.length pairs) stats.Lxu_join.Lazy_join.cross_pairs stats.Lxu_join.Lazy_join.in_pairs;
   List.iter (fun (a, d) -> Printf.printf "  product@%d contains price@%d\n" a d) pairs;
 
   (* 5. Remove the rocket (its byte range) and query again. *)

@@ -75,7 +75,6 @@ let attach ps ~slot ~kw ~vw =
   | _ -> create ps ~slot ~kw ~vw
 
 let length t = t.size
-let store t = t.ps
 
 (* compare the kw-word key at word offset [off] of [b] with [k] *)
 let cmp_key_at t b off (k : int array) =

@@ -32,7 +32,6 @@ val attach : Lxu_storage_core.Page_store.t -> slot:string -> kw:int -> vw:int ->
     matches the rest of the state being loaded. *)
 
 val length : t -> int
-val store : t -> Lxu_storage_core.Page_store.t
 
 val insert : t -> int array -> int array -> unit
 (** [insert t key value] — replaces on duplicate key.  The arrays are

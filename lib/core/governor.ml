@@ -75,10 +75,9 @@ let wrap ?(config = default_config) sdb =
   }
 
 let create ?config ?index_attributes ?domains:_ ?durability () =
-  wrap ?config (Shared_db.create ?index_attributes ?durability ())
+  wrap ?config (Shared_db.of_db (Lazy_db.create ?index_attributes ?durability ()))
 
 let shared t = t.sdb
-let config t = t.cfg
 
 let in_flight t =
   Mutex.lock t.gate;
@@ -214,12 +213,6 @@ let insert_many t ?cancel edits =
 
 let remove t ?cancel ~gp ~len () =
   run t ~op:`Write ?cancel (fun _guard db -> Lazy_db.remove db ~gp ~len)
-
-let count t ?deadline_s ?cancel ?axis ~anc ~desc () =
-  read t ?deadline_s ?cancel (fun guard db -> Lazy_db.count db ?axis ?guard ~anc ~desc ())
-
-let path_count t ?deadline_s ?cancel path =
-  read t ?deadline_s ?cancel (fun guard db -> Path_query.count ?guard db path)
 
 let retry ?(attempts = 5) ?(base_ms = 1.) ?(factor = 2.) ?(max_ms = 1000.) ?sleep ~rng f =
   if attempts < 1 then invalid_arg "Governor.retry: attempts < 1";

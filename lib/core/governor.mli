@@ -85,10 +85,10 @@ val create :
   ?durability:[ `None | `Wal of string ] ->
   unit ->
   t
-(** A fresh governed database; [index_attributes] and [durability] are
-    {!Shared_db.create}'s.  [domains] is accepted and ignored, as in
-    {!Lazy_db.create}: it stays only because
-    [perfbench/perfbench.ml] passes it. *)
+(** A fresh governed database over
+    {!Lazy_db.create}[ ?index_attributes ?durability ()].  [domains]
+    is accepted and ignored, as in {!Lazy_db.create}: it stays only
+    because [perfbench/perfbench.ml] passes it. *)
 
 val wrap : ?config:config -> Shared_db.t -> t
 (** Governs an existing shared database.  Operations that bypass the
@@ -96,7 +96,6 @@ val wrap : ?config:config -> Shared_db.t -> t
     and stats. *)
 
 val shared : t -> Shared_db.t
-val config : t -> config
 val stats : t -> stats
 
 val in_flight : t -> int * int
@@ -115,10 +114,11 @@ val read :
     callback is the newest published snapshot, pinned for the call
     (see {!Shared_db.read}).  The callback receives the
     operation's guard; pass it to {!Lazy_db.query}/{!Lazy_db.count}/
-    {!Path_query.eval} (or check it yourself in long loops) so
-    deadlines and cancels are observed {e during} the work, not only
-    at its boundaries.  A callback that ignores the guard is still
-    bounded at admission and completion. *)
+    {!Path_query.eval}/{!Path_query.count} (or check it yourself in
+    long loops) so deadlines and cancels are observed {e during} the
+    work, not only at its boundaries: the join loops check it, so a
+    cancel lands without waiting for the join.  A callback that
+    ignores the guard is still bounded at admission and completion. *)
 
 val write :
   t ->
@@ -146,27 +146,6 @@ val insert_many :
 
 val remove :
   t -> ?cancel:Lxu_util.Deadline.Cancel.t -> gp:int -> len:int -> unit -> (unit, rejection) result
-
-val count :
-  t ->
-  ?deadline_s:float ->
-  ?cancel:Lxu_util.Deadline.Cancel.t ->
-  ?axis:Lxu_util.Axis.t ->
-  anc:string ->
-  desc:string ->
-  unit ->
-  (int, rejection) result
-(** Governed {!Lazy_db.count}: the guard is threaded into Lazy-Join's
-    loops, so cancellation lands without waiting for the join — and a
-    pre-fired token rejects before the read lock is even requested. *)
-
-val path_count :
-  t ->
-  ?deadline_s:float ->
-  ?cancel:Lxu_util.Deadline.Cancel.t ->
-  string ->
-  (int, rejection) result
-(** Governed {!Path_query.count}, guard threaded through every step. *)
 
 val retry :
   ?attempts:int ->

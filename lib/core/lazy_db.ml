@@ -10,14 +10,6 @@ type t = {
   mutable closed : bool;  (* set by [close]: every later write is refused *)
 }
 
-type query_stats = {
-  pair_count : int;
-  cross_pairs : int;
-  in_pairs : int;
-  segments_skipped : int;
-  elements_scanned : int;
-}
-
 let pages_path dir = Filename.concat dir "pages"
 
 (* The page device: a real file beside the WAL when the database is
@@ -92,15 +84,7 @@ let segment_count t = Update_log.segment_count t.log
 
 let query t ?axis ?guard ~anc ~desc () =
   let pairs, stats = Lxu_join.Lazy_join.run ?axis ?guard t.log ~anc ~desc () in
-  let global = Lxu_join.Lazy_join.global_pairs t.log pairs in
-  ( global,
-    {
-      pair_count = Array.length pairs;
-      cross_pairs = stats.Lxu_join.Lazy_join.cross_pairs;
-      in_pairs = stats.Lxu_join.Lazy_join.in_pairs;
-      segments_skipped = stats.Lxu_join.Lazy_join.segments_skipped;
-      elements_scanned = stats.Lxu_join.Lazy_join.elements_fetched;
-    } )
+  (Lxu_join.Lazy_join.global_pairs t.log pairs, stats)
 
 (* Cardinality without the local->global translation of [query], and
    without the pair records: the join's flat output buffer already
@@ -129,7 +113,6 @@ let log t = Some t.log
 let snapshot t =
   { log = Update_log.freeze t.log; durable = None; pstore = None; epoch = t.epoch; closed = false }
 
-let with_snapshot t f = f (snapshot t)
 let cache_stats _ = None
 let size_bytes t = Update_log.size_bytes t.log
 
@@ -175,7 +158,6 @@ let backup t ~dir =
   | Some s -> Lxu_storage.Wal_store.backup s ~dir
 
 let storage_kind t = match t.pstore with None -> `Mem | Some _ -> `Paged
-let page_store t = t.pstore
 let page_stats t = Option.map Lxu_storage.Page_store.stats t.pstore
 
 let close t =

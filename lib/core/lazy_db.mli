@@ -25,14 +25,6 @@ type engine = LD | LS
 
 type t
 
-type query_stats = {
-  pair_count : int;
-  cross_pairs : int;  (** cross-segment pairs *)
-  in_pairs : int;  (** in-segment pairs *)
-  segments_skipped : int;  (** SL_A segments pruned by Lazy-Join *)
-  elements_scanned : int;
-}
-
 val create :
   ?engine:engine ->
   ?index_attributes:bool ->
@@ -104,11 +96,6 @@ val snapshot : t -> t
     [Invalid_argument]; queries, counts, {!text}, {!check} and
     {!save} all work. *)
 
-val with_snapshot : t -> (t -> 'a) -> 'a
-(** [with_snapshot t f] runs [f] on {!snapshot}[ t] — the multi-op
-    read-transaction surface: every query [f] issues sees the same
-    epoch no matter how many updates commit meanwhile. *)
-
 val is_snapshot : t -> bool
 
 (** {2 Updates}
@@ -158,10 +145,11 @@ val query :
   anc:string ->
   desc:string ->
   unit ->
-  (int * int) list * query_stats
+  (int * int) list * Lxu_join.Lazy_join.stats
 (** [query t ~anc ~desc ()] evaluates [anc//desc] (or [anc/desc] with
     [~axis:Child]) and returns [(anc_gstart, desc_gstart)] pairs sorted
-    by [(desc, anc)], plus evaluation statistics.
+    by [(desc, anc)], plus the join's own statistics: the pair count
+    is [cross_pairs + in_pairs].
 
     [guard] makes the join cooperative (see {!Lxu_join.Lazy_join.run}):
     evaluation raises [Lxu_util.Deadline.Cancel.Cancelled] promptly on
@@ -285,10 +273,6 @@ val wal_failed : t -> bool
 (** A WAL write raised; the handle refuses every write (see Updates). *)
 
 val storage_kind : t -> [ `Mem | `Paged ]
-
-val page_store : t -> Lxu_storage.Page_store.t option
-(** The copy-on-write page store backing the indexes ([None] under
-    [`Mem] storage and on snapshots). *)
 
 val page_stats : t -> Lxu_storage.Page_store.stats option
 (** Page-store counters — pages, free lists, generation, buffer-pool

@@ -103,7 +103,6 @@ let make cfg target =
 
 let of_governor ?(config = default_config) gov = make config (Governed gov)
 let of_db ?(config = default_config) db = make config (Direct db)
-let config t = t.cfg
 
 let stats t =
   {

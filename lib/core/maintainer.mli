@@ -98,8 +98,6 @@ val of_db : ?config:config -> Lazy_db.t -> t
     database.  The mode for [Lazy_static] stores and the [lazyxml
     compact] CLI; the caller owns all synchronization. *)
 
-val config : t -> config
-
 val tick : t -> outcome
 (** Runs at most one maintenance job and reports what happened.  Safe
     to call from any domain in governed mode.  Exceptions a job

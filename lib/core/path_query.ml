@@ -376,7 +376,5 @@ let explain ?guard db steps =
   let log, m = eval_joins ?guard ~note:(fun e -> events := e :: !events) ~auto:true db steps in
   (render (List.rev !events), extents ?guard log m)
 
-let eval_string ?plan ?guard db s = eval ?plan ?guard db (parse_exn s)
-
-let count ?(plan = `Auto) ?guard db s =
-  Lj.mask_count (snd (eval_joins ?guard ~auto:(plan = `Auto) db (parse_exn s)))
+let count ?(plan = `Auto) ?guard db steps =
+  Lj.mask_count (snd (eval_joins ?guard ~auto:(plan = `Auto) db steps))

@@ -50,6 +50,8 @@ val parse : string -> (t, string) result
 (** @return [Error _] on empty input or malformed syntax. *)
 
 val parse_exn : string -> t
+(** {!parse}, raising [Invalid_argument] on a syntax error.  {!eval},
+    {!explain} and {!count} all take the parsed steps. *)
 
 val to_string : t -> string
 
@@ -87,19 +89,11 @@ val explain :
     that can match) and its survivors.  A predicate-free chain shows
     its last step alone, candidates = survivors. *)
 
-val eval_string :
-  ?plan:[ `Auto | `Naive ] ->
-  ?guard:Lxu_util.Deadline.guard ->
-  Lazy_db.t ->
-  string ->
-  (int * int) list
-(** [parse] + [eval]. @raise Invalid_argument on a syntax error. *)
-
 val count :
   ?plan:[ `Auto | `Naive ] ->
   ?guard:Lxu_util.Deadline.guard ->
   Lazy_db.t ->
-  string ->
+  t ->
   int
 (** The number of [eval]'s matches without building them: a popcount
     of the last step's survivors.  No extent is translated. *)

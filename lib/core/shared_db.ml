@@ -19,7 +19,11 @@ type t = {
   writes_done : int Atomic.t;
 }
 
-let wrap db =
+let of_db db =
+  if Lazy_db.is_snapshot db then
+    invalid_arg "Shared_db.of_db: a frozen snapshot cannot take writes";
+  if Lazy_db.engine db = Lazy_db.LS then
+    invalid_arg "Shared_db.of_db: LS queries mutate the log; use LD";
   let v0 = { v_epoch = Lazy_db.epoch db; v_db = Lazy_db.snapshot db; v_pins = 0 } in
   {
     db;
@@ -30,8 +34,6 @@ let wrap db =
     reads_done = Atomic.make 0;
     writes_done = Atomic.make 0;
   }
-
-let create ?index_attributes ?durability () = wrap (Lazy_db.create ?index_attributes ?durability ())
 
 (* --- MVCC internals -------------------------------------------------- *)
 
@@ -126,24 +128,12 @@ let snapshot_epoch s = s.s_version.v_epoch
 
 (* --------------------------------------------------------------------- *)
 
-let recover dir =
-  let db, report = Lazy_db.recover dir in
-  if Lazy_db.engine db = Lazy_db.LS then
-    invalid_arg "Shared_db.recover: LS queries mutate the log; use LD";
-  (wrap db, report)
-
-let insert t ~gp text = write t (fun db -> Lazy_db.insert db ~gp text)
-let insert_many t edits = write t (fun db -> Lazy_db.insert_many db edits)
-let remove t ~gp ~len = write t (fun db -> Lazy_db.remove db ~gp ~len)
-
 (* WAL appends happen inside Lazy_db's update path, so they are
    already serialized under the writer lock; checkpoint takes the same
    lock to snapshot a quiescent log.  Neither commits an epoch, so no
    new version is published. *)
 let checkpoint t = write t Lazy_db.checkpoint
 let close t = write t Lazy_db.close
-let count t ?axis ~anc ~desc () = read t (fun db -> Lazy_db.count db ?axis ~anc ~desc ())
-let path_count t path = read t (fun db -> Path_query.count db path)
 
 let stats t = (Atomic.get t.reads_done, Atomic.get t.writes_done)
 

@@ -16,25 +16,25 @@
 
     The engine is always [LD].  [LS] is not served — its deferred
     sorting makes the first query after an update a writer, defeating
-    shared reads (use {!Lazy_db.with_snapshot} directly for
-    single-writer LS setups). *)
+    shared reads (use {!Lazy_db.snapshot} directly for single-writer
+    LS setups).
+
+    This layer adds only the versions, the pins and the writer lock:
+    every query and update is a {!Lazy_db} call inside {!read} or
+    {!write}, e.g.
+    [Shared_db.write t (fun db -> Lazy_db.insert db ~gp text)]. *)
 
 type t
 
-val create :
-  ?index_attributes:bool ->
-  ?durability:[ `None | `Wal of string ] ->
-  unit ->
-  t
-(** [durability] as in {!Lazy_db.create}: writers append their WAL
-    records under the writer lock, so the on-disk log always reflects a serializable
-    update history.  The database is an [LD] one. *)
-
-val recover : string -> t * Lxu_storage.Recovery.report
-(** Restores a crashed durable database (see {!Lazy_db.recover}) and
-    wraps it for shared access.
-    @raise Invalid_argument if the recovered log is [LS]-mode — the
-    only place this module rejects an engine. *)
+val of_db : Lazy_db.t -> t
+(** Takes over a live database — fresh ({!Lazy_db.create}), loaded or
+    recovered ({!Lazy_db.recover}) — for shared access; from here on
+    it is touched only through {!read} and {!write}.  A durable
+    database's writers append their WAL records under the writer
+    lock, so the on-disk log always reflects a serializable update
+    history.
+    @raise Invalid_argument on an [LS] database or a {!Lazy_db.snapshot}
+    — the only place this module checks either. *)
 
 val checkpoint : t -> unit
 (** Snapshots and rotates the WAL under the writer lock.  Commits no
@@ -43,24 +43,6 @@ val checkpoint : t -> unit
 
 val close : t -> unit
 (** Closes the WAL (if any) under the writer lock. *)
-
-val insert : t -> gp:int -> string -> unit
-(** Serialized update; publishes a new snapshot on success. *)
-
-val insert_many : t -> (int * string) list -> unit
-(** Batched serialized update: the whole batch is applied — and its
-    WAL record group flushed — under one writer-lock hold (see
-    {!Lazy_db.insert_many}) and published as {e one} snapshot version,
-    so readers never observe a partially applied batch. *)
-
-val remove : t -> gp:int -> len:int -> unit
-(** Serialized update; publishes a new snapshot on success. *)
-
-val count : t -> ?axis:Lxu_util.Axis.t -> anc:string -> desc:string -> unit -> int
-(** Lock-free snapshot query. *)
-
-val path_count : t -> string -> int
-(** Lock-free snapshot path-expression query. *)
 
 val read : t -> (Lazy_db.t -> 'a) -> 'a
 (** Runs [f] against the newest published snapshot, pinned for the
@@ -72,11 +54,12 @@ val read : t -> (Lazy_db.t -> 'a) -> 'a
 val write : t -> (Lazy_db.t -> 'a) -> 'a
 (** Runs [f] on the live database under the writer lock.  All epochs
     [f] commits are published as one new snapshot version when it
-    returns (also on exception: every committed {!Lazy_db} op is
-    all-or-nothing, so whatever prefix committed is consistent and
-    becomes visible) — except when a WAL write failed during [f]
-    ({!Lazy_db.wal_failed}): then nothing is published and readers
-    keep the last published version. *)
+    returns, so readers see a batch ({!Lazy_db.insert_many}) or
+    several updates made in one [f] as one version.  On exception too:
+    every committed {!Lazy_db} op is all-or-nothing, so whatever
+    prefix committed is consistent and becomes visible — except when a
+    WAL write failed during [f] ({!Lazy_db.wal_failed}): then nothing
+    is published and readers keep the last published version. *)
 
 (** {2 Explicit snapshot handles}
 

@@ -73,7 +73,7 @@ val run :
 
     [guard] makes the join cooperative: the segment-merge loop, every
     SL_D entry's join, every cross frame and every in-segment merge
-    step call {!Lxu_util.Deadline.check}, so the run raises
+    step call {!Lxu_util.Deadline.check_opt}, so the run raises
     [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
     deadline expiring or the token firing.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)

@@ -103,11 +103,6 @@ val remove_pid : t -> tid:int -> int -> unit
 (** [remove_pid t ~tid pid] decrements one removed element of tag
     [tid] on slot [pid] (partial removal, tombstoning). *)
 
-val iter : t -> (int array -> int -> unit) -> unit
-(** [iter t f] calls [f path count] for every distinct live path, in
-    slot order.  Paths are root-to-element tag-id arrays, shared — do
-    not mutate. *)
-
 val to_sorted_list : t -> (int list * int) list
 (** Deterministic dump for tests, sorted by path. *)
 

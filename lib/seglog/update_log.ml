@@ -646,8 +646,20 @@ let elements_cols t ~tid ~sid = Er_node.cols (node_of_sid t sid) ~tid
 
 (* --- materialization oracle ---------------------------------------- *)
 
-let materialize t =
-  let buf = Buffer.create (doc_length t + 16) in
+(* The live bytes in document order, kept only inside the global range
+   [gp, gp + len): [pos] is the global position of the next live byte,
+   and a child subtree outside the range is passed over by its
+   length. *)
+let materialize_range t ~gp ~len =
+  let hi = gp + len in
+  let buf = Buffer.create len in
+  let pos = ref 0 in
+  (* The next [k] live bytes, [text.[s .. s + k)]. *)
+  let add text s k =
+    let a = max gp !pos and b = min hi (!pos + k) in
+    if a < b then Buffer.add_substring buf text (s + a - !pos) (b - a);
+    pos := !pos + k
+  in
   let rec emit (n : Er_node.t) =
     (* Emits live own text of virtual range [u, v). *)
     let emit_own u v =
@@ -655,23 +667,25 @@ let materialize t =
       Vec.iter
         (fun (a, b) ->
           if b > u && a < v then begin
-            if a > !cursor then Buffer.add_substring buf n.text !cursor (a - !cursor);
+            if a > !cursor then add n.text !cursor (a - !cursor);
             cursor := max !cursor (min b v)
           end)
         n.tombstones;
-      if !cursor < v then Buffer.add_substring buf n.text !cursor (v - !cursor)
+      if !cursor < v then add n.text !cursor (v - !cursor)
     in
     let cursor = ref 0 in
     Vec.iter
       (fun (c : Er_node.t) ->
         emit_own !cursor c.lp;
-        emit c;
+        if !pos < hi && !pos + c.len > gp then emit c else pos := !pos + c.len;
         cursor := c.lp)
       n.children;
     emit_own !cursor n.orig_len
   in
   emit t.root;
   Buffer.contents buf
+
+let materialize t = materialize_range t ~gp:0 ~len:(doc_length t)
 
 let global_elements t ~tag =
   match Tag_registry.find t.registry tag with

@@ -181,7 +181,14 @@ val synopsis_rebuilt : t -> Path_synopsis.t
 val materialize : t -> string
 (** Reconstructs the full super-document text from the ER-tree — the
     correctness oracle: it must equal the text produced by applying
-    the same edits to a plain string. *)
+    the same edits to a plain string.  The whole-document case of
+    {!materialize_range}. *)
+
+val materialize_range : t -> gp:int -> len:int -> string
+(** The [len] bytes of the document at global position [gp]
+    ([String.sub (materialize t) gp len] for an in-bounds range),
+    built without the rest of the document: subtrees outside the
+    range are passed over by their length. *)
 
 val global_elements : t -> tag:string -> (int * int * int) list
 (** [(gstart, gstop, level)] of every live element of the tag, in

@@ -1,7 +1,7 @@
 (* Shadow-paged store: copy-on-write pages under double-buffered meta.
 
    Pages referenced by the last durable meta are immutable this epoch;
-   mutating one relocates it to a fresh pid ({!cow}).  A checkpoint
+   a mutator writes the new content to a fresh pid.  A checkpoint
    flushes dirty frames, serializes the free list into fresh chain
    pages, syncs, then publishes a new meta page (generation g lands on
    pid [1 + g mod 2]) and syncs again — so at every instant one of the
@@ -56,7 +56,6 @@ type t = {
   roots : (string, root_info) Hashtbl.t;
   mutable allocs : int;
   mutable frees : int;
-  mutable cows : int;
 }
 
 (* --- word access into page payloads (int64 LE; pids/sizes fit) --- *)
@@ -213,7 +212,7 @@ let create ~device ?(page_size = default_page_size) ?pool_bytes () =
   let t =
     { pf; pool; gen = 0; ckpt_lsn = -1; high_water = 3; reusable = []; pending = [];
       chain = []; fresh = Hashtbl.create 64; roots = Hashtbl.create 8; allocs = 0;
-      frees = 0; cows = 0 }
+      frees = 0 }
   in
   write_header device ~page_size;
   write_meta t;
@@ -240,7 +239,7 @@ let open_existing ~device ?pool_bytes () =
   let gen, ckpt_lsn, high_water, chain_head, roots = best in
   let t =
     { pf; pool; gen; ckpt_lsn; high_water; reusable = []; pending = []; chain = [];
-      fresh = Hashtbl.create 64; roots; allocs = 0; frees = 0; cows = 0 }
+      fresh = Hashtbl.create 64; roots; allocs = 0; frees = 0 }
   in
   let pids, chain_pages = read_chain t chain_head in
   t.reusable <- pids;
@@ -287,7 +286,7 @@ let with_page t pid f =
 
 let with_page_mut t pid f =
   if not (Hashtbl.mem t.fresh pid) then
-    invalid_arg "Page_store.with_page_mut: page is not fresh (cow it first)";
+    invalid_arg "Page_store.with_page_mut: page is not fresh (write a fresh copy instead)";
   let frame = Buffer_pool.pin t.pool pid ~read:true in
   Buffer_pool.mark_dirty t.pool frame;
   Fun.protect ~finally:(fun () -> Buffer_pool.unpin t.pool frame)
@@ -300,28 +299,6 @@ let write_fresh t pid f =
   Buffer_pool.mark_dirty t.pool frame;
   Fun.protect ~finally:(fun () -> Buffer_pool.unpin t.pool frame)
     (fun () -> f frame.Buffer_pool.buf)
-
-let cow t pid =
-  if Hashtbl.mem t.fresh pid then pid
-  else begin
-    t.cows <- t.cows + 1;
-    let fresh_pid = alloc t in
-    let src = Buffer_pool.pin t.pool pid ~read:true in
-    let copied =
-      match
-        let dst = Buffer_pool.pin t.pool fresh_pid ~read:false in
-        Bytes.blit src.Buffer_pool.buf 0 dst.Buffer_pool.buf 0 (payload_bytes t);
-        Buffer_pool.mark_dirty t.pool dst;
-        Buffer_pool.unpin t.pool dst
-      with
-      | () -> Ok ()
-      | exception e -> Error e
-    in
-    Buffer_pool.unpin t.pool src;
-    (match copied with Ok () -> () | Error e -> raise e);
-    free t pid;
-    fresh_pid
-  end
 
 (* --- roots --- *)
 
@@ -363,7 +340,6 @@ let stats t =
   { page_size = page_size t; pages = t.high_water; reusable_pages = List.length t.reusable;
     pending_pages = List.length t.pending; fresh_pages = Hashtbl.length t.fresh;
     generation = t.gen; ckpt_lsn = t.ckpt_lsn; allocs = t.allocs; frees = t.frees;
-    cows = t.cows; pool = Buffer_pool.stats t.pool }
+    cows = 0; pool = Buffer_pool.stats t.pool }
 
-let device t = Page_file.device t.pf
 let pool t = t.pool

@@ -3,8 +3,9 @@
     {!Buffer_pool}.
 
     The contract that makes recovery trivial: {e pages referenced by
-    the last durable meta are never overwritten}.  Mutators call
-    {!cow} to relocate such a page to a fresh pid first; {!checkpoint}
+    the last durable meta are never overwritten}.  A mutator writes
+    such a page's new content to a fresh pid ({!alloc},
+    {!write_fresh}) and {!free}s the old one; {!checkpoint}
     flushes dirty frames, serializes the free list, syncs, and only
     then publishes a new meta page (generation [g] goes to pid
     [1 + g mod 2]) before syncing again.  A crash at any point leaves
@@ -30,7 +31,7 @@ type stats = {
   ckpt_lsn : int;
   allocs : int;
   frees : int;
-  cows : int;
+  cows : int;  (** always 0: the paged B+-tree relocates its own pages *)
   pool : Buffer_pool.stats;
 }
 
@@ -68,12 +69,6 @@ val free : t -> int -> unit
 val is_fresh : t -> int -> bool
 (** Was [pid] allocated this epoch (and hence mutable in place)? *)
 
-val cow : t -> int -> int
-(** [cow t pid] returns a pid whose page holds the same payload and
-    may be mutated: [pid] itself when fresh, else a fresh copy ([pid]
-    is freed).  Callers must rewrite parent pointers to the returned
-    pid. *)
-
 val with_page : t -> int -> (bytes -> 'a) -> 'a
 (** Read access to the page payload, pinned for the callback's
     duration.  The callback must not retain the buffer.
@@ -105,5 +100,4 @@ val checkpoint_lsn : t -> int
     checkpointed. *)
 
 val stats : t -> stats
-val device : t -> Sim_file.t
 val pool : t -> Buffer_pool.t

@@ -125,10 +125,9 @@ let apply_run ?pstore log = function
        insert of the same bytes.  The remove checks splits only at
        element granularity, so parse the slice before it: a range cut
        inside a comment must be refused while nothing has moved. *)
-    let whole = Update_log.materialize log in
-    if gp < 0 || len <= 0 || gp + len > String.length whole then
+    if gp < 0 || len <= 0 || gp + len > Update_log.doc_length log then
       invalid_arg "Recovery.replay: pack range out of bounds";
-    let slice = String.sub whole gp len in
+    let slice = Update_log.materialize_range log ~gp ~len in
     ignore (Lxu_xml.Parser.parse_fragment slice);
     Update_log.remove log ~gp ~len;
     ignore (Update_log.insert log ~gp slice);

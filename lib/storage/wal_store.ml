@@ -12,7 +12,6 @@ type t = {
 let wal_path dir = Filename.concat dir "wal"
 let snapshot_path dir = Filename.concat dir "snapshot"
 let dir t = t.dir
-let next_lsn t = Wal.next_lsn t.wal
 let device t = Wal.device t.wal
 let failed t = t.failed <> None
 let make dir wal = { dir; wal; batching = false; closed = false; failed = None }

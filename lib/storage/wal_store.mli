@@ -15,7 +15,6 @@ val wal_path : string -> string
 val snapshot_path : string -> string
 
 val dir : t -> string
-val next_lsn : t -> int
 
 val wal_bytes : t -> int
 (** Current size of the live WAL file — the maintenance scheduler's

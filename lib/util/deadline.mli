@@ -15,8 +15,8 @@
     {- a {!Cancel.t} — an atomic flag any domain can flip, carrying a
        reason, that running operations observe cooperatively.}}
 
-    Both are consumed through a {!guard}: loops call {!check} at their
-    boundaries (per segment entry, per join unit, per descendant
+    Both are consumed through a {!guard}: loops call {!check_opt} at
+    their boundaries (per segment entry, per join unit, per descendant
     scan), and the guard raises {!Cancel.Cancelled} once the deadline
     passed or the token fired.  The cancellation check is one atomic
     load; clock probes are amortized over 64 checks, so a
@@ -32,9 +32,6 @@ val now : unit -> float
 type t
 (** An absolute deadline on the {!now} clock. *)
 
-val never : t
-(** The deadline that never expires. *)
-
 val after : float -> t
 (** [after s] expires [s] seconds from now ([s <= 0.] is already
     expired). *)
@@ -48,7 +45,7 @@ module Cancel : sig
     | User of string  (** {!cancel} was called, with its reason *)
 
   exception Cancelled of reason
-  (** Raised by {!val:check} from inside a governed operation; the
+  (** Raised by {!check_opt} from inside a governed operation; the
       governor layer catches it at the operation boundary and turns it
       into a typed rejection. *)
 
@@ -73,12 +70,10 @@ val guard : ?deadline:t -> ?cancel:Cancel.t -> unit -> guard option
     callers thread [guard option] and pay a single branch on the
     ungoverned path. *)
 
-val check : guard -> unit
-(** @raise Cancel.Cancelled with [Timeout] once the deadline passed,
+val check_opt : guard option -> unit
+(** [None] is a no-op.  [Some g]
+    @raise Cancel.Cancelled with [Timeout] once the deadline passed,
     or with the token's reason once it fired.  The token is read on
     every call; the clock only every 64th call (a guard shared by
     several domains may probe more often — the counter is racy by
     design, never the outcome). *)
-
-val check_opt : guard option -> unit
-(** {!check} through the option; [None] is a no-op. *)

@@ -8,17 +8,10 @@
     distributions.  Deterministic in the seed; size scales linearly
     with [persons]. *)
 
-val generate :
-  ?persons:int ->
-  ?items:int ->
-  ?categories:int ->
-  seed:int ->
-  unit ->
-  Lxu_xml.Tree.node list
-(** Defaults: 100 persons, 60 items, 10 categories. *)
-
 val generate_text :
   ?persons:int -> ?items:int -> ?categories:int -> seed:int -> unit -> string
+(** The document's text.  Defaults: 100 persons, 60 items, 10
+    categories. *)
 
 val queries : (string * string * string) list
 (** The paper's Figure 14 queries as [(name, anc, desc)]:

@@ -93,6 +93,8 @@ let check ~ctx expected db =
     failwith
       (Printf.sprintf "%s: recovered state diverges\n  expected %S\n  got      %S" ctx expected got)
 
+let engine_name = function Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS"
+
 let with_replay ~seed ~target_ops ?(params = "") schedule f =
   try f ()
   with Failure msg ->
@@ -154,6 +156,10 @@ module Reference = struct
 
   let check t ~ctx k db =
     let expected = try at t k with Failure msg -> failwith (ctx ^ ": " ^ msg) in
+    if Lazy_db.engine db <> Lazy_db.engine t.db then
+      failwith
+        (Printf.sprintf "%s: the store is %s, the reference %s" ctx
+           (engine_name (Lazy_db.engine db)) (engine_name (Lazy_db.engine t.db)));
     let got = t.fingerprint db in
     if got <> expected then
       failwith
@@ -285,10 +291,10 @@ let refused ~ctx what f =
    every later write, checkpoint and backup, and [close] drops the
    refused group — so recovery lands exactly on the state after the
    first [f] ops, at LSN [f]. *)
-let check_wal_failure ?checkpoint_at ~seed ~ops ~reference f =
+let check_wal_failure ?engine ?checkpoint_at ~seed ~ops ~reference f =
   let ctx = Printf.sprintf "seed %d wal failure at op %d" seed f in
   with_dir "walfail" (fun dir ->
-      let db = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      let db = Lazy_db.create ?engine ~index_attributes:true ~durability:(`Wal dir) () in
       List.iteri
         (fun i op ->
           if i < f then begin
@@ -330,14 +336,14 @@ let fault_to_string = function
   | Sim_file.Bit_flip k -> Printf.sprintf "bitflip %d" k
   | Sim_file.Duplicate_tail k -> Printf.sprintf "dup %d" k
 
-let run_one_inner ?checkpoint_at ~wal_fail_every ~seed ~ops () =
+let run_one_inner ?engine ?checkpoint_at ~wal_fail_every ~seed ~ops () =
   let n = List.length ops in
   let checkpoint_at =
     match checkpoint_at with Some k when k >= n -> None | other -> other
   in
-  let reference = Reference.create () in
+  let reference = Reference.create ?engine () in
   with_dir "wal" (fun dir ->
-      let durable = Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) () in
+      let durable = Lazy_db.create ?engine ~index_attributes:true ~durability:(`Wal dir) () in
       List.iteri
         (fun i op ->
           apply durable op;
@@ -387,24 +393,26 @@ let run_one_inner ?checkpoint_at ~wal_fail_every ~seed ~ops () =
       for f = 0 to n - 1 do
         if f mod wal_fail_every = 0 then begin
           incr recoveries;
-          check_wal_failure ?checkpoint_at ~seed ~ops ~reference f
+          check_wal_failure ?engine ?checkpoint_at ~seed ~ops ~reference f
         end
       done;
       !recoveries)
 
-let run_one ?checkpoint_at ~wal_fail_every ~seed ~target_ops () =
+let run_one ?engine ?checkpoint_at ~wal_fail_every ~seed ~target_ops () =
   let ops = gen_ops ~seed ~target_ops in
   (* Any divergence reports the exact schedule: the seed regenerates
      it, and the printed prefix replays even without the generator. *)
   with_replay ~seed ~target_ops
+    ~params:(Printf.sprintf " engine=%s" (engine_name (Option.value engine ~default:Lazy_db.LD)))
     (fun () -> ops)
-    (run_one_inner ?checkpoint_at ~wal_fail_every ~seed ~ops)
+    (run_one_inner ?engine ?checkpoint_at ~wal_fail_every ~seed ~ops)
 
-let run_matrix ~seeds ~target_ops ~wal_fail_every =
+let run_matrix ?(engine = Lazy_db.LD) ~seeds ~target_ops ~wal_fail_every () =
   List.iter
     (fun seed ->
       let checkpoint_at = if seed mod 3 = 0 then Some (target_ops / 2) else None in
-      let recoveries = run_one ?checkpoint_at ~wal_fail_every ~seed ~target_ops () in
-      Printf.printf "crash matrix seed %d: %d recoveries ok%s\n%!" seed recoveries
+      let recoveries = run_one ~engine ?checkpoint_at ~wal_fail_every ~seed ~target_ops () in
+      Printf.printf "crash matrix %s seed %d: %d recoveries ok%s\n%!" (engine_name engine) seed
+        recoveries
         (match checkpoint_at with Some k -> Printf.sprintf " (checkpoint at %d)" k | None -> ""))
     seeds

@@ -95,9 +95,11 @@ module Reference : sig
       @raise Failure for an LSN outside [0, lsn]. *)
 
   val check : t -> ctx:string -> int -> Lazy_xml.Lazy_db.t -> unit
-  (** [check r ~ctx k db]: [db] fingerprints as the reference at LSN
-      [k].  @raise Failure with [ctx] and both fingerprints, or when
-      [k] is outside [0, lsn]. *)
+  (** [check r ~ctx k db]: [db] has the reference's engine and
+      fingerprints as the reference at LSN [k], so every recovery
+      checked here also comes back with the engine it was written
+      with.  @raise Failure with [ctx] and both fingerprints, when the
+      engines differ, or when [k] is outside [0, lsn]. *)
 end
 
 (** {2 Files} *)
@@ -161,8 +163,16 @@ val check_tail_fault :
     @raise Failure on divergence. *)
 
 val run_one :
-  ?checkpoint_at:int -> wal_fail_every:int -> seed:int -> target_ops:int -> unit -> int
-(** One workload: boundary sweep plus fault injection; with
+  ?engine:Lazy_xml.Lazy_db.engine ->
+  ?checkpoint_at:int ->
+  wal_fail_every:int ->
+  seed:int ->
+  target_ops:int ->
+  unit ->
+  int
+(** One workload on an [engine] store (default [LD]): the durable
+    store, the WAL-failure stores and the {!Reference} all use it.
+    Boundary sweep plus fault injection; with
     [checkpoint_at = k] the database checkpoints after operation [k]
     and every recovery goes through [snapshot + WAL suffix] on disk.
     The WAL-failure layer then reruns the schedule once per
@@ -174,7 +184,14 @@ val run_one :
     [f] operations.  Returns the number of recoveries performed.
     @raise Failure on any divergence. *)
 
-val run_matrix : seeds:int list -> target_ops:int -> wal_fail_every:int -> unit
-(** {!run_one} for every seed (every third one checkpointing
-    mid-workload), printing one progress line per seed.
+val run_matrix :
+  ?engine:Lazy_xml.Lazy_db.engine ->
+  seeds:int list ->
+  target_ops:int ->
+  wal_fail_every:int ->
+  unit ->
+  unit
+(** {!run_one} on [engine] (default [LD]) for every seed (every third
+    one checkpointing mid-workload), printing one progress line per
+    seed.
     @raise Failure on the first diverging seed. *)

@@ -23,7 +23,7 @@ let run_one ~seed ~target_ops () =
   (* A reader pinned at epoch k must observe the reference's state at
      LSN k, byte for byte. *)
   let reference = Crash_harness.Reference.of_ops ops in
-  let t = Shared_db.create ~index_attributes:true () in
+  let t = Shared_db.of_db (Lazy_db.create ~index_attributes:true ()) in
   let reads_checked = Atomic.make 0 in
   let stop = Atomic.make false in
   let reader_errors = Array.make n_readers None in
@@ -176,10 +176,9 @@ let prop_snapshot_replay ~count =
               (try Lazy_db.check snap with Failure msg -> failwith (ctx ^ ": " ^ msg));
               Crash_harness.Reference.check reference ~ctx e snap)
             !pinned;
-          (* with_snapshot at the final epoch = the live state. *)
-          Lazy_db.with_snapshot db (fun s ->
-              Crash_harness.Reference.check reference
-                ~ctx:(Printf.sprintf "seed %d %s: final snapshot" seed ename)
-                (List.length ops) s))
+          (* A snapshot at the final epoch = the live state. *)
+          Crash_harness.Reference.check reference
+            ~ctx:(Printf.sprintf "seed %d %s: final snapshot" seed ename)
+            (List.length ops) (Lazy_db.snapshot db))
         [ (Lazy_db.LD, "LD"); (Lazy_db.LS, "LS") ];
       true)

@@ -34,6 +34,15 @@ let note t = function
    physical segment count, which this differential never compared. *)
 let fingerprint db = Crash_harness.fingerprint ~segments:false db
 
+(* The governed reads the pressure phases issue, each under a 0.5 s
+   deadline with the guard threaded into the join. *)
+let count gov ~anc ~desc =
+  Governor.read gov ~deadline_s:0.5 (fun guard db -> Lazy_db.count db ?guard ~anc ~desc ())
+
+let path_count gov path =
+  Governor.read gov ~deadline_s:0.5 (fun guard db ->
+      Path_query.count ?guard db (Path_query.parse_exn path))
+
 let n_victims = 2
 let n_readers = 3
 let n_writers = 3
@@ -117,9 +126,8 @@ let run_one ~seed () =
                          if Deadline.now () < backstop then spin ()
                        in
                        spin ()))
-              | 1 -> note t (Governor.count gov ~deadline_s:0.5 ~anc ~desc ())
-              | _ ->
-                note t (Governor.path_count gov ~deadline_s:0.5 (Printf.sprintf "//%s//%s" anc desc))
+              | 1 -> note t (count gov ~anc ~desc)
+              | _ -> note t (path_count gov (Printf.sprintf "//%s//%s" anc desc))
             done))
   in
   let writer_tallies = Array.init n_writers (fun _ -> tally ()) in
@@ -191,11 +199,8 @@ let run_one ~seed () =
               let anc = Rng.pick rng Crash_harness.vocabulary in
               let desc = Rng.pick rng Crash_harness.vocabulary in
               (try
-                 if Rng.bool rng then note t (Governor.count gov ~deadline_s:0.5 ~anc ~desc ())
-                 else
-                   note t
-                     (Governor.path_count gov ~deadline_s:0.5
-                        (Printf.sprintf "//%s//%s" anc desc))
+                 if Rng.bool rng then note t (count gov ~anc ~desc)
+                 else note t (path_count gov (Printf.sprintf "//%s//%s" anc desc))
                with Lxu_seglog.Tag_list.Dirty_tag_list _ -> Atomic.incr dirty_seen)
             done))
   in

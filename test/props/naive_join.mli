@@ -1,8 +1,12 @@
-(** Quadratic reference join — the test oracle.
+(** Reference join — the test oracle.
 
-    Checks containment of every ancestor/descendant label pair by
-    brute force.  Only for correctness testing of the real
-    algorithms. *)
+    Checks containment of every ancestor/descendant label pair that
+    can hold one: the descendants are sorted by start once, and each
+    ancestor tests only those whose start lies inside it, found by
+    binary search.  The test itself is the brute-force one
+    ([a.start < d.start && a.stop > d.stop], plus the level for
+    [Child]); labels are extents, [start < stop].  Only for
+    correctness testing of the real algorithms. *)
 
 val join :
   ?axis:Lxu_util.Axis.t ->

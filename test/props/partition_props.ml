@@ -101,7 +101,7 @@ let agree db text steps =
   List.for_all
     (fun plan ->
       let got = Path_query.eval ~plan db steps in
-      let counted = Path_query.count ~plan db path in
+      let counted = Path_query.count ~plan db steps in
       (got = expected
       || QCheck2.Test.fail_reportf "%s under %s on %s: got %s, the oracle says %s on %S" path
            (plan_name plan) (store_name db) (show got) (show expected) text)

@@ -1,9 +1,11 @@
 (* The slow acceptance tier:
 
-   - the full crash-recovery matrix: >= 30 randomized workloads, each
-     crashed at every WAL record boundary and under injected torn /
-     bit-flipped / duplicated tails, and rerun with the WAL refusing
-     the write of each operation in turn (a full disk);
+   - the full crash-recovery matrix: >= 30 randomized workloads on LD
+     and again on LS, each crashed at every WAL record boundary and
+     under injected torn / bit-flipped / duplicated tails, and rerun
+     with the WAL refusing the write of each operation in turn (a full
+     disk), every recovery coming back with the engine it was written
+     with;
    - the full overload chaos matrix: LD x several seeds, each run
      asserting
      typed shedding, bounded cancellation, a torn-state-free
@@ -68,12 +70,15 @@ let () =
   let seeds = int_env "LXU_CRASH_SEEDS" 48 in
   let target_ops = int_env "LXU_CRASH_OPS" 48 in
   Printf.printf
-    "crash matrix: %d workloads x ~%d ops, every record boundary + 3 faults + a refused WAL write at every op each\n%!"
+    "crash matrix: %d workloads x ~%d ops on LD and on LS, every record boundary + 3 faults + a refused WAL write at every op each\n%!"
     seeds target_ops;
-  Lxu_crash_harness.Crash_harness.run_matrix
-    ~seeds:(List.init seeds (fun i -> i + 1))
-    ~target_ops ~wal_fail_every:1;
-  Printf.printf "crash matrix: all %d workloads recovered byte-identically\n%!" seeds;
+  List.iter
+    (fun engine ->
+      Lxu_crash_harness.Crash_harness.run_matrix ~engine
+        ~seeds:(List.init seeds (fun i -> i + 1))
+        ~target_ops ~wal_fail_every:1 ())
+    [ Lazy_xml.Lazy_db.LD; Lazy_xml.Lazy_db.LS ];
+  Printf.printf "crash matrix: all %d workloads recovered byte-identically on both engines\n%!" seeds;
   let overload_seeds = int_env "LXU_OVERLOAD_SEEDS" 6 in
   Printf.printf "overload matrix: LD x %d seeds\n%!" overload_seeds;
   Lxu_crash_harness.Overload_harness.run_matrix ~seeds:(List.init overload_seeds (fun i -> i + 1));

@@ -92,11 +92,16 @@ let test_pre_cancelled_skips_lock () =
   spin_until entered;
   let tok = Deadline.Cancel.create () in
   Deadline.Cancel.cancel ~reason:"gone" tok;
-  (match Governor.count gov ~cancel:tok ~anc:"a" ~desc:"b" () with
+  (match
+     Governor.read gov ~cancel:tok (fun guard db -> Lazy_db.count db ?guard ~anc:"a" ~desc:"b" ())
+   with
   | Error (Governor.Cancelled "gone") -> ()
   | Error r -> Alcotest.fail ("unexpected rejection: " ^ Governor.rejection_to_string r)
   | Ok _ -> Alcotest.fail "cancelled count returned a result");
-  (match Governor.path_count gov ~cancel:tok "//a//b" with
+  (match
+     Governor.read gov ~cancel:tok (fun guard db ->
+         Path_query.count ?guard db (Path_query.parse_exn "//a//b"))
+   with
   | Error (Governor.Cancelled "gone") -> ()
   | _ -> Alcotest.fail "cancelled path_count not rejected");
   Atomic.set release true;
@@ -138,9 +143,12 @@ let test_failed_callback_releases_slot () =
   (match Governor.read gov (fun _ _ -> invalid_arg "boom") with
   | exception Invalid_argument _ -> ()
   | Ok _ | Error _ -> Alcotest.fail "raising callback did not propagate");
-  (* A malformed path through the convenience wrapper takes the same
+  (* A malformed path parsed inside the callback takes the same
      escape path (Path_query.parse_exn raises Invalid_argument). *)
-  (match Governor.path_count gov "not //a path" with
+  (match
+     Governor.read gov (fun guard db ->
+         Path_query.count ?guard db (Path_query.parse_exn "not //a path"))
+   with
   | exception Invalid_argument _ -> ()
   | Ok _ -> Alcotest.fail "malformed path produced a count"
   | Error r -> Alcotest.fail ("malformed path typed-rejected: " ^ Governor.rejection_to_string r));
@@ -158,7 +166,10 @@ let test_failed_callback_releases_slot () =
 let test_deadline_pre_admission () =
   let gov = Governor.create ~config:small_config () in
   seeded_db gov;
-  match Governor.count gov ~deadline_s:(-1.) ~anc:"a" ~desc:"b" () with
+  match
+    Governor.read gov ~deadline_s:(-1.) (fun guard db ->
+        Lazy_db.count db ?guard ~anc:"a" ~desc:"b" ())
+  with
   | Error (Governor.Timed_out { after_s }) ->
     check_bool "rejected at admission" true (after_s = 0.)
   | Error r -> Alcotest.fail ("unexpected rejection: " ^ Governor.rejection_to_string r)

@@ -14,9 +14,9 @@ let check_bool = Alcotest.(check bool)
 
 let test_pinned_across_pack_and_checkpoint () =
   Crash_harness.with_dir "mvcc_wal" (fun dir ->
-      let t = Shared_db.create ~index_attributes:true ~durability:(`Wal dir) () in
-      Shared_db.insert t ~gp:0 "<a><b/><b/></a>";
-      Shared_db.insert t ~gp:3 "<c><b/></c>";
+      let t = Shared_db.of_db (Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) ()) in
+      Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<a><b/><b/></a>");
+      Shared_db.write t (fun db -> Lazy_db.insert db ~gp:3 "<c><b/></c>");
       let segs_before = Shared_db.read t Lazy_db.segment_count in
       let s = Shared_db.begin_snapshot t in
       let fp0 = Crash_harness.fingerprint (Shared_db.snapshot_db s) in
@@ -48,12 +48,12 @@ let test_pinned_across_pack_and_checkpoint () =
 (* --- Shared_db MVCC mechanics ---------------------------------------- *)
 
 let test_version_lifecycle () =
-  let t = Shared_db.create ~index_attributes:true () in
-  Shared_db.insert t ~gp:0 "<a><b/><b/></a>";
-  ignore (Shared_db.count t ~anc:"a" ~desc:"b" ());
+  let t = Shared_db.of_db (Lazy_db.create ~index_attributes:true ()) in
+  Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<a><b/><b/></a>");
+  ignore (Shared_db.read t (fun db -> Lazy_db.count db ~anc:"a" ~desc:"b" ()));
   check_int "epoch after insert" 1 (Shared_db.current_epoch t);
   let s = Shared_db.begin_snapshot t in
-  Shared_db.remove t ~gp:3 ~len:4;
+  Shared_db.write t (fun db -> Lazy_db.remove db ~gp:3 ~len:4);
   check_int "epoch after remove" 2 (Shared_db.current_epoch t);
   (match Shared_db.mvcc_stats t with
   | Some m ->
@@ -63,7 +63,7 @@ let test_version_lifecycle () =
   (* The pin reads pre-remove state — the segment's old columns —
      while the live side reads post-remove state. *)
   check_int "pinned count" 2 (Lazy_db.count (Shared_db.snapshot_db s) ~anc:"a" ~desc:"b" ());
-  check_int "live count" 1 (Shared_db.count t ~anc:"a" ~desc:"b" ());
+  check_int "live count" 1 (Shared_db.read t (fun db -> Lazy_db.count db ~anc:"a" ~desc:"b" ()));
   Shared_db.end_snapshot s;
   Shared_db.end_snapshot s (* idempotent *);
   (match Shared_db.mvcc_stats t with
@@ -101,8 +101,8 @@ let test_snapshot_shares_columns () =
   Lazy_db.check db
 
 let test_snapshot_is_read_only () =
-  let t = Shared_db.create () in
-  Shared_db.insert t ~gp:0 "<a/>";
+  let t = Shared_db.of_db (Lazy_db.create ()) in
+  Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<a/>");
   Shared_db.read t (fun db ->
       check_bool "read sees a frozen snapshot" true (Lazy_db.is_snapshot db);
       List.iter
@@ -138,9 +138,9 @@ let test_pinned_across_in_place_changes () =
   in
   let gov = Governor.create ~index_attributes:true () in
   let t = Governor.shared gov in
-  Shared_db.insert t ~gp:0 "<r><a><b/><c>x</c><b/></a><d><b/></d></r>";
-  Shared_db.insert t ~gp:(Shared_db.read t (fun db -> at db "<d>" + 3)) "<e><b/><c>y</c></e>";
-  Shared_db.insert t ~gp:(Shared_db.read t (fun db -> at db "<a>" + 3)) "<f k=\"1\"><b/></f>";
+  Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<r><a><b/><c>x</c><b/></a><d><b/></d></r>");
+  Shared_db.write t (fun db -> Lazy_db.insert db ~gp:(at db "<d>" + 3) "<e><b/><c>y</c></e>");
+  Shared_db.write t (fun db -> Lazy_db.insert db ~gp:(at db "<a>" + 3) "<f k=\"1\"><b/></f>");
   let s = Shared_db.begin_snapshot t in
   let pinned = Shared_db.snapshot_db s in
   let fp0 = Crash_harness.fingerprint pinned in
@@ -158,9 +158,9 @@ let test_pinned_across_in_place_changes () =
   let writes () =
     (* Part of the first segment's own text: a tombstone, not a removal
        of a whole segment. *)
-    Shared_db.remove t ~gp:(Shared_db.read t (fun db -> at db "<c>x</c>")) ~len:8;
+    Shared_db.write t (fun db -> Lazy_db.remove db ~gp:(at db "<c>x</c>") ~len:8);
     Shared_db.write t (fun db -> Lazy_db.pack_subtree db ~gp:0 ~len:(Lazy_db.doc_length db));
-    Shared_db.insert t ~gp:3 "<a><b/></a>";
+    Shared_db.write t (fun db -> Lazy_db.insert db ~gp:3 "<a><b/></a>");
     Shared_db.write t (fun db -> Update_log.mark_stale (Option.get (Lazy_db.log db)));
     let config =
       {

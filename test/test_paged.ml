@@ -436,7 +436,7 @@ let test_beyond_ram () =
             true
             (Lazy_db.doc_length paged > 2 * stats.Page_store.pool.Buffer_pool.max_bytes);
           (* Planned twig queries agree with the in-memory engine. *)
-          let twig db = Path_query.eval_string db "//a//b/c" in
+          let twig db = Path_query.eval db (Path_query.parse_exn "//a//b/c") in
           check_bool "twig matches mem" true (twig mem = twig paged);
           let join db = fst (Lazy_db.query db ~anc:"a" ~desc:"d" ()) in
           check_bool "join matches mem" true (join mem = join paged);

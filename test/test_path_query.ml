@@ -8,6 +8,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* {!Path_query.eval} and {!Path_query.count} of a path given as text. *)
+let eval ?plan db path = Path_query.eval ?plan db (Path_query.parse_exn path)
+let count ?plan db path = Path_query.count ?plan db (Path_query.parse_exn path)
+
 (* --- parsing --------------------------------------------------------- *)
 
 let test_parse_forms () =
@@ -64,7 +68,7 @@ let test_matches_naive () =
   List.iter
     (fun path ->
       let expected = oracle doc path in
-      Alcotest.(check (list (pair int int))) path expected (Path_query.eval_string db path))
+      Alcotest.(check (list (pair int int))) path expected (eval db path))
     paths
 
 let test_strategies_and_engines_agree () =
@@ -79,19 +83,19 @@ let test_strategies_and_engines_agree () =
           Alcotest.(check (list (pair int int)))
             (path ^ " on " ^ name)
             expected
-            (Path_query.eval_string db path))
+            (eval db path))
         dbs)
     paths
 
 let test_count () =
   let db = load Lazy_db.LD 4 in
-  check_int "interests under persons" 2 (Path_query.count db "//person//interest");
-  check_int "all interests" 3 (Path_query.count db "//interest");
-  check_int "rooted" 3 (Path_query.count db "/site//interest")
+  check_int "interests under persons" 2 (count db "//person//interest");
+  check_int "all interests" 3 (count db "//interest");
+  check_int "rooted" 3 (count db "/site//interest")
 
 let test_eval_after_update () =
   let db = load Lazy_db.LD 4 in
-  let before = Path_query.count db "//person//interest" in
+  let before = count db "//person//interest" in
   (* Add an interest inside the second person's profile. *)
   let text = Lazy_db.text db in
   let needle = "<profile/>" in
@@ -103,9 +107,9 @@ let test_eval_after_update () =
   ignore at;
   let pos = find 0 in
   Lazy_db.insert db ~gp:pos "<profile><interest/></profile>";
-  check_int "one more" (before + 1) (Path_query.count db "//person//interest");
+  check_int "one more" (before + 1) (count db "//person//interest");
   check_bool "oracle agrees" true
-    (Path_query.eval_string db "//person//interest"
+    (eval db "//person//interest"
     = oracle (Lazy_db.text db) "//person//interest")
 
 let prop_random_docs =
@@ -129,8 +133,8 @@ let prop_random_docs =
         picks;
       List.for_all
         (fun path ->
-          oracle !text path = Path_query.eval_string db path
-          && oracle !text path = Path_query.eval_string ~plan:`Naive db path)
+          oracle !text path = eval db path
+          && oracle !text path = eval ~plan:`Naive db path)
         [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c" ])
 
 (* Inserts interleaved with removes, so segments carry tombstones and
@@ -165,7 +169,7 @@ let prop_random_docs_with_removes =
       List.for_all
         (fun db ->
           List.for_all
-            (fun path -> oracle !text path = Path_query.eval_string db path)
+            (fun path -> oracle !text path = eval db path)
             [ "//a//c"; "//a/b/c"; "/a//c"; "//b/c"; "//a//b//c"; "//c"; "//a/c" ])
         dbs)
 
@@ -211,7 +215,7 @@ let test_twig_predicates () =
           Alcotest.(check (list (pair int int)))
             (path ^ " / " ^ (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS"))
             expected
-            (Path_query.eval_string db path))
+            (eval db path))
         twig_paths)
     [ Lazy_db.LD; Lazy_db.LS ]
 
@@ -223,7 +227,7 @@ let test_twig_segmented () =
   List.iter
     (fun path ->
       Alcotest.(check (list (pair int int)))
-        path (oracle twig_doc path) (Path_query.eval_string db path))
+        path (oracle twig_doc path) (eval db path))
     twig_paths
 
 let test_twig_parse_roundtrip () =
@@ -260,7 +264,7 @@ let prop_twig_random =
             text := Text_model.splice !text ~gp frag)
         picks;
       List.for_all
-        (fun path -> oracle !text path = Path_query.eval_string db path)
+        (fun path -> oracle !text path = eval db path)
         [ "//a[b]"; "//a[b/c]"; "//b[c]//c"; "//a[b][c]"; "/a[b//c]"; "//c[a]" ])
 
 let suite =
@@ -283,11 +287,11 @@ let test_chain_runs_no_join () =
   List.iter
     (fun path ->
       let before = Lxu_join.Lazy_join.runs () in
-      let got = Path_query.eval_string db path in
+      let got = eval db path in
       check_int (path ^ ": no join") before (Lxu_join.Lazy_join.runs ());
       Alcotest.(check (list (pair int int))) path (oracle doc path) got;
       (* The reference composition does join. *)
-      ignore (Path_query.eval_string ~plan:`Naive db path))
+      ignore (eval ~plan:`Naive db path))
     paths;
   check_bool "naive joined" true (Lxu_join.Lazy_join.runs () > 0)
 
@@ -329,8 +333,8 @@ let test_reversed_twig_candidates () =
   check_bool "40 b candidates" true (contains "step 1 //b: 40 candidates, 40 survivors");
   check_int "40 matches" 40 (List.length matches);
   Alcotest.(check (list (pair int int))) "= tree oracle" (oracle text "//a//b[c]//c") matches;
-  check_int "count = matches" 40 (Path_query.count db "//a//b[c]//c");
-  check_int "naive count" 40 (Path_query.count ~plan:`Naive db "//a//b[c]//c")
+  check_int "count = matches" 40 (count db "//a//b[c]//c");
+  check_int "naive count" 40 (count ~plan:`Naive db "//a//b[c]//c")
 
 let suite =
   suite

@@ -107,8 +107,10 @@ let test_batch_group_commit () =
       Lazy_db.close db')
 
 let test_quick_matrix () =
-  (* A quick slice of the @slow acceptance matrix. *)
-  H.run_matrix ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~target_ops:12 ~wal_fail_every:4
+  (* A quick slice of the @slow acceptance matrix: six LD seeds, and
+     one LS seed that checkpoints mid-workload. *)
+  H.run_matrix ~seeds:[ 1; 2; 3; 4; 5; 6 ] ~target_ops:12 ~wal_fail_every:4 ();
+  H.run_matrix ~engine:Lazy_db.LS ~seeds:[ 3 ] ~target_ops:12 ~wal_fail_every:4 ()
 
 let test_error_paths () =
   H.with_dir "errors" (fun dir ->
@@ -405,8 +407,8 @@ let test_batch_commit_failure () =
    first op is committed and recovery holds it. *)
 let test_shared_write_group_failure () =
   H.with_dir "sharedfail" (fun dir ->
-      let t = Shared_db.create ~index_attributes:true ~durability:(`Wal dir) () in
-      Shared_db.insert t ~gp:0 "<r></r>";
+      let t = Shared_db.of_db (Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) ()) in
+      Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<r></r>");
       let published = Shared_db.current_epoch t in
       let fp = Shared_db.read t H.fingerprint in
       (match
@@ -419,7 +421,8 @@ let test_shared_write_group_failure () =
       | exception Sys_error _ -> ());
       check_int "published epoch unchanged" published (Shared_db.current_epoch t);
       check_string "readers keep the last published version" fp (Shared_db.read t H.fingerprint);
-      refused "a later Shared_db write" (fun () -> Shared_db.insert t ~gp:0 "<c/>");
+      refused "a later Shared_db write" (fun () ->
+          Shared_db.write t (fun db -> Lazy_db.insert db ~gp:0 "<c/>"));
       check_int "still unpublished" published (Shared_db.current_epoch t);
       Shared_db.close t;
       let db, report = Lazy_db.recover dir in

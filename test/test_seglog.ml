@@ -21,6 +21,18 @@ let log_agrees_with_text log text =
   if materialized <> text then
     Alcotest.failf "materialize mismatch:\n  log : %s\n  text: %s" materialized text;
   check_int "doc_length" (String.length text) (Update_log.doc_length log);
+  (* A range reads the same bytes as the whole text: every start, with
+     the rest of the text and with a short span. *)
+  let n = String.length text in
+  for gp = 0 to n do
+    List.iter
+      (fun len ->
+        let got = Update_log.materialize_range log ~gp ~len in
+        if got <> String.sub text gp len then
+          Alcotest.failf "materialize_range ~gp:%d ~len:%d: %S, expected %S" gp len got
+            (String.sub text gp len))
+      [ n - gp; min 5 (n - gp) ]
+  done;
   let tags =
     match Lxu_xml.Parser.parse_fragment_result text with
     | Ok nodes -> Lxu_xml.Tree.distinct_tags nodes

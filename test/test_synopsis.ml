@@ -73,7 +73,7 @@ let test_pack () =
 let test_snapshot_isolation () =
   let db = Lazy_db.create ~engine:Lazy_db.LD () in
   List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) (xmark_edits Lxu_workload.Chopper.Balanced);
-  Lazy_db.with_snapshot db (fun snap ->
+  (let snap = Lazy_db.snapshot db in
       let before = Path_synopsis.distinct_paths (Update_log.synopsis (log_of snap)) in
       (* Mutate the live database; the snapshot's synopsis must not move. *)
       Lazy_db.insert db ~gp:(Lazy_db.doc_length db) "<zzz><yyy/></zzz>";
@@ -90,7 +90,7 @@ let test_snapshot_isolation () =
 let test_frozen_depth_table () =
   let db = Lazy_db.create ~engine:Lazy_db.LD () in
   List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) (xmark_edits Lxu_workload.Chopper.Balanced);
-  Lazy_db.with_snapshot db (fun snap ->
+  (let snap = Lazy_db.snapshot db in
       let syn = Update_log.synopsis (log_of snap) in
       let table = Path_synopsis.depth_table syn in
       let before = Array.copy table in
@@ -127,7 +127,7 @@ let test_tag_total () =
   let reg = Update_log.registry log in
   List.iter
     (fun tag ->
-      let expected = List.length (Path_query.eval_string db ("//" ^ tag)) in
+      let expected = List.length (Path_query.eval db (Path_query.parse_exn ("//" ^ tag))) in
       let got =
         match Tag_registry.find reg tag with
         | Some tid -> Path_synopsis.tag_total syn ~tid

@@ -75,10 +75,12 @@ let test_joinmix_counts () =
       let schedule, db, stats = run_joinmix spec in
       let name = Printf.sprintf "cross=%d" cross_percent in
       check_int (name ^ " segments") 20 (Lazy_db.segment_count db);
-      check_int (name ^ " in pairs") schedule.Joinmix.expected_in_pairs stats.Lazy_db.in_pairs;
+      check_int (name ^ " in pairs") schedule.Joinmix.expected_in_pairs
+        stats.Lxu_join.Lazy_join.in_pairs;
       check_int (name ^ " cross pairs") schedule.Joinmix.expected_cross_pairs
-        stats.Lazy_db.cross_pairs;
-      check_int (name ^ " total") (20 * 3) stats.Lazy_db.pair_count)
+        stats.Lxu_join.Lazy_join.cross_pairs;
+      check_int (name ^ " total") (20 * 3)
+        (stats.Lxu_join.Lazy_join.cross_pairs + stats.Lxu_join.Lazy_join.in_pairs))
     [
       (Joinmix.Balanced, 0);
       (Joinmix.Balanced, 20);
@@ -248,8 +250,8 @@ let prop_joinmix_exact =
       let db = Lazy_db.create () in
       List.iter (fun (gp, frag) -> Lazy_db.insert db ~gp frag) schedule.Joinmix.edits;
       let _, stats = Lazy_db.query db ~anc:"A" ~desc:"D" () in
-      stats.Lazy_db.in_pairs = schedule.Joinmix.expected_in_pairs
-      && stats.Lazy_db.cross_pairs = schedule.Joinmix.expected_cross_pairs
+      stats.Lxu_join.Lazy_join.in_pairs = schedule.Joinmix.expected_in_pairs
+      && stats.Lxu_join.Lazy_join.cross_pairs = schedule.Joinmix.expected_cross_pairs
       && Lazy_db.segment_count db = spec.Joinmix.segments)
 
 (* Property: chopping any generated document reconstructs it. *)
