@@ -317,8 +317,12 @@ let restore_cmd =
   let snap = Arg.(required & pos 0 (some file) None & info [] ~docv:"SNAPSHOT"
                     ~doc:"Snapshot file, or a WAL durability directory for point-in-time restore.") in
   let lsn = Arg.(value & opt (some int) None & info [ "lsn" ] ~docv:"N"
-                   ~doc:"Point-in-time bound: rebuild the state as of committed LSN $(docv) \
-                         (requires a WAL directory; default: everything committed).") in
+                   ~doc:"Point-in-time bound: rebuild the state as of committed LSN $(docv), \
+                         at or above the checkpoint LSN of the directory's snapshot (requires a \
+                         WAL directory; default: everything committed).  Every lazyxml command \
+                         that writes a WAL directory checkpoints and truncates its log, so a \
+                         directory written by this tool restores to its checkpoint's state and \
+                         refuses any $(docv) below it.") in
   let out = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
                    ~doc:"Also write the restored document text to $(docv).") in
   let run snap lsn out =
@@ -504,8 +508,8 @@ let backup_cmd =
     let db = recover src in
     let lsn = Lazy_db.backup db ~dir:dst in
     Lazy_db.close db;
-    Printf.printf "backed up %s through lsn %d into %s (restore any committed prefix with \
-                   'lazyxml restore %s --lsn N')\n"
+    Printf.printf "backed up %s through lsn %d into %s (restore it with 'lazyxml restore %s'; \
+                   --lsn N must be at or above the backup's checkpoint lsn)\n"
       src lsn dst dst
   in
   cmd "backup" ~doc:"Ship a WAL directory's snapshot + log to a backup directory, atomically."

@@ -82,13 +82,18 @@ let doc_length t = Update_log.doc_length t.log
 let element_count t = Update_log.element_count t.log
 let segment_count t = Update_log.segment_count t.log
 
+(* The join hands back translated, sorted columns; the list is built
+   only here, at the API edge. *)
 let query t ?axis ?guard ~anc ~desc () =
-  let pairs, stats = Lxu_join.Lazy_join.run ?axis ?guard t.log ~anc ~desc () in
-  (Lxu_join.Lazy_join.global_pairs t.log pairs, stats)
+  let (ga, gd), stats = Lxu_join.Lazy_join.query ?axis ?guard t.log ~anc ~desc () in
+  let acc = ref [] in
+  for i = Array.length ga - 1 downto 0 do
+    acc := (Array.unsafe_get ga i, Array.unsafe_get gd i) :: !acc
+  done;
+  (!acc, stats)
 
-(* Cardinality without the local->global translation of [query], and
-   without the pair records: the join's flat output buffer already
-   holds the count. *)
+(* Cardinality without the local->global translation of [query]: the
+   join's counting buffer already holds the count. *)
 let count t ?axis ?guard ~anc ~desc () = Lxu_join.Lazy_join.count ?axis ?guard t.log ~anc ~desc ()
 
 let text t = Update_log.materialize t.log

@@ -149,7 +149,9 @@ val query :
 (** [query t ~anc ~desc ()] evaluates [anc//desc] (or [anc/desc] with
     [~axis:Child]) and returns [(anc_gstart, desc_gstart)] pairs sorted
     by [(desc, anc)], plus the join's own statistics: the pair count
-    is [cross_pairs + in_pairs].
+    is [cross_pairs + in_pairs].  It is {!Lxu_join.Lazy_join.query},
+    which translates each pair to global positions as the join emits
+    it, plus the list built from its two columns.
 
     [guard] makes the join cooperative (see {!Lxu_join.Lazy_join.run}):
     evaluation raises [Lxu_util.Deadline.Cancel.Cancelled] promptly on

@@ -62,16 +62,21 @@ let unpin t v =
    install the snapshot as [current].  Freezing happens outside
    [vlock] — only the installation is a critical section.
 
-   The writer then empties the minor heap.  A freeze shares the old
-   version instead of cloning it, so a write allocates too little to
-   set off collections of its own; without this, the first read to set
-   one off paid for promoting everything young the writes and earlier
-   reads had left (the new version's copies, and pair records still
-   referenced from major-heap result arrays).  On churn_durable that
-   read was the median path query: path p50 4.1 ms, against 2.1 ms
-   with the collection here and 2.7 ms at the cloning parent, while
-   update p50 stays at 0.43 ms against the parent's 2.4 ms
-   (EXPERIMENTS.md, "publish without a clone"). *)
+   The writer then empties the minor heap.  Allocation restarts at
+   the minor heap's end after every collection, so with one per
+   publish the reads between two writes allocate into the same few
+   recently touched megabytes; without it they walk the whole minor
+   heap (64 MB under perfbench and bench/) through lines long out of
+   cache.  Now that queries build no pair records, the reads that
+   allocate most are paths: the executor's [Bytes] selection masks,
+   stored into [sel] arrays (major-heap blocks past 256 entries).  On
+   churn_durable, dropping the collection read update p50 -20 % and
+   p95 -35 %, but path p50 +26 % and p95 +12 % (0/10 and 1/10 pairs
+   better).  The reads lose on cache misses, not on promotion: a run
+   promoted 7.5 M words with the collection and 6.5 M without.  With a
+   2 MB minor heap dropping it made every read faster, so it pays for
+   itself only with a large minor heap (EXPERIMENTS.md, "translate at
+   emission"). *)
 let publish_locked t =
   let v =
     { v_epoch = Lazy_db.epoch t.db; v_db = Lazy_db.snapshot t.db; v_pins = 0 }

@@ -37,7 +37,7 @@ let zero_stats () =
    order as hooks pass their start and close for good once a hook
    reaches their stop, and [opened] always holds the elements
    containing the last hook.  Frames are reused across pushes: [push]
-   resets every cursor. *)
+   resets every cursor and drops [memo]. *)
 type frame = {
   mutable node : Er_node.t;
   mutable depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
@@ -46,7 +46,14 @@ type frame = {
   mutable opened : int array;  (* the open elements' indices, outermost first *)
   mutable top : int;  (* how many of [opened] are open *)
   mutable kid : int;  (* child cursor: index in [node.children] of the last hook's child *)
+  mutable memo : memo option;  (* {!query}'s translations of [elems], made on first use *)
 }
+
+(* A pushed frame's A-elements' global starts, translated once each on
+   their first emission ([-1] before), on one cursor over the frame's
+   segment.  Elements open in start order, so the cursor only moves
+   forward. *)
+and memo = { cur : Er_node.cursor; g : int array }
 
 (* Whether segment [a] is a proper ancestor of segment [d]: [a]'s sid
    sits on [d]'s root path.  Decided on the ER-tree, not by comparing
@@ -121,16 +128,17 @@ let holding_hooks (c : Er_node.cols) (kids : Er_node.t Vec.t) =
 
 (* Chunked flat output buffer: 4 ints per pair
    [a_sid; a_start; d_sid; d_start] (an element's identity; the Child
-   axis checks levels on the columns before emitting), written into
+   axis checks levels on the columns before emitting) for {!run}, 2
+   ints per pair [a_gstart; d_gstart] for {!query}, written into
    fixed chunks that are never re-grown — a growable
    array would alloc+zero+copy its whole prefix on every doubling
    round, which dominates emission cost once the buffer outgrows the
    minor heap.  Chunk sizes escalate 256 → … → 65536 ints so small
    joins stay small and big ones amortize.  [full] holds
    completely-filled chunks in reverse push order (chunk sizes are
-   multiples of 4 and pushes advance by 4, so rotation happens exactly
-   at capacity).  A [counting] buffer only counts: a count needs no
-   pair, so it allocates nothing per pair. *)
+   multiples of 4 and a buffer's pushes all advance by 4 or all by 2,
+   so rotation happens exactly at capacity).  A [counting] buffer only
+   counts: a count needs no pair, so it allocates nothing per pair. *)
 type buf = {
   counting : bool;
   mutable full : int array list;
@@ -157,6 +165,14 @@ let buf_push4 b x0 x1 x2 x3 =
     b.cur_len <- o + 4
   end;
   b.total <- b.total + 4
+
+let buf_push2 b x0 x1 =
+  if b.cur_len + 2 > Array.length b.cur then buf_grow b;
+  let d = b.cur and o = b.cur_len in
+  Array.unsafe_set d o x0;
+  Array.unsafe_set d (o + 1) x1;
+  b.cur_len <- o + 2;
+  b.total <- b.total + 2
 
 (* [n] pairs at once on a counting buffer. *)
 let buf_count b n = b.total <- b.total + (4 * n)
@@ -190,6 +206,24 @@ let buf_to_pairs b =
     emit b.cur b.cur_len;
     out
   end
+
+(* A {!buf_push2} buffer's pairs as two columns, in push order. *)
+let buf_columns b =
+  let n = b.total / 2 in
+  let ga = Array.make n 0 and gd = Array.make n 0 in
+  let k = ref 0 in
+  let take data len =
+    let o = ref 0 in
+    while !o < len do
+      Array.unsafe_set ga !k (Array.unsafe_get data !o);
+      Array.unsafe_set gd !k (Array.unsafe_get data (!o + 1));
+      incr k;
+      o := !o + 2
+    done
+  in
+  List.iter (fun c -> take c (Array.length c)) (List.rev b.full);
+  take b.cur b.cur_len;
+  (ga, gd)
 
 (* Stack-Tree-Desc specialized to the columnar element snapshots of one
    segment (virtual local labels), emitting index pairs through [emit].
@@ -251,17 +285,14 @@ let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.c
     done
   end
 
-(* One frame's share of a join unit: the frame's segment [seg], its
-   columns [a] and the indices of its elements containing the unit's
-   hook, [idx.(0 .. n - 1)], outermost first. *)
-type cross = { seg : int; a : Er_node.cols; idx : int array; n : int }
-
 (* One unit of join generation: everything Step 3 of Figure 9 needs
-   for one SL_D entry, handed out by the segment-merge pass and run
-   at once, so its [idx] arrays are the frames' own. *)
+   for one SL_D entry, handed out by the segment-merge pass and run at
+   once, so each frame still holds the unit's share: its elements
+   containing the unit's hook are [elems] at [opened.(0 .. top - 1)],
+   outermost first. *)
 type d_task = {
   d_node : Er_node.t;
-  cross : cross list;  (* frames with an element containing the hook, top first *)
+  cross : frame list;  (* frames with an element containing the hook, top first *)
   in_seg : bool;  (* the same segment holds both tags *)
 }
 
@@ -271,16 +302,17 @@ type d_task = {
    once.  [guard] is checked at task entry and per cross frame.  The
    Child axis reads levels through [depth], the synopsis' slot ->
    depth table read by {!start}. *)
-let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
+let exec_task ?guard ~axis ~out ~depth ~fetch_a ~fetch_d ~stats task =
   Deadline.check_opt guard;
   let d_sid = task.d_node.Er_node.sid in
   let d = fetch_d task.d_node in
   let n_d = Er_node.cols_length d in
   List.iter
-    (fun { seg = a_sid; a; idx; n } ->
+    (fun fr ->
       Deadline.check_opt guard;
-      for k = 0 to n - 1 do
-        let i = Array.unsafe_get idx k in
+      let a_sid = fr.node.Er_node.sid and a = fr.elems in
+      for k = 0 to fr.top - 1 do
+        let i = Array.unsafe_get fr.opened k in
         let a_start = Array.unsafe_get a.starts i in
         match axis with
         | Axis.Desc ->
@@ -305,6 +337,107 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats ~out task =
     in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
       ~emit:(fun ai di ->
         buf_push4 out d_sid (Array.unsafe_get a.starts ai) d_sid (Array.unsafe_get d.starts di);
+        stats.in_pairs <- stats.in_pairs + 1)
+      ()
+  end
+
+(* A cursor over [node]'s segment at its gp in [log]. *)
+let cursor log node = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node)
+
+(* The global start of element [i] of frame [fr]'s [elems], through
+   the frame's memo. *)
+let frame_start log fr i =
+  let m =
+    match fr.memo with
+    | Some m -> m
+    | None ->
+      let m = { cur = cursor log fr.node; g = Array.make (Er_node.cols_length fr.elems) (-1) } in
+      fr.memo <- Some m;
+      m
+  in
+  let g = Array.unsafe_get m.g i in
+  if g >= 0 then g
+  else begin
+    let g = Er_node.cursor_start m.cur (Array.unsafe_get fr.elems.starts i) in
+    Array.unsafe_set m.g i g;
+    g
+  end
+
+(* [exec_task] for {!query}: the same loops and stats, writing the
+   pairs' global starts.  Every cursor comes from a node the merge pass
+   resolved, never from a sid.  A task with cross-segment output
+   translates its D column once, in order, into [dbuf] (grown as
+   needed and reused by every task), and a frame's A-elements through
+   the frame's memo.  An in-segment join translates only the elements
+   it emits, each once: D-elements in order on their own cursor,
+   A-elements memoized by index (a cursor steps back only where a
+   D-element first meets a chain of nested ancestors, emitted
+   innermost first). *)
+let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task =
+  Deadline.check_opt guard;
+  let node = task.d_node in
+  let d = fetch_d node in
+  let n_d = Er_node.cols_length d in
+  let gd =
+    if task.cross = [] then [||]
+    else begin
+      if Array.length !dbuf < n_d then dbuf := Array.make (max n_d (2 * Array.length !dbuf)) 0;
+      let g = !dbuf and c = cursor log node in
+      for j = 0 to n_d - 1 do
+        Array.unsafe_set g j (Er_node.cursor_start c (Array.unsafe_get d.starts j))
+      done;
+      g
+    end
+  in
+  List.iter
+    (fun fr ->
+      Deadline.check_opt guard;
+      for k = 0 to fr.top - 1 do
+        let i = Array.unsafe_get fr.opened k in
+        match axis with
+        | Axis.Desc ->
+          let ga = frame_start log fr i in
+          for j = 0 to n_d - 1 do
+            buf_push2 out ga (Array.unsafe_get gd j)
+          done;
+          stats.cross_pairs <- stats.cross_pairs + n_d
+        | Axis.Child ->
+          let child_level = depth.(Array.unsafe_get fr.elems.pids i) + 1 in
+          for j = 0 to n_d - 1 do
+            if depth.(Array.unsafe_get d.pids j) = child_level then begin
+              buf_push2 out (frame_start log fr i) (Array.unsafe_get gd j);
+              stats.cross_pairs <- stats.cross_pairs + 1
+            end
+          done
+      done)
+    task.cross;
+  if task.in_seg then begin
+    let a = fetch_a node in
+    let ga = Array.make (Er_node.cols_length a) (-1) and a_cur = cursor log node in
+    let d_g =
+      if task.cross <> [] then Array.unsafe_get gd
+      else begin
+        let d_cur = cursor log node and last = ref (-1) and last_g = ref 0 in
+        fun j ->
+          if j <> !last then begin
+            last := j;
+            last_g := Er_node.cursor_start d_cur (Array.unsafe_get d.starts j)
+          end;
+          !last_g
+      end
+    in
+    in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
+      ~emit:(fun ai di ->
+        let g = Array.unsafe_get ga ai in
+        let g =
+          if g >= 0 then g
+          else begin
+            let g = Er_node.cursor_start a_cur (Array.unsafe_get a.starts ai) in
+            Array.unsafe_set ga ai g;
+            g
+          end
+        in
+        buf_push2 out g (d_g di);
         stats.in_pairs <- stats.in_pairs + 1)
       ()
   end
@@ -347,7 +480,8 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
   let push (sa : Er_node.t) elems =
     let depth = Array.length sa.Er_node.path - 1 in
     if !nf = Vec.length frames then
-      Vec.push frames { node = sa; depth; elems; next = 0; opened = [||]; top = 0; kid = 0 }
+      Vec.push frames
+        { node = sa; depth; elems; next = 0; opened = [||]; top = 0; kid = 0; memo = None }
     else begin
       let fr = Vec.get frames !nf in
       fr.node <- sa;
@@ -355,7 +489,8 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
       fr.elems <- elems;
       fr.next <- 0;
       fr.top <- 0;
-      fr.kid <- 0
+      fr.kid <- 0;
+      fr.memo <- None
     end;
     incr nf
   in
@@ -407,15 +542,7 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
             && path.(fr.depth) = fr.node.Er_node.sid
           then begin
             sweep fr (hook fr path);
-            if fr.top > 0 then
-              cross :=
-                {
-                  seg = fr.node.Er_node.sid;
-                  a = fr.elems;
-                  idx = fr.opened;
-                  n = fr.top;
-                }
-                :: !cross
+            if fr.top > 0 then cross := fr :: !cross
           end
         done;
         let in_seg =
@@ -441,12 +568,12 @@ let start ?guard log =
   Update_log.prepare_for_query log;
   Path_synopsis.depth_table (Update_log.synopsis log)
 
-(* The whole join up to materialization: the filled output buffer and
-   the stats.  A [counting] buffer only counts. *)
-let fill ~counting ~axis ?guard log ~anc ~desc =
+(* The whole join up to materialization: [plan] over [anc]'s and
+   [desc]'s tag lists, handing every task to [exec ~depth ~fetch_a
+   ~fetch_d ~stats]; returns the stats. *)
+let join ?guard log ~anc ~desc exec =
   let stats = zero_stats () in
   let depth = start ?guard log in
-  let out = buf_create ~counting in
   let reg = Update_log.registry log in
   (match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ()
@@ -461,18 +588,28 @@ let fill ~counting ~axis ?guard log ~anc ~desc =
       stats.elements_fetched <- stats.elements_fetched + Er_node.cols_length c;
       c
     in
-    plan ?guard ~stats ~fetch_a:(fetch tid_a)
-      ~emit_task:
-        (exec_task ?guard ~axis ~depth ~fetch_a:(fetch tid_a) ~fetch_d:(fetch tid_d) ~stats ~out)
+    let fetch_a = fetch tid_a in
+    plan ?guard ~stats ~fetch_a
+      ~emit_task:(exec ~depth ~fetch_a ~fetch_d:(fetch tid_d) ~stats)
       log ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ());
-  (out, stats)
+  stats
 
 let run ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let out, stats = fill ~counting:false ~axis ?guard log ~anc ~desc in
+  let out = buf_create ~counting:false in
+  let stats = join ?guard log ~anc ~desc (exec_task ?guard ~axis ~out) in
   (buf_to_pairs out, stats)
 
 let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  pair_count (fst (fill ~counting:true ~axis ?guard log ~anc ~desc))
+  let out = buf_create ~counting:true in
+  ignore (join ?guard log ~anc ~desc (exec_task ?guard ~axis ~out));
+  pair_count out
+
+let query ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
+  let out = buf_create ~counting:false in
+  let stats = join ?guard log ~anc ~desc (exec_query ?guard ~axis ~log ~dbuf:(ref [||]) ~out) in
+  let ga, gd = buf_columns out in
+  Run_merge.sort gd ga;
+  ((ga, gd), stats)
 
 (* --- semi-joins over selection masks -------------------------------- *)
 
@@ -564,11 +701,12 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
         !last_ok
       in
       List.iter
-        (fun { seg = a_sid; a; idx; n } ->
+        (fun fr ->
           Deadline.check_opt guard;
-          for k = 0 to n - 1 do
-            let i = Array.unsafe_get idx k in
-            if any_d depth.(Array.unsafe_get a.pids i) then mark_a a_sid a i
+          let a = fr.elems in
+          for k = 0 to fr.top - 1 do
+            let i = Array.unsafe_get fr.opened k in
+            if any_d depth.(Array.unsafe_get a.pids i) then mark_a fr.node.Er_node.sid a i
           done)
         task.cross;
       in_seg (fun a ->
@@ -591,9 +729,9 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
          of the A-elements containing the hook. *)
       let das = ref [] in
       List.iter
-        (fun { a; idx; n; _ } ->
-          for k = 0 to n - 1 do
-            let da = depth.(Array.unsafe_get a.pids (Array.unsafe_get idx k)) in
+        (fun fr ->
+          for k = 0 to fr.top - 1 do
+            let da = depth.(Array.unsafe_get fr.elems.pids (Array.unsafe_get fr.opened k)) in
             if not (List.mem da !das) then das := da :: !das
           done)
         task.cross;

@@ -37,8 +37,14 @@
     buffer: the inner loops allocate nothing per element.  An
     element's level is its path slot's depth
     ({!Lxu_seglog.Path_synopsis.depth_table}), read from the table of
-    the log version being joined.  [pair] records are built once at
-    the API boundary. *)
+    the log version being joined.
+
+    {!query}, the production read, translates at emission: its sink
+    writes each pair's global (anc, desc) starts, 2 ints, through
+    cursors over the segments the merge pass already resolved, so no
+    [pair] record is built and no segment is looked up again by sid.
+    {!run} and its [pair] records remain the join the paper's figures
+    time. *)
 
 type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
 (** One ancestor/descendant result: each side is an element's identity,
@@ -78,9 +84,35 @@ val run :
     deadline expiring or the token firing.  Without [guard] the run is exactly the ungoverned join:
     identical pairs and stats, one extra branch per check point. *)
 
+val query :
+  ?axis:Lxu_util.Axis.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  anc:string ->
+  desc:string ->
+  unit ->
+  (int array * int array) * stats
+(** [query log ~anc ~desc ()] is {!run} with its pairs translated to
+    global positions: the columns [(ga, gd)] hold one pair per row,
+    [(ga.(i), gd.(i))] = [(anc_gstart, desc_gstart)], rows sorted by
+    [(desc, anc)] — the rows of [global_pairs log (fst (run log ~anc
+    ~desc ()))] — with the same stats as {!run}.
+
+    The join runs {!run}'s merge pass and loops, but its sink
+    translates as it emits, through {!Lxu_seglog.Er_node.cursor}s over
+    the segments the merge pass has already resolved: a task with
+    cross-segment output translates its D column once, a pushed
+    frame translates each of its A-elements once however many
+    descendant segments it joins, and an in-segment join translates
+    only the elements it emits.  The columns come out in the few
+    sorted runs of emission order, which
+    {!Lxu_util.Run_merge.sort} merges.  [axis] and [guard] as in
+    {!run}. *)
+
 val runs : unit -> int
-(** Joins started in this process ({!run}, {!count} and {!semi} each
-    add one) — lets tests prove that an evaluation ran none. *)
+(** Joins started in this process ({!run}, {!count}, {!query} and
+    {!semi} each add one) — lets tests prove that an evaluation ran
+    none. *)
 
 val count :
   ?axis:Lxu_util.Axis.t ->
@@ -150,19 +182,17 @@ val semi :
     reference).  [guard] as in {!run}. *)
 
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
-(** Translates pairs to [(anc_gstart, desc_gstart)] global positions,
-    sorted by [(desc, anc)] — the canonical form for comparing against
-    the classical algorithms.
+(** Translates {!run}'s pairs to [(anc_gstart, desc_gstart)] global
+    positions, sorted by [(desc, anc)]: the rows of {!query}, as a
+    list.  No read path calls it any more; it stays only because
+    perfbench's traced [Query] times [run] and [global_pairs] as two
+    spans, and goes with the benchmark's next revision (ROADMAP items
+    1 and 3).
 
     The pairs are walked in emission order with one
     {!Lxu_seglog.Er_node.cursor} per side: a side's cursor is taken
     ({!Lxu_seglog.Update_log.cursors}, over the segment's cached
     translator) only when its sid changes, and an ancestor repeated
     across consecutive pairs (a cross-segment emission) reuses its
-    global start.  Within a segment the join emits labels mostly in
-    local order, so a cursor mostly moves forward and a run costs
-    O(labels + children + tombstones) of its segment.  The translated
-    columns come out in a few sorted runs — segment nesting and
-    innermost-first ancestors break the order — which
-    {!Lxu_util.Run_merge.sort} merges: O(n) when the pairs are already
-    sorted, O(n log runs) otherwise. *)
+    global start.  The translated columns are merged by
+    {!Lxu_util.Run_merge.sort}, as in {!query}. *)

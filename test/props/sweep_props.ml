@@ -8,9 +8,11 @@
    children too — then partial removes that tombstone text around the
    hooks, and a child whose parent's text before it is all tombstoned
    (parent and child then share a global position).  On LD/LS,
-   [run] and [count] under Desc and Child and [semi] on
+   [run], [count] and [query] under Desc and Child and [semi] on
    both sides must equal [Naive_join] over a fresh parse of the
-   text. *)
+   text, and [query] must give [global_pairs] of [run]'s pairs and
+   [run]'s stats — on the live store and on a snapshot pinned before
+   the last removes. *)
 
 open Lazy_xml
 open Lxu_join
@@ -108,6 +110,7 @@ let build seed =
   Lazy_db.insert db ~gp:(g + 2)
     [| "<a>t<d/></a>"; "<d/>"; "<a><d/></a>t" |].(Random.State.int st 3);
   Lazy_db.remove db ~gp:g ~len:2;
+  let snap = Lazy_db.snapshot db in
   (* Partial removes of character data around the hooks. *)
   for _ = 1 to Random.State.int st 6 do
     let runs = text_runs (Lazy_db.text db) in
@@ -116,7 +119,7 @@ let build seed =
     let b = a + 1 + Random.State.int st (e - a) in
     Lazy_db.remove db ~gp:a ~len:(b - a)
   done;
-  db
+  (db, snap)
 
 (* The global starts of the elements a semi-join mask keeps, sorted. *)
 let mask_starts log (m : Lazy_join.mask) =
@@ -145,44 +148,56 @@ let axis_ok log axis =
       Bytes.init depth.(s) (fun da ->
           if axis = Lxu_util.Axis.Desc || da = depth.(s) - 1 then '\001' else '\000'))
 
+(* Every join of the property on one store: [db] is live or pinned. *)
+let agree db =
+  let log = Option.get (Lazy_db.log db) in
+  Lxu_seglog.Update_log.prepare_for_query log;
+  let text = Lazy_db.text db in
+  let of_tag = Text_model.of_tag (Text_model.labels text) in
+  let reg = Lxu_seglog.Update_log.registry log in
+  let nslots = Lxu_seglog.Path_synopsis.slots (Lxu_seglog.Update_log.synopsis log) in
+  let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
+  let every = Array.make nslots true in
+  List.for_all
+    (fun ((anc, desc), axis) ->
+      let ctx =
+        Printf.sprintf "%s%s%s (%s, %s)" anc
+          (if axis = Lxu_util.Axis.Child then "/" else "//")
+          desc
+          (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
+          (if Lazy_db.is_snapshot db then "pinned" else "live")
+      in
+      let expected = Naive_join.join ~axis ~anc:(of_tag anc) ~desc:(of_tag desc) () in
+      let pairs, run_stats = Lazy_join.run ~axis log ~anc ~desc () in
+      let (ga, gd), query_stats = Lazy_join.query ~axis log ~anc ~desc () in
+      let queried = List.combine (Array.to_list ga) (Array.to_list gd) in
+      let ok = axis_ok log axis in
+      let semi keep =
+        mask_starts log
+          (Lazy_join.semi log
+             ~anc:(Lazy_join.select log ~tid:(tid anc) every)
+             ~desc:(Lazy_join.select log ~tid:(tid desc) every)
+             ~ok ~keep)
+      in
+      let distinct f = List.sort_uniq compare (List.map f expected) in
+      (Lazy_join.global_pairs log pairs = expected
+      || QCheck2.Test.fail_reportf "%s: run differs from the naive join" ctx)
+      && (queried = expected
+         || QCheck2.Test.fail_reportf "%s: query differs from the naive join" ctx)
+      && (query_stats = run_stats
+         || QCheck2.Test.fail_reportf "%s: query's stats differ from run's" ctx)
+      && (Lazy_join.count ~axis log ~anc ~desc () = List.length expected
+         || QCheck2.Test.fail_reportf "%s: count differs" ctx)
+      && (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: semi `Anc differs" ctx)
+      && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: semi `Desc differs" ctx))
+    (List.concat_map
+       (fun tags -> [ (tags, Lxu_util.Axis.Desc); (tags, Lxu_util.Axis.Child) ])
+       [ ("a", "d"); ("a", "a") ])
+
 let hooks_agree ~count =
-  QCheck2.Test.make ~name:"frame sweep = naive join (run, count, semi)" ~count ~print:string_of_int
+  QCheck2.Test.make ~name:"frame sweep = naive join (run, count, query, semi)" ~count
+    ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      let db = build seed in
-      let log = Option.get (Lazy_db.log db) in
-      Lxu_seglog.Update_log.prepare_for_query log;
-      let text = Lazy_db.text db in
-      let of_tag = Text_model.of_tag (Text_model.labels text) in
-      let reg = Lxu_seglog.Update_log.registry log in
-      let nslots = Lxu_seglog.Path_synopsis.slots (Lxu_seglog.Update_log.synopsis log) in
-      let tid tag = Option.value (Lxu_seglog.Tag_registry.find reg tag) ~default:(-1) in
-      let every = Array.make nslots true in
-      List.for_all
-        (fun ((anc, desc), axis) ->
-          let ctx =
-            Printf.sprintf "%s%s%s (%s)" anc
-              (if axis = Lxu_util.Axis.Child then "/" else "//")
-              desc
-              (match Lazy_db.engine db with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS")
-          in
-          let expected = Naive_join.join ~axis ~anc:(of_tag anc) ~desc:(of_tag desc) () in
-          let pairs, _ = Lazy_join.run ~axis log ~anc ~desc () in
-          let ok = axis_ok log axis in
-          let semi keep =
-            mask_starts log
-              (Lazy_join.semi log
-                 ~anc:(Lazy_join.select log ~tid:(tid anc) every)
-                 ~desc:(Lazy_join.select log ~tid:(tid desc) every)
-                 ~ok ~keep)
-          in
-          let distinct f = List.sort_uniq compare (List.map f expected) in
-          (Lazy_join.global_pairs log pairs = expected
-          || QCheck2.Test.fail_reportf "%s: run differs from the naive join" ctx)
-          && (Lazy_join.count ~axis log ~anc ~desc () = List.length expected
-             || QCheck2.Test.fail_reportf "%s: count differs" ctx)
-          && (semi `Anc = distinct fst || QCheck2.Test.fail_reportf "%s: semi `Anc differs" ctx)
-          && (semi `Desc = distinct snd || QCheck2.Test.fail_reportf "%s: semi `Desc differs" ctx))
-        (List.concat_map
-           (fun tags -> [ (tags, Lxu_util.Axis.Desc); (tags, Lxu_util.Axis.Child) ])
-           [ ("a", "d"); ("a", "a") ]))
+      let db, snap = build seed in
+      agree db && agree snap)

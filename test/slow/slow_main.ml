@@ -138,7 +138,8 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 25 |])
     (Lxu_props.Sweep_props.hooks_agree ~count:cases);
   Printf.printf
-    "frame sweep: %d cases, run/count/semi equal to the naive join on LD/LS\n%!"
+    "frame sweep: %d cases, run/count/query/semi equal to the naive join on LD/LS, live and \
+     pinned\n%!"
     cases;
   Snapshot_golden.run ();
   Printf.printf "snapshot bytes: XMark stores of 2,000 and 4,000 persons save to their pinned bytes and re-save identically\n%!"

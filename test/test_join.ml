@@ -93,9 +93,10 @@ let test_std_matches_naive_random () =
 
 (* --- Lazy-Join ------------------------------------------------------- *)
 
+(* The production read: [Lazy_join.query]'s columns as a list. *)
 let lazy_pairs ?axis log ~anc ~desc =
-  let pairs, stats = Lazy_join.run ?axis log ~anc ~desc () in
-  (Lazy_join.global_pairs log pairs, stats)
+  let (ga, gd), stats = Lazy_join.query ?axis log ~anc ~desc () in
+  (List.combine (Array.to_list ga) (Array.to_list gd), stats)
 
 let test_lazy_single_segment () =
   let log = Update_log.create () in
@@ -184,11 +185,12 @@ let test_lazy_after_removal () =
 
 (* The join emits pairs grouped by descendant segment, cross-segment
    frames innermost first and in-segment ancestors innermost first, so
-   its raw output is far from (desc, anc) order: [global_pairs] must
-   merge several runs.  Same-tag ancestors nest across three segments,
-   each segment holds an in-segment A chain, and a tombstone shifts
-   the outer segment's later labels. *)
-let test_lazy_unsorted_runs () =
+   its raw output is far from (desc, anc) order: [query] must merge
+   several runs.  Same-tag ancestors nest across three segments, each
+   segment holds an in-segment A chain, and a tombstone shifts the
+   outer segment's later labels.  [run]'s pairs show the emission
+   order, which [query]'s sink shares. *)
+let unsorted_runs_log () =
   let log = Update_log.create () in
   ignore (Update_log.insert log ~gp:0 "<A><A><B/></A><z>zz</z><x></x><B/></A>");
   (* S2 inside S1's <x> (offset 26 of S1's text). *)
@@ -197,6 +199,10 @@ let test_lazy_unsorted_runs () =
   ignore (Update_log.insert log ~gp:43 "<A><A><B/></A><B/></A>");
   (* Tombstone S1's <z>zz</z>, before both child segments. *)
   Update_log.remove log ~gp:14 ~len:9;
+  log
+
+let test_lazy_unsorted_runs () =
+  let log = unsorted_runs_log () in
   let pairs, _ = Lazy_join.run log ~anc:"A" ~desc:"B" () in
   let global sid start =
     let n = Update_log.node_of_sid log sid in
@@ -214,7 +220,78 @@ let test_lazy_unsorted_runs () =
   check_bool (Printf.sprintf "raw pairs have >= 3 descents (%d)" !descents) true (!descents >= 3);
   let text = Update_log.materialize log in
   Alcotest.check pair_list "= naive on the materialization" (naive_pairs text ~anc:"A" ~desc:"B")
-    (Lazy_join.global_pairs log pairs)
+    (fst (lazy_pairs log ~anc:"A" ~desc:"B"))
+
+(* The shape of a selective query over many small segments: one
+   ancestor in a parent segment and [n] child segments, each holding
+   one descendant, so every SL_D entry is a one-pair cross-segment
+   task under the same frame. *)
+let one_pair_per_segment_log n =
+  let log = Update_log.create () in
+  ignore (Update_log.insert log ~gp:0 "<r><a>tt</a><africa><x/></africa></r>");
+  (* Insert at the <x/>'s start, back to front: children in order. *)
+  for k = n - 1 downto 0 do
+    ignore (Update_log.insert log ~gp:20 (Printf.sprintf "<item id=\"%d\"><location/></item>" k))
+  done;
+  Update_log.remove log ~gp:6 ~len:2;
+  log
+
+let test_lazy_one_pair_per_segment () =
+  let n = 397 in
+  let log = one_pair_per_segment_log n in
+  let text = Update_log.materialize log in
+  List.iter
+    (fun axis ->
+      let expected = naive_pairs ~axis text ~anc:"africa" ~desc:"location" in
+      let got, stats = lazy_pairs ~axis log ~anc:"africa" ~desc:"location" in
+      Alcotest.check pair_list "= naive" expected got;
+      check_int "pairs" (if axis = Axis.Desc then n else 0) (List.length got);
+      check_int "one SL_D entry per segment" n stats.Lazy_join.d_segments;
+      check_int "all cross-segment" (List.length got) stats.Lazy_join.cross_pairs;
+      check_int "none in-segment" 0 stats.Lazy_join.in_pairs)
+    [ Axis.Desc; Axis.Child ];
+  let got, _ = lazy_pairs ~axis:Axis.Child log ~anc:"item" ~desc:"location" in
+  Alcotest.check pair_list "item/location = naive"
+    (naive_pairs ~axis:Axis.Child text ~anc:"item" ~desc:"location") got;
+  check_int "item/location pairs" n (List.length got)
+
+(* A guard that fires while [query] runs stops it.  The guard probes
+   the clock only on every 64th check, and its first probe (made here)
+   finds the deadline ahead: once it has passed, the join starts and
+   raises at a later probe, one of the several hundred checks its 397
+   tasks make. *)
+let test_query_cancelled_mid_join () =
+  let log = one_pair_per_segment_log 397 in
+  let deadline = Deadline.after 0.002 in
+  let guard = Deadline.guard ~deadline () in
+  Deadline.check_opt guard;
+  while not (Deadline.expired deadline) do
+    ()
+  done;
+  let before = Lazy_join.runs () in
+  (match Lazy_join.query ?guard log ~anc:"africa" ~desc:"location" () with
+  | _ -> Alcotest.fail "query ran to completion past its deadline"
+  | exception Deadline.Cancel.Cancelled Deadline.Cancel.Timeout -> ());
+  check_int "the join had started" (before + 1) (Lazy_join.runs ())
+
+(* perfbench's traced read still times [run] and [global_pairs] as two
+   spans: that route must give [query]'s answer and stats. *)
+let test_global_pairs_of_run () =
+  List.iter
+    (fun (log, anc, desc) ->
+      List.iter
+        (fun axis ->
+          let pairs, run_stats = Lazy_join.run ~axis log ~anc ~desc () in
+          let got, stats = lazy_pairs ~axis log ~anc ~desc in
+          Alcotest.check pair_list (anc ^ "/" ^ desc) got (Lazy_join.global_pairs log pairs);
+          check_bool "same stats" true (stats = run_stats))
+        [ Axis.Desc; Axis.Child ])
+    [
+      (unsorted_runs_log (), "A", "B");
+      (unsorted_runs_log (), "A", "A");
+      (one_pair_per_segment_log 50, "africa", "location");
+      (one_pair_per_segment_log 50, "r", "item");
+    ]
 
 (* --- randomized equivalence over segmented documents ----------------- *)
 
@@ -406,6 +483,9 @@ let suite =
     Alcotest.test_case "lazy missing tags" `Quick test_lazy_missing_tags;
     Alcotest.test_case "lazy after removal" `Quick test_lazy_after_removal;
     Alcotest.test_case "lazy unsorted runs merge" `Quick test_lazy_unsorted_runs;
+    Alcotest.test_case "lazy one pair per segment" `Quick test_lazy_one_pair_per_segment;
+    Alcotest.test_case "query cancelled mid-join" `Quick test_query_cancelled_mid_join;
+    Alcotest.test_case "global_pairs . run = query" `Quick test_global_pairs_of_run;
   ]
   @ props
 
