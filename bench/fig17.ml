@@ -25,7 +25,7 @@ let mid_insert_point log =
   let target = Update_log.doc_length log / 2 in
   let best = ref 0 in
   Er_node.iter_subtree (Update_log.root log) (fun n ->
-      let gp = Update_log.gp log n in
+      let gp = Seg_map.gp (Update_log.seg_map log) n in
       if (not (Er_node.is_root n)) && gp <= target && gp > !best then best := gp);
   !best
 

@@ -19,6 +19,6 @@ let segment_boundary log =
   let target = Update_log.doc_length log / 2 in
   let best = ref 0 in
   Er_node.iter_subtree (Update_log.root log) (fun nd ->
-      let gp = Update_log.gp log nd in
+      let gp = Seg_map.gp (Update_log.seg_map log) nd in
       if (not (Er_node.is_root nd)) && gp <= target && gp > !best then best := gp);
   !best

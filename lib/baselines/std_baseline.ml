@@ -12,21 +12,23 @@ let global_list_counted log ~tag stats =
   | None -> [||]
   | Some tid ->
     let depth = Path_synopsis.depth_table (Update_log.synopsis log) in
+    let map = Update_log.seg_map log in
     let acc = Vec.create () in
     Array.iter
       (fun (entry : Tag_list.entry) ->
         let node = Update_log.node_of_sid log entry.Tag_list.sid in
-        let c : Er_node.cols = Update_log.elements_cols log ~tid ~sid:entry.Tag_list.sid in
+        let c = Er_node.cols node ~tid in
         let n = Er_node.cols_length c in
         (match stats with
         | Some s -> s.elements_read <- s.elements_read + n
         | None -> ());
+        let cursor = Seg_map.cursor map node in
         for i = 0 to n - 1 do
-          let gstart, gstop =
-            Er_node.global_extent_span ~gp:(Update_log.gp log node) node ~start:c.starts.(i)
-              ~stop:c.stops.(i)
-          in
-          Vec.push acc (Interval.make ~start:gstart ~stop:gstop ~level:depth.(c.pids.(i)))
+          Vec.push acc
+            (Interval.make
+               ~start:(Er_node.cursor_start cursor c.starts.(i))
+               ~stop:(Er_node.cursor_stop cursor c.stops.(i))
+               ~level:depth.(c.pids.(i)))
         done)
       (Update_log.segments_for_tag log ~tag);
     let a = Vec.to_array acc in

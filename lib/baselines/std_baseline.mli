@@ -26,6 +26,7 @@ val run :
 val global_list : Lxu_seglog.Update_log.t -> tag:string -> Interval.t array
 (** The translated, globally-sorted element list of one tag (the input
     list STD consumes).  Per-segment element sets are the segments'
-    own columns ({!Lxu_seglog.Update_log.elements_cols}); translation
-    to global coordinates still happens per query (global positions
-    move under updates, so they cannot be cached). *)
+    own columns; translation to global coordinates happens per query
+    (global positions move under updates, so they cannot be cached),
+    one {!Lxu_seglog.Seg_map.cursor} per segment, as Lazy-Join's
+    results translate. *)

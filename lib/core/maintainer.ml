@@ -55,7 +55,6 @@ type stats = {
   idle : int;
   busy : int;
   shed : int;
-  failed : int;
 }
 
 type t = {
@@ -69,10 +68,7 @@ type t = {
   idle : int Atomic.t;
   busy : int Atomic.t;
   shed : int Atomic.t;
-  failed : int Atomic.t;
   last_backup_tick : int Atomic.t;
-  stop_flag : bool Atomic.t;
-  mutable worker : unit Domain.t option;
 }
 
 let check_config cfg =
@@ -95,10 +91,7 @@ let make cfg target =
     idle = Atomic.make 0;
     busy = Atomic.make 0;
     shed = Atomic.make 0;
-    failed = Atomic.make 0;
     last_backup_tick = Atomic.make 0;
-    stop_flag = Atomic.make false;
-    worker = None;
   }
 
 let of_governor ?(config = default_config) gov = make config (Governed gov)
@@ -114,7 +107,6 @@ let stats t =
     idle = Atomic.get t.idle;
     busy = Atomic.get t.busy;
     shed = Atomic.get t.shed;
-    failed = Atomic.get t.failed;
   }
 
 (* One maintenance step on the quiescent live database (under the
@@ -231,28 +223,3 @@ let rec run_until_idle ?(max_steps = max_int) t =
     match tick t with
     | Ran _ -> 1 + run_until_idle ~max_steps:(max_steps - 1) t
     | Idle | Busy | Shed _ -> 0
-
-let start ?(period_s = 0.05) t =
-  if period_s <= 0. then invalid_arg "Maintainer.start: period_s <= 0";
-  if t.worker <> None then invalid_arg "Maintainer.start: already running";
-  Atomic.set t.stop_flag false;
-  t.worker <-
-    Some
-      (Domain.spawn (fun () ->
-           while not (Atomic.get t.stop_flag) do
-             (* The loop must survive anything a job throws (a pack
-                target raced away, a full disk): count it and keep
-                maintaining. *)
-             (try ignore (tick t) with _ -> Atomic.incr t.failed);
-             Unix.sleepf period_s
-           done))
-
-let stop t =
-  match t.worker with
-  | None -> ()
-  | Some d ->
-    Atomic.set t.stop_flag true;
-    Domain.join d;
-    t.worker <- None
-
-let running t = t.worker <> None

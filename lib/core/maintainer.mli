@@ -1,10 +1,11 @@
-(** Autonomous self-maintenance: a background scheduler that pays down
-    the lazy scheme's accumulated update debt — deep ER chains, dirty
-    tag-list pending runs, a growing WAL — in small crash-safe steps.
+(** Self-maintenance: a scheduler that pays down the lazy scheme's
+    accumulated update debt — deep ER chains, dirty tag-list pending
+    runs, a growing WAL — in small crash-safe steps.
 
     The paper trades update speed for debt the "maintenance hours"
-    operations repay; this module runs those hours continuously, in
-    the gaps of live traffic.  Each {!tick} performs {e at most one}
+    operations repay; this module runs those hours in the gaps of live
+    traffic, whenever its owner calls {!tick} (or {!run_until_idle}):
+    it has no thread of its own.  Each {!tick} performs {e at most one}
     job, chosen from the {!Lxu_seglog.Update_log.frag_stats}
     fragmentation counters:
 
@@ -101,28 +102,12 @@ val of_db : ?config:config -> Lazy_db.t -> t
 val tick : t -> outcome
 (** Runs at most one maintenance job and reports what happened.  Safe
     to call from any domain in governed mode.  Exceptions a job
-    raises propagate to the caller (the background loop of {!start}
-    catches and counts them instead). *)
+    raises propagate to the caller. *)
 
 val run_until_idle : ?max_steps:int -> t -> int
 (** Ticks until the store reports no remaining debt ([Idle] — or
     [Busy]/[Shed], which a foreground-quiet caller never sees) and
     returns the number of jobs run.  The CLI [compact] loop. *)
-
-val start : ?period_s:float -> t -> unit
-(** Spawns the background loop: one dedicated domain ticking every
-    [period_s] (default 0.05s).  The loop defers to live traffic via
-    the governed-mode gauges: it yields through admission, never by
-    sharing a domain with queries.  Exceptions thrown by jobs are counted in
-    {!stats}[.failed] and the loop continues.
-    @raise Invalid_argument if already running or [period_s <= 0]. *)
-
-val stop : t -> unit
-(** Signals the background loop and joins its domain; idempotent.
-    A job in flight completes first — jobs are never killed
-    mid-step. *)
-
-val running : t -> bool
 
 type stats = {
   ticks : int;
@@ -133,7 +118,6 @@ type stats = {
   idle : int;
   busy : int;
   shed : int;
-  failed : int;  (** jobs that raised (background loop only) *)
 }
 
 val stats : t -> stats

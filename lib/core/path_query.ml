@@ -313,7 +313,7 @@ let extents ?guard log (m : Lj.mask) =
       Lxu_util.Deadline.check_opt guard;
       if Bytes.length b > 0 then begin
         let node = m.Lj.nodes.(k) and c = m.Lj.cols.(k) in
-        let cursor = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node) in
+        let cursor = Seg_map.cursor (Update_log.seg_map log) node in
         for i = 0 to Bytes.length b - 1 do
           if Bytes.unsafe_get b i <> '\000' then begin
             gs.(!j) <- Er_node.cursor_start cursor c.starts.(i);

@@ -341,17 +341,15 @@ let exec_task ?guard ~axis ~out ~depth ~fetch_a ~fetch_d ~stats task =
       ()
   end
 
-(* A cursor over [node]'s segment at its gp in [log]. *)
-let cursor log node = Er_node.cursor (Er_node.translator node) ~gp:(Update_log.gp log node)
-
 (* The global start of element [i] of frame [fr]'s [elems], through
    the frame's memo. *)
-let frame_start log fr i =
+let frame_start map fr i =
   let m =
     match fr.memo with
     | Some m -> m
     | None ->
-      let m = { cur = cursor log fr.node; g = Array.make (Er_node.cols_length fr.elems) (-1) } in
+      let g = Array.make (Er_node.cols_length fr.elems) (-1) in
+      let m = { cur = Seg_map.cursor map fr.node; g } in
       fr.memo <- Some m;
       m
   in
@@ -373,7 +371,7 @@ let frame_start log fr i =
    A-elements memoized by index (a cursor steps back only where a
    D-element first meets a chain of nested ancestors, emitted
    innermost first). *)
-let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task =
+let exec_query ?guard ~axis ~map ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task =
   Deadline.check_opt guard;
   let node = task.d_node in
   let d = fetch_d node in
@@ -382,7 +380,7 @@ let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task
     if task.cross = [] then [||]
     else begin
       if Array.length !dbuf < n_d then dbuf := Array.make (max n_d (2 * Array.length !dbuf)) 0;
-      let g = !dbuf and c = cursor log node in
+      let g = !dbuf and c = Seg_map.cursor map node in
       for j = 0 to n_d - 1 do
         Array.unsafe_set g j (Er_node.cursor_start c (Array.unsafe_get d.starts j))
       done;
@@ -396,7 +394,7 @@ let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task
         let i = Array.unsafe_get fr.opened k in
         match axis with
         | Axis.Desc ->
-          let ga = frame_start log fr i in
+          let ga = frame_start map fr i in
           for j = 0 to n_d - 1 do
             buf_push2 out ga (Array.unsafe_get gd j)
           done;
@@ -405,7 +403,7 @@ let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task
           let child_level = depth.(Array.unsafe_get fr.elems.pids i) + 1 in
           for j = 0 to n_d - 1 do
             if depth.(Array.unsafe_get d.pids j) = child_level then begin
-              buf_push2 out (frame_start log fr i) (Array.unsafe_get gd j);
+              buf_push2 out (frame_start map fr i) (Array.unsafe_get gd j);
               stats.cross_pairs <- stats.cross_pairs + 1
             end
           done
@@ -413,11 +411,11 @@ let exec_query ?guard ~axis ~log ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task
     task.cross;
   if task.in_seg then begin
     let a = fetch_a node in
-    let ga = Array.make (Er_node.cols_length a) (-1) and a_cur = cursor log node in
+    let ga = Array.make (Er_node.cols_length a) (-1) and a_cur = Seg_map.cursor map node in
     let d_g =
       if task.cross <> [] then Array.unsafe_get gd
       else begin
-        let d_cur = cursor log node and last = ref (-1) and last_g = ref 0 in
+        let d_cur = Seg_map.cursor map node and last = ref (-1) and last_g = ref 0 in
         fun j ->
           if j <> !last then begin
             last := j;
@@ -470,8 +468,9 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
      share a gp only when one is the other's ancestor (the ancestor's
      own text before the child is all tombstoned), and the tag lists
      keep the ancestor first. *)
+  let map = Update_log.seg_map log in
   let precedes sa sd =
-    let ga = Update_log.gp log sa and gd = Update_log.gp log sd in
+    let ga = Seg_map.gp map sa and gd = Seg_map.gp map sd in
     ga < gd || (ga = gd && is_ancestor sa sd)
   in
   let a_head = heads n_a sla and d_head = heads n_d sld in
@@ -502,7 +501,7 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
       !nf > 0
       &&
       let top = (Vec.get frames (!nf - 1)).node in
-      Update_log.gp log sd_node > Update_log.gp log top + top.Er_node.len
+      Seg_map.gp map sd_node > Seg_map.gp map top + top.Er_node.len
     then
       (* Step 1: the top segment cannot contain sd nor any later
          segment of SL_D. *)
@@ -606,7 +605,8 @@ let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
 
 let query ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
   let out = buf_create ~counting:false in
-  let stats = join ?guard log ~anc ~desc (exec_query ?guard ~axis ~log ~dbuf:(ref [||]) ~out) in
+  let map = Update_log.seg_map log in
+  let stats = join ?guard log ~anc ~desc (exec_query ?guard ~axis ~map ~dbuf:(ref [||]) ~out) in
   let ga, gd = buf_columns out in
   Run_merge.sort gd ga;
   ((ga, gd), stats)
@@ -830,7 +830,8 @@ let global_pairs log pairs =
   let n = Array.length pairs in
   if n = 0 then []
   else begin
-    let cursor = Update_log.cursors log in
+    let map = Update_log.seg_map log in
+    let cursor sid = Seg_map.cursor map (Update_log.node_of_sid log sid) in
     let ga = Array.make n 0 and gd = Array.make n 0 in
     let p0 = pairs.(0) in
     let a_sid = ref p0.a_sid and a_cur = ref (cursor p0.a_sid) in

@@ -99,7 +99,7 @@ val query :
     ~desc ()))] — with the same stats as {!run}.
 
     The join runs {!run}'s merge pass and loops, but its sink
-    translates as it emits, through {!Lxu_seglog.Er_node.cursor}s over
+    translates as it emits, through {!Lxu_seglog.Seg_map.cursor}s over
     the segments the merge pass has already resolved: a task with
     cross-segment output translates its D column once, a pushed
     frame translates each of its A-elements once however many
@@ -191,8 +191,9 @@ val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 
     The pairs are walked in emission order with one
     {!Lxu_seglog.Er_node.cursor} per side: a side's cursor is taken
-    ({!Lxu_seglog.Update_log.cursors}, over the segment's cached
-    translator) only when its sid changes, and an ancestor repeated
+    ({!Lxu_seglog.Seg_map.cursor} on {!Lxu_seglog.Update_log.node_of_sid},
+    over the segment's cached translator) only when its sid changes,
+    and an ancestor repeated
     across consecutive pairs (a cross-segment emission) reuses its
     global start.  The translated columns are merged by
     {!Lxu_util.Run_merge.sort}, as in {!query}. *)

@@ -336,9 +336,6 @@ let add_tombstone t a b =
   Vec.sort (fun (x, _) (y, _) -> Int.compare x y) keep;
   t.tombstones <- keep
 
-let child_index_for_gp ~gps t gp =
-  Vec.lower_bound t.children ~compare:(fun c -> if gps.(c.slot) <= gp then -1 else 0)
-
 let sum_children_upto t x ~incl_eq =
   Vec.fold_left
     (fun acc c -> if c.lp < x || (incl_eq && c.lp = x) then acc + c.len else acc)
@@ -433,13 +430,12 @@ let rec iter_subtree t f =
   f t;
   Vec.iter (fun c -> iter_subtree c f) t.children
 
-let check ~gps t =
+let check t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let rec go n =
     if n.len <> own_len n + children_len n then
       fail "segment %d: len %d <> own %d + children %d" n.sid n.len (own_len n)
         (children_len n);
-    if is_root n && gps.(n.slot) <> 0 then fail "root gp moved to %d" gps.(n.slot);
     (* Tombstones: sorted, disjoint, within the original text. *)
     let prev_stop = ref (-1) in
     Vec.iter
@@ -476,8 +472,8 @@ let check ~gps t =
         | top :: _ when top < stop -> fail "segment %d: elements overlap" n.sid
         | _ -> ());
         stack := stop :: !stack);
-    (* Children: inside the parent span, disjoint, gp- and lp-sorted. *)
-    let cursor = ref gps.(n.slot) in
+    (* Children: lp-sorted, inside the parent's text (their positions are
+       [Seg_map.check]'s). *)
     let prev_lp = ref min_int in
     Vec.iter
       (fun c ->
@@ -490,13 +486,9 @@ let check ~gps t =
         if c.gen > n.gen then
           fail "segment %d: child %d is newer than its parent (generation %d > %d)" n.sid c.sid
             c.gen n.gen;
-        let gp = gps.(c.slot) in
-        if gp < !cursor then fail "segment %d: children overlap at %d" n.sid c.sid;
-        if gp + c.len > gps.(n.slot) + n.len then fail "segment %d: child %d escapes" n.sid c.sid;
         if c.lp < !prev_lp then fail "segment %d: child lps out of order" n.sid;
         if c.lp < 0 || c.lp > n.orig_len then fail "segment %d: child %d lp out of range" n.sid c.sid;
         prev_lp := c.lp;
-        cursor := gp + c.len;
         go c)
       n.children
   in

@@ -6,9 +6,8 @@
     segment's elements in virtual local coordinates, stored once, as
     per-tag columns ({!cols}): the paper's element index (§3.4) is
     the only copy of a segment's elements.  Its global position [gp]
-    is not on the node: the owning log keeps every segment's gp in
-    one flat int array indexed by the node's [slot], so shifting
-    positions touches no node.
+    is not on the node: the owning log's {!Seg_map} keeps it under the
+    node's [slot], so shifting positions touches no node.
 
     {b Versions.}  Nodes are shared between the live log and the
     frozen snapshots it publishes.  Each node carries the generation
@@ -71,7 +70,7 @@ type translator
 
 type t = {
   sid : int;
-  slot : int;  (** index of the segment's gp in the owning log's gp array *)
+  slot : int;  (** where the owning log's {!Seg_map} keeps the segment's gp *)
   gen : int;  (** generation the node was made or copied in (see {!own}) *)
   mutable len : int;  (** physical length, descendants included *)
   lp : int;  (** virtual local position within the parent; immutable *)
@@ -185,11 +184,6 @@ val add_tombstone : t -> int -> int -> unit
     with existing tombstones.  Ranges must cover only live bytes or
     whole existing tombstones. *)
 
-val child_index_for_gp : gps:int array -> t -> int -> int
-(** Index in [children] where a child with global position [gp] should
-    be inserted to keep the vector sorted (after any child with equal
-    [gp]); [gps] is the owning log's gp array. *)
-
 val global_extent_span : gp:int -> t -> start:int -> stop:int -> int * int
 (** Current global [(start, stop)] of an element of local extent
     [[start, stop)]: [gp] (the node's), plus the live
@@ -200,9 +194,9 @@ val global_extent_span : gp:int -> t -> start:int -> stop:int -> int * int
     that lets classical join algorithms run on the lazy store (§4).
 
     It is the {e linear reference}: every call scans all of the node's
-    tombstones and children.  The STD baseline and the
-    {!Update_log.global_elements} oracle use it; query paths that
-    translate many labels of one segment walk a {!cursor} instead. *)
+    tombstones and children.  Only the {!Update_log.global_elements}
+    oracle and the tests use it; every reader translates through
+    {!Seg_map.cursor} instead. *)
 
 val translator : t -> translator
 (** The node's translator, built on first use and cached on the node.
@@ -242,13 +236,12 @@ val cursor_stop : cursor -> int -> int
 val iter_subtree : t -> (t -> unit) -> unit
 (** Pre-order traversal of the node and its descendants. *)
 
-val check : gps:int array -> t -> unit
-(** Validates subtree invariants: children sorted and disjoint (by
-    their gps in [gps]), each child's ancestry its parent's plus its
-    own sid and its generation no newer than its parent's, lengths
-    consistent, tombstones sorted/disjoint, column tags strictly
-    ascending with non-empty equal-length columns, and the
-    {!iter_elements} walk strictly ascending, properly nested and
-    inside the original text (test helper; slots are
-    {!Update_log.check}'s).
+val check : t -> unit
+(** Validates subtree invariants: children [lp]-sorted inside their
+    parent's text, each child's ancestry its parent's plus its own sid
+    and its generation no newer than its parent's, lengths consistent,
+    tombstones sorted/disjoint, column tags strictly ascending with
+    non-empty equal-length columns, and the {!iter_elements} walk
+    strictly ascending, properly nested and inside the original text.
+    Slots and global positions are {!Seg_map.check}'s.
     @raise Failure on violation. *)

@@ -16,20 +16,14 @@ type metrics = {
    changes a node only through [own_root]/[own_child], which copy a
    node of an older generation (and its path from the root) first and
    relink the copy in the sid map.  Global positions are not on the
-   nodes: [gps.(n.slot)] is node [n]'s, a flat array that [freeze]
-   copies, so the insert/remove gp shift is a loop over unboxed ints
-   that never touches a node.  Slots [0, n_slots) are in use or on
-   [free_slots] (holding gp -1, which no shift moves); the root is
-   slot 0, gp 0. *)
+   nodes: [map] holds them, and [freeze] copies it. *)
 type t = {
   mode : mode;
   index_attributes : bool;
   registry : Tag_registry.t;
   mutable root : Er_node.t;
   mutable gen : int;
-  mutable gps : int array;
-  mutable n_slots : int;
-  mutable free_slots : int list;
+  map : Seg_map.t;
   mutable sb : Sb_index.t;
   mutable sb_dirty : bool;
   tag_list : Tag_list.t;
@@ -56,9 +50,7 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(backend = Storag
     registry = Tag_registry.create ();
     root;
     gen = 0;
-    gps = Array.make 64 0;
-    n_slots = 1;
-    free_slots = [];
+    map = Seg_map.create ();
     sb;
     sb_dirty = false;
     tag_list = Tag_list.create ();
@@ -119,42 +111,11 @@ let registry t = t.registry
 let metrics t = t.metrics
 let tag_list t = t.tag_list
 let synopsis t = t.synopsis
-let gp t (n : Er_node.t) = t.gps.(n.Er_node.slot)
+let seg_map t = t.map
 
-(* A slot for a new segment at global position [gp]. *)
-let alloc_slot t gp =
-  match t.free_slots with
-  | s :: rest ->
-    t.free_slots <- rest;
-    t.gps.(s) <- gp;
-    s
-  | [] ->
-    let s = t.n_slots in
-    if s = Array.length t.gps then begin
-      let bigger = Array.make (2 * s) 0 in
-      Array.blit t.gps 0 bigger 0 s;
-      t.gps <- bigger
-    end;
-    t.gps.(s) <- gp;
-    t.n_slots <- s + 1;
-    s
-
-let free_slot t slot =
-  t.gps.(slot) <- -1;
-  t.free_slots <- slot :: t.free_slots
-
-(* Adds [delta] to every gp at or after [from] (the root's excepted):
-   the gp shift of Figures 5 and 7. *)
-let shift_gps t ~from delta =
-  let gps = t.gps and shifted = ref 0 in
-  for i = 1 to t.n_slots - 1 do
-    let g = Array.unsafe_get gps i in
-    if g >= from then begin
-      Array.unsafe_set gps i (g + delta);
-      incr shifted
-    end
-  done;
-  t.metrics.gp_shifts <- t.metrics.gp_shifts + !shifted
+(* The gp shift of Figures 5 and 7, counted. *)
+let shift t ~from delta =
+  t.metrics.gp_shifts <- t.metrics.gp_shifts + Seg_map.shift t.map ~from delta
 
 (* The live root, changeable in place (copied first if a snapshot
    shares it). *)
@@ -190,7 +151,7 @@ let own_child_node t (p : Er_node.t) (c : Er_node.t) =
 let sort_tag_lists t =
   if Tag_list.is_dirty t.tag_list then
     Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
-        match Sb_index.find t.sb sid with Some n -> gp t n | None -> raise Not_found)
+        match Sb_index.find t.sb sid with Some n -> Seg_map.gp t.map n | None -> raise Not_found)
 
 (* Every segment's context chain rebuilt from the ER-tree, handed to
    [f node ctx] in pre-order: the oracle for the chains recorded on the
@@ -279,38 +240,25 @@ let link_new_segment t ~gp ~text ~tids ~starts ~stops =
   let len = String.length text in
   (* Step 1: shift the global position of every segment at or after the
      insertion point (AddNewSegment_Start). *)
-  shift_gps t ~from:gp len;
-  let gps = t.gps in
+  shift t ~from:gp len;
   (* Step 2: descend to the parent segment, growing lengths on the way
-     (AddNewSegment).  A child still covers the insertion point iff
-     [c.gp < gp < c.gp + c.len]: shifted children now start after [gp],
-     and an unshifted child's length is not yet updated.  Every node on
-     the way is owned: its length changes, and the parent's children. *)
+     (AddNewSegment).  Every node on the way is owned: its length
+     changes, and the parent's children. *)
   let rec descend s =
     t.metrics.nodes_visited <- t.metrics.nodes_visited + 1;
     s.len <- s.len + len;
-    (* Only the last child starting before [gp] can cover it. *)
-    let i = child_index_for_gp ~gps s gp in
-    if i = 0 then s
-    else begin
-      let c = Vec.get s.children (i - 1) in
-      let cgp = gps.(c.slot) in
-      if cgp < gp && gp < cgp + c.len then descend (own_child t s (i - 1)) else s
-    end
+    match Seg_map.covering_child t.map s gp with
+    | -1 -> s
+    | i -> descend (own_child t s i)
   in
   let parent = descend (own_root t) in
   (* Step 3: local position (Definition 2), converted to the parent's
      virtual coordinates. *)
-  let before_len =
-    Vec.fold_left
-      (fun acc (c : Er_node.t) -> if gps.(c.slot) < gp then acc + c.len else acc)
-      0 parent.children
-  in
-  let x_phys = gp - gps.(parent.slot) - before_len in
+  let x_phys = Seg_map.own_offset t.map parent gp in
   (* When [x_phys] sits on a tombstone boundary, every virtual position
      across the gap is physically equivalent; clamp against the left
      sibling's lp so child local positions stay ordered. *)
-  let at = child_index_for_gp ~gps parent gp in
+  let at = Seg_map.child_index t.map parent gp in
   let lp =
     let vlow = virt_of_own_phys_before parent x_phys in
     if at = 0 then vlow else max vlow (Vec.get parent.children (at - 1)).lp
@@ -332,7 +280,7 @@ let link_new_segment t ~gp ~text ~tids ~starts ~stops =
      slot for the columns. *)
   let pids = Path_synopsis.add_segment t.synopsis ~ctx_tids:ctx ~tids ~starts ~stops in
   let node =
-    Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
+    Er_node.make ~sid ~slot:(Seg_map.alloc t.map gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
       ~columns:(columns_of ~tids ~starts ~stops ~pids)
   in
   node.ctx <- ctx;
@@ -428,7 +376,7 @@ let insert_edits ~who t edits =
       (* One SB-tree batch insert — sids were assigned in ascending
          order, so the pairs are already sorted — then one tag-list
          merge, restoring the LD query-ready invariant with one pass
-         instead of B.  The merge resolves gps through the SB-tree the
+         instead of B.  The merge resolves positions through the SB-tree the
          batch insert has just completed. *)
       Sb_index.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
       sort_tag_lists t
@@ -447,7 +395,9 @@ let insert t ~gp text =
 (* Pre-removal extents [(child, gp, gp + len)] of [s]'s children. *)
 let child_extents t (s : Er_node.t) =
   Vec.to_list s.Er_node.children
-  |> List.map (fun (k : Er_node.t) -> (k, gp t k, gp t k + k.len))
+  |> List.map (fun (k : Er_node.t) ->
+         let g = Seg_map.gp t.map k in
+         (k, g, g + k.len))
 
 (* The own text of [s] inside global range [x, y), as one virtual range
    [(vu, vv)] of [s]'s text, or [None] when children cover all of it.
@@ -477,7 +427,7 @@ let own_virtual_range t (s : Er_node.t) extents x y =
       let before_len =
         List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 extents
       in
-      u - gp t s - before_len
+      u - Seg_map.gp t.map s - before_len
     in
     let ulast, vlast = !last in
     Some
@@ -534,7 +484,7 @@ let remove t ~gp ~len =
         removed_sids := n.sid :: !removed_sids;
         Path_synopsis.remove_segment t.synopsis n;
         elements_gone (Er_node.element_count n);
-        free_slot t n.slot;
+        Seg_map.free t.map n.slot;
         match t.mode with
         | Lazy_dynamic -> ignore (Sb_index.remove t.sb n.sid)
         | Lazy_static -> t.sb_dirty <- true)
@@ -580,14 +530,14 @@ let remove t ~gp ~len =
           remove_range k sx sy;
           (* Right intersection: the survivors of k start at the end of
              the removed range (pre-shift coordinates). *)
-          if sx = a then t.gps.(k.slot) <- sy
+          if sx = a then Seg_map.set t.map k sy
         end)
       snapshot
   in
   remove_range (own_root t) gp y_end;
   (* Global shift (RemoveSegment_Start, applied once at the end so the
      recursion works in one coordinate system). *)
-  shift_gps t ~from:y_end (-len);
+  shift t ~from:y_end (-len);
   (* Tag-list maintenance. *)
   List.iter (fun sid -> Tag_list.remove_segment t.tag_list ~sid) !removed_sids;
   Hashtbl.iter
@@ -621,28 +571,10 @@ let node_of_sid t sid =
   if t.sb_dirty then failwith "Update_log.node_of_sid: stale SB-tree, call prepare_for_query";
   match Sb_index.find t.sb sid with Some n -> n | None -> raise Not_found
 
-module Int_tbl = Hashtbl.Make (Int)
-
-let cursors t =
-  let memo = Int_tbl.create 64 in
-  fun sid ->
-    let tr, gp =
-      match Int_tbl.find memo sid with
-      | v -> v
-      | exception Not_found ->
-        let n = node_of_sid t sid in
-        let v = (Er_node.translator n, gp t n) in
-        Int_tbl.add memo sid v;
-        v
-    in
-    Er_node.cursor tr ~gp
-
 let segments_for_tag t ~tag =
   match Tag_registry.find t.registry tag with
   | None -> [||]
   | Some tid -> Tag_list.entries t.tag_list ~tid
-
-let elements_cols t ~tid ~sid = Er_node.cols (node_of_sid t sid) ~tid
 
 (* --- materialization oracle ---------------------------------------- *)
 
@@ -697,7 +629,8 @@ let global_elements t ~tag =
         let c = Er_node.cols n ~tid in
         for i = 0 to Er_node.cols_length c - 1 do
           let gstart, gstop =
-            Er_node.global_extent_span ~gp:(gp t n) n ~start:c.starts.(i) ~stop:c.stops.(i)
+            Er_node.global_extent_span ~gp:(Seg_map.gp t.map n) n ~start:c.starts.(i)
+              ~stop:c.stops.(i)
           in
           acc := (gstart, gstop, depth.(c.pids.(i))) :: !acc
         done);
@@ -722,26 +655,19 @@ let columns_size_bytes t =
 let size_bytes t = sb_size_bytes t + tag_list_size_bytes t + columns_size_bytes t
 
 let check t =
-  Er_node.check ~gps:t.gps t.root;
-  (* Slots: every live segment has its own, inside [0, n_slots) and off
-     the free list; the root has slot 0. *)
-  let used = Array.make t.n_slots false in
-  List.iter (fun s -> used.(s) <- true) t.free_slots;
+  Er_node.check t.root;
+  Seg_map.check t.map t.root;
   Er_node.iter_subtree t.root (fun n ->
-      let s = n.Er_node.slot in
-      if s < 0 || s >= t.n_slots || used.(s) then
-        failwith (Printf.sprintf "segment %d: slot %d is out of range, shared or free" n.Er_node.sid s);
-      used.(s) <- true;
       if n.Er_node.gen > t.gen then
         failwith (Printf.sprintf "segment %d is of a future generation" n.Er_node.sid));
-  if t.root.Er_node.slot <> 0 then failwith "root is not at slot 0";
   (* Tag-list counts agree with the columns (sorting first: LS lists
      may be dirty, and sorting does not change their contents); on the
      way, every column's tag is registered and no live sid has reached
      [next_sid]. *)
   let node_by_sid = Hashtbl.create 256 in
   Er_node.iter_subtree t.root (fun n -> Hashtbl.replace node_by_sid n.Er_node.sid n);
-  Tag_list.sort_all t.tag_list ~gp_of:(fun sid -> gp t (Hashtbl.find node_by_sid sid));
+  Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
+      Seg_map.gp t.map (Hashtbl.find node_by_sid sid));
   let listed = Hashtbl.create 64 in
   List.iter
     (fun tid ->
@@ -828,8 +754,7 @@ let freeze t =
     {
       t with
       registry = Tag_registry.clone t.registry;
-      gps = Array.sub t.gps 0 t.n_slots;
-      free_slots = [];
+      map = Seg_map.freeze t.map;
       sb = Sb_index.freeze t.sb ~iter:(Er_node.iter_subtree t.root);
       tag_list = Tag_list.freeze t.tag_list;
       synopsis = Path_synopsis.clone t.synopsis;
@@ -892,7 +817,7 @@ let save t oc =
           [
             n.sid;
             n.path.(Array.length n.path - 2);
-            gp t n;
+            Seg_map.gp t.map n;
             n.len;
             n.lp;
             Array.length n.ctx;
@@ -1043,7 +968,7 @@ let load ?(backend = Storage_backend.Mem) ic =
     (* The columns wait for the slots, which wait for the context
        chain: both are set in the sweep below. *)
     let node =
-      Er_node.make ~sid ~slot:(alloc_slot t gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
+      Er_node.make ~sid ~slot:(Seg_map.alloc t.map gp) ~gen:t.gen ~parent_path:parent.path ~lp ~text
         ~columns:no_columns
     in
     node.len <- len;
@@ -1131,7 +1056,7 @@ let fragmented_subtrees (t : t) =
       subtrees :=
         {
           sid = c.Er_node.sid;
-          gp = gp t c;
+          gp = Seg_map.gp t.map c;
           len = c.Er_node.len;
           segments = !segs;
           depth = !dmax;

@@ -19,14 +19,14 @@
        {!prepare_for_query}.}}
 
     {b Global positions.}  A segment's gp is not on its node: the log
-    keeps every live segment's gp in one flat int array, indexed by
-    the node's [slot] (a removed segment's slot is reused), read with
-    {!gp}.  The gp shift of an insert or a remove is a loop over that
-    array and touches no node.
+    keeps every live segment's gp in one {!Seg_map}, read with
+    [Seg_map.gp (seg_map t) node] and turned into translation cursors
+    by {!Seg_map.cursor}.  The gp shift of an insert or a remove moves
+    the map's ints and touches no node.
 
     {b Versions.}  {!freeze} publishes a snapshot that shares every
     node, the sid map, every per-tag list and the synopsis with the
-    live log, and copies only the gp array.  It then advances the live
+    live log, and copies only the {!Seg_map}.  It then advances the live
     log's generation: before its first in-place change after a freeze,
     the live log copies a node stamped with an older generation,
     together with its path from the root (relinking each copy in the
@@ -74,9 +74,9 @@ val element_count : t -> int
 
 val root : t -> Er_node.t
 
-val gp : t -> Er_node.t -> int
-(** The node's current global position in this version of the log,
-    O(1).  The node must be one of this version's. *)
+val seg_map : t -> Seg_map.t
+(** This version's global positions: a frozen snapshot has its own
+    copy, the live log's moves with every update. *)
 
 val registry : t -> Tag_registry.t
 val metrics : t -> metrics
@@ -139,26 +139,9 @@ val node_of_sid : t -> int -> Er_node.t
 (** SB-tree lookup.  Under [Lazy_static], call {!prepare_for_query}
     first. @raise Not_found on unknown or removed sids. *)
 
-val cursors : t -> int -> Er_node.cursor
-(** [cursors t] is a lookup from sid to a fresh {!Er_node.cursor} over
-    that segment's cached translator ({!Er_node.translator}) at its gp
-    in [t], resolving each sid ({!node_of_sid}) at most once.  Readers
-    walk results in segment runs and take a cursor only when the sid
-    changes — one hash probe per run, not per label.  The memo lives as
-    long as the returned closure: use one per read.
-    @raise Not_found as {!node_of_sid}. *)
-
 val segments_for_tag : t -> tag:string -> Tag_list.entry array
 (** Tag-list lookup: segments containing the tag, in global-position
     order (the [SL] input lists of Lazy-Join). *)
-
-val elements_cols : t -> tid:int -> sid:int -> Er_node.cols
-(** Elements of one tag in one segment, in local order: the segment's
-    own columns ({!Er_node.cols} of {!node_of_sid}), the same on live
-    and frozen logs.  The arrays are immutable; a remove that cuts
-    into the segment swaps in new ones, so a returned value stays the
-    state it was read at.
-    @raise Not_found as {!node_of_sid}. *)
 
 val tag_list : t -> Tag_list.t
 
@@ -210,7 +193,7 @@ val freeze : t -> t
 (** [freeze t] returns an immutable snapshot of [t] that shares every
     node, the sid map (in memory, a persistent map), every per-tag
     list, the registry and the synopsis with [t], and copies only the
-    gp array (one int per segment slot).  It then advances [t]'s
+    {!Seg_map} (one int per segment slot).  It then advances [t]'s
     generation, so [t] copies whatever it changes next — a node and
     its path from the root, a per-tag list — and the snapshot keeps
     reading the state it was frozen at.  Element columns, tombstones
@@ -223,9 +206,10 @@ val freeze : t -> t
 val is_frozen : t -> bool
 
 val check : t -> unit
-(** Full invariant check across the ER-tree, gp slots, element
-    columns, SB-tree, tag-list and path synopsis: every live segment
-    has its own slot and no node is newer than its parent (a changed
+(** Full invariant check across the ER-tree, the {!Seg_map}, element
+    columns, SB-tree, tag-list and path synopsis: every segment's gp is
+    the one its place in the tree gives ({!Seg_map.check}), no node is
+    newer than its parent (a changed
     node's path was copied with it), the tag list holds exactly each
     segment's per-tag column lengths and {!element_count} their sum,
     every column's tag id is in the registry, the next sid is above

@@ -37,15 +37,50 @@ let run ~what ~seed ~rounds base load =
   done;
   { accepted = !accepted; refused = !refused }
 
-let snapshots ~seed ~rounds =
+let snapshot_base () =
   let db = Lazy_db.create ~index_attributes:true () in
   List.iter (Crash_harness.apply db) (ops ());
-  let base = payload db in
+  payload db
+
+let snapshots ~seed ~rounds =
+  let base = snapshot_base () in
   Crash_harness.with_dir "snapfuzz" (fun dir ->
       let path = Filename.concat dir "snapshot" in
       run ~what:"snapshot" ~seed ~rounds base (fun mutant ->
           Crash_harness.write_file path (seal mutant);
           Lazy_db.load path))
+
+let moved_gps ~seed ~rounds =
+  let lines = Array.of_list (String.split_on_char '\n' (snapshot_base ())) in
+  let segs =
+    Array.of_list
+      (List.filter (fun i -> String.starts_with ~prefix:"seg " lines.(i))
+         (List.init (Array.length lines) Fun.id))
+  in
+  let rng = Rng.create seed in
+  Crash_harness.with_dir "gpfuzz" (fun dir ->
+      let path = Filename.concat dir "snapshot" in
+      for round = 1 to rounds do
+        let i = Rng.pick rng segs in
+        let delta = (1 + Rng.int rng 3) * if Rng.bool rng then 1 else -1 in
+        (* [seg sid parent gp ...]: the gp is the fourth word. *)
+        let moved =
+          String.concat " "
+            (List.mapi
+               (fun j w -> if j = 3 then string_of_int (int_of_string w + delta) else w)
+               (String.split_on_char ' ' lines.(i)))
+        in
+        let mutant = Array.copy lines in
+        mutant.(i) <- moved;
+        Crash_harness.write_file path (seal (String.concat "\n" (Array.to_list mutant)));
+        match Lazy_db.load path with
+        | exception Failure _ -> ()
+        | _ ->
+          failwith
+            (Printf.sprintf "gp fuzz seed %d round %d: the mutant line \"%s\" loaded" seed round
+               moved)
+      done);
+  rounds
 
 let wals ~seed ~rounds =
   let base =
@@ -60,8 +95,9 @@ let wals ~seed ~rounds =
 
 let run_corpus ~seed ~rounds =
   let s = snapshots ~seed ~rounds and w = wals ~seed ~rounds in
+  let g = moved_gps ~seed ~rounds in
   Printf.printf
     "format fuzz: %d snapshot mutants (%d loaded, %d refused), %d WAL mutants (%d recovered, %d \
-     refused), every loaded store checked\n\
+     refused), every loaded store checked; %d moved-gp snapshots, all refused\n\
      %!"
-    rounds s.accepted s.refused rounds w.accepted w.refused
+    rounds s.accepted s.refused rounds w.accepted w.refused g

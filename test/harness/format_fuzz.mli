@@ -22,9 +22,18 @@ val snapshots : seed:int -> rounds:int -> tally
 (** [rounds] resealed snapshot mutants through {!Lazy_xml.Lazy_db.load}.
     @raise Failure on anything but a checked load or a refusal. *)
 
+val moved_gps : seed:int -> rounds:int -> int
+(** [rounds] resealed snapshots of the same store, each with one
+    [seg] line's gp moved by 1 to 3 bytes either way, through
+    {!Lazy_xml.Lazy_db.load}; returns [rounds].  Every one must be
+    refused with [Failure]: a stored gp must be the segment's place in
+    the tree, and the text alone cannot show a moved one.
+    @raise Failure naming the seed, the round and the line on a mutant
+    that loads. *)
+
 val wals : seed:int -> rounds:int -> tally
 (** [rounds] WAL mutants through {!Lazy_xml.Lazy_db.recover}.
     @raise Failure on anything but a checked recovery or a refusal. *)
 
 val run_corpus : seed:int -> rounds:int -> unit
-(** {!snapshots} and {!wals} with one progress line. *)
+(** {!snapshots}, {!wals} and {!moved_gps} with one progress line. *)

@@ -123,7 +123,9 @@ let build seed =
 
 (* The global starts of the elements a semi-join mask keeps, sorted. *)
 let mask_starts log (m : Lazy_join.mask) =
-  let cursor = Lxu_seglog.Update_log.cursors log in
+  let cursor sid =
+    Lxu_seglog.(Seg_map.cursor (Update_log.seg_map log) (Update_log.node_of_sid log sid))
+  in
   let acc = ref [] in
   Array.iteri
     (fun k b ->

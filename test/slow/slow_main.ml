@@ -18,7 +18,8 @@
    - the full parser mutation-fuzz corpus, and 3,000 mutants each of a
      resealed snapshot payload and of a WAL image: every one loads (or
      recovers) into a store that passes [Lazy_db.check], or is refused
-     with [Failure] or [Sys_error];
+     with [Failure] or [Sys_error]; and 3,000 resealed snapshots with
+     one segment's gp moved by 1-3 bytes, every one refused;
    - the full maintenance chaos matrix: churn workloads interleaved
      with background maintenance, crashed at every maintenance-step
      and checkpoint-truncation boundary (plus torn/bit-flipped tails

@@ -132,34 +132,36 @@ let test_path_chain () =
   check_bool "path" true (c.Er_node.path = [| 1; 2; 3 |])
 
 let test_child_index_for_gp () =
-  let p = mk "0123456789" [] in
-  (* Children's gps by slot; a child's slot is its sid. *)
-  let gps = Array.make 10 0 in
+  (* The parent sits at the map's root slot. *)
+  let p = mk ~sid:0 "0123456789" [] in
+  let map = Seg_map.create () in
   let add gp =
-    let c = mk ~sid:gp ~parent_path:p.Er_node.path ~lp:gp "<x/>" [] in
-    gps.(gp) <- gp;
-    Vec.insert_at p.Er_node.children (Er_node.child_index_for_gp ~gps p gp) c
+    let c =
+      Er_node.make ~sid:(gp + 1) ~slot:(Seg_map.alloc map gp) ~gen:0 ~parent_path:p.Er_node.path
+        ~lp:gp ~text:"<x/>" ~columns:Er_node.no_columns
+    in
+    Vec.insert_at p.Er_node.children (Seg_map.child_index map p gp) c
   in
   add 8;
   add 2;
   add 5;
-  let kid_gps = List.map (fun (c : Er_node.t) -> gps.(c.Er_node.slot)) (Vec.to_list p.Er_node.children) in
+  let kid_gps = List.map (Seg_map.gp map) (Vec.to_list p.Er_node.children) in
   check_bool "sorted" true (kid_gps = [ 2; 5; 8 ]);
-  check_int "before all" 0 (Er_node.child_index_for_gp ~gps p 1);
-  check_int "after equal" 1 (Er_node.child_index_for_gp ~gps p 2);
-  check_int "past all" 3 (Er_node.child_index_for_gp ~gps p 9)
+  check_int "before all" 0 (Seg_map.child_index map p 1);
+  check_int "after equal" 1 (Seg_map.child_index map p 2);
+  check_int "past all" 3 (Seg_map.child_index map p 9)
 
 let test_check_detects_bad_length () =
   let n = mk "<a/>" [] in
   n.Er_node.len <- 7;
   check_bool "detected" true
-    (match Er_node.check ~gps:(Array.make 2 0) n with exception Failure _ -> true | () -> false)
+    (match Er_node.check n with exception Failure _ -> true | () -> false)
 
 let test_check_detects_overlapping_elems () =
   (* Crossing extents [0,6) and [3,9) are not a tree. *)
   let n = mk "<a>bc</a>" [ (0, 6, 0, 0); (3, 9, 1, 1) ] in
   check_bool "detected" true
-    (match Er_node.check ~gps:(Array.make 2 0) n with exception Failure _ -> true | () -> false)
+    (match Er_node.check n with exception Failure _ -> true | () -> false)
 
 (* Segment "<a><b/><a/><b/></a>": tags a (tid 1) and b (tid 2)
    interleaved, one tag (tid 3) absent. *)

@@ -206,7 +206,8 @@ let test_lazy_unsorted_runs () =
   let pairs, _ = Lazy_join.run log ~anc:"A" ~desc:"B" () in
   let global sid start =
     let n = Update_log.node_of_sid log sid in
-    fst (Er_node.global_extent_span ~gp:(Update_log.gp log n) n ~start ~stop:start)
+    let gp = Seg_map.gp (Update_log.seg_map log) n in
+    fst (Er_node.global_extent_span ~gp n ~start ~stop:start)
   in
   let raw =
     Array.map

@@ -237,25 +237,6 @@ let test_governed_busy () =
   | Maintainer.Idle -> ()
   | o -> Alcotest.failf "expected idle after release, got %s" (Maintainer.outcome_to_string o)
 
-let test_background_loop () =
-  let gov = Governor.create ~index_attributes:true () in
-  let m = Maintainer.of_governor ~config:quiet_config gov in
-  check_bool "not running" false (Maintainer.running m);
-  Maintainer.start ~period_s:0.005 m;
-  check_bool "running" true (Maintainer.running m);
-  Alcotest.check_raises "double start" (Invalid_argument "Maintainer.start: already running")
-    (fun () -> Maintainer.start m);
-  (match Governor.insert gov ~gp:0 "<a/>" with
-  | Ok () -> ()
-  | Error r -> Alcotest.fail (Governor.rejection_to_string r));
-  Unix.sleepf 0.05;
-  Maintainer.stop m;
-  check_bool "stopped" false (Maintainer.running m);
-  let st = Maintainer.stats m in
-  check_bool "loop ticked" true (st.Maintainer.ticks > 0);
-  check_int "no job failed" 0 st.Maintainer.failed;
-  Maintainer.stop m (* idempotent *)
-
 (* --- satellite: pinned snapshot across an auto-pack -------------------- *)
 
 let test_pinned_snapshot_across_pack () =
@@ -415,7 +396,6 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "tag-skew pack trigger" `Quick test_tag_skew_pack;
     Alcotest.test_case "governed: busy defers to foreground writers" `Quick test_governed_busy;
-    Alcotest.test_case "background loop start/stop" `Quick test_background_loop;
     Alcotest.test_case "pinned snapshot across auto-pack" `Quick test_pinned_snapshot_across_pack;
     Alcotest.test_case "write-back durability ordering" `Quick test_write_back_ordering;
     Alcotest.test_case "churn crash harness (smoke)" `Quick test_churn_crash_smoke;

@@ -87,7 +87,7 @@ let test_snapshot_shares_columns () =
   let live = Option.get (Lazy_db.log db) and frozen = Option.get (Lazy_db.log snap) in
   let tid = Option.get (Lxu_seglog.Tag_registry.find (U.registry live) "b") in
   let cut = 1 and untouched = 2 in
-  let b log sid = U.elements_cols log ~tid ~sid in
+  let b log sid = Lxu_seglog.Er_node.cols (U.node_of_sid log sid) ~tid in
   check_int "snapshot keeps both b of the cut segment" 2
     (Lxu_seglog.Er_node.cols_length (b frozen cut));
   check_int "live cut segment lost one b" 1 (Lxu_seglog.Er_node.cols_length (b live cut));

@@ -9,6 +9,7 @@ open Lxu_seglog
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let gp log n = Seg_map.gp (Update_log.seg_map log) n
 
 (* The naive reference: the same edits applied to a plain string, and
    labels from a fresh parse of it — the ground truth for
@@ -67,7 +68,7 @@ let test_single_segment () =
   check_int "elements" 2 (Update_log.element_count log);
   log_agrees_with_text log "<a><b/></a>";
   let n = Update_log.node_of_sid log sid in
-  check_int "gp" 0 (Update_log.gp log n);
+  check_int "gp" 0 (gp log n);
   check_int "len" 11 n.Er_node.len;
   check_int "lp" 0 n.Er_node.lp;
   check_int "base level" 0 (Array.length n.Er_node.ctx)
@@ -81,7 +82,7 @@ let test_nested_insertion () =
   let n1 = Update_log.node_of_sid log s1 in
   let n2 = Update_log.node_of_sid log s2 in
   check_int "s1 len grew" 22 n1.Er_node.len;
-  check_int "s2 gp" 6 (Update_log.gp log n2);
+  check_int "s2 gp" 6 (gp log n2);
   check_int "s2 lp" 6 n2.Er_node.lp;
   check_int "s2 base level" 2 (Array.length n2.Er_node.ctx);
   check_bool "s2 child of s1" true
@@ -103,8 +104,8 @@ let test_sibling_insertion_shifts () =
   log_agrees_with_text log "<a><y/><x/></a>";
   let nx = Update_log.node_of_sid log sx in
   let ny = Update_log.node_of_sid log sy in
-  check_int "y gp" 3 (Update_log.gp log ny);
-  check_int "x shifted" 7 (Update_log.gp log nx);
+  check_int "y gp" 3 (gp log ny);
+  check_int "x shifted" 7 (gp log nx);
   (* Local positions never change: both were inserted at local 3. *)
   check_int "x lp" 3 nx.Er_node.lp;
   check_int "y lp" 3 ny.Er_node.lp
@@ -158,7 +159,7 @@ let test_tag_list_paths () =
   check_bool "path of s2" true (entries.(1).Tag_list.path = [| 0; s1; s2 |]);
   check_int "count of b in s2" 2 entries.(1).Tag_list.count;
   let tid = Option.get (Tag_registry.find (Update_log.registry log) "b") in
-  let elems = Update_log.elements_cols log ~tid ~sid:s2 in
+  let elems = Er_node.cols (Update_log.node_of_sid log s2) ~tid in
   check_int "b records in s2" 2 (Er_node.cols_length elems)
 
 let test_unknown_tag () =
@@ -209,7 +210,7 @@ let test_remove_left_intersection () =
   log_agrees_with_text log "<a><b/><d/></a>";
   let n2 = Update_log.node_of_sid log s2 in
   check_int "s2 shrank" 4 n2.Er_node.len;
-  check_int "s2 kept gp" 7 (Update_log.gp log n2)
+  check_int "s2 kept gp" 7 (gp log n2)
 
 let test_remove_right_intersection () =
   let log = Update_log.create () in
@@ -221,10 +222,10 @@ let test_remove_right_intersection () =
   log_agrees_with_text log "<a><e/><c/></a>";
   let n2 = Update_log.node_of_sid log s2 in
   check_int "s2 shrank" 4 n2.Er_node.len;
-  check_int "s2 gp moved to removal start" 3 (Update_log.gp log n2);
+  check_int "s2 gp moved to removal start" 3 (gp log n2);
   (* The surviving <e/> keeps its virtual label [4,8) inside s2. *)
   let tid = Option.get (Tag_registry.find (Update_log.registry log) "e") in
-  (match Update_log.elements_cols log ~tid ~sid:s2 with
+  (match Er_node.cols (Update_log.node_of_sid log s2) ~tid with
   | { Er_node.starts = [| start |]; stops = [| stop |]; _ } ->
     check_int "e virtual start unchanged" 4 start;
     check_int "e virtual stop unchanged" 8 stop
@@ -541,12 +542,45 @@ let test_check_catches_stale_columns () =
     check_bool "names the columns" true
       (String.starts_with ~prefix:(Printf.sprintf "segment %d: element columns" s1) msg)
 
+(* [Seg_map.check] must refuse a gp off the segment's place in the
+   tree: one [set] to a wrong gp, and a shift that skips one slot.  The
+   parent's own text is tombstoned before both children, so the check
+   subtracts dead bytes. *)
+let test_seg_map_check () =
+  let log = Update_log.create () in
+  ignore (Update_log.insert log ~gp:0 "<a>xyz<t/>w</a>");
+  Update_log.remove log ~gp:3 ~len:2;
+  let sb = Update_log.insert log ~gp:4 "<b/>" in
+  let sc = Update_log.insert log ~gp:8 "<c/>" in
+  log_agrees_with_text log "<a>z<b/><c/><t/>w</a>";
+  let map = Update_log.seg_map log in
+  let nb = Update_log.node_of_sid log sb and nc = Update_log.node_of_sid log sc in
+  check_int "b gp" 4 (gp log nb);
+  check_int "c gp" 8 (gp log nc);
+  let refused what sid =
+    match Seg_map.check map (Update_log.root log) with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Failure msg ->
+      check_bool (what ^ " names the segment") true
+        (String.starts_with ~prefix:(Printf.sprintf "segment %d: gp" sid) msg)
+  in
+  Seg_map.set map nc 7;
+  refused "set to a wrong gp" sc;
+  Seg_map.set map nc 8;
+  Update_log.check log;
+  (* Every gp from b's on moves by 4, then b moves back: c alone was
+     shifted. *)
+  check_int "shifted" 2 (Seg_map.shift map ~from:4 4);
+  Seg_map.set map nb 4;
+  refused "a shift that skips a slot" sc
+
 let suite =
   suite
   @ [
       Alcotest.test_case "lazy static removal" `Quick test_lazy_static_removal;
       Alcotest.test_case "small branching log" `Quick test_small_branching_log;
       Alcotest.test_case "check catches stale columns" `Quick test_check_catches_stale_columns;
+      Alcotest.test_case "seg_map check refuses a gp off its place" `Quick test_seg_map_check;
     ]
 
 (* Oracle with attribute indexing on: attribute records must track the

@@ -320,6 +320,19 @@ let test_hostile_snapshots () =
   attempt "tab separator" (e_line (replace_first ~sub:" " ~by:"\t"));
   attempt "CRLF line end" (e_line (fun l -> l ^ "\r"));
   attempt "CRLF after a count" (rewrite_line payload ~prefix:"segments " (fun l -> l ^ "\r"));
+  (* A child's gp moved 2 bytes left, still inside its parent's own
+     text: the text would print right, but [r//y] would answer y@6,
+     where no <y/> starts.  A stored gp must be its place in the tree. *)
+  let moved = Lazy_db.create () in
+  Lazy_db.insert moved ~gp:0 "<r>abcdefghij<x/></r>";
+  Lazy_db.insert moved ~gp:8 "<y/>";
+  let move_gp l =
+    if List.nth (String.split_on_char ' ' l) 3 <> "8" then Alcotest.failf "not y's seg line: %S" l;
+    set_seg_field 2 "6" l
+  in
+  expect_refused ~what:"child gp moved inside its parent's text" path
+    (Format_fuzz.seal (rewrite_line ~nth:1 (Format_fuzz.payload moved) ~prefix:"seg " move_gp))
+    ~reference:(Lazy_db.text moved);
   Sys.remove path
 
 (* The bytes the format-2 writer has always produced for
@@ -424,6 +437,10 @@ let test_mutated_snapshots () =
   check_int "every mutant judged" 300 (t.accepted + t.refused);
   check_bool "most mutants refused" true (t.refused > t.accepted)
 
+(* A quick slice of the moved-gp fuzzer (the slow tier runs 3,000). *)
+let test_moved_gps () =
+  check_int "every moved gp refused" 100 (Format_fuzz.moved_gps ~seed:1 ~rounds:100)
+
 let suite =
   [
     Alcotest.test_case "roundtrip state" `Quick test_roundtrip_state;
@@ -497,4 +514,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
       QCheck_alcotest.to_alcotest prop_roundtrip_all_pairs;
       Alcotest.test_case "mutated snapshots load or are refused" `Quick test_mutated_snapshots;
+      Alcotest.test_case "moved seg gps refused" `Quick test_moved_gps;
     ]
