@@ -261,6 +261,27 @@ let run_boxes () =
           string_of_int prime_recomp;
         ])
     [ 1000; 2000; 4000; 8000 ];
+  Printf.printf
+    "\nLD scale: one insert+remove round trip of Figure 11's 8-tag fragment\n\
+     mid-document, under one parent holding k sibling segments (median of\n\
+     9 round trips, each after Gc.full_major)\n\n";
+  Bench_util.columns [ 10; 12; 12 ] [ "k"; "insert ms"; "remove ms" ];
+  List.iter
+    (fun k ->
+      let log = Bench_util.load_log Update_log.Lazy_dynamic (Fig11.schedule `Balanced k) in
+      let gp = Fig_workload.segment_boundary log in
+      let len = String.length Fig11.fragment in
+      let rounds =
+        List.init 9 (fun _ ->
+            Gc.full_major ();
+            let _, ins = Bench_util.time_ms (fun () -> Update_log.insert log ~gp Fig11.fragment) in
+            let (), rem = Bench_util.time_ms (fun () -> Update_log.remove log ~gp ~len) in
+            (ins, rem))
+      in
+      let median f = List.nth (List.sort compare (List.map f rounds)) 4 in
+      Bench_util.columns [ 10; 12; 12 ]
+        [ string_of_int k; Bench_util.fmt_ms (median fst); Bench_util.fmt_ms (median snd) ])
+    [ 1_000; 4_000; 16_000 ];
   (* Query side: the containment test each scheme pays per join
      comparison.  Interval and W-BOX are integer compares; B-BOX
      reconstructs two ranks per test. *)

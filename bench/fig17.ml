@@ -19,16 +19,6 @@ let fragment ~elements ~tags =
    Figure 11 worst-case segments, which contain every tag). *)
 let base_schedule shape segments = Fig11.schedule shape segments
 
-let mid_insert_point log =
-  (* Halfway through the document, snapped to a segment boundary so the
-     point is always a valid split. *)
-  let target = Update_log.doc_length log / 2 in
-  let best = ref 0 in
-  Er_node.iter_subtree (Update_log.root log) (fun n ->
-      let gp = Seg_map.gp (Update_log.seg_map log) n in
-      if (not (Er_node.is_root n)) && gp <= target && gp > !best then best := gp);
-  !best
-
 (* Median per-element insertion time into a fresh log each round. *)
 let lazy_per_element mode shape segments ~elements ~tags =
   let edits = base_schedule shape segments in
@@ -36,7 +26,7 @@ let lazy_per_element mode shape segments ~elements ~tags =
   let samples =
     List.init 9 (fun _ ->
         let log = Bench_util.load_log mode edits in
-        let gp = mid_insert_point log in
+        let gp = Fig_workload.segment_boundary log in
         snd (Bench_util.time_ms (fun () -> ignore (Update_log.insert log ~gp frag))))
     |> List.sort compare
   in

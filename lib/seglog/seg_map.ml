@@ -53,11 +53,17 @@ let covering_child t (n : Er_node.t) g =
     let cg = gp t c in
     if cg < g && g < cg + c.len then i else -1
 
+(* From the last child [c] starting before [g], whose gp places it:
+   [gp c = gp n + (c.lp - tombstoned_before n c.lp) +] the lengths of
+   its earlier siblings, so the children before [g] take [gp c - gp n
+   - (c.lp - tombstoned_before n c.lp) + c.len] of the bytes before
+   [g]. *)
 let own_offset t (n : Er_node.t) g =
-  let before =
-    Vec.fold_left (fun acc (c : Er_node.t) -> if gp t c < g then acc + c.len else acc) 0 n.children
-  in
-  g - gp t n - before
+  match child_index t n (g - 1) with
+  | 0 -> g - gp t n
+  | i ->
+    let c = Vec.get n.children (i - 1) in
+    g - gp t c - c.len + c.lp - Er_node.tombstoned_before n c.lp
 
 let cursor t n = Er_node.cursor (Er_node.translator n) ~gp:(gp t n)
 

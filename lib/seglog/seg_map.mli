@@ -11,7 +11,9 @@
     Child order stays on the nodes ({!Er_node.t}[.children]); the map
     answers the gp-keyed questions about it: where a new child goes,
     which child covers a position, and how far into its parent's own
-    text a position falls. *)
+    text a position falls.  Each is a binary search over the
+    children's gps, O(log children): no insert or remove walks a
+    parent's whole child list. *)
 
 type t
 
@@ -54,7 +56,9 @@ val own_offset : t -> Er_node.t -> int -> int
     children excluded) at which a segment inserted at global [gp]
     hooks: [gp] minus the node's gp minus the lengths of its children
     before [gp] — the local position of Definition 2 before its
-    conversion to virtual coordinates. *)
+    conversion to virtual coordinates.  O(log children + tombstones):
+    it reads only the last child starting before [gp], whose own gp
+    accounts for every earlier sibling. *)
 
 val cursor : t -> Er_node.t -> Er_node.cursor
 (** A fresh cursor over the node's cached translator

@@ -184,53 +184,83 @@ let mark_dirty t =
      staleness signal): every list pays the next sort_all pass. *)
   iter_slots t (fun tid s -> if not s.dirty then soil t (own t tid))
 
-(* Compact in place with a write cursor: removing k of n entries costs
-   one pass and zero allocation, instead of rebuilding the whole vector
-   through a temporary copy.  Removed entries leave the slot's element
-   counter with them. *)
-let remove_where t s v pred =
-  let n = Vec.length v in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    let e = Vec.get v i in
-    if pred e then begin
-      s.elems <- s.elems - e.count;
-      t.path_ops <- t.path_ops + 1
-    end
-    else begin
-      if !w < i then Vec.set v !w e;
-      incr w
-    end
-  done;
-  if !w < n then Vec.truncate v !w
-
-(* A decrement replaces the entry: entries are shared with snapshots. *)
-let decrement t ~tid ~sid ~by =
+(* Lowers the count of every entry of [sid] in [tid]'s list by [by e]
+   and drops an entry whose count reaches zero.  The main run is sorted
+   by gp, so its entries of [sid] sit in the run of entries at [gp]
+   (the segment's own): a binary search finds the run's start and a
+   step across the whole run, in whatever order it holds its
+   segments, the sid, calling [gp_of] on O(log n + the run) entries.
+   The pending run is unsorted and scanned.  A decrement replaces the entry: entries are shared with
+   snapshots. *)
+let lower t ~tid ~sid ~gp ~gp_of by =
   match find t tid with
   | None -> ()
   | Some _ ->
     let s = own t tid in
-    let touch v =
-      Vec.iteri
-        (fun i e ->
-          if e.sid = sid then begin
-            Vec.set v i { e with count = e.count - by };
-            s.elems <- s.elems - by
-          end)
-        v;
-      remove_where t s v (fun e -> e.sid = sid && e.count <= 0)
+    (* The index after entry [i] of [v] once it is lowered. *)
+    let lower_at v i =
+      let e = Vec.get v i in
+      let by = by e in
+      if e.count > by then begin
+        s.elems <- s.elems - by;
+        Vec.set v i { e with count = e.count - by };
+        i + 1
+      end
+      else begin
+        s.elems <- s.elems - e.count;
+        ignore (Vec.remove_at v i);
+        t.path_ops <- t.path_ops + 1;
+        i
+      end
     in
-    touch s.entries;
-    touch s.pending
+    let main = s.entries in
+    let rec step i =
+      if i < Vec.length main then begin
+        let e = Vec.get main i in
+        if e.sid = sid then step (lower_at main i)
+        else if gp_of e.sid = gp then step (i + 1)
+      end
+    in
+    step (Vec.lower_bound main ~compare:(fun e -> if gp_of e.sid < gp then -1 else 0));
+    let pending = s.pending in
+    let rec scan i =
+      if i < Vec.length pending then
+        scan (if (Vec.get pending i).sid = sid then lower_at pending i else i + 1)
+    in
+    scan 0
 
-let remove_segment t ~sid =
+let decrement t ~tid ~sid ~gp ~gp_of ~by = lower t ~tid ~sid ~gp ~gp_of (fun _ -> by)
+
+let remove_segment t ~sid ~gp ~tids ~gp_of =
+  Array.iter (fun tid -> lower t ~tid ~sid ~gp ~gp_of (fun e -> e.count)) tids
+
+(* Each main run in gp order, which the keyed search in [lower]
+   relies on, and equal gps only where the earlier entry's segment is
+   an ancestor of the later one's, which the join's segment merge
+   ([Lazy_join.plan]'s [precedes]) relies on. *)
+let check t ~gp_of =
   iter_slots t (fun tid s ->
-      let holds v = Vec.exists (fun e -> e.sid = sid) v in
-      if holds s.entries || holds s.pending then begin
-        let s = own t tid in
-        remove_where t s s.entries (fun e -> e.sid = sid);
-        remove_where t s s.pending (fun e -> e.sid = sid)
+      let v = s.entries in
+      if Vec.length v > 0 then begin
+        let ga = ref (gp_of (Vec.get v 0).sid) in
+        for i = 1 to Vec.length v - 1 do
+          let a = Vec.get v (i - 1) and b = Vec.get v i in
+          let gb = gp_of b.sid in
+          let d = Array.length a.path in
+          if !ga > gb || (!ga = gb && not (d < Array.length b.path && b.path.(d - 1) = a.sid))
+          then
+            failwith
+              (Printf.sprintf
+                 "tag %d: segment %d (gp %d) precedes segment %d (gp %d) in the tag list" tid
+                 a.sid !ga b.sid gb);
+          ga := gb
+        done
       end)
+
+let iter_entries t f =
+  iter_slots t (fun tid s ->
+      Vec.iter (f ~tid) s.entries;
+      Vec.iter (f ~tid) s.pending)
 
 let entries t ~tid =
   match find t tid with
@@ -256,11 +286,6 @@ let max_segments t =
   let m = ref 0 in
   iter_slots t (fun _ s -> m := max !m (Vec.length s.entries + Vec.length s.pending));
   !m
-
-let tids t =
-  let acc = ref [] in
-  iter_slots t (fun tid _ -> acc := tid :: !acc);
-  List.rev !acc
 
 let path_ops t = t.path_ops
 

@@ -7,7 +7,11 @@
     Per-tag lists are kept sorted by the segments' current
     global positions under the lazy-dynamic discipline (every insert
     appends and merges at once); the lazy-static discipline appends
-    unsorted and sorts on demand just before querying (§5.1).
+    unsorted and sorts on demand just before querying (§5.1).  Since
+    the sorted run is in gp order, a removal or a decrement finds its
+    entry by binary search on the segment's gp, in the lists of the
+    segment's own tags only: O(log n) per tag, not a scan of every
+    list.
 
     {b Versions.}  {!freeze} shares the whole list with a snapshot in
     O(1).  Each per-tag list carries the generation it was made or
@@ -62,19 +66,43 @@ val mark_dirty : t -> unit
     re-sort all of them (benchmark helper for re-measuring the full LS
     pre-query cost). *)
 
-val decrement : t -> tid:int -> sid:int -> by:int -> unit
-(** Lowers the element count of [(tid, sid)]; the entry is removed
-    when the count reaches zero.  Unknown pairs are ignored (the
-    segment may already have been dropped). *)
+val decrement : t -> tid:int -> sid:int -> gp:int -> gp_of:(int -> int) -> by:int -> unit
+(** Lowers the element count of [(tid, sid)], where [gp] is the
+    segment's gp in the coordinates [gp_of] gives every other
+    segment; the entry is removed when the count reaches zero.
+    Unknown pairs are ignored (the segment may already have been
+    dropped).
 
-val remove_segment : t -> sid:int -> unit
-(** Removes the segment's entries from every per-tag list (full
-    segment deletion). *)
+    The main run is searched by gp, not scanned: a binary search on
+    [gp] finds the run of entries at that gp, and a step across the
+    whole run finds the sid, so [gp_of] is called on O(log n +
+    that run) main-run entries and on no pending one.  The pending run
+    is scanned (it is empty under the lazy-dynamic discipline after
+    every write). *)
+
+val remove_segment : t -> sid:int -> gp:int -> tids:int array -> gp_of:(int -> int) -> unit
+(** Removes the segment's entries from the lists of [tids], the tags
+    of its elements (full segment deletion), each found as in
+    {!decrement}.  Lists of other tags are not visited. *)
+
+val check : t -> gp_of:(int -> int) -> unit
+(** Checks the main runs' order: each is in [gp_of] order, which the
+    keyed search of {!decrement} and {!remove_segment} relies on, and
+    two entries at the same gp stand ancestor first (the earlier
+    entry's segment is on the later one's [path]), which the join's
+    segment merge relies on.  The pending runs, in arrival order, are
+    not looked at.
+    @raise Failure naming the tag and the two segments out of order. *)
 
 val freeze : t -> t
 (** A snapshot of the list sharing every per-tag list with [t], in
     O(1).  Later changes to [t] copy a shared per-tag list first, so
     the snapshot never changes; it must not be changed itself. *)
+
+val iter_entries : t -> (tid:int -> entry -> unit) -> unit
+(** Every entry of every list, main and pending runs alike, in no
+    stated order.  Readable while lists are dirty, and changes
+    nothing. *)
 
 val entries : t -> tid:int -> entry array
 (** Entries for a tag in global-position order.
@@ -97,8 +125,6 @@ val max_segments : t -> int
 (** The widest per-tag list, in segments — the tag-skew signal
     surfaced through [Update_log.frag_stats] for the maintenance
     scheduler.  O(distinct tags), no sort forced. *)
-
-val tids : t -> int list
 
 val path_ops : t -> int
 (** Cumulative count of path insertions/removals (cost metric). *)

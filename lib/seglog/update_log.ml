@@ -137,21 +137,23 @@ let own_child t (p : Er_node.t) i =
   end;
   c'
 
-(* [own_child] for a child known by its node rather than its index. *)
-let own_child_node t (p : Er_node.t) (c : Er_node.t) =
-  let kids = p.Er_node.children in
-  let rec find i = if Vec.get kids i == c then i else find (i + 1) in
-  own_child t p (find 0)
+(* A segment's gp by sid, through the SB-tree: the [gp_of] of the
+   tag-list merge and of the keyed tag-list removal.  It reads the tree
+   itself, not [node_of_sid], which refuses a tree [mark_stale] or an
+   LS write has flagged.  The tree holds every sid of every tag list's
+   main run even then: a main run takes entries only in a merge, which
+   runs only once the tree holds every live segment (the end of an LD
+   insert, [prepare_for_query]; [check] merges nothing); a removed
+   segment leaves every list; and a copy made by [own_child] keeps its
+   node's slot. *)
+let sb_gp t sid =
+  match Sb_index.find t.sb sid with Some n -> Seg_map.gp t.map n | None -> raise Not_found
 
-(* Brings the dirty tag lists back to gp order, resolving the merge's
-   gp probes through the SB-tree.  Only for callers that have just made
-   the SB-tree hold every live segment: the end of an LD insert and
-   [prepare_for_query].  It reads the tree itself, not [node_of_sid]:
-   an LD tree stays complete even while [mark_stale] flags it. *)
+(* Brings the dirty tag lists back to gp order.  Only for callers that
+   have just made the SB-tree hold every live segment: the end of an LD
+   insert and [prepare_for_query]. *)
 let sort_tag_lists t =
-  if Tag_list.is_dirty t.tag_list then
-    Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
-        match Sb_index.find t.sb sid with Some n -> Seg_map.gp t.map n | None -> raise Not_found)
+  if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(sb_gp t)
 
 (* Every segment's context chain rebuilt from the ER-tree, handed to
    [f node ctx] in pre-order: the oracle for the chains recorded on the
@@ -392,12 +394,32 @@ let insert t ~gp text =
 
 (* --- removal (Figure 7) -------------------------------------------- *)
 
-(* Pre-removal extents [(child, gp, gp + len)] of [s]'s children. *)
-let child_extents t (s : Er_node.t) =
-  Vec.to_list s.Er_node.children
-  |> List.map (fun (k : Er_node.t) ->
-         let g = Seg_map.gp t.map k in
-         (k, g, g + k.len))
+(* The children of [s] overlapping global range [x, y): the index of
+   the first and their extents [(child, gp, gp + len)].  Only the last
+   child starting at or before [x] can cover [x], and the others start
+   inside the range, so a binary search finds the first and no other
+   child is visited. *)
+let overlapping t (s : Er_node.t) x y =
+  let kids = s.Er_node.children in
+  let extent i =
+    let k = Vec.get kids i in
+    let g = Seg_map.gp t.map k in
+    (k, g, g + k.Er_node.len)
+  in
+  let i = Seg_map.child_index t.map s x in
+  let first =
+    if i > 0 then
+      let _, _, b = extent (i - 1) in
+      if b > x then i - 1 else i
+    else i
+  in
+  let rec collect j acc =
+    if j = Vec.length kids then List.rev acc
+    else
+      let ((_, a, _) as e) = extent j in
+      if a < y then collect (j + 1) (e :: acc) else List.rev acc
+  in
+  (first, collect first [])
 
 (* The own text of [s] inside global range [x, y), as one virtual range
    [(vu, vv)] of [s]'s text, or [None] when children cover all of it.
@@ -405,8 +427,9 @@ let child_extents t (s : Er_node.t) =
    child strictly between two gaps is fully covered by the removal, so
    it occupies zero virtual width.  Converting the outermost gap ends
    gives the range — per-gap tombstones would wrongly report an element
-   spanning a removed child as split.  [extents] is [child_extents s]. *)
-let own_virtual_range t (s : Er_node.t) extents x y =
+   spanning a removed child as split.  [over] is the children
+   overlapping [x, y) ({!overlapping}). *)
+let own_virtual_range t (s : Er_node.t) over x y =
   let first = ref None and last = ref (x, x) and cursor = ref x in
   let gap u v =
     if !first = None then first := Some u;
@@ -414,21 +437,14 @@ let own_virtual_range t (s : Er_node.t) extents x y =
   in
   List.iter
     (fun (_, a, b) ->
-      if b > x && a < y then begin
-        if a > !cursor then gap !cursor a;
-        cursor := max !cursor (min b y)
-      end)
-    extents;
+      if a > !cursor then gap !cursor a;
+      cursor := max !cursor (min b y))
+    over;
   if !cursor < y then gap !cursor y;
   match !first with
   | None -> None
   | Some u0 ->
-    let local u =
-      let before_len =
-        List.fold_left (fun acc (_, a, b) -> if b <= u then acc + (b - a) else acc) 0 extents
-      in
-      u - Seg_map.gp t.map s - before_len
-    in
+    let local u = Seg_map.own_offset t.map s u in
     let ulast, vlast = !last in
     Some
       ( Er_node.virt_of_own_phys s (local u0),
@@ -439,8 +455,8 @@ let own_virtual_range t (s : Er_node.t) extents x y =
    removal must leave the log untouched. *)
 let validate_remove t ~gp ~len =
   let rec walk (s : Er_node.t) x y =
-    let extents = child_extents t s in
-    (match own_virtual_range t s extents x y with
+    let _, over = overlapping t s x y in
+    (match own_virtual_range t s over x y with
     | None -> ()
     | Some (vu, vv) ->
       (* An element is cut in two when exactly one end falls inside. *)
@@ -451,11 +467,8 @@ let validate_remove t ~gp ~len =
             then invalid_arg "Update_log.remove: range splits an element (not a well-formed fragment)"
           done));
     List.iter
-      (fun (k, a, b) ->
-        if b <= x || a >= y then ()
-        else if x <= a && b <= y then ()
-        else walk k (max a x) (min b y))
-      extents
+      (fun (k, a, b) -> if not (x <= a && b <= y) then walk k (max a x) (min b y))
+      over
   in
   walk t.root gp (gp + len)
 
@@ -466,22 +479,24 @@ let remove t ~gp ~len =
   if gp < 0 || gp + len > t.root.len then invalid_arg "Update_log.remove: range out of bounds";
   validate_remove t ~gp ~len;
   let y_end = gp + len in
-  let removed_sids = ref [] in
-  (* (sid, tid, count) decrements for partially affected segments. *)
-  let decrements = Hashtbl.create 8 in
+  let removed = ref 0 in
   let elements_gone k =
     t.metrics.elements_removed <- t.metrics.elements_removed + k;
     t.live_elements <- t.live_elements - k
   in
-  let note_removed_elem sid tid =
-    let key = (sid, tid) in
-    Hashtbl.replace decrements key (1 + Option.value ~default:0 (Hashtbl.find_opt decrements key));
-    elements_gone 1
-  in
+  (* Tag-list entries are found by gp (Tag_list.decrement), so every gp
+     the walk reads, its own and the tag lists' probes, must be a
+     pre-removal one: a deleted segment leaves the tag lists before its
+     slot is freed.  A right intersection's [set] reads nothing after
+     it: that child is the last one its parent's range overlaps, and so
+     is each ancestor at its own level. *)
+  let gp_of = sb_gp t in
   (* The subtree's nodes stay as they are: snapshots may share them. *)
   let delete_subtree k =
     Er_node.iter_subtree k (fun n ->
-        removed_sids := n.sid :: !removed_sids;
+        incr removed;
+        Tag_list.remove_segment t.tag_list ~sid:n.sid ~gp:(Seg_map.gp t.map n)
+          ~tids:n.columns.tids ~gp_of;
         Path_synopsis.remove_segment t.synopsis n;
         elements_gone (Er_node.element_count n);
         Seg_map.free t.map n.slot;
@@ -497,9 +512,18 @@ let remove t ~gp ~len =
     (* The columns are replaced wholesale, not edited in place: copies
        of the node share them.  Each dropped element names its synopsis
        slot, so the decrement walks no path. *)
+    let before = s.columns in
     remove_elements s ~vu ~vv (fun ~tid ~pid ->
         Path_synopsis.remove_pid t.synopsis ~tid pid;
-        note_removed_elem s.sid tid);
+        elements_gone 1);
+    if s.columns != before then begin
+      let gp = Seg_map.gp t.map s in
+      Array.iteri
+        (fun i tid ->
+          let by = cols_length before.per_tag.(i) - cols_length (cols s ~tid) in
+          if by > 0 then Tag_list.decrement t.tag_list ~tid ~sid:s.sid ~gp ~gp_of ~by)
+        before.tids
+    end;
     add_tombstone s vu vv
   in
   (* Recursive removal in pre-removal global coordinates; [x, y) is
@@ -507,44 +531,43 @@ let remove t ~gp ~len =
   let rec remove_range s x y =
     t.metrics.nodes_visited <- t.metrics.nodes_visited + 1;
     s.len <- s.len - (y - x);
-    let snapshot = child_extents t s in
-    (match own_virtual_range t s snapshot x y with
+    let first, over = overlapping t s x y in
+    (match own_virtual_range t s over x y with
     | None -> ()
     | Some (vu, vv) -> tombstone_own s vu vv);
-    (* Children cases of §3.3. *)
+    (* Children cases of §3.3, over the overlapping children only: the
+       next one is at index [!i] once the [!gone] contained ones before
+       it have left [s.children]. *)
+    let i = ref first and gone = ref 0 in
     List.iter
       (fun (k, a, b) ->
-        if b <= x || a >= y then () (* untouched here; global shift follows *)
-        else if x <= a && b <= y then begin
+        if x <= a && b <= y then begin
           (* Case 2: k is contained in the removed range. *)
-          let idx = ref (-1) in
-          Vec.iteri (fun i c -> if c == k then idx := i) s.children;
-          ignore (Vec.remove_at s.children !idx);
-          delete_subtree k
+          delete_subtree k;
+          incr gone
         end
         else begin
           (* Cases 1 and 3: recurse with the clipped range (the
              auxiliary segment of Figure 7). *)
+          Vec.remove_range s.children !i !gone;
+          gone := 0;
           let sx = max a x and sy = min b y in
-          let k = own_child_node t s k in
+          let k = own_child t s !i in
           remove_range k sx sy;
           (* Right intersection: the survivors of k start at the end of
              the removed range (pre-shift coordinates). *)
-          if sx = a then Seg_map.set t.map k sy
+          if sx = a then Seg_map.set t.map k sy;
+          incr i
         end)
-      snapshot
+      over;
+    Vec.remove_range s.children !i !gone
   in
   remove_range (own_root t) gp y_end;
   (* Global shift (RemoveSegment_Start, applied once at the end so the
      recursion works in one coordinate system). *)
   shift t ~from:y_end (-len);
-  (* Tag-list maintenance. *)
-  List.iter (fun sid -> Tag_list.remove_segment t.tag_list ~sid) !removed_sids;
-  Hashtbl.iter
-    (fun (sid, tid) count -> Tag_list.decrement t.tag_list ~tid ~sid ~by:count)
-    decrements;
-  t.live_segments <- t.live_segments - List.length !removed_sids;
-  t.metrics.segments_removed <- t.metrics.segments_removed + List.length !removed_sids
+  t.live_segments <- t.live_segments - !removed;
+  t.metrics.segments_removed <- t.metrics.segments_removed + !removed
 
 (* --- query-side accessors ------------------------------------------ *)
 
@@ -660,21 +683,16 @@ let check t =
   Er_node.iter_subtree t.root (fun n ->
       if n.Er_node.gen > t.gen then
         failwith (Printf.sprintf "segment %d is of a future generation" n.Er_node.sid));
-  (* Tag-list counts agree with the columns (sorting first: LS lists
-     may be dirty, and sorting does not change their contents); on the
+  (* Tag-list counts agree with the columns, read off both runs of
+     each list.  Nothing is merged: an LS pending run stays pending, so
+     every main-run sid stays one the SB-tree maps ([sb_gp]).  On the
      way, every column's tag is registered and no live sid has reached
      [next_sid]. *)
-  let node_by_sid = Hashtbl.create 256 in
-  Er_node.iter_subtree t.root (fun n -> Hashtbl.replace node_by_sid n.Er_node.sid n);
-  Tag_list.sort_all t.tag_list ~gp_of:(fun sid ->
-      Seg_map.gp t.map (Hashtbl.find node_by_sid sid));
   let listed = Hashtbl.create 64 in
-  List.iter
-    (fun tid ->
-      Array.iter
-        (fun (e : Tag_list.entry) -> Hashtbl.replace listed (tid, e.sid) e.count)
-        (Tag_list.entries t.tag_list ~tid))
-    (Tag_list.tids t.tag_list);
+  Tag_list.iter_entries t.tag_list (fun ~tid (e : Tag_list.entry) ->
+      if Hashtbl.mem listed (tid, e.sid) then
+        failwith (Printf.sprintf "tag-list lists (tid %d, sid %d) twice" tid e.sid);
+      Hashtbl.replace listed (tid, e.sid) e.count);
   let n_tags = Tag_registry.count t.registry in
   let max_sid = ref 0 in
   Er_node.iter_subtree t.root (fun n ->
@@ -697,6 +715,11 @@ let check t =
     (fun (tid, sid) _ ->
       failwith (Printf.sprintf "tag-list has stale entry (tid %d, sid %d)" tid sid))
     listed;
+  (* Every entry is live: the main runs' order, which keyed removal
+     searches by, can be read. *)
+  let node_by_sid = Hashtbl.create 256 in
+  Er_node.iter_subtree t.root (fun n -> Hashtbl.replace node_by_sid n.Er_node.sid n);
+  Tag_list.check t.tag_list ~gp_of:(fun sid -> Seg_map.gp t.map (Hashtbl.find node_by_sid sid));
   if t.next_sid <= !max_sid then
     failwith (Printf.sprintf "next sid %d is not above the largest sid %d" t.next_sid !max_sid);
   if t.live_elements <> element_count_walk t then

@@ -215,7 +215,8 @@ val check : t -> unit
     every column's tag id is in the registry, the next sid is above
     every live sid, and every context chain, every element's slot and
     the synopsis equal a from-scratch {!synopsis_rebuilt} (test
-    helper, and run by every {!load}).
+    helper, and run by every {!load}).  It changes nothing: an LS
+    log's pending tag-list runs stay pending.
     @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit

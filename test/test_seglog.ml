@@ -615,3 +615,124 @@ let prop_oracle_with_attributes =
         labels)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_oracle_with_attributes ]
+
+(* Keyed tag-list removal at its equal-gp edge.  P's own text before
+   its child C is tombstoned, so P and C share a gp and stand next to
+   each other in tag c's list, P first.  From that base, each remove
+   must find its entry across the pair: C whole, P with C inside it, a
+   cut lowering C's count (behind P in the run) and one lowering P's.
+   A snapshot pinned before each remove keeps the base. *)
+let equal_gp_base mode =
+  let log = Update_log.create ~mode () in
+  let text = ref "" in
+  List.iter
+    (fun (gp, frag) ->
+      ignore (Update_log.insert log ~gp frag);
+      text := Text_model.splice !text ~gp frag)
+    [ (0, "<r><x/></r>"); (3, "<b/><c></c><c/>"); (7, "<c><b/></c><c/>"); (25, "<c/>") ];
+  Update_log.remove log ~gp:3 ~len:4;
+  text := Text_model.cut !text ~gp:3 ~len:4;
+  (log, !text)
+
+let test_equal_gp_removal () =
+  let agrees log text =
+    log_agrees_with_text log text;
+    let labels = Text_model.labels text in
+    List.iter
+      (fun (anc, desc) ->
+        let (ga, gd), _ = Lxu_join.Lazy_join.query log ~anc ~desc () in
+        let expected =
+          Lxu_props.Naive_join.join ~anc:(Text_model.of_tag labels anc)
+            ~desc:(Text_model.of_tag labels desc) ()
+        in
+        if List.combine (Array.to_list ga) (Array.to_list gd) <> expected then
+          Alcotest.failf "%s//%s disagrees with the naive join on %s" anc desc text)
+      [ ("c", "b"); ("c", "c"); ("r", "c") ]
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (what, at, len) ->
+          let log, base = equal_gp_base mode in
+          let pinned = Update_log.freeze log in
+          let shared =
+            Array.map
+              (fun (e : Tag_list.entry) -> gp log (Update_log.node_of_sid log e.sid))
+              (Update_log.segments_for_tag log ~tag:"c")
+          in
+          check_bool "P and C share a gp" true (shared.(0) = shared.(1));
+          Update_log.remove log ~gp:at ~len;
+          (try agrees log (Text_model.cut base ~gp:at ~len)
+           with e -> Alcotest.failf "%s: %s" what (Printexc.to_string e));
+          agrees pinned base)
+        [
+          ("remove the child", 3, 15);
+          ("remove the parent holding it", 3, 30);
+          ("cut one of the child's c", 14, 4);
+          ("cut one of the parent's c", 29, 4);
+        ])
+    [ Update_log.Lazy_dynamic; Update_log.Lazy_static ]
+
+(* [Update_log.check] refuses a tag list whose main run is out of gp
+   order, which keyed removal searches by, or which puts a segment
+   before its ancestor at the same gp, which the join's segment merge
+   relies on.  Both runs are built by merging LS pending entries with
+   a lying [gp_of]. *)
+let test_check_refuses_tag_list_order () =
+  let refused what log =
+    match Update_log.check log with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Failure msg ->
+      check_bool (what ^ " names the tag list") true
+        (String.starts_with ~prefix:"tag " msg)
+  in
+  let log = Update_log.create ~mode:Update_log.Lazy_static () in
+  List.iter (fun gp -> ignore (Update_log.insert log ~gp "<a/>")) [ 0; 4; 8 ];
+  Tag_list.sort_all (Update_log.tag_list log) ~gp_of:(fun sid -> -sid);
+  refused "a run in reverse gp order" log;
+  (* P and C at gp 0, C merged first. *)
+  let log = Update_log.create ~mode:Update_log.Lazy_static () in
+  let p = Update_log.insert log ~gp:0 "<b/><c></c>" in
+  ignore (Update_log.insert log ~gp:4 "<c/>");
+  Update_log.remove log ~gp:0 ~len:4;
+  Tag_list.sort_all (Update_log.tag_list log) ~gp_of:(fun sid -> if sid = p then 1 else 0);
+  refused "a child before its parent at the same gp" log
+
+(* An LS insert leaves the SB-tree stale, and a later remove resolves
+   the main runs' sids through it, so [Update_log.check] must merge no
+   pending run into a main run.  [log_agrees_with_text] runs the check
+   after every step, so each write below follows one. *)
+let test_ls_check_then_remove () =
+  let log = Update_log.create ~mode:Update_log.Lazy_static () in
+  let text = ref "" in
+  let insert gp frag =
+    ignore (Update_log.insert log ~gp frag);
+    text := Text_model.splice !text ~gp frag;
+    log_agrees_with_text log !text
+  in
+  let remove gp len =
+    Update_log.remove log ~gp ~len;
+    text := Text_model.cut !text ~gp ~len;
+    log_agrees_with_text log !text
+  in
+  insert 0 "<a/>";
+  remove 0 4;
+  insert 0 "<r><a/></r>";
+  Update_log.prepare_for_query log;
+  insert 3 "<a/>";
+  insert 11 "<a><b/></a>";
+  remove 3 4;
+  remove 10 4;
+  insert 7 "<a/>";
+  remove 0 (Update_log.doc_length log);
+  Update_log.prepare_for_query log;
+  log_agrees_with_text log !text
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "keyed removal at equal gps" `Quick test_equal_gp_removal;
+      Alcotest.test_case "check refuses tag lists out of order" `Quick
+        test_check_refuses_tag_list_order;
+      Alcotest.test_case "LS check then remove" `Quick test_ls_check_then_remove;
+    ]

@@ -62,20 +62,20 @@ let test_mark_dirty () =
 let test_decrement () =
   let t = Tag_list.create () in
   append_merged t ~tid:1 (entry 1 [ 0; 1 ] 3) ~gp_of;
-  Tag_list.decrement t ~tid:1 ~sid:1 ~by:2;
+  Tag_list.decrement t ~tid:1 ~sid:1 ~gp:(gp_of 1) ~gp_of ~by:2;
   check_int "count lowered" 1 (Tag_list.entries t ~tid:1).(0).Tag_list.count;
-  Tag_list.decrement t ~tid:1 ~sid:1 ~by:1;
+  Tag_list.decrement t ~tid:1 ~sid:1 ~gp:(gp_of 1) ~gp_of ~by:1;
   check_int "entry dropped at zero" 0 (Array.length (Tag_list.entries t ~tid:1));
   (* Unknown pairs are ignored. *)
-  Tag_list.decrement t ~tid:1 ~sid:99 ~by:1;
-  Tag_list.decrement t ~tid:42 ~sid:1 ~by:1
+  Tag_list.decrement t ~tid:1 ~sid:99 ~gp:(gp_of 99) ~gp_of ~by:1;
+  Tag_list.decrement t ~tid:42 ~sid:1 ~gp:(gp_of 1) ~gp_of ~by:1
 
 let test_remove_segment () =
   let t = Tag_list.create () in
   append_merged t ~tid:1 (entry 1 [ 0; 1 ] 1) ~gp_of;
   append_merged t ~tid:2 (entry 1 [ 0; 1 ] 4) ~gp_of;
   append_merged t ~tid:2 (entry 2 [ 0; 2 ] 1) ~gp_of;
-  Tag_list.remove_segment t ~sid:1;
+  Tag_list.remove_segment t ~sid:1 ~gp:(gp_of 1) ~tids:[| 1; 2 |] ~gp_of;
   check_int "tid1 empty" 0 (Array.length (Tag_list.entries t ~tid:1));
   Alcotest.(check (list int)) "tid2 keeps sid2" [ 2 ] (sids t 2)
 
@@ -101,10 +101,10 @@ let test_cardinalities () =
   Tag_list.sort_all t ~gp_of;
   check_int "segments after sort" 3 (Tag_list.tag_segments t ~tid:1);
   check_int "elements after sort" 9 (Tag_list.tag_elements t ~tid:1);
-  Tag_list.decrement t ~tid:1 ~sid:2 ~by:2;
+  Tag_list.decrement t ~tid:1 ~sid:2 ~gp:(gp_of 2) ~gp_of ~by:2;
   check_int "decrement drops the entry" 2 (Tag_list.tag_segments t ~tid:1);
   check_int "elements after decrement" 7 (Tag_list.tag_elements t ~tid:1);
-  Tag_list.remove_segment t ~sid:1;
+  Tag_list.remove_segment t ~sid:1 ~gp:(gp_of 1) ~tids:[| 1; 2 |] ~gp_of;
   check_int "segments after removal" 1 (Tag_list.tag_segments t ~tid:1);
   check_int "elements after removal" 4 (Tag_list.tag_elements t ~tid:1);
   check_int "tid2 emptied" 0 (Tag_list.tag_elements t ~tid:2);
@@ -114,7 +114,11 @@ let test_tids_and_sizes () =
   let t = Tag_list.create () in
   append_merged t ~tid:5 (entry 1 [ 0; 1 ] 1) ~gp_of;
   append_merged t ~tid:3 (entry 1 [ 0; 1 ] 1) ~gp_of;
-  Alcotest.(check (list int)) "tids sorted" [ 3; 5 ] (Tag_list.tids t);
+  Tag_list.append t ~tid:5 (entry 2 [ 0; 2 ] 1);
+  let seen = ref [] in
+  Tag_list.iter_entries t (fun ~tid e -> seen := (tid, e.Tag_list.sid) :: !seen);
+  Alcotest.(check (list (pair int int)))
+    "both runs of every tag, dirty or not" [ (3, 1); (5, 1); (5, 2) ] (List.sort compare !seen);
   check_bool "size" true (Tag_list.size_bytes t > 0);
   check_bool "ops counted" true (Tag_list.path_ops t >= 2)
 
@@ -132,8 +136,12 @@ let merge_differential ~gp_of ~ops seeds =
     List.iter
       (function
         | `Sort -> Tag_list.sort_all t ~gp_of
-        | `Decrement (tid, sid) -> Tag_list.decrement t ~tid ~sid ~by:1
-        | `Remove_segment sid -> Tag_list.remove_segment t ~sid
+        | `Decrement (tid, sid) -> Tag_list.decrement t ~tid ~sid ~gp:(gp_of sid) ~gp_of ~by:1
+        | `Remove_segment sid ->
+          (* The segment's own tags: the lists holding it. *)
+          let tids = ref [] in
+          Tag_list.iter_entries t (fun ~tid e -> if e.Tag_list.sid = sid then tids := tid :: !tids);
+          Tag_list.remove_segment t ~sid ~gp:(gp_of sid) ~tids:(Array.of_list !tids) ~gp_of
         | `Append (tid, e) -> Tag_list.append t ~tid e)
       ops;
     Tag_list.sort_all t ~gp_of;
@@ -179,7 +187,12 @@ let merge_differential ~gp_of ~ops seeds =
          (counts are mutable), so regenerate from the same seed. *)
       let merged = merged (ops (Lxu_workload.Rng.create seed)) in
       let expected = oracle (ops (Lxu_workload.Rng.create seed)) in
-      Alcotest.(check (list int)) "same tags" (Tag_list.tids merged) (List.map fst expected);
+      let holding = ref [] in
+      Tag_list.iter_entries merged (fun ~tid _ ->
+          if not (List.mem tid !holding) then holding := tid :: !holding);
+      Alcotest.(check (list int))
+        "same tags" (List.rev !holding)
+        (List.filter_map (fun (tid, l) -> if l = [] then None else Some tid) expected);
       List.iter
         (fun (tid, want) ->
           let dump t =
