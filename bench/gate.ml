@@ -192,8 +192,8 @@ let pool_budget = 512 * 1024
    pass, timed later, above in-memory. *)
 let join_and_paged () =
   let text, edits = xmark_workload () in
-  let ingest ?backend () =
-    let log = Update_log.create ~mode:Update_log.Lazy_dynamic ?backend () in
+  let ingest ?pstore () =
+    let log = Update_log.create ~mode:Update_log.Lazy_dynamic ?pstore () in
     List.iter (fun (gp, frag) -> ignore (Update_log.insert log ~gp frag)) edits;
     Update_log.prepare_for_query log;
     log
@@ -219,7 +219,7 @@ let join_and_paged () =
     Lxu_storage.Page_store.create ~device:(Lxu_storage.Sim_file.in_memory ())
       ~pool_bytes:pool_budget ()
   in
-  let paged = ingest ~backend:(Lxu_btree.Storage_backend.Paged { store; attach = false }) () in
+  let paged = ingest ~pstore:store () in
   let results_ok = extents paged = mem_extents in
   let paged_pps = pairs_per_sec total_pairs paged in
   let pool = (Lxu_storage.Page_store.stats store).Lxu_storage.Page_store.pool in

@@ -420,15 +420,10 @@ let info_cmd =
     | None -> ()
     | Some s ->
       let p = s.Lxu_storage.Page_store.pool in
-      Printf.printf "page store      : %d pages x %d bytes (gen %d, checkpoint lsn %d)\n"
+      Printf.printf "page store      : %d pages x %d bytes, %d free; %d alloc(s), %d free(s)\n"
         s.Lxu_storage.Page_store.pages s.Lxu_storage.Page_store.page_size
-        s.Lxu_storage.Page_store.generation s.Lxu_storage.Page_store.ckpt_lsn;
-      Printf.printf "  free lists    : %d reusable, %d pending, %d fresh this epoch\n"
-        s.Lxu_storage.Page_store.reusable_pages s.Lxu_storage.Page_store.pending_pages
-        s.Lxu_storage.Page_store.fresh_pages;
-      Printf.printf "  page traffic  : %d alloc(s), %d free(s), %d cow(s)\n"
-        s.Lxu_storage.Page_store.allocs s.Lxu_storage.Page_store.frees
-        s.Lxu_storage.Page_store.cows;
+        s.Lxu_storage.Page_store.free_pages s.Lxu_storage.Page_store.allocs
+        s.Lxu_storage.Page_store.frees;
       Printf.printf "  buffer pool   : %d/%d bytes, %d frame(s) (%d dirty, %d pinned)\n"
         p.Lxu_storage.Buffer_pool.bytes p.Lxu_storage.Buffer_pool.max_bytes
         p.Lxu_storage.Buffer_pool.frames p.Lxu_storage.Buffer_pool.dirty_frames

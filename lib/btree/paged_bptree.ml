@@ -1,4 +1,4 @@
-(* Page-backed B+-tree over a copy-on-write {!Page_store}.
+(* Page-backed B+-tree over a {!Page_store}.
 
    Keys are fixed [kw]-word int tuples (lexicographic order), values
    fixed [vw]-word tuples, both stored inline as int64 LE words, so a
@@ -13,11 +13,10 @@
    Separator s_i is the smallest key of child i+1's subtree: a lookup
    for k descends into child (number of separators ≤ k).
 
-   There is deliberately no leaf chain: under copy-on-write a page
-   relocates whenever touched, which would invalidate the left
-   neighbour's next pointer.  Range scans instead walk an explicit
-   (pid, child-index) stack, re-pinning interior pages as they pop —
-   cheap, because interior pages are hot in the buffer pool.
+   There is no leaf chain: range scans walk an explicit (pid,
+   child-index) stack, re-pinning interior pages as they pop — cheap,
+   because interior pages are hot in the buffer pool — so a split, an
+   unlinked empty leaf or a bulk build never patches a neighbour.
 
    Deletion is lazy, as the seglog's update discipline favours:
    no rebalancing or merging, only empty nodes are removed (and the
@@ -25,16 +24,14 @@
    rebuild perfectly packed trees, which re-tightens occupancy the
    same way segment packing re-tightens the skeleton.
 
-   Mutation follows rewrite-not-overwrite: a changed node lands on a
-   fresh pid via {!Page_store.write_fresh} (or in place when the pid
-   is already fresh this epoch), and the old pid is freed — the
-   page-level COW protocol does the rest. *)
+   A changed node is rewritten in place: a node keeps its pid for
+   life, so only a split (a new right sibling, perhaps a new root) or
+   an emptied node changes its parent. *)
 
 module Page_store = Lxu_storage_core.Page_store
 
 type t = {
   ps : Page_store.t;
-  slot : string;
   kw : int;
   vw : int;
   stride : int;  (* kw + vw *)
@@ -50,9 +47,7 @@ let set_w b i v = Bytes.set_int64_le b (i * 8) (Int64.of_int v)
 let leaf_tag = 0
 let branch_tag = 1
 
-let publish t = Page_store.set_root t.ps t.slot ~pid:t.root ~size:t.size
-
-let mk ps ~slot ~kw ~vw ~root ~size =
+let create ps ~kw ~vw =
   if kw < 1 then invalid_arg "Paged_bptree: kw must be >= 1";
   if vw < 0 then invalid_arg "Paged_bptree: vw must be >= 0";
   let ints = Page_store.payload_bytes ps / 8 in
@@ -62,17 +57,7 @@ let mk ps ~slot ~kw ~vw ~root ~size =
     invalid_arg
       (Printf.sprintf "Paged_bptree: page too small for kw=%d vw=%d (leaf %d, branch %d)"
          kw vw leaf_cap branch_cap);
-  { ps; slot; kw; vw; stride = kw + vw; leaf_cap; branch_cap; root; size }
-
-let create ps ~slot ~kw ~vw =
-  let t = mk ps ~slot ~kw ~vw ~root:(-1) ~size:0 in
-  publish t;
-  t
-
-let attach ps ~slot ~kw ~vw =
-  match Page_store.root ps slot with
-  | Some (pid, size) when pid >= 0 -> mk ps ~slot ~kw ~vw ~root:pid ~size
-  | _ -> create ps ~slot ~kw ~vw
+  { ps; kw; vw; stride = kw + vw; leaf_cap; branch_cap; root = -1; size = 0 }
 
 let length t = t.size
 
@@ -122,20 +107,7 @@ let write_branch t b ~count children seps =
   done;
   write_words b (2 + count) seps ((count - 1) * t.kw)
 
-(* Replace node [pid] with new content: in place when fresh this
-   epoch, else on a fresh pid (old freed).  Returns the pid the
-   content lives on. *)
-let rewrite t pid writer =
-  if Page_store.is_fresh t.ps pid then begin
-    Page_store.with_page_mut t.ps pid writer;
-    pid
-  end
-  else begin
-    let np = Page_store.alloc t.ps in
-    Page_store.write_fresh t.ps np writer;
-    Page_store.free t.ps pid;
-    np
-  end
+let rewrite t pid writer = Page_store.with_page_mut t.ps pid writer
 
 let write_new t writer =
   let np = Page_store.alloc t.ps in
@@ -171,7 +143,7 @@ let mem t key = if t.root < 0 then false else find_from t t.root key ~value:no_v
 
 type split = { sep : int array; s_right : int }
 
-(* (pid', key-was-new, split?) *)
+(* (key-was-new, split?) *)
 let rec ins t pid key value =
   let tag, count =
     Page_store.with_page t.ps pid (fun b -> (get_w b 0, get_w b 1))
@@ -186,10 +158,11 @@ let rec ins t pid key value =
     let off = pos * t.stride in
     if pos < count && (let rec eq i = i = t.kw || (ents.(off + i) = key.(i) && eq (i + 1)) in eq 0)
     then
-      if t.vw = 0 then (pid, false, None)
+      if t.vw = 0 then (false, None)
       else begin
         Array.blit value 0 ents (off + t.kw) t.vw;
-        (rewrite t pid (fun b -> write_leaf t b ~count ents), false, None)
+        rewrite t pid (fun b -> write_leaf t b ~count ents);
+        (false, None)
       end
     else begin
       (* shift tail right one stride, splice the new entry in *)
@@ -197,16 +170,18 @@ let rec ins t pid key value =
       Array.blit key 0 ents off t.kw;
       Array.blit value 0 ents (off + t.kw) t.vw;
       let total = count + 1 in
-      if total <= t.leaf_cap then
-        (rewrite t pid (fun b -> write_leaf t b ~count:total ents), true, None)
+      if total <= t.leaf_cap then begin
+        rewrite t pid (fun b -> write_leaf t b ~count:total ents);
+        (true, None)
+      end
       else begin
         let left_n = (total + 1) / 2 in
         let right_n = total - left_n in
         let right_ents = Array.sub ents (left_n * t.stride) (right_n * t.stride) in
         let sep = Array.sub right_ents 0 t.kw in
-        let pid_l = rewrite t pid (fun b -> write_leaf t b ~count:left_n ents) in
+        rewrite t pid (fun b -> write_leaf t b ~count:left_n ents);
         let pid_r = write_new t (fun b -> write_leaf t b ~count:right_n right_ents) in
-        (pid_l, true, Some { sep; s_right = pid_r })
+        (true, Some { sep; s_right = pid_r })
       end
     end
   end
@@ -221,33 +196,28 @@ let rec ins t pid key value =
           read_words b (2 + count) seps ((count - 1) * t.kw);
           child_index t b count key)
     in
-    let cp, added, sp = ins t children.(ci) key value in
-    match sp with
-    | None ->
-      if cp = children.(ci) then (pid, added, None)
-      else begin
-        children.(ci) <- cp;
-        (rewrite t pid (fun b -> write_branch t b ~count children seps), added, None)
-      end
-    | Some { sep; s_right } ->
-      children.(ci) <- cp;
+    match ins t children.(ci) key value with
+    | added, None -> (added, None)
+    | added, Some { sep; s_right } ->
       (* splice sep at index ci, right child at ci+1 *)
       Array.blit children (ci + 1) children (ci + 2) (count - ci - 1);
       children.(ci + 1) <- s_right;
       Array.blit seps (ci * t.kw) seps ((ci + 1) * t.kw) ((count - 1 - ci) * t.kw);
       Array.blit sep 0 seps (ci * t.kw) t.kw;
       let total = count + 1 in
-      if total <= t.branch_cap then
-        (rewrite t pid (fun b -> write_branch t b ~count:total children seps), added, None)
+      if total <= t.branch_cap then begin
+        rewrite t pid (fun b -> write_branch t b ~count:total children seps);
+        (added, None)
+      end
       else begin
         let left_n = (total + 1) / 2 in
         let right_n = total - left_n in
         let promoted = Array.sub seps ((left_n - 1) * t.kw) t.kw in
         let right_children = Array.sub children left_n right_n in
         let right_seps = Array.sub seps (left_n * t.kw) ((right_n - 1) * t.kw) in
-        let pid_l = rewrite t pid (fun b -> write_branch t b ~count:left_n children seps) in
+        rewrite t pid (fun b -> write_branch t b ~count:left_n children seps);
         let pid_r = write_new t (fun b -> write_branch t b ~count:right_n right_children right_seps) in
-        (pid_l, added, Some { sep = promoted; s_right = pid_r })
+        (added, Some { sep = promoted; s_right = pid_r })
       end
   end
 
@@ -262,20 +232,16 @@ let insert t key value =
      t.size <- 1
    end
    else
-     let r, added, sp = ins t t.root key value in
-     let r =
-       match sp with
-       | None -> r
-       | Some { sep; s_right } ->
-         write_new t (fun b -> write_branch t b ~count:2 [| r; s_right |] sep)
-     in
-     t.root <- r;
-     if added then t.size <- t.size + 1);
-  publish t
+     let added, sp = ins t t.root key value in
+     (match sp with
+     | None -> ()
+     | Some { sep; s_right } ->
+       t.root <- write_new t (fun b -> write_branch t b ~count:2 [| t.root; s_right |] sep));
+     if added then t.size <- t.size + 1)
 
 (* --- remove (lazy: no rebalancing, empty nodes unlink) --- *)
 
-(* (surviving pid option, key-was-present) *)
+(* (node-emptied-and-freed, key-was-present) *)
 let rec del t pid key =
   let tag, count =
     Page_store.with_page t.ps pid (fun b -> (get_w b 0, get_w b 1))
@@ -289,14 +255,15 @@ let rec del t pid key =
     in
     let off = pos * t.stride in
     if pos >= count || not (let rec eq i = i = t.kw || (ents.(off + i) = key.(i) && eq (i + 1)) in eq 0)
-    then (Some pid, false)
+    then (false, false)
     else if count = 1 then begin
       Page_store.free t.ps pid;
-      (None, true)
+      (true, true)
     end
     else begin
       Array.blit ents (off + t.stride) ents off ((count - 1 - pos) * t.stride);
-      (Some (rewrite t pid (fun b -> write_leaf t b ~count:(count - 1) ents)), true)
+      rewrite t pid (fun b -> write_leaf t b ~count:(count - 1) ents);
+      (false, true)
     end
   end
   else begin
@@ -311,16 +278,11 @@ let rec del t pid key =
           child_index t b count key)
     in
     match del t children.(ci) key with
-    | Some cp, removed ->
-      if cp = children.(ci) then (Some pid, removed)
-      else begin
-        children.(ci) <- cp;
-        (Some (rewrite t pid (fun b -> write_branch t b ~count children seps)), removed)
-      end
-    | None, removed ->
+    | false, removed -> (false, removed)
+    | true, removed ->
       if count = 1 then begin
         Page_store.free t.ps pid;
-        (None, removed)
+        (true, removed)
       end
       else begin
         (* drop child ci and the separator adjoining it *)
@@ -331,7 +293,8 @@ let rec del t pid key =
         let ns = Array.make ((count - 2) * t.kw) 0 in
         Array.blit seps 0 ns 0 (si * t.kw);
         Array.blit seps ((si + 1) * t.kw) ns (si * t.kw) ((count - 2 - si) * t.kw);
-        (Some (rewrite t pid (fun b -> write_branch t b ~count:(count - 1) nc ns)), removed)
+        rewrite t pid (fun b -> write_branch t b ~count:(count - 1) nc ns);
+        (false, removed)
       end
   end
 
@@ -353,11 +316,10 @@ let remove t key =
   if Array.length key <> t.kw then invalid_arg "Paged_bptree.remove: key width mismatch";
   if t.root < 0 then false
   else begin
-    let r, removed = del t t.root key in
-    t.root <- (match r with None -> -1 | Some p -> p);
+    let emptied, removed = del t t.root key in
+    if emptied then t.root <- -1;
     collapse_root t;
     if removed then t.size <- t.size - 1;
-    publish t;
     removed
   end
 
@@ -553,8 +515,7 @@ let rec free_subtree t pid =
 let clear t =
   if t.root >= 0 then free_subtree t t.root;
   t.root <- -1;
-  t.size <- 0;
-  publish t
+  t.size <- 0
 
 let load_sorted t ~n ~get =
   let old_root = t.root in
@@ -567,8 +528,7 @@ let load_sorted t ~n ~get =
   let new_root = finish b in
   if old_root >= 0 then free_subtree t old_root;
   t.root <- new_root;
-  t.size <- n;
-  publish t
+  t.size <- n
 
 let insert_sorted_batch t ~n ~get =
   if n > 0 then begin
@@ -635,8 +595,7 @@ let insert_sorted_batch t ~n ~get =
       let new_size = b.b_total in
       free_subtree t old_root;
       t.root <- new_root;
-      t.size <- new_size;
-      publish t
+      t.size <- new_size
     end
   end
 

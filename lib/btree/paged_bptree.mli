@@ -1,5 +1,5 @@
-(** Page-backed B+-tree over a copy-on-write
-    {!Lxu_storage_core.Page_store}: the paged SB-tree's sid map.
+(** Page-backed B+-tree over a {!Lxu_storage_core.Page_store}: the
+    paged SB-tree's sid map.
 
     Keys are fixed-width int tuples ([kw] words, lexicographic order);
     values fixed [vw]-word tuples, stored inline.  All node bytes live
@@ -10,26 +10,17 @@
     collapses); bulk loads pack leaves full.
     Insert has replace semantics on duplicate keys.
 
-    Mutations follow the store's COW protocol: changed nodes relocate
-    to fresh pages and the root is republished into the tree's named
-    root slot, so a {!Page_store.checkpoint} captures a consistent
-    tree and a crash rolls back to the previous one.
+    Changed nodes are rewritten in place.  Nothing about the tree is
+    durable: a loader builds it afresh ({!load_sorted}).
 
     Single writer; reads may run concurrently with each other (never
     with the writer — the seglog's existing discipline). *)
 
 type t
 
-val create : Lxu_storage_core.Page_store.t -> slot:string -> kw:int -> vw:int -> t
-(** A fresh empty tree publishing its root into slot [slot] (≤ 16
-    bytes).  @raise Invalid_argument if a node cannot hold at least
-    2 entries / 3 children at this page size. *)
-
-val attach : Lxu_storage_core.Page_store.t -> slot:string -> kw:int -> vw:int -> t
-(** Reopens the tree whose root the store's durable meta recorded
-    under [slot]; empty when the slot is absent.  The caller is
-    responsible for only attaching to a store whose checkpoint LSN
-    matches the rest of the state being loaded. *)
+val create : Lxu_storage_core.Page_store.t -> kw:int -> vw:int -> t
+(** A fresh empty tree.  @raise Invalid_argument if a node cannot
+    hold at least 2 entries / 3 children at this page size. *)
 
 val length : t -> int
 

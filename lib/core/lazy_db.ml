@@ -10,19 +10,21 @@ type t = {
   mutable closed : bool;  (* set by [close]: every later write is refused *)
 }
 
-let pages_path dir = Filename.concat dir "pages"
-
-(* The page device: a real file beside the WAL when the database is
-   durable (so pages survive restarts and recovery can re-attach), an
-   in-memory device otherwise (paged still bounds index RAM by the
-   pool budget — the beyond-RAM discipline without persistence). *)
-let fresh_pstore durable =
-  let device =
-    match durable with
-    | None -> Lxu_storage.Sim_file.in_memory ()
-    | Some s -> Lxu_storage.Sim_file.open_path (pages_path (Lxu_storage.Wal_store.dir s))
-  in
-  Lxu_storage.Page_store.create ~device ()
+(* The page store of a paged database: a [pages] file beside the WAL
+   when there is a durability directory, an in-memory device
+   otherwise.  The file is scratch (the snapshot and the WAL are the
+   durable state, and every paged index is rebuilt from them), so it
+   is truncated whenever a database opens it. *)
+let pstore_for storage dir =
+  match storage with
+  | `Mem -> None
+  | `Paged ->
+    let device =
+      match dir with
+      | None -> Lxu_storage.Sim_file.in_memory ()
+      | Some dir -> Lxu_storage.Sim_file.open_path (Filename.concat dir "pages")
+    in
+    Some (Lxu_storage.Page_store.create ~device ())
 
 let mode_of_engine = function LD -> Update_log.Lazy_dynamic | LS -> Update_log.Lazy_static
 
@@ -34,10 +36,8 @@ let create ?(engine = LD) ?(index_attributes = false) ?domains:_ ?(durability = 
     | `None -> None
     | `Wal dir -> Some (Lxu_storage.Wal_store.fresh ~dir ~mode ~index_attributes)
   in
-  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore durable) in
-  let log =
-    Update_log.create ~mode ~index_attributes ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
-  in
+  let pstore = pstore_for storage (Option.map Lxu_storage.Wal_store.dir durable) in
+  let log = Update_log.create ~mode ~index_attributes ?pstore () in
   { log; durable; pstore; epoch = 0; closed = false }
 
 let engine t =
@@ -133,11 +133,7 @@ let checkpoint t =
   match t.durable with
   | None ->
     invalid_arg "Lazy_db.checkpoint: database has no WAL (create with ~durability:(`Wal dir))"
-  | Some s ->
-    let page_checkpoint =
-      Option.map (fun ps lsn -> Lxu_storage.Page_store.checkpoint ps ~lsn) t.pstore
-    in
-    Lxu_storage.Wal_store.checkpoint ?page_checkpoint s t.log
+  | Some s -> Lxu_storage.Wal_store.checkpoint s t.log
 
 (* A batch whose commit fails logged none of its writes: their epochs
    are taken back. *)
@@ -171,7 +167,7 @@ let close t =
   match t.pstore with None -> () | Some ps -> Lxu_storage.Page_store.close ps
 
 let load ?domains:_ ?(storage = `Mem) path =
-  let pstore = match storage with `Mem -> None | `Paged -> Some (fresh_pstore None) in
+  let pstore = pstore_for storage None in
   let ic = open_in_bin path in
   let lg =
     Fun.protect
@@ -179,29 +175,13 @@ let load ?domains:_ ?(storage = `Mem) path =
       (fun () ->
         (* Re-raise snapshot errors with the offending file: the
            messages carry the byte offset, this adds which file. *)
-        try Update_log.load ~backend:(Lxu_btree.Storage_backend.fresh pstore) ic
+        try Update_log.load ?pstore ic
         with Failure msg -> failwith (Printf.sprintf "Lazy_db.load: %s: %s" path msg))
   in
   { (of_log lg) with pstore }
 
 let recover ?domains:_ ?(storage = `Mem) dir =
-  let pstore =
-    match storage with
-    | `Mem -> None
-    | `Paged ->
-      let device = Lxu_storage.Sim_file.open_path ~append:true (pages_path dir) in
-      let ps =
-        try Lxu_storage.Page_store.open_existing ~device ()
-        with Failure _ | Lxu_storage.Page_file.Torn_page _ ->
-          (* Missing, torn or unreadable pages file.  The snapshot +
-             WAL can rebuild every index, so start the store over —
-             truncating first so no stale meta page can win a future
-             open. *)
-          Lxu_storage.Sim_file.truncate_to device 0;
-          Lxu_storage.Page_store.create ~device ()
-      in
-      Some ps
-  in
+  let pstore = pstore_for storage (Some dir) in
   let lg, store, report = Lxu_storage.Wal_store.recover ?pstore ~dir () in
   ({ (of_log lg) with durable = Some store; pstore }, report)
 

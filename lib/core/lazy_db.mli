@@ -60,13 +60,13 @@ val create :
     next revised.
 
     [storage] (default [`Mem]) picks where the SB-tree lives.  [`Mem]
-    keeps it on the OCaml heap.  [`Paged] puts it on copy-on-write
-    pages in a {!Lxu_storage.Page_store} whose RAM residency is
-    bounded by the buffer-pool budget ([LXU_POOL_BYTES]): with [`Wal
-    dir] durability the pages live in [dir/pages] and {!checkpoint}
-    makes them durable alongside the snapshot; without durability
-    they live on an in-memory device.  Element columns and segment
-    texts stay on the heap under both.  Results are
+    keeps it on the OCaml heap.  [`Paged] puts it on pages in a
+    {!Lxu_storage.Page_store} whose RAM residency is bounded by the
+    buffer-pool budget ([LXU_POOL_BYTES]): with [`Wal dir] durability
+    the pages live in [dir/pages], a scratch file truncated at open
+    and never synced (nothing reads it after a restart); without
+    durability they live on an in-memory device.  Element columns
+    and segment texts stay on the heap under both.  Results are
     fingerprint-identical across backends. *)
 
 val engine : t -> engine
@@ -237,10 +237,8 @@ val checkpoint : t -> unit
 (** Snapshots the current state into the WAL directory and rotates
     the log to empty, bounding recovery time.  Crash-safe at every
     step (temp-file renames; recovery skips already-snapshotted
-    records).  On a paged database the page store is checkpointed
-    first at the same LSN — a flush of dirty pages plus one meta-page
-    write, {e not} a rewrite of the whole index — so {!recover} can
-    re-attach the paged indexes instead of rebuilding them.
+    records).  A paged database's pages are not written: they hold
+    nothing the snapshot does not.
     @raise Invalid_argument if the database has no WAL. *)
 
 val batch : t -> (unit -> 'a) -> 'a
@@ -256,13 +254,10 @@ val recover :
     torn tail in place.  The report says what was replayed, skipped
     and discarded.  [domains] is ignored, as in {!create}.
 
-    With [`Paged] storage (default [`Mem]) the page store at
-    [dir/pages] is reopened and its checkpoint LSN checked against the
-    snapshot's; a mismatch, or a missing or torn pages file, resets
-    the store.  Either way the SB-tree is rebuilt into it from the
-    snapshot: the only paged tree left is that small one, so there is
-    nothing durable worth re-attaching until segment columns move onto
-    pages.
+    With [`Paged] storage (default [`Mem]) the pages file
+    [dir/pages] is truncated, whatever it held, and the SB-tree is
+    rebuilt on it from the snapshot and the WAL, as every other index
+    is.
     @raise Failure when [dir] holds nothing recoverable. *)
 
 val wal_dir : t -> string option
@@ -277,8 +272,8 @@ val wal_failed : t -> bool
 val storage_kind : t -> [ `Mem | `Paged ]
 
 val page_stats : t -> Lxu_storage.Page_store.stats option
-(** Page-store counters — pages, free lists, generation, buffer-pool
-    hits/evictions — when the database is paged. *)
+(** Page-store counters — pages, the free list, allocations and
+    frees, buffer-pool hits/evictions — when the database is paged. *)
 
 val wal_bytes : t -> int option
 (** Current size of the live WAL file, when the database has one — the

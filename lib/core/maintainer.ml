@@ -4,7 +4,6 @@ type config = {
   pack_min_segments : int;
   pack_min_depth : int;
   pack_tag_skew : int;
-  max_pack_bytes : int;
   checkpoint_wal_bytes : int;
   merge_dirty_tags : int;
   backup_every : int;
@@ -16,7 +15,6 @@ let default_config =
     pack_min_segments = 8;
     pack_min_depth = 4;
     pack_tag_skew = 0;
-    max_pack_bytes = 1 lsl 20;
     checkpoint_wal_bytes = 1 lsl 20;
     merge_dirty_tags = 16;
     backup_every = 0;
@@ -71,11 +69,14 @@ type t = {
   last_backup_tick : int Atomic.t;
 }
 
+(* The largest extent one pack takes: it keeps each step, and its
+   writer-lock hold, small. *)
+let max_pack_bytes = 1 lsl 20
+
 let check_config cfg =
   if cfg.pack_min_segments < 1 then invalid_arg "Maintainer: pack_min_segments < 1";
   if cfg.pack_min_depth < 1 then invalid_arg "Maintainer: pack_min_depth < 1";
   if cfg.pack_tag_skew < 0 then invalid_arg "Maintainer: pack_tag_skew < 0";
-  if cfg.max_pack_bytes < 1 then invalid_arg "Maintainer: max_pack_bytes < 1";
   if cfg.backup_every < 0 then invalid_arg "Maintainer: backup_every < 0"
 
 let make cfg target =
@@ -152,7 +153,7 @@ let step t db =
         Update_log.fragmented_subtrees log
         |> List.find_opt (fun (s : Update_log.subtree_frag) ->
                s.Update_log.segments > 1
-               && s.Update_log.len <= cfg.max_pack_bytes
+               && s.Update_log.len <= max_pack_bytes
                && (skew
                   || s.Update_log.segments > cfg.pack_min_segments
                   || s.Update_log.depth >= cfg.pack_min_depth))

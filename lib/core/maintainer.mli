@@ -51,9 +51,6 @@ type config = {
           any multi-segment subtree — structural joins over that tag
           degrade even when overall fragmentation is mild
           ([0] disables the trigger) *)
-  max_pack_bytes : int;
-      (** never pack an extent larger than this — keeps each step
-          (and its writer-lock hold) small *)
   checkpoint_wal_bytes : int;
       (** roll a checkpoint once the live WAL reaches this size *)
   merge_dirty_tags : int;
@@ -65,8 +62,10 @@ type config = {
 
 val default_config : config
 (** [{ pack_min_segments = 8; pack_min_depth = 4; pack_tag_skew = 0;
-      max_pack_bytes = 1 lsl 20; checkpoint_wal_bytes = 1 lsl 20;
-      merge_dirty_tags = 16; backup_every = 0; backup_dir = None }] *)
+      checkpoint_wal_bytes = 1 lsl 20; merge_dirty_tags = 16;
+      backup_every = 0; backup_dir = None }].  A pack never takes an
+    extent larger than 1 MiB, which keeps each step (and its
+    writer-lock hold) small. *)
 
 type job =
   | Pack of { gp : int; len : int; segments : int; depth : int }

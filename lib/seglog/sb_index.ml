@@ -84,22 +84,13 @@ type repr =
 
 type t = { mutable repr : repr }
 
-let slot_name = "sb"
+let create ?pstore () =
+  match pstore with
+  | None -> { repr = Mem Trie.empty }
+  | Some store ->
+    { repr = Paged { tree = Paged_bptree.create store ~kw:1 ~vw:1; nodes = Vec.create () } }
 
-let create ?(backend = Storage_backend.Mem) () =
-  let repr =
-    match backend with
-    | Storage_backend.Mem -> Mem Trie.empty
-    | Storage_backend.Paged { store; attach } ->
-      let tree = Paged_bptree.attach store ~slot:slot_name ~kw:1 ~vw:1 in
-      (* The node vector is volatile: even on attach the mapping must
-         be rebuilt (sid -> node) by the loader, so an attached tree
-         is cleared here and reloaded via [load_sorted]. *)
-      ignore attach;
-      Paged_bptree.clear tree;
-      Paged { tree; nodes = Vec.create () }
-  in
-  { repr }
+let release t = match t.repr with Mem _ -> () | Paged p -> Paged_bptree.clear p.tree
 
 let length t =
   match t.repr with Mem m -> Trie.length m | Paged p -> Paged_bptree.length p.tree

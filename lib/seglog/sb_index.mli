@@ -1,12 +1,12 @@
-(** The SB-tree (§3.3): sid → skeleton node, behind the storage
-    backend switch.
+(** The SB-tree (§3.3): sid → skeleton node, in memory or on the
+    pages of a {!Lxu_storage_core.Page_store}.
 
     In memory it is a persistent map over sids, a 32-way radix trie: a
     lookup reads one array per level (log32 of the largest sid), and
     every change makes a new version sharing all but one root-to-leaf
     path with the old one, so {!freeze} hands a snapshot the current
     version in O(1).  Paged,
-    the tree holds [sid → slot] pairs on copy-on-write pages while the
+    the tree holds [sid → slot] pairs on pages while the
     {!Er_node.t} values stay in a RAM vector — skeleton nodes are the
     small hot part of the store and are rebuilt by every loader, so
     only the ordered sid structure benefits from paging.  Slots of
@@ -15,10 +15,13 @@
 
 type t
 
-val create : ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
-(** A fresh empty mapping.  A paged backend always starts empty (the
-    sid → node mapping cannot be attached from disk because the nodes
-    live in RAM); the loader repopulates it via {!load_sorted}. *)
+val create : ?pstore:Lxu_storage_core.Page_store.t -> unit -> t
+(** A fresh empty mapping: on new pages of [pstore] when given, in
+    memory otherwise.  A loader fills it via {!load_sorted}. *)
+
+val release : t -> unit
+(** Frees a paged mapping's pages (no-op in memory); [t] is not used
+    afterwards. *)
 
 val length : t -> int
 (** O(sids) in memory (a test helper). *)

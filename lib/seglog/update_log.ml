@@ -1,5 +1,4 @@
 open Lxu_util
-open Lxu_btree
 
 type mode = Lazy_dynamic | Lazy_static
 
@@ -39,10 +38,9 @@ type t = {
   frozen : bool;  (* immutable snapshot produced by [freeze] *)
 }
 
-let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(backend = Storage_backend.Mem)
-    () =
+let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?pstore () =
   let root = Er_node.make_root () in
-  let sb = Sb_index.create ~backend () in
+  let sb = Sb_index.create ?pstore () in
   Sb_index.insert sb 0 root;
   {
     mode;
@@ -789,6 +787,8 @@ let freeze t =
   t.gen <- t.gen + 1;
   snap
 
+let release t = Sb_index.release t.sb
+
 (* --- snapshots ------------------------------------------------------- *)
 
 (* A line-oriented format with length-prefixed raw text blocks.
@@ -869,7 +869,7 @@ let save t oc =
 
 let full_check = check
 
-let load ?(backend = Storage_backend.Mem) ic =
+let load ?pstore ic =
   let open Er_node in
   let module R = Lxu_storage_core.Snapshot_io in
   (* Every refusal is a [Failure] naming the byte offset of the line
@@ -926,7 +926,7 @@ let load ?(backend = Storage_backend.Mem) ic =
     | a -> fail "bad attrs flag %s" a
   in
   let next_sid = int_line "next_sid" in
-  let t = create ~mode ~index_attributes ~backend () in
+  let t = create ~mode ~index_attributes ?pstore () in
   t.next_sid <- next_sid;
   let tag_count = bounded (int_line "tags") "tag count" in
   for expected = 0 to tag_count - 1 do

@@ -48,14 +48,13 @@ type metrics = {
 type t
 
 val create :
-  ?mode:mode -> ?index_attributes:bool -> ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
+  ?mode:mode -> ?index_attributes:bool -> ?pstore:Lxu_storage_core.Page_store.t -> unit -> t
 (** An empty super document. [mode] defaults to [Lazy_dynamic];
     [index_attributes] (default false) additionally indexes every
     attribute as a subelement named ["@name"] (§1: "attributes can be
-    considered as subelements"); [backend] (default in-memory) puts
-    the SB-tree on copy-on-write
-    pages of a page store.  Element columns and segment texts stay on
-    the heap either way. *)
+    considered as subelements"); [pstore] (default: none, in memory)
+    puts the SB-tree on new pages of that page store.  Element columns
+    and segment texts stay on the heap either way. *)
 
 val mode : t -> mode
 val indexes_attributes : t -> bool
@@ -189,6 +188,11 @@ val size_bytes : t -> int
     lists and element columns — exactly the sum of the three sizes
     above. *)
 
+val release : t -> unit
+(** Frees the pages a paged SB-tree holds (no-op in memory); [t] is
+    not used afterwards.  For a log that a fresh one on the same page
+    store replaces, as a WAL [Rebuild] does. *)
+
 val freeze : t -> t
 (** [freeze t] returns an immutable snapshot of [t] that shares every
     node, the sid map (in memory, a persistent map), every per-tag
@@ -228,7 +232,7 @@ val save : t -> out_channel -> unit
     payload ends with a [crc <8 hex digits>] line: the CRC-32 of
     every byte before it. *)
 
-val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
+val load : ?pstore:Lxu_storage_core.Page_store.t -> in_channel -> t
 (** Restores a log written by {!save} from the channel's position to
     its end; the channel must be seekable (a file).  The checksum
     trailer is verified in a first pass before anything is parsed, and
@@ -240,8 +244,7 @@ val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
     lists, path synopsis) are rebuilt from the segment data in time
     linear in the snapshot, stored levels must equal the rebuilt ones,
     and the result is cross-checked by {!check}.
-    [backend] is where the SB-tree goes; it is rebuilt there even when
-    [attach] is set.
+    [pstore], as in {!create}, is where the SB-tree is rebuilt.
     @raise Failure on a malformed, damaged or incompatible snapshot
     (including the checksum-less format 1); never another exception. *)
 

@@ -55,8 +55,6 @@ let create ?max_bytes file =
   { file; limit; mu = Mutex.create (); tbl = Hashtbl.create 256; head = None; tail = None;
     bytes = 0; lookups = 0; hits = 0; misses = 0; evictions = 0; writebacks = 0; overruns = 0 }
 
-let max_bytes t = t.limit
-
 (* What one resident frame charges against the budget: the payload
    array (length + header word) plus the frame record, hash slot and
    LRU links, in actual heap words. *)
@@ -171,11 +169,6 @@ let drop t pid =
   );
   Mutex.unlock t.mu
 
-let flush_all t =
-  Mutex.lock t.mu;
-  Hashtbl.iter (fun _ f -> write_back t f) t.tbl;
-  Mutex.unlock t.mu
-
 let stats t =
   Mutex.lock t.mu;
   let dirty = ref 0 and pinned = ref 0 in
@@ -191,5 +184,3 @@ let stats t =
   in
   Mutex.unlock t.mu;
   s
-
-let file t = t.file

@@ -45,8 +45,6 @@ val create : ?max_bytes:int -> Page_file.t -> t
 (** [max_bytes] is clamped up to 4 pages (a descent must fit); it
     defaults to [LXU_POOL_BYTES] if set and parseable, else 16 MiB. *)
 
-val max_bytes : t -> int
-
 val pin : t -> int -> read:bool -> frame
 (** [pin t pid ~read] returns the pinned frame for [pid].  On a miss
     with [read = true] the page is read from the file (raising
@@ -60,16 +58,11 @@ val unpin : t -> frame -> unit
 
 val mark_dirty : t -> frame -> unit
 (** The frame's payload was mutated; it will be written back on
-    eviction or {!flush_all}. *)
+    eviction. *)
 
 val drop : t -> int -> unit
 (** Forget page [pid] without write-back — it was freed and its bytes
     are dead.  No-op when not resident.
     @raise Invalid_argument if the frame is pinned. *)
 
-val flush_all : t -> unit
-(** Write back every dirty frame (they stay resident and clean).
-    Checkpoint calls this before syncing the device. *)
-
 val stats : t -> stats
-val file : t -> Page_file.t

@@ -45,19 +45,6 @@ let write_snapshot ~path ~lsn log =
       output_string oc (header_line lsn ^ "\n");
       Update_log.save log oc)
 
-(* With a page store at hand, the snapshot's indexes may live there
-   already: attach when the store's durable checkpoint carries exactly
-   this snapshot's LSN, otherwise rebuild into the store from scratch
-   (the crash fell between the page checkpoint and the snapshot
-   rename, or vice versa — either way the WAL replays the difference
-   on top of a consistent base). *)
-let backend_for ?pstore lsn =
-  match pstore with
-  | None -> Lxu_btree.Storage_backend.Mem
-  | Some ps ->
-    Lxu_btree.Storage_backend.Paged
-      { store = ps; attach = Page_store.checkpoint_lsn ps = lsn }
-
 let read_snapshot ?pstore ~path () =
   let ic = open_in_bin path in
   Fun.protect
@@ -93,7 +80,7 @@ let read_snapshot ?pstore ~path () =
       seek_in ic (Snapshot_io.offset r);
       (* Update_log.load's messages already carry the byte offset. *)
       let log =
-        try Update_log.load ~backend:(backend_for ?pstore lsn) ic
+        try Update_log.load ?pstore ic
         with Failure msg -> failwith (Printf.sprintf "%s: %s" path msg)
       in
       (lsn, log))
@@ -133,16 +120,15 @@ let apply_run ?pstore log = function
     ignore (Update_log.insert log ~gp slice);
     log
   | [ Wal.Rebuild ] ->
-    (* Materialize before creating the fresh log: with paged storage
-       the new log's indexes clear the store's previous trees, after
-       which the old log's index handles are dead. *)
+    (* The fresh log replaces the old one, whose pages go back to the
+       store once the fresh log holds the whole text. *)
     let whole = Update_log.materialize log in
     let fresh =
       Update_log.create ~mode:(Update_log.mode log)
-        ~index_attributes:(Update_log.indexes_attributes log)
-        ~backend:(Lxu_btree.Storage_backend.fresh pstore) ()
+        ~index_attributes:(Update_log.indexes_attributes log) ?pstore ()
     in
     if whole <> "" then ignore (Update_log.insert fresh ~gp:0 whole);
+    Update_log.release log;
     fresh
   | inserts ->
     let edit = function
@@ -163,8 +149,7 @@ let recover_bytes ?pstore ?path ?base ?(upto_lsn = max_int) wal_bytes =
     | None ->
       ( 0,
         Update_log.create ~mode:scan.Wal.header.Wal.mode
-          ~index_attributes:scan.Wal.header.Wal.index_attributes
-          ~backend:(Lxu_btree.Storage_backend.fresh pstore) () )
+          ~index_attributes:scan.Wal.header.Wal.index_attributes ?pstore () )
   in
   (* Records arrive in strictly increasing LSN order: first those the
      snapshot already holds, then the ones to replay, then — for a

@@ -36,12 +36,8 @@ val write_snapshot : path:string -> lsn:int -> Lxu_seglog.Update_log.t -> unit
 
 val read_snapshot :
   ?pstore:Lxu_storage_core.Page_store.t -> path:string -> unit -> int * Lxu_seglog.Update_log.t
-(** With [pstore], the loaded log keeps its indexes on pages in that
-    store: {e attached} as-is when the store's durable checkpoint LSN
-    equals the snapshot's (the page checkpoint and the snapshot were
-    taken together and both survived), rebuilt into the store
-    otherwise — a crash between the two leaves an LSN mismatch and a
-    sound, slower rebuild.
+(** With [pstore], the loaded log rebuilds its SB-tree on new pages
+    of that store.
     @raise Failure on a malformed snapshot, a header whose checksum
     does not match its LSN, or a format-1 ([LXUCKPT1], unchecksummed
     header) file; the message includes [path] and the byte offset. *)
@@ -57,8 +53,9 @@ val replay :
     {!Lxu_seglog.Update_log.remove}; [Pack] re-indexes its byte range
     as one segment (a remove and an insert of the same bytes);
     [Rebuild] re-indexes the whole document as one segment in a fresh
-    log, on a non-attaching backend in [pstore] when given.  Returns
-    the log to use from now on — [Rebuild] replaces it.
+    log, its SB-tree on new pages of [pstore] when given, and frees
+    the old log's pages.  Returns the log to use from now on —
+    [Rebuild] replaces it.
 
     A run refuses before it mutates anything: a one-op list is
     all-or-nothing, and so is a list of inserts.  A longer mixed list

@@ -104,16 +104,11 @@ let rotate_wal t ~header ~next_lsn =
   Sim_file.close (Wal.device t.wal);
   t.wal <- Wal.attach ~device:(Sim_file.open_path ~append:true path) ~next_lsn
 
-let checkpoint ?page_checkpoint t log =
+let checkpoint t log =
   check_open t "checkpoint";
   if t.batching then invalid_arg "Wal_store.checkpoint: inside a batch";
   failing t (fun () -> Wal.commit t.wal);
   let lsn = Wal.next_lsn t.wal - 1 in
-  (* Page store first, snapshot second: recovery attaches paged
-     indexes only when the two LSNs agree, so every crash window
-     (page meta ahead of the snapshot, or behind it) degrades to the
-     sound rebuild path rather than attaching mismatched state. *)
-  (match page_checkpoint with Some f -> f lsn | None -> ());
   Recovery.write_snapshot ~path:(snapshot_path t.dir) ~lsn log;
   rotate_wal t ~header:(header_of log) ~next_lsn:(lsn + 1)
 

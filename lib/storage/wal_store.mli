@@ -53,7 +53,7 @@ val batch : t -> (unit -> 'a) -> 'a
     happen); a commit that raises surfaces as [Fun.Finally_raised].  Not
     reentrant. *)
 
-val checkpoint : ?page_checkpoint:(int -> unit) -> t -> Lxu_seglog.Update_log.t -> unit
+val checkpoint : t -> Lxu_seglog.Update_log.t -> unit
 (** Writes a snapshot at the current LSN, then rotates the WAL to
     empty, each through {!Lxu_storage_core.Sim_file.replace}.  If
     either step raises, its temp file is gone and the store still
@@ -62,15 +62,7 @@ val checkpoint : ?page_checkpoint:(int -> unit) -> t -> Lxu_seglog.Update_log.t 
     A crash between the two steps is safe: recovery skips replayed
     records at or below the snapshot LSN — and because the snapshot is
     durable {e before} the rotation's directory fsync, a resurrected
-    pre-rotation log can never be the only copy of anything.
-
-    [page_checkpoint lsn] (for paged databases) is called with the
-    checkpoint LSN after the WAL commit and {e before} the snapshot is
-    written — it should durably checkpoint the page store at that LSN
-    (see {!Lxu_storage_core.Page_store.checkpoint}).  Recovery attaches
-    the paged indexes only when the page store's checkpoint LSN equals
-    the snapshot's, so a crash anywhere between the two degrades to a
-    sound rebuild rather than attaching mismatched state. *)
+    pre-rotation log can never be the only copy of anything. *)
 
 val backup : t -> dir:string -> int
 (** [backup t ~dir] commits and fsyncs the live WAL, then copies the
@@ -99,9 +91,8 @@ val recover :
 (** Restores [snapshot + WAL suffix].  A corrupt tail is truncated
     from the WAL file; if the WAL header itself is unreadable but a
     snapshot exists, the snapshot wins and the WAL is re-initialised.
-    With [pstore] the recovered log keeps its indexes on pages in that
-    store, attached as-is exactly when the store's durable checkpoint
-    LSN matches the snapshot's (see {!Recovery.read_snapshot}).
+    With [pstore] the recovered log rebuilds its SB-tree on pages of
+    that store (see {!Recovery.read_snapshot}).
     @raise Failure when nothing recoverable exists (no snapshot and
     no readable WAL header); messages include the path. *)
 

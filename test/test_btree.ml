@@ -17,7 +17,7 @@ let tree ?(page_size = page_size) ?(kw = 1) ?(vw = 1) () =
     Page_store.create ~device:(Lxu_storage.Sim_file.in_memory ()) ~page_size
       ~pool_bytes:(8 * page_size) ()
   in
-  T.create ps ~slot:"t" ~kw ~vw
+  T.create ps ~kw ~vw
 
 (* Integer keys go in as [kw] words: the key itself, then zeros. *)
 let key ~kw k = Array.init kw (fun i -> if i = 0 then k else 0)

@@ -337,7 +337,7 @@ let run_equivalence mode edits =
     let store =
       Lxu_storage.Page_store.create ~device:(Lxu_storage.Sim_file.in_memory ()) ~page_size:512 ()
     in
-    Update_log.create ~mode ~backend:(Lxu_btree.Storage_backend.Paged { store; attach = false }) ()
+    Update_log.create ~mode ~pstore:store ()
   in
   let text = ref "" in
   let frozen = ref None in

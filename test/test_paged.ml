@@ -1,11 +1,10 @@
-(* The paged storage engine: page-backed B+-trees over the
-   copy-on-write page store, differentially against the in-memory
-   backend — same keys in, same answers out — plus the crash shapes
-   the shadow-paging protocol must survive (rollback to the last
-   checkpoint, torn meta pages, torn data files) and the beyond-RAM
-   acceptance path: a document larger than the buffer-pool budget
-   that still ingests, checkpoints, recovers and answers planned twig
-   queries exactly like the in-memory engine. *)
+(* The paged storage engine: page-backed B+-trees over the volatile
+   page store, differentially against the in-memory backend — same
+   keys in, same answers out — plus recovery, which rebuilds every
+   paged index from snapshot + WAL whatever the pages file holds, and
+   the beyond-RAM acceptance path: a document larger than the
+   buffer-pool budget that still ingests, checkpoints, recovers and
+   answers planned twig queries exactly like the in-memory engine. *)
 
 open Lazy_xml
 module H = Lxu_crash_harness.Crash_harness
@@ -37,7 +36,7 @@ end)
    lookup path also exercises eviction and dirty write-back. *)
 let test_bptree_differential () =
   let ps = small_store ~pool_bytes:(8 * 512) () in
-  let tr = Paged_bptree.create ps ~slot:"t" ~kw:2 ~vw:1 in
+  let tr = Paged_bptree.create ps ~kw:2 ~vw:1 in
   let rng = Rng.create 42 in
   let model = ref IPM.empty in
   let key () = (Rng.int rng 200, Rng.int rng 50) in
@@ -115,7 +114,7 @@ let test_pool_overrun () =
 
 let test_bptree_bulk () =
   let ps = small_store () in
-  let tr = Paged_bptree.create ps ~slot:"t" ~kw:1 ~vw:1 in
+  let tr = Paged_bptree.create ps ~kw:1 ~vw:1 in
   let n = 5000 in
   Paged_bptree.load_sorted tr ~n ~get:(fun i kb vb ->
       kb.(0) <- 2 * i;
@@ -139,62 +138,6 @@ let test_bptree_bulk () =
   check_bool "reusable after clear" true (Paged_bptree.mem tr [| 7 |]);
   Page_store.close ps
 
-(* --- checkpoint durability and crash rollback ------------------------ *)
-
-let fill tr lo hi =
-  for i = lo to hi - 1 do
-    Paged_bptree.insert tr [| i |] [| i * i |]
-  done
-
-let test_checkpoint_reopen () =
-  H.with_dir "paged_reopen" (fun dir ->
-      let path = Filename.concat dir "pages" in
-      let ps = Page_store.create ~device:(Sim_file.open_path path) ~page_size:512 () in
-      let tr = Paged_bptree.create ps ~slot:"t" ~kw:1 ~vw:1 in
-      fill tr 0 1000;
-      Page_store.checkpoint ps ~lsn:7;
-      Page_store.close ps;
-      let ps = Page_store.open_existing ~device:(Sim_file.open_path ~append:true path) () in
-      check_int "checkpoint lsn survives" 7 (Page_store.checkpoint_lsn ps);
-      let tr = Paged_bptree.attach ps ~slot:"t" ~kw:1 ~vw:1 in
-      Paged_bptree.check_invariants tr;
-      check_int "reopened length" 1000 (Paged_bptree.length tr);
-      let vbuf = [| 0 |] in
-      check_bool "reopened find" true (Paged_bptree.find tr [| 999 |] ~value:vbuf);
-      check_int "reopened value" (999 * 999) vbuf.(0);
-      Page_store.close ps)
-
-(* Uncheckpointed work after a checkpoint rolls back to the checkpoint
-   — the COW protocol must never overwrite a durably referenced page. *)
-let test_crash_rollback () =
-  let device = Sim_file.in_memory ~write_back:true () in
-  let ps = Page_store.create ~device ~page_size:512 () in
-  let tr = Paged_bptree.create ps ~slot:"t" ~kw:1 ~vw:1 in
-  fill tr 0 500;
-  Page_store.checkpoint ps ~lsn:1;
-  (* Epoch 2: overwrite half the keys, delete a quarter, add new ones —
-     all COW relocations of durable pages.  Then crash (drop every
-     unsynced write). *)
-  for i = 0 to 249 do
-    Paged_bptree.insert tr [| i |] [| -1 |]
-  done;
-  for i = 250 to 374 do
-    ignore (Paged_bptree.remove tr [| i |])
-  done;
-  fill tr 500 700;
-  Sim_file.crash device;
-  let ps2 = Page_store.open_existing ~device () in
-  check_int "rolled back to lsn" 1 (Page_store.checkpoint_lsn ps2);
-  let tr2 = Paged_bptree.attach ps2 ~slot:"t" ~kw:1 ~vw:1 in
-  Paged_bptree.check_invariants tr2;
-  check_int "rolled back length" 500 (Paged_bptree.length tr2);
-  let vbuf = [| 0 |] in
-  for i = 0 to 499 do
-    check_bool "key present" true (Paged_bptree.find tr2 [| i |] ~value:vbuf);
-    check_int "pre-crash value" (i * i) vbuf.(0)
-  done;
-  check_bool "post-checkpoint key gone" false (Paged_bptree.mem tr2 [| 600 |])
-
 let test_torn_page_detected () =
   let device = Sim_file.in_memory () in
   let pf = Page_file.create ~device ~page_size:512 in
@@ -211,24 +154,6 @@ let test_torn_page_detected () =
     (match Page_file.read pf 4 buf with
     | () -> false
     | exception Page_file.Torn_page _ -> true)
-
-(* A torn write of the newest meta page must fall back to the previous
-   generation, not fail the open. *)
-let test_torn_meta_fallback () =
-  let device = Sim_file.in_memory () in
-  let ps = Page_store.create ~device ~page_size:512 () in
-  let tr = Paged_bptree.create ps ~slot:"t" ~kw:1 ~vw:1 in
-  fill tr 0 100;
-  Page_store.checkpoint ps ~lsn:1 (* gen 1, meta at pid 2 *);
-  fill tr 100 200;
-  Page_store.checkpoint ps ~lsn:2 (* gen 2, meta at pid 1 *);
-  (* Smash generation 2's meta page the way a torn sector would. *)
-  Sim_file.write_at device ~off:512 (String.make 512 '\xff');
-  let ps2 = Page_store.open_existing ~device () in
-  check_int "fell back to gen 1" 1 (Page_store.checkpoint_lsn ps2);
-  let tr2 = Paged_bptree.attach ps2 ~slot:"t" ~kw:1 ~vw:1 in
-  Paged_bptree.check_invariants tr2;
-  check_int "gen-1 state" 100 (Paged_bptree.length tr2)
 
 (* --- database level: paged vs mem, fingerprint-identical ------------- *)
 
@@ -252,6 +177,12 @@ let test_db_paged_matches_mem () =
       Lazy_db.rebuild paged;
       Lazy_db.check paged;
       H.check ~ctx:(Printf.sprintf "paged rebuild seed %d" seed) (H.fingerprint mem) paged;
+      (* A rebuild frees the replaced log's pages: a second one reuses
+         them instead of growing the store. *)
+      let pages () = (Option.get (Lazy_db.page_stats paged)).Page_store.pages in
+      let after_one = pages () in
+      Lazy_db.rebuild paged;
+      check_int "rebuild reuses the old tree's pages" after_one (pages ());
       Lazy_db.close paged;
       Lazy_db.close mem)
     [ 3; 5; 8 ]
@@ -284,7 +215,7 @@ let qcheck_paged_differential =
       Lazy_db.close mem;
       true)
 
-(* --- durable paged databases: checkpoint attach and rebuild ---------- *)
+(* --- durable paged databases: recovery rebuilds ------------------------ *)
 
 let build_paged_durable dir ~seed ~target_ops ~checkpoint_at =
   let ops = H.gen_ops ~seed ~target_ops in
@@ -301,15 +232,18 @@ let build_paged_durable dir ~seed ~target_ops ~checkpoint_at =
   Lazy_db.close db;
   (ops, fp)
 
+(* Recovery rebuilds the paged indexes from the snapshot and the WAL
+   suffix past it (the pages file is truncated at open); nothing is
+   attached from the pages file.  The two cases keep the names they had
+   when recovery attached checkpointed trees: with an empty WAL suffix,
+   and with one to replay. *)
 let test_db_recover_attach () =
   H.with_dir "paged_attach" (fun dir ->
       let _, fp = build_paged_durable dir ~seed:21 ~target_ops:16 ~checkpoint_at:7 in
       let db, report = Lazy_db.recover ~storage:`Paged dir in
-      (* The final checkpoint emptied the WAL: recovery must attach the
-         durable paged indexes rather than rebuild (LSNs match). *)
       check_int "nothing to replay" 0 report.Lxu_storage.Recovery.records_applied;
       check_bool "paged after recover" true (Lazy_db.storage_kind db = `Paged);
-      check_string "attached state" fp (H.fingerprint db);
+      check_string "recovered state" fp (H.fingerprint db);
       Lazy_db.check db;
       (* The recovered handle keeps working: update, checkpoint, recover
          again. *)
@@ -317,15 +251,16 @@ let test_db_recover_attach () =
       let fp2 = H.fingerprint db in
       Lazy_db.checkpoint db;
       Lazy_db.close db;
-      let db2, _ = Lazy_db.recover ~storage:`Paged dir in
+      let db2, report = Lazy_db.recover ~storage:`Paged dir in
+      check_int "nothing to replay again" 0 report.Lxu_storage.Recovery.records_applied;
       check_string "second recover" fp2 (H.fingerprint db2);
+      Lazy_db.check db2;
       Lazy_db.close db2)
 
 let test_db_recover_suffix_replay () =
   H.with_dir "paged_suffix" (fun dir ->
-      (* Checkpoint mid-stream, then more updates land in the WAL: the
-         page store's LSN is behind the WAL tail, so recovery attaches
-         the checkpointed trees and replays the suffix on top. *)
+      (* Checkpoint mid-stream, then more updates land in the WAL:
+         recovery rebuilds from the snapshot and replays the suffix. *)
       let ops = H.gen_ops ~seed:22 ~target_ops:16 in
       let db =
         Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) ~storage:`Paged ()
@@ -339,9 +274,38 @@ let test_db_recover_suffix_replay () =
       Lazy_db.close db;
       let db2, report = Lazy_db.recover ~storage:`Paged dir in
       check_bool "replayed a suffix" true (report.Lxu_storage.Recovery.records_applied > 0);
+      check_bool "paged after recover" true (Lazy_db.storage_kind db2 = `Paged);
       check_string "suffix state" fp (H.fingerprint db2);
       Lazy_db.check db2;
       Lazy_db.close db2)
+
+(* Pages are written in place, checkpoint or not: an insert after a
+   checkpoint rewrites the SB-tree leaf it touches instead of
+   relocating it, so it frees no page. *)
+let test_no_relocation_after_checkpoint () =
+  H.with_dir "paged_in_place" (fun dir ->
+      let mem = Lazy_db.create () in
+      let db = Lazy_db.create ~durability:(`Wal dir) ~storage:`Paged () in
+      let both f =
+        f mem;
+        f db
+      in
+      both (fun d -> Lazy_db.insert d ~gp:0 "<r></r>");
+      for i = 1 to 10 do
+        both (fun d -> Lazy_db.insert d ~gp:3 (Printf.sprintf "<s><k>%d</k></s>" i))
+      done;
+      check_bool "at least 8 segments" true (Lazy_db.segment_count db >= 8);
+      Lazy_db.checkpoint db;
+      let frees () = (Option.get (Lazy_db.page_stats db)).Page_store.frees in
+      let before = frees () in
+      List.iter
+        (fun gp -> both (fun d -> Lazy_db.insert d ~gp "<n><m>x</m></n>"))
+        [ 3; 20; 3 ];
+      check_int "no page freed" before (frees ());
+      Lazy_db.check db;
+      check_string "paged = mem" (H.fingerprint mem) (H.fingerprint db);
+      Lazy_db.close db;
+      Lazy_db.close mem)
 
 let test_db_recover_rebuild_paths () =
   (* Every way the pages file can be unusable must degrade to a sound
@@ -351,10 +315,8 @@ let test_db_recover_rebuild_paths () =
       ("pages file deleted", fun dir -> Sys.remove (Filename.concat dir "pages"));
       ( "pages file truncated to garbage",
         fun dir -> H.write_file (Filename.concat dir "pages") "not a page store" );
-      ( "both meta pages smashed",
+      ( "pages 1 and 2 smashed",
         fun dir ->
-          (* Preserve the header, destroy both meta slots: no valid
-             meta survives, so open fails and recovery resets. *)
           let path = Filename.concat dir "pages" in
           let data = H.read_file path in
           let page = 8192 in
@@ -378,33 +340,6 @@ let test_db_recover_rebuild_paths () =
           Lazy_db.check db;
           Lazy_db.close db))
     scenarios
-
-let test_db_crash_between_checkpoints () =
-  H.with_dir "paged_mismatch" (fun dir ->
-      (* A snapshot written without the page checkpoint (simulating the
-         crash window): the LSNs mismatch, recovery must rebuild. *)
-      let ops = H.gen_ops ~seed:24 ~target_ops:12 in
-      let db =
-        Lazy_db.create ~index_attributes:true ~durability:(`Wal dir) ~storage:`Paged ()
-      in
-      apply_all db ops;
-      Lazy_db.checkpoint db;
-      Lazy_db.insert db ~gp:0 "<post><ckpt>y</ckpt></post>";
-      let fp = H.fingerprint db in
-      (match Lazy_db.log db with
-      | Some lg ->
-        (* Snapshot at the WAL head, page store left at the old LSN. *)
-        let s = Option.get (Lazy_db.wal_dir db) in
-        ignore s;
-        Lxu_storage.Recovery.write_snapshot
-          ~path:(Lxu_storage.Wal_store.snapshot_path dir)
-          ~lsn:(List.length ops + 1) lg
-      | None -> assert false);
-      Lazy_db.close db;
-      let db2, _ = Lazy_db.recover ~storage:`Paged dir in
-      check_string "mismatched lsn rebuilds" fp (H.fingerprint db2);
-      Lazy_db.check db2;
-      Lazy_db.close db2)
 
 (* --- beyond-RAM: document >> pool budget ----------------------------- *)
 
@@ -457,15 +392,13 @@ let suite =
     Alcotest.test_case "paged bptree vs Map (random ops)" `Quick test_bptree_differential;
     Alcotest.test_case "paged bptree bulk load + batch merge" `Quick test_bptree_bulk;
     Alcotest.test_case "pinned pool overruns, never blocks" `Quick test_pool_overrun;
-    Alcotest.test_case "checkpoint + reopen" `Quick test_checkpoint_reopen;
-    Alcotest.test_case "crash rolls back to checkpoint" `Quick test_crash_rollback;
     Alcotest.test_case "torn page detected by checksum" `Quick test_torn_page_detected;
-    Alcotest.test_case "torn meta falls back a generation" `Quick test_torn_meta_fallback;
     Alcotest.test_case "paged db = mem db (seeds 3, 5, 8)" `Quick test_db_paged_matches_mem;
     QCheck_alcotest.to_alcotest qcheck_paged_differential;
     Alcotest.test_case "recover attaches at matching lsn" `Quick test_db_recover_attach;
     Alcotest.test_case "recover attaches + replays wal suffix" `Quick test_db_recover_suffix_replay;
+    Alcotest.test_case "checkpointed pages are written in place" `Quick
+      test_no_relocation_after_checkpoint;
     Alcotest.test_case "recover rebuilds on damaged page store" `Quick test_db_recover_rebuild_paths;
-    Alcotest.test_case "lsn mismatch forces rebuild" `Quick test_db_crash_between_checkpoints;
     Alcotest.test_case "beyond-RAM ingest + query + recover" `Quick test_beyond_ram;
   ]
