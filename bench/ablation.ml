@@ -61,17 +61,6 @@ let hook_edits k =
   let root = "<r>" ^ String.concat "" (List.init k (fun _ -> unit)) ^ "</r>" in
   (0, root) :: List.init k (fun i -> (3 + (String.length unit * (k - 1 - i)) + 3, "<D/>"))
 
-(* Best of 9 passes, each after [Gc.full_major], as the gate times its
-   plan group: a pass then pays no earlier pass's major-GC debt, which
-   put a median of 5 without the barrier 2-3x above this on the scale
-   row. *)
-let best_of_9 f =
-  List.fold_left
-    (fun acc _ ->
-      Gc.full_major ();
-      min acc (snd (Bench_util.time_ms f)))
-    infinity (List.init 9 Fun.id)
-
 let run_joins () =
   Bench_util.header "Ablation: structural join algorithms on one workload";
   let edits = ablation_edits ~segments:150 ~anc_per_segment:20 ~d_per_child:4 in
@@ -92,29 +81,29 @@ let run_joins () =
   in
   let scans = ref 0 in
   let t_mpm =
-    best_of_9 (fun () ->
+    Bench_util.measure_settled (fun () ->
         let _, s = Mpmgjn.join ~anc:a ~desc:d () in
         scans := s.Stack_tree_desc.d_scanned)
   in
   row "MPMGJN (merge join, lists ready)" t_mpm (Some !scans);
   let t_std =
-    best_of_9 (fun () ->
+    Bench_util.measure_settled (fun () ->
         let _, s = Stack_tree_desc.join ~anc:a ~desc:d () in
         scans := s.Stack_tree_desc.d_scanned)
   in
   row "Stack-Tree-Desc (lists ready)" t_std (Some !scans);
   let t_sta =
-    best_of_9 (fun () ->
+    Bench_util.measure_settled (fun () ->
         let _, s = Stack_tree_anc.join ~anc:a ~desc:d () in
         scans := s.Stack_tree_desc.d_scanned)
   in
   row "Stack-Tree-Anc (lists ready)" t_sta (Some !scans);
   let t_base =
-    best_of_9 (fun () -> ignore (Std_baseline.run log ~anc ~desc ()))
+    Bench_util.measure_settled (fun () -> ignore (Std_baseline.run log ~anc ~desc ()))
   in
   row "classical join over lazy store" t_base None;
   row "Lazy-Join"
-    (best_of_9 (fun () -> ignore (Lxu_join.Lazy_join.run log ~anc ~desc ())))
+    (Bench_util.measure_settled (fun () -> ignore (Lxu_join.Lazy_join.query log ~anc ~desc ())))
     None;
   Printf.printf
     "\nLazy-Join scale: one segment of k disjoint A-elements, a <D/> child\n\
@@ -126,8 +115,8 @@ let run_joins () =
       Update_log.prepare_for_query log;
       let pairs = ref 0 in
       let ms =
-        best_of_9 (fun () ->
-            pairs := Array.length (fst (Lxu_join.Lazy_join.run log ~anc ~desc ())))
+        Bench_util.measure_settled (fun () ->
+            pairs := Array.length (fst (fst (Lxu_join.Lazy_join.query log ~anc ~desc ()))))
       in
       Bench_util.columns [ 34; 12; 12 ]
         [ string_of_int k; Bench_util.fmt_ms ms; string_of_int !pairs ])

@@ -40,7 +40,8 @@ let measure_min ?(repeat = 5) f =
    major-GC debt of the set-up or of the run before it.  The figure
    timers below use it: with [measure]'s 5 unsettled runs, Fig 13
    read the packed single segment above STD (2.21 vs 2.01 ms on a
-   2-vCPU x86-64 host); settled, it reads 0.71-0.90x STD there. *)
+   2-vCPU x86-64 host, LD then timed without translation); settled,
+   the same join read 0.71-0.90x STD there. *)
 let measure_settled f =
   let samples =
     List.init 31 (fun _ ->
@@ -89,17 +90,20 @@ let load_store edits =
   List.iter (fun (gp, frag) -> Lxu_baselines.Interval_store.insert store ~gp frag) edits;
   store
 
-(* The three query timers used across figures; all measure the join
-   itself, on label pairs, the way the paper does.  The LS timer
-   includes the pre-query sort/rebuild that discipline defers. *)
+(* The three query timers used across figures.  Each times a join that
+   ends in the same thing, global (anc, desc) start pairs: LD and LS
+   through {!Lxu_join.Lazy_join.query}, the production read, which
+   translates as it emits; STD translates every element, then joins.
+   The LS timer includes the pre-query sort/rebuild that discipline
+   defers. *)
 let time_ld log ~anc ~desc =
   Lxu_seglog.Update_log.prepare_for_query log;
-  measure_settled (fun () -> ignore (Lxu_join.Lazy_join.run log ~anc ~desc ()))
+  measure_settled (fun () -> ignore (Lxu_join.Lazy_join.query log ~anc ~desc ()))
 
 let time_ls log ~anc ~desc =
   measure_settled (fun () ->
       Lxu_seglog.Update_log.mark_stale log;
-      ignore (Lxu_join.Lazy_join.run log ~anc ~desc ()))
+      ignore (Lxu_join.Lazy_join.query log ~anc ~desc ()))
 
 (* STD as the paper runs it over the same store (§4): fetch every
    element of both tags from the element index, translate local labels

@@ -44,7 +44,7 @@ let run () =
         (fun n ->
           let edits = Chopper.chop ~text ~segments:n shape in
           let log = Bench_util.load_log Update_log.Lazy_dynamic edits in
-          let _, stats = Lxu_join.Lazy_join.run log ~anc ~desc () in
+          let _, stats = Lxu_join.Lazy_join.query log ~anc ~desc () in
           let total =
             stats.Lxu_join.Lazy_join.cross_pairs + stats.Lxu_join.Lazy_join.in_pairs
           in

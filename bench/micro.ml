@@ -27,7 +27,7 @@ let test_fig12_lazy_join =
   let log = joinmix_log Lxu_workload.Joinmix.Balanced in
   Update_log.prepare_for_query log;
   Test.make ~name:"fig12/13/15: lazy-join A//D"
-    (Staged.stage (fun () -> ignore (Lxu_join.Lazy_join.run log ~anc:"A" ~desc:"D" ())))
+    (Staged.stage (fun () -> ignore (Lxu_join.Lazy_join.query log ~anc:"A" ~desc:"D" ())))
 
 let test_fig12_std_join =
   let spec =

@@ -93,7 +93,7 @@ let query t ?axis ?guard ~anc ~desc () =
   (!acc, stats)
 
 (* Cardinality without the local->global translation of [query]: the
-   join's counting buffer already holds the count. *)
+   join's counting kernel only adds up its stats. *)
 let count t ?axis ?guard ~anc ~desc () = Lxu_join.Lazy_join.count ?axis ?guard t.log ~anc ~desc ()
 
 let text t = Update_log.materialize t.log
@@ -180,10 +180,24 @@ let load ?domains:_ ?(storage = `Mem) path =
   in
   { (of_log lg) with pstore }
 
+(* The pages file is opened only once [dir] is known to hold a state,
+   and a failed recovery closes it and deletes it if this call made
+   it: a refused [dir] is left as it was found. *)
 let recover ?domains:_ ?(storage = `Mem) dir =
+  Lxu_storage.Wal_store.check_recoverable ~dir;
+  let pages = Filename.concat dir "pages" in
+  let made = not (Sys.file_exists pages) in
   let pstore = pstore_for storage (Some dir) in
-  let lg, store, report = Lxu_storage.Wal_store.recover ?pstore ~dir () in
-  ({ (of_log lg) with durable = Some store; pstore }, report)
+  match Lxu_storage.Wal_store.recover ?pstore ~dir () with
+  | lg, store, report -> ({ (of_log lg) with durable = Some store; pstore }, report)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Option.iter
+      (fun ps ->
+        Lxu_storage.Page_store.close ps;
+        if made then Sys.remove pages)
+      pstore;
+    Printexc.raise_with_backtrace e bt
 
 let restore_to ~lsn dir =
   let lg, report = Lxu_storage.Wal_store.restore_to ~dir ~lsn in

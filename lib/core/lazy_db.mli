@@ -153,7 +153,7 @@ val query :
     which translates each pair to global positions as the join emits
     it, plus the list built from its two columns.
 
-    [guard] makes the join cooperative (see {!Lxu_join.Lazy_join.run}):
+    [guard] makes the join cooperative (see {!Lxu_join.Lazy_join.query}):
     evaluation raises [Lxu_util.Deadline.Cancel.Cancelled] promptly on
     a cancel or deadline expiry instead of running to completion.
     Without it, behaviour and cost are exactly as before. *)
@@ -257,7 +257,9 @@ val recover :
     With [`Paged] storage (default [`Mem]) the pages file
     [dir/pages] is truncated, whatever it held, and the SB-tree is
     rebuilt on it from the snapshot and the WAL, as every other index
-    is.
+    is.  The file is opened only once [dir] is known to hold a snapshot
+    or a WAL; a recovery that fails closes it, and deletes it when it
+    did not exist before.
     @raise Failure when [dir] holds nothing recoverable. *)
 
 val wal_dir : t -> string option

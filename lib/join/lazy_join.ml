@@ -1,11 +1,6 @@
 open Lxu_util
 open Lxu_seglog
 
-(* One flat block of four immediate fields per pair — no nested
-   element records, so materializing N pairs allocates N+1 blocks
-   rather than 3N+1 and the GC never chases intra-pair pointers. *)
-type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
-
 type stats = {
   mutable a_segments : int;
   mutable d_segments : int;
@@ -126,45 +121,27 @@ let holding_hooks (c : Er_node.cols) (kids : Er_node.t Vec.t) =
       c
   end
 
-(* Chunked flat output buffer: 4 ints per pair
-   [a_sid; a_start; d_sid; d_start] (an element's identity; the Child
-   axis checks levels on the columns before emitting) for {!run}, 2
-   ints per pair [a_gstart; d_gstart] for {!query}, written into
-   fixed chunks that are never re-grown — a growable
-   array would alloc+zero+copy its whole prefix on every doubling
-   round, which dominates emission cost once the buffer outgrows the
-   minor heap.  Chunk sizes escalate 256 → … → 65536 ints so small
-   joins stay small and big ones amortize.  [full] holds
-   completely-filled chunks in reverse push order (chunk sizes are
-   multiples of 4 and a buffer's pushes all advance by 4 or all by 2,
-   so rotation happens exactly at capacity).  A [counting] buffer only
-   counts: a count needs no pair, so it allocates nothing per pair. *)
+(* Chunked flat output buffer of {!query}'s pairs, 2 ints per pair
+   [a_gstart; d_gstart], written into fixed chunks that are never
+   re-grown — a growable array would alloc+zero+copy its whole prefix
+   on every doubling round, which dominates emission cost once the
+   buffer outgrows the minor heap.  Chunk sizes escalate 256 → … →
+   65536 ints so small joins stay small and big ones amortize.  [full]
+   holds completely-filled chunks in reverse push order (chunk sizes
+   are even, so rotation happens exactly at capacity). *)
 type buf = {
-  counting : bool;
   mutable full : int array list;
   mutable cur : int array;
   mutable cur_len : int;
   mutable total : int;  (* ints pushed, across [full] and [cur] *)
 }
 
-let buf_create ~counting = { counting; full = []; cur = [||]; cur_len = 0; total = 0 }
+let buf_create () = { full = []; cur = [||]; cur_len = 0; total = 0 }
 
 let buf_grow b =
   if b.cur_len > 0 then b.full <- b.cur :: b.full;
   b.cur <- Array.make (max 256 (min 65536 (2 * Array.length b.cur))) 0;
   b.cur_len <- 0
-
-let buf_push4 b x0 x1 x2 x3 =
-  if not b.counting then begin
-    if b.cur_len + 4 > Array.length b.cur then buf_grow b;
-    let d = b.cur and o = b.cur_len in
-    Array.unsafe_set d o x0;
-    Array.unsafe_set d (o + 1) x1;
-    Array.unsafe_set d (o + 2) x2;
-    Array.unsafe_set d (o + 3) x3;
-    b.cur_len <- o + 4
-  end;
-  b.total <- b.total + 4
 
 let buf_push2 b x0 x1 =
   if b.cur_len + 2 > Array.length b.cur then buf_grow b;
@@ -174,40 +151,7 @@ let buf_push2 b x0 x1 =
   b.cur_len <- o + 2;
   b.total <- b.total + 2
 
-(* [n] pairs at once on a counting buffer. *)
-let buf_count b n = b.total <- b.total + (4 * n)
-
-let pair_count b = b.total / 4
-
-(* Materializes the pair records in push order — the single conversion
-   at the API boundary. *)
-let buf_to_pairs b =
-  let n = pair_count b in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n { a_sid = 0; a_start = 0; d_sid = 0; d_start = 0 } in
-    let k = ref 0 in
-    let emit data len =
-      let o = ref 0 in
-      while !o < len do
-        let p = !o in
-        Array.unsafe_set out !k
-          {
-            a_sid = Array.unsafe_get data p;
-            a_start = Array.unsafe_get data (p + 1);
-            d_sid = Array.unsafe_get data (p + 2);
-            d_start = Array.unsafe_get data (p + 3);
-          };
-        incr k;
-        o := p + 4
-      done
-    in
-    List.iter (fun c -> emit c (Array.length c)) (List.rev b.full);
-    emit b.cur b.cur_len;
-    out
-  end
-
-(* A {!buf_push2} buffer's pairs as two columns, in push order. *)
+(* The buffer's pairs as two columns, in push order. *)
 let buf_columns b =
   let n = b.total / 2 in
   let ga = Array.make n 0 and gd = Array.make n 0 in
@@ -296,50 +240,36 @@ type d_task = {
   in_seg : bool;  (* the same segment holds both tags *)
 }
 
-(* Runs one task: cross-segment emission (Proposition 3), then the
-   in-segment join.  A task exists only when it emits or joins
+(* Counts one task's pairs into [stats]: cross-segment emission
+   (Proposition 3), then the in-segment join, writing nothing — the
+   kernel of {!count}.  A task exists only when it emits or joins
    in-segment, so its D-elements are fetched (and counted) exactly
    once.  [guard] is checked at task entry and per cross frame.  The
    Child axis reads levels through [depth], the synopsis' slot ->
    depth table read by {!start}. *)
-let exec_task ?guard ~axis ~out ~depth ~fetch_a ~fetch_d ~stats task =
+let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats task =
   Deadline.check_opt guard;
-  let d_sid = task.d_node.Er_node.sid in
   let d = fetch_d task.d_node in
   let n_d = Er_node.cols_length d in
   List.iter
     (fun fr ->
       Deadline.check_opt guard;
-      let a_sid = fr.node.Er_node.sid and a = fr.elems in
-      for k = 0 to fr.top - 1 do
-        let i = Array.unsafe_get fr.opened k in
-        let a_start = Array.unsafe_get a.starts i in
-        match axis with
-        | Axis.Desc ->
-          if out.counting then buf_count out n_d
-          else
-            for j = 0 to n_d - 1 do
-              buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j)
-            done;
-          stats.cross_pairs <- stats.cross_pairs + n_d
-        | Axis.Child ->
-          let child_level = depth.(Array.unsafe_get a.pids i) + 1 in
+      match axis with
+      | Axis.Desc -> stats.cross_pairs <- stats.cross_pairs + (fr.top * n_d)
+      | Axis.Child ->
+        for k = 0 to fr.top - 1 do
+          let i = Array.unsafe_get fr.opened k in
+          let child_level = depth.(Array.unsafe_get fr.elems.pids i) + 1 in
           for j = 0 to n_d - 1 do
-            if depth.(Array.unsafe_get d.pids j) = child_level then begin
-              buf_push4 out a_sid a_start d_sid (Array.unsafe_get d.starts j);
+            if depth.(Array.unsafe_get d.pids j) = child_level then
               stats.cross_pairs <- stats.cross_pairs + 1
-            end
           done
-      done)
+        done)
     task.cross;
-  if task.in_seg then begin
-    let a = fetch_a task.d_node in
-    in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
-      ~emit:(fun ai di ->
-        buf_push4 out d_sid (Array.unsafe_get a.starts ai) d_sid (Array.unsafe_get d.starts di);
-        stats.in_pairs <- stats.in_pairs + 1)
+  if task.in_seg then
+    in_segment_join ?guard ~axis ~depth ~anc:(fetch_a task.d_node) ~desc:d
+      ~emit:(fun _ _ -> stats.in_pairs <- stats.in_pairs + 1)
       ()
-  end
 
 (* The global start of element [i] of frame [fr]'s [elems], through
    the frame's memo. *)
@@ -362,15 +292,15 @@ let frame_start map fr i =
   end
 
 (* [exec_task] for {!query}: the same loops and stats, writing the
-   pairs' global starts.  Every cursor comes from a node the merge pass
-   resolved, never from a sid.  A task with cross-segment output
-   translates its D column once, in order, into [dbuf] (grown as
-   needed and reused by every task), and a frame's A-elements through
-   the frame's memo.  An in-segment join translates only the elements
-   it emits, each once: D-elements in order on their own cursor,
-   A-elements memoized by index (a cursor steps back only where a
-   D-element first meets a chain of nested ancestors, emitted
-   innermost first). *)
+   pairs' global starts into [out].  Every cursor comes from a node
+   the merge pass resolved, never from a sid.  A task with
+   cross-segment output translates its D column once, in order, into
+   [dbuf] (grown as needed and reused by every task), and a frame's
+   A-elements through the frame's memo.  An in-segment join
+   translates only the elements it emits, each once: D-elements in
+   order on their own cursor, A-elements memoized by index (a cursor
+   steps back only where a D-element first meets a chain of nested
+   ancestors, emitted innermost first). *)
 let exec_query ?guard ~axis ~map ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task =
   Deadline.check_opt guard;
   let node = task.d_node in
@@ -558,7 +488,7 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
 let runs_total = Atomic.make 0
 let runs () = Atomic.get runs_total
 
-(* What every join does first: count the run, check [guard], ready the
+(* What every join does first: count the join, check [guard], ready the
    SB-tree and the sorted tag lists, and read the synopsis' slot ->
    depth table. *)
 let start ?guard log =
@@ -593,23 +523,25 @@ let join ?guard log ~anc ~desc exec =
       log ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ());
   stats
 
-let run ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let out = buf_create ~counting:false in
-  let stats = join ?guard log ~anc ~desc (exec_task ?guard ~axis ~out) in
-  (buf_to_pairs out, stats)
-
 let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let out = buf_create ~counting:true in
-  ignore (join ?guard log ~anc ~desc (exec_task ?guard ~axis ~out));
-  pair_count out
+  let stats = join ?guard log ~anc ~desc (exec_task ?guard ~axis) in
+  stats.cross_pairs + stats.in_pairs
 
 let query ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let out = buf_create ~counting:false in
+  let out = buf_create () in
   let map = Update_log.seg_map log in
   let stats = join ?guard log ~anc ~desc (exec_query ?guard ~axis ~map ~dbuf:(ref [||]) ~out) in
   let ga, gd = buf_columns out in
   Run_merge.sort gd ga;
   ((ga, gd), stats)
+
+(* perfbench shims: [query] as one array of pairs, and the list of
+   them. *)
+let run ?axis ?guard log ~anc ~desc () =
+  let (ga, gd), stats = query ?axis ?guard log ~anc ~desc () in
+  (Array.map2 (fun a d -> (a, d)) ga gd, stats)
+
+let global_pairs _log pairs = Array.to_list pairs
 
 (* --- semi-joins over selection masks -------------------------------- *)
 
@@ -820,47 +752,3 @@ let semi ?(restrict = true) ?guard log ~anc ~desc ~ok ~keep =
     ~sld:(fun i -> desc.nodes.(kd.(i)))
     ();
   { (match keep with `Anc -> anc | `Desc -> desc) with sel = out }
-
-(* Translates in emission order into two flat columns, then merges
-   their sorted runs; no tuple exists until the result list is built.
-   Each side keeps its own cursor (an in-segment pair has both sides in
-   one segment, and interleaving them on one cursor would step back at
-   every pair). *)
-let global_pairs log pairs =
-  let n = Array.length pairs in
-  if n = 0 then []
-  else begin
-    let map = Update_log.seg_map log in
-    let cursor sid = Seg_map.cursor map (Update_log.node_of_sid log sid) in
-    let ga = Array.make n 0 and gd = Array.make n 0 in
-    let p0 = pairs.(0) in
-    let a_sid = ref p0.a_sid and a_cur = ref (cursor p0.a_sid) in
-    let a_start = ref p0.a_start in
-    let a_g = ref (Er_node.cursor_start !a_cur p0.a_start) in
-    let d_sid = ref p0.d_sid and d_cur = ref (cursor p0.d_sid) in
-    for i = 0 to n - 1 do
-      let p = Array.unsafe_get pairs i in
-      if p.a_sid <> !a_sid then begin
-        a_sid := p.a_sid;
-        a_cur := cursor p.a_sid;
-        a_start := p.a_start;
-        a_g := Er_node.cursor_start !a_cur p.a_start
-      end
-      else if p.a_start <> !a_start then begin
-        a_start := p.a_start;
-        a_g := Er_node.cursor_start !a_cur p.a_start
-      end;
-      if p.d_sid <> !d_sid then begin
-        d_sid := p.d_sid;
-        d_cur := cursor p.d_sid
-      end;
-      Array.unsafe_set ga i !a_g;
-      Array.unsafe_set gd i (Er_node.cursor_start !d_cur p.d_start)
-    done;
-    Run_merge.sort gd ga;
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      acc := (Array.unsafe_get ga i, Array.unsafe_get gd i) :: !acc
-    done;
-    !acc
-  end

@@ -23,13 +23,14 @@
     close is the top-frame trim.
 
     Under a [Lazy_static] log the pre-query sorting cost is incurred
-    here (the run calls {!Lxu_seglog.Update_log.prepare_for_query}),
+    here (every join calls {!Lxu_seglog.Update_log.prepare_for_query}),
     matching the paper's LS accounting.
 
     A join runs on the calling domain, as the paper's does: the
     segment-merge pass (which reads the ER-tree, SB-tree and tag
     lists) hands each SL_D entry with output to its in-segment join
-    and cross-segment emission, which write into one output buffer.
+    and cross-segment emission, which {!query} writes into one output
+    buffer.
 
     Element sets are each segment's own immutable per-tag columns
     ({!Lxu_seglog.Er_node.cols}), and the join kernels run directly on
@@ -39,18 +40,13 @@
     ({!Lxu_seglog.Path_synopsis.depth_table}), read from the table of
     the log version being joined.
 
-    {!query}, the production read, translates at emission: its sink
-    writes each pair's global (anc, desc) starts, 2 ints, through
-    cursors over the segments the merge pass already resolved, so no
-    [pair] record is built and no segment is looked up again by sid.
-    {!run} and its [pair] records remain the join the paper's figures
-    time. *)
-
-type pair = { a_sid : int; a_start : int; d_sid : int; d_start : int }
-(** One ancestor/descendant result: each side is an element's identity,
-    its segment and virtual start.  A single flat block of immediate fields
-    — materializing a result array allocates one small block per pair
-    and nothing the GC has to trace into. *)
+    {!query} is the one join that emits pairs: its sink writes each
+    pair's global (anc, desc) starts, 2 ints, through cursors over the
+    segments the merge pass already resolved, so no pair record is
+    built and no segment is looked up again by sid.  {!count} runs the
+    same pass and loops but only counts, and {!semi} marks survivors
+    instead of emitting.  {!run} and {!global_pairs} are shims over
+    {!query}, kept only for [perfbench/perfbench.ml]. *)
 
 type stats = {
   mutable a_segments : int;  (** SL_A entries consumed *)
@@ -64,26 +60,6 @@ type stats = {
   mutable elements_fetched : int;  (** column entries read *)
 }
 
-val run :
-  ?axis:Lxu_util.Axis.t ->
-  ?guard:Lxu_util.Deadline.guard ->
-  Lxu_seglog.Update_log.t ->
-  anc:string ->
-  desc:string ->
-  unit ->
-  pair array * stats
-(** [run log ~anc ~desc ()] evaluates the path expression
-    [anc//desc] (or [anc/desc] with [~axis:Child]), returning pairs
-    ordered by descendant segment.  The merge pass resolves each
-    tag-list entry it reaches through the SB-tree once.
-
-    [guard] makes the join cooperative: the segment-merge loop, every
-    SL_D entry's join, every cross frame and every in-segment merge
-    step call {!Lxu_util.Deadline.check_opt}, so the run raises
-    [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
-    deadline expiring or the token firing.  Without [guard] the run is exactly the ungoverned join:
-    identical pairs and stats, one extra branch per check point. *)
-
 val query :
   ?axis:Lxu_util.Axis.t ->
   ?guard:Lxu_util.Deadline.guard ->
@@ -92,27 +68,31 @@ val query :
   desc:string ->
   unit ->
   (int array * int array) * stats
-(** [query log ~anc ~desc ()] is {!run} with its pairs translated to
-    global positions: the columns [(ga, gd)] hold one pair per row,
-    [(ga.(i), gd.(i))] = [(anc_gstart, desc_gstart)], rows sorted by
-    [(desc, anc)] — the rows of [global_pairs log (fst (run log ~anc
-    ~desc ()))] — with the same stats as {!run}.
+(** [query log ~anc ~desc ()] evaluates the path expression
+    [anc//desc] (or [anc/desc] with [~axis:Child]) and returns its
+    pairs translated to global positions: the columns [(ga, gd)] hold
+    one pair per row, [(ga.(i), gd.(i))] = [(anc_gstart, desc_gstart)],
+    rows sorted by [(desc, anc)].  The merge pass resolves each
+    tag-list entry it reaches through the SB-tree once.  The pair count
+    is [stats.cross_pairs + stats.in_pairs].
 
-    The join runs {!run}'s merge pass and loops, but its sink
-    translates as it emits, through {!Lxu_seglog.Seg_map.cursor}s over
-    the segments the merge pass has already resolved: a task with
-    cross-segment output translates its D column once, a pushed
-    frame translates each of its A-elements once however many
-    descendant segments it joins, and an in-segment join translates
-    only the elements it emits.  The columns come out in the few
-    sorted runs of emission order, which
-    {!Lxu_util.Run_merge.sort} merges.  [axis] and [guard] as in
-    {!run}. *)
+    The sink translates as it emits, through
+    {!Lxu_seglog.Seg_map.cursor}s over the segments the merge pass has
+    already resolved: a task with cross-segment output translates its D
+    column once, a pushed frame translates each of its A-elements once
+    however many descendant segments it joins, and an in-segment join
+    translates only the elements it emits.  The columns come out in the
+    few sorted runs of emission order (grouped by descendant segment,
+    innermost ancestors first), which {!Lxu_util.Run_merge.sort}
+    merges.
 
-val runs : unit -> int
-(** Joins started in this process ({!run}, {!count}, {!query} and
-    {!semi} each add one) — lets tests prove that an evaluation ran
-    none. *)
+    [guard] makes the join cooperative: the segment-merge loop, every
+    SL_D entry's join, every cross frame and every in-segment merge
+    step call {!Lxu_util.Deadline.check_opt}, so the join raises
+    [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
+    deadline expiring or the token firing.  Without [guard] the join is
+    exactly the ungoverned one: identical pairs and stats, one extra
+    branch per check point. *)
 
 val count :
   ?axis:Lxu_util.Axis.t ->
@@ -122,17 +102,22 @@ val count :
   desc:string ->
   unit ->
   int
-(** [Array.length (fst (run log ~anc ~desc ()))] without the pairs:
-    the join runs as {!run} does, but its output buffer only counts
-    what would be written, so a count allocates nothing per pair.
-    [axis] and [guard] as in {!run}. *)
+(** The number of {!query}'s pairs, [stats.cross_pairs +
+    stats.in_pairs]: the same merge pass and loops, but the kernel only
+    adds to the stats, so a count translates, writes and allocates
+    nothing per pair.  [axis] and [guard] as in {!query}. *)
+
+val runs : unit -> int
+(** Joins started in this process ({!query}, {!count} and {!semi}
+    each add one) — lets tests prove that an evaluation ran
+    none. *)
 
 (** {2 Semi-joins}
 
     The path executor's joins keep elements, not pairs.  An element
     set of one tag is a {e selection mask} over that tag's per-segment
     columns, and a semi-join walks the same segment-merge pass and the
-    same cross- and in-segment loops as {!run}, but marks survivors
+    same cross- and in-segment loops as {!query}, but marks survivors
     instead of writing pairs: no buffer, no pair, no ref. *)
 
 type mask = {
@@ -179,21 +164,26 @@ val semi :
 
     [restrict] (default on) walks only the segments holding a member
     on each side; off, every segment of both tags (the unrestricted
-    reference).  [guard] as in {!run}. *)
+    reference).  [guard] as in {!query}. *)
 
-val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
-(** Translates {!run}'s pairs to [(anc_gstart, desc_gstart)] global
-    positions, sorted by [(desc, anc)]: the rows of {!query}, as a
-    list.  No read path calls it any more; it stays only because
-    perfbench's traced [Query] times [run] and [global_pairs] as two
-    spans, and goes with the benchmark's next revision (ROADMAP items
-    1 and 3).
+(** {2 perfbench shims}
 
-    The pairs are walked in emission order with one
-    {!Lxu_seglog.Er_node.cursor} per side: a side's cursor is taken
-    ({!Lxu_seglog.Seg_map.cursor} on {!Lxu_seglog.Update_log.node_of_sid},
-    over the segment's cached translator) only when its sid changes,
-    and an ancestor repeated
-    across consecutive pairs (a cross-segment emission) reuses its
-    global start.  The translated columns are merged by
-    {!Lxu_util.Run_merge.sort}, as in {!query}. *)
+    [perfbench/perfbench.ml]'s traced [Query] times [run] and
+    [global_pairs] as two spans and its traced [Count] takes
+    [Array.length] of [run]'s result; nothing else calls them.  They go
+    with the benchmark's next revision (ROADMAP item 1). *)
+
+val run :
+  ?axis:Lxu_util.Axis.t ->
+  ?guard:Lxu_util.Deadline.guard ->
+  Lxu_seglog.Update_log.t ->
+  anc:string ->
+  desc:string ->
+  unit ->
+  (int * int) array * stats
+(** {!query} with its two columns zipped: the same rows, order and
+    stats. *)
+
+val global_pairs : Lxu_seglog.Update_log.t -> (int * int) array -> (int * int) list
+(** [global_pairs _ pairs] is [Array.to_list pairs]: {!run}'s pairs
+    are already global. *)

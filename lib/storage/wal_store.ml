@@ -112,6 +112,13 @@ let checkpoint t log =
   Recovery.write_snapshot ~path:(snapshot_path t.dir) ~lsn log;
   rotate_wal t ~header:(header_of log) ~next_lsn:(lsn + 1)
 
+let nothing_to_recover dir =
+  failwith (Printf.sprintf "%s: nothing to recover (no snapshot, no wal)" dir)
+
+let check_recoverable ~dir =
+  if not (Sys.file_exists (snapshot_path dir) || Sys.file_exists (wal_path dir)) then
+    nothing_to_recover dir
+
 (* Shared front half of [recover] and [restore_to]: read snapshot +
    WAL and replay in memory, optionally bounded at [upto_lsn].
    Touches nothing on disk. *)
@@ -124,7 +131,7 @@ let replay_dir ?pstore ?upto_lsn ~dir () =
   in
   let wal_bytes = if Sys.file_exists wpath then Some (Sim_file.read_file wpath) else None in
   match (base, wal_bytes) with
-  | None, None -> failwith (Printf.sprintf "%s: nothing to recover (no snapshot, no wal)" dir)
+  | None, None -> nothing_to_recover dir
   | Some (lsn, log), None -> (log, Recovery.nothing_replayed ~total_bytes:0 lsn)
   | base, Some bytes -> (
     (* Replay mutates the base log in place; recovery owns it. *)

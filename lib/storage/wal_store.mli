@@ -85,6 +85,12 @@ val restore_to : dir:string -> lsn:int -> Lxu_seglog.Update_log.t * Recovery.rep
     snapshot already covers more history than [lsn] (restore needs a
     backup from before that checkpoint). *)
 
+val check_recoverable : dir:string -> unit
+(** Checks that [dir] holds a snapshot or a WAL, without opening
+    either.
+    @raise Failure naming [dir], with {!recover}'s message, when it
+    holds neither (or does not exist). *)
+
 val recover :
   ?pstore:Lxu_storage_core.Page_store.t ->
   dir:string -> unit -> Lxu_seglog.Update_log.t * t * Recovery.report

@@ -139,7 +139,7 @@ let () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 25 |])
     (Lxu_props.Sweep_props.hooks_agree ~count:cases);
   Printf.printf
-    "frame sweep: %d cases, run/count/query/semi equal to the naive join on LD/LS, live and \
+    "frame sweep: %d cases, count/query/semi equal to the naive join on LD/LS, live and \
      pinned\n%!"
     cases;
   Snapshot_golden.run ();

@@ -188,8 +188,8 @@ let test_lazy_after_removal () =
    its raw output is far from (desc, anc) order: [query] must merge
    several runs.  Same-tag ancestors nest across three segments, each
    segment holds an in-segment A chain, and a tombstone shifts the
-   outer segment's later labels.  [run]'s pairs show the emission
-   order, which [query]'s sink shares. *)
+   outer segment's later labels.  The stats pin that shape: every
+   segment joins in-segment, and the inner two meet pushed frames. *)
 let unsorted_runs_log () =
   let log = Update_log.create () in
   ignore (Update_log.insert log ~gp:0 "<A><A><B/></A><z>zz</z><x></x><B/></A>");
@@ -203,25 +203,14 @@ let unsorted_runs_log () =
 
 let test_lazy_unsorted_runs () =
   let log = unsorted_runs_log () in
-  let pairs, _ = Lazy_join.run log ~anc:"A" ~desc:"B" () in
-  let global sid start =
-    let n = Update_log.node_of_sid log sid in
-    let gp = Seg_map.gp (Update_log.seg_map log) n in
-    fst (Er_node.global_extent_span ~gp n ~start ~stop:start)
-  in
-  let raw =
-    Array.map
-      (fun (p : Lazy_join.pair) -> (global p.d_sid p.d_start, global p.a_sid p.a_start))
-      pairs
-  in
-  let descents = ref 0 in
-  for i = 1 to Array.length raw - 1 do
-    if compare raw.(i - 1) raw.(i) > 0 then incr descents
-  done;
-  check_bool (Printf.sprintf "raw pairs have >= 3 descents (%d)" !descents) true (!descents >= 3);
+  let got, stats = lazy_pairs log ~anc:"A" ~desc:"B" in
   let text = Update_log.materialize log in
-  Alcotest.check pair_list "= naive on the materialization" (naive_pairs text ~anc:"A" ~desc:"B")
-    (fst (lazy_pairs log ~anc:"A" ~desc:"B"))
+  Alcotest.check pair_list "= naive on the materialization" (naive_pairs text ~anc:"A" ~desc:"B") got;
+  check_int "SL_D entries" 3 stats.Lazy_join.d_segments;
+  check_int "in-segment joins" 3 stats.Lazy_join.in_segment_joins;
+  check_int "pushed frames" 2 stats.Lazy_join.segments_pushed;
+  check_int "in-segment pairs" 9 stats.Lazy_join.in_pairs;
+  check_int "cross-segment pairs" 6 stats.Lazy_join.cross_pairs
 
 (* The shape of a selective query over many small segments: one
    ancestor in a parent segment and [n] child segments, each holding
@@ -275,7 +264,7 @@ let test_query_cancelled_mid_join () =
   | exception Deadline.Cancel.Cancelled Deadline.Cancel.Timeout -> ());
   check_int "the join had started" (before + 1) (Lazy_join.runs ())
 
-(* perfbench's traced read still times [run] and [global_pairs] as two
+(* perfbench's traced read times [run] and [global_pairs] as two
    spans: that route must give [query]'s answer and stats. *)
 let test_global_pairs_of_run () =
   List.iter
@@ -318,7 +307,7 @@ let edit_gen =
       ])
 
 (* Strictly increasing in (desc, anc): the canonical order of
-   [Lazy_join.global_pairs], with no duplicate pair. *)
+   [Lazy_join.query], with no duplicate pair. *)
 let strictly_sorted pairs =
   let rec go = function
     | (a1, d1) :: ((a2, d2) :: _ as rest) -> (d1 < d2 || (d1 = d2 && a1 < a2)) && go rest
@@ -431,10 +420,10 @@ let remove_random_element st db =
     let s, e = List.nth l (Random.State.int st (List.length l)) in
     Lazy_db.remove db ~gp:s ~len:(e - s)
 
-(* [Lazy_db.count] reads the join's buffer instead of building pairs:
-   on LD and LS, for both axes, it must equal the materialized
-   query's pair count ([cross_pairs + in_pairs]) after removes, after packing the document into one
-   subtree segment and after a rebuild. *)
+(* [Lazy_db.count] runs the join's counting kernel instead of building
+   pairs: on LD and LS, for both axes, it must equal the materialized
+   query's pair count ([cross_pairs + in_pairs]) after removes, after
+   packing the document into one subtree segment and after a rebuild. *)
 let test_count_equals_pair_count () =
   let open Lazy_xml in
   for seed = 1 to 50 do

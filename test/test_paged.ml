@@ -317,14 +317,17 @@ let test_db_recover_rebuild_paths () =
         fun dir -> H.write_file (Filename.concat dir "pages") "not a page store" );
       ( "pages 1 and 2 smashed",
         fun dir ->
+          (* The file is truncated at every open, so it may hold less
+             than a page: write a 3-page file, page 0 what it held
+             (zero-padded), pages 1 and 2 all 0xff. *)
           let path = Filename.concat dir "pages" in
           let data = H.read_file path in
           let page = 8192 in
-          if String.length data >= 3 * page then begin
-            let b = Bytes.of_string data in
-            Bytes.fill b page (2 * page) '\xff';
-            H.write_file path (Bytes.to_string b)
-          end );
+          let b = Bytes.make (3 * page) '\xff' in
+          Bytes.fill b 0 page '\000';
+          Bytes.blit_string data 0 b 0 (min page (String.length data));
+          H.write_file path (Bytes.to_string b);
+          check_int "3-page file" (3 * page) (String.length (H.read_file path)) );
       ( "recovered with mem storage instead",
         fun _ -> () (* exercised below via ~storage:`Mem *) );
     ]
