@@ -7,7 +7,9 @@
    re-scans).  A scale row then times Lazy-Join with k child segments
    under one frame of k A-elements, the shape lazy updates build: the
    cross-segment step sweeps each frame once, so it grows linearly in
-   k.
+   k.  Last, Fig 14's queries on perfbench's xmark_read store, each as
+   [count] and [query] and their ratio: what a result costs beyond
+   counting it.
 
    [run_labels]: the labeling schemes of §2 under a worst-case
    insertion pattern — repeated insertion at the same point — reporting
@@ -120,7 +122,29 @@ let run_joins () =
       in
       Bench_util.columns [ 34; 12; 12 ]
         [ string_of_int k; Bench_util.fmt_ms ms; string_of_int !pairs ])
-    [ 1_000; 4_000; 16_000 ]
+    [ 1_000; 4_000; 16_000 ];
+  Printf.printf
+    "\nFig 14's queries on perfbench's xmark_read store (2,000 persons, 500\n\
+     balanced segments plus 229 watch/interest segments): count against\n\
+     query, the production read that also translates and writes each pair\n\n";
+  let log = Bench_util.load_log Update_log.Lazy_dynamic (Fig_workload.xmark_read_edits ()) in
+  Update_log.prepare_for_query log;
+  Bench_util.columns [ 22; 10; 12; 12; 12 ] [ "query"; "pairs"; "count ms"; "query ms"; "query/count" ];
+  List.iter
+    (fun (_, anc, desc) ->
+      let count_ms =
+        Bench_util.measure_settled (fun () -> ignore (Lxu_join.Lazy_join.count log ~anc ~desc ()))
+      in
+      let query_ms = Bench_util.time_ld log ~anc ~desc in
+      Bench_util.columns [ 22; 10; 12; 12; 12 ]
+        [
+          anc ^ "//" ^ desc;
+          string_of_int (Lxu_join.Lazy_join.count log ~anc ~desc ());
+          Bench_util.fmt_ms count_ms;
+          Bench_util.fmt_ms query_ms;
+          Printf.sprintf "%.2f" (query_ms /. count_ms);
+        ])
+    Lxu_workload.Xmark.queries
 
 let run_labels () =
   Bench_util.header "Ablation: labeling scheme storage under adversarial insertion";

@@ -78,10 +78,11 @@ and step_to_string { axis; tag; predicates } =
    steps it spans on the descendant's own path.  A predicate-free chain
    is one hop: its last step's candidates are the answer and no join
    runs.  The extents come from one walk over the final mask's
-   segments in tag-list order with one [Er_node.cursor] each, in sorted
-   runs (a child segment's elements sit inside its parent's but are
-   listed after them) that [Run_merge.sort] merges instead of
-   sorting. *)
+   segments in tag-list order with one [Er_node.cursor] each.  A child
+   segment's elements sit inside its parent's but are listed after
+   them, so a segment is written only up to the next one's gp and
+   finished once the segments nested inside are: the extents come out
+   in document order, with no sort. *)
 
 module Lj = Lxu_join.Lazy_join
 
@@ -302,28 +303,50 @@ let eval_twig ctx nodes =
   in
   go (List.length hop - 1) m rest
 
-(* The members of [m] as sorted global extents: per segment holding a
-   member, in tag-list order, one cursor over the mask's own node and
-   columns. *)
+(* The members of [m] as global extents in document order: per segment
+   holding a member, in tag-list order, one cursor over the mask's own
+   node and columns.  A segment's members are written up to the gp of
+   the next such segment; the rest wait on a stack until every segment
+   nested inside has been written (Lazy_join.query's [flush]). *)
 let extents ?guard log (m : Lj.mask) =
+  let map = Update_log.seg_map log in
   let n = Lj.mask_count m in
   let gs = Array.make n 0 and ge = Array.make n 0 and j = ref 0 in
+  (* Writes segment [k]'s members from [i] on that start before
+     [bound]; true once none is left. *)
+  let write k cursor i bound =
+    let b = m.Lj.sel.(k) and c = m.Lj.cols.(k) in
+    let stop = ref false in
+    while (not !stop) && !i < Bytes.length b do
+      if Bytes.unsafe_get b !i = '\000' then incr i
+      else begin
+        let g = Er_node.cursor_start cursor c.starts.(!i) in
+        if g >= bound then stop := true
+        else begin
+          gs.(!j) <- g;
+          ge.(!j) <- Er_node.cursor_stop cursor c.stops.(!i);
+          incr j;
+          incr i
+        end
+      end
+    done;
+    not !stop
+  in
+  let rec flush pending bound =
+    match pending with
+    | w :: rest when w bound -> flush rest bound
+    | _ -> pending
+  in
+  let pending = ref [] in
   Array.iteri
     (fun k b ->
       Lxu_util.Deadline.check_opt guard;
       if Bytes.length b > 0 then begin
-        let node = m.Lj.nodes.(k) and c = m.Lj.cols.(k) in
-        let cursor = Seg_map.cursor (Update_log.seg_map log) node in
-        for i = 0 to Bytes.length b - 1 do
-          if Bytes.unsafe_get b i <> '\000' then begin
-            gs.(!j) <- Er_node.cursor_start cursor c.starts.(i);
-            ge.(!j) <- Er_node.cursor_stop cursor c.stops.(i);
-            incr j
-          end
-        done
+        let node = m.Lj.nodes.(k) in
+        pending := write k (Seg_map.cursor map node) (ref 0) :: flush !pending (Seg_map.gp map node)
       end)
     m.Lj.sel;
-  Lxu_util.Run_merge.sort gs ge;
+  ignore (flush !pending max_int);
   List.init n (fun i -> (gs.(i), ge.(i)))
 
 let live_log db = Option.get (Lazy_db.log db)

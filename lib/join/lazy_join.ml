@@ -24,24 +24,66 @@ let zero_stats () =
     elements_fetched = 0;
   }
 
-(* One frame of the segment stack, swept once (Stack-Tree-Desc applied
-   to the hooks).  Hooks reach a frame in non-decreasing order — SL_D
-   is in document order and a node's children are kept in document
-   order with non-decreasing [lp]s — and one segment's elements of one
-   tag are nested or disjoint.  So the frame's elements open in start
-   order as hooks pass their start and close for good once a hook
-   reaches their stop, and [opened] always holds the elements
-   containing the last hook.  Frames are reused across pushes: [push]
+(* The elements of one column open at a moving local position,
+   Stack-Tree-Desc style.  Positions arrive in non-decreasing order and
+   one segment's elements of one tag are nested or disjoint, so an
+   element opens once a position passes its start and closes for good
+   once a position reaches its stop, and [opened.(0 .. top - 1)] always
+   holds the elements containing the last position, outermost (lowest
+   index) first.  A frame sweeps its A-elements over the hooks below
+   it; an in-segment join sweeps the segment's A column over its
+   D-elements' starts. *)
+type opens = {
+  mutable elems : Er_node.cols;
+  mutable next : int;  (* first element of [elems] not yet opened *)
+  mutable opened : int array;  (* the open elements' indices, outermost first *)
+  mutable top : int;  (* how many of [opened] are open *)
+}
+
+let opens elems = { elems; next = 0; opened = [||]; top = 0 }
+
+(* Opens the elements that start before [p] and closes the open ones
+   that stop at or before it: afterwards [opened.(0 .. top - 1)] are
+   exactly the elements containing [p], outermost first.  Sweeping to
+   the same [p] again changes nothing. *)
+let[@inline] sweep o p =
+  let e = o.elems in
+  let starts = e.starts and stops = e.stops in
+  let n = Array.length starts in
+  let next = ref o.next and top = ref o.top and opened = ref o.opened in
+  while !next < n && Array.unsafe_get starts !next < p do
+    let s = Array.unsafe_get starts !next in
+    while !top > 0 && Array.unsafe_get stops (Array.unsafe_get !opened (!top - 1)) <= s do
+      decr top
+    done;
+    if !top = Array.length !opened then begin
+      let bigger = Array.make (max 8 (2 * !top)) 0 in
+      Array.blit !opened 0 bigger 0 !top;
+      opened := bigger;
+      o.opened <- bigger
+    end;
+    Array.unsafe_set !opened !top !next;
+    incr top;
+    incr next
+  done;
+  while !top > 0 && Array.unsafe_get stops (Array.unsafe_get !opened (!top - 1)) <= p do
+    decr top
+  done;
+  o.next <- !next;
+  o.top <- !top
+
+(* One frame of the segment stack, its A-elements holding a child hook
+   swept once over the hooks of the descendant segments below it.
+   Hooks reach a frame in non-decreasing order — SL_D is in document
+   order and a node's children are kept in document order with
+   non-decreasing [lp]s.  Frames are reused across pushes: [push]
    resets every cursor and drops [memo]. *)
 type frame = {
   mutable node : Er_node.t;
   mutable depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
-  mutable elems : Er_node.cols;  (* A-elements holding a child hook, by start *)
-  mutable next : int;  (* first element of [elems] not yet opened *)
-  mutable opened : int array;  (* the open elements' indices, outermost first *)
-  mutable top : int;  (* how many of [opened] are open *)
+  o : opens;  (* A-elements holding a child hook, by start *)
   mutable kid : int;  (* child cursor: index in [node.children] of the last hook's child *)
-  mutable memo : memo option;  (* {!query}'s translations of [elems], made on first use *)
+  mutable memo : memo option;  (* {!query}'s translations of [o.elems], made on first use *)
 }
 
 (* A pushed frame's A-elements' global starts, translated once each on
@@ -76,31 +118,6 @@ let hook fr (path : int array) =
   if !k = n then invalid_arg "Lazy_join: SL_D out of document order";
   fr.kid <- !k;
   (Vec.get kids !k).Er_node.lp
-
-(* Opens the frame's elements that start before hook [p] and closes the
-   open ones that stop at or before it: afterwards
-   [opened.(0 .. top - 1)] are exactly the elements containing [p],
-   outermost (lowest index) first. *)
-let sweep fr p =
-  let e = fr.elems in
-  let n = Er_node.cols_length e in
-  while fr.next < n && Array.unsafe_get e.starts fr.next < p do
-    let s = Array.unsafe_get e.starts fr.next in
-    while fr.top > 0 && Array.unsafe_get e.stops fr.opened.(fr.top - 1) <= s do
-      fr.top <- fr.top - 1
-    done;
-    if fr.top = Array.length fr.opened then begin
-      let bigger = Array.make (max 8 (2 * fr.top)) 0 in
-      Array.blit fr.opened 0 bigger 0 fr.top;
-      fr.opened <- bigger
-    end;
-    fr.opened.(fr.top) <- fr.next;
-    fr.top <- fr.top + 1;
-    fr.next <- fr.next + 1
-  done;
-  while fr.top > 0 && Array.unsafe_get e.stops fr.opened.(fr.top - 1) <= p do
-    fr.top <- fr.top - 1
-  done
 
 (* Figure 9's optimization (i): the elements of [c] that strictly
    contain at least one child's hook.  Starts and the children's lps
@@ -169,71 +186,34 @@ let buf_columns b =
   take b.cur b.cur_len;
   (ga, gd)
 
-(* Stack-Tree-Desc specialized to the columnar element snapshots of one
-   segment (virtual local labels), emitting index pairs through [emit].
-   The ancestor stack holds plain indices into [anc] in a growable int
-   array, so the merge loop allocates nothing at all.  [guard] is
-   checked once per merge step, so a cancel or deadline stops a large
-   in-segment join mid-scan. *)
-let in_segment_join ?guard ~axis ~depth ~(anc : Er_node.cols) ~(desc : Er_node.cols) ~emit () =
-  let n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
-  if n_a > 0 && n_d > 0 then begin
-    let stack = ref (Array.make (min 16 n_a) 0) in
-    let top = ref 0 in
-    let push ai =
-      if !top = Array.length !stack then begin
-        let bigger = Array.make (2 * !top) 0 in
-        Array.blit !stack 0 bigger 0 !top;
-        stack := bigger
-      end;
-      !stack.(!top) <- ai;
-      incr top
-    in
-    let ia = ref 0 and id = ref 0 in
-    while !id < n_d && (!ia < n_a || !top > 0) do
-      Deadline.check_opt guard;
-      let d_start = Array.unsafe_get desc.starts !id in
-      let a_start = if !ia < n_a then Array.unsafe_get anc.starts !ia else max_int in
-      if a_start < d_start then begin
-        while
-          !top > 0
-          && Array.unsafe_get anc.stops (Array.unsafe_get !stack (!top - 1)) <= a_start
-        do
-          decr top
-        done;
-        push !ia;
-        incr ia
-      end
-      else begin
-        while
-          !top > 0
-          && Array.unsafe_get anc.stops (Array.unsafe_get !stack (!top - 1)) <= d_start
-        do
-          decr top
-        done;
-        (* Innermost (most recently pushed) ancestor first, matching
-           the emission order of the list-stack original. *)
-        (match axis with
-        | Axis.Desc ->
-          for j = !top - 1 downto 0 do
-            emit (Array.unsafe_get !stack j) !id
-          done
-        | Axis.Child ->
-          let dl = depth.(Array.unsafe_get desc.pids !id) in
-          for j = !top - 1 downto 0 do
-            let ai = Array.unsafe_get !stack j in
-            if dl = depth.(Array.unsafe_get anc.pids ai) + 1 then emit ai !id
-          done);
-        incr id
-      end
-    done
-  end
+(* Stack-Tree-Desc on one segment's columns (virtual local labels):
+   sweeps [anc] over the D-elements' starts and calls [f o j] for every
+   D-element [j] with an ancestor in the segment, its ancestors being
+   [o.opened.(0 .. o.top - 1)] (indices into [anc]), outermost first.
+   It stops once no A-element is open or left to open, and allocates
+   nothing but the open stack.  [guard] is checked once per
+   D-element. *)
+let in_segment_join ?guard ~(anc : Er_node.cols) ~(desc : Er_node.cols) f =
+  let o = opens anc and n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
+  let j = ref 0 in
+  while !j < n_d && (o.next < n_a || o.top > 0) do
+    Deadline.check_opt guard;
+    let p = Array.unsafe_get desc.starts !j in
+    (* With nothing open, a D-element up to the next A-element's start
+       has no ancestor: skip it without a sweep. *)
+    if o.top > 0 || p > Array.unsafe_get anc.starts o.next then begin
+      sweep o p;
+      if o.top > 0 then f o !j
+    end;
+    incr j
+  done
 
 (* One unit of join generation: everything Step 3 of Figure 9 needs
-   for one SL_D entry, handed out by the segment-merge pass and run at
-   once, so each frame still holds the unit's share: its elements
-   containing the unit's hook are [elems] at [opened.(0 .. top - 1)],
-   outermost first. *)
+   for one SL_D entry, handed out by the segment-merge pass, so each
+   frame still holds the unit's share: its elements containing the
+   unit's hook are [o.elems] at [o.opened.(0 .. o.top - 1)], outermost
+   first.  Later hooks move the frames on, so a unit is read when it is
+   handed out. *)
 type d_task = {
   d_node : Er_node.t;
   cross : frame list;  (* frames with an element containing the hook, top first *)
@@ -254,31 +234,40 @@ let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats task =
   List.iter
     (fun fr ->
       Deadline.check_opt guard;
+      let o = fr.o in
       match axis with
-      | Axis.Desc -> stats.cross_pairs <- stats.cross_pairs + (fr.top * n_d)
+      | Axis.Desc -> stats.cross_pairs <- stats.cross_pairs + (o.top * n_d)
       | Axis.Child ->
-        for k = 0 to fr.top - 1 do
-          let i = Array.unsafe_get fr.opened k in
-          let child_level = depth.(Array.unsafe_get fr.elems.pids i) + 1 in
+        for k = 0 to o.top - 1 do
+          let i = Array.unsafe_get o.opened k in
+          let child_level = depth.(Array.unsafe_get o.elems.pids i) + 1 in
           for j = 0 to n_d - 1 do
             if depth.(Array.unsafe_get d.pids j) = child_level then
               stats.cross_pairs <- stats.cross_pairs + 1
           done
         done)
     task.cross;
-  if task.in_seg then
-    in_segment_join ?guard ~axis ~depth ~anc:(fetch_a task.d_node) ~desc:d
-      ~emit:(fun _ _ -> stats.in_pairs <- stats.in_pairs + 1)
-      ()
+  if task.in_seg then begin
+    let a = fetch_a task.d_node in
+    in_segment_join ?guard ~anc:a ~desc:d (fun o j ->
+        match axis with
+        | Axis.Desc -> stats.in_pairs <- stats.in_pairs + o.top
+        | Axis.Child ->
+          let dl = depth.(Array.unsafe_get d.pids j) in
+          for q = 0 to o.top - 1 do
+            if depth.(Array.unsafe_get a.pids (Array.unsafe_get o.opened q)) + 1 = dl then
+              stats.in_pairs <- stats.in_pairs + 1
+          done)
+  end
 
-(* The global start of element [i] of frame [fr]'s [elems], through
+(* The global start of element [i] of frame [fr]'s [o.elems], through
    the frame's memo. *)
 let frame_start map fr i =
   let m =
     match fr.memo with
     | Some m -> m
     | None ->
-      let g = Array.make (Er_node.cols_length fr.elems) (-1) in
+      let g = Array.make (Er_node.cols_length fr.o.elems) (-1) in
       let m = { cur = Seg_map.cursor map fr.node; g } in
       fr.memo <- Some m;
       m
@@ -286,89 +275,140 @@ let frame_start map fr i =
   let g = Array.unsafe_get m.g i in
   if g >= 0 then g
   else begin
-    let g = Er_node.cursor_start m.cur (Array.unsafe_get fr.elems.starts i) in
+    let g = Er_node.cursor_start m.cur (Array.unsafe_get fr.o.elems.starts i) in
     Array.unsafe_set m.g i g;
     g
   end
 
-(* [exec_task] for {!query}: the same loops and stats, writing the
-   pairs' global starts into [out].  Every cursor comes from a node
-   the merge pass resolved, never from a sid.  A task with
-   cross-segment output translates its D column once, in order, into
-   [dbuf] (grown as needed and reused by every task), and a frame's
-   A-elements through the frame's memo.  An in-segment join
-   translates only the elements it emits, each once: D-elements in
-   order on their own cursor, A-elements memoized by index (a cursor
-   steps back only where a D-element first meets a chain of nested
-   ancestors, emitted innermost first). *)
-let exec_query ?guard ~axis ~map ~dbuf ~out ~depth ~fetch_a ~fetch_d ~stats task =
+(* A task of {!query} being written: [exec_query] reads its cross
+   ancestors off the frames when the merge pass hands it out, and
+   [write] writes it D-element by D-element.  Pairs come in
+   [(desc, anc)] order: D-elements in order, and per D-element its
+   ancestors ascending — the cross ones ([cross]: frames bottom to top,
+   each frame's open elements outermost first; one fixed list for the
+   whole task, which the Child axis filters by the levels [cross_lv]),
+   then the segment's own open stack [own] bottom to top.  So {!query}
+   can stop a task at the gp of a D segment nested inside its segment,
+   write that one, and resume.
+
+   Every cursor comes from a node the merge pass resolved, never from a
+   sid.  D-elements translate in order on [d_cur], only when they have
+   a pair; a frame's A-elements through the frame's memo, and the
+   segment's own A-elements memoized by index in [ga] (they open in
+   start order and are written bottom to top, so [a_cur] moves forward
+   too). *)
+type writer = {
+  d : Er_node.cols;
+  d_cur : Er_node.cursor;
+  cross : int array;
+  cross_lv : int array;
+  own : opens;
+  a_cur : Er_node.cursor;
+  ga : int array;
+  mutable j : int;  (* the next D-element *)
+  depth : int array;
+  stats : stats;
+}
+
+(* The [own] of a task without an in-segment join: never swept. *)
+let no_opens = opens Er_node.empty_cols
+
+let exec_query ?guard ~axis ~map ~depth ~fetch_a ~fetch_d ~stats task =
   Deadline.check_opt guard;
   let node = task.d_node in
   let d = fetch_d node in
-  let n_d = Er_node.cols_length d in
-  let gd =
-    if task.cross = [] then [||]
-    else begin
-      if Array.length !dbuf < n_d then dbuf := Array.make (max n_d (2 * Array.length !dbuf)) 0;
-      let g = !dbuf and c = Seg_map.cursor map node in
-      for j = 0 to n_d - 1 do
-        Array.unsafe_set g j (Er_node.cursor_start c (Array.unsafe_get d.starts j))
-      done;
-      g
-    end
-  in
-  List.iter
-    (fun fr ->
+  let d_cur = Seg_map.cursor map node in
+  let nc = List.fold_left (fun n fr -> n + fr.o.top) 0 task.cross in
+  let cross = Array.make nc 0 in
+  let cross_lv = match axis with Axis.Desc -> [||] | Axis.Child -> Array.make nc 0 in
+  (* [task.cross] is top first: each frame fills the block below the
+     one above it. *)
+  let rec fill hi = function
+    | [] -> ()
+    | fr :: frames ->
       Deadline.check_opt guard;
-      for k = 0 to fr.top - 1 do
-        let i = Array.unsafe_get fr.opened k in
-        match axis with
+      let o = fr.o in
+      let lo = hi - o.top in
+      for k = 0 to o.top - 1 do
+        let i = Array.unsafe_get o.opened k in
+        cross.(lo + k) <- frame_start map fr i;
+        if axis = Axis.Child then cross_lv.(lo + k) <- depth.(Array.unsafe_get o.elems.pids i)
+      done;
+      fill lo frames
+  in
+  fill nc task.cross;
+  let a = if task.in_seg then fetch_a node else Er_node.empty_cols in
+  let n_a = Er_node.cols_length a in
+  {
+    d;
+    d_cur;
+    cross;
+    cross_lv;
+    own = (if n_a > 0 then opens a else no_opens);
+    a_cur = (if n_a > 0 then Seg_map.cursor map node else d_cur);
+    ga = Array.make n_a (-1);
+    j = 0;
+    depth;
+    stats;
+  }
+
+(* The global start of the task's own A-element [ai]. *)
+let own_start w ai =
+  let g = Array.unsafe_get w.ga ai in
+  if g >= 0 then g
+  else begin
+    let g = Er_node.cursor_start w.a_cur (Array.unsafe_get w.own.elems.starts ai) in
+    Array.unsafe_set w.ga ai g;
+    g
+  end
+
+(* Writes into [out] the pairs of [w]'s D-elements that start before
+   global position [bound]; says whether [w] is done. *)
+let write ?guard ~axis ~out w bound =
+  let d = w.d and own = w.own and cross = w.cross and stats = w.stats and depth = w.depth in
+  let a = own.elems in
+  let n_d = Er_node.cols_length d and n_a = Er_node.cols_length a and nc = Array.length cross in
+  let stop = ref false in
+  while (not !stop) && w.j < n_d do
+    Deadline.check_opt guard;
+    let j = w.j in
+    let p = Array.unsafe_get d.starts j in
+    if own.top > 0 || (own.next < n_a && p > Array.unsafe_get a.starts own.next) then sweep own p;
+    if nc = 0 && own.top = 0 then w.j <- (if own.next = n_a then n_d else j + 1)
+    else begin
+      let gd = Er_node.cursor_start w.d_cur p in
+      if gd >= bound then stop := true
+      else begin
+        (match axis with
         | Axis.Desc ->
-          let ga = frame_start map fr i in
-          for j = 0 to n_d - 1 do
-            buf_push2 out ga (Array.unsafe_get gd j)
+          for k = 0 to nc - 1 do
+            buf_push2 out (Array.unsafe_get cross k) gd
           done;
-          stats.cross_pairs <- stats.cross_pairs + n_d
+          stats.cross_pairs <- stats.cross_pairs + nc;
+          for q = 0 to own.top - 1 do
+            buf_push2 out (own_start w (Array.unsafe_get own.opened q)) gd
+          done;
+          stats.in_pairs <- stats.in_pairs + own.top
         | Axis.Child ->
-          let child_level = depth.(Array.unsafe_get fr.elems.pids i) + 1 in
-          for j = 0 to n_d - 1 do
-            if depth.(Array.unsafe_get d.pids j) = child_level then begin
-              buf_push2 out (frame_start map fr i) (Array.unsafe_get gd j);
+          let dl = depth.(Array.unsafe_get d.pids j) in
+          for k = 0 to nc - 1 do
+            if Array.unsafe_get w.cross_lv k + 1 = dl then begin
+              buf_push2 out (Array.unsafe_get cross k) gd;
               stats.cross_pairs <- stats.cross_pairs + 1
             end
-          done
-      done)
-    task.cross;
-  if task.in_seg then begin
-    let a = fetch_a node in
-    let ga = Array.make (Er_node.cols_length a) (-1) and a_cur = Seg_map.cursor map node in
-    let d_g =
-      if task.cross <> [] then Array.unsafe_get gd
-      else begin
-        let d_cur = Seg_map.cursor map node and last = ref (-1) and last_g = ref 0 in
-        fun j ->
-          if j <> !last then begin
-            last := j;
-            last_g := Er_node.cursor_start d_cur (Array.unsafe_get d.starts j)
-          end;
-          !last_g
+          done;
+          for q = 0 to own.top - 1 do
+            let ai = Array.unsafe_get own.opened q in
+            if depth.(Array.unsafe_get a.pids ai) + 1 = dl then begin
+              buf_push2 out (own_start w ai) gd;
+              stats.in_pairs <- stats.in_pairs + 1
+            end
+          done);
+        w.j <- j + 1
       end
-    in
-    in_segment_join ?guard ~axis ~depth ~anc:a ~desc:d
-      ~emit:(fun ai di ->
-        let g = Array.unsafe_get ga ai in
-        let g =
-          if g >= 0 then g
-          else begin
-            let g = Er_node.cursor_start a_cur (Array.unsafe_get a.starts ai) in
-            Array.unsafe_set ga ai g;
-            g
-          end
-        in
-        buf_push2 out g (d_g di);
-        stats.in_pairs <- stats.in_pairs + 1)
-      ()
-  end
+    end
+  done;
+  not !stop
 
 (* [node i] for ascending [i < n], each index resolved once, on first
    use — so the merge pass never resolves an entry it stops before.
@@ -389,8 +429,8 @@ let heads n resolve =
 
 (* The segment-merge pass of Figure 9 (steps 1-3): walks SL_A and SL_D
    by global position with the segment stack and hands every SL_D
-   entry with output to [emit_task], which runs it before the pass
-   moves on.  [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries
+   entry with output to [emit_task], which reads the frames before the
+   pass moves on.  [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries
    to their segments.  All ER-tree, SB-tree and tag-list access
    happens here; the tasks only read segment columns. *)
 let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
@@ -409,15 +449,14 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
   let push (sa : Er_node.t) elems =
     let depth = Array.length sa.Er_node.path - 1 in
     if !nf = Vec.length frames then
-      Vec.push frames
-        { node = sa; depth; elems; next = 0; opened = [||]; top = 0; kid = 0; memo = None }
+      Vec.push frames { node = sa; depth; o = opens elems; kid = 0; memo = None }
     else begin
       let fr = Vec.get frames !nf in
       fr.node <- sa;
       fr.depth <- depth;
-      fr.elems <- elems;
-      fr.next <- 0;
-      fr.top <- 0;
+      fr.o.elems <- elems;
+      fr.o.next <- 0;
+      fr.o.top <- 0;
       fr.kid <- 0;
       fr.memo <- None
     end;
@@ -466,12 +505,12 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
         for f = 0 to !nf - 1 do
           let fr = Vec.get frames f in
           if
-            (fr.next < Er_node.cols_length fr.elems || fr.top > 0)
+            (fr.o.next < Er_node.cols_length fr.o.elems || fr.o.top > 0)
             && fr.depth + 1 < Array.length path
             && path.(fr.depth) = fr.node.Er_node.sid
           then begin
-            sweep fr (hook fr path);
-            if fr.top > 0 then cross := fr :: !cross
+            sweep fr.o (hook fr path);
+            if fr.o.top > 0 then cross := fr :: !cross
           end
         done;
         let in_seg =
@@ -527,13 +566,33 @@ let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
   let stats = join ?guard log ~anc ~desc (exec_task ?guard ~axis) in
   stats.cross_pairs + stats.in_pairs
 
+(* Tasks come in SL_D order, so a task's D segment lies inside a
+   pending task's or past it.  [pending] holds the tasks partly
+   written, innermost first, each one's segment inside the next one's.
+   Before a task starts, [flush] writes the pending tasks up to its gp,
+   innermost first, and drops those done; the first one that stops ends
+   the walk, because its next D-element lies inside its segment, past
+   the gp, so the tasks further out have nothing left before it.  A
+   task whose segment has no child segment cannot wait for one: it is
+   written at once. *)
 let query ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
   let out = buf_create () in
   let map = Update_log.seg_map log in
-  let stats = join ?guard log ~anc ~desc (exec_query ?guard ~axis ~map ~dbuf:(ref [||]) ~out) in
-  let ga, gd = buf_columns out in
-  Run_merge.sort gd ga;
-  ((ga, gd), stats)
+  let rec flush bound = function
+    | w :: rest when write ?guard ~axis ~out w bound -> flush bound rest
+    | pending -> pending
+  in
+  let pending = ref [] in
+  let stats =
+    join ?guard log ~anc ~desc (fun ~depth ~fetch_a ~fetch_d ~stats task ->
+        let w = exec_query ?guard ~axis ~map ~depth ~fetch_a ~fetch_d ~stats task in
+        let node = task.d_node in
+        if !pending <> [] then pending := flush (Seg_map.gp map node) !pending;
+        if Vec.is_empty node.Er_node.children then ignore (write ?guard ~axis ~out w max_int)
+        else pending := w :: !pending)
+  in
+  ignore (flush max_int !pending);
+  (buf_columns out, stats)
 
 (* perfbench shims: [query] as one array of pairs, and the list of
    them. *)
@@ -609,10 +668,12 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
       let row = Array.unsafe_get ok (Array.unsafe_get d.pids j) in
       da < Bytes.length row && is_sel row da
     in
-    let in_seg emit =
+    (* [f a o j] for each D-element [j] with ancestors in its own
+       segment's members [a]. *)
+    let in_seg f =
       if task.in_seg then begin
         let a = a_cols task.d_node.Er_node.sid in
-        in_segment_join ?guard ~axis:Axis.Desc ~depth ~anc:a ~desc:d ~emit:(emit a) ()
+        in_segment_join ?guard ~anc:a ~desc:d (f a)
       end
     in
     match keep with
@@ -635,21 +696,23 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
       List.iter
         (fun fr ->
           Deadline.check_opt guard;
-          let a = fr.elems in
-          for k = 0 to fr.top - 1 do
-            let i = Array.unsafe_get fr.opened k in
+          let a = fr.o.elems in
+          for k = 0 to fr.o.top - 1 do
+            let i = Array.unsafe_get fr.o.opened k in
             if any_d depth.(Array.unsafe_get a.pids i) then mark_a fr.node.Er_node.sid a i
           done)
         task.cross;
       in_seg (fun a ->
           let seen = Bytes.make (Er_node.cols_length a) '\000' in
-          fun ai di ->
-            if (not (is_sel seen ai)) && is_sel dsel di
-               && ok_at di depth.(Array.unsafe_get a.pids ai)
-            then begin
-              Bytes.unsafe_set seen ai '\001';
-              mark_a task.d_node.Er_node.sid a ai
-            end);
+          fun o j ->
+            if is_sel dsel j then
+            for q = 0 to o.top - 1 do
+              let ai = Array.unsafe_get o.opened q in
+              if (not (is_sel seen ai)) && ok_at j depth.(Array.unsafe_get a.pids ai) then begin
+                Bytes.unsafe_set seen ai '\001';
+                mark_a task.d_node.Er_node.sid a ai
+              end
+            done);
       Bytes.empty
     | `Desc ->
       let hit = ref Bytes.empty in
@@ -662,8 +725,9 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
       let das = ref [] in
       List.iter
         (fun fr ->
-          for k = 0 to fr.top - 1 do
-            let da = depth.(Array.unsafe_get fr.elems.pids (Array.unsafe_get fr.opened k)) in
+          let o = fr.o in
+          for k = 0 to o.top - 1 do
+            let da = depth.(Array.unsafe_get o.elems.pids (Array.unsafe_get o.opened k)) in
             if not (List.mem da !das) then das := da :: !das
           done)
         task.cross;
@@ -672,13 +736,14 @@ let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.co
         for j = 0 to n_d - 1 do
           if is_sel dsel j && any j !das then mark j
         done;
-      in_seg (fun a ->
-          let pids = a.pids in
-          fun ai di ->
-            if is_sel dsel di
-               && (Bytes.length !hit = 0 || not (is_sel !hit di))
-               && ok_at di depth.(Array.unsafe_get pids ai)
-            then mark di);
+      in_seg (fun a o j ->
+          if is_sel dsel j && (Bytes.length !hit = 0 || not (is_sel !hit j)) then begin
+            let q = ref 0 in
+            while !q < o.top && not (ok_at j depth.(Array.unsafe_get a.pids o.opened.(!q))) do
+              incr q
+            done;
+            if !q < o.top then mark j
+          end);
       !hit
   end
 

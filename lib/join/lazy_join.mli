@@ -81,14 +81,19 @@ val query :
     already resolved: a task with cross-segment output translates its D
     column once, a pushed frame translates each of its A-elements once
     however many descendant segments it joins, and an in-segment join
-    translates only the elements it emits.  The columns come out in the
-    few sorted runs of emission order (grouped by descendant segment,
-    innermost ancestors first), which {!Lxu_util.Run_merge.sort}
-    merges.
+    translates only the elements it emits.  Rows are written in their
+    final order, with no sort: D-elements in document order, and per
+    D-element its ancestors ascending (the cross-segment ones frame by
+    frame from the bottom of the stack, then the segment's own
+    in-segment stack bottom to top).  A D segment nested inside an
+    earlier one's range is interleaved, not merged: the earlier task
+    writes up to the nested segment's gp, waits on a stack of partly
+    written tasks, and resumes once the nested ones are written.
 
     [guard] makes the join cooperative: the segment-merge loop, every
-    SL_D entry's join, every cross frame and every in-segment merge
-    step call {!Lxu_util.Deadline.check_opt}, so the join raises
+    SL_D entry's join, every cross frame and every D-element a task
+    writes or joins in-segment call {!Lxu_util.Deadline.check_opt}, so
+    the join raises
     [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
     deadline expiring or the token firing.  Without [guard] the join is
     exactly the ungoverned one: identical pairs and stats, one extra

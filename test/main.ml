@@ -13,7 +13,6 @@ let () =
         ("btree", Test_btree.suite);
         ("xml", Test_xml.suite);
         ("vec", Test_vec.suite);
-        ("run_merge", Test_run_merge.suite);
         ("labeling", Test_labeling.suite);
         ("seglog", Test_seglog.suite);
         ("er_node", Test_er_node.suite);

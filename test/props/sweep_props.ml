@@ -10,7 +10,10 @@
    (parent and child then share a global position).  On LD/LS,
    [count] and [query] under Desc and Child and [semi] on both sides
    must equal [Naive_join] over a fresh parse of the text — on the
-   live store and on a snapshot pinned before the last removes. *)
+   live store and on a snapshot pinned before the last removes.  The
+   query's rows must come in [(desc, anc)] order as written: the
+   property counts ([nested]) the stores where a [d]-holding segment
+   lies inside another, whose pairs the join must interleave. *)
 
 open Lazy_xml
 open Lxu_join
@@ -189,10 +192,34 @@ let agree db =
        (fun tags -> [ (tags, Lxu_util.Axis.Desc); (tags, Lxu_util.Axis.Child) ])
        [ ("a", "d"); ("a", "a") ])
 
+(* Whether a segment holding a [d] has a descendant segment holding
+   one: the nest whose D-elements [query] must interleave. *)
+let has_nest db =
+  let open Lxu_seglog in
+  let log = Option.get (Lazy_db.log db) in
+  Update_log.prepare_for_query log;
+  let paths =
+    Array.map
+      (fun (e : Tag_list.entry) -> (Update_log.node_of_sid log e.sid).Er_node.path)
+      (Update_log.segments_for_tag log ~tag:"d")
+  in
+  Array.exists
+    (fun (p : int array) ->
+      let i = Array.length p - 1 in
+      Array.exists (fun (q : int array) -> Array.length q - 1 > i && q.(i) = p.(i)) paths)
+    paths
+
+(* The cases the property has checked, and how many of their stores
+   held such a nest. *)
+let cases = ref 0
+let nested = ref 0
+
 let hooks_agree ~count =
   QCheck2.Test.make ~name:"frame sweep = naive join (count, query, semi)" ~count
     ~print:string_of_int
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let db, snap = build seed in
+      incr cases;
+      if has_nest db then incr nested;
       agree db && agree snap)

@@ -1,8 +1,7 @@
-(* Properties of local->global translation and of merging its sorted
-   runs, each against a plain reference: [Er_node.global_extent_span]
-   for the cursor, [Er_node.build_translator] for the translator cached
-   on a node, [List.stable_sort] for [Run_merge.sort].  The default
-   suite runs them at a few hundred cases; the slow tier at
+(* Properties of local->global translation, each against a plain
+   reference: [Er_node.global_extent_span] for the cursor,
+   [Er_node.build_translator] for the translator cached on a node.
+   The default suite runs them at a few hundred cases; the slow tier at
    thousands. *)
 
 open Lxu_seglog
@@ -139,28 +138,3 @@ let cached_translators ~count =
               if Er_node.translator n <> Er_node.build_translator n then fresh := false);
           !fresh)
         (log :: !versions))
-
-(* Rows shaped like query output: a sorted list, its reversal (one run
-   per row), sorted runs concatenated, or noise — over few distinct
-   primaries, so equal primaries abound. *)
-let gen_rows =
-  QCheck2.Gen.(
-    let row k = pair (int_bound k) (int_bound k) in
-    let lists k = list_size (int_range 0 12) (list_size (int_range 0 10) (row k)) in
-    int_range 0 4 >>= fun shape ->
-    int_range 1 30 >>= fun k ->
-    match shape with
-    | 0 -> map (List.sort compare) (list_size (int_range 0 40) (row k))
-    | 1 -> map (fun l -> List.rev (List.sort_uniq compare l)) (list_size (int_range 0 40) (row k))
-    | 2 -> map (fun ls -> List.concat_map (List.sort compare) ls) (lists k)
-    | _ -> list_size (int_range 0 40) (row k))
-
-let run_merge ~count =
-  QCheck2.Test.make ~name:"Run_merge.sort = List.stable_sort" ~count gen_rows (fun rows ->
-      let p = Array.of_list (List.map fst rows) and s = Array.of_list (List.map snd rows) in
-      let runs = Run_merge.runs p s in
-      Run_merge.sort p s;
-      let expected = List.stable_sort compare rows in
-      Array.to_list (Array.map2 (fun a b -> (a, b)) p s) = expected
-      && (runs = 1) = (rows <> [] && List.sort compare rows = rows)
-      && (rows = [] || Run_merge.runs p s = 1))

@@ -183,12 +183,12 @@ let test_lazy_after_removal () =
   let got, _ = lazy_pairs log ~anc:"A" ~desc:"B" in
   Alcotest.check pair_list "post-removal pairs" expected got
 
-(* The join emits pairs grouped by descendant segment, cross-segment
-   frames innermost first and in-segment ancestors innermost first, so
-   its raw output is far from (desc, anc) order: [query] must merge
-   several runs.  Same-tag ancestors nest across three segments, each
-   segment holds an in-segment A chain, and a tombstone shifts the
-   outer segment's later labels.  The stats pin that shape: every
+(* Same-tag ancestors nest across three segments, each segment holds
+   an in-segment A chain and B-elements before and after the next
+   segment's hook, and a tombstone shifts the outer segment's later
+   labels: [query] must interleave each segment's pairs with those of
+   the segments inside it, and order each B-element's ancestors across
+   frames and the in-segment stack.  The stats pin that shape: every
    segment joins in-segment, and the inner two meet pushed frames. *)
 let unsorted_runs_log () =
   let log = Update_log.create () in
@@ -211,6 +211,67 @@ let test_lazy_unsorted_runs () =
   check_int "pushed frames" 2 stats.Lazy_join.segments_pushed;
   check_int "in-segment pairs" 9 stats.Lazy_join.in_pairs;
   check_int "cross-segment pairs" 6 stats.Lazy_join.cross_pairs
+
+(* D segments nested in D segments: a root segment holding both tags,
+   [d] child segments hooked inside its [a]s (one holding [a]s of its
+   own), and a nest of four [d]-holding segments, each inside a [d] of
+   the one above.  [query] writes each segment's pairs up to the next
+   nested segment's gp and finishes it after, so on LD and LS, Desc and
+   Child, live and pinned before two removes, its rows equal the naive
+   join's, and [Path_query.eval]'s extents equal the tree oracle's, in
+   order. *)
+let nested_d_store engine =
+  let open Lazy_xml in
+  let db = Lazy_db.create ~engine () in
+  (* Every fragment marks its insertion points with unique text. *)
+  let at marker =
+    let t = Lazy_db.text db and m = String.length marker in
+    let rec find i = if String.sub t i m = marker then i else find (i + 1) in
+    find 0
+  in
+  Lazy_db.insert db ~gp:0 "<r><a>p1<d>x</d><a>p2<d/>p3</a>p4</a><d>p5<a>p6</a></d>p7</r>";
+  Lazy_db.insert db ~gp:(at "p2") "<d><a>q1<d/></a>q2</d>";
+  Lazy_db.insert db ~gp:(at "p4") "<d>q3</d>";
+  Lazy_db.insert db ~gp:(at "q2") "<d>q4<a>q5</a><d/></d>";
+  Lazy_db.insert db ~gp:(at "q4") "<d><a/>q7<d/></d>";
+  Lazy_db.insert db ~gp:(at "q7") "<d/>";
+  Lazy_db.insert db ~gp:(at "p6") "<a><d>q6</d></a>";
+  Lazy_db.insert db ~gp:(at "p7") "<a><d/></a>";
+  let snap = Lazy_db.snapshot db in
+  Lazy_db.remove db ~gp:(at "p3") ~len:2;
+  Lazy_db.remove db ~gp:(at "q5") ~len:2;
+  (db, snap)
+
+let test_lazy_nested_d_segments () =
+  let open Lazy_xml in
+  List.iter
+    (fun engine ->
+      let db, snap = nested_d_store engine in
+      List.iter
+        (fun db ->
+          let text = Lazy_db.text db and log = Option.get (Lazy_db.log db) in
+          let ctx =
+            Printf.sprintf "%s %s" (if engine = Lazy_db.LD then "LD" else "LS")
+              (if Lazy_db.is_snapshot db then "pinned" else "live")
+          in
+          List.iter
+            (fun ((anc, desc), axis) ->
+              let got, _ = lazy_pairs ~axis log ~anc ~desc in
+              Alcotest.check pair_list
+                (Printf.sprintf "%s %s%s%s" ctx anc (if axis = Axis.Child then "/" else "//") desc)
+                (naive_pairs ~axis text ~anc ~desc) got)
+            (List.concat_map
+               (fun tags -> [ (tags, Axis.Desc); (tags, Axis.Child) ])
+               [ ("a", "d"); ("d", "d"); ("a", "a"); ("r", "d") ]);
+          List.iter
+            (fun path ->
+              Alcotest.(check (list (pair int int)))
+                (ctx ^ " " ^ path)
+                (Lxu_props.Twig_oracle.matches text (Path_query.parse_exn path))
+                (Path_query.eval db (Path_query.parse_exn path)))
+            [ "//d"; "//a//d"; "//d//d"; "//a/d"; "/r//d"; "//d[a]//d"; "//a[d]" ])
+        [ db; snap ])
+    [ Lazy_xml.Lazy_db.LD; Lazy_xml.Lazy_db.LS ]
 
 (* The shape of a selective query over many small segments: one
    ancestor in a parent segment and [n] child segments, each holding
@@ -473,6 +534,7 @@ let suite =
     Alcotest.test_case "lazy missing tags" `Quick test_lazy_missing_tags;
     Alcotest.test_case "lazy after removal" `Quick test_lazy_after_removal;
     Alcotest.test_case "lazy unsorted runs merge" `Quick test_lazy_unsorted_runs;
+    Alcotest.test_case "lazy nested D segments" `Quick test_lazy_nested_d_segments;
     Alcotest.test_case "lazy one pair per segment" `Quick test_lazy_one_pair_per_segment;
     Alcotest.test_case "query cancelled mid-join" `Quick test_query_cancelled_mid_join;
     Alcotest.test_case "global_pairs . run = query" `Quick test_global_pairs_of_run;

@@ -200,9 +200,22 @@ let prop_semi_join =
           (Axis.Desc, true, false); (Axis.Child, true, false);
         ])
 
+(* The frame-sweep property's generator reaches the shape whose pairs
+   [query] interleaves: a [d]-holding segment inside another. *)
+let test_sweep_reaches_nests () =
+  let nested =
+    List.length
+      (List.filter
+         (fun seed -> Lxu_props.Sweep_props.(has_nest (fst (build seed))))
+         (List.init 60 Fun.id))
+  in
+  Printf.printf "%d of 60 frame-sweep stores nest D segments\n" nested;
+  check_bool "half the stores nest D segments" true (nested >= 30)
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_semi_join;
       QCheck_alcotest.to_alcotest (Lxu_props.Sweep_props.hooks_agree ~count:120);
+      Alcotest.test_case "frame sweep reaches nested D segments" `Quick test_sweep_reaches_nests;
     ]
