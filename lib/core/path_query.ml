@@ -77,12 +77,17 @@ and step_to_string { axis; tag; predicates } =
    ({!Lxu_join.Lazy_join.semi}), where a join's [ok] table checks the
    steps it spans on the descendant's own path.  A predicate-free chain
    is one hop: its last step's candidates are the answer and no join
-   runs.  The extents come from one walk over the final mask's
-   segments in tag-list order with one [Er_node.cursor] each.  A child
-   segment's elements sit inside its parent's but are listed after
-   them, so a segment is written only up to the next one's gp and
-   finished once the segments nested inside are: the extents come out
-   in document order, with no sort. *)
+   runs.  Every join is {!Lxu_join.Lazy_join.semi}: the pair joins'
+   merge pass and task kernel (one gather of a task's cross ancestors,
+   one walk over its D-elements), whose loop marks survivors.  The
+   extents come from one walk over the final mask's segments in
+   tag-list order with one [Er_node.cursor] each.  A child segment's
+   elements sit inside its parent's but are listed after them, so a
+   segment is written only up to the next one's gp and finished once
+   the segments nested inside are, on the stack of partly written
+   segments {!Lxu_join.Lazy_join.query} keeps its tasks on
+   ([Lazy_join.pending]): the extents come out in document order, with
+   no sort. *)
 
 module Lj = Lxu_join.Lazy_join
 
@@ -305,9 +310,9 @@ let eval_twig ctx nodes =
 
 (* The members of [m] as global extents in document order: per segment
    holding a member, in tag-list order, one cursor over the mask's own
-   node and columns.  A segment's members are written up to the gp of
-   the next such segment; the rest wait on a stack until every segment
-   nested inside has been written (Lazy_join.query's [flush]). *)
+   node and columns, written through {!Lxu_join.Lazy_join.pending}:
+   up to the gp of the next such segment, the rest once every segment
+   nested inside has been written. *)
 let extents ?guard log (m : Lj.mask) =
   let map = Update_log.seg_map log in
   let n = Lj.mask_count m in
@@ -332,21 +337,17 @@ let extents ?guard log (m : Lj.mask) =
     done;
     not !stop
   in
-  let rec flush pending bound =
-    match pending with
-    | w :: rest when w bound -> flush rest bound
-    | _ -> pending
-  in
-  let pending = ref [] in
+  let p = Lj.pending () in
   Array.iteri
     (fun k b ->
       Lxu_util.Deadline.check_opt guard;
       if Bytes.length b > 0 then begin
         let node = m.Lj.nodes.(k) in
-        pending := write k (Seg_map.cursor map node) (ref 0) :: flush !pending (Seg_map.gp map node)
+        Lj.flush p (Seg_map.gp map node);
+        Lj.wait p (write k (Seg_map.cursor map node) (ref 0))
       end)
     m.Lj.sel;
-  ignore (flush !pending max_int);
+  Lj.flush p max_int;
   List.init n (fun i -> (gs.(i), ge.(i)))
 
 let live_log db = Option.get (Lazy_db.log db)

@@ -31,7 +31,7 @@ let zero_stats () =
    once a position reaches its stop, and [opened.(0 .. top - 1)] always
    holds the elements containing the last position, outermost (lowest
    index) first.  A frame sweeps its A-elements over the hooks below
-   it; an in-segment join sweeps the segment's A column over its
+   it; a task's walk sweeps the segment's own A column over its
    D-elements' starts. *)
 type opens = {
   mutable elems : Er_node.cols;
@@ -72,6 +72,28 @@ let[@inline] sweep o p =
   o.next <- !next;
   o.top <- !top
 
+(* The global starts of one column's elements, each translated on its
+   first use ([-1] before) through one cursor over the column's
+   segment: {!query} keeps one per pushed frame, however many tasks
+   its A-elements join, and one per task with an in-segment join, for
+   the segment's own A column.  Elements are first used in start
+   order, so the cursor moves forward (under Child an own A-element
+   that no D-element before joined can come late: the cursor re-seats
+   by binary search). *)
+type memo = { cursor : Er_node.cursor; starts : int array; g : int array }
+
+let memo map node (c : Er_node.cols) =
+  { cursor = Seg_map.cursor map node; starts = c.starts; g = Array.make (Er_node.cols_length c) (-1) }
+
+let[@inline] global m i =
+  let g = Array.unsafe_get m.g i in
+  if g >= 0 then g
+  else begin
+    let g = Er_node.cursor_start m.cursor (Array.unsafe_get m.starts i) in
+    Array.unsafe_set m.g i g;
+    g
+  end
+
 (* One frame of the segment stack, its A-elements holding a child hook
    swept once over the hooks of the descendant segments below it.
    Hooks reach a frame in non-decreasing order — SL_D is in document
@@ -83,14 +105,16 @@ type frame = {
   mutable depth : int;  (* ER-tree depth: index of [node.sid] in any descendant's path *)
   o : opens;  (* A-elements holding a child hook, by start *)
   mutable kid : int;  (* child cursor: index in [node.children] of the last hook's child *)
-  mutable memo : memo option;  (* {!query}'s translations of [o.elems], made on first use *)
+  mutable memo : memo option;  (* made on {!query}'s first use *)
 }
 
-(* A pushed frame's A-elements' global starts, translated once each on
-   their first emission ([-1] before), on one cursor over the frame's
-   segment.  Elements open in start order, so the cursor only moves
-   forward. *)
-and memo = { cur : Er_node.cursor; g : int array }
+let frame_memo map fr =
+  match fr.memo with
+  | Some m -> m
+  | None ->
+    let m = memo map fr.node fr.o.elems in
+    fr.memo <- Some m;
+    m
 
 (* Whether segment [a] is a proper ancestor of segment [d]: [a]'s sid
    sits on [d]'s root path.  Decided on the ER-tree, not by comparing
@@ -186,229 +210,99 @@ let buf_columns b =
   take b.cur b.cur_len;
   (ga, gd)
 
-(* Stack-Tree-Desc on one segment's columns (virtual local labels):
-   sweeps [anc] over the D-elements' starts and calls [f o j] for every
-   D-element [j] with an ancestor in the segment, its ancestors being
-   [o.opened.(0 .. o.top - 1)] (indices into [anc]), outermost first.
-   It stops once no A-element is open or left to open, and allocates
-   nothing but the open stack.  [guard] is checked once per
-   D-element. *)
-let in_segment_join ?guard ~(anc : Er_node.cols) ~(desc : Er_node.cols) f =
-  let o = opens anc and n_a = Er_node.cols_length anc and n_d = Er_node.cols_length desc in
-  let j = ref 0 in
-  while !j < n_d && (o.next < n_a || o.top > 0) do
-    Deadline.check_opt guard;
-    let p = Array.unsafe_get desc.starts !j in
-    (* With nothing open, a D-element up to the next A-element's start
-       has no ancestor: skip it without a sweep. *)
-    if o.top > 0 || p > Array.unsafe_get anc.starts o.next then begin
-      sweep o p;
-      if o.top > 0 then f o !j
-    end;
-    incr j
-  done
+(* --- Step 3 of Figure 9: one task kernel ------------------------------
 
-(* One unit of join generation: everything Step 3 of Figure 9 needs
-   for one SL_D entry, handed out by the segment-merge pass, so each
-   frame still holds the unit's share: its elements containing the
-   unit's hook are [o.elems] at [o.opened.(0 .. o.top - 1)], outermost
-   first.  Later hooks move the frames on, so a unit is read when it is
-   handed out. *)
-type d_task = {
-  d_node : Er_node.t;
-  cross : frame list;  (* frames with an element containing the hook, top first *)
-  in_seg : bool;  (* the same segment holds both tags *)
+   A task is one SL_D entry with output.  The merge pass hands it out
+   as two shared parts: its cross ancestors, gathered off the frames
+   ([cross]), and a walk over its D-elements that sweeps the segment's
+   own A column to each one's start ([walk]).  {!count}, {!query} and
+   {!semi} are three short loops over them that differ only in what
+   they do with a D-element's ancestors: add them up, write two ints
+   each, or mark survivors. *)
+
+(* The cross ancestors (Proposition 3) of the task being handed out:
+   frames bottom to top, each frame's open elements outermost first,
+   so ascending.  Ancestor [k < n] is element [els.(k)] of frame
+   [stack.(fs.(k))], on path slot [pids.(k)], whose depth is its own.
+   One per join, refilled for every task: the merge pass moves the
+   frames on once a task returns. *)
+type cross = {
+  stack : frame Vec.t;  (* the segment stack, bottom first *)
+  mutable n : int;
+  mutable fs : int array;
+  mutable els : int array;
+  mutable pids : int array;
 }
 
-(* Counts one task's pairs into [stats]: cross-segment emission
-   (Proposition 3), then the in-segment join, writing nothing — the
-   kernel of {!count}.  A task exists only when it emits or joins
-   in-segment, so its D-elements are fetched (and counted) exactly
-   once.  [guard] is checked at task entry and per cross frame.  The
-   Child axis reads levels through [depth], the synopsis' slot ->
-   depth table read by {!start}. *)
-let exec_task ?guard ~axis ~depth ~fetch_a ~fetch_d ~stats task =
-  Deadline.check_opt guard;
-  let d = fetch_d task.d_node in
-  let n_d = Er_node.cols_length d in
-  List.iter
-    (fun fr ->
-      Deadline.check_opt guard;
-      let o = fr.o in
-      match axis with
-      | Axis.Desc -> stats.cross_pairs <- stats.cross_pairs + (o.top * n_d)
-      | Axis.Child ->
-        for k = 0 to o.top - 1 do
-          let i = Array.unsafe_get o.opened k in
-          let child_level = depth.(Array.unsafe_get o.elems.pids i) + 1 in
-          for j = 0 to n_d - 1 do
-            if depth.(Array.unsafe_get d.pids j) = child_level then
-              stats.cross_pairs <- stats.cross_pairs + 1
-          done
-        done)
-    task.cross;
-  if task.in_seg then begin
-    let a = fetch_a task.d_node in
-    in_segment_join ?guard ~anc:a ~desc:d (fun o j ->
-        match axis with
-        | Axis.Desc -> stats.in_pairs <- stats.in_pairs + o.top
-        | Axis.Child ->
-          let dl = depth.(Array.unsafe_get d.pids j) in
-          for q = 0 to o.top - 1 do
-            if depth.(Array.unsafe_get a.pids (Array.unsafe_get o.opened q)) + 1 = dl then
-              stats.in_pairs <- stats.in_pairs + 1
-          done)
-  end
+let cross_frame x k = Vec.get x.stack (Array.unsafe_get x.fs k)
 
-(* The global start of element [i] of frame [fr]'s [o.elems], through
-   the frame's memo. *)
-let frame_start map fr i =
-  let m =
-    match fr.memo with
-    | Some m -> m
-    | None ->
-      let g = Array.make (Er_node.cols_length fr.o.elems) (-1) in
-      let m = { cur = Seg_map.cursor map fr.node; g } in
-      fr.memo <- Some m;
-      m
-  in
-  let g = Array.unsafe_get m.g i in
-  if g >= 0 then g
-  else begin
-    let g = Er_node.cursor_start m.cur (Array.unsafe_get fr.o.elems.starts i) in
-    Array.unsafe_set m.g i g;
-    g
-  end
+let grown a n want =
+  let b = Array.make (2 * want) 0 in
+  Array.blit a 0 b 0 n;
+  b
 
-(* A task of {!query} being written: [exec_query] reads its cross
-   ancestors off the frames when the merge pass hands it out, and
-   [write] writes it D-element by D-element.  Pairs come in
-   [(desc, anc)] order: D-elements in order, and per D-element its
-   ancestors ascending — the cross ones ([cross]: frames bottom to top,
-   each frame's open elements outermost first; one fixed list for the
-   whole task, which the Child axis filters by the levels [cross_lv]),
-   then the segment's own open stack [own] bottom to top.  So {!query}
-   can stop a task at the gp of a D segment nested inside its segment,
-   write that one, and resume.
-
-   Every cursor comes from a node the merge pass resolved, never from a
-   sid.  D-elements translate in order on [d_cur], only when they have
-   a pair; a frame's A-elements through the frame's memo, and the
-   segment's own A-elements memoized by index in [ga] (they open in
-   start order and are written bottom to top, so [a_cur] moves forward
-   too). *)
-type writer = {
-  d : Er_node.cols;
-  d_cur : Er_node.cursor;
-  cross : int array;
-  cross_lv : int array;
-  own : opens;
-  a_cur : Er_node.cursor;
-  ga : int array;
-  mutable j : int;  (* the next D-element *)
-  depth : int array;
-  stats : stats;
-}
-
-(* The [own] of a task without an in-segment join: never swept. *)
-let no_opens = opens Er_node.empty_cols
-
-let exec_query ?guard ~axis ~map ~depth ~fetch_a ~fetch_d ~stats task =
-  Deadline.check_opt guard;
-  let node = task.d_node in
-  let d = fetch_d node in
-  let d_cur = Seg_map.cursor map node in
-  let nc = List.fold_left (fun n fr -> n + fr.o.top) 0 task.cross in
-  let cross = Array.make nc 0 in
-  let cross_lv = match axis with Axis.Desc -> [||] | Axis.Child -> Array.make nc 0 in
-  (* [task.cross] is top first: each frame fills the block below the
-     one above it. *)
-  let rec fill hi = function
-    | [] -> ()
-    | fr :: frames ->
-      Deadline.check_opt guard;
-      let o = fr.o in
-      let lo = hi - o.top in
-      for k = 0 to o.top - 1 do
-        let i = Array.unsafe_get o.opened k in
-        cross.(lo + k) <- frame_start map fr i;
-        if axis = Axis.Child then cross_lv.(lo + k) <- depth.(Array.unsafe_get o.elems.pids i)
-      done;
-      fill lo frames
-  in
-  fill nc task.cross;
-  let a = if task.in_seg then fetch_a node else Er_node.empty_cols in
-  let n_a = Er_node.cols_length a in
-  {
-    d;
-    d_cur;
-    cross;
-    cross_lv;
-    own = (if n_a > 0 then opens a else no_opens);
-    a_cur = (if n_a > 0 then Seg_map.cursor map node else d_cur);
-    ga = Array.make n_a (-1);
-    j = 0;
-    depth;
-    stats;
-  }
-
-(* The global start of the task's own A-element [ai]. *)
-let own_start w ai =
-  let g = Array.unsafe_get w.ga ai in
-  if g >= 0 then g
-  else begin
-    let g = Er_node.cursor_start w.a_cur (Array.unsafe_get w.own.elems.starts ai) in
-    Array.unsafe_set w.ga ai g;
-    g
-  end
-
-(* Writes into [out] the pairs of [w]'s D-elements that start before
-   global position [bound]; says whether [w] is done. *)
-let write ?guard ~axis ~out w bound =
-  let d = w.d and own = w.own and cross = w.cross and stats = w.stats and depth = w.depth in
-  let a = own.elems in
-  let n_d = Er_node.cols_length d and n_a = Er_node.cols_length a and nc = Array.length cross in
-  let stop = ref false in
-  while (not !stop) && w.j < n_d do
-    Deadline.check_opt guard;
-    let j = w.j in
-    let p = Array.unsafe_get d.starts j in
-    if own.top > 0 || (own.next < n_a && p > Array.unsafe_get a.starts own.next) then sweep own p;
-    if nc = 0 && own.top = 0 then w.j <- (if own.next = n_a then n_d else j + 1)
-    else begin
-      let gd = Er_node.cursor_start w.d_cur p in
-      if gd >= bound then stop := true
-      else begin
-        (match axis with
-        | Axis.Desc ->
-          for k = 0 to nc - 1 do
-            buf_push2 out (Array.unsafe_get cross k) gd
-          done;
-          stats.cross_pairs <- stats.cross_pairs + nc;
-          for q = 0 to own.top - 1 do
-            buf_push2 out (own_start w (Array.unsafe_get own.opened q)) gd
-          done;
-          stats.in_pairs <- stats.in_pairs + own.top
-        | Axis.Child ->
-          let dl = depth.(Array.unsafe_get d.pids j) in
-          for k = 0 to nc - 1 do
-            if Array.unsafe_get w.cross_lv k + 1 = dl then begin
-              buf_push2 out (Array.unsafe_get cross k) gd;
-              stats.cross_pairs <- stats.cross_pairs + 1
-            end
-          done;
-          for q = 0 to own.top - 1 do
-            let ai = Array.unsafe_get own.opened q in
-            if depth.(Array.unsafe_get a.pids ai) + 1 = dl then begin
-              buf_push2 out (own_start w ai) gd;
-              stats.in_pairs <- stats.in_pairs + 1
-            end
-          done);
-        w.j <- j + 1
-      end
-    end
+let[@inline] gather x f =
+  let o = (Vec.get x.stack f).o in
+  let n = x.n + o.top in
+  if n > Array.length x.els then begin
+    x.fs <- grown x.fs x.n n;
+    x.els <- grown x.els x.n n;
+    x.pids <- grown x.pids x.n n
+  end;
+  for k = 0 to o.top - 1 do
+    let i = Array.unsafe_get o.opened k in
+    Array.unsafe_set x.fs (x.n + k) f;
+    Array.unsafe_set x.els (x.n + k) i;
+    Array.unsafe_set x.pids (x.n + k) (Array.unsafe_get o.elems.pids i)
   done;
-  not !stop
+  x.n <- n
+
+(* A task's walk over its D-elements [d], in order, sweeping the
+   segment's own A column [own.elems] (empty without an in-segment
+   join) to each one's start, so that at a D-element
+   [own.opened.(0 .. own.top - 1)] are its ancestors in the segment,
+   outermost first.  [j] is where {!query} stopped a task, to resume it
+   there. *)
+type walk = { mutable d : Er_node.cols; own : opens; mutable j : int }
+
+let walk d a = { d; own = opens a; j = 0 }
+
+(* Starts [w] on a new task's columns, keeping its open stack's
+   array. *)
+let rewalk w d a =
+  w.d <- d;
+  w.j <- 0;
+  w.own.elems <- a;
+  w.own.next <- 0;
+  w.own.top <- 0
+
+(* The walk, closure-free: a kernel loops [while more d own ~all !j]
+   and calls [reach d own !j] on each D-element before reading its own
+   ancestors.  [more] says whether D-element [j] and the ones after it
+   can have an ancestor: every one when [all] (the task has cross
+   ancestors), else only while an own A-element is open or left to
+   open.  [reach] sweeps [own] to D-element [j]'s start — with nothing
+   open, a D-element up to the next A-element's start has no own
+   ancestor and needs no sweep — and checks [guard], once per
+   D-element. *)
+let[@inline] more (d : Er_node.cols) o ~all j =
+  j < Er_node.cols_length d && (all || o.top > 0 || o.next < Er_node.cols_length o.elems)
+
+let[@inline] reach ?guard (d : Er_node.cols) o j =
+  Deadline.check_opt guard;
+  let p = Array.unsafe_get d.starts j in
+  if o.top > 0 || (o.next < Er_node.cols_length o.elems && p > Array.unsafe_get o.elems.starts o.next)
+  then sweep o p
+
+(* The Child-axis test of the pair joins: [want axis depth d j] is the
+   depth an ancestor must sit at to join D-element [j] of [d] — one
+   above its own under Child, any ([-1]) under Desc — and [joins depth
+   want pids i] whether one on path slot [pids.(i)] does.  {!semi} decides by
+   its [ok] table, of which this test is one case. *)
+let[@inline] want axis depth (d : Er_node.cols) j =
+  match axis with Axis.Desc -> -1 | Axis.Child -> depth.(Array.unsafe_get d.pids j) - 1
+
+let[@inline] joins depth want pids i = want < 0 || depth.(Array.unsafe_get pids i) = want
 
 (* [node i] for ascending [i < n], each index resolved once, on first
    use — so the merge pass never resolves an entry it stops before.
@@ -429,11 +323,14 @@ let heads n resolve =
 
 (* The segment-merge pass of Figure 9 (steps 1-3): walks SL_A and SL_D
    by global position with the segment stack and hands every SL_D
-   entry with output to [emit_task], which reads the frames before the
-   pass moves on.  [sla i]/[sld i] resolve the lists' [n_a]/[n_d] entries
-   to their segments.  All ER-tree, SB-tree and tag-list access
-   happens here; the tasks only read segment columns. *)
-let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
+   entry with output to [emit node x w], its cross ancestors gathered
+   in [x] and its walk [w] started on [fetch_d node] and, with an
+   in-segment join, [fetch_a node].  [x] and [w] are reused: a task is
+   read before [emit] returns.  [sla i]/[sld i] resolve the lists'
+   [n_a]/[n_d] entries to their segments.  All ER-tree, SB-tree and
+   tag-list access happens here; the tasks only read segment
+   columns. *)
+let plan ?guard ~stats ~fetch_a ~fetch_d ~emit log ~n_a ~sla ~n_d ~sld () =
   (* Whether [sa] comes before [sd] in document order.  Two segments
      share a gp only when one is the other's ancestor (the ancestor's
      own text before the child is all tombstoned), and the tag lists
@@ -446,6 +343,8 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
   let a_head = heads n_a sla and d_head = heads n_d sld in
   (* The stack is [frames.(0 .. nf - 1)], top last. *)
   let frames = Vec.create () and nf = ref 0 in
+  let x = { stack = frames; n = 0; fs = [||]; els = [||]; pids = [||] } in
+  let w = walk Er_node.empty_cols Er_node.empty_cols in
   let push (sa : Er_node.t) elems =
     let depth = Array.length sa.Er_node.path - 1 in
     if !nf = Vec.length frames then
@@ -498,10 +397,10 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
            execution time: with multi-rooted fragments an intermediate
            segment can contribute zero element depth, so (unlike the
            single-rooted case of §4.2) they are not confined to the
-           direct parent segment.  Walking the frames bottom-up and
-           consing lists them top first. *)
+           direct parent segment.  [guard] is checked per frame with
+           elements containing the hook. *)
         let path = sd_node.Er_node.path in
-        let cross = ref [] in
+        x.n <- 0;
         for f = 0 to !nf - 1 do
           let fr = Vec.get frames f in
           if
@@ -510,7 +409,10 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
             && path.(fr.depth) = fr.node.Er_node.sid
           then begin
             sweep fr.o (hook fr path);
-            if fr.o.top > 0 then cross := fr :: !cross
+            if fr.o.top > 0 then begin
+              Deadline.check_opt guard;
+              gather x f
+            end
           end
         done;
         let in_seg =
@@ -519,7 +421,10 @@ let plan ?guard ~stats ~fetch_a ~emit_task log ~n_a ~sla ~n_d ~sld () =
           | _ -> false
         in
         if in_seg then stats.in_segment_joins <- stats.in_segment_joins + 1;
-        if !cross <> [] || in_seg then emit_task { d_node = sd_node; cross = !cross; in_seg };
+        if x.n > 0 || in_seg then begin
+          rewalk w (fetch_d sd_node) (if in_seg then fetch_a sd_node else Er_node.empty_cols);
+          emit sd_node x w
+        end;
         stats.d_segments <- stats.d_segments + 1;
         incr id
   done
@@ -536,14 +441,11 @@ let start ?guard log =
   Update_log.prepare_for_query log;
   Path_synopsis.depth_table (Update_log.synopsis log)
 
-(* The whole join up to materialization: [plan] over [anc]'s and
-   [desc]'s tag lists, handing every task to [exec ~depth ~fetch_a
-   ~fetch_d ~stats]; returns the stats. *)
-let join ?guard log ~anc ~desc exec =
-  let stats = zero_stats () in
-  let depth = start ?guard log in
+(* [plan] over [anc]'s and [desc]'s tag lists, each column read counted
+   in [stats]. *)
+let join ?guard log ~anc ~desc ~stats emit =
   let reg = Update_log.registry log in
-  (match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
+  match (Tag_registry.find reg anc, Tag_registry.find reg desc) with
   | None, _ | _, None -> ()
   | Some tid_a, Some tid_d ->
     let sla = Update_log.segments_for_tag log ~tag:anc in
@@ -556,42 +458,126 @@ let join ?guard log ~anc ~desc exec =
       stats.elements_fetched <- stats.elements_fetched + Er_node.cols_length c;
       c
     in
-    let fetch_a = fetch tid_a in
-    plan ?guard ~stats ~fetch_a
-      ~emit_task:(exec ~depth ~fetch_a ~fetch_d:(fetch tid_d) ~stats)
-      log ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ());
-  stats
+    plan ?guard ~stats ~fetch_a:(fetch tid_a) ~fetch_d:(fetch tid_d) ~emit log
+      ~n_a:(Array.length sla) ~sla:(node sla) ~n_d:(Array.length sld) ~sld:(node sld) ()
 
+(* {!count}'s loop adds a task's pairs up.  Under Desc every cross
+   ancestor joins every D-element, one product per task, and the walk
+   runs only while an own A-element is open or left to open. *)
 let count ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let stats = join ?guard log ~anc ~desc (exec_task ?guard ~axis) in
+  let stats = zero_stats () in
+  let depth = start ?guard log in
+  join ?guard log ~anc ~desc ~stats (fun _ x w ->
+      let d = w.d and o = w.own in
+      let j = ref 0 and cross = ref 0 and inner = ref 0 in
+      (match axis with
+      | Axis.Desc ->
+        cross := x.n * Er_node.cols_length d;
+        while more d o ~all:false !j do
+          reach ?guard d o !j;
+          inner := !inner + o.top;
+          incr j
+        done
+      | Axis.Child ->
+        while more d o ~all:(x.n > 0) !j do
+          reach ?guard d o !j;
+          let want = want axis depth d !j in
+          for k = 0 to x.n - 1 do
+            if joins depth want x.pids k then incr cross
+          done;
+          for q = 0 to o.top - 1 do
+            if joins depth want o.elems.pids (Array.unsafe_get o.opened q) then
+              incr inner
+          done;
+          incr j
+        done);
+      stats.cross_pairs <- stats.cross_pairs + !cross;
+      stats.in_pairs <- stats.in_pairs + !inner);
   stats.cross_pairs + stats.in_pairs
 
+(* --- result order across nested segments ----------------------------- *)
+
+type pending = { mutable waiting : (int -> bool) list }
+
+let pending () = { waiting = [] }
+
+let flush p bound =
+  let rec go = function w :: rest when w bound -> go rest | waiting -> waiting in
+  if p.waiting <> [] then p.waiting <- go p.waiting
+
+let wait p w = p.waiting <- w :: p.waiting
+
+(* {!query}'s loop: writes into [out] the pairs of the task's
+   D-elements from [w.j] on that start before global position [bound],
+   and says whether the task is done.  Per D-element its ancestors
+   come ascending: the [nc] cross ones (global starts [xg], slots
+   [xp]), then the own open stack bottom to top, translated through
+   [own].  A D-element translates on [d_cur], once, only when it has a
+   pair. *)
+let write ?guard ~axis ~depth ~stats ~out w ~nc ~xg ~xp ~d_cur ~own bound =
+  let d = w.d and o = w.own in
+  let a = o.elems in
+  let j = ref w.j and cross = ref 0 and inner = ref 0 and stop = ref false in
+  while (not !stop) && more d o ~all:(nc > 0) !j do
+    reach ?guard d o !j;
+    if nc > 0 || o.top > 0 then begin
+      let gd = Er_node.cursor_start d_cur (Array.unsafe_get d.starts !j) in
+      if gd >= bound then stop := true
+      else begin
+        let want = want axis depth d !j in
+        for k = 0 to nc - 1 do
+          if joins depth want xp k then begin
+            buf_push2 out (Array.unsafe_get xg k) gd;
+            incr cross
+          end
+        done;
+        for q = 0 to o.top - 1 do
+          let ai = Array.unsafe_get o.opened q in
+          if joins depth want a.pids ai then begin
+            buf_push2 out (global own ai) gd;
+            incr inner
+          end
+        done
+      end
+    end;
+    if not !stop then incr j
+  done;
+  w.j <- !j;
+  stats.cross_pairs <- stats.cross_pairs + !cross;
+  stats.in_pairs <- stats.in_pairs + !inner;
+  not !stop
+
 (* Tasks come in SL_D order, so a task's D segment lies inside a
-   pending task's or past it.  [pending] holds the tasks partly
-   written, innermost first, each one's segment inside the next one's.
-   Before a task starts, [flush] writes the pending tasks up to its gp,
-   innermost first, and drops those done; the first one that stops ends
-   the walk, because its next D-element lies inside its segment, past
-   the gp, so the tasks further out have nothing left before it.  A
-   task whose segment has no child segment cannot wait for one: it is
-   written at once. *)
+   waiting task's or past it.  A task whose segment has no child
+   segment cannot wait for one: it is written at once, straight from
+   the gather and the walk; any other waits, on copies of them. *)
 let query ?(axis = Axis.Desc) ?guard log ~anc ~desc () =
-  let out = buf_create () in
-  let map = Update_log.seg_map log in
-  let rec flush bound = function
-    | w :: rest when write ?guard ~axis ~out w bound -> flush bound rest
-    | pending -> pending
-  in
-  let pending = ref [] in
-  let stats =
-    join ?guard log ~anc ~desc (fun ~depth ~fetch_a ~fetch_d ~stats task ->
-        let w = exec_query ?guard ~axis ~map ~depth ~fetch_a ~fetch_d ~stats task in
-        let node = task.d_node in
-        if !pending <> [] then pending := flush (Seg_map.gp map node) !pending;
-        if Vec.is_empty node.Er_node.children then ignore (write ?guard ~axis ~out w max_int)
-        else pending := w :: !pending)
-  in
-  ignore (flush max_int !pending);
+  let stats = zero_stats () in
+  let depth = start ?guard log in
+  let out = buf_create () and map = Update_log.seg_map log in
+  let p = pending () and xg = ref [||] in
+  join ?guard log ~anc ~desc ~stats (fun node x w ->
+      let nc = x.n in
+      if nc > Array.length !xg then xg := Array.make (2 * nc) 0;
+      let g = !xg in
+      for k = 0 to nc - 1 do
+        Array.unsafe_set g k (global (frame_memo map (cross_frame x k)) (Array.unsafe_get x.els k))
+      done;
+      let d_cur = Seg_map.cursor map node and a = w.own.elems in
+      (* Without an own A column the memo is never read: no second
+         cursor. *)
+      let own =
+        if Er_node.cols_length a > 0 then memo map node a
+        else { cursor = d_cur; starts = [||]; g = [||] }
+      in
+      flush p (Seg_map.gp map node);
+      if Vec.is_empty node.Er_node.children then
+        ignore (write ?guard ~axis ~depth ~stats ~out w ~nc ~xg:g ~xp:x.pids ~d_cur ~own max_int)
+      else begin
+        let w = walk w.d a and xg = Array.sub g 0 nc and xp = Array.sub x.pids 0 nc in
+        wait p (write ?guard ~axis ~depth ~stats ~out w ~nc ~xg ~xp ~d_cur ~own)
+      end);
+  flush p max_int;
   (buf_columns out, stats)
 
 (* perfbench shims: [query] as one array of pairs, and the list of
@@ -650,102 +636,82 @@ let mask_count m =
       !c)
     0 m.sel
 
-(* One join unit of a semi-join: [exec_task]'s cross- and in-segment
-   loops over the unit's D column [d] and its selection [dsel],
-   deciding each candidate pair by [ok] instead of emitting it.  On
-   the [`Anc] side every A-element with a match is handed to [mark_a]
-   (its segment, the columns read and its index there; repeats
-   allowed); on the [`Desc] side the result is the unit's survivor
-   bytes over [d] ([Bytes.empty] for none).  [a_cols sid] are the
-   members of segment [sid]. *)
-let exec_semi ?guard ~keep ~depth ~(ok : Bytes.t array) ~a_cols ~(d : Er_node.cols) ~dsel ~mark_a
-    task =
-  Deadline.check_opt guard;
-  if Bytes.length dsel = 0 then Bytes.empty
-  else begin
-    let n_d = Er_node.cols_length d in
-    let ok_at j da =
-      let row = Array.unsafe_get ok (Array.unsafe_get d.pids j) in
-      da < Bytes.length row && is_sel row da
-    in
-    (* [f a o j] for each D-element [j] with ancestors in its own
-       segment's members [a]. *)
-    let in_seg f =
-      if task.in_seg then begin
-        let a = a_cols task.d_node.Er_node.sid in
-        in_segment_join ?guard ~anc:a ~desc:d (f a)
-      end
-    in
-    match keep with
-    | `Anc ->
-      (* Whether a selected D-element matches an ancestor at depth
-         [da]; the frames' elements mostly share one depth. *)
-      let last = ref (-1) and last_ok = ref false in
-      let any_d da =
-        if da <> !last then begin
-          last := da;
-          last_ok := false;
-          let j = ref 0 in
-          while (not !last_ok) && !j < n_d do
-            if is_sel dsel !j && ok_at !j da then last_ok := true;
-            incr j
-          done
-        end;
-        !last_ok
-      in
-      List.iter
-        (fun fr ->
-          Deadline.check_opt guard;
-          let a = fr.o.elems in
-          for k = 0 to fr.o.top - 1 do
-            let i = Array.unsafe_get fr.o.opened k in
-            if any_d depth.(Array.unsafe_get a.pids i) then mark_a fr.node.Er_node.sid a i
-          done)
-        task.cross;
-      in_seg (fun a ->
-          let seen = Bytes.make (Er_node.cols_length a) '\000' in
-          fun o j ->
-            if is_sel dsel j then
-            for q = 0 to o.top - 1 do
-              let ai = Array.unsafe_get o.opened q in
-              if (not (is_sel seen ai)) && ok_at j depth.(Array.unsafe_get a.pids ai) then begin
-                Bytes.unsafe_set seen ai '\001';
-                mark_a task.d_node.Er_node.sid a ai
-              end
-            done);
-      Bytes.empty
-    | `Desc ->
-      let hit = ref Bytes.empty in
-      let mark j =
-        if Bytes.length !hit = 0 then hit := Bytes.make n_d '\000';
-        Bytes.unsafe_set !hit j '\001'
-      in
-      (* Cross-segment, a D-element's match depends only on the depths
-         of the A-elements containing the hook. *)
-      let das = ref [] in
-      List.iter
-        (fun fr ->
-          let o = fr.o in
-          for k = 0 to o.top - 1 do
-            let da = depth.(Array.unsafe_get o.elems.pids (Array.unsafe_get o.opened k)) in
-            if not (List.mem da !das) then das := da :: !das
-          done)
-        task.cross;
-      let rec any j = function [] -> false | da :: das -> ok_at j da || any j das in
-      if !das <> [] then
-        for j = 0 to n_d - 1 do
-          if is_sel dsel j && any j !das then mark j
+(* Whether D-element [j] of [d] matches an ancestor at depth [da]: the
+   path-summary test of its slot's [ok] row. *)
+let[@inline] ok_at ok (d : Er_node.cols) j da =
+  let row = Array.unsafe_get ok (Array.unsafe_get d.pids j) in
+  da < Bytes.length row && is_sel row da
+
+(* {!semi}'s loop for [`Anc]: hands every A-element with a selected
+   match to [mark_a] (its segment's sid, the column read and its index
+   there; repeats allowed). *)
+let semi_anc ?guard ~depth ~ok ~mark_a (node : Er_node.t) x w dsel =
+  let d = w.d and o = w.own in
+  let n_d = Er_node.cols_length d and n_a = Er_node.cols_length o.elems in
+  (* Whether a selected D-element matches at depth [da]: a task's
+     cross ancestors mostly share one depth. *)
+  let last = ref (-1) and last_ok = ref false in
+  for k = 0 to x.n - 1 do
+    let da = depth.(Array.unsafe_get x.pids k) in
+    if da <> !last then begin
+      last := da;
+      let j = ref 0 in
+      while !j < n_d && not (is_sel dsel !j && ok_at ok d !j da) do
+        incr j
+      done;
+      last_ok := !j < n_d
+    end;
+    if !last_ok then begin
+      let fr = cross_frame x k in
+      mark_a fr.node.Er_node.sid fr.o.elems (Array.unsafe_get x.els k)
+    end
+  done;
+  if n_a > 0 then begin
+    let seen = Bytes.make n_a '\000' and j = ref 0 in
+    while more d o ~all:false !j do
+      reach ?guard d o !j;
+      if is_sel dsel !j then
+        for q = 0 to o.top - 1 do
+          let ai = Array.unsafe_get o.opened q in
+          if (not (is_sel seen ai)) && ok_at ok d !j depth.(Array.unsafe_get o.elems.pids ai) then begin
+            Bytes.unsafe_set seen ai '\001';
+            mark_a node.Er_node.sid o.elems ai
+          end
         done;
-      in_seg (fun a o j ->
-          if is_sel dsel j && (Bytes.length !hit = 0 || not (is_sel !hit j)) then begin
-            let q = ref 0 in
-            while !q < o.top && not (ok_at j depth.(Array.unsafe_get a.pids o.opened.(!q))) do
-              incr q
-            done;
-            if !q < o.top then mark j
-          end);
-      !hit
+      incr j
+    done
   end
+
+(* Whether D-element [j] matches one of the depths [das], or one of
+   the own open elements from [q] up. *)
+let rec any_depth ok d j = function [] -> false | da :: das -> ok_at ok d j da || any_depth ok d j das
+
+let rec any_own ~depth ok d j o q =
+  q < o.top
+  && (ok_at ok d j depth.(Array.unsafe_get o.elems.pids (Array.unsafe_get o.opened q))
+     || any_own ~depth ok d j o (q + 1))
+
+(* {!semi}'s loop for [`Desc]: the selected D-elements with a match,
+   as bytes over [w.d] ([Bytes.empty] for none).  Across segments a
+   D-element's match depends only on its cross ancestors' depths, so
+   each distinct one is tested once. *)
+let semi_desc ?guard ~depth ~ok x w dsel =
+  let d = w.d and o = w.own in
+  let das = ref [] in
+  for k = 0 to x.n - 1 do
+    let da = depth.(Array.unsafe_get x.pids k) in
+    if not (List.mem da !das) then das := da :: !das
+  done;
+  let das = !das and hit = ref Bytes.empty and j = ref 0 in
+  while more d o ~all:(das <> []) !j do
+    reach ?guard d o !j;
+    if is_sel dsel !j && (any_depth ok d !j das || any_own ~depth ok d !j o 0) then begin
+      if Bytes.length !hit = 0 then hit := Bytes.make (Er_node.cols_length d) '\000';
+      Bytes.unsafe_set !hit !j '\001'
+    end;
+    incr j
+  done;
+  !hit
 
 (* The index in [c] of element [i] of [sub], a subset of [c]'s
    elements: [i] itself when [sub] is [c], else found by its start. *)
@@ -800,18 +766,27 @@ let semi ?(restrict = true) ?guard log ~anc ~desc ~ok ~keep =
     let k = a_k sid in
     set k (index_in anc.cols.(k) sub i)
   in
-  let exec task =
-    let k = d_k task.d_node.Er_node.sid in
-    let hit =
-      exec_semi ?guard ~keep ~depth ~ok ~a_cols ~d:desc.cols.(k) ~dsel:desc.sel.(k) ~mark_a task
-    in
-    if Bytes.length hit > 0 then out.(k) <- hit
+  (* The D position of the task [plan] is handing out. *)
+  let kd_at = ref 0 in
+  let fetch_d (node : Er_node.t) =
+    kd_at := d_k node.sid;
+    desc.cols.(!kd_at)
+  in
+  let emit node x w =
+    let k = !kd_at in
+    let dsel = desc.sel.(k) in
+    if Bytes.length dsel > 0 then
+      match keep with
+      | `Anc -> semi_anc ?guard ~depth ~ok ~mark_a node x w dsel
+      | `Desc ->
+        let hit = semi_desc ?guard ~depth ~ok x w dsel in
+        if Bytes.length hit > 0 then out.(k) <- hit
   in
   (* [select] resolved every entry: the pass reads [nodes], never the
      SB-tree. *)
   plan ?guard ~stats:(zero_stats ())
     ~fetch_a:(fun node -> a_cols node.Er_node.sid)
-    ~emit_task:exec log ~n_a:(Array.length ka)
+    ~fetch_d ~emit log ~n_a:(Array.length ka)
     ~sla:(fun i -> anc.nodes.(ka.(i)))
     ~n_d:(Array.length kd)
     ~sld:(fun i -> desc.nodes.(kd.(i)))

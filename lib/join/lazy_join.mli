@@ -26,27 +26,22 @@
     here (every join calls {!Lxu_seglog.Update_log.prepare_for_query}),
     matching the paper's LS accounting.
 
-    A join runs on the calling domain, as the paper's does: the
+    A join runs on the calling domain, as the paper's does.  The
     segment-merge pass (which reads the ER-tree, SB-tree and tag
-    lists) hands each SL_D entry with output to its in-segment join
-    and cross-segment emission, which {!query} writes into one output
-    buffer.
-
-    Element sets are each segment's own immutable per-tag columns
-    ({!Lxu_seglog.Er_node.cols}), and the join kernels run directly on
-    those unboxed [int array]s, writing results into a flat integer
-    buffer: the inner loops allocate nothing per element.  An
+    lists) hands each SL_D entry with output to one task kernel,
+    Step 3 of Figure 9: one gather of the entry's cross ancestors off
+    the frames, one walk over its D-elements that sweeps the segment's
+    own A column to each one's start (the in-segment Stack-Tree-Desc
+    join), one Child-axis test and one translation memo for
+    A-elements.  {!query}, {!count} and {!semi} are three short loops
+    over it that differ only in what they do with a D-element's
+    ancestors: write two ints each, add them up, or mark survivors.
+    They run on each segment's own immutable per-tag columns
+    ({!Lxu_seglog.Er_node.cols}) and allocate nothing per element; an
     element's level is its path slot's depth
-    ({!Lxu_seglog.Path_synopsis.depth_table}), read from the table of
-    the log version being joined.
-
-    {!query} is the one join that emits pairs: its sink writes each
-    pair's global (anc, desc) starts, 2 ints, through cursors over the
-    segments the merge pass already resolved, so no pair record is
-    built and no segment is looked up again by sid.  {!count} runs the
-    same pass and loops but only counts, and {!semi} marks survivors
-    instead of emitting.  {!run} and {!global_pairs} are shims over
-    {!query}, kept only for [perfbench/perfbench.ml]. *)
+    ({!Lxu_seglog.Path_synopsis.depth_table}).  {!run} and
+    {!global_pairs} are shims over {!query}, kept only for
+    [perfbench/perfbench.ml]. *)
 
 type stats = {
   mutable a_segments : int;  (** SL_A entries consumed *)
@@ -76,28 +71,27 @@ val query :
     tag-list entry it reaches through the SB-tree once.  The pair count
     is [stats.cross_pairs + stats.in_pairs].
 
-    The sink translates as it emits, through
+    The loop translates as it writes, through
     {!Lxu_seglog.Seg_map.cursor}s over the segments the merge pass has
-    already resolved: a task with cross-segment output translates its D
-    column once, a pushed frame translates each of its A-elements once
-    however many descendant segments it joins, and an in-segment join
-    translates only the elements it emits.  Rows are written in their
+    already resolved: a task translates each D-element with a pair
+    once, and one memo per pushed frame and per in-segment join
+    translates each A-element once, however many D-elements or
+    descendant segments it joins.  Rows are written in their
     final order, with no sort: D-elements in document order, and per
     D-element its ancestors ascending (the cross-segment ones frame by
     frame from the bottom of the stack, then the segment's own
     in-segment stack bottom to top).  A D segment nested inside an
     earlier one's range is interleaved, not merged: the earlier task
-    writes up to the nested segment's gp, waits on a stack of partly
-    written tasks, and resumes once the nested ones are written.
+    writes up to the nested segment's gp, waits ({!pending}), and
+    resumes once the nested ones are written.
 
     [guard] makes the join cooperative: the segment-merge loop, every
-    SL_D entry's join, every cross frame and every D-element a task
-    writes or joins in-segment call {!Lxu_util.Deadline.check_opt}, so
-    the join raises
-    [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry of the
-    deadline expiring or the token firing.  Without [guard] the join is
-    exactly the ungoverned one: identical pairs and stats, one extra
-    branch per check point. *)
+    cross frame a task gathers and every D-element its walk looks at
+    call {!Lxu_util.Deadline.check_opt}, so the join raises
+    [Lxu_util.Deadline.Cancel.Cancelled] within one SL_D entry, or one
+    D-element of a long one, of the deadline expiring or the token
+    firing.  Without [guard] the join is exactly the ungoverned one:
+    identical pairs and stats, one extra branch per check point. *)
 
 val count :
   ?axis:Lxu_util.Axis.t ->
@@ -108,9 +102,10 @@ val count :
   unit ->
   int
 (** The number of {!query}'s pairs, [stats.cross_pairs +
-    stats.in_pairs]: the same merge pass and loops, but the kernel only
-    adds to the stats, so a count translates, writes and allocates
-    nothing per pair.  [axis] and [guard] as in {!query}. *)
+    stats.in_pairs]: the same kernel, but its loop only adds up, so a
+    count translates, writes and allocates nothing per pair; under
+    Desc a task's cross pairs are one product.  [axis] and [guard] as
+    in {!query}. *)
 
 val runs : unit -> int
 (** Joins started in this process ({!query}, {!count} and {!semi}
@@ -121,9 +116,9 @@ val runs : unit -> int
 
     The path executor's joins keep elements, not pairs.  An element
     set of one tag is a {e selection mask} over that tag's per-segment
-    columns, and a semi-join walks the same segment-merge pass and the
-    same cross- and in-segment loops as {!query}, but marks survivors
-    instead of writing pairs: no buffer, no pair, no ref. *)
+    columns, and a semi-join runs the same merge pass and task kernel
+    as {!query}, but its loop marks survivors instead of writing
+    pairs: no buffer, no pair, no ref. *)
 
 type mask = {
   entries : Lxu_seglog.Tag_list.entry array;  (** the tag's tag-list entries, in order *)
@@ -166,10 +161,35 @@ val semi :
     between them (for one [Child] step: exactly the next depth).  The
     result is [anc]'s members with a match ([`Anc], a predicate) or
     [desc]'s ([`Desc], a step down), a subset of that side's mask.
+    [`Desc] tests each distinct cross-ancestor depth once per
+    D-element, not each pair.
 
     [restrict] (default on) walks only the segments holding a member
     on each side; off, every segment of both tags (the unrestricted
     reference).  [guard] as in {!query}. *)
+
+(** {2 Result order across nested segments}
+
+    A child segment's rows sit inside its parent's, but tag lists name
+    the parent first.  {!query} and [Path_query]'s extents write rows
+    in document order with no sort by keeping the segments partly
+    written on one stack. *)
+
+type pending
+(** Partly written segments, innermost first, each inside the next. *)
+
+val pending : unit -> pending
+
+val wait : pending -> (int -> bool) -> unit
+(** [wait p write] puts a segment on top: [write bound] writes its rows
+    that start before global position [bound] and says whether it is
+    done.  A segment with no child segment need not wait. *)
+
+val flush : pending -> int -> unit
+(** [flush p bound], before the segment at gp [bound] starts, writes
+    the waiting ones up to [bound], innermost first, dropping those
+    done; the first not done ends it, as the ones further out have
+    nothing left before [bound].  [flush p max_int] finishes all. *)
 
 (** {2 perfbench shims}
 

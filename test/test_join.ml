@@ -297,6 +297,7 @@ let test_lazy_one_pair_per_segment () =
       let got, stats = lazy_pairs ~axis log ~anc:"africa" ~desc:"location" in
       Alcotest.check pair_list "= naive" expected got;
       check_int "pairs" (if axis = Axis.Desc then n else 0) (List.length got);
+      check_int "count" (List.length got) (Lazy_join.count ~axis log ~anc:"africa" ~desc:"location" ());
       check_int "one SL_D entry per segment" n stats.Lazy_join.d_segments;
       check_int "all cross-segment" (List.length got) stats.Lazy_join.cross_pairs;
       check_int "none in-segment" 0 stats.Lazy_join.in_pairs)
@@ -304,26 +305,101 @@ let test_lazy_one_pair_per_segment () =
   let got, _ = lazy_pairs ~axis:Axis.Child log ~anc:"item" ~desc:"location" in
   Alcotest.check pair_list "item/location = naive"
     (naive_pairs ~axis:Axis.Child text ~anc:"item" ~desc:"location") got;
-  check_int "item/location pairs" n (List.length got)
+  check_int "item/location pairs" n (List.length got);
+  check_int "item/location count" n (Lazy_join.count ~axis:Axis.Child log ~anc:"item" ~desc:"location" ())
 
-(* A guard that fires while [query] runs stops it.  The guard probes
+(* The same [n] items packed into one segment: every pair is
+   in-segment, found by the task's walk over its D-elements. *)
+let packed_log n =
+  let log = Update_log.create () in
+  let items = List.init n (fun k -> Printf.sprintf "<item id=\"%d\"><location/></item>" k) in
+  ignore (Update_log.insert log ~gp:0 ("<r><a/><africa>" ^ String.concat "" items ^ "</africa></r>"));
+  log
+
+(* A guard that fires while a join runs stops it.  The guard probes
    the clock only on every 64th check, and its first probe (made here)
    finds the deadline ahead: once it has passed, the join starts and
-   raises at a later probe, one of the several hundred checks its 397
-   tasks make. *)
+   raises at a later probe.  [query], [count] and [semi] share one task
+   kernel, so each is stopped on the cross-only store (several hundred
+   tasks, one check per task and cross frame at least) and on the
+   packed one (one task, one check per D-element of its walk).  [semi]
+   runs on the cross-only store straight on unguarded masks — there
+   [Path_query.count]'s candidate selection would use up the probes —
+   and on the packed one through [Path_query.count] with a predicate:
+   [africa[location]] keeps ancestors, the step down to [item] keeps
+   descendants. *)
 let test_query_cancelled_mid_join () =
+  let cancelled name run =
+    let deadline = Deadline.after 0.002 in
+    let guard = Deadline.guard ~deadline () in
+    Deadline.check_opt guard;
+    while not (Deadline.expired deadline) do
+      ()
+    done;
+    let before = Lazy_join.runs () in
+    (match run guard with
+    | () -> Alcotest.failf "%s ran to completion past its deadline" name
+    | exception Deadline.Cancel.Cancelled Deadline.Cancel.Timeout -> ());
+    check_bool (name ^ ": a join had started") true (Lazy_join.runs () > before)
+  in
+  List.iter
+    (fun (shape, log) ->
+      cancelled (shape ^ " query") (fun guard ->
+          ignore (Lazy_join.query ?guard log ~anc:"africa" ~desc:"location" ()));
+      cancelled (shape ^ " count") (fun guard ->
+          ignore (Lazy_join.count ?guard log ~anc:"africa" ~desc:"location" ())))
+    [ ("cross-only", one_pair_per_segment_log 397); ("packed", packed_log 397) ];
   let log = one_pair_per_segment_log 397 in
-  let deadline = Deadline.after 0.002 in
-  let guard = Deadline.guard ~deadline () in
-  Deadline.check_opt guard;
-  while not (Deadline.expired deadline) do
-    ()
-  done;
-  let before = Lazy_join.runs () in
-  (match Lazy_join.query ?guard log ~anc:"africa" ~desc:"location" () with
-  | _ -> Alcotest.fail "query ran to completion past its deadline"
-  | exception Deadline.Cancel.Cancelled Deadline.Cancel.Timeout -> ());
-  check_int "the join had started" (before + 1) (Lazy_join.runs ())
+  Update_log.prepare_for_query log;
+  let syn = Update_log.synopsis log and reg = Update_log.registry log in
+  let every = Array.make (Path_synopsis.slots syn) true in
+  let mask tag = Lazy_join.select log ~tid:(Option.get (Tag_registry.find reg tag)) every in
+  let depth = Path_synopsis.depth_table syn in
+  let ok = Array.init (Path_synopsis.slots syn) (fun s -> Bytes.make depth.(s) '\001') in
+  List.iter
+    (fun (name, keep) ->
+      cancelled ("cross-only semi " ^ name) (fun guard ->
+          ignore (Lazy_join.semi ?guard log ~anc:(mask "africa") ~desc:(mask "location") ~ok ~keep)))
+    [ ("`Anc", `Anc); ("`Desc", `Desc) ];
+  let db = Lazy_xml.Lazy_db.of_log (packed_log 397) in
+  let path = Lazy_xml.Path_query.parse_exn "//africa[location]//item" in
+  check_int "packed path count" 397 (Lazy_xml.Path_query.count db path);
+  cancelled "packed semi (Path_query.count)" (fun guard ->
+      ignore (Lazy_xml.Path_query.count ?guard db path))
+
+(* Minor-heap words a join allocates per one-pair task: on
+   [one_pair_per_segment_log] at 200 and 400 child segments, the
+   difference over the 200 extra tasks, after a warm-up run that
+   builds the segments' translators.  [Gc.minor_words] does not depend
+   on the minor heap's size; the output's chunks past 256 words go to
+   the major heap and are not counted.  A task whose segment has no
+   child segment is written straight from the gathered cross
+   ancestors and the walk, with no writer record: what is left is the
+   SL_D entry's resolution (8 words, all of [count]'s) and, in
+   [query], the D-elements' cursor (13 words), an empty own memo (4)
+   and the output.  The three kernels this replaced allocated 49 words
+   per task in [query] and 24 in [count].  Deterministic: no
+   timing. *)
+let test_task_allocation () =
+  let per_task join =
+    let used n =
+      let log = one_pair_per_segment_log n in
+      join log;
+      let before = Gc.minor_words () in
+      join log;
+      Gc.minor_words () -. before
+    in
+    (used 400 -. used 200) /. 200.
+  in
+  List.iter
+    (fun (name, join, bound) ->
+      let words = per_task join in
+      if words > bound then
+        Alcotest.failf "%s allocated %.1f words per one-pair task (bound %.0f)" name words bound)
+    [
+      ("query", (fun log -> ignore (Lazy_join.query log ~anc:"africa" ~desc:"location" ())), 30.);
+      ("count", (fun log -> ignore (Lazy_join.count log ~anc:"africa" ~desc:"location" ())), 10.);
+    ]
 
 (* perfbench's traced read times [run] and [global_pairs] as two
    spans: that route must give [query]'s answer and stats. *)
@@ -537,6 +613,7 @@ let suite =
     Alcotest.test_case "lazy nested D segments" `Quick test_lazy_nested_d_segments;
     Alcotest.test_case "lazy one pair per segment" `Quick test_lazy_one_pair_per_segment;
     Alcotest.test_case "query cancelled mid-join" `Quick test_query_cancelled_mid_join;
+    Alcotest.test_case "task allocation (one pair per segment)" `Quick test_task_allocation;
     Alcotest.test_case "global_pairs . run = query" `Quick test_global_pairs_of_run;
   ]
   @ props
